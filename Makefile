@@ -13,7 +13,7 @@ BENCHTIME ?= 1s
 # engine-scale point (BENCHSUITE_FLAGS="-gate" make bench-json).
 BENCHSUITE_FLAGS ?= -quick -gate
 
-.PHONY: build vet test race check bench bench-json bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite
+.PHONY: build vet test race check bench bench-json bench-module bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite
 
 build:
 	go build ./...
@@ -29,9 +29,11 @@ race:
 
 # The fault-injection suite, race-instrumented and never shortened: the
 # differential fault tests are the determinism contract for the fault
-# layer across both engines and all worker counts.
+# layer across both engines and all worker counts. The walk re-issue and
+# GHS restart drivers are tested where they live, in
+# internal/transport/workloads, over the in-process backend.
 faults:
-	go test -race -run 'Fault|Crash|Sever|Delayed' ./internal/faults ./internal/congest ./internal/randomwalk ./internal/mstbase
+	go test -race -run 'Fault|Crash|Sever|Delayed' ./internal/faults ./internal/congest ./internal/transport/workloads
 
 check: vet test race faults
 
@@ -54,10 +56,13 @@ tcp-suite:
 # internal/congest/testdata/golden) byte-identical over proc and tcp at
 # shards 1/2/4, per-shard fault counts summing to the in-process totals,
 # and the walk re-issue / windowed-GHS recovery stories end-to-end over
-# real processes including a killed-and-recovering shard.
+# real processes including a killed-and-recovering shard — each pinned
+# against the same retry driver run in-process, whose own tests and the
+# harvest-blob parser tests (internal/transport/workloads) ride along.
+# The fate-table codec tests are internal/faults'.
 fault-tcp-suite:
-	go test -race -timeout 300s ./internal/transport -run 'TestGoldenFaultParityOverTCP|TestCrossShardFaultCountsSumToProc|TestWalksFaultsMatchesInProcessDriver|TestGHSFaultsMatchesInProcessDriver|TestWholeShardCrashRecoversOverTCP|TestGHSRecoveryAfterShardCrashOverTCP|TestPlainWorkloadsRejectFaultSpec|TestFateTable|TestParseFateTable'
-	go test -race ./internal/faults
+	go test -race -timeout 300s ./internal/transport -run 'TestGoldenFaultParityOverTCP|TestCrossShardFaultCountsSumToProc|TestWalksFaultsTCPMatchesProc|TestGHSFaultsTCPMatchesProc|TestWholeShardCrashRecoversOverTCP|TestGHSRecoveryAfterShardCrashOverTCP|TestPlainWorkloadsRejectFaultSpec'
+	go test -race ./internal/faults ./internal/transport/workloads
 
 # The observability suite, race-instrumented and never shortened: the
 # -obsout document on every exit path (an induced StallAtRound must
@@ -86,6 +91,13 @@ bench:
 # engines and fails unless integer-zero (DESIGN.md §3, EXPERIMENTS.md E16).
 bench-json:
 	go run ./cmd/benchsuite $(BENCHSUITE_FLAGS)
+
+# The repo benchmark (benchmark/, see BENCHMARK.json) is a nested module
+# the root build, vet and test do not see: vet and test it against the
+# root module so an API change that breaks it fails here, not at the next
+# benchmark run.
+bench-module:
+	go vet -C benchmark ./... && go test -C benchmark ./...
 
 # E16 engine scale sweep: ticker broadcasts on ring lattices at
 # n ∈ {1e4, 1e5, 1e6}, both engines. ns/msg must stay essentially flat

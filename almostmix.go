@@ -5,6 +5,7 @@ import (
 
 	"almostmix/internal/cliquealgo"
 	"almostmix/internal/cliquemu"
+	"almostmix/internal/congest"
 	"almostmix/internal/cost"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
@@ -173,7 +174,7 @@ func MSTBaselineKP(g *Graph) (*BaselineResult, error) { return mstbase.KP(g) }
 // on the CONGEST simulator — every message is simulated and the round
 // count is measured, the full-fidelity counterpart of MSTBaselineGHS.
 func MSTBaselineGHSNetwork(g *Graph, seed uint64) (*BaselineResult, error) {
-	return mstbase.GHSNetwork(g, rngutil.NewSource(seed))
+	return mstbase.GHSNetwork(g, rngutil.NewSource(seed), congest.Options{Workers: 1})
 }
 
 // MSTBaselineGHSNetworkParallel is MSTBaselineGHSNetwork on the parallel
@@ -181,7 +182,7 @@ func MSTBaselineGHSNetwork(g *Graph, seed uint64) (*BaselineResult, error) {
 // <= 0 = one worker per CPU). Rounds and results are bit-identical for
 // every worker count; only wall-clock time changes.
 func MSTBaselineGHSNetworkParallel(g *Graph, seed uint64, workers int) (*BaselineResult, error) {
-	return mstbase.GHSNetworkParallel(g, rngutil.NewSource(seed), workers)
+	return mstbase.GHSNetwork(g, rngutil.NewSource(seed), congest.Options{Workers: workers})
 }
 
 // EmulateClique delivers one message between every ordered node pair via

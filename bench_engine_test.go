@@ -43,7 +43,7 @@ func BenchmarkCongestEngine(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
 				res, err := randomwalk.RunNetwork(fx.g, fx.counts, steps,
-					rngutil.NewSource(131), workers)
+					rngutil.NewSource(131), congest.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -74,8 +74,8 @@ func BenchmarkCongestEngineMetrics(b *testing.B) {
 			reg := metrics.New()
 			var rounds int
 			for i := 0; i < b.N; i++ {
-				res, err := randomwalk.RunNetworkObserved(fx.g, fx.counts, steps,
-					rngutil.NewSource(131), workers, nil, reg)
+				res, err := randomwalk.RunNetwork(fx.g, fx.counts, steps,
+					rngutil.NewSource(131), congest.Options{Workers: workers, Metrics: reg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -148,8 +148,8 @@ func BenchmarkCongestEngineTraced(b *testing.B) {
 			var rounds int
 			for i := 0; i < b.N; i++ {
 				sink := congest.NewTraceSink()
-				res, err := randomwalk.RunNetworkProbe(fx.g, fx.counts, steps,
-					rngutil.NewSource(131), workers, sink)
+				res, err := randomwalk.RunNetwork(fx.g, fx.counts, steps,
+					rngutil.NewSource(131), congest.Options{Workers: workers, Probe: sink})
 				if err != nil {
 					b.Fatal(err)
 				}

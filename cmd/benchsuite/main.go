@@ -323,7 +323,7 @@ func buildCases(quick bool) ([]*benchCase, error) {
 					var rounds int
 					for i := 0; i < b.N; i++ {
 						res, err := randomwalk.RunNetwork(eg, counts, steps,
-							rngutil.NewSource(131), workers)
+							rngutil.NewSource(131), congest.Options{Workers: workers})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -332,8 +332,8 @@ func buildCases(quick bool) ([]*benchCase, error) {
 					b.ReportMetric(float64(rounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
 				},
 				observe: func(reg *metrics.Registry) error {
-					_, err := randomwalk.RunNetworkObserved(eg, counts, steps,
-						rngutil.NewSource(131), workers, nil, reg)
+					_, err := randomwalk.RunNetwork(eg, counts, steps,
+						rngutil.NewSource(131), congest.Options{Workers: workers, Metrics: reg})
 					return err
 				},
 			},
@@ -344,8 +344,8 @@ func buildCases(quick bool) ([]*benchCase, error) {
 					var rounds int
 					for i := 0; i < b.N; i++ {
 						sink := congest.NewTraceSink()
-						res, err := randomwalk.RunNetworkProbe(eg, counts, steps,
-							rngutil.NewSource(131), workers, sink)
+						res, err := randomwalk.RunNetwork(eg, counts, steps,
+							rngutil.NewSource(131), congest.Options{Workers: workers, Probe: sink})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -355,8 +355,8 @@ func buildCases(quick bool) ([]*benchCase, error) {
 				},
 				observe: func(reg *metrics.Registry) error {
 					sink := congest.NewTraceSink().WithMetrics(reg)
-					_, err := randomwalk.RunNetworkObserved(eg, counts, steps,
-						rngutil.NewSource(131), workers, sink, reg)
+					_, err := randomwalk.RunNetwork(eg, counts, steps,
+						rngutil.NewSource(131), congest.Options{Workers: workers, Probe: sink, Metrics: reg})
 					return err
 				},
 			})
@@ -457,7 +457,7 @@ func buildCases(quick bool) ([]*benchCase, error) {
 				b.ReportAllocs()
 				var rounds int
 				for i := 0; i < b.N; i++ {
-					res, err := mstbase.GHSNetwork(hg, rngutil.NewSource(33))
+					res, err := mstbase.GHSNetwork(hg, rngutil.NewSource(33), congest.Options{Workers: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -466,7 +466,7 @@ func buildCases(quick bool) ([]*benchCase, error) {
 				b.ReportMetric(float64(rounds), "rounds")
 			},
 			observe: func(reg *metrics.Registry) error {
-				_, err := mstbase.GHSNetworkObserved(hg, rngutil.NewSource(33), 1, nil, reg)
+				_, err := mstbase.GHSNetwork(hg, rngutil.NewSource(33), congest.Options{Workers: 1, Metrics: reg})
 				return err
 			},
 		})

@@ -77,7 +77,7 @@ func main() {
 		if *decompose {
 			err = runE18MST(*quick, *phi, *seed, *trace, sess)
 		} else {
-			err = run(*audit, *ghsnet || *transportName == "tcp", *quick, *seed, *workers, *trace, *faultSpec, *faultSeed, *attempts, tr, sess)
+			err = run(*audit, *ghsnet || *transportName == "tcp", *quick, *seed, *trace, *faultSpec, *faultSeed, *attempts, tr, sess)
 		}
 		if cerr := sess.Close(); err == nil {
 			err = cerr
@@ -89,7 +89,7 @@ func main() {
 	}
 }
 
-func run(audit, ghsnet, quick bool, seed uint64, workers int, trace, faultSpec string, faultSeed uint64, attempts int, tr transport.Transport, sess *metrics.Session) error {
+func run(audit, ghsnet, quick bool, seed uint64, trace, faultSpec string, faultSeed uint64, attempts int, tr transport.Transport, sess *metrics.Session) error {
 	var sink *congest.TraceSink
 	if trace != "" || sess.Registry() != nil {
 		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
@@ -191,7 +191,7 @@ func run(audit, ghsnet, quick bool, seed uint64, workers int, trace, faultSpec s
 
 	if ghsnet {
 		nt := harness.NewTable(
-			fmt.Sprintf("E1b — node-program GHS on the CONGEST simulator (transport=%s, workers=%d)", tr.Name(), workers),
+			fmt.Sprintf("E1b — node-program GHS on the CONGEST simulator (transport=%v)", tr),
 			"graph", "n", "rounds", "iterations", "weight agrees")
 		for _, inst := range instances {
 			var probe congest.Probe
@@ -203,9 +203,8 @@ func run(audit, ghsnet, quick bool, seed uint64, workers int, trace, faultSpec s
 				return err
 			}
 			out := res.Output.(workloads.MSTOutput)
-			window := 3*inst.g.N() + 6
 			_, want := mst.Kruskal(inst.g)
-			nt.AddRow(inst.name, inst.g.N(), res.Rounds, (res.Rounds+window-1)/window, out.Weight == want)
+			nt.AddRow(inst.name, inst.g.N(), res.Rounds, mstbase.GHSIterations(inst.g.N(), res.Rounds), out.Weight == want)
 		}
 		fmt.Println(nt)
 		fmt.Println("Round counts are engine- and transport-independent: -workers and")

@@ -76,7 +76,7 @@ func main() {
 
 	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
 	if err == nil {
-		err = run(*n, *d, *steps, *seed, *workers, *trace, *faultSpec, *faultSeed, *attempts, tr, sess)
+		err = run(*n, *d, *steps, *seed, *trace, *faultSpec, *faultSeed, *attempts, tr, sess)
 		if cerr := sess.Close(); err == nil {
 			err = cerr
 		}
@@ -87,7 +87,7 @@ func main() {
 	}
 }
 
-func run(n, d, steps int, seed uint64, workers int, trace, faultSpec string, faultSeed uint64, attempts int, tr transport.Transport, sess *metrics.Session) error {
+func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64, attempts int, tr transport.Transport, sess *metrics.Session) error {
 	var sink *congest.TraceSink
 	if trace != "" || sess.Registry() != nil {
 		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
@@ -122,7 +122,7 @@ func run(n, d, steps int, seed uint64, workers int, trace, faultSpec string, fau
 	// real processes. The makespan exceeds T by exactly the
 	// port-contention queueing that Lemma 2.5's phases budget for.
 	et := harness.NewTable(
-		fmt.Sprintf("E4b — node-program walks on the CONGEST engine (transport=%s, workers=%d)", tr.Name(), workers),
+		fmt.Sprintf("E4b — node-program walks on the CONGEST engine (transport=%v)", tr),
 		"k", "tokens", "messages", "makespan rounds", "rounds/step")
 	for _, k := range []int{1, 2, 4} {
 		var probe congest.Probe

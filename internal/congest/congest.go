@@ -281,6 +281,24 @@ func (n *Network) SetWorkers(w int) *Network {
 	return n
 }
 
+// Options is the one set of run options every node-program entry point
+// takes (randomwalk.RunNetwork, mstbase.GHSNetwork, transport.Proc): each
+// field means exactly what its Set* method documents, nil = off. Note the
+// zero Workers is SetWorkers(0), one worker per CPU — callers that want
+// the sequential reference engine say Workers: 1.
+type Options struct {
+	Workers int
+	Probe   Probe
+	Metrics *metrics.Registry
+	Faults  *faults.Plan
+}
+
+// Configure applies o through the Set* methods; like them it must precede
+// Run and returns the receiver.
+func (n *Network) Configure(o Options) *Network {
+	return n.SetWorkers(o.Workers).SetProbe(o.Probe).SetMetrics(o.Metrics).SetFaults(o.Faults)
+}
+
 // mustConfigure panics when a Set* option is applied after the network has
 // started. A Network is single-use (see ErrNetworkReused): once Run (or a
 // Shard) has consumed it, reconfiguring it cannot take effect and would

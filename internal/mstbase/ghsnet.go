@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/faults"
 	"almostmix/internal/graph"
-	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 )
 
@@ -446,61 +446,77 @@ func (p *ghsNode) forwardAdoption(ctx *congest.Ctx, fromPort int) {
 	}
 }
 
+// ghsWindow is the length of one Borůvka iteration window on n nodes
+// (layout above) — the only place the formula is written down.
+func ghsWindow(n int) int { return 3*n + 6 }
+
+// GHSIterations converts a node-program GHS round count on n nodes into
+// the number of Borůvka windows it spanned.
+func GHSIterations(n, rounds int) int {
+	w := ghsWindow(n)
+	return (rounds + w - 1) / w
+}
+
+// FaultyMSTResult extends Result with the retry accounting of a faulty
+// run (workloads.RunGHSFaults). Rounds and Iterations accumulate over all
+// attempts.
+type FaultyMSTResult struct {
+	Result
+	// Attempts is the number of network runs executed (1 = the first
+	// attempt already produced the MST).
+	Attempts int
+	// Recovered reports whether the final attempt's edge set is exactly
+	// the MST. When false, Edges and Weight are zero — the attempt budget
+	// ran out before the algorithm converged.
+	Recovered bool
+	// Faults aggregates the injected fault events over all attempts.
+	Faults faults.Counts
+}
+
+// GHSPrograms returns the per-node synchronous Borůvka/GHS programs for g
+// and their round budget. A plan with any rule (nil = none) selects the
+// defensive variant (window stamping, per-port dedup, poisoning, label
+// repair) and a stretched budget: faulted windows stall and retry, delays
+// stretch phases, and crashed nodes sit out until recovery. Run to
+// completion with Run (not RunUntilQuiet); collect each node's chosen MST
+// edges afterwards with GHSChosenEdges.
+func GHSPrograms(g *graph.Graph, plan *faults.Plan) (programs []congest.Program, maxRounds int) {
+	run := &ghsRun{window: ghsWindow(g.N()), faulty: plan != nil && !plan.Empty()}
+	programs = make([]congest.Program, g.N())
+	for v := range programs {
+		programs[v] = &ghsNode{run: run}
+	}
+	iterBudget := 2*log2int(g.N()) + 4
+	if run.faulty {
+		return programs, run.window*(iterBudget+6) + plan.MaxDelay() + plan.RecoverySlack()
+	}
+	return programs, run.window*iterBudget + 2
+}
+
 // GHSNetwork runs the node-program synchronous Borůvka on g and returns
-// the MST with the simulator-measured round count. Weights should be
-// distinct.
-func GHSNetwork(g *graph.Graph, src *rngutil.Source) (*Result, error) {
-	return GHSNetworkParallel(g, src, 1)
-}
-
-// GHSNetworkParallel runs GHSNetwork on the simulator's sharded parallel
-// engine with the given worker count (1 = the sequential reference engine,
-// <= 0 = one worker per CPU). The result — tree, rounds, message-level
-// schedule — is bit-identical for every worker count; only wall-clock time
-// changes.
-func GHSNetworkParallel(g *graph.Graph, src *rngutil.Source, workers int) (*Result, error) {
-	return GHSNetworkProbe(g, src, workers, nil)
-}
-
-// GHSNetworkProbe runs like GHSNetworkParallel with a probe attached to
-// the simulator (see congest.Probe): the probe sees every round's
-// delivery profile plus a phase mark per Borůvka window, emitted by node
-// 0 at each window boundary. A nil probe is identical to
-// GHSNetworkParallel.
-func GHSNetworkProbe(g *graph.Graph, src *rngutil.Source, workers int, probe congest.Probe) (*Result, error) {
-	return GHSNetworkObserved(g, src, workers, probe, nil)
-}
-
-// GHSNetworkObserved runs like GHSNetworkProbe with a host-metrics
-// registry additionally attached to the simulator (per-round wall time,
-// throughput, worker busy/idle). Nil probe and nil registry are both
-// valid and independent.
-func GHSNetworkObserved(g *graph.Graph, src *rngutil.Source, workers int, probe congest.Probe, reg *metrics.Registry) (*Result, error) {
+// the MST with the simulator-measured round count. It is the one
+// in-process entry point: opts selects the engine and attaches probe,
+// metrics registry and fault plan (see congest.Options). The probe sees
+// every round's delivery profile plus a phase mark per Borůvka window,
+// emitted by node 0 at each window boundary. The result — tree, rounds,
+// message-level schedule — is bit-identical for every worker count.
+// Weights should be distinct. Restarting a run a fault plan wrecked is
+// workloads.RunGHSFaults' job, over any transport.
+func GHSNetwork(g *graph.Graph, src *rngutil.Source, opts congest.Options) (*Result, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("mstbase: %w", graph.ErrDisconnected)
 	}
-	run := &ghsRun{window: 3*g.N() + 6}
-	nodes := make([]*ghsNode, g.N())
-	net := congest.NewUniformNetwork(g, func(v int) congest.Program {
-		nodes[v] = &ghsNode{run: run}
-		return nodes[v]
-	}, src).SetWorkers(workers).SetProbe(probe).SetMetrics(reg)
-	iterBudget := 2*log2int(g.N()) + 4
-	rounds, err := net.Run(run.window*iterBudget + 2)
+	programs, maxRounds := GHSPrograms(g, opts.Faults)
+	rounds, err := congest.NewNetwork(g, programs, src).Configure(opts).Run(maxRounds)
 	if err != nil {
 		return nil, fmt.Errorf("mstbase: GHSNetwork: %w", err)
 	}
-	res := &Result{
-		Rounds:     rounds,
-		Iterations: (rounds + run.window - 1) / run.window,
-	}
+	res := &Result{Rounds: rounds, Iterations: GHSIterations(g.N(), rounds)}
 	seen := make(map[int]struct{}, g.N()-1)
-	for _, node := range nodes {
-		for _, id := range node.chosen {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				res.Edges = append(res.Edges, id)
-			}
+	for _, id := range GHSChosenEdges(programs, 0, g.N()) {
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
+			res.Edges = append(res.Edges, id)
 		}
 	}
 	res.Weight = g.TotalWeight(res.Edges)

@@ -24,7 +24,7 @@ import (
 func ghsTrace(t *testing.T, g *graph.Graph, seed uint64, workers int) ([]byte, *Result) {
 	t.Helper()
 	sink := congest.NewTraceSink().Label("ghs")
-	res, err := GHSNetworkProbe(g, rngutil.NewSource(seed), workers, sink)
+	res, err := GHSNetwork(g, rngutil.NewSource(seed), congest.Options{Workers: workers, Probe: sink})
 	if err != nil {
 		t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"almostmix/internal/congest"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
 )
@@ -182,7 +183,7 @@ func TestGHSNetworkMatchesKruskal(t *testing.T) {
 		graph.BinaryTree(15),
 	} {
 		g.AssignDistinctRandomWeights(r)
-		res, err := GHSNetwork(g, rngutil.NewSource(12))
+		res, err := GHSNetwork(g, rngutil.NewSource(12), congest.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestGHSNetworkWindowAccounting(t *testing.T) {
 	r := rngutil.NewRand(13)
 	g := graph.RandomRegular(32, 4, r)
 	g.AssignDistinctRandomWeights(r)
-	res, err := GHSNetwork(g, rngutil.NewSource(14))
+	res, err := GHSNetwork(g, rngutil.NewSource(14), congest.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestGHSNetworkAgreesWithChargedModel(t *testing.T) {
 			return true
 		}
 		g.AssignDistinctRandomWeights(r)
-		a, err := GHSNetwork(g, rngutil.NewSource(seed))
+		a, err := GHSNetwork(g, rngutil.NewSource(seed), congest.Options{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -239,7 +240,7 @@ func TestGHSNetworkAgreesWithChargedModel(t *testing.T) {
 func TestGHSNetworkRejectsDisconnected(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
-	if _, err := GHSNetwork(g, rngutil.NewSource(15)); err == nil {
+	if _, err := GHSNetwork(g, rngutil.NewSource(15), congest.Options{Workers: 1}); err == nil {
 		t.Fatal("disconnected accepted")
 	}
 }

@@ -1,7 +1,7 @@
 package mstbase
 
-// Wire adapters for the transport layer (internal/transport): an
-// exported builder for the node-program GHS plus the byte codec for its
+// Wire adapters for the transport layer (internal/transport): the
+// per-shard harvest of the node-program GHS plus the byte codec for its
 // (unexported) message payloads, so shard processes can exchange them
 // over TCP. See internal/congest/wire.go for the codec contract: Encode
 // appends a canonical byte form, Decode parses exactly those bytes, and
@@ -13,47 +13,13 @@ import (
 	"math"
 
 	"almostmix/internal/congest"
-	"almostmix/internal/graph"
 )
-
-// GHSPrograms returns the per-node synchronous Borůvka/GHS programs for
-// g (fault-free variant) and the round budget GHSNetworkObserved would
-// use. Run to completion with Run (not RunUntilQuiet); collect each
-// node's chosen MST edges afterwards with GHSChosenEdges.
-func GHSPrograms(g *graph.Graph) (programs []congest.Program, maxRounds int) {
-	run := &ghsRun{window: 3*g.N() + 6}
-	programs = make([]congest.Program, g.N())
-	for v := range programs {
-		programs[v] = &ghsNode{run: run}
-	}
-	return programs, run.window*(2*log2int(g.N())+4) + 2
-}
-
-// GHSFaultPrograms returns the per-node GHS programs of one faulty-run
-// attempt, exactly as GHSNetworkFaults builds them: faulty enables the
-// defensive machinery (window stamping, per-port dedup, poisoning, label
-// repair) and should mirror !plan.Empty(). The returned budget is the
-// attempt's base round budget — on faulty runs callers add the plan's
-// MaxDelay and RecoverySlack, exactly like GHSNetworkFaults. Collect
-// chosen edges afterwards with GHSChosenEdges.
-func GHSFaultPrograms(g *graph.Graph, faulty bool) (programs []congest.Program, baseBudget int) {
-	run := &ghsRun{window: 3*g.N() + 6, faulty: faulty}
-	programs = make([]congest.Program, g.N())
-	for v := range programs {
-		programs[v] = &ghsNode{run: run}
-	}
-	iterBudget := 2*log2int(g.N()) + 4
-	if faulty {
-		return programs, run.window * (iterBudget + 6)
-	}
-	return programs, run.window*iterBudget + 2
-}
 
 // GHSChosenEdges returns the MST edge IDs chosen by nodes [lo, hi) of a
 // GHSPrograms run, in node order with per-node emission order kept and
-// no cross-node dedup — the same raw stream GHSNetworkObserved
-// aggregates, so a coordinator concatenating per-shard streams in shard
-// order and deduplicating first-seen reproduces its Edges exactly.
+// no cross-node dedup — the same raw stream GHSNetwork aggregates, so a
+// coordinator concatenating per-shard streams in shard order and
+// deduplicating first-seen reproduces its Edges exactly.
 func GHSChosenEdges(programs []congest.Program, lo, hi int) []int {
 	var edges []int
 	for v := lo; v < hi; v++ {

@@ -14,21 +14,26 @@ import (
 	"fmt"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/faults"
 	"almostmix/internal/graph"
-	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 )
 
 // walkToken is the message payload: the number of hops the token still
 // has to make after the current delivery, plus the token's identity
 // (origin node and per-origin sequence number). Identity is inert on
-// fault-free runs; the faulty-run driver (RunNetworkFaults) uses it to
+// fault-free runs; the retry driver (workloads.RunWalksFaults) uses it to
 // recognize which tokens were absorbed and re-issue the lost ones.
 type walkToken struct {
 	Left   int32
 	Origin int32
 	Seq    int32
 }
+
+// WalkTokenID identifies one issued walk token across retry attempts:
+// the origin node and a per-origin sequence number, unique across the
+// whole faulty run (re-issues mint fresh numbers).
+type WalkTokenID struct{ Origin, Seq int32 }
 
 // NetworkWalkResult is the outcome of a node-program walk execution.
 type NetworkWalkResult struct {
@@ -43,6 +48,23 @@ type NetworkWalkResult struct {
 	Messages int
 }
 
+// FaultyWalkResult extends NetworkWalkResult with the retry accounting of
+// a faulty run (workloads.RunWalksFaults). Rounds and Messages accumulate
+// over all attempts.
+type FaultyWalkResult struct {
+	NetworkWalkResult
+	// Attempts is the number of network runs executed (1 = first attempt
+	// already delivered every token).
+	Attempts int
+	// Reissued counts tokens re-issued after being lost to faults.
+	Reissued int
+	// Lost counts tokens still unabsorbed when the attempt budget ran
+	// out; 0 means every walk completed.
+	Lost int
+	// Faults aggregates the injected fault events over all attempts.
+	Faults faults.Counts
+}
+
 // walkNode is the per-node program: it routes arriving tokens onward with
 // a fresh uniform port choice per hop and drains one queued token per port
 // per round.
@@ -52,19 +74,14 @@ type walkNode struct {
 	arrived []int // shared, but each node writes only its own index
 	queues  [][]walkToken
 
-	// Faulty-run extras, nil on fault-free runs: seqBase[v] is the first
+	// Identity-recording extras, nil on plain runs: seqBase[v] is the first
 	// sequence number of node v's freshly issued tokens this attempt, and
 	// absorbed[v] collects the identities of tokens absorbed at v (each
 	// node appends only to its own slice, preserving the single-writer
 	// sharding).
 	seqBase  []int
-	absorbed [][]tokenID
+	absorbed [][]WalkTokenID
 }
-
-// tokenID identifies one issued walk token across retry attempts. The
-// exported name (wire.go) lets the transport-level retry driver carry
-// identities across process boundaries.
-type tokenID = WalkTokenID
 
 func (p *walkNode) Init(ctx *congest.Ctx) {
 	p.queues = make([][]walkToken, ctx.Degree())
@@ -88,7 +105,7 @@ func (p *walkNode) route(ctx *congest.Ctx, tok walkToken) {
 	if tok.Left == 0 || ctx.Degree() == 0 {
 		p.arrived[ctx.ID()]++
 		if p.absorbed != nil {
-			p.absorbed[ctx.ID()] = append(p.absorbed[ctx.ID()], tokenID{tok.Origin, tok.Seq})
+			p.absorbed[ctx.ID()] = append(p.absorbed[ctx.ID()], WalkTokenID{tok.Origin, tok.Seq})
 		}
 		return
 	}
@@ -118,33 +135,23 @@ func (p *walkNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 	p.flush(ctx)
 }
 
-// RunNetwork starts counts[v] walk tokens at each node v, each making
-// exactly steps uniform-random hops (no laziness) as simulator messages,
-// and runs until every token is absorbed. workers selects the simulator
-// engine: 1 is the sequential reference, > 1 the sharded parallel engine,
-// <= 0 one worker per CPU. Results are bit-identical across worker counts
-// and reproducible given the seed source.
-func RunNetwork(g *graph.Graph, counts []int, steps int, src *rngutil.Source, workers int) (*NetworkWalkResult, error) {
-	return RunNetworkProbe(g, counts, steps, src, workers, nil)
-}
-
-// RunNetworkProbe runs like RunNetwork with a probe attached to the
-// simulator: the probe sees the genuine per-round trajectory (messages
-// delivered, inbox sizes = queued tokens entering each node, per-edge
-// deliveries), which is the measured counterpart of the analytic trace
-// Config.Probe exposes on Run. A nil probe is identical to RunNetwork.
-func RunNetworkProbe(g *graph.Graph, counts []int, steps int, src *rngutil.Source, workers int, probe congest.Probe) (*NetworkWalkResult, error) {
-	return RunNetworkObserved(g, counts, steps, src, workers, probe, nil)
-}
-
-// RunNetworkObserved runs like RunNetworkProbe with a host-metrics
-// registry additionally attached to the simulator, so the engine records
-// per-round wall time, throughput and worker busy/idle splits alongside
-// the probe's simulated-round trajectory. Nil probe and nil registry
-// are both valid and independent.
-func RunNetworkObserved(g *graph.Graph, counts []int, steps int, src *rngutil.Source, workers int, probe congest.Probe, reg *metrics.Registry) (*NetworkWalkResult, error) {
+// WalkPrograms returns the per-node walk programs: counts[v] tokens start
+// at node v, each making exactly steps uniform-random hops (no laziness).
+// A non-nil seqBase selects identity-recording tokens for the retry
+// driver: node v's tokens carry sequence numbers seqBase[v], seqBase[v]+1,
+// … and every absorption appends the token's identity to absorbed[v]
+// (nil otherwise). arrived[v] and absorbed[v] are single-writer per node
+// and valid only on the process owning v. maxRounds is the RunUntilQuiet
+// budget: every round at least one token hops while any remain in flight,
+// so total hops bound the fault-free makespan; under plan (nil = none)
+// delays and crash recoveries stretch it by their worst-case slack.
+// Panics on mis-sized counts/seqBase or negative steps.
+func WalkPrograms(g *graph.Graph, counts, seqBase []int, steps int, plan *faults.Plan) (programs []congest.Program, arrived []int, absorbed [][]WalkTokenID, maxRounds int) {
 	if len(counts) != g.N() {
 		panic(fmt.Sprintf("randomwalk: %d counts for %d nodes", len(counts), g.N()))
+	}
+	if seqBase != nil && len(seqBase) != g.N() {
+		panic(fmt.Sprintf("randomwalk: %d sequence bases for %d nodes", len(seqBase), g.N()))
 	}
 	if steps < 0 {
 		panic("randomwalk: negative step count")
@@ -153,17 +160,36 @@ func RunNetworkObserved(g *graph.Graph, counts []int, steps int, src *rngutil.So
 	for _, c := range counts {
 		total += c
 	}
-	res := &NetworkWalkResult{ArrivedAt: make([]int, g.N())}
-	net := congest.NewUniformNetwork(g, func(v int) congest.Program {
-		return &walkNode{steps: steps, counts: counts, arrived: res.ArrivedAt}
-	}, src).SetWorkers(workers).SetProbe(probe).SetMetrics(reg)
-	// Every round at least one token hops while any remain in flight, so
-	// total hops bounds the makespan.
-	rounds, err := net.RunUntilQuiet(total*steps + 4)
+	arrived = make([]int, g.N())
+	if seqBase != nil {
+		absorbed = make([][]WalkTokenID, g.N())
+	}
+	programs = make([]congest.Program, g.N())
+	for v := range programs {
+		programs[v] = &walkNode{steps: steps, counts: counts, arrived: arrived, seqBase: seqBase, absorbed: absorbed}
+	}
+	maxRounds = total*steps + 4
+	if plan != nil {
+		maxRounds += steps*plan.MaxDelay() + plan.RecoverySlack()
+	}
+	return programs, arrived, absorbed, maxRounds
+}
+
+// RunNetwork runs the WalkPrograms tokens as simulator messages until
+// every token is absorbed. It is the one in-process entry point: opts
+// selects the engine and attaches probe, metrics registry and fault plan
+// (see congest.Options). The probe sees the genuine per-round trajectory
+// (messages delivered, inbox sizes = queued tokens entering each node,
+// per-edge deliveries), the measured counterpart of the analytic trace
+// Config.Probe exposes on Run. Results are bit-identical across worker
+// counts and reproducible given the seed source. Retrying tokens lost to
+// a fault plan is workloads.RunWalksFaults' job, over any transport.
+func RunNetwork(g *graph.Graph, counts []int, steps int, src *rngutil.Source, opts congest.Options) (*NetworkWalkResult, error) {
+	programs, arrived, _, maxRounds := WalkPrograms(g, counts, nil, steps, opts.Faults)
+	net := congest.NewNetwork(g, programs, src).Configure(opts)
+	rounds, err := net.RunUntilQuiet(maxRounds)
 	if err != nil {
 		return nil, fmt.Errorf("randomwalk: network walk: %w", err)
 	}
-	res.Rounds = rounds
-	res.Messages = net.Messages()
-	return res, nil
+	return &NetworkWalkResult{ArrivedAt: arrived, Rounds: rounds, Messages: net.Messages()}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"almostmix/internal/congest"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
 )
@@ -22,7 +23,7 @@ func TestRunNetworkConservesTokens(t *testing.T) {
 		total += counts[v]
 	}
 	const steps = 12
-	res, err := RunNetwork(g, counts, steps, rngutil.NewSource(5), 1)
+	res, err := RunNetwork(g, counts, steps, rngutil.NewSource(5), congest.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestRunNetworkConservesTokens(t *testing.T) {
 func TestRunNetworkZeroSteps(t *testing.T) {
 	g := graph.Ring(8)
 	counts := []int{2, 0, 0, 0, 0, 0, 0, 1}
-	res, err := RunNetwork(g, counts, 0, rngutil.NewSource(1), 1)
+	res, err := RunNetwork(g, counts, 0, rngutil.NewSource(1), congest.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func TestRunNetworkDifferential(t *testing.T) {
 		g := graph.RandomRegular(96, 6, rngutil.NewRand(seed))
 		counts := UniformCountTimesDegree(g, 1)
 		const steps = 10
-		ref, err := RunNetwork(g, counts, steps, rngutil.NewSource(seed), 1)
+		ref, err := RunNetwork(g, counts, steps, rngutil.NewSource(seed), congest.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
 		for _, workers := range []int{1, 2, 8} {
-			got, err := RunNetwork(g, counts, steps, rngutil.NewSource(seed), workers)
+			got, err := RunNetwork(g, counts, steps, rngutil.NewSource(seed), congest.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}

@@ -68,7 +68,7 @@ func TestRunNetworkTraceIdenticalAcrossWorkers(t *testing.T) {
 	const steps = 8
 	export := func(workers int) []byte {
 		sink := congest.NewTraceSink().Label("walks")
-		if _, err := RunNetworkProbe(g, counts, steps, rngutil.NewSource(21), workers, sink); err != nil {
+		if _, err := RunNetwork(g, counts, steps, rngutil.NewSource(21), congest.Options{Workers: workers, Probe: sink}); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		var buf bytes.Buffer

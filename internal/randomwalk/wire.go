@@ -1,8 +1,7 @@
 package randomwalk
 
-// Wire adapters for the transport layer (internal/transport): an
-// exported builder for the node-program walk workload plus the byte
-// codec for its (unexported) token payload. See
+// Wire adapter for the transport layer (internal/transport): the byte
+// codec for the walk programs' (unexported) token payload. See
 // internal/congest/wire.go for the codec contract.
 
 import (
@@ -10,71 +9,7 @@ import (
 	"fmt"
 
 	"almostmix/internal/congest"
-	"almostmix/internal/graph"
 )
-
-// WalkPrograms returns the per-node programs of RunNetworkObserved —
-// counts[v] tokens start at node v, each making exactly steps uniform
-// hops — plus the shared arrival-count slice and the round budget. Run
-// with RunUntilQuiet; arrived[v] is valid only on the process owning
-// node v. Panics on invalid counts/steps like RunNetworkObserved.
-func WalkPrograms(g *graph.Graph, counts []int, steps int) (programs []congest.Program, arrived []int, maxRounds int) {
-	if len(counts) != g.N() {
-		panic(fmt.Sprintf("randomwalk: %d counts for %d nodes", len(counts), g.N()))
-	}
-	if steps < 0 {
-		panic("randomwalk: negative step count")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	arrived = make([]int, g.N())
-	programs = make([]congest.Program, g.N())
-	for v := range programs {
-		programs[v] = &walkNode{steps: steps, counts: counts, arrived: arrived}
-	}
-	return programs, arrived, total*steps + 4
-}
-
-// WalkTokenID identifies one issued walk token across retry attempts:
-// the origin node and a per-origin sequence number, unique across the
-// whole faulty run (re-issues mint fresh numbers).
-type WalkTokenID struct{ Origin, Seq int32 }
-
-// WalkFaultPrograms returns the per-node programs of one faulty-run
-// attempt, exactly as RunNetworkFaults builds them: counts[v] tokens
-// start at node v with sequence numbers seqBase[v], seqBase[v]+1, …,
-// and every absorption records the token's identity into absorbed[v]
-// (single-writer per node, valid only on the process owning v, like
-// arrived). The retry driver reconciles absorbed identities against its
-// outstanding set and re-issues the rest. The fault-free round budget
-// is Σcounts·steps + 4; callers add the plan's delay and recovery slack
-// exactly like RunNetworkFaults.
-func WalkFaultPrograms(g *graph.Graph, counts, seqBase []int, steps int) (programs []congest.Program, arrived []int, absorbed [][]WalkTokenID) {
-	if len(counts) != g.N() {
-		panic(fmt.Sprintf("randomwalk: %d counts for %d nodes", len(counts), g.N()))
-	}
-	if len(seqBase) != g.N() {
-		panic(fmt.Sprintf("randomwalk: %d sequence bases for %d nodes", len(seqBase), g.N()))
-	}
-	if steps < 0 {
-		panic("randomwalk: negative step count")
-	}
-	arrived = make([]int, g.N())
-	absorbed = make([][]WalkTokenID, g.N())
-	programs = make([]congest.Program, g.N())
-	for v := range programs {
-		programs[v] = &walkNode{
-			steps:    steps,
-			counts:   counts,
-			arrived:  arrived,
-			seqBase:  seqBase,
-			absorbed: absorbed,
-		}
-	}
-	return programs, arrived, absorbed
-}
 
 // EncodeWalkPayload appends the canonical encoding of a walk token.
 func EncodeWalkPayload(buf []byte, m congest.Message) ([]byte, error) {

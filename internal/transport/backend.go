@@ -12,8 +12,7 @@ import (
 // positional signature at every call site. Zero values select defaults;
 // fields irrelevant to the chosen backend are ignored.
 type BackendConfig struct {
-	// Workers is the proc backend's engine worker count (0 = one per
-	// CPU).
+	// Workers is the proc backend's Proc.Workers (0 = one worker per CPU).
 	Workers int
 	// Shards is the tcp backend's node-process count.
 	Shards int
@@ -70,3 +69,8 @@ func NewBackend(name string, cfg BackendConfig) (Transport, error) {
 		return nil, fmt.Errorf("transport: unknown backend %q (known: proc, tcp)", name)
 	}
 }
+
+// String describes a backend for table titles: its name plus the one
+// setting that shapes the run.
+func (p Proc) String() string { return fmt.Sprintf("proc, workers=%d", p.Workers) }
+func (t TCP) String() string  { return fmt.Sprintf("tcp, shards=%d", t.Shards) }

@@ -8,9 +8,9 @@ package transport_test
 // document (trace bytes, rounds, messages, fault totals) to reproduce
 // byte for byte. On top sit the retry stories: walks re-issue and
 // windowed-GHS recovery over real shard processes, including a
-// whole-shard crash-and-recover round, each pinned against its
-// in-process driver. Shards run as goroutines so the whole fate-table
-// handshake sits under the race detector.
+// whole-shard crash-and-recover round, each pinned against the same
+// driver run in-process (transport.Proc). Shards run as goroutines so
+// the whole fate-table handshake sits under the race detector.
 
 import (
 	"bytes"
@@ -257,85 +257,106 @@ func TestCrossShardFaultCountsSumToProc(t *testing.T) {
 	}
 }
 
-// faultTransports are the backends every retry-story test runs against.
-func faultTransports() []transport.Transport {
+// faultTCPs are the wire backends every retry-story test compares
+// against the in-process run (transport.Proc{Workers: 1}) of the same
+// spec.
+func faultTCPs() []transport.Transport {
 	return []transport.Transport{
-		transport.Proc{Workers: 1},
 		transport.TCP{Shards: 2, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)},
 		transport.TCP{Shards: 4, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)},
 	}
 }
 
-// TestWalksFaultsMatchesInProcessDriver pins the transport-level walks
-// retry driver against randomwalk.RunNetworkFaults: identical arrival
-// placement, rounds, messages, attempts, re-issue and fault accounting
-// on proc and on tcp.
-func TestWalksFaultsMatchesInProcessDriver(t *testing.T) {
+// arrivedTotal sums a walk result's per-node arrivals.
+func arrivedTotal(res *randomwalk.FaultyWalkResult) int {
+	total := 0
+	for _, c := range res.ArrivedAt {
+		total += c
+	}
+	return total
+}
+
+// issuedTokens is the number of tokens a k·deg walks spec issues.
+func issuedTokens(t *testing.T, spec transport.Spec) int {
+	t.Helper()
+	g, err := transport.BuildGraph(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued := 0
+	for _, c := range randomwalk.UniformCountTimesDegree(g, spec.K) {
+		issued += c
+	}
+	return issued
+}
+
+// TestWalksFaultsTCPMatchesProc pins the walks retry driver across
+// backends: identical arrival placement, rounds, messages, attempts,
+// re-issue and fault accounting in-process and over tcp, with token
+// conservation as the independent check on the in-process run.
+func TestWalksFaultsTCPMatchesProc(t *testing.T) {
 	spec := transport.Spec{
 		Workload: "walks-faults", Graph: "rr", N: 32, D: 4, K: 1, Steps: 8,
 		Seed: 11, SrcSeed: 111,
 		FaultSpec: "drop=0.08,dup=0.05,delay=0.1:2", FaultSeed: 5,
 	}
 	const attempts = 8
-	g, err := transport.BuildGraph(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := randomwalk.RunNetworkFaults(g, randomwalk.UniformCountTimesDegree(g, spec.K), spec.Steps,
-		rngutil.NewSource(spec.SrcSeed), 1, spec.FaultSpec, spec.FaultSeed, attempts, nil, nil)
+	want, err := workloads.RunWalksFaults(transport.Proc{Workers: 1}, spec, transport.Options{}, attempts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Reissued == 0 {
-		t.Fatal("in-process driver re-issued nothing; the scenario is not exercising the retry story")
+		t.Fatal("proc run re-issued nothing; the scenario is not exercising the retry story")
 	}
-	if want.Lost != 0 {
-		t.Fatalf("in-process driver lost %d tokens within %d attempts", want.Lost, attempts)
+	if issued := issuedTokens(t, spec); want.Lost != 0 || arrivedTotal(want) != issued {
+		t.Fatalf("proc run landed %d of %d tokens within %d attempts (lost %d)", arrivedTotal(want), issued, attempts, want.Lost)
 	}
-	for _, tr := range faultTransports() {
+	for _, tr := range faultTCPs() {
 		got, err := workloads.RunWalksFaults(tr, spec, transport.Options{}, attempts)
 		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
+			t.Fatalf("%v: %v", tr, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: faulty walk result diverges from in-process driver:\nwant %+v\ngot  %+v", tr.Name(), want, got)
+			t.Errorf("%v: faulty walk result diverges from proc:\nwant %+v\ngot  %+v", tr, want, got)
 		}
 	}
 }
 
-// TestGHSFaultsMatchesInProcessDriver pins the transport-level GHS
-// retry driver against mstbase.GHSNetworkFaults: the recovered MST, the
-// accumulated rounds/iterations/attempts and the fault totals must be
-// identical on proc and on tcp.
-func TestGHSFaultsMatchesInProcessDriver(t *testing.T) {
+// TestGHSFaultsTCPMatchesProc pins the GHS retry driver across backends:
+// the recovered MST (checked against Kruskal), the accumulated
+// rounds/iterations/attempts and the fault totals must be identical
+// in-process and over tcp.
+func TestGHSFaultsTCPMatchesProc(t *testing.T) {
 	spec := transport.Spec{
 		Workload: "ghs-faults", Graph: "rr", N: 24, D: 4,
 		Seed: 3, SrcSeed: 73, WeightSeed: 10,
 		FaultSpec: "drop=0.05,delay=0.1:2", FaultSeed: 9,
 	}
 	const attempts = 6
-	g, err := transport.BuildGraph(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mstbase.GHSNetworkFaults(g, rngutil.NewSource(spec.SrcSeed), 1,
-		spec.FaultSpec, spec.FaultSeed, attempts, nil, nil)
+	want, err := workloads.RunGHSFaults(transport.Proc{Workers: 1}, spec, transport.Options{}, attempts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !want.Recovered {
-		t.Fatalf("in-process driver did not recover the MST within %d attempts", attempts)
+		t.Fatalf("proc run did not recover the MST within %d attempts", attempts)
 	}
 	if !want.Faults.Any() {
-		t.Fatal("in-process driver injected no faults")
+		t.Fatal("proc run injected no faults")
 	}
-	for _, tr := range faultTransports() {
+	g, err := transport.BuildGraph(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, kruskal := mstbase.Kruskal(g); want.Weight != kruskal {
+		t.Fatalf("proc run recovered weight %v, Kruskal %v", want.Weight, kruskal)
+	}
+	for _, tr := range faultTCPs() {
 		got, err := workloads.RunGHSFaults(tr, spec, transport.Options{}, attempts)
 		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
+			t.Fatalf("%v: %v", tr, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: faulty GHS result diverges from in-process driver:\nwant %+v\ngot  %+v", tr.Name(), want, got)
+			t.Errorf("%v: faulty GHS result diverges from proc:\nwant %+v\ngot  %+v", tr, want, got)
 		}
 	}
 }
@@ -345,7 +366,7 @@ func TestGHSFaultsMatchesInProcessDriver(t *testing.T) {
 // later, with probabilistic drops layered on top, over real shard
 // barriers. The run must complete with every token re-delivered and the
 // crash accounted at exactly crashed-nodes × crashed-rounds, identical
-// to the in-process driver.
+// to the in-process run.
 func TestWholeShardCrashRecoversOverTCP(t *testing.T) {
 	const n, shards = 24, 4
 	crashSpec := "drop=0.05," + workloads.CrashShardSpec(n, shards, 2, 3, 4)
@@ -358,17 +379,7 @@ func TestWholeShardCrashRecoversOverTCP(t *testing.T) {
 	// shard again at round 3), so re-issued tokens keep braving the same
 	// window; 16 attempts deterministically drains this seed.
 	const attempts = 16
-	g, err := transport.BuildGraph(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := randomwalk.UniformCountTimesDegree(g, spec.K)
-	issued := 0
-	for _, c := range counts {
-		issued += c
-	}
-	want, err := randomwalk.RunNetworkFaults(g, counts, spec.Steps,
-		rngutil.NewSource(spec.SrcSeed), 1, spec.FaultSpec, spec.FaultSeed, attempts, nil, nil)
+	want, err := workloads.RunWalksFaults(transport.Proc{Workers: 1}, spec, transport.Options{}, attempts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,16 +389,12 @@ func TestWholeShardCrashRecoversOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("whole-shard crash walk result diverges from in-process driver:\nwant %+v\ngot  %+v", want, got)
+		t.Errorf("whole-shard crash walk result diverges from proc:\nwant %+v\ngot  %+v", want, got)
 	}
 	if got.Lost != 0 {
 		t.Errorf("%d tokens lost across %d attempts", got.Lost, attempts)
 	}
-	arrived := 0
-	for _, c := range got.ArrivedAt {
-		arrived += c
-	}
-	if arrived != issued {
+	if arrived, issued := arrivedTotal(got), issuedTokens(t, spec); arrived != issued {
 		t.Errorf("%d of %d tokens arrived", arrived, issued)
 	}
 	// Shard 2 owns nodes [12, 18): 6 nodes crashed for 4 rounds in every
@@ -401,7 +408,7 @@ func TestWholeShardCrashRecoversOverTCP(t *testing.T) {
 // story over real shard barriers with a crash-only plan (no FATES
 // frames: crash schedules replay from the spec on every replica) that
 // takes down a whole shard and brings it back. The oracle-validated MST
-// must come out identical to the in-process driver's.
+// must come out identical to the in-process run's.
 func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 	const n, shards = 16, 4
 	spec := transport.Spec{
@@ -410,17 +417,12 @@ func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 		FaultSpec: workloads.CrashShardSpec(n, shards, 1, 5, 6), FaultSeed: 23,
 	}
 	const attempts = 4
-	g, err := transport.BuildGraph(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mstbase.GHSNetworkFaults(g, rngutil.NewSource(spec.SrcSeed), 1,
-		spec.FaultSpec, spec.FaultSeed, attempts, nil, nil)
+	want, err := workloads.RunGHSFaults(transport.Proc{Workers: 1}, spec, transport.Options{}, attempts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !want.Recovered {
-		t.Fatalf("in-process driver did not recover the MST within %d attempts", attempts)
+		t.Fatalf("proc run did not recover the MST within %d attempts", attempts)
 	}
 	tcp := transport.TCP{Shards: shards, Timeout: 60 * time.Second, Spawn: goroutineSpawner(nil)}
 	got, err := workloads.RunGHSFaults(tcp, spec, transport.Options{}, attempts)
@@ -428,7 +430,11 @@ func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("shard-crash GHS result diverges from in-process driver:\nwant %+v\ngot  %+v", want, got)
+		t.Errorf("shard-crash GHS result diverges from proc:\nwant %+v\ngot  %+v", want, got)
+	}
+	g, err := transport.BuildGraph(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ref, err := mstbase.GHS(g)
 	if err != nil {

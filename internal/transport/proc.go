@@ -12,10 +12,10 @@ import (
 	"almostmix/internal/congest"
 )
 
-// Proc runs workloads on the in-process CONGEST engines. Workers
-// selects the engine exactly like congest.Network.SetWorkers: 1 (and,
-// for convenience, 0) is the sequential reference engine, w > 1 the
-// sharded parallel engine, w < 0 one worker per CPU.
+// Proc runs workloads on the in-process CONGEST engines. Workers is
+// congest.Options.Workers, i.e. exactly congest.Network.SetWorkers: 1 is
+// the sequential reference engine, w > 1 the sharded parallel engine,
+// w <= 0 (the zero Proc included) one worker per CPU.
 type Proc struct {
 	Workers int
 }
@@ -33,25 +33,21 @@ func (p Proc) Run(spec Spec, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	workers := p.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	net := congest.NewNetwork(inst.Graph, inst.Programs, inst.Source).
-		SetWorkers(workers).
-		SetProbe(opts.Probe).
-		SetMetrics(opts.Metrics).
-		SetFaults(inst.Faults)
+	net := congest.NewNetwork(inst.Graph, inst.Programs, inst.Source).Configure(congest.Options{
+		Workers: p.Workers,
+		Probe:   opts.Probe,
+		Metrics: opts.Metrics,
+		Faults:  inst.Faults,
+	})
 	var rounds int
 	if inst.Quiet {
 		rounds, err = net.RunUntilQuiet(inst.MaxRounds)
 	} else {
 		rounds, err = net.Run(inst.MaxRounds)
 	}
-	// A round-limit exit still harvests: fault-tolerant retry drivers
-	// inspect the partial output (and totals) of a budget-exhausted
-	// attempt, exactly as the in-process drivers read program state after
-	// tolerating ErrRoundLimit. Other errors return nothing.
+	// A round-limit exit still harvests: the retry drivers (workloads)
+	// inspect the partial output and totals of a budget-exhausted
+	// attempt. Other errors return nothing.
 	if err != nil && !errors.Is(err, congest.ErrRoundLimit) {
 		return Result{}, err
 	}

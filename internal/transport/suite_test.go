@@ -15,11 +15,13 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/metrics"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/transport"
@@ -108,7 +110,7 @@ func TestDifferentialSuite(t *testing.T) {
 
 // TestProcMatchesDirectEngine pins the cmd-level refactor: routing the
 // walks workload through the Transport interface must reproduce the
-// direct RunNetworkObserved call bit for bit, trace included.
+// direct randomwalk.RunNetwork call bit for bit, trace included.
 func TestProcMatchesDirectEngine(t *testing.T) {
 	spec := transport.Spec{Workload: "walks", Graph: "rr", N: 32, D: 4, K: 2, Steps: 8, Seed: 7, SrcSeed: 107}
 	got, res := traceRun(t, transport.Proc{Workers: 1}, spec, "direct")
@@ -118,8 +120,8 @@ func TestProcMatchesDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := congest.NewTraceSink()
-	direct, err := randomwalk.RunNetworkObserved(g, randomwalk.UniformCountTimesDegree(g, spec.K),
-		spec.Steps, rngutil.NewSource(spec.SrcSeed), 1, sink.Label("direct"), nil)
+	direct, err := randomwalk.RunNetwork(g, randomwalk.UniformCountTimesDegree(g, spec.K),
+		spec.Steps, rngutil.NewSource(spec.SrcSeed), congest.Options{Workers: 1, Probe: sink.Label("direct")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +140,28 @@ func TestProcMatchesDirectEngine(t *testing.T) {
 		res.Output.(workloads.WalksOutput).Arrived != arrived {
 		t.Errorf("transport proc result %+v diverges from direct engine (rounds=%d messages=%d arrived=%d)",
 			res, direct.Rounds, direct.Messages, arrived)
+	}
+}
+
+// TestProcWorkersZeroIsOnePerCPU pins -workers 0: a proc backend built
+// from the flag's zero must run the parallel engine with one worker per
+// CPU — visible as the per-worker busy counters — not silently fall back
+// to the sequential engine.
+func TestProcWorkersZeroIsOnePerCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tr, err := transport.NewBackend("proc", transport.BackendConfig{Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	if _, err := tr.Run(suiteSpecs(1)[4], transport.Options{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"congest_worker_busy_ns_total{shard=00}", "congest_worker_busy_ns_total{shard=01}"} {
+		if _, ok := snap.Counter(name); !ok {
+			t.Errorf("workers=0 on 2 CPUs did not register %s: the sequential engine ran", name)
+		}
 	}
 }
 

@@ -54,10 +54,10 @@ type Spec struct {
 	// FaultSpec/FaultSeed describe the fault plan (faults.Parse syntax;
 	// FaultSeed is the plan's seed, used raw). Retry is the fault-aware
 	// workloads' attempt index: it offsets the program RNG stream
-	// (Child("…-retry", Retry)) exactly like the in-process retry
-	// drivers, never the fault seed — callers derive per-attempt fault
-	// seeds themselves and place the result in FaultSeed. WalkCounts and
-	// WalkSeqBase carry the walks re-issue state between attempts.
+	// (Child("…-retry", Retry)), never the fault seed — the retry
+	// drivers (workloads) derive per-attempt fault seeds themselves and
+	// place the result in FaultSeed. WalkCounts and WalkSeqBase carry the
+	// walks re-issue state between attempts.
 	FaultSpec   string `json:"fault_spec,omitempty"`
 	FaultSeed   uint64 `json:"fault_seed,omitempty"`
 	Retry       int    `json:"retry,omitempty"`

@@ -1,15 +1,15 @@
 package workloads
 
-// Transport-level retry drivers for the fault-aware workloads. Each
-// mirrors its in-process counterpart exactly — RunWalksFaults is
-// randomwalk.RunNetworkFaults with tr.Run as the attempt executor,
-// RunGHSFaults is mstbase.GHSNetworkFaults — so running them over Proc
-// reproduces the in-process drivers bit-for-bit, and running them over
-// TCP reproduces Proc (the differential suite's fault legs assert
-// both). The cross-attempt state travels in the Spec: the derived
-// per-attempt fault seed in FaultSeed, the attempt index in Retry
-// (offsetting the program RNG stream only), and for walks the re-issue
-// counts and sequence bases in WalkCounts/WalkSeqBase.
+// The retry drivers for the fault-aware workloads — the only ones in the
+// repo: tr.Run is the attempt executor, so in-process means
+// transport.Proc, and running over TCP reproduces Proc bit for bit (the
+// differential suite's fault legs assert it). The whole faulty execution
+// is a pure function of (spec seeds, fault spec, fault seed) and
+// identical across backends, engines and worker counts. The
+// cross-attempt state travels in the Spec: the derived per-attempt fault
+// seed in FaultSeed, the attempt index in Retry (offsetting the program
+// RNG stream only), and for walks the re-issue counts and sequence bases
+// in WalkCounts/WalkSeqBase.
 
 import (
 	"errors"
@@ -25,12 +25,16 @@ import (
 
 // RunWalksFaults runs the walks-faults workload over tr for up to
 // maxAttempts attempts (maxAttempts < 1 means 1), re-issuing tokens
-// lost to faults exactly like randomwalk.RunNetworkFaults: tokens are
-// identified by (origin, sequence), an attempt runs until the network
-// falls silent, and every issued token not absorbed by then is
-// re-issued from its origin with a fresh sequence number. Spec's
-// Workload/Retry/WalkCounts/WalkSeqBase fields are owned by the driver
-// and overwritten; FaultSeed seeds the per-attempt derivation.
+// lost to faults: tokens are identified by (origin, sequence), an
+// attempt runs until the network falls silent (the silence timeout:
+// with the fault layer's quiet rules, silence means no token is in
+// flight or delayed and no crashed node is due to recover), and every
+// issued token not absorbed by then is a casualty of a drop / sever /
+// crash and is re-issued from its origin with a fresh sequence number.
+// An empty FaultSpec reduces to one plain attempt with retry accounting
+// around it. Spec's Workload/Retry/WalkCounts/WalkSeqBase fields are
+// owned by the driver and overwritten; FaultSeed seeds the per-attempt
+// derivation.
 func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*randomwalk.FaultyWalkResult, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
@@ -57,8 +61,8 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 	res.ArrivedAt = make([]int, g.N())
 
 	// outstanding tracks every issued-but-unabsorbed token; issue[v] and
-	// seqBase[v] describe the tokens node v injects on the next attempt —
-	// the same bookkeeping as RunNetworkFaults, shipped through the spec.
+	// seqBase[v] describe the tokens node v injects on the next attempt,
+	// shipped through the spec.
 	outstanding := make(map[randomwalk.WalkTokenID]struct{})
 	nextSeq := make([]int, g.N())
 	issue := make([]int, g.N())
@@ -105,7 +109,9 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 			}
 		}
 		// Whatever is still outstanding was lost: re-issue it from its
-		// origin on the next attempt under fresh sequence numbers.
+		// origin on the next attempt. The lost IDs are retired and fresh
+		// sequence numbers minted, so a straggling duplicate of a lost
+		// token can never masquerade as its replacement.
 		for v := range issue {
 			issue[v] = 0
 		}
@@ -130,13 +136,18 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 }
 
 // RunGHSFaults runs the ghs-faults workload over tr for up to
-// maxAttempts attempts (maxAttempts < 1 means 1), restarting from
-// scratch exactly like mstbase.GHSNetworkFaults: each attempt's merged
-// edge set is validated against the centralized GHS oracle, a
-// round-limited attempt is still checked (its harvest may hold the
-// MST), and a failed attempt reruns with a derived fault seed and a
-// Retry-offset program RNG. Spec's Workload/Retry fields are owned by
-// the driver; FaultSeed seeds the per-attempt derivation.
+// maxAttempts attempts (maxAttempts < 1 means 1). The node program's
+// defensive machinery (mstbase/ghsnet.go) makes a faulted window stall
+// and retry rather than commit a corrupt choice, so most fault patterns
+// heal in-run; the driver adds the outer story: each attempt's merged
+// edge set is validated against the centralized GHS oracle (weights are
+// distinct, so the MST is unique), a round-limited attempt is still
+// checked (its harvest may hold the MST), and an attempt that stalled
+// or — in rare multi-fault corners the in-protocol repair cannot
+// untangle — produced a non-MST edge set reruns from scratch with a
+// derived fault seed and a Retry-offset program RNG. Spec's
+// Workload/Retry fields are owned by the driver; FaultSeed seeds the
+// per-attempt derivation.
 func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*mstbase.FaultyMSTResult, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
@@ -153,7 +164,6 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 	sort.Ints(want)
 
 	faultSrc := rngutil.NewSource(spec.FaultSeed)
-	window := 3*g.N() + 6
 	res := &mstbase.FaultyMSTResult{}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		aspec := spec
@@ -161,9 +171,11 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 		aspec.FaultSeed = faultSrc.Derive("attempt", uint64(attempt))
 		aspec.Retry = attempt
 		run, rerr := tr.Run(aspec, opts)
-		// A round-limited attempt is not necessarily a failure: the
-		// backends harvest it (partial output and totals included) and the
-		// oracle check, not the error, decides. Anything else is fatal.
+		// A round-limited attempt is not necessarily a failure: when the
+		// "none" decision is partially dropped, some nodes halt while the
+		// rest stall against their silence — with the MST already chosen.
+		// The backends harvest it (partial output and totals included) and
+		// the oracle check, not the error, decides. Anything else is fatal.
 		if rerr != nil && !errors.Is(rerr, congest.ErrRoundLimit) {
 			return nil, fmt.Errorf("workloads: ghs-faults attempt %d: %w", attempt, rerr)
 		}
@@ -172,7 +184,7 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 			return nil, fmt.Errorf("workloads: ghs-faults attempt %d returned %T", attempt, run.Output)
 		}
 		res.Rounds += run.Rounds
-		res.Iterations += (run.Rounds + window - 1) / window
+		res.Iterations += mstbase.GHSIterations(g.N(), run.Rounds)
 		res.Faults.Add(run.Faults)
 		res.Attempts++
 

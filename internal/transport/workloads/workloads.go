@@ -10,8 +10,9 @@
 // reject one instead of silently ignoring it, because their programs
 // carry no retry identity and their budgets no fault slack. The
 // fault-aware workloads describe ONE attempt each; RunWalksFaults and
-// RunGHSFaults (faultrun.go) add the cross-attempt retry story on top,
-// mirroring the in-process drivers exactly.
+// RunGHSFaults (faultrun.go) add the cross-attempt retry story on top
+// and are the repo's only retry drivers — in-process means running them
+// over transport.Proc.
 //
 // Import for side effects from binaries and tests that resolve
 // workloads by name.
@@ -43,8 +44,8 @@ type BroadcastOutput struct {
 	Got int
 }
 
-// MSTOutput is the merged outcome of the "ghs" workload. Iterations is
-// derived by callers from Result.Rounds and the phase window 3n+6.
+// MSTOutput is the merged outcome of the "ghs" workload. Callers derive
+// iterations from Result.Rounds with mstbase.GHSIterations.
 type MSTOutput struct {
 	Edges  []int
 	Weight float64
@@ -247,7 +248,7 @@ func buildGHS(spec transport.Spec) (*transport.Instance, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("workloads: ghs needs a connected graph")
 	}
-	programs, maxRounds := mstbase.GHSPrograms(g)
+	programs, maxRounds := mstbase.GHSPrograms(g, nil)
 	return &transport.Instance{
 		Graph:     g,
 		Programs:  programs,
@@ -272,7 +273,8 @@ func ghsFinish(programs []congest.Program) func(lo, hi int) []byte {
 }
 
 // ghsMerge combines the shard-ordered chosen-edge streams. First-seen
-// dedup reproduces GHSNetworkObserved's edge list exactly.
+// dedup reproduces GHSNetwork's edge list exactly. Edge ids come off the
+// wire, so each is range-checked before it indexes the graph.
 func ghsMerge(g *graph.Graph, parts [][]byte) (any, error) {
 	out := MSTOutput{}
 	seen := make(map[int]bool)
@@ -285,6 +287,9 @@ func ghsMerge(g *graph.Graph, parts [][]byte) (any, error) {
 			var e uint64
 			if e, rest, err = uvarint(rest, "ghs edge id"); err != nil {
 				return nil, err
+			}
+			if e >= uint64(g.M()) {
+				return nil, fmt.Errorf("workloads: ghs edge id %d outside the graph's %d edges", e, g.M())
 			}
 			if id := int(e); !seen[id] {
 				seen[id] = true
@@ -313,7 +318,7 @@ func buildWalks(spec transport.Spec) (*transport.Instance, error) {
 	if spec.Steps < 0 {
 		return nil, fmt.Errorf("workloads: walks needs steps ≥ 0, got %d", spec.Steps)
 	}
-	programs, arrived, maxRounds := randomwalk.WalkPrograms(g, randomwalk.UniformCountTimesDegree(g, spec.K), spec.Steps)
+	programs, arrived, _, maxRounds := randomwalk.WalkPrograms(g, randomwalk.UniformCountTimesDegree(g, spec.K), nil, spec.Steps, nil)
 	return &transport.Instance{
 		Graph:     g,
 		Programs:  programs,
@@ -341,13 +346,12 @@ func buildWalks(spec transport.Spec) (*transport.Instance, error) {
 	}, nil
 }
 
-// buildWalksFaults materializes ONE attempt of a faulty walk run,
-// exactly as randomwalk.RunNetworkFaults builds its per-attempt
-// network: WalkCounts tokens per node (default k·deg like "walks"),
-// sequence numbers from WalkSeqBase (default 0), the walk RNG offset by
-// Retry, and the fault plan from (FaultSpec, FaultSeed). The Finish
-// blob ships the absorbed token identities per owned node —
-// RunWalksFaults reconciles them and drives the next attempt.
+// buildWalksFaults materializes ONE attempt of a faulty walk run:
+// WalkCounts tokens per node (default k·deg like "walks"), sequence
+// numbers from WalkSeqBase (default 0), the walk RNG offset by Retry,
+// and the fault plan from (FaultSpec, FaultSeed). The Finish blob ships
+// the absorbed token identities per owned node — RunWalksFaults
+// reconciles them and drives the next attempt.
 func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
@@ -375,18 +379,10 @@ func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads: walks-faults: %w", err)
 	}
-	programs, _, absorbed := randomwalk.WalkFaultPrograms(g, counts, seqBase, spec.Steps)
+	programs, _, absorbed, budget := randomwalk.WalkPrograms(g, counts, seqBase, spec.Steps, plan)
 	src := rngutil.NewSource(spec.SrcSeed)
 	if spec.Retry > 0 {
 		src = src.Child("walk-retry", uint64(spec.Retry))
-	}
-	issuing := 0
-	for _, c := range counts {
-		issuing += c
-	}
-	budget := issuing*spec.Steps + 4
-	if plan != nil {
-		budget += spec.Steps*plan.MaxDelay() + plan.RecoverySlack()
 	}
 	return &transport.Instance{
 		Graph:     g,
@@ -442,12 +438,11 @@ func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	}, nil
 }
 
-// buildGHSFaults materializes ONE attempt of a faulty GHS run, exactly
-// as mstbase.GHSNetworkFaults builds its per-attempt network: the
-// defensive program variant when the plan has any rule, the GHS RNG
-// offset by Retry, and the stretched round budget. Output is MSTOutput
-// like "ghs"; RunGHSFaults checks it against the oracle and drives
-// retries.
+// buildGHSFaults materializes ONE attempt of a faulty GHS run: the
+// defensive program variant and stretched round budget when the plan
+// has any rule (mstbase.GHSPrograms), and the GHS RNG offset by Retry.
+// Output is MSTOutput like "ghs"; RunGHSFaults checks it against the
+// oracle and drives retries.
 func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
 	if spec.WeightSeed == 0 {
 		return nil, fmt.Errorf("workloads: ghs-faults needs a nonzero weight_seed (distinct edge weights)")
@@ -463,11 +458,7 @@ func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads: ghs-faults: %w", err)
 	}
-	faulty := plan != nil && !plan.Empty()
-	programs, budget := mstbase.GHSFaultPrograms(g, faulty)
-	if faulty {
-		budget += plan.MaxDelay() + plan.RecoverySlack()
-	}
+	programs, budget := mstbase.GHSPrograms(g, plan)
 	src := rngutil.NewSource(spec.SrcSeed)
 	if spec.Retry > 0 {
 		src = src.Child("ghs-retry", uint64(spec.Retry))

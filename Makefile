@@ -13,7 +13,7 @@ BENCHTIME ?= 1s
 # engine-scale point (BENCHSUITE_FLAGS="-gate" make bench-json).
 BENCHSUITE_FLAGS ?= -quick -gate
 
-.PHONY: build vet test race check bench bench-json bench-module bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite
+.PHONY: build vet test race check bench bench-json bench-module bench-scale fuzz smoke faults transport-suite decomp-suite
 
 build:
 	go build ./...
@@ -42,37 +42,22 @@ check: vet test race faults
 smoke:
 	sh scripts/smoke.sh
 
-# The transport differential suite, race-instrumented and never shortened:
-# every workload × shard count × seed over loopback TCP (goroutine-mode
-# shards AND real cmd/tcpnode processes) must be trace-byte-identical to
-# the sequential engine, and shard death/stall must surface as clean
-# errors within the deadline. The hard -timeout keeps a wedged coordinator
-# from hanging CI.
-tcp-suite:
-	go test -race -timeout 300s ./internal/transport/... ./internal/congest -run 'TestDifferentialSuite|TestProcMatchesDirectEngine|TestRealProcess|TestShardDeath|TestShardStall|TestDialShard|TestTCPValidates|TestFrame|TestNewShard|TestShardInject|TestConfigure'
-
-# The faults-over-the-wire suite, race-instrumented and never shortened:
-# the fate-table codec, the golden fault traces (reused from
-# internal/congest/testdata/golden) byte-identical over proc and tcp at
-# shards 1/2/4, per-shard fault counts summing to the in-process totals,
-# and the walk re-issue / windowed-GHS recovery stories end-to-end over
-# real processes including a killed-and-recovering shard — each pinned
-# against the same retry driver run in-process, whose own tests and the
-# harvest-blob parser tests (internal/transport/workloads) ride along.
-# The fate-table codec tests are internal/faults'.
-fault-tcp-suite:
-	go test -race -timeout 300s ./internal/transport -run 'TestGoldenFaultParityOverTCP|TestCrossShardFaultCountsSumToProc|TestWalksFaultsTCPMatchesProc|TestGHSFaultsTCPMatchesProc|TestWholeShardCrashRecoversOverTCP|TestGHSRecoveryAfterShardCrashOverTCP|TestPlainWorkloadsRejectFaultSpec'
-	go test -race ./internal/faults ./internal/transport/workloads
-
-# The observability suite, race-instrumented and never shortened: the
-# -obsout document on every exit path (an induced StallAtRound must
-# produce a schema-valid dump naming the guilty shard, its last completed
-# round and the barrier phase), the shard telemetry ship-back reaching
-# the coordinator's registry, the flight-recorder ring contract, and the
-# differential guarantee that full telemetry leaves trace bytes identical
-# across backends and worker counts.
-obs-suite:
-	go test -race -timeout 300s ./internal/flightrec ./internal/transport -run 'TestObs|TestTelemetry|TestFlightRec|TestShardDeath|TestShardStall|TestNilRecorder|TestRing|TestPartialRing|TestAttribute|TestValidate|TestDump|TestWriteDump|TestConcurrentRecord|TestDefaultCapacity'
+# The transport suite, race-instrumented and never shortened: every test
+# of the transport tier and of the packages it stands on, run whole so a
+# new test cannot fall between hand-kept -run lists. It covers the
+# differential parity matrix (every workload × shard count × seed over
+# loopback TCP, goroutine-mode shards AND real cmd/tcpnode processes,
+# trace-byte-identical to the sequential engine), shard death/stall
+# surfacing as attributed errors within the deadline, faults over the wire
+# (fate-table codec, golden fault traces over proc and tcp at shards
+# 1/2/4, per-shard counts summing to the in-process totals, the walk
+# re-issue / windowed-GHS recovery stories including a killed-and-
+# recovering shard), and observability (the -obsout document on every
+# exit path, the TELEMETRY ship-back reaching the coordinator's registry,
+# the flight-recorder ring contract, trace parity with full telemetry).
+# The hard -timeout keeps a wedged coordinator from hanging CI.
+transport-suite:
+	go test -race -timeout 300s ./internal/transport/... ./internal/flightrec ./internal/faults ./internal/congest
 
 # The cluster-scoped-tier suite, race-instrumented and never shortened:
 # the decomposition must be byte-identical across worker counts, the

@@ -13,9 +13,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -30,6 +30,7 @@ import (
 	"almostmix/internal/embed"
 	"almostmix/internal/faults"
 	"almostmix/internal/graph"
+	"almostmix/internal/harness"
 	"almostmix/internal/metrics"
 	"almostmix/internal/mst"
 	"almostmix/internal/mstbase"
@@ -166,12 +167,9 @@ func run(out string, quick, gate bool, benchtime string, warmup, reps int, runPa
 		gateErr = runAllocGate(doc)
 	}
 
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	err = harness.WriteFile(out, "bench", func(w io.Writer) error { return harness.WriteJSON(w, doc) })
 	if err != nil {
 		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", out, err)
 	}
 	fmt.Printf("wrote %d cases to %s\n", len(doc.Cases), out)
 	// The document is written even on gate failure, so the offending

@@ -9,15 +9,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"almostmix/internal/cliquemu"
 	"almostmix/internal/cliutil"
-	"almostmix/internal/congest"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/spectral"
 )
@@ -25,33 +22,14 @@ import (
 func main() {
 	n := flag.Int("n", 64, "number of nodes")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	trace := flag.String("trace", "", "write the per-run cost-ledger breakdowns to this file (.json for JSON, CSV otherwise)")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
+	cli := cliutil.NewHarness("clique", "write the per-run cost-ledger breakdowns to this file (.json for JSON, CSV otherwise)")
 	flag.Parse()
 	cliutil.Min("n", *n, 2)
-	cliutil.Writable("trace", *trace)
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
-		err = run(*n, *seed, *trace, sess)
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clique:", err)
-		os.Exit(1)
-	}
+	cli.Run(func() error { return run(cli, *n, *seed) })
 }
 
-func run(n int, seed uint64, trace string, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-	}
+func run(cli *cliutil.Harness, n int, seed uint64) error {
+	sink := cli.Sink()
 	t := harness.NewTable(
 		fmt.Sprintf("E7 — Theorem 1.3: clique emulation on G(n=%d, p)", n),
 		"p", "m", "h-sweep", "hier rounds", "phases", "direct rounds",
@@ -72,7 +50,7 @@ func run(n int, seed uint64, trace string, sess *metrics.Session) error {
 		if err != nil {
 			return err
 		}
-		stopEmu := sess.Time(fmt.Sprintf("clique_emulation_p%.2f", p))
+		stopEmu := cli.Time(fmt.Sprintf("clique_emulation_p%.2f", p))
 		res, err := cliquemu.Hierarchical(h, rngutil.NewSource(seed+200+uint64(i)))
 		stopEmu()
 		if err != nil {
@@ -101,11 +79,5 @@ func run(n int, seed uint64, trace string, sess *metrics.Session) error {
 		slope, used, len(invP))
 	fmt.Println("Shape check: both algorithms cheapen as p (and hence h) grows; the")
 	fmt.Println("polylog-inflated hierarchical cost tracks the 1/p trend of the corollary.")
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote cost ledger (%d rows) to %s\n", len(sink.Costs), trace)
-	}
 	return nil
 }

@@ -8,17 +8,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"almostmix/internal/cliutil"
-	"almostmix/internal/congest"
 	"almostmix/internal/decomp"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/spectral"
 )
@@ -31,40 +28,24 @@ func main() {
 	decompose := flag.Bool("decomp", false, "print E18's per-cluster expansion certificates instead: the expander decomposition of the worst-case graphs plus the configured rr graph")
 	phi := flag.Float64("phi", 0.1, "conductance target for -decomp's expander decomposition, in (0,1)")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	trace := flag.String("trace", "", "write the construction cost-ledger breakdown to this file (.json for JSON, CSV otherwise)")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
+	cli := cliutil.NewHarness("hierarchy", "write the construction cost-ledger breakdown to this file (.json for JSON, CSV otherwise)")
 	flag.Parse()
 	cliutil.Phi("phi", *phi)
 	cliutil.Min("n", *n, 2)
 	cliutil.Min("d", *d, 1)
 	cliutil.Min("beta", *beta, 0)
 	cliutil.Min("leaf", *leaf, 0)
-	cliutil.Writable("trace", *trace)
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
+	cli.Run(func() error {
 		if *decompose {
-			err = runDecomp(*n, *d, *phi, *seed, *trace, sess)
-		} else {
-			err = run(*n, *d, *beta, *leaf, *seed, *trace, sess)
+			return runDecomp(cli, *n, *d, *phi, *seed)
 		}
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hierarchy:", err)
-		os.Exit(1)
-	}
+		return run(cli, *n, *d, *beta, *leaf, *seed)
+	})
 }
 
-func run(n, d, beta, leaf int, seed uint64, trace string, sess *metrics.Session) error {
+func run(cli *cliutil.Harness, n, d, beta, leaf int, seed uint64) error {
 	g := graph.RandomRegular(n, d, rngutil.NewRand(seed))
-	stopTau := sess.Time("mixing_time")
+	stopTau := cli.Time("mixing_time")
 	tau, err := spectral.MixingTime(g, spectral.Lazy, 1_000_000)
 	stopTau()
 	if err != nil {
@@ -74,7 +55,7 @@ func run(n, d, beta, leaf int, seed uint64, trace string, sess *metrics.Session)
 	p.Beta = beta
 	p.LeafSize = leaf
 	p.TauMix = tau
-	stopBuild := sess.Time("embed_build")
+	stopBuild := cli.Time("embed_build")
 	h, err := embed.Build(g, p, rngutil.NewSource(seed+1))
 	stopBuild()
 	if err != nil {
@@ -123,15 +104,8 @@ func run(n, d, beta, leaf int, seed uint64, trace string, sess *metrics.Session)
 
 	printFigure1(h)
 
-	if trace != "" || sess.Registry() != nil {
-		sink := congest.NewTraceSink().WithMetrics(sess.Registry())
+	if sink := cli.Sink(); sink != nil {
 		sink.Label(fmt.Sprintf("rr%dd%d", n, d)).AddCosts("construction", h.Costs)
-		if trace != "" {
-			if err := sink.WriteFile(trace); err != nil {
-				return err
-			}
-			fmt.Printf("wrote construction cost ledger (%d rows) to %s\n", len(sink.Costs), trace)
-		}
 	}
 	return nil
 }
@@ -142,11 +116,8 @@ func run(n, d, beta, leaf int, seed uint64, trace string, sess *metrics.Session)
 // conductance φ_s — an upper bound by exhibition and, via Cheeger, a
 // ≥ φ_s²/4 lower-bound certificate — plus the lazy-walk mixing-time
 // estimate the per-cluster hierarchy is parameterized by.
-func runDecomp(n, d int, phi float64, seed uint64, trace string, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-	}
+func runDecomp(cli *cliutil.Harness, n, d int, phi float64, seed uint64) error {
+	sink := cli.Sink()
 	instances := []struct {
 		name string
 		g    *graph.Graph
@@ -162,7 +133,7 @@ func runDecomp(n, d int, phi float64, seed uint64, trace string, sess *metrics.S
 		}{"chunglu96", cl})
 	}
 	for _, inst := range instances {
-		stop := sess.Time("decomp_" + inst.name)
+		stop := cli.Time("decomp_" + inst.name)
 		dec, err := decomp.Decompose(inst.g, decomp.Params{Phi: phi})
 		stop()
 		if err != nil {
@@ -185,13 +156,6 @@ func runDecomp(n, d int, phi float64, seed uint64, trace string, sess *metrics.S
 	fmt.Println("Each certificate is checkable: φ sweep is realized by an actual cut,")
 	fmt.Println("and Cheeger turns it into the φ²/4 conductance lower bound the")
 	fmt.Println("per-cluster routing tier relies on. Cross edges stay within ε·m.")
-
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote decomposition cost ledgers (%d rows) to %s\n", len(sink.Costs), trace)
-	}
 	return nil
 }
 

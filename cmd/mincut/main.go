@@ -9,14 +9,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"almostmix/internal/cliutil"
-	"almostmix/internal/congest"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/mincut"
 	"almostmix/internal/mst"
 	"almostmix/internal/rngutil"
@@ -25,28 +22,12 @@ import (
 
 func main() {
 	seed := flag.Uint64("seed", 1, "root random seed")
-	trace := flag.String("trace", "", "write the round-accounting cost-ledger breakdown to this file (.json for JSON, CSV otherwise)")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
+	cli := cliutil.NewHarness("mincut", "write the round-accounting cost-ledger breakdown to this file (.json for JSON, CSV otherwise)")
 	flag.Parse()
-	cliutil.Writable("trace", *trace)
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
-		err = run(*seed, *trace, sess)
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mincut:", err)
-		os.Exit(1)
-	}
+	cli.Run(func() error { return run(cli, *seed) })
 }
 
-func run(seed uint64, trace string, sess *metrics.Session) error {
+func run(cli *cliutil.Harness, seed uint64) error {
 	r := rngutil.NewRand(seed)
 	instances := []struct {
 		name string
@@ -66,7 +47,7 @@ func run(seed uint64, trace string, sess *metrics.Session) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", inst.name, err)
 		}
-		stop := sess.Time("approx_" + inst.name)
+		stop := cli.Time("approx_" + inst.name)
 		res, err := mincut.Approx(inst.g, 0, rngutil.NewRand(seed+3))
 		stop()
 		if err != nil {
@@ -104,17 +85,10 @@ func run(seed uint64, trace string, sess *metrics.Session) error {
 	fmt.Printf("a %d-tree packing therefore charges ≈ %d rounds — the same\n", pack.TreesUsed, charged)
 	fmt.Println("τ_mix·2^O(√(log n·log log n)) budget as Theorem 1.1, as the paper remarks.")
 
-	if trace != "" || sess.Registry() != nil {
-		sink := congest.NewTraceSink().WithMetrics(sess.Registry())
+	if sink := cli.Sink(); sink != nil {
 		sink.Label("rr64d8")
 		sink.AddCosts("packing", led)
 		sink.AddCosts("mst", res.Costs)
-		if trace != "" {
-			if err := sink.WriteFile(trace); err != nil {
-				return err
-			}
-			fmt.Printf("wrote cost ledger (%d rows) to %s\n", len(sink.Costs), trace)
-		}
 	}
 	return nil
 }

@@ -11,12 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"almostmix/internal/cliutil"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/spectral"
 )
@@ -24,30 +22,17 @@ import (
 func main() {
 	gnp := flag.Bool("gnp", false, "run the E11 G(n,p) expansion sweep instead of the E3 family table")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
+	cli := cliutil.NewHarness("mixing", "")
 	flag.Parse()
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
+	cli.Run(func() error {
 		if *gnp {
-			err = runGnp(*seed, sess)
-		} else {
-			err = runFamilies(*seed, sess)
+			return runGnp(cli, *seed)
 		}
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mixing:", err)
-		os.Exit(1)
-	}
+		return runFamilies(cli, *seed)
+	})
 }
 
-func runFamilies(seed uint64, sess *metrics.Session) error {
+func runFamilies(cli *cliutil.Harness, seed uint64) error {
 	r := rngutil.NewRand(seed)
 	families := []struct {
 		name string
@@ -70,7 +55,7 @@ func runFamilies(seed uint64, sess *metrics.Session) error {
 	for _, f := range families {
 		h := spectral.EdgeExpansion(f.g)
 		bound := spectral.Lemma23Bound(f.g, h)
-		stop := sess.Time("mixing_time_" + f.name)
+		stop := cli.Time("mixing_time_" + f.name)
 		tm, err := spectral.MixingTime(f.g, spectral.Regular, int(bound)+10)
 		stop()
 		if err != nil {
@@ -84,7 +69,7 @@ func runFamilies(seed uint64, sess *metrics.Session) error {
 	return nil
 }
 
-func runGnp(seed uint64, sess *metrics.Session) error {
+func runGnp(cli *cliutil.Harness, seed uint64) error {
 	const n = 128
 	t := harness.NewTable("E11 — G(n,p): h(G) and Δ vs np (n = 128)",
 		"p", "np", "m", "Δ", "h-sweep", "h/np", "Δ/np")
@@ -93,7 +78,7 @@ func runGnp(seed uint64, sess *metrics.Session) error {
 		if err != nil {
 			return err
 		}
-		stop := sess.Time(fmt.Sprintf("expansion_sweep_p%.2f", p))
+		stop := cli.Time(fmt.Sprintf("expansion_sweep_p%.2f", p))
 		h := spectral.EdgeExpansionSweep(g)
 		stop()
 		np := float64(n) * p

@@ -7,15 +7,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"almostmix/internal/cliutil"
-	"almostmix/internal/congest"
 	"almostmix/internal/decomp"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/mst"
 	"almostmix/internal/mstbase"
 	"almostmix/internal/rngutil"
@@ -26,78 +23,30 @@ import (
 
 func main() {
 	audit := flag.Bool("audit", false, "print the E9 per-iteration virtual-tree audit")
-	ghsnet := flag.Bool("ghsnet", false, "also run the node-program GHS on the CONGEST simulator")
+	ghsnet := flag.Bool("ghsnet", false, "also run the node-program GHS on the CONGEST simulator (implied by -trace, -metrics, -faults and -transport=tcp)")
 	quick := flag.Bool("quick", false, "run only the smallest expander instance (CI smoke)")
 	decompose := flag.Bool("decomp", false, "run E18 instead: MST through the cluster-scoped tier (per-cluster MSFs + GHS stitch over the sparsified graph) on worst-case graphs, against the direct baselines")
 	phi := flag.Float64("phi", 0.1, "conductance target for -decomp's expander decomposition, in (0,1)")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	workers := flag.Int("workers", 1, "simulator workers for -ghsnet (1 = sequential reference, 0 = one per CPU); results are identical for every value")
-	trace := flag.String("trace", "", "write a trace to this file (.json for JSON, CSV otherwise): per-round records of the -ghsnet runs plus the hierarchical MST's cost-ledger breakdown; implies -ghsnet")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
 	faultSpec := flag.String("faults", "", `run the E15 GHS degradation sweep with this fault spec as its custom row, e.g. "drop=0.02" (see DESIGN.md §3); implies -ghsnet`)
 	faultSeed := flag.Uint64("faultseed", 1, "fault-injection seed for -faults (independent of -seed)")
 	attempts := flag.Int("attempts", 5, "max restarts per faulty GHS execution before declaring failure")
-	transportName := flag.String("transport", "proc", "execution backend for -ghsnet: proc (in-process engines) or tcp (one OS process per shard over loopback TCP); results are identical; tcp implies -ghsnet")
-	shards := flag.Int("shards", 2, "node processes for -transport=tcp")
-	listen := flag.String("listen", "127.0.0.1:0", "coordinator listen address for -transport=tcp")
-	tcpnode := flag.String("tcpnode", "", "path to the tcpnode binary for -transport=tcp (default: next to this binary)")
-	tcptimeout := flag.Duration("tcptimeout", 0, "wire barrier deadline for -transport=tcp (0 = transport default, 60s)")
-	obsOut := flag.String("obsout", "", "write the tcp run's merged observability document (flight recorders, wire tallies, barrier timeline, round skew) to this file on every exit path")
-	flightRec := flag.Int("flightrec", 0, "flight-recorder ring capacity on coordinator and shards for -transport=tcp (0 = default)")
+	cli := cliutil.NewHarness("mst", "write a trace to this file (.json for JSON, CSV otherwise): per-round records of the -ghsnet runs plus the hierarchical MST's cost-ledger breakdown; implies -ghsnet").WithBackend()
 	flag.Parse()
 	cliutil.Phi("phi", *phi)
-	cliutil.Workers("workers", *workers)
 	cliutil.Min("attempts", *attempts, 1)
 	cliutil.FaultSpec("faults", *faultSpec)
-	cliutil.Transport("transport", *transportName)
-	cliutil.Min("shards", *shards, 1)
-	cliutil.Listen("listen", *listen)
-	cliutil.Min("flightrec", *flightRec, 0)
-	cliutil.ObsOut("obsout", *obsOut, *transportName)
-	cliutil.Writable("trace", *trace)
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-	cliutil.Writable("obsout", *obsOut)
-	tr, err := transport.NewBackend(*transportName, transport.BackendConfig{
-		Workers:      *workers,
-		Shards:       *shards,
-		Listen:       *listen,
-		NodeBin:      *tcpnode,
-		Timeout:      *tcptimeout,
-		ObsOut:       *obsOut,
-		FlightRecCap: *flightRec,
-	})
-	if err != nil {
-		cliutil.Fail("%v", err)
-	}
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
+	cli.Run(func() error {
 		if *decompose {
-			err = runE18MST(*quick, *phi, *seed, *trace, sess)
-		} else {
-			err = run(*audit, *ghsnet || *transportName == "tcp", *quick, *seed, *trace, *faultSpec, *faultSeed, *attempts, tr, sess)
+			return runE18MST(cli, *quick, *phi, *seed)
 		}
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mst:", err)
-		os.Exit(1)
-	}
+		return run(cli, *audit, *ghsnet, *quick, *seed, *faultSpec, *faultSeed, *attempts)
+	})
 }
 
-func run(audit, ghsnet, quick bool, seed uint64, trace, faultSpec string, faultSeed uint64, attempts int, tr transport.Transport, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-		ghsnet = true
-	}
-	if faultSpec != "" {
-		ghsnet = true
-	}
+func run(cli *cliutil.Harness, audit, ghsnet, quick bool, seed uint64, faultSpec string, faultSeed uint64, attempts int) error {
+	sink, tr := cli.Sink(), cli.Transport()
+	ghsnet = ghsnet || sink != nil || faultSpec != "" || tr.Name() == "tcp"
 	// Each instance is described by its replayable spec and built through
 	// the same BuildGraph a TCP shard process uses, so every backend —
 	// and every process of a multi-process run — holds the identical
@@ -141,13 +90,13 @@ func run(audit, ghsnet, quick bool, seed uint64, trace, faultSpec string, faultS
 		}
 		p := embed.DefaultParams()
 		p.TauMix = tau
-		stopBuild := sess.Time("embed_build_" + inst.name)
+		stopBuild := cli.Time("embed_build_" + inst.name)
 		h, err := embed.Build(g, p, rngutil.NewSource(seed+10))
 		stopBuild()
 		if err != nil {
 			return fmt.Errorf("%s: %w", inst.name, err)
 		}
-		stopMST := sess.Time("mst_run_" + inst.name)
+		stopMST := cli.Time("mst_run_" + inst.name)
 		res, err := mst.Run(h, rngutil.NewSource(seed+20))
 		stopMST()
 		if err != nil {
@@ -194,11 +143,7 @@ func run(audit, ghsnet, quick bool, seed uint64, trace, faultSpec string, faultS
 			fmt.Sprintf("E1b — node-program GHS on the CONGEST simulator (transport=%v)", tr),
 			"graph", "n", "rounds", "iterations", "weight agrees")
 		for _, inst := range instances {
-			var probe congest.Probe
-			if sink != nil {
-				probe = sink.Label(inst.name)
-			}
-			res, err := tr.Run(inst.spec, transport.Options{Probe: probe, Metrics: sess.Registry()})
+			res, err := tr.Run(inst.spec, transport.Options{Probe: cli.Probe(inst.name), Metrics: cli.Registry()})
 			if err != nil {
 				return err
 			}
@@ -211,17 +156,8 @@ func run(audit, ghsnet, quick bool, seed uint64, trace, faultSpec string, faultS
 		fmt.Println("-transport change wall-clock only (see DESIGN.md §3).")
 
 		if faultSpec != "" {
-			if err := runE15MST(instances[0].g, instances[0].spec, seed, faultSpec, faultSeed, attempts, tr, sink, sess); err != nil {
-				return err
-			}
+			return runE15MST(cli, instances[0].g, instances[0].spec, seed, faultSpec, faultSeed, attempts)
 		}
-	}
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote per-round trace (%d round records, %d cost rows) to %s\n",
-			len(sink.Rounds.Samples), len(sink.Costs), trace)
 	}
 	return nil
 }
@@ -233,11 +169,8 @@ func run(audit, ghsnet, quick bool, seed uint64, trace, faultSpec string, faultS
 // edges plus all cross edges — stitches the global MST. The cycle
 // property makes the result exact: with distinct weights the edge set
 // equals Kruskal's.
-func runE18MST(quick bool, phi float64, seed uint64, trace string, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-	}
+func runE18MST(cli *cliutil.Harness, quick bool, phi float64, seed uint64) error {
+	sink := cli.Sink()
 	instances := []struct {
 		name string
 		g    *graph.Graph
@@ -268,13 +201,13 @@ func runE18MST(quick bool, phi float64, seed uint64, trace string, sess *metrics
 		if err != nil {
 			return fmt.Errorf("%s: %w", inst.name, err)
 		}
-		stopBuild := sess.Time("decomp_build_" + inst.name)
+		stopBuild := cli.Time("decomp_build_" + inst.name)
 		pe, err := embed.BuildPartitioned(dec, embed.DefaultParams(), rngutil.NewSource(seed+10))
 		stopBuild()
 		if err != nil {
 			return fmt.Errorf("%s: %w", inst.name, err)
 		}
-		stopMST := sess.Time("decomp_mst_" + inst.name)
+		stopMST := cli.Time("decomp_mst_" + inst.name)
 		res, err := mst.RunPartitioned(pe, rngutil.NewSource(seed+20))
 		stopMST()
 		if err != nil {
@@ -298,14 +231,6 @@ func runE18MST(quick bool, phi float64, seed uint64, trace string, sess *metrics
 	fmt.Println("Per-cluster MSFs run in parallel (cluster rounds = the slowest cluster);")
 	fmt.Println("the stitch is a GHS over cluster trees plus cross edges only. The cycle")
 	fmt.Println("property guarantees the stitched tree is the exact global MST.")
-
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote per-cluster certificate and stitched cost rows (%d) to %s\n",
-			len(sink.Costs), trace)
-	}
 	return nil
 }
 
@@ -317,9 +242,8 @@ func runE18MST(quick bool, phi float64, seed uint64, trace string, sess *metrics
 // runs on the selected transport — over tcp each restart executes as
 // real shard processes fed per-round fate windows, with identical
 // results (E20).
-func runE15MST(g *graph.Graph, spec transport.Spec, seed uint64,
-	faultSpec string, faultSeed uint64, attempts int, tr transport.Transport,
-	sink *congest.TraceSink, sess *metrics.Session) error {
+func runE15MST(cli *cliutil.Harness, g *graph.Graph, spec transport.Spec, seed uint64,
+	faultSpec string, faultSeed uint64, attempts int) error {
 	specs := []string{"", "drop=0.005", "drop=0.01", "drop=0.02"}
 	custom := true
 	for _, s := range specs {
@@ -340,16 +264,12 @@ func runE15MST(g *graph.Graph, spec transport.Spec, seed uint64,
 		if label == "" {
 			label = "(none)"
 		}
-		var probe congest.Probe
-		if sink != nil {
-			probe = sink.Label("E15 " + label)
-		}
 		fspec := spec
 		fspec.SrcSeed = seed + 40
 		fspec.FaultSpec = fs
 		fspec.FaultSeed = faultSeed
-		stop := sess.Time("e15_ghs_" + label)
-		res, err := workloads.RunGHSFaults(tr, fspec, transport.Options{Probe: probe, Metrics: sess.Registry()}, attempts)
+		stop := cli.Time("e15_ghs_" + label)
+		res, err := workloads.RunGHSFaults(cli.Transport(), fspec, transport.Options{Probe: cli.Probe("E15 " + label), Metrics: cli.Registry()}, attempts)
 		stop()
 		if err != nil {
 			return err

@@ -23,6 +23,7 @@ import (
 
 	"almostmix/internal/cliutil"
 	"almostmix/internal/flightrec"
+	"almostmix/internal/harness"
 	"almostmix/internal/metrics"
 	"almostmix/internal/transport"
 )
@@ -57,20 +58,17 @@ func main() {
 		}
 	}
 
-	out := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(fmt.Errorf("obsreport: %w", err))
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(fmt.Errorf("obsreport: close %s: %w", *outPath, err))
-			}
-		}()
-		out = f
+	if *outPath == "" {
+		report(os.Stdout, doc, snap, bench, *tail)
+		return
 	}
-	report(out, doc, snap, bench, *tail)
+	err = harness.WriteFile(*outPath, "obsreport", func(w io.Writer) error {
+		report(w, doc, snap, bench, *tail)
+		return nil
+	})
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {
@@ -135,7 +133,7 @@ func readBench(path string) (*benchDoc, error) {
 }
 
 // report renders every section the inputs can support. Sections are
-// keyed by "== name ==" markers so scripts (the obs-suite smoke) can
+// keyed by "== name ==" markers so scripts (the smoke suite) can
 // grep them without parsing the layout.
 func report(w io.Writer, d *transport.ObsDoc, snap *metrics.Snapshot, bench *benchDoc, tail int) {
 	header(w, d)

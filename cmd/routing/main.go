@@ -8,15 +8,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"almostmix/internal/cliutil"
-	"almostmix/internal/congest"
 	"almostmix/internal/decomp"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/route"
 	"almostmix/internal/spectral"
@@ -28,31 +25,15 @@ func main() {
 	decompose := flag.Bool("decomp", false, "run E18 instead: permutation routing through the cluster-scoped tier (expander decomposition + per-cluster hierarchies + boundary stitching) on worst-case graphs, against the direct single-hierarchy baseline")
 	phi := flag.Float64("phi", 0.1, "conductance target for -decomp's expander decomposition, in (0,1)")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	trace := flag.String("trace", "", "write a per-round trace of every routing run to this file (.json for JSON, CSV otherwise): preparation-walk congestion, the recursion's phase timeline, and the per-run cost-ledger breakdown")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
+	cli := cliutil.NewHarness("routing", "write a per-round trace of every routing run to this file (.json for JSON, CSV otherwise): preparation-walk congestion, the recursion's phase timeline, and the per-run cost-ledger breakdown")
 	flag.Parse()
 	cliutil.Phi("phi", *phi)
-	cliutil.Writable("trace", *trace)
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
+	cli.Run(func() error {
 		if *decompose {
-			err = runE18(*quick, *phi, *seed, *trace, sess)
-		} else {
-			err = run(*levels, *quick, *seed, *trace, sess)
+			return runE18(cli, *quick, *phi, *seed)
 		}
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "routing:", err)
-		os.Exit(1)
-	}
+		return run(cli, *levels, *quick, *seed)
+	})
 }
 
 type instance struct {
@@ -74,11 +55,8 @@ func buildInstance(inst instance, seed uint64) (*embed.Hierarchy, int, error) {
 	return h, tau, nil
 }
 
-func run(levels, quick bool, seed uint64, trace string, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-	}
+func run(cli *cliutil.Harness, levels, quick bool, seed uint64) error {
+	sink := cli.Sink()
 	instances := []instance{
 		{"rr64d8", graph.RandomRegular(64, 8, rngutil.NewRand(seed))},
 		{"rr128d8", graph.RandomRegular(128, 8, rngutil.NewRand(seed+1))},
@@ -94,19 +72,15 @@ func run(levels, quick bool, seed uint64, trace string, sess *metrics.Session) e
 		"graph", "n", "packets", "base rounds", "base/τ")
 	var ns, based []float64
 	for _, inst := range instances {
-		stopBuild := sess.Time("embed_build_" + inst.name)
+		stopBuild := cli.Time("embed_build_" + inst.name)
 		h, tau, err := buildInstance(inst, seed+10)
 		stopBuild()
 		if err != nil {
 			return err
 		}
 		reqs := route.RandomPermutation(inst.g, rngutil.NewRand(seed+20))
-		var probe congest.Probe
-		if sink != nil {
-			probe = sink.Label(inst.name + " perm")
-		}
-		stopRoute := sess.Time("route_perm_" + inst.name)
-		rep, err := route.RouteTraced(h, reqs, rngutil.NewSource(seed+30), probe)
+		stopRoute := cli.Time("route_perm_" + inst.name)
+		rep, err := route.RouteTraced(h, reqs, rngutil.NewSource(seed+30), cli.Probe(inst.name+" perm"))
 		stopRoute()
 		if err != nil {
 			return err
@@ -119,10 +93,7 @@ func run(levels, quick bool, seed uint64, trace string, sess *metrics.Session) e
 			rep.G0Rounds, rep.BaseRounds, float64(rep.BaseRounds)/float64(tau))
 
 		heavy := route.DegreeDemand(inst.g, rngutil.NewRand(seed+40))
-		if sink != nil {
-			probe = sink.Label(inst.name + " degree")
-		}
-		repH, err := route.RouteTraced(h, heavy, rngutil.NewSource(seed+50), probe)
+		repH, err := route.RouteTraced(h, heavy, rngutil.NewSource(seed+50), cli.Probe(inst.name+" degree"))
 		if err != nil {
 			return err
 		}
@@ -147,14 +118,6 @@ func run(levels, quick bool, seed uint64, trace string, sess *metrics.Session) e
 		slope, used, len(ns))
 	fmt.Println("Theorem 1.2's shape: base/τ grows only polylogarithmically on the")
 	fmt.Println("expander family, while the lollipop's larger τ_mix dominates its cost.")
-
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote per-round trace (%d round records, %d phase entries, %d cost rows) to %s\n",
-			len(sink.Rounds.Samples), len(sink.Phases.Entries), len(sink.Costs), trace)
-	}
 	return nil
 }
 
@@ -165,11 +128,8 @@ func run(levels, quick bool, seed uint64, trace string, sess *metrics.Session) e
 // hierarchy on the whole graph and routes the same requests; on the
 // expander control row the two agree (the decomposition is one cluster,
 // so the stitched run IS the direct run).
-func runE18(quick bool, phi float64, seed uint64, trace string, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-	}
+func runE18(cli *cliutil.Harness, quick bool, phi float64, seed uint64) error {
+	sink := cli.Sink()
 	instances := []instance{
 		{"rr64d8", graph.RandomRegular(64, 8, rngutil.NewRand(seed))},
 		{"lollipop32+16", graph.Lollipop(32, 16)},
@@ -191,14 +151,14 @@ func runE18(quick bool, phi float64, seed uint64, trace string, sess *metrics.Se
 		if err != nil {
 			return fmt.Errorf("%s: %w", inst.name, err)
 		}
-		stopBuild := sess.Time("decomp_build_" + inst.name)
+		stopBuild := cli.Time("decomp_build_" + inst.name)
 		pe, err := embed.BuildPartitioned(dec, embed.DefaultParams(), rngutil.NewSource(seed+10))
 		stopBuild()
 		if err != nil {
 			return fmt.Errorf("%s: %w", inst.name, err)
 		}
 		reqs := route.RandomPermutation(inst.g, rngutil.NewRand(seed+20))
-		stopRoute := sess.Time("decomp_route_" + inst.name)
+		stopRoute := cli.Time("decomp_route_" + inst.name)
 		rep, err := route.RoutePartitioned(pe, reqs, rngutil.NewSource(seed+30))
 		stopRoute()
 		if err != nil {
@@ -227,14 +187,6 @@ func runE18(quick bool, phi float64, seed uint64, trace string, sess *metrics.Se
 	fmt.Println("the ε·m boundary edges pay per-hop congestion. The expander control row")
 	fmt.Println("is a single cluster, so the stitched run is one hierarchy routing the")
 	fmt.Println("whole permutation — the same work the direct baseline does.")
-
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote per-cluster certificate and stitched cost rows (%d) to %s\n",
-			len(sink.Costs), trace)
-	}
 	return nil
 }
 

@@ -11,13 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
 
 	"almostmix/internal/cliutil"
-	"almostmix/internal/congest"
 	"almostmix/internal/graph"
 	"almostmix/internal/harness"
-	"almostmix/internal/metrics"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/spectral"
@@ -30,69 +27,32 @@ func main() {
 	d := flag.Int("d", 8, "degree of the base graph")
 	steps := flag.Int("steps", 60, "walk steps T")
 	seed := flag.Uint64("seed", 1, "root random seed")
-	workers := flag.Int("workers", 1, "simulator workers for the node-program walk (1 = sequential reference, 0 = one per CPU); results are identical for every value")
-	trace := flag.String("trace", "", "write a per-round trace of every run to this file (.json for JSON, CSV otherwise)")
-	metricsOut := flag.String("metrics", "", "write a host-side metrics snapshot to this file (.json for JSON, CSV otherwise)")
-	pprofMode := flag.String("pprof", "", "capture a runtime profile: cpu, heap or mutex")
-	pprofOut := flag.String("pprofout", "", "profile output path (default <mode>.pprof)")
 	faultSpec := flag.String("faults", "", `run the E15 degradation sweep with this fault spec as its custom row, e.g. "drop=0.05,delay=0.1:3" (see DESIGN.md §3)`)
 	faultSeed := flag.Uint64("faultseed", 1, "fault-injection seed for -faults (independent of -seed)")
 	attempts := flag.Int("attempts", 5, "max network runs per faulty execution before declaring tokens lost")
-	transportName := flag.String("transport", "proc", "node-program execution backend: proc (in-process engines) or tcp (one OS process per shard over loopback TCP); results are identical")
-	shards := flag.Int("shards", 2, "node processes for -transport=tcp")
-	listen := flag.String("listen", "127.0.0.1:0", "coordinator listen address for -transport=tcp")
-	tcpnode := flag.String("tcpnode", "", "path to the tcpnode binary for -transport=tcp (default: next to this binary)")
-	tcptimeout := flag.Duration("tcptimeout", 0, "wire barrier deadline for -transport=tcp (0 = transport default, 60s)")
-	obsOut := flag.String("obsout", "", "write the tcp run's merged observability document (flight recorders, wire tallies, barrier timeline, round skew) to this file on every exit path")
-	flightRec := flag.Int("flightrec", 0, "flight-recorder ring capacity on coordinator and shards for -transport=tcp (0 = default)")
+	cli := cliutil.NewHarness("walks", "write a per-round trace of every run to this file (.json for JSON, CSV otherwise)").WithBackend()
 	flag.Parse()
 	cliutil.Min("n", *n, 2)
 	cliutil.Min("d", *d, 1)
 	cliutil.Min("steps", *steps, 0)
-	cliutil.Workers("workers", *workers)
 	cliutil.Min("attempts", *attempts, 1)
 	cliutil.FaultSpec("faults", *faultSpec)
-	cliutil.Transport("transport", *transportName)
-	cliutil.Min("shards", *shards, 1)
-	cliutil.Listen("listen", *listen)
-	cliutil.Min("flightrec", *flightRec, 0)
-	cliutil.ObsOut("obsout", *obsOut, *transportName)
-	cliutil.Writable("trace", *trace)
-	cliutil.Writable("metrics", *metricsOut)
-	cliutil.Writable("pprofout", *pprofOut)
-	cliutil.Writable("obsout", *obsOut)
-	tr, err := transport.NewBackend(*transportName, transport.BackendConfig{
-		Workers:      *workers,
-		Shards:       *shards,
-		Listen:       *listen,
-		NodeBin:      *tcpnode,
-		Timeout:      *tcptimeout,
-		ObsOut:       *obsOut,
-		FlightRecCap: *flightRec,
-	})
-	if err != nil {
-		cliutil.Fail("%v", err)
-	}
-
-	sess, err := metrics.StartSession(*metricsOut, *pprofMode, *pprofOut)
-	if err == nil {
-		err = run(*n, *d, *steps, *seed, *trace, *faultSpec, *faultSeed, *attempts, tr, sess)
-		if cerr := sess.Close(); err == nil {
-			err = cerr
+	cli.Run(func() error {
+		g := graph.RandomRegular(*n, *d, rngutil.NewRand(*seed))
+		if err := runE4(cli, g, *d, *steps, *seed); err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "walks:", err)
-		os.Exit(1)
-	}
+		if *faultSpec == "" {
+			return nil
+		}
+		return runE15(cli, g, *d, *steps, *seed, *faultSpec, *faultSeed, *attempts)
+	})
 }
 
-func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64, attempts int, tr transport.Transport, sess *metrics.Session) error {
-	var sink *congest.TraceSink
-	if trace != "" || sess.Registry() != nil {
-		sink = congest.NewTraceSink().WithMetrics(sess.Registry())
-	}
-	g := graph.RandomRegular(n, d, rngutil.NewRand(seed))
+// runE4 prints the analytic E4 table and the node-program E4b table for
+// the same token loads.
+func runE4(cli *cliutil.Harness, g *graph.Graph, d, steps int, seed uint64) error {
+	n, tr := g.N(), cli.Transport()
 	logN := math.Log2(float64(n))
 	t := harness.NewTable(
 		fmt.Sprintf("E4 — Lemmas 2.4/2.5: parallel walks on rr(n=%d, d=%d), T=%d", n, d, steps),
@@ -102,11 +62,9 @@ func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64
 		cfg := randomwalk.Config{
 			Kind:  spectral.Lazy,
 			Steps: steps,
+			Probe: cli.Probe(fmt.Sprintf("E4 k=%d", k)),
 		}
-		if sink != nil {
-			cfg.Probe = sink.Label(fmt.Sprintf("E4 k=%d", k))
-		}
-		stop := sess.Time(fmt.Sprintf("e4_analytic_k%d", k))
+		stop := cli.Time(fmt.Sprintf("e4_analytic_k%d", k))
 		res := randomwalk.Run(g, sources, cfg, rngutil.NewRand(seed+uint64(k)))
 		stop()
 		t.AddRow(k, len(sources),
@@ -125,10 +83,6 @@ func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64
 		fmt.Sprintf("E4b — node-program walks on the CONGEST engine (transport=%v)", tr),
 		"k", "tokens", "messages", "makespan rounds", "rounds/step")
 	for _, k := range []int{1, 2, 4} {
-		var probe congest.Probe
-		if sink != nil {
-			probe = sink.Label(fmt.Sprintf("E4b k=%d", k))
-		}
 		res, err := tr.Run(transport.Spec{
 			Workload: "walks",
 			Graph:    "rr",
@@ -138,7 +92,7 @@ func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64
 			Steps:    steps,
 			Seed:     seed,
 			SrcSeed:  seed + 100 + uint64(k),
-		}, transport.Options{Probe: probe, Metrics: sess.Registry()})
+		}, transport.Options{Probe: cli.Probe(fmt.Sprintf("E4b k=%d", k)), Metrics: cli.Registry()})
 		if err != nil {
 			return err
 		}
@@ -148,20 +102,6 @@ func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64
 	fmt.Println(et)
 	fmt.Println("Engine results are bit-identical for every -workers and -transport")
 	fmt.Println("value; the flags change wall-clock time only (see DESIGN.md §3).")
-
-	if faultSpec != "" {
-		if err := runE15(g, n, d, steps, seed, faultSpec, faultSeed, attempts, tr, sink, sess); err != nil {
-			return err
-		}
-	}
-
-	if sink != nil && trace != "" {
-		if err := sink.WriteFile(trace); err != nil {
-			return err
-		}
-		fmt.Printf("wrote per-round trace (%d round records) to %s\n",
-			len(sink.Rounds.Samples), trace)
-	}
 	return nil
 }
 
@@ -172,9 +112,8 @@ func run(n, d, steps int, seed uint64, trace, faultSpec string, faultSeed uint64
 // overwhelms the attempt budget. The sweep runs on the selected
 // transport — over tcp each attempt executes as real shard processes
 // fed per-round fate windows, with identical results (E20).
-func runE15(g *graph.Graph, n, d, steps int, seed uint64,
-	faultSpec string, faultSeed uint64, attempts int, tr transport.Transport,
-	sink *congest.TraceSink, sess *metrics.Session) error {
+func runE15(cli *cliutil.Harness, g *graph.Graph, d, steps int, seed uint64,
+	faultSpec string, faultSeed uint64, attempts int) error {
 	specs := []string{"", "drop=0.01", "drop=0.02", "drop=0.05", "drop=0.1"}
 	custom := true
 	for _, s := range specs {
@@ -199,14 +138,10 @@ func runE15(g *graph.Graph, n, d, steps int, seed uint64,
 		if label == "" {
 			label = "(none)"
 		}
-		var probe congest.Probe
-		if sink != nil {
-			probe = sink.Label("E15 " + label)
-		}
-		stop := sess.Time("e15_" + label)
-		res, err := workloads.RunWalksFaults(tr, transport.Spec{
+		stop := cli.Time("e15_" + label)
+		res, err := workloads.RunWalksFaults(cli.Transport(), transport.Spec{
 			Graph:     "rr",
-			N:         n,
+			N:         g.N(),
 			D:         d,
 			K:         1,
 			Steps:     steps,
@@ -214,7 +149,7 @@ func runE15(g *graph.Graph, n, d, steps int, seed uint64,
 			SrcSeed:   seed + 200,
 			FaultSpec: spec,
 			FaultSeed: faultSeed,
-		}, transport.Options{Probe: probe, Metrics: sess.Registry()}, attempts)
+		}, transport.Options{Probe: cli.Probe("E15 " + label), Metrics: cli.Registry()}, attempts)
 		stop()
 		if err != nil {
 			return err

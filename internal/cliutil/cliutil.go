@@ -1,7 +1,9 @@
-// Package cliutil centralizes the up-front flag validation the cmd/
-// binaries share, so a nonsensical invocation fails loudly before any
-// work starts — with one message format and one exit code — instead of
-// failing mid-run, panicking in a library, or being silently clamped.
+// Package cliutil centralizes what the cmd/ binaries share at their
+// edges: the up-front flag validation, so a nonsensical invocation fails
+// loudly before any work starts — with one message format and one exit
+// code — instead of failing mid-run, panicking in a library, or being
+// silently clamped; and the run Harness, the single exit path through
+// which every experiment binary exports its trace and host metrics.
 package cliutil
 
 import (
@@ -40,16 +42,6 @@ func Workers(name string, v int) {
 	}
 }
 
-// Transport rejects execution backends other than the known names. The
-// valid set lives here (not in internal/transport) so the usage error
-// stays a flag-validation failure with exit code 2, uniform with every
-// other bad flag.
-func Transport(name, v string) {
-	if v != "proc" && v != "tcp" {
-		Fail("invalid -%s %q: must be proc or tcp", name, v)
-	}
-}
-
 // Listen rejects coordinator listen addresses that are not host:port
 // shaped (":0" and "127.0.0.1:0" pass; a bare hostname or port does not).
 func Listen(name, v string) {
@@ -68,16 +60,6 @@ func Listen(name, v string) {
 func Phi(name string, v float64) {
 	if v <= 0 || v >= 1 {
 		Fail("invalid -%s %g: conductance target must be in (0,1)", name, v)
-	}
-}
-
-// ObsOut rejects an observability-document export on backends that do
-// not produce one: the merged document describes a distributed run, so
-// a non-empty path needs -transport=tcp. Both experiment binaries share
-// this rule; hoisting it keeps one message and one exit-2 path.
-func ObsOut(name, path, transport string) {
-	if path != "" && transport != "tcp" {
-		Fail("-%s needs -transport=tcp: the observability document describes a distributed run", name)
 	}
 }
 

@@ -194,10 +194,10 @@ type Network struct {
 	workers int
 	// started enforces that a Network is single-use (see begin).
 	started bool
-	// probe, when non-nil, observes the run (see probe.go); ps holds its
-	// lazily allocated scratch buffers.
+	// probe, when non-nil, observes the run (see probe.go); agg is the
+	// lazily allocated aggregator that builds its per-round records.
 	probe Probe
-	ps    *probeState
+	agg   *RoundAggregator
 	// reg, when non-nil, receives host-side metrics (see metrics.go); ms
 	// is the per-run state the engines consult through one nil check.
 	reg *metrics.Registry

@@ -439,7 +439,7 @@ func TestEdgeLoadNoInt32Wraparound(t *testing.T) {
 		return programFunc{}
 	}, rngutil.NewSource(1)).SetProbe(probe)
 	net.probeRunStart("test", 1)
-	net.ps.edgeLoad[0] = math.MaxInt32 // accumulated load of edge 0 toward node 0...
+	net.agg.edgeLoad[0] = math.MaxInt32 // accumulated load of edge 0 toward node 0...
 	net.rounds = 1
 	net.inboxes[0] = append(net.inboxes[0][:0], Inbound{Port: 0, From: 1, Payload: 0})
 	net.inboxes[1] = net.inboxes[1][:0]

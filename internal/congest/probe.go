@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"almostmix/internal/faults"
+	"almostmix/internal/graph"
 )
 
 // RunInfo describes a run at RunStart time.
@@ -184,27 +185,86 @@ type phaseMark struct {
 	name  string
 }
 
-// probeState holds the per-run scratch buffers of the probe layer,
-// allocated only when a probe is attached. The RoundRecord is part of
-// the scratch: it is refilled and handed to RoundEnd every round, never
-// reallocated, so an attached probe adds no steady-state allocations.
-type probeState struct {
+// RoundAggregator builds the RoundRecord of one round from its
+// individual deliveries and hands it to Probe.RoundEnd. It is the one
+// implementation of the record's aggregation rules (smallest node ID
+// attaining the maximum inbox, directed-slot edge loads, borrowed
+// slices reset between rounds), fed by the in-process engines from
+// their inboxes and by the TCP transport coordinator from the shards'
+// per-node inbox profiles — which is why both report byte-identical
+// records. The record and its slices are scratch refilled in place, so
+// a steady probed round allocates nothing.
+type RoundAggregator struct {
+	topo       *topology
 	inboxSizes []int
 	edgeLoad   []int64
 	touched    []int
 	rec        RoundRecord
 }
 
-// probeRunStart announces the run and allocates the scratch buffers.
+// NewRoundAggregator returns an aggregator for runs on g.
+func NewRoundAggregator(g *graph.Graph) *RoundAggregator {
+	return newRoundAggregator(newTopology(g))
+}
+
+func newRoundAggregator(t *topology) *RoundAggregator {
+	return &RoundAggregator{
+		topo:       t,
+		inboxSizes: make([]int, t.n),
+		edgeLoad:   make([]int64, len(t.to)),
+		rec:        RoundRecord{MaxInboxNode: -1},
+	}
+}
+
+// Deliver notes one delivery arriving at node u over its port. Feed a
+// round's deliveries grouped by receiver in ascending node order: ties
+// for the maximum inbox then resolve to the smallest node ID.
+func (a *RoundAggregator) Deliver(u, port int) {
+	a.inboxSizes[u]++
+	if a.inboxSizes[u] > a.rec.MaxInbox {
+		a.rec.MaxInbox = a.inboxSizes[u]
+		a.rec.MaxInboxNode = u
+	}
+	slot := a.topo.slotOf(a.topo.start[u]+int32(port), u)
+	if a.edgeLoad[slot] == 0 {
+		a.touched = append(a.touched, slot)
+	}
+	a.edgeLoad[slot]++
+	if a.edgeLoad[slot] > a.rec.MaxEdgeLoad {
+		a.rec.MaxEdgeLoad = a.edgeLoad[slot]
+	}
+}
+
+// RoundEnd completes the record with the round's totals, fires
+// p.RoundEnd, and resets the scratch for the next round.
+func (a *RoundAggregator) RoundEnd(p Probe, round, delivered, active, halted int, fc faults.Counts) {
+	rec := &a.rec
+	rec.Round = round
+	rec.Delivered = delivered
+	rec.Active = active
+	rec.Halted = halted
+	rec.InboxSizes = a.inboxSizes
+	rec.EdgeLoad = a.edgeLoad
+	rec.Dropped = int(fc.Dropped)
+	rec.Duplicated = int(fc.Duplicated)
+	rec.Delayed = int(fc.Delayed)
+	rec.Crashed = int(fc.Crashed)
+	p.RoundEnd(rec)
+	clear(a.inboxSizes)
+	for _, slot := range a.touched {
+		a.edgeLoad[slot] = 0
+	}
+	a.touched = a.touched[:0]
+	*rec = RoundRecord{MaxInboxNode: -1}
+}
+
+// probeRunStart announces the run and allocates the round aggregator.
 func (n *Network) probeRunStart(engine string, workers int) {
 	if n.probe == nil {
 		return
 	}
-	if n.ps == nil {
-		n.ps = &probeState{
-			inboxSizes: make([]int, n.g.N()),
-			edgeLoad:   make([]int64, 2*n.g.M()),
-		}
+	if n.agg == nil {
+		n.agg = newRoundAggregator(n.topo)
 	}
 	n.probe.RunStart(RunInfo{
 		Engine:  engine,
@@ -236,53 +296,21 @@ func (n *Network) probeDrainEvents() {
 // probeRoundFlush aggregates the round just executed and fires the
 // per-round hooks. It reads the inboxes built by the deliver phase (which
 // survive untouched through Step) rather than instrumenting the delivery
-// hot path, so the engines carry no per-message probe cost. The record
-// and its slices are probeState scratch, refilled in place: a steady
-// probed round allocates nothing.
+// hot path, so the engines carry no per-message probe cost.
 func (n *Network) probeRoundFlush(delivered, active int, fc faults.Counts) {
-	ps := n.ps
-	rec := &ps.rec
-	*rec = RoundRecord{
-		Round:        n.rounds,
-		Delivered:    delivered,
-		Active:       active,
-		MaxInboxNode: -1,
-		InboxSizes:   ps.inboxSizes,
-		EdgeLoad:     ps.edgeLoad,
-		Dropped:      int(fc.Dropped),
-		Duplicated:   int(fc.Duplicated),
-		Delayed:      int(fc.Delayed),
-		Crashed:      int(fc.Crashed),
-	}
-	t := n.topo
 	for u, inbox := range n.inboxes {
-		ps.inboxSizes[u] = len(inbox)
-		if len(inbox) > rec.MaxInbox {
-			rec.MaxInbox = len(inbox)
-			rec.MaxInboxNode = u
-		}
 		for _, in := range inbox {
-			slot := t.slotOf(t.start[u]+int32(in.Port), u)
-			if ps.edgeLoad[slot] == 0 {
-				ps.touched = append(ps.touched, slot)
-			}
-			ps.edgeLoad[slot]++
-			if ps.edgeLoad[slot] > rec.MaxEdgeLoad {
-				rec.MaxEdgeLoad = ps.edgeLoad[slot]
-			}
+			n.agg.Deliver(u, in.Port)
 		}
 	}
+	halted := 0
 	for v := range n.ctxs {
 		if n.ctxs[v].halted {
-			rec.Halted++
+			halted++
 		}
 	}
 	n.probeDrainEvents()
-	n.probe.RoundEnd(rec)
-	for _, slot := range ps.touched {
-		ps.edgeLoad[slot] = 0
-	}
-	ps.touched = ps.touched[:0]
+	n.agg.RoundEnd(n.probe, n.rounds, delivered, active, halted, fc)
 }
 
 // finish fires RunEnd, closes the metrics run, and returns the run

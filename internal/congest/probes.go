@@ -14,11 +14,8 @@ package congest
 // are bit-identical across engines, so the exported bytes must be too.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"almostmix/internal/cost"
@@ -413,9 +410,7 @@ type traceJSON struct {
 
 // WriteJSON writes the combined trace as one JSON document.
 func (s *TraceSink) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(traceJSON{
+	return harness.WriteJSON(w, traceJSON{
 		Rounds:     s.Rounds.Samples,
 		NodeLoads:  s.Loads.PerRound,
 		NodeTotals: s.Loads.Totals,
@@ -428,20 +423,9 @@ func (s *TraceSink) WriteJSON(w io.Writer) error {
 // by blank lines, in the order: per-round trace, per-round max node load,
 // per-node totals, phase timeline, cost ledger.
 func (s *TraceSink) WriteCSV(w io.Writer) error {
-	for i, tb := range []*harness.Table{
+	return harness.WriteCSV(w,
 		s.Rounds.Table(), s.Loads.Table(), s.Loads.TotalsTable(), s.Phases.Table(),
-		s.CostTable(),
-	} {
-		if i > 0 {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, tb.CSV()); err != nil {
-			return err
-		}
-	}
-	return nil
+		s.CostTable())
 }
 
 // WriteFile writes the trace to path: JSON when the extension is .json,
@@ -449,20 +433,5 @@ func (s *TraceSink) WriteCSV(w io.Writer) error {
 // wrapped with the path, so the cmd binaries can propagate export
 // failures to their exit code instead of best-effort writing.
 func (s *TraceSink) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if filepath.Ext(path) == ".json" {
-		err = s.WriteJSON(f)
-	} else {
-		err = s.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("trace: write %s: %w", path, err)
-	}
-	return nil
+	return harness.WriteDocument(path, "trace", s)
 }

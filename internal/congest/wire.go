@@ -89,23 +89,6 @@ func DecodeFloodPayload(b []byte) (Message, error) {
 	return int(v), nil
 }
 
-// SlotTable answers the directed-slot computation of the probe layer —
-// RoundRecord.EdgeLoad[Slot(u, port)] is the delivery count of the port
-// as seen at receiver u — for observers outside the package (the TCP
-// transport coordinator rebuilds byte-identical RoundRecords from
-// per-shard inbox profiles with it). It is a read-only flattened view
-// of the graph, safe for concurrent use.
-type SlotTable struct{ t *topology }
-
-// NewSlotTable flattens g's topology for slot lookups.
-func NewSlotTable(g *graph.Graph) *SlotTable { return &SlotTable{t: newTopology(g)} }
-
-// Slot returns the directed EdgeLoad index of a delivery arriving at
-// node u over the given port (see RoundRecord.EdgeLoad).
-func (s *SlotTable) Slot(u, port int) int {
-	return s.t.slotOf(s.t.start[u]+int32(port), u)
-}
-
 // EncodeTickPayload appends the (empty) canonical encoding of Tick.
 func EncodeTickPayload(buf []byte, m Message) ([]byte, error) {
 	if _, ok := m.(tickToken); !ok {

@@ -23,10 +23,12 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"almostmix/internal/harness"
 )
 
 // Schema identifies the dump layout. Bump on any incompatible change so
-// downstream consumers (cmd/obsreport, the obs-suite smoke) can
+// downstream consumers (cmd/obsreport, the smoke suite) can
 // dispatch on it.
 const Schema = "almostmix-flightrec/v1"
 
@@ -197,7 +199,7 @@ func (d Dump) Attribute(guilty, lastRound int, phase, errMsg string) Dump {
 
 // Validate checks a dump against the schema contract: the stamp, a
 // known reason, a role, and events in strictly ascending sequence
-// order. The obs-suite smoke and cmd/obsreport both gate on it.
+// order. The smoke suite and cmd/obsreport both gate on it.
 func Validate(d *Dump) error {
 	if d == nil {
 		return fmt.Errorf("flightrec: nil dump")
@@ -226,11 +228,7 @@ func Validate(d *Dump) error {
 }
 
 // WriteJSON writes the dump as one indented JSON document.
-func (d Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+func (d Dump) WriteJSON(w io.Writer) error { return harness.WriteJSON(w, d) }
 
 // WriteDump writes the dump to path, or to stderr when path is "" —
 // the crash path of a shard process whose stderr is piped through to
@@ -243,18 +241,7 @@ func WriteDump(path string, d Dump) error {
 		}
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("flightrec: %w", err)
-	}
-	err = d.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("flightrec: write %s: %w", path, err)
-	}
-	return nil
+	return harness.WriteFile(path, "flightrec", d.WriteJSON)
 }
 
 // ReadDump parses one dump document and validates it.

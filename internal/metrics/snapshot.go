@@ -8,12 +8,9 @@ package metrics
 // code instead of best-effort writing.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"almostmix/internal/harness"
@@ -190,46 +187,15 @@ func (s *Snapshot) Tables() []*harness.Table {
 }
 
 // WriteJSON writes the snapshot as one indented JSON document.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
+func (s *Snapshot) WriteJSON(w io.Writer) error { return harness.WriteJSON(w, s) }
 
 // WriteCSV writes the snapshot as consecutive CSV tables separated by
 // blank lines: counters, gauges, histograms.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	for i, tb := range s.Tables() {
-		if i > 0 {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, tb.CSV()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *Snapshot) WriteCSV(w io.Writer) error { return harness.WriteCSV(w, s.Tables()...) }
 
 // WriteFile writes the snapshot to path — JSON when the extension is
 // .json, CSV otherwise — and returns any I/O error (create, write or
 // close), wrapped with the path for the cmd exit message.
 func (s *Snapshot) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	if filepath.Ext(path) == ".json" {
-		err = s.WriteJSON(f)
-	} else {
-		err = s.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("metrics: write %s: %w", path, err)
-	}
-	return nil
+	return harness.WriteDocument(path, "metrics", s)
 }

@@ -239,12 +239,9 @@ type coordinator struct {
 	prevBytes  int64
 	obs        obsInstruments
 
-	// Probe scratch, mirroring congest's probeState.
-	slots      *congest.SlotTable
-	inboxSizes []int
-	edgeLoad   []int64
-	touched    []int
-	roundRec   congest.RoundRecord
+	// agg builds the probe's per-round records from the shards' inbox
+	// profiles; nil without a probe.
+	agg *congest.RoundAggregator
 }
 
 func (c *coordinator) run() (res Result, err error) {
@@ -531,9 +528,7 @@ func (c *coordinator) drive() (Result, error) {
 	g := c.inst.Graph
 	n := g.N()
 	if p := c.opts.Probe; p != nil {
-		c.slots = congest.NewSlotTable(g)
-		c.inboxSizes = make([]int, n)
-		c.edgeLoad = make([]int64, 2*g.M())
+		c.agg = congest.NewRoundAggregator(g)
 		p.RunStart(congest.RunInfo{
 			Engine:  "tcpnet",
 			Workers: c.tcp.Shards,
@@ -787,66 +782,30 @@ func (c *coordinator) takeDeliverBody(i int) []byte {
 	return body
 }
 
-// absorbProfile folds one shard's delivery profile into the probe
-// scratch (no-op without a probe).
+// absorbProfile feeds one shard's delivery profile to the round
+// aggregator (no-op without a probe). Shards arrive in node order, the
+// order the aggregator's tie-breaking needs.
 func (c *coordinator) absorbProfile(shard int, d *deliveredReply) {
-	if c.opts.Probe == nil {
+	if c.agg == nil {
 		return
 	}
 	lo := c.bounds[shard]
 	pi := 0
 	for j, size := range d.sizes {
-		u := lo + j
-		c.inboxSizes[u] = size
 		for x := 0; x < size; x++ {
-			slot := c.slots.Slot(u, d.ports[pi])
+			c.agg.Deliver(lo+j, d.ports[pi])
 			pi++
-			if c.edgeLoad[slot] == 0 {
-				c.touched = append(c.touched, slot)
-			}
-			c.edgeLoad[slot]++
 		}
 	}
 }
 
-// roundEnd synthesizes the round's aggregated RoundRecord from the
-// collected profiles, field for field like congest.probeRoundFlush —
-// including the round's fault counts summed over the STEPPED replies —
-// and resets the touched scratch.
+// roundEnd fires the probe's RoundEnd with the record aggregated from
+// the collected profiles and the round's fault counts summed over the
+// STEPPED replies.
 func (c *coordinator) roundEnd(delivered, active int, fc faults.Counts) {
-	p := c.opts.Probe
-	if p == nil {
-		return
+	if c.agg != nil {
+		c.agg.RoundEnd(c.opts.Probe, c.rounds, delivered, active, c.halted, fc)
 	}
-	c.roundRec = congest.RoundRecord{
-		Round:        c.rounds,
-		Delivered:    delivered,
-		Active:       active,
-		Halted:       c.halted,
-		MaxInboxNode: -1,
-		InboxSizes:   c.inboxSizes,
-		EdgeLoad:     c.edgeLoad,
-		Dropped:      int(fc.Dropped),
-		Duplicated:   int(fc.Duplicated),
-		Delayed:      int(fc.Delayed),
-		Crashed:      int(fc.Crashed),
-	}
-	for u, size := range c.inboxSizes {
-		if size > c.roundRec.MaxInbox {
-			c.roundRec.MaxInbox = size
-			c.roundRec.MaxInboxNode = u
-		}
-	}
-	for _, slot := range c.touched {
-		if c.edgeLoad[slot] > c.roundRec.MaxEdgeLoad {
-			c.roundRec.MaxEdgeLoad = c.edgeLoad[slot]
-		}
-	}
-	p.RoundEnd(&c.roundRec)
-	for _, slot := range c.touched {
-		c.edgeLoad[slot] = 0
-	}
-	c.touched = c.touched[:0]
 }
 
 // harvest ends the run: FINISH to every shard, collect FINAL replies
@@ -1056,12 +1015,12 @@ func (c *coordinator) obsDoc(reason string, runErr error) *ObsDoc {
 	}
 	for i, fc := range c.conns {
 		if fc != nil {
-			doc.Wire = append(doc.Wire, wireStatsCoord(i, &fc.tally))
+			doc.Wire = append(doc.Wire, wireStats("coord", i, &fc.tally))
 		}
 	}
 	for _, wt := range c.shardTel {
 		if wt != nil {
-			doc.Wire = append(doc.Wire, wireStatsShard(wt))
+			doc.Wire = append(doc.Wire, wt.WireStats)
 		}
 	}
 	return doc

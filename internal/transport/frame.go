@@ -74,7 +74,9 @@ func frameName(typ byte) string {
 // Version 3 added faults over the wire: the spec's fault fields, FATES
 // fate-table windows, per-round fault counts on STEPPED, the pending
 // delayed count on DELIVERED, and the fault totals on TELEMETRY.
-const wireVersion = 3
+// Version 4 made the TELEMETRY body a WireStats row plus the flight
+// dump, which added its "endpoint" key.
+const wireVersion = 4
 
 // maxFramePayload bounds a frame's payload. Generous — the largest
 // legitimate frame is a DELIVER batch, linear in a shard's boundary

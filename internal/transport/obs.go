@@ -18,15 +18,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/faults"
 	"almostmix/internal/flightrec"
+	"almostmix/internal/harness"
 )
 
 // ObsSchema identifies the -obsout document layout. Bump on any
-// incompatible change so cmd/obsreport and the obs-suite smoke can
+// incompatible change so cmd/obsreport and the smoke suite can
 // dispatch on it.
 const ObsSchema = "almostmix-obs/v1"
 
@@ -85,7 +85,7 @@ type ObsDoc struct {
 // ValidateObs checks the document against its schema contract: the
 // stamp, a coordinator dump that itself validates, shard dump slots
 // matching the shard count, and every present shard dump valid. The
-// obs-suite smoke and cmd/obsreport both gate on it.
+// smoke suite and cmd/obsreport both gate on it.
 func ValidateObs(d *ObsDoc) error {
 	if d == nil {
 		return fmt.Errorf("transport: nil obs document")
@@ -117,27 +117,12 @@ func ValidateObs(d *ObsDoc) error {
 }
 
 // WriteJSON writes the document as one indented JSON document.
-func (d *ObsDoc) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+func (d *ObsDoc) WriteJSON(w io.Writer) error { return harness.WriteJSON(w, d) }
 
 // WriteObs writes the document to path, wrapped-error discipline like
 // every other exporter so cmd binaries can turn failures into exit 1.
 func WriteObs(path string, d *ObsDoc) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("transport: obs: %w", err)
-	}
-	err = d.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("transport: obs: write %s: %w", path, err)
-	}
-	return nil
+	return harness.WriteFile(path, "transport: obs", d.WriteJSON)
 }
 
 // ReadObs parses one -obsout document and validates it.
@@ -160,50 +145,32 @@ type timelineSink interface {
 	AddTimeline(rows []congest.TimelineRow)
 }
 
-// wireStatsCoord converts the coordinator's side of one connection.
-func wireStatsCoord(shard int, t *connTally) WireStats {
-	ws := WireStats{
-		Endpoint:   "coord",
+// wireStats converts one endpoint's connection tallies, keying the
+// per-type counts by frame name (stable across builds, unlike the
+// numeric type bytes).
+func wireStats(endpoint string, shard int, t *connTally) WireStats {
+	byName := func(counts *[frameTypeCount]int64) map[string]int64 {
+		var m map[string]int64
+		for typ, n := range counts {
+			if n > 0 {
+				if m == nil {
+					m = make(map[string]int64)
+				}
+				m[frameName(byte(typ))] = n
+			}
+		}
+		return m
+	}
+	return WireStats{
+		Endpoint:   endpoint,
 		Shard:      shard,
 		SentFrames: t.sentFrames,
 		RecvFrames: t.recvFrames,
 		SentBytes:  t.sentBytes,
 		RecvBytes:  t.recvBytes,
+		SentByType: byName(&t.sentByType),
+		RecvByType: byName(&t.recvByType),
 		Flushes:    t.flushes,
 		FlushNS:    t.flushNS,
-	}
-	for typ, n := range t.sentByType {
-		if n > 0 {
-			if ws.SentByType == nil {
-				ws.SentByType = make(map[string]int64)
-			}
-			ws.SentByType[frameName(byte(typ))] = n
-		}
-	}
-	for typ, n := range t.recvByType {
-		if n > 0 {
-			if ws.RecvByType == nil {
-				ws.RecvByType = make(map[string]int64)
-			}
-			ws.RecvByType[frameName(byte(typ))] = n
-		}
-	}
-	return ws
-}
-
-// wireStatsShard converts a shard's shipped-back TELEMETRY tallies.
-func wireStatsShard(wt *wireTelemetry) WireStats {
-	return WireStats{
-		Endpoint:   "shard",
-		Shard:      wt.Shard,
-		SentFrames: wt.SentFrames,
-		RecvFrames: wt.RecvFrames,
-		SentBytes:  wt.SentBytes,
-		RecvBytes:  wt.RecvBytes,
-		SentByType: wt.SentByType,
-		RecvByType: wt.RecvByType,
-		Flushes:    wt.Flushes,
-		FlushNS:    wt.FlushNS,
-		Faults:     wt.Faults,
 	}
 }

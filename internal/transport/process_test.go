@@ -3,7 +3,7 @@ package transport_test
 // Real-process coverage: the same parity and failure assertions as the
 // goroutine-mode suite, but with cmd/tcpnode compiled and spawned as
 // actual OS processes — the configuration -transport=tcp ships. One
-// binary is built per test run; `make tcp-suite` runs this alongside
+// binary is built per test run; `make transport-suite` runs this alongside
 // the full goroutine-mode matrix under -race.
 
 import (

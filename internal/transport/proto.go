@@ -28,57 +28,15 @@ type wireSpec struct {
 }
 
 // wireTelemetry is the JSON body of the TELEMETRY frame every shard
-// sends after FINAL: its side of the wire tallies plus its flight-
-// recorder dump, so one -obsout file on the coordinator merges both
-// ends of every connection. SentByType/RecvByType are keyed by frame
-// name (stable across builds, unlike the numeric type bytes).
+// sends after FINAL: its side of the wire tallies (a WireStats row with
+// Endpoint "shard", whose Faults are the replica plan's accumulated
+// totals — events applied at this shard's owned receivers plus its owned
+// crash node-rounds, so the per-shard values sum to the run totals) plus
+// its flight-recorder dump, so one -obsout file on the coordinator
+// merges both ends of every connection.
 type wireTelemetry struct {
-	Shard      int              `json:"shard"`
-	SentFrames int64            `json:"sent_frames"`
-	RecvFrames int64            `json:"recv_frames"`
-	SentBytes  int64            `json:"sent_bytes"`
-	RecvBytes  int64            `json:"recv_bytes"`
-	SentByType map[string]int64 `json:"sent_by_type,omitempty"`
-	RecvByType map[string]int64 `json:"recv_by_type,omitempty"`
-	Flushes    int64            `json:"flushes"`
-	FlushNS    int64            `json:"flush_ns"`
-	// Faults is the shard replica plan's accumulated totals — fault
-	// events applied at this shard's owned receivers (plus its owned
-	// crash node-rounds), so the per-shard values sum to the run totals.
-	Faults faults.Counts  `json:"faults,omitempty"`
-	Dump   flightrec.Dump `json:"flightrec"`
-}
-
-// telemetryFromTally builds the ship-back document from one endpoint's
-// tallies and flight dump.
-func telemetryFromTally(shard int, t *connTally, dump flightrec.Dump) wireTelemetry {
-	wt := wireTelemetry{
-		Shard:      shard,
-		SentFrames: t.sentFrames,
-		RecvFrames: t.recvFrames,
-		SentBytes:  t.sentBytes,
-		RecvBytes:  t.recvBytes,
-		Flushes:    t.flushes,
-		FlushNS:    t.flushNS,
-		Dump:       dump,
-	}
-	for typ, n := range t.sentByType {
-		if n > 0 {
-			if wt.SentByType == nil {
-				wt.SentByType = make(map[string]int64)
-			}
-			wt.SentByType[frameName(byte(typ))] = n
-		}
-	}
-	for typ, n := range t.recvByType {
-		if n > 0 {
-			if wt.RecvByType == nil {
-				wt.RecvByType = make(map[string]int64)
-			}
-			wt.RecvByType[frameName(byte(typ))] = n
-		}
-	}
-	return wt
+	WireStats
+	Dump flightrec.Dump `json:"flightrec"`
 }
 
 // shardBounds is the contiguous node split shared by the coordinator

@@ -297,7 +297,10 @@ func (r *shardRuntime) finish() error {
 	if err := r.send(frameFinal); err != nil {
 		return err
 	}
-	wt := telemetryFromTally(r.shard, &r.fc.tally, r.rec.Dump(flightrec.ReasonFinish))
+	wt := wireTelemetry{
+		WireStats: wireStats("shard", r.shard, &r.fc.tally),
+		Dump:      r.rec.Dump(flightrec.ReasonFinish),
+	}
 	if r.inst.Faults != nil {
 		wt.Faults = r.inst.Faults.Totals()
 	}

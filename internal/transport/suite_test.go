@@ -149,12 +149,8 @@ func TestProcMatchesDirectEngine(t *testing.T) {
 // to the sequential engine.
 func TestProcWorkersZeroIsOnePerCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	tr, err := transport.NewBackend("proc", transport.BackendConfig{Workers: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.New()
-	if _, err := tr.Run(suiteSpecs(1)[4], transport.Options{Metrics: reg}); err != nil {
+	if _, err := (transport.Proc{Workers: 0}).Run(suiteSpecs(1)[4], transport.Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -14,7 +14,7 @@
 // receiver-driven, port-ordered deliverTo (the TCP backend through
 // congest.Shard), which is why Probe/TraceSink output is byte-identical
 // across backends (asserted by the differential suite, `make
-// tcp-suite`).
+// transport-suite`).
 //
 // Invariants every backend must satisfy are documented in DESIGN.md
 // ("Transport contract").

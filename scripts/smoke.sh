@@ -91,13 +91,6 @@ if ! grep -q 'span_wall_ns{' "$out/mst-metrics.json"; then
 fi
 echo "smoke: span/wall pairing ok"
 
-# A bad -pprof mode must fail loudly (exit code propagation).
-if "$bin/mixing" -pprof bogus >/dev/null 2>&1; then
-	echo "smoke: mixing accepted -pprof bogus" >&2
-	exit 1
-fi
-echo "smoke: pprof flag validation ok"
-
 # E15 at quick scale: the fault-injection degradation sweep must run and
 # its fault counters must land in both the metrics snapshot and the trace.
 "$bin/walks" -n 48 -d 6 -steps 10 -faults 'drop=0.05' \
@@ -195,6 +188,8 @@ expect_reject "benchsuite -reps 0" "$bin/benchsuite" -reps 0
 expect_reject "mixing unwritable -metrics" "$bin/mixing" -metrics /no/such/dir/m.json
 expect_reject "routing unwritable -trace" "$bin/routing" -quick -trace /no/such/dir/t.json
 expect_reject "mincut unwritable -pprofout" "$bin/mincut" -pprof cpu -pprofout /no/such/dir/p.pprof
+expect_reject "mixing -pprof bogus" "$bin/mixing" -pprof bogus
+expect_reject "clique -pprofout without -pprof" "$bin/clique" -pprofout "$out/never.pprof"
 expect_reject "walks -transport bogus" "$bin/walks" -transport bogus
 expect_reject "walks -shards 0" "$bin/walks" -shards 0
 expect_reject "walks bad -listen" "$bin/walks" -transport tcp -listen not-a-hostport
@@ -292,11 +287,13 @@ echo "smoke: E19 obs document + shard telemetry ok"
 # E19 failure path: an induced stall (env fault injection on a real
 # tcpnode process, short barrier deadline) must exit 1 and leave a
 # barrier-deadline dump naming the guilty shard, its last completed
-# round and the phase it hung in.
+# round and the phase it hung in — and, like every exit path, the trace
+# of the rounds that did complete next to the metrics snapshot.
 code=0
 TCPNODE_STALL_SHARD=1 TCPNODE_STALL_ROUND=3 \
 	"$bin/walks" -n 48 -d 6 -steps 10 -transport tcp -shards 2 -tcptimeout 2s \
-	-obsout "$out/walks-stall-obs.json" >/dev/null 2>&1 || code=$?
+	-obsout "$out/walks-stall-obs.json" -trace "$out/walks-stall.json" \
+	-metrics "$out/walks-stall-metrics.json" >/dev/null 2>&1 || code=$?
 if [ "$code" -ne 1 ]; then
 	echo "smoke: stalled tcp run exited $code, want 1" >&2
 	exit 1
@@ -313,6 +310,11 @@ if ! grep -q '"phase": "step-wait"' "$out/walks-stall-obs.json"; then
 	echo "smoke: stall dump does not name the step-wait phase" >&2
 	exit 1
 fi
+if ! grep -A 1 '"run": "E4b k=1"' "$out/walks-stall.json" | grep -q '"round": 2'; then
+	echo "smoke: stalled run's trace lacks the two rounds completed before the stall" >&2
+	exit 1
+fi
+check_metrics "stalled walks" "$out/walks-stall-metrics.json"
 echo "smoke: E19 induced stall attribution ok"
 
 # E19 report join: cmd/obsreport must merge the obs document, the

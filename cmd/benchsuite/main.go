@@ -1,6 +1,7 @@
 // Command benchsuite runs the repository's standard benchmark set — the
-// CONGEST engine (bare and traced), the embedded-tier route and MST, and
-// two hierarchy ablations — under warmup/repetition control and writes a
+// CONGEST engine (bare and traced), the construction layers (analytic walk
+// engine, path scheduler, embed.Build), the embedded-tier route and MST,
+// and two hierarchy ablations — under warmup/repetition control and writes a
 // schema-versioned BENCH_<git-sha>.json: ns/op, allocs/op, the
 // benchmarks' custom metrics (rounds/sec, base-rounds, …) and one
 // host-metrics registry snapshot per case from an extra instrumented
@@ -34,6 +35,7 @@ import (
 	"almostmix/internal/metrics"
 	"almostmix/internal/mst"
 	"almostmix/internal/mstbase"
+	"almostmix/internal/pathsched"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/route"
@@ -182,7 +184,10 @@ func run(out string, quick, gate bool, benchtime string, warmup, reps int, runPa
 // over trials) and fails unless every configuration is integer-zero.
 // The 0.5 threshold matches congest's alloc_test.go: residual
 // hundredths are runtime scheduler/GC noise, while any genuine hot-path
-// regression costs at least one allocation per round.
+// regression costs at least one allocation per round. It also holds the
+// randomwalk/run-* cases that ran to randomwalk.RunAllocCeiling: the
+// analytic walk engine allocates a fixed set of flat arrays per run, not
+// per walk.
 func runAllocGate(doc *Document) error {
 	const (
 		gateNodes  = 20_000
@@ -221,12 +226,23 @@ func runAllocGate(doc *Document) error {
 		status := "ok"
 		if per >= noiseFloor {
 			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %.3f allocs/round", cfg.name, per))
+			failures = append(failures, fmt.Sprintf("%s: %.3f allocs/round in steady state, want integer-zero", cfg.name, per))
 		}
 		fmt.Printf("alloc-gate %-22s %8.3f allocs/round  %s\n", cfg.name, per, status)
 	}
+	for _, c := range doc.Cases {
+		if !strings.HasPrefix(c.Name, "randomwalk/run-") {
+			continue
+		}
+		status := "ok"
+		if c.AllocsPerOp > randomwalk.RunAllocCeiling {
+			status = "FAIL"
+			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, ceiling %d", c.Name, c.AllocsPerOp, randomwalk.RunAllocCeiling))
+		}
+		fmt.Printf("alloc-gate %-22s %8d allocs/op     %s\n", c.Name, c.AllocsPerOp, status)
+	}
 	if len(failures) > 0 {
-		return fmt.Errorf("alloc gate: steady-state rounds allocate (%s), want integer-zero", strings.Join(failures, "; "))
+		return fmt.Errorf("alloc gate: %s", strings.Join(failures, "; "))
 	}
 	return nil
 }
@@ -398,6 +414,75 @@ func buildCases(quick bool) ([]*benchCase, error) {
 			},
 		})
 	}
+
+	// The construction layers ROADMAP item 1 lists as rungs: the analytic
+	// walk engine (ns per walk step, both walk kinds, recording as Build
+	// does; -gate holds allocs/op to randomwalk.RunAllocCeiling), the path
+	// scheduler on the G0 embedding (ns per hop), and embed.Build itself on
+	// the hierarchy fixture's graph (rr n=64 at -quick scale).
+	walkSources := randomwalk.SourcesPerNode(counts)
+	for _, walk := range []struct {
+		name string
+		kind spectral.WalkKind
+	}{{"lazy", spectral.Lazy}, {"regular", spectral.Regular}} {
+		kind := walk.kind
+		cases = append(cases, &benchCase{
+			name: "randomwalk/run-" + walk.name,
+			bench: func(b *testing.B) {
+				b.ReportAllocs()
+				rng := rngutil.NewRand(141)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					randomwalk.Run(eg, walkSources, randomwalk.Config{Kind: kind, Steps: steps, Record: true}, rng)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(walkSources)*steps), "ns/step")
+			},
+		})
+	}
+	g0Hops := 0
+	for _, p := range h.G0.Paths {
+		for j := 1; j < len(p); j++ {
+			if p[j] != p[j-1] {
+				g0Hops++
+			}
+		}
+	}
+	cases = append(cases,
+		&benchCase{
+			name: "pathsched/schedule",
+			bench: func(b *testing.B) {
+				b.ReportAllocs()
+				var makespan int
+				for i := 0; i < b.N; i++ {
+					makespan = pathsched.Schedule(h.G0.Paths).Makespan
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g0Hops), "ns/hop")
+				b.ReportMetric(float64(makespan), "makespan")
+			},
+		},
+		&benchCase{
+			name: "embedded/build",
+			bench: func(b *testing.B) {
+				b.ReportAllocs()
+				var rounds int
+				for i := 0; i < b.N; i++ {
+					bh, err := embed.Build(hg, hp, rngutil.NewSource(26))
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds = bh.ConstructionRoundsBase()
+				}
+				b.ReportMetric(float64(rounds), "construction-rounds")
+			},
+			observe: func(reg *metrics.Registry) error {
+				bh, err := embed.Build(hg, hp, rngutil.NewSource(26))
+				if err != nil {
+					return err
+				}
+				congest.NewTraceSink().WithMetrics(reg).AddCosts("construction", bh.Costs)
+				return nil
+			},
+		})
 
 	// Embedded-tier cases mirror BenchmarkEmbedded{Route,MST}; their
 	// instrumented pass pairs the cost-ledger spans with wall clock the

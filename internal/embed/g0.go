@@ -49,25 +49,30 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 		Digit:    make([]int32, m2),
 		NumParts: 1,
 	}
+	// kept lists the walks that became overlay edges, in edge order.
 	kept := make([]int, 0, m2*r.degreeG0)
+	// walkOf[target] is the latest walk that drew target as its endpoint
+	// vid. A vid's walks are base..base+walksPerVNode−1 and vids ascend, so
+	// an entry ≥ base was written for the current vid.
+	walkOf := make([]int, m2)
+	for i := range walkOf {
+		walkOf[i] = -1
+	}
+	order := make([]int32, 0, r.walksPerVNode)
 	for vid := 0; vid < m2; vid++ {
 		base := vid * r.walksPerVNode
 		// Deduplicate candidate endpoints, then keep a random
 		// degreeG0-subset (the paper keeps exactly 100·log n of the at
 		// least 100·log n distinct endpoints).
-		seen := make(map[int32]int, r.walksPerVNode) // target vid -> walk index
-		order := make([]int32, 0, r.walksPerVNode)
+		order = order[:0]
 		for j := 0; j < r.walksPerVNode; j++ {
 			w := base + j
 			endPhys := int(res.Ends[w])
 			target := vm.VID(endPhys, rng.IntN(vm.DegreeOf(endPhys)))
-			if int(target) == vid {
+			if int(target) == vid || walkOf[target] >= base {
 				continue
 			}
-			if _, dup := seen[target]; dup {
-				continue
-			}
-			seen[target] = w
+			walkOf[target] = w
 			order = append(order, target)
 		}
 		take := r.degreeG0
@@ -79,13 +84,10 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 			j := i + rng.IntN(len(order)-i)
 			order[i], order[j] = order[j], order[i]
 			target := order[i]
-			w := seen[target]
-			e := overlay.Graph.AddEdge(vid, int(target), 1)
-			overlay.Paths = append(overlay.Paths, res.Walks[w].Path)
-			if e != len(overlay.Paths)-1 {
+			if e := overlay.Graph.AddEdge(vid, int(target), 1); e != len(kept) {
 				panic("embed: G0 edge/path misalignment")
 			}
-			kept = append(kept, w)
+			kept = append(kept, walkOf[target])
 		}
 	}
 
@@ -93,7 +95,8 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 		return nil, fmt.Errorf("embed: G0 is disconnected (%d virtual nodes, %d edges); increase DegreeG0 or walk count",
 			m2, overlay.Graph.M())
 	}
-	reverse := randomwalk.ReverseDeliveryRounds(g, res.Walks, kept)
+	overlay.Paths = res.Paths(kept)
+	reverse := res.ReverseDeliveryRounds(kept)
 	overlay.walkRounds = res.Stats.Rounds
 	overlay.replayRounds = 2 * reverse
 	overlay.ConstructionRounds = overlay.walkRounds + overlay.replayRounds

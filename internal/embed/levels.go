@@ -60,10 +60,11 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 		Record: true,
 	}, rng)
 
-	partSizes := make(map[int32]int)
+	partSizes := make([]int, overlay.NumParts)
 	for _, p := range overlay.PartOf {
 		partSizes[p]++
 	}
+	// kept lists the walks that became overlay edges, in edge order.
 	kept := make([]int, 0, m2*r.overlayDegree)
 	short := 0
 	for vid := 0; vid < m2; vid++ {
@@ -76,9 +77,7 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 			if int(end) == vid || overlay.PartOf[end] != part {
 				continue
 			}
-			e := overlay.Graph.AddEdge(vid, int(end), 1)
-			overlay.Paths = append(overlay.Paths, res.Walks[w].Path)
-			if e != len(overlay.Paths)-1 {
+			if e := overlay.Graph.AddEdge(vid, int(end), 1); e != len(kept) {
 				panic("embed: level edge/path misalignment")
 			}
 			kept = append(kept, w)
@@ -100,10 +99,11 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 			level, short, r.overlayDegree)
 	}
 	// Every part must induce a connected component for routing to work.
-	if err := checkPartsConnected(overlay); err != nil {
+	if err := checkPartsConnected(overlay, partSizes); err != nil {
 		return nil, err
 	}
-	reverse := randomwalk.ReverseDeliveryRounds(below.Graph, res.Walks, kept)
+	overlay.Paths = res.Paths(kept)
+	reverse := res.ReverseDeliveryRounds(kept)
 	overlay.walkRounds = res.Stats.Rounds
 	overlay.replayRounds = reverse
 	overlay.ConstructionRounds = overlay.walkRounds + overlay.replayRounds
@@ -112,10 +112,9 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 }
 
 // checkPartsConnected verifies each part of the overlay induces a single
-// connected component.
-func checkPartsConnected(o *Overlay) error {
+// connected component; sizes[part] is the part's node count.
+func checkPartsConnected(o *Overlay, sizes []int) error {
 	m2 := o.Graph.N()
-	sizes := o.PartSizes()
 	visited := make([]bool, m2)
 	for start := 0; start < m2; start++ {
 		if visited[start] {

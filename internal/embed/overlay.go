@@ -47,9 +47,15 @@ type Overlay struct {
 // measureEmulation schedules one packet per direction over every overlay
 // edge's embedded path and records the makespan as EmulationRounds.
 func (o *Overlay) measureEmulation() {
+	total := 0
+	for _, p := range o.Paths {
+		total += len(p)
+	}
+	arena := make([]int32, total) // the reversed copies, back to back
 	paths := make([][]int32, 0, 2*len(o.Paths))
 	for _, p := range o.Paths {
-		paths = append(paths, p, reversed(p))
+		paths = append(paths, p, reverseInto(arena[:len(p):len(p)], p))
+		arena = arena[len(p):]
 	}
 	res := pathsched.Schedule(paths)
 	o.EmulationRounds = res.Makespan
@@ -58,8 +64,10 @@ func (o *Overlay) measureEmulation() {
 	}
 }
 
-func reversed(p []int32) []int32 {
-	out := make([]int32, len(p))
+func reversed(p []int32) []int32 { return reverseInto(make([]int32, len(p)), p) }
+
+// reverseInto writes p backwards into out (of the same length).
+func reverseInto(out, p []int32) []int32 {
 	for i, v := range p {
 		out[len(p)-1-i] = v
 	}

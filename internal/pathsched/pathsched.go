@@ -12,6 +12,7 @@ package pathsched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"almostmix/internal/cost"
@@ -31,85 +32,168 @@ type Result struct {
 	Delivered int
 }
 
-// linkKey packs a directed edge between two int32 node IDs.
-func linkKey(from, to int32) int64 {
-	return int64(uint32(from))<<32 | int64(uint32(to))
-}
-
 // Schedule routes one packet along each path and returns the measured
 // costs. Paths are node-ID sequences; consecutive duplicate entries are
 // skipped (lazy steps), and empty or single-node paths are delivered at
-// time zero. Node IDs only need to be consistent within the path set —
-// the scheduler never consults a graph, so callers are responsible for
-// paths being walks of the level they schedule on.
+// time zero. Node IDs must be non-negative and only need to be consistent
+// within the path set — the scheduler never consults a graph, so callers
+// are responsible for paths being walks of the level they schedule on.
+//
+// The working set is a fixed number of flat int32 arrays: one entry per
+// hop, a few per packet and per distinct directed link, and two per node
+// ID up to the largest one used. Finding a hop's link scans the links
+// already seen out of its from-node, so it costs that node's out-degree.
 func Schedule(paths [][]int32) Result {
-	hops := make([][]int32, len(paths)) // compacted paths (duplicates removed)
 	res := Result{Delivered: len(paths)}
-	traversals := make(map[int64]int)
-	for i, p := range paths {
-		compact := make([]int32, 0, len(p))
+	if len(paths) > math.MaxInt32 {
+		panic(fmt.Sprintf("pathsched: %d paths overflow int32 packet ids", len(paths)))
+	}
+
+	// Pass 0: the node-ID range, the hop total and the dilation.
+	n, hops := 0, 0
+	for _, p := range paths {
+		h := 0
 		for j, v := range p {
-			if j == 0 || v != compact[len(compact)-1] {
-				compact = append(compact, v)
+			if v < 0 {
+				panic(fmt.Sprintf("pathsched: negative node id %d", v))
+			}
+			n = max(n, int(v)+1)
+			if j > 0 && v != p[j-1] {
+				h++
 			}
 		}
-		hops[i] = compact
-		if len(compact)-1 > res.Dilation {
-			res.Dilation = len(compact) - 1
-		}
-		for j := 1; j < len(compact); j++ {
-			k := linkKey(compact[j-1], compact[j])
-			traversals[k]++
-			if traversals[k] > res.Congestion {
-				res.Congestion = traversals[k]
+		res.Dilation = max(res.Dilation, h)
+		hops += h
+	}
+	if hops > math.MaxInt32 {
+		panic(fmt.Sprintf("pathsched: %d hops overflow int32 offsets", hops))
+	}
+	if hops == 0 {
+		return res
+	}
+
+	// Pass 1: hops per from-node size that node's bucket of out-links (a
+	// node has at most n distinct successors, so the bucket is capped).
+	used := make([]int32, n) // hop count here, then links filled in pass 2
+	for _, p := range paths {
+		for j := 1; j < len(p); j++ {
+			if p[j] != p[j-1] {
+				used[p[j-1]]++
 			}
+		}
+	}
+	bucket := make([]int32, n+1)
+	for v, c := range used {
+		bucket[v+1] = bucket[v] + min(c, int32(n))
+		used[v] = 0
+	}
+	linkTo := make([]int32, bucket[n]) // bucket entry: the link's to-node …
+	linkID := make([]int32, bucket[n]) // … and its dense id, in first-seen order
+
+	// Pass 2: one link id per hop. Packet i's hops are linkOf[pos[i]:end[i]].
+	linkOf := make([]int32, hops)
+	pos := make([]int32, len(paths))
+	end := make([]int32, len(paths))
+	links, h := int32(0), int32(0)
+	for i, p := range paths {
+		pos[i] = h
+		for j := 1; j < len(p); j++ {
+			u, v := p[j-1], p[j]
+			if u == v {
+				continue
+			}
+			k, filled := bucket[u], bucket[u]+used[u]
+			for k < filled && linkTo[k] != v {
+				k++
+			}
+			if k == filled {
+				linkTo[k], linkID[k] = v, links
+				used[u]++
+				links++
+			}
+			linkOf[h] = linkID[k]
+			h++
+		}
+		end[i] = h
+	}
+
+	crossings := make([]int32, links)
+	for _, l := range linkOf {
+		crossings[l]++
+		res.Congestion = max(res.Congestion, int(crossings[l]))
+	}
+
+	q := fifos{
+		head:   make([]int32, links),
+		tail:   make([]int32, links),
+		next:   make([]int32, len(paths)),
+		active: make([]int32, 0, links),
+	}
+	for l := range q.head {
+		q.head[l] = -1
+	}
+	remaining := 0
+	for i := range paths {
+		if pos[i] < end[i] {
+			q.push(linkOf[pos[i]], int32(i))
+			remaining++
 		}
 	}
 
 	// Synchronous FIFO store-and-forward: every round, each directed
 	// link transmits the head-of-line packet.
-	pos := make([]int, len(paths)) // next hop index (1-based into hops[i])
-	queues := make(map[int64][]int32)
-	remaining := 0
-	for i, h := range hops {
-		if len(h) <= 1 {
-			continue
-		}
-		pos[i] = 1
-		k := linkKey(h[0], h[1])
-		queues[k] = append(queues[k], int32(i))
-		remaining++
-	}
-	round := 0
-	moved := make([]int32, 0, len(queues))
+	moved := make([]int32, 0, min(int(links), len(paths)))
 	for remaining > 0 {
-		round++
-		moved = moved[:0]
-		for k, q := range queues {
-			pkt := q[0]
-			if len(q) == 1 {
-				delete(queues, k)
-			} else {
-				queues[k] = q[1:]
-			}
-			moved = append(moved, pkt)
-		}
-		// Sort arrivals so queue order (and thus the makespan) does not
-		// depend on map iteration order: runs are deterministic.
+		res.Makespan++
+		moved = q.popAll(moved[:0])
+		// Arrivals join their next queue in packet order, whatever order
+		// the links were visited in: runs are deterministic.
 		slices.Sort(moved)
 		for _, pkt := range moved {
-			h := hops[pkt]
 			pos[pkt]++
-			if pos[pkt] >= len(h) {
+			if pos[pkt] == end[pkt] {
 				remaining--
 				continue
 			}
-			k := linkKey(h[pos[pkt]-1], h[pos[pkt]])
-			queues[k] = append(queues[k], pkt)
+			q.push(linkOf[pos[pkt]], pkt)
 		}
 	}
-	res.Makespan = round
 	return res
+}
+
+// fifos holds one FIFO of packets per link, threaded through the packets
+// themselves: head[l] and tail[l] delimit link l's queue (head −1 =
+// empty), next[pkt] is the packet behind pkt. A packet waits in one queue
+// at a time, so one next entry per packet serves all queues. active lists
+// the links with a non-empty queue, in no particular order.
+type fifos struct {
+	head, tail, next, active []int32
+}
+
+func (q *fifos) push(l, pkt int32) {
+	q.next[pkt] = -1
+	if q.head[l] < 0 {
+		q.head[l] = pkt
+		q.active = append(q.active, l)
+	} else {
+		q.next[q.tail[l]] = pkt
+	}
+	q.tail[l] = pkt
+}
+
+// popAll removes the head packet of every non-empty queue and appends
+// them to out.
+func (q *fifos) popAll(out []int32) []int32 {
+	busy := q.active[:0]
+	for _, l := range q.active {
+		pkt := q.head[l]
+		out = append(out, pkt)
+		if q.head[l] = q.next[pkt]; q.head[l] >= 0 {
+			busy = append(busy, l)
+		}
+	}
+	q.active = busy
+	return out
 }
 
 // ScheduleInto schedules like Schedule and charges the measured makespan

@@ -2,6 +2,8 @@ package pathsched
 
 import (
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -84,10 +86,7 @@ func TestDeterministicMakespan(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 2))
 	walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 15, Record: true}, r)
-	paths := make([][]int32, len(walks.Walks))
-	for i, w := range walks.Walks {
-		paths[i] = w.Path
-	}
+	paths := walks.Paths(nil)
 	a := Schedule(paths)
 	b := Schedule(paths)
 	if a != b {
@@ -104,10 +103,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 		g := graph.RandomRegular(24, 4, r)
 		src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 1))
 		walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 10, Record: true}, r)
-		paths := make([][]int32, len(walks.Walks))
-		for i, w := range walks.Walks {
-			paths[i] = w.Path
-		}
+		paths := walks.Paths(nil)
 		res := Schedule(paths)
 		if res.Delivered != len(paths) {
 			return false
@@ -221,5 +217,156 @@ func TestScheduleIntoChargesMakespan(t *testing.T) {
 	// A nil span only schedules.
 	if res := ScheduleInto(paths, nil); res != plain {
 		t.Fatalf("nil-span ScheduleInto result %+v differs from Schedule %+v", res, plain)
+	}
+}
+
+// refSchedule is the scheduler Schedule replaced, kept verbatim as the
+// reference of the differential test: a compacted copy of every path and
+// two Go maps keyed by the packed directed link.
+func refSchedule(paths [][]int32) Result {
+	linkKey := func(from, to int32) int64 {
+		return int64(uint32(from))<<32 | int64(uint32(to))
+	}
+	hops := make([][]int32, len(paths)) // compacted paths (duplicates removed)
+	res := Result{Delivered: len(paths)}
+	traversals := make(map[int64]int)
+	for i, p := range paths {
+		compact := make([]int32, 0, len(p))
+		for j, v := range p {
+			if j == 0 || v != compact[len(compact)-1] {
+				compact = append(compact, v)
+			}
+		}
+		hops[i] = compact
+		if len(compact)-1 > res.Dilation {
+			res.Dilation = len(compact) - 1
+		}
+		for j := 1; j < len(compact); j++ {
+			k := linkKey(compact[j-1], compact[j])
+			traversals[k]++
+			if traversals[k] > res.Congestion {
+				res.Congestion = traversals[k]
+			}
+		}
+	}
+
+	// Synchronous FIFO store-and-forward: every round, each directed
+	// link transmits the head-of-line packet.
+	pos := make([]int, len(paths)) // next hop index (1-based into hops[i])
+	queues := make(map[int64][]int32)
+	remaining := 0
+	for i, h := range hops {
+		if len(h) <= 1 {
+			continue
+		}
+		pos[i] = 1
+		k := linkKey(h[0], h[1])
+		queues[k] = append(queues[k], int32(i))
+		remaining++
+	}
+	round := 0
+	moved := make([]int32, 0, len(queues))
+	for remaining > 0 {
+		round++
+		moved = moved[:0]
+		for k, q := range queues {
+			pkt := q[0]
+			if len(q) == 1 {
+				delete(queues, k)
+			} else {
+				queues[k] = q[1:]
+			}
+			moved = append(moved, pkt)
+		}
+		// Sort arrivals so queue order (and thus the makespan) does not
+		// depend on map iteration order: runs are deterministic.
+		slices.Sort(moved)
+		for _, pkt := range moved {
+			h := hops[pkt]
+			pos[pkt]++
+			if pos[pkt] >= len(h) {
+				remaining--
+				continue
+			}
+			k := linkKey(h[pos[pkt]-1], h[pos[pkt]])
+			queues[k] = append(queues[k], pkt)
+		}
+	}
+	res.Makespan = round
+	return res
+}
+
+// adversarialPaths mixes the shapes the scheduler special-cases — empty,
+// single-node and all-lazy paths (delivered at time zero), packets queueing
+// on one link, packets crossing one edge in opposite directions — into a
+// random path set over few nodes, so links are shared heavily.
+func adversarialPaths(rng *rand.Rand) [][]int32 {
+	nNodes := 2 + rng.IntN(12)
+	paths := genPaths(rng, nNodes, rng.IntN(40), 10)
+	a, b := int32(rng.IntN(nNodes)), int32(rng.IntN(nNodes))
+	for range rng.IntN(6) {
+		var p []int32
+		switch rng.IntN(6) {
+		case 0: // empty
+		case 1:
+			p = []int32{a}
+		case 2:
+			p = []int32{a, a, a}
+		case 3:
+			p = []int32{a, b}
+		case 4:
+			p = []int32{b, a}
+		case 5:
+			p = []int32{a, b, b, a, a, b}
+		}
+		at := rng.IntN(len(paths) + 1)
+		paths = slices.Insert(paths, at, p)
+	}
+	return paths
+}
+
+func TestScheduleMatchesReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		paths := adversarialPaths(rngutil.NewRand(seed))
+		got, want := Schedule(paths), refSchedule(paths)
+		if got != want {
+			t.Logf("seed %d: %+v, reference %+v, paths %v", seed, got, want, paths)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	// The same on real walks, where thousands of hops share few links.
+	r := rngutil.NewRand(11)
+	g := graph.RandomRegular(16, 4, r)
+	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 8))
+	paths := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
+	if got, want := Schedule(paths), refSchedule(paths); got != want {
+		t.Fatalf("walk paths: %+v, reference %+v", got, want)
+	}
+}
+
+func TestScheduleRejectsNegativeIDs(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "negative node id") {
+			t.Fatalf("negative id: panic %q", msg)
+		}
+	}()
+	Schedule([][]int32{{0, 1}, {2, -1}})
+}
+
+// scheduleAllocCeiling bounds the heap objects one Schedule allocates,
+// whatever the number of paths and hops: thirteen flat arrays, plus slack
+// for the runtime's own allocations during the measurement.
+const scheduleAllocCeiling = 15
+
+func TestScheduleAllocationsAreConstant(t *testing.T) {
+	for _, nPaths := range []int{10, 1000} {
+		paths := genPaths(rngutil.NewRand(13), 24, nPaths, 12)
+		allocs := testing.AllocsPerRun(5, func() { Schedule(paths) })
+		if allocs > scheduleAllocCeiling {
+			t.Fatalf("%d paths: %v allocations per Schedule, ceiling %d", nPaths, allocs, scheduleAllocCeiling)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package randomwalk
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,12 +17,12 @@ func TestPathsAreWalks(t *testing.T) {
 		g := graph.RandomRegular(20, 4, r)
 		sources := SourcesPerNode(UniformCountTimesDegree(g, 1))
 		res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 12, Record: true}, r)
-		for _, w := range res.Walks {
-			if len(w.Path) != 13 {
+		for _, path := range res.Paths(nil) {
+			if len(path) != 13 {
 				return false
 			}
-			for i := 1; i < len(w.Path); i++ {
-				a, b := int(w.Path[i-1]), int(w.Path[i])
+			for i := 1; i < len(path); i++ {
+				a, b := int(path[i-1]), int(path[i])
 				if a != b && !g.HasEdge(a, b) {
 					return false
 				}
@@ -38,21 +39,19 @@ func TestEndsMatchPaths(t *testing.T) {
 	r := rngutil.NewRand(2)
 	g := graph.Ring(10)
 	sources := []int32{0, 3, 7}
-	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	for i, w := range res.Walks {
-		if w.Source() != int(sources[i]) {
-			t.Fatalf("walk %d source %d, want %d", i, w.Source(), sources[i])
+	const steps = 20
+	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: steps, Record: true}, r)
+	for i := range sources {
+		path := res.Path(i)
+		if len(path) != steps+1 {
+			t.Fatalf("walk %d has %d entries, want %d", i, len(path), steps+1)
 		}
-		if int32(w.End()) != res.Ends[i] {
-			t.Fatalf("walk %d end mismatch: path %d vs ends %d", i, w.End(), res.Ends[i])
+		if path[0] != sources[i] {
+			t.Fatalf("walk %d source %d, want %d", i, path[0], sources[i])
 		}
-	}
-}
-
-func TestMovesCount(t *testing.T) {
-	w := Walk{Path: []int32{0, 0, 1, 1, 2, 2, 2, 3}}
-	if got := w.Moves(); got != 3 {
-		t.Fatalf("Moves = %d, want 3", got)
+		if path[steps] != res.Ends[i] {
+			t.Fatalf("walk %d end mismatch: path %d vs ends %d", i, path[steps], res.Ends[i])
+		}
 	}
 }
 
@@ -133,7 +132,7 @@ func TestZeroStepsIsNoop(t *testing.T) {
 	r := rngutil.NewRand(7)
 	g := graph.Ring(5)
 	res := Run(g, []int32{2}, Config{Kind: spectral.Lazy, Steps: 0, Record: true}, r)
-	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(res.Walks[0].Path) != 1 {
+	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(res.Path(0)) != 1 {
 		t.Fatalf("zero-step run mutated state: %+v", res)
 	}
 }
@@ -156,7 +155,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	rev := ReverseDeliveryRounds(g, res.Walks, nil)
+	rev := res.ReverseDeliveryRounds(nil)
 	if rev <= 0 {
 		t.Fatal("reverse delivery cost not positive")
 	}
@@ -165,7 +164,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 		t.Fatalf("reverse cost %d far from forward cost %d", rev, res.Stats.Rounds)
 	}
 	// A subset costs no more than the full set.
-	subset := ReverseDeliveryRounds(g, res.Walks, []int{0, 1, 2})
+	subset := res.ReverseDeliveryRounds([]int{0, 1, 2})
 	if subset > rev {
 		t.Fatalf("subset reverse cost %d exceeds full cost %d", subset, rev)
 	}
@@ -177,12 +176,10 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		return Run(g, []int32{0, 4, 8}, Config{Kind: spectral.Lazy, Steps: 30, Record: true},
 			rngutil.NewRand(99))
 	}
-	a, b := mk(), mk()
-	for i := range a.Walks {
-		for s := range a.Walks[i].Path {
-			if a.Walks[i].Path[s] != b.Walks[i].Path[s] {
-				t.Fatal("same seed produced different walks")
-			}
+	a, b := mk().Paths(nil), mk().Paths(nil)
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			t.Fatal("same seed produced different walks")
 		}
 	}
 }
@@ -260,9 +257,9 @@ func TestCorrelatedPathsAreWalks(t *testing.T) {
 	g := graph.RandomRegular(20, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Regular, Steps: 15, Record: true, Correlated: true}, r)
-	for _, w := range res.Walks {
-		for i := 1; i < len(w.Path); i++ {
-			a, b := int(w.Path[i-1]), int(w.Path[i])
+	for _, path := range res.Paths(nil) {
+		for i := 1; i < len(path); i++ {
+			a, b := int(path[i-1]), int(path[i])
 			if a != b && !g.HasEdge(a, b) {
 				t.Fatalf("correlated path uses non-edge (%d,%d)", a, b)
 			}

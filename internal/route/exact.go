@@ -78,8 +78,7 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	// Expand every packet's journey to a base-graph walk.
 	ex := newExpander(h)
 	paths := make([][]int32, 0, len(reqs))
-	for i := range reqs {
-		path := append([]int32(nil), prep.Walks[i].Path...)
+	for i, path := range prep.Paths(nil) {
 		for _, tr := range r.trace[i] {
 			edge := tr.edge
 			if edge < 0 {

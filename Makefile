@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the CI gate: vet, the full test
-# suite, and the race-instrumented run. The race target uses -short so the
+# suite, the race-instrumented run and the un-shortened transport suite
+# (which carries the fault layer). The race target uses -short so the
 # heavyweight differential sweeps keep the instrumented run fast; drop the
 # flag (make race SHORT=) for the exhaustive version.
 
@@ -13,7 +14,7 @@ BENCHTIME ?= 1s
 # engine-scale point (BENCHSUITE_FLAGS="-gate" make bench-json).
 BENCHSUITE_FLAGS ?= -quick -gate
 
-.PHONY: build vet test race check bench bench-json bench-module bench-scale fuzz smoke faults transport-suite decomp-suite
+.PHONY: build vet test race check bench bench-json bench-module bench-scale fuzz smoke transport-suite decomp-suite
 
 build:
 	go build ./...
@@ -27,15 +28,7 @@ test:
 race:
 	go test -race $(SHORT) ./...
 
-# The fault-injection suite, race-instrumented and never shortened: the
-# differential fault tests are the determinism contract for the fault
-# layer across both engines and all worker counts. The walk re-issue and
-# GHS restart drivers are tested where they live, in
-# internal/transport/workloads, over the in-process backend.
-faults:
-	go test -race -run 'Fault|Crash|Sever|Delayed' ./internal/faults ./internal/congest ./internal/transport/workloads
-
-check: vet test race faults
+check: vet test race transport-suite
 
 # End-to-end smoke of every experiment driver: build each cmd/ binary, run
 # it at tiny scale with -trace, and check the trace lands non-empty.
@@ -48,11 +41,12 @@ smoke:
 # differential parity matrix (every workload × shard count × seed over
 # loopback TCP, goroutine-mode shards AND real cmd/tcpnode processes,
 # trace-byte-identical to the sequential engine), shard death/stall
-# surfacing as attributed errors within the deadline, faults over the wire
-# (fate-table codec, golden fault traces over proc and tcp at shards
-# 1/2/4, per-shard counts summing to the in-process totals, the walk
-# re-issue / windowed-GHS recovery stories including a killed-and-
-# recovering shard), and observability (the -obsout document on every
+# surfacing as attributed errors within the deadline, the fault layer's
+# determinism contract (the differential fault tests across both engines
+# and all worker counts), faults over the wire (golden fault traces over
+# proc and tcp at shards 1/2/4, per-shard counts summing to the
+# in-process totals, the walk re-issue / windowed-GHS recovery stories
+# including a killed-and-recovering shard), and observability (the -obsout document on every
 # exit path, the TELEMETRY ship-back reaching the coordinator's registry,
 # the flight-recorder ring contract, trace parity with full telemetry).
 # The hard -timeout keeps a wedged coordinator from hanging CI.

@@ -697,11 +697,12 @@ func buildCases(quick bool) ([]*benchCase, error) {
 	})
 
 	// Faulty transport-tcp case: the same wire protocol with a fault plan
-	// riding it — FATES windows shipped per round, deliverFaulty on every
-	// shard replica, per-shard counts harvested back in TELEMETRY. The
-	// merged fault counters land in the BENCH json as extra metrics, so
-	// the trajectory records the fate-table handshake's cost next to the
-	// fault-free wire baseline. Counts are deterministic in (spec, seed).
+	// every shard replica rebuilds from the spec — deliverFaulty rolling
+	// fates on each replica, per-round counts drained with STEPPED,
+	// per-shard totals harvested back in TELEMETRY. The merged fault
+	// counters land in the BENCH json as extra metrics, so the trajectory
+	// records a faulty run's cost next to the fault-free wire baseline.
+	// Counts are deterministic in (spec, seed).
 	fspec := tspec
 	fspec.Workload = "walks-faults"
 	fspec.FaultSpec = "drop=0.05,dup=0.05,delay=0.1:2"

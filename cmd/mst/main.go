@@ -240,7 +240,7 @@ func runE18MST(cli *cliutil.Harness, quick bool, phi float64, seed uint64) error
 // `attempts` whole-computation restarts. Success means the exact MST was
 // recovered; rounds and attempts grow with the fault rate. The sweep
 // runs on the selected transport — over tcp each restart executes as
-// real shard processes fed per-round fate windows, with identical
+// real shard processes replaying the plan from the spec, with identical
 // results (E20).
 func runE15MST(cli *cliutil.Harness, g *graph.Graph, spec transport.Spec, seed uint64,
 	faultSpec string, faultSeed uint64, attempts int) error {

@@ -111,7 +111,7 @@ func runE4(cli *cliutil.Harness, g *graph.Graph, d, steps int, seed uint64) erro
 // rate while the recovery machinery keeps every token landing until loss
 // overwhelms the attempt budget. The sweep runs on the selected
 // transport — over tcp each attempt executes as real shard processes
-// fed per-round fate windows, with identical results (E20).
+// replaying the plan from the spec, with identical results (E20).
 func runE15(cli *cliutil.Harness, g *graph.Graph, d, steps int, seed uint64,
 	faultSpec string, faultSeed uint64, attempts int) error {
 	specs := []string{"", "drop=0.01", "drop=0.02", "drop=0.05", "drop=0.1"}

@@ -65,7 +65,7 @@ func TestFaultSpec(t *testing.T) {
 			t.Fatalf("spec %q exited with %d", spec, code)
 		}
 	}
-	for _, spec := range []string{"drop", "drop=2.0", "bogus=1", "crash=x@y"} {
+	for _, spec := range []string{"drop", "drop=2.0", "bogus=1", "crash=x@y", "drop=NaN", "dup=nan", "delay=NaN:2"} {
 		if code := withExitCapture(func() { FaultSpec("faults", spec) }); code != 2 {
 			t.Fatalf("spec %q exited with %d, want 2", spec, code)
 		}

@@ -197,14 +197,11 @@ func TestSteadyRoundsGrowthFaultsBounded(t *testing.T) {
 	t.Logf("dup/delay steady cost %.4f allocs/round (bound %.2f)", per, growthFaultAllocBound)
 }
 
-// shardFaultyRun executes `rounds` coordinator-driven shard rounds with
-// a fault plan answering from an attached fate table — the TCP
-// backend's per-round hot path (attach, deliver, step, drain counts) on
-// a full-range shard, with no wire in between. The table is pre-built
-// by the caller: over TCP its bytes are parsed once per 64-round FATES
-// window, an amortized per-window cost the transport layer owns, so the
-// gate isolates what the replica's round loop itself allocates.
-func shardFaultyRun(g *graph.Graph, spec string, table *faults.FateTable, rounds int) {
+// shardFaultyRun executes `rounds` coordinator-driven shard rounds under
+// a fault plan — the TCP backend's per-round hot path (deliver, step,
+// drain counts) on a full-range shard, with no wire in between. The
+// replica rolls fates from its own plan, as every tcpnode process does.
+func shardFaultyRun(g *graph.Graph, spec string, rounds int) {
 	plan, err := faults.Parse(spec, 99)
 	if err != nil {
 		panic(err)
@@ -215,7 +212,6 @@ func shardFaultyRun(g *graph.Graph, spec string, table *faults.FateTable, rounds
 	if err != nil {
 		panic(err)
 	}
-	plan.AttachTable(table)
 	s.Init()
 	var total faults.Counts
 	for r := 0; r < rounds; r++ {
@@ -226,12 +222,10 @@ func shardFaultyRun(g *graph.Graph, spec string, table *faults.FateTable, rounds
 }
 
 // TestShardFaultyRoundsZeroAlloc extends the zero gate to the TCP
-// backend's side of a faulty round: a shard replica whose plan answers
-// MessageFate from a coordinator-shipped fate table must keep steady
-// deliver/step/drain rounds allocation-free for the buffer-stable fates
-// (drop, crash, sever), exactly like the in-process engines. One table
-// covering both differential windows is attached in full, so the only
-// measured work is the canonical delivery path's table lookups.
+// backend's side of a faulty round: a shard replica hashing fates from
+// the plan it rebuilt from the spec must keep steady deliver/step/drain
+// rounds allocation-free for the buffer-stable fates (drop, crash,
+// sever), exactly like the in-process engines.
 func TestShardFaultyRoundsZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential alloc measurement is not -short")
@@ -240,17 +234,8 @@ func TestShardFaultyRoundsZeroAlloc(t *testing.T) {
 	const rounds = 48
 	for _, spec := range []string{"drop=0.3", "drop=0.1,crash=3@4+6,sever=2@5"} {
 		t.Run(spec, func(t *testing.T) {
-			// The coordinator's table: same spec and seed as the replica
-			// plan, rolled from the pure (seed, round, slot) hashes.
-			// deliverFaulty consults round n.rounds+1, so lookups span
-			// [1, 2·rounds+1); one window covers both differential runs.
-			coord, err := faults.Parse(spec, 99)
-			if err != nil {
-				t.Fatal(err)
-			}
-			table := faults.BuildFateTable(coord, 1, 2*rounds+2, 2*g.M())
 			per := MeasureSteadyAllocsFunc(func(r int) {
-				shardFaultyRun(g, spec, table, r)
+				shardFaultyRun(g, spec, r)
 			}, rounds)
 			if per >= steadyAllocNoiseFloor {
 				t.Fatalf("faulty shard round allocates: %.3f allocs/round, want 0 (< %.1f)", per, steadyAllocNoiseFloor)

@@ -98,13 +98,7 @@ func (n *Network) faultsQuiet() bool {
 			return false
 		}
 	}
-	// n.rounds is the last executed round here: the quiet check runs
-	// before the round counter advances. The run must survive through
-	// the recovery round itself: a node that recovers at round r steps
-	// again only IN round r, so checking just the next round quit one
-	// round early and dropped the queued program state the recovery was
-	// meant to resume (TestScratchQuietRecovery pins this).
-	return !n.fs.plan.RecoveringAt(n.rounds) && !n.fs.plan.RecoveringAt(n.rounds+1)
+	return n.fs.plan.QuietAfter(n.rounds)
 }
 
 // faultsRoundEnd drains the per-worker fault counts of the round just

@@ -98,7 +98,7 @@ func TestNewShardRejectsBadRange(t *testing.T) {
 
 // TestShardAcceptsFaultPlanOnceOnly pins the lifted restriction and its
 // replacement contract: a fault plan attached BEFORE NewShard is
-// accepted (the wire backend's fate handshake depends on it), while
+// accepted (every wire-backend replica attaches its plan this way), while
 // SetFaults after NewShard — a replica that would silently diverge from
 // its coordinator — panics through the same mustConfigure seam as every
 // other post-Run Set* call.

@@ -30,14 +30,14 @@ package congest
 // Fault plans ride the same canonical path: attach the plan with
 // SetFaults BEFORE NewShard (the single-use contract makes SetFaults
 // panic afterwards) and deliverFaulty runs unchanged at deliverTo on
-// every replica. The shard replica replays crash and sever schedules
-// from the spec's rules, while probabilistic per-message fates come
-// from the coordinator's fate-table handshake (faults.AttachTable,
-// shipped in round windows by internal/transport) so every replica
-// agrees on the authoritative rolls. Per-round fault counts are
-// drained by the coordinator through FaultCounts — Crashed restricted
-// to the owned range so shard counts sum to the global totals — and
-// crashed owned nodes skip Step exactly like the in-process step loop.
+// every replica. Nothing about the plan crosses the wire: each replica
+// builds the identical plan from the run's spec, and a message's fate is
+// rolled — the pure (seed, round, slot) hash — by the shard that owns its
+// receiver, which holds the message because Inject staged it before
+// deliverTo scans it. Per-round fault counts are drained by the
+// coordinator through FaultCounts — Crashed restricted to the owned
+// range so shard counts sum to the global totals — and crashed owned
+// nodes skip Step exactly like the in-process step loop.
 
 import (
 	"fmt"

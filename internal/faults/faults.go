@@ -15,7 +15,9 @@
 // The package is deliberately independent of the simulator: it only
 // answers "what happens to the message in this slot this round?" and
 // "is this node crashed this round?". The one canonical injection point
-// lives in internal/congest's receiver-driven delivery path.
+// lives in internal/congest's receiver-driven delivery path. The TCP
+// backend needs nothing more: every shard process rebuilds the plan from
+// the run's spec and rolls the same hashes for the messages it receives.
 package faults
 
 import (
@@ -96,12 +98,6 @@ type Plan struct {
 	crashes []Crash
 	severs  []Sever
 
-	// table, when attached, answers MessageFate for its round window in
-	// place of the raw hashes — the TCP transport's fate-table handshake
-	// (see fatetable.go). Crash and sever rules are rule lookups with no
-	// delivery-state dependence and are never tabled.
-	table *FateTable
-
 	// totals is written only by the engine coordinator between round
 	// barriers (AddCounts) and read after the run (Totals).
 	totals Counts
@@ -122,22 +118,6 @@ func (p *Plan) Empty() bool {
 	return p.drop == 0 && p.dup == 0 && p.delayP == 0 &&
 		len(p.crashes) == 0 && len(p.severs) == 0
 }
-
-// Probabilistic reports whether the plan rolls any per-message fate
-// (drop, duplication or delay). Crash and sever rules are deterministic
-// schedules that replay from the spec alone, so only probabilistic plans
-// need a fate table shipped to replicas.
-func (p *Plan) Probabilistic() bool {
-	return p.drop+p.dup+p.delayP > 0
-}
-
-// AttachTable installs (or, with nil, detaches) a pre-rolled fate table;
-// subsequent MessageFate calls inside the table's window answer from it.
-// Attaching replaces any previous window — callers ship consecutive
-// windows as a run progresses. Like the Set* options on a network, this
-// is a between-rounds configuration call, never concurrent with
-// delivery.
-func (p *Plan) AttachTable(t *FateTable) { p.table = t }
 
 // WithDrop sets the per-message drop probability.
 func (p *Plan) WithDrop(prob float64) *Plan {
@@ -187,7 +167,8 @@ func (p *Plan) WithSever(edge, round int) *Plan {
 }
 
 func mustProb(name string, prob float64) {
-	if prob < 0 || prob > 1 {
+	// The negated form also rejects NaN, which fails every comparison.
+	if !(prob >= 0 && prob <= 1) {
 		panic(fmt.Sprintf("faults: %s probability %v outside [0,1]", name, prob))
 	}
 }
@@ -209,15 +190,6 @@ func (p *Plan) MessageFate(round, slot int) (Fate, int) {
 	if p.drop == 0 && p.dup == 0 && p.delayP == 0 {
 		return Deliver, 0
 	}
-	if p.table != nil {
-		return p.table.Lookup(round, slot)
-	}
-	return p.rawFate(round, slot)
-}
-
-// rawFate is the hash path shared by MessageFate and BuildFateTable: it
-// always rolls, never consults an attached table.
-func (p *Plan) rawFate(round, slot int) (Fate, int) {
 	u := p.src.Derive("msg", uint64(round)<<33^uint64(slot))
 	roll := float64(u>>11) / (1 << 53)
 	switch {
@@ -281,8 +253,7 @@ func (p *Plan) CrashedCountIn(round, lo, hi int) int {
 }
 
 // RecoveringAt reports whether any crashed node is due to recover after
-// the given round — the engines keep a quiet-terminating run alive while
-// this holds, so a recovery can resume traffic.
+// the given round.
 func (p *Plan) RecoveringAt(round int) bool {
 	for _, c := range p.crashes {
 		if c.Recover > 0 && round >= c.Round && round < c.Round+c.Recover {
@@ -290,6 +261,43 @@ func (p *Plan) RecoveringAt(round int) bool {
 		}
 	}
 	return false
+}
+
+// QuietAfter reports whether the crash schedule allows a quiet-terminating
+// run to end at the quiet check that follows lastRound, the last executed
+// round (the check runs before the round counter advances). A recovery can
+// resume traffic from queued program state, so the run must survive
+// through the recovery round itself: a node that recovers at round r
+// steps again only IN round r, and checking just the next round would
+// quit one round early and drop that state (TestScratchQuietRecovery pins
+// this). Delayed messages still in flight are the engines' half of the
+// rule; they hold the pending buffers.
+func (p *Plan) QuietAfter(lastRound int) bool {
+	return !p.RecoveringAt(lastRound) && !p.RecoveringAt(lastRound+1)
+}
+
+// Validate checks the plan's crash and sever rules against a graph of the
+// given size: a rule naming a node >= nodes or an edge >= edges can never
+// fire, and would count phantom crashed node-rounds on the in-process
+// engines but not on sharded ones. Parse cannot check this (it has no
+// graph); the transport backends do, before any round runs.
+func (p *Plan) Validate(nodes, edges int) error {
+	for _, c := range p.crashes {
+		if c.Node >= nodes {
+			clause := fmt.Sprintf("crash=%d@%d", c.Node, c.Round)
+			if c.Recover > 0 {
+				clause += fmt.Sprintf("+%d", c.Recover)
+			}
+			return fmt.Errorf("faults: clause %q: node %d outside the graph's %d nodes", clause, c.Node, nodes)
+		}
+	}
+	for _, s := range p.severs {
+		if s.Edge >= edges {
+			clause := fmt.Sprintf("sever=%d@%d", s.Edge, s.Round)
+			return fmt.Errorf("faults: clause %q: edge %d outside the graph's %d edges", clause, s.Edge, edges)
+		}
+	}
+	return nil
 }
 
 // MaxDelay returns the largest delay the plan can impose on one message

@@ -52,6 +52,7 @@ func TestParseErrors(t *testing.T) {
 		"crash=5", "crash=x@2", "crash=5@0", "crash=5@2+0", "crash=-1@2",
 		"sever=5", "sever=x@2", "sever=5@0",
 		"bogus=1", "drop=0.6,dup=0.6", // probability budget > 1
+		"drop=NaN", "dup=nan", "delay=NaN:2", "drop=+Inf", // non-finite
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec, 1); err == nil {
@@ -82,6 +83,42 @@ func TestCrashWindows(t *testing.T) {
 	}
 	if !p.RecoveringAt(12) || p.RecoveringAt(15) || p.RecoveringAt(9) {
 		t.Error("RecoveringAt wrong around the recovery window")
+	}
+	// Node 3 is back at round 15: a run whose last executed round is 13
+	// or 14 must survive to execute it; from 15 on (and before the crash)
+	// the schedule allows a quiet end. The permanent crash never blocks.
+	for last, want := range map[int]bool{8: true, 9: false, 13: false, 14: false, 15: true} {
+		if got := p.QuietAfter(last); got != want {
+			t.Errorf("QuietAfter(%d) = %v, want %v", last, got, want)
+		}
+	}
+}
+
+// TestValidate pins plan-vs-graph validation: the first rule naming a
+// node or edge the graph does not have is reported with its clause and
+// the bound; everything in range passes.
+func TestValidate(t *testing.T) {
+	p, err := Parse("drop=0.1,crash=7@2+3,crash=2@9,sever=11@4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(8, 12); err != nil {
+		t.Errorf("in-range plan rejected: %v", err)
+	}
+	for _, c := range []struct {
+		nodes, edges int
+		want         string
+	}{
+		{7, 12, `faults: clause "crash=7@2+3": node 7 outside the graph's 7 nodes`},
+		{2, 12, `faults: clause "crash=7@2+3": node 7 outside the graph's 2 nodes`},
+		{8, 11, `faults: clause "sever=11@4": edge 11 outside the graph's 11 edges`},
+	} {
+		if err := p.Validate(c.nodes, c.edges); err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%d, %d) = %v, want %q", c.nodes, c.edges, err, c.want)
+		}
+	}
+	if err := New(1).Validate(0, 0); err != nil {
+		t.Errorf("empty plan rejected: %v", err)
 	}
 }
 

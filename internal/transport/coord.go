@@ -112,11 +112,7 @@ func (t TCP) timeout() time.Duration {
 
 // Run implements Transport.
 func (t TCP) Run(spec Spec, opts Options) (Result, error) {
-	wl, err := Lookup(spec.Workload)
-	if err != nil {
-		return Result{}, err
-	}
-	inst, err := wl.Build(spec)
+	wl, inst, err := buildInstance(spec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -128,12 +124,11 @@ func (t TCP) Run(spec Spec, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("transport: %d shards for %d nodes (need 1 ≤ shards ≤ n)", t.Shards, n)
 	}
 	c := &coordinator{
-		tcp:      t,
-		spec:     spec,
-		inst:     inst,
-		opts:     opts,
-		plan:     inst.Faults,
-		fatesEnd: 1,
+		tcp:  t,
+		spec: spec,
+		inst: inst,
+		opts: opts,
+		plan: inst.Faults,
 	}
 	return c.run()
 }
@@ -204,13 +199,11 @@ type coordinator struct {
 	halted  int
 	relayed int64
 
-	// Fault-over-wire state: the coordinator's authoritative plan (the
-	// instance's, identical to every replica's) and the exclusive end of
-	// the fate-table window shipped so far. The coordinator never
-	// delivers locally — its plan only builds FATES windows and
-	// accumulates the per-round counts the STEPPED replies return.
-	plan     *faults.Plan
-	fatesEnd int
+	// plan is the instance's fault plan, identical to every replica's.
+	// The coordinator never delivers, so it rolls no fates: its plan
+	// answers the quiet check's recovery rule and accumulates the
+	// per-round counts the STEPPED replies return.
+	plan *faults.Plan
 	// Fault counters, registered by metricsStart when a plan and a
 	// registry are both attached; nil otherwise.
 	fcDropped, fcDuplicated, fcDelayed, fcCrashed *metrics.Counter
@@ -563,12 +556,6 @@ func (c *coordinator) drive() (Result, error) {
 		if c.halted == n {
 			return c.harvest(nil)
 		}
-		// Ship the next fate-table window before the first DELIVER that
-		// needs it: every replica must hold the fates of the round it is
-		// about to build inboxes for.
-		if err := c.shipFates(); err != nil {
-			return Result{}, err
-		}
 		// Deliver barrier: relay the pending cross-shard messages, get
 		// back each shard's delivery profile.
 		c.phaseStart("deliver-write", c.rounds+1)
@@ -650,71 +637,11 @@ func (c *coordinator) drive() (Result, error) {
 	return res, fmt.Errorf("transport: after %d rounds: %w", c.rounds, congest.ErrRoundLimit)
 }
 
-// fateWindow is the number of rounds one FATES frame covers. Windowed
-// shipping keeps frame size and fate-hash work proportional to the
-// rounds actually executed — workload round budgets (walks especially)
-// are orders of magnitude above typical completion, and a full-horizon
-// table would both waste that compute and breach maxFramePayload on
-// large graphs.
-const fateWindow = 64
-
-// shipFates extends every replica's fate-table coverage through the
-// round about to be delivered, when needed: probabilistic plans only
-// (crash/sever schedules replay from the spec's rules on each shard),
-// and only when the delivered round would leave the shipped window. If
-// a window's densest per-shard slice overflows the frame cap the window
-// halves until it fits — correctness only needs coverage of the next
-// round.
-func (c *coordinator) shipFates() error {
-	if c.plan == nil || !c.plan.Probabilistic() || c.rounds+1 < c.fatesEnd {
-		return nil
-	}
-	g := c.inst.Graph
-	start := c.fatesEnd
-	for window := fateWindow; ; window /= 2 {
-		end := start + window
-		full := faults.BuildFateTable(c.plan, start, end, 2*g.M())
-		bodies := make([][]byte, c.tcp.Shards)
-		fits := true
-		for i := range bodies {
-			lo, hi := c.bounds[i], c.bounds[i+1]
-			slice := full.Filter(func(slot int) bool {
-				e := g.Edge(slot / 2)
-				recv := e.U
-				if slot%2 == 1 {
-					recv = e.V
-				}
-				return recv >= lo && recv < hi
-			})
-			bodies[i] = faults.AppendFateTable(nil, slice)
-			if len(bodies[i]) > maxFramePayload {
-				fits = false
-				break
-			}
-		}
-		if !fits {
-			if window <= 1 {
-				return fmt.Errorf("transport: fate table for round %d exceeds frame cap", start)
-			}
-			continue
-		}
-		c.phaseStart("fates", start)
-		if err := c.broadcast(frameFates, func(i int) []byte { return bodies[i] }); err != nil {
-			return err
-		}
-		c.fatesEnd = end
-		return nil
-	}
-}
-
-// faultsQuiet mirrors congest.Network.faultsQuiet's recovery half: a
-// quiet round must not end the run while a crashed node is still due to
-// recover (through the recovery round itself — see the in-process
-// comment). The delayed-message half is the summed pending counts the
-// DELIVERED replies report.
+// faultsQuiet is the recovery half of congest.Network.faultsQuiet (the
+// shared rule is faults.Plan.QuietAfter); the delayed-message half is the
+// summed pending counts the DELIVERED replies report.
 func (c *coordinator) faultsQuiet() bool {
-	return c.plan == nil ||
-		(!c.plan.RecoveringAt(c.rounds) && !c.plan.RecoveringAt(c.rounds+1))
+	return c.plan == nil || c.plan.QuietAfter(c.rounds)
 }
 
 // roundObs closes one round's telemetry: the cross-shard step skew and

@@ -9,13 +9,16 @@ package transport_test
 // byte for byte. On top sit the retry stories: walks re-issue and
 // windowed-GHS recovery over real shard processes, including a
 // whole-shard crash-and-recover round, each pinned against the same
-// driver run in-process (transport.Proc). Shards run as goroutines so
-// the whole fate-table handshake sits under the race detector.
+// driver run in-process (transport.Proc). Nothing about the plan crosses
+// the wire — every shard rebuilds it from the spec and rolls the fates of
+// the messages it receives — and shards run as goroutines so that replay
+// sits under the race detector.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -257,6 +260,101 @@ func TestCrossShardFaultCountsSumToProc(t *testing.T) {
 	}
 }
 
+// TestFaultPlanShapesTCPMatchProc runs the three plan shapes a replica
+// must replay with no help from the coordinator — probabilistic rules
+// only, crash/sever schedules only, and a non-nil plan with no effective
+// rule — for more than 64 rounds, and requires trace bytes, rounds,
+// messages, absorbed tokens and fault totals identical to the sequential
+// engine at shards 1, 2 and 4. The crash and sever rules fire past round
+// 64 so late-run schedule replay is exercised too.
+func TestFaultPlanShapesTCPMatchProc(t *testing.T) {
+	for _, sc := range []struct {
+		name, faultSpec string
+		wantFaults      bool
+	}{
+		{"probabilistic-only", "drop=0.01,dup=0.02,delay=0.05:2", true},
+		{"crash-sever-only", "crash=5@70+6,sever=3@66", true},
+		{"no-effective-rule", "drop=0", false},
+	} {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			spec := transport.Spec{
+				Workload: "walks-faults", Graph: "rr", N: 24, D: 4, K: 2, Steps: 80,
+				Seed: 13, SrcSeed: 113,
+				FaultSpec: sc.faultSpec, FaultSeed: 31,
+			}
+			want, wantRes := traceRun(t, transport.Proc{Workers: 1}, spec, sc.name)
+			if wantRes.Rounds <= 64 {
+				t.Fatalf("proc run ended after %d rounds, want > 64", wantRes.Rounds)
+			}
+			if wantRes.Faults.Any() != sc.wantFaults {
+				t.Fatalf("proc run fault totals %+v, want any = %v", wantRes.Faults, sc.wantFaults)
+			}
+			for _, shards := range []int{1, 2, 4} {
+				tcp := transport.TCP{Shards: shards, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)}
+				got, gotRes := traceRun(t, tcp, spec, sc.name)
+				if !bytes.Equal(want, got) {
+					t.Errorf("shards=%d: trace bytes diverge from the sequential engine (%d vs %d bytes)", shards, len(want), len(got))
+				}
+				sameResult(t, fmt.Sprintf("shards=%d", shards), wantRes, gotRes)
+				if gotRes.Faults != wantRes.Faults {
+					t.Errorf("shards=%d: fault totals %+v, proc %+v", shards, gotRes.Faults, wantRes.Faults)
+				}
+			}
+		})
+	}
+}
+
+// TestOutOfRangeFaultRulesRejected pins plan-vs-graph validation: a crash
+// rule naming a node the graph does not have, or a sever rule naming an
+// edge it does not have, is rejected with the same error — naming the
+// clause and the bound — by both backends, before any round runs and
+// before any shard is spawned. (Unchecked, the in-process engines counted
+// the phantom node as crashed every round while sharded runs counted
+// nothing.) The last node and edge stay valid.
+func TestOutOfRangeFaultRulesRejected(t *testing.T) {
+	base := transport.Spec{
+		Workload: "walks-faults", Graph: "rr", N: 32, D: 4, K: 1, Steps: 8,
+		Seed: 11, SrcSeed: 111, FaultSeed: 5,
+	}
+	noSpawn := func(shard int, addr string) (transport.ShardHandle, error) {
+		t.Errorf("shard %d spawned for a spec that must be rejected up front", shard)
+		return transport.ShardHandle{}, errors.New("unreachable")
+	}
+	for _, tc := range []struct{ faultSpec, want string }{
+		{"crash=999@1,sever=5000@1", `faults: clause "crash=999@1": node 999 outside the graph's 32 nodes`},
+		{"drop=0.1,crash=32@3+4", `faults: clause "crash=32@3+4": node 32 outside the graph's 32 nodes`},
+		{"sever=64@2", `faults: clause "sever=64@2": edge 64 outside the graph's 64 edges`},
+	} {
+		spec := base
+		spec.FaultSpec = tc.faultSpec
+		_, procErr := transport.Proc{Workers: 1}.Run(spec, transport.Options{})
+		if procErr == nil || procErr.Error() != tc.want {
+			t.Errorf("%s: proc err = %v, want %q", tc.faultSpec, procErr, tc.want)
+		}
+		for _, shards := range []int{2, 4} {
+			_, tcpErr := transport.TCP{Shards: shards, Timeout: 10 * time.Second, Spawn: noSpawn}.Run(spec, transport.Options{})
+			if tcpErr == nil || tcpErr.Error() != tc.want {
+				t.Errorf("%s: tcp shards=%d err = %v, want %q", tc.faultSpec, shards, tcpErr, tc.want)
+			}
+		}
+	}
+	spec := base
+	spec.FaultSpec = "crash=31@3+2,sever=63@2"
+	want, err := transport.Proc{Workers: 1}.Run(spec, transport.Options{})
+	if err != nil {
+		t.Fatalf("in-range rules rejected: %v", err)
+	}
+	got, err := transport.TCP{Shards: 2, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)}.Run(spec, transport.Options{})
+	if err != nil {
+		t.Fatalf("in-range rules rejected over tcp: %v", err)
+	}
+	if got.Faults != want.Faults || want.Faults.Crashed != 2 {
+		t.Errorf("in-range fault totals: proc %+v, tcp %+v, want 2 crashed node-rounds on both", want.Faults, got.Faults)
+	}
+}
+
 // faultTCPs are the wire backends every retry-story test compares
 // against the in-process run (transport.Proc{Workers: 1}) of the same
 // spec.
@@ -405,9 +503,9 @@ func TestWholeShardCrashRecoversOverTCP(t *testing.T) {
 }
 
 // TestGHSRecoveryAfterShardCrashOverTCP runs the windowed-GHS recovery
-// story over real shard barriers with a crash-only plan (no FATES
-// frames: crash schedules replay from the spec on every replica) that
-// takes down a whole shard and brings it back. The oracle-validated MST
+// story over real shard barriers with a crash-only plan (the schedule
+// replays from the spec on every replica) that takes down a whole shard
+// and brings it back. The oracle-validated MST
 // must come out identical to the in-process run's.
 func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 	const n, shards = 16, 4

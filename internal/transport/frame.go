@@ -36,7 +36,6 @@ const (
 	frameFinish                    // coord → shard: run over, harvest
 	frameFinal                     // shard → coord: message count, Finish blob
 	frameTelemetry                 // shard → coord: JSON wireTelemetry (tallies + flight dump)
-	frameFates                     // coord → shard: fate-table window (faults.AppendFateTable)
 
 	// frameTypeCount sizes per-type tally arrays indexed by frame type.
 	frameTypeCount
@@ -56,7 +55,6 @@ var frameNames = [frameTypeCount]string{
 	frameFinish:    "FINISH",
 	frameFinal:     "FINAL",
 	frameTelemetry: "TELEMETRY",
-	frameFates:     "FATES",
 }
 
 // frameName names a frame type for telemetry and error attribution;
@@ -71,12 +69,14 @@ func frameName(typ byte) string {
 // wireVersion guards against coordinator/shard skew; bumped with any
 // incompatible protocol or codec change. Version 2 added the mandatory
 // TELEMETRY frame after FINAL and the flightrec field of the wire spec.
-// Version 3 added faults over the wire: the spec's fault fields, FATES
-// fate-table windows, per-round fault counts on STEPPED, the pending
-// delayed count on DELIVERED, and the fault totals on TELEMETRY.
-// Version 4 made the TELEMETRY body a WireStats row plus the flight
-// dump, which added its "endpoint" key.
-const wireVersion = 4
+// Version 3 added faults over the wire: the spec's fault fields,
+// per-round fault counts on STEPPED, the pending delayed count on
+// DELIVERED, and the fault totals on TELEMETRY. Version 4 made the
+// TELEMETRY body a WireStats row plus the flight dump, which added its
+// "endpoint" key. Version 5 removed frame type 12, which carried
+// pre-rolled fault decisions from the coordinator: every shard now rolls
+// them from the plan it rebuilds from the spec.
+const wireVersion = 5
 
 // maxFramePayload bounds a frame's payload. Generous — the largest
 // legitimate frame is a DELIVER batch, linear in a shard's boundary

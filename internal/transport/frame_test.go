@@ -8,11 +8,13 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
+	"strings"
 	"testing"
 	"testing/iotest"
-
-	"almostmix/internal/faults"
+	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -116,51 +118,37 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseFateTable drives the FATES frame body parser with arbitrary
-// bytes: the shard side feeds it straight off the wire, so malformed
-// input must error — never panic or allocate unboundedly. Anything it
-// accepts must re-encode to a fixpoint (encode → parse → encode is
-// byte-stable; the input itself may use non-minimal varints) and answer
-// every in-window lookup without panicking. The corpus under
-// testdata/fuzz/FuzzParseFateTable pins the interesting shapes
-// alongside FuzzReadFrame's.
-func FuzzParseFateTable(f *testing.F) {
-	plan, err := faults.Parse("drop=0.2,dup=0.1,delay=0.2:3", 7)
+// TestHelloVersionSkew pins where a version-skewed peer fails: at HELLO,
+// with the mismatch message naming both versions, before a spec is sent
+// or a round runs. The peer speaks the previous wire version (derived
+// from wireVersion, so the test follows every bump) to a real
+// coordinator accept loop.
+func TestHelloVersionSkew(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	f.Add(faults.AppendFateTable(nil, faults.BuildFateTable(plan, 1, 9, 24)))
-	f.Add(faults.AppendFateTable(nil, faults.BuildFateTable(faults.New(3), 5, 7, 8)))
-	f.Add([]byte{})                 // truncated start
-	f.Add([]byte{0, 1, 0})          // zero start round
-	f.Add([]byte{1, 200})           // window exceeding payload
-	f.Add([]byte{1, 1, 1, 0, 1})    // zero slot delta
-	f.Add([]byte{1, 1, 1, 1, 9})    // unknown fate
-	f.Add([]byte{1, 1, 1, 1, 3, 0}) // zero delay on a Delay fate
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := faults.ParseFateTable(data)
+	defer ln.Close()
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			return
 		}
-		enc := faults.AppendFateTable(nil, tab)
-		tab2, err := faults.ParseFateTable(enc)
-		if err != nil {
-			t.Fatalf("re-encoded accepted table rejected: %v", err)
-		}
-		if enc2 := faults.AppendFateTable(nil, tab2); !bytes.Equal(enc2, enc) {
-			t.Fatalf("encode → parse → encode not a fixpoint (%d vs %d bytes)", len(enc2), len(enc))
-		}
-		start, end := tab.Rounds()
-		for r := start; r < end && r < start+4; r++ {
-			for slot := 0; slot < 8; slot++ {
-				f1, d1 := tab.Lookup(r, slot)
-				f2, d2 := tab2.Lookup(r, slot)
-				if f1 != f2 || d1 != d2 {
-					t.Fatalf("lookup(%d, %d) diverges after round-trip", r, slot)
-				}
-			}
-		}
-	})
+		defer conn.Close()
+		fc := newFrameConn(conn)
+		hello := appendHello(nil, 0)
+		hello[0] = wireVersion - 1
+		fc.write(frameHello, hello)
+		fc.flush()
+		io.Copy(io.Discard, conn) // hold the connection until the coordinator hangs up
+	}()
+	c := &coordinator{tcp: TCP{Shards: 1, Timeout: 10 * time.Second}}
+	c.obsInit(1)
+	err = c.accept(ln)
+	want := fmt.Sprintf("protocol version mismatch: peer %d, this build %d", wireVersion-1, wireVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("accept of a version-%d peer: err = %v, want %q", wireVersion-1, err, want)
+	}
 }
 
 // FuzzParseReplies drives the typed payload parsers with arbitrary

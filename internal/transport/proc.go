@@ -25,11 +25,7 @@ func (Proc) Name() string { return "proc" }
 
 // Run implements Transport.
 func (p Proc) Run(spec Spec, opts Options) (Result, error) {
-	wl, err := Lookup(spec.Workload)
-	if err != nil {
-		return Result{}, err
-	}
-	inst, err := wl.Build(spec)
+	_, inst, err := buildInstance(spec)
 	if err != nil {
 		return Result{}, err
 	}

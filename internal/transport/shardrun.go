@@ -94,22 +94,19 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	if shard < 0 || ws.Shards < 1 || shard >= ws.Shards {
 		return fmt.Errorf("transport: shard index %d outside layout of %d shards", shard, ws.Shards)
 	}
-	wl, err := Lookup(ws.Spec.Workload)
+	wl, inst, err := buildInstance(ws.Spec)
 	if err != nil {
 		return err
 	}
 	if wl.Encode == nil || wl.Decode == nil {
 		return fmt.Errorf("transport: workload %q has no payload codec, cannot run over tcp", ws.Spec.Workload)
 	}
-	inst, err := wl.Build(ws.Spec)
-	if err != nil {
-		return err
-	}
 	lo, hi := shardBounds(inst.Graph.N(), ws.Shards, shard)
 	net := congest.NewNetwork(inst.Graph, inst.Programs, inst.Source)
 	if inst.Faults != nil {
-		// The replica's plan replays crash/sever schedules from the spec;
-		// probabilistic fates arrive in FATES windows (AttachTable below).
+		// The replica's plan is rebuilt from the spec, identical on every
+		// process: it replays crash/sever schedules and rolls the fates of
+		// the messages this shard receives.
 		net.SetFaults(inst.Faults)
 	}
 	s, err := congest.NewShard(net, lo, hi)
@@ -160,8 +157,6 @@ func (r *shardRuntime) loop() error {
 		case frameInit:
 			r.s.Init()
 			err = r.respondStep(frameInitAck, 0, faults.Counts{})
-		case frameFates:
-			err = r.attachFates(body)
 		case frameDeliver:
 			err = r.deliver(body)
 		case frameStep:
@@ -190,21 +185,6 @@ func (r *shardRuntime) loop() error {
 			return err
 		}
 	}
-}
-
-// attachFates answers a FATES frame: parse the fate-table window and
-// attach it to the replica's plan, so MessageFate at the canonical
-// delivery point answers from the coordinator's authoritative rolls.
-func (r *shardRuntime) attachFates(body []byte) error {
-	if r.inst.Faults == nil {
-		return fmt.Errorf("transport: shard %d: FATES frame without a fault plan", r.shard)
-	}
-	t, err := faults.ParseFateTable(body)
-	if err != nil {
-		return fmt.Errorf("transport: shard %d: %w", r.shard, err)
-	}
-	r.inst.Faults.AttachTable(t)
-	return nil
 }
 
 // respondStep answers INIT or STEP: drain owned events in canonical

@@ -167,6 +167,27 @@ func Lookup(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("transport: unknown workload %q (known: %v)", name, known)
 }
 
+// buildInstance is the one door from a Spec to a runnable Instance, shared
+// by both backends and by every shard process so they fail alike: resolve
+// the workload, materialize the instance, and reject a fault plan naming
+// nodes or edges the graph does not have.
+func buildInstance(spec Spec) (Workload, *Instance, error) {
+	wl, err := Lookup(spec.Workload)
+	if err != nil {
+		return Workload{}, nil, err
+	}
+	inst, err := wl.Build(spec)
+	if err != nil {
+		return Workload{}, nil, err
+	}
+	if inst.Faults != nil {
+		if err := inst.Faults.Validate(inst.Graph.N(), inst.Graph.M()); err != nil {
+			return Workload{}, nil, err
+		}
+	}
+	return wl, inst, nil
+}
+
 // Options carries the observability hooks a backend threads through its
 // run. Both are optional; the probe sees the byte-identical event
 // stream on every backend.

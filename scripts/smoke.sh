@@ -180,6 +180,8 @@ expect_reject "walks -n 1" "$bin/walks" -n 1
 expect_reject "walks -steps -5" "$bin/walks" -steps -5
 expect_reject "walks -seed -1" "$bin/walks" -seed -1
 expect_reject "walks bad -faults" "$bin/walks" -faults 'drop=2.0'
+expect_reject "walks NaN -faults" "$bin/walks" -faults 'drop=NaN'
+expect_reject "mst NaN -faults" "$bin/mst" -faults 'delay=NaN:2'
 expect_reject "mst -workers -2" "$bin/mst" -workers -2
 expect_reject "mst -attempts 0" "$bin/mst" -attempts 0
 expect_reject "hierarchy -d 0" "$bin/hierarchy" -d 0
@@ -244,10 +246,9 @@ if ! cmp -s "$out/walks-proc-par.json" "$out/walks-tcp-par.json"; then
 fi
 echo "smoke: E17 TCP/proc trace parity ok"
 
-# E20: faults over the wire. -faults with -transport=tcp — rejected
-# before the fate-table handshake — must now run the E15 sweep on real
-# shard processes and stay trace-for-trace identical to the in-process
-# engine, coordinator-shipped fate windows and all.
+# E20: faults over the wire. -faults with -transport=tcp must run the
+# E15 sweep on real shard processes — each replaying the fault plan from
+# the spec — and stay trace-for-trace identical to the in-process engine.
 "$bin/walks" -n 48 -d 6 -steps 10 -faults 'drop=0.05' \
 	-trace "$out/walks-e20-proc.json" >/dev/null
 "$bin/walks" -n 48 -d 6 -steps 10 -faults 'drop=0.05' -transport tcp -shards 2 \
@@ -258,6 +259,21 @@ if ! cmp -s "$out/walks-e20-proc.json" "$out/walks-e20-tcp.json"; then
 fi
 "$bin/mst" -quick -faults 'drop=0.01' -transport tcp -shards 2 >/dev/null
 echo "smoke: E20 faulty TCP/proc trace parity ok"
+
+# A fault rule naming a node or edge the graph does not have is a run
+# error (exit 1, the graph is only known once the run builds it), with
+# the same message on both backends.
+for backend in "-transport proc" "-transport tcp -shards 2"; do
+	code=0
+	# shellcheck disable=SC2086
+	"$bin/walks" -n 48 -d 6 -steps 10 -faults 'crash=999@1,sever=5000@1' $backend \
+		>/dev/null 2>"$out/walks-oor.err" || code=$?
+	if [ "$code" -ne 1 ] || ! grep -q 'clause "crash=999@1": node 999 outside' "$out/walks-oor.err"; then
+		echo "smoke: out-of-range fault rule ($backend) exited $code: $(cat "$out/walks-oor.err")" >&2
+		exit 1
+	fi
+done
+echo "smoke: out-of-range fault rules rejected on proc and tcp"
 
 # E19: distributed-run observability. A clean real-process tcp run with
 # -obsout must leave a schema-valid merged document (both sides' flight

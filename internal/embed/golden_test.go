@@ -14,83 +14,36 @@ package embed
 
 import (
 	"bytes"
-	"encoding/binary"
-	"flag"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"almostmix/internal/cost"
 	"almostmix/internal/decomp"
+	"almostmix/internal/golden"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/spectral"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden testdata files")
-
-// fingerprint is an FNV-64a over a stream of integers and strings.
-type fingerprint struct{ h hash.Hash64 }
-
-func newFingerprint() fingerprint { return fingerprint{fnv.New64a()} }
-
-func (f fingerprint) int(v int) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(int64(v)))
-	f.h.Write(b[:])
-}
-
-func (f fingerprint) str(s string) {
-	f.int(len(s))
-	f.h.Write([]byte(s))
-}
-
-func (f fingerprint) ints(vs []int32) {
-	f.int(len(vs))
-	for _, v := range vs {
-		f.int(int(v))
-	}
-}
-
-func (f fingerprint) String() string { return fmt.Sprintf("%016x", f.h.Sum64()) }
-
 // describeHierarchy renders one line per overlay plus one for the ledger.
 func describeHierarchy(out *bytes.Buffer, name string, h *Hierarchy) {
 	for level := 0; level <= h.Levels; level++ {
 		o := h.Overlay(level)
-		edges, paths, parts := newFingerprint(), newFingerprint(), newFingerprint()
-		edges.int(o.Graph.N())
+		edges, paths, parts := golden.New(), golden.New(), golden.New()
+		edges.Int(o.Graph.N())
 		for _, e := range o.Graph.Edges() {
-			edges.int(e.U)
-			edges.int(e.V)
+			edges.Int(e.U)
+			edges.Int(e.V)
 		}
-		paths.int(len(o.Paths))
+		paths.Int(len(o.Paths))
 		for _, p := range o.Paths {
-			paths.ints(p)
+			paths.Ints(p)
 		}
-		parts.int(o.NumParts)
-		parts.ints(o.PartOf)
+		parts.Int(o.NumParts)
+		parts.Ints(o.PartOf)
 		fmt.Fprintf(out, "%s G%d edges=%d:%s paths=%s partof=%s construction=%d emulation=%d\n",
 			name, level, o.Graph.M(), edges, paths, parts, o.ConstructionRounds, o.EmulationRounds)
 	}
-	fmt.Fprintf(out, "%s ledger total=%d rows=%s\n", name, h.ConstructionRoundsBase(), ledgerFingerprint(h.Costs))
-}
-
-func ledgerFingerprint(led *cost.Ledger) fingerprint {
-	f := newFingerprint()
-	rows := led.Rows()
-	f.int(len(rows))
-	for _, r := range rows {
-		f.str(r.Path)
-		f.str(r.Unit)
-		for _, v := range []int{r.Depth, r.Self, r.Mul, r.Total, r.Rolled} {
-			f.int(v)
-		}
-	}
-	return f
+	fmt.Fprintf(out, "%s ledger total=%d rows=%s\n", name, h.ConstructionRoundsBase(), golden.Ledger(h.Costs))
 }
 
 // goldenExpander builds the benchmark's Build shape — exact lazy mixing
@@ -137,7 +90,7 @@ func goldenBarbell(seed uint64) (*bytes.Buffer, error) {
 		}
 		describeHierarchy(out, name, ce.H)
 	}
-	fmt.Fprintf(out, "partitioned ledger total=%d rows=%s\n", pe.ConstructionRoundsBase(), ledgerFingerprint(pe.Costs))
+	fmt.Fprintf(out, "partitioned ledger total=%d rows=%s\n", pe.ConstructionRoundsBase(), golden.Ledger(pe.Costs))
 	return out, nil
 }
 
@@ -159,23 +112,7 @@ func TestGoldenConstruction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := filepath.Join("testdata", "golden", name+".txt")
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (regenerate with -update)", err)
-				}
-				if !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("construction fingerprint changed:\n--- got\n%s--- want\n%s", got, want)
-				}
+				golden.Check(t, name, got.Bytes())
 			})
 		}
 	}

@@ -43,9 +43,17 @@ type traversal struct {
 // RouteExact routes reqs like Route while recording every overlay-edge
 // traversal, then expands and schedules the real packet paths.
 func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*ExactReport, error) {
+	ex, _, err := routeExact(h, reqs, src)
+	return ex, err
+}
+
+// routeExact is RouteExact that also hands back the recorded traversals,
+// trace[i] being packet i's overlay-edge crossings in order (the golden
+// fingerprints pin them).
+func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*ExactReport, [][]traversal, error) {
 	r, err := newRouter(h, reqs, src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.trace = make([][]traversal, len(reqs))
 
@@ -69,10 +77,10 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 
 	g0Cost, err := r.runRecursion()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := r.finish(g0Cost, len(reqs)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Expand every packet's journey to a base-graph walk.
@@ -97,14 +105,14 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	if err := pathsched.Validate(paths, func(a, b int32) bool {
 		return h.Base.HasEdge(int(a), int(b))
 	}); err != nil {
-		return nil, fmt.Errorf("route: exact expansion produced a non-walk: %w", err)
+		return nil, nil, fmt.Errorf("route: exact expansion produced a non-walk: %w", err)
 	}
 	return &ExactReport{
 		Paper:       r.report,
 		ExactRounds: sched.Makespan,
 		Congestion:  sched.Congestion,
 		Dilation:    sched.Dilation,
-	}, nil
+	}, r.trace, nil
 }
 
 // expander memoizes the physical expansion of overlay edges.

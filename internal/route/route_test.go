@@ -191,19 +191,14 @@ func TestRouteOnDeeperHierarchy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping deep hierarchy build in -short mode")
 	}
-	r := rngutil.NewRand(25)
-	g := graph.RandomRegular(96, 8, r)
-	p := embed.DefaultParams()
-	p.Beta = 3
-	p.LeafSize = 12
-	h, err := embed.Build(g, p, rngutil.NewSource(26))
+	h, err := deeper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Levels < 3 {
 		t.Fatalf("expected >= 3 levels, got %d", h.Levels)
 	}
-	reqs := RandomPermutation(g, rngutil.NewRand(27))
+	reqs := RandomPermutation(h.Base, rngutil.NewRand(27))
 	rep, err := Route(h, reqs, rngutil.NewSource(28))
 	if err != nil {
 		t.Fatal(err)

@@ -55,11 +55,12 @@ transport-suite:
 
 # The cluster-scoped-tier suite, race-instrumented and never shortened:
 # the decomposition must be byte-identical across worker counts, the
-# stitched router must deliver every packet deterministically, and the
+# stitched router must deliver every packet deterministically, the
 # stitched MST must reproduce Kruskal's exact edge set (the correctness
-# contract of DESIGN.md §3's decomposition section).
+# contract of DESIGN.md §3's decomposition section), and concurrent runs
+# filling one hierarchy's leaf route rows must each match their serial run.
 decomp-suite:
-	go test -race -timeout 300s ./internal/decomp ./internal/embed ./internal/route ./internal/mst -run 'TestDecomp|TestBuildPartitioned|TestBuildDisconnectedError|TestRoutePartitioned|TestRunPartitioned'
+	go test -race -timeout 300s ./internal/decomp ./internal/embed ./internal/route ./internal/mst -run 'TestDecomp|TestBuildPartitioned|TestBuildDisconnectedError|TestRoutePartitioned|TestRunPartitioned|TestRouteConcurrentOnSharedHierarchy'
 
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...

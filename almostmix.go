@@ -127,7 +127,10 @@ func BuildHierarchy(g *Graph, p Params, seed uint64) (*Hierarchy, error) {
 }
 
 // Route delivers all requests via the hierarchical routing scheme
-// (Theorem 1.2) and returns measured costs.
+// (Theorem 1.2) and returns measured costs. Calls on one hierarchy may run
+// concurrently: they share only its leaf route tables, which are filled on
+// first use and published atomically, and every call reports what it
+// reports alone.
 func Route(h *Hierarchy, reqs []RouteRequest, seed uint64) (*RouteReport, error) {
 	return route.Route(h, reqs, rngutil.NewSource(seed))
 }

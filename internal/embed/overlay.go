@@ -42,6 +42,8 @@ type Overlay struct {
 	// walk-execution and endpoint-replay components, recorded for the
 	// construction cost ledger's child spans.
 	walkRounds, replayRounds int
+	// routes is the on-demand routing table behind RouteRow.
+	routes routeTable
 }
 
 // measureEmulation schedules one packet per direction over every overlay

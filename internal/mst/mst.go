@@ -17,7 +17,6 @@ package mst
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"almostmix/internal/cost"
 	"almostmix/internal/embed"
@@ -78,6 +77,7 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 	res := &Result{}
 	coinRng := src.Stream("coins", 0)
 	maxIter := 30 * (log2int(n) + 1)
+	sc := newScratch(n)
 
 	// The MST ledger reuses the hierarchy's construction ledger as a
 	// grafted child (the structure is built once and amortized), next to
@@ -92,8 +92,8 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 	}
 	led.Open("algorithm", "base rounds", 1)
 
+	frags := n // the singleton forest; Relabel recounts after every iteration
 	for iter := 0; iter < maxIter; iter++ {
-		frags := forest.NumFragments()
 		if frags == 1 {
 			led.CloseExpect(res.AlgorithmRounds) // algorithm span
 			res.Rounds = led.Close()             // root: construction + algorithm
@@ -106,15 +106,15 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 		}
 		stats := IterationStats{Fragments: frags}
 
-		depths := forest.Depths()
-		stats.TreeDepth = maxDepth(depths)
+		forest.depthsInto(sc.depth)
+		stats.TreeDepth = maxDepth(sc.depth)
 		if stats.TreeDepth > res.MaxTreeDepth {
 			res.MaxTreeDepth = stats.TreeDepth
 		}
 
 		// Measure the cost of one tree-routing step: every non-root
 		// sends one message to its virtual parent.
-		stepRep, err := measureTreeStep(h, forest, src.Child("step", uint64(iter)))
+		stepRep, err := measureTreeStep(h, forest, sc, src.Child("step", uint64(iter)))
 		if err != nil {
 			return nil, fmt.Errorf("mst: iteration %d: %w", iter, err)
 		}
@@ -125,54 +125,46 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 		stats.StepRounds = stepRounds
 
 		// MWOE per fragment (the upcast's semantic outcome).
-		mwoe := computeMWOE(g, forest)
+		computeMWOE(g, forest, sc.mwoe)
 
-		// Random head/tail coins per fragment, assigned in sorted
-		// fragment order so runs are reproducible (map iteration order
-		// would otherwise scramble the coin stream).
-		fragIDs := make([]int32, 0, len(mwoe))
-		for fragID := range mwoe {
-			fragIDs = append(fragIDs, fragID)
+		// Snapshot for balancing before any attachment; it also names
+		// the fragments: a fragment's ID is its root's node ID.
+		copy(sc.snapParent, forest.parent)
+
+		// Random head/tail coins per fragment. Walking the roots in node
+		// order assigns the coins in ascending fragment order — the
+		// run's reproducible coin stream.
+		for v := int32(0); v < int32(n); v++ {
+			if sc.snapParent[v] < 0 {
+				sc.head[v] = coinRng.Uint64()&1 == 0
+			}
 		}
-		sort.Slice(fragIDs, func(a, b int) bool { return fragIDs[a] < fragIDs[b] })
-		coins := make(map[int32]bool, len(fragIDs)) // true = head
-		for _, fragID := range fragIDs {
-			coins[fragID] = coinRng.Uint64()&1 == 0
-		}
 
-		// Snapshot for balancing before any attachment.
-		snapParent := make([]int32, n)
-		copy(snapParent, forest.parent)
-		snapDepth := depths
-
-		// Merge tails into heads along their MWOEs (sorted order keeps
-		// the edge list and balancing deterministic).
-		attach := make(map[int32][]int32) // head root -> attachment points
-		for _, fragID := range fragIDs {
-			e := mwoe[fragID]
-			if e.edge < 0 || coins[fragID] {
+		// Merge tails into heads along their MWOEs, again in ascending
+		// fragment order (it fixes the order of res.Edges).
+		sc.attachPoints = sc.attachPoints[:0]
+		for fragID := int32(0); fragID < int32(n); fragID++ {
+			if sc.snapParent[fragID] >= 0 {
+				continue // not a fragment root
+			}
+			e := sc.mwoe[fragID]
+			if e.edge < 0 || sc.head[fragID] {
 				continue // head or no outgoing edge
 			}
 			target := forest.Fragment(e.y)
-			if !coins[target] {
+			if !sc.head[target] {
 				continue // tail → tail: skip this iteration
 			}
 			forest.Attach(fragID, e.y)
 			res.Edges = append(res.Edges, e.edge)
-			attach[target] = append(attach[target], e.y)
+			sc.attachPoints = append(sc.attachPoints, e.y)
 			stats.Merges++
 		}
 
-		// Rebalance each head tree that received attachments.
-		waves := 0
-		for headRoot, points := range attach {
-			b := forest.balance(headRoot, points, snapParent, snapDepth)
-			if b.Waves > waves {
-				waves = b.Waves
-			}
-		}
+		// Rebalance the head trees that received attachments.
+		waves := forest.balance(sc).Waves
 		stats.BalanceWaves = waves
-		forest.Relabel()
+		frags = forest.Relabel()
 
 		// Audit Lemma 4.1's degree invariant.
 		for v := 0; v < n; v++ {
@@ -208,6 +200,36 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 	return nil, fmt.Errorf("mst: did not converge within %d iterations", maxIter)
 }
 
+// scratch is the working memory of one Run, allocated once and reused by
+// every Borůvka iteration. Everything is indexed by node ID; the entries
+// that describe a fragment sit at its root's ID.
+type scratch struct {
+	mwoe       []mwoeEdge // per fragment: minimum-weight outgoing edge
+	head       []bool     // per fragment: this iteration's coin
+	depth      []int32    // virtual-tree depths before merging
+	snapParent []int32    // parent table before merging
+	childRank  []int32    // measureTreeStep: children seen per parent
+	reqs       []route.Request
+	// attachPoints are this iteration's attachment points: the head-side
+	// endpoint of every merging tail's edge.
+	attachPoints []int32
+	// balance: the live tokens, and how many sit at each node.
+	tokens   []token
+	tokensAt []int32
+}
+
+func newScratch(n int) *scratch {
+	return &scratch{
+		mwoe:       make([]mwoeEdge, n),
+		head:       make([]bool, n),
+		depth:      make([]int32, n),
+		snapParent: make([]int32, n),
+		childRank:  make([]int32, n),
+		tokensAt:   make([]int32, n),
+		reqs:       make([]route.Request, 0, n),
+	}
+}
+
 // mwoeEdge is a fragment's minimum-weight outgoing edge: the edge ID and
 // its head-side endpoint y (outside the fragment).
 type mwoeEdge struct {
@@ -216,30 +238,28 @@ type mwoeEdge struct {
 	w    float64
 }
 
-// computeMWOE finds each fragment's minimum-weight outgoing edge, with
-// ties broken by edge ID (weights are expected distinct anyway).
-func computeMWOE(g *graph.Graph, f *Forest) map[int32]mwoeEdge {
-	out := make(map[int32]mwoeEdge)
-	for v := int32(0); v < int32(g.N()); v++ {
-		if _, ok := out[f.Fragment(v)]; !ok {
-			out[f.Fragment(v)] = mwoeEdge{edge: -1}
-		}
+// offer replaces best by the edge id toward y of weight w when that is
+// lighter, ties broken by edge ID (weights are expected distinct anyway).
+func (best *mwoeEdge) offer(id int, y int32, w float64) {
+	if best.edge < 0 || w < best.w || (w == best.w && id < best.edge) {
+		*best = mwoeEdge{edge: id, y: y, w: w}
+	}
+}
+
+// computeMWOE finds each fragment's minimum-weight outgoing edge and
+// leaves it at out[fragment ID]; a fragment with none keeps edge -1.
+func computeMWOE(g *graph.Graph, f *Forest, out []mwoeEdge) {
+	for i := range out {
+		out[i] = mwoeEdge{edge: -1}
 	}
 	for id, e := range g.Edges() {
 		fu, fv := f.Fragment(int32(e.U)), f.Fragment(int32(e.V))
 		if fu == fv {
 			continue
 		}
-		consider := func(fragID, y int32) {
-			best := out[fragID]
-			if best.edge < 0 || e.W < best.w || (e.W == best.w && id < best.edge) {
-				out[fragID] = mwoeEdge{edge: id, y: y, w: e.W}
-			}
-		}
-		consider(fu, int32(e.V))
-		consider(fv, int32(e.U))
+		out[fu].offer(id, int32(e.V), e.W)
+		out[fv].offer(id, int32(e.U), e.W)
 	}
-	return out
 }
 
 // measureTreeStep routes one message from every non-root node to its
@@ -247,23 +267,23 @@ func computeMWOE(g *graph.Graph, f *Forest) map[int32]mwoeEdge {
 // is a fragment root and there is nothing to send). This is the per-level
 // cost of the upcast/downcast (and of the balancing token waves, which use
 // the same channel).
-func measureTreeStep(h *embed.Hierarchy, f *Forest, src *rngutil.Source) (*route.Report, error) {
+func measureTreeStep(h *embed.Hierarchy, f *Forest, sc *scratch, src *rngutil.Source) (*route.Report, error) {
 	g := h.Base
-	reqs := make([]route.Request, 0, g.N())
-	childRank := make(map[int32]int)
+	sc.reqs = sc.reqs[:0]
+	clear(sc.childRank)
 	for v := int32(0); v < int32(g.N()); v++ {
 		p := f.Parent(v)
 		if p < 0 {
 			continue
 		}
-		idx := childRank[p] % g.Degree(int(p))
-		childRank[p]++
-		reqs = append(reqs, route.Request{SrcNode: int(v), DstNode: int(p), DstIndex: idx})
+		idx := int(sc.childRank[p]) % g.Degree(int(p))
+		sc.childRank[p]++
+		sc.reqs = append(sc.reqs, route.Request{SrcNode: int(v), DstNode: int(p), DstIndex: idx})
 	}
-	if len(reqs) == 0 {
+	if len(sc.reqs) == 0 {
 		return nil, nil
 	}
-	return route.Route(h, reqs, src)
+	return route.Route(h, sc.reqs, src)
 }
 
 func maxDepth(depths []int32) int {

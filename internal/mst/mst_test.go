@@ -189,8 +189,8 @@ func TestMSTOnGnp(t *testing.T) {
 
 func TestForestBasics(t *testing.T) {
 	f := NewForest(5)
-	if f.NumFragments() != 5 {
-		t.Fatalf("fresh forest has %d fragments", f.NumFragments())
+	if got := f.Relabel(); got != 5 {
+		t.Fatalf("fresh forest has %d fragments", got)
 	}
 	f.Attach(1, 0)
 	f.Attach(2, 1)
@@ -233,17 +233,16 @@ func TestBalanceKeepsValidTree(t *testing.T) {
 		f.Attach(v, v-1)
 	}
 	f.Relabel()
-	snapParent := make([]int32, n)
-	copy(snapParent, f.parent)
-	snapDepth := f.Depths()
+	sc := newScratch(n)
+	copy(sc.snapParent, f.parent)
+	f.depthsInto(sc.depth)
 	// Attach tails 20..29 to points spread along the path.
-	var points []int32
 	for i := int32(0); i < 10; i++ {
 		y := i * 2
 		f.Attach(20+i, y)
-		points = append(points, y)
+		sc.attachPoints = append(sc.attachPoints, y)
 	}
-	res := f.balance(0, points, snapParent, snapDepth)
+	res := f.balance(sc)
 	if res.Waves == 0 {
 		t.Fatal("no balancing waves ran")
 	}
@@ -269,7 +268,8 @@ func TestComputeMWOE(t *testing.T) {
 	f.Attach(1, 0)
 	f.Attach(3, 2)
 	f.Relabel()
-	mwoe := computeMWOE(g, f)
+	mwoe := make([]mwoeEdge, g.N())
+	computeMWOE(g, f, mwoe)
 	if got := mwoe[f.Fragment(0)]; got.edge != light || got.y != 3 {
 		t.Fatalf("fragment 0 MWOE = %+v, want edge %d to node 3", got, light)
 	}
@@ -346,5 +346,27 @@ func TestMSTLedgerDerivesRounds(t *testing.T) {
 	}
 	if sum != res.AlgorithmRounds {
 		t.Fatalf("iteration spans sum %d != AlgorithmRounds %d", sum, res.AlgorithmRounds)
+	}
+}
+
+// runAllocCeiling bounds the heap objects one Run allocates on the shared
+// fixture once its hierarchy's leaf rows are filled: per iteration one
+// routing instance (the route package's own ceiling) and the iteration's
+// ledger spans; the bookkeeping itself is node-indexed scratch allocated
+// once per Run — no maps, nothing per fragment. About a fifth above what
+// the fixture's sixteen iterations measure (1 825, against 12 801 with the
+// map-based bookkeeping over the per-run leaf search).
+const runAllocCeiling = 2200
+
+func TestRunAllocations(t *testing.T) {
+	fx := testFixture(t)
+	run := func() {
+		if _, err := Run(fx.h, rngutil.NewSource(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the rows the tree steps use
+	if allocs := testing.AllocsPerRun(5, run); allocs > runAllocCeiling {
+		t.Errorf("%v allocations per Run, ceiling %d", allocs, runAllocCeiling)
 	}
 }

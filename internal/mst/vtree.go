@@ -40,41 +40,38 @@ func (f *Forest) Parent(v int32) int32 { return f.parent[v] }
 // InDegree returns v's number of virtual-tree children.
 func (f *Forest) InDegree(v int32) int32 { return f.inDeg[v] }
 
-// NumFragments counts the remaining fragments.
-func (f *Forest) NumFragments() int {
-	count := 0
-	for v, p := range f.parent {
-		if p < 0 && f.frag[v] == int32(v) {
-			count++
-		}
-	}
-	return count
-}
-
 // Depths returns the depth of every node in its virtual tree.
 func (f *Forest) Depths() []int32 {
-	n := len(f.parent)
-	depth := make([]int32, n)
+	depth := make([]int32, len(f.parent))
+	f.depthsInto(depth)
+	return depth
+}
+
+// depthsInto writes every node's virtual-tree depth into depth (one entry
+// per node). Each node climbs to its nearest ancestor of known depth — or
+// to its root — and the climbed path is labelled on the way back, so
+// every tree edge is walked a constant number of times.
+func (f *Forest) depthsInto(depth []int32) {
 	for i := range depth {
 		depth[i] = -1
 	}
-	var walk func(v int32) int32
-	walk = func(v int32) int32 {
-		if depth[v] >= 0 {
-			return depth[v]
+	for v := range depth {
+		top, d := int32(v), int32(0)
+		for depth[top] < 0 && f.parent[top] >= 0 {
+			top = f.parent[top]
+			d++
 		}
-		if f.parent[v] < 0 {
-			depth[v] = 0
-			return 0
+		if depth[top] > 0 {
+			d += depth[top]
 		}
-		d := walk(f.parent[v]) + 1
-		depth[v] = d
-		return d
+		for w := int32(v); depth[w] < 0; w = f.parent[w] {
+			depth[w] = d
+			d--
+			if f.parent[w] < 0 {
+				break
+			}
+		}
 	}
-	for v := int32(0); v < int32(n); v++ {
-		walk(v)
-	}
-	return depth
 }
 
 // MaxDepth returns the maximum virtual-tree depth over all fragments.
@@ -101,30 +98,34 @@ func (f *Forest) Attach(tailRoot, y int32) {
 }
 
 // Relabel assigns every node the fragment ID of its tree root. It returns
-// the number of distinct fragments.
+// the number of distinct fragments (one per root).
 func (f *Forest) Relabel() int {
-	n := len(f.parent)
 	for v := range f.frag {
 		f.frag[v] = -1
 	}
-	var rootOf func(v int32) int32
-	rootOf = func(v int32) int32 {
-		if f.frag[v] >= 0 {
-			return f.frag[v]
-		}
+	roots := 0
+	for v := range f.frag {
 		if f.parent[v] < 0 {
-			f.frag[v] = v
-			return v
+			roots++
 		}
-		r := rootOf(f.parent[v])
-		f.frag[v] = r
-		return r
+		// Climb to the nearest labelled ancestor, or to the root, then
+		// label the climbed path.
+		top := int32(v)
+		for f.frag[top] < 0 && f.parent[top] >= 0 {
+			top = f.parent[top]
+		}
+		root := f.frag[top]
+		if root < 0 {
+			root = top
+		}
+		for w := int32(v); f.frag[w] < 0; w = f.parent[w] {
+			f.frag[w] = root
+			if f.parent[w] < 0 {
+				break
+			}
+		}
 	}
-	roots := make(map[int32]struct{})
-	for v := int32(0); v < int32(n); v++ {
-		roots[rootOf(v)] = struct{}{}
-	}
-	return len(roots)
+	return roots
 }
 
 // balanceResult reports the token process outcome for auditing.
@@ -133,97 +134,93 @@ type balanceResult struct {
 	Reparents int // virtual edges rewired
 }
 
-// balance runs the Lemma 4.1 token-merge process on the head tree after
-// attachments: one token per distinct attachment point percolates up the
-// (pre-attachment) head tree; wherever two or more tokens meet, the
-// creation points of arriving tokens are re-parented under the child
-// through which they arrived, and a fresh token continues from the merge
-// point. The final merge at the root re-parents the surviving creation
-// points likewise, keeping every newly attached subtree within O(log n)
-// of the root.
+// token is one balancing token: the node it sits at, the node it was
+// created at, and the child it last moved up from (-1 while it has not
+// moved).
+type token struct{ pos, creation, arrived int32 }
+
+// balance runs the Lemma 4.1 token-merge process on the head trees after
+// an iteration's attachments: one token per distinct attachment point
+// percolates up the (pre-attachment) head tree; wherever two or more
+// tokens meet, the creation points of arriving tokens are re-parented
+// under the child through which they arrived, and a fresh token continues
+// from the merge point. The final merge at the root re-parents the
+// surviving creation points likewise, keeping every newly attached
+// subtree within O(log n) of the root.
 //
-// snapshotParent must be the parent table of the head tree before this
-// iteration's attachments; token movement follows the snapshot while
-// re-parenting mutates the live table.
-func (f *Forest) balance(headRoot int32, attachPoints []int32, snapshotParent []int32, snapshotDepth []int32) balanceResult {
+// sc.attachPoints are the attachment points of every head at once: tokens
+// of different heads live in different trees and never meet, so one wave
+// serves all of them, and Waves is the deepest attachment point.
+// sc.snapParent and sc.depth must be the parent and depth tables before
+// this iteration's attachments; token movement follows the snapshot
+// while re-parenting mutates the live table.
+func (f *Forest) balance(sc *scratch) balanceResult {
 	var res balanceResult
-	if len(attachPoints) == 0 {
-		return res
-	}
-	type token struct {
-		creation int32
-		arrived  int32 // node it last moved from (child of position); -1 if fresh
-	}
-	// Deduplicate attachment points; one token each.
-	at := make(map[int32][]token)
-	maxDepth := int32(0)
-	seen := make(map[int32]bool, len(attachPoints))
-	for _, p := range attachPoints {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		at[p] = append(at[p], token{creation: p, arrived: -1})
-		if snapshotDepth[p] > maxDepth {
-			maxDepth = snapshotDepth[p]
+	snapParent, snapDepth := sc.snapParent, sc.depth
+	toks := sc.tokens[:0]
+	for _, p := range sc.attachPoints {
+		if sc.tokensAt[p] == 0 { // one token per distinct point
+			sc.tokensAt[p] = 1
+			toks = append(toks, token{pos: p, creation: p, arrived: -1})
+			res.Waves = max(res.Waves, int(snapDepth[p]))
 		}
 	}
 
-	mergeAt := func(v int32, tokens []token) token {
-		for _, t := range tokens {
-			// Re-parent the creation point under the child through
-			// which its token arrived, unless it already is that child
-			// (or the creation point is v itself / the head root).
-			w, u := t.creation, t.arrived
-			if u < 0 || w == u || w == v || w == headRoot {
-				continue
-			}
-			if f.parent[w] != u {
-				if old := f.parent[w]; old >= 0 {
-					f.inDeg[old]--
-				}
-				f.parent[w] = u
-				f.inDeg[u]++
-				res.Reparents++
-			}
+	// rehang re-parents a token's creation point under the child through
+	// which the token arrived, unless it already is that child (or the
+	// creation point is the token's position or its tree's root).
+	rehang := func(t token) {
+		w, u := t.creation, t.arrived
+		if u < 0 || w == u || w == t.pos || snapParent[w] < 0 {
+			return
 		}
-		return token{creation: v, arrived: -1}
+		if f.parent[w] != u {
+			if old := f.parent[w]; old >= 0 {
+				f.inDeg[old]--
+			}
+			f.parent[w] = u
+			f.inDeg[u]++
+			res.Reparents++
+		}
 	}
 
-	for d := maxDepth; d >= 1; d-- {
-		res.Waves++
-		next := make(map[int32][]token)
-		for pos, tokens := range at {
-			if snapshotDepth[pos] != d {
-				// Not yet reached by the wave (or already above it);
-				// tokens above the wave cannot exist by construction,
-				// so this is a waiting token below its start — keep.
-				next[pos] = append(next[pos], tokens...)
-				continue
-			}
-			p := snapshotParent[pos]
-			if p < 0 {
-				next[pos] = append(next[pos], tokens...)
-				continue
-			}
-			for _, t := range tokens {
-				t.arrived = pos
-				next[p] = append(next[p], t)
+	for d := int32(res.Waves); d >= 1; d-- {
+		// The wave moves the tokens at depth d one level up; tokens
+		// created higher wait for it.
+		for i := range toks {
+			if t := &toks[i]; snapDepth[t.pos] == d {
+				sc.tokensAt[t.pos]--
+				t.arrived = t.pos
+				t.pos = snapParent[t.pos]
+				sc.tokensAt[t.pos]++
 			}
 		}
-		at = make(map[int32][]token, len(next))
-		for pos, tokens := range next {
-			if len(tokens) >= 2 && pos != headRoot {
-				at[pos] = []token{mergeAt(pos, tokens)}
-			} else {
-				at[pos] = tokens
+		// Tokens that met below a root merge: each re-parents its
+		// creation point, and one fresh token continues from there.
+		for i := range toks {
+			if t := &toks[i]; sc.tokensAt[t.pos] > 1 && snapParent[t.pos] >= 0 {
+				rehang(*t)
+				t.creation = -1 // merged away
 			}
 		}
+		live := toks[:0]
+		for _, t := range toks {
+			switch {
+			case t.creation >= 0:
+				live = append(live, t)
+			case sc.tokensAt[t.pos] > 1: // first of its meeting
+				sc.tokensAt[t.pos] = 1
+				live = append(live, token{pos: t.pos, creation: t.pos, arrived: -1})
+			}
+		}
+		toks = live
 	}
-	// Final merge at the root.
-	if tokens := at[headRoot]; len(tokens) > 0 {
-		mergeAt(headRoot, tokens)
+	// Final merge at the roots.
+	for _, t := range toks {
+		rehang(t)
+		sc.tokensAt[t.pos] = 0
 	}
+	sc.tokens = toks[:0]
 	return res
 }
 

@@ -73,7 +73,6 @@ func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 		r.cur[i] = h.VM.VID(end, r.rng.IntN(h.VM.DegreeOf(end)))
 	}
 	r.chargePrep(prep.Stats.Rounds)
-	r.leafAdj = newPartBFS(h.Overlay(h.Levels))
 
 	g0Cost, err := r.runRecursion()
 	if err != nil {

@@ -18,6 +18,7 @@ package route
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/cost"
@@ -72,14 +73,17 @@ type Report struct {
 	Costs *cost.Ledger
 }
 
-// router carries the mutable state of one routing run.
+// router carries the mutable state of one routing run. Everything a run
+// writes lives here; the hierarchy it reads is shared, and the only part of
+// it a run may extend is the leaf overlay's route rows (embed.RouteRow),
+// which are published atomically — so concurrent runs on one hierarchy
+// share the structure and the rows and nothing else.
 type router struct {
-	h       *embed.Hierarchy
-	cur     []int32 // packet -> current virtual node
-	dst     []int32 // packet -> destination virtual node
-	rng     *rand.Rand
-	report  *Report
-	leafAdj *partBFS
+	h      *embed.Hierarchy
+	cur    []int32 // packet -> current virtual node
+	dst    []int32 // packet -> destination virtual node
+	rng    *rand.Rand
+	report *Report
 	// trace, when non-nil, records every overlay-edge traversal per
 	// packet for RouteExact's full expansion.
 	trace [][]traversal
@@ -96,6 +100,25 @@ type router struct {
 	recSpan  *cost.Span
 	hopSpans []*cost.Span
 	leafSpan *cost.Span
+	// Scratch reused across the recursion. levels[l] belongs to the route
+	// call at level l: the recursion is depth-first and a level's phase A
+	// has returned before its phase B starts, so one frame per level is
+	// never in use twice. paths and arena hold one leaf batch: arena backs
+	// every path of the batch and is rewound at the next one.
+	levels []levelScratch
+	paths  [][]int32
+	arena  []int32
+	loads  []int32
+}
+
+// levelScratch is one recursion level's working set: the phase A target
+// of every packet, and for the crossing packets (in packet order) the
+// packet, its final target and the portal edge it hops over.
+type levelScratch struct {
+	aTargets   []int32
+	bPkts      []int
+	bTargets   []int32
+	crossEdges []int32
 }
 
 // mark emits a phase marker at the current cumulative G0 cost.
@@ -125,7 +148,6 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 	r.probe = probe
 
 	r.prepare(reqs, src)
-	r.leafAdj = newPartBFS(h.Overlay(h.Levels))
 
 	if r.probe != nil {
 		r.probe.RunStart(congest.RunInfo{
@@ -164,6 +186,7 @@ func newRouter(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*router
 			HopG0Rounds: make([]int, h.Levels),
 			Costs:       led,
 		},
+		levels: make([]levelScratch, h.Levels),
 	}
 	for i, req := range reqs {
 		if req.DstIndex < 0 || req.DstIndex >= h.VM.DegreeOf(req.DstNode) {
@@ -189,15 +212,13 @@ func (r *router) chargePrep(rounds int) {
 // span is closed against the recursion's returned G0 cost, making
 // "children sum to the return value" a checked identity.
 func (r *router) runRecursion() (int, error) {
-	r.recSpan = r.led.Open("recursion", "G0 rounds", r.h.G0.EmulationRounds)
+	r.recSpan = r.led.Open("recursion", roundsUnit[0], r.h.G0.EmulationRounds)
 	r.hopSpans = make([]*cost.Span, r.h.Levels)
 	for l := 0; l < r.h.Levels; l++ {
-		r.hopSpans[l] = r.recSpan.NewChild(
-			fmt.Sprintf("portal-hops-level-%d", l+1),
-			fmt.Sprintf("G%d rounds", l), r.h.EmulationToG0(l))
+		r.hopSpans[l] = r.recSpan.NewChild(hopSpanName[l], roundsUnit[l], r.h.EmulationToG0(l))
 	}
 	r.leafSpan = r.recSpan.NewChild("leaf-movement",
-		fmt.Sprintf("G%d rounds", r.h.Levels), r.h.EmulationToG0(r.h.Levels))
+		roundsUnit[r.h.Levels], r.h.EmulationToG0(r.h.Levels))
 
 	pkts := make([]int, len(r.cur))
 	for i := range pkts {
@@ -270,14 +291,15 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 
 	// Phase A: local packets head to their final target; crossing
 	// packets head to their portal toward the destination's digit.
-	phaseATargets := make([]int32, len(pkts))
-	crossing := make([]int, 0, len(pkts))
-	crossEdges := make([]int32, len(pkts)) // per pkt position in pkts
+	sc := &r.levels[level]
+	sc.aTargets = slices.Grow(sc.aTargets[:0], len(pkts))[:len(pkts)]
+	sc.bPkts = slices.Grow(sc.bPkts[:0], len(pkts))
+	sc.bTargets = slices.Grow(sc.bTargets[:0], len(pkts))
+	sc.crossEdges = slices.Grow(sc.crossEdges[:0], len(pkts))
 	for idx, p := range pkts {
 		cur, dst := r.cur[p], targets[idx]
 		if o.SamePart(cur, dst) {
-			phaseATargets[idx] = dst
-			crossEdges[idx] = -1
+			sc.aTargets[idx] = dst
 			continue
 		}
 		ref := portals.Get(cur, int(o.Digit[dst]))
@@ -285,16 +307,17 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 			return 0, fmt.Errorf("route: no portal from vid %d toward digit %d at level %d",
 				cur, o.Digit[dst], next)
 		}
-		phaseATargets[idx] = ref.Portal
-		crossEdges[idx] = ref.CrossEdge
-		crossing = append(crossing, idx)
+		sc.aTargets[idx] = ref.Portal
+		sc.bPkts = append(sc.bPkts, p)
+		sc.bTargets = append(sc.bTargets, dst)
+		sc.crossEdges = append(sc.crossEdges, ref.CrossEdge)
 	}
-	cost, err := r.route(next, pkts, phaseATargets)
+	cost, err := r.route(next, pkts, sc.aTargets)
 	if err != nil {
 		return 0, err
 	}
 
-	if len(crossing) == 0 {
+	if len(sc.bPkts) == 0 {
 		return cost, nil
 	}
 
@@ -302,11 +325,8 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 	// edge. Each directed overlay edge carries one packet per
 	// overlay-`level` round, so the hop costs the maximum per-edge load.
 	below := r.h.Overlay(level)
-	load := make(map[int32]int, len(crossing))
-	maxLoad := 0
-	for _, idx := range crossing {
-		p := pkts[idx]
-		e := crossEdges[idx]
+	for i, p := range sc.bPkts {
+		e := sc.crossEdges[i]
 		edge := below.Graph.Edge(int(e))
 		other := int32(edge.U)
 		if other == r.cur[p] {
@@ -318,11 +338,8 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 			})
 		}
 		r.cur[p] = other
-		load[e]++
-		if load[e] > maxLoad {
-			maxLoad = load[e]
-		}
 	}
+	maxLoad := r.maxEdgeLoad(sc.crossEdges)
 	if maxLoad > r.report.MaxPortalLoad {
 		r.report.MaxPortalLoad = maxLoad
 	}
@@ -337,28 +354,41 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 	}
 
 	// Phase B: crossing packets finish inside the destination part.
-	bPkts := make([]int, len(crossing))
-	bTargets := make([]int32, len(crossing))
-	for i, idx := range crossing {
-		bPkts[i] = pkts[idx]
-		bTargets[i] = targets[idx]
-	}
-	bCost, err := r.route(next, bPkts, bTargets)
+	bCost, err := r.route(next, sc.bPkts, sc.bTargets)
 	if err != nil {
 		return 0, err
 	}
 	return cost + bCost, nil
 }
 
-// routeLeaf moves packets along BFS paths of the leaf overlay and returns
-// the measured cost in G0 rounds.
+// maxEdgeLoad returns the largest number of times one edge occurs in
+// edges (the packets of a hop phase queue per portal edge). It sorts a
+// scratch copy and takes the longest run: a hop phase has far fewer
+// packets than the overlay has edges, so this beats zeroing a per-edge
+// counter array for every run.
+func (r *router) maxEdgeLoad(edges []int32) int {
+	r.loads = append(r.loads[:0], edges...)
+	slices.Sort(r.loads)
+	maxLoad, run := 0, 0
+	for i, e := range r.loads {
+		if i > 0 && e != r.loads[i-1] {
+			run = 0
+		}
+		run++
+		maxLoad = max(maxLoad, run)
+	}
+	return maxLoad
+}
+
+// routeLeaf moves packets along the leaf overlay's shortest paths and
+// returns the measured cost in G0 rounds.
 func (r *router) routeLeaf(pkts []int, targets []int32) (int, error) {
-	paths := make([][]int32, 0, len(pkts))
+	r.paths, r.arena = slices.Grow(r.paths[:0], len(pkts)), r.arena[:0]
 	for idx, p := range pkts {
 		if r.cur[p] == targets[idx] {
 			continue
 		}
-		path, err := r.leafAdj.path(r.cur[p], targets[idx])
+		path, err := r.leafPath(r.cur[p], targets[idx])
 		if err != nil {
 			return 0, err
 		}
@@ -369,16 +399,49 @@ func (r *router) routeLeaf(pkts []int, targets []int32) (int, error) {
 				})
 			}
 		}
-		paths = append(paths, path)
+		r.paths = append(r.paths, path)
 		r.cur[p] = targets[idx]
 	}
-	if len(paths) == 0 {
+	if len(r.paths) == 0 {
 		return 0, nil
 	}
-	res := pathsched.ScheduleInto(paths, r.leafSpan)
+	res := pathsched.ScheduleInto(r.paths, r.leafSpan)
 	r.report.LeafSchedules++
 	leafG0 := res.Makespan * r.h.EmulationToG0(r.h.Levels)
 	r.g0Done += leafG0
 	r.mark("leaf movement")
 	return leafG0, nil
 }
+
+// leafPath writes the shortest path from src to dst within their (shared)
+// leaf part into the arena and returns it, a node sequence starting at
+// src. The path is read off src's route row on the leaf overlay, which is
+// part of the hierarchy: searched the first time src is a source, shared
+// by every later packet and run. When the arena has to grow, the batch's
+// earlier paths stay behind in the block they were written to, intact.
+func (r *router) leafPath(src, dst int32) ([]int32, error) {
+	o := r.h.Overlay(r.h.Levels)
+	if o.PartOf[src] != o.PartOf[dst] {
+		return nil, fmt.Errorf("route: leaf path request across parts (%d vs %d)",
+			o.PartOf[src], o.PartOf[dst])
+	}
+	start := len(r.arena)
+	arena, ok := o.RouteRow(src).AppendPath(r.arena, dst)
+	if !ok {
+		return nil, fmt.Errorf("route: vid %d unreachable from %d in leaf part %d",
+			dst, src, o.PartOf[src])
+	}
+	r.arena = arena
+	return arena[start:len(arena):len(arena)], nil
+}
+
+// hopSpanName[l] and roundsUnit[l] are the ledger names of level l's
+// spans, formatted once at start-up instead of once per run. A hierarchy
+// has fewer than 64 levels: each one divides the part size by β ≥ 2.
+var hopSpanName, roundsUnit = func() (hops, units [64]string) {
+	for l := range hops {
+		hops[l] = fmt.Sprintf("portal-hops-level-%d", l+1)
+		units[l] = fmt.Sprintf("G%d rounds", l)
+	}
+	return
+}()

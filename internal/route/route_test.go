@@ -1,7 +1,9 @@
 package route
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,14 +12,16 @@ import (
 	"almostmix/internal/rngutil"
 )
 
-var shared = sync.OnceValues(func() (*embed.Hierarchy, error) {
-	r := rngutil.NewRand(1)
-	g := graph.RandomRegular(64, 6, r)
+// buildFixture builds the two-level hierarchy most tests route on.
+func buildFixture() (*embed.Hierarchy, error) {
+	g := graph.RandomRegular(64, 6, rngutil.NewRand(1))
 	p := embed.DefaultParams()
 	p.Beta = 4
 	p.LeafSize = 12
 	return embed.Build(g, p, rngutil.NewSource(42))
-})
+}
+
+var shared = sync.OnceValues(buildFixture)
 
 func testHierarchy(t *testing.T) *embed.Hierarchy {
 	t.Helper()
@@ -404,5 +408,135 @@ func TestRoutePhasedLedger(t *testing.T) {
 	}
 	if sum != led.Root.Total() {
 		t.Fatalf("phase spans sum %d != root %d", sum, led.Root.Total())
+	}
+}
+
+// freshHierarchy builds the shared fixture's hierarchy anew, so that none
+// of its leaf route rows has been filled yet.
+func freshHierarchy(t *testing.T) *embed.Hierarchy {
+	t.Helper()
+	h, err := buildFixture()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return h
+}
+
+// Concurrent runs on one hierarchy race to fill the same leaf route rows;
+// each must report exactly what it reports alone.
+func TestRouteConcurrentOnSharedHierarchy(t *testing.T) {
+	h := freshHierarchy(t)
+	const runs = 8
+	describe := func(i int) (string, error) {
+		seed := uint64(100 + i)
+		reqs := RandomPermutation(h.Base, rngutil.NewRand(seed))
+		if i%2 == 1 {
+			reqs = DegreeDemand(h.Base, rngutil.NewRand(seed))
+		}
+		rep, err := Route(h, reqs, rngutil.NewSource(seed))
+		if err != nil {
+			return "", err
+		}
+		out := new(bytes.Buffer)
+		describeReport(out, fmt.Sprintf("run-%d", i), rep)
+		return out.String(), nil
+	}
+	var wg sync.WaitGroup
+	got := make([]string, runs)
+	errs := make([]error, runs)
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = describe(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < runs; i++ {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		want, err := describe(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("run %d differs from its serial run:\n--- concurrent\n%s--- serial\n%s", i, got[i], want)
+		}
+	}
+}
+
+// The leaf route rows are a memo of the overlay, not of the traffic: the
+// same requests on a fresh hierarchy and on one whose every row is filled
+// give the same reports, ledgers and per-packet traversals.
+func TestRouteColdAndWarmRowsAgree(t *testing.T) {
+	h := freshHierarchy(t)
+	reqs := RandomPermutation(h.Base, rngutil.NewRand(61))
+	cold := new(bytes.Buffer)
+	if err := describeDemand(cold, "perm", h, reqs, 62); err != nil {
+		t.Fatal(err)
+	}
+	leaf := h.Overlay(h.Levels)
+	for vid := 0; vid < h.VM.Count(); vid++ {
+		leaf.RouteRow(int32(vid))
+	}
+	warm := new(bytes.Buffer)
+	if err := describeDemand(warm, "perm", h, reqs, 62); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
+		t.Fatalf("cold and warm runs differ:\n--- cold\n%s--- warm\n%s", cold, warm)
+	}
+}
+
+// A leaf request the overlay cannot serve is an attributed error, the
+// first time (the row is searched) and every later time (the row is read).
+func TestLeafPathErrorsFromCachedRow(t *testing.T) {
+	// Part 0 = {0,1,2,3} in two components {0,1} and {2,3}; part 1 = {4,5}.
+	g := graph.New(6)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(2, 3, 1)
+	g.AddEdge(4, 5, 1)
+	leaf := &embed.Overlay{Level: 1, Graph: g, PartOf: []int32{0, 0, 0, 0, 1, 1}, NumParts: 2}
+	r := &router{h: &embed.Hierarchy{Levels: 1, Upper: []*embed.Overlay{leaf}}}
+	for pass := 0; pass < 2; pass++ {
+		path, err := r.leafPath(0, 1)
+		if err != nil || len(path) != 2 || path[0] != 0 || path[1] != 1 {
+			t.Fatalf("pass %d: path 0→1 = %v, %v", pass, path, err)
+		}
+		_, err = r.leafPath(0, 2)
+		if err == nil || !strings.Contains(err.Error(), "vid 2 unreachable from 0 in leaf part 0") {
+			t.Fatalf("pass %d: unreachable request: %v", pass, err)
+		}
+		_, err = r.leafPath(0, 4)
+		if err == nil || !strings.Contains(err.Error(), "across parts (0 vs 1)") {
+			t.Fatalf("pass %d: cross-part request: %v", pass, err)
+		}
+	}
+}
+
+// routeAllocCeiling bounds the heap objects one Route allocates on a
+// hierarchy whose leaf rows are filled: the run state, the ledger's spans,
+// the preparation walks (randomwalk.RunAllocCeiling) and one pathsched
+// working set per leaf batch (four on the shared fixture's two levels) —
+// nothing per packet and no maps. About a fifth above what the fixture
+// measures (106 and 109, against 1 037 and 5 513 with the per-run search).
+var routeAllocCeiling = map[string]float64{"perm": 125, "degree": 130}
+
+func TestRouteAllocationsWarm(t *testing.T) {
+	h := testHierarchy(t)
+	for name, reqs := range map[string][]Request{
+		"perm":   RandomPermutation(h.Base, rngutil.NewRand(71)),
+		"degree": DegreeDemand(h.Base, rngutil.NewRand(72)),
+	} {
+		route := func() {
+			if _, err := Route(h, reqs, rngutil.NewSource(73)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		route() // fill the rows this demand uses
+		if allocs := testing.AllocsPerRun(5, route); allocs > routeAllocCeiling[name] {
+			t.Errorf("%s: %v allocations per warm Route, ceiling %v", name, allocs, routeAllocCeiling[name])
+		}
 	}
 }

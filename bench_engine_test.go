@@ -93,9 +93,8 @@ func BenchmarkCongestEngineMetrics(b *testing.B) {
 // layout: with the flat CSR topology and recycled arenas the per-message
 // cost must stay essentially flat as n grows (E16 checks it stays within
 // 1.25× of the n=1e4 point). Network construction runs outside the timer;
-// the timed region is Run only, i.e. steady rounds plus Init. The quick
-// benchsuite runs the 1e4/1e5 points; 1e6 needs ~1 GB of fixtures and
-// runs in the full suite and `make bench-scale`.
+// the timed region is Run only, i.e. steady rounds plus Init. The 1e6
+// points need ~1 GB of fixtures; `make bench-scale` runs all three sizes.
 func BenchmarkCongestEngineScale(b *testing.B) {
 	const rounds = 12
 	for _, n := range []int{10_000, 100_000, 1_000_000} {

@@ -2,9 +2,10 @@
 // into one per-round attribution report: the -obsout document (required
 // — coordinator + shard flight recorders, wire tallies, barrier
 // timeline, round skew), an optional -metrics snapshot, and an optional
-// BENCH_*.json from cmd/benchsuite. The output answers "where did the
-// wall time of this distributed run go, and if it died, which shard is
-// guilty" — per round, per phase, per shard.
+// benchmark document (`make bench-record`; bench/baseline.json is the
+// committed one). The output answers "where did the wall time of this
+// distributed run go, and if it died, which shard is guilty" — per round,
+// per phase, per shard.
 //
 // The report is plain text on stdout (or -out); all inputs are the
 // schema-versioned JSON the run itself wrote, so the tool works on a
@@ -31,7 +32,7 @@ import (
 func main() {
 	obsPath := flag.String("obs", "", "obs document from a -obsout run (required)")
 	metricsPath := flag.String("metrics", "", "metrics snapshot JSON to join (optional)")
-	benchPath := flag.String("bench", "", "BENCH_*.json from cmd/benchsuite to join (optional)")
+	benchPath := flag.String("bench", "", "benchmark document (almostmix-benchmark/v1, e.g. bench/baseline.json) to join (optional)")
 	outPath := flag.String("out", "", "report destination (default: stdout)")
 	tail := flag.Int("tail", 12, "flight-recorder events to show per endpoint")
 	flag.Parse()
@@ -99,23 +100,31 @@ func readMetrics(path string) (*metrics.Snapshot, error) {
 	return &s, nil
 }
 
-// benchDoc mirrors the slice of cmd/benchsuite's Document this report
-// joins against; decoding locally keeps the two binaries decoupled
-// (benchsuite is package main). Unknown fields are ignored, so the
-// report survives benchsuite growing its schema.
+// benchDoc is the slice of the repo benchmark's document this report
+// joins against: what `make bench-record` writes and bench/baseline.json
+// commits. The benchmark is a module of its own (and package main), so
+// the few fields needed are decoded here; unknown fields are ignored.
 type benchDoc struct {
-	Schema       string             `json:"schema"`
-	GitSHA       string             `json:"git_sha"`
-	Cases        []benchCase        `json:"cases"`
-	SteadyAllocs map[string]float64 `json:"steady_allocs_per_round"`
+	Schema string `json:"schema"`
+	Host   struct {
+		GitSHA string `json:"git_sha"`
+	} `json:"host"`
+	Workloads []struct {
+		Name     string                `json:"name"`
+		EndToEnd map[string]benchValue `json:"end_to_end"`
+		PerLayer map[string]benchValue `json:"per_layer"`
+	} `json:"workloads"`
 }
 
-type benchCase struct {
-	Name        string             `json:"name"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Extra       map[string]float64 `json:"extra"`
+type benchValue struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
+
+const (
+	benchSchema  = "almostmix-benchmark/v1"
+	steadyAllocs = "congest.steady_allocs_per_round" // measured by engine-proc only
+)
 
 func readBench(path string) (*benchDoc, error) {
 	b, err := os.ReadFile(path)
@@ -126,8 +135,8 @@ func readBench(path string) (*benchDoc, error) {
 	if err := json.Unmarshal(b, &d); err != nil {
 		return nil, fmt.Errorf("obsreport: decoding bench document %s: %w", path, err)
 	}
-	if !strings.HasPrefix(d.Schema, "almostmix-bench/") {
-		return nil, fmt.Errorf("obsreport: bench schema %q, want almostmix-bench/*", d.Schema)
+	if d.Schema != benchSchema {
+		return nil, fmt.Errorf("obsreport: bench schema %q, want %q", d.Schema, benchSchema)
 	}
 	return &d, nil
 }
@@ -175,8 +184,8 @@ func header(w io.Writer, d *transport.ObsDoc) {
 
 // rounds aggregates the coordinator timeline into one row per round:
 // total coordinator wall time in each barrier phase (summed over
-// shards; broadcast-write rows carry shard -1 and land in the same
-// phase column), joined with that round's cross-shard skew.
+// shards; a broadcast's writes are attributed to the shard each went
+// to), joined with that round's cross-shard skew.
 func rounds(w io.Writer, d *transport.ObsDoc) {
 	type agg map[string]int64
 	perRound := map[int]agg{}
@@ -385,49 +394,39 @@ func leString(le int64) string {
 	return fmt.Sprintf("%d", le)
 }
 
-// benchJoin lists the transport-relevant benchmark cases — anything
-// with a tcp backend in its name or a round-skew extra — plus the
-// steady-alloc gate entries, so one report answers both "was this run
-// slow" and "is the hot path still allocation-free".
+// benchJoin lists what the benchmark document says about the wire: per
+// tcp-* workload its end-to-end figures (simulated rounds apart from host
+// time) and the transport.* / faults.* per-layer rows it measured — the
+// document names every per-layer metric under every workload, 0 where the
+// workload does not measure it, so zero rows are skipped — plus the
+// engine tier's steady allocs/round, so one report answers both "was this
+// run slow" and "is the hot path still allocation-free".
 func benchJoin(w io.Writer, d *benchDoc) {
-	fmt.Fprintf(w, "\n== bench join ==\n")
-	if d.GitSHA != "" {
-		fmt.Fprintf(w, "bench document at git %s\n", d.GitSHA)
-	}
+	fmt.Fprintf(w, "\n== bench join ==\nbench document at git %s\n", d.Host.GitSHA)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	n := 0
-	for _, c := range d.Cases {
-		_, hasSkew := c.Extra["round_skew_p99_ns"]
-		if !strings.Contains(c.Name, "tcp") && !hasSkew {
+	row := func(workload, name string, v benchValue) {
+		fmt.Fprintf(tw, "%s\t%s\t%.3f\t%s\n", workload, name, v.Value, v.Unit)
+	}
+	for _, wl := range d.Workloads {
+		if v, ok := wl.PerLayer[steadyAllocs]; ok && wl.Name == "engine-proc" {
+			row(wl.Name, steadyAllocs, v) // the one row whose good value is 0
+		}
+		if !strings.HasPrefix(wl.Name, "tcp-") {
 			continue
 		}
-		n++
-		fmt.Fprintf(tw, "%s\t%.0f ns/op\t%d allocs/op", c.Name, c.NsPerOp, c.AllocsPerOp)
+		for _, k := range []string{"ops_per_s", "op_p50_ms", "sim_rounds_per_op"} {
+			row(wl.Name, k, wl.EndToEnd[k])
+		}
 		var keys []string
-		for k := range c.Extra {
-			keys = append(keys, k)
+		for k, v := range wl.PerLayer {
+			if v.Value != 0 && (strings.HasPrefix(k, "transport.") || strings.HasPrefix(k, "faults.")) {
+				keys = append(keys, k)
+			}
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(tw, "\t%s=%g", k, c.Extra[k])
+			row(wl.Name, k, wl.PerLayer[k])
 		}
-		fmt.Fprintln(tw)
 	}
 	tw.Flush()
-	if n == 0 {
-		fmt.Fprintln(w, "no transport cases in bench document")
-	}
-	if len(d.SteadyAllocs) > 0 {
-		var keys []string
-		for k := range d.SteadyAllocs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "steady-alloc gate\tallocs/round")
-		for _, k := range keys {
-			fmt.Fprintf(tw, "%s\t%.3f\n", k, d.SteadyAllocs[k])
-		}
-		tw.Flush()
-	}
 }

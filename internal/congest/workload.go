@@ -54,21 +54,22 @@ func (t *ticker) Step(ctx *Ctx, inbox []Inbound) {
 // Residual runtime noise (a GC cycle landing inside one window) is
 // strictly additive, so the minimum over a few independent short/long
 // pairs converges to the true steady cost — which keeps a strict == 0
-// regression gate assertable (alloc_test.go, cmd/benchsuite -gate).
+// regression gate assertable (alloc_test.go) and is what the repo
+// benchmark reports as congest.steady_allocs_per_round.
 func MeasureSteadyAllocs(build func() *Network, rounds int) float64 {
-	return MeasureSteadyAllocsFunc(func(r int) {
+	return measureSteadyAllocsFunc(func(r int) {
 		if _, err := build().Run(r); err != nil && !errors.Is(err, ErrRoundLimit) {
 			panic(err)
 		}
 	}, rounds)
 }
 
-// MeasureSteadyAllocsFunc is MeasureSteadyAllocs for an arbitrary run
+// measureSteadyAllocsFunc is MeasureSteadyAllocs for an arbitrary run
 // function: run(r) must execute r rounds of the configuration under
 // measurement, with identical setup on every call. It exists for round
 // loops the Network does not drive itself — the shard harness under an
-// external coordinator (alloc_test.go) and the transport benchsuite.
-func MeasureSteadyAllocsFunc(run func(rounds int), rounds int) float64 {
+// external coordinator (alloc_test.go).
+func measureSteadyAllocsFunc(run func(rounds int), rounds int) float64 {
 	measure := func(r int) float64 {
 		return allocsPerRun(3, func() { run(r) })
 	}

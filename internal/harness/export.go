@@ -2,11 +2,11 @@ package harness
 
 // File export shared by every artifact the binaries leave behind: the
 // -trace file, the -metrics snapshot, the transport's -obsout document,
-// flight-recorder dumps, BENCH_*.json and the obsreport text. WriteFile
-// is the only function in the tree that opens an export document for
-// writing, so the error discipline (every create, encode and close error
-// returned, wrapped with the path) and the cleanup rule (no truncated
-// document left behind) are written once.
+// flight-recorder dumps and the obsreport text. WriteFile is the only
+// function in the tree that opens an export document for writing, so the
+// error discipline (every create, encode and close error returned,
+// wrapped with the path) and the cleanup rule (no truncated document left
+// behind) are written once.
 
 import (
 	"encoding/json"

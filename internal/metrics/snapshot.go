@@ -1,11 +1,10 @@
 package metrics
 
 // Snapshot export: one deterministic, schema-versioned view of a registry,
-// written as JSON (the -metrics flag's .json form, and the form embedded
-// into BENCH_*.json by cmd/benchsuite) or as concatenated harness.Table
-// CSV. Export shares the probe layer's error discipline: every write path
-// returns its I/O error so the cmd binaries can propagate it to their exit
-// code instead of best-effort writing.
+// written as JSON (the -metrics flag's .json form) or as concatenated
+// harness.Table CSV. Export shares the probe layer's error discipline:
+// every write path returns its I/O error so the cmd binaries can propagate
+// it to their exit code instead of best-effort writing.
 
 import (
 	"fmt"

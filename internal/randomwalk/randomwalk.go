@@ -253,8 +253,8 @@ func (st *stepper) stepCorrelated(kind spectral.WalkKind, cur, next []int32, two
 // number of walks and steps: the result, the adjacency and its backing
 // array, the trail, the per-step loads, the stepper and its arrays (three,
 // five when correlated) — ten at most, plus slack for the runtime's own
-// allocations while a measurement runs. The package's allocation test and
-// cmd/benchsuite -gate both hold Run to it.
+// allocations while a measurement runs. The package's allocation test
+// holds Run to it.
 const RunAllocCeiling = 12
 
 // Run executes one walk from each entry of sources (sources[i] = start

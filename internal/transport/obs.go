@@ -11,8 +11,8 @@ package transport
 // The document is deliberately wall-clock-bearing: like the metrics
 // snapshot (and unlike -trace files) it is host-dependent and sits
 // outside the byte-identical differential contract. cmd/obsreport
-// joins it with a metrics snapshot and a BENCH_*.json into a
-// per-round report.
+// joins it with a metrics snapshot and a benchmark document (the
+// committed one is bench/baseline.json) into a per-round report.
 
 import (
 	"encoding/json"

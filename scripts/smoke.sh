@@ -113,26 +113,6 @@ if ! grep -q '"congest_msgs_dropped_total"' "$out/mst-faults-metrics.json"; then
 fi
 echo "smoke: E15 mst fault sweep ok"
 
-# Hot-path scale smoke: one end-to-end n=1e5 engine run (ticker workload
-# on a ring lattice) through benchsuite, with the zero-alloc gate on. The
-# case must report allocs_per_op 0 — the arenas/CSR layout working at
-# scale, not just in unit-test-sized graphs.
-"$bin/benchsuite" -quick -reps 1 -run 'engine-scale/n=100000' -gate \
-	-out "$out/bench-smoke.json" >/dev/null
-if ! grep -q '"engine-scale/n=100000"' "$out/bench-smoke.json"; then
-	echo "smoke: benchsuite wrote no engine-scale case" >&2
-	exit 1
-fi
-if ! grep -q '"allocs_per_op": 0' "$out/bench-smoke.json"; then
-	echo "smoke: n=1e5 engine run reported nonzero allocs_per_op" >&2
-	exit 1
-fi
-if ! grep -q '"steady_allocs_per_round"' "$out/bench-smoke.json"; then
-	echo "smoke: benchsuite gate recorded no steady-alloc measurements" >&2
-	exit 1
-fi
-echo "smoke: E16 engine scale (n=1e5, zero-alloc) ok"
-
 # E18 at quick scale: the cluster-scoped tier (expander decomposition +
 # per-cluster hierarchies) must route and span through both drivers, and
 # the decomposition / build / run ledgers must all land in the trace.
@@ -186,7 +166,6 @@ expect_reject "mst -workers -2" "$bin/mst" -workers -2
 expect_reject "mst -attempts 0" "$bin/mst" -attempts 0
 expect_reject "hierarchy -d 0" "$bin/hierarchy" -d 0
 expect_reject "clique -n 0" "$bin/clique" -n 0
-expect_reject "benchsuite -reps 0" "$bin/benchsuite" -reps 0
 expect_reject "mixing unwritable -metrics" "$bin/mixing" -metrics /no/such/dir/m.json
 expect_reject "routing unwritable -trace" "$bin/routing" -quick -trace /no/such/dir/t.json
 expect_reject "mincut unwritable -pprofout" "$bin/mincut" -pprof cpu -pprofout /no/such/dir/p.pprof
@@ -226,8 +205,6 @@ if [ -w /dev/full ]; then
 		"$bin/mixing" -metrics /dev/full
 	expect_export_fail "mst -trace /dev/full" \
 		"$bin/mst" -quick -trace /dev/full
-	expect_export_fail "benchsuite -out /dev/full" \
-		"$bin/benchsuite" -quick -reps 1 -run 'engine-scale/n=100000' -out /dev/full
 	echo "smoke: export exit-code propagation ok"
 else
 	echo "smoke: /dev/full unavailable, skipping export exit-code cases"
@@ -334,16 +311,21 @@ check_metrics "stalled walks" "$out/walks-stall-metrics.json"
 echo "smoke: E19 induced stall attribution ok"
 
 # E19 report join: cmd/obsreport must merge the obs document, the
-# metrics snapshot and the benchsuite artifact into one report with the
-# per-round attribution table, and name the guilty shard for the stall.
+# metrics snapshot and the committed benchmark document into one report
+# with the per-round attribution table, and name the guilty shard for
+# the stall.
 "$bin/obsreport" -obs "$out/walks-obs.json" -metrics "$out/walks-obs-metrics.json" \
-	-bench "$out/bench-smoke.json" -out "$out/obsreport.txt"
+	-bench bench/baseline.json -out "$out/obsreport.txt"
 if ! grep -q 'per-round attribution' "$out/obsreport.txt"; then
 	echo "smoke: obsreport lacks the per-round attribution section" >&2
 	exit 1
 fi
 if ! grep -q 'tcpnet_round_skew_ns' "$out/obsreport.txt"; then
 	echo "smoke: obsreport metrics join lacks the skew histogram" >&2
+	exit 1
+fi
+if ! grep -q 'transport.round_skew_p99_us' "$out/obsreport.txt"; then
+	echo "smoke: obsreport bench join lacks the tcp workloads' transport rows" >&2
 	exit 1
 fi
 "$bin/obsreport" -obs "$out/walks-stall-obs.json" -out "$out/obsreport-stall.txt"

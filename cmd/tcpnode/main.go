@@ -47,7 +47,7 @@ func main() {
 	cliutil.Min("shard", *shard, 0)
 	cliutil.Min("dialbudget", int(*dialBudget), 1)
 
-	rec := flightrec.New("shard", *shard, 0)
+	rec := flightrec.New("shard", *shard, flightrec.DefaultCapacity)
 
 	// SIGTERM (the coordinator's reap, or an operator kill) dumps the
 	// ring before the process dies with the default disposition.

@@ -62,7 +62,6 @@ type backendFlags struct {
 	tcpnode    string
 	tcptimeout time.Duration
 	obsOut     string
-	flightRec  int
 }
 
 // WithBackend additionally registers the backend flags; Transport then
@@ -76,7 +75,6 @@ func (h *Harness) WithBackend() *Harness {
 	fs.StringVar(&b.tcpnode, "tcpnode", "", "path to the tcpnode binary for -transport=tcp (default: next to this binary)")
 	fs.DurationVar(&b.tcptimeout, "tcptimeout", 0, "wire barrier deadline for -transport=tcp (0 = transport default, 60s)")
 	fs.StringVar(&b.obsOut, "obsout", "", "write the tcp run's merged observability document (flight recorders, wire tallies, barrier timeline, round skew) to this file on every exit path")
-	fs.IntVar(&b.flightRec, "flightrec", 0, "flight-recorder ring capacity on coordinator and shards for -transport=tcp (0 = default)")
 	h.backend = b
 	return h
 }
@@ -111,7 +109,6 @@ func (b *backendFlags) resolve() transport.Transport {
 	Workers("workers", b.workers)
 	Min("shards", b.shards, 1)
 	Listen("listen", b.listen)
-	Min("flightrec", b.flightRec, 0)
 	switch b.transport {
 	case "proc":
 		if b.obsOut != "" {
@@ -125,12 +122,11 @@ func (b *backendFlags) resolve() transport.Transport {
 			Fail("%v", err)
 		}
 		return transport.TCP{
-			Shards:       b.shards,
-			ListenAddr:   b.listen,
-			NodeBin:      nodeBin,
-			Timeout:      b.tcptimeout,
-			ObsOut:       b.obsOut,
-			FlightRecCap: b.flightRec,
+			Shards:     b.shards,
+			ListenAddr: b.listen,
+			NodeBin:    nodeBin,
+			Timeout:    b.tcptimeout,
+			ObsOut:     b.obsOut,
 		}
 	}
 	Fail("invalid -transport %q: must be proc or tcp", b.transport)

@@ -165,7 +165,6 @@ func TestBackendFlagValidation(t *testing.T) {
 		{"-workers", "-1"},
 		{"-shards", "0"},
 		{"-listen", "not-a-hostport"},
-		{"-flightrec", "-1"},
 		{"-obsout", filepath.Join(t.TempDir(), "obs.json")}, // proc produces no obs document
 		{"-transport", "tcp", "-tcpnode", filepath.Join(t.TempDir(), "no-such-tcpnode")},
 	} {

@@ -19,14 +19,13 @@
 // flat []Ctx; outboxes, sent flags and inboxes are subslices of three
 // arenas sized once at NewNetwork and recycled every round by slice
 // reset. After the first few warmup rounds a steady round performs no
-// heap allocation on either engine (pinned by alloc_test.go).
+// heap allocation for any worker count (pinned by alloc_test.go).
 package congest
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/graph"
@@ -52,9 +51,9 @@ type Inbound struct {
 // total node count, and a private random stream.
 //
 // All mutable per-node state (outboxes, halt flags, message counts) lives
-// here rather than on the Network, so that the parallel engine can shard
-// nodes across workers without any shared-counter data races: each Ctx is
-// touched by exactly one worker per phase, and network-wide totals are
+// here rather than on the Network, so that the engine can split the nodes
+// into parts (see part.go) without any shared-counter data races: each Ctx
+// is touched by exactly one part per phase, and network-wide totals are
 // aggregated from the per-node shards. Contexts are stored as one flat
 // []Ctx on the Network, and outbox/sent are subslices of arenas shared by
 // all nodes, so building a million-node network costs a handful of
@@ -124,7 +123,7 @@ func (c *Ctx) Rand() *rand.Rand {
 // reads the network's round counter directly, so it keeps advancing with
 // the network even after this node halts — a halted node that is queried
 // later (e.g. by post-run inspection) sees the true global round, not the
-// round it halted in. Safe under the parallel engine: the counter is
+// round it halted in. Safe with any number of parts: the counter is
 // written only between the round barriers.
 func (c *Ctx) Round() int { return c.net.rounds }
 
@@ -188,18 +187,23 @@ type Network struct {
 	// after which the grown buffer is retained and reused.
 	inboxes [][]Inbound
 	rounds  int
-	// workers is the engine option consumed by Run and RunUntilQuiet:
-	// 1 (the default) selects the sequential reference engine, >1 the
-	// sharded parallel engine, <=0 one worker per available CPU.
+	// workers is the engine option consumed by Run and RunUntilQuiet: the
+	// number of parts the round loop drives — 1 (the default) is the
+	// sequential reference engine, the whole network inline on the calling
+	// goroutine; SetWorkers resolves <=0 to one per available CPU.
 	workers int
 	// started enforces that a Network is single-use (see begin).
 	started bool
 	// probe, when non-nil, observes the run (see probe.go); agg is the
-	// lazily allocated aggregator that builds its per-round records.
-	probe Probe
-	agg   *RoundAggregator
+	// lazily allocated aggregator that builds its per-round records, and
+	// onMark/onHalt are its event hooks, bound once at run start (a method
+	// value bound at every round's drain would allocate).
+	probe  Probe
+	agg    *RoundAggregator
+	onMark func(node, round int, name string)
+	onHalt func(node, round int)
 	// reg, when non-nil, receives host-side metrics (see metrics.go); ms
-	// is the per-run state the engines consult through one nil check.
+	// is the per-run state the engine consults through one nil check.
 	reg *metrics.Registry
 	ms  *metricsState
 	// faultPlan, when non-nil, injects deterministic faults at the
@@ -262,19 +266,13 @@ func (n *Network) Rounds() int { return n.rounds }
 // Messages returns the total number of messages sent so far, aggregated
 // from the per-node shards. It must not be called while a run is in
 // flight (no caller does: runs are synchronous).
-func (n *Network) Messages() int {
-	total := 0
-	for v := range n.ctxs {
-		total += n.ctxs[v].msgs
-	}
-	return total
-}
+func (n *Network) Messages() int { return n.all().Messages() }
 
-// SetWorkers configures the engine used by Run and RunUntilQuiet: 1 (the
-// default) is the sequential reference engine, w > 1 shards nodes across w
-// workers, and w <= 0 selects one worker per available CPU. Results are
-// bit-identical across all settings; only wall-clock time changes. The
-// receiver returns itself so construction can chain.
+// SetWorkers configures the engine behind Run and RunUntilQuiet: 1 (the
+// default) is the sequential reference engine, w > 1 splits the nodes into
+// w parts run by w workers, and w <= 0 selects one worker per available
+// CPU. Results are bit-identical across all settings; only wall-clock time
+// changes. The receiver returns itself so construction can chain.
 func (n *Network) SetWorkers(w int) *Network {
 	n.mustConfigure("SetWorkers")
 	n.workers = normalizeWorkers(w)
@@ -319,8 +317,8 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 // halt.
 var ErrRoundLimit = errors.New("congest: round limit reached before all nodes halted")
 
-// ErrNetworkReused is returned when Run (or RunParallel/RunUntilQuiet) is
-// called a second time on the same Network. A Network is single-use:
+// ErrNetworkReused is returned when Run (or RunUntilQuiet) is called a
+// second time on the same Network. A Network is single-use:
 // rounds, per-node message shards and program state accumulate across
 // rounds, so re-running Init over them would silently corrupt both the
 // accounting and the algorithm state. Build a fresh Network (the graph
@@ -329,108 +327,30 @@ var ErrRoundLimit = errors.New("congest: round limit reached before all nodes ha
 var ErrNetworkReused = errors.New("network is single-use: Run already called; build a new Network")
 
 // Run initializes all programs and executes rounds until every node halts
-// or maxRounds elapse. It returns the number of rounds executed. The
-// engine is selected by SetWorkers (sequential by default); results are
-// identical either way. A Network is single-use: a second Run (or
-// RunParallel/RunUntilQuiet) call returns ErrNetworkReused.
-func (n *Network) Run(maxRounds int) (int, error) {
-	if n.workers > 1 {
-		return n.runParallel(maxRounds, n.workers, false)
-	}
-	return n.runSequential(maxRounds, false)
-}
-
-// RunParallel runs like Run but always on the sharded parallel engine with
-// the given worker count (<= 0 selects one worker per available CPU).
-// Delivery order is canonical (port-sorted at the receiver), so rounds,
-// message counts and final node states are bit-identical to Run for every
-// worker count.
-func (n *Network) RunParallel(maxRounds, workers int) (int, error) {
-	return n.runParallel(maxRounds, normalizeWorkers(workers), false)
-}
+// or maxRounds elapse. It returns the number of rounds executed. SetWorkers
+// sets how many parts of the network run concurrently (one, inline, by
+// default); results are identical for every setting. A Network is
+// single-use: a second Run (or RunUntilQuiet) call returns ErrNetworkReused.
+func (n *Network) Run(maxRounds int) (int, error) { return n.run(maxRounds, false) }
 
 // RunUntilQuiet runs like Run but also terminates (successfully) after a
 // round in which no node sent any message, which is the natural stopping
 // condition for flooding-style algorithms whose nodes cannot detect global
 // termination locally. Like Run it consumes the SetWorkers engine option.
-func (n *Network) RunUntilQuiet(maxRounds int) (int, error) {
-	if n.workers > 1 {
-		return n.runParallel(maxRounds, n.workers, true)
-	}
-	return n.runSequential(maxRounds, true)
-}
-
-// runSequential is the reference engine: one goroutine, rounds executed
-// strictly in node-ID order. The parallel engine is differentially tested
-// against it; both build inboxes receiver-driven in port order, which
-// fixes the one canonical delivery order.
-func (n *Network) runSequential(maxRounds int, quiet bool) (int, error) {
-	if err := n.begin(); err != nil {
-		return n.rounds, err
-	}
-	n.probeRunStart("sequential", 1)
-	n.faultsRunStart(1)
-	ms := n.metricsRunStart(1)
-	for v, prog := range n.programs {
-		prog.Init(&n.ctxs[v])
-	}
-	if n.probe != nil {
-		n.probeDrainEvents() // marks/halts emitted during Init, round 0
-	}
-	for r := 0; r < maxRounds; r++ {
-		if n.allHalted() {
-			return n.finish(nil)
-		}
-		var t0 time.Time
-		if ms != nil {
-			t0 = time.Now()
-		}
-		// Deliver round r−1's sends through the canonical delivery point
-		// (shared with the parallel engine; see deliverTo).
-		delivered := 0
-		for u := range n.inboxes {
-			delivered += n.deliverTo(u, 0)
-		}
-		if quiet && r > 0 && delivered == 0 && n.faultsQuiet() {
-			return n.finish(nil)
-		}
-		n.rounds++
-		active := 0
-		for v, prog := range n.programs {
-			ctx := &n.ctxs[v]
-			ctx.clearOutbox()
-			if ctx.halted || n.nodeCrashed(v) {
-				continue
-			}
-			active++
-			prog.Step(ctx, n.inboxes[v])
-		}
-		fc := n.faultsRoundEnd()
-		if n.probe != nil {
-			n.probeRoundFlush(delivered, active, fc)
-		}
-		if ms != nil {
-			ms.roundEnd(t0, delivered, fc)
-		}
-	}
-	if n.allHalted() {
-		return n.finish(nil)
-	}
-	return n.finish(fmt.Errorf("after %d rounds: %w", n.rounds, ErrRoundLimit))
-}
+func (n *Network) RunUntilQuiet(maxRounds int) (int, error) { return n.run(maxRounds, true) }
 
 // deliverTo rebuilds node u's inbox for the round about to execute
 // (n.rounds+1, 1-based) and returns the number of messages delivered to
-// it. It is THE canonical receiver-driven delivery point: both engines
-// call it once per receiver per round, each receiver scanning its own
+// it. It is THE canonical receiver-driven delivery point: part.deliver
+// calls it once per receiver per round, each receiver scanning its own
 // CSR port range in order and reading the matching outbox slot of the
 // sender across each port (one rev-table read), so delivery order is
-// fixed regardless of engine or worker count. Messages to halted nodes
+// fixed regardless of how the network is partitioned. Messages to halted nodes
 // are dropped. The inbox is the node's recycled arena subslice, reset to
 // length zero here — steady-state rounds never allocate. When a fault
 // plan is attached this is also the single injection point (see
-// faultnet.go); w is the calling worker's shard index for the fault
-// layer's padded count slots (0 on the sequential engine).
+// faultnet.go); w is the calling part's worker slot for the fault layer's
+// padded counts.
 func (n *Network) deliverTo(u, w int) int {
 	inbox := n.inboxes[u][:0]
 	if n.fs != nil {
@@ -468,13 +388,4 @@ func (c *Ctx) clearOutbox() {
 			c.outbox[p] = nil
 		}
 	}
-}
-
-func (n *Network) allHalted() bool {
-	for v := range n.ctxs {
-		if !n.ctxs[v].halted {
-			return false
-		}
-	}
-	return true
 }

@@ -1,26 +1,29 @@
 package congest
 
-// The parallel round engine. Rounds alternate two sharded phases separated
-// by barriers:
+// The round engine. One loop (Network.run) executes every run; the only
+// thing SetWorkers changes is how many parts of the network it drives.
+// Rounds alternate two phases separated by barriers (see part):
 //
-//	deliver: each worker builds the inboxes of its receiver shard,
-//	         receiver-driven — a receiver scans its own ports in order and
-//	         reads the matching outbox slot of the sender across each
-//	         port. Outboxes are only read in this phase.
-//	step:    each worker clears the outboxes of its shard and calls Step
-//	         on its non-halted nodes. Each node's outbox, RNG and program
-//	         state are touched only by the worker owning its shard.
+//	deliver: build the inboxes of the part's nodes, receiver-driven — a
+//	         receiver scans its own ports in order and reads the matching
+//	         outbox slot of the sender across each port. Outboxes are only
+//	         read in this phase.
+//	step:    clear the outboxes of the part's nodes and call Step on the
+//	         live ones. Each node's outbox, RNG and program state are
+//	         touched only by the part that owns it.
 //
-// Because inboxes are assembled in port order at the receiver (the same
-// canonical order the sequential engine uses) and every node is owned by
-// exactly one worker per phase, the execution is bit-identical to the
-// sequential reference engine for every worker count: same rounds, same
-// message counts, same per-node final state, same per-node RNG
+// With one part both phases run inline on the calling goroutine, in node-ID
+// order: that is the sequential reference engine — no pool, no goroutine,
+// and not one allocation for a whole run. With k > 1 parts each phase is
+// one task per part on a workerPool. Because inboxes are assembled in port
+// order at the receiver and every node is owned by exactly one part per
+// phase, the execution is bit-identical for every part count: same rounds,
+// same message counts, same per-node final state, same per-node RNG
 // consumption. Parallelism changes wall-clock time only.
 //
 // Message accounting is sharded per node (Ctx.msgs, incremented only by
-// the owning worker) and aggregated by Network.Messages after the run, so
-// the engine has no shared mutable counters at all; the only cross-worker
+// the owning part) and aggregated by Network.Messages after the run, so
+// the engine has no shared mutable counters at all; the only cross-part
 // communication is the read-only outbox scan in the deliver phase, which
 // the barriers order against the writes of the neighboring step phases.
 
@@ -100,103 +103,105 @@ func (p *workerPool) dispatch(shards int, fn func(shard int)) {
 
 func (p *workerPool) close() { close(p.tasks) }
 
-// runParallel executes rounds on the sharded engine. Nodes are split into
-// contiguous shards, one per worker; see the package comment above for the
-// phase structure and the determinism argument.
-func (n *Network) runParallel(maxRounds, workers int, quiet bool) (int, error) {
+// partPool runs the k > 1 parts of a network on a workerPool, one task per
+// part per phase. A task leaves its part's tallies in the part's own padded
+// slot; the coordinator sums them after the barrier.
+type partPool struct {
+	*workerPool
+	parts                 []part
+	deliverTask, stepTask func(w int)
+	tally                 []int // tally[w*pad+i]: part w's delivered (0), active (1), halted (2)
+}
+
+func newPartPool(n *Network, k int, ms *metricsState) *partPool {
+	pp := &partPool{workerPool: newWorkerPool(k), parts: make([]part, k), tally: make([]int, k*pad)}
+	split := Split{N: n.topo.n, K: k}
+	for w := range pp.parts {
+		lo, hi := split.Bounds(w)
+		pp.parts[w] = part{net: n, lo: lo, hi: hi, w: w}
+	}
+	pp.deliverTask = func(w int) { pp.tally[w*pad] = pp.parts[w].deliver() }
+	pp.stepTask = func(w int) { pp.tally[w*pad+1], pp.tally[w*pad+2] = pp.parts[w].step() }
+	if ms != nil {
+		// Each worker accumulates its part's busy time around both tasks.
+		pp.deliverTask, pp.stepTask = ms.timed(pp.deliverTask), ms.timed(pp.stepTask)
+	}
+	return pp
+}
+
+// deliver and step are part.deliver and part.step over all k parts: one
+// barrier each, the parts' tallies summed.
+func (pp *partPool) deliver() int {
+	pp.dispatch(len(pp.parts), pp.deliverTask)
+	return pp.sum(0)
+}
+
+func (pp *partPool) step() (active, halted int) {
+	pp.dispatch(len(pp.parts), pp.stepTask)
+	return pp.sum(1), pp.sum(2)
+}
+
+func (pp *partPool) sum(i int) (total int) {
+	for ; i < len(pp.tally); i += pad {
+		total += pp.tally[i]
+	}
+	return total
+}
+
+// run is the round loop behind Run and RunUntilQuiet. The network is cut
+// into min(workers, nodes) parts by Split; see the package comment above
+// for the phase structure and the determinism argument.
+func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 	if err := n.begin(); err != nil {
 		return n.rounds, err
 	}
-	nNodes := n.g.N()
-	if workers > nNodes {
-		workers = nNodes
+	nNodes := n.topo.n
+	k := max(min(n.workers, nNodes), 1)
+	n.probeRunStart(k)
+	n.faultsRunStart(k)
+	ms := n.metricsRunStart(k)
+	// One part runs inline (pool stays nil: the sequential reference
+	// engine builds no closure and allocates nothing); k > 1 run pooled.
+	all := n.all()
+	var pool *partPool
+	if k > 1 {
+		pool = newPartPool(n, k, ms)
+		defer pool.close()
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	n.probeRunStart("parallel", workers)
-	n.faultsRunStart(workers)
-	ms := n.metricsRunStart(workers)
-	for v, prog := range n.programs {
-		prog.Init(&n.ctxs[v])
-	}
+	all.Init()
 	if n.probe != nil {
-		n.probeDrainEvents() // marks/halts emitted during Init, round 0
+		all.DrainEvents(n.onMark, n.onHalt) // marks/halts emitted during Init, round 0
 	}
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * nNodes / workers
-	}
-	delivered := make([]int, workers*pad)
-
-	deliverPhase := func(w int) {
-		count := 0
-		for u := bounds[w]; u < bounds[w+1]; u++ {
-			count += n.deliverTo(u, w)
-		}
-		delivered[w*pad] = count
-	}
-	stepPhase := func(w int) {
-		for v := bounds[w]; v < bounds[w+1]; v++ {
-			ctx := &n.ctxs[v]
-			ctx.clearOutbox()
-			if ctx.halted || n.nodeCrashed(v) {
-				continue
-			}
-			n.programs[v].Step(ctx, n.inboxes[v])
-		}
-	}
-
-	// With metrics attached, wrap both phase tasks so each worker
-	// accumulates its shard's busy time; the fast path keeps the bare
-	// closures.
-	deliver, step := deliverPhase, stepPhase
-	if ms != nil {
-		deliver, step = ms.timed(deliverPhase), ms.timed(stepPhase)
-	}
-	sumDelivered := func() int {
-		total := 0
-		for w := 0; w < workers; w++ {
-			total += delivered[w*pad]
-		}
-		return total
-	}
-
-	pool := newWorkerPool(workers)
-	defer pool.close()
-	for r := 0; r < maxRounds; r++ {
-		if n.allHalted() {
-			return n.finish(nil)
-		}
+	halted := all.HaltedCount()
+	for r := 0; r < maxRounds && halted < nNodes; r++ {
 		var t0 time.Time
 		if ms != nil {
 			t0 = time.Now()
 		}
-		pool.dispatch(workers, deliver)
-		if quiet && r > 0 && sumDelivered() == 0 && n.faultsQuiet() {
+		var delivered, active int
+		if pool == nil {
+			delivered = all.deliver()
+		} else {
+			delivered = pool.deliver()
+		}
+		if quiet && r > 0 && delivered == 0 && n.faultsQuiet() {
 			return n.finish(nil)
 		}
 		n.rounds++
-		// The probe's active count (nodes about to step) is read here, on
-		// the coordinator, between the deliver and step barriers.
-		active := 0
-		if n.probe != nil {
-			for v := range n.ctxs {
-				if !n.ctxs[v].halted && !n.nodeCrashed(v) {
-					active++
-				}
-			}
+		if pool == nil {
+			active, halted = all.step()
+		} else {
+			active, halted = pool.step()
 		}
-		pool.dispatch(workers, step)
-		fc := n.faultsRoundEnd()
+		fc := all.FaultCounts()
 		if n.probe != nil {
-			n.probeRoundFlush(sumDelivered(), active, fc)
+			n.probeRoundFlush(delivered, active, halted, fc)
 		}
 		if ms != nil {
-			ms.roundEnd(t0, sumDelivered(), fc)
+			ms.roundEnd(t0, delivered, fc)
 		}
 	}
-	if n.allHalted() {
+	if halted == nNodes {
 		return n.finish(nil)
 	}
 	return n.finish(fmt.Errorf("after %d rounds: %w", n.rounds, ErrRoundLimit))

@@ -1,34 +1,192 @@
 package congest
 
 // Differential equivalence suite: every bundled node program is executed
-// on the sequential reference engine and on the sharded parallel engine
-// with several worker counts, and the two executions must agree bit for
+// as one part (the sequential reference engine), as 2 and 8 pooled parts,
+// and as 2 and 3 Shards over separate replicas exchanging their boundary
+// sends in memory, and every execution must agree with the first bit for
 // bit — same round count, same total message count, same per-node final
-// state. Determinism is the measurement contract of the whole repo (round
-// counts ARE the experimental results), so any divergence here is a
-// correctness bug, not a flake.
+// state, same probe event stream. Determinism is the measurement contract
+// of the whole repo (round counts ARE the experimental results), so any
+// divergence here is a correctness bug, not a flake.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"almostmix/internal/faults"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
 )
-
-var diffWorkerCounts = []int{1, 2, 8}
 
 var diffSeeds = []uint64{1, 7, 42}
 
 // diffScenario builds one program-under-test: build returns a fresh
 // network plus a closure extracting the observable per-node final state.
+// A non-empty spec attaches a fault plan, parsed afresh from (spec, seed)
+// for every replica of every execution.
 type diffScenario struct {
 	name      string
+	spec      string
 	quiet     bool
 	maxRounds int
 	build     func(seed uint64) (*Network, func() any)
 }
 
+// noErr is how an execution records a nil error.
+const noErr = "<nil>"
+
+// execution is everything a differential scenario observes of one run.
+// Faulty runs may legitimately end in ErrRoundLimit (a permanently crashed
+// node never halts), so the error is part of what is compared.
+type execution struct {
+	rounds, msgs int
+	err          string
+	state        any
+	events       []string
+	faults       faults.Counts
+}
+
+// executor runs a scenario to completion one way. plan returns a fresh
+// fault plan per replica (nil plan = fault-free).
+type executor struct {
+	name string
+	run  func(sc diffScenario, seed uint64, plan func() *faults.Plan) execution
+}
+
+// diffExecutors[0] is the reference every other executor is compared to.
+var diffExecutors = []executor{
+	onWorkers(1), onWorkers(2), onWorkers(8), onShards(2), onShards(3),
+}
+
+// onWorkers runs the scenario on the in-process engine with w parts.
+func onWorkers(w int) executor {
+	return executor{fmt.Sprintf("workers %d", w), func(sc diffScenario, seed uint64, plan func() *faults.Plan) execution {
+		net, state := sc.build(seed)
+		p, probe := plan(), &recordingProbe{}
+		net.SetWorkers(w).SetFaults(p).SetProbe(probe)
+		run := net.Run
+		if sc.quiet {
+			run = net.RunUntilQuiet
+		}
+		rounds, err := run(sc.maxRounds)
+		ex := execution{rounds: rounds, msgs: net.Messages(), err: fmt.Sprint(err), state: state(), events: probe.events}
+		if p != nil {
+			ex.faults = p.Totals()
+		}
+		return ex
+	}}
+}
+
+// onShards runs the scenario on k Shards, each over its own replica from
+// the same build(seed), under the coordinator loop the TCP backend runs —
+// minus the wire: ExternalSends go straight into the owner's Inject, no
+// codec in between. Events and inbox profiles are replayed in shard
+// (= node) order into the same recordingProbe through a RoundAggregator,
+// the final state is each replica's read over its own range, and the
+// fault totals are the shards' per-round counts summed.
+func onShards(k int) executor {
+	return executor{fmt.Sprintf("shards %d", k), func(sc diffScenario, seed uint64, plan func() *faults.Plan) execution {
+		var (
+			shards []*Shard
+			states []func() any
+			split  Split
+			g      *graph.Graph
+			quietP *faults.Plan // any replica's plan answers the recovery rule
+		)
+		for i := 0; i < k; i++ {
+			net, state := sc.build(seed)
+			g, split = net.Graph(), Split{N: net.Graph().N(), K: k}
+			quietP = plan()
+			net.SetFaults(quietP)
+			lo, hi := split.Bounds(i)
+			s, err := NewShard(net, lo, hi)
+			if err != nil {
+				panic(err)
+			}
+			shards, states = append(shards, s), append(states, state)
+		}
+		probe, agg := &recordingProbe{}, NewRoundAggregator(g)
+		probe.RunStart(RunInfo{Nodes: g.N(), Edges: g.M()})
+		// barrier closes Init or a Step: drain events, count halted nodes,
+		// relay every boundary send to the shard that owns its receiver.
+		barrier := func() (halted int) {
+			for _, s := range shards {
+				s.DrainEvents(probe.PhaseMark, probe.NodeHalted)
+				halted += s.HaltedCount()
+				s.ExternalSends(func(dst, dstPort int, payload Message) {
+					if err := shards[split.Owner(dst)].Inject(dst, dstPort, payload); err != nil {
+						panic(err)
+					}
+				})
+			}
+			return halted
+		}
+		for _, s := range shards {
+			s.Init()
+		}
+		halted := barrier()
+		var ex execution
+		quietEnd := false
+		for r := 0; r < sc.maxRounds && halted < g.N(); r++ {
+			delivered, pending := 0, 0
+			for _, s := range shards {
+				delivered += s.Deliver()
+				pending += s.PendingDelayed()
+				for u, hi := s.Nodes(); u < hi; u++ {
+					for _, in := range s.Inbox(u) {
+						agg.Deliver(u, in.Port)
+					}
+				}
+			}
+			if sc.quiet && r > 0 && delivered == 0 && pending == 0 && (quietP == nil || quietP.QuietAfter(ex.rounds)) {
+				quietEnd = true
+				break
+			}
+			ex.rounds++
+			active := 0
+			var fc faults.Counts
+			for _, s := range shards {
+				active += s.Step()
+				fc.Add(s.FaultCounts())
+			}
+			ex.faults.Add(fc)
+			halted = barrier()
+			agg.RoundEnd(probe, ex.rounds, delivered, active, halted, fc)
+		}
+		var err error
+		if halted < g.N() && !quietEnd {
+			err = fmt.Errorf("after %d rounds: %w", ex.rounds, ErrRoundLimit)
+		}
+		probe.RunEnd(ex.rounds, err)
+		ex.err, ex.events = fmt.Sprint(err), probe.events
+		ex.state = states[0]()
+		for i, s := range shards {
+			ex.msgs += s.Messages()
+			lo, hi := s.Nodes()
+			overlayOwned(reflect.ValueOf(ex.state), reflect.ValueOf(states[i]()), lo, hi)
+		}
+		return ex
+	}}
+}
+
+// overlayOwned copies src's entries [lo, hi) over dst's. Scenarios keep
+// their final state in node-indexed slices (bare, or as struct fields),
+// and a replica only runs — so only writes — the nodes its shard owns.
+func overlayOwned(dst, src reflect.Value, lo, hi int) {
+	switch dst.Kind() {
+	case reflect.Slice:
+		reflect.Copy(dst.Slice(lo, hi), src.Slice(lo, hi))
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			overlayOwned(dst.Field(i), src.Field(i), lo, hi)
+		}
+	}
+}
+
+// runDifferential runs the scenario on every executor, once per seed, and
+// reports every observable — rounds, error, messages, final state, probe
+// event stream, fault totals — that diverges from the reference's.
 func runDifferential(t *testing.T, sc diffScenario) {
 	t.Helper()
 	seeds := diffSeeds
@@ -36,42 +194,46 @@ func runDifferential(t *testing.T, sc diffScenario) {
 		seeds = seeds[:1] // keep the race-instrumented CI run fast
 	}
 	for _, seed := range seeds {
-		net, state := sc.build(seed)
-		wantProbe := &recordingProbe{}
-		net.SetProbe(wantProbe)
-		wantRounds, err := net.runSequential(sc.maxRounds, sc.quiet)
-		if err != nil {
-			t.Fatalf("%s seed %d: sequential: %v", sc.name, seed, err)
-		}
-		wantMsgs := net.Messages()
-		want := state()
-		for _, workers := range diffWorkerCounts {
-			par, parState := sc.build(seed)
-			gotProbe := &recordingProbe{}
-			par.SetProbe(gotProbe)
-			gotRounds, err := par.runParallel(sc.maxRounds, workers, sc.quiet)
+		plan := func() *faults.Plan {
+			if sc.spec == "" {
+				return nil
+			}
+			p, err := faults.Parse(sc.spec, seed*2654435761+1)
 			if err != nil {
-				t.Fatalf("%s seed %d workers %d: parallel: %v", sc.name, seed, workers, err)
+				t.Fatalf("%s: spec %q: %v", sc.name, sc.spec, err)
 			}
-			if gotRounds != wantRounds {
-				t.Errorf("%s seed %d workers %d: rounds %d, sequential %d",
-					sc.name, seed, workers, gotRounds, wantRounds)
+			return p
+		}
+		want := diffExecutors[0].run(sc, seed, plan)
+		if sc.spec == "" && want.err != noErr {
+			t.Fatalf("%s seed %d: %s: %s", sc.name, seed, diffExecutors[0].name, want.err)
+		}
+		if sc.spec != "" && want.err == noErr && !want.faults.Any() {
+			t.Errorf("%s seed %d: scenario injected no faults — not exercising the layer", sc.name, seed)
+		}
+		for _, ex := range diffExecutors[1:] {
+			got := ex.run(sc, seed, plan)
+			where := fmt.Sprintf("%s seed %d %s", sc.name, seed, ex.name)
+			if got.rounds != want.rounds || got.err != want.err {
+				t.Errorf("%s: (rounds=%d err=%s) diverges from reference (rounds=%d err=%s)",
+					where, got.rounds, got.err, want.rounds, want.err)
 			}
-			if gotMsgs := par.Messages(); gotMsgs != wantMsgs {
-				t.Errorf("%s seed %d workers %d: messages %d, sequential %d",
-					sc.name, seed, workers, gotMsgs, wantMsgs)
+			if got.msgs != want.msgs {
+				t.Errorf("%s: messages %d, reference %d", where, got.msgs, want.msgs)
 			}
-			if got := parState(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s seed %d workers %d: final state diverges from sequential",
-					sc.name, seed, workers)
+			if !reflect.DeepEqual(got.state, want.state) {
+				t.Errorf("%s: final state diverges from reference", where)
 			}
 			// The probe contract: the full event stream — every round
 			// record (including the borrowed per-node and per-edge slices),
-			// every mark, every halt — is bit-identical across engines and
-			// worker counts.
-			if !reflect.DeepEqual(gotProbe.events, wantProbe.events) {
-				t.Errorf("%s seed %d workers %d: probe event stream diverges from sequential (%d vs %d events)",
-					sc.name, seed, workers, len(gotProbe.events), len(wantProbe.events))
+			// every mark, every halt — is bit-identical however the network
+			// is partitioned.
+			if !reflect.DeepEqual(got.events, want.events) {
+				t.Errorf("%s: probe event stream diverges from reference (%d vs %d events)",
+					where, len(got.events), len(want.events))
+			}
+			if got.faults != want.faults {
+				t.Errorf("%s: fault totals %+v, reference %+v", where, got.faults, want.faults)
 			}
 		}
 	}
@@ -207,6 +369,32 @@ func TestDifferentialProbeEvents(t *testing.T) {
 	})
 }
 
+// TestSplitOwnerInvertsBounds: the parts tile [0, n) in order, and Owner —
+// the closed form the TCP coordinator routes every relayed message by — is
+// the inverse of Bounds, also when k > n leaves some parts empty.
+func TestSplitOwnerInvertsBounds(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for k := 1; k <= n+3; k++ {
+			split, next := Split{N: n, K: k}, 0
+			for i := 0; i < k; i++ {
+				lo, hi := split.Bounds(i)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d k=%d: part %d = [%d, %d), want it to start at %d", n, k, i, lo, hi, next)
+				}
+				next = hi
+				for v := lo; v < hi; v++ {
+					if got := split.Owner(v); got != i {
+						t.Fatalf("n=%d k=%d: Owner(%d) = %d, want %d", n, k, v, got, i)
+					}
+				}
+			}
+			if next != n {
+				t.Fatalf("n=%d k=%d: parts end at %d", n, k, next)
+			}
+		}
+	}
+}
+
 // TestParallelMessagesAccounting checks the sharded per-node accounting
 // against the known message total of a one-round broadcast.
 func TestParallelMessagesAccounting(t *testing.T) {
@@ -221,7 +409,7 @@ func TestParallelMessagesAccounting(t *testing.T) {
 			},
 		}
 	}, rngutil.NewSource(3))
-	if _, err := net.RunParallel(10, 4); err != nil {
+	if _, err := net.SetWorkers(4).Run(10); err != nil {
 		t.Fatal(err)
 	}
 	if net.Messages() != 2*g.M() {
@@ -249,7 +437,7 @@ func TestParallelPanicPropagates(t *testing.T) {
 			ctx.Send(0, 2)
 		}}
 	}, rngutil.NewSource(1))
-	_, _ = net.RunParallel(3, 4)
+	_, _ = net.SetWorkers(4).Run(3)
 }
 
 // TestSetWorkersSelectsEngine checks the RunUntilQuiet engine option: a

@@ -1,19 +1,19 @@
 package congest
 
-// Fault injection for the round engines. With a faults.Plan attached
+// Fault injection for the round engine. With a faults.Plan attached
 // (SetFaults), the one canonical receiver-driven delivery point —
-// Network.deliverTo, shared verbatim by the sequential and the parallel
-// engine — consults the plan per message and injects drops, duplicates
-// and delays; crashed nodes neither step nor receive while crashed. All
-// decisions are pure hashes of (plan seed, round, directed-edge slot), so
-// a fixed (seed, spec) pair reproduces a bit-identical faulty execution
-// on every engine and worker count (asserted by the differential suites).
+// Network.deliverTo, which every part of every executor goes through —
+// consults the plan per message and injects drops, duplicates and delays;
+// crashed nodes neither step nor receive while crashed. All decisions are
+// pure hashes of (plan seed, round, directed-edge slot), so a fixed
+// (seed, spec) pair reproduces a bit-identical faulty execution for every
+// worker and shard count (asserted by the differential suites).
 //
 // Contract details, mirroring the probe layer's sharding discipline:
 //
 //   - Delayed messages are buffered per receiver: fs.pending[u] is
 //     written and read only while building u's inbox, i.e. only by the
-//     worker owning u's deliver shard, so the layer adds no shared
+//     part that owns u, so the layer adds no shared
 //     mutable state. Due delayed messages are delivered BEFORE the
 //     round's fresh messages, in enqueue order — that fixes the one
 //     canonical inbox order under faults.
@@ -28,11 +28,11 @@ package congest
 //   - Severed edges drop both directions from the sever round on,
 //     counted as drops.
 //   - Per-round fault counts are accumulated in padded per-worker slots
-//     and drained by the coordinator between barriers (faultsRoundEnd),
+//     and drained by the coordinator between barriers (part.FaultCounts),
 //     which also folds them into the plan totals and hands them to the
 //     probe record and the metrics counters.
 //
-// With no plan attached the engines keep a single nil check on the
+// With no plan attached the engine keeps a single nil check on the
 // delivery path; an attached-but-empty plan takes the fault path but
 // produces byte-identical executions and traces (asserted by tests).
 
@@ -66,7 +66,7 @@ type faultState struct {
 }
 
 // faultsRunStart allocates the fault scratch for the run. workers is the
-// effective worker count (1 for the sequential engine).
+// number of parts that deliver concurrently, one count slot each.
 func (n *Network) faultsRunStart(workers int) {
 	if n.faultPlan == nil {
 		n.fs = nil
@@ -90,38 +90,12 @@ func (n *Network) nodeCrashed(v int) bool {
 // recover (a recovery can resume traffic from queued program state). It
 // is called by the coordinator only, between barriers.
 func (n *Network) faultsQuiet() bool {
-	if n.fs == nil {
-		return true
-	}
-	for _, pend := range n.fs.pending {
-		if len(pend) > 0 {
-			return false
-		}
-	}
-	return n.fs.plan.QuietAfter(n.rounds)
-}
-
-// faultsRoundEnd drains the per-worker fault counts of the round just
-// executed, adds the round's crashed-node count, folds the result into
-// the plan totals and returns it for the probe record and the metrics
-// counters. Coordinator only, after the step barrier.
-func (n *Network) faultsRoundEnd() faults.Counts {
-	if n.fs == nil {
-		return faults.Counts{}
-	}
-	var c faults.Counts
-	for w := 0; w < len(n.fs.counts); w += faultCountStride {
-		c.Add(n.fs.counts[w])
-		n.fs.counts[w] = faults.Counts{}
-	}
-	c.Crashed = int64(n.fs.plan.CrashedCount(n.rounds))
-	n.fs.plan.AddCounts(c)
-	return c
+	return n.fs == nil || n.all().PendingDelayed() == 0 && n.fs.plan.QuietAfter(n.rounds)
 }
 
 // deliverFaulty is the fault-injecting body of deliverTo: it rebuilds
 // receiver u's inbox for round n.rounds+1, applying the plan at this one
-// point. w is the caller's worker index for the sharded count slots.
+// point. w is the calling part's worker slot for the padded counts.
 func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, w int) []Inbound {
 	round := n.rounds + 1
 	fc := &fs.counts[w*faultCountStride]

@@ -1,8 +1,8 @@
 package congest
 
 // Tests of the fault-injection layer: the differential contract (a fixed
-// (seed, spec) pair reproduces a bit-identical faulty execution on both
-// engines and every worker count), the empty-plan byte-identity guarantee,
+// (seed, spec) pair reproduces a bit-identical faulty execution for every
+// worker and shard count), the empty-plan byte-identity guarantee,
 // the crash/recovery and sever semantics, the fault counters' journey
 // through probe records and metrics, the pinned Halt-round send contract,
 // and the int32 edge-load wraparound regression.
@@ -19,83 +19,6 @@ import (
 	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 )
-
-// faultScenario is a diffScenario plus the fault spec attached to every
-// engine run. Faulty runs may legitimately end in ErrRoundLimit (a
-// permanently crashed node never halts), so errors are compared across
-// engines instead of failing the test.
-type faultScenario struct {
-	name      string
-	spec      string
-	quiet     bool
-	maxRounds int
-	build     func(seed uint64) (*Network, func() any)
-}
-
-// runFaultDifferential executes the scenario on the sequential engine and
-// on the parallel engine with workers {1,2,8}, each run with a fresh plan
-// parsed from the same (spec, seed), and asserts the full observable
-// execution — rounds, error, messages, final state, probe event stream,
-// fault totals — is bit-identical.
-func runFaultDifferential(t *testing.T, sc faultScenario) {
-	t.Helper()
-	seeds := diffSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	errStr := func(err error) string {
-		if err == nil {
-			return "<nil>"
-		}
-		return err.Error()
-	}
-	for _, seed := range seeds {
-		plan := func() *faults.Plan {
-			p, err := faults.Parse(sc.spec, seed*2654435761+1)
-			if err != nil {
-				t.Fatalf("%s: spec %q: %v", sc.name, sc.spec, err)
-			}
-			return p
-		}
-		net, state := sc.build(seed)
-		wantPlan := plan()
-		wantProbe := &recordingProbe{}
-		net.SetFaults(wantPlan).SetProbe(wantProbe)
-		wantRounds, wantErr := net.runSequential(sc.maxRounds, sc.quiet)
-		wantMsgs := net.Messages()
-		want := state()
-		for _, workers := range diffWorkerCounts {
-			par, parState := sc.build(seed)
-			gotPlan := plan()
-			gotProbe := &recordingProbe{}
-			par.SetFaults(gotPlan).SetProbe(gotProbe)
-			gotRounds, gotErr := par.runParallel(sc.maxRounds, workers, sc.quiet)
-			if gotRounds != wantRounds || errStr(gotErr) != errStr(wantErr) {
-				t.Errorf("%s seed %d workers %d: (rounds=%d err=%v) diverges from sequential (rounds=%d err=%v)",
-					sc.name, seed, workers, gotRounds, gotErr, wantRounds, wantErr)
-			}
-			if gotMsgs := par.Messages(); gotMsgs != wantMsgs {
-				t.Errorf("%s seed %d workers %d: messages %d, sequential %d",
-					sc.name, seed, workers, gotMsgs, wantMsgs)
-			}
-			if got := parState(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s seed %d workers %d: final state diverges from sequential",
-					sc.name, seed, workers)
-			}
-			if !reflect.DeepEqual(gotProbe.events, wantProbe.events) {
-				t.Errorf("%s seed %d workers %d: probe event stream diverges from sequential (%d vs %d events)",
-					sc.name, seed, workers, len(gotProbe.events), len(wantProbe.events))
-			}
-			if gotPlan.Totals() != wantPlan.Totals() {
-				t.Errorf("%s seed %d workers %d: fault totals %+v, sequential %+v",
-					sc.name, seed, workers, gotPlan.Totals(), wantPlan.Totals())
-			}
-		}
-		if wantErr == nil && !wantPlan.Totals().Any() {
-			t.Errorf("%s seed %d: scenario injected no faults — not exercising the layer", sc.name, seed)
-		}
-	}
-}
 
 // beatBuild is the workhorse fault workload: every node broadcasts each
 // round and accumulates how many messages it received, halting in
@@ -122,7 +45,7 @@ func beatBuild(lastRound int) func(seed uint64) (*Network, func() any) {
 }
 
 func TestDifferentialFaultsMessages(t *testing.T) {
-	runFaultDifferential(t, faultScenario{
+	runDifferential(t, diffScenario{
 		name:      "msg-faults",
 		spec:      "drop=0.1,dup=0.08,delay=0.1:3",
 		maxRounds: 60,
@@ -131,7 +54,7 @@ func TestDifferentialFaultsMessages(t *testing.T) {
 }
 
 func TestDifferentialFaultsCrashRecover(t *testing.T) {
-	runFaultDifferential(t, faultScenario{
+	runDifferential(t, diffScenario{
 		name:      "crash-recover",
 		spec:      "drop=0.05,crash=3@4+5,crash=7@2+8",
 		maxRounds: 80,
@@ -142,7 +65,7 @@ func TestDifferentialFaultsCrashRecover(t *testing.T) {
 func TestDifferentialFaultsPermanentCrash(t *testing.T) {
 	// Node 5 never recovers, so it never halts and the run must end in
 	// the same ErrRoundLimit on every engine.
-	runFaultDifferential(t, faultScenario{
+	runDifferential(t, diffScenario{
 		name:      "crash-permanent",
 		spec:      "crash=5@3,drop=0.05",
 		maxRounds: 40,
@@ -151,7 +74,7 @@ func TestDifferentialFaultsPermanentCrash(t *testing.T) {
 }
 
 func TestDifferentialFaultsSever(t *testing.T) {
-	runFaultDifferential(t, faultScenario{
+	runDifferential(t, diffScenario{
 		name:      "sever",
 		spec:      "sever=0@2,sever=3@5,dup=0.05",
 		maxRounds: 60,
@@ -159,22 +82,37 @@ func TestDifferentialFaultsSever(t *testing.T) {
 	})
 }
 
+// TestDifferentialFaultsQuietEnd is the quiet-terminated faulty run: a
+// silent round must not end it while a delayed message is still buffered
+// at some receiver (summed per range on shards) or a crashed node is due
+// back, and every executor has to agree on which round that is.
+func TestDifferentialFaultsQuietEnd(t *testing.T) {
+	runDifferential(t, diffScenario{
+		name:      "quiet-end",
+		spec:      "delay=0.3:3,crash=2@2+4",
+		quiet:     true,
+		maxRounds: 200,
+		build: func(seed uint64) (*Network, func() any) {
+			g := diffGraph(seed)
+			result := make([]int, g.N())
+			net := NewUniformNetwork(g, func(v int) Program {
+				return &leaderProgram{result: result}
+			}, rngutil.NewSource(seed))
+			return net, func() any { return result }
+		},
+	})
+}
+
 // TestEmptyFaultPlanByteIdentity: attaching an empty plan must leave the
 // execution — probe event stream and exported trace bytes — byte-identical
-// to a run with no plan at all, on both engines.
+// to a run with no plan at all, for every worker count.
 func TestEmptyFaultPlanByteIdentity(t *testing.T) {
 	run := func(plan *faults.Plan, workers int) ([]string, []byte) {
 		net, _ := beatBuild(8)(7)
 		rec := &recordingProbe{}
 		sink := NewTraceSink().Label("unit")
-		net.SetFaults(plan).SetProbe(MultiProbe{rec, sink})
-		var err error
-		if workers == 0 {
-			_, err = net.runSequential(40, false)
-		} else {
-			_, err = net.runParallel(40, workers, false)
-		}
-		if err != nil {
+		net.SetWorkers(workers).SetFaults(plan).SetProbe(MultiProbe{rec, sink})
+		if _, err := net.Run(40); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -183,8 +121,8 @@ func TestEmptyFaultPlanByteIdentity(t *testing.T) {
 		}
 		return rec.events, buf.Bytes()
 	}
-	baseEvents, baseJSON := run(nil, 0)
-	for _, workers := range []int{0, 1, 2, 8} {
+	baseEvents, baseJSON := run(nil, 1)
+	for _, workers := range []int{1, 2, 8} {
 		events, doc := run(faults.New(99), workers)
 		if !reflect.DeepEqual(events, baseEvents) {
 			t.Errorf("workers=%d: empty plan changes the probe event stream", workers)
@@ -214,8 +152,8 @@ func TestFaultCountsReachProbeAndMetrics(t *testing.T) {
 		})
 	})
 	net, _ := beatBuild(10)(1)
-	net.SetFaults(plan).SetProbe(probe).SetMetrics(reg)
-	if _, err := net.RunParallel(60, 2); err != nil {
+	net.SetWorkers(2).SetFaults(plan).SetProbe(probe).SetMetrics(reg)
+	if _, err := net.Run(60); err != nil {
 		t.Fatal(err)
 	}
 	tot := plan.Totals()
@@ -340,7 +278,7 @@ func TestDelayedDeliveryOrder(t *testing.T) {
 
 // TestHaltRoundSendDelivered pins the Halt-round send contract (DESIGN.md
 // §3): a message Sent in the same Step that calls Halt is delivered
-// exactly once, on both engines and every worker count.
+// exactly once, for every worker count.
 func TestHaltRoundSendDelivered(t *testing.T) {
 	run := func(workers int) []int {
 		g := graph.Ring(8)
@@ -357,19 +295,13 @@ func TestHaltRoundSendDelivered(t *testing.T) {
 					}
 				},
 			}
-		}, rngutil.NewSource(1))
-		var err error
-		if workers == 0 {
-			_, err = net.runSequential(6, false)
-		} else {
-			_, err = net.runParallel(6, workers, false)
-		}
-		if err != nil {
+		}, rngutil.NewSource(1)).SetWorkers(workers)
+		if _, err := net.Run(6); err != nil {
 			t.Fatal(err)
 		}
 		return received
 	}
-	want := run(0)
+	want := run(1)
 	for v, got := range want {
 		// Every node halts in round 1, so its neighbors' farewells are
 		// dropped at its inbox — but the sends were made, and a HALTED
@@ -380,7 +312,7 @@ func TestHaltRoundSendDelivered(t *testing.T) {
 			t.Fatalf("node %d received %d, want 0 (all halted together)", v, got)
 		}
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{2, 8} {
 		if got := run(workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: received %v, sequential %v", workers, got, want)
 		}
@@ -404,23 +336,17 @@ func TestHaltRoundSendDelivered(t *testing.T) {
 					}
 				},
 			}
-		}, rngutil.NewSource(1))
-		var err error
-		if workers == 0 {
-			_, err = net.runSequential(8, false)
-		} else {
-			_, err = net.runParallel(8, workers, false)
-		}
-		if err != nil {
+		}, rngutil.NewSource(1)).SetWorkers(workers)
+		if _, err := net.Run(8); err != nil {
 			t.Fatal(err)
 		}
 		return received
 	}
-	want = staggered(0)
+	want = staggered(1)
 	if want[1] != 1 {
 		t.Fatalf("halting sender's farewell delivered %d times, want exactly 1", want[1])
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{2, 8} {
 		if got := staggered(workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: received %v, sequential %v", workers, got, want)
 		}
@@ -438,12 +364,12 @@ func TestEdgeLoadNoInt32Wraparound(t *testing.T) {
 	net := NewUniformNetwork(g, func(v int) Program {
 		return programFunc{}
 	}, rngutil.NewSource(1)).SetProbe(probe)
-	net.probeRunStart("test", 1)
+	net.probeRunStart(1)
 	net.agg.edgeLoad[0] = math.MaxInt32 // accumulated load of edge 0 toward node 0...
 	net.rounds = 1
 	net.inboxes[0] = append(net.inboxes[0][:0], Inbound{Port: 0, From: 1, Payload: 0})
 	net.inboxes[1] = net.inboxes[1][:0]
-	net.probeRoundFlush(1, 2, faults.Counts{})
+	net.probeRoundFlush(1, 2, 0, faults.Counts{})
 	if want := int64(math.MaxInt32) + 1; rec.MaxEdgeLoad != want {
 		t.Fatalf("MaxEdgeLoad = %d, want %d (old int32 counter wrapped negative)", rec.MaxEdgeLoad, want)
 	}

@@ -80,13 +80,10 @@ func FuzzNetworkRun(f *testing.F) {
 			net := NewUniformNetwork(g, func(v int) Program {
 				return &echoProgram{recv: recv, maxEcho: maxRounds / 2, t: t}
 			}, rngutil.NewSource(seed))
-			var rounds int
-			var err error
 			if parallel {
-				rounds, err = net.RunParallel(maxRounds, workers)
-			} else {
-				rounds, err = net.Run(maxRounds)
+				net.SetWorkers(workers)
 			}
+			rounds, err := net.Run(maxRounds)
 			if err != nil && !errors.Is(err, ErrRoundLimit) {
 				t.Fatalf("unexpected error: %v", err)
 			}

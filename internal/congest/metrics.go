@@ -1,6 +1,6 @@
 package congest
 
-// Host-side metrics for the round engines: the wall-clock analogue of the
+// Host-side metrics for the round engine: the wall-clock analogue of the
 // probe layer. Probes report what the simulated network did per round;
 // the metrics registry reports what the host did executing it — per-round
 // wall time, delivery throughput, worker-shard busy/idle split, and
@@ -10,15 +10,14 @@ package congest
 //
 // The contract matches the probe layer's exactly (DESIGN.md §3): with no
 // registry attached the hot loop keeps a single nil check per round and
-// the engines allocate nothing for the layer; with one attached, every
+// the engine allocates nothing for the layer; with one attached, every
 // instrument is resolved once at run start so the per-round cost is one
 // clock read and a few sharded atomic adds. Worker busy time is written
 // by the owning worker into a padded per-shard slot (the same sharding
 // discipline as Ctx.msgs) and drained by the coordinator after the run's
-// final barrier, so the parallel engine stays free of shared mutable
-// state. All deterministic metrics (runs, rounds, messages) are
-// bit-identical across engines and worker counts; only the wall-time
-// instruments vary by host.
+// final barrier, so the engine stays free of shared mutable state. All
+// deterministic metrics (runs, rounds, messages) are bit-identical across
+// worker counts; only the wall-time instruments vary by host.
 
 import (
 	"fmt"
@@ -57,17 +56,18 @@ type metricsState struct {
 	dropped, duplicated     *metrics.Counter
 	delayedC, crashedRounds *metrics.Counter
 
-	// Parallel-engine shard accounting: busyNS[w*pad] is written only by
-	// the worker executing shard w's task (ordered against the
-	// coordinator's run-end drain by the dispatch barriers), busyCtr and
-	// idle are the exported per-shard instruments.
+	// Per-part accounting, allocated only when the run has more than one
+	// part (newPartPool wraps its tasks in timed exactly then): busyNS[w*pad]
+	// is written only by the worker executing part w's task (ordered against
+	// the coordinator's run-end drain by the dispatch barriers), busyCtr and
+	// idle are the exported per-part instruments ("shard" in their names).
 	busyNS  []int64
 	busyCtr []*metrics.Counter
 	idle    []*metrics.Gauge
 }
 
 // metricsRunStart resolves the run's instruments and samples the opening
-// memstats phase mark. It returns nil (the engines' fast path) when no
+// memstats phase mark. It returns nil (the engine's fast path) when no
 // registry is attached.
 func (n *Network) metricsRunStart(workers int) *metricsState {
 	if n.reg == nil {
@@ -137,7 +137,7 @@ func (ms *metricsState) roundEnd(t0 time.Time, delivered int, fc faults.Counts) 
 
 // runEnd closes the run: throughput gauges, the closing memstats phase
 // mark, and the worker busy/idle drain. Fired from finish, so every
-// engine return path lands here exactly once.
+// return path of the round loop lands here exactly once.
 func (ms *metricsState) runEnd() {
 	elapsed := time.Since(ms.start)
 	ms.runs.Add(1)

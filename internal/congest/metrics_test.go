@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"almostmix/internal/graph"
@@ -90,6 +91,29 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 			if workers > 1 && !ok {
 				t.Fatalf("workers=%d: %s missing", workers, name)
 			}
+		}
+	}
+
+	// The part count clamps to the node count, and the busy instruments
+	// follow the parts that actually ran, not the Workers that were asked
+	// for: one node is one inline part and exports none (this run used to
+	// panic indexing the busy slots it never allocated), two nodes under
+	// Workers: 8 are two parts.
+	for _, tc := range []struct{ nodes, workers, busy int }{{1, 2, 0}, {2, 8, 2}} {
+		reg := metrics.New()
+		net := NewUniformNetwork(graph.Path(tc.nodes), func(int) Program { return &chatter{left: 4} },
+			rngutil.NewSource(5)).Configure(Options{Workers: tc.workers, Metrics: reg})
+		if _, err := net.Run(10); err != nil {
+			t.Fatalf("nodes=%d workers=%d: %v", tc.nodes, tc.workers, err)
+		}
+		busy := 0
+		for _, c := range reg.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "congest_worker_busy_ns_total{shard=") {
+				busy++
+			}
+		}
+		if busy != tc.busy {
+			t.Fatalf("nodes=%d workers=%d: %d busy counters, want %d", tc.nodes, tc.workers, busy, tc.busy)
 		}
 	}
 }

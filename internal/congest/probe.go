@@ -6,22 +6,22 @@ package congest
 // load per phase (Lemma 2.5), congestion per edge, halting waves — not
 // just end-of-run totals, so the simulator exposes a hook interface that
 // reports what happened in every round. The contract is built around the
-// determinism guarantee of the two engines:
+// determinism guarantee of the engine:
 //
 //   - Every hook is invoked on the coordinating goroutine only, between
 //     the round barriers, never from a worker. Probes need no locking and
-//     observe both engines identically: attaching the same probe to the
-//     sequential and the sharded parallel engine yields bit-identical
-//     event sequences for every worker count (asserted by the
-//     differential suites).
+//     observe every partitioning identically: the same probe yields
+//     bit-identical event sequences for every worker count and for shards
+//     driven by an external coordinator (asserted by the differential
+//     suites).
 //   - Event order within a round is fixed: per node in ID order, first
 //     that node's phase marks (in emission order), then its halt event if
 //     it halted this round; then one RoundEnd with the aggregated record.
 //   - Per-node event collection is sharded exactly like message
 //     accounting: marks and halt flags live on the Ctx touched only by
-//     the owning worker, and the coordinator drains them after the step
-//     barrier, so the parallel engine stays free of shared mutable state.
-//   - With no probe attached the engines skip all collection — the only
+//     the owning part, and the coordinator drains them after the step
+//     barrier, so the engine stays free of shared mutable state.
+//   - With no probe attached the engine skips all collection — the only
 //     residual cost is one nil check per round — so measurement runs pay
 //     nothing for the layer's existence (BenchmarkCongestEngine guards
 //     this).
@@ -43,10 +43,12 @@ type RunInfo struct {
 	// Name labels the run in exported traces ("E4 k=2"). Engines leave it
 	// empty; wrappers like TraceSink.Label fill it in.
 	Name string
-	// Engine identifies the executor: "sequential", "parallel", or the
-	// name of an analytic engine reusing the layer (e.g. "randomwalk").
+	// Engine identifies the executor: "congest" for the round engine,
+	// "tcpnet" for the TCP coordinator, or the name of an analytic engine
+	// reusing the layer (e.g. "randomwalk").
 	Engine string
-	// Workers is the effective worker count (1 for sequential).
+	// Workers is the number of parts the network ran as (1 = the
+	// sequential reference engine).
 	Workers int
 	// Nodes and Edges describe the graph under simulation.
 	Nodes, Edges int
@@ -189,8 +191,8 @@ type phaseMark struct {
 // individual deliveries and hands it to Probe.RoundEnd. It is the one
 // implementation of the record's aggregation rules (smallest node ID
 // attaining the maximum inbox, directed-slot edge loads, borrowed
-// slices reset between rounds), fed by the in-process engines from
-// their inboxes and by the TCP transport coordinator from the shards'
+// slices reset between rounds), fed by the in-process engine from
+// its inboxes and by the TCP transport coordinator from the shards'
 // per-node inbox profiles — which is why both report byte-identical
 // records. The record and its slices are scratch refilled in place, so
 // a steady probed round allocates nothing.
@@ -258,63 +260,40 @@ func (a *RoundAggregator) RoundEnd(p Probe, round, delivered, active, halted int
 	*rec = RoundRecord{MaxInboxNode: -1}
 }
 
-// probeRunStart announces the run and allocates the round aggregator.
-func (n *Network) probeRunStart(engine string, workers int) {
+// probeRunStart announces the run, allocates the round aggregator and
+// binds the event hooks the drains call.
+func (n *Network) probeRunStart(workers int) {
 	if n.probe == nil {
 		return
 	}
 	if n.agg == nil {
 		n.agg = newRoundAggregator(n.topo)
 	}
+	n.onMark, n.onHalt = n.probe.PhaseMark, n.probe.NodeHalted
 	n.probe.RunStart(RunInfo{
-		Engine:  engine,
+		Engine:  "congest",
 		Workers: workers,
 		Nodes:   n.g.N(),
 		Edges:   n.g.M(),
 	})
 }
 
-// probeDrainEvents forwards queued phase marks and halt events in node-ID
-// order. Marks and halt flags are written only by the worker owning the
-// node's shard; the coordinator drains them between barriers.
-func (n *Network) probeDrainEvents() {
-	for v := range n.ctxs {
-		ctx := &n.ctxs[v]
-		if len(ctx.marks) > 0 {
-			for _, m := range ctx.marks {
-				n.probe.PhaseMark(v, m.round, m.name)
-			}
-			ctx.marks = ctx.marks[:0]
-		}
-		if ctx.justHalted {
-			ctx.justHalted = false
-			n.probe.NodeHalted(v, ctx.haltRound)
-		}
-	}
-}
-
 // probeRoundFlush aggregates the round just executed and fires the
 // per-round hooks. It reads the inboxes built by the deliver phase (which
 // survive untouched through Step) rather than instrumenting the delivery
-// hot path, so the engines carry no per-message probe cost.
-func (n *Network) probeRoundFlush(delivered, active int, fc faults.Counts) {
+// hot path, so the engine carries no per-message probe cost.
+func (n *Network) probeRoundFlush(delivered, active, halted int, fc faults.Counts) {
 	for u, inbox := range n.inboxes {
 		for _, in := range inbox {
 			n.agg.Deliver(u, in.Port)
 		}
 	}
-	halted := 0
-	for v := range n.ctxs {
-		if n.ctxs[v].halted {
-			halted++
-		}
-	}
-	n.probeDrainEvents()
+	n.all().DrainEvents(n.onMark, n.onHalt)
 	n.agg.RoundEnd(n.probe, n.rounds, delivered, active, halted, fc)
 }
 
 // finish fires RunEnd, closes the metrics run, and returns the run
-// result; every engine return path goes through it.
+// result; every return path of the round loop goes through it.
 func (n *Network) finish(err error) (int, error) {
 	if n.probe != nil {
 		n.probe.RunEnd(n.rounds, err)

@@ -188,7 +188,6 @@ func TestNetworkSingleUse(t *testing.T) {
 	}
 	rerun := map[string]func(n *Network) (int, error){
 		"Run":           func(n *Network) (int, error) { return n.Run(5) },
-		"RunParallel":   func(n *Network) (int, error) { return n.RunParallel(5, 2) },
 		"RunUntilQuiet": func(n *Network) (int, error) { return n.RunUntilQuiet(5) },
 	}
 	for name, second := range rerun {

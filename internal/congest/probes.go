@@ -260,36 +260,17 @@ type CostSample struct {
 	Rolled int    `json:"rolled"`
 }
 
-// TimelineRow is one phase of one round of one shard as the transport
-// coordinator measured it on the wall clock: how long the coordinator
-// spent in the named barrier phase attributable to that shard. Shard is
-// -1 for whole-barrier rows (broadcast writes) and Round is -1 for the
-// pre-round accept handshake. Wall-clock rows are host-dependent, so —
-// exactly like the cost ledger's span_wall_ns pairing — they are NEVER
-// part of WriteJSON/WriteCSV trace exports (which must stay
-// byte-identical across backends); they surface through TimelineTable,
-// the metrics registry, and the transport's -obsout document.
-type TimelineRow struct {
-	Run    string `json:"run,omitempty"`
-	Round  int    `json:"round"`
-	Shard  int    `json:"shard"`
-	Phase  string `json:"phase"`
-	WallNS int64  `json:"wall_ns"`
-}
-
 // TraceSink bundles the three built-in probes behind one Probe, labels
-// consecutive runs, collects cost-ledger breakdowns and transport
-// timeline rows, and writes the combined trace to a file — JSON for
-// .json paths, concatenated CSV tables otherwise. It backs the -trace
-// flag of the cmd/ binaries.
+// consecutive runs, collects cost-ledger breakdowns, and writes the
+// combined trace to a file — JSON for .json paths, concatenated CSV
+// tables otherwise. It backs the -trace flag of the cmd/ binaries.
 type TraceSink struct {
-	label    string
-	reg      *metrics.Registry
-	Rounds   *RoundTrace
-	Loads    *NodeLoadTrace
-	Phases   *PhaseTimeline
-	Costs    []CostSample
-	Timeline []TimelineRow
+	label  string
+	reg    *metrics.Registry
+	Rounds *RoundTrace
+	Loads  *NodeLoadTrace
+	Phases *PhaseTimeline
+	Costs  []CostSample
 }
 
 // NewTraceSink returns a sink with fresh built-in probes.
@@ -363,30 +344,6 @@ func (s *TraceSink) AddCosts(run string, led *cost.Ledger) {
 			s.reg.Counter(fmt.Sprintf("span_wall_ns{run=%s,path=%s}", run, w.Path)).Add(w.WallNS)
 		}
 	}
-}
-
-// AddTimeline appends transport barrier-phase rows under the sink's
-// label. The transport coordinator calls this through an interface
-// assertion on Options.Probe, so any probe wanting the timeline only
-// has to expose the same method. Rows never enter WriteJSON/WriteCSV:
-// wall clocks are host noise and the trace files are part of the
-// byte-identical differential contract (DESIGN.md §3).
-func (s *TraceSink) AddTimeline(rows []TimelineRow) {
-	for _, r := range rows {
-		r.Run = strings.TrimSpace(s.label + " " + r.Run)
-		s.Timeline = append(s.Timeline, r)
-	}
-}
-
-// TimelineTable renders the collected transport timeline as a harness
-// table — the "transport-timeline" export cmd/obsreport joins against
-// the cost ledger's span_wall_ns paths.
-func (s *TraceSink) TimelineTable() *harness.Table {
-	tb := harness.NewTable("transport-timeline", "run", "round", "shard", "phase", "wall_ns")
-	for _, r := range s.Timeline {
-		tb.AddRow(r.Run, r.Round, r.Shard, r.Phase, r.WallNS)
-	}
-	return tb
 }
 
 // CostTable renders the collected cost-ledger rows as a harness table.

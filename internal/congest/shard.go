@@ -1,10 +1,11 @@
 package congest
 
 // Shard execution: the congest-side half of the TCP transport backend
-// (internal/transport). A Shard drives a contiguous node range [lo, hi)
-// of a Network replica under an external coordinator, exposing the
-// engine's two phases (deliver, step) as explicit calls so the
-// coordinator can run the round barriers over the wire.
+// (internal/transport). A Shard is one part (see part.go) of a Network
+// replica driven by an external coordinator: the same Init, deliver, step
+// and drains the in-process round loop runs, exposed as explicit calls so
+// the coordinator can run the round barriers over the wire. What a Shard
+// adds is the only thing that is genuinely its own — boundary staging.
 //
 // Every participating process builds the SAME full Network from the
 // replayable workload spec — topology, arenas and per-node RNG streams
@@ -13,13 +14,12 @@ package congest
 // of its own: an inbound remote message is staged by setting the
 // remote sender's outbox slot in the local replica (Inject), after
 // which the unmodified deliverTo — THE canonical delivery point —
-// assembles the receiver's inbox in port order exactly as the
-// in-process engines do. That is what makes TCP-backed traces
+// assembles the receiver's inbox in port order exactly as it does for a
+// neighbor in the same part. That is what makes TCP-backed traces
 // byte-identical to the sequential engine: there is only one delivery
 // order in the codebase, and the wire backend reuses it.
 //
-// The coordinator-facing contract mirrors the in-process round loop
-// (runSequential) phase for phase:
+// The coordinator-facing calls, in the order of a round:
 //
 //	Init()                       — run Init for owned nodes (round 0)
 //	Inject(...); Deliver()       — stage remote sends, build inboxes
@@ -37,13 +37,9 @@ package congest
 // deliverTo scans it. Per-round fault counts are drained by the
 // coordinator through FaultCounts — Crashed restricted to the owned
 // range so shard counts sum to the global totals — and crashed owned
-// nodes skip Step exactly like the in-process step loop.
+// nodes skip Step like any other part's.
 
-import (
-	"fmt"
-
-	"almostmix/internal/faults"
-)
+import "fmt"
 
 // shardBoundary is one directed cross-shard port pair: an owned node's
 // port facing a remote neighbor. The remote side's (node, port) is both
@@ -58,10 +54,11 @@ type shardBoundary struct {
 
 // Shard drives nodes [lo, hi) of a single-use Network under an external
 // coordinator. Obtain one with NewShard; the Network must not be run or
-// reconfigured afterwards (NewShard consumes its single use).
+// reconfigured afterwards (NewShard consumes its single use). Init,
+// DrainEvents, HaltedCount, Messages, FaultCounts, PendingDelayed and Nodes
+// are the part's own methods over the owned range.
 type Shard struct {
-	net      *Network
-	lo, hi   int
+	part
 	boundary []shardBoundary
 }
 
@@ -86,7 +83,7 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 	// The deliver/step phases run on the coordinator's single driving
 	// goroutine, so the fault scratch needs one count slot.
 	net.faultsRunStart(1)
-	s := &Shard{net: net, lo: lo, hi: hi}
+	s := &Shard{part: part{net: net, lo: lo, hi: hi}}
 	t := net.topo
 	for u := lo; u < hi; u++ {
 		ulo, uhi := t.start[u], t.start[u+1]
@@ -104,17 +101,6 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 		}
 	}
 	return s, nil
-}
-
-// Nodes returns the owned half-open node range.
-func (s *Shard) Nodes() (lo, hi int) { return s.lo, s.hi }
-
-// Init runs Init for every owned node (round 0). Marks and halts it
-// emits are drained by the following DrainEvents call.
-func (s *Shard) Init() {
-	for v := s.lo; v < s.hi; v++ {
-		s.net.programs[v].Init(&s.net.ctxs[v])
-	}
 }
 
 // Inject stages one remote message for delivery to owned node dst on
@@ -152,10 +138,7 @@ func (s *Shard) Inject(dst, port int, payload Message) error {
 // non-owned state to empty for the next round. Message counting is
 // unaffected: sends are counted at the sending shard only.
 func (s *Shard) Deliver() int {
-	delivered := 0
-	for u := s.lo; u < s.hi; u++ {
-		delivered += s.net.deliverTo(u, 0)
-	}
+	delivered := s.deliver()
 	for _, b := range s.boundary {
 		rctx := &s.net.ctxs[b.remote]
 		if rctx.sent[b.remotePort] {
@@ -170,22 +153,11 @@ func (s *Shard) Deliver() int {
 // Borrowed: valid until the next Deliver, for coordinator-side stats.
 func (s *Shard) Inbox(u int) []Inbound { return s.net.inboxes[u] }
 
-// Step advances the replica's round counter and runs Step for every
-// owned non-halted, non-crashed node, mirroring the in-process step
-// phase (outboxes cleared for all owned nodes, halted and crashed ones
-// skipped and excluded from the active count). It returns the number of
-// nodes that executed Step.
+// Step advances the replica's round counter and runs the step phase over
+// the owned range. It returns the number of nodes that executed Step.
 func (s *Shard) Step() (active int) {
 	s.net.rounds++
-	for v := s.lo; v < s.hi; v++ {
-		ctx := &s.net.ctxs[v]
-		ctx.clearOutbox()
-		if ctx.halted || s.net.nodeCrashed(v) {
-			continue
-		}
-		active++
-		s.net.programs[v].Step(ctx, s.net.inboxes[v])
-	}
+	active, _ = s.step()
 	return active
 }
 
@@ -202,80 +174,5 @@ func (s *Shard) ExternalSends(fn func(dst, dstPort int, payload Message)) {
 	}
 }
 
-// DrainEvents forwards the queued phase marks and halt events of owned
-// nodes in node-ID order (marks in emission order first, then the halt
-// event), exactly like the in-process probe drain, and clears them.
-func (s *Shard) DrainEvents(mark func(node, round int, name string), halted func(node, round int)) {
-	for v := s.lo; v < s.hi; v++ {
-		ctx := &s.net.ctxs[v]
-		if len(ctx.marks) > 0 {
-			for _, m := range ctx.marks {
-				mark(v, m.round, m.name)
-			}
-			ctx.marks = ctx.marks[:0]
-		}
-		if ctx.justHalted {
-			ctx.justHalted = false
-			halted(v, ctx.haltRound)
-		}
-	}
-}
-
-// HaltedCount returns the number of owned nodes that have halted.
-func (s *Shard) HaltedCount() int {
-	halted := 0
-	for v := s.lo; v < s.hi; v++ {
-		if s.net.ctxs[v].halted {
-			halted++
-		}
-	}
-	return halted
-}
-
-// Messages returns the messages sent so far by owned nodes.
-func (s *Shard) Messages() int {
-	total := 0
-	for v := s.lo; v < s.hi; v++ {
-		total += s.net.ctxs[v].msgs
-	}
-	return total
-}
-
 // Rounds returns the replica's round counter.
 func (s *Shard) Rounds() int { return s.net.rounds }
-
-// FaultCounts drains the fault events counted since the previous call
-// (in practice: the round just stepped) and adds the crash node-rounds
-// of OWNED crashed nodes, so summing every shard's counts for a round
-// reproduces the in-process faultsRoundEnd value exactly once per
-// event. Like faultsRoundEnd it also folds the result into the replica
-// plan's totals. Zero value with no plan attached.
-func (s *Shard) FaultCounts() faults.Counts {
-	n := s.net
-	if n.fs == nil {
-		return faults.Counts{}
-	}
-	var c faults.Counts
-	for w := 0; w < len(n.fs.counts); w += faultCountStride {
-		c.Add(n.fs.counts[w])
-		n.fs.counts[w] = faults.Counts{}
-	}
-	c.Crashed = int64(n.fs.plan.CrashedCountIn(n.rounds, s.lo, s.hi))
-	n.fs.plan.AddCounts(c)
-	return c
-}
-
-// PendingDelayed returns the number of delayed messages still buffered
-// for owned receivers — the coordinator folds this into the global
-// quiet check, since a round with no deliveries is not quiet while a
-// delayed message is in flight somewhere.
-func (s *Shard) PendingDelayed() int {
-	if s.net.fs == nil {
-		return 0
-	}
-	total := 0
-	for u := s.lo; u < s.hi; u++ {
-		total += len(s.net.fs.pending[u])
-	}
-	return total
-}

@@ -49,8 +49,8 @@ func (t *ticker) Step(ctx *Ctx, inbox []Inbound) {
 // be cut off at the measured round count.
 //
 // The measurement pins GOMAXPROCS to 1 (like testing.AllocsPerRun) so
-// scheduler-dependent allocation noise cannot leak in; the parallel
-// engine still exercises its full barrier structure, merely serialized.
+// scheduler-dependent allocation noise cannot leak in; a multi-part
+// run still exercises its full barrier structure, merely serialized.
 // Residual runtime noise (a GC cycle landing inside one window) is
 // strictly additive, so the minimum over a few independent short/long
 // pairs converges to the true steady cost — which keeps a strict == 0

@@ -227,21 +227,10 @@ func (p *Plan) Severed(edge, round int) bool {
 	return false
 }
 
-// CrashedCount returns the number of nodes crashed in the given round.
-func (p *Plan) CrashedCount(round int) int {
-	n := 0
-	for _, c := range p.crashes {
-		if round >= c.Round && (c.Recover == 0 || round < c.Round+c.Recover) {
-			n++
-		}
-	}
-	return n
-}
-
-// CrashedCountIn returns the number of nodes in [lo, hi) crashed in the
-// given round — the sharded engines count crash node-rounds over their
-// owned range so per-shard counts sum exactly to CrashedCount.
-func (p *Plan) CrashedCountIn(round, lo, hi int) int {
+// CrashedCount returns the number of nodes in [lo, hi) crashed in the
+// given round. Partitioned executors count crash node-rounds over their
+// own range, so the counts of disjoint ranges sum to the whole network's.
+func (p *Plan) CrashedCount(round, lo, hi int) int {
 	n := 0
 	for _, c := range p.crashes {
 		if c.Node >= lo && c.Node < hi &&
@@ -322,7 +311,7 @@ func (p *Plan) RecoverySlack() int {
 
 // AddCounts folds one round's injected-event counts into the plan totals.
 // It must be called only from the engine coordinator between round
-// barriers (congest does; see faultsRoundEnd).
+// barriers (congest does; see part.FaultCounts).
 func (p *Plan) AddCounts(c Counts) { p.totals.Add(c) }
 
 // Totals returns the accumulated injected-event counts across every run

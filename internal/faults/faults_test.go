@@ -78,8 +78,11 @@ func TestCrashWindows(t *testing.T) {
 			t.Errorf("Crashed(%d, %d) = %v, want %v", c.node, c.round, got, c.want)
 		}
 	}
-	if n := p.CrashedCount(12); n != 2 {
-		t.Errorf("CrashedCount(12) = %d, want 2", n)
+	if n := p.CrashedCount(12, 0, 5); n != 2 {
+		t.Errorf("CrashedCount(12, 0, 5) = %d, want 2", n)
+	}
+	if lo, hi := p.CrashedCount(12, 0, 4), p.CrashedCount(12, 4, 5); lo != 1 || hi != 1 {
+		t.Errorf("CrashedCount(12) over [0,4), [4,5) = %d, %d, want 1, 1 (disjoint ranges sum to the whole)", lo, hi)
 	}
 	if !p.RecoveringAt(12) || p.RecoveringAt(15) || p.RecoveringAt(9) {
 		t.Error("RecoveringAt wrong around the recovery window")

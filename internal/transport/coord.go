@@ -22,14 +22,13 @@ package transport
 //
 // Observability: the coordinator keeps an always-on flight recorder
 // (internal/flightrec) plus per-shard last-completed-round/last-frame
-// attribution, and — when a probe, metrics registry or -obsout file is
+// attribution, and — when a metrics registry or -obsout file is
 // attached — a per-round, per-shard barrier-phase timeline
 // (accept/deliver-write/deliver-wait/step-write/step-wait/harvest)
 // with a cross-shard skew series. Wall clocks NEVER enter the probe
 // stream (trace files stay byte-identical to proc, the span_wall_ns
-// discipline); they flow to the metrics registry, the TraceSink's
-// transport-timeline table, and the merged ObsDoc written to ObsOut on
-// every exit path including panic and SIGTERM.
+// discipline); they flow to the metrics registry and the merged ObsDoc
+// written to ObsOut on every exit path including panic and SIGTERM.
 //
 // Failure policy: every read carries a deadline. A shard that dies
 // mid-round (or wedges) surfaces as a clean shard-attributed error —
@@ -89,15 +88,6 @@ type TCP struct {
 	// timeline, round skew) is written to on every exit — clean finish,
 	// shard death, barrier deadline, panic, SIGTERM.
 	ObsOut string
-	// FlightRecCap sizes the flight-recorder rings on the coordinator
-	// and (via the wire spec) on every shard; 0 selects
-	// flightrec.DefaultCapacity.
-	FlightRecCap int
-	// FlightRecOut, when set, makes the default spawner hand each
-	// tcpnode process -flightrec <FlightRecOut>.shard<i>.json, so a
-	// shard that dies leaves its own dump on disk even when the
-	// TELEMETRY ship-back never happens.
-	FlightRecOut string
 }
 
 // Name implements Transport.
@@ -193,7 +183,7 @@ type coordinator struct {
 
 	conns   []*frameConn
 	handles []ShardHandle
-	bounds  []int // bounds[i], bounds[i+1] = shard i's node range
+	split   congest.Split // shard i owns split.Bounds(i), like every part
 
 	rounds  int
 	halted  int
@@ -221,11 +211,10 @@ type coordinator struct {
 	phase      string
 	phaseRound int
 
-	// Timeline/skew accumulation and instruments, active when a probe
-	// sink, metrics registry or ObsOut is attached.
+	// Timeline/skew accumulation and instruments, active when a metrics
+	// registry or ObsOut is attached.
 	obsOn      bool
-	tsink      timelineSink
-	timeline   []congest.TimelineRow
+	timeline   []TimelineRow
 	skew       []RoundSkew
 	shardTel   []*wireTelemetry
 	prevFrames int64
@@ -250,11 +239,7 @@ func (c *coordinator) run() (res Result, err error) {
 	defer ln.Close()
 
 	k := c.tcp.Shards
-	n := c.inst.Graph.N()
-	c.bounds = make([]int, k+1)
-	for i := 0; i <= k; i++ {
-		c.bounds[i] = i * n / k
-	}
+	c.split = congest.Split{N: c.inst.Graph.N(), K: k}
 	c.pending = make([][]wireSend, k)
 	c.pendingBuf = make([][]byte, k)
 	c.obsInit(k)
@@ -309,9 +294,6 @@ func (c *coordinator) run() (res Result, err error) {
 	if p := c.opts.Probe; p != nil {
 		p.RunEnd(c.rounds, err)
 	}
-	if c.tsink != nil {
-		c.tsink.AddTimeline(c.timeline)
-	}
 	if reg := c.opts.Metrics; reg != nil {
 		c.metricsEnd(reg, time.Since(t0))
 	}
@@ -332,14 +314,13 @@ func (c *coordinator) run() (res Result, err error) {
 
 // obsInit builds the per-run observability state: the always-on pieces
 // (flight recorder, per-shard attribution) plus — when any consumer is
-// attached — the timeline sink hookup and the tcpnet_* instruments.
+// attached — the tcpnet_* instruments.
 func (c *coordinator) obsInit(k int) {
-	c.rec = flightrec.New("coord", -1, c.tcp.FlightRecCap)
+	c.rec = flightrec.New("coord", -1, flightrec.DefaultCapacity)
 	c.shardRound = make([]int, k)
 	c.lastType = make([]byte, k)
 	c.shardTel = make([]*wireTelemetry, k)
-	c.tsink, _ = c.opts.Probe.(timelineSink)
-	c.obsOn = c.tcp.ObsOut != "" || c.tsink != nil || c.opts.Metrics != nil
+	c.obsOn = c.tcp.ObsOut != "" || c.opts.Metrics != nil
 	if reg := c.opts.Metrics; reg != nil {
 		c.obs = obsInstruments{
 			roundFrames: reg.Histogram("tcpnet_round_frames", metrics.PowersOf2(0, 20)),
@@ -369,7 +350,7 @@ func (c *coordinator) notePhase(shard int, ns int64) {
 		c.obs.stepWait.Observe(ns)
 	}
 	if c.obsOn {
-		c.timeline = append(c.timeline, congest.TimelineRow{
+		c.timeline = append(c.timeline, TimelineRow{
 			Round: c.phaseRound, Shard: shard, Phase: c.phase, WallNS: ns,
 		})
 	}
@@ -398,16 +379,11 @@ func (c *coordinator) shardFail(i int, what string, err error) error {
 // the shard index and coordinator address, stderr passed through.
 func (c *coordinator) execSpawner() SpawnFunc {
 	bin := c.tcp.NodeBin
-	flightOut := c.tcp.FlightRecOut
 	return func(shard int, addr string) (ShardHandle, error) {
 		if bin == "" {
 			return ShardHandle{}, errors.New("transport: TCP.NodeBin not set (path to the tcpnode binary)")
 		}
-		args := []string{"-connect", addr, "-shard", strconv.Itoa(shard)}
-		if flightOut != "" {
-			args = append(args, "-flightrec", fmt.Sprintf("%s.shard%d.json", flightOut, shard))
-		}
-		cmd := exec.Command(bin, args...)
+		cmd := exec.Command(bin, "-connect", addr, "-shard", strconv.Itoa(shard))
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			return ShardHandle{}, err
@@ -460,10 +436,9 @@ func (c *coordinator) accept(ln net.Listener) error {
 
 func (c *coordinator) sendSpec() error {
 	body, err := json.Marshal(wireSpec{
-		Version:   wireVersion,
-		Shards:    c.tcp.Shards,
-		FlightRec: c.tcp.FlightRecCap,
-		Spec:      c.spec,
+		Version: wireVersion,
+		Shards:  c.tcp.Shards,
+		Spec:    c.spec,
 	})
 	if err != nil {
 		return fmt.Errorf("transport: encode spec: %w", err)
@@ -570,7 +545,8 @@ func (c *coordinator) drive() (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			if err := parseDeliveredReply(body, c.bounds[i+1]-c.bounds[i], &delivered); err != nil {
+			lo, hi := c.split.Bounds(i)
+			if err := parseDeliveredReply(body, hi-lo, &delivered); err != nil {
 				return Result{}, fmt.Errorf("transport: shard %d: %w", i, err)
 			}
 			deliveredTotal += delivered.delivered
@@ -678,18 +654,8 @@ func (c *coordinator) absorbReply(shard int, r *stepReply) {
 		}
 	}
 	c.halted += r.halted
-	n := c.inst.Graph.N()
-	k := c.tcp.Shards
 	for _, s := range r.sends {
-		dst := min(s.dst*k/n, k-1)
-		// Resolve the owning shard exactly: bounds are contiguous, so a
-		// linear fixup of the estimate terminates in O(1) expected.
-		for s.dst < c.bounds[dst] {
-			dst--
-		}
-		for s.dst >= c.bounds[dst+1] {
-			dst++
-		}
+		dst := c.split.Owner(s.dst)
 		off := len(c.pendingBuf[dst])
 		c.pendingBuf[dst] = append(c.pendingBuf[dst], s.payload...)
 		c.pending[dst] = append(c.pending[dst], wireSend{
@@ -716,7 +682,7 @@ func (c *coordinator) absorbProfile(shard int, d *deliveredReply) {
 	if c.agg == nil {
 		return
 	}
-	lo := c.bounds[shard]
+	lo, _ := c.split.Bounds(shard)
 	pi := 0
 	for j, size := range d.sizes {
 		for x := 0; x < size; x++ {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 
-	"almostmix/internal/congest"
 	"almostmix/internal/faults"
 	"almostmix/internal/flightrec"
 	"almostmix/internal/harness"
@@ -63,23 +62,36 @@ type RoundSkew struct {
 	SkewNS int64 `json:"skew_ns"`
 }
 
+// TimelineRow is one phase of one round of one shard as the coordinator
+// measured it on the wall clock: how long it spent in the named barrier
+// phase attributable to that shard. Shard is -1 for whole-barrier rows
+// (broadcast writes) and Round is -1 for the pre-round accept handshake.
+// Wall-clock rows are host-dependent, so they exist only here — never in
+// a -trace export, which must stay byte-identical across backends.
+type TimelineRow struct {
+	Round  int    `json:"round"`
+	Shard  int    `json:"shard"`
+	Phase  string `json:"phase"`
+	WallNS int64  `json:"wall_ns"`
+}
+
 // ObsDoc is the merged per-run observability document.
 type ObsDoc struct {
-	Schema      string                `json:"schema"`
-	Backend     string                `json:"backend"`
-	Spec        Spec                  `json:"spec"`
-	Shards      int                   `json:"shards"`
-	Rounds      int                   `json:"rounds"`
-	Reason      string                `json:"reason"`
-	GuiltyShard int                   `json:"guilty_shard"`
-	LastRound   int                   `json:"last_round"`
-	Phase       string                `json:"phase,omitempty"`
-	Error       string                `json:"error,omitempty"`
-	Coordinator flightrec.Dump        `json:"coordinator"`
-	ShardDumps  []*flightrec.Dump     `json:"shard_dumps"`
-	Wire        []WireStats           `json:"wire"`
-	Timeline    []congest.TimelineRow `json:"timeline"`
-	Skew        []RoundSkew           `json:"skew"`
+	Schema      string            `json:"schema"`
+	Backend     string            `json:"backend"`
+	Spec        Spec              `json:"spec"`
+	Shards      int               `json:"shards"`
+	Rounds      int               `json:"rounds"`
+	Reason      string            `json:"reason"`
+	GuiltyShard int               `json:"guilty_shard"`
+	LastRound   int               `json:"last_round"`
+	Phase       string            `json:"phase,omitempty"`
+	Error       string            `json:"error,omitempty"`
+	Coordinator flightrec.Dump    `json:"coordinator"`
+	ShardDumps  []*flightrec.Dump `json:"shard_dumps"`
+	Wire        []WireStats       `json:"wire"`
+	Timeline    []TimelineRow     `json:"timeline"`
+	Skew        []RoundSkew       `json:"skew"`
 }
 
 // ValidateObs checks the document against its schema contract: the
@@ -135,14 +147,6 @@ func ReadObs(b []byte) (*ObsDoc, error) {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// timelineSink is the optional capability a probe exposes to receive
-// the coordinator's barrier-phase timeline — *congest.TraceSink
-// implements it. Detected by interface assertion so Options stays a
-// plain congest.Probe.
-type timelineSink interface {
-	AddTimeline(rows []congest.TimelineRow)
 }
 
 // wireStats converts one endpoint's connection tallies, keying the

@@ -16,15 +16,12 @@ import (
 )
 
 // wireSpec is the JSON body of the SPEC frame: the replayable workload
-// spec plus the shard layout the run uses. FlightRec is the flight-
-// recorder ring capacity every shard should run with (0 selects
-// flightrec.DefaultCapacity), so one coordinator flag sizes the rings
-// of the whole run.
+// spec plus the shard count; congest.Split turns the count into the
+// layout on both sides.
 type wireSpec struct {
-	Version   int  `json:"version"`
-	Shards    int  `json:"shards"`
-	FlightRec int  `json:"flightrec,omitempty"`
-	Spec      Spec `json:"spec"`
+	Version int  `json:"version"`
+	Shards  int  `json:"shards"`
+	Spec    Spec `json:"spec"`
 }
 
 // wireTelemetry is the JSON body of the TELEMETRY frame every shard
@@ -37,13 +34,6 @@ type wireSpec struct {
 type wireTelemetry struct {
 	WireStats
 	Dump flightrec.Dump `json:"flightrec"`
-}
-
-// shardBounds is the contiguous node split shared by the coordinator
-// and every shard process: shard i owns [i·n/k, (i+1)·n/k) — the same
-// split the in-process parallel engine uses.
-func shardBounds(n, shards, i int) (lo, hi int) {
-	return i * n / shards, (i + 1) * n / shards
 }
 
 // cursor is a parsing cursor over one frame payload; the first error

@@ -1,7 +1,7 @@
 package transport
 
 // The shard side of the TCP backend: dial the coordinator with backoff,
-// replay the spec into a congest.Shard over nodes [i·n/k, (i+1)·n/k),
+// replay the spec into a congest.Shard over part i of congest.Split,
 // then answer barrier frames until the coordinator says FINISH (or
 // closes the connection). cmd/tcpnode is a thin wrapper around
 // DialShard + ServeShard; tests drive ServeShard directly on in-process
@@ -32,9 +32,9 @@ type ShardConfig struct {
 	// deadline — not a connection error — has to surface the failure.
 	StallAtRound int
 	// Recorder is the shard's flight recorder. cmd/tcpnode passes one it
-	// also dumps on panic/SIGTERM; when nil, ServeShard creates one
-	// sized by the wire spec's flightrec field, so every shard records
-	// either way and its dump ships back in the TELEMETRY frame.
+	// also dumps on panic/SIGTERM; when nil, ServeShard creates one, so
+	// every shard records either way and its dump ships back in the
+	// TELEMETRY frame.
 	Recorder *flightrec.Recorder
 }
 
@@ -101,7 +101,7 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	if wl.Encode == nil || wl.Decode == nil {
 		return fmt.Errorf("transport: workload %q has no payload codec, cannot run over tcp", ws.Spec.Workload)
 	}
-	lo, hi := shardBounds(inst.Graph.N(), ws.Shards, shard)
+	lo, hi := congest.Split{N: inst.Graph.N(), K: ws.Shards}.Bounds(shard)
 	net := congest.NewNetwork(inst.Graph, inst.Programs, inst.Source)
 	if inst.Faults != nil {
 		// The replica's plan is rebuilt from the spec, identical on every
@@ -115,7 +115,7 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	}
 	rec := cfg.Recorder
 	if rec == nil {
-		rec = flightrec.New("shard", shard, ws.FlightRec)
+		rec = flightrec.New("shard", shard, flightrec.DefaultCapacity)
 	}
 	r := &shardRuntime{fc: fc, shard: shard, s: s, wl: wl, inst: inst, cfg: cfg, rec: rec}
 	return r.loop()

@@ -250,6 +250,11 @@ func (c *coordinator) run() (res Result, err error) {
 				fc.conn.Close()
 			}
 		}
+		// A shard whose connection was never accepted (the handshake failed
+		// on a sibling first) still sits in the listen backlog: closing the
+		// listener resets it, so it ends with the run instead of holding
+		// reap to its timeouts.
+		ln.Close()
 		c.reap(err != nil)
 	}()
 

@@ -42,13 +42,28 @@ func suiteSpecs(seed uint64) []transport.Spec {
 // goroutineSpawner runs each shard as an in-process goroutine speaking
 // the real TCP loopback protocol.
 func goroutineSpawner(cfgFor func(shard int) transport.ShardConfig) transport.SpawnFunc {
+	return wrappedSpawner(cfgFor, nil)
+}
+
+// wrappedSpawner is goroutineSpawner with a slot between DialShard and
+// ServeShard: wrap (when non-nil) may replace a shard's connection, which
+// is where hostile_test.go puts its scripted misbehaving peer — the
+// product code on both ends stays exactly what ships.
+func wrappedSpawner(cfgFor func(shard int) transport.ShardConfig, wrap func(shard int, conn net.Conn) net.Conn) transport.SpawnFunc {
 	return func(shard int, addr string) (transport.ShardHandle, error) {
 		done := make(chan error, 1)
 		go func() {
-			conn, err := transport.DialShard(addr, 5*time.Second)
+			// The listener is up before any shard is spawned, so a dial either
+			// connects at once or is refused because a sibling's failure has
+			// already ended the run — and Kill cannot interrupt a goroutine, so
+			// the budget is how long such a run then takes to reap.
+			conn, err := transport.DialShard(addr, 2*time.Second)
 			if err != nil {
 				done <- err
 				return
+			}
+			if wrap != nil {
+				conn = wrap(shard, conn)
 			}
 			var cfg transport.ShardConfig
 			if cfgFor != nil {

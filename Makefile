@@ -1,8 +1,11 @@
-# Developer entry points. `make check` is the CI gate: vet, the full test
-# suite, the race-instrumented run and the un-shortened transport suite
-# (which carries the fault layer). The race target uses -short so the
-# heavyweight differential sweeps keep the instrumented run fast; drop the
-# flag (make race SHORT=) for the exhaustive version.
+# Developer entry points. `make check` is the local gate: vet, the full
+# test suite, the race-instrumented run and the un-shortened transport
+# suite (which carries the fault layer). CI runs the same four once each:
+# its `check` job runs `make vet test race` and leaves transport-suite to
+# the dedicated `transport-suite` job (ci.yml), so the suite is not run
+# twice per push. The race target uses -short so the heavyweight
+# differential sweeps keep the instrumented run fast; drop the flag (make
+# race SHORT=) for the exhaustive version.
 
 SHORT ?= -short
 # Per-benchmark budget for `make bench` and `make bench-scale` (any
@@ -37,7 +40,10 @@ smoke:
 # differential parity matrix (every workload × shard count × seed over
 # loopback TCP, goroutine-mode shards AND real cmd/tcpnode processes,
 # trace-byte-identical to the sequential engine), shard death/stall
-# surfacing as attributed errors within the deadline, the fault layer's
+# surfacing as attributed errors within the deadline, the state-machine
+# sweep (hostile_test.go: a cut at every frame boundary of a short run ×
+# four workloads × shards {2,3}, scripted hostile peers and replies — about
+# 20 s of the transport package's 45 s under -race), the fault layer's
 # determinism contract (the differential fault tests across both engines
 # and all worker counts), faults over the wire (golden fault traces over
 # proc and tcp at shards 1/2/4, per-shard counts summing to the
@@ -92,3 +98,4 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzNetworkRun -fuzztime 30s ./internal/congest
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzParseReplies -fuzztime 30s ./internal/transport
+	go test -run '^$$' -fuzz FuzzAbsorbReplies -fuzztime 30s ./internal/transport

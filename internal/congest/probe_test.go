@@ -369,8 +369,8 @@ func TestTraceSinkExporters(t *testing.T) {
 		}
 	}
 
-	if sink.Rounds.Histogram().NumRows() == 0 {
-		t.Fatal("histogram is empty")
+	if sink.Rounds.Table().NumRows() == 0 {
+		t.Fatal("round table is empty")
 	}
 	if got := sink.Loads.Totals[0]; got != 2 {
 		t.Fatalf("node 0 delivered total = %d, want 2", got)

@@ -100,32 +100,6 @@ func (t *RoundTrace) Table() *harness.Table {
 	return tb
 }
 
-// Histogram buckets the per-round max edge load by powers of two — the
-// congestion distribution over the run(s).
-func (t *RoundTrace) Histogram() *harness.Table {
-	var buckets []int
-	for _, s := range t.Samples {
-		b := 0
-		for v := s.MaxEdgeLoad; v > 1; v >>= 1 {
-			b++
-		}
-		for len(buckets) <= b {
-			buckets = append(buckets, 0)
-		}
-		buckets[b]++
-	}
-	tb := harness.NewTable("max edge load histogram", "load", "rounds")
-	for b, c := range buckets {
-		lo, hi := 1<<b, 1<<(b+1)-1
-		label := fmt.Sprintf("%d", lo)
-		if hi > lo {
-			label = fmt.Sprintf("%d–%d", lo, hi)
-		}
-		tb.AddRow(label, c)
-	}
-	return tb
-}
-
 // NodeLoadSample is one exported row of a NodeLoadTrace: the most loaded
 // node of one round.
 type NodeLoadSample struct {

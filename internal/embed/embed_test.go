@@ -77,8 +77,8 @@ func TestResolveErrors(t *testing.T) {
 		t.Fatal("tiny graph accepted")
 	}
 	p := DefaultParams()
-	p.DegreeG0 = 100
-	p.WalksPerVirtualNode = 10
+	p.DegreeG0C = 10
+	p.WalksC = 1
 	if _, err := p.resolve(graph.Ring(16)); err == nil {
 		t.Fatal("degree > walks accepted")
 	}
@@ -353,7 +353,7 @@ func TestLevelsRespectMinPartRule(t *testing.T) {
 	for l := 0; l < r.levels; l++ {
 		size /= r.beta
 	}
-	if size < maxInt(r.leafSize, 2*r.beta) {
+	if size < max(r.leafSize, 2*r.beta) {
 		t.Fatalf("expected leaf size %d below the floor", size)
 	}
 }

@@ -92,7 +92,7 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 	}
 
 	if !overlay.Graph.IsConnected() {
-		return nil, fmt.Errorf("embed: G0 is disconnected (%d virtual nodes, %d edges); increase DegreeG0 or walk count",
+		return nil, fmt.Errorf("embed: G0 is disconnected (%d virtual nodes, %d edges); increase DegreeG0C or WalksC",
 			m2, overlay.Graph.M())
 	}
 	overlay.Paths = res.Paths(kept)

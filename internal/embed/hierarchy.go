@@ -204,11 +204,6 @@ func (h *Hierarchy) DigitAt(vid int32, level int) int32 {
 	return h.Overlay(level).Digit[vid]
 }
 
-// LeafPart returns vid's part index at the deepest level.
-func (h *Hierarchy) LeafPart(vid int32) int32 {
-	return h.Overlay(h.Levels).PartOf[vid]
-}
-
 // DigitsOfID computes the partition digits of an encoded virtual-node
 // identity without consulting the tables — this is property (P2): any node
 // can compute any other node's position from its ID alone.

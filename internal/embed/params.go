@@ -15,44 +15,33 @@ import (
 	"almostmix/internal/graph"
 )
 
-// Params configures the hierarchical embedding. The zero value is not
-// valid; use DefaultParams and override fields as needed.
+// Params configures the hierarchical embedding: the constants anything
+// tunes. A zero field selects its default — DefaultParams' value, or for
+// Beta, LeafSize and TauMix the formula named on the field — so the zero
+// Params and DefaultParams() build the same hierarchy.
 //
 // The paper's asymptotic constants (200·log n walks, 100·log n overlay
 // degree, β = 2^Θ(√(log n·log log n))) exceed practical sizes at
 // laptop-scale n, so the defaults keep the paper's formulas with smaller
-// leading constants; every experiment records the parameter set used.
+// leading constants; every experiment records the parameter set used
+// (Hierarchy.Resolved).
 type Params struct {
 	// Beta is the partition branching factor β. Zero selects the
 	// paper's formula 2^⌈√(log₂ n · log₂ log₂ n)⌉ clamped to
-	// [MinBeta, MaxBeta].
+	// [minBeta, maxBeta].
 	Beta int
-	// MinBeta/MaxBeta clamp the automatic β choice.
-	MinBeta, MaxBeta int
-	// WalksPerVirtualNode is the number of level-zero random walks
-	// started per virtual node (paper: 200·log n). Zero selects
-	// WalksC·log₂ n.
-	WalksPerVirtualNode int
-	// WalksC is the multiplier for the automatic walk count.
+	// WalksC·log₂ n level-zero random walks start per virtual node
+	// (paper: 200·log n).
 	WalksC int
-	// DegreeG0 is the number of outgoing G0 neighbors kept per virtual
-	// node (paper: 100·log n). Zero selects DegreeG0C·log₂ n.
-	DegreeG0 int
-	// DegreeG0C is the multiplier for the automatic G0 degree.
+	// DegreeG0C·log₂ n outgoing G0 neighbors are kept per virtual node
+	// (paper: 100·log n); at most WalksC.
 	DegreeG0C int
-	// OverlayDegree is the number of same-part neighbors each node
-	// keeps at levels ≥ 1 (paper: Θ(log n)). Zero selects
-	// 2·⌈log₂ 2m⌉.
-	OverlayDegree int
 	// WalkLenFactor multiplies the mixing time for level-zero walks
 	// (the Lemma 3.1 remark suggests at least 2).
 	WalkLenFactor int
 	// LeafSize stops the recursion once parts are at most this big
 	// (paper: O(log n)). Zero selects 4·⌈log₂ 2m⌉.
 	LeafSize int
-	// HashIndependence is the W of the W-wise independent partition
-	// hash. Zero selects ⌈log₂ 2m⌉.
-	HashIndependence int
 	// TauMix overrides the base-graph lazy mixing time; zero computes a
 	// spectral estimate (exact computation is exposed separately in
 	// internal/spectral for experiments that can afford it).
@@ -65,14 +54,15 @@ type Params struct {
 // DefaultParams returns the parameter set used by the experiments.
 func DefaultParams() Params {
 	return Params{
-		MinBeta:       4,
-		MaxBeta:       16,
 		WalksC:        6,
 		DegreeG0C:     2,
 		WalkLenFactor: 2,
 		SuccessMargin: 2.5,
 	}
 }
+
+// The automatic β choice is clamped to [minBeta, maxBeta].
+const minBeta, maxBeta = 4, 16
 
 // log2ceil returns ⌈log₂ x⌉ for x ≥ 1.
 func log2ceil(x int) int {
@@ -88,10 +78,10 @@ type resolved struct {
 	beta          int
 	walksPerVNode int
 	degreeG0      int
-	overlayDegree int
+	overlayDegree int // same-part neighbors kept per node at levels ≥ 1 (paper: Θ(log n))
 	walkLenFactor int
 	leafSize      int
-	hashW         int
+	hashW         int // the W of the W-wise independent partition hash
 	levels        int // k: number of partition levels (≥ 1)
 	successMargin float64
 }
@@ -102,36 +92,35 @@ func (p Params) resolve(g *graph.Graph) (resolved, error) {
 	if n < 2 || m2 == 0 {
 		return resolved{}, fmt.Errorf("embed: graph too small (n=%d, m=%d)", n, g.M())
 	}
-	logN := log2ceil(n)
-	logM2 := log2ceil(m2)
+	def := DefaultParams()
+	if p.WalksC == 0 {
+		p.WalksC = def.WalksC
+	}
+	if p.DegreeG0C == 0 {
+		p.DegreeG0C = def.DegreeG0C
+	}
+	if p.WalkLenFactor == 0 {
+		p.WalkLenFactor = def.WalkLenFactor
+	}
+	if p.SuccessMargin == 0 {
+		p.SuccessMargin = def.SuccessMargin
+	}
+	logN := log2ceil(n) // ≥ 1: n ≥ 2
+	logM2 := max(2, log2ceil(m2))
 	r := resolved{
 		beta:          p.Beta,
-		walksPerVNode: p.WalksPerVirtualNode,
-		degreeG0:      p.DegreeG0,
-		overlayDegree: p.OverlayDegree,
+		walksPerVNode: p.WalksC * logN,
+		degreeG0:      p.DegreeG0C * logN,
+		overlayDegree: 2 * logM2,
 		walkLenFactor: p.WalkLenFactor,
 		leafSize:      p.LeafSize,
-		hashW:         p.HashIndependence,
+		hashW:         logM2,
 		successMargin: p.SuccessMargin,
 	}
 	if r.beta == 0 {
 		loglog := math.Log2(math.Max(2, float64(logN)))
 		exp := math.Ceil(math.Sqrt(float64(logN) * loglog))
-		beta := 1 << int(exp)
-		minB, maxB := p.MinBeta, p.MaxBeta
-		if minB == 0 {
-			minB = 4
-		}
-		if maxB == 0 {
-			maxB = 16
-		}
-		if beta < minB {
-			beta = minB
-		}
-		if beta > maxB {
-			beta = maxB
-		}
-		r.beta = beta
+		r.beta = min(max(1<<int(exp), minBeta), maxBeta)
 	}
 	if r.beta < 2 {
 		return resolved{}, fmt.Errorf("embed: beta must be >= 2, got %d", r.beta)
@@ -139,44 +128,18 @@ func (p Params) resolve(g *graph.Graph) (resolved, error) {
 	// The paper's analysis needs β ≤ √m (Lemma 3.4); clamp so sibling
 	// parts always share overlay edges.
 	if rootM := int(math.Sqrt(float64(m2) / 2)); r.beta > rootM {
-		r.beta = maxInt(2, rootM)
-	}
-	if r.walksPerVNode == 0 {
-		c := p.WalksC
-		if c == 0 {
-			c = 6
-		}
-		r.walksPerVNode = c * maxInt(1, logN)
-	}
-	if r.degreeG0 == 0 {
-		c := p.DegreeG0C
-		if c == 0 {
-			c = 2
-		}
-		r.degreeG0 = c * maxInt(1, logN)
+		r.beta = max(2, rootM)
 	}
 	if r.degreeG0 > r.walksPerVNode {
 		return resolved{}, fmt.Errorf("embed: degreeG0 %d exceeds walks per node %d", r.degreeG0, r.walksPerVNode)
 	}
-	if r.overlayDegree == 0 {
-		r.overlayDegree = 2 * maxInt(2, logM2)
-	}
 	if r.leafSize == 0 {
-		r.leafSize = 4 * maxInt(2, logM2)
-	}
-	if r.hashW == 0 {
-		r.hashW = maxInt(2, logM2)
-	}
-	if r.walkLenFactor == 0 {
-		r.walkLenFactor = 2
-	}
-	if r.successMargin == 0 {
-		r.successMargin = 2.5
+		r.leafSize = 4 * logM2
 	}
 	// Number of levels: split while the children stay at least
 	// max(leafSize, 2β) — below ≈ 2β nodes per part, sibling parts stop
 	// sharing overlay edges and portals (Lemma 3.3) cannot exist.
-	minPart := maxInt(r.leafSize, 2*r.beta)
+	minPart := max(r.leafSize, 2*r.beta)
 	k := 0
 	size := m2
 	for size/r.beta >= minPart {
@@ -188,11 +151,4 @@ func (p Params) resolve(g *graph.Graph) (resolved, error) {
 	}
 	r.levels = k
 	return r, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -168,15 +168,6 @@ func (g *Graph) MinDegree() int {
 	return minDeg
 }
 
-// Volume returns the sum of degrees of the nodes in set (2m for all nodes).
-func (g *Graph) Volume(set []int) int {
-	vol := 0
-	for _, v := range set {
-		vol += len(g.adj[v])
-	}
-	return vol
-}
-
 // SetWeight sets the weight of edge id.
 func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
 

@@ -13,15 +13,14 @@
 //     no-op, so an instrumented hot loop with metrics off pays exactly one
 //     nil check — the same fast-path discipline as Ctx.Mark without a
 //     probe (BenchmarkCongestEngine guards this).
-//   - Instruments are lock-sharded. A Counter or Histogram holds a small
-//     fixed array of cache-line-padded cells; single-writer call sites use
-//     cell 0 via Add/Observe, and the parallel engine's workers write
-//     their own cell via AddShard/ObserveShard, so concurrent accounting
-//     never contends on a line. Snapshot merges the shards.
+//   - Instruments are atomic and safe for concurrent use, and nothing
+//     more: every engine and coordinator write happens between barriers
+//     on one goroutine (per-worker busy time has its own padded slots in
+//     congest/metrics.go), so there is no contention to shard away.
 //   - Snapshots are deterministic in shape: instruments are sorted by
-//     name, bucket layouts are fixed at construction, and shard values
-//     merge by summation in shard order, so two runs differ only in the
-//     measured values, never in the schema of the export.
+//     name and bucket layouts are fixed at construction, so two runs
+//     differ only in the measured values, never in the schema of the
+//     export.
 //
 // Registration is idempotent: asking for an existing name returns the
 // existing instrument, so call sites need no shared setup phase.
@@ -33,13 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// numShards is the stripe width of sharded instruments. Writers index with
-// shard&(numShards-1), so any worker ID is a valid shard hint.
-const numShards = 8
-
-// cellPad spaces int64 cells a cache line apart so shards never share one.
-const cellPad = 8
 
 // Registry holds named instruments. The zero value is not usable — New
 // allocates one — but a nil *Registry is: it hands out nil instruments
@@ -111,48 +103,34 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 			}
 		}
 		h = &Histogram{
-			bounds: append([]int64(nil), bounds...),
-			cells:  make([]int64, numShards*(len(bounds)+1)*cellPad),
+			bounds:  append([]int64(nil), bounds...),
+			buckets: make([]atomic.Int64, len(bounds)+1),
 		}
 		r.histograms[name] = h
 	}
 	return h
 }
 
-// Counter is a monotonically increasing sharded int64.
+// Counter is a monotonically increasing int64.
 type Counter struct {
-	cells [numShards * cellPad]int64
+	v atomic.Int64
 }
 
-// Add increments the counter on shard 0. Safe for concurrent use; prefer
-// AddShard from the parallel engine's workers to avoid line contention.
-// A nil counter ignores the call.
+// Add increments the counter. Safe for concurrent use; a nil counter
+// ignores the call.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	atomic.AddInt64(&c.cells[0], n)
+	c.v.Add(n)
 }
 
-// AddShard increments the counter on the given shard stripe (any int is a
-// valid hint). A nil counter ignores the call.
-func (c *Counter) AddShard(shard int, n int64) {
-	if c == nil {
-		return
-	}
-	atomic.AddInt64(&c.cells[(shard&(numShards-1))*cellPad], n)
-}
-
-// Value merges the shards. A nil counter reads 0.
+// Value reads the counter. A nil counter reads 0.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for s := 0; s < numShards; s++ {
-		total += atomic.LoadInt64(&c.cells[s*cellPad])
-	}
-	return total
+	return c.v.Load()
 }
 
 // Gauge is a last-write-wins float64.
@@ -178,16 +156,12 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts int64 observations into fixed buckets: observation v
 // lands in the first bucket with v <= bound, or in the implicit overflow
-// bucket above the last bound. Counts and the running sum are sharded like
-// Counter cells.
+// bucket above the last bound.
 type Histogram struct {
-	bounds []int64
-	// cells[(shard*(len(bounds)+1) + bucket) * cellPad] is the sharded
-	// per-bucket count.
-	cells []int64
-	// sums and counts are the sharded Σv and N for mean derivation.
-	sums   [numShards * cellPad]int64
-	counts [numShards * cellPad]int64
+	bounds  []int64
+	buckets []atomic.Int64 // one count per bound, overflow last
+	// sum and count are Σv and N for mean derivation.
+	sum, count atomic.Int64
 }
 
 // bucketOf locates v's bucket index (len(bounds) = overflow) by binary
@@ -205,56 +179,31 @@ func (h *Histogram) bucketOf(v int64) int {
 	return lo
 }
 
-// Observe records v on shard 0. A nil histogram ignores the call.
-func (h *Histogram) Observe(v int64) { h.ObserveShard(0, v) }
-
-// ObserveShard records v on the given shard stripe. A nil histogram
-// ignores the call.
-func (h *Histogram) ObserveShard(shard int, v int64) {
+// Observe records v. Safe for concurrent use; a nil histogram ignores
+// the call.
+func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	s := shard & (numShards - 1)
-	atomic.AddInt64(&h.cells[(s*(len(h.bounds)+1)+h.bucketOf(v))*cellPad], 1)
-	atomic.AddInt64(&h.sums[s*cellPad], v)
-	atomic.AddInt64(&h.counts[s*cellPad], 1)
+	h.buckets[h.bucketOf(v)].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
 }
 
-// Count merges the per-shard observation counts (0 on nil).
+// Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for s := 0; s < numShards; s++ {
-		n += atomic.LoadInt64(&h.counts[s*cellPad])
-	}
-	return n
+	return h.count.Load()
 }
 
-// Sum merges the per-shard observation sums (0 on nil).
+// Sum returns the sum of the observations (0 on nil).
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	var v int64
-	for s := 0; s < numShards; s++ {
-		v += atomic.LoadInt64(&h.sums[s*cellPad])
-	}
-	return v
-}
-
-// bucketCounts merges the shards into one count per bucket (overflow
-// last), in shard order — the deterministic drain the snapshot exports.
-func (h *Histogram) bucketCounts() []int64 {
-	nb := len(h.bounds) + 1
-	merged := make([]int64, nb)
-	for s := 0; s < numShards; s++ {
-		for b := 0; b < nb; b++ {
-			merged[b] += atomic.LoadInt64(&h.cells[(s*nb+b)*cellPad])
-		}
-	}
-	return merged
+	return h.sum.Load()
 }
 
 // PowersOf2 returns ascending power-of-two bounds from 2^lo to 2^hi

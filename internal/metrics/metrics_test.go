@@ -16,7 +16,6 @@ func TestNilRegistryNoop(t *testing.T) {
 	var r *Registry
 	c := r.Counter("c")
 	c.Add(5)
-	c.AddShard(3, 7)
 	if got := c.Value(); got != 0 {
 		t.Fatalf("nil counter value %d, want 0", got)
 	}
@@ -27,7 +26,6 @@ func TestNilRegistryNoop(t *testing.T) {
 	}
 	h := r.Histogram("h", WallBuckets())
 	h.Observe(100)
-	h.ObserveShard(2, 200)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil histogram count=%d sum=%d, want 0,0", h.Count(), h.Sum())
 	}
@@ -125,35 +123,6 @@ func TestHistogramBadBounds(t *testing.T) {
 	New().Histogram("bad", []int64{10, 10})
 }
 
-// TestShardMerge: values written via every shard stripe (including hints
-// beyond numShards, which wrap) merge into one total.
-func TestShardMerge(t *testing.T) {
-	r := New()
-	c := r.Counter("c")
-	h := r.Histogram("h", []int64{100})
-	var wantSum int64
-	for shard := 0; shard < 2*numShards; shard++ {
-		c.AddShard(shard, int64(shard+1))
-		h.ObserveShard(shard, int64(shard))
-		wantSum += int64(shard)
-	}
-	wantC := int64(2 * numShards * (2*numShards + 1) / 2)
-	if got := c.Value(); got != wantC {
-		t.Fatalf("counter %d, want %d", got, wantC)
-	}
-	if h.Count() != int64(2*numShards) || h.Sum() != wantSum {
-		t.Fatalf("histogram count=%d sum=%d, want %d,%d", h.Count(), h.Sum(), 2*numShards, wantSum)
-	}
-	hs := r.Snapshot().Histogram("h")
-	var bucketTotal int64
-	for _, b := range hs.Buckets {
-		bucketTotal += b.Count
-	}
-	if bucketTotal != int64(2*numShards) {
-		t.Fatalf("merged bucket total %d, want %d", bucketTotal, 2*numShards)
-	}
-}
-
 // TestRegistryIdempotent: re-registration returns the same instrument, so
 // call sites need no setup coordination.
 func TestRegistryIdempotent(t *testing.T) {
@@ -204,9 +173,10 @@ func TestSnapshotOrdering(t *testing.T) {
 }
 
 // TestConcurrentDeterminism: the same logical workload executed by 1, 2
-// and 8 concurrent workers over shard-striped instruments must merge to
+// and 8 concurrent workers hammering the same instruments must come to
 // identical snapshot values — the registry-side half of the engines'
-// worker-count-independence guarantee.
+// worker-count-independence guarantee (and, under -race, the proof that
+// Add and Observe are safe to call concurrently).
 func TestConcurrentDeterminism(t *testing.T) {
 	const items = 800
 	var want *Snapshot
@@ -220,8 +190,8 @@ func TestConcurrentDeterminism(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < items; i += workers {
-					c.AddShard(w, int64(i))
-					h.ObserveShard(w, int64(i%500))
+					c.Add(int64(i))
+					h.Observe(int64(i % 500))
 				}
 			}(w)
 		}

@@ -42,7 +42,7 @@ type BucketSnap struct {
 const OverflowLe = math.MaxInt64
 
 // HistogramSnap is one exported histogram: total count and sum plus the
-// merged per-bucket counts (empty buckets are elided; Buckets is nil for a
+// per-bucket counts (empty buckets are elided; Buckets is nil for a
 // histogram that saw no observations).
 type HistogramSnap struct {
 	Name    string       `json:"name"`
@@ -60,7 +60,7 @@ type Snapshot struct {
 	Histograms []HistogramSnap `json:"histograms"`
 }
 
-// Snapshot merges every instrument's shards and returns the sorted export.
+// Snapshot reads every instrument and returns the sorted export.
 // A nil registry snapshots to the empty (but schema-stamped) document.
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{Schema: Schema}
@@ -77,7 +77,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, h := range r.histograms {
 		hs := HistogramSnap{Name: name, Count: h.Count(), Sum: h.Sum()}
-		for b, count := range h.bucketCounts() {
+		for b := range h.buckets {
+			count := h.buckets[b].Load()
 			if count == 0 {
 				continue
 			}

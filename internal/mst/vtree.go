@@ -74,17 +74,6 @@ func (f *Forest) depthsInto(depth []int32) {
 	}
 }
 
-// MaxDepth returns the maximum virtual-tree depth over all fragments.
-func (f *Forest) MaxDepth() int {
-	maxD := int32(0)
-	for _, d := range f.Depths() {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return int(maxD)
-}
-
 // Attach merges a tail fragment into a head fragment: the tail's root
 // becomes a child of attachment point y (the head-side endpoint of the
 // tail's minimum-weight outgoing edge). The caller relabels fragments

@@ -34,7 +34,7 @@ const (
 	frameStep                      // coord → shard: run one Step
 	frameStepped                   // shard → coord: active, events, halted, external sends
 	frameFinish                    // coord → shard: run over, harvest
-	frameFinal                     // shard → coord: message count, Finish blob
+	frameFinal                     // shard → coord: message count, one harvest record per owned node
 	frameTelemetry                 // shard → coord: JSON wireTelemetry (tallies + flight dump)
 
 	// frameTypeCount sizes per-type tally arrays indexed by frame type.
@@ -75,8 +75,10 @@ func frameName(typ byte) string {
 // TELEMETRY body a WireStats row plus the flight dump, which added its
 // "endpoint" key. Version 5 removed frame type 12, which carried
 // pre-rolled fault decisions from the coordinator: every shard now rolls
-// them from the plan it rebuilds from the spec.
-const wireVersion = 5
+// them from the plan it rebuilds from the spec. Version 6 made the FINAL
+// body the message count plus one record per owned node (the record
+// codec, proto.go) in place of an opaque workload blob.
+const wireVersion = 6
 
 // maxFramePayload bounds a frame's payload. Generous — the largest
 // legitimate frame is a DELIVER batch, linear in a shard's boundary

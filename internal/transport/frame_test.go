@@ -7,14 +7,19 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"almostmix/internal/congest"
+	"almostmix/internal/graph"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -151,27 +156,108 @@ func TestHelloVersionSkew(t *testing.T) {
 	}
 }
 
-// FuzzParseReplies drives the typed payload parsers with arbitrary
-// bodies: errors are expected, panics and unbounded allocations are not
-// (the cursor bounds every length field by the bytes remaining).
-func FuzzParseReplies(f *testing.F) {
+// replySeeds are well-formed reply bodies, the starting points of both
+// reply fuzzers; the int is an owned-node count (or shard index).
+func replySeeds(f *testing.F) {
 	f.Add([]byte{}, 4)
 	f.Add(appendStepReply(nil, &stepReply{active: 3, halted: 1,
 		events: []wireEvent{{node: 1, round: 2, name: "m"}, {halt: true, node: 1, round: 2}},
-		sends:  []wireSend{{dst: 7, port: 1, payload: []byte("x")}}}), 8)
-	f.Add(appendDeliveredReply(nil, &deliveredReply{delivered: 2, sizes: []int{1, 1}, ports: []int{0, 3}}), 2)
-	f.Add(appendFinalReply(nil, &finalReply{messages: 9, result: []byte("blob")}), 1)
+		sends:  []wireSend{{dst: 7, port: 0, payload: []byte("x")}}}), 0)
+	f.Add([]byte{2, 0, 1, 0, 1, 3, 0, 0}, 0)                                    // DELIVERED: 2 delivered, 0 pending, inboxes {port 0}, {port 3}, {}, {}
+	f.Add(appendRecords([]byte{9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 9 messages, four records
 	f.Add(appendHello(nil, 3), 1)
+}
+
+// FuzzParseReplies drives the typed payload parsers — the record codec
+// included — with arbitrary bodies: errors are expected, panics and
+// unbounded allocations are not (the cursor bounds every length field by
+// the bytes remaining), and whatever parses re-encodes to the same bytes.
+func FuzzParseReplies(f *testing.F) {
+	replySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, owned int) {
 		if owned < 0 || owned > 1<<16 {
 			return
 		}
 		var step stepReply
 		_ = parseStepReply(data, &step)
-		var del deliveredReply
-		_ = parseDeliveredReply(data, owned, &del)
-		var fin finalReply
-		_ = parseFinalReply(data, &fin)
+		cur := cursor{b: data}
+		if records := cur.records(nil, owned); cur.err == nil && len(records) != owned {
+			t.Fatalf("parsed %d records for %d owned nodes", len(records), owned)
+		}
 		_, _ = parseHello(data)
+	})
+}
+
+// TestRecordCodec: records round-trip, and every way their bytes can be
+// wrong — the cases each workload's blob parser used to answer for itself
+// — is an error here, once.
+func TestRecordCodec(t *testing.T) {
+	parse := func(b []byte, owned int) ([][]uint64, error) {
+		cur := cursor{b: b}
+		records := cur.records(nil, owned)
+		return records, cur.done("records")
+	}
+	records := [][]uint64{{7}, nil, {3, 0, 1 << 63}, {0}}
+	got, err := parse(appendRecords(nil, records), len(records))
+	if err != nil || !slices.EqualFunc(got, records, slices.Equal[[]uint64]) {
+		t.Fatalf("round trip: got %v, %v; want %v", got, err, records)
+	}
+	uv := func(vals ...uint64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	overflow := append(bytes.Repeat([]byte{0xff}, 10), 0x7f) // more than 64 bits of uvarint
+	for name, bad := range map[string][]byte{
+		"empty":                 nil,
+		"truncated count":       {0x80},
+		"truncated word":        append(uv(1), 0x80),
+		"count beyond the body": uv(3, 1, 1),
+		"records for one node":  uv(1, 9),
+		"records for three":     uv(1, 9, 0, 0),
+		"trailing bytes":        uv(1, 9, 0, 7),
+		"word overflows uint64": append(uv(1), append(overflow, 0)...),
+		"huge count":            uv(1 << 62),
+	} {
+		if got, err := parse(bad, 2); err == nil {
+			t.Errorf("%s: %x parsed as %v", name, bad, got)
+		}
+	}
+}
+
+// FuzzAbsorbReplies goes one level up: each body is parsed AND absorbed
+// as every reply type by a coordinator over a small fixed graph with a
+// probe attached — the state a hostile shard's numbers would index. A
+// rejected reply is the expected outcome; a panic is the bug.
+func FuzzAbsorbReplies(f *testing.F) {
+	replySeeds(f)
+	g := graph.Star(8) // node 0 has degree 7, the rest degree 1: ports are not interchangeable
+	f.Fuzz(func(t *testing.T, data []byte, shard int) {
+		const k = 2
+		if shard < 0 || shard >= k {
+			return
+		}
+		c := &coordinator{
+			tcp:        TCP{Shards: k},
+			inst:       &Instance{Graph: g},
+			opts:       Options{Probe: congest.NopProbe{}},
+			split:      congest.Split{N: g.N(), K: k},
+			pending:    make([][]wireSend, k),
+			pendingBuf: make([][]byte, k),
+			agg:        congest.NewRoundAggregator(g),
+		}
+		c.obsInit(k)
+		_ = c.absorbStepped(shard, data)
+		_ = c.absorbDelivered(shard, data)
+		_ = c.absorbFinal(shard, data)
+		_ = c.absorbTelemetry(shard, data)
+		// Whatever was absorbed has to be usable: the round closes and the
+		// relay batches serialize.
+		c.roundEnd(0)
+		for i := 0; i < k; i++ {
+			c.takeDeliverBody(i)
+		}
 	})
 }

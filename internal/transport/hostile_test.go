@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"almostmix/internal/congest"
 	"almostmix/internal/transport"
 )
 
@@ -129,6 +130,20 @@ func (c *scriptConn) forward(f fate, typ byte, body []byte) error {
 	return nil
 }
 
+// onNth is the script that applies f to the n-th frame of type want and
+// forwards everything else.
+func onNth(want byte, n int, f fate) script {
+	seen := 0
+	return func(_ int, typ byte, _ []byte) fate {
+		if typ == want {
+			if seen++; seen == n {
+				return f
+			}
+		}
+		return fate{}
+	}
+}
+
 // scriptedTCP is a goroutine-mode TCP backend whose shard `victim` speaks
 // through s; every other shard is honest.
 func scriptedTCP(shards, victim int, timeout time.Duration, obsOut string, s script) transport.TCP {
@@ -194,6 +209,9 @@ func sweepSpecs() []transport.Spec {
 }
 
 func TestSeverAtEveryFrameBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("784 runs; make transport-suite runs it whole")
+	}
 	const timeout = 10 * time.Second
 	for _, spec := range sweepSpecs() {
 		for _, shards := range []int{2, 3} {
@@ -268,19 +286,8 @@ func severAt(t *testing.T, spec transport.Spec, shards, k int, typ byte, mode cu
 // its row says — a clean byte-identical run for the harmless one, an
 // attributed error naming the phase for the rest.
 func TestScriptedPeer(t *testing.T) {
-	spec := suiteSpecs(1)[4] // walks
-	at := func(want byte, f fate) script {
-		seen := 0
-		return func(_ int, typ byte, _ []byte) fate {
-			if typ != want {
-				return fate{}
-			}
-			if seen++; seen == 2 { // the second one: a round is already behind us
-				return f
-			}
-			return fate{}
-		}
-	}
+	spec := suiteSpecs(1)[4]                                          // walks
+	at := func(want byte, f fate) script { return onNth(want, 2, f) } // the second one: a round is already behind us
 	cases := []struct {
 		name    string
 		script  script
@@ -335,6 +342,71 @@ func TestScriptedPeer(t *testing.T) {
 			var nerr net.Error
 			if isTimeout := errors.As(err, &nerr) && nerr.Timeout(); isTimeout != tc.timeout {
 				t.Errorf("err = %v: timeout = %v, want %v", err, isTimeout, tc.timeout)
+			}
+			settleGoroutines(t, base, tc.name)
+		})
+	}
+}
+
+// uv encodes vals as concatenated uvarints — every reply body is one.
+func uv(vals ...uint64) []byte {
+	var buf []byte
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// TestHostileReplies: a reply whose fields point outside the graph or
+// contradict each other must end the run in an error naming shard 1, the
+// phase and the field — the coordinator indexes its own arrays with these
+// numbers, so before the absorb checks the first and the two DELIVERED
+// rows were index panics and the rest were silently absorbed.
+func TestHostileReplies(t *testing.T) {
+	spec := suiteSpecs(1)[4] // walks on rr(32, 4): shard 1 of 2 owns nodes [16, 32)
+	const owned = 16
+	stepped := func(halted uint64, tail ...uint64) []byte {
+		return uv(append([]uint64{0, halted, 0, 0, 0, 0}, tail...)...) // active, halted, four fault counts
+	}
+	delivered := func(total uint64, first ...uint64) []byte {
+		body := uv(total, 0) // delivered, pending
+		body = append(body, uv(first...)...)
+		return append(body, make([]byte, owned-1)...) // the other owned nodes: empty inboxes
+	}
+	cases := []struct {
+		name  string
+		typ   byte
+		body  []byte
+		phase string
+		field string
+	}{
+		{"STEPPED send dst beyond n", transport.FrameStepped, stepped(0, 0, 1, 37, 0, 0), "step-wait", "send dst 37"},
+		{"STEPPED send port beyond degree", transport.FrameStepped, stepped(0, 0, 1, 3, 99, 0), "step-wait", "send dst 3 port 99"},
+		{"STEPPED send that is not the shard's to make", transport.FrameStepped, stepped(0, 0, 1, 20, 0, 0), "step-wait", "send dst 20 port 0 is the edge from node"},
+		{"STEPPED halted beyond owned", transport.FrameStepped, stepped(owned+1, 0, 0), "step-wait", "halted 17"},
+		{"STEPPED event outside the shard", transport.FrameStepped, stepped(0, 1, 1, 3, 2, 0), "step-wait", "event node 3"},
+		{"INITACK send dst beyond n", transport.FrameInitAck, stepped(0, 0, 1, 1<<40, 0, 0), "init-wait", "send dst"},
+		{"DELIVERED port beyond degree", transport.FrameDelivered, delivered(1, 1, 1<<20), "deliver-wait", "inbox port 1048576"},
+		{"DELIVERED sizes not summing", transport.FrameDelivered, delivered(5, 0), "deliver-wait", "delivered 5"},
+		{"TELEMETRY row of another endpoint", transport.FrameTelemetry, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			nth := 2 // a round is already behind us
+			if tc.typ == transport.FrameInitAck || tc.typ == transport.FrameTelemetry {
+				nth = 1 // there is only one
+			}
+			tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(tc.typ, nth, fate{rewrite: func([]byte) []byte { return tc.body }}))
+			// A probe is attached: the DELIVERED profile feeds its aggregator.
+			_, err := tcp.Run(spec, transport.Options{Probe: congest.NewTraceSink().Label("hostile")})
+			if err == nil {
+				t.Fatal("run reported success")
+			}
+			for _, want := range []string{"transport: shard 1: reply:", "phase " + tc.phase, tc.field} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("err = %v, want it to contain %q", err, want)
+				}
 			}
 			settleGoroutines(t, base, tc.name)
 		})

@@ -51,12 +51,9 @@ func (p Proc) Run(spec Spec, opts Options) (Result, error) {
 	if inst.Faults != nil {
 		res.Faults = inst.Faults.Totals()
 	}
-	if inst.Finish != nil && inst.Merge != nil {
-		out, merr := inst.Merge(inst.Graph, [][]byte{inst.Finish(0, inst.Graph.N())})
-		if merr != nil {
-			return Result{}, merr
-		}
-		res.Output = out
+	var rerr error
+	if res.Output, rerr = inst.reduce(inst.harvest(nil, 0, inst.Graph.N())); rerr != nil {
+		return Result{}, rerr
 	}
 	return res, err
 }

@@ -1,15 +1,16 @@
 package transport
 
 // Typed frame payload encodings for the TCP backend: uvarint-packed
-// batches of relayed messages, probe events and inbox profiles. All
-// encodings are canonical (one byte form per value, written in one
-// fixed order), which makes the coordinator's probe stream — and hence
-// exported traces — byte-identical to the in-process engines.
+// batches of relayed messages, probe events, inbox profiles and harvest
+// records. All encodings are canonical (one byte form per value, written
+// in one fixed order), which makes the coordinator's probe stream — and
+// hence exported traces — byte-identical to the in-process engines.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/flightrec"
@@ -63,9 +64,22 @@ func (c *cursor) uvarint(what string) uint64 {
 	return v
 }
 
-// length reads a uvarint that sizes a subsequent read; it additionally
-// bounds it by the bytes actually remaining, so a hostile length cannot
-// drive a huge allocation.
+// int reads a uvarint that has to fit an int — every count, node, port
+// and round on the wire — so no value read off a frame is ever negative
+// and range checks need an upper bound only.
+func (c *cursor) int(what string) int {
+	v := c.uvarint(what)
+	if v > math.MaxInt {
+		c.fail(what)
+		return 0
+	}
+	return int(v)
+}
+
+// length reads a uvarint that sizes a subsequent read — of bytes, or of
+// items at least one byte each; it additionally bounds it by the bytes
+// actually remaining, so a hostile length cannot drive a huge
+// allocation.
 func (c *cursor) length(what string) int {
 	v := c.uvarint(what)
 	if c.err == nil && v > uint64(len(c.b)) {
@@ -140,13 +154,13 @@ func appendEvents(buf []byte, evs []wireEvent) []byte {
 }
 
 func (c *cursor) events(dst []wireEvent) []wireEvent {
-	n := int(c.uvarint("event count"))
+	n := c.int("event count")
 	for i := 0; i < n && c.err == nil; i++ {
 		kind := c.byte("event kind")
 		e := wireEvent{
 			halt:  kind == eventHalt,
-			node:  int(c.uvarint("event node")),
-			round: int(c.uvarint("event round")),
+			node:  c.int("event node"),
+			round: c.int("event round"),
 		}
 		if kind == eventMark {
 			e.name = string(c.bytes(c.length("event name"), "event name"))
@@ -179,11 +193,11 @@ func appendSends(buf []byte, sends []wireSend) []byte {
 // sends parses a relayed-message batch. Payload slices alias the frame
 // buffer: valid only until the next frame read, decode before then.
 func (c *cursor) sends(dst []wireSend) []wireSend {
-	n := int(c.uvarint("send count"))
+	n := c.int("send count")
 	for i := 0; i < n && c.err == nil; i++ {
 		s := wireSend{
-			dst:  int(c.uvarint("send dst")),
-			port: int(c.uvarint("send port")),
+			dst:  c.int("send dst"),
+			port: c.int("send port"),
 		}
 		s.payload = c.bytes(c.length("send payload"), "send payload")
 		dst = append(dst, s)
@@ -217,78 +231,46 @@ func appendStepReply(buf []byte, r *stepReply) []byte {
 
 func parseStepReply(b []byte, r *stepReply) error {
 	c := cursor{b: b}
-	r.active = int(c.uvarint("step active"))
-	r.halted = int(c.uvarint("step halted"))
-	r.faults.Dropped = int64(c.uvarint("step dropped"))
-	r.faults.Duplicated = int64(c.uvarint("step duplicated"))
-	r.faults.Delayed = int64(c.uvarint("step delayed"))
-	r.faults.Crashed = int64(c.uvarint("step crashed"))
+	r.active = c.int("step active")
+	r.halted = c.int("step halted")
+	r.faults.Dropped = int64(c.int("step dropped"))
+	r.faults.Duplicated = int64(c.int("step duplicated"))
+	r.faults.Delayed = int64(c.int("step delayed"))
+	r.faults.Crashed = int64(c.int("step crashed"))
 	r.events = c.events(r.events[:0])
 	r.sends = c.sends(r.sends[:0])
 	return c.done("step reply")
 }
 
-// deliveredReply is the body of a DELIVERED frame: the shard's total
-// and pending delayed-message count, plus, per owned node in ID order,
-// the inbox size and the ports the messages arrived on — exactly what
-// the coordinator needs to rebuild InboxSizes, EdgeLoad and the
-// max-inbox fields of the RoundRecord, and to extend the quiet check to
-// in-flight delayed messages.
-type deliveredReply struct {
-	delivered int
-	pending   int   // delayed messages still buffered for owned receivers
-	sizes     []int // one per owned node
-	ports     []int // concatenated arrival ports
-}
-
-func appendDeliveredReply(buf []byte, r *deliveredReply) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.delivered))
-	buf = binary.AppendUvarint(buf, uint64(r.pending))
-	pi := 0
-	for _, size := range r.sizes {
-		buf = binary.AppendUvarint(buf, uint64(size))
-		for j := 0; j < size; j++ {
-			buf = binary.AppendUvarint(buf, uint64(r.ports[pi]))
-			pi++
+// The record codec: what a workload harvests is one record of words per
+// node (Instance.Harvest), and this is its only wire form — per node in
+// ID order, a count and then that many uvarints. A count is a length: it
+// cannot exceed the bytes remaining, every word being at least one. The
+// body of a FINAL frame is the shard's message count, then the records of
+// its owned nodes.
+func appendRecords(buf []byte, perNode [][]uint64) []byte {
+	for _, rec := range perNode {
+		buf = binary.AppendUvarint(buf, uint64(len(rec)))
+		for _, w := range rec {
+			buf = binary.AppendUvarint(buf, w)
 		}
 	}
 	return buf
 }
 
-func parseDeliveredReply(b []byte, owned int, r *deliveredReply) error {
-	c := cursor{b: b}
-	r.delivered = int(c.uvarint("delivered total"))
-	r.pending = int(c.uvarint("delivered pending"))
-	r.sizes = r.sizes[:0]
-	r.ports = r.ports[:0]
+// records parses the records of `owned` nodes onto dst.
+func (c *cursor) records(dst [][]uint64, owned int) [][]uint64 {
 	for u := 0; u < owned && c.err == nil; u++ {
-		size := int(c.uvarint("inbox size"))
-		r.sizes = append(r.sizes, size)
-		for j := 0; j < size && c.err == nil; j++ {
-			r.ports = append(r.ports, int(c.uvarint("inbox port")))
+		var rec []uint64
+		if count := c.length("record"); count > 0 {
+			rec = make([]uint64, count)
+			for j := range rec {
+				rec[j] = c.uvarint("record word")
+			}
 		}
+		dst = append(dst, rec)
 	}
-	return c.done("delivered reply")
-}
-
-// finalReply is the body of a FINAL frame: the shard's message count
-// and its Finish blob.
-type finalReply struct {
-	messages int
-	result   []byte
-}
-
-func appendFinalReply(buf []byte, r *finalReply) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.messages))
-	buf = binary.AppendUvarint(buf, uint64(len(r.result)))
-	return append(buf, r.result...)
-}
-
-func parseFinalReply(b []byte, r *finalReply) error {
-	c := cursor{b: b}
-	r.messages = int(c.uvarint("final messages"))
-	r.result = append(r.result[:0], c.bytes(c.length("final result"), "final result")...)
-	return c.done("final reply")
+	return dst
 }
 
 // parseHello parses a HELLO body: version byte + shard index.
@@ -297,7 +279,7 @@ func parseHello(b []byte) (shard int, err error) {
 	if v := c.byte("hello version"); c.err == nil && v != wireVersion {
 		return 0, fmt.Errorf("transport: protocol version mismatch: peer %d, this build %d", v, wireVersion)
 	}
-	shard = int(c.uvarint("hello shard"))
+	shard = c.int("hello shard")
 	if err := c.done("hello"); err != nil {
 		return 0, err
 	}

@@ -8,6 +8,7 @@ package transport
 // connections to put the whole protocol under the race detector.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,9 +99,6 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	if err != nil {
 		return err
 	}
-	if wl.Encode == nil || wl.Decode == nil {
-		return fmt.Errorf("transport: workload %q has no payload codec, cannot run over tcp", ws.Spec.Workload)
-	}
 	lo, hi := congest.Split{N: inst.Graph.N(), K: ws.Shards}.Bounds(shard)
 	net := congest.NewNetwork(inst.Graph, inst.Programs, inst.Source)
 	if inst.Faults != nil {
@@ -135,7 +133,6 @@ type shardRuntime struct {
 
 	steps   int
 	reply   stepReply
-	prof    deliveredReply
 	inSends []wireSend
 	sendBuf []byte
 	body    []byte
@@ -166,7 +163,12 @@ func (r *shardRuntime) loop() error {
 				return errShardStopped
 			}
 			if r.cfg.StallAtRound > 0 && r.steps >= r.cfg.StallAtRound {
-				select {} // hold the connection open, never reply
+				// Hold the connection open and never reply: the read returns
+				// only once the coordinator has given up and closed its end,
+				// so a goroutine-mode shard ends with the run.
+				io.Copy(io.Discard, r.fc.conn)
+				r.rec.Record(flightrec.KindError, "STEP", r.steps, -1, 0, "induced shard stall")
+				return errShardStopped
 			}
 			active := r.s.Step()
 			// FaultCounts drains the round just stepped — the same point
@@ -245,35 +247,31 @@ func (r *shardRuntime) deliver(body []byte) error {
 			return err
 		}
 	}
-	r.prof.delivered = r.s.Deliver()
-	r.prof.pending = r.s.PendingDelayed()
-	r.prof.sizes = r.prof.sizes[:0]
-	r.prof.ports = r.prof.ports[:0]
+	// The DELIVERED body (absorbDelivered reads it): delivered and pending
+	// totals, then per owned node its inbox size and arrival ports.
+	r.body = binary.AppendUvarint(r.body[:0], uint64(r.s.Deliver()))
+	r.body = binary.AppendUvarint(r.body, uint64(r.s.PendingDelayed()))
 	lo, hi := r.s.Nodes()
 	for u := lo; u < hi; u++ {
 		inbox := r.s.Inbox(u)
-		r.prof.sizes = append(r.prof.sizes, len(inbox))
+		r.body = binary.AppendUvarint(r.body, uint64(len(inbox)))
 		for _, in := range inbox {
-			r.prof.ports = append(r.prof.ports, in.Port)
+			r.body = binary.AppendUvarint(r.body, uint64(in.Port))
 		}
 	}
-	r.body = appendDeliveredReply(r.body[:0], &r.prof)
 	return r.send(frameDelivered)
 }
 
-// finish answers FINISH with the owned message count and Finish blob,
-// then ships the shard's wire telemetry — its side of the frame/byte
-// tallies plus its flight-recorder dump — in a final TELEMETRY frame,
-// so the coordinator's registry and -obsout file cover both ends of
-// the connection. The tallies are snapshotted after FINAL is flushed
+// finish answers FINISH with the owned message count and the owned
+// nodes' harvest records, then ships the shard's wire telemetry — its
+// side of the frame/byte tallies plus its flight-recorder dump — in a
+// final TELEMETRY frame, so the coordinator's registry and -obsout file
+// cover both ends of the connection. The tallies are snapshotted after FINAL is flushed
 // and therefore count every protocol frame except TELEMETRY itself.
 func (r *shardRuntime) finish() error {
 	lo, hi := r.s.Nodes()
-	f := finalReply{messages: r.s.Messages()}
-	if r.inst.Finish != nil {
-		f.result = r.inst.Finish(lo, hi)
-	}
-	r.body = appendFinalReply(r.body[:0], &f)
+	r.body = binary.AppendUvarint(r.body[:0], uint64(r.s.Messages()))
+	r.body = appendRecords(r.body, r.inst.harvest(nil, lo, hi))
 	if err := r.send(frameFinal); err != nil {
 		return err
 	}

@@ -22,6 +22,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"almostmix/internal/congest"
@@ -117,19 +118,47 @@ type Instance struct {
 	// termination (stop after the first round ≥ 1 that delivers nothing).
 	MaxRounds int
 	Quiet     bool
-	// Finish serializes the run's outcome held by nodes [lo, hi) — nil
-	// when the workload has no output beyond rounds/messages. Merge
-	// combines the per-shard Finish blobs, concatenated in shard (= node)
-	// order, into the workload's output value. Proc uses a single
-	// [0, n) blob so both backends share one harvest path.
-	Finish func(lo, hi int) []byte
-	Merge  func(g *graph.Graph, parts [][]byte) (any, error)
+	// Harvest appends to buf the record of the run's outcome held by
+	// node v — a handful of words, called on the process that ran v — and
+	// Reduce turns the n records, indexed by node, into the workload's
+	// output value; both nil when the workload has no output beyond
+	// rounds/messages. Records that crossed the wire (transport owns their
+	// one codec, proto.go) are well-formed words and nothing more: Reduce
+	// checks their count and every value it indexes with. Proc hands
+	// Reduce the records as harvested.
+	Harvest func(buf []uint64, v int) []uint64
+	Reduce  func(g *graph.Graph, perNode [][]uint64) (any, error)
+}
+
+// harvest appends the records of nodes [lo, hi) to perNode (empty ones
+// for a workload without Harvest). The records share one backing array;
+// each is capped so a Reduce that appends cannot reach its neighbour.
+func (inst *Instance) harvest(perNode [][]uint64, lo, hi int) [][]uint64 {
+	perNode = slices.Grow(perNode, hi-lo)
+	buf := make([]uint64, 0, hi-lo) // most records are a word
+	for v := lo; v < hi; v++ {
+		start := len(buf)
+		if inst.Harvest != nil {
+			buf = inst.Harvest(buf, v)
+		}
+		perNode = append(perNode, buf[start:len(buf):len(buf)])
+	}
+	return perNode
+}
+
+// reduce is the shared end of both backends' harvest: the workload's
+// output from one record per node, nil for a workload that defines none.
+func (inst *Instance) reduce(perNode [][]uint64) (any, error) {
+	if inst.Harvest == nil || inst.Reduce == nil {
+		return nil, nil
+	}
+	return inst.Reduce(inst.Graph, perNode)
 }
 
 // Workload couples a Spec builder with the byte codec for the payload
-// types its programs exchange. Codecs are pure and canonical (see
-// internal/congest/wire.go), which the TCP backend relies on for
-// deterministic cross-process replay.
+// types its programs exchange, both required. Codecs are pure and
+// canonical (see internal/congest/wire.go), which the TCP backend relies
+// on for deterministic cross-process replay.
 type Workload struct {
 	Name   string
 	Build  func(spec Spec) (*Instance, error)
@@ -144,8 +173,8 @@ var registry = map[string]Workload{}
 // two workloads answering to one spec cannot both be what a remote
 // shard replays.
 func Register(w Workload) {
-	if w.Name == "" || w.Build == nil {
-		panic("transport: Register needs a name and a builder")
+	if w.Name == "" || w.Build == nil || w.Encode == nil || w.Decode == nil {
+		panic("transport: Register needs a name, a builder and a payload codec")
 	}
 	if _, dup := registry[w.Name]; dup {
 		panic(fmt.Sprintf("transport: workload %q registered twice", w.Name))
@@ -197,7 +226,7 @@ type Options struct {
 }
 
 // Result is the backend-independent outcome of a run. Output is the
-// workload's Merge value (nil when the workload defines none); Faults
+// workload's Reduce value (nil when the workload defines none); Faults
 // holds the plan's accumulated injected-event totals (zero for
 // fault-free runs), identical across backends for one spec.
 type Result struct {

@@ -14,6 +14,7 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"almostmix/internal/congest"
@@ -40,17 +41,9 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 	if err != nil {
 		return nil, err
 	}
-	if spec.Steps < 0 {
-		return nil, fmt.Errorf("workloads: walks-faults needs steps ≥ 0, got %d", spec.Steps)
-	}
-	counts := spec.WalkCounts
-	if counts == nil {
-		if spec.K < 1 {
-			return nil, fmt.Errorf("workloads: walks-faults needs k ≥ 1 walks per degree (or explicit walk_counts), got %d", spec.K)
-		}
-		counts = randomwalk.UniformCountTimesDegree(g, spec.K)
-	} else if len(counts) != g.N() {
-		return nil, fmt.Errorf("workloads: walks-faults got %d walk_counts for %d nodes", len(counts), g.N())
+	counts, err := faultyWalkCounts(spec, g)
+	if err != nil {
+		return nil, err
 	}
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -190,7 +183,7 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 
 		got := append([]int(nil), out.Edges...)
 		sort.Ints(got)
-		if intsEqual(got, want) {
+		if slices.Equal(got, want) {
 			res.Recovered = true
 			res.Edges = got
 			res.Weight = g.TotalWeight(got)
@@ -200,25 +193,13 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 	return res, nil
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CrashShardSpec builds a fault-spec clause crashing every node of
 // shard i (of shards over n nodes) at round at, recovering after dur
 // rounds — the "kill a whole shard and let it come back" scenario the
 // TCP fault suite runs end-to-end. Compose with other clauses by
 // joining with commas.
 func CrashShardSpec(n, shards, i, at, dur int) string {
-	lo, hi := i*n/shards, (i+1)*n/shards // the TCP backend's shard layout
+	lo, hi := congest.Split{N: n, K: shards}.Bounds(i) // the TCP backend's shard layout
 	spec := ""
 	for v := lo; v < hi; v++ {
 		if spec != "" {

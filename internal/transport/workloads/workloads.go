@@ -1,8 +1,8 @@
 // Package workloads registers the canonical transport workloads —
 // ticker, bfs, broadcast, ghs, walks, plus the fault-aware walks-faults
 // and ghs-faults — with internal/transport. Each is a pure function of
-// its Spec: the graph, programs, RNG streams, fault plan and payload
-// codecs are rebuilt identically on every process of a TCP run, and the
+// its Spec: the graph, programs, RNG streams, fault plan, payload codecs
+// and harvest records are rebuilt identically on every process of a TCP run, and the
 // in-process backends build through the same path, which is what the
 // differential suite's byte-equality assertions rest on.
 //
@@ -19,8 +19,8 @@
 package workloads
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/graph"
@@ -67,68 +67,36 @@ type WalksFaultsOutput struct {
 }
 
 func init() {
-	transport.Register(transport.Workload{
-		Name:   "ticker",
-		Build:  buildTicker,
-		Encode: congest.EncodeTickPayload,
-		Decode: congest.DecodeTickPayload,
-	})
-	transport.Register(transport.Workload{
-		Name:   "bfs",
-		Build:  buildBFS,
-		Encode: congest.EncodeBFSPayload,
-		Decode: congest.DecodeBFSPayload,
-	})
-	transport.Register(transport.Workload{
-		Name:   "broadcast",
-		Build:  buildBroadcast,
-		Encode: congest.EncodeFloodPayload,
-		Decode: congest.DecodeFloodPayload,
-	})
-	transport.Register(transport.Workload{
-		Name:   "ghs",
-		Build:  buildGHS,
-		Encode: mstbase.EncodeGHSPayload,
-		Decode: mstbase.DecodeGHSPayload,
-	})
-	transport.Register(transport.Workload{
-		Name:   "walks",
-		Build:  buildWalks,
-		Encode: randomwalk.EncodeWalkPayload,
-		Decode: randomwalk.DecodeWalkPayload,
-	})
-	transport.Register(transport.Workload{
-		Name:   "walks-faults",
-		Build:  buildWalksFaults,
-		Encode: randomwalk.EncodeWalkPayload,
-		Decode: randomwalk.DecodeWalkPayload,
-	})
-	transport.Register(transport.Workload{
-		Name:   "ghs-faults",
-		Build:  buildGHSFaults,
-		Encode: mstbase.EncodeGHSPayload,
-		Decode: mstbase.DecodeGHSPayload,
-	})
+	for _, w := range []transport.Workload{
+		{Name: "ticker", Build: plain(buildTicker), Encode: congest.EncodeTickPayload, Decode: congest.DecodeTickPayload},
+		{Name: "bfs", Build: plain(buildBFS), Encode: congest.EncodeBFSPayload, Decode: congest.DecodeBFSPayload},
+		{Name: "broadcast", Build: plain(buildBroadcast), Encode: congest.EncodeFloodPayload, Decode: congest.DecodeFloodPayload},
+		{Name: "ghs", Build: plain(buildGHSFaults), Encode: mstbase.EncodeGHSPayload, Decode: mstbase.DecodeGHSPayload},
+		{Name: "walks", Build: plain(buildWalks), Encode: randomwalk.EncodeWalkPayload, Decode: randomwalk.DecodeWalkPayload},
+		{Name: "walks-faults", Build: buildWalksFaults, Encode: randomwalk.EncodeWalkPayload, Decode: randomwalk.DecodeWalkPayload},
+		{Name: "ghs-faults", Build: buildGHSFaults, Encode: mstbase.EncodeGHSPayload, Decode: mstbase.DecodeGHSPayload},
+	} {
+		transport.Register(w)
+	}
 }
 
-// noFaults rejects a FaultSpec on a workload that cannot honor one —
-// the plain workloads' programs carry no retry identity and their
-// budgets no fault slack, so ignoring the spec would silently change
-// its meaning.
-func noFaults(spec transport.Spec, name string) error {
-	if spec.FaultSpec != "" {
-		return fmt.Errorf("workloads: %s does not take a fault spec (fault-aware workloads: walks-faults, ghs-faults)", name)
+// plain wraps the builder of a workload that cannot honor a FaultSpec so
+// that it rejects one: the plain workloads' programs carry no retry
+// identity and their budgets no fault slack, so ignoring the spec would
+// silently change its meaning.
+func plain(build func(transport.Spec) (*transport.Instance, error)) func(transport.Spec) (*transport.Instance, error) {
+	return func(spec transport.Spec) (*transport.Instance, error) {
+		if spec.FaultSpec != "" {
+			return nil, fmt.Errorf("workloads: %s does not take a fault spec (fault-aware workloads: walks-faults, ghs-faults)", spec.Workload)
+		}
+		return build(spec)
 	}
-	return nil
 }
 
 // buildTicker: every node broadcasts Tick for Steps rounds, then halts.
 // No output beyond rounds/messages — the minimal workload the framing
 // and lifecycle tests lean on.
 func buildTicker(spec transport.Spec) (*transport.Instance, error) {
-	if err := noFaults(spec, "ticker"); err != nil {
-		return nil, err
-	}
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
@@ -149,9 +117,6 @@ func buildTicker(spec transport.Spec) (*transport.Instance, error) {
 }
 
 func buildBFS(spec transport.Spec) (*transport.Instance, error) {
-	if err := noFaults(spec, "bfs"); err != nil {
-		return nil, err
-	}
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
@@ -166,17 +131,11 @@ func buildBFS(spec transport.Spec) (*transport.Instance, error) {
 		Source:    rngutil.NewSource(spec.SrcSeed),
 		MaxRounds: 2*g.N() + 4,
 		Quiet:     true,
-		// Dist[v] is only valid on the process owning v; ship dist+1 so
-		// the unreached sentinel -1 packs as a uvarint.
-		Finish: func(lo, hi int) []byte {
-			var buf []byte
-			for v := lo; v < hi; v++ {
-				buf = binary.AppendUvarint(buf, uint64(res.Dist[v]+1))
-			}
-			return buf
-		},
-		Merge: func(g *graph.Graph, parts [][]byte) (any, error) {
-			vals, err := uvarints(parts, g.N(), "bfs dist")
+		// Dist[v] is only valid on the process owning v; the record is
+		// dist+1 so the unreached sentinel -1 is a word.
+		Harvest: func(buf []uint64, v int) []uint64 { return append(buf, uint64(res.Dist[v]+1)) },
+		Reduce: func(g *graph.Graph, perNode [][]uint64) (any, error) {
+			vals, err := oneWordEach(g, perNode, "bfs dist")
 			if err != nil {
 				return nil, err
 			}
@@ -194,9 +153,6 @@ func buildBFS(spec transport.Spec) (*transport.Instance, error) {
 }
 
 func buildBroadcast(spec transport.Spec) (*transport.Instance, error) {
-	if err := noFaults(spec, "broadcast"); err != nil {
-		return nil, err
-	}
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
@@ -211,83 +167,87 @@ func buildBroadcast(spec transport.Spec) (*transport.Instance, error) {
 		Source:    rngutil.NewSource(spec.SrcSeed),
 		MaxRounds: 2*g.N() + 4,
 		Quiet:     true,
-		Finish: func(lo, hi int) []byte {
-			got := 0
-			for v := lo; v < hi; v++ {
-				if val, ok := out[v].(int); ok && val == spec.Value {
-					got++
-				}
+		// The record is whether the node holds the flooded value.
+		Harvest: func(buf []uint64, v int) []uint64 {
+			if val, ok := out[v].(int); ok && val == spec.Value {
+				return append(buf, 1)
 			}
-			return binary.AppendUvarint(nil, uint64(got))
+			return append(buf, 0)
 		},
-		Merge: func(g *graph.Graph, parts [][]byte) (any, error) {
-			vals, err := uvarints(parts, len(parts), "broadcast count")
+		Reduce: func(g *graph.Graph, perNode [][]uint64) (any, error) {
+			vals, err := oneWordEach(g, perNode, "broadcast got")
 			if err != nil {
 				return nil, err
 			}
 			res := BroadcastOutput{}
-			for _, v := range vals {
-				res.Got += int(v)
+			for _, got := range vals {
+				if got > 1 {
+					return nil, fmt.Errorf("workloads: broadcast got flag %d", got)
+				}
+				res.Got += int(got)
 			}
 			return res, nil
 		},
 	}, nil
 }
 
-func buildGHS(spec transport.Spec) (*transport.Instance, error) {
-	if err := noFaults(spec, "ghs"); err != nil {
-		return nil, err
-	}
+// buildGHSFaults materializes ONE attempt of a faulty GHS run — plain
+// "ghs" is the attempt with an empty plan: the defensive program variant
+// and stretched round budget when the plan has any rule
+// (mstbase.GHSPrograms), and the GHS RNG offset by Retry. Output is
+// MSTOutput; RunGHSFaults checks it against the oracle and drives retries.
+func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
 	if spec.WeightSeed == 0 {
-		return nil, fmt.Errorf("workloads: ghs needs a nonzero weight_seed (distinct edge weights)")
+		return nil, fmt.Errorf("workloads: %s needs a nonzero weight_seed (distinct edge weights)", spec.Workload)
 	}
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
 	}
 	if !g.IsConnected() {
-		return nil, fmt.Errorf("workloads: ghs needs a connected graph")
+		return nil, fmt.Errorf("workloads: %s needs a connected graph", spec.Workload)
 	}
-	programs, maxRounds := mstbase.GHSPrograms(g, nil)
+	plan, err := spec.FaultPlan()
+	if err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", spec.Workload, err)
+	}
+	programs, budget := mstbase.GHSPrograms(g, plan)
+	src := rngutil.NewSource(spec.SrcSeed)
+	if spec.Retry > 0 {
+		src = src.Child("ghs-retry", uint64(spec.Retry))
+	}
 	return &transport.Instance{
 		Graph:     g,
 		Programs:  programs,
-		Source:    rngutil.NewSource(spec.SrcSeed),
-		MaxRounds: maxRounds,
-		Finish:    ghsFinish(programs),
-		Merge:     ghsMerge,
+		Source:    src,
+		Faults:    plan,
+		MaxRounds: budget,
+		Harvest:   ghsHarvest(programs),
+		Reduce:    ghsReduce,
 	}, nil
 }
 
-// ghsFinish ships the owned nodes' chosen MST edge IDs: a count then
-// the IDs, per-node emission order kept. Shared by ghs and ghs-faults.
-func ghsFinish(programs []congest.Program) func(lo, hi int) []byte {
-	return func(lo, hi int) []byte {
-		edges := mstbase.GHSChosenEdges(programs, lo, hi)
-		buf := binary.AppendUvarint(nil, uint64(len(edges)))
-		for _, e := range edges {
-			buf = binary.AppendUvarint(buf, uint64(e))
+// ghsHarvest records a node's chosen MST edge IDs, emission order kept.
+func ghsHarvest(programs []congest.Program) func(buf []uint64, v int) []uint64 {
+	return func(buf []uint64, v int) []uint64 {
+		for _, e := range mstbase.GHSChosenEdges(programs, v, v+1) {
+			buf = append(buf, uint64(e))
 		}
 		return buf
 	}
 }
 
-// ghsMerge combines the shard-ordered chosen-edge streams. First-seen
-// dedup reproduces GHSNetwork's edge list exactly. Edge ids come off the
-// wire, so each is range-checked before it indexes the graph.
-func ghsMerge(g *graph.Graph, parts [][]byte) (any, error) {
+// ghsReduce combines the node-ordered chosen-edge streams. First-seen
+// dedup reproduces GHSNetwork's edge list exactly. Edge ids may have come
+// off the wire, so each is range-checked before it indexes the graph.
+func ghsReduce(g *graph.Graph, perNode [][]uint64) (any, error) {
+	if len(perNode) != g.N() {
+		return nil, fmt.Errorf("workloads: ghs records for %d of %d nodes", len(perNode), g.N())
+	}
 	out := MSTOutput{}
 	seen := make(map[int]bool)
-	for _, part := range parts {
-		count, rest, err := uvarint(part, "ghs edge count")
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < count; j++ {
-			var e uint64
-			if e, rest, err = uvarint(rest, "ghs edge id"); err != nil {
-				return nil, err
-			}
+	for _, rec := range perNode {
+		for _, e := range rec {
 			if e >= uint64(g.M()) {
 				return nil, fmt.Errorf("workloads: ghs edge id %d outside the graph's %d edges", e, g.M())
 			}
@@ -296,18 +256,12 @@ func ghsMerge(g *graph.Graph, parts [][]byte) (any, error) {
 				out.Edges = append(out.Edges, id)
 			}
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("workloads: %d trailing bytes in ghs part", len(rest))
-		}
 	}
 	out.Weight = g.TotalWeight(out.Edges)
 	return out, nil
 }
 
 func buildWalks(spec transport.Spec) (*transport.Instance, error) {
-	if err := noFaults(spec, "walks"); err != nil {
-		return nil, err
-	}
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
@@ -325,21 +279,15 @@ func buildWalks(spec transport.Spec) (*transport.Instance, error) {
 		Source:    rngutil.NewSource(spec.SrcSeed),
 		MaxRounds: maxRounds,
 		Quiet:     true,
-		Finish: func(lo, hi int) []byte {
-			total := 0
-			for v := lo; v < hi; v++ {
-				total += arrived[v]
-			}
-			return binary.AppendUvarint(nil, uint64(total))
-		},
-		Merge: func(g *graph.Graph, parts [][]byte) (any, error) {
-			vals, err := uvarints(parts, len(parts), "walks arrived")
+		Harvest:   func(buf []uint64, v int) []uint64 { return append(buf, uint64(arrived[v])) },
+		Reduce: func(g *graph.Graph, perNode [][]uint64) (any, error) {
+			vals, err := oneWordEach(g, perNode, "walks arrived")
 			if err != nil {
 				return nil, err
 			}
 			res := WalksOutput{}
-			for _, v := range vals {
-				res.Arrived += int(v)
+			for _, a := range vals {
+				res.Arrived += int(a)
 			}
 			return res, nil
 		},
@@ -349,25 +297,17 @@ func buildWalks(spec transport.Spec) (*transport.Instance, error) {
 // buildWalksFaults materializes ONE attempt of a faulty walk run:
 // WalkCounts tokens per node (default k·deg like "walks"), sequence
 // numbers from WalkSeqBase (default 0), the walk RNG offset by Retry,
-// and the fault plan from (FaultSpec, FaultSeed). The Finish blob ships
-// the absorbed token identities per owned node — RunWalksFaults
-// reconciles them and drives the next attempt.
+// and the fault plan from (FaultSpec, FaultSeed). A node's record is the
+// identities of the tokens it absorbed — RunWalksFaults reconciles them
+// and drives the next attempt.
 func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Steps < 0 {
-		return nil, fmt.Errorf("workloads: walks-faults needs steps ≥ 0, got %d", spec.Steps)
-	}
-	counts := spec.WalkCounts
-	if counts == nil {
-		if spec.K < 1 {
-			return nil, fmt.Errorf("workloads: walks-faults needs k ≥ 1 walks per degree (or explicit walk_counts), got %d", spec.K)
-		}
-		counts = randomwalk.UniformCountTimesDegree(g, spec.K)
-	} else if len(counts) != g.N() {
-		return nil, fmt.Errorf("workloads: walks-faults got %d walk_counts for %d nodes", len(counts), g.N())
+	counts, err := faultyWalkCounts(spec, g)
+	if err != nil {
+		return nil, err
 	}
 	seqBase := spec.WalkSeqBase
 	if seqBase == nil {
@@ -391,113 +331,65 @@ func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 		Faults:    plan,
 		MaxRounds: budget,
 		Quiet:     true,
-		Finish: func(lo, hi int) []byte {
-			var buf []byte
-			for v := lo; v < hi; v++ {
-				buf = binary.AppendUvarint(buf, uint64(len(absorbed[v])))
-				for _, id := range absorbed[v] {
-					buf = binary.AppendUvarint(buf, uint64(id.Origin))
-					buf = binary.AppendUvarint(buf, uint64(id.Seq))
-				}
+		Harvest: func(buf []uint64, v int) []uint64 {
+			for _, id := range absorbed[v] {
+				buf = append(buf, uint64(id.Origin), uint64(id.Seq))
 			}
 			return buf
 		},
-		// Shard blobs arrive in node order, so the per-node records simply
-		// concatenate across parts; each part must end on a record boundary.
-		Merge: func(g *graph.Graph, parts [][]byte) (any, error) {
-			out := WalksFaultsOutput{Absorbed: make([][]randomwalk.WalkTokenID, g.N())}
-			v := 0
-			for _, part := range parts {
-				for len(part) > 0 {
-					if v >= g.N() {
-						return nil, fmt.Errorf("workloads: walks-faults absorbed records beyond %d nodes", g.N())
-					}
-					count, rest, err := uvarint(part, "walks-faults absorbed count")
-					if err != nil {
-						return nil, err
-					}
-					part = rest
-					for j := uint64(0); j < count; j++ {
-						var origin, seq uint64
-						if origin, part, err = uvarint(part, "walks-faults token origin"); err != nil {
-							return nil, err
-						}
-						if seq, part, err = uvarint(part, "walks-faults token seq"); err != nil {
-							return nil, err
-						}
-						out.Absorbed[v] = append(out.Absorbed[v], randomwalk.WalkTokenID{Origin: int32(origin), Seq: int32(seq)})
-					}
-					v++
-				}
+		Reduce: func(g *graph.Graph, perNode [][]uint64) (any, error) {
+			if len(perNode) != g.N() {
+				return nil, fmt.Errorf("workloads: walks-faults absorbed records for %d of %d nodes", len(perNode), g.N())
 			}
-			if v != g.N() {
-				return nil, fmt.Errorf("workloads: walks-faults absorbed records for %d of %d nodes", v, g.N())
+			out := WalksFaultsOutput{Absorbed: make([][]randomwalk.WalkTokenID, g.N())}
+			for v, rec := range perNode {
+				if len(rec)%2 != 0 {
+					return nil, fmt.Errorf("workloads: walks-faults record of node %d has %d words, want (origin, seq) pairs", v, len(rec))
+				}
+				for i := 0; i < len(rec); i += 2 {
+					origin, seq := rec[i], rec[i+1]
+					if origin >= uint64(g.N()) || seq > math.MaxInt32 {
+						return nil, fmt.Errorf("workloads: walks-faults token (%d, %d) absorbed at node %d: origin outside %d nodes or seq beyond int32", origin, seq, v, g.N())
+					}
+					out.Absorbed[v] = append(out.Absorbed[v], randomwalk.WalkTokenID{Origin: int32(origin), Seq: int32(seq)})
+				}
 			}
 			return out, nil
 		},
 	}, nil
 }
 
-// buildGHSFaults materializes ONE attempt of a faulty GHS run: the
-// defensive program variant and stretched round budget when the plan
-// has any rule (mstbase.GHSPrograms), and the GHS RNG offset by Retry.
-// Output is MSTOutput like "ghs"; RunGHSFaults checks it against the
-// oracle and drives retries.
-func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
-	if spec.WeightSeed == 0 {
-		return nil, fmt.Errorf("workloads: ghs-faults needs a nonzero weight_seed (distinct edge weights)")
+// faultyWalkCounts is the tokens-per-node vector of a walks-faults spec
+// (WalkCounts, default k·deg like "walks"), validated once for the
+// builder and for RunWalksFaults.
+func faultyWalkCounts(spec transport.Spec, g *graph.Graph) ([]int, error) {
+	if spec.Steps < 0 {
+		return nil, fmt.Errorf("workloads: walks-faults needs steps ≥ 0, got %d", spec.Steps)
 	}
-	g, err := transport.BuildGraph(spec)
-	if err != nil {
-		return nil, err
-	}
-	if !g.IsConnected() {
-		return nil, fmt.Errorf("workloads: ghs-faults needs a connected graph")
-	}
-	plan, err := spec.FaultPlan()
-	if err != nil {
-		return nil, fmt.Errorf("workloads: ghs-faults: %w", err)
-	}
-	programs, budget := mstbase.GHSPrograms(g, plan)
-	src := rngutil.NewSource(spec.SrcSeed)
-	if spec.Retry > 0 {
-		src = src.Child("ghs-retry", uint64(spec.Retry))
-	}
-	return &transport.Instance{
-		Graph:     g,
-		Programs:  programs,
-		Source:    src,
-		Faults:    plan,
-		MaxRounds: budget,
-		Finish:    ghsFinish(programs),
-		Merge:     ghsMerge,
-	}, nil
-}
-
-// uvarint reads one uvarint off b, returning the remainder.
-func uvarint(b []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("workloads: malformed %s", what)
-	}
-	return v, b[n:], nil
-}
-
-// uvarints parses the concatenation of parts as exactly want uvarints.
-func uvarints(parts [][]byte, want int, what string) ([]uint64, error) {
-	vals := make([]uint64, 0, want)
-	for _, part := range parts {
-		for len(part) > 0 {
-			v, rest, err := uvarint(part, what)
-			if err != nil {
-				return nil, err
-			}
-			part = rest
-			vals = append(vals, v)
+	if spec.WalkCounts == nil {
+		if spec.K < 1 {
+			return nil, fmt.Errorf("workloads: walks-faults needs k ≥ 1 walks per degree (or explicit walk_counts), got %d", spec.K)
 		}
+		return randomwalk.UniformCountTimesDegree(g, spec.K), nil
 	}
-	if len(vals) != want {
-		return nil, fmt.Errorf("workloads: %d %s values, want %d", len(vals), what, want)
+	if len(spec.WalkCounts) != g.N() {
+		return nil, fmt.Errorf("workloads: walks-faults got %d walk_counts for %d nodes", len(spec.WalkCounts), g.N())
+	}
+	return spec.WalkCounts, nil
+}
+
+// oneWordEach checks the shape the scalar workloads harvest — exactly n
+// records of exactly one word — and returns the words in node order.
+func oneWordEach(g *graph.Graph, perNode [][]uint64, what string) ([]uint64, error) {
+	if len(perNode) != g.N() {
+		return nil, fmt.Errorf("workloads: %s records for %d of %d nodes", what, len(perNode), g.N())
+	}
+	vals := make([]uint64, len(perNode))
+	for v, rec := range perNode {
+		if len(rec) != 1 {
+			return nil, fmt.Errorf("workloads: %s record of node %d has %d words, want 1", what, v, len(rec))
+		}
+		vals[v] = rec[0]
 	}
 	return vals, nil
 }

@@ -1,15 +1,15 @@
 package workloads_test
 
-// Direct tests of the registered workloads' harvest path: Finish/Merge
-// must not care how the node range is cut into shards, and Merge — which
-// parses bytes that crossed the wire — must answer every malformed blob
-// with an error, never a panic or a silently wrong value.
+// Direct tests of the registered workloads' harvest path: a node's record
+// must not care which process harvests it, and Reduce — whose records may
+// have crossed the wire, where the codec guarantees well-formed words and
+// nothing about what they say — must answer every wrong record set with
+// an error, never a panic or a silently wrong value.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,8 +31,8 @@ var workloadSpecs = []transport.Spec{
 }
 
 // ranInstance builds spec's instance and runs it to completion on the
-// sequential engine, leaving the programs holding the outcome Finish
-// serializes.
+// sequential engine, leaving the programs holding the outcome Harvest
+// records.
 func ranInstance(t *testing.T, spec transport.Spec) *transport.Instance {
 	t.Helper()
 	wl, err := transport.Lookup(spec.Workload)
@@ -56,141 +56,127 @@ func ranInstance(t *testing.T, spec transport.Spec) *transport.Instance {
 	return inst
 }
 
-// merge calls inst.Merge, converting a panic into a test failure so one
-// bad parser does not take the other cases down with it.
-func merge(t *testing.T, inst *transport.Instance, parts [][]byte) (out any, err error) {
+// harvest collects the records of every node, each into its own slice.
+func harvest(inst *transport.Instance) [][]uint64 {
+	perNode := make([][]uint64, inst.Graph.N())
+	for v := range perNode {
+		perNode[v] = inst.Harvest(nil, v)
+	}
+	return perNode
+}
+
+// reduce calls inst.Reduce, converting a panic into a test failure so one
+// bad check does not take the other cases down with it.
+func reduce(t *testing.T, inst *transport.Instance, perNode [][]uint64) (out any, err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Errorf("Merge panicked on %x: %v", parts, r)
+			t.Errorf("Reduce panicked on %v: %v", perNode, r)
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return inst.Merge(inst.Graph, parts)
+	return inst.Reduce(inst.Graph, perNode)
 }
 
-// TestFinishMergeIndependentOfSharding: harvesting the node range in 1,
-// 2 or 3 contiguous parts merges to the same output.
-func TestFinishMergeIndependentOfSharding(t *testing.T) {
+// TestHarvestIndependentOfSharding: a node's record does not depend on
+// what was harvested into the buffer before it — which is all that cutting
+// the node range into shards changes — and every workload but the ticker
+// has a harvest path that reduces.
+func TestHarvestIndependentOfSharding(t *testing.T) {
 	for _, spec := range workloadSpecs {
 		inst := ranInstance(t, spec)
-		if inst.Finish == nil || inst.Merge == nil {
+		if inst.Harvest == nil || inst.Reduce == nil {
 			if spec.Workload != "ticker" {
 				t.Errorf("%s: no harvest path", spec.Workload)
 			}
 			continue
 		}
-		n := inst.Graph.N()
-		want, err := merge(t, inst, [][]byte{inst.Finish(0, n)})
+		alone := harvest(inst)
+		want, err := reduce(t, inst, alone)
 		if err != nil {
-			t.Fatalf("%s: single-part merge: %v", spec.Workload, err)
+			t.Fatalf("%s: reduce: %v", spec.Workload, err)
 		}
-		for _, k := range []int{2, 3} {
-			parts := make([][]byte, k)
-			for i := range parts {
-				parts[i] = inst.Finish(i*n/k, (i+1)*n/k)
+		n := inst.Graph.N()
+		for _, k := range []int{1, 2, 3} {
+			var perNode [][]uint64
+			for i := 0; i < k; i++ {
+				var buf []uint64 // one shared buffer per shard, as a backend harvests
+				lo, hi := congest.Split{N: n, K: k}.Bounds(i)
+				for v := lo; v < hi; v++ {
+					start := len(buf)
+					buf = inst.Harvest(buf, v)
+					perNode = append(perNode, buf[start:])
+				}
 			}
-			got, err := merge(t, inst, parts)
-			if err != nil {
-				t.Fatalf("%s: %d-part merge: %v", spec.Workload, k, err)
+			if !slices.EqualFunc(perNode, alone, slices.Equal[[]uint64]) {
+				t.Errorf("%s: records harvested in %d shards differ from node-by-node", spec.Workload, k)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: %d-part merge %+v, single-part %+v", spec.Workload, k, got, want)
+			if got, err := reduce(t, inst, perNode); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d-shard reduce = %+v, %v; want %+v", spec.Workload, k, got, err, want)
 			}
 		}
 	}
 }
 
-// uv encodes vals as concatenated uvarints.
-func uv(vals ...uint64) []byte {
-	var buf []byte
-	for _, v := range vals {
-		buf = binary.AppendUvarint(buf, v)
+// TestReduceRejectsWrongRecords feeds every Reduce the ways a record set
+// can be wrong once the codec has vouched for its form — too few or too
+// many records, records of the wrong length, values that index nothing —
+// and demands an error each time.
+func TestReduceRejectsWrongRecords(t *testing.T) {
+	type edit = func(perNode [][]uint64) [][]uint64
+	common := map[string]edit{
+		"no records":      func([][]uint64) [][]uint64 { return nil },
+		"records for n-1": func(p [][]uint64) [][]uint64 { return p[:len(p)-1] },
+		"records for n+1": func(p [][]uint64) [][]uint64 { return append(p, p[0]) },
 	}
-	return buf
-}
-
-// repeat returns count copies of v, for per-node record streams.
-func repeat(v uint64, count int) []uint64 {
-	vals := make([]uint64, count)
-	for i := range vals {
-		vals[i] = v
+	scalar := map[string]edit{
+		"empty record":    func(p [][]uint64) [][]uint64 { p[3] = nil; return p },
+		"two-word record": func(p [][]uint64) [][]uint64 { p[3] = []uint64{1, 1}; return p },
 	}
-	return vals
-}
-
-// TestMergeRejectsMalformedParts feeds every Merge the ways a harvest
-// blob can be wrong — a truncated uvarint, trailing bytes, too few or too
-// many records or values — and demands an error each time.
-func TestMergeRejectsMalformedParts(t *testing.T) {
-	truncated := []byte{0x80}                                // continuation bit, then nothing
-	overflow := append(bytes.Repeat([]byte{0xff}, 10), 0x7f) // more than 64 bits of uvarint
-	cases := map[string]func(n int) map[string][][]byte{
-		"bfs": func(n int) map[string][][]byte {
-			return map[string][][]byte{
-				"truncated uvarint":   {truncated},
-				"too few records":     {uv(repeat(1, n-1)...)},
-				"too many records":    {uv(repeat(1, n)...), uv(1)},
-				"truncated last part": {uv(repeat(1, n-1)...), truncated},
-			}
+	cases := map[string]map[string]edit{
+		"bfs":   scalar,
+		"walks": scalar,
+		"broadcast": {
+			"empty record":    scalar["empty record"],
+			"two-word record": scalar["two-word record"],
+			"flag beyond 1":   func(p [][]uint64) [][]uint64 { p[3] = []uint64{2}; return p },
 		},
-		"broadcast": func(n int) map[string][][]byte {
-			return map[string][][]byte{
-				"truncated uvarint": {truncated},
-				"trailing bytes":    {uv(3, 4)},
-				"empty part":        {uv(3), nil},
-				"uvarint overflow":  {overflow},
-			}
-		},
-		"walks": func(n int) map[string][][]byte {
-			return map[string][][]byte{
-				"truncated uvarint": {truncated},
-				"trailing bytes":    {uv(3), uv(4, 5)},
-				"empty part":        {nil},
-			}
-		},
-		"ghs": func(n int) map[string][][]byte {
-			return map[string][][]byte{
-				"truncated count":          {truncated},
-				"truncated edge id":        {uv(2, 0)},
-				"trailing bytes":           {uv(1, 0, 0)},
-				"empty part":               {uv(1, 0), nil},
-				"edge id uvarint overflow": {append(uv(1), overflow...)},
-			}
-		},
-		"walks-faults": func(n int) map[string][][]byte {
-			return map[string][][]byte{
-				"truncated count":        {truncated},
-				"truncated token":        {uv(1, 0)},
-				"records for n-1 nodes":  {uv(repeat(0, n-1)...)},
-				"records beyond n nodes": {uv(repeat(0, n)...), uv(0)},
-				"count beyond the blob":  {uv(repeat(0, n-1)...), uv(2, 0, 0)},
-			}
+		"ghs": {},
+		"walks-faults": {
+			"odd-length record":    func(p [][]uint64) [][]uint64 { p[3] = []uint64{0, 0, 0}; return p },
+			"origin beyond n":      func(p [][]uint64) [][]uint64 { p[3] = []uint64{uint64(len(p)), 0}; return p },
+			"origin beyond an int": func(p [][]uint64) [][]uint64 { p[3] = []uint64{1 << 63, 0}; return p },
+			"seq beyond int32":     func(p [][]uint64) [][]uint64 { p[3] = []uint64{0, 1 << 31}; return p },
 		},
 	}
 	cases["ghs-faults"] = cases["ghs"]
 	for _, spec := range workloadSpecs {
 		bad, ok := cases[spec.Workload]
 		if !ok {
-			continue // ticker: nothing to merge
+			continue // ticker: nothing to reduce
 		}
 		inst := ranInstance(t, spec)
-		for name, parts := range bad(inst.Graph.N()) {
-			if out, err := merge(t, inst, parts); err == nil {
-				t.Errorf("%s: %s: Merge accepted %x as %+v", spec.Workload, name, parts, out)
+		for _, set := range []map[string]edit{common, bad} {
+			for name, mutate := range set {
+				perNode := mutate(harvest(inst))
+				if out, err := reduce(t, inst, perNode); err == nil {
+					t.Errorf("%s: %s: Reduce accepted it as %+v", spec.Workload, name, out)
+				}
 			}
 		}
 	}
 }
 
-// TestGHSMergeRejectsOutOfRangeEdgeID: an edge id off the end of the
+// TestGHSReduceRejectsOutOfRangeEdgeID: an edge id off the end of the
 // graph — including one too large for an int — must come back as an error
 // naming the id and the edge count, not as an index panic in TotalWeight.
-func TestGHSMergeRejectsOutOfRangeEdgeID(t *testing.T) {
+func TestGHSReduceRejectsOutOfRangeEdgeID(t *testing.T) {
 	inst := ranInstance(t, workloadSpecs[3])
 	m := inst.Graph.M()
 	for _, id := range []uint64{uint64(m), uint64(m) + 7, 1 << 63} {
-		_, err := merge(t, inst, [][]byte{uv(1, id)})
+		perNode := harvest(inst)
+		perNode[0] = append(perNode[0], id)
+		_, err := reduce(t, inst, perNode)
 		if err == nil {
 			t.Fatalf("edge id %d of %d edges accepted", id, m)
 		}

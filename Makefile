@@ -85,9 +85,12 @@ bench-module:
 	go vet -C benchmark ./... && go test -C benchmark ./...
 
 # E16 engine scale sweep: ticker broadcasts on ring lattices at
-# n ∈ {1e4, 1e5, 1e6}, both engines. ns/msg must stay essentially flat
-# and the sequential engine must report 0 allocs/op. The 1e6 points need
-# ~1 GB and a few seconds each; BENCHTIME=1x make bench-scale for one pass.
+# n ∈ {1e4, 1e5, 1e6}, one part and eight. ns/msg must stay essentially
+# flat, the one-part run must report 0 allocs/op, and B/port is the arena
+# bytes per directed port (56: a 24-byte outbox record and a 32-byte inbox
+# slot). The 1e6 points peak at 1.1 GB resident — 450 MB of arenas, the
+# rest CSR tables, contexts and the graph — and take a few seconds each;
+# BENCHTIME=1x make bench-scale for one pass.
 bench-scale:
 	go test -run '^$$' -bench BenchmarkCongestEngineScale -benchmem -benchtime $(BENCHTIME) .
 

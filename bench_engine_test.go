@@ -87,14 +87,16 @@ func BenchmarkCongestEngineMetrics(b *testing.B) {
 }
 
 // BenchmarkCongestEngineScale sweeps the engines from 10^4 to 10^6 nodes
-// on the ticker workload (every node broadcasts a zero-size token every
+// on the ticker workload (every node broadcasts a field-less token every
 // round) over constant-degree ring lattices, so rounds and per-node work
 // are identical across sizes and the reported ns/msg isolates the memory
 // layout: with the flat CSR topology and recycled arenas the per-message
 // cost must stay essentially flat as n grows (E16 checks it stays within
-// 1.25× of the n=1e4 point). Network construction runs outside the timer;
-// the timed region is Run only, i.e. steady rounds plus Init. The 1e6
-// points need ~1 GB of fixtures; `make bench-scale` runs all three sizes.
+// 1.6× of the cache-resident n=1e4 point). B/port is what that layout costs: arena bytes
+// per directed port, the number the width of congest.Message was chosen
+// on. Network construction runs outside the timer; the timed region is Run
+// only, i.e. steady rounds plus Init. The 1e6 points peak at 1.1 GB
+// resident; `make bench-scale` runs all three sizes.
 func BenchmarkCongestEngineScale(b *testing.B) {
 	const rounds = 12
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
@@ -119,6 +121,7 @@ func BenchmarkCongestEngineScale(b *testing.B) {
 					msgs += net.Messages()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+				b.ReportMetric(float64(congest.PortArenaBytes), "B/port")
 			})
 		}
 	}

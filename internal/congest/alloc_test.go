@@ -3,7 +3,7 @@ package congest
 // The allocation-regression suite: the hot-path contract (package doc,
 // DESIGN.md §3) is that a steady-state round allocates NOTHING on either
 // engine once the arenas are warm. These tests pin that number at zero
-// on the integer scale (see steadyAllocNoiseFloor) — any append that
+// on the integer scale (see SteadyAllocNoiseFloor) — any append that
 // escapes an arena, any map lookup that boxes, any per-round scratch
 // that grows shows up here as at least one alloc/round and fails the
 // build.
@@ -81,24 +81,16 @@ func steadyBuilder(g *graph.Graph, workers int, probe bool, spec string) func() 
 	}
 }
 
-// steadyAllocNoiseFloor is the assertion threshold: a steady round must
-// allocate 0 on the integer scale, i.e. measured allocs/round < 0.5.
-// The measurement cannot demand a literal 0.000: the parallel engine's
-// round barriers park workers on channels, and the runtime re-allocates
-// its cached sudog/stack bookkeeping whenever a GC cycle lands inside a
-// window — an O(1)-per-GC cost outside the engine that shows up as a
-// few hundredths per round. Any genuine hot-path regression is at least
-// one allocation per ROUND (usually per node or per message, i.e. 512+
-// here), so the gate still trips decisively.
-const steadyAllocNoiseFloor = 0.5
-
 // TestSteadyRoundsZeroAlloc is the regression gate for the zero-alloc
 // contract: integer-zero allocs/round for the bare engines, the probed
 // engines, and the buffer-stable fault fates, on both the sequential
-// and the sharded parallel engine. The last input is the E16 scale
-// point: the arenas and the CSR layout must hold at n = 1e5, not only on
-// unit-test-sized graphs (sequential only — workers=8 at that size takes
-// 94 s under -race, and the n = 512 rows cover the parallel engine).
+// and the sharded parallel engine. The walk and GHS programs carry the
+// same gate in their own packages, which this one cannot import
+// (TestSteadyRoundsZeroAlloc in randomwalk and in mstbase). The last
+// input is the E16 scale point: the arenas and the CSR layout must hold
+// at n = 1e5, not only on unit-test-sized graphs (sequential only —
+// workers=8 at that size takes 94 s under -race, and the n = 512 rows
+// cover the parallel engine).
 func TestSteadyRoundsZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential alloc measurement is not -short")
@@ -125,11 +117,11 @@ func TestSteadyRoundsZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			per := MeasureSteadyAllocs(steadyBuilder(tc.g, tc.workers, tc.probe, tc.spec), tc.rounds)
-			if per >= steadyAllocNoiseFloor {
-				t.Fatalf("steady-state round allocates: %.3f allocs/round, want 0 (< %.1f)", per, steadyAllocNoiseFloor)
+			if per >= SteadyAllocNoiseFloor {
+				t.Fatalf("steady-state round allocates: %.3f allocs/round, want 0 (< %.1f)", per, SteadyAllocNoiseFloor)
 			}
 			if per != 0 {
-				t.Logf("residual %.3f allocs/round (runtime noise floor, see steadyAllocNoiseFloor)", per)
+				t.Logf("residual %.3f allocs/round (runtime noise floor, see SteadyAllocNoiseFloor)", per)
 			}
 		})
 	}
@@ -142,7 +134,7 @@ func TestSteadyRoundsZeroAlloc(t *testing.T) {
 // measurement gives 0.50–0.55 allocs/round (max observed 0.5417), and
 // the rate falls with longer windows (~0.38 at 384 rounds), confirming
 // the cost is buffer regrowth that amortizes rather than a per-round
-// leak. The residual sits ABOVE steadyAllocNoiseFloor because dup
+// leak. The residual sits ABOVE SteadyAllocNoiseFloor because dup
 // regrows inboxes past their arena subslices and delay maintains
 // per-receiver pending queues, so this gate carries its own threshold:
 // 0.65 leaves headroom over the observed max of 0.5417 while still
@@ -174,9 +166,9 @@ func TestSteadyRoundsZeroAllocWithTelemetry(t *testing.T) {
 				net.SetMetrics(reg)
 				return net
 			}, rounds)
-			if per >= steadyAllocNoiseFloor {
+			if per >= SteadyAllocNoiseFloor {
 				t.Fatalf("telemetry-on steady round allocates: %.3f allocs/round, want 0 (< %.1f)",
-					per, steadyAllocNoiseFloor)
+					per, SteadyAllocNoiseFloor)
 			}
 			if per != 0 {
 				t.Logf("residual %.3f allocs/round (runtime noise floor)", per)
@@ -242,8 +234,8 @@ func TestShardFaultyRoundsZeroAlloc(t *testing.T) {
 			per := measureSteadyAllocsFunc(func(r int) {
 				shardFaultyRun(g, spec, r)
 			}, rounds)
-			if per >= steadyAllocNoiseFloor {
-				t.Fatalf("faulty shard round allocates: %.3f allocs/round, want 0 (< %.1f)", per, steadyAllocNoiseFloor)
+			if per >= SteadyAllocNoiseFloor {
+				t.Fatalf("faulty shard round allocates: %.3f allocs/round, want 0 (< %.1f)", per, SteadyAllocNoiseFloor)
 			}
 			if per != 0 {
 				t.Logf("residual %.3f allocs/round (runtime noise floor)", per)

@@ -14,18 +14,22 @@
 // compared against the theorems.
 //
 // Memory layout (DESIGN.md §3): the hot path is built for zero-alloc
-// steady-state rounds at n ≥ 10^6. Adjacency, port and reverse-port
+// steady-state rounds at n ≥ 10^6. Adjacency, port and peer-slot
 // tables are flat int32 CSR arrays (topology.go); node contexts are one
-// flat []Ctx; outboxes, sent flags and inboxes are subslices of three
-// arenas sized once at NewNetwork and recycled every round by slice
-// reset. After the first few warmup rounds a steady round performs no
-// heap allocation for any worker count (pinned by alloc_test.go).
+// flat []Ctx; outboxes and inboxes are subslices of two value arenas
+// sized once at NewNetwork and recycled every round by slice reset. A
+// Message is a fixed-width record without pointers, so both arenas are
+// memory the garbage collector never scans and a send copies words —
+// no program's payload is boxed. After the first few warmup rounds a
+// steady round performs no heap allocation for any worker count (pinned
+// by alloc_test.go).
 package congest
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"unsafe"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/graph"
@@ -33,16 +37,64 @@ import (
 	"almostmix/internal/rngutil"
 )
 
-// Message is an opaque O(log n)-bit payload. Programs exchange small
-// structs or scalars; the simulator counts one message per send.
-type Message any
+// Kind tags a Message with what its words mean. Zero is reserved: it is
+// the empty outbox slot, never a payload (Send and Shard.Inject refuse
+// it). Every program family owns a range and numbers its kinds inside it,
+// so a record that strays into another family's network is recognized
+// where it arrives: 1–15 this package's built-in programs, 16–31
+// randomwalk, 32–47 mstbase; test programs take KindTest and up.
+type Kind uint32
+
+const (
+	kindTick Kind = 1 + iota
+	kindBFS
+	kindLeader
+	kindFlood
+	kindSum
+
+	// KindTest is the first kind no program family of the repo owns: test
+	// programs number theirs from here.
+	KindTest Kind = 1 << 16
+)
+
+// Message is the CONGEST bandwidth as a type: one fixed-width record — a
+// Kind and a compile-time-constant handful of integer words, O(log n)
+// bits — carries every message of every program. It holds no pointer,
+// interface, string or slice (message_test.go walks the fields), so a
+// payload wider than the record cannot be written, a send copies
+// MessageBytes bytes, and the arenas of records are no-scan memory. What
+// Win, A, B and W mean belongs to the Kind's family; the widest tenant is
+// GHS's window-stamped candidate (window, two endpoints, float64 bits),
+// which fills the record exactly. Records are values: they compare with
+// ==, and the zero record is the empty slot.
+type Message struct {
+	Kind Kind
+	Win  int32
+	A, B int32
+	W    uint64
+}
+
+// MessageBytes is the width of a Message, the simulator's bound on what
+// one send may carry.
+const MessageBytes = 24
+
+// PortArenaBytes is what NewNetwork's two arenas cost per directed port:
+// one outbox record and one inbox slot.
+const PortArenaBytes = int(unsafe.Sizeof(Message{}) + unsafe.Sizeof(Inbound{}))
 
 // Inbound is a message delivered to a node: the port it arrived on and the
 // ID of the sending neighbor.
 type Inbound struct {
-	Port    int
-	From    int
+	Port    int32
+	From    int32
 	Payload Message
+}
+
+// PanicUnknownKind panics for a program of the named family that was
+// delivered a record whose kind it does not know — a bug in the program,
+// or a network assembled from two families.
+func PanicUnknownKind(family string, ctx *Ctx, in Inbound) {
+	panic(fmt.Sprintf("%s: node %d got unknown message kind %d on port %d", family, ctx.ID(), in.Payload.Kind, in.Port))
 }
 
 // Ctx is the per-node view of the network handed to programs. It exposes
@@ -55,15 +107,14 @@ type Inbound struct {
 // into parts (see part.go) without any shared-counter data races: each Ctx
 // is touched by exactly one part per phase, and network-wide totals are
 // aggregated from the per-node shards. Contexts are stored as one flat
-// []Ctx on the Network, and outbox/sent are subslices of arenas shared by
-// all nodes, so building a million-node network costs a handful of
+// []Ctx on the Network, and outbox is a subslice of an arena shared by all
+// nodes, so building a million-node network costs a handful of
 // allocations rather than O(n).
 type Ctx struct {
 	id     int
 	net    *Network
 	rng    *rand.Rand // created on first Rand() call; derivation is pure
-	outbox []Message  // one slot per port; nil = no send this round
-	sent   []bool
+	outbox []Message  // one slot per port; Kind 0 = no send this round
 	halted bool
 	msgs   int // messages sent by this node (sharded accounting)
 
@@ -129,16 +180,25 @@ func (c *Ctx) Round() int { return c.net.rounds }
 
 // Send queues a message on the given port for delivery next round. At
 // most one message may be sent per port per round; a second send on the
-// same port panics, since it is a bug in the node program.
+// same port panics, and so does sending the empty record (Kind 0 is the
+// empty slot: the message would vanish) — both are bugs in the node
+// program.
 func (c *Ctx) Send(port int, payload Message) {
 	if port < 0 || port >= len(c.outbox) {
 		panic(fmt.Sprintf("congest: node %d sends on invalid port %d", c.id, port))
 	}
-	if c.sent[port] {
+	if payload.Kind == 0 {
+		panic(fmt.Sprintf("congest: node %d sends the empty record (kind 0) on port %d", c.id, port))
+	}
+	slot := &c.outbox[port]
+	if slot.Kind != 0 {
 		panic(fmt.Sprintf("congest: node %d sends twice on port %d in one round", c.id, port))
 	}
-	c.sent[port] = true
-	c.outbox[port] = payload
+	// Field by field, not `*slot = payload`: the record arrives in five
+	// registers and is spilled as five narrow stores, and a wide copy out
+	// of that spill reloads across them — a store-forwarding stall on
+	// every send (the ticker rungs ran 1.4× slower).
+	slot.Kind, slot.Win, slot.A, slot.B, slot.W = payload.Kind, payload.Win, payload.A, payload.B, payload.W
 	c.msgs++
 }
 
@@ -180,6 +240,10 @@ type Network struct {
 	src      *rngutil.Source
 	ctxs     []Ctx
 	programs []Program
+	// out is the outbox arena, one record per directed port in CSR order:
+	// ctxs[v].outbox is its subslice [start[v], start[v+1]), and delivery
+	// reads a sender's slot by absolute index (topology.peer).
+	out []Message
 	// inboxes[v] is node v's delivery buffer, a subslice of one flat
 	// arena sized to the directed-port count at NewNetwork. Engines
 	// recycle it every round by slice reset; it only regrows when
@@ -214,8 +278,8 @@ type Network struct {
 }
 
 // NewNetwork builds a network over g where node v runs programs[v].
-// Programs may share state only through messages; the simulator never
-// copies payloads, so programs must not mutate received payloads.
+// Programs may share state only through messages, and a message is a
+// value: what a receiver reads is its own copy of the record.
 func NewNetwork(g *graph.Graph, programs []Program, src *rngutil.Source) *Network {
 	if len(programs) != g.N() {
 		panic(fmt.Sprintf("congest: %d programs for %d nodes", len(programs), g.N()))
@@ -231,20 +295,27 @@ func NewNetwork(g *graph.Graph, programs []Program, src *rngutil.Source) *Networ
 		inboxes:  make([][]Inbound, n),
 		workers:  1,
 	}
-	// All per-port state lives in three arenas subsliced per node; the
-	// full-slice expressions pin each node's capacity to its degree so a
-	// neighbor's append can never bleed into the next node's range.
+	// All per-port state lives in two pointer-free arenas subsliced per
+	// node (PortArenaBytes per directed port); the full-slice expressions
+	// pin each node's capacity to its degree so a neighbor's append can
+	// never bleed into the next node's range.
 	ports := int(topo.start[n])
-	outArena := make([]Message, ports)
-	sentArena := make([]bool, ports)
+	net.out = make([]Message, ports)
 	inArena := make([]Inbound, ports)
+	// Fault the arenas in here. Pointer-free memory fresh from the OS is
+	// handed out untouched (the runtime zeroes only recycled spans), and
+	// first touch would then land inside round one's sends and deliveries
+	// — 25 000 page faults and a quarter of the run at n = 10⁶, charged to
+	// the round loop instead of to construction, where the runtime's
+	// zeroing of the old pointer-carrying arenas used to pay it.
+	clear(net.out)
+	clear(inArena)
 	for v := 0; v < n; v++ {
 		lo, hi := topo.start[v], topo.start[v+1]
 		ctx := &net.ctxs[v]
 		ctx.id = v
 		ctx.net = net
-		ctx.outbox = outArena[lo:hi:hi]
-		ctx.sent = sentArena[lo:hi:hi]
+		ctx.outbox = net.out[lo:hi:hi]
 		net.inboxes[v] = inArena[lo:lo:hi]
 	}
 	return net
@@ -344,13 +415,20 @@ func (n *Network) RunUntilQuiet(maxRounds int) (int, error) { return n.run(maxRo
 // it. It is THE canonical receiver-driven delivery point: part.deliver
 // calls it once per receiver per round, each receiver scanning its own
 // CSR port range in order and reading the matching outbox slot of the
-// sender across each port (one rev-table read), so delivery order is
-// fixed regardless of how the network is partitioned. Messages to halted nodes
-// are dropped. The inbox is the node's recycled arena subslice, reset to
-// length zero here — steady-state rounds never allocate. When a fault
-// plan is attached this is also the single injection point (see
-// faultnet.go); w is the calling part's worker slot for the fault layer's
-// padded counts.
+// sender across each port (one peer-table load, one arena load), so
+// delivery order is fixed regardless of how the network is partitioned.
+//
+// The receiver also empties every slot it reads — a slot has exactly one
+// reader, the node across its port, so taking the message is what recycles
+// the outbox: by the time the step phase runs, every slot of the network
+// is empty again and no pass over the arena is spent clearing it. A
+// halted receiver takes and drops: its neighbors' sends must not sit in
+// their slots as double sends next round.
+//
+// The inbox is the node's recycled arena subslice, reset to length zero
+// here — steady-state rounds never allocate. When a fault plan is
+// attached this is also the single injection point (see faultnet.go); w
+// is the calling part's worker slot for the fault layer's padded counts.
 func (n *Network) deliverTo(u, w int) int {
 	inbox := n.inboxes[u][:0]
 	if n.fs != nil {
@@ -358,34 +436,36 @@ func (n *Network) deliverTo(u, w int) int {
 		n.inboxes[u] = inbox
 		return len(inbox)
 	}
+	t := n.topo
+	lo, hi := t.start[u], t.start[u+1]
+	peer, to, out := t.peer[lo:hi], t.to[lo:hi], n.out
 	if n.ctxs[u].halted {
+		for _, slot := range peer {
+			out[slot].empty()
+		}
 		n.inboxes[u] = inbox
 		return 0
 	}
-	t := n.topo
-	lo, hi := t.start[u], t.start[u+1]
-	for i := lo; i < hi; i++ {
-		sender := &n.ctxs[t.to[i]]
-		sp := t.rev[i]
-		if sender.sent[sp] {
-			inbox = append(inbox, Inbound{
-				Port:    int(i - lo),
-				From:    int(t.to[i]),
-				Payload: sender.outbox[sp],
-			})
+	for p, slot := range peer {
+		if m := &out[slot]; m.Kind != 0 {
+			// Filled in place: a composite literal is assembled on the
+			// stack from narrow stores and copied out with wide loads
+			// that cannot be forwarded from them (see Send).
+			inbox = append(inbox, Inbound{})
+			in := &inbox[len(inbox)-1]
+			in.Port, in.From, in.Payload = int32(p), to[p], *m
+			m.Kind = 0
 		}
 	}
 	n.inboxes[u] = inbox
 	return len(inbox)
 }
 
-// clearOutbox resets the node's sent flags and outbox slots after a
-// delivery pass.
-func (c *Ctx) clearOutbox() {
-	for p, s := range c.sent {
-		if s {
-			c.sent[p] = false
-			c.outbox[p] = nil
-		}
+// empty drops whatever an outbox slot holds. Only the kind is reset — an
+// empty slot's other words are never read, and the next Send overwrites
+// them all — and only when set, so scanning empty slots dirties nothing.
+func (m *Message) empty() {
+	if m.Kind != 0 {
+		m.Kind = 0
 	}
 }

@@ -14,7 +14,7 @@ type pingProgram struct {
 	received *int
 }
 
-func (p *pingProgram) Init(ctx *Ctx) { ctx.Broadcast("ping") }
+func (p *pingProgram) Init(ctx *Ctx) { ctx.Broadcast(ping) }
 
 func (p *pingProgram) Step(ctx *Ctx, inbox []Inbound) {
 	*p.received += len(inbox)
@@ -46,8 +46,8 @@ func TestPingDelivery(t *testing.T) {
 type doubleSend struct{}
 
 func (doubleSend) Init(ctx *Ctx) {
-	ctx.Send(0, 1)
-	ctx.Send(0, 2)
+	ctx.Send(0, testInt(1))
+	ctx.Send(0, testInt(2))
 }
 func (doubleSend) Step(ctx *Ctx, _ []Inbound) { ctx.Halt() }
 
@@ -189,7 +189,7 @@ func TestBroadcastFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, got := range values {
-		if got != 424242 {
+		if val, ok := FloodValue(got); !ok || val != 424242 {
 			t.Fatalf("node %d got %v", v, got)
 		}
 	}

@@ -135,7 +135,7 @@ func onShards(k int) executor {
 				pending += s.PendingDelayed()
 				for u, hi := s.Nodes(); u < hi; u++ {
 					for _, in := range s.Inbox(u) {
-						agg.Deliver(u, in.Port)
+						agg.Deliver(u, int(in.Port))
 					}
 				}
 			}
@@ -286,7 +286,7 @@ func TestDifferentialBroadcast(t *testing.T) {
 			g := diffGraph(seed)
 			values := make([]Message, g.N())
 			net := NewUniformNetwork(g, func(v int) Program {
-				return &floodProgram{root: v == 0, value: int(seed), out: values}
+				return &floodProgram{root: v == 0, value: Message{Kind: kindFlood, W: seed}, out: values}
 			}, rngutil.NewSource(seed))
 			return net, func() any { return values }
 		},
@@ -349,7 +349,7 @@ func TestDifferentialProbeEvents(t *testing.T) {
 				return programFunc{
 					init: func(ctx *Ctx) {
 						ctx.Mark("boot")
-						ctx.Broadcast(0)
+						ctx.Broadcast(testInt(0))
 					},
 					step: func(ctx *Ctx, inbox []Inbound) {
 						if ctx.Round()%3 == ctx.ID()%3 {
@@ -360,7 +360,7 @@ func TestDifferentialProbeEvents(t *testing.T) {
 							ctx.Halt()
 							return
 						}
-						ctx.Broadcast(ctx.Round())
+						ctx.Broadcast(testInt(ctx.Round()))
 					},
 				}
 			}, rngutil.NewSource(seed))
@@ -402,7 +402,7 @@ func TestParallelMessagesAccounting(t *testing.T) {
 	received := make([]int, g.N())
 	net := NewUniformNetwork(g, func(v int) Program {
 		return programFunc{
-			init: func(ctx *Ctx) { ctx.Broadcast("ping") },
+			init: func(ctx *Ctx) { ctx.Broadcast(ping) },
 			step: func(ctx *Ctx, inbox []Inbound) {
 				received[ctx.ID()] = len(inbox)
 				ctx.Halt()
@@ -433,8 +433,8 @@ func TestParallelPanicPropagates(t *testing.T) {
 	g := graph.Ring(6)
 	net := NewUniformNetwork(g, func(v int) Program {
 		return programFunc{step: func(ctx *Ctx, _ []Inbound) {
-			ctx.Send(0, 1)
-			ctx.Send(0, 2)
+			ctx.Send(0, testInt(1))
+			ctx.Send(0, testInt(2))
 		}}
 	}, rngutil.NewSource(1))
 	_, _ = net.SetWorkers(4).Run(3)

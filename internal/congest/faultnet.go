@@ -101,10 +101,15 @@ func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, w int) [
 	fc := &fs.counts[w*faultCountStride]
 	ctx := &n.ctxs[u]
 
+	t := n.topo
+	lo, hi := t.start[u], t.start[u+1]
 	if ctx.halted {
 		// A halted node never steps again: discard anything still aimed
 		// at it, delayed or fresh, under the fault-free halted-drop rule.
 		fs.pending[u] = fs.pending[u][:0]
+		for i := lo; i < hi; i++ {
+			n.out[t.peer[i]].empty()
+		}
 		return inbox
 	}
 	crashed := fs.plan.Crashed(u, round)
@@ -124,20 +129,19 @@ func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, w int) [
 	fs.pending[u] = kept
 
 	// Fresh messages, receiver-driven in port order over the CSR range —
-	// the same canonical scan as the fault-free path.
-	t := n.topo
-	lo, hi := t.start[u], t.start[u+1]
+	// the same canonical scan as the fault-free path, and like it taking
+	// every message it reads, whatever its fate.
 	for i := lo; i < hi; i++ {
-		sender := &n.ctxs[t.to[i]]
-		sp := t.rev[i]
-		if !sender.sent[sp] {
+		m := &n.out[t.peer[i]]
+		if m.Kind == 0 {
 			continue
 		}
+		in := Inbound{Port: i - lo, From: t.to[i], Payload: *m}
+		m.Kind = 0
 		if crashed || fs.plan.Severed(int(t.edge[i]), round) {
 			fc.Dropped++
 			continue
 		}
-		in := Inbound{Port: int(i - lo), From: int(t.to[i]), Payload: sender.outbox[sp]}
 		slot := t.slotOf(i, u)
 		fate, delay := fs.plan.MessageFate(round, slot)
 		switch fate {

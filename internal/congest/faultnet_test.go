@@ -29,14 +29,14 @@ func beatBuild(lastRound int) func(seed uint64) (*Network, func() any) {
 		received := make([]int, g.N())
 		net := NewUniformNetwork(g, func(v int) Program {
 			return programFunc{
-				init: func(ctx *Ctx) { ctx.Broadcast(0) },
+				init: func(ctx *Ctx) { ctx.Broadcast(testInt(0)) },
 				step: func(ctx *Ctx, inbox []Inbound) {
 					received[ctx.ID()] += len(inbox)
 					if ctx.Round() >= lastRound+ctx.ID()%5 {
 						ctx.Halt()
 						return
 					}
-					ctx.Broadcast(ctx.Round())
+					ctx.Broadcast(testInt(ctx.Round()))
 				},
 			}
 		}, rngutil.NewSource(seed))
@@ -199,7 +199,7 @@ func TestCrashSemantics(t *testing.T) {
 	recvOf1 := 0
 	net := NewUniformNetwork(g, func(v int) Program {
 		return programFunc{
-			init: func(ctx *Ctx) { ctx.Broadcast(0) },
+			init: func(ctx *Ctx) { ctx.Broadcast(testInt(0)) },
 			step: func(ctx *Ctx, inbox []Inbound) {
 				if ctx.ID() == 1 {
 					stepsOf1 = append(stepsOf1, ctx.Round())
@@ -209,7 +209,7 @@ func TestCrashSemantics(t *testing.T) {
 					ctx.Halt()
 					return
 				}
-				ctx.Broadcast(ctx.Round())
+				ctx.Broadcast(testInt(ctx.Round()))
 			},
 		}
 	}, rngutil.NewSource(1)).SetFaults(plan)
@@ -247,17 +247,17 @@ func TestDelayedDeliveryOrder(t *testing.T) {
 		return programFunc{
 			init: func(ctx *Ctx) {
 				if ctx.ID() == 0 {
-					ctx.Send(0, "early")
+					ctx.Send(0, Message{Kind: kindEarly})
 				}
 			},
 			step: func(ctx *Ctx, inbox []Inbound) {
 				if ctx.ID() == 1 {
 					for _, in := range inbox {
-						got = append(got, fmt.Sprintf("%v@%d", in.Payload, ctx.Round()))
+						got = append(got, fmt.Sprintf("%s@%d", map[Kind]string{kindEarly: "early", kindLate: "late"}[in.Payload.Kind], ctx.Round()))
 					}
 				}
 				if ctx.ID() == 0 && ctx.Round() == 1 {
-					ctx.Send(0, "late")
+					ctx.Send(0, Message{Kind: kindLate})
 				}
 			},
 		}
@@ -290,7 +290,7 @@ func TestHaltRoundSendDelivered(t *testing.T) {
 					if ctx.Round() == 1 {
 						// Send and halt in the same Step: the send must
 						// still deliver next round, exactly once.
-						ctx.Broadcast("farewell")
+						ctx.Broadcast(farewell)
 						ctx.Halt()
 					}
 				},
@@ -329,7 +329,7 @@ func TestHaltRoundSendDelivered(t *testing.T) {
 					received[ctx.ID()] += len(inbox)
 					switch {
 					case ctx.ID() == 0 && ctx.Round() == 1:
-						ctx.Send(0, "farewell")
+						ctx.Send(0, farewell)
 						ctx.Halt()
 					case ctx.Round() >= 4:
 						ctx.Halt()
@@ -367,7 +367,7 @@ func TestEdgeLoadNoInt32Wraparound(t *testing.T) {
 	net.probeRunStart(1)
 	net.agg.edgeLoad[0] = math.MaxInt32 // accumulated load of edge 0 toward node 0...
 	net.rounds = 1
-	net.inboxes[0] = append(net.inboxes[0][:0], Inbound{Port: 0, From: 1, Payload: 0})
+	net.inboxes[0] = append(net.inboxes[0][:0], Inbound{Port: 0, From: 1, Payload: ping})
 	net.inboxes[1] = net.inboxes[1][:0]
 	net.probeRoundFlush(1, 2, 0, faults.Counts{})
 	if want := int64(math.MaxInt32) + 1; rec.MaxEdgeLoad != want {

@@ -24,19 +24,19 @@ type echoProgram struct {
 	t       *testing.T
 }
 
-func (p *echoProgram) Init(ctx *Ctx) { ctx.Broadcast(ctx.ID()) }
+func (p *echoProgram) Init(ctx *Ctx) { ctx.Broadcast(testInt(ctx.ID())) }
 
 func (p *echoProgram) Step(ctx *Ctx, inbox []Inbound) {
 	for _, in := range inbox {
-		if in.Port < 0 || in.Port >= ctx.Degree() {
+		if in.Port < 0 || int(in.Port) >= ctx.Degree() {
 			p.t.Errorf("node %d delivered on invalid port %d (degree %d)", ctx.ID(), in.Port, ctx.Degree())
 			continue
 		}
-		if got := ctx.NeighborID(in.Port); got != in.From {
+		if got := ctx.NeighborID(int(in.Port)); got != int(in.From) {
 			p.t.Errorf("node %d port %d: From=%d but neighbor is %d", ctx.ID(), in.Port, in.From, got)
 		}
 		p.recv[ctx.ID()]++
-		ctx.Send(in.Port, in.Payload)
+		ctx.Send(int(in.Port), in.Payload)
 	}
 	if ctx.Round() >= p.maxEcho {
 		ctx.Halt()

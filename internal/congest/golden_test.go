@@ -38,7 +38,7 @@ type goldenProgram struct {
 
 func (p *goldenProgram) Init(ctx *Ctx) {
 	p.sent = make([]bool, ctx.Degree())
-	ctx.Broadcast(ctx.ID())
+	ctx.Broadcast(testInt(ctx.ID()))
 }
 
 func (p *goldenProgram) Step(ctx *Ctx, inbox []Inbound) {
@@ -46,13 +46,13 @@ func (p *goldenProgram) Step(ctx *Ctx, inbox []Inbound) {
 		p.sent[i] = false
 	}
 	for _, in := range inbox {
-		v := in.Payload.(int)
+		v := testIntOf(in.Payload)
 		p.seen += v
 		// Forward on the arrival port with a per-node-stream coin, so the
 		// refactor must also preserve RNG consumption order.
 		if ctx.Rand().IntN(4) != 0 && !p.sent[in.Port] {
 			p.sent[in.Port] = true
-			ctx.Send(in.Port, v+1)
+			ctx.Send(int(in.Port), testInt(v+1))
 		}
 	}
 	if ctx.Round()%3 == 0 && ctx.Tracing() {

@@ -1,0 +1,174 @@
+package congest
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/quick"
+	"unsafe"
+
+	"almostmix/internal/graph"
+	"almostmix/internal/rngutil"
+)
+
+// Named kinds of this package's test programs: what used to travel as a
+// string is a kind, what used to travel as a bare int rides in
+// testInt's A field.
+const (
+	kindTestInt Kind = KindTest + iota
+	kindPing
+	kindFarewell
+	kindEarly
+	kindLate
+)
+
+func testInt(v int) Message   { return Message{Kind: kindTestInt, A: int32(v)} }
+func testIntOf(m Message) int { return int(m.A) }
+
+var (
+	ping     = Message{Kind: kindPing}
+	farewell = Message{Kind: kindFarewell}
+)
+
+// TestMessageIsWords is the CONGEST bandwidth as an enforced invariant:
+// Message must stay a flat record of integer words no wider than
+// MessageBytes. A pointer-carrying field (pointer, interface, string,
+// slice, map, chan, func — at any depth) would put the arenas back under
+// the garbage collector's scan and let a payload escape the bound.
+func TestMessageIsWords(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got > MessageBytes {
+		t.Fatalf("Message is %d bytes, above the %d-byte bound", got, MessageBytes)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		default:
+			t.Errorf("%s is a %s: a Message field may not carry a pointer", path, typ.Kind())
+		}
+	}
+	walk("Message", reflect.TypeOf(Message{}))
+	// The inbox arena holds Inbound values, so the same goes for them.
+	walk("Inbound", reflect.TypeOf(Inbound{}))
+}
+
+// TestEmptyRecordIsAnError pins the reserved kind: the zero Message is the
+// empty outbox slot, so sending it panics naming node and port, and a
+// shard refuses to stage it — never a silent drop.
+func TestEmptyRecordIsAnError(t *testing.T) {
+	g := graph.Ring(4)
+	net := NewUniformNetwork(g, func(int) Program {
+		return programFunc{init: func(ctx *Ctx) {
+			if ctx.ID() == 2 {
+				ctx.Send(1, Message{A: 7})
+			}
+		}}
+	}, rngutil.NewSource(1))
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "node 2 sends the empty record") || !strings.Contains(msg, "port 1") {
+				t.Fatalf("Send of the empty record: recovered %q, want a panic naming node 2 and port 1", msg)
+			}
+		}()
+		_, _ = net.Run(1)
+	}()
+
+	net = NewUniformNetwork(g, func(int) Program { return NewTicker(1) }, rngutil.NewSource(1))
+	s, err := NewShard(net, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := net.ctxs[0].PortTo(3)
+	if err := s.Inject(0, port, Message{A: 7}); err == nil || !strings.Contains(err.Error(), "empty record") {
+		t.Fatalf("Inject of the empty record: err = %v, want an empty-record protocol error", err)
+	}
+	if err := s.Inject(0, port, Tick); err != nil {
+		t.Fatalf("Inject after the refused empty record: %v", err)
+	}
+}
+
+// TestUnknownKindPanics: a built-in program that is delivered a kind it
+// does not know panics with its family, the node, the port and the kind.
+func TestUnknownKindPanics(t *testing.T) {
+	g := graph.Path(2)
+	res := &BFSResult{Parent: make([]int, 2), Dist: make([]int, 2)}
+	net := NewNetwork(g, []Program{
+		programFunc{init: func(ctx *Ctx) { ctx.Send(0, ping) }},
+		&bfsProgram{res: res},
+	}, rngutil.NewSource(1))
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"congest: BFS", "node 1", "kind 65537", "port 0"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("recovered %q, want it to contain %q", msg, want)
+			}
+		}
+	}()
+	_, _ = net.Run(2)
+}
+
+// codecRoundTrip checks the codec contract on one record of the family:
+// record → Encode → Decode gives the same record, and the bytes Encode
+// produced → Decode → Encode give the same bytes.
+func codecRoundTrip(enc func([]byte, Message) ([]byte, error), dec func([]byte) (Message, error), m Message) error {
+	b, err := enc(nil, m)
+	if err != nil {
+		return fmt.Errorf("encode %+v: %w", m, err)
+	}
+	got, err := dec(b)
+	if err != nil {
+		return fmt.Errorf("decode % x (from %+v): %w", b, m, err)
+	}
+	if got != m {
+		return fmt.Errorf("%+v came back as %+v", m, got)
+	}
+	if again, err := enc(nil, got); err != nil || !bytes.Equal(again, b) {
+		return fmt.Errorf("% x re-encoded as % x (err %v)", b, again, err)
+	}
+	return nil
+}
+
+// TestPayloadCodecsRoundTrip runs the round trip over every kind this
+// package ships across the wire, and checks that each codec refuses the
+// kinds it does not own — the empty record included.
+func TestPayloadCodecsRoundTrip(t *testing.T) {
+	check := func(err error) bool {
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(func(dist int32, value int64) bool {
+		return check(codecRoundTrip(EncodeTickPayload, DecodeTickPayload, Tick)) &&
+			check(codecRoundTrip(EncodeBFSPayload, DecodeBFSPayload, bfsToken(int(dist&math.MaxInt32)))) &&
+			check(codecRoundTrip(EncodeFloodPayload, DecodeFloodPayload, Message{Kind: kindFlood, W: uint64(value)}))
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, enc := range map[string]func([]byte, Message) ([]byte, error){
+		"tick": EncodeTickPayload, "bfs": EncodeBFSPayload, "flood": EncodeFloodPayload,
+	} {
+		for _, foreign := range []Message{{}, ping, leaderToken(3)} {
+			if _, err := enc(nil, foreign); err == nil {
+				t.Errorf("%s codec encoded a record of kind %d", name, foreign.Kind)
+			}
+		}
+	}
+	if _, err := DecodeBFSPayload(binary.AppendUvarint(nil, math.MaxInt32+1)); err == nil {
+		t.Error("BFS codec decoded a distance that does not fit the record field")
+	}
+}

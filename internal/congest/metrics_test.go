@@ -14,7 +14,7 @@ import (
 // deterministic message-heavy workload for the metrics layer.
 type chatter struct{ left int }
 
-func (p *chatter) Init(ctx *Ctx) { ctx.Broadcast("m") }
+func (p *chatter) Init(ctx *Ctx) { ctx.Broadcast(ping) }
 
 func (p *chatter) Step(ctx *Ctx, inbox []Inbound) {
 	p.left--
@@ -22,7 +22,7 @@ func (p *chatter) Step(ctx *Ctx, inbox []Inbound) {
 		ctx.Halt()
 		return
 	}
-	ctx.Broadcast("m")
+	ctx.Broadcast(ping)
 }
 
 // TestMetricsDeterministicAcrossWorkers: the deterministic instruments

@@ -23,9 +23,10 @@ func (s Split) Owner(v int) int { return ((v+1)*s.K - 1) / s.N }
 
 // part is a contiguous node range [lo, hi) of a Network plus the worker
 // slot w whose padded counters its phases write. Within a phase a node is
-// touched by exactly one part, and everything a part reads of other nodes
-// (their outbox slots, during deliver) is ordered against their writes by
-// the barrier between phases — which is the whole determinism argument,
+// touched by exactly one part, and the one thing a part touches of other
+// nodes — the outbox slots its receivers take, during deliver; each slot
+// has a single receiver — is ordered against the owners' sends by the
+// barrier between phases, which is the whole determinism argument,
 // whatever runs the parts.
 type part struct {
 	net    *Network
@@ -58,15 +59,15 @@ func (p part) deliver() (delivered int) {
 	return delivered
 }
 
-// step clears the outbox of every node of the part and runs Step on those
-// neither halted nor crashed in the round (already counted on net.rounds).
-// It returns how many nodes stepped and how many are halted afterwards —
-// tallied here, where the flag is in hand, so no caller rescans the range.
+// step runs Step on the part's nodes that are neither halted nor crashed
+// in the round (already counted on net.rounds); their outboxes are empty,
+// the deliver phase took every message. It returns how many nodes stepped
+// and how many are halted afterwards — tallied here, where the flag is in
+// hand, so no caller rescans the range.
 func (p part) step() (active, halted int) {
 	n := p.net
 	for v := p.lo; v < p.hi; v++ {
 		ctx := &n.ctxs[v]
-		ctx.clearOutbox()
 		if !ctx.halted && !n.nodeCrashed(v) {
 			active++
 			n.programs[v].Step(ctx, n.inboxes[v])

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -33,14 +34,15 @@ type bfsProgram struct {
 	res    *BFSResult
 }
 
-type bfsToken struct{ dist int }
+// bfsToken packs a BFS token: the sender's hop distance rides in A.
+func bfsToken(dist int) Message { return Message{Kind: kindBFS, A: int32(dist)} }
 
 func (p *bfsProgram) Init(ctx *Ctx) {
 	p.dist = -1
 	p.parent = -1
 	if p.root {
 		p.dist = 0
-		ctx.Broadcast(bfsToken{dist: 0})
+		ctx.Broadcast(bfsToken(0))
 	}
 }
 
@@ -50,14 +52,13 @@ func (p *bfsProgram) Step(ctx *Ctx, inbox []Inbound) {
 		return
 	}
 	for _, in := range inbox {
-		tok, ok := in.Payload.(bfsToken)
-		if !ok {
-			panic(fmt.Sprintf("congest: BFS node %d got %T", ctx.ID(), in.Payload))
+		if in.Payload.Kind != kindBFS {
+			PanicUnknownKind("congest: BFS", ctx, in)
 		}
 		if p.dist < 0 {
-			p.dist = tok.dist + 1
-			p.parent = in.From
-			ctx.Broadcast(bfsToken{dist: p.dist})
+			p.dist = int(in.Payload.A) + 1
+			p.parent = int(in.From)
+			ctx.Broadcast(bfsToken(p.dist))
 		}
 	}
 	if p.dist >= 0 {
@@ -94,6 +95,9 @@ func BFS(g *graph.Graph, root int, src *rngutil.Source) (*BFSResult, error) {
 	return res, nil
 }
 
+// leaderToken packs a leader-election token: the best ID seen rides in A.
+func leaderToken(id int) Message { return Message{Kind: kindLeader, A: int32(id)} }
+
 type leaderProgram struct {
 	best   int
 	result []int
@@ -101,23 +105,22 @@ type leaderProgram struct {
 
 func (p *leaderProgram) Init(ctx *Ctx) {
 	p.best = ctx.ID()
-	ctx.Broadcast(p.best)
+	ctx.Broadcast(leaderToken(p.best))
 }
 
 func (p *leaderProgram) Step(ctx *Ctx, inbox []Inbound) {
 	improved := false
 	for _, in := range inbox {
-		id, ok := in.Payload.(int)
-		if !ok {
-			panic(fmt.Sprintf("congest: leader node %d got %T", ctx.ID(), in.Payload))
+		if in.Payload.Kind != kindLeader {
+			PanicUnknownKind("congest: leader", ctx, in)
 		}
-		if id > p.best {
+		if id := int(in.Payload.A); id > p.best {
 			p.best = id
 			improved = true
 		}
 	}
 	if improved {
-		ctx.Broadcast(p.best)
+		ctx.Broadcast(leaderToken(p.best))
 	}
 	p.result[ctx.ID()] = p.best
 }
@@ -143,20 +146,22 @@ func ElectLeader(g *graph.Graph, src *rngutil.Source) (leader, rounds int, err e
 	return leader, rounds, nil
 }
 
-// BroadcastFrom floods a value from the root; every node learns it. The
-// returned rounds count measures the flood. The value must fit in one
-// CONGEST message (O(log n) bits).
-func BroadcastFrom(g *graph.Graph, root int, value Message, src *rngutil.Source) (values []Message, rounds int, err error) {
-	values = make([]Message, g.N())
-	net := NewUniformNetwork(g, func(v int) Program {
-		return &floodProgram{root: v == root, value: value, out: values}
-	}, src)
-	rounds, err = net.RunUntilQuiet(2*g.N() + 4)
+// BroadcastFrom floods an integer value from the root; every node the
+// flood reaches learns it. values[v] is the record node v received — read
+// it with FloodValue — and the empty record at a node the flood never
+// reached. The returned rounds count measures the flood.
+func BroadcastFrom(g *graph.Graph, root, value int, src *rngutil.Source) (values []Message, rounds int, err error) {
+	programs, values := FloodPrograms(g, root, value)
+	rounds, err = NewNetwork(g, programs, src).RunUntilQuiet(2*g.N() + 4)
 	if err != nil {
 		return nil, rounds, fmt.Errorf("broadcast: %w", err)
 	}
 	return values, rounds, nil
 }
+
+// FloodValue unpacks a flood record: the flooded value, and whether m is
+// a flood record at all (the empty record of an unreached node is not).
+func FloodValue(m Message) (value int, ok bool) { return int(int64(m.W)), m.Kind == kindFlood }
 
 type floodProgram struct {
 	root  bool
@@ -179,6 +184,9 @@ func (p *floodProgram) Step(ctx *Ctx, inbox []Inbound) {
 		return
 	}
 	if len(inbox) > 0 {
+		if inbox[0].Payload.Kind != kindFlood {
+			PanicUnknownKind("congest: flood", ctx, inbox[0])
+		}
 		p.got = true
 		p.out[ctx.ID()] = inbox[0].Payload
 		ctx.Broadcast(inbox[0].Payload)
@@ -214,7 +222,10 @@ func (p *sumProgram) Init(_ *Ctx) { p.acc = p.value }
 
 func (p *sumProgram) Step(ctx *Ctx, inbox []Inbound) {
 	for _, in := range inbox {
-		p.acc += in.Payload.(float64)
+		if in.Payload.Kind != kindSum {
+			PanicUnknownKind("congest: convergecast", ctx, in)
+		}
+		p.acc += math.Float64frombits(in.Payload.W)
 	}
 	v := ctx.ID()
 	// Level ℓ nodes forward to their parents in round depth−ℓ+1, so each
@@ -223,7 +234,7 @@ func (p *sumProgram) Step(ctx *Ctx, inbox []Inbound) {
 	switch {
 	case ctx.Round() == sendRound && p.tree.Parent[v] >= 0:
 		if port := ctx.PortTo(p.tree.Parent[v]); port >= 0 {
-			ctx.Send(port, p.acc)
+			ctx.Send(port, Message{Kind: kindSum, W: math.Float64bits(p.acc)})
 		}
 		p.totals[v] = p.acc
 		ctx.Halt()

@@ -285,7 +285,7 @@ func (n *Network) probeRunStart(workers int) {
 func (n *Network) probeRoundFlush(delivered, active, halted int, fc faults.Counts) {
 	for u, inbox := range n.inboxes {
 		for _, in := range inbox {
-			n.agg.Deliver(u, in.Port)
+			n.agg.Deliver(u, int(in.Port))
 		}
 	}
 	n.all().DrainEvents(n.onMark, n.onHalt)

@@ -64,7 +64,7 @@ func TestProbeRoundRecord(t *testing.T) {
 	rec := &recordingProbe{}
 	net := NewUniformNetwork(g, func(v int) Program {
 		return programFunc{
-			init: func(ctx *Ctx) { ctx.Broadcast("ping") },
+			init: func(ctx *Ctx) { ctx.Broadcast(ping) },
 			step: func(ctx *Ctx, _ []Inbound) { ctx.Halt() },
 		}
 	}, rngutil.NewSource(1)).SetProbe(rec)
@@ -260,9 +260,9 @@ func TestWorkerPoolMultiShardPanic(t *testing.T) {
 // observes silence.
 type alwaysSend struct{}
 
-func (alwaysSend) Init(ctx *Ctx) { ctx.Send(0, "tick") }
+func (alwaysSend) Init(ctx *Ctx) { ctx.Send(0, ping) }
 func (alwaysSend) Step(ctx *Ctx, _ []Inbound) {
-	ctx.Send(0, "tick")
+	ctx.Send(0, ping)
 }
 
 // TestRoundLimitErrorsIdenticalAcrossEngines: both engines, through both
@@ -310,7 +310,7 @@ func TestTraceSinkExporters(t *testing.T) {
 		return programFunc{
 			init: func(ctx *Ctx) {
 				ctx.Mark("boot")
-				ctx.Broadcast("ping")
+				ctx.Broadcast(ping)
 			},
 			step: func(ctx *Ctx, _ []Inbound) { ctx.Halt() },
 		}

@@ -20,7 +20,7 @@ func TestScratchQuietRecovery(t *testing.T) {
 		return programFunc{
 			init: func(ctx *Ctx) {
 				if ctx.ID() == 0 {
-					ctx.Send(0, "token")
+					ctx.Send(0, ping)
 				}
 			},
 			step: func(ctx *Ctx, inbox []Inbound) {
@@ -32,7 +32,7 @@ func TestScratchQuietRecovery(t *testing.T) {
 					}
 					if pending {
 						pending = false
-						ctx.Send(1, "token") // toward node 2
+						ctx.Send(1, ping) // toward node 2
 					}
 				case 2:
 					got += len(inbox)

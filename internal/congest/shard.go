@@ -46,10 +46,9 @@ import "fmt"
 // the destination of outbound traffic over this edge and the staging
 // slot Inject writes for inbound traffic over the reverse edge.
 type shardBoundary struct {
-	owner      int32 // owned node
-	ownerPort  int32 // port at owner facing the remote neighbor
+	ownerSlot  int32 // owned node's port facing the remote neighbor: absolute outbox-arena index
 	remote     int32 // the remote neighbor
-	remotePort int32 // port at the remote neighbor facing owner
+	remotePort int32 // the remote neighbor's port facing the owned node
 }
 
 // Shard drives nodes [lo, hi) of a single-use Network under an external
@@ -93,10 +92,9 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 				continue
 			}
 			s.boundary = append(s.boundary, shardBoundary{
-				owner:      int32(u),
-				ownerPort:  i - ulo,
+				ownerSlot:  i,
 				remote:     t.to[i],
-				remotePort: t.rev[i],
+				remotePort: t.peer[i] - t.start[t.to[i]],
 			})
 		}
 	}
@@ -107,8 +105,8 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 // the given port, by setting the sending neighbor's outbox slot in the
 // local replica. The next Deliver picks it up through the canonical
 // port-ordered scan. It is a protocol error — not a silent drop — to
-// inject onto an intra-shard port or twice onto the same port in one
-// round.
+// inject onto an intra-shard port, twice onto the same port in one
+// round, or the empty record (which deliverTo would read as no message).
 func (s *Shard) Inject(dst, port int, payload Message) error {
 	if dst < s.lo || dst >= s.hi {
 		return fmt.Errorf("congest: inject to node %d outside shard [%d, %d)", dst, s.lo, s.hi)
@@ -122,32 +120,24 @@ func (s *Shard) Inject(dst, port int, payload Message) error {
 	if from >= s.lo && from < s.hi {
 		return fmt.Errorf("congest: inject to node %d port %d crosses no shard boundary (sender %d is owned)", dst, port, from)
 	}
-	sender := &s.net.ctxs[from]
-	sp := t.rev[i]
-	if sender.sent[sp] {
+	if payload.Kind == 0 {
+		return fmt.Errorf("congest: inject of the empty record (kind 0) to node %d port %d", dst, port)
+	}
+	slot := &s.net.out[t.peer[i]]
+	if slot.Kind != 0 {
 		return fmt.Errorf("congest: duplicate inject to node %d port %d", dst, port)
 	}
-	sender.sent[sp] = true
-	sender.outbox[sp] = payload
+	*slot = payload
 	return nil
 }
 
 // Deliver builds the inbox of every owned node for the round about to
 // execute and returns the number of messages delivered to this shard.
-// It then clears the staged remote slots, restoring the replica's
-// non-owned state to empty for the next round. Message counting is
-// unaffected: sends are counted at the sending shard only.
-func (s *Shard) Deliver() int {
-	delivered := s.deliver()
-	for _, b := range s.boundary {
-		rctx := &s.net.ctxs[b.remote]
-		if rctx.sent[b.remotePort] {
-			rctx.sent[b.remotePort] = false
-			rctx.outbox[b.remotePort] = nil
-		}
-	}
-	return delivered
-}
+// The owned receivers take the staged remote slots like any other, which
+// restores the replica's non-owned state to empty for the next round.
+// Message counting is unaffected: sends are counted at the sending shard
+// only.
+func (s *Shard) Deliver() int { return s.deliver() }
 
 // Inbox returns the inbox built by the last Deliver for owned node u.
 // Borrowed: valid until the next Deliver, for coordinator-side stats.
@@ -155,7 +145,12 @@ func (s *Shard) Inbox(u int) []Inbound { return s.net.inboxes[u] }
 
 // Step advances the replica's round counter and runs the step phase over
 // the owned range. It returns the number of nodes that executed Step.
+// The last round's sends toward remote receivers are emptied first: their
+// receivers live on other replicas, so no local delivery took them.
 func (s *Shard) Step() (active int) {
+	for _, b := range s.boundary {
+		s.net.out[b.ownerSlot].empty()
+	}
 	s.net.rounds++
 	active, _ = s.step()
 	return active
@@ -167,9 +162,8 @@ func (s *Shard) Step() (active int) {
 // THE RECEIVER, i.e. the argument the receiving shard passes to Inject.
 func (s *Shard) ExternalSends(fn func(dst, dstPort int, payload Message)) {
 	for _, b := range s.boundary {
-		ctx := &s.net.ctxs[b.owner]
-		if ctx.sent[b.ownerPort] {
-			fn(int(b.remote), int(b.remotePort), ctx.outbox[b.ownerPort])
+		if m := s.net.out[b.ownerSlot]; m.Kind != 0 {
+			fn(int(b.remote), int(b.remotePort), m)
 		}
 	}
 }

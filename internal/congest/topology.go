@@ -11,9 +11,11 @@ package congest
 //
 //	to[i]   — the neighbor across the port
 //	edge[i] — the graph edge ID behind the port
-//	rev[i]  — the port index AT THE NEIGHBOR leading back to v, so the
-//	          receiver-driven delivery scan finds the sender's outbox
-//	          slot with one array read instead of a map lookup
+//	peer[i] — the absolute index, in these same arrays and in the
+//	          outbox arena, of the port AT THE NEIGHBOR leading back to
+//	          v (start[to[i]] + that port), so the receiver-driven
+//	          delivery scan finds the sender's outbox slot with one
+//	          int32 load and reads it with one arena load
 //
 // portOf(v, u) — the inverse mapping the old implementation kept as
 // []map[int]int — is answered by binary search over a per-node
@@ -33,13 +35,13 @@ import (
 	"almostmix/internal/graph"
 )
 
-// topology is the flattened adjacency, port and reverse-port table.
+// topology is the flattened adjacency, port and peer-slot table.
 type topology struct {
 	n     int
 	start []int32 // len n+1: CSR offsets
 	to    []int32 // len 2m: neighbor across each port
 	edge  []int32 // len 2m: edge ID behind each port
-	rev   []int32 // len 2m: port at the neighbor leading back
+	peer  []int32 // len 2m: absolute slot of the neighbor's port leading back
 
 	// Per-node neighbor-sorted permutation for portOf lookups.
 	sortedTo   []int32 // len 2m: neighbor IDs, ascending within each node
@@ -61,7 +63,7 @@ func newTopology(g *graph.Graph) *topology {
 		start:      make([]int32, n+1),
 		to:         make([]int32, 2*m),
 		edge:       make([]int32, 2*m),
-		rev:        make([]int32, 2*m),
+		peer:       make([]int32, 2*m),
 		sortedTo:   make([]int32, 2*m),
 		sortedPort: make([]int32, 2*m),
 		edgeV:      make([]int32, m),
@@ -70,7 +72,7 @@ func newTopology(g *graph.Graph) *topology {
 		t.start[v+1] = t.start[v] + int32(g.Degree(v))
 	}
 	// One pass records, per edge, the port it occupies at each endpoint;
-	// a second pass derives rev from those without any map.
+	// a second pass derives peer from those without any map.
 	portAtU := make([]int32, m)
 	portAtV := make([]int32, m)
 	for v := 0; v < n; v++ {
@@ -94,9 +96,9 @@ func newTopology(g *graph.Graph) *topology {
 		for i := lo; i < hi; i++ {
 			e := t.edge[i]
 			if int(t.edgeV[e]) == v {
-				t.rev[i] = portAtU[e] // v is the V endpoint; sender port is at U
+				t.peer[i] = t.start[t.to[i]] + portAtU[e] // v is the V endpoint; sender port is at U
 			} else {
-				t.rev[i] = portAtV[e]
+				t.peer[i] = t.start[t.to[i]] + portAtV[e]
 			}
 			t.sortedTo[i] = t.to[i]
 			t.sortedPort[i] = i - lo

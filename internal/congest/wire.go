@@ -2,18 +2,21 @@ package congest
 
 // Wire adapters for the transport layer (internal/transport): exported
 // program builders and payload codecs for this package's primitives.
-// Payload types are deliberately unexported — programs exchange them as
-// opaque Message values — so the byte codecs that ship them across
-// process boundaries live here, next to the types they encode.
+// How a program family packs its payloads into Message records — which
+// kinds, which fields — is its own business, so the byte codecs that ship
+// them across process boundaries live here, next to the programs.
 //
-// Codec contract: Encode appends the payload's canonical byte form to
-// buf and returns the extended slice; Decode parses exactly the bytes
-// Encode produced and rejects trailing garbage. Both are pure, so every
-// shard process decodes a payload into the same value the sender held.
+// Codec contract: Encode appends the canonical byte form of a record of
+// one of the family's kinds to buf and returns the extended slice, and
+// refuses every other kind; Decode parses exactly the bytes Encode
+// produced, rejects trailing garbage, and returns only records of the
+// family's kinds — never the empty record. Both are pure, so every shard
+// process decodes a payload into the same record the sender held.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"almostmix/internal/graph"
 )
@@ -41,20 +44,19 @@ func BFSPrograms(g *graph.Graph, root int) ([]Program, *BFSResult) {
 
 // EncodeBFSPayload appends the canonical encoding of a BFS token.
 func EncodeBFSPayload(buf []byte, m Message) ([]byte, error) {
-	tok, ok := m.(bfsToken)
-	if !ok {
-		return nil, fmt.Errorf("congest: BFS payload codec got %T", m)
+	if m.Kind != kindBFS {
+		return nil, fmt.Errorf("congest: BFS payload codec got message kind %d", m.Kind)
 	}
-	return binary.AppendUvarint(buf, uint64(tok.dist)), nil
+	return binary.AppendUvarint(buf, uint64(m.A)), nil
 }
 
 // DecodeBFSPayload parses the bytes EncodeBFSPayload produced.
 func DecodeBFSPayload(b []byte) (Message, error) {
 	d, n := binary.Uvarint(b)
-	if n <= 0 || n != len(b) {
-		return nil, fmt.Errorf("congest: malformed BFS payload (%d bytes)", len(b))
+	if n <= 0 || n != len(b) || d > math.MaxInt32 {
+		return Message{}, fmt.Errorf("congest: malformed BFS payload (%d bytes)", len(b))
 	}
-	return bfsToken{dist: int(d)}, nil
+	return bfsToken(int(d)), nil
 }
 
 // FloodPrograms returns per-node programs flooding the integer value
@@ -64,35 +66,35 @@ func DecodeBFSPayload(b []byte) (Message, error) {
 func FloodPrograms(g *graph.Graph, root, value int) ([]Program, []Message) {
 	out := make([]Message, g.N())
 	programs := make([]Program, g.N())
+	rec := Message{Kind: kindFlood, W: uint64(int64(value))}
 	for v := range programs {
-		programs[v] = &floodProgram{root: v == root, value: value, out: out}
+		programs[v] = &floodProgram{root: v == root, value: rec, out: out}
 	}
 	return programs, out
 }
 
-// EncodeFloodPayload appends the canonical encoding of a flood value
-// (an int, as built by FloodPrograms).
+// EncodeFloodPayload appends the canonical encoding of a flood record
+// (as built by FloodPrograms).
 func EncodeFloodPayload(buf []byte, m Message) ([]byte, error) {
-	v, ok := m.(int)
-	if !ok {
-		return nil, fmt.Errorf("congest: flood payload codec got %T", m)
+	if m.Kind != kindFlood {
+		return nil, fmt.Errorf("congest: flood payload codec got message kind %d", m.Kind)
 	}
-	return binary.AppendVarint(buf, int64(v)), nil
+	return binary.AppendVarint(buf, int64(m.W)), nil
 }
 
 // DecodeFloodPayload parses the bytes EncodeFloodPayload produced.
 func DecodeFloodPayload(b []byte) (Message, error) {
 	v, n := binary.Varint(b)
 	if n <= 0 || n != len(b) {
-		return nil, fmt.Errorf("congest: malformed flood payload (%d bytes)", len(b))
+		return Message{}, fmt.Errorf("congest: malformed flood payload (%d bytes)", len(b))
 	}
-	return int(v), nil
+	return Message{Kind: kindFlood, W: uint64(v)}, nil
 }
 
 // EncodeTickPayload appends the (empty) canonical encoding of Tick.
 func EncodeTickPayload(buf []byte, m Message) ([]byte, error) {
-	if _, ok := m.(tickToken); !ok {
-		return nil, fmt.Errorf("congest: tick payload codec got %T", m)
+	if m != Tick {
+		return nil, fmt.Errorf("congest: tick payload codec got message kind %d", m.Kind)
 	}
 	return buf, nil
 }
@@ -100,7 +102,7 @@ func EncodeTickPayload(buf []byte, m Message) ([]byte, error) {
 // DecodeTickPayload parses the bytes EncodeTickPayload produced.
 func DecodeTickPayload(b []byte) (Message, error) {
 	if len(b) != 0 {
-		return nil, fmt.Errorf("congest: malformed tick payload (%d bytes)", len(b))
+		return Message{}, fmt.Errorf("congest: malformed tick payload (%d bytes)", len(b))
 	}
 	return Tick, nil
 }

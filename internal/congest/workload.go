@@ -1,23 +1,18 @@
 package congest
 
 // Benchmark/regression workloads for the hot path. The ticker is the
-// canonical steady-state load: every node broadcasts a pre-boxed
-// zero-size token on every port every round, so a steady round moves the
-// maximum 2m messages with zero program-side allocation — what the
-// delivery path does per round is exactly what the measurement sees.
+// canonical steady-state load: every node broadcasts a field-less token
+// on every port every round, so a steady round moves the maximum 2m
+// messages with no program-side work — what the delivery path does per
+// round is exactly what the measurement sees.
 
 import (
 	"errors"
 	"runtime"
 )
 
-// tickToken is the zero-size payload: converting a zero-width value to
-// an interface never allocates (it boxes the runtime's shared zero
-// base), so sends cost nothing on the heap.
-type tickToken struct{}
-
-// Tick is the shared pre-boxed payload tickers broadcast.
-var Tick Message = tickToken{}
+// Tick is the record tickers broadcast: a kind and no fields.
+var Tick = Message{Kind: kindTick}
 
 // ticker broadcasts Tick on every port each round and halts after the
 // configured round. It is stateless per round; one instance may be
@@ -25,7 +20,7 @@ var Tick Message = tickToken{}
 type ticker struct{ rounds int }
 
 // NewTicker returns the steady-state benchmark program: broadcast a
-// zero-size token on every port each round, halt after `rounds` rounds.
+// field-less token on every port each round, halt after `rounds` rounds.
 func NewTicker(rounds int) Program { return &ticker{rounds: rounds} }
 
 func (t *ticker) Init(ctx *Ctx) { ctx.Broadcast(Tick) }
@@ -37,6 +32,19 @@ func (t *ticker) Step(ctx *Ctx, inbox []Inbound) {
 	}
 	ctx.Broadcast(Tick)
 }
+
+// SteadyAllocNoiseFloor is the threshold the zero-alloc gates hold
+// MeasureSteadyAllocs to (alloc_test.go here, the walk and GHS rows in
+// their own packages): a steady round must allocate 0 on the integer
+// scale, i.e. measured allocs/round < 0.5. The measurement cannot demand
+// a literal 0.000: the round barriers of a multi-part run park workers on
+// channels, and the runtime re-allocates its cached sudog/stack
+// bookkeeping whenever a GC cycle lands inside a window — an
+// O(1)-per-GC cost outside the engine that shows up as a few hundredths
+// per round. Any genuine hot-path regression is at least one allocation
+// per ROUND (usually per node or per message, i.e. hundreds on the gated
+// inputs), so the gate still trips decisively.
+const SteadyAllocNoiseFloor = 0.5
 
 // MeasureSteadyAllocs reports the average heap allocations per
 // steady-state round of an engine configuration, by differencing two

@@ -49,24 +49,40 @@ func (c ghsCandidate) better(o ghsCandidate) bool {
 	return c.Y < o.Y
 }
 
-// Message payloads.
-type (
-	ghsFragID   struct{ Frag int32 }
-	ghsReport   struct{ Cand ghsCandidate }
-	ghsDecision struct{ Cand ghsCandidate }
-	ghsMergeReq struct{}
-	ghsAdopt    struct{ Frag int32 }
+// Message kinds (mstbase's range of congest.Kind starts at 32). A kind's
+// offset from ghsKindBase is also its tag in the wire codec (wire.go). A
+// fragment ID rides in A; a candidate's weight bits ride in W and its
+// endpoints in A and B; a merge request has no fields.
+const (
+	ghsKindBase congest.Kind = 32
 
-	// ghsWin wraps every payload with its window index on faulty runs, so
-	// a delayed message straggling across a window boundary is recognized
-	// and discarded instead of corrupting the next window's counters. The
-	// discard matches fault-free semantics: the boundary step never reads
-	// its inbox, so a message crossing a boundary is already lost.
-	ghsWin struct {
-		Win  int32
-		Body congest.Message
-	}
+	kindGHSFragID congest.Kind = ghsKindBase + iota
+	kindGHSReport
+	kindGHSDecision
+	kindGHSMergeReq
+	kindGHSAdopt
+
+	// ghsStamped marks a record as window-stamped: on faulty runs every
+	// message carries its window index in Win, so a delayed message
+	// straggling across a window boundary is recognized and discarded
+	// instead of corrupting the next window's counters. The discard
+	// matches fault-free semantics: the boundary step never reads its
+	// inbox, so a message crossing a boundary is already lost.
+	ghsStamped congest.Kind = 8
 )
+
+func ghsFragMessage(kind congest.Kind, frag int32) congest.Message {
+	return congest.Message{Kind: kind, A: frag}
+}
+
+func ghsCandMessage(kind congest.Kind, c ghsCandidate) congest.Message {
+	return congest.Message{Kind: kind, A: c.X, B: c.Y, W: math.Float64bits(c.W)}
+}
+
+// ghsCandOf unpacks the candidate of a report or decision record.
+func ghsCandOf(m congest.Message) ghsCandidate {
+	return ghsCandidate{W: math.Float64frombits(m.W), X: m.A, Y: m.B}
+}
 
 // ghsNode is the per-node program state.
 type ghsNode struct {
@@ -96,6 +112,7 @@ type ghsNode struct {
 	newFrag     int32
 	complete    bool
 	pendingSend []pendingMsg
+	usedPort    []bool // flush scratch: all false between calls
 
 	// Faulty-run extras, inert when run.faulty is false. curWin/lastWin
 	// track the window index so stamped messages can be produced and a
@@ -137,11 +154,16 @@ func (p *ghsNode) Init(ctx *congest.Ctx) {
 	p.frag = int32(ctx.ID())
 	p.parentPort = -1
 	p.treePort = make([]bool, ctx.Degree())
+	p.mergedPort = make([]bool, ctx.Degree())
+	p.usedPort = make([]bool, ctx.Degree())
+	if p.run.faulty {
+		p.gotReport = make([]bool, ctx.Degree())
+	}
 	p.nbrFrag = make([]int32, ctx.Degree())
-	p.resetWindow(ctx)
+	p.resetWindow()
 }
 
-func (p *ghsNode) resetWindow(ctx *congest.Ctx) {
+func (p *ghsNode) resetWindow() {
 	for i := range p.nbrFrag {
 		p.nbrFrag[i] = -1
 	}
@@ -156,16 +178,14 @@ func (p *ghsNode) resetWindow(ctx *congest.Ctx) {
 	p.reported = false
 	p.decided = false
 	p.sentMerge = false
-	p.mergedPort = make([]bool, ctx.Degree())
+	clear(p.mergedPort)
 	p.adopted = false
 	p.newParent = -1
 	p.newFrag = -1
 	p.pendingSend = p.pendingSend[:0]
 	p.poisoned = false
 	p.repairFrag = -1
-	if p.run.faulty {
-		p.gotReport = make([]bool, ctx.Degree())
-	}
+	clear(p.gotReport) // nil, a no-op, on fault-free runs
 }
 
 // send queues a message; at most one per port is flushed per round, which
@@ -175,21 +195,24 @@ func (p *ghsNode) send(port int, payload congest.Message) {
 }
 
 func (p *ghsNode) flush(ctx *congest.Ctx) {
-	usedPort := make(map[int]bool, len(p.pendingSend))
+	if len(p.pendingSend) == 0 {
+		return
+	}
 	rest := p.pendingSend[:0]
 	for _, m := range p.pendingSend {
-		if usedPort[m.port] {
+		if p.usedPort[m.port] {
 			rest = append(rest, m)
 			continue
 		}
-		usedPort[m.port] = true
+		p.usedPort[m.port] = true
 		if p.run.faulty {
-			ctx.Send(m.port, ghsWin{Win: p.curWin, Body: m.payload})
-		} else {
-			ctx.Send(m.port, m.payload)
+			m.payload.Kind |= ghsStamped
+			m.payload.Win = p.curWin
 		}
+		ctx.Send(m.port, m.payload)
 	}
 	p.pendingSend = rest
+	clear(p.usedPort)
 }
 
 func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
@@ -211,10 +234,10 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 			ctx.Halt()
 			return
 		}
-		p.resetWindow(ctx)
+		p.resetWindow()
 		p.lastWin = p.curWin
 		for port := 0; port < ctx.Degree(); port++ {
-			p.send(port, ghsFragID{Frag: p.frag})
+			p.send(port, ghsFragMessage(kindGHSFragID, p.frag))
 		}
 		p.flush(ctx)
 		return
@@ -231,21 +254,20 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 			ctx.Halt()
 			return
 		}
-		p.resetWindow(ctx)
+		p.resetWindow()
 		p.lastWin = p.curWin
 		p.poisoned = true
 	}
 
 	for _, in := range inbox {
 		if p.run.faulty {
-			wm, ok := in.Payload.(ghsWin)
-			if !ok {
-				panic(fmt.Sprintf("mstbase: node %d got unstamped %T", ctx.ID(), in.Payload))
+			if in.Payload.Kind&ghsStamped == 0 {
+				congest.PanicUnknownKind("mstbase: window-stamping GHS", ctx, in)
 			}
-			if wm.Win != p.curWin {
+			if in.Payload.Win != p.curWin {
 				continue // straggler from another window
 			}
-			in.Payload = wm.Body
+			in.Payload.Kind &^= ghsStamped
 		}
 		p.handle(ctx, in)
 	}
@@ -273,75 +295,76 @@ func (p *ghsNode) commitWindow(ctx *congest.Ctx) {
 }
 
 func (p *ghsNode) handle(ctx *congest.Ctx, in congest.Inbound) {
-	switch msg := in.Payload.(type) {
-	case ghsFragID:
+	port, msg := int(in.Port), in.Payload
+	switch msg.Kind {
+	case kindGHSFragID:
+		frag := msg.A
 		// Count each port once: fault-free every neighbor sends exactly
 		// one ID per window, so this is a no-op; under duplication it
 		// keeps gotFrag honest.
-		if p.nbrFrag[in.Port] == -1 {
+		if p.nbrFrag[port] == -1 {
 			p.gotFrag++
 		}
-		p.nbrFrag[in.Port] = msg.Frag
-		if p.run.faulty && p.treePort[in.Port] && msg.Frag != p.frag {
+		p.nbrFrag[port] = frag
+		if p.run.faulty && p.treePort[port] && frag != p.frag {
 			// Label split across a committed tree edge (an adoption wave
 			// was cut short by a fault). Stall this window and heal
 			// toward the larger label at the next boundary.
 			p.poisoned = true
-			if msg.Frag > p.repairFrag {
-				p.repairFrag = msg.Frag
+			if frag > p.repairFrag {
+				p.repairFrag = frag
 			}
 		}
-	case ghsReport:
+	case kindGHSReport:
 		if p.run.faulty {
-			if !p.treePort[in.Port] || in.Port == p.parentPort {
+			if !p.treePort[port] || port == p.parentPort {
 				// A report from a port this node does not consider a
 				// child edge: tree-topology asymmetry left by a fault.
 				// Ignore it and stall rather than corrupt childWait.
 				p.poisoned = true
 				return
 			}
-			if p.gotReport[in.Port] {
+			if p.gotReport[port] {
 				return // duplicate
 			}
-			p.gotReport[in.Port] = true
+			p.gotReport[port] = true
 		}
-		if msg.Cand.better(p.bestCand) {
-			p.bestCand = msg.Cand
+		if cand := ghsCandOf(msg); cand.better(p.bestCand) {
+			p.bestCand = cand
 		}
 		p.childWait--
-	case ghsDecision:
-		if p.run.faulty && in.Port != p.parentPort {
+	case kindGHSDecision:
+		if p.run.faulty && port != p.parentPort {
 			// Fault-free, decisions only flow parent → child.
 			p.poisoned = true
 			return
 		}
-		p.applyDecision(ctx, msg.Cand)
-	case ghsMergeReq:
-		p.mergedPort[in.Port] = true
+		p.applyDecision(ctx, ghsCandOf(msg))
+	case kindGHSMergeReq:
+		p.mergedPort[port] = true
 		// If the adoption wave already passed through this node, the
 		// late-arriving subtree behind this request must be flooded too.
 		if p.adopted {
-			p.send(in.Port, ghsAdopt{Frag: p.newFrag})
+			p.send(port, ghsFragMessage(kindGHSAdopt, p.newFrag))
 		}
-		if p.sentMerge && int(p.decision.Y) == ctx.NeighborID(in.Port) &&
-			int(p.decision.X) == ctx.ID() {
+		if p.sentMerge && p.decision.Y == in.From && int(p.decision.X) == ctx.ID() {
 			// Mutual choice: this edge is the core. The higher-ID
 			// endpoint becomes the new fragment root.
-			if ctx.ID() > ctx.NeighborID(in.Port) {
+			if ctx.ID() > int(in.From) {
 				p.startAdoption(ctx)
 			}
 		}
-	case ghsAdopt:
+	case kindGHSAdopt:
 		if p.adopted {
 			return
 		}
 		p.adopted = true
-		p.newFrag = msg.Frag
-		p.newParent = in.Port
-		p.mergedPort[in.Port] = true
-		p.forwardAdoption(ctx, in.Port)
+		p.newFrag = msg.A
+		p.newParent = port
+		p.mergedPort[port] = true
+		p.forwardAdoption(ctx, port)
 	default:
-		panic(fmt.Sprintf("mstbase: node %d got %T", ctx.ID(), in.Payload))
+		congest.PanicUnknownKind("mstbase: GHS", ctx, in)
 	}
 }
 
@@ -374,7 +397,7 @@ func (p *ghsNode) maybeReport(ctx *congest.Ctx, offset int) {
 		}
 	}
 	if p.parentPort >= 0 {
-		p.send(p.parentPort, ghsReport{Cand: p.bestCand})
+		p.send(p.parentPort, ghsCandMessage(kindGHSReport, p.bestCand))
 		return
 	}
 	// Root: decide and open the downcast.
@@ -391,7 +414,7 @@ func (p *ghsNode) applyDecision(ctx *congest.Ctx, cand ghsCandidate) {
 	p.decision = cand
 	for port, tree := range p.treePort {
 		if tree && port != p.parentPort {
-			p.send(port, ghsDecision{Cand: cand})
+			p.send(port, ghsCandMessage(kindGHSDecision, cand))
 		}
 	}
 	if math.IsInf(cand.W, 1) {
@@ -408,14 +431,14 @@ func (p *ghsNode) applyDecision(ctx *congest.Ctx, cand ghsCandidate) {
 				mutual := p.mergedPort[port]
 				p.mergedPort[port] = true
 				p.chosen = append(p.chosen, ctx.EdgeID(port))
-				p.send(port, ghsMergeReq{})
+				p.send(port, congest.Message{Kind: kindGHSMergeReq})
 				if mutual && ctx.ID() > int(cand.Y) {
 					p.startAdoption(ctx)
 				}
 				// If the adoption wave already passed this node, it
 				// must be extended over the just-marked chosen edge.
 				if p.adopted {
-					p.send(port, ghsAdopt{Frag: p.newFrag})
+					p.send(port, ghsFragMessage(kindGHSAdopt, p.newFrag))
 				}
 				break
 			}
@@ -441,7 +464,7 @@ func (p *ghsNode) forwardAdoption(ctx *congest.Ctx, fromPort int) {
 			continue
 		}
 		if p.treePort[port] || p.mergedPort[port] {
-			p.send(port, ghsAdopt{Frag: p.newFrag})
+			p.send(port, ghsFragMessage(kindGHSAdopt, p.newFrag))
 		}
 	}
 }

@@ -10,11 +10,13 @@ package mstbase
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/faults"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
 )
@@ -76,6 +78,50 @@ func TestGHSNetworkDifferential(t *testing.T) {
 				t.Errorf("seed %d workers %d: exported trace diverges from sequential (%d vs %d bytes)",
 					seed, workers, len(gotTrace), len(refTrace))
 			}
+		}
+	}
+}
+
+// TestSteadyRoundsZeroAlloc is the GHS program's row of the engine's
+// zero-alloc gate (congest.TestSteadyRoundsZeroAlloc holds the ticker
+// rows): n = 64, so a window is 198 rounds, and the measured span —
+// rounds 396 to 792, the third and fourth windows — covers two boundaries
+// (scratch reset in place, fragment IDs to every neighbor) and two full
+// convergecast / downcast / merge / adoption sequences. Fault-free, and
+// window-stamped under drop = 0.1, where stalled windows retry. What may
+// still allocate is append growth of a node's pending-send and
+// chosen-edge slices, both retained: a few tenths of an allocation per
+// round at most, against one per message before the payloads were records.
+func TestSteadyRoundsZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential alloc measurement is not -short")
+	}
+	g := graph.RandomRegular(64, 4, rngutil.NewRand(23))
+	g.AssignDistinctRandomWeights(rngutil.NewRand(23))
+	rounds := 2 * ghsWindow(g.N())
+	for _, spec := range []string{"", "drop=0.1"} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("ghs/workers=%d", workers)
+			if spec != "" {
+				name = fmt.Sprintf("ghs-stamped/%s/workers=%d", spec, workers)
+			}
+			t.Run(name, func(t *testing.T) {
+				per := congest.MeasureSteadyAllocs(func() *congest.Network {
+					var plan *faults.Plan // nil: the fault-free delivery path
+					if spec != "" {
+						var err error
+						if plan, err = faults.Parse(spec, 99); err != nil {
+							t.Fatal(err)
+						}
+					}
+					programs, _ := GHSPrograms(g, plan)
+					return congest.NewNetwork(g, programs, rngutil.NewSource(23)).SetWorkers(workers).SetFaults(plan)
+				}, rounds)
+				if per >= congest.SteadyAllocNoiseFloor {
+					t.Fatalf("steady GHS round allocates: %.3f allocs/round, want 0 (< %.1f)", per, congest.SteadyAllocNoiseFloor)
+				}
+				t.Logf("%.3f allocs/round", per)
+			})
 		}
 	}
 }

@@ -28,15 +28,11 @@ func GHSChosenEdges(programs []congest.Program, lo, hi int) []int {
 	return edges
 }
 
-// Payload type tags for the GHS wire codec.
-const (
-	ghsWireFragID byte = 1 + iota
-	ghsWireReport
-	ghsWireDecision
-	ghsWireMergeReq
-	ghsWireAdopt
-	ghsWireWin // window-stamped wrapper, faulty runs only: varint window + recursive body
-)
+// ghsWireWin is the wire tag of the window stamp (faulty runs only): a
+// varint window, then the stamped record's own tag and body. The other
+// tags are the kinds' offsets from ghsKindBase (1 fragment ID, 2 report,
+// 3 decision, 4 merge request, 5 adoption).
+const ghsWireWin = byte(kindGHSAdopt-ghsKindBase) + 1
 
 func appendGHSCandidate(buf []byte, c ghsCandidate) []byte {
 	// W may be +Inf ("no outgoing edge"), so ship the raw IEEE bits; X
@@ -46,99 +42,96 @@ func appendGHSCandidate(buf []byte, c ghsCandidate) []byte {
 	return binary.AppendVarint(buf, int64(c.Y))
 }
 
+// varint32 parses a signed varint that must fit an int32 record field.
+func varint32(b []byte) (int32, int) {
+	v, n := binary.Varint(b)
+	if n <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, 0
+	}
+	return int32(v), n
+}
+
 func parseGHSCandidate(b []byte) (ghsCandidate, []byte, error) {
 	if len(b) < 8 {
 		return ghsCandidate{}, nil, fmt.Errorf("mstbase: truncated GHS candidate")
 	}
 	w := math.Float64frombits(binary.BigEndian.Uint64(b))
 	b = b[8:]
-	x, n := binary.Varint(b)
-	if n <= 0 {
+	x, n := varint32(b)
+	if n == 0 {
 		return ghsCandidate{}, nil, fmt.Errorf("mstbase: malformed GHS candidate X")
 	}
 	b = b[n:]
-	y, n := binary.Varint(b)
-	if n <= 0 {
+	y, n := varint32(b)
+	if n == 0 {
 		return ghsCandidate{}, nil, fmt.Errorf("mstbase: malformed GHS candidate Y")
 	}
-	return ghsCandidate{W: w, X: int32(x), Y: int32(y)}, b[n:], nil
+	return ghsCandidate{W: w, X: x, Y: y}, b[n:], nil
 }
 
-// EncodeGHSPayload appends the canonical encoding of a GHS message
-// payload. Faulty runs wrap every payload in ghsWin; the wrapper ships
-// as its own tag with the body encoded recursively, so one codec covers
-// both variants.
+// EncodeGHSPayload appends the canonical encoding of a GHS record: its
+// kind's tag and fields, behind the window stamp when it carries one
+// (faulty runs stamp every message), so one codec covers both variants.
 func EncodeGHSPayload(buf []byte, m congest.Message) ([]byte, error) {
-	switch msg := m.(type) {
-	case ghsWin:
-		buf = binary.AppendVarint(append(buf, ghsWireWin), int64(msg.Win))
-		inner, err := EncodeGHSPayload(buf, msg.Body)
-		if err != nil {
-			return nil, fmt.Errorf("mstbase: window-stamped body: %w", err)
-		}
-		return inner, nil
-	case ghsFragID:
-		return binary.AppendVarint(append(buf, ghsWireFragID), int64(msg.Frag)), nil
-	case ghsReport:
-		return appendGHSCandidate(append(buf, ghsWireReport), msg.Cand), nil
-	case ghsDecision:
-		return appendGHSCandidate(append(buf, ghsWireDecision), msg.Cand), nil
-	case ghsMergeReq:
-		return append(buf, ghsWireMergeReq), nil
-	case ghsAdopt:
-		return binary.AppendVarint(append(buf, ghsWireAdopt), int64(msg.Frag)), nil
-	default:
-		return nil, fmt.Errorf("mstbase: GHS payload codec got %T", m)
+	kind := m.Kind
+	if kind&ghsStamped != 0 {
+		kind &^= ghsStamped
+		buf = binary.AppendVarint(append(buf, ghsWireWin), int64(m.Win))
 	}
+	if kind < kindGHSFragID || kind > kindGHSAdopt {
+		return nil, fmt.Errorf("mstbase: GHS payload codec got message kind %d", m.Kind)
+	}
+	buf = append(buf, byte(kind-ghsKindBase))
+	switch kind {
+	case kindGHSFragID, kindGHSAdopt:
+		buf = binary.AppendVarint(buf, int64(m.A))
+	case kindGHSReport, kindGHSDecision:
+		buf = appendGHSCandidate(buf, ghsCandOf(m))
+	}
+	return buf, nil
 }
 
 // DecodeGHSPayload parses the bytes EncodeGHSPayload produced.
 func DecodeGHSPayload(b []byte) (congest.Message, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("mstbase: empty GHS payload")
+	var stamp congest.Kind
+	var win int32
+	if len(b) > 0 && b[0] == ghsWireWin {
+		n := 0
+		if win, n = varint32(b[1:]); n == 0 {
+			return congest.Message{}, fmt.Errorf("mstbase: malformed GHS window stamp")
+		}
+		stamp, b = ghsStamped, b[1+n:]
+		if len(b) > 0 && b[0] == ghsWireWin {
+			return congest.Message{}, fmt.Errorf("mstbase: nested GHS window stamp")
+		}
 	}
-	tag, body := b[0], b[1:]
-	switch tag {
-	case ghsWireWin:
-		win, n := binary.Varint(body)
-		if n <= 0 {
-			return nil, fmt.Errorf("mstbase: malformed GHS window stamp")
+	if len(b) == 0 {
+		return congest.Message{}, fmt.Errorf("mstbase: empty GHS payload")
+	}
+	kind, body := ghsKindBase+congest.Kind(b[0]), b[1:]
+	m := congest.Message{Kind: kind | stamp, Win: win}
+	switch kind {
+	case kindGHSFragID, kindGHSAdopt:
+		frag, n := varint32(body)
+		if n == 0 || n != len(body) {
+			return congest.Message{}, fmt.Errorf("mstbase: malformed GHS frag payload (%d bytes)", len(b))
 		}
-		inner, err := DecodeGHSPayload(body[n:])
-		if err != nil {
-			return nil, err
-		}
-		if _, nested := inner.(ghsWin); nested {
-			return nil, fmt.Errorf("mstbase: nested GHS window stamp")
-		}
-		return ghsWin{Win: int32(win), Body: inner}, nil
-	case ghsWireFragID, ghsWireAdopt:
-		frag, n := binary.Varint(body)
-		if n <= 0 || n != len(body) {
-			return nil, fmt.Errorf("mstbase: malformed GHS frag payload (%d bytes)", len(b))
-		}
-		if tag == ghsWireFragID {
-			return ghsFragID{Frag: int32(frag)}, nil
-		}
-		return ghsAdopt{Frag: int32(frag)}, nil
-	case ghsWireReport, ghsWireDecision:
+		m.A = frag
+	case kindGHSReport, kindGHSDecision:
 		cand, rest, err := parseGHSCandidate(body)
 		if err != nil {
-			return nil, err
+			return congest.Message{}, err
 		}
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("mstbase: %d trailing bytes after GHS candidate", len(rest))
+			return congest.Message{}, fmt.Errorf("mstbase: %d trailing bytes after GHS candidate", len(rest))
 		}
-		if tag == ghsWireReport {
-			return ghsReport{Cand: cand}, nil
-		}
-		return ghsDecision{Cand: cand}, nil
-	case ghsWireMergeReq:
+		m.A, m.B, m.W = cand.X, cand.Y, math.Float64bits(cand.W)
+	case kindGHSMergeReq:
 		if len(body) != 0 {
-			return nil, fmt.Errorf("mstbase: %d trailing bytes after GHS merge request", len(body))
+			return congest.Message{}, fmt.Errorf("mstbase: %d trailing bytes after GHS merge request", len(body))
 		}
-		return ghsMergeReq{}, nil
 	default:
-		return nil, fmt.Errorf("mstbase: unknown GHS payload tag %d", tag)
+		return congest.Message{}, fmt.Errorf("mstbase: unknown GHS payload tag %d", b[0])
 	}
+	return m, nil
 }

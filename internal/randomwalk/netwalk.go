@@ -19,6 +19,10 @@ import (
 	"almostmix/internal/rngutil"
 )
 
+// kindWalk is the one message kind of the walk programs (randomwalk's
+// range of congest.Kind starts at 16).
+const kindWalk congest.Kind = 16
+
 // walkToken is the message payload: the number of hops the token still
 // has to make after the current delivery, plus the token's identity
 // (origin node and per-origin sequence number). Identity is inert on
@@ -28,6 +32,17 @@ type walkToken struct {
 	Left   int32
 	Origin int32
 	Seq    int32
+}
+
+// message packs the token into a record: Left in Win, Origin and Seq in
+// A and B.
+func (tok walkToken) message() congest.Message {
+	return congest.Message{Kind: kindWalk, Win: tok.Left, A: tok.Origin, B: tok.Seq}
+}
+
+// walkTokenOf unpacks a kindWalk record.
+func walkTokenOf(m congest.Message) walkToken {
+	return walkToken{Left: m.Win, Origin: m.A, Seq: m.B}
 }
 
 // WalkTokenID identifies one issued walk token across retry attempts:
@@ -68,11 +83,22 @@ type FaultyWalkResult struct {
 // walkNode is the per-node program: it routes arriving tokens onward with
 // a fresh uniform port choice per hop and drains one queued token per port
 // per round.
+//
+// The per-port queues are intrusive FIFOs over one token pool per node
+// (the pathsched idiom): head[p] and tail[p] delimit port p's queue
+// (head −1 = empty), pool[i].next is the token behind pool[i], and free
+// heads the list of vacated pool slots, linked through the same field. A
+// token waits in one queue at a time, so one link per slot serves every
+// port. The pool grows by append's doubling and is never shrunk: once it
+// has held a node's peak backlog, queueing and draining allocate nothing.
 type walkNode struct {
 	steps   int
 	counts  []int
 	arrived []int // shared, but each node writes only its own index
-	queues  [][]walkToken
+
+	pool       []walkSlot
+	head, tail []int32
+	free       int32
 
 	// Identity-recording extras, nil on plain runs: seqBase[v] is the first
 	// sequence number of node v's freshly issued tokens this attempt, and
@@ -83,8 +109,19 @@ type walkNode struct {
 	absorbed [][]WalkTokenID
 }
 
+// walkSlot is one pool entry: a queued token and the pool index of the
+// token behind it (or of the next free slot), −1 at the end of a list.
+type walkSlot struct {
+	tok  walkToken
+	next int32
+}
+
 func (p *walkNode) Init(ctx *congest.Ctx) {
-	p.queues = make([][]walkToken, ctx.Degree())
+	p.head, p.tail = make([]int32, ctx.Degree()), make([]int32, ctx.Degree())
+	for port := range p.head {
+		p.head[port] = -1
+	}
+	p.free = -1
 	base := 0
 	if p.seqBase != nil {
 		base = p.seqBase[ctx.ID()]
@@ -111,26 +148,42 @@ func (p *walkNode) route(ctx *congest.Ctx, tok walkToken) {
 	}
 	port := ctx.Rand().IntN(ctx.Degree())
 	tok.Left--
-	p.queues[port] = append(p.queues[port], tok)
+	slot := p.free
+	if slot >= 0 {
+		p.free = p.pool[slot].next
+		p.pool[slot] = walkSlot{tok: tok, next: -1}
+	} else {
+		slot = int32(len(p.pool))
+		p.pool = append(p.pool, walkSlot{tok: tok, next: -1})
+	}
+	if p.head[port] < 0 {
+		p.head[port] = slot
+	} else {
+		p.pool[p.tail[port]].next = slot
+	}
+	p.tail[port] = slot
 }
 
-// flush sends the head token of every nonempty port queue.
+// flush sends the head token of every nonempty port queue and returns its
+// pool slot to the free list.
 func (p *walkNode) flush(ctx *congest.Ctx) {
-	for port, q := range p.queues {
-		if len(q) > 0 {
-			ctx.Send(port, q[0])
-			p.queues[port] = q[1:]
+	for port, slot := range p.head {
+		if slot < 0 {
+			continue
 		}
+		ctx.Send(port, p.pool[slot].tok.message())
+		p.head[port] = p.pool[slot].next
+		p.pool[slot].next = p.free
+		p.free = slot
 	}
 }
 
 func (p *walkNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 	for _, in := range inbox {
-		tok, ok := in.Payload.(walkToken)
-		if !ok {
-			panic(fmt.Sprintf("randomwalk: node %d got %T", ctx.ID(), in.Payload))
+		if in.Payload.Kind != kindWalk {
+			congest.PanicUnknownKind("randomwalk", ctx, in)
 		}
-		p.route(ctx, tok)
+		p.route(ctx, walkTokenOf(in.Payload))
 	}
 	p.flush(ctx)
 }

@@ -7,36 +7,35 @@ package randomwalk
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"almostmix/internal/congest"
 )
 
 // EncodeWalkPayload appends the canonical encoding of a walk token.
 func EncodeWalkPayload(buf []byte, m congest.Message) ([]byte, error) {
-	tok, ok := m.(walkToken)
-	if !ok {
-		return nil, fmt.Errorf("randomwalk: walk payload codec got %T", m)
+	if m.Kind != kindWalk {
+		return nil, fmt.Errorf("randomwalk: walk payload codec got message kind %d", m.Kind)
 	}
+	tok := walkTokenOf(m)
 	buf = binary.AppendUvarint(buf, uint64(tok.Left))
 	buf = binary.AppendUvarint(buf, uint64(tok.Origin))
 	return binary.AppendUvarint(buf, uint64(tok.Seq)), nil
 }
 
-// DecodeWalkPayload parses the bytes EncodeWalkPayload produced.
+// DecodeWalkPayload parses the bytes EncodeWalkPayload produced: three
+// uvarints, each within a token field's int32 range.
 func DecodeWalkPayload(b []byte) (congest.Message, error) {
-	left, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("randomwalk: malformed walk payload")
+	var f [3]uint64
+	for i := range f {
+		v, n := binary.Uvarint(b)
+		if n <= 0 || v > math.MaxInt32 {
+			return congest.Message{}, fmt.Errorf("randomwalk: malformed walk payload")
+		}
+		f[i], b = v, b[n:]
 	}
-	b = b[n:]
-	origin, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("randomwalk: malformed walk payload")
+	if len(b) != 0 {
+		return congest.Message{}, fmt.Errorf("randomwalk: malformed walk payload")
 	}
-	b = b[n:]
-	seq, n := binary.Uvarint(b)
-	if n <= 0 || n != len(b) {
-		return nil, fmt.Errorf("randomwalk: malformed walk payload")
-	}
-	return walkToken{Left: int32(left), Origin: int32(origin), Seq: int32(seq)}, nil
+	return walkToken{Left: int32(f[0]), Origin: int32(f[1]), Seq: int32(f[2])}.message(), nil
 }

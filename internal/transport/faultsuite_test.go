@@ -40,6 +40,14 @@ import (
 // exactly (same RNG consumption, marks, staggered halting, per-port
 // duplication guard), so a transport run of the "goldenfault" workload
 // is the same execution the committed goldens pin.
+// kindGoldenInt is the goldenfault workload's one message kind: the
+// integer congest's goldenProgram sends rides in A.
+const kindGoldenInt = congest.KindTest
+
+func goldenInt(v int) congest.Message {
+	return congest.Message{Kind: kindGoldenInt, A: int32(v)}
+}
+
 type goldenFaultProgram struct {
 	haltAt int
 	seen   int
@@ -48,7 +56,7 @@ type goldenFaultProgram struct {
 
 func (p *goldenFaultProgram) Init(ctx *congest.Ctx) {
 	p.sent = make([]bool, ctx.Degree())
-	ctx.Broadcast(ctx.ID())
+	ctx.Broadcast(goldenInt(ctx.ID()))
 }
 
 func (p *goldenFaultProgram) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
@@ -56,11 +64,11 @@ func (p *goldenFaultProgram) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 		p.sent[i] = false
 	}
 	for _, in := range inbox {
-		v := in.Payload.(int)
+		v := int(in.Payload.A)
 		p.seen += v
 		if ctx.Rand().IntN(4) != 0 && !p.sent[in.Port] {
 			p.sent[in.Port] = true
-			ctx.Send(in.Port, v+1)
+			ctx.Send(int(in.Port), goldenInt(v+1))
 		}
 	}
 	if ctx.Round()%3 == 0 && ctx.Tracing() {
@@ -118,18 +126,17 @@ func init() {
 		Name:  "goldenfault",
 		Build: buildGoldenFault,
 		Encode: func(buf []byte, m congest.Message) ([]byte, error) {
-			v, ok := m.(int)
-			if !ok {
-				return nil, fmt.Errorf("goldenfault: payload codec got %T", m)
+			if m.Kind != kindGoldenInt {
+				return nil, fmt.Errorf("goldenfault: payload codec got message kind %d", m.Kind)
 			}
-			return binary.AppendUvarint(buf, uint64(v)), nil
+			return binary.AppendUvarint(buf, uint64(m.A)), nil
 		},
 		Decode: func(b []byte) (congest.Message, error) {
 			v, n := binary.Uvarint(b)
 			if n <= 0 || n != len(b) {
-				return nil, fmt.Errorf("goldenfault: malformed payload")
+				return congest.Message{}, fmt.Errorf("goldenfault: malformed payload")
 			}
-			return int(v), nil
+			return goldenInt(int(v)), nil
 		},
 	})
 }

@@ -166,6 +166,12 @@ func replySeeds(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0, 1, 3, 0, 0}, 0)                                    // DELIVERED: 2 delivered, 0 pending, inboxes {port 0}, {port 3}, {}, {}
 	f.Add(appendRecords([]byte{9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 9 messages, four records
 	f.Add(appendHello(nil, 3), 1)
+	// STEPPED of shard 1 over FuzzAbsorbReplies' star, relaying payloads no
+	// codec owns — no bytes at all, and the tag of the reserved empty kind.
+	// The coordinator relays them unread; the shard they reach refuses them
+	// (TestHostileRelayedPayload).
+	f.Add(appendStepReply(nil, &stepReply{
+		sends: []wireSend{{dst: 0, port: 4}, {dst: 0, port: 5, payload: []byte{0}}}}), 1)
 }
 
 // FuzzParseReplies drives the typed payload parsers — the record codec

@@ -412,3 +412,78 @@ func TestHostileReplies(t *testing.T) {
 		})
 	}
 }
+
+// TestHostileRelayedPayload: the coordinator relays payload bytes unread,
+// so what is wrong with them is found by the shard they are relayed to —
+// and must be found there, as a protocol error naming that shard, never
+// staged: a record of the reserved empty kind would sit in the outbox
+// arena as "no message" and the send would silently vanish. Shard 1's
+// second STEPPED is rewritten to carry one send over a real boundary edge
+// with the row's payload; shard 0 must refuse it in its workload's Decode
+// and end, which the coordinator reports against shard 0.
+func TestHostileRelayedPayload(t *testing.T) {
+	specs := suiteSpecs(1)
+	ghs, walks := specs[3], specs[4]
+	cases := []struct {
+		name    string
+		spec    transport.Spec
+		payload []byte
+		want    string
+	}{
+		{"walks/empty payload", walks, nil, "malformed walk payload"},
+		{"walks/field wider than the record", walks, uv(1, 1<<40, 0), "malformed walk payload"},
+		{"ghs/tag of the empty record", ghs, []byte{0}, "unknown GHS payload tag 0"},
+		{"ghs/kind the codec does not own", ghs, []byte{9}, "unknown GHS payload tag 9"},
+		{"ghs/stamp with nothing under it", ghs, []byte{6, 2}, "empty GHS payload"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := transport.BuildGraph(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A port of a shard-0 node that faces a shard-1 node.
+			lo1, _ := congest.Split{N: g.N(), K: 2}.Bounds(1)
+			dst, port := -1, -1
+			for v := 0; v < lo1 && dst < 0; v++ {
+				for p, h := range g.Neighbors(v) {
+					if h.To >= lo1 {
+						dst, port = v, p
+						break
+					}
+				}
+			}
+			if dst < 0 {
+				t.Fatal("no edge crosses the shard boundary")
+			}
+			body := uv(0, 0, 0, 0, 0, 0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))
+			body = append(body, tc.payload...)
+
+			base := runtime.NumGoroutine()
+			tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(transport.FrameStepped, 2, fate{rewrite: func([]byte) []byte { return body }}))
+			// Keep what each shard's ServeShard returned: the coordinator
+			// only sees shard 0 hang up.
+			var shardErrs [2]error
+			spawn := tcp.Spawn
+			tcp.Spawn = func(shard int, addr string) (transport.ShardHandle, error) {
+				h, err := spawn(shard, addr)
+				wait := h.Wait
+				h.Wait = func() error {
+					shardErrs[shard] = wait()
+					return shardErrs[shard]
+				}
+				return h, err
+			}
+			_, err = tcp.Run(tc.spec, transport.Options{})
+			if err == nil || !strings.Contains(err.Error(), "transport: shard 0:") {
+				t.Fatalf("coordinator err = %v, want a failure attributed to shard 0", err)
+			}
+			settleGoroutines(t, base, tc.name)
+			for _, want := range []string{"transport: shard 0: decoding relayed payload", tc.want} {
+				if shardErrs[0] == nil || !strings.Contains(shardErrs[0].Error(), want) {
+					t.Errorf("shard 0 ended with %v, want it to contain %q", shardErrs[0], want)
+				}
+			}
+		})
+	}
+}

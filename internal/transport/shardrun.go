@@ -244,7 +244,7 @@ func (r *shardRuntime) deliver(body []byte) error {
 			return fmt.Errorf("transport: shard %d: decoding relayed payload: %w", r.shard, err)
 		}
 		if err := r.s.Inject(s.dst, s.port, m); err != nil {
-			return err
+			return fmt.Errorf("transport: shard %d: staging relayed payload: %w", r.shard, err)
 		}
 	}
 	// The DELIVERED body (absorbDelivered reads it): delivered and pending

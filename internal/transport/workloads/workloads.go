@@ -169,7 +169,7 @@ func buildBroadcast(spec transport.Spec) (*transport.Instance, error) {
 		Quiet:     true,
 		// The record is whether the node holds the flooded value.
 		Harvest: func(buf []uint64, v int) []uint64 {
-			if val, ok := out[v].(int); ok && val == spec.Value {
+			if val, ok := congest.FloodValue(out[v]); ok && val == spec.Value {
 				return append(buf, 1)
 			}
 			return append(buf, 0)

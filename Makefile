@@ -56,15 +56,16 @@ transport-suite:
 	go test -race -timeout 300s ./internal/transport/... ./internal/flightrec ./internal/faults ./internal/congest
 
 # The cluster-scoped-tier suite, race-instrumented and never shortened:
-# every test of the decomposition and of the three embedded packages it
-# feeds, run whole so a new test cannot fall between hand-kept -run lists.
-# The decomposition must be byte-identical across worker counts, the
-# stitched router must deliver every packet deterministically, the
-# stitched MST must reproduce Kruskal's exact edge set (the correctness
-# contract of DESIGN.md §3's decomposition section), and concurrent runs
-# filling one hierarchy's leaf route rows must each match their serial run.
+# every test of the decomposition, of the three embedded packages it
+# feeds and of the Borůvka kernel mst.RunPartitioned's stitch and direct
+# tiers stand on (mstbase, cliquealgo: seconds), run whole so a new test
+# cannot fall between hand-kept -run lists. The stitched router must
+# deliver every packet deterministically, the stitched MST must reproduce
+# Kruskal's exact edge set (the correctness contract of DESIGN.md §3's
+# decomposition section), and concurrent runs filling one hierarchy's leaf
+# route rows must each match their serial run.
 decomp-suite:
-	go test -race -timeout 600s ./internal/decomp ./internal/embed ./internal/route ./internal/mst
+	go test -race -timeout 600s ./internal/decomp ./internal/embed ./internal/route ./internal/mst ./internal/mstbase ./internal/cliquealgo
 
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...

@@ -165,7 +165,7 @@ func MST(h *Hierarchy, seed uint64) (*MSTResult, error) {
 }
 
 // MSTKruskal computes the MST centrally — the verification ground truth.
-func MSTKruskal(g *Graph) (edgeIDs []int, weight float64) { return mst.Kruskal(g) }
+func MSTKruskal(g *Graph) (edgeIDs []int, weight float64) { return mstbase.Kruskal(g) }
 
 // MSTBaselineGHS runs the flood-based Borůvka baseline.
 func MSTBaselineGHS(g *Graph) (*BaselineResult, error) { return mstbase.GHS(g) }

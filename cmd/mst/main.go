@@ -113,7 +113,7 @@ func run(cli *cliutil.Harness, audit, ghsnet, quick bool, seed uint64, faultSpec
 		if err != nil {
 			return err
 		}
-		_, want := mst.Kruskal(g)
+		_, want := mstbase.Kruskal(g)
 		agree := res.Weight == want && ghs.Weight == want && kp.Weight == want
 		t.AddRow(inst.name, g.N(), tau, res.AlgorithmRounds, res.Rounds,
 			ghs.Rounds, kp.Rounds, agree)
@@ -148,7 +148,7 @@ func run(cli *cliutil.Harness, audit, ghsnet, quick bool, seed uint64, faultSpec
 				return err
 			}
 			out := res.Output.(workloads.MSTOutput)
-			_, want := mst.Kruskal(inst.g)
+			_, want := mstbase.Kruskal(inst.g)
 			nt.AddRow(inst.name, inst.g.N(), res.Rounds, mstbase.GHSIterations(inst.g.N(), res.Rounds), out.Weight == want)
 		}
 		fmt.Println(nt)
@@ -217,7 +217,7 @@ func runE18MST(cli *cliutil.Harness, quick bool, phi float64, seed uint64) error
 		if err != nil {
 			return err
 		}
-		_, want := mst.Kruskal(g)
+		_, want := mstbase.Kruskal(g)
 		if sink != nil {
 			sink.Label(inst.name).AddCosts("decomp", dec.Costs)
 			sink.AddCosts("decomp-build", pe.Costs)
@@ -254,7 +254,7 @@ func runE15MST(cli *cliutil.Harness, g *graph.Graph, spec transport.Spec, seed u
 	if custom {
 		specs = append(specs, faultSpec)
 	}
-	_, want := mst.Kruskal(g)
+	_, want := mstbase.Kruskal(g)
 	ft := harness.NewTable(
 		fmt.Sprintf("E15 — GHS degradation under faults (n=%d, attempts<=%d, faultseed=%d)",
 			g.N(), attempts, faultSeed),

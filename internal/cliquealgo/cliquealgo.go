@@ -19,11 +19,11 @@ package cliquealgo
 
 import (
 	"fmt"
-	"sort"
 
 	"almostmix/internal/cliquemu"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
+	"almostmix/internal/mstbase"
 	"almostmix/internal/rngutil"
 )
 
@@ -55,8 +55,9 @@ func measureRound(h *embed.Hierarchy, seed uint64) (int, error) {
 }
 
 // MST computes the minimum spanning tree of h's weighted base graph with
-// Borůvka-on-the-clique, charging every clique round at the measured
-// emulation cost. The tree equals Kruskal's (verified in tests).
+// Borůvka-on-the-clique — mstbase's kernel under a clique charging policy
+// — charging every clique round at the measured emulation cost. The tree
+// equals Kruskal's (verified in tests); Edges come in mstbase's edge order.
 func MST(h *embed.Hierarchy, seed uint64) (*MSTResult, error) {
 	g := h.Base
 	if !g.IsConnected() {
@@ -68,94 +69,16 @@ func MST(h *embed.Hierarchy, seed uint64) (*MSTResult, error) {
 	}
 	out := &MSTResult{Result: Result{PerCliqueRound: perRound}}
 
-	n := g.N()
-	frag := make([]int, n)
-	for v := range frag {
-		frag[v] = v
-	}
-	fragments := n
-	for iter := 0; fragments > 1; iter++ {
-		if iter > n {
-			return nil, fmt.Errorf("cliquealgo: Borůvka did not converge")
-		}
-		// Clique round 1: every node announces its fragment ID to all,
-		// so each node can classify its incident edges as outgoing.
-		// Clique round 2: every node sends its best incident outgoing
-		// edge to its fragment's leader (the minimum node ID in the
-		// fragment, known after round 1).
-		// Clique round 3: leaders broadcast the fragment's chosen edge.
-		out.CliqueRounds += 3
-
-		best := make(map[int]int) // fragment -> edge id
-		edges := g.Edges()
-		for id, e := range edges {
-			fu, fv := frag[e.U], frag[e.V]
-			if fu == fv {
-				continue
-			}
-			for _, f := range [2]int{fu, fv} {
-				cur, ok := best[f]
-				if !ok || edges[id].W < edges[cur].W ||
-					(edges[id].W == edges[cur].W && id < cur) {
-					best[f] = id
-				}
-			}
-		}
-		// Apply all chosen edges (classic Borůvka merge).
-		added := false
-		for _, id := range sortedValues(best) {
-			e := edges[id]
-			if find(frag, e.U) == find(frag, e.V) {
-				continue
-			}
-			union(frag, e.U, e.V)
-			out.Edges = append(out.Edges, id)
-			added = true
-		}
-		if !added {
-			return nil, fmt.Errorf("cliquealgo: no progress with %d fragments", fragments)
-		}
-		// Flatten labels and recount.
-		roots := make(map[int]struct{})
-		for v := range frag {
-			roots[find(frag, v)] = struct{}{}
-		}
-		for v := range frag {
-			frag[v] = find(frag, v)
-		}
-		fragments = len(roots)
-	}
+	// One Borůvka iteration is three clique rounds. Round 1: every node
+	// announces its fragment ID to all, so each node can classify its
+	// incident edges as outgoing. Round 2: every node sends its best
+	// incident outgoing edge to its fragment's leader (the minimum node ID
+	// in the fragment, known after round 1). Round 3: leaders broadcast
+	// the fragment's chosen edge.
+	out.Edges = mstbase.Boruvka(g, func(_, _ int) { out.CliqueRounds += 3 })
 	out.Weight = g.TotalWeight(out.Edges)
 	out.EmulatedRounds = out.CliqueRounds * perRound
 	return out, nil
-}
-
-// sortedValues returns the map's values sorted ascending, for
-// deterministic merge order.
-func sortedValues(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func find(frag []int, v int) int {
-	for frag[v] != v {
-		frag[v] = frag[frag[v]]
-		v = frag[v]
-	}
-	return v
-}
-
-func union(frag []int, u, v int) {
-	ru, rv := find(frag, u), find(frag, v)
-	if ru < rv {
-		frag[rv] = ru
-	} else {
-		frag[ru] = rv
-	}
 }
 
 // SumAggregate computes the global sum of per-node values in one clique

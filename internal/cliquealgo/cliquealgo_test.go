@@ -2,12 +2,16 @@ package cliquealgo
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/mst"
+	"almostmix/internal/mstbase"
 	"almostmix/internal/rngutil"
 )
 
@@ -42,7 +46,7 @@ func TestCliqueMSTMatchesKruskal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := mst.Kruskal(f.g)
+	_, want := mstbase.Kruskal(f.g)
 	if res.Weight != want {
 		t.Fatalf("clique MST weight %v, Kruskal %v", res.Weight, want)
 	}
@@ -112,18 +116,81 @@ func TestSumAggregateRejectsBadLength(t *testing.T) {
 	}
 }
 
-func TestUnionFindHelpers(t *testing.T) {
-	frag := []int{0, 1, 2, 3}
-	union(frag, 0, 1)
-	union(frag, 2, 3)
-	if find(frag, 1) != find(frag, 0) || find(frag, 3) != find(frag, 2) {
-		t.Fatal("union broken")
+// TestBaselineEdgesDeterministic pins the edge-order rule of the shared
+// kernel: every run of every baseline on it reports the tree in the same
+// order, GHS and the clique MST (both merge-all) in the very same one.
+func TestBaselineEdgesDeterministic(t *testing.T) {
+	f := testFixture(t)
+	var ghs, kp, clique []int
+	for run := 0; run < 20; run++ {
+		a, err := mstbase.GHS(f.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := mstbase.KP(f.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := MST(f.h, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			ghs, kp, clique = a.Edges, b.Edges, c.Edges
+			continue
+		}
+		if !reflect.DeepEqual(a.Edges, ghs) || !reflect.DeepEqual(b.Edges, kp) || !reflect.DeepEqual(c.Edges, clique) {
+			t.Fatalf("run %d reports its edges in another order than run 0", run)
+		}
 	}
-	if find(frag, 0) == find(frag, 2) {
-		t.Fatal("premature merge")
+	if !reflect.DeepEqual(ghs, clique) {
+		t.Fatalf("GHS order %v, clique order %v", ghs, clique)
 	}
-	union(frag, 1, 3)
-	if find(frag, 0) != find(frag, 3) {
-		t.Fatal("transitive union broken")
+}
+
+// TestPropertyEveryBoruvkaMatchesKruskal: on random connected graphs with
+// heavily duplicated weights, where only the edge-ID tie-break keeps the
+// picks acyclic, the three kernel policies and the hierarchical algorithm
+// all return exactly Kruskal's edge set.
+func TestPropertyEveryBoruvkaMatchesKruskal(t *testing.T) {
+	sorted := func(edges []int) []int {
+		out := slices.Clone(edges)
+		slices.Sort(out)
+		return out
+	}
+	check := func(seed uint64) bool {
+		r := rngutil.NewRand(seed)
+		g, err := graph.ConnectedGnp(20, 0.3, r)
+		if err != nil {
+			return true
+		}
+		for id := range g.Edges() {
+			g.SetWeight(id, float64(1+r.IntN(3)))
+		}
+		h, err := embed.Build(g, embed.DefaultParams(), rngutil.NewSource(seed))
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		kruskal, _ := mstbase.Kruskal(g)
+		want := sorted(kruskal)
+		ghs, err1 := mstbase.GHS(g)
+		kp, err2 := mstbase.KP(g)
+		clique, err3 := MST(h, seed)
+		hier, err4 := mst.Run(h, rngutil.NewSource(seed))
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+			t.Logf("seed %d: %v %v %v %v", seed, err1, err2, err3, err4)
+			return false
+		}
+		for name, got := range map[string][]int{"GHS": ghs.Edges, "KP": kp.Edges, "clique": clique.Edges, "mst.Run": hier.Edges} {
+			if !slices.Equal(sorted(got), want) {
+				t.Logf("seed %d: %s chose %v, Kruskal %v", seed, name, sorted(got), want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 12}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -107,21 +107,11 @@ func Direct(g *graph.Graph) (*Result, error) {
 	n := g.N()
 	paths := make([][]int32, 0, n*(n-1))
 	for u := 0; u < n; u++ {
-		parent := bfsParents(g, u)
+		parent, _ := g.BFSTree(u)
 		for v := 0; v < n; v++ {
-			if u == v {
-				continue
+			if u != v {
+				paths = append(paths, graph.PathTo(parent, v))
 			}
-			// Reconstruct v ← … ← u, then reverse.
-			path := []int32{int32(v)}
-			for x := v; x != u; {
-				x = parent[x]
-				path = append(path, int32(x))
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			paths = append(paths, path)
 		}
 	}
 	led := cost.New("clique-direct", "base rounds")
@@ -137,26 +127,6 @@ func Direct(g *graph.Graph) (*Result, error) {
 		Messages: res.Delivered,
 		Costs:    led,
 	}, nil
-}
-
-func bfsParents(g *graph.Graph, src int) []int {
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, h := range g.Neighbors(v) {
-			if parent[h.To] < 0 {
-				parent[h.To] = v
-				queue = append(queue, h.To)
-			}
-		}
-	}
-	return parent
 }
 
 // CutLowerBound returns n/h for edge expansion h: any algorithm delivering

@@ -41,8 +41,9 @@ import (
 // the empty outbox slot, never a payload (Send and Shard.Inject refuse
 // it). Every program family owns a range and numbers its kinds inside it,
 // so a record that strays into another family's network is recognized
-// where it arrives: 1–15 this package's built-in programs, 16–31
-// randomwalk, 32–47 mstbase; test programs take KindTest and up.
+// where it arrives: 1–15 this package's built-in programs (kindLeader and
+// kindSum belong to the programs of primitives_test.go), 16–31 randomwalk,
+// 32–47 mstbase; test programs take KindTest and up.
 type Kind uint32
 
 const (

@@ -145,7 +145,7 @@ func TestBFSMatchesCentralized(t *testing.T) {
 		graph.RandomRegular(20, 3, r),
 		graph.Lollipop(6, 6),
 	} {
-		res, err := BFS(g, 0, rngutil.NewSource(7))
+		res, rounds, err := BFS(g, 0, rngutil.NewSource(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestBFSMatchesCentralized(t *testing.T) {
 			}
 		}
 		// Flooding completes in about eccentricity-many rounds.
-		if res.Rounds > res.Depth()+3 {
-			t.Fatalf("BFS took %d rounds for depth %d", res.Rounds, res.Depth())
+		if rounds > res.Depth()+3 {
+			t.Fatalf("BFS took %d rounds for depth %d", rounds, res.Depth())
 		}
 	}
 }
@@ -200,7 +200,7 @@ func TestBroadcastFrom(t *testing.T) {
 
 func TestConvergecastSum(t *testing.T) {
 	g := graph.Grid(4, 4)
-	tree, err := BFS(g, 0, rngutil.NewSource(8))
+	tree, _, err := BFS(g, 0, rngutil.NewSource(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestPropertyPrimitives(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		res, err := BFS(g, int(seed%20), rngutil.NewSource(seed))
+		res, _, err := BFS(g, int(seed%20), rngutil.NewSource(seed))
 		if err != nil {
 			return false
 		}

@@ -316,7 +316,7 @@ func TestDifferentialConvergecast(t *testing.T) {
 		maxRounds: 200,
 		build: func(seed uint64) (*Network, func() any) {
 			g := diffGraph(seed)
-			tree, err := BFS(g, 0, rngutil.NewSource(seed))
+			tree, _, err := BFS(g, 0, rngutil.NewSource(seed))
 			if err != nil {
 				panic(err)
 			}

@@ -23,8 +23,8 @@ import (
 
 // BFSPrograms returns per-node programs flooding a BFS tree from root,
 // plus the shared result they record into. Run with RunUntilQuiet and a
-// budget of 2·n+4 rounds (see BFS); node v's Parent/Dist entries are
-// valid only on the process that owns node v.
+// budget of 2·n+4 rounds; node v's Parent/Dist entries are valid only on
+// the process that owns node v.
 func BFSPrograms(g *graph.Graph, root int) ([]Program, *BFSResult) {
 	res := &BFSResult{
 		Root:   root,
@@ -60,9 +60,10 @@ func DecodeBFSPayload(b []byte) (Message, error) {
 }
 
 // FloodPrograms returns per-node programs flooding the integer value
-// from root (the wire-friendly restriction of BroadcastFrom), plus the
-// shared per-node output slice. Run with RunUntilQuiet and a budget of
-// 2·n+4 rounds; out[v] is valid only on the process owning node v.
+// from root, plus the shared per-node output slice — out[v] is the record
+// node v received (read it with FloodValue), the empty record where the
+// flood never reached. Run with RunUntilQuiet and a budget of 2·n+4
+// rounds; out[v] is valid only on the process owning node v.
 func FloodPrograms(g *graph.Graph, root, value int) ([]Program, []Message) {
 	out := make([]Message, g.N())
 	programs := make([]Program, g.N())

@@ -26,18 +26,14 @@
 // so "no cut found" is an expansion certificate, not just a heuristic
 // shrug.
 //
-// Determinism contract: the decomposition is a pure function of (graph,
-// Params minus Workers). Workers only controls how many recursion
-// branches run concurrently; results are joined in recursion order, no
-// shared mutable state is touched concurrently, and the output —
-// cluster assignment, certificates, ledger — is byte-identical across
-// worker counts (the decomp-suite CI job pins this across {1,2,8}).
+// Determinism contract: the decomposition — cluster assignment,
+// certificates, ledger — is a pure function of (graph, Params). The
+// recursion is serial and joins its branches in recursion order.
 package decomp
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"almostmix/internal/cost"
 	"almostmix/internal/graph"
@@ -55,9 +51,6 @@ type Params struct {
 	// MinSize accepts any piece with at most this many nodes outright.
 	// Default 8.
 	MinSize int
-	// Workers bounds the number of recursion branches running
-	// concurrently; ≤ 1 is serial. Output is identical for all values.
-	Workers int
 }
 
 // withDefaults fills zero fields with the defaults above.
@@ -71,9 +64,6 @@ func (p Params) withDefaults() Params {
 	if p.MinSize == 0 {
 		p.MinSize = 8
 	}
-	if p.Workers == 0 {
-		p.Workers = 1
-	}
 	return p
 }
 
@@ -86,9 +76,6 @@ func (p Params) validate() error {
 	}
 	if p.MinSize < 1 {
 		return fmt.Errorf("decomp: min cluster size must be >= 1, got %d", p.MinSize)
-	}
-	if p.Workers < 1 {
-		return fmt.Errorf("decomp: workers must be >= 1, got %d", p.Workers)
 	}
 	return nil
 }
@@ -182,15 +169,13 @@ type splitOut struct {
 }
 
 type decomposer struct {
-	g   *graph.Graph
-	p   Params
-	sem chan struct{} // Workers-1 tokens for extra recursion goroutines
+	g *graph.Graph
+	p Params
 }
 
 // Decompose partitions g into expander clusters. It accepts any graph,
 // including disconnected ones (components split for free). The result is
-// a pure function of g and the parameters; Workers only changes wall
-// time.
+// a pure function of g and the parameters.
 func Decompose(g *graph.Graph, p Params) (*Decomposition, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
@@ -199,7 +184,7 @@ func Decompose(g *graph.Graph, p Params) (*Decomposition, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("decomp: empty graph")
 	}
-	d := &decomposer{g: g, p: p, sem: make(chan struct{}, p.Workers-1)}
+	d := &decomposer{g: g, p: p}
 	all := make([]int, g.N())
 	for i := range all {
 		all[i] = i
@@ -296,43 +281,21 @@ func (d *decomposer) split(nodes []int, budget int) splitOut {
 	return out
 }
 
-// runParts recurses into the parts (concurrently when worker tokens are
-// free), splitting the remaining budget proportionally to each part's
-// internal edge count, and joins the results in part order.
+// runParts recurses into the parts, splitting the remaining budget
+// proportionally to each part's internal edge count, and joins the
+// results in part order.
 func (d *decomposer) runParts(parts [][]int, edges []int, budget int) splitOut {
 	total := 0
 	for _, m := range edges {
 		total += m
 	}
-	share := func(i int) int {
-		if total == 0 {
-			return 0
-		}
-		return budget * edges[i] / total
-	}
-	outs := make([]splitOut, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		i := i
-		run := func() { outs[i] = d.split(parts[i], share(i)) }
-		if i < len(parts)-1 {
-			select {
-			case d.sem <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-d.sem }()
-					run()
-				}()
-				continue
-			default:
-			}
-		}
-		run()
-	}
-	wg.Wait()
 	var out splitOut
-	for _, o := range outs {
+	for i, part := range parts {
+		share := 0
+		if total > 0 {
+			share = budget * edges[i] / total
+		}
+		o := d.split(part, share)
 		out.clusters = append(out.clusters, o.clusters...)
 		out.sweeps += o.sweeps
 	}

@@ -1,8 +1,6 @@
 package decomp
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"almostmix/internal/graph"
@@ -197,7 +195,6 @@ func TestDecomposeParamValidation(t *testing.T) {
 		{Eps: 1},
 		{Eps: -0.5},
 		{MinSize: -3},
-		{Workers: -1},
 	} {
 		if _, err := Decompose(g, p); err == nil {
 			t.Errorf("Decompose accepted invalid params %+v", p)
@@ -205,54 +202,5 @@ func TestDecomposeParamValidation(t *testing.T) {
 	}
 	if _, err := Decompose(graph.New(0), Params{}); err == nil {
 		t.Error("Decompose accepted an empty graph")
-	}
-}
-
-// Fingerprint serializes everything observable about a decomposition —
-// cluster node lists, certificates, cross edges, and the full ledger —
-// for byte-comparison across worker counts.
-func Fingerprint(dec *Decomposition) string {
-	var b strings.Builder
-	// Workers is deliberately excluded: it is the one field allowed to
-	// differ between runs that must otherwise be byte-identical.
-	fmt.Fprintf(&b, "phi=%g eps=%g min=%d sweeps=%d\n", dec.Params.Phi, dec.Params.Eps, dec.Params.MinSize, dec.SweepPasses)
-	for _, c := range dec.Clusters {
-		fmt.Fprintf(&b, "cluster %d: nodes=%v cert=%+v boundary=%v\n", c.Index, c.Nodes, c.Cert, c.Sub.Boundary())
-	}
-	fmt.Fprintf(&b, "cross=%v\n", dec.CrossEdges)
-	for _, row := range dec.Costs.Rows() {
-		fmt.Fprintf(&b, "%+v\n", row)
-	}
-	return b.String()
-}
-
-// TestDecompDeterminismAcrossWorkers is the decomp-suite determinism
-// contract: byte-identical decompositions (assignment, certificates,
-// ledger) across workers {1,2,8} × 3 seeds, run under -race by `make
-// decomp-suite`.
-func TestDecompDeterminismAcrossWorkers(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		graphs := map[string]*graph.Graph{
-			"lollipop": graph.Lollipop(24, 8),
-			"dumbbell": graph.Dumbbell(16, 4, 3, rngutil.NewRand(seed)),
-			"chunglu":  graph.ChungLu(96, 2.5, 6, seed),
-		}
-		for name, g := range graphs {
-			var want string
-			for _, workers := range []int{1, 2, 8} {
-				dec, err := Decompose(g, Params{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s seed %d workers %d: %v", name, seed, workers, err)
-				}
-				got := Fingerprint(dec)
-				if workers == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s seed %d: workers=%d decomposition differs from workers=1", name, seed, workers)
-				}
-			}
-		}
 	}
 }

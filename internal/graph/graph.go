@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // Edge is an undirected edge between nodes U and V with weight W.
@@ -28,7 +29,8 @@ type Halfedge struct {
 	EdgeID int
 }
 
-// Graph is an undirected weighted simple graph.
+// Graph is an undirected weighted graph without self-loops; the generators
+// build simple graphs, AddEdge also accepts parallel edges.
 //
 // The zero value is an empty graph; use New or a generator to build one.
 type Graph struct {
@@ -61,8 +63,10 @@ func (g *Graph) Edges() []Edge { return g.edges }
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 
 // AddEdge inserts an undirected edge {u, v} with weight w and returns its
-// EdgeID. Self-loops and duplicate edges are rejected with a panic, since
-// all callers construct graphs programmatically and a violation is a bug.
+// EdgeID. Self-loops and out-of-range endpoints are rejected with a panic,
+// since all callers construct graphs programmatically and a violation is
+// a bug. Parallel edges are accepted, each under its own EdgeID: the
+// embedding overlays are multigraphs by design.
 func (g *Graph) AddEdge(u, v int, w float64) int {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at node %d", u))
@@ -243,6 +247,46 @@ func (g *Graph) BFSDist(src int) []int {
 		}
 	}
 	return dist
+}
+
+// BFSTree returns the breadth-first tree from src: parent[v] is the node v
+// was first reached from and via[v] the edge it was reached over, scanning
+// adjacency lists in Neighbors order — the tree is a deterministic
+// function of the graph. parent[src] = src and via[src] = -1; both are -1
+// at a node src does not reach.
+func (g *Graph) BFSTree(src int) (parent, via []int32) {
+	parent, via = make([]int32, g.n), make([]int32, g.n)
+	for i := range parent {
+		parent[i], via[i] = -1, -1
+	}
+	parent[src] = int32(src)
+	queue := make([]int32, 1, g.n)
+	queue[0] = int32(src)
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, h := range g.adj[v] {
+			if parent[h.To] < 0 {
+				parent[h.To], via[h.To] = v, int32(h.EdgeID)
+				queue = append(queue, int32(h.To))
+			}
+		}
+	}
+	return parent, via
+}
+
+// PathTo returns the tree path from the source of a BFSTree parent table
+// to dst as a node sequence, source first, or nil when dst was not reached.
+func PathTo(parent []int32, dst int) []int32 {
+	if parent[dst] < 0 {
+		return nil
+	}
+	path := []int32{int32(dst)}
+	for v := int32(dst); parent[v] != v; {
+		v = parent[v]
+		path = append(path, v)
+	}
+	slices.Reverse(path)
+	return path
 }
 
 // Diameter returns the hop diameter of the graph by running a BFS from

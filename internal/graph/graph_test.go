@@ -319,6 +319,54 @@ func TestBFSDistUnreachable(t *testing.T) {
 	}
 }
 
+func TestBFSTreeAndPathTo(t *testing.T) {
+	// Among equally short paths the first reached in Neighbors order wins:
+	// on the 4-cycle 0–1–3–2–0 node 3 hangs under whichever of 1 and 2 the
+	// source lists first.
+	for _, first := range []int{1, 2} {
+		c := New(4)
+		c.AddEdge(0, first, 1)
+		c.AddEdge(0, 3-first, 1)
+		c.AddEdge(1, 3, 1)
+		c.AddEdge(2, 3, 1)
+		parent, via := c.BFSTree(0)
+		if parent[3] != int32(first) || int(via[3]) != 1+first {
+			t.Fatalf("first neighbor %d: node 3 under %d via edge %d", first, parent[3], via[3])
+		}
+	}
+
+	// A lollipop plus an isolated node: every tree path is a shortest
+	// path over real edges.
+	lolli := Lollipop(5, 4)
+	g := New(lolli.N() + 1)
+	for _, e := range lolli.Edges() {
+		g.AddEdge(e.U, e.V, e.W)
+	}
+	isolated := lolli.N()
+	for src := 0; src < lolli.N(); src++ {
+		parent, via := g.BFSTree(src)
+		dist := g.BFSDist(src)
+		if parent[src] != int32(src) || via[src] != -1 {
+			t.Fatalf("source %d: parent %d via %d", src, parent[src], via[src])
+		}
+		if parent[isolated] != -1 || via[isolated] != -1 || PathTo(parent, isolated) != nil {
+			t.Fatalf("source %d reaches the isolated node", src)
+		}
+		for v := 0; v < lolli.N(); v++ {
+			path := PathTo(parent, v)
+			if len(path) != dist[v]+1 || path[0] != int32(src) || path[len(path)-1] != int32(v) {
+				t.Fatalf("path %d→%d = %v, distance %d", src, v, path, dist[v])
+			}
+			if v == src {
+				continue
+			}
+			if e := g.Edge(int(via[v])); g.Other(int(via[v]), v) != int(parent[v]) || (e.U != v && e.V != v) {
+				t.Fatalf("node %d: via edge %d does not join it to parent %d", v, via[v], parent[v])
+			}
+		}
+	}
+}
+
 // Property: every generated graph in a broad family satisfies Validate,
 // and the handshake lemma holds.
 func TestPropertyGeneratorsValid(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"almostmix/internal/cost"
 	"almostmix/internal/graph"
 	"almostmix/internal/mst"
+	"almostmix/internal/mstbase"
 )
 
 // ApproxResult is the outcome of the tree-packing approximation.
@@ -59,7 +60,7 @@ func Approx(g *graph.Graph, trees int, rng *rand.Rand) (*ApproxResult, error) {
 		for id := range load {
 			work.SetWeight(id, load[id]+rng.Float64()*1e-3)
 		}
-		treeEdges, _ := mst.Kruskal(work)
+		treeEdges, _ := mstbase.Kruskal(work)
 		for _, id := range treeEdges {
 			load[id]++
 		}

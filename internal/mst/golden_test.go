@@ -5,9 +5,8 @@ package mst
 // totals and the FNV-64 of the flattened ledger are pinned in
 // testdata/golden/. The emission order pins the coin stream and the
 // fragment order of every Borůvka iteration, the per-iteration StepRounds
-// the routing instances underneath. The files were generated from the
-// map-based bookkeeping (map[int32]mwoeEdge + sorted keys); a rework must
-// reproduce them byte for byte.
+// the routing instances underneath. A rework must reproduce the files
+// byte for byte.
 //
 // Regenerate with `go test ./internal/mst -run Golden -update` ONLY when
 // the MST contract itself is deliberately changed.

@@ -124,8 +124,9 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 		}
 		stats.StepRounds = stepRounds
 
-		// MWOE per fragment (the upcast's semantic outcome).
-		computeMWOE(g, forest, sc.mwoe)
+		// MWOE per fragment (the upcast's semantic outcome), by the scan
+		// every Borůvka of the repo shares.
+		mstbase.ScanMWOE(g, forest.frag, sc.mwoe)
 
 		// Snapshot for balancing before any attachment; it also names
 		// the fragments: a fragment's ID is its root's node ID.
@@ -148,16 +149,16 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 				continue // not a fragment root
 			}
 			e := sc.mwoe[fragID]
-			if e.edge < 0 || sc.head[fragID] {
+			if e.Edge < 0 || sc.head[fragID] {
 				continue // head or no outgoing edge
 			}
-			target := forest.Fragment(e.y)
+			target := forest.Fragment(e.Y)
 			if !sc.head[target] {
 				continue // tail → tail: skip this iteration
 			}
-			forest.Attach(fragID, e.y)
-			res.Edges = append(res.Edges, e.edge)
-			sc.attachPoints = append(sc.attachPoints, e.y)
+			forest.Attach(fragID, e.Y)
+			res.Edges = append(res.Edges, e.Edge)
+			sc.attachPoints = append(sc.attachPoints, e.Y)
 			stats.Merges++
 		}
 
@@ -204,11 +205,11 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 // every Borůvka iteration. Everything is indexed by node ID; the entries
 // that describe a fragment sit at its root's ID.
 type scratch struct {
-	mwoe       []mwoeEdge // per fragment: minimum-weight outgoing edge
-	head       []bool     // per fragment: this iteration's coin
-	depth      []int32    // virtual-tree depths before merging
-	snapParent []int32    // parent table before merging
-	childRank  []int32    // measureTreeStep: children seen per parent
+	mwoe       []mstbase.MWOE // per fragment: minimum-weight outgoing edge
+	head       []bool         // per fragment: this iteration's coin
+	depth      []int32        // virtual-tree depths before merging
+	snapParent []int32        // parent table before merging
+	childRank  []int32        // measureTreeStep: children seen per parent
 	reqs       []route.Request
 	// attachPoints are this iteration's attachment points: the head-side
 	// endpoint of every merging tail's edge.
@@ -220,45 +221,13 @@ type scratch struct {
 
 func newScratch(n int) *scratch {
 	return &scratch{
-		mwoe:       make([]mwoeEdge, n),
+		mwoe:       make([]mstbase.MWOE, n),
 		head:       make([]bool, n),
 		depth:      make([]int32, n),
 		snapParent: make([]int32, n),
 		childRank:  make([]int32, n),
 		tokensAt:   make([]int32, n),
 		reqs:       make([]route.Request, 0, n),
-	}
-}
-
-// mwoeEdge is a fragment's minimum-weight outgoing edge: the edge ID and
-// its head-side endpoint y (outside the fragment).
-type mwoeEdge struct {
-	edge int
-	y    int32
-	w    float64
-}
-
-// offer replaces best by the edge id toward y of weight w when that is
-// lighter, ties broken by edge ID (weights are expected distinct anyway).
-func (best *mwoeEdge) offer(id int, y int32, w float64) {
-	if best.edge < 0 || w < best.w || (w == best.w && id < best.edge) {
-		*best = mwoeEdge{edge: id, y: y, w: w}
-	}
-}
-
-// computeMWOE finds each fragment's minimum-weight outgoing edge and
-// leaves it at out[fragment ID]; a fragment with none keeps edge -1.
-func computeMWOE(g *graph.Graph, f *Forest, out []mwoeEdge) {
-	for i := range out {
-		out[i] = mwoeEdge{edge: -1}
-	}
-	for id, e := range g.Edges() {
-		fu, fv := f.Fragment(int32(e.U)), f.Fragment(int32(e.V))
-		if fu == fv {
-			continue
-		}
-		out[fu].offer(id, int32(e.V), e.W)
-		out[fv].offer(id, int32(e.U), e.W)
 	}
 }
 
@@ -299,9 +268,3 @@ func maxDepth(depths []int32) int {
 func log2int(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
 }
-
-// Kruskal computes the MST centrally (sorting by weight with edge-ID tie
-// break, union-find) and returns the chosen edge IDs and total weight. It
-// is the ground truth the distributed algorithms are verified against.
-// It delegates to mstbase.Kruskal, which owns the implementation.
-func Kruskal(g *graph.Graph) ([]int, float64) { return mstbase.Kruskal(g) }

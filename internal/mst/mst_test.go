@@ -9,6 +9,7 @@ import (
 
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
+	"almostmix/internal/mstbase"
 	"almostmix/internal/rngutil"
 )
 
@@ -53,7 +54,7 @@ func TestKruskalOnKnownGraph(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 2)
 	g.AddEdge(0, 2, 3)
-	edges, w := Kruskal(g)
+	edges, w := mstbase.Kruskal(g)
 	if w != 3 {
 		t.Fatalf("MST weight %v, want 3", w)
 	}
@@ -71,7 +72,7 @@ func TestKruskalSpanningTreeProperty(t *testing.T) {
 			return true
 		}
 		g.AssignDistinctRandomWeights(r)
-		edges, _ := Kruskal(g)
+		edges, _ := mstbase.Kruskal(g)
 		if len(edges) != g.N()-1 {
 			return false
 		}
@@ -94,7 +95,7 @@ func TestHierarchicalMSTMatchesKruskal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEdges, wantW := Kruskal(fx.g)
+	wantEdges, wantW := mstbase.Kruskal(fx.g)
 	if res.Weight != wantW {
 		t.Fatalf("hierarchical MST weight %v, Kruskal %v", res.Weight, wantW)
 	}
@@ -181,7 +182,7 @@ func TestMSTOnGnp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantW := Kruskal(g)
+	_, wantW := mstbase.Kruskal(g)
 	if res.Weight != wantW {
 		t.Fatalf("weight %v, want %v", res.Weight, wantW)
 	}
@@ -200,7 +201,8 @@ func TestForestBasics(t *testing.T) {
 	if f.Fragment(2) != 0 || f.Fragment(1) != 0 {
 		t.Fatal("relabel wrong")
 	}
-	depths := f.Depths()
+	depths := make([]int32, 5)
+	f.depthsInto(depths)
 	if depths[0] != 0 || depths[1] != 1 || depths[2] != 2 {
 		t.Fatalf("depths %v", depths)
 	}
@@ -268,15 +270,18 @@ func TestComputeMWOE(t *testing.T) {
 	f.Attach(1, 0)
 	f.Attach(3, 2)
 	f.Relabel()
-	mwoe := make([]mwoeEdge, g.N())
-	computeMWOE(g, f, mwoe)
-	if got := mwoe[f.Fragment(0)]; got.edge != light || got.y != 3 {
-		t.Fatalf("fragment 0 MWOE = %+v, want edge %d to node 3", got, light)
+	mwoe := make([]mstbase.MWOE, g.N())
+	mstbase.ScanMWOE(g, f.frag, mwoe)
+	if got := mwoe[f.Fragment(0)]; got.Edge != light || got.Y != 3 {
+		t.Fatalf("fragment 0 MWOE = %+v, want edge %d (not %d) to node 3", got, light, heavy)
 	}
-	if got := mwoe[f.Fragment(2)]; got.edge != light || got.y != 1 {
-		t.Fatalf("fragment 2 MWOE = %+v", got)
+	if got := mwoe[f.Fragment(2)]; got.Edge != light || got.Y != 1 {
+		t.Fatalf("fragment 2 MWOE = %+v, want edge %d to node 1", got, light)
 	}
-	_ = heavy
+	// Run's hot path: the scan writes into the caller's out and nothing else.
+	if allocs := testing.AllocsPerRun(10, func() { mstbase.ScanMWOE(g, f.frag, mwoe) }); allocs != 0 {
+		t.Fatalf("%v allocations per scan, want 0", allocs)
+	}
 }
 
 func TestMSTLedgerDerivesRounds(t *testing.T) {

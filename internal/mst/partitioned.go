@@ -130,7 +130,7 @@ func RunPartitioned(pe *embed.Partitioned, src *rngutil.Source) (*PartitionedRes
 	for _, he := range ghs.Edges {
 		res.Edges = append(res.Edges, toBase[he])
 	}
-	// GHS chooses in fragment order; report base IDs ascending.
+	// GHS reports iteration by iteration; report base IDs ascending.
 	sort.Ints(res.Edges)
 	res.Weight = g.TotalWeight(res.Edges)
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"almostmix/internal/decomp"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
+	"almostmix/internal/mstbase"
 	"almostmix/internal/rngutil"
 )
 
@@ -50,7 +51,7 @@ func checkSpanningTree(t *testing.T, g *graph.Graph, res *PartitionedResult) {
 		}
 		uf[ru] = rv
 	}
-	wantEdges, wantWeight := Kruskal(g)
+	wantEdges, wantWeight := mstbase.Kruskal(g)
 	if res.Weight != wantWeight {
 		t.Fatalf("weight %g, Kruskal %g", res.Weight, wantWeight)
 	}
@@ -81,7 +82,7 @@ func TestRunPartitionedWorstCaseGraphs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkSpanningTree(t, g, res)
-		wantEdges, _ := Kruskal(g)
+		wantEdges, _ := mstbase.Kruskal(g)
 		sort.Ints(wantEdges)
 		if len(wantEdges) != len(res.Edges) {
 			t.Fatalf("%s: %d edges vs Kruskal's %d", name, len(res.Edges), len(wantEdges))

@@ -40,13 +40,6 @@ func (f *Forest) Parent(v int32) int32 { return f.parent[v] }
 // InDegree returns v's number of virtual-tree children.
 func (f *Forest) InDegree(v int32) int32 { return f.inDeg[v] }
 
-// Depths returns the depth of every node in its virtual tree.
-func (f *Forest) Depths() []int32 {
-	depth := make([]int32, len(f.parent))
-	f.depthsInto(depth)
-	return depth
-}
-
 // depthsInto writes every node's virtual-tree depth into depth (one entry
 // per node). Each node climbs to its nearest ancestor of known depth — or
 // to its root — and the climbed path is labelled on the way back, so

@@ -502,7 +502,7 @@ type FaultyMSTResult struct {
 // repair) and a stretched budget: faulted windows stall and retry, delays
 // stretch phases, and crashed nodes sit out until recovery. Run to
 // completion with Run (not RunUntilQuiet); collect each node's chosen MST
-// edges afterwards with GHSChosenEdges.
+// edges afterwards with GHSChosenEdges and reduce them with GHSTreeEdges.
 func GHSPrograms(g *graph.Graph, plan *faults.Plan) (programs []congest.Program, maxRounds int) {
 	run := &ghsRun{window: ghsWindow(g.N()), faulty: plan != nil && !plan.Empty()}
 	programs = make([]congest.Program, g.N())
@@ -535,13 +535,7 @@ func GHSNetwork(g *graph.Graph, src *rngutil.Source, opts congest.Options) (*Res
 		return nil, fmt.Errorf("mstbase: GHSNetwork: %w", err)
 	}
 	res := &Result{Rounds: rounds, Iterations: GHSIterations(g.N(), rounds)}
-	seen := make(map[int]struct{}, g.N()-1)
-	for _, id := range GHSChosenEdges(programs, 0, g.N()) {
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			res.Edges = append(res.Edges, id)
-		}
-	}
+	res.Edges = GHSTreeEdges(g.M(), GHSChosenEdges(programs, 0, g.N()))
 	res.Weight = g.TotalWeight(res.Edges)
 	return res, nil
 }

@@ -1,5 +1,7 @@
 // Package mstbase implements the classical distributed MST baselines the
-// paper competes against, with measured round accounting:
+// paper competes against, with measured round accounting, and the one
+// host-side Borůvka kernel every MST variant of the repo computes its
+// fragments and minimum-weight outgoing edges with:
 //
 //   - GHS: synchronous flood-based Borůvka in the style of Gallager,
 //     Humblet and Spira. Per iteration, every node exchanges fragment IDs
@@ -18,11 +20,21 @@
 //
 // Both produce the exact MST (verified against Kruskal in tests); their
 // round counts are the baseline curves of experiment E1.
+//
+// The kernel is the fragments type: dense fragment labels, the MWOE scan
+// (ScanMWOE), one merge-and-relabel and one loop. GHS, the two phases of
+// KP and cliquealgo.MST (through Boruvka) are charging policies over that
+// loop; mst.Run keeps its own virtual-tree merge (Lemma 4.1) and calls
+// ScanMWOE on its forest's labels.
+//
+// Edge order: every baseline reports its tree iteration by iteration, and
+// within an iteration in ascending edge ID.
 package mstbase
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"almostmix/internal/graph"
@@ -30,6 +42,8 @@ import (
 
 // Result is the outcome of a baseline MST computation.
 type Result struct {
+	// Edges are the chosen MST edge IDs: in the package's edge order from
+	// GHS and KP, first chosen first in node order from GHSNetwork.
 	Edges      []int
 	Weight     float64
 	Rounds     int
@@ -38,169 +52,152 @@ type Result struct {
 	Phase1Rounds, Phase2Rounds int
 }
 
-// state tracks Borůvka fragments and the forest of chosen edges.
-type state struct {
-	g      *graph.Graph
-	frag   []int32
-	chosen []int
-	inTree []bool // edge id -> chosen
+// MWOE is a fragment's minimum-weight outgoing edge as ScanMWOE leaves it:
+// the edge ID (-1 when no edge leaves the fragment) and the edge's endpoint
+// Y outside the fragment.
+type MWOE struct {
+	Edge int
+	Y    int32
+	w    float64
 }
 
-func newState(g *graph.Graph) *state {
-	s := &state{
-		g:      g,
-		frag:   make([]int32, g.N()),
-		inTree: make([]bool, g.M()),
+// offer replaces best by the edge id toward y of weight w when that is
+// lighter, equal weights falling to the smaller edge ID.
+func (best *MWOE) offer(id int, y int32, w float64) {
+	if best.Edge < 0 || w < best.w || (w == best.w && id < best.Edge) {
+		*best = MWOE{Edge: id, Y: y, w: w}
 	}
-	for v := range s.frag {
-		s.frag[v] = int32(v)
-	}
-	return s
 }
 
-// fragments returns the number of distinct fragments.
-func (s *state) fragments() int {
-	seen := make(map[int32]struct{})
-	for _, f := range s.frag {
-		seen[f] = struct{}{}
+// ScanMWOE finds every fragment's minimum-weight outgoing edge. label[v]
+// names node v's fragment by the ID of one of its nodes — the smallest for
+// the baselines here, the virtual-tree root for mst.Run — and fragment f's
+// edge lands at out[f]; out has one entry per node, and the entries no
+// fragment is named by keep Edge -1. (weight, edge ID) is a total order on
+// the edges, so the edges any set of fragments picks close no cycle, equal
+// weights and parallel edges included. The scan writes only into out.
+func ScanMWOE(g *graph.Graph, label []int32, out []MWOE) {
+	for i := range out {
+		out[i] = MWOE{Edge: -1}
 	}
-	return len(seen)
-}
-
-// sizes returns per-fragment node counts.
-func (s *state) sizes() map[int32]int {
-	out := make(map[int32]int)
-	for _, f := range s.frag {
-		out[f]++
-	}
-	return out
-}
-
-// mwoe returns each fragment's minimum-weight outgoing edge (edge ID, or
-// -1 when the fragment has none), restricted to fragments in the active
-// set (nil = all).
-func (s *state) mwoe(active map[int32]bool) map[int32]int {
-	out := make(map[int32]int)
-	for _, f := range s.frag {
-		if active == nil || active[f] {
-			if _, ok := out[f]; !ok {
-				out[f] = -1
-			}
-		}
-	}
-	edges := s.g.Edges()
-	for id, e := range edges {
-		fu, fv := s.frag[e.U], s.frag[e.V]
+	for id, e := range g.Edges() {
+		fu, fv := label[e.U], label[e.V]
 		if fu == fv {
 			continue
 		}
-		better := func(id, best int) bool {
-			if best < 0 {
-				return true
-			}
-			if edges[id].W != edges[best].W {
-				return edges[id].W < edges[best].W
-			}
-			return id < best
-		}
-		if best, ok := out[fu]; ok && better(id, best) {
-			out[fu] = id
-		}
-		if best, ok := out[fv]; ok && better(id, best) {
-			out[fv] = id
-		}
+		out[fu].offer(id, int32(e.V), e.W)
+		out[fv].offer(id, int32(e.U), e.W)
 	}
-	return out
 }
 
-// merge adds the selected edges to the forest and relabels fragments as
-// the connected components of the chosen-edge subgraph. It returns how
-// many edges were newly added.
-func (s *state) merge(selected map[int32]int) int {
-	added := 0
-	for _, id := range selected {
-		if id >= 0 && !s.inTree[id] {
-			s.inTree[id] = true
-			s.chosen = append(s.chosen, id)
-			added++
-		}
+// fragments is the state of a Borůvka on a connected graph: the forest of
+// chosen edges and, per node, the fragment (tree) it is in. A fragment's ID
+// is its smallest node ID; what describes a fragment sits at that index.
+type fragments struct {
+	g      *graph.Graph
+	label  []int32 // node → fragment ID
+	size   []int32 // at a fragment's ID: its node count
+	inTree []bool  // edge ID → chosen
+	count  int     // fragments left
+	depth  int     // the deepest fragment tree, in hops from the fragment's ID node
+	edges  []int   // the chosen edges, in the package's edge order
+
+	// Scratch, reused by every iteration.
+	mwoe  []MWOE
+	picks []int   // the edges this iteration's selecting fragments picked
+	queue []int32 // relabel: one fragment's nodes in BFS order
+	level []int32 // relabel: BFS level per node, -1 = not reached yet
+}
+
+// newFragments returns the singleton forest: every node its own fragment.
+func newFragments(g *graph.Graph) *fragments {
+	n := g.N()
+	f := &fragments{
+		g:      g,
+		label:  make([]int32, n),
+		size:   make([]int32, n),
+		inTree: make([]bool, g.M()),
+		count:  n,
+		mwoe:   make([]MWOE, n),
+		queue:  make([]int32, 0, n),
+		level:  make([]int32, n),
 	}
-	// Relabel by BFS over tree edges; fragment ID = minimum node ID.
-	visited := make([]bool, s.g.N())
-	for start := 0; start < s.g.N(); start++ {
-		if visited[start] {
+	for v := range f.label {
+		f.label[v] = int32(v)
+		f.size[v] = 1
+	}
+	return f
+}
+
+// run is the Borůvka loop. Every iteration scans, lets each fragment of
+// fewer than below nodes pick its MWOE (below = n lets every fragment
+// pick: the loop ends at one fragment), reports the fragment count and the
+// deepest fragment tree it starts from to charge, and merges. It stops at
+// one fragment, or when no fragment is small enough to pick.
+func (f *fragments) run(below int, charge func(frags, depth int)) {
+	for f.count > 1 {
+		ScanMWOE(f.g, f.label, f.mwoe)
+		f.picks = f.picks[:0]
+		for v, l := range f.label {
+			if int(l) == v && int(f.size[v]) < below && f.mwoe[v].Edge >= 0 {
+				f.picks = append(f.picks, f.mwoe[v].Edge)
+			}
+		}
+		if len(f.picks) == 0 {
+			return
+		}
+		charge(f.count, f.depth)
+		f.merge()
+	}
+}
+
+// merge adds the picked edges in ascending edge-ID order — an edge two
+// fragments picked once — and relabels with one BFS over the chosen edges
+// from every node in ascending ID order: the first node of a fragment it
+// meets is the fragment's smallest, hence its ID, and the same pass counts
+// the fragments, sizes them and measures the deepest tree.
+func (f *fragments) merge() {
+	slices.Sort(f.picks)
+	for _, id := range slices.Compact(f.picks) {
+		f.inTree[id] = true
+		f.edges = append(f.edges, id)
+	}
+	for v := range f.level {
+		f.level[v] = -1
+	}
+	f.count, f.depth = 0, 0
+	for root := range f.label {
+		if f.level[root] >= 0 {
 			continue
 		}
-		comp := s.treeComponent(start, visited)
-		minID := comp[0]
-		for _, v := range comp {
-			if v < minID {
-				minID = v
-			}
-		}
-		for _, v := range comp {
-			s.frag[v] = int32(minID)
-		}
-	}
-	return added
-}
-
-// treeComponent collects the component of start in the chosen-edge forest.
-func (s *state) treeComponent(start int, visited []bool) []int {
-	comp := []int{start}
-	visited[start] = true
-	for i := 0; i < len(comp); i++ {
-		v := comp[i]
-		for _, h := range s.g.Neighbors(v) {
-			if s.inTree[h.EdgeID] && !visited[h.To] {
-				visited[h.To] = true
-				comp = append(comp, h.To)
-			}
-		}
-	}
-	return comp
-}
-
-// treeDepths returns, per fragment, the BFS depth of its tree from the
-// fragment leader (the minimum-ID node).
-func (s *state) treeDepths() map[int32]int {
-	depths := make(map[int32]int)
-	visited := make([]bool, s.g.N())
-	for start := 0; start < s.g.N(); start++ {
-		if visited[start] || int32(start) != s.frag[start] {
-			continue // only start from leaders
-		}
-		// BFS over tree edges, tracking depth.
-		type qe struct{ v, d int }
-		queue := []qe{{start, 0}}
-		visited[start] = true
-		maxD := 0
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			if cur.d > maxD {
-				maxD = cur.d
-			}
-			for _, h := range s.g.Neighbors(cur.v) {
-				if s.inTree[h.EdgeID] && !visited[h.To] {
-					visited[h.To] = true
-					queue = append(queue, qe{h.To, cur.d + 1})
+		f.level[root] = 0
+		queue := append(f.queue[:0], int32(root))
+		for i := 0; i < len(queue); i++ {
+			v := queue[i]
+			f.label[v] = int32(root)
+			for _, h := range f.g.Neighbors(int(v)) {
+				if f.inTree[h.EdgeID] && f.level[h.To] < 0 {
+					f.level[h.To] = f.level[v] + 1
+					queue = append(queue, int32(h.To))
 				}
 			}
 		}
-		depths[s.frag[start]] = maxD
+		f.count++
+		f.size[root] = int32(len(queue))
+		f.depth = max(f.depth, int(f.level[queue[len(queue)-1]])) // BFS order: the last node is a deepest one
 	}
-	return depths
 }
 
-func maxOf(m map[int32]int) int {
-	out := 0
-	for _, v := range m {
-		if v > out {
-			out = v
-		}
-	}
-	return out
+// Boruvka runs merge-all Borůvka on a connected graph — every fragment
+// picks its MWOE in every iteration — and returns the MST's edge IDs in the
+// package's edge order. charge is called once per iteration, before the
+// merge, with the number of fragments and the deepest fragment tree (hops
+// from the fragment's smallest node) the iteration starts from: what an
+// iteration costs is the caller's model.
+func Boruvka(g *graph.Graph, charge func(frags, depth int)) []int {
+	f := newFragments(g)
+	f.run(g.N(), charge)
+	return f.edges
 }
 
 // GHS runs flood-based synchronous Borůvka and returns the MST with the
@@ -209,23 +206,15 @@ func GHS(g *graph.Graph) (*Result, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("mstbase: %w", graph.ErrDisconnected)
 	}
-	s := newState(g)
 	res := &Result{}
-	for s.fragments() > 1 {
+	res.Edges = Boruvka(g, func(_, depth int) {
 		res.Iterations++
-		if res.Iterations > g.N() {
-			return nil, fmt.Errorf("mstbase: GHS did not converge")
-		}
-		depth := maxOf(s.treeDepths())
-		selected := s.mwoe(nil)
-		s.merge(selected)
 		// 1 round of fragment-ID exchange, then convergecast up and
 		// flood down the fragment tree (depth rounds each, twice: once
 		// to agree on the MWOE, once to announce the merge).
 		res.Rounds += 1 + 4*depth + 2
-	}
-	res.Edges = s.chosen
-	res.Weight = g.TotalWeight(s.chosen)
+	})
+	res.Weight = g.TotalWeight(res.Edges)
 	return res, nil
 }
 
@@ -235,57 +224,29 @@ func KP(g *graph.Graph) (*Result, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("mstbase: %w", graph.ErrDisconnected)
 	}
-	s := newState(g)
+	f := newFragments(g)
 	res := &Result{}
-	sqrtN := int(math.Ceil(math.Sqrt(float64(g.N()))))
 
-	// Phase 1: controlled Borůvka — only fragments below √n nodes select.
-	for {
-		sizes := s.sizes()
-		active := make(map[int32]bool)
-		for f, size := range sizes {
-			if size < sqrtN {
-				active[f] = true
-			}
-		}
-		if len(active) == 0 || len(sizes) == 1 {
-			break
-		}
+	// Phase 1: controlled Borůvka — only fragments below √n nodes select,
+	// at GHS's per-iteration cost.
+	sqrtN := int(math.Ceil(math.Sqrt(float64(g.N()))))
+	f.run(sqrtN, func(_, depth int) {
 		res.Iterations++
-		if res.Iterations > g.N() {
-			return nil, fmt.Errorf("mstbase: KP phase 1 did not converge")
-		}
-		depth := maxOf(s.treeDepths())
-		selected := s.mwoe(active)
-		if s.merge(selected) == 0 {
-			break // all small fragments already attached to large ones
-		}
 		res.Phase1Rounds += 1 + 4*depth + 2
-	}
+	})
 
 	// Phase 2: finish over a global BFS tree with pipelined upcasts.
-	bfsDepth := 0
-	for _, d := range g.BFSDist(0) {
-		if d > bfsDepth {
-			bfsDepth = d
-		}
-	}
+	bfsDepth := slices.Max(g.BFSDist(0))
 	res.Phase2Rounds += bfsDepth // building the BFS tree
-	for s.fragments() > 1 {
+	f.run(g.N(), func(frags, _ int) {
 		res.Iterations++
-		if res.Iterations > 2*g.N() {
-			return nil, fmt.Errorf("mstbase: KP phase 2 did not converge")
-		}
-		frags := s.fragments()
-		selected := s.mwoe(nil)
-		s.merge(selected)
 		// One round of fragment-ID exchange, then the ≤ frags fragment
 		// minima pipeline up the BFS tree and decisions flood back.
 		res.Phase2Rounds += 1 + 2*(bfsDepth+frags)
-	}
+	})
 	res.Rounds = res.Phase1Rounds + res.Phase2Rounds
-	res.Edges = s.chosen
-	res.Weight = g.TotalWeight(s.chosen)
+	res.Edges = f.edges
+	res.Weight = g.TotalWeight(res.Edges)
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package mstbase
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -148,27 +149,33 @@ func TestPropertyBothBaselinesAgree(t *testing.T) {
 }
 
 func TestStateHelpers(t *testing.T) {
-	g := graph.Path(4)
-	g.AssignDistinctRandomWeights(rngutil.NewRand(5))
-	s := newState(g)
-	if s.fragments() != 4 {
-		t.Fatalf("fresh state has %d fragments", s.fragments())
+	// Path 0–1–2–3 with weights 1, 3, 2: the first iteration picks edge 0
+	// (nodes 0 and 1 both) and edge 2 (nodes 2 and 3 both), the second
+	// joins the halves over edge 1.
+	g := graph.New(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 3)
+	g.AddEdge(2, 3, 2)
+	f := newFragments(g)
+	f.run(1, func(int, int) { t.Fatal("a fragment below one node picked") })
+	if f.count != 4 || f.depth != 0 || len(f.edges) != 0 {
+		t.Fatalf("fresh state: %d fragments, depth %d, edges %v", f.count, f.depth, f.edges)
 	}
-	sel := s.mwoe(nil)
-	if len(sel) != 4 {
-		t.Fatalf("mwoe map size %d", len(sel))
+	var charged [][2]int
+	f.run(g.N(), func(frags, depth int) { charged = append(charged, [2]int{frags, depth}) })
+	if want := [][2]int{{4, 0}, {2, 1}}; !reflect.DeepEqual(charged, want) {
+		t.Fatalf("charged (fragments, depth) %v, want %v", charged, want)
 	}
-	s.merge(sel)
-	if s.fragments() != 1 {
-		// A path's Borůvka may need two iterations depending on weights.
-		s.merge(s.mwoe(nil))
-		if s.fragments() != 1 {
-			t.Fatal("path did not merge")
+	if want := []int{0, 2, 1}; !reflect.DeepEqual(f.edges, want) {
+		t.Fatalf("edges %v, want %v: iteration by iteration, ascending within", f.edges, want)
+	}
+	if f.count != 1 || f.size[0] != 4 || f.depth != 3 {
+		t.Fatalf("merged state: %d fragments, size %d, depth %d", f.count, f.size[0], f.depth)
+	}
+	for v, l := range f.label {
+		if l != 0 {
+			t.Fatalf("node %d labelled %d, want the smallest node ID 0", v, l)
 		}
-	}
-	depths := s.treeDepths()
-	if len(depths) != 1 {
-		t.Fatalf("depths for %d fragments", len(depths))
 	}
 }
 

@@ -236,9 +236,11 @@ func runClusterBatch(ce *embed.ClusterEmbedding, batch []Request, src *rngutil.S
 			if q.SrcNode == q.DstNode {
 				continue
 			}
-			path, err := bfsPath(sub.G, q.SrcNode, q.DstNode)
-			if err != nil {
-				return 0, nil, err
+			// A shortest path inside the (small) direct cluster.
+			parent, _ := sub.G.BFSTree(q.SrcNode)
+			path := graph.PathTo(parent, q.DstNode)
+			if path == nil {
+				return 0, nil, fmt.Errorf("route: node %d unreachable from %d in direct cluster", q.DstNode, q.SrcNode)
 			}
 			paths = append(paths, path)
 		}
@@ -255,39 +257,6 @@ func runClusterBatch(ce *embed.ClusterEmbedding, batch []Request, src *rngutil.S
 	return rep.BaseRounds, rep.Costs.Root, nil
 }
 
-// bfsPath returns a shortest path between two nodes of a (small, direct-
-// tier) cluster graph as a node sequence starting at src.
-func bfsPath(g *graph.Graph, src, dst int) ([]int32, error) {
-	parent := make([]int32, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = int32(src)
-	queue := []int{src}
-	for len(queue) > 0 && parent[dst] < 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, h := range g.Neighbors(v) {
-			if parent[h.To] < 0 {
-				parent[h.To] = int32(v)
-				queue = append(queue, int(h.To))
-			}
-		}
-	}
-	if parent[dst] < 0 {
-		return nil, fmt.Errorf("route: node %d unreachable from %d in direct cluster", dst, src)
-	}
-	rev := []int32{int32(dst)}
-	for v := int32(dst); int(v) != src; {
-		v = parent[v]
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
-}
-
 // quotientHops precomputes, for every destination cluster, the BFS
 // next-hop quotient edge from every other cluster (shortest cluster path;
 // deterministic because the quotient's adjacency order is).
@@ -300,26 +269,8 @@ type quotientHops struct {
 func newQuotientHops(pe *embed.Partitioned) *quotientHops {
 	q := pe.Quotient
 	h := &quotientHops{q: q, via: make([][]int32, q.N())}
-	for d := 0; d < q.N(); d++ {
-		via := make([]int32, q.N())
-		for i := range via {
-			via[i] = -1
-		}
-		queue := []int{d}
-		seen := make([]bool, q.N())
-		seen[d] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, he := range q.Neighbors(v) {
-				if !seen[he.To] {
-					seen[he.To] = true
-					via[he.To] = int32(he.EdgeID)
-					queue = append(queue, int(he.To))
-				}
-			}
-		}
-		h.via[d] = via
+	for d := range h.via {
+		_, h.via[d] = q.BFSTree(d)
 	}
 	return h
 }

@@ -541,12 +541,8 @@ func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mstbase.GHS(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Weight != ref.Weight {
-		t.Errorf("recovered MST weight %v, oracle %v", got.Weight, ref.Weight)
+	if _, want := mstbase.Kruskal(g); got.Weight != want {
+		t.Errorf("recovered MST weight %v, oracle %v", got.Weight, want)
 	}
 }
 

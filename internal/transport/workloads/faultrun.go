@@ -133,14 +133,15 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 // defensive machinery (mstbase/ghsnet.go) makes a faulted window stall
 // and retry rather than commit a corrupt choice, so most fault patterns
 // heal in-run; the driver adds the outer story: each attempt's merged
-// edge set is validated against the centralized GHS oracle (weights are
-// distinct, so the MST is unique), a round-limited attempt is still
-// checked (its harvest may hold the MST), and an attempt that stalled
-// or — in rare multi-fault corners the in-protocol repair cannot
-// untangle — produced a non-MST edge set reruns from scratch with a
-// derived fault seed and a Retry-offset program RNG. Spec's
-// Workload/Retry fields are owned by the driver; FaultSeed seeds the
-// per-attempt derivation.
+// edge set is validated against Kruskal, the independent centralized
+// oracle (weights are distinct, so the MST is unique; a disconnected
+// graph is refused by the workload itself, on the first attempt), a
+// round-limited attempt is still checked (its harvest may hold the MST),
+// and an attempt that stalled or — in rare multi-fault corners the
+// in-protocol repair cannot untangle — produced a non-MST edge set reruns
+// from scratch with a derived fault seed and a Retry-offset program RNG.
+// Spec's Workload/Retry fields are owned by the driver; FaultSeed seeds
+// the per-attempt derivation.
 func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*mstbase.FaultyMSTResult, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
@@ -149,11 +150,7 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
-	ref, err := mstbase.GHS(g)
-	if err != nil {
-		return nil, err
-	}
-	want := append([]int(nil), ref.Edges...)
+	want, _ := mstbase.Kruskal(g)
 	sort.Ints(want)
 
 	faultSrc := rngutil.NewSource(spec.FaultSeed)

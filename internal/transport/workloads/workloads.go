@@ -237,26 +237,23 @@ func ghsHarvest(programs []congest.Program) func(buf []uint64, v int) []uint64 {
 	}
 }
 
-// ghsReduce combines the node-ordered chosen-edge streams. First-seen
-// dedup reproduces GHSNetwork's edge list exactly. Edge ids may have come
-// off the wire, so each is range-checked before it indexes the graph.
+// ghsReduce combines the node-ordered chosen-edge streams the way
+// GHSNetwork does, through mstbase.GHSTreeEdges. Edge ids may have come
+// off the wire, so each is range-checked before it indexes anything.
 func ghsReduce(g *graph.Graph, perNode [][]uint64) (any, error) {
 	if len(perNode) != g.N() {
 		return nil, fmt.Errorf("workloads: ghs records for %d of %d nodes", len(perNode), g.N())
 	}
-	out := MSTOutput{}
-	seen := make(map[int]bool)
+	var chosen []int
 	for _, rec := range perNode {
 		for _, e := range rec {
 			if e >= uint64(g.M()) {
 				return nil, fmt.Errorf("workloads: ghs edge id %d outside the graph's %d edges", e, g.M())
 			}
-			if id := int(e); !seen[id] {
-				seen[id] = true
-				out.Edges = append(out.Edges, id)
-			}
+			chosen = append(chosen, int(e))
 		}
 	}
+	out := MSTOutput{Edges: mstbase.GHSTreeEdges(g.M(), chosen)}
 	out.Weight = g.TotalWeight(out.Edges)
 	return out, nil
 }

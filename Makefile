@@ -1,11 +1,13 @@
 # Developer entry points. `make check` is the local gate: vet, the full
-# test suite, the race-instrumented run and the un-shortened transport
-# suite (which carries the fault layer). CI runs the same four once each:
-# its `check` job runs `make vet test race` and leaves transport-suite to
-# the dedicated `transport-suite` job (ci.yml), so the suite is not run
-# twice per push. The race target uses -short so the heavyweight
-# differential sweeps keep the instrumented run fast; drop the flag (make
-# race SHORT=) for the exhaustive version.
+# test suite, the race-instrumented run, the nested benchmark module and
+# the un-shortened transport suite (which carries the fault layer). CI
+# runs each of these once: its `check` job runs `make vet test race
+# bench-module` and leaves transport-suite to the dedicated
+# `transport-suite` job (ci.yml), so the suite is not run twice per push.
+# Beyond `check`, CI also runs gofmt, `make smoke`, `make decomp-suite`
+# (its own job) and `make bench-record`. The race target uses -short so
+# the heavyweight differential sweeps keep the instrumented run fast; drop
+# the flag (make race SHORT=) for the exhaustive version.
 
 SHORT ?= -short
 # Per-benchmark budget for `make bench` and `make bench-scale` (any
@@ -27,7 +29,7 @@ test:
 race:
 	go test -race $(SHORT) ./...
 
-check: vet test race transport-suite
+check: vet test race bench-module transport-suite
 
 # End-to-end smoke of every experiment driver: build each cmd/ binary, run
 # it at tiny scale with -trace, and check the trace lands non-empty.

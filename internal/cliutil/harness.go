@@ -163,7 +163,7 @@ func (h *Harness) run(body func() error) error {
 		werr := h.sink.WriteFile(h.trace)
 		if werr == nil {
 			fmt.Printf("wrote trace (%d round records, %d phase entries, %d cost rows) to %s\n",
-				len(h.sink.Rounds.Samples), len(h.sink.Phases.Entries), len(h.sink.Costs), h.trace)
+				len(h.sink.Rounds), len(h.sink.Phases), len(h.sink.Costs), h.trace)
 		} else if err == nil {
 			err = werr
 		}

@@ -157,7 +157,7 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 	}
 	nNodes := n.topo.n
 	k := max(min(n.workers, nNodes), 1)
-	n.probeRunStart(k)
+	n.probeRunStart()
 	n.faultsRunStart(k)
 	ms := n.metricsRunStart(k)
 	// One part runs inline (pool stays nil: the sequential reference
@@ -198,7 +198,7 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 			n.probeRoundFlush(delivered, active, halted, fc)
 		}
 		if ms != nil {
-			ms.roundEnd(t0, delivered, fc)
+			ms.Round(time.Since(t0).Nanoseconds(), delivered, fc)
 		}
 	}
 	if halted == nNodes {

@@ -107,13 +107,18 @@ func TestDifferentialFaultsQuietEnd(t *testing.T) {
 // execution — probe event stream and exported trace bytes — byte-identical
 // to a run with no plan at all, for every worker count.
 func TestEmptyFaultPlanByteIdentity(t *testing.T) {
-	run := func(plan *faults.Plan, workers int) ([]string, []byte) {
-		net, _ := beatBuild(8)(7)
+	// One run per probe: the recorded event stream, then the sink's export.
+	run := func(emptyPlan bool, workers int) ([]string, []byte) {
 		rec := &recordingProbe{}
 		sink := NewTraceSink().Label("unit")
-		net.SetWorkers(workers).SetFaults(plan).SetProbe(MultiProbe{rec, sink})
-		if _, err := net.Run(40); err != nil {
-			t.Fatal(err)
+		for _, p := range []Probe{rec, sink} {
+			net, _ := beatBuild(8)(7)
+			if emptyPlan {
+				net.SetFaults(faults.New(99))
+			}
+			if _, err := net.SetWorkers(workers).SetProbe(p).Run(40); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var buf bytes.Buffer
 		if err := sink.WriteJSON(&buf); err != nil {
@@ -121,9 +126,9 @@ func TestEmptyFaultPlanByteIdentity(t *testing.T) {
 		}
 		return rec.events, buf.Bytes()
 	}
-	baseEvents, baseJSON := run(nil, 1)
+	baseEvents, baseJSON := run(false, 1)
 	for _, workers := range []int{1, 2, 8} {
-		events, doc := run(faults.New(99), workers)
+		events, doc := run(true, workers)
 		if !reflect.DeepEqual(events, baseEvents) {
 			t.Errorf("workers=%d: empty plan changes the probe event stream", workers)
 		}
@@ -364,7 +369,7 @@ func TestEdgeLoadNoInt32Wraparound(t *testing.T) {
 	net := NewUniformNetwork(g, func(v int) Program {
 		return programFunc{}
 	}, rngutil.NewSource(1)).SetProbe(probe)
-	net.probeRunStart(1)
+	net.probeRunStart()
 	net.agg.edgeLoad[0] = math.MaxInt32 // accumulated load of edge 0 toward node 0...
 	net.rounds = 1
 	net.inboxes[0] = append(net.inboxes[0][:0], Inbound{Port: 0, From: 1, Payload: ping})

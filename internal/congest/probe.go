@@ -40,16 +40,10 @@ import (
 
 // RunInfo describes a run at RunStart time.
 type RunInfo struct {
-	// Name labels the run in exported traces ("E4 k=2"). Engines leave it
-	// empty; wrappers like TraceSink.Label fill it in.
+	// Name labels the run in exported traces. The round engines leave it
+	// empty, analytic engines may name their segment ("recursion"), and
+	// TraceSink prefixes it with its label ("E4 k=2").
 	Name string
-	// Engine identifies the executor: "congest" for the round engine,
-	// "tcpnet" for the TCP coordinator, or the name of an analytic engine
-	// reusing the layer (e.g. "randomwalk").
-	Engine string
-	// Workers is the number of parts the network ran as (1 = the
-	// sequential reference engine).
-	Workers int
 	// Nodes and Edges describe the graph under simulation.
 	Nodes, Edges int
 }
@@ -122,39 +116,6 @@ func (NopProbe) PhaseMark(int, int, string) {}
 func (NopProbe) NodeHalted(int, int)        {}
 func (NopProbe) RoundEnd(*RoundRecord)      {}
 func (NopProbe) RunEnd(int, error)          {}
-
-// MultiProbe fans every hook out to each member in order.
-type MultiProbe []Probe
-
-func (m MultiProbe) RunStart(info RunInfo) {
-	for _, p := range m {
-		p.RunStart(info)
-	}
-}
-
-func (m MultiProbe) PhaseMark(node, round int, name string) {
-	for _, p := range m {
-		p.PhaseMark(node, round, name)
-	}
-}
-
-func (m MultiProbe) NodeHalted(node, round int) {
-	for _, p := range m {
-		p.NodeHalted(node, round)
-	}
-}
-
-func (m MultiProbe) RoundEnd(rec *RoundRecord) {
-	for _, p := range m {
-		p.RoundEnd(rec)
-	}
-}
-
-func (m MultiProbe) RunEnd(rounds int, err error) {
-	for _, p := range m {
-		p.RunEnd(rounds, err)
-	}
-}
 
 // SetProbe attaches a probe to the network (nil detaches). It must be set
 // before Run — attaching one later panics (see mustConfigure); the
@@ -262,7 +223,7 @@ func (a *RoundAggregator) RoundEnd(p Probe, round, delivered, active, halted int
 
 // probeRunStart announces the run, allocates the round aggregator and
 // binds the event hooks the drains call.
-func (n *Network) probeRunStart(workers int) {
+func (n *Network) probeRunStart() {
 	if n.probe == nil {
 		return
 	}
@@ -270,12 +231,7 @@ func (n *Network) probeRunStart(workers int) {
 		n.agg = newRoundAggregator(n.topo)
 	}
 	n.onMark, n.onHalt = n.probe.PhaseMark, n.probe.NodeHalted
-	n.probe.RunStart(RunInfo{
-		Engine:  "congest",
-		Workers: workers,
-		Nodes:   n.g.N(),
-		Edges:   n.g.M(),
-	})
+	n.probe.RunStart(RunInfo{Nodes: n.g.N(), Edges: n.g.M()})
 }
 
 // probeRoundFlush aggregates the round just executed and fires the

@@ -197,10 +197,10 @@ func (l *Ledger) Current() *Span {
 	return l.stack[len(l.stack)-1]
 }
 
-// path renders the open stack as a slash-joined span path.
-func (l *Ledger) path() string {
-	names := make([]string, len(l.stack))
-	for i, s := range l.stack {
+// pathOf renders a stack of open spans as a slash-joined span path.
+func pathOf(stack []*Span) string {
+	names := make([]string, len(stack))
+	for i, s := range stack {
 		names[i] = s.Name
 	}
 	return strings.Join(names, "/")
@@ -277,15 +277,16 @@ func (l *Ledger) Close() int {
 // CloseExpect closes the current span, checking the close-time identity:
 // the span's rolled-up Total must equal want (in the span's own unit).
 // A mismatch is recorded as a violation; the actual total is returned
-// either way.
+// either way. A matching close allocates nothing: the span's path is
+// rendered only for the violation message.
 func (l *Ledger) CloseExpect(want int) int {
 	if l == nil {
 		return 0
 	}
-	path := l.path()
+	stack := l.stack
 	got := l.Close()
 	if got != want {
-		l.violate("cost: span %s totals %d rounds, call site expected %d", path, got, want)
+		l.violate("cost: span %s totals %d rounds, call site expected %d", pathOf(stack), got, want)
 	}
 	return got
 }

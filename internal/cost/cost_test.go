@@ -1,9 +1,6 @@
 package cost
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestLedgerNestedTotals(t *testing.T) {
 	l := New("run", "base rounds")
@@ -56,8 +53,24 @@ func TestCloseExpectViolation(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched CloseExpect reported no violation")
 	}
-	if !strings.Contains(err.Error(), "root/x") {
-		t.Fatalf("violation does not name the span path: %v", err)
+	if want := "cost: span root/x totals 7 rounds, call site expected 8"; err.Error() != want {
+		t.Fatalf("violation %q, want %q", err, want)
+	}
+}
+
+// TestCloseExpectMatchAllocatesNothing: the span path is rendered for the
+// violation message only, so a close that matches allocates nothing.
+func TestCloseExpectMatchAllocatesNothing(t *testing.T) {
+	const runs = 100
+	l := New("root", "base")
+	for i := 0; i <= runs; i++ { // AllocsPerRun closes one more span than runs
+		l.Open("x", "base", 1)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { l.CloseExpect(0) }); allocs != 0 {
+		t.Errorf("a matching CloseExpect costs %.1f allocations, want 0", allocs)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -276,7 +276,8 @@ func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {
 // WattsStrogatz returns a small-world graph: a ring lattice where every
 // node connects to its k nearest neighbors on each side, with each edge
 // rewired to a uniform random endpoint with probability pRewire
-// (duplicate and self edges skip rewiring).
+// (duplicate and self edges skip rewiring). Edge IDs follow the lattice
+// order, so the graph depends on r's stream alone.
 func WattsStrogatz(n, k int, pRewire float64, r *rand.Rand) *Graph {
 	if k < 1 || 2*k >= n {
 		panic("graph: watts-strogatz needs 1 <= k < n/2")
@@ -311,8 +312,11 @@ func WattsStrogatz(n, k int, pRewire float64, r *rand.Rand) *Graph {
 		present[ne] = true
 		edges[i] = pair{e.u, w}
 	}
+	// Every rewire swaps its slot's pair for one not yet present, so the
+	// slots hold exactly the surviving edges, each once.
 	g := New(n)
-	for e := range present {
+	for _, e := range edges {
+		e = norm(e)
 		g.AddEdge(e.u, e.v, 1)
 	}
 	return g

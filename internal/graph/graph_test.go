@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,16 @@ func TestWattsStrogatz(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWattsStrogatzDeterministic: two builds from one seed are the same
+// graph edge ID for edge ID.
+func TestWattsStrogatzDeterministic(t *testing.T) {
+	a := WattsStrogatz(100, 3, 0.2, rngutil.NewRand(5))
+	b := WattsStrogatz(100, 3, 0.2, rngutil.NewRand(5))
+	if !reflect.DeepEqual(a.Edges(), b.Edges()) {
+		t.Fatal("two builds from one seed differ in their edge lists")
 	}
 }
 

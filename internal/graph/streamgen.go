@@ -6,13 +6,12 @@ import (
 	"math/rand/v2"
 )
 
-// Real-world-topology generators for the decomposition experiments
-// (E18): a power-law random graph and a road-like grid with long-range
-// shortcuts. Unlike the other randomized generators, both stream through
-// the two-pass graph.Build path: their randomness is re-derived from the
-// seed inside the emit closure (a fresh identically-seeded PCG per pass,
-// or a pure per-index hash), so both passes replay the identical edge
-// sequence and construction stays O(1) allocations in the edge count.
+// The real-world-topology generator of the decomposition experiments
+// (E18): a power-law random graph. Unlike the other randomized
+// generators, it streams through the two-pass graph.Build path: its
+// randomness is re-derived from the seed inside the emit closure (a fresh
+// identically-seeded PCG per pass), so both passes replay the identical
+// edge sequence and construction stays O(1) allocations in the edge count.
 
 // ChungLu returns a Chung–Lu power-law random graph: node i carries an
 // expected-degree weight w_i ∝ (i+1)^(-1/(exponent-1)) scaled so the mean
@@ -85,67 +84,4 @@ func ConnectedChungLu(n int, exponent, avgDeg float64, seed uint64) (*Graph, err
 	}
 	return nil, fmt.Errorf("graph: no connected chung-lu(n=%d, exp=%g, deg=%g) in 100 attempts from seed %d: %w",
 		n, exponent, avgDeg, seed, ErrDisconnected)
-}
-
-// GridShortcuts returns a road-like graph: the rows×cols grid plus up to
-// `shortcuts` long-range chords ("highways"). Shortcut k runs from node
-// k to node (k + jump_k) mod n, where jump_k ∈ [2, n-2] is a pure hash
-// of (seed, k); chords that would duplicate a grid edge or another chord
-// are skipped, so the realized chord count can be slightly below
-// shortcuts. shortcuts must not exceed n. The emit stream is a pure
-// function of (seed, k) — no rng state — so it replays exactly and
-// construction allocates O(1).
-func GridShortcuts(rows, cols, shortcuts int, seed uint64) *Graph {
-	if rows < 2 || cols < 2 {
-		panic("graph: grid shortcuts needs both dimensions >= 2")
-	}
-	n := rows * cols
-	if shortcuts < 0 || shortcuts > n {
-		panic("graph: grid shortcuts needs 0 <= shortcuts <= rows*cols")
-	}
-	jump := func(k int) int {
-		x := seed ^ (0x9e3779b97f4a7c15 * uint64(k+1))
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		return 2 + int(x%uint64(n-3))
-	}
-	gridAdjacent := func(u, v int) bool {
-		ru, cu := u/cols, u%cols
-		rv, cv := v/cols, v%cols
-		if ru == rv {
-			return cu-cv == 1 || cv-cu == 1
-		}
-		if cu == cv {
-			return ru-rv == 1 || rv-ru == 1
-		}
-		return false
-	}
-	id := func(r, c int) int { return r*cols + c }
-	return Build(n, func(add func(u, v int, w float64)) {
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if r+1 < rows {
-					add(id(r, c), id(r+1, c), 1)
-				}
-				if c+1 < cols {
-					add(id(r, c), id(r, c+1), 1)
-				}
-			}
-		}
-		for k := 0; k < shortcuts; k++ {
-			v := (k + jump(k)) % n
-			if gridAdjacent(k, v) {
-				continue
-			}
-			// A chord whose far endpoint is an earlier chord source may
-			// mirror that chord exactly; keep only the first occurrence.
-			if v < k && v < shortcuts && (v+jump(v))%n == k {
-				continue
-			}
-			add(k, v, 1)
-		}
-	})
 }

@@ -1,13 +1,12 @@
 // Package harness provides the small utilities the experiment binaries
-// and benchmarks share: aligned table rendering, CSV export, log-log
-// scaling fits, and summary statistics.
+// and benchmarks share: aligned table rendering, CSV export and log-log
+// scaling fits.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -157,48 +156,4 @@ func LogLogSlope(xs, ys []float64) (slope float64, used int) {
 		return math.NaN(), n
 	}
 	return (fn*sxy - sx*sy) / den, n
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Max returns the maximum (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest-rank on a sorted
-// copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

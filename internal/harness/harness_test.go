@@ -97,48 +97,3 @@ func TestLogLogSlope(t *testing.T) {
 		t.Fatalf("degenerate xs: slope %v, used %d, want NaN, 3", s, n)
 	}
 }
-
-func TestStats(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if Mean(xs) != 2.5 {
-		t.Fatalf("mean %v", Mean(xs))
-	}
-	if Max(xs) != 4 {
-		t.Fatalf("max %v", Max(xs))
-	}
-	if Quantile(xs, 0.5) != 2 {
-		t.Fatalf("median %v", Quantile(xs, 0.5))
-	}
-	if Quantile(xs, 1) != 4 || Quantile(xs, 0) != 1 {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty input handling wrong")
-	}
-	// Single-sample series: every statistic is that sample.
-	one := []float64{7}
-	if Mean(one) != 7 || Max(one) != 7 ||
-		Quantile(one, 0) != 7 || Quantile(one, 0.5) != 7 || Quantile(one, 1) != 7 {
-		t.Fatal("single-sample statistics wrong")
-	}
-	// Negative values: Max must not default to 0.
-	neg := []float64{-3, -1, -2}
-	if Max(neg) != -1 {
-		t.Fatalf("max of negatives %v, want -1", Max(neg))
-	}
-	if Mean(neg) != -2 {
-		t.Fatalf("mean of negatives %v, want -2", Mean(neg))
-	}
-	// Quantile must not mutate its input.
-	orig := append([]float64(nil), xs...)
-	Quantile(xs, 0.5)
-	for i := range xs {
-		if xs[i] != orig[i] {
-			t.Fatal("Quantile mutated its input")
-		}
-	}
-	// Nearest-rank boundaries on an even-length series.
-	if Quantile(xs, 0.25) != 1 || Quantile(xs, 0.75) != 3 {
-		t.Fatalf("quartiles %v, %v, want 1, 3", Quantile(xs, 0.25), Quantile(xs, 0.75))
-	}
-}

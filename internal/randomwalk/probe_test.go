@@ -21,7 +21,7 @@ import (
 func TestAnalyticTraceMatchesStats(t *testing.T) {
 	g := graph.RandomRegular(64, 4, rngutil.NewRand(9))
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
-	trace := congest.NewRoundTrace()
+	trace := congest.NewTraceSink()
 	const steps = 25
 	res := Run(g, sources, Config{
 		Kind:      spectral.Lazy,
@@ -30,14 +30,14 @@ func TestAnalyticTraceMatchesStats(t *testing.T) {
 		TraceName: "unit",
 	}, rngutil.NewRand(9))
 
-	if len(trace.Samples) != steps {
-		t.Fatalf("trace has %d samples, want %d", len(trace.Samples), steps)
+	if len(trace.Rounds) != steps {
+		t.Fatalf("trace has %d samples, want %d", len(trace.Rounds), steps)
 	}
 	if len(res.Stats.PerStepMaxLoad) != steps {
 		t.Fatalf("PerStepMaxLoad has %d entries, want %d", len(res.Stats.PerStepMaxLoad), steps)
 	}
 	maxTokens := 0
-	for i, s := range trace.Samples {
+	for i, s := range trace.Rounds {
 		if s.MaxEdgeLoad != int64(res.Stats.PerStepMaxLoad[i]) {
 			t.Fatalf("step %d: trace max_edge_load %d != Stats.PerStepMaxLoad %d",
 				i, s.MaxEdgeLoad, res.Stats.PerStepMaxLoad[i])

@@ -310,13 +310,7 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	var inboxBuf []int // per-node occupancy copy handed to the probe
 	if cfg.Probe != nil {
 		inboxBuf = make([]int, g.N())
-		cfg.Probe.RunStart(congest.RunInfo{
-			Name:    cfg.TraceName,
-			Engine:  "randomwalk",
-			Workers: 1,
-			Nodes:   g.N(),
-			Edges:   g.M(),
-		})
+		cfg.Probe.RunStart(congest.RunInfo{Name: cfg.TraceName, Nodes: g.N(), Edges: g.M()})
 	}
 
 	twoDelta := 2 * g.MaxDegree()

@@ -150,13 +150,7 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 	r.prepare(reqs, src)
 
 	if r.probe != nil {
-		r.probe.RunStart(congest.RunInfo{
-			Name:    "recursion",
-			Engine:  "route",
-			Workers: 1,
-			Nodes:   h.Base.N(),
-			Edges:   h.Base.M(),
-		})
+		r.probe.RunStart(congest.RunInfo{Name: "recursion", Nodes: h.Base.N(), Edges: h.Base.M()})
 	}
 	g0Cost, err := r.runRecursion()
 	if err != nil {

@@ -190,6 +190,11 @@ type coordinator struct {
 	pending    [][]wireSend
 	pendingBuf [][]byte
 	reply      stepReply // parse scratch
+	// sentAt[2·edge + (dst < sender)] is the barrier stamp (rounds+1) of
+	// the last send absorbed onto that directed edge: a reply naming one
+	// receiver port twice is caught where it is absorbed, against the
+	// shard that sent it.
+	sentAt []int32
 
 	// Always-on attribution state: the flight recorder ring plus, per
 	// shard, the last round it completed (STEPPED absorbed) and the
@@ -201,21 +206,21 @@ type coordinator struct {
 	phaseRound int
 
 	// Timeline/skew accumulation, active when a metrics registry or
-	// ObsOut is attached, and the instruments (all nil without a registry).
+	// ObsOut is attached — the one wall-time record of the barriers, which
+	// metricsEnd also reads the wait and skew histograms from — and the
+	// live instruments (all nil without a registry): the run's congest_*
+	// block, shared with the in-process engines, and the per-round wire
+	// histograms.
 	obsOn      bool
 	timeline   []TimelineRow
 	skew       []RoundSkew
 	shardTel   []*wireTelemetry
 	prevFrames int64
 	prevBytes  int64
+	rm         *congest.RunMetrics
 	obs        struct {
 		roundFrames, roundBytes *metrics.Histogram // per round, both directions
 		flushNS                 *metrics.Histogram // per-flush write-out latency
-		skewNS                  *metrics.Histogram // per-round cross-shard step skew
-		deliverWait, stepWait   *metrics.Histogram // per-shard barrier read wait
-		delivered, rounds       *metrics.Counter   // the congest_* totals the engines also export
-		// ...and their fault counters, registered only with a plan attached.
-		dropped, duplicated, delayed, crashed *metrics.Counter
 	}
 
 	// agg builds the probe's per-round records from the shards' inbox
@@ -224,7 +229,6 @@ type coordinator struct {
 }
 
 func (c *coordinator) run() (res Result, err error) {
-	t0 := time.Now()
 	addr := c.tcp.ListenAddr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -233,12 +237,7 @@ func (c *coordinator) run() (res Result, err error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-
-	k := c.tcp.Shards
-	c.split = congest.Split{N: c.inst.Graph.N(), K: k}
-	c.pending = make([][]wireSend, k)
-	c.pendingBuf = make([][]byte, k)
-	c.obsInit(k)
+	c.prepare()
 
 	defer func() {
 		for _, fc := range c.conns {
@@ -280,7 +279,7 @@ func (c *coordinator) run() (res Result, err error) {
 	}
 	wire := c.wireRows()
 	if reg := c.opts.Metrics; reg != nil {
-		c.metricsEnd(reg, time.Since(t0), wire)
+		c.metricsEnd(reg, wire)
 	}
 	if c.tcp.ObsOut != "" {
 		if werr := WriteObs(c.tcp.ObsOut, c.obsDoc(classifyReason(err), err, wire)); werr != nil {
@@ -297,12 +296,16 @@ func (c *coordinator) run() (res Result, err error) {
 	return res, err
 }
 
-// obsInit builds the per-run observability state: the always-on pieces
-// (flight recorder, per-shard attribution) plus — when a registry is
-// attached — the tcpnet_* histograms and the deterministic congest
-// counters the in-process engines also export (same names as congest's
-// metricsRunStart).
-func (c *coordinator) obsInit(k int) {
+// prepare builds the per-run state: the barrier scratch the absorb
+// functions index, the always-on observability pieces (flight recorder,
+// per-shard attribution) and — when a registry is attached — the run's
+// congest_* block and the live tcpnet_* histograms.
+func (c *coordinator) prepare() {
+	k, g := c.tcp.Shards, c.inst.Graph
+	c.split = congest.Split{N: g.N(), K: k}
+	c.pending = make([][]wireSend, k)
+	c.pendingBuf = make([][]byte, k)
+	c.sentAt = make([]int32, 2*g.M())
 	c.rec = flightrec.New("coord", -1, flightrec.DefaultCapacity)
 	c.shardRound = make([]int, k)
 	c.lastType = make([]byte, k)
@@ -312,20 +315,10 @@ func (c *coordinator) obsInit(k int) {
 	if reg == nil {
 		return
 	}
+	c.rm = congest.StartRunMetrics(reg, c.inst.Faults != nil)
 	c.obs.roundFrames = reg.Histogram("tcpnet_round_frames", metrics.PowersOf2(0, 20))
 	c.obs.roundBytes = reg.Histogram("tcpnet_round_bytes", metrics.PowersOf2(4, 30))
 	c.obs.flushNS = reg.Histogram("tcpnet_flush_ns", metrics.WallBuckets())
-	c.obs.skewNS = reg.Histogram("tcpnet_round_skew_ns", metrics.WallBuckets())
-	c.obs.deliverWait = reg.Histogram("tcpnet_deliver_wait_ns", metrics.WallBuckets())
-	c.obs.stepWait = reg.Histogram("tcpnet_step_wait_ns", metrics.WallBuckets())
-	c.obs.delivered = reg.Counter("congest_messages_delivered_total")
-	c.obs.rounds = reg.Counter("congest_rounds_total")
-	if c.inst.Faults != nil {
-		c.obs.dropped = reg.Counter("congest_msgs_dropped_total")
-		c.obs.duplicated = reg.Counter("congest_msgs_duplicated_total")
-		c.obs.delayed = reg.Counter("congest_msgs_delayed_total")
-		c.obs.crashed = reg.Counter("congest_node_crash_rounds_total")
-	}
 }
 
 // phaseStart marks the coordinator's entry into one barrier phase for
@@ -340,14 +333,8 @@ func (c *coordinator) phaseStart(phase string, round int) {
 }
 
 // notePhase attributes ns of coordinator wall time in the current phase
-// to one shard: a timeline row, plus the matching wait histogram.
+// to one shard as a timeline row.
 func (c *coordinator) notePhase(shard int, ns int64) {
-	switch c.phase {
-	case "deliver-wait":
-		c.obs.deliverWait.Observe(ns)
-	case "step-wait":
-		c.obs.stepWait.Observe(ns)
-	}
 	if c.obsOn {
 		c.timeline = append(c.timeline, TimelineRow{
 			Round: c.phaseRound, Shard: shard, Phase: c.phase, WallNS: ns,
@@ -551,6 +538,7 @@ func (c *coordinator) drive(ln net.Listener) (Result, error) {
 	}
 	n, fellQuiet := c.inst.Graph.N(), false
 	for c.rounds < c.inst.MaxRounds && c.halted < n {
+		t0 := time.Now()
 		// Deliver barrier: relay the pending cross-shard messages, get
 		// back each shard's delivery profile.
 		c.delivered, c.pendingDelayed = 0, 0
@@ -568,7 +556,7 @@ func (c *coordinator) drive(ln net.Listener) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		c.roundEnd(skew)
+		c.roundEnd(t0, skew)
 	}
 	// Round-limit exits still harvest (mirroring Proc): fault-tolerant
 	// retry drivers inspect the partial output of a budget-exhausted
@@ -588,7 +576,7 @@ func (c *coordinator) probeStart() {
 	}
 	g := c.inst.Graph
 	c.agg = congest.NewRoundAggregator(g)
-	p.RunStart(congest.RunInfo{Engine: "tcpnet", Workers: c.tcp.Shards, Nodes: g.N(), Edges: g.M()})
+	p.RunStart(congest.RunInfo{Nodes: g.N(), Edges: g.M()})
 }
 
 // quiet is congest.Network's quiet rule after a deliver barrier: a round
@@ -630,18 +618,27 @@ func (c *coordinator) absorbStepped(shard int, body []byte) error {
 	c.halted += r.halted
 	c.active += r.active
 	c.roundFaults.Add(r.faults)
-	g := c.inst.Graph
+	g, stamp := c.inst.Graph, int32(c.rounds+1)
 	for _, s := range r.sends {
 		if s.dst >= g.N() || s.port >= g.Degree(s.dst) {
 			return fmt.Errorf("send dst %d port %d names no port of the graph's %d nodes", s.dst, s.port, g.N())
 		}
 		// Ports are numbered in graph.Neighbors order (congest's topology),
-		// so the port names the sender: it must be this shard's node, and
-		// dst another shard's — else the receiving shard's Inject would
-		// refuse it and take the blame.
-		if from := g.Neighbors(s.dst)[s.port].To; from < lo || from >= hi || (s.dst >= lo && s.dst < hi) {
+		// so the port names the sender: it must be this shard's node, dst
+		// another shard's, and the port named once per barrier — else the
+		// receiving shard's Inject would refuse it and take the blame.
+		h := g.Neighbors(s.dst)[s.port]
+		if from := h.To; from < lo || from >= hi || (s.dst >= lo && s.dst < hi) {
 			return fmt.Errorf("send dst %d port %d is the edge from node %d, not one leaving owned nodes [%d, %d)", s.dst, s.port, from, lo, hi)
 		}
+		slot := 2 * h.EdgeID
+		if s.dst < h.To {
+			slot++
+		}
+		if c.sentAt[slot] == stamp {
+			return fmt.Errorf("send dst %d port %d named twice in one reply", s.dst, s.port)
+		}
+		c.sentAt[slot] = stamp
 		dst := c.split.Owner(s.dst)
 		off := len(c.pendingBuf[dst])
 		c.pendingBuf[dst] = append(c.pendingBuf[dst], s.payload...)
@@ -701,13 +698,13 @@ func (c *coordinator) absorbDelivered(shard int, body []byte) error {
 	return nil
 }
 
-// roundEnd closes one stepped round on everything that listens: the
-// plan's totals, the probe's RoundEnd (the record aggregated from the
-// collected profiles), the congest counters, and the round's wire
-// telemetry. Replies drain in shard order, so the skew is the spread
-// between the first and last reply read — a lower bound on true skew,
-// tight when the slow shard is last.
-func (c *coordinator) roundEnd(skewNS int64) {
+// roundEnd closes one stepped round, begun at t0, on everything that
+// listens: the plan's totals, the probe's RoundEnd (the record aggregated
+// from the collected profiles), the run's congest_* block, the skew
+// series and the round's wire telemetry. Replies drain in shard order, so
+// the skew is the spread between the first and last reply read — a lower
+// bound on true skew, tight when the slow shard is last.
+func (c *coordinator) roundEnd(t0 time.Time, spreadNS int64) {
 	// The coordinator never delivers, so its copy of the plan rolls no
 	// fates: it accumulates the counts the STEPPED replies return (and
 	// answers the quiet check's recovery rule).
@@ -715,19 +712,13 @@ func (c *coordinator) roundEnd(skewNS int64) {
 	if plan := c.inst.Faults; plan != nil {
 		plan.AddCounts(counts)
 	}
-	c.obs.dropped.Add(counts.Dropped)
-	c.obs.duplicated.Add(counts.Duplicated)
-	c.obs.delayed.Add(counts.Delayed)
-	c.obs.crashed.Add(counts.Crashed)
 	if c.agg != nil {
 		c.agg.RoundEnd(c.opts.Probe, c.rounds, c.delivered, c.active, c.halted, counts)
 	}
-	c.obs.delivered.Add(int64(c.delivered))
-	c.obs.rounds.Add(1)
+	c.rm.Round(time.Since(t0).Nanoseconds(), c.delivered, counts)
 	if c.obsOn {
-		c.skew = append(c.skew, RoundSkew{Round: c.rounds, SkewNS: skewNS})
+		c.skew = append(c.skew, RoundSkew{Round: c.rounds, SkewNS: spreadNS})
 	}
-	c.obs.skewNS.Observe(skewNS)
 	var frames, bytes int64
 	for _, fc := range c.conns {
 		frames += fc.tally.frames()
@@ -829,15 +820,25 @@ func (c *coordinator) wireRows() []WireStats {
 	return rows
 }
 
-// metricsEnd exports the run's wire telemetry: aggregate and per-shard
-// frame/byte/flush counters for the coordinator's side of every
-// connection, per-frame-type directional counters, and — for shards
-// that shipped their TELEMETRY frame — the shard-side tallies under
-// tcpnet_shard_* (the counters that previously never left the shard
-// process).
-func (c *coordinator) metricsEnd(reg *metrics.Registry, elapsed time.Duration, wire []WireStats) {
-	reg.Counter("congest_runs_total").Add(1)
-	reg.Counter("congest_run_wall_ns_total").Add(elapsed.Nanoseconds())
+// metricsEnd closes the run's congest_* block and exports its wire
+// telemetry: the barrier wait and round skew histograms, read off the
+// timeline and the skew series; aggregate and per-shard frame/byte/flush
+// counters for the coordinator's side of every connection, per-frame-type
+// directional counters, and — for shards that shipped their TELEMETRY
+// frame — the shard-side tallies under tcpnet_shard_*.
+func (c *coordinator) metricsEnd(reg *metrics.Registry, wire []WireStats) {
+	c.rm.End()
+	waits := map[string]*metrics.Histogram{ // other phases find nil, a no-op
+		"deliver-wait": reg.Histogram("tcpnet_deliver_wait_ns", metrics.WallBuckets()),
+		"step-wait":    reg.Histogram("tcpnet_step_wait_ns", metrics.WallBuckets()),
+	}
+	for _, row := range c.timeline {
+		waits[row.Phase].Observe(row.WallNS)
+	}
+	skew := reg.Histogram("tcpnet_round_skew_ns", metrics.WallBuckets())
+	for _, s := range c.skew {
+		skew.Observe(s.SkewNS)
+	}
 	reg.Counter("tcpnet_relayed_messages_total").Add(c.relayed)
 	frames, bytes := reg.Counter("tcpnet_frames_total"), reg.Counter("tcpnet_bytes_total")
 	flushes, flushNS := reg.Counter("tcpnet_flushes_total"), reg.Counter("tcpnet_flush_ns_total")

@@ -147,8 +147,8 @@ func TestHelloVersionSkew(t *testing.T) {
 		fc.flush()
 		io.Copy(io.Discard, conn) // hold the connection until the coordinator hangs up
 	}()
-	c := &coordinator{tcp: TCP{Shards: 1, Timeout: 10 * time.Second}}
-	c.obsInit(1)
+	c := &coordinator{tcp: TCP{Shards: 1, Timeout: 10 * time.Second}, inst: &Instance{Graph: graph.New(1)}}
+	c.prepare()
 	err = c.accept(ln)
 	want := fmt.Sprintf("protocol version mismatch: peer %d, this build %d", wireVersion-1, wireVersion)
 	if err == nil || !strings.Contains(err.Error(), want) {
@@ -246,22 +246,19 @@ func FuzzAbsorbReplies(f *testing.F) {
 			return
 		}
 		c := &coordinator{
-			tcp:        TCP{Shards: k},
-			inst:       &Instance{Graph: g},
-			opts:       Options{Probe: congest.NopProbe{}},
-			split:      congest.Split{N: g.N(), K: k},
-			pending:    make([][]wireSend, k),
-			pendingBuf: make([][]byte, k),
-			agg:        congest.NewRoundAggregator(g),
+			tcp:  TCP{Shards: k},
+			inst: &Instance{Graph: g},
+			opts: Options{Probe: congest.NopProbe{}},
+			agg:  congest.NewRoundAggregator(g),
 		}
-		c.obsInit(k)
+		c.prepare()
 		_ = c.absorbStepped(shard, data)
 		_ = c.absorbDelivered(shard, data)
 		_ = c.absorbFinal(shard, data)
 		_ = c.absorbTelemetry(shard, data)
 		// Whatever was absorbed has to be usable: the round closes and the
 		// relay batches serialize.
-		c.roundEnd(0)
+		c.roundEnd(time.Now(), 0)
 		for i := 0; i < k; i++ {
 			c.takeDeliverBody(i)
 		}

@@ -25,11 +25,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/graph"
 	"almostmix/internal/transport"
 )
 
@@ -357,14 +359,38 @@ func uv(vals ...uint64) []byte {
 	return buf
 }
 
+// crossingPort returns a port of a node below lo whose neighbor is at or
+// above it: a receiver port of shard 0 that shard 1's node sends over.
+func crossingPort(t *testing.T, g *graph.Graph, lo int) (dst, port int) {
+	t.Helper()
+	for v := 0; v < lo; v++ {
+		for p, h := range g.Neighbors(v) {
+			if h.To >= lo {
+				return v, p
+			}
+		}
+	}
+	t.Fatal("no edge crosses the shard boundary")
+	return -1, -1
+}
+
 // TestHostileReplies: a reply whose fields point outside the graph or
 // contradict each other must end the run in an error naming shard 1, the
 // phase and the field — the coordinator indexes its own arrays with these
 // numbers, so before the absorb checks the first and the two DELIVERED
-// rows were index panics and the rest were silently absorbed.
+// rows were index panics and the rest were silently absorbed. A reply
+// naming one receiver port twice used to be relayed, and the run failed
+// against the innocent receiving shard.
 func TestHostileReplies(t *testing.T) {
 	spec := suiteSpecs(1)[4] // walks on rr(32, 4): shard 1 of 2 owns nodes [16, 32)
 	const owned = 16
+	g, err := transport.BuildGraph(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, port := crossingPort(t, g, owned)
+	// One well-formed walk token (steps left, origin, sequence) over that port.
+	send := uv(uint64(dst), uint64(port), 3, 1, uint64(g.Neighbors(dst)[port].To), 0)
 	stepped := func(halted uint64, tail ...uint64) []byte {
 		return uv(append([]uint64{0, halted, 0, 0, 0, 0}, tail...)...) // active, halted, four fault counts
 	}
@@ -386,6 +412,8 @@ func TestHostileReplies(t *testing.T) {
 		{"STEPPED halted beyond owned", transport.FrameStepped, stepped(owned+1, 0, 0), "step-wait", "halted 17"},
 		{"STEPPED event outside the shard", transport.FrameStepped, stepped(0, 1, 1, 3, 2, 0), "step-wait", "event node 3"},
 		{"INITACK send dst beyond n", transport.FrameInitAck, stepped(0, 0, 1, 1<<40, 0, 0), "init-wait", "send dst"},
+		{"STEPPED send port named twice", transport.FrameStepped, slices.Concat(stepped(0, 0, 2), send, send), "step-wait",
+			fmt.Sprintf("send dst %d port %d named twice", dst, port)},
 		{"DELIVERED port beyond degree", transport.FrameDelivered, delivered(1, 1, 1<<20), "deliver-wait", "inbox port 1048576"},
 		{"DELIVERED sizes not summing", transport.FrameDelivered, delivered(5, 0), "deliver-wait", "delivered 5"},
 		{"TELEMETRY row of another endpoint", transport.FrameTelemetry, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
@@ -442,20 +470,8 @@ func TestHostileRelayedPayload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A port of a shard-0 node that faces a shard-1 node.
 			lo1, _ := congest.Split{N: g.N(), K: 2}.Bounds(1)
-			dst, port := -1, -1
-			for v := 0; v < lo1 && dst < 0; v++ {
-				for p, h := range g.Neighbors(v) {
-					if h.To >= lo1 {
-						dst, port = v, p
-						break
-					}
-				}
-			}
-			if dst < 0 {
-				t.Fatal("no edge crosses the shard boundary")
-			}
+			dst, port := crossingPort(t, g, lo1)
 			body := uv(0, 0, 0, 0, 0, 0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))
 			body = append(body, tc.payload...)
 

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,5 +213,58 @@ func TestTelemetryTraceParity(t *testing.T) {
 				shards, len(want), len(got))
 		}
 		readObsFile(t, out) // the parity run's document must still validate
+	}
+}
+
+// TestRunMetricsOneBlock: both backends close their runs into congest's
+// one run-metrics block. A faulty spec run on the sequential engine and
+// over goroutine-mode TCP must export the same congest_* instruments —
+// the engine's per-worker busy/idle split aside — and the same
+// deterministic totals: runs, rounds, deliveries and the four fault
+// counters.
+func TestRunMetricsOneBlock(t *testing.T) {
+	spec := obsSpec()
+	spec.Workload, spec.FaultSpec, spec.FaultSeed = "walks-faults", "drop=0.1,dup=0.05,delay=0.1:2,crash=3@2+2", 4
+	run := func(tr transport.Transport) (names []string, snap *metrics.Snapshot) {
+		t.Helper()
+		reg := metrics.New()
+		if _, err := tr.Run(spec, transport.Options{Metrics: reg}); err != nil {
+			t.Fatalf("%s: %v", tr.Name(), err)
+		}
+		snap = reg.Snapshot()
+		keep := func(name string) {
+			if strings.HasPrefix(name, "congest_") && !strings.HasPrefix(name, "congest_worker_") {
+				names = append(names, name)
+			}
+		}
+		for _, c := range snap.Counters {
+			keep(c.Name)
+		}
+		for _, g := range snap.Gauges {
+			keep(g.Name)
+		}
+		for _, h := range snap.Histograms {
+			keep(h.Name)
+		}
+		return names, snap
+	}
+	procNames, proc := run(transport.Proc{Workers: 1})
+	tcpNames, tcp := run(transport.TCP{Shards: 2, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)})
+	if !reflect.DeepEqual(procNames, tcpNames) {
+		t.Errorf("congest_* instruments differ:\nproc %v\n tcp %v", procNames, tcpNames)
+	}
+	for _, name := range []string{
+		"congest_runs_total", "congest_rounds_total", "congest_messages_delivered_total",
+		"congest_msgs_dropped_total", "congest_msgs_duplicated_total",
+		"congest_msgs_delayed_total", "congest_node_crash_rounds_total",
+	} {
+		p, pok := proc.Counter(name)
+		q, qok := tcp.Counter(name)
+		if !pok || !qok || p != q {
+			t.Errorf("%s: proc %d (registered %v), tcp %d (registered %v)", name, p, pok, q, qok)
+		}
+	}
+	if v, _ := proc.Counter("congest_msgs_dropped_total"); v == 0 {
+		t.Error("the fault plan dropped nothing: the fault counters are untested")
 	}
 }

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,43 @@ func TestResolveErrors(t *testing.T) {
 	p.Beta = 1
 	if _, err := p.resolve(graph.Ring(16)); err == nil {
 		t.Fatal("beta=1 accepted")
+	}
+}
+
+// A negative Params field is an error that names it. Unchecked, a negative
+// SuccessMargin panicked in buildLevel, a negative TauMix built a hierarchy
+// whose routing walks panicked, and a negative WalkLenFactor reported a
+// WalkLen the G0 walks never ran.
+func TestBuildRejectsNegativeParams(t *testing.T) {
+	g := graph.RandomRegular(32, 8, rngutil.NewRand(3))
+	for _, tc := range []struct {
+		field string
+		set   func(*Params)
+	}{
+		{"Beta", func(p *Params) { p.Beta = -4 }},
+		{"WalksC", func(p *Params) { p.WalksC = -1 }},
+		{"DegreeG0C", func(p *Params) { p.DegreeG0C = -1 }},
+		{"WalkLenFactor", func(p *Params) { p.WalkLenFactor = -1 }},
+		{"LeafSize", func(p *Params) { p.LeafSize = -1 }},
+		{"TauMix", func(p *Params) { p.TauMix = -3 }},
+		{"SuccessMargin", func(p *Params) { p.SuccessMargin = -1 }},
+		{"SuccessMargin", func(p *Params) { p.SuccessMargin = math.NaN() }},
+	} {
+		p := DefaultParams()
+		tc.set(&p)
+		h, err := Build(g, p, rngutil.NewSource(1))
+		if err == nil || !strings.Contains(err.Error(), "Params."+tc.field) {
+			t.Errorf("%s: Build returned error %v (hierarchy %v), want one naming Params.%s", tc.field, err, h != nil, tc.field)
+		}
+	}
+}
+
+func TestResolvedWalkLenIsWalked(t *testing.T) {
+	h := testHierarchy(t)
+	for e, p := range h.G0.Paths {
+		if len(p)-1 != h.Resolved.WalkLen {
+			t.Fatalf("G0 edge %d: path of %d steps, Resolved.WalkLen %d", e, len(p)-1, h.Resolved.WalkLen)
+		}
 	}
 }
 

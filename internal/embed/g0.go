@@ -10,11 +10,11 @@ import (
 )
 
 // buildG0 constructs the level-zero overlay of §3.1.1: every virtual node
-// starts walksPerVNode lazy random walks of length walkLenFactor·τ_mix in
-// the base graph; each walk endpoint, being (near-)stationary, lands on a
-// physical node with probability proportional to its degree, and choosing
-// a uniform virtual node of that endpoint yields a uniform virtual node
-// overall. Each virtual node keeps degreeG0 sampled out-neighbors, and the
+// starts walksPerVNode lazy random walks of walkLen (walkLenFactor·τ_mix)
+// steps in the base graph; each walk endpoint, being (near-)stationary,
+// lands on a physical node with probability proportional to its degree,
+// and choosing a uniform virtual node of that endpoint yields a uniform
+// virtual node overall. Each virtual node keeps degreeG0 sampled out-neighbors, and the
 // recorded walk becomes the embedded path of the overlay edge.
 //
 // The returned overlay's ConstructionRounds is the measured cost in
@@ -22,13 +22,8 @@ import (
 // that informs sources of their endpoints plus the second forward replay
 // that informs endpoints of their in-edges (three traversals, as in the
 // paper).
-func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand) (*Overlay, error) {
+func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, walkLen int, rng *rand.Rand) (*Overlay, error) {
 	m2 := vm.Count()
-	walkLen := r.walkLenFactor * tau
-	if walkLen < 1 {
-		walkLen = 1
-	}
-
 	sources := make([]int32, 0, m2*r.walksPerVNode)
 	for vid := 0; vid < m2; vid++ {
 		owner := int32(vm.Owner(int32(vid)))
@@ -42,15 +37,10 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 		Record: true,
 	}, rng)
 
-	overlay := &Overlay{
-		Level:    0,
-		Graph:    graph.New(m2),
-		PartOf:   make([]int32, m2),
-		Digit:    make([]int32, m2),
-		NumParts: 1,
-	}
-	// kept lists the walks that became overlay edges, in edge order.
+	// kept lists the walks that became overlay edges, in edge order, and
+	// arcs the edges.
 	kept := make([]int, 0, m2*r.degreeG0)
+	arcs := make([]arc, 0, m2*r.degreeG0)
 	// walkOf[target] is the latest walk that drew target as its endpoint
 	// vid. A vid's walks are base..base+walksPerVNode−1 and vids ascend, so
 	// an entry ≥ base was written for the current vid.
@@ -84,22 +74,22 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 			j := i + rng.IntN(len(order)-i)
 			order[i], order[j] = order[j], order[i]
 			target := order[i]
-			if e := overlay.Graph.AddEdge(vid, int(target), 1); e != len(kept) {
-				panic("embed: G0 edge/path misalignment")
-			}
 			kept = append(kept, walkOf[target])
+			arcs = append(arcs, arc{int32(vid), target})
 		}
 	}
 
+	overlay := &Overlay{
+		Level:    0,
+		Graph:    overlayGraph(m2, arcs),
+		PartOf:   make([]int32, m2),
+		Digit:    make([]int32, m2),
+		NumParts: 1,
+	}
 	if !overlay.Graph.IsConnected() {
 		return nil, fmt.Errorf("embed: G0 is disconnected (%d virtual nodes, %d edges); increase DegreeG0C or WalksC",
 			m2, overlay.Graph.M())
 	}
-	overlay.Paths = res.Paths(kept)
-	reverse := res.ReverseDeliveryRounds(kept)
-	overlay.walkRounds = res.Stats.Rounds
-	overlay.replayRounds = 2 * reverse
-	overlay.ConstructionRounds = overlay.walkRounds + overlay.replayRounds
-	overlay.measureEmulation()
+	overlay.embedWalks(res, kept, 2)
 	return overlay, nil
 }

@@ -63,6 +63,9 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 	if tau == 0 {
 		tau = spectral.MixingTimeEstimate(g, spectral.Lazy)
 	}
+	// The G0 walk length, computed once: what Resolved reports is what the
+	// walks run.
+	walkLen := max(1, r.walkLenFactor*tau)
 
 	vm := NewVirtualMap(g)
 	// The leader draws the Θ(log² n) shared bits; conceptually they are
@@ -82,7 +85,7 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 			WalksPerVirtualNode: r.walksPerVNode,
 			DegreeG0:            r.degreeG0,
 			OverlayDegree:       r.overlayDegree,
-			WalkLen:             r.walkLenFactor * tau,
+			WalkLen:             walkLen,
 			LeafSize:            r.leafSize,
 			HashIndependence:    r.hashW,
 			Levels:              r.levels,
@@ -91,7 +94,7 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 
 	led := cost.New("construction", "base rounds")
 
-	h.G0, err = buildG0(g, vm, r, tau, src.Stream("g0", 0))
+	h.G0, err = buildG0(g, vm, r, walkLen, src.Stream("g0", 0))
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"almostmix/internal/graph"
 	"almostmix/internal/kwise"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/spectral"
@@ -23,7 +22,6 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 	m2 := below.Graph.N()
 	overlay := &Overlay{
 		Level:    level,
-		Graph:    graph.New(m2),
 		PartOf:   make([]int32, m2),
 		Digit:    make([]int32, m2),
 		NumParts: below.NumParts * r.beta,
@@ -64,8 +62,10 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 	for _, p := range overlay.PartOf {
 		partSizes[p]++
 	}
-	// kept lists the walks that became overlay edges, in edge order.
+	// kept lists the walks that became overlay edges, in edge order, and
+	// arcs the edges.
 	kept := make([]int, 0, m2*r.overlayDegree)
+	arcs := make([]arc, 0, m2*r.overlayDegree)
 	short := 0
 	for vid := 0; vid < m2; vid++ {
 		base := vid * walksPerNode
@@ -77,10 +77,8 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 			if int(end) == vid || overlay.PartOf[end] != part {
 				continue
 			}
-			if e := overlay.Graph.AddEdge(vid, int(end), 1); e != len(kept) {
-				panic("embed: level edge/path misalignment")
-			}
 			kept = append(kept, w)
+			arcs = append(arcs, arc{int32(vid), end})
 			taken++
 		}
 		// A node in a part of s nodes can only expect successes in
@@ -98,16 +96,12 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 		return nil, fmt.Errorf("embed: level %d: %d nodes got under half the target degree %d; increase SuccessMargin",
 			level, short, r.overlayDegree)
 	}
+	overlay.Graph = overlayGraph(m2, arcs)
 	// Every part must induce a connected component for routing to work.
 	if err := checkPartsConnected(overlay, partSizes); err != nil {
 		return nil, err
 	}
-	overlay.Paths = res.Paths(kept)
-	reverse := res.ReverseDeliveryRounds(kept)
-	overlay.walkRounds = res.Stats.Rounds
-	overlay.replayRounds = reverse
-	overlay.ConstructionRounds = overlay.walkRounds + overlay.replayRounds
-	overlay.measureEmulation()
+	overlay.embedWalks(res, kept, 1)
 	return overlay, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"almostmix/internal/graph"
 	"almostmix/internal/pathsched"
+	"almostmix/internal/randomwalk"
 )
 
 // Overlay is one level of the hierarchical embedding: a virtual graph on
@@ -44,6 +45,32 @@ type Overlay struct {
 	walkRounds, replayRounds int
 	// routes is the on-demand routing table behind RouteRow.
 	routes routeTable
+}
+
+// arc is one overlay edge as a builder keeps it: the walk from virtual
+// node from ended at virtual node to.
+type arc struct{ from, to int32 }
+
+// overlayGraph builds an overlay topology on n virtual nodes in one pass:
+// edge k joins arcs[k].from and arcs[k].to, with the edge IDs and
+// adjacency order that adding the arcs one by one would give.
+func overlayGraph(n int, arcs []arc) *graph.Graph {
+	return graph.Build(n, func(add func(u, v int, w float64)) {
+		for _, a := range arcs {
+			add(int(a.from), int(a.to), 1)
+		}
+	})
+}
+
+// embedWalks finishes an overlay whose edge k was found by walk kept[k] of
+// res: the kept walks become the embedded paths, and ConstructionRounds is
+// the walk execution plus replays reverse deliveries of the kept walks.
+func (o *Overlay) embedWalks(res *randomwalk.Result, kept []int, replays int) {
+	o.Paths = res.Paths(kept)
+	o.walkRounds = res.Stats.Rounds
+	o.replayRounds = replays * res.ReverseDeliveryRounds(kept)
+	o.ConstructionRounds = o.walkRounds + o.replayRounds
+	o.measureEmulation()
 }
 
 // measureEmulation schedules one packet per direction over every overlay

@@ -18,7 +18,8 @@ import (
 // Params configures the hierarchical embedding: the constants anything
 // tunes. A zero field selects its default — DefaultParams' value, or for
 // Beta, LeafSize and TauMix the formula named on the field — so the zero
-// Params and DefaultParams() build the same hierarchy.
+// Params and DefaultParams() build the same hierarchy. No field may be
+// negative: Build rejects that with an error naming the field.
 //
 // The paper's asymptotic constants (200·log n walks, 100·log n overlay
 // degree, β = 2^Θ(√(log n·log log n))) exceed practical sizes at
@@ -86,8 +87,23 @@ type resolved struct {
 	successMargin float64
 }
 
-// resolve turns Params into concrete values for graph g.
+// resolve turns Params into concrete values for graph g. A negative field
+// (or a SuccessMargin that is NaN or infinite) is an error naming it.
 func (p Params) resolve(g *graph.Graph) (resolved, error) {
+	for _, f := range []struct {
+		name  string
+		value int
+	}{
+		{"Beta", p.Beta}, {"WalksC", p.WalksC}, {"DegreeG0C", p.DegreeG0C},
+		{"WalkLenFactor", p.WalkLenFactor}, {"LeafSize", p.LeafSize}, {"TauMix", p.TauMix},
+	} {
+		if f.value < 0 {
+			return resolved{}, fmt.Errorf("embed: Params.%s must be >= 0, got %d", f.name, f.value)
+		}
+	}
+	if !(p.SuccessMargin >= 0 && p.SuccessMargin <= math.MaxFloat64) {
+		return resolved{}, fmt.Errorf("embed: Params.SuccessMargin must be a finite number >= 0, got %v", p.SuccessMargin)
+	}
 	n, m2 := g.N(), 2*g.M()
 	if n < 2 || m2 == 0 {
 		return resolved{}, fmt.Errorf("embed: graph too small (n=%d, m=%d)", n, g.M())

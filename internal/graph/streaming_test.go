@@ -7,7 +7,11 @@ package graph
 // construct in O(1) allocations regardless of n.
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
+
+	"almostmix/internal/rngutil"
 )
 
 // emitFixture is a small irregular edge sequence exercising uneven
@@ -50,6 +54,54 @@ func TestBuildMatchesAddEdge(t *testing.T) {
 				t.Errorf("node %d port %d: got %+v, want %+v", v, p, gh[p], wh[p])
 			}
 		}
+	}
+}
+
+// TestPropertyBuildMatchesAddEdge: Build, fed an edge list, equals New +
+// AddEdge on the same list — every edge ID and weight and every node's
+// adjacency order, parallel edges included. The embedding's overlays are
+// built by Build, and their route rows and portals read that order.
+func TestPropertyBuildMatchesAddEdge(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rngutil.NewRand(seed)
+		n := 2 + r.IntN(30)
+		edges := make([]Edge, r.IntN(120))
+		for i := range edges {
+			if i > 0 && r.IntN(4) == 0 { // a parallel edge, either way round
+				e := edges[r.IntN(i)]
+				if r.IntN(2) == 0 {
+					e.U, e.V = e.V, e.U
+				}
+				edges[i] = e
+				continue
+			}
+			u, v := r.IntN(n), r.IntN(n-1)
+			if v >= u {
+				v++
+			}
+			edges[i] = Edge{U: u, V: v, W: float64(r.IntN(5))}
+		}
+		want := New(n)
+		for _, e := range edges {
+			want.AddEdge(e.U, e.V, e.W)
+		}
+		got := Build(n, func(add func(u, v int, w float64)) {
+			for _, e := range edges {
+				add(e.U, e.V, e.W)
+			}
+		})
+		if got.N() != n || !slices.Equal(got.Edges(), want.Edges()) {
+			return false
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

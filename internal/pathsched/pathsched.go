@@ -13,7 +13,7 @@ package pathsched
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"almostmix/internal/cost"
 )
@@ -39,10 +39,12 @@ type Result struct {
 // within the path set — the scheduler never consults a graph, so callers
 // are responsible for paths being walks of the level they schedule on.
 //
-// The working set is a fixed number of flat int32 arrays: one entry per
+// The working set is a fixed number of flat int32 arrays — one entry per
 // hop, a few per packet and per distinct directed link, and two per node
-// ID up to the largest one used. Finding a hop's link scans the links
-// already seen out of its from-node, so it costs that node's out-degree.
+// ID up to the largest one used — plus the arrivals bitset, a bit per
+// packet, that orders each round's arrivals. Finding a hop's link scans
+// the links already seen out of its from-node, so it costs that node's
+// out-degree.
 func Schedule(paths [][]int32) Result {
 	res := Result{Delivered: len(paths)}
 	if len(paths) > math.MaxInt32 {
@@ -123,11 +125,14 @@ func Schedule(paths [][]int32) Result {
 		res.Congestion = max(res.Congestion, int(crossings[l]))
 	}
 
+	lowWords := (len(paths) + 63) / 64
+	marks := make([]uint64, lowWords+(lowWords+63)/64)
 	q := fifos{
-		head:   make([]int32, links),
-		tail:   make([]int32, links),
-		next:   make([]int32, len(paths)),
-		active: make([]int32, 0, links),
+		head:    make([]int32, links),
+		tail:    make([]int32, links),
+		next:    make([]int32, len(paths)),
+		active:  make([]int32, 0, links),
+		arrived: arrivals{low: marks[:lowWords], top: marks[lowWords:]},
 	}
 	for l := range q.head {
 		q.head[l] = -1
@@ -142,21 +147,19 @@ func Schedule(paths [][]int32) Result {
 
 	// Synchronous FIFO store-and-forward: every round, each directed
 	// link transmits the head-of-line packet.
-	moved := make([]int32, 0, min(int(links), len(paths)))
 	for remaining > 0 {
 		res.Makespan++
-		moved = q.popAll(moved[:0])
+		q.popAll()
 		// Arrivals join their next queue in packet order, whatever order
 		// the links were visited in: runs are deterministic.
-		slices.Sort(moved)
-		for _, pkt := range moved {
+		q.arrived.drain(func(pkt int32) {
 			pos[pkt]++
 			if pos[pkt] == end[pkt] {
 				remaining--
-				continue
+				return
 			}
 			q.push(linkOf[pos[pkt]], pkt)
-		}
+		})
 	}
 	return res
 }
@@ -165,9 +168,11 @@ func Schedule(paths [][]int32) Result {
 // themselves: head[l] and tail[l] delimit link l's queue (head −1 =
 // empty), next[pkt] is the packet behind pkt. A packet waits in one queue
 // at a time, so one next entry per packet serves all queues. active lists
-// the links with a non-empty queue, in no particular order.
+// the links with a non-empty queue, in no particular order, and arrived
+// marks the packets the last popAll moved.
 type fifos struct {
 	head, tail, next, active []int32
+	arrived                  arrivals
 }
 
 func (q *fifos) push(l, pkt int32) {
@@ -181,19 +186,48 @@ func (q *fifos) push(l, pkt int32) {
 	q.tail[l] = pkt
 }
 
-// popAll removes the head packet of every non-empty queue and appends
-// them to out.
-func (q *fifos) popAll(out []int32) []int32 {
+// popAll removes the head packet of every non-empty queue and marks it
+// arrived.
+func (q *fifos) popAll() {
 	busy := q.active[:0]
 	for _, l := range q.active {
 		pkt := q.head[l]
-		out = append(out, pkt)
+		q.arrived.add(pkt)
 		if q.head[l] = q.next[pkt]; q.head[l] >= 0 {
 			busy = append(busy, l)
 		}
 	}
 	q.active = busy
-	return out
+}
+
+// arrivals is a two-level bitset over packet ids that hands a round's
+// arrivals back in ascending order without sorting them: bit pkt of low
+// marks an arrived packet, and bit w of top marks a non-zero low[w]. A
+// drain reads every top word and only the marked low words, so a round
+// costs O(arrivals + packets/4096).
+type arrivals struct {
+	low, top []uint64
+}
+
+func (a *arrivals) add(pkt int32) {
+	w := pkt >> 6
+	a.low[w] |= 1 << (pkt & 63)
+	a.top[w>>6] |= 1 << (w & 63)
+}
+
+// drain calls visit on every marked packet in ascending order and clears
+// the marks.
+func (a *arrivals) drain(visit func(pkt int32)) {
+	for t, top := range a.top {
+		a.top[t] = 0
+		for ; top != 0; top &= top - 1 {
+			w := t<<6 | bits.TrailingZeros64(top)
+			for low := a.low[w]; low != 0; low &= low - 1 {
+				visit(int32(w<<6 | bits.TrailingZeros64(low)))
+			}
+			a.low[w] = 0
+		}
+	}
 }
 
 // ScheduleInto schedules like Schedule and charges the measured makespan

@@ -6,9 +6,10 @@
 // an incident edge. Each edge can carry one token per direction per
 // CONGEST round, so executing one parallel step costs as many rounds as
 // the most loaded directed edge. The engine executes walks step by step,
-// measures that cost exactly, and records token paths so that walks can be
-// re-run in reverse (the paper's mechanism for turning walk endpoints into
-// usable overlay edges) and re-used as embedded routing paths.
+// measures that cost exactly, and records which port every token left by,
+// so that walks can be re-run in reverse (the paper's mechanism for turning
+// walk endpoints into usable overlay edges) and re-used as embedded routing
+// paths.
 package randomwalk
 
 import (
@@ -44,9 +45,11 @@ type Stats struct {
 type Config struct {
 	Kind  spectral.WalkKind // Lazy or Regular (2Δ-regular)
 	Steps int               // walk length T
-	// Record keeps the walk trail, which Result.Path, Paths and
-	// ReverseDeliveryRounds read (needed for reversal/embedding). When
-	// false only endpoints and statistics are tracked.
+	// Record keeps the walk trail — per step and walk, the port the token
+	// left by, at most one byte each while Δ ≤ 255 — which Result.Path,
+	// Paths and ReverseDeliveryRounds replay from the sources (needed for
+	// reversal/embedding). When false only endpoints and statistics are
+	// tracked.
 	Record bool
 	// Correlated runs the walks in the negatively-correlated fashion
 	// the paper sketches for the k = o(log n) regime (the full-version
@@ -69,21 +72,20 @@ type Config struct {
 }
 
 // Result is the outcome of a parallel walk execution: the endpoints, the
-// congestion statistics and, when Config.Record was set, the walk trail
-// that Path, Paths and ReverseDeliveryRounds read. A run without Record
-// has no paths at all.
+// congestion statistics and, when Config.Record was set, the sources and
+// the moves that Path, Paths and ReverseDeliveryRounds replay. A run
+// without Record has no paths at all.
 type Result struct {
 	// Ends[i] is the node walk i occupies after the last step.
 	Ends  []int32
 	Stats Stats
 
-	// trail is the step-major record of a recording run: trail[s·n+i] is
-	// the node walk i (of n) occupies after s steps, so row 0 is the
-	// sources and row steps is Ends (the same memory). Equal entries in
-	// consecutive rows are lazy steps. nil without Config.Record.
-	trail []int32
-	steps int
-	adj   *csr
+	// sources is a recording run's copy of the start nodes and trail its
+	// moves (see moves); both nil without Config.Record.
+	sources []int32
+	trail   trail
+	steps   int
+	adj     csr
 }
 
 // csr is the flat adjacency a run builds once so that the step loops read
@@ -95,13 +97,13 @@ type csr struct {
 	start, to, slot []int32
 }
 
-func newCSR(g *graph.Graph) *csr {
+func newCSR(g *graph.Graph) csr {
 	n, m := g.N(), g.M()
 	if n >= math.MaxInt32 || m > math.MaxInt32/2 {
 		panic(fmt.Sprintf("randomwalk: graph too large for int32 adjacency (n=%d, m=%d)", n, m))
 	}
 	buf := make([]int32, n+1+4*m)
-	a := &csr{start: buf[:n+1], to: buf[n+1 : n+1+2*m], slot: buf[n+1+2*m:]}
+	a := csr{start: buf[:n+1], to: buf[n+1 : n+1+2*m], slot: buf[n+1+2*m:]}
 	p := int32(0)
 	for v := 0; v < n; v++ {
 		a.start[v] = p
@@ -129,6 +131,27 @@ func (a *csr) port(u, v int32) int32 {
 		}
 	}
 	panic(fmt.Sprintf("randomwalk: trail crosses the non-edge (%d,%d)", u, v))
+}
+
+// width is an unsigned type a trail can be kept in. Run keeps it in the
+// narrowest one that holds g.MaxDegree().
+type width interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// moves is a recording run's trail: moves[s·n+i] is 1 + the offset, inside
+// its node's CSR range, of the half-edge walk i (of n) crossed in step s+1,
+// or 0 when it stayed. Replaying from the sources through the CSR recovers
+// every node of every path, so a byte per token per step is the whole
+// record while Δ ≤ 255.
+type moves[T width] []T
+
+func (m moves[T]) hop(k int) (off int32, moved bool) {
+	x := m[k]
+	return int32(x) - 1, x != 0
+}
+
+// trail is the width-erased view of moves the Result replays through.
+type trail interface {
+	hop(k int) (off int32, moved bool)
 }
 
 // stepper is the state the per-step loops share.
@@ -161,52 +184,62 @@ func (st *stepper) cross(v, p int32) int32 {
 	return next
 }
 
-// stepLazy advances every token one lazy step: a fair coin to stay, then
-// a uniform incident edge.
-func (st *stepper) stepLazy(cur, next []int32) {
+// move sends token i from v over the half-edge at offset off of v's CSR
+// range, which starts at lo, notes the move in row when the run keeps a
+// trail (row is nil otherwise), and returns the token's new node. It is
+// the step kernels' only trail write.
+func move[T width](st *stepper, row []T, i int, v, lo, off int32) int32 {
+	if row != nil {
+		row[i] = T(off + 1)
+	}
+	return st.cross(v, lo+off)
+}
+
+// stepLazy advances every token one lazy step in place: a fair coin to
+// stay, then a uniform incident edge.
+func stepLazy[T width](st *stepper, at []int32, row []T) {
 	start, rng := st.adj.start, st.rng
-	for i, v := range cur {
+	for i, v := range at {
 		lo := start[v]
 		if deg := start[v+1] - lo; deg > 0 && rng.Uint64()&1 != 0 {
-			v = st.cross(v, lo+int32(rng.IntN(int(deg))))
+			at[i] = move(st, row, i, v, lo, int32(rng.IntN(int(deg))))
 		}
-		next[i] = v
 	}
 }
 
-// stepRegular advances every token one step of the 2Δ-regular walk: one
-// of 2Δ slots, of which the first d(v) are the incident edges and the rest
-// stay.
-func (st *stepper) stepRegular(cur, next []int32, twoDelta int) {
+// stepRegular advances every token one step of the 2Δ-regular walk in
+// place: one of 2Δ slots, of which the first d(v) are the incident edges
+// and the rest stay.
+func stepRegular[T width](st *stepper, at []int32, row []T, twoDelta int) {
 	start, rng := st.adj.start, st.rng
-	for i, v := range cur {
+	for i, v := range at {
 		lo := start[v]
 		if deg := start[v+1] - lo; deg > 0 {
 			if r := int32(rng.IntN(twoDelta)); r < deg {
-				v = st.cross(v, lo+r)
+				at[i] = move(st, row, i, v, lo, r)
 			}
 		}
-		next[i] = v
 	}
 }
 
-// stepCorrelated advances every token one step with negative correlation:
-// each node deals its resident tokens over a uniformly rotated "deck" of
-// transition slots (d stay slots + d edge slots for the lazy walk;
-// 2Δ−d(v) stay slots + d(v) edge slots for the 2Δ-regular walk), so the
-// per-edge load is at most ⌈tokens/deck⌉ while every token's marginal
-// transition stays exact.
-func (st *stepper) stepCorrelated(kind spectral.WalkKind, cur, next []int32, twoDelta int) {
+// stepCorrelated advances every token one step in place with negative
+// correlation: each node deals its resident tokens over a uniformly
+// rotated "deck" of transition slots (d stay slots + d edge slots for the
+// lazy walk; 2Δ−d(v) stay slots + d(v) edge slots for the 2Δ-regular
+// walk), so the per-edge load is at most ⌈tokens/deck⌉ while every
+// token's marginal transition stays exact.
+func stepCorrelated[T width](st *stepper, kind spectral.WalkKind, at []int32, row []T, twoDelta int) {
 	// Counting sort of the tokens by node, ascending token index within a
 	// node. tokensAt holds the bucket sizes; cross changes it only after
-	// the bucket bounds are fixed.
+	// the bucket bounds are fixed, and every token is read here before
+	// any is moved.
 	end, tokens := st.bucketEnd, st.bucketTok
 	sum := int32(0)
 	for v, c := range st.tokensAt {
 		end[v] = sum
 		sum += c
 	}
-	for i, v := range cur {
+	for i, v := range at {
 		tokens[end[v]] = int32(i)
 		end[v]++
 	}
@@ -214,16 +247,10 @@ func (st *stepper) stepCorrelated(kind spectral.WalkKind, cur, next []int32, two
 	for node, hi := range end {
 		here := tokens[lo:hi]
 		lo = hi
-		if len(here) == 0 {
-			continue
-		}
 		v := int32(node)
 		base := st.adj.start[v]
 		d := int(st.adj.start[v+1] - base)
-		if d == 0 {
-			for _, tok := range here {
-				next[tok] = v
-			}
+		if len(here) == 0 || d == 0 {
 			continue
 		}
 		deckSize, stayCount := 2*d, d
@@ -239,22 +266,20 @@ func (st *stepper) stepCorrelated(kind spectral.WalkKind, cur, next []int32, two
 		}
 		offset := st.rng.IntN(deckSize)
 		for j, tok := range here {
-			slot := (offset + j) % deckSize
-			if slot < stayCount {
-				next[tok] = v
-			} else {
-				next[tok] = st.cross(v, base+int32(slot-stayCount))
+			if slot := (offset + j) % deckSize; slot >= stayCount {
+				at[tok] = move(st, row, int(tok), v, base, int32(slot-stayCount))
 			}
 		}
 	}
 }
 
 // RunAllocCeiling bounds the heap objects one Run allocates, whatever the
-// number of walks and steps: the result, the adjacency and its backing
-// array, the trail, the per-step loads, the stepper and its arrays (three,
-// five when correlated) — ten at most, plus slack for the runtime's own
-// allocations while a measurement runs. The package's allocation test
-// holds Run to it.
+// number of walks and steps: the result, the adjacency's backing array,
+// the endpoints (with the sources' copy when recording), the trail and its
+// interface box, the per-step loads, the edge loads and one int32 scratch
+// array for the rest of the step state — eight at most, nine with a
+// Probe's occupancy buffer, plus slack for the runtime's own allocations
+// while a measurement runs. The package's allocation test holds Run to it.
 const RunAllocCeiling = 12
 
 // Run executes one walk from each entry of sources (sources[i] = start
@@ -276,65 +301,90 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 		panic(fmt.Sprintf("randomwalk: unsupported walk kind %v", cfg.Kind))
 	}
 	nWalks := len(sources)
-	rows := 1 // without Record every step overwrites the one row in place
+	if cfg.Record && nWalks > 0 && cfg.Steps > math.MaxInt32/nWalks {
+		panic(fmt.Sprintf("randomwalk: trail of %d rows × %d walks overflows int32 offsets", cfg.Steps, nWalks))
+	}
+	res := &Result{steps: cfg.Steps, adj: newCSR(g)}
 	if cfg.Record {
-		rows = cfg.Steps + 1
+		buf := make([]int32, 2*nWalks)
+		res.Ends, res.sources = buf[:nWalks:nWalks], buf[nWalks:]
+		copy(res.sources, sources)
+	} else {
+		res.Ends = make([]int32, nWalks)
 	}
-	if nWalks > 0 && rows > math.MaxInt32/nWalks {
-		panic(fmt.Sprintf("randomwalk: trail of %d rows × %d walks overflows int32 offsets", rows, nWalks))
-	}
-	adj := newCSR(g)
-	trail := make([]int32, rows*nWalks)
-	copy(trail, sources)
-	res := &Result{Ends: trail[(rows-1)*nWalks:], steps: cfg.Steps, adj: adj}
-	if cfg.Record {
-		res.trail = trail
-	}
+	copy(res.Ends, sources)
 	res.Stats.PerStepMaxLoad = make([]int, cfg.Steps)
 
+	n, nTouched, nBucket := g.N(), min(nWalks, 2*g.M()), 0
+	if cfg.Correlated {
+		nBucket = n + nWalks
+	}
+	scratch := make([]int32, nTouched+n+nBucket)
 	st := &stepper{
-		adj:      adj,
+		adj:      &res.adj,
 		rng:      rng,
 		edgeLoad: make([]int64, 2*g.M()), // directed: 2*id + dir
-		touched:  make([]int32, min(nWalks, 2*g.M())),
-		tokensAt: make([]int32, g.N()),
+		touched:  scratch[:nTouched],
+		tokensAt: scratch[nTouched : nTouched+n],
 	}
 	if cfg.Correlated {
-		st.bucketEnd = make([]int32, g.N())
-		st.bucketTok = make([]int32, nWalks)
+		st.bucketEnd, st.bucketTok = scratch[nTouched+n:nTouched+2*n], scratch[nTouched+2*n:]
 	}
 	for _, s := range sources {
 		st.tokensAt[s]++
 	}
 	res.noteOccupancy(st.tokensAt)
-	var inboxBuf []int // per-node occupancy copy handed to the probe
 	if cfg.Probe != nil {
-		inboxBuf = make([]int, g.N())
-		cfg.Probe.RunStart(congest.RunInfo{Name: cfg.TraceName, Nodes: g.N(), Edges: g.M()})
+		cfg.Probe.RunStart(congest.RunInfo{Name: cfg.TraceName, Nodes: n, Edges: g.M()})
 	}
 
-	twoDelta := 2 * g.MaxDegree()
-	cur := trail[:nWalks]
+	// The trail's width is fixed once per run, and one generic walk loop
+	// runs every width; a run without Record keeps no trail at all.
+	switch delta := g.MaxDegree(); {
+	case !cfg.Record || delta <= math.MaxUint8:
+		walk[uint8](res, st, cfg, 2*delta)
+	case delta <= math.MaxUint16:
+		walk[uint16](res, st, cfg, 2*delta)
+	default:
+		walk[uint32](res, st, cfg, 2*delta)
+	}
+	if cfg.Probe != nil {
+		cfg.Probe.RunEnd(res.Stats.Rounds, nil)
+	}
+	return res
+}
+
+// walk runs Run's steps with a trail of width T, stepping Ends in place.
+func walk[T width](res *Result, st *stepper, cfg Config, twoDelta int) {
+	at, nWalks := res.Ends, len(res.Ends)
+	var record moves[T]
+	if cfg.Record {
+		record = make(moves[T], cfg.Steps*nWalks)
+		res.trail = record
+	}
+	var inboxBuf []int // per-node occupancy copy handed to the probe
+	if cfg.Probe != nil {
+		inboxBuf = make([]int, len(st.tokensAt))
+	}
 	for step := 0; step < cfg.Steps; step++ {
-		next := cur
-		if cfg.Record {
-			next = trail[(step+1)*nWalks : (step+2)*nWalks]
+		var row []T
+		if record != nil {
+			row = record[step*nWalks : (step+1)*nWalks]
 		}
 		switch {
 		case cfg.Correlated:
-			st.stepCorrelated(cfg.Kind, cur, next, twoDelta)
+			stepCorrelated(st, cfg.Kind, at, row, twoDelta)
 		case cfg.Kind == spectral.Lazy:
-			st.stepLazy(cur, next)
+			stepLazy(st, at, row)
 		default:
-			st.stepRegular(cur, next, twoDelta)
+			stepRegular(st, at, row, twoDelta)
 		}
-		cur = next
 
 		crossed := st.touched[:st.nTouched]
-		maxLoad, moves := 1, 0 // a phase takes at least one round even if all tokens stayed
+		maxLoad, hops := 1, 0 // a phase takes at least one round even if all tokens stayed
 		for _, slot := range crossed {
 			load := int(st.edgeLoad[slot])
-			moves += load
+			hops += load
 			maxLoad = max(maxLoad, load)
 		}
 		res.Stats.PerStepMaxLoad[step] = maxLoad
@@ -345,7 +395,7 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 			// "round" per walk step, congestion as Lemma 2.5 counts it.
 			rec := &congest.RoundRecord{
 				Round:        step + 1,
-				Delivered:    moves,
+				Delivered:    hops,
 				Active:       nWalks,
 				MaxInboxNode: -1,
 				MaxEdgeLoad:  int64(maxLoad),
@@ -366,10 +416,6 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 		}
 		st.nTouched = 0
 	}
-	if cfg.Probe != nil {
-		cfg.Probe.RunEnd(res.Stats.Rounds, nil)
-	}
-	return res
 }
 
 func (r *Result) noteOccupancy(tokensAt []int32) {
@@ -391,25 +437,36 @@ func (r *Result) noteOccupancy(tokensAt []int32) {
 // with Config.Record.
 func (r *Result) Path(i int) []int32 { return r.Paths([]int{i})[0] }
 
-// Paths gathers the trajectories of the walks keep lists (nil = all), in
-// that order, out of the trail into one arena. A caller that keeps only a
-// fraction of the walks it ran — as the overlay builders do — pays for
-// that fraction only.
+// Paths replays the walks keep lists (nil = all) from their sources
+// through the trail and returns their trajectories, in that order, in one
+// arena. A caller that keeps only a fraction of the walks it ran — as the
+// overlay builders do — pays for that fraction only.
 func (r *Result) Paths(keep []int) [][]int32 {
 	keep = r.kept(keep)
-	n, length := len(r.Ends), r.steps+1
+	length := r.steps + 1
 	arena := make([]int32, len(keep)*length)
 	paths := make([][]int32, len(keep))
-	for k := range paths {
+	for k, i := range keep {
 		paths[k] = arena[k*length : (k+1)*length : (k+1)*length]
+		paths[k][0] = r.sources[i]
 	}
-	for s := 0; s < length; s++ {
-		row := r.trail[s*n : (s+1)*n]
+	// Step-major, so each step's slice of the trail is read in one pass.
+	for s := 1; s < length; s++ {
 		for k, i := range keep {
-			arena[k*length+s] = row[i]
+			at := k*length + s
+			arena[at] = r.next(s-1, i, arena[at-1])
 		}
 	}
 	return paths
+}
+
+// next returns the node walk i moves to in step s+1 from u, the node it
+// occupied after s steps.
+func (r *Result) next(s, i int, u int32) int32 {
+	if off, moved := r.trail.hop(s*len(r.Ends) + i); moved {
+		return r.adj.to[r.adj.start[u]+off]
+	}
+	return u
 }
 
 // kept resolves a walk subset (nil = all) and rejects a run that recorded
@@ -456,28 +513,34 @@ func UniformCountTimesDegree(g *graph.Graph, k int) []int {
 
 // ReverseDeliveryRounds measures the CONGEST rounds needed to run the
 // recorded walks keep lists (nil = all) backwards — the mechanism of
-// §3.1.1 for informing sources of their endpoints. By symmetry each
-// reverse step loads edges exactly as the forward step did, so for all
-// walks the cost equals replaying the forward schedule; for a subset it is
-// recomputed here from the trail. Loads are counted per (from, to) node
+// §3.1.1 for informing sources of their endpoints. A reverse step loads
+// edges exactly as its forward step did in the opposite direction, so the
+// kept walks are replayed forward from their sources and each step's
+// reverse hops are charged as they are found; the total is the same sum of
+// per-step maxima in either order. Loads are counted per (from, to) node
 // pair, so parallel edges between the same pair share one load.
 func (r *Result) ReverseDeliveryRounds(keep []int) int {
 	keep = r.kept(keep)
 	if len(keep) == 0 {
 		return 0
 	}
-	n := len(r.Ends)
+	at := make([]int32, len(keep))
+	for k, i := range keep {
+		at[k] = r.sources[i]
+	}
 	load := make([]int32, len(r.adj.to)) // per port, cleared via touched
 	touched := make([]int32, 0, min(len(keep), len(load)))
 	rounds := 0
-	for s := r.steps; s >= 1; s-- {
-		from, to := r.trail[s*n:(s+1)*n], r.trail[(s-1)*n:s*n]
+	for s := 0; s < r.steps; s++ {
 		maxLoad := int32(1)
-		for _, i := range keep {
-			if from[i] == to[i] {
+		for k, i := range keep {
+			u := at[k]
+			v := r.next(s, i, u)
+			if v == u {
 				continue
 			}
-			p := r.adj.port(from[i], to[i])
+			at[k] = v
+			p := r.adj.port(v, u) // the reverse hop v → u
 			if load[p] == 0 {
 				touched = append(touched, p)
 			}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -194,8 +195,10 @@ func refReverseDeliveryRounds(paths [][]int32, keep []int) int {
 }
 
 // walkFixtures are the graph shapes the differential runs over: regular,
-// uneven degrees, an isolated node (no draw), and a multigraph whose
-// parallel edges a reverse replay must merge.
+// uneven degrees, an isolated node (no draw), a multigraph whose parallel
+// edges a reverse replay must merge, and one star per trail width past a
+// byte — Δ = 299 keeps a uint16 trail, Δ = 69 999 a uint32 one, whose hub
+// departures past offset 65 535 a narrower trail would garble.
 func walkFixtures() map[string]*graph.Graph {
 	withIsolated := graph.New(7)
 	for v := 0; v < 5; v++ {
@@ -210,12 +213,16 @@ func walkFixtures() map[string]*graph.Graph {
 		"star9":    graph.Star(9),
 		"isolated": withIsolated,
 		"multi":    multi,
+		"star300":  graph.Star(300),
+		"hub70000": graph.Star(70_000),
 	}
 }
 
-// fixtureSources starts three walks on every node, isolated ones included.
+// fixtureSources starts three walks on each of the first 512 nodes: every
+// node of the small fixtures, isolated ones included, and the hub and some
+// leaves of the wide stars.
 func fixtureSources(g *graph.Graph) []int32 {
-	counts := make([]int, g.N())
+	counts := make([]int, min(g.N(), 512))
 	for v := range counts {
 		counts[v] = 3
 	}
@@ -365,4 +372,49 @@ func TestRunAllocationsAreConstant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecordingRunBytes holds a recording Run to its trail — steps × walks
+// × the trail's width — plus O(walks + n + m) for the endpoints, the
+// sources' copy, the adjacency and the step scratch. A trail of node IDs,
+// four bytes per walk per step, is several times over it.
+func TestRecordingRunBytes(t *testing.T) {
+	const steps = 40
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		width int
+	}{
+		{"rr64d6", graph.RandomRegular(64, 6, rngutil.NewRand(9)), 1},
+		{"star300", graph.Star(300), 2},
+	} {
+		sources := SourcesPerNode(UniformCountTimesDegree(tc.g, 8))
+		walks, n, m := len(sources), tc.g.N(), tc.g.M()
+		budget := steps*walks*tc.width + 16*walks + 64*(n+m) + 8*steps + 4096
+		for _, cfg := range []Config{
+			{Kind: spectral.Lazy, Steps: steps, Record: true},
+			{Kind: spectral.Regular, Steps: steps, Record: true},
+			{Kind: spectral.Lazy, Steps: steps, Record: true, Correlated: true},
+		} {
+			rng := rngutil.NewRand(10)
+			if got := bytesPerRun(func() { Run(tc.g, sources, cfg, rng) }); got > budget {
+				t.Errorf("%s %+v: a recording Run of %d walks × %d steps allocates %d B, budget %d B",
+					tc.name, cfg, walks, steps, got, budget)
+			}
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged
+// over a few calls.
+func bytesPerRun(f func()) int {
+	const runs = 4
+	f() // warm up: lazily initialised runtime state is not f's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc-before.TotalAlloc) / runs
 }

@@ -59,15 +59,18 @@ transport-suite:
 
 # The cluster-scoped-tier suite, race-instrumented and never shortened:
 # every test of the decomposition, of the three embedded packages it
-# feeds and of the Borůvka kernel mst.RunPartitioned's stitch and direct
-# tiers stand on (mstbase, cliquealgo: seconds), run whole so a new test
-# cannot fall between hand-kept -run lists. The stitched router must
+# feeds, of the Borůvka kernel mst.RunPartitioned's stitch and direct
+# tiers stand on (mstbase, cliquealgo: seconds) and of the layers under
+# all of them — the graph's CSR and the walk engine, whose network-walk
+# differential test shrinks to one seed and whose steady-round gate skips
+# under -short, so `make race` never runs them whole — run whole so a new
+# test cannot fall between hand-kept -run lists. The stitched router must
 # deliver every packet deterministically, the stitched MST must reproduce
 # Kruskal's exact edge set (the correctness contract of DESIGN.md §3's
-# decomposition section), and concurrent runs filling one hierarchy's leaf
-# route rows must each match their serial run.
+# decomposition section), and concurrent runs filling one hierarchy's
+# leaf route rows must each match their serial run.
 decomp-suite:
-	go test -race -timeout 600s ./internal/decomp ./internal/embed ./internal/route ./internal/mst ./internal/mstbase ./internal/cliquealgo
+	go test -race -timeout 600s ./internal/graph ./internal/randomwalk ./internal/decomp ./internal/embed ./internal/route ./internal/mst ./internal/mstbase ./internal/cliquealgo
 
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...
@@ -92,7 +95,8 @@ bench-module:
 # flat, the one-part run must report 0 allocs/op, and B/port is the arena
 # bytes per directed port (56: a 24-byte outbox record and a 32-byte inbox
 # slot). The 1e6 points peak at 1.1 GB resident — 450 MB of arenas, the
-# rest CSR tables, contexts and the graph — and take a few seconds each;
+# rest the graph (its CSR and edge list), the engine's peer table and the
+# contexts — and take a few seconds each;
 # BENCHTIME=1x make bench-scale for one pass.
 bench-scale:
 	go test -run '^$$' -bench BenchmarkCongestEngineScale -benchmem -benchtime $(BENCHTIME) .

@@ -83,8 +83,7 @@ func TestDirectDeliversAll(t *testing.T) {
 }
 
 func TestDirectRejectsDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if _, err := Direct(g); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}

@@ -14,8 +14,9 @@
 // compared against the theorems.
 //
 // Memory layout (DESIGN.md §3): the hot path is built for zero-alloc
-// steady-state rounds at n ≥ 10^6. Adjacency, port and peer-slot
-// tables are flat int32 CSR arrays (topology.go); node contexts are one
+// steady-state rounds at n ≥ 10^6. Ports are the graph's own CSR
+// (graph.Graph.CSR) and the one table the engine adds is peer, its
+// delivery index, flat int32 like it; node contexts are one
 // flat []Ctx; outboxes and inboxes are subslices of two value arenas
 // sized once at NewNetwork and recycled every round by slice reset. A
 // Message is a fixed-width record without pointers, so both arenas are
@@ -132,22 +133,16 @@ func (c *Ctx) ID() int { return c.id }
 
 // N returns the number of nodes in the network (globally known, as usual
 // in CONGEST algorithms that assume knowledge of n).
-func (c *Ctx) N() int { return c.net.topo.n }
+func (c *Ctx) N() int { return c.net.g.N() }
 
 // Degree returns the node's degree (number of ports).
 func (c *Ctx) Degree() int { return len(c.outbox) }
 
 // NeighborID returns the ID of the neighbor across the given port.
-func (c *Ctx) NeighborID(port int) int {
-	t := c.net.topo
-	return int(t.to[t.start[c.id]+int32(port)])
-}
+func (c *Ctx) NeighborID(port int) int { return int(c.net.g.Neighbors(c.id)[port].To) }
 
 // EdgeID returns the graph edge identifier behind the given port.
-func (c *Ctx) EdgeID(port int) int {
-	t := c.net.topo
-	return int(t.edge[t.start[c.id]+int32(port)])
-}
+func (c *Ctx) EdgeID(port int) int { return c.net.g.Neighbors(c.id)[port].EdgeID() }
 
 // EdgeWeight returns the weight of the edge behind the given port.
 func (c *Ctx) EdgeWeight(port int) float64 {
@@ -155,10 +150,8 @@ func (c *Ctx) EdgeWeight(port int) float64 {
 }
 
 // PortTo returns the port leading to neighbor u, or -1 when no edge to u
-// exists. O(log deg) by binary search on the CSR port table — programs
-// that need to answer "which port reaches u?" should use this instead of
-// scanning NeighborID over all ports.
-func (c *Ctx) PortTo(u int) int { return c.net.topo.portOf(c.id, u) }
+// exists: graph.Graph.Port, O(deg).
+func (c *Ctx) PortTo(u int) int { return c.net.g.Port(c.id, u) }
 
 // Rand returns the node's private deterministic random stream. The
 // stream is derived purely from (source seed, node ID) on first use, so
@@ -236,14 +229,19 @@ type Program interface {
 // Network simulates a CONGEST execution of one Program replicated on all
 // nodes of a graph.
 type Network struct {
-	g        *graph.Graph
-	topo     *topology
+	g *graph.Graph
+	// peer[i] is the absolute CSR index of the half-edge reversing
+	// half-edge i (graph.Graph.Reverses): the sender's port leading to
+	// the receiver, so the receiver-driven delivery scan finds the
+	// sender's outbox slot with one int32 load and reads it with one
+	// arena load.
+	peer     []int32
 	src      *rngutil.Source
 	ctxs     []Ctx
 	programs []Program
 	// out is the outbox arena, one record per directed port in CSR order:
 	// ctxs[v].outbox is its subslice [start[v], start[v+1]), and delivery
-	// reads a sender's slot by absolute index (topology.peer).
+	// reads a sender's slot by absolute index (peer).
 	out []Message
 	// inboxes[v] is node v's delivery buffer, a subslice of one flat
 	// arena sized to the directed-port count at NewNetwork. Engines
@@ -286,10 +284,10 @@ func NewNetwork(g *graph.Graph, programs []Program, src *rngutil.Source) *Networ
 		panic(fmt.Sprintf("congest: %d programs for %d nodes", len(programs), g.N()))
 	}
 	n := g.N()
-	topo := newTopology(g)
+	start, _ := g.CSR()
 	net := &Network{
 		g:        g,
-		topo:     topo,
+		peer:     g.Reverses(),
 		src:      src,
 		ctxs:     make([]Ctx, n),
 		programs: programs,
@@ -300,7 +298,7 @@ func NewNetwork(g *graph.Graph, programs []Program, src *rngutil.Source) *Networ
 	// node (PortArenaBytes per directed port); the full-slice expressions
 	// pin each node's capacity to its degree so a neighbor's append can
 	// never bleed into the next node's range.
-	ports := int(topo.start[n])
+	ports := int(start[n])
 	net.out = make([]Message, ports)
 	inArena := make([]Inbound, ports)
 	// Fault the arenas in here. Pointer-free memory fresh from the OS is
@@ -312,7 +310,7 @@ func NewNetwork(g *graph.Graph, programs []Program, src *rngutil.Source) *Networ
 	clear(net.out)
 	clear(inArena)
 	for v := 0; v < n; v++ {
-		lo, hi := topo.start[v], topo.start[v+1]
+		lo, hi := start[v], start[v+1]
 		ctx := &net.ctxs[v]
 		ctx.id = v
 		ctx.net = net
@@ -437,9 +435,9 @@ func (n *Network) deliverTo(u, w int) int {
 		n.inboxes[u] = inbox
 		return len(inbox)
 	}
-	t := n.topo
-	lo, hi := t.start[u], t.start[u+1]
-	peer, to, out := t.peer[lo:hi], t.to[lo:hi], n.out
+	start, half := n.g.CSR()
+	lo, hi := start[u], start[u+1]
+	peer, ports, out := n.peer[lo:hi], half[lo:hi], n.out
 	if n.ctxs[u].halted {
 		for _, slot := range peer {
 			out[slot].empty()
@@ -454,7 +452,7 @@ func (n *Network) deliverTo(u, w int) int {
 			// that cannot be forwarded from them (see Send).
 			inbox = append(inbox, Inbound{})
 			in := &inbox[len(inbox)-1]
-			in.Port, in.From, in.Payload = int32(p), to[p], *m
+			in.Port, in.From, in.Payload = int32(p), ports[p].To, *m
 			m.Kind = 0
 		}
 	}

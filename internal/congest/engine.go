@@ -115,7 +115,7 @@ type partPool struct {
 
 func newPartPool(n *Network, k int, ms *metricsState) *partPool {
 	pp := &partPool{workerPool: newWorkerPool(k), parts: make([]part, k), tally: make([]int, k*pad)}
-	split := Split{N: n.topo.n, K: k}
+	split := Split{N: n.g.N(), K: k}
 	for w := range pp.parts {
 		lo, hi := split.Bounds(w)
 		pp.parts[w] = part{net: n, lo: lo, hi: hi, w: w}
@@ -155,7 +155,7 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 	if err := n.begin(); err != nil {
 		return n.rounds, err
 	}
-	nNodes := n.topo.n
+	nNodes := n.g.N()
 	k := max(min(n.workers, nNodes), 1)
 	n.probeRunStart()
 	n.faultsRunStart(k)

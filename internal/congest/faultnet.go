@@ -101,14 +101,14 @@ func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, w int) [
 	fc := &fs.counts[w*faultCountStride]
 	ctx := &n.ctxs[u]
 
-	t := n.topo
-	lo, hi := t.start[u], t.start[u+1]
+	start, half := n.g.CSR()
+	lo, hi := start[u], start[u+1]
 	if ctx.halted {
 		// A halted node never steps again: discard anything still aimed
 		// at it, delayed or fresh, under the fault-free halted-drop rule.
 		fs.pending[u] = fs.pending[u][:0]
 		for i := lo; i < hi; i++ {
-			n.out[t.peer[i]].empty()
+			n.out[n.peer[i]].empty()
 		}
 		return inbox
 	}
@@ -132,18 +132,19 @@ func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, w int) [
 	// the same canonical scan as the fault-free path, and like it taking
 	// every message it reads, whatever its fate.
 	for i := lo; i < hi; i++ {
-		m := &n.out[t.peer[i]]
+		m := &n.out[n.peer[i]]
 		if m.Kind == 0 {
 			continue
 		}
-		in := Inbound{Port: i - lo, From: t.to[i], Payload: *m}
+		h := half[i]
+		in := Inbound{Port: i - lo, From: h.To, Payload: *m}
 		m.Kind = 0
-		if crashed || fs.plan.Severed(int(t.edge[i]), round) {
+		if crashed || fs.plan.Severed(h.EdgeID(), round) {
 			fc.Dropped++
 			continue
 		}
-		slot := t.slotOf(i, u)
-		fate, delay := fs.plan.MessageFate(round, slot)
+		// The delivery crosses the receiver's half-edge backwards.
+		fate, delay := fs.plan.MessageFate(round, int(h.Arc^1))
 		switch fate {
 		case faults.Drop:
 			fc.Dropped++

@@ -49,9 +49,9 @@ func FuzzNetworkRun(f *testing.F) {
 	f.Add(uint64(3), uint16(0xaaaa), uint8(7), uint8(20), uint8(3))
 	f.Add(uint64(4), uint16(0x0000), uint8(5), uint8(3), uint8(0))
 	f.Add(uint64(5), uint16(0x7777), uint8(6), uint8(31), uint8(8))
-	// Degree-extreme topologies stressing the CSR port tables: a pure
+	// Degree-extreme topologies stressing the CSR port ranges: a pure
 	// star on 6 nodes (pair indices 0–4 are exactly (0,v); one long
-	// sorted port table at the hub, singletons at the leaves) and the
+	// port range at the hub, singletons at the leaves) and the
 	// complete graph K8 (maximum degree, every port table full).
 	f.Add(uint64(6), uint16(0x001f), uint8(4), uint8(12), uint8(2))
 	f.Add(uint64(7), uint16(0xffff), uint8(6), uint8(12), uint8(4))
@@ -61,16 +61,17 @@ func FuzzNetworkRun(f *testing.F) {
 		maxRounds := int(budgetRaw%32) + 1
 		workers := int(workersRaw % 9) // 0 (=GOMAXPROCS) .. 8
 
-		g := graph.New(n)
-		bit := 0
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if edgeMask&(1<<(bit%16)) != 0 {
-					g.AddEdge(u, v, 1)
+		g := graph.Build(n, func(add func(u, v int, w float64)) {
+			bit := 0
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if edgeMask&(1<<(bit%16)) != 0 {
+						add(u, v, 1)
+					}
+					bit++
 				}
-				bit++
 			}
-		}
+		})
 		if err := g.Validate(); err != nil {
 			t.Fatalf("generated graph invalid: %v", err)
 		}

@@ -36,7 +36,7 @@ type part struct {
 
 // all is the part that covers the whole network: the engine's only part
 // when it runs inline, and its between-barriers bookkeeping view otherwise.
-func (n *Network) all() part { return part{net: n, hi: n.topo.n} }
+func (n *Network) all() part { return part{net: n, hi: n.g.N()} }
 
 // Nodes returns the part's half-open node range.
 func (p part) Nodes() (lo, hi int) { return p.lo, p.hi }

@@ -158,7 +158,7 @@ type phaseMark struct {
 // records. The record and its slices are scratch refilled in place, so
 // a steady probed round allocates nothing.
 type RoundAggregator struct {
-	topo       *topology
+	g          *graph.Graph
 	inboxSizes []int
 	edgeLoad   []int64
 	touched    []int
@@ -167,14 +167,10 @@ type RoundAggregator struct {
 
 // NewRoundAggregator returns an aggregator for runs on g.
 func NewRoundAggregator(g *graph.Graph) *RoundAggregator {
-	return newRoundAggregator(newTopology(g))
-}
-
-func newRoundAggregator(t *topology) *RoundAggregator {
 	return &RoundAggregator{
-		topo:       t,
-		inboxSizes: make([]int, t.n),
-		edgeLoad:   make([]int64, len(t.to)),
+		g:          g,
+		inboxSizes: make([]int, g.N()),
+		edgeLoad:   make([]int64, 2*g.M()),
 		rec:        RoundRecord{MaxInboxNode: -1},
 	}
 }
@@ -188,7 +184,7 @@ func (a *RoundAggregator) Deliver(u, port int) {
 		a.rec.MaxInbox = a.inboxSizes[u]
 		a.rec.MaxInboxNode = u
 	}
-	slot := a.topo.slotOf(a.topo.start[u]+int32(port), u)
+	slot := int(a.g.Neighbors(u)[port].Arc ^ 1) // the arc the delivery crossed
 	if a.edgeLoad[slot] == 0 {
 		a.touched = append(a.touched, slot)
 	}
@@ -228,7 +224,7 @@ func (n *Network) probeRunStart() {
 		return
 	}
 	if n.agg == nil {
-		n.agg = newRoundAggregator(n.topo)
+		n.agg = NewRoundAggregator(n.g)
 	}
 	n.onMark, n.onHalt = n.probe.PhaseMark, n.probe.NodeHalted
 	n.probe.RunStart(RunInfo{Nodes: n.g.N(), Edges: n.g.M()})

@@ -69,8 +69,8 @@ type Shard struct {
 // observability is drained by the coordinator through DrainEvents
 // instead, so event collection is always on.
 func NewShard(net *Network, lo, hi int) (*Shard, error) {
-	if lo < 0 || hi > net.topo.n || lo > hi {
-		return nil, fmt.Errorf("congest: shard range [%d, %d) outside nodes [0, %d)", lo, hi, net.topo.n)
+	if lo < 0 || hi > net.g.N() || lo > hi {
+		return nil, fmt.Errorf("congest: shard range [%d, %d) outside nodes [0, %d)", lo, hi, net.g.N())
 	}
 	// Event collection (marks, halt rounds) is gated on an attached
 	// probe; the shard always collects so the coordinator can rebuild
@@ -83,20 +83,17 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 	// goroutine, so the fault scratch needs one count slot.
 	net.faultsRunStart(1)
 	s := &Shard{part: part{net: net, lo: lo, hi: hi}}
-	t := net.topo
-	for u := lo; u < hi; u++ {
-		ulo, uhi := t.start[u], t.start[u+1]
-		for i := ulo; i < uhi; i++ {
-			nbr := int(t.to[i])
-			if nbr >= lo && nbr < hi {
-				continue
-			}
-			s.boundary = append(s.boundary, shardBoundary{
-				ownerSlot:  i,
-				remote:     t.to[i],
-				remotePort: t.peer[i] - t.start[t.to[i]],
-			})
+	start, half := net.g.CSR()
+	for i := start[lo]; i < start[hi]; i++ {
+		nbr := half[i].To
+		if int(nbr) >= lo && int(nbr) < hi {
+			continue
 		}
+		s.boundary = append(s.boundary, shardBoundary{
+			ownerSlot:  i,
+			remote:     nbr,
+			remotePort: net.peer[i] - start[nbr],
+		})
 	}
 	return s, nil
 }
@@ -111,19 +108,20 @@ func (s *Shard) Inject(dst, port int, payload Message) error {
 	if dst < s.lo || dst >= s.hi {
 		return fmt.Errorf("congest: inject to node %d outside shard [%d, %d)", dst, s.lo, s.hi)
 	}
-	t := s.net.topo
-	if port < 0 || port >= t.degree(dst) {
+	g := s.net.g
+	if port < 0 || port >= g.Degree(dst) {
 		return fmt.Errorf("congest: inject to node %d on invalid port %d", dst, port)
 	}
-	i := t.start[dst] + int32(port)
-	from := int(t.to[i])
+	start, half := g.CSR()
+	i := start[dst] + int32(port)
+	from := int(half[i].To)
 	if from >= s.lo && from < s.hi {
 		return fmt.Errorf("congest: inject to node %d port %d crosses no shard boundary (sender %d is owned)", dst, port, from)
 	}
 	if payload.Kind == 0 {
 		return fmt.Errorf("congest: inject of the empty record (kind 0) to node %d port %d", dst, port)
 	}
-	slot := &s.net.out[t.peer[i]]
+	slot := &s.net.out[s.net.peer[i]]
 	if slot.Kind != 0 {
 		return fmt.Errorf("congest: duplicate inject to node %d port %d", dst, port)
 	}

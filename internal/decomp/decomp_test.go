@@ -140,13 +140,7 @@ func TestDecomposeBarbell(t *testing.T) {
 }
 
 func TestDecomposeDisconnectedComponents(t *testing.T) {
-	g := graph.New(7)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 0, 1)
-	g.AddEdge(3, 4, 1)
-	g.AddEdge(4, 5, 1)
-	g.AddEdge(5, 3, 1)
+	g := graph.FromEdges(7, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 3, W: 1}})
 	dec, err := Decompose(g, Params{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +194,7 @@ func TestDecomposeParamValidation(t *testing.T) {
 			t.Errorf("Decompose accepted invalid params %+v", p)
 		}
 	}
-	if _, err := Decompose(graph.New(0), Params{}); err == nil {
+	if _, err := Decompose(graph.FromEdges(0, nil), Params{}); err == nil {
 		t.Error("Decompose accepted an empty graph")
 	}
 }

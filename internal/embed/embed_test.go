@@ -74,7 +74,7 @@ func TestResolveDefaults(t *testing.T) {
 }
 
 func TestResolveErrors(t *testing.T) {
-	if _, err := DefaultParams().resolve(graph.New(1)); err == nil {
+	if _, err := DefaultParams().resolve(graph.FromEdges(1, nil)); err == nil {
 		t.Fatal("tiny graph accepted")
 	}
 	p := DefaultParams()
@@ -128,10 +128,7 @@ func TestResolvedWalkLenIsWalked(t *testing.T) {
 }
 
 func TestBuildRejectsDisconnected(t *testing.T) {
-	g := graph.New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(4, 5, 1)
+	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}})
 	if _, err := Build(g, DefaultParams(), rngutil.NewSource(1)); err == nil {
 		t.Fatal("disconnected base accepted")
 	}
@@ -331,9 +328,7 @@ func TestBuildErrorMentionsCause(t *testing.T) {
 	// A ring has terrible expansion; with a tiny walk budget G0 will
 	// either be fine (walks still mix: ring(8) is tiny) — so instead
 	// check the disconnected-graph message is descriptive.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	_, err := Build(g, DefaultParams(), rngutil.NewSource(3))
 	if err == nil || !strings.Contains(err.Error(), "disconnected") {
 		t.Fatalf("err = %v, want mention of disconnection", err)

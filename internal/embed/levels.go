@@ -126,7 +126,7 @@ func checkPartsConnected(o *Overlay, sizes []int) error {
 			for _, h := range o.Graph.Neighbors(v) {
 				if !visited[h.To] && o.PartOf[h.To] == part {
 					visited[h.To] = true
-					queue = append(queue, h.To)
+					queue = append(queue, int(h.To))
 				}
 			}
 		}

@@ -106,7 +106,7 @@ func BuildPartitioned(dec *decomp.Decomposition, p Params, src *rngutil.Source) 
 // quotient edge order deterministic (first cross edge between a pair
 // creates the quotient edge).
 func (pe *Partitioned) buildQuotient() {
-	q := graph.New(len(pe.Clusters))
+	var edges []graph.Edge
 	index := make(map[[2]int]int)
 	for _, id := range pe.Dec.CrossEdges {
 		e := pe.Base.Edge(id)
@@ -117,13 +117,14 @@ func (pe *Partitioned) buildQuotient() {
 		key := [2]int{a, b}
 		qi, ok := index[key]
 		if !ok {
-			qi = q.AddEdge(a, b, 1)
+			qi = len(edges)
+			edges = append(edges, graph.Edge{U: a, V: b, W: 1})
 			index[key] = qi
 			pe.Bundles = append(pe.Bundles, nil)
 		}
 		pe.Bundles[qi] = append(pe.Bundles[qi], id)
 	}
-	pe.Quotient = q
+	pe.Quotient = graph.FromEdges(len(pe.Clusters), edges)
 }
 
 // buildLedger renders the tier's construction into the decomp-build

@@ -146,14 +146,7 @@ func TestBuildPartitionedDirectFallback(t *testing.T) {
 // embed.Build on a disconnected graph reports the component count and
 // points the caller at the decomposition path.
 func TestBuildDisconnectedError(t *testing.T) {
-	g := graph.New(8)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 0, 1)
-	g.AddEdge(3, 4, 1)
-	g.AddEdge(4, 5, 1)
-	g.AddEdge(5, 6, 1)
-	g.AddEdge(6, 3, 1)
+	g := graph.FromEdges(8, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 6, W: 1}, {U: 6, V: 3, W: 1}})
 	_, err := Build(g, DefaultParams(), rngutil.NewSource(1))
 	if err == nil {
 		t.Fatal("Build accepted a disconnected graph")

@@ -17,7 +17,6 @@
 package flightrec
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -242,16 +241,4 @@ func WriteDump(path string, d Dump) error {
 		return nil
 	}
 	return harness.WriteFile(path, "flightrec", d.WriteJSON)
-}
-
-// ReadDump parses one dump document and validates it.
-func ReadDump(b []byte) (*Dump, error) {
-	var d Dump
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, fmt.Errorf("flightrec: decoding dump: %w", err)
-	}
-	if err := Validate(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

@@ -2,6 +2,7 @@ package flightrec
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,14 +101,25 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	if err := want.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDump(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readDump(t, buf.Bytes())
 	if got.Reason != want.Reason || got.GuiltyShard != 1 || got.LastRound != 4 ||
 		got.Phase != "step-wait" || len(got.Events) != 2 {
 		t.Errorf("round trip = %+v, want %+v", got, want)
 	}
+}
+
+// readDump decodes one dump document and validates it, as
+// transport.ReadObs does for every dump it embeds.
+func readDump(t *testing.T, b []byte) *Dump {
+	t.Helper()
+	var d Dump
+	if err := json.Unmarshal(b, &d); err != nil {
+		t.Fatalf("decoding dump: %v", err)
+	}
+	if err := Validate(&d); err != nil {
+		t.Fatalf("dump does not validate: %v", err)
+	}
+	return &d
 }
 
 func TestWriteDumpFile(t *testing.T) {
@@ -122,9 +134,7 @@ func TestWriteDumpFile(t *testing.T) {
 	if !strings.Contains(string(b), Schema) {
 		t.Errorf("dump file lacks the schema stamp:\n%s", b)
 	}
-	if _, err := ReadDump(b); err != nil {
-		t.Errorf("written dump does not validate: %v", err)
-	}
+	readDump(t, b)
 	if err := WriteDump(filepath.Join(t.TempDir(), "no", "such", "dir", "d.json"),
 		New("coord", -1, 4).Dump(ReasonFinish)); err == nil {
 		t.Error("WriteDump to an unwritable path reported success")

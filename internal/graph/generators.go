@@ -3,14 +3,15 @@ package graph
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // The deterministic generators stream their edge sequence through
 // graph.Build: edges are emitted twice (count, then fill) instead of
 // materialized in an intermediate list, and the adjacency lands in one
-// flat halfedge arena — construction at n ≥ 10^6 costs a handful of
-// allocations. Randomized generators keep the New + AddEdge path (their
-// streams cannot be replayed deterministically without buffering).
+// flat half-edge arena — construction at n ≥ 10^6 costs a handful of
+// allocations. Randomized generators draw their edge list once and hand
+// it to FromEdges (their streams cannot be replayed without buffering).
 
 // Ring returns the n-node cycle C_n (n >= 3).
 func Ring(n int) *Graph {
@@ -174,21 +175,18 @@ func Barbell(k, bridgeLen int) *Graph {
 // Gnp returns an Erdős–Rényi random graph G(n, p): each of the n·(n-1)/2
 // potential edges is present independently with probability p.
 func Gnp(n int, p float64, r *rand.Rand) *Graph {
-	g := New(n)
-	if p <= 0 {
-		return g
-	}
 	if p >= 1 {
 		return Complete(n)
 	}
-	for u := 0; u < n; u++ {
+	var edges []Edge
+	for u := 0; u < n && p > 0; u++ {
 		for v := u + 1; v < n; v++ {
 			if r.Float64() < p {
-				g.AddEdge(u, v, 1)
+				edges = append(edges, Edge{U: u, V: v, W: 1})
 			}
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 // ConnectedGnp draws G(n, p) samples until a connected one is found, up to
@@ -230,7 +228,7 @@ func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {
 			stubs = append(stubs, v)
 		}
 	}
-	g := New(n)
+	edges := make([]Edge, 0, n*d/2)
 	seen := make(map[[2]int]bool, n*d/2)
 	for len(stubs) > 0 {
 		accepted := false
@@ -254,7 +252,7 @@ func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {
 				continue
 			}
 			seen[[2]int{u, v}] = true
-			g.AddEdge(u, v, 1)
+			edges = append(edges, Edge{U: u, V: v, W: 1})
 			// Remove both stubs (larger index first).
 			if i < j {
 				i, j = j, i
@@ -270,7 +268,7 @@ func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {
 			return nil, false
 		}
 	}
-	return g, true
+	return FromEdges(n, edges), true
 }
 
 // WattsStrogatz returns a small-world graph: a ring lattice where every
@@ -314,12 +312,12 @@ func WattsStrogatz(n, k int, pRewire float64, r *rand.Rand) *Graph {
 	}
 	// Every rewire swaps its slot's pair for one not yet present, so the
 	// slots hold exactly the surviving edges, each once.
-	g := New(n)
-	for _, e := range edges {
-		e = norm(e)
-		g.AddEdge(e.u, e.v, 1)
-	}
-	return g
+	return Build(n, func(add func(u, v int, w float64)) {
+		for _, e := range edges {
+			e = norm(e)
+			add(e.u, e.v, 1)
+		}
+	})
 }
 
 // Margulis returns the Margulis–Gabber–Galil expander on the m×m torus
@@ -333,7 +331,7 @@ func Margulis(m int) *Graph {
 		panic("graph: margulis needs m >= 2")
 	}
 	n := m * m
-	g := New(n)
+	var edges []Edge
 	id := func(x, y int) int { return ((x%m+m)%m)*m + (y%m+m)%m }
 	seen := make(map[[2]int]bool, 4*n)
 	addOnce := func(u, v int) {
@@ -348,7 +346,7 @@ func Margulis(m int) *Graph {
 			return
 		}
 		seen[[2]int{a, b}] = true
-		g.AddEdge(u, v, 1)
+		edges = append(edges, Edge{U: u, V: v, W: 1})
 	}
 	for x := 0; x < m; x++ {
 		for y := 0; y < m; y++ {
@@ -363,7 +361,7 @@ func Margulis(m int) *Graph {
 			addOnce(u, id(x, y-2*x-1))
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 // Dumbbell returns two random d-regular expanders of size k connected by
@@ -372,12 +370,9 @@ func Margulis(m int) *Graph {
 func Dumbbell(k, d, bridges int, r *rand.Rand) *Graph {
 	left := RandomRegular(k, d, r)
 	right := RandomRegular(k, d, r)
-	g := New(2 * k)
-	for _, e := range left.Edges() {
-		g.AddEdge(e.U, e.V, 1)
-	}
+	edges := slices.Clone(left.Edges())
 	for _, e := range right.Edges() {
-		g.AddEdge(k+e.U, k+e.V, 1)
+		edges = append(edges, Edge{U: k + e.U, V: k + e.V, W: 1})
 	}
 	used := make(map[[2]int]bool, bridges)
 	for len(used) < bridges {
@@ -387,7 +382,7 @@ func Dumbbell(k, d, bridges int, r *rand.Rand) *Graph {
 			continue
 		}
 		used[key] = true
-		g.AddEdge(u, v, 1)
+		edges = append(edges, Edge{U: u, V: v, W: 1})
 	}
-	return g
+	return FromEdges(2*k, edges)
 }

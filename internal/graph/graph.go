@@ -7,11 +7,19 @@
 // Nodes are integers in [0, N). Edges carry a stable EdgeID so that
 // distributed node programs can refer to "port" numbers, and an optional
 // weight used by MST and min-cut algorithms.
+//
+// A graph's adjacency is the one CSR (compressed sparse row) table every
+// layer reads — the CONGEST engine's ports, the walk engine's steps and
+// the router's overlay hops: node v's half-edges are half[start[v]:
+// start[v+1]], port p of v being the p-th, in ascending edge-ID order.
+// Build is the only constructor and the topology is immutable once built;
+// only edge weights change afterwards.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 )
@@ -23,31 +31,26 @@ type Edge struct {
 }
 
 // Halfedge is the view of an edge from one endpoint: the neighbor it leads
-// to and the identifier of the underlying edge.
+// to and its arc, the directed slot of the hop over it. Arc is 2·EdgeID,
+// plus 1 when the hop ends at the edge's V endpoint, so the 2m arcs of a
+// graph number its directed edges densely, and Arc^1 is the same edge
+// crossed the other way. The walk engine charges a crossing's load to its
+// arc, the fault layer rolls a delivery's fate on it, and a receiver's own
+// half-edge names the arriving delivery's arc as Arc^1.
 type Halfedge struct {
-	To     int
-	EdgeID int
+	To, Arc int32
 }
 
+// EdgeID returns the identifier of the edge the half-edge belongs to.
+func (h Halfedge) EdgeID() int { return int(h.Arc >> 1) }
+
 // Graph is an undirected weighted graph without self-loops; the generators
-// build simple graphs, AddEdge also accepts parallel edges.
-//
-// The zero value is an empty graph; use New or a generator to build one.
+// build simple graphs, Build also accepts parallel edges.
 type Graph struct {
 	n     int
 	edges []Edge
-	adj   [][]Halfedge
-}
-
-// New returns an empty graph on n nodes.
-func New(n int) *Graph {
-	if n < 0 {
-		panic("graph: negative node count")
-	}
-	return &Graph{
-		n:   n,
-		adj: make([][]Halfedge, n),
-	}
+	start []int32    // len n+1: node v's half-edges are half[start[v]:start[v+1]]
+	half  []Halfedge // len 2m
 }
 
 // N returns the number of nodes.
@@ -62,41 +65,29 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 
-// AddEdge inserts an undirected edge {u, v} with weight w and returns its
-// EdgeID. Self-loops and out-of-range endpoints are rejected with a panic,
-// since all callers construct graphs programmatically and a violation is
-// a bug. Parallel edges are accepted, each under its own EdgeID: the
-// embedding overlays are multigraphs by design.
-func (g *Graph) AddEdge(u, v int, w float64) int {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d", u))
-	}
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n))
-	}
-	id := len(g.edges)
-	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
-	g.adj[u] = append(g.adj[u], Halfedge{To: v, EdgeID: id})
-	g.adj[v] = append(g.adj[v], Halfedge{To: u, EdgeID: id})
-	return id
-}
-
 // Build constructs a graph on n nodes by streaming the edge sequence
-// twice through emit: a counting pass sizes the edge list and one flat
-// halfedge arena exactly, then a filling pass inserts the edges. The
-// stream is never materialized as an intermediate edge list, and the
-// adjacency costs three allocations total instead of O(n) slice growths
-// — the construction path the million-node simulator arenas rely on.
+// twice through emit: a counting pass sizes the CSR exactly, then a
+// filling pass writes each edge under the next EdgeID and appends its two
+// half-edges to its endpoints' ranges. The stream is never materialized
+// as an intermediate edge list, and the graph costs a handful of allocations
+// whatever n — the construction path the million-node simulator arenas
+// rely on.
+//
+// Self-loops and out-of-range endpoints are rejected with a panic, since
+// all callers construct graphs programmatically and a violation is a bug.
+// Parallel edges are accepted, each under its own EdgeID: the embedding
+// overlays are multigraphs by design. So is a graph whose node or
+// half-edge count exceeds int32 range, checked here once for every layer
+// that indexes the CSR.
 //
 // emit must be deterministic: both passes must produce the identical
-// edge sequence (Build panics when the counts disagree). Generators
-// that consume randomness should draw the stream into a buffer once and
-// replay it, or keep using New + AddEdge.
+// edge sequence (Build panics when they disagree). A randomized generator
+// draws its edges into a list once and hands it to FromEdges.
 func Build(n int, emit func(add func(u, v int, w float64))) *Graph {
-	if n < 0 {
-		panic("graph: negative node count")
+	if n < 0 || n >= math.MaxInt32 {
+		panic(fmt.Sprintf("graph: node count %d outside [0, 2^31-1)", n))
 	}
-	deg := make([]int, n)
+	start := make([]int32, n+1)
 	m := 0
 	emit(func(u, v int, w float64) {
 		if u == v {
@@ -105,55 +96,96 @@ func Build(n int, emit func(add func(u, v int, w float64))) *Graph {
 		if u < 0 || u >= n || v < 0 || v >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
 		}
-		deg[u]++
-		deg[v]++
-		m++
+		if m++; m > math.MaxInt32/2 {
+			panic(fmt.Sprintf("graph: more than %d edges overflow int32 arcs", math.MaxInt32/2))
+		}
+		start[u+1]++
+		start[v+1]++
 	})
-	g := &Graph{
-		n:     n,
-		edges: make([]Edge, 0, m),
-		adj:   make([][]Halfedge, n),
-	}
-	arena := make([]Halfedge, 2*m)
-	off := 0
 	for v := 0; v < n; v++ {
-		// Full-slice expressions pin each node's capacity to its counted
-		// degree, so a miscounting emit reallocates out of the arena
-		// instead of corrupting a neighbor's range.
-		g.adj[v] = arena[off : off : off+deg[v]]
-		off += deg[v]
+		start[v+1] += start[v]
 	}
-	emit(func(u, v int, w float64) { g.AddEdge(u, v, w) })
+	g := &Graph{n: n, edges: make([]Edge, 0, m), start: start, half: make([]Halfedge, 2*m)}
+	next := slices.Clone(start[:n]) // each node's fill cursor
+	emit(func(u, v int, w float64) {
+		id := len(g.edges)
+		if id == m || next[u] == start[u+1] || next[v] == start[v+1] {
+			panic("graph: Build emit is not deterministic: the fill pass overruns the counted edges")
+		}
+		g.edges = append(g.edges, Edge{U: u, V: v, W: w})
+		arc := 2 * int32(id)
+		g.half[next[u]] = Halfedge{To: int32(v), Arc: arc | 1}
+		g.half[next[v]] = Halfedge{To: int32(u), Arc: arc}
+		next[u]++
+		next[v]++
+	})
 	if len(g.edges) != m {
 		panic(fmt.Sprintf("graph: Build emit is not deterministic: counted %d edges, inserted %d", m, len(g.edges)))
 	}
 	return g
 }
 
-// HasEdge reports whether an edge {u, v} exists. O(deg(u)).
-func (g *Graph) HasEdge(u, v int) bool {
-	for _, h := range g.adj[u] {
-		if h.To == v {
-			return true
+// FromEdges builds the graph on n nodes whose edge i is edges[i].
+func FromEdges(n int, edges []Edge) *Graph {
+	return Build(n, func(add func(u, v int, w float64)) {
+		for _, e := range edges {
+			add(e.U, e.V, e.W)
 		}
-	}
-	return false
+	})
 }
 
-// Neighbors returns the halfedges incident to v. The returned slice must
-// not be modified.
-func (g *Graph) Neighbors(v int) []Halfedge { return g.adj[v] }
+// CSR returns the adjacency table itself: node v's half-edges are
+// half[start[v]:start[v+1]], so start[v]+p is the absolute index of port
+// p of v. Both slices are shared with the graph and must not be modified.
+func (g *Graph) CSR() (start []int32, half []Halfedge) { return g.start, g.half }
+
+// Reverses returns, for every absolute half-edge index i of the CSR, the
+// index of the half-edge crossing the same edge the other way. The slice
+// is freshly allocated; the CONGEST engine keeps it as its delivery index.
+func (g *Graph) Reverses() []int32 {
+	rev := make([]int32, len(g.half))
+	// An edge's half-edges sit at the fill cursors of its endpoints, as
+	// Build put them: replaying the edge list in ID order pairs them up.
+	next := slices.Clone(g.start[:g.n])
+	for _, e := range g.edges {
+		i, j := next[e.U], next[e.V]
+		rev[i], rev[j] = j, i
+		next[e.U]++
+		next[e.V]++
+	}
+	return rev
+}
+
+// Port returns the port of v whose half-edge leads to u, or -1 when u is
+// not a neighbor. Among parallel edges it is the last, the one with the
+// largest EdgeID, so a lookup by node pair merges them (and the router's
+// exact expansion of an overlay hop keeps the edge it has always taken).
+// O(deg(v)).
+func (g *Graph) Port(v, u int) int {
+	nb := g.Neighbors(v)
+	for p := len(nb) - 1; p >= 0; p-- {
+		if int(nb[p].To) == u {
+			return p
+		}
+	}
+	return -1
+}
+
+// HasEdge reports whether an edge {u, v} exists. O(deg(u)).
+func (g *Graph) HasEdge(u, v int) bool { return g.Port(u, v) >= 0 }
+
+// Neighbors returns the half-edges incident to v, port by port. The
+// returned slice must not be modified.
+func (g *Graph) Neighbors(v int) []Halfedge { return g.half[g.start[v]:g.start[v+1]] }
 
 // Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.start[v+1] - g.start[v]) }
 
 // MaxDegree returns the maximum degree Δ of the graph.
 func (g *Graph) MaxDegree() int {
 	maxDeg := 0
 	for v := 0; v < g.n; v++ {
-		if d := len(g.adj[v]); d > maxDeg {
-			maxDeg = d
-		}
+		maxDeg = max(maxDeg, g.Degree(v))
 	}
 	return maxDeg
 }
@@ -163,11 +195,9 @@ func (g *Graph) MinDegree() int {
 	if g.n == 0 {
 		return 0
 	}
-	minDeg := len(g.adj[0])
+	minDeg := g.Degree(0)
 	for v := 1; v < g.n; v++ {
-		if d := len(g.adj[v]); d < minDeg {
-			minDeg = d
-		}
+		minDeg = min(minDeg, g.Degree(v))
 	}
 	return minDeg
 }
@@ -184,16 +214,12 @@ func (g *Graph) Other(id, v int) int {
 	return e.U
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a copy whose edge weights change independently of g's.
+// The immutable CSR is shared.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.edges = make([]Edge, len(g.edges))
-	copy(c.edges, g.edges)
-	for v := range g.adj {
-		c.adj[v] = make([]Halfedge, len(g.adj[v]))
-		copy(c.adj[v], g.adj[v])
-	}
-	return c
+	c := *g
+	c.edges = slices.Clone(g.edges)
+	return &c
 }
 
 // ErrDisconnected is returned by operations requiring a connected graph.
@@ -217,10 +243,10 @@ func (g *Graph) bfsOrder(src int) []int {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, h := range g.adj[v] {
+		for _, h := range g.Neighbors(v) {
 			if !seen[h.To] {
 				seen[h.To] = true
-				queue = append(queue, h.To)
+				queue = append(queue, int(h.To))
 			}
 		}
 	}
@@ -239,10 +265,10 @@ func (g *Graph) BFSDist(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, h := range g.adj[v] {
+		for _, h := range g.Neighbors(v) {
 			if dist[h.To] < 0 {
 				dist[h.To] = dist[v] + 1
-				queue = append(queue, h.To)
+				queue = append(queue, int(h.To))
 			}
 		}
 	}
@@ -264,10 +290,10 @@ func (g *Graph) BFSTree(src int) (parent, via []int32) {
 	queue[0] = int32(src)
 	for i := 0; i < len(queue); i++ {
 		v := queue[i]
-		for _, h := range g.adj[v] {
+		for _, h := range g.Neighbors(int(v)) {
 			if parent[h.To] < 0 {
-				parent[h.To], via[h.To] = v, int32(h.EdgeID)
-				queue = append(queue, int32(h.To))
+				parent[h.To], via[h.To] = v, h.Arc>>1
+				queue = append(queue, h.To)
 			}
 		}
 	}
@@ -358,27 +384,35 @@ func (g *Graph) TotalWeight(ids []int) float64 {
 // Validate checks internal consistency; it returns an error describing the
 // first violation found. Intended for tests.
 func (g *Graph) Validate() error {
-	degSum := 0
-	for v := range g.adj {
-		degSum += len(g.adj[v])
-		for _, h := range g.adj[v] {
-			if h.To < 0 || h.To >= g.n {
+	if len(g.start) != g.n+1 || int(g.start[g.n]) != len(g.half) || len(g.half) != 2*len(g.edges) {
+		return fmt.Errorf("CSR of %d offsets and %d half-edges for n=%d, m=%d", len(g.start), len(g.half), g.n, len(g.edges))
+	}
+	seen := make([]bool, len(g.half))
+	for v := 0; v < g.n; v++ {
+		if g.start[v] > g.start[v+1] {
+			return fmt.Errorf("node %d: CSR range [%d, %d) inverted", v, g.start[v], g.start[v+1])
+		}
+		for _, h := range g.Neighbors(v) {
+			if h.To < 0 || int(h.To) >= g.n {
 				return fmt.Errorf("node %d: neighbor %d out of range", v, h.To)
 			}
-			if h.EdgeID < 0 || h.EdgeID >= len(g.edges) {
-				return fmt.Errorf("node %d: edge id %d out of range", v, h.EdgeID)
+			id := h.EdgeID()
+			if h.Arc < 0 || id >= len(g.edges) {
+				return fmt.Errorf("node %d: arc %d out of range", v, h.Arc)
 			}
-			e := g.edges[h.EdgeID]
-			if e.U != v && e.V != v {
-				return fmt.Errorf("node %d references edge %d=(%d,%d) not incident to it", v, h.EdgeID, e.U, e.V)
+			if seen[h.Arc] {
+				return fmt.Errorf("node %d: arc %d listed twice", v, h.Arc)
 			}
-			if g.Other(h.EdgeID, v) != h.To {
-				return fmt.Errorf("node %d: halfedge to %d disagrees with edge %d", v, h.To, h.EdgeID)
+			seen[h.Arc] = true
+			e := g.edges[id]
+			from, to := e.U, e.V
+			if h.Arc&1 == 0 {
+				from, to = e.V, e.U
+			}
+			if from != v || to != int(h.To) {
+				return fmt.Errorf("node %d: half-edge to %d over arc %d disagrees with edge %d=(%d,%d)", v, h.To, h.Arc, id, e.U, e.V)
 			}
 		}
-	}
-	if degSum != 2*len(g.edges) {
-		return fmt.Errorf("degree sum %d != 2m = %d", degSum, 2*len(g.edges))
 	}
 	return nil
 }

@@ -8,39 +8,26 @@ import (
 	"almostmix/internal/rngutil"
 )
 
-func TestNewEmpty(t *testing.T) {
-	g := New(5)
-	if g.N() != 5 || g.M() != 0 {
-		t.Fatalf("got n=%d m=%d, want 5, 0", g.N(), g.M())
-	}
-	if g.IsConnected() {
-		t.Fatal("5-node empty graph should not be connected")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestAddEdge: the add callback Build hands to emit numbers edges in
+// emission order and shows each from both endpoints.
 func TestAddEdge(t *testing.T) {
-	g := New(3)
-	id := g.AddEdge(0, 1, 2.5)
-	if id != 0 {
-		t.Fatalf("first edge id = %d, want 0", id)
-	}
+	g := FromEdges(3, []Edge{{U: 0, V: 1, W: 2.5}})
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Fatal("edge {0,1} not visible from both endpoints")
 	}
 	if g.HasEdge(0, 2) {
 		t.Fatal("phantom edge {0,2}")
 	}
-	if got := g.Edge(id).W; got != 2.5 {
+	if got := g.Edge(0).W; got != 2.5 {
 		t.Fatalf("weight = %v, want 2.5", got)
 	}
-	if g.Other(id, 0) != 1 || g.Other(id, 1) != 0 {
+	if g.Other(0, 0) != 1 || g.Other(0, 1) != 0 {
 		t.Fatal("Other endpoint wrong")
 	}
 }
 
+// TestAddEdgePanics: the add callback rejects self-loops and endpoints
+// outside [0, n).
 func TestAddEdgePanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,10 +41,10 @@ func TestAddEdgePanics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("AddEdge(%d,%d) did not panic", tc.u, tc.v)
+					t.Fatalf("add(%d,%d) did not panic", tc.u, tc.v)
 				}
 			}()
-			New(3).AddEdge(tc.u, tc.v, 1)
+			FromEdges(3, []Edge{{U: tc.u, V: tc.v, W: 1}})
 		})
 	}
 }
@@ -297,21 +284,18 @@ func TestDistinctRandomWeights(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	g := Ring(5)
 	c := g.Clone()
-	c.AddEdge(0, 2, 9)
-	if g.M() != 5 || c.M() != 6 {
-		t.Fatalf("clone not deep: g.M=%d c.M=%d", g.M(), c.M())
-	}
 	g.SetWeight(0, 42)
 	if c.Edge(0).W == 42 {
 		t.Fatal("clone shares edge storage")
 	}
+	c.SetWeight(1, 7)
+	if g.Edge(1).W == 7 || c.M() != 5 || c.Validate() != nil {
+		t.Fatal("clone weights not independent of the original's")
+	}
 }
 
 func TestComponents(t *testing.T) {
-	g := New(7)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g := FromEdges(7, []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 3, V: 4, W: 1}})
 	comps := g.Components()
 	if len(comps) != 4 { // {0,1,2}, {3,4}, {5}, {6}
 		t.Fatalf("got %d components, want 4", len(comps))
@@ -319,8 +303,7 @@ func TestComponents(t *testing.T) {
 }
 
 func TestBFSDistUnreachable(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
+	g := FromEdges(4, []Edge{{U: 0, V: 1, W: 1}})
 	dist := g.BFSDist(0)
 	if dist[1] != 1 || dist[2] != -1 {
 		t.Fatalf("dist=%v", dist)
@@ -335,11 +318,7 @@ func TestBFSTreeAndPathTo(t *testing.T) {
 	// on the 4-cycle 0–1–3–2–0 node 3 hangs under whichever of 1 and 2 the
 	// source lists first.
 	for _, first := range []int{1, 2} {
-		c := New(4)
-		c.AddEdge(0, first, 1)
-		c.AddEdge(0, 3-first, 1)
-		c.AddEdge(1, 3, 1)
-		c.AddEdge(2, 3, 1)
+		c := FromEdges(4, []Edge{{U: 0, V: first, W: 1}, {U: 0, V: 3 - first, W: 1}, {U: 1, V: 3, W: 1}, {U: 2, V: 3, W: 1}})
 		parent, via := c.BFSTree(0)
 		if parent[3] != int32(first) || int(via[3]) != 1+first {
 			t.Fatalf("first neighbor %d: node 3 under %d via edge %d", first, parent[3], via[3])
@@ -349,10 +328,7 @@ func TestBFSTreeAndPathTo(t *testing.T) {
 	// A lollipop plus an isolated node: every tree path is a shortest
 	// path over real edges.
 	lolli := Lollipop(5, 4)
-	g := New(lolli.N() + 1)
-	for _, e := range lolli.Edges() {
-		g.AddEdge(e.U, e.V, e.W)
-	}
+	g := FromEdges(lolli.N()+1, lolli.Edges())
 	isolated := lolli.N()
 	for src := 0; src < lolli.N(); src++ {
 		parent, via := g.BFSTree(src)

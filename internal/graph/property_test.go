@@ -1,11 +1,12 @@
 package graph
 
 // Property tests (testing/quick) for the structural invariants every
-// generator must satisfy: the handshake lemma (Σ deg = 2m) and port
-// symmetry — the halfedge across port p of v leads to a neighbor whose
-// own port map routes straight back to v over the same edge. The CONGEST
-// simulator's receiver-driven delivery depends on exactly this
-// round-trip, so a violation here would corrupt message routing.
+// graph must satisfy: the handshake lemma (Σ deg = 2m) and the CSR's
+// port symmetry — the half-edge across port p of v leads to a neighbor
+// whose reverse half-edge routes straight back to v over the same edge,
+// on the opposite arc. The CONGEST engine's receiver-driven delivery, the
+// fault layer's per-arc rolls and the walk engine's per-arc loads all
+// read exactly these tables, so a violation here would corrupt them all.
 
 import (
 	"testing"
@@ -50,34 +51,96 @@ func TestPropertyHandshakeLemma(t *testing.T) {
 	}
 }
 
+// sampleMultigraph draws a random edge list on up to 31 nodes where about
+// a quarter of the edges repeat an earlier one, either way round.
+func sampleMultigraph(seed uint64) (int, []Edge) {
+	r := rngutil.NewRand(seed)
+	n := 2 + r.IntN(30)
+	edges := make([]Edge, r.IntN(120))
+	for i := range edges {
+		if i > 0 && r.IntN(4) == 0 {
+			e := edges[r.IntN(i)]
+			if r.IntN(2) == 0 {
+				e.U, e.V = e.V, e.U
+			}
+			edges[i] = e
+			continue
+		}
+		u, v := r.IntN(n), r.IntN(n-1)
+		if v >= u {
+			v++
+		}
+		edges[i] = Edge{U: u, V: v, W: float64(r.IntN(5))}
+	}
+	return n, edges
+}
+
+// TestPropertyPortSymmetryRoundTrips checks the CSR of random multigraphs,
+// parallel edges included, against a reference built with maps straight
+// from the edge list: each node's range holds its incident edges in ID
+// order, every half-edge's arc is its directed slot, Reverses pairs it
+// with the half-edge crossing the same edge back, and Port finds the
+// last port to each neighbor.
 func TestPropertyPortSymmetryRoundTrips(t *testing.T) {
 	f := func(seed uint64) bool {
-		g := sampleGraph(seed)
-		// portOf mirrors the simulator's routing table construction.
-		portOf := make([]map[int]int, g.N())
-		for v := 0; v < g.N(); v++ {
-			portOf[v] = make(map[int]int, g.Degree(v))
-			for p, h := range g.Neighbors(v) {
-				portOf[v][h.To] = p
+		n, edges := sampleMultigraph(seed)
+		g := FromEdges(n, edges)
+		// ports[v] lists v's (edge, neighbor) pairs in insertion order;
+		// lastPort[v][u] is the last of them leading to u; at[arc] is
+		// where the reference puts the half-edge with that arc.
+		type ref struct{ edge, to int }
+		ports := make([][]ref, n)
+		lastPort := make([]map[int]int, n)
+		at := make(map[int32]int32, 2*len(edges))
+		for v := range lastPort {
+			lastPort[v] = map[int]int{}
+		}
+		for id, e := range edges {
+			ports[e.U] = append(ports[e.U], ref{id, e.V})
+			ports[e.V] = append(ports[e.V], ref{id, e.U})
+		}
+		start, half := g.CSR()
+		rev := g.Reverses()
+		if g.N() != n || g.M() != len(edges) || len(half) != 2*len(edges) || len(rev) != len(half) {
+			return false
+		}
+		for v := 0; v < n; v++ {
+			if int(start[v+1]-start[v]) != len(ports[v]) || g.Degree(v) != len(ports[v]) {
+				return false
+			}
+			for p, want := range ports[v] {
+				h := half[int(start[v])+p]
+				lastPort[v][want.to] = p
+				arc := int32(2 * want.edge)
+				if edges[want.edge].V == want.to {
+					arc++
+				}
+				if h.EdgeID() != want.edge || int(h.To) != want.to || h.Arc != arc || g.Edge(want.edge) != edges[want.edge] {
+					return false
+				}
+				at[arc] = start[v] + int32(p)
 			}
 		}
-		for v := 0; v < g.N(); v++ {
-			for p, h := range g.Neighbors(v) {
-				back, ok := portOf[h.To][v]
+		for i, h := range half {
+			back := half[rev[i]]
+			if rev[i] != at[h.Arc^1] || back.Arc != h.Arc^1 || rev[rev[i]] != int32(i) {
+				return false
+			}
+		}
+		for v := 0; v < n; v++ {
+			for u := 0; u < n; u++ {
+				want, ok := lastPort[v][u]
 				if !ok {
-					return false // neighbor has no port back
+					want = -1
 				}
-				rev := g.Neighbors(h.To)[back]
-				// The reverse halfedge must return to v over the same
-				// edge, and the round-trip must land on the same port.
-				if rev.To != v || rev.EdgeID != h.EdgeID || portOf[v][h.To] != p {
+				if g.Port(v, u) != want || g.HasEdge(v, u) != ok {
 					return false
 				}
 			}
 		}
-		return true
+		return g.Validate() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,7 +30,7 @@ type BoundaryEdge struct {
 
 // InducedSubgraph returns the subgraph induced by nodes, relabeled to
 // local IDs in the order given. Out-of-range or duplicate nodes panic,
-// matching AddEdge's contract for programmatic construction errors.
+// matching Build's contract for programmatic construction errors.
 //
 // The induced graph is built on the streaming Build path: the internal
 // parent edges are emitted twice, in parent edge-ID order, instead of
@@ -73,9 +73,9 @@ func (g *Graph) InducedSubgraph(nodes []int) *Subgraph {
 	})
 	for lu := range global {
 		gu := int(global[lu])
-		for _, h := range g.adj[gu] {
+		for _, h := range g.Neighbors(gu) {
 			if local[h.To] < 0 {
-				s.boundary = append(s.boundary, BoundaryEdge{EdgeID: h.EdgeID, Inside: gu, Outside: h.To})
+				s.boundary = append(s.boundary, BoundaryEdge{EdgeID: h.EdgeID(), Inside: gu, Outside: int(h.To)})
 			}
 		}
 	}

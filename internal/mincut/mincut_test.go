@@ -51,11 +51,10 @@ func TestStoerWagnerKnownCuts(t *testing.T) {
 }
 
 func TestStoerWagnerErrors(t *testing.T) {
-	if _, _, err := StoerWagner(graph.New(1)); err == nil {
+	if _, _, err := StoerWagner(graph.FromEdges(1, nil)); err == nil {
 		t.Fatal("single node accepted")
 	}
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if _, _, err := StoerWagner(g); err == nil {
 		t.Fatal("disconnected accepted")
 	}
@@ -128,8 +127,7 @@ func TestApproxNeverBelowExact(t *testing.T) {
 }
 
 func TestApproxRejectsDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if _, err := Approx(g, 2, rngutil.NewRand(4)); err == nil {
 		t.Fatal("disconnected accepted")
 	}

@@ -50,10 +50,7 @@ func sortedCopy(xs []int) []int {
 
 func TestKruskalOnKnownGraph(t *testing.T) {
 	// Triangle with weights 1, 2, 3: MST = the two lightest edges.
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(0, 2, 3)
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}})
 	edges, w := mstbase.Kruskal(g)
 	if w != 3 {
 		t.Fatalf("MST weight %v, want 3", w)
@@ -77,11 +74,12 @@ func TestKruskalSpanningTreeProperty(t *testing.T) {
 			return false
 		}
 		// The chosen edges must connect the graph.
-		sub := graph.New(g.N())
-		for _, id := range edges {
-			e := g.Edge(id)
-			sub.AddEdge(e.U, e.V, e.W)
-		}
+		sub := graph.Build(g.N(), func(add func(u, v int, w float64)) {
+			for _, id := range edges {
+				e := g.Edge(id)
+				add(e.U, e.V, e.W)
+			}
+		})
 		return sub.IsConnected()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -261,11 +259,8 @@ func TestBalanceKeepsValidTree(t *testing.T) {
 
 func TestComputeMWOE(t *testing.T) {
 	// Two fragments {0,1} and {2,3} with crossing edges of weight 5, 3.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
-	heavy := g.AddEdge(0, 2, 5)
-	light := g.AddEdge(1, 3, 3)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 2, W: 5}, {U: 1, V: 3, W: 3}})
+	heavy, light := 2, 3
 	f := NewForest(4)
 	f.Attach(1, 0)
 	f.Attach(3, 2)

@@ -100,14 +100,18 @@ func RunPartitioned(pe *embed.Partitioned, src *rngutil.Source) (*PartitionedRes
 	for _, id := range pe.Dec.CrossEdges {
 		keep[id] = true
 	}
-	sparse := graph.New(g.N())
 	toBase := make([]int, 0, g.N())
-	for id, e := range g.Edges() {
+	for id := range g.Edges() {
 		if keep[id] {
-			sparse.AddEdge(int(e.U), int(e.V), e.W)
 			toBase = append(toBase, id)
 		}
 	}
+	sparse := graph.Build(g.N(), func(add func(u, v int, w float64)) {
+		for _, id := range toBase {
+			e := g.Edge(id)
+			add(e.U, e.V, e.W)
+		}
+	})
 	res.SparsifiedEdges = sparse.M()
 	ghs, err := mstbase.GHS(sparse)
 	if err != nil {

@@ -139,9 +139,7 @@ func TestRunPartitionedDirectTiers(t *testing.T) {
 }
 
 func TestRunPartitionedRejectsDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	dec, err := decomp.Decompose(g, decomp.Params{})
 	if err != nil {
 		t.Fatal(err)

@@ -40,11 +40,12 @@ func baselineFixtures() []baselineFixture {
 	}
 	// Every ring edge twice, at the same weight: the ties only the edge
 	// ID breaks.
-	multi := graph.New(6)
-	for v := 0; v < 6; v++ {
-		multi.AddEdge(v, (v+1)%6, float64(1+v%2))
-		multi.AddEdge(v, (v+1)%6, float64(1+v%2))
-	}
+	multi := graph.Build(6, func(add func(u, v int, w float64)) {
+		for v := 0; v < 6; v++ {
+			add(v, (v+1)%6, float64(1+v%2))
+			add(v, (v+1)%6, float64(1+v%2))
+		}
+	})
 	return []baselineFixture{
 		{"baseline-rr64d8", distinct(graph.RandomRegular(64, 8, r))},
 		{"baseline-ring32", distinct(graph.Ring(32))},
@@ -54,7 +55,7 @@ func baselineFixtures() []baselineFixture {
 		{"baseline-grid5x6-unit", graph.Grid(5, 6)},
 		{"baseline-rr48d6-dup", dup},
 		{"baseline-ring6-parallel", multi},
-		{"baseline-n1", graph.New(1)},
+		{"baseline-n1", graph.FromEdges(1, nil)},
 		{"baseline-n2", graph.Path(2)},
 	}
 }

@@ -176,9 +176,9 @@ func (f *fragments) merge() {
 			v := queue[i]
 			f.label[v] = int32(root)
 			for _, h := range f.g.Neighbors(int(v)) {
-				if f.inTree[h.EdgeID] && f.level[h.To] < 0 {
+				if f.inTree[h.EdgeID()] && f.level[h.To] < 0 {
 					f.level[h.To] = f.level[v] + 1
-					queue = append(queue, int32(h.To))
+					queue = append(queue, h.To)
 				}
 			}
 		}

@@ -77,8 +77,7 @@ func TestKPMatchesKruskal(t *testing.T) {
 }
 
 func TestBaselinesRejectDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if _, err := GHS(g); err == nil {
 		t.Fatal("GHS accepted disconnected graph")
 	}
@@ -152,10 +151,7 @@ func TestStateHelpers(t *testing.T) {
 	// Path 0–1–2–3 with weights 1, 3, 2: the first iteration picks edge 0
 	// (nodes 0 and 1 both) and edge 2 (nodes 2 and 3 both), the second
 	// joins the halves over edge 1.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 3)
-	g.AddEdge(2, 3, 2)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 3}, {U: 2, V: 3, W: 2}})
 	f := newFragments(g)
 	f.run(1, func(int, int) { t.Fatal("a fragment below one node picked") })
 	if f.count != 4 || f.depth != 0 || len(f.edges) != 0 {
@@ -245,8 +241,7 @@ func TestGHSNetworkAgreesWithChargedModel(t *testing.T) {
 }
 
 func TestGHSNetworkRejectsDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if _, err := GHSNetwork(g, rngutil.NewSource(15), congest.Options{Workers: 1}); err == nil {
 		t.Fatal("disconnected accepted")
 	}

@@ -85,52 +85,7 @@ type Result struct {
 	sources []int32
 	trail   trail
 	steps   int
-	adj     csr
-}
-
-// csr is the flat adjacency a run builds once so that the step loops read
-// three int32 arrays instead of the graph's per-node slices: node v's
-// half-edges are the positions start[v] ≤ p < start[v+1], in
-// g.Neighbors(v) order; to[p] is the neighbor across p and slot[p] the
-// directed edge-load slot 2·edgeID+dir the crossing charges.
-type csr struct {
-	start, to, slot []int32
-}
-
-func newCSR(g *graph.Graph) csr {
-	n, m := g.N(), g.M()
-	if n >= math.MaxInt32 || m > math.MaxInt32/2 {
-		panic(fmt.Sprintf("randomwalk: graph too large for int32 adjacency (n=%d, m=%d)", n, m))
-	}
-	buf := make([]int32, n+1+4*m)
-	a := csr{start: buf[:n+1], to: buf[n+1 : n+1+2*m], slot: buf[n+1+2*m:]}
-	p := int32(0)
-	for v := 0; v < n; v++ {
-		a.start[v] = p
-		for _, h := range g.Neighbors(v) {
-			dir := int32(0)
-			if g.Edge(h.EdgeID).V == h.To {
-				dir = 1
-			}
-			a.to[p] = int32(h.To)
-			a.slot[p] = 2*int32(h.EdgeID) + dir
-			p++
-		}
-	}
-	a.start[n] = p
-	return a
-}
-
-// port returns the first half-edge of u that leads to v. Parallel edges
-// therefore share a port, which is how a reverse replay (which only knows
-// node pairs) merges them.
-func (a *csr) port(u, v int32) int32 {
-	for p := a.start[u]; p < a.start[u+1]; p++ {
-		if a.to[p] == v {
-			return p
-		}
-	}
-	panic(fmt.Sprintf("randomwalk: trail crosses the non-edge (%d,%d)", u, v))
+	g       *graph.Graph
 }
 
 // width is an unsigned type a trail can be kept in. Run keeps it in the
@@ -138,7 +93,8 @@ func (a *csr) port(u, v int32) int32 {
 type width interface{ ~uint8 | ~uint16 | ~uint32 }
 
 // moves is a recording run's trail: moves[s·n+i] is 1 + the offset, inside
-// its node's CSR range, of the half-edge walk i (of n) crossed in step s+1,
+// its node's range of the graph's CSR, of the half-edge walk i (of n)
+// crossed in step s+1,
 // or 0 when it stayed. Replaying from the sources through the CSR recovers
 // every node of every path, so a byte per token per step is the whole
 // record while Δ ≤ 255.
@@ -156,10 +112,12 @@ type trail interface {
 
 // stepper is the state the per-step loops share.
 type stepper struct {
-	adj *csr
-	rng *rand.Rand
-	// edgeLoad[slot] counts this step's crossings of a directed edge;
-	// touched[:nTouched] lists the non-zero slots so they can be read and
+	// start and half are the graph's CSR (graph.Graph.CSR).
+	start []int32
+	half  []graph.Halfedge
+	rng   *rand.Rand
+	// edgeLoad[arc] counts this step's crossings of a directed edge;
+	// touched[:nTouched] lists the non-zero arcs so they can be read and
 	// cleared without sweeping all 2m.
 	edgeLoad []int64
 	touched  []int32
@@ -172,16 +130,15 @@ type stepper struct {
 
 // cross moves one token from v over half-edge p and returns its new node.
 func (st *stepper) cross(v, p int32) int32 {
-	slot := st.adj.slot[p]
-	if st.edgeLoad[slot] == 0 {
-		st.touched[st.nTouched] = slot
+	h := st.half[p]
+	if st.edgeLoad[h.Arc] == 0 {
+		st.touched[st.nTouched] = h.Arc
 		st.nTouched++
 	}
-	st.edgeLoad[slot]++
-	next := st.adj.to[p]
+	st.edgeLoad[h.Arc]++
 	st.tokensAt[v]--
-	st.tokensAt[next]++
-	return next
+	st.tokensAt[h.To]++
+	return h.To
 }
 
 // move sends token i from v over the half-edge at offset off of v's CSR
@@ -198,7 +155,7 @@ func move[T width](st *stepper, row []T, i int, v, lo, off int32) int32 {
 // stepLazy advances every token one lazy step in place: a fair coin to
 // stay, then a uniform incident edge.
 func stepLazy[T width](st *stepper, at []int32, row []T) {
-	start, rng := st.adj.start, st.rng
+	start, rng := st.start, st.rng
 	for i, v := range at {
 		lo := start[v]
 		if deg := start[v+1] - lo; deg > 0 && rng.Uint64()&1 != 0 {
@@ -211,7 +168,7 @@ func stepLazy[T width](st *stepper, at []int32, row []T) {
 // place: one of 2Δ slots, of which the first d(v) are the incident edges
 // and the rest stay.
 func stepRegular[T width](st *stepper, at []int32, row []T, twoDelta int) {
-	start, rng := st.adj.start, st.rng
+	start, rng := st.start, st.rng
 	for i, v := range at {
 		lo := start[v]
 		if deg := start[v+1] - lo; deg > 0 {
@@ -248,8 +205,8 @@ func stepCorrelated[T width](st *stepper, kind spectral.WalkKind, at []int32, ro
 		here := tokens[lo:hi]
 		lo = hi
 		v := int32(node)
-		base := st.adj.start[v]
-		d := int(st.adj.start[v+1] - base)
+		base := st.start[v]
+		d := int(st.start[v+1] - base)
 		if len(here) == 0 || d == 0 {
 			continue
 		}
@@ -274,13 +231,14 @@ func stepCorrelated[T width](st *stepper, kind spectral.WalkKind, at []int32, ro
 }
 
 // RunAllocCeiling bounds the heap objects one Run allocates, whatever the
-// number of walks and steps: the result, the adjacency's backing array,
-// the endpoints (with the sources' copy when recording), the trail and its
-// interface box, the per-step loads, the edge loads and one int32 scratch
-// array for the rest of the step state — eight at most, nine with a
-// Probe's occupancy buffer, plus slack for the runtime's own allocations
-// while a measurement runs. The package's allocation test holds Run to it.
-const RunAllocCeiling = 12
+// number of walks and steps: the result, the endpoints (with the sources'
+// copy when recording), the trail and its interface box, the per-step
+// loads, the edge loads and one int32 scratch array for the rest of the
+// step state — seven at most, eight with a Probe's occupancy buffer, plus
+// slack for the runtime's own allocations while a measurement runs. The
+// walks read the graph's own CSR (graph.Graph.CSR) and copy none of it.
+// The package's allocation test holds Run to this figure.
+const RunAllocCeiling = 10
 
 // Run executes one walk from each entry of sources (sources[i] = start
 // node of walk i) for cfg.Steps parallel steps, and returns endpoints,
@@ -304,7 +262,7 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	if cfg.Record && nWalks > 0 && cfg.Steps > math.MaxInt32/nWalks {
 		panic(fmt.Sprintf("randomwalk: trail of %d rows × %d walks overflows int32 offsets", cfg.Steps, nWalks))
 	}
-	res := &Result{steps: cfg.Steps, adj: newCSR(g)}
+	res := &Result{steps: cfg.Steps, g: g}
 	if cfg.Record {
 		buf := make([]int32, 2*nWalks)
 		res.Ends, res.sources = buf[:nWalks:nWalks], buf[nWalks:]
@@ -320,8 +278,10 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 		nBucket = n + nWalks
 	}
 	scratch := make([]int32, nTouched+n+nBucket)
+	start, half := g.CSR()
 	st := &stepper{
-		adj:      &res.adj,
+		start:    start,
+		half:     half,
 		rng:      rng,
 		edgeLoad: make([]int64, 2*g.M()), // directed: 2*id + dir
 		touched:  scratch[:nTouched],
@@ -423,7 +383,7 @@ func (r *Result) noteOccupancy(tokensAt []int32) {
 		if int(c) > r.Stats.MaxTokensAtNode {
 			r.Stats.MaxTokensAtNode = int(c)
 		}
-		if d := r.adj.start[v+1] - r.adj.start[v]; d > 0 {
+		if d := r.g.Degree(v); d > 0 {
 			if ratio := float64(c) / float64(d); ratio > r.Stats.MaxTokensOverDegree {
 				r.Stats.MaxTokensOverDegree = ratio
 			}
@@ -464,7 +424,7 @@ func (r *Result) Paths(keep []int) [][]int32 {
 // occupied after s steps.
 func (r *Result) next(s, i int, u int32) int32 {
 	if off, moved := r.trail.hop(s*len(r.Ends) + i); moved {
-		return r.adj.to[r.adj.start[u]+off]
+		return r.g.Neighbors(int(u))[off].To
 	}
 	return u
 }
@@ -528,7 +488,8 @@ func (r *Result) ReverseDeliveryRounds(keep []int) int {
 	for k, i := range keep {
 		at[k] = r.sources[i]
 	}
-	load := make([]int32, len(r.adj.to)) // per port, cleared via touched
+	start, _ := r.g.CSR()
+	load := make([]int32, 2*r.g.M()) // per half-edge, cleared via touched
 	touched := make([]int32, 0, min(len(keep), len(load)))
 	rounds := 0
 	for s := 0; s < r.steps; s++ {
@@ -540,7 +501,9 @@ func (r *Result) ReverseDeliveryRounds(keep []int) int {
 				continue
 			}
 			at[k] = v
-			p := r.adj.port(v, u) // the reverse hop v → u
+			// The reverse hop v → u, charged to v's port to u
+			// (graph.Graph.Port) so parallel edges share one load.
+			p := start[v] + int32(r.g.Port(int(v), int(u)))
 			if load[p] == 0 {
 				touched = append(touched, p)
 			}

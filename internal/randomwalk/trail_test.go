@@ -127,7 +127,7 @@ func refCorrelatedStep(g *graph.Graph, kind spectral.WalkKind, ends []int32, del
 				continue
 			}
 			h := g.Neighbors(v)[slot-stayCount]
-			applyMove(int(tok), v, h.To, h.EdgeID)
+			applyMove(int(tok), v, int(h.To), h.EdgeID())
 		}
 	}
 }
@@ -142,14 +142,14 @@ func refStepToken(g *graph.Graph, kind spectral.WalkKind, v, delta int, rng *ran
 			return v, -1
 		}
 		h := g.Neighbors(v)[rng.IntN(g.Degree(v))]
-		return h.To, h.EdgeID
+		return int(h.To), h.EdgeID()
 	default:
 		r := rng.IntN(2 * delta)
 		if r >= g.Degree(v) {
 			return v, -1
 		}
 		h := g.Neighbors(v)[r]
-		return h.To, h.EdgeID
+		return int(h.To), h.EdgeID()
 	}
 }
 
@@ -200,14 +200,16 @@ func refReverseDeliveryRounds(paths [][]int32, keep []int) int {
 // byte — Δ = 299 keeps a uint16 trail, Δ = 69 999 a uint32 one, whose hub
 // departures past offset 65 535 a narrower trail would garble.
 func walkFixtures() map[string]*graph.Graph {
-	withIsolated := graph.New(7)
-	for v := 0; v < 5; v++ {
-		withIsolated.AddEdge(v, (v+1)%6, 1)
-	}
-	multi := graph.New(5)
-	for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}, {3, 4}, {4, 0}, {4, 0}} {
-		multi.AddEdge(e[0], e[1], 1)
-	}
+	withIsolated := graph.Build(7, func(add func(u, v int, w float64)) {
+		for v := 0; v < 5; v++ {
+			add(v, (v+1)%6, 1)
+		}
+	})
+	multi := graph.Build(5, func(add func(u, v int, w float64)) {
+		for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}, {3, 4}, {4, 0}, {4, 0}} {
+			add(e[0], e[1], 1)
+		}
+	})
 	return map[string]*graph.Graph{
 		"rr24d4":   graph.RandomRegular(24, 4, rngutil.NewRand(1)),
 		"star9":    graph.Star(9),
@@ -376,7 +378,7 @@ func TestRunAllocationsAreConstant(t *testing.T) {
 
 // TestRecordingRunBytes holds a recording Run to its trail — steps × walks
 // × the trail's width — plus O(walks + n + m) for the endpoints, the
-// sources' copy, the adjacency and the step scratch. A trail of node IDs,
+// sources' copy, the edge loads and the step scratch. A trail of node IDs,
 // four bytes per walk per step, is several times over it.
 func TestRecordingRunBytes(t *testing.T) {
 	const steps = 40

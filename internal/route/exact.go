@@ -5,9 +5,7 @@ import (
 
 	"almostmix/internal/embed"
 	"almostmix/internal/pathsched"
-	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
-	"almostmix/internal/spectral"
 )
 
 // RouteExact measures the same routing execution two ways: with the
@@ -56,23 +54,9 @@ func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 		return nil, nil, err
 	}
 	r.trace = make([][]traversal, len(reqs))
-
-	// Preparation with recorded walk paths, so the physical prefix of
+	// The traced preparation records its walks, so the physical prefix of
 	// each packet's journey is part of the exact schedule.
-	sources := make([]int32, len(reqs))
-	for i, req := range reqs {
-		sources[i] = int32(req.SrcNode)
-	}
-	prep := randomwalk.Run(h.Base, sources, randomwalk.Config{
-		Kind:   spectral.Lazy,
-		Steps:  h.TauMix,
-		Record: true,
-	}, src.Stream("prep", 0))
-	for i := range reqs {
-		end := int(prep.Ends[i])
-		r.cur[i] = h.VM.VID(end, r.rng.IntN(h.VM.DegreeOf(end)))
-	}
-	r.chargePrep(prep.Stats.Rounds)
+	prep := r.prepare(reqs, src)
 
 	g0Cost, err := r.runRecursion()
 	if err != nil {
@@ -87,11 +71,11 @@ func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	paths := make([][]int32, 0, len(reqs))
 	for i, path := range prep.Paths(nil) {
 		for _, tr := range r.trace[i] {
-			edge := tr.edge
+			edge := int(tr.edge)
 			if edge < 0 {
 				edge = ex.edgeBetween(tr.level, tr.from, tr.to)
 			}
-			seg := ex.expand(tr.level, int(edge), tr.from)
+			seg := ex.expand(tr.level, edge, tr.from)
 			// Segments join at the shared physical endpoint.
 			if len(path) > 0 && len(seg) > 0 && path[len(path)-1] == seg[0] {
 				seg = seg[1:]
@@ -119,16 +103,12 @@ type expander struct {
 	h *embed.Hierarchy
 	// memo[level][edge] is the forward (U→V) physical path.
 	memo []map[int][]int32
-	// link[level] maps a directed vid pair to an overlay edge at that
-	// level (any parallel edge serves).
-	link []map[int64]int32
 }
 
 func newExpander(h *embed.Hierarchy) *expander {
 	ex := &expander{
 		h:    h,
 		memo: make([]map[int][]int32, h.Levels+1),
-		link: make([]map[int64]int32, h.Levels+1),
 	}
 	for l := 0; l <= h.Levels; l++ {
 		ex.memo[l] = make(map[int][]int32)
@@ -136,22 +116,15 @@ func newExpander(h *embed.Hierarchy) *expander {
 	return ex
 }
 
-// edgeBetween finds an overlay edge between two vids at the given level.
-func (ex *expander) edgeBetween(level int, a, b int32) int32 {
-	if ex.link[level] == nil {
-		o := ex.h.Overlay(level)
-		m := make(map[int64]int32, 2*o.Graph.M())
-		for id, e := range o.Graph.Edges() {
-			m[int64(e.U)<<32|int64(e.V)] = int32(id)
-			m[int64(e.V)<<32|int64(e.U)] = int32(id)
-		}
-		ex.link[level] = m
-	}
-	id, ok := ex.link[level][int64(a)<<32|int64(b)]
-	if !ok {
+// edgeBetween finds an overlay edge between two vids at the given level:
+// the one behind a's port to b (any parallel edge serves).
+func (ex *expander) edgeBetween(level int, a, b int32) int {
+	g := ex.h.Overlay(level).Graph
+	p := g.Port(int(a), int(b))
+	if p < 0 {
 		panic(fmt.Sprintf("route: no level-%d edge between vids %d and %d", level, a, b))
 	}
-	return id
+	return g.Neighbors(int(a))[p].EdgeID()
 }
 
 // expand returns the physical walk of overlay edge `edge` at `level`,
@@ -187,11 +160,9 @@ func (ex *expander) forward(level, edge int) []int32 {
 			if a == b {
 				continue
 			}
-			sub := ex.expand(level-1, int(ex.edgeBetween(level-1, a, b)), a)
+			sub := ex.expand(level-1, ex.edgeBetween(level-1, a, b), a)
 			if len(out) > 0 && out[len(out)-1] == sub[0] {
 				sub = sub[1:]
-			} else if len(out) == 0 {
-				// keep the full first segment
 			}
 			out = append(out, sub...)
 		}

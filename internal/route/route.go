@@ -250,8 +250,9 @@ func (r *router) finish(g0Cost int, delivered int) error {
 
 // prepare runs the §3.2 preparation step: one lazy walk of mixing-time
 // length per packet from its source, landing each packet on a uniformly
-// random virtual node.
-func (r *router) prepare(reqs []Request, src *rngutil.Source) {
+// random virtual node. A traced router (RouteExact) records the walks, so
+// the result's Paths are the journeys' physical prefixes.
+func (r *router) prepare(reqs []Request, src *rngutil.Source) *randomwalk.Result {
 	sources := make([]int32, len(reqs))
 	for i, req := range reqs {
 		sources[i] = int32(req.SrcNode)
@@ -259,6 +260,7 @@ func (r *router) prepare(reqs []Request, src *rngutil.Source) {
 	res := randomwalk.Run(r.h.Base, sources, randomwalk.Config{
 		Kind:      spectral.Lazy,
 		Steps:     r.h.TauMix,
+		Record:    r.trace != nil,
 		Probe:     r.probe,
 		TraceName: "prep",
 	}, src.Stream("prep", 0))
@@ -267,6 +269,7 @@ func (r *router) prepare(reqs []Request, src *rngutil.Source) {
 		r.cur[i] = r.h.VM.VID(end, r.rng.IntN(r.h.VM.DegreeOf(end)))
 	}
 	r.chargePrep(res.Stats.Rounds)
+	return res
 }
 
 // route recursively delivers packets pkts to targets, all of which lie in

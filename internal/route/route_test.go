@@ -493,10 +493,7 @@ func TestRouteColdAndWarmRowsAgree(t *testing.T) {
 // first time (the row is searched) and every later time (the row is read).
 func TestLeafPathErrorsFromCachedRow(t *testing.T) {
 	// Part 0 = {0,1,2,3} in two components {0,1} and {2,3}; part 1 = {4,5}.
-	g := graph.New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(4, 5, 1)
+	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}})
 	leaf := &embed.Overlay{Level: 1, Graph: g, PartOf: []int32{0, 0, 0, 0, 1, 1}, NumParts: 2}
 	r := &router{h: &embed.Hierarchy{Levels: 1, Upper: []*embed.Overlay{leaf}}}
 	for pass := 0; pass < 2; pass++ {

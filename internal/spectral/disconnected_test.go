@@ -15,13 +15,7 @@ import (
 
 // twoTriangles returns two disjoint triangles plus one isolated node.
 func twoTriangles() *graph.Graph {
-	g := graph.New(7)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 0, 1)
-	g.AddEdge(3, 4, 1)
-	g.AddEdge(4, 5, 1)
-	g.AddEdge(5, 3, 1)
+	g := graph.FromEdges(7, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 3, W: 1}})
 	return g
 }
 
@@ -33,7 +27,7 @@ func TestMixingTimeEstimateDisconnected(t *testing.T) {
 		}
 	}
 	// Trivial graphs are already mixed.
-	if got := MixingTimeEstimate(graph.New(1), Lazy); got != 0 {
+	if got := MixingTimeEstimate(graph.FromEdges(1, nil), Lazy); got != 0 {
 		t.Errorf("MixingTimeEstimate(single node) = %d, want 0", got)
 	}
 	// Control: a connected graph still yields a positive finite estimate.

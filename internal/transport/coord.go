@@ -190,8 +190,8 @@ type coordinator struct {
 	pending    [][]wireSend
 	pendingBuf [][]byte
 	reply      stepReply // parse scratch
-	// sentAt[2·edge + (dst < sender)] is the barrier stamp (rounds+1) of
-	// the last send absorbed onto that directed edge: a reply naming one
+	// sentAt[arc] is the barrier stamp (rounds+1) of the last send
+	// absorbed onto that directed edge (graph.Halfedge.Arc): a reply naming one
 	// receiver port twice is caught where it is absorbed, against the
 	// shard that sent it.
 	sentAt []int32
@@ -628,17 +628,14 @@ func (c *coordinator) absorbStepped(shard int, body []byte) error {
 		// another shard's, and the port named once per barrier — else the
 		// receiving shard's Inject would refuse it and take the blame.
 		h := g.Neighbors(s.dst)[s.port]
-		if from := h.To; from < lo || from >= hi || (s.dst >= lo && s.dst < hi) {
+		if from := int(h.To); from < lo || from >= hi || (s.dst >= lo && s.dst < hi) {
 			return fmt.Errorf("send dst %d port %d is the edge from node %d, not one leaving owned nodes [%d, %d)", s.dst, s.port, from, lo, hi)
 		}
-		slot := 2 * h.EdgeID
-		if s.dst < h.To {
-			slot++
-		}
-		if c.sentAt[slot] == stamp {
+		arc := h.Arc ^ 1 // the hop from the sender to dst
+		if c.sentAt[arc] == stamp {
 			return fmt.Errorf("send dst %d port %d named twice in one reply", s.dst, s.port)
 		}
-		c.sentAt[slot] = stamp
+		c.sentAt[arc] = stamp
 		dst := c.split.Owner(s.dst)
 		off := len(c.pendingBuf[dst])
 		c.pendingBuf[dst] = append(c.pendingBuf[dst], s.payload...)

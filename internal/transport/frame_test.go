@@ -147,7 +147,7 @@ func TestHelloVersionSkew(t *testing.T) {
 		fc.flush()
 		io.Copy(io.Discard, conn) // hold the connection until the coordinator hangs up
 	}()
-	c := &coordinator{tcp: TCP{Shards: 1, Timeout: 10 * time.Second}, inst: &Instance{Graph: graph.New(1)}}
+	c := &coordinator{tcp: TCP{Shards: 1, Timeout: 10 * time.Second}, inst: &Instance{Graph: graph.FromEdges(1, nil)}}
 	c.prepare()
 	err = c.accept(ln)
 	want := fmt.Sprintf("protocol version mismatch: peer %d, this build %d", wireVersion-1, wireVersion)

@@ -365,7 +365,7 @@ func crossingPort(t *testing.T, g *graph.Graph, lo int) (dst, port int) {
 	t.Helper()
 	for v := 0; v < lo; v++ {
 		for p, h := range g.Neighbors(v) {
-			if h.To >= lo {
+			if int(h.To) >= lo {
 				return v, p
 			}
 		}

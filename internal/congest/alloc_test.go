@@ -34,6 +34,7 @@ package congest
 import (
 	"fmt"
 	"testing"
+	"testing/quick"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/graph"
@@ -262,6 +263,43 @@ func TestNewNetworkAllocs(t *testing.T) {
 		t.Fatalf("NewNetwork allocates %.0f objects, want <= %d", allocs, newNetworkAllocCeiling)
 	}
 	t.Logf("NewNetwork: %.0f objects", allocs)
+}
+
+// TestPortOfMatchesMapReference is the differential property test for
+// the port lookup: on random graphs, Ctx.PortTo must agree with the
+// obvious map-based reference built from the graph's own adjacency — for
+// every adjacent pair in both directions, for absent pairs and for self.
+func TestPortOfMatchesMapReference(t *testing.T) {
+	property := func(seed uint64, nRaw uint8, pRaw uint8) bool {
+		n := int(nRaw%30) + 2
+		p := float64(pRaw%100) / 99
+		g := graph.Gnp(n, p, rngutil.NewRand(seed))
+		net := NewUniformNetwork(g, func(int) Program { return NewTicker(1) }, rngutil.NewSource(1))
+
+		ref := make([]map[int]int, n)
+		for v := 0; v < n; v++ {
+			ref[v] = make(map[int]int, g.Degree(v))
+			for port, h := range g.Neighbors(v) {
+				ref[v][int(h.To)] = port
+			}
+		}
+		for v := 0; v < n; v++ {
+			for u := 0; u < n; u++ {
+				want, ok := ref[v][u]
+				if !ok {
+					want = -1
+				}
+				if got := net.ctxs[v].PortTo(u); got != want {
+					t.Logf("seed=%d n=%d p=%.2f: PortTo(%d,%d)=%d, want %d", seed, n, p, v, u, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCtxPortToRoundTrip checks the public lookup against NeighborID on

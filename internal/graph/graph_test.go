@@ -8,6 +8,21 @@ import (
 	"almostmix/internal/rngutil"
 )
 
+// TestNewEmpty: a graph built from no edges has its n nodes, no edges,
+// is valid and is not connected.
+func TestNewEmpty(t *testing.T) {
+	g := FromEdges(5, nil)
+	if g.N() != 5 || g.M() != 0 {
+		t.Fatalf("got n=%d m=%d, want 5, 0", g.N(), g.M())
+	}
+	if g.IsConnected() {
+		t.Fatal("5-node empty graph should not be connected")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAddEdge: the add callback Build hands to emit numbers edges in
 // emission order and shows each from both endpoints.
 func TestAddEdge(t *testing.T) {

@@ -9,6 +9,7 @@ package graph
 import (
 	"slices"
 	"testing"
+	"testing/quick"
 )
 
 // emitFixture is a small irregular edge sequence exercising uneven
@@ -45,6 +46,43 @@ func TestBuildFixtureAdjacency(t *testing.T) {
 		if gh := g.Neighbors(v); !slices.Equal(gh, wh) {
 			t.Errorf("node %d: ports %+v, want %+v", v, gh, wh)
 		}
+	}
+}
+
+// TestPropertyBuildMatchesAddEdge: Build, fed a random multigraph's edge
+// list, equals the incremental reference where each add call appends
+// the edge and one half-edge to each endpoint — every edge ID and weight
+// and every node's adjacency order, parallel edges included. The
+// embedding's overlays are built by Build, and their route rows and
+// portals read that order.
+func TestPropertyBuildMatchesAddEdge(t *testing.T) {
+	f := func(seed uint64) bool {
+		n, edges := sampleMultigraph(seed)
+		var wantEdges []Edge
+		wantAdj := make([][]Halfedge, n)
+		for _, e := range edges {
+			arc := 2 * int32(len(wantEdges))
+			wantEdges = append(wantEdges, e)
+			wantAdj[e.U] = append(wantAdj[e.U], Halfedge{To: int32(e.V), Arc: arc | 1})
+			wantAdj[e.V] = append(wantAdj[e.V], Halfedge{To: int32(e.U), Arc: arc})
+		}
+		got := Build(n, func(add func(u, v int, w float64)) {
+			for _, e := range edges {
+				add(e.U, e.V, e.W)
+			}
+		})
+		if got.N() != n || !slices.Equal(got.Edges(), wantEdges) {
+			return false
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(got.Neighbors(v), wantAdj[v]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

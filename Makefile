@@ -44,7 +44,7 @@ smoke:
 # trace-byte-identical to the sequential engine), shard death/stall
 # surfacing as attributed errors within the deadline, the state-machine
 # sweep (hostile_test.go: a cut at every frame boundary of a short run ×
-# four workloads × shards {2,3}, scripted hostile peers and replies — about
+# five workloads × shards {2,3}, scripted hostile peers and replies — about
 # 20 s of the transport package's 45 s under -race), the fault layer's
 # determinism contract (the differential fault tests across both engines
 # and all worker counts), faults over the wire (golden fault traces over

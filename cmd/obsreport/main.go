@@ -225,7 +225,9 @@ func rounds(w io.Writer, d *transport.ObsDoc) {
 		fmt.Fprintln(w, "no per-round timeline (run died before the first barrier, or -obsout ran without timeline capture)")
 		return
 	}
-	// Phase columns in protocol order, not first-seen order.
+	// Phase columns in protocol order, not first-seen order. A round's step
+	// rides its DELIVER exchange, so deliver-wait holds it; the step-*
+	// columns appear only when some round took the STEP fallback.
 	order := []string{"deliver-write", "deliver-wait", "step-write", "step-wait", "harvest"}
 	var cols []string
 	for _, p := range order {
@@ -257,7 +259,8 @@ func rounds(w io.Writer, d *transport.ObsDoc) {
 }
 
 // shards totals each shard's attributable wait time across the run —
-// the column that names the straggler.
+// the column that names the straggler. deliver-wait is every round's one
+// exchange, stepping included; step-wait only the STEP fallback's.
 func shards(w io.Writer, d *transport.ObsDoc) {
 	type tot struct{ deliver, step, other int64 }
 	per := map[int]*tot{}

@@ -14,9 +14,10 @@
 //
 // Fault injection for the coordinator's failure tests is env-driven so
 // every shard gets identical argv: TCPNODE_FAIL_SHARD/TCPNODE_FAIL_ROUND
-// make that shard drop its connection at that round's STEP;
-// TCPNODE_STALL_SHARD/TCPNODE_STALL_ROUND make it stop replying while
-// holding the connection open.
+// make that shard drop its connection just before it steps that round,
+// whichever frame asked for the step (DELIVER, or the STEP fallback);
+// TCPNODE_STALL_SHARD/TCPNODE_STALL_ROUND make it stop replying at the
+// same point while holding the connection open.
 package main
 
 import (

@@ -9,28 +9,40 @@ package transport
 //	spec      SPEC→               the replayable spec
 //	init      INIT→INITACK        round 0: Init on every shard, drain its events/sends
 //	per round:
-//	  deliver DELIVER→DELIVERED   relay cross-shard messages, build inboxes
+//	  deliver DELIVER→DELIVERED   relay cross-shard messages, build inboxes, and
+//	                              step at once unless the round may be quiet
 //	  (quiet check — same position as the in-process engines)
-//	  step    STEP→STEPPED        run programs, drain events and new sends
+//	  step    STEP→STEPPED        only to the shards that held their step back
 //	harvest   FINISH→FINAL        message counts and per-node workload records
 //	          ←TELEMETRY          each shard's wire tallies + flight dump
 //	reap                          close, then wait for / kill the runtimes
 //
-// The two barriers per round replicate the sequential engine's phase
-// ordering exactly — in particular the quiet check sits between deliver
-// and step, before the round counter advances — so the probe stream the
-// coordinator synthesizes (marks/halts in node order, then one
-// RoundEnd rebuilt from the shards' inbox profiles) is byte-identical
-// to a sequential in-process run of the same spec. A reply is trusted
-// for nothing: its absorb* function checks every field against the graph
-// and the shard's node range before any of it indexes coordinator state.
+// A round is one wire exchange. A shard delivers, then steps in the same
+// breath unless its own counts pass the quiet rule (quietRound: a quiet-
+// terminating workload past round 0 whose shard delivered nothing and
+// buffers no delayed message, with no crashed node due to recover); its
+// one DELIVERED reply carries the inbox profile and, when it stepped, the
+// step. The run ends quietly only when the sums pass the same rule, so
+// only when no shard stepped; a round that looked quiet from one shard
+// but is not gets STEP for the shards that held back. Step sections are
+// checked where their frame is read and applied in shard order — one that
+// arrives ahead of a held-back shard's waits for it — so the sequential
+// engine's phase ordering survives — the quiet check sits between deliver
+// and step, before the round counter advances — and the probe stream the
+// coordinator synthesizes (marks/halts in node order, then one RoundEnd
+// rebuilt from the shards' inbox profiles) is byte-identical to a
+// sequential in-process run of the same spec. A reply is trusted for
+// nothing: its absorb* function checks every field against the graph and
+// the shard's node range before any of it indexes coordinator state.
 //
 // Observability: the coordinator keeps an always-on flight recorder
 // (internal/flightrec) plus per-shard last-completed-round/last-frame
 // attribution, and — when a metrics registry or -obsout file is
 // attached — a per-round, per-shard barrier-phase timeline
-// (accept/deliver-write/deliver-wait/step-write/step-wait/harvest)
-// with a cross-shard skew series. Wall clocks NEVER enter the probe
+// (accept/deliver-write/deliver-wait/harvest, and step-write/step-wait
+// in the rounds that need the STEP fallback) with a cross-shard skew
+// series; without either, the barriers read the wall clock once each,
+// for their deadline. Wall clocks NEVER enter the probe
 // stream (trace files stay byte-identical to proc, the span_wall_ns
 // discipline); they flow to the metrics registry and the merged ObsDoc
 // written to ObsOut on every exit path including panic and SIGTERM.
@@ -177,8 +189,10 @@ type coordinator struct {
 
 	rounds  int
 	relayed int64
-	// What the barrier in progress has reported so far: drive zeroes
-	// these before a barrier, the absorb functions add each reply's share.
+	// What the round in progress has reported so far: drive zeroes the
+	// delivery sums before the DELIVER exchange, absorbDelivered adds each
+	// reply's share, and the first step section applied starts the rest
+	// over.
 	halted, active            int
 	delivered, pendingDelayed int
 	roundFaults               faults.Counts
@@ -187,17 +201,28 @@ type coordinator struct {
 
 	// pending[i] holds the cross-shard messages to relay to shard i in
 	// the next DELIVER, payload bytes owned by pendingBuf.
-	pending    [][]wireSend
-	pendingBuf [][]byte
-	reply      stepReply // parse scratch
-	// sentAt[arc] is the barrier stamp (rounds+1) of the last send
+	pending     [][]wireSend
+	pendingBuf  [][]byte
+	deliverBody []byte    // DELIVER body scratch
+	reply       stepReply // parse scratch
+	// A barrier's step sections apply in shard (= node) order: applied
+	// counts the shards whose section is in, and waiting[i] keeps a checked
+	// section that arrived while a shard before it still owed its step —
+	// the raw bytes, whose frame buffer stays put until they are applied (a
+	// shard is read again in a round only when its DELIVERED carried no
+	// step).
+	applied int
+	waiting [][]byte
+	every   []int // every shard index, the shard set of a full barrier
+	held    []int // the STEP fallback's shard set: those that did not step
+	// sentAt[arc] is the barrier stamp (round+1) of the last send
 	// absorbed onto that directed edge (graph.Halfedge.Arc): a reply naming one
 	// receiver port twice is caught where it is absorbed, against the
 	// shard that sent it.
 	sentAt []int32
 
 	// Always-on attribution state: the flight recorder ring plus, per
-	// shard, the last round it completed (STEPPED absorbed) and the
+	// shard, the last round it completed (its step applied) and the
 	// last frame type it successfully delivered to us.
 	rec        *flightrec.Recorder
 	shardRound []int
@@ -305,6 +330,11 @@ func (c *coordinator) prepare() {
 	c.split = congest.Split{N: g.N(), K: k}
 	c.pending = make([][]wireSend, k)
 	c.pendingBuf = make([][]byte, k)
+	c.waiting = make([][]byte, k)
+	c.every = make([]int, k)
+	for i := range c.every {
+		c.every[i] = i
+	}
 	c.sentAt = make([]int32, 2*g.M())
 	c.rec = flightrec.New("coord", -1, flightrec.DefaultCapacity)
 	c.shardRound = make([]int, k)
@@ -332,12 +362,22 @@ func (c *coordinator) phaseStart(phase string, round int) {
 	c.rec.Record(flightrec.KindBarrier, "", round, -1, 0, phase)
 }
 
-// notePhase attributes ns of coordinator wall time in the current phase
-// to one shard as a timeline row.
-func (c *coordinator) notePhase(shard int, ns int64) {
+// now reads the wall clock for the barrier timeline, and only when
+// something listens (obsOn); otherwise it is the zero time, which
+// notePhase and the skew never read.
+func (c *coordinator) now() time.Time {
+	if c.obsOn {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// notePhase attributes the coordinator wall time since t0 (from now) in
+// the current phase to one shard as a timeline row.
+func (c *coordinator) notePhase(shard int, t0 time.Time) {
 	if c.obsOn {
 		c.timeline = append(c.timeline, TimelineRow{
-			Round: c.phaseRound, Shard: shard, Phase: c.phase, WallNS: ns,
+			Round: c.phaseRound, Shard: shard, Phase: c.phase, WallNS: time.Since(t0).Nanoseconds(),
 		})
 	}
 }
@@ -399,7 +439,7 @@ func (c *coordinator) accept(ln net.Listener) error {
 		tl.SetDeadline(deadline)
 	}
 	for got := 0; got < c.tcp.Shards; got++ {
-		t0 := time.Now()
+		t0 := c.now()
 		conn, err := ln.Accept()
 		if err != nil {
 			return fmt.Errorf("transport: accepting shard connections (%d/%d): %w", got, c.tcp.Shards, err)
@@ -423,7 +463,7 @@ func (c *coordinator) accept(ln net.Listener) error {
 		c.conns[shard] = fc
 		c.lastType[shard] = frameHello
 		c.rec.Record(flightrec.KindFrameRecv, "HELLO", -1, shard, len(body), "")
-		c.notePhase(shard, time.Since(t0).Nanoseconds())
+		c.notePhase(shard, t0)
 	}
 	return nil
 }
@@ -437,19 +477,18 @@ func (c *coordinator) sendSpec() error {
 	if err != nil {
 		return fmt.Errorf("transport: encode spec: %w", err)
 	}
-	c.phaseStart("spec", -1)
-	return c.broadcast(frameSpec, func(int) []byte { return body })
+	_, err = c.exchange("spec", "", -1, c.every, frameSpec, func(int) []byte { return body }, 0, nil)
+	return err
 }
 
-// broadcast writes one frame to every shard (payload built per shard;
-// nil sends empty bodies) and flushes, under a write deadline. Per-shard
-// write+flush wall time lands in the current phase's timeline; each
-// flush is observed into the flush-latency histogram.
-func (c *coordinator) broadcast(typ byte, payload func(shard int) []byte) error {
-	deadline := time.Now().Add(c.tcp.timeout())
-	for i, fc := range c.conns {
-		t0 := time.Now()
-		fc.conn.SetWriteDeadline(deadline)
+// broadcast writes one frame to each shard of the set (payload built per
+// shard; nil sends empty bodies) and flushes. Per-shard write+flush wall
+// time lands in the current phase's timeline; each flush is observed into
+// the flush-latency histogram.
+func (c *coordinator) broadcast(typ byte, payload func(shard int) []byte, shards []int) error {
+	for _, i := range shards {
+		fc := c.conns[i]
+		t0 := c.now()
 		var body []byte
 		if payload != nil {
 			body = payload(i)
@@ -463,20 +502,18 @@ func (c *coordinator) broadcast(typ byte, payload func(shard int) []byte) error 
 		}
 		c.obs.flushNS.Observe(fc.tally.flushNS - preFlush)
 		c.rec.Record(flightrec.KindFrameSent, frameName(typ), c.phaseRound, i, len(body), "")
-		c.notePhase(i, time.Since(t0).Nanoseconds())
+		c.notePhase(i, t0)
 	}
 	return nil
 }
 
-// expect reads one frame of the given type from shard i under the
-// barrier deadline, attributing the blocked wall time to the current
-// phase.
-func (c *coordinator) expect(i int, want byte, deadline time.Time) ([]byte, error) {
+// expect reads one frame of the given type from shard i, attributing the
+// blocked wall time to the current phase.
+func (c *coordinator) expect(i int, want byte) ([]byte, error) {
 	fc := c.conns[i]
-	fc.conn.SetReadDeadline(deadline)
-	t0 := time.Now()
+	t0 := c.now()
 	typ, body, err := fc.read()
-	c.notePhase(i, time.Since(t0).Nanoseconds())
+	c.notePhase(i, t0)
 	if err != nil {
 		return nil, c.shardFail(i, "read", err)
 	}
@@ -488,32 +525,42 @@ func (c *coordinator) expect(i int, want byte, deadline time.Time) ([]byte, erro
 	return body, nil
 }
 
-// exchange is the protocol's one barrier: send every shard one request
-// frame (request 0 sends nothing: TELEMETRY follows FINAL unasked), then
-// read one reply frame from each in shard (= node) order under the barrier
-// deadline and hand its body to absorb while the frame buffer holds it.
-// Every failure — write, flush, read, wrong frame type, absorb rejecting
-// what the reply says — is a shardError naming shard, phase and cause. It
-// returns the spread between the first and the last reply read.
-func (c *coordinator) exchange(writePhase, waitPhase string, round int, request byte, body func(shard int) []byte,
+// exchange is the protocol's one barrier over a set of shards: send each
+// one request frame (request 0 sends nothing: TELEMETRY follows FINAL
+// unasked), then read one reply frame from each in shard (= node) order
+// (reply 0 reads nothing: SPEC has no answer) and hand its body to absorb
+// while the frame buffer holds it, all under one deadline. Every failure —
+// write, flush, read, wrong frame type, absorb rejecting what the reply
+// says — is a shardError naming shard, phase and cause. With a timeline
+// attached it returns the spread between the first and the last reply
+// read, else 0.
+func (c *coordinator) exchange(writePhase, waitPhase string, round int, shards []int, request byte, body func(shard int) []byte,
 	reply byte, absorb func(shard int, body []byte) error) (spreadNS int64, err error) {
+	deadline := time.Now().Add(c.tcp.timeout())
+	for _, i := range shards {
+		c.conns[i].conn.SetDeadline(deadline)
+	}
 	if request != 0 {
 		c.phaseStart(writePhase, round)
-		if err := c.broadcast(request, body); err != nil {
+		if err := c.broadcast(request, body, shards); err != nil {
 			return 0, err
 		}
 	}
+	if reply == 0 {
+		return 0, nil
+	}
 	c.phaseStart(waitPhase, round)
-	t0 := time.Now()
-	deadline := t0.Add(c.tcp.timeout())
+	t0 := c.now()
 	var first, last int64
-	for i := range c.conns {
-		b, err := c.expect(i, reply, deadline)
+	for n, i := range shards {
+		b, err := c.expect(i, reply)
 		if err != nil {
 			return 0, err
 		}
-		if last = time.Since(t0).Nanoseconds(); i == 0 {
-			first = last
+		if c.obsOn {
+			if last = time.Since(t0).Nanoseconds(); n == 0 {
+				first = last
+			}
 		}
 		if err := absorb(i, b); err != nil {
 			return 0, c.shardFail(i, "reply", err)
@@ -523,7 +570,8 @@ func (c *coordinator) exchange(writePhase, waitPhase string, round int, request 
 }
 
 // drive is the protocol, one transition after another: accept → spec →
-// init → (deliver → quiet? → step)* → harvest.
+// init → (deliver → quiet? → step)* → harvest, where a round's step rides
+// its DELIVER exchange and STEP goes out only to the shards that held it.
 func (c *coordinator) drive(ln net.Listener) (Result, error) {
 	if err := c.accept(ln); err != nil {
 		return Result{}, err
@@ -533,27 +581,29 @@ func (c *coordinator) drive(ln net.Listener) (Result, error) {
 	}
 	c.probeStart()
 	// Round 0: Init everywhere, drain its events and outbound sends.
-	if _, err := c.exchange("init", "init-wait", 0, frameInit, nil, frameInitAck, c.absorbStepped); err != nil {
+	if _, err := c.exchange("init", "init-wait", 0, c.every, frameInit, nil, frameInitAck, c.absorbStepped); err != nil {
 		return Result{}, err
 	}
 	n, fellQuiet := c.inst.Graph.N(), false
 	for c.rounds < c.inst.MaxRounds && c.halted < n {
-		t0 := time.Now()
-		// Deliver barrier: relay the pending cross-shard messages, get
-		// back each shard's delivery profile.
-		c.delivered, c.pendingDelayed = 0, 0
-		if _, err := c.exchange("deliver-write", "deliver-wait", c.rounds+1, frameDeliver, c.takeDeliverBody, frameDelivered, c.absorbDelivered); err != nil {
+		var t0 time.Time
+		if c.rm != nil {
+			t0 = time.Now()
+		}
+		// The round's exchange: relay the pending cross-shard messages, get
+		// back each shard's delivery profile and, from every shard whose
+		// own counts rule out a quiet round, its step. A step means the
+		// round is not quiet, so it may apply before the quiet check.
+		c.delivered, c.pendingDelayed, c.applied = 0, 0, 0
+		skew, err := c.exchange("deliver-write", "deliver-wait", c.rounds+1, c.every, frameDeliver, c.takeDeliverBody, frameDelivered, c.absorbDelivered)
+		if err != nil {
 			return Result{}, err
 		}
-		if fellQuiet = c.quiet(); fellQuiet {
+		if fellQuiet = c.inst.quietRound(c.rounds, c.delivered, c.pendingDelayed); fellQuiet {
 			break
 		}
 		c.rounds++
-		// Step barrier: everyone advances one round; events, halt and fault
-		// counts and the next round's cross-shard sends come back.
-		c.halted, c.active, c.roundFaults = 0, 0, faults.Counts{}
-		skew, err := c.exchange("step-write", "step-wait", c.rounds, frameStep, nil, frameStepped, c.absorbStepped)
-		if err != nil {
+		if err := c.stepHeld(); err != nil {
 			return Result{}, err
 		}
 		c.roundEnd(t0, skew)
@@ -579,20 +629,47 @@ func (c *coordinator) probeStart() {
 	p.RunStart(congest.RunInfo{Nodes: g.N(), Edges: g.M()})
 }
 
-// quiet is congest.Network's quiet rule after a deliver barrier: a round
-// ≥ 1 that delivered nothing, no delayed message still buffered on any
-// shard, no crashed node due to recover (faults.Plan.QuietAfter).
-func (c *coordinator) quiet() bool {
-	return c.inst.Quiet && c.rounds > 0 && c.delivered == 0 && c.pendingDelayed == 0 &&
-		(c.inst.Faults == nil || c.inst.Faults.QuietAfter(c.rounds))
+// quietRound is congest.Network's quiet rule for the deliver phase that
+// follows `rounds` executed rounds: a quiet-terminating workload, a round
+// ≥ 1 that delivered nothing, no delayed message still buffered, no
+// crashed node due to recover (faults.Plan.QuietAfter). A shard applies it
+// to its own counts — it holds its step back only when they pass — and
+// the coordinator to the sums, which pass only when every shard's did.
+func (inst *Instance) quietRound(rounds, delivered, pending int) bool {
+	return inst.Quiet && rounds > 0 && delivered == 0 && pending == 0 &&
+		(inst.Faults == nil || inst.Faults.QuietAfter(rounds))
 }
 
-// absorbStepped folds one INITACK/STEPPED into coordinator state: replay
-// its probe events (shards arrive in node order, so replay order is the
-// canonical one), add its tallies to the barrier's, and buffer its
-// outbound sends for the next DELIVER — each checked before it indexes an
-// array here, on the receiving shard or in the probe.
+// stepHeld is the STEP fallback of a round that is not quiet: the shards
+// whose own counts passed the quiet rule held their step back, and now
+// take it.
+func (c *coordinator) stepHeld() error {
+	c.held = c.held[:0]
+	for i := c.applied; i < len(c.waiting); i++ {
+		if c.waiting[i] == nil {
+			c.held = append(c.held, i)
+		}
+	}
+	if len(c.held) == 0 {
+		return nil
+	}
+	_, err := c.exchange("step-write", "step-wait", c.rounds, c.held, frameStep, nil, frameStepped, c.absorbStepped)
+	return err
+}
+
+// absorbStepped reads one INITACK or STEPPED body: the step of round
+// c.rounds (0 for Init).
 func (c *coordinator) absorbStepped(shard int, body []byte) error {
+	return c.takeStep(shard, c.rounds, body)
+}
+
+// takeStep parses shard's step section of the given round and checks
+// every field before anything of it is applied: active and halted within
+// the owned nodes, event nodes owned, and each send on a port of the graph
+// that leaves the shard, named once. Then it applies the section, and any
+// waiting behind it, if every shard before it is applied; else the section
+// waits.
+func (c *coordinator) takeStep(shard, round int, body []byte) error {
 	r := &c.reply
 	if err := parseStepReply(body, r); err != nil {
 		return err
@@ -601,32 +678,20 @@ func (c *coordinator) absorbStepped(shard int, body []byte) error {
 	if r.active > hi-lo || r.halted > hi-lo {
 		return fmt.Errorf("active %d, halted %d of %d owned nodes", r.active, r.halted, hi-lo)
 	}
-	p := c.opts.Probe
 	for _, e := range r.events {
 		if e.node < lo || e.node >= hi {
 			return fmt.Errorf("event node %d outside owned nodes [%d, %d)", e.node, lo, hi)
 		}
-		if p == nil {
-			continue
-		}
-		if e.halt {
-			p.NodeHalted(e.node, e.round)
-		} else {
-			p.PhaseMark(e.node, e.round, e.name)
-		}
 	}
-	c.halted += r.halted
-	c.active += r.active
-	c.roundFaults.Add(r.faults)
-	g, stamp := c.inst.Graph, int32(c.rounds+1)
+	g, stamp := c.inst.Graph, int32(round+1)
 	for _, s := range r.sends {
 		if s.dst >= g.N() || s.port >= g.Degree(s.dst) {
 			return fmt.Errorf("send dst %d port %d names no port of the graph's %d nodes", s.dst, s.port, g.N())
 		}
-		// Ports are numbered in graph.Neighbors order (congest's topology),
-		// so the port names the sender: it must be this shard's node, dst
-		// another shard's, and the port named once per barrier — else the
-		// receiving shard's Inject would refuse it and take the blame.
+		// Ports are numbered in graph.Graph's CSR order, so the port names
+		// the sender: it must be this shard's node, dst another shard's,
+		// and the port named once per barrier — else the receiving shard's
+		// Inject would refuse it and take the blame.
 		h := g.Neighbors(s.dst)[s.port]
 		if from := int(h.To); from < lo || from >= hi || (s.dst >= lo && s.dst < hi) {
 			return fmt.Errorf("send dst %d port %d is the edge from node %d, not one leaving owned nodes [%d, %d)", s.dst, s.port, from, lo, hi)
@@ -636,6 +701,46 @@ func (c *coordinator) absorbStepped(shard int, body []byte) error {
 			return fmt.Errorf("send dst %d port %d named twice in one reply", s.dst, s.port)
 		}
 		c.sentAt[arc] = stamp
+	}
+	c.shardRound[shard] = round
+	if shard != c.applied {
+		c.waiting[shard] = body
+		return nil
+	}
+	c.applyStep()
+	for c.applied < len(c.waiting) && c.waiting[c.applied] != nil {
+		// Parsed and checked when it arrived: it parses again.
+		_ = parseStepReply(c.waiting[c.applied], r)
+		c.waiting[c.applied] = nil
+		c.applyStep()
+	}
+	return nil
+}
+
+// applyStep folds the checked step section in c.reply, shard c.applied's,
+// into coordinator state: replay its probe events, add its tallies to the
+// round's, and buffer its outbound sends for the next DELIVER. Sections
+// apply in shard (= node) order — the canonical replay order of probe
+// events, whichever frame carried each — and shard 0's, the barrier's
+// first, starts the round's tallies over.
+func (c *coordinator) applyStep() {
+	if c.applied == 0 {
+		c.halted, c.active, c.roundFaults = 0, 0, faults.Counts{}
+	}
+	r := &c.reply
+	if p := c.opts.Probe; p != nil {
+		for _, e := range r.events {
+			if e.halt {
+				p.NodeHalted(e.node, e.round)
+			} else {
+				p.PhaseMark(e.node, e.round, e.name)
+			}
+		}
+	}
+	c.halted += r.halted
+	c.active += r.active
+	c.roundFaults.Add(r.faults)
+	for _, s := range r.sends {
 		dst := c.split.Owner(s.dst)
 		off := len(c.pendingBuf[dst])
 		c.pendingBuf[dst] = append(c.pendingBuf[dst], s.payload...)
@@ -644,30 +749,42 @@ func (c *coordinator) absorbStepped(shard int, body []byte) error {
 			port:    s.port,
 			payload: c.pendingBuf[dst][off:],
 		})
-		c.relayed++
 	}
-	c.shardRound[shard] = c.rounds
-	return nil
+	c.relayed += int64(len(r.sends))
+	c.applied++
 }
 
-// takeDeliverBody serializes and clears shard i's pending batch.
+// takeDeliverBody serializes and clears shard i's pending batch into one
+// scratch body, reused: broadcast frames each body before it asks for the
+// next.
 func (c *coordinator) takeDeliverBody(i int) []byte {
-	body := appendSends(nil, c.pending[i])
+	c.deliverBody = appendSends(c.deliverBody[:0], c.pending[i])
 	c.pending[i] = c.pending[i][:0]
 	c.pendingBuf[i] = c.pendingBuf[i][:0]
-	return body
+	return c.deliverBody
 }
 
-// absorbDelivered reads one shard's DELIVERED body — its delivered total
-// and the count of delayed messages still buffered for its receivers
-// (the quiet check extends to those), then per owned node in ID order
-// the inbox size and the ports the messages arrived on: what the round
-// aggregator needs to rebuild InboxSizes, EdgeLoad and the max-inbox
-// fields of the RoundRecord (fed when a probe is attached; shards arrive
-// in node order, which its tie-breaking needs). Checked on the way: every
-// port inside its node's degree, the sizes summing to the total.
+// absorbDelivered reads one shard's DELIVERED body — the round it
+// answers, its delivered total and the count of delayed messages still
+// buffered for its receivers (the quiet check extends to those), then per
+// owned node in ID order the inbox size and the ports the messages
+// arrived on: what the round aggregator needs to rebuild InboxSizes,
+// EdgeLoad and the max-inbox fields of the RoundRecord (fed when a probe
+// is attached; shards arrive in node order, which its tie-breaking
+// needs). Then the stepped flag and, when it is set, the step section of
+// round c.rounds+1, which takeStep checks here and applies as soon as
+// every shard before this one has stepped. Checked on the way: the round is this one (a
+// round trip answers with one frame type, so only the number tells a
+// replayed reply from a fresh one), every port inside its node's degree,
+// the sizes summing to the total, and the flag set exactly when the
+// shard's own counts rule out a quiet round — a shard that steps when it
+// should have held back, or holds back a step it owed, is lying, not out
+// of step.
 func (c *coordinator) absorbDelivered(shard int, body []byte) error {
 	cur := cursor{b: body}
+	if round := cur.int("delivered round"); cur.err == nil && round != c.rounds+1 {
+		return fmt.Errorf("DELIVERED of round %d in round %d", round, c.rounds+1)
+	}
 	delivered, pending := cur.int("delivered total"), cur.int("delivered pending")
 	g, sum := c.inst.Graph, 0
 	lo, hi := c.split.Bounds(shard)
@@ -684,11 +801,29 @@ func (c *coordinator) absorbDelivered(shard int, body []byte) error {
 		}
 		sum += size
 	}
-	if err := cur.done("delivered reply"); err != nil {
-		return err
+	stepped := cur.byte("delivered stepped flag")
+	if cur.err == nil && stepped > 1 {
+		cur.fail("delivered stepped flag")
+	}
+	if cur.err != nil {
+		return cur.err
 	}
 	if sum != delivered {
 		return fmt.Errorf("delivered %d but the inbox sizes sum to %d", delivered, sum)
+	}
+	switch may := c.inst.quietRound(c.rounds, delivered, pending); {
+	case may && stepped == 1:
+		return fmt.Errorf("stepped in round %d, which delivered %d with %d delayed pending and may be quiet", c.rounds+1, delivered, pending)
+	case !may && stepped == 0:
+		return fmt.Errorf("held its step in round %d, which delivered %d with %d delayed pending and cannot be quiet", c.rounds+1, delivered, pending)
+	case stepped == 1:
+		if err := c.takeStep(shard, c.rounds+1, cur.b); err != nil {
+			return err
+		}
+	default:
+		if err := cur.done("delivered reply"); err != nil {
+			return err
+		}
 	}
 	c.delivered += delivered
 	c.pendingDelayed += pending
@@ -698,12 +833,13 @@ func (c *coordinator) absorbDelivered(shard int, body []byte) error {
 // roundEnd closes one stepped round, begun at t0, on everything that
 // listens: the plan's totals, the probe's RoundEnd (the record aggregated
 // from the collected profiles), the run's congest_* block, the skew
-// series and the round's wire telemetry. Replies drain in shard order, so
-// the skew is the spread between the first and last reply read — a lower
-// bound on true skew, tight when the slow shard is last.
+// series and the round's wire telemetry. DELIVERED replies drain in shard
+// order, so the skew is the spread between the first and last of them
+// read — a lower bound on true skew, tight when the slow shard is last.
+// t0 is read only with a registry attached (c.rm).
 func (c *coordinator) roundEnd(t0 time.Time, spreadNS int64) {
 	// The coordinator never delivers, so its copy of the plan rolls no
-	// fates: it accumulates the counts the STEPPED replies return (and
+	// fates: it accumulates the counts the step sections return (and
 	// answers the quiet check's recovery rule).
 	counts := c.roundFaults
 	if plan := c.inst.Faults; plan != nil {
@@ -712,7 +848,9 @@ func (c *coordinator) roundEnd(t0 time.Time, spreadNS int64) {
 	if c.agg != nil {
 		c.agg.RoundEnd(c.opts.Probe, c.rounds, c.delivered, c.active, c.halted, counts)
 	}
-	c.rm.Round(time.Since(t0).Nanoseconds(), c.delivered, counts)
+	if c.rm != nil {
+		c.rm.Round(time.Since(t0).Nanoseconds(), c.delivered, counts)
+	}
 	if c.obsOn {
 		c.skew = append(c.skew, RoundSkew{Round: c.rounds, SkewNS: spreadNS})
 	}
@@ -730,10 +868,10 @@ func (c *coordinator) roundEnd(t0 time.Time, spreadNS int64) {
 // (records concatenate in shard order into one per node) and each shard's
 // TELEMETRY ship-back, then reduce the records to the workload's output.
 func (c *coordinator) harvest() (Result, error) {
-	if _, err := c.exchange("harvest", "harvest", c.rounds, frameFinish, nil, frameFinal, c.absorbFinal); err != nil {
+	if _, err := c.exchange("harvest", "harvest", c.rounds, c.every, frameFinish, nil, frameFinal, c.absorbFinal); err != nil {
 		return Result{}, err
 	}
-	if _, err := c.exchange("harvest", "harvest", c.rounds, 0, nil, frameTelemetry, c.absorbTelemetry); err != nil {
+	if _, err := c.exchange("harvest", "harvest", c.rounds, c.every, 0, nil, frameTelemetry, c.absorbTelemetry); err != nil {
 		return Result{}, err
 	}
 	res := Result{Rounds: c.rounds, Messages: c.messages}
@@ -819,7 +957,9 @@ func (c *coordinator) wireRows() []WireStats {
 
 // metricsEnd closes the run's congest_* block and exports its wire
 // telemetry: the barrier wait and round skew histograms, read off the
-// timeline and the skew series; aggregate and per-shard frame/byte/flush
+// timeline and the skew series (deliver-wait is every round's one
+// exchange, step itself included; step-wait only the STEP fallback's
+// rounds); aggregate and per-shard frame/byte/flush
 // counters for the coordinator's side of every connection, per-frame-type
 // directional counters, and — for shards that shipped their TELEMETRY
 // frame — the shard-side tallies under tcpnet_shard_*.

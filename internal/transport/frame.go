@@ -23,16 +23,19 @@ import (
 )
 
 // Frame types. The coordinator initiates every phase; shards only ever
-// respond, so each request type pairs with the response below it.
+// respond, so each request type pairs with the response below it. A
+// round is DELIVER→DELIVERED, the step riding the reply; STEP→STEPPED is
+// the fallback for a shard that held its step back because the round
+// could be quiet from where it stood.
 const (
 	frameHello     byte = 1 + iota // shard → coord: version, shard index
 	frameSpec                      // coord → shard: JSON wireSpec
 	frameInit                      // coord → shard: run Init (round 0)
-	frameInitAck                   // shard → coord: round-0 events, halted, external sends
-	frameDeliver                   // coord → shard: relayed cross-shard messages
-	frameDelivered                 // shard → coord: delivered count, per-node inbox profile
-	frameStep                      // coord → shard: run one Step
-	frameStepped                   // shard → coord: active, events, halted, external sends
+	frameInitAck                   // shard → coord: round-0 step section (events, halted, external sends)
+	frameDeliver                   // coord → shard: relayed cross-shard messages; deliver, then step unless quiet-capable
+	frameDelivered                 // shard → coord: round, delivered and pending counts, per-node inbox profile, stepped flag [+ step section]
+	frameStep                      // coord → shard: run the held-back Step of a round that was not quiet
+	frameStepped                   // shard → coord: step section (active, halted, fault counts, events, external sends)
 	frameFinish                    // coord → shard: run over, harvest
 	frameFinal                     // shard → coord: message count, one harvest record per owned node
 	frameTelemetry                 // shard → coord: JSON wireTelemetry (tallies + flight dump)
@@ -77,8 +80,13 @@ func frameName(typ byte) string {
 // pre-rolled fault decisions from the coordinator: every shard now rolls
 // them from the plan it rebuilds from the spec. Version 6 made the FINAL
 // body the message count plus one record per owned node (the record
-// codec, proto.go) in place of an opaque workload blob.
-const wireVersion = 6
+// codec, proto.go) in place of an opaque workload blob. Version 7 folded
+// the step into DELIVER: a shard steps on DELIVER unless the round may be
+// quiet from its own counts, DELIVERED gained the round it answers (the
+// lost DELIVERED/STEPPED alternation used to expose a replayed reply), the
+// stepped flag and the step section, and STEP is sent only to the shards
+// that held back.
+const wireVersion = 7
 
 // maxFramePayload bounds a frame's payload. Generous — the largest
 // legitimate frame is a DELIVER batch, linear in a shard's boundary

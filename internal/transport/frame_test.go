@@ -163,8 +163,14 @@ func replySeeds(f *testing.F) {
 	f.Add(appendStepReply(nil, &stepReply{active: 3, halted: 1,
 		events: []wireEvent{{node: 1, round: 2, name: "m"}, {halt: true, node: 1, round: 2}},
 		sends:  []wireSend{{dst: 7, port: 0, payload: []byte("x")}}}), 0)
-	f.Add([]byte{2, 0, 1, 0, 1, 3, 0, 0}, 0)                                    // DELIVERED: 2 delivered, 0 pending, inboxes {port 0}, {port 3}, {}, {}
+	f.Add([]byte{1, 2, 0, 1, 0, 1, 3, 0, 0, 0}, 0)                              // DELIVERED of round 1: 2 delivered, 0 pending, inboxes {port 0}, {port 3}, {}, {}, step held back
 	f.Add(appendRecords([]byte{9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 9 messages, four records
+	// DELIVERED of round 1 by shard 0 of FuzzAbsorbReplies' star, stepped:
+	// one message in at the centre, then the step section — a mark and a
+	// halt of node 1 and a send to leaf 5 over its only port.
+	f.Add(appendStepReply([]byte{1, 1, 0, 1, 6, 0, 0, 0, 1}, &stepReply{active: 4, halted: 1,
+		events: []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}},
+		sends:  []wireSend{{dst: 5, port: 0, payload: []byte{3}}}}), 0)
 	f.Add(appendHello(nil, 3), 1)
 	// STEPPED of shard 1 over FuzzAbsorbReplies' star, relaying payloads no
 	// codec owns — no bytes at all, and the tag of the reserved empty kind.
@@ -256,9 +262,11 @@ func FuzzAbsorbReplies(f *testing.F) {
 		_ = c.absorbDelivered(shard, data)
 		_ = c.absorbFinal(shard, data)
 		_ = c.absorbTelemetry(shard, data)
-		// Whatever was absorbed has to be usable: the round closes and the
-		// relay batches serialize.
-		c.roundEnd(time.Now(), 0)
+		// Whatever was absorbed has to be usable: a checked step section of
+		// shard 1 waits for shard 0's, and an empty step of shard 0 applies
+		// both; the round closes and the relay batches serialize.
+		_ = c.absorbStepped(0, appendStepReply(nil, &stepReply{}))
+		c.roundEnd(time.Time{}, 0)
 		for i := 0; i < k; i++ {
 			c.takeDeliverBody(i)
 		}

@@ -8,7 +8,7 @@ package transport_test
 // retyped, duplicated, or rewritten. On top of it:
 //
 //   - TestSeverAtEveryFrameBoundary cuts shard 1's connection at every
-//     frame boundary of a short run, for four workloads and two shard
+//     frame boundary of a short run, for five workloads and two shard
 //     counts, and demands what ROADMAP's robustness bullet promises of
 //     every failure: an attributed error well inside the deadline, a
 //     schema-valid -obsout, no goroutine left behind, no partial file.
@@ -197,8 +197,9 @@ func wholeFiles(t *testing.T, dir, what string) {
 }
 
 // sweepSpecs are the sweep's short runs: a lifecycle-only workload, the
-// message-bound and the round-bound one, and one with a fault plan. Sized
-// by frame count — GHS on four nodes is already 37 rounds — because every
+// message-bound and the round-bound one, one with a fault plan, and BFS
+// along an 8-node path, whose far shards take the STEP fallback. Sized by
+// frame count — GHS on four nodes is already 37 rounds — because every
 // frame costs three runs per shard count.
 func sweepSpecs() []transport.Spec {
 	return []transport.Spec{
@@ -207,12 +208,13 @@ func sweepSpecs() []transport.Spec {
 		{Workload: "ghs", Graph: "ring", N: 4, SrcSeed: 71, WeightSeed: 8},
 		{Workload: "walks-faults", Graph: "rr", N: 12, D: 4, K: 1, Steps: 3, Seed: 1, SrcSeed: 81,
 			FaultSpec: "drop=0.05,delay=0.1:2", FaultSeed: 3},
+		{Workload: "bfs", Graph: "lollipop", N: 1, D: 7, SrcSeed: 61},
 	}
 }
 
 func TestSeverAtEveryFrameBoundary(t *testing.T) {
 	if testing.Short() {
-		t.Skip("784 runs; make transport-suite runs it whole")
+		t.Skip("542 runs; make transport-suite runs it whole")
 	}
 	const timeout = 10 * time.Second
 	for _, spec := range sweepSpecs() {
@@ -297,22 +299,24 @@ func TestScriptedPeer(t *testing.T) {
 		timeout bool
 	}{
 		{"partial writes", func(int, byte, []byte) fate { return fate{dribble: true} }, nil, false},
-		{"stall", at(transport.FrameStepped, fate{stall: true}),
-			[]string{"transport: shard 1: read", "phase step-wait", "last frame DELIVERED"}, true},
+		{"stall", at(transport.FrameDelivered, fate{stall: true}),
+			[]string{"transport: shard 1: read", "phase deliver-wait", "last completed round 1", "last frame DELIVERED"}, true},
 		{"close mid-frame", at(transport.FrameDelivered, fate{cut: cutMid}),
-			[]string{"transport: shard 1: read", "phase deliver-wait", "last frame STEPPED"}, false},
-		{"close at a frame boundary", at(transport.FrameStepped, fate{cut: cutBefore}),
-			[]string{"transport: shard 1: read", "phase step-wait", "last frame DELIVERED"}, false},
+			[]string{"transport: shard 1: read", "phase deliver-wait", "last completed round 1", "last frame DELIVERED"}, false},
+		{"close at a frame boundary", at(transport.FrameDelivered, fate{cut: cutBefore}),
+			[]string{"transport: shard 1: read", "phase deliver-wait", "last frame DELIVERED"}, false},
 		{"wrong wire version", func(k int, _ byte, _ []byte) fate {
 			if k != 0 {
 				return fate{}
 			}
 			return fate{rewrite: func(b []byte) []byte { return append([]byte{b[0] + 1}, b[1:]...) }}
 		}, []string{"protocol version mismatch"}, false},
-		{"out-of-phase frame", at(transport.FrameStepped, fate{typ: transport.FrameDelivered}),
-			[]string{"transport: shard 1: read", "want STEPPED", "phase step-wait"}, false},
+		{"out-of-phase frame", at(transport.FrameDelivered, fate{typ: transport.FrameStepped}),
+			[]string{"transport: shard 1: read", "want DELIVERED", "phase deliver-wait"}, false},
+		// Every round answers with the same frame type, so a repeated reply
+		// is caught by the round it names.
 		{"duplicate frame", at(transport.FrameDelivered, fate{copies: 2}),
-			[]string{"transport: shard 1: read", "want STEPPED", "phase step-wait"}, false},
+			[]string{"transport: shard 1: reply", "DELIVERED of round 2 in round 3", "phase deliver-wait"}, false},
 	}
 	want, wantRes := traceRun(t, transport.Proc{Workers: 1}, spec, "scripted")
 	for _, tc := range cases {
@@ -378,45 +382,79 @@ func crossingPort(t *testing.T, g *graph.Graph, lo int) (dst, port int) {
 // contradict each other must end the run in an error naming shard 1, the
 // phase and the field — the coordinator indexes its own arrays with these
 // numbers, so before the absorb checks the first and the two DELIVERED
-// rows were index panics and the rest were silently absorbed. A reply
+// port rows were index panics and the rest were silently absorbed. A reply
 // naming one receiver port twice used to be relayed, and the run failed
-// against the innocent receiving shard.
+// against the innocent receiving shard. A step section is checked where
+// its frame is read: in STEPPED on the path BFS, whose far shard holds its
+// early steps back (shard 1 of 2 owns nodes [8, 16) and delivers nothing
+// before round 8), and inside round 2's DELIVERED on walks, whose every
+// shard steps on DELIVER (shard 1 of 2 owns nodes [16, 32)).
 func TestHostileReplies(t *testing.T) {
-	spec := suiteSpecs(1)[4] // walks on rr(32, 4): shard 1 of 2 owns nodes [16, 32)
-	const owned = 16
+	spec, path := suiteSpecs(1)[4], pathBFS(0)
+	const owned, pathOwned = 16, 8
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, port := crossingPort(t, g, owned)
-	// One well-formed walk token (steps left, origin, sequence) over that port.
-	send := uv(uint64(dst), uint64(port), 3, 1, uint64(g.Neighbors(dst)[port].To), 0)
+	pathG, err := transport.BuildGraph(*path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One send over a port of dst that shard 1 may name: a well-formed walk
+	// token (steps left, origin, sequence) on walks; the relayed bytes are
+	// never read before the checks fire.
+	crossing := func(g *graph.Graph, lo int) ([]byte, string) {
+		dst, port := crossingPort(t, g, lo)
+		return uv(uint64(dst), uint64(port), 3, 1, uint64(g.Neighbors(dst)[port].To), 0),
+			fmt.Sprintf("send dst %d port %d named twice", dst, port)
+	}
+	send, twice := crossing(g, owned)
+	pathSend, pathTwice := crossing(pathG, pathOwned)
 	stepped := func(halted uint64, tail ...uint64) []byte {
 		return uv(append([]uint64{0, halted, 0, 0, 0, 0}, tail...)...) // active, halted, four fault counts
 	}
-	delivered := func(total uint64, first ...uint64) []byte {
-		body := uv(total, 0) // delivered, pending
+	// delivered is shard 1's DELIVERED of round 2: the total, the first
+	// owned node's inbox (size, ports), the other owned nodes' empty ones,
+	// then the stepped flag and the step section, if any.
+	delivered := func(total uint64, first []uint64, step []byte) []byte {
+		body := uv(2, total, 0) // round, delivered, pending
 		body = append(body, uv(first...)...)
-		return append(body, make([]byte, owned-1)...) // the other owned nodes: empty inboxes
+		body = append(body, make([]byte, owned-1)...)
+		if step == nil {
+			return append(body, 0)
+		}
+		return append(append(body, 1), step...)
 	}
+	// withStep carries a step section behind one message delivered on port
+	// 0, which rules out a quiet round: the step is owed.
+	withStep := func(step []byte) []byte { return delivered(1, []uint64{1, 0}, step) }
+	badFlag := withStep(nil)
+	badFlag[len(badFlag)-1] = 2
 	cases := []struct {
 		name  string
+		spec  *transport.Spec // nil: walks
 		typ   byte
 		body  []byte
 		phase string
 		field string
 	}{
-		{"STEPPED send dst beyond n", transport.FrameStepped, stepped(0, 0, 1, 37, 0, 0), "step-wait", "send dst 37"},
-		{"STEPPED send port beyond degree", transport.FrameStepped, stepped(0, 0, 1, 3, 99, 0), "step-wait", "send dst 3 port 99"},
-		{"STEPPED send that is not the shard's to make", transport.FrameStepped, stepped(0, 0, 1, 20, 0, 0), "step-wait", "send dst 20 port 0 is the edge from node"},
-		{"STEPPED halted beyond owned", transport.FrameStepped, stepped(owned+1, 0, 0), "step-wait", "halted 17"},
-		{"STEPPED event outside the shard", transport.FrameStepped, stepped(0, 1, 1, 3, 2, 0), "step-wait", "event node 3"},
-		{"INITACK send dst beyond n", transport.FrameInitAck, stepped(0, 0, 1, 1<<40, 0, 0), "init-wait", "send dst"},
-		{"STEPPED send port named twice", transport.FrameStepped, slices.Concat(stepped(0, 0, 2), send, send), "step-wait",
-			fmt.Sprintf("send dst %d port %d named twice", dst, port)},
-		{"DELIVERED port beyond degree", transport.FrameDelivered, delivered(1, 1, 1<<20), "deliver-wait", "inbox port 1048576"},
-		{"DELIVERED sizes not summing", transport.FrameDelivered, delivered(5, 0), "deliver-wait", "delivered 5"},
-		{"TELEMETRY row of another endpoint", transport.FrameTelemetry, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
+		{"STEPPED send dst beyond n", path, transport.FrameStepped, stepped(0, 0, 1, 37, 0, 0), "step-wait", "send dst 37"},
+		{"STEPPED send port beyond degree", path, transport.FrameStepped, stepped(0, 0, 1, 3, 99, 0), "step-wait", "send dst 3 port 99"},
+		{"STEPPED send that is not the shard's to make", path, transport.FrameStepped, stepped(0, 0, 1, 9, 0, 0), "step-wait", "send dst 9 port 0 is the edge from node"},
+		{"STEPPED halted beyond owned", path, transport.FrameStepped, stepped(pathOwned+1, 0, 0), "step-wait", "halted 9"},
+		{"STEPPED event outside the shard", path, transport.FrameStepped, stepped(0, 1, 1, 3, 2, 0), "step-wait", "event node 3"},
+		{"INITACK send dst beyond n", nil, transport.FrameInitAck, stepped(0, 0, 1, 1<<40, 0, 0), "init-wait", "send dst"},
+		{"STEPPED send port named twice", path, transport.FrameStepped, slices.Concat(stepped(0, 0, 2), pathSend, pathSend), "step-wait", pathTwice},
+		{"DELIVERED step send dst beyond n", nil, transport.FrameDelivered, withStep(stepped(0, 0, 1, 37, 0, 0)), "deliver-wait", "send dst 37"},
+		{"DELIVERED step send port named twice", nil, transport.FrameDelivered, withStep(slices.Concat(stepped(0, 0, 2), send, send)), "deliver-wait", twice},
+		{"DELIVERED port beyond degree", nil, transport.FrameDelivered, delivered(1, []uint64{1, 1 << 20}, stepped(0, 0, 0)), "deliver-wait", "inbox port 1048576"},
+		{"DELIVERED sizes not summing", nil, transport.FrameDelivered, delivered(5, []uint64{0}, stepped(0, 0, 0)), "deliver-wait", "delivered 5"},
+		{"DELIVERED stepped in a round that may be quiet", nil, transport.FrameDelivered, delivered(0, []uint64{0}, stepped(0, 0, 0)), "deliver-wait",
+			"stepped in round 2, which delivered 0 with 0 delayed pending and may be quiet"},
+		{"DELIVERED held back an owed step", nil, transport.FrameDelivered, withStep(nil), "deliver-wait",
+			"held its step in round 2, which delivered 1 with 0 delayed pending and cannot be quiet"},
+		{"DELIVERED stepped flag beyond one", nil, transport.FrameDelivered, badFlag, "deliver-wait", "malformed delivered stepped flag"},
+		{"TELEMETRY row of another endpoint", nil, transport.FrameTelemetry, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -425,9 +463,13 @@ func TestHostileReplies(t *testing.T) {
 			if tc.typ == transport.FrameInitAck || tc.typ == transport.FrameTelemetry {
 				nth = 1 // there is only one
 			}
+			run := spec
+			if tc.spec != nil {
+				run = *tc.spec
+			}
 			tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(tc.typ, nth, fate{rewrite: func([]byte) []byte { return tc.body }}))
 			// A probe is attached: the DELIVERED profile feeds its aggregator.
-			_, err := tcp.Run(spec, transport.Options{Probe: congest.NewTraceSink().Label("hostile")})
+			_, err := tcp.Run(run, transport.Options{Probe: congest.NewTraceSink().Label("hostile")})
 			if err == nil {
 				t.Fatal("run reported success")
 			}
@@ -446,9 +488,10 @@ func TestHostileReplies(t *testing.T) {
 // and must be found there, as a protocol error naming that shard, never
 // staged: a record of the reserved empty kind would sit in the outbox
 // arena as "no message" and the send would silently vanish. Shard 1's
-// second STEPPED is rewritten to carry one send over a real boundary edge
-// with the row's payload; shard 0 must refuse it in its workload's Decode
-// and end, which the coordinator reports against shard 0.
+// second DELIVERED is rewritten to carry one delivered message and a step
+// whose one send crosses a real boundary edge with the row's payload;
+// shard 0 must refuse it in its workload's Decode and end, which the
+// coordinator reports against shard 0.
 func TestHostileRelayedPayload(t *testing.T) {
 	specs := suiteSpecs(1)
 	ghs, walks := specs[3], specs[4]
@@ -470,13 +513,19 @@ func TestHostileRelayedPayload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lo1, _ := congest.Split{N: g.N(), K: 2}.Bounds(1)
+			lo1, hi1 := congest.Split{N: g.N(), K: 2}.Bounds(1)
 			dst, port := crossingPort(t, g, lo1)
-			body := uv(0, 0, 0, 0, 0, 0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))
+			// Round 2, one message delivered to node lo1 on port 0, the other
+			// owned nodes' inboxes empty, stepped; the step section: active,
+			// halted, four fault counts, no event, the one send.
+			body := uv(2, 1, 0, 1, 0)
+			body = append(body, make([]byte, hi1-lo1-1)...)
+			body = append(body, 1)
+			body = append(body, uv(0, 0, 0, 0, 0, 0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))...)
 			body = append(body, tc.payload...)
 
 			base := runtime.NumGoroutine()
-			tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(transport.FrameStepped, 2, fate{rewrite: func([]byte) []byte { return body }}))
+			tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(transport.FrameDelivered, 2, fate{rewrite: func([]byte) []byte { return body }}))
 			// Keep what each shard's ServeShard returned: the coordinator
 			// only sees shard 0 hang up.
 			var shardErrs [2]error

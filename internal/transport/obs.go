@@ -51,9 +51,10 @@ type WireStats struct {
 	Faults faults.Counts `json:"faults,omitempty"`
 }
 
-// RoundSkew is one round's cross-shard step-barrier skew: the wall-time
-// spread between the first and last shard reply the coordinator
-// observed. Replies are drained in shard order, so a fast shard behind
+// RoundSkew is one round's cross-shard barrier skew: the wall-time
+// spread between the first and last DELIVERED reply the coordinator
+// observed (the round's one exchange, steps included). Replies are
+// drained in shard order, so a fast shard behind
 // a slow one reads as already-buffered (≈0 wait) — the spread is a
 // lower bound on true skew, tight when the slowest shard is the
 // bottleneck (the case worth attributing).

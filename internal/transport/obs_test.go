@@ -131,10 +131,10 @@ func TestObsStallDump(t *testing.T) {
 		t.Errorf("guilty shard = %d, want 0", d.GuiltyShard)
 	}
 	if d.LastRound != 1 {
-		t.Errorf("last completed round = %d, want 1 (stall at round 2's STEP)", d.LastRound)
+		t.Errorf("last completed round = %d, want 1 (stall about to step round 2)", d.LastRound)
 	}
-	if d.Phase != "step-wait" {
-		t.Errorf("phase = %q, want step-wait", d.Phase)
+	if d.Phase != "deliver-wait" {
+		t.Errorf("phase = %q, want deliver-wait (round 2's DELIVER carries the step)", d.Phase)
 	}
 	if d.Error == "" {
 		t.Error("document carries no error text")
@@ -174,7 +174,7 @@ func TestObsDeathDump(t *testing.T) {
 		t.Errorf("guilty shard = %d, want 1", d.GuiltyShard)
 	}
 	if d.LastRound != 2 {
-		t.Errorf("last completed round = %d, want 2 (death at round 3's STEP)", d.LastRound)
+		t.Errorf("last completed round = %d, want 2 (death about to step round 3)", d.LastRound)
 	}
 }
 

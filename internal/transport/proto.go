@@ -205,11 +205,13 @@ func (c *cursor) sends(dst []wireSend) []wireSend {
 	return dst
 }
 
-// stepReply is the body of INITACK and STEPPED frames: what one shard
-// reports after running Init or one Step. The fault counts ride the
-// STEPPED reply — not DELIVERED — because the in-process engines drain
-// counts only for rounds that actually step: a quiet exit discards the
-// aborted deliver phase's counts, and the wire backend must agree.
+// stepReply is a step section: the body of INITACK and STEPPED frames,
+// and the tail of a DELIVERED body whose stepped flag is set — what one
+// shard reports after running Init or one Step. The fault counts ride the
+// step section — not the delivery profile — because the in-process
+// engines drain counts only for rounds that actually step: a quiet exit
+// discards the aborted deliver phase's counts, and the wire backend must
+// agree.
 type stepReply struct {
 	active int // nodes that executed Step (0 for INITACK)
 	halted int // owned nodes halted, cumulative

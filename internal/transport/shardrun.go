@@ -3,9 +3,12 @@ package transport
 // The shard side of the TCP backend: dial the coordinator with backoff,
 // replay the spec into a congest.Shard over part i of congest.Split,
 // then answer barrier frames until the coordinator says FINISH (or
-// closes the connection). cmd/tcpnode is a thin wrapper around
-// DialShard + ServeShard; tests drive ServeShard directly on in-process
-// connections to put the whole protocol under the race detector.
+// closes the connection). A DELIVER is answered with the delivery and,
+// unless the round may be quiet from this shard's counts, the step too;
+// STEP comes only after a DELIVERED that held the step back. cmd/tcpnode
+// is a thin wrapper around DialShard + ServeShard; tests drive ServeShard
+// directly on in-process connections to put the whole protocol under the
+// race detector.
 
 import (
 	"encoding/binary"
@@ -24,13 +27,15 @@ import (
 // ShardConfig tunes a shard runtime beyond what the wire spec carries.
 type ShardConfig struct {
 	// FailAtRound > 0 makes the runtime drop its connection without
-	// replying when it receives the STEP request of that round
-	// (1-based) — the fault injection behind the coordinator's
-	// shard-death-mid-round tests. 0 disables.
+	// replying just before it steps that round (1-based), whichever frame
+	// asked for the step (DELIVER, or the STEP fallback) — the fault
+	// injection behind the coordinator's shard-death-mid-round tests. 0
+	// disables.
 	FailAtRound int
 	// StallAtRound > 0 makes the runtime stop replying (without closing
-	// the connection) at that round's STEP, so the coordinator's read
-	// deadline — not a connection error — has to surface the failure.
+	// the connection) at the same point of that round, so the
+	// coordinator's read deadline — not a connection error — has to
+	// surface the failure.
 	StallAtRound int
 	// Recorder is the shard's flight recorder. cmd/tcpnode passes one it
 	// also dumps on panic/SIGTERM; when nil, ServeShard creates one, so
@@ -131,11 +136,12 @@ type shardRuntime struct {
 	cfg   ShardConfig
 	rec   *flightrec.Recorder
 
-	steps   int
-	reply   stepReply
-	inSends []wireSend
-	sendBuf []byte
-	body    []byte
+	steps    int  // rounds stepped
+	owesStep bool // the last DELIVERED held the step back: STEP may follow
+	reply    stepReply
+	inSends  []wireSend
+	sendBuf  []byte
+	body     []byte
 }
 
 func (r *shardRuntime) loop() error {
@@ -153,28 +159,22 @@ func (r *shardRuntime) loop() error {
 		switch typ {
 		case frameInit:
 			r.s.Init()
-			err = r.respondStep(frameInitAck, 0, faults.Counts{})
+			r.body = r.body[:0]
+			if err = r.appendStep(0, faults.Counts{}); err == nil {
+				err = r.send(frameInitAck)
+			}
 		case frameDeliver:
 			err = r.deliver(body)
 		case frameStep:
-			r.steps++
-			if r.cfg.FailAtRound > 0 && r.steps >= r.cfg.FailAtRound {
-				r.rec.Record(flightrec.KindError, "STEP", r.steps, -1, 0, "induced shard death")
-				return errShardStopped
+			// The fallback of a round this shard's counts let look quiet.
+			if !r.owesStep {
+				return fmt.Errorf("transport: shard %d: STEP with no step held back (%d rounds stepped)", r.shard, r.steps)
 			}
-			if r.cfg.StallAtRound > 0 && r.steps >= r.cfg.StallAtRound {
-				// Hold the connection open and never reply: the read returns
-				// only once the coordinator has given up and closed its end,
-				// so a goroutine-mode shard ends with the run.
-				io.Copy(io.Discard, r.fc.conn)
-				r.rec.Record(flightrec.KindError, "STEP", r.steps, -1, 0, "induced shard stall")
-				return errShardStopped
+			r.owesStep = false
+			r.body = r.body[:0]
+			if err = r.step(typ); err == nil {
+				err = r.send(frameStepped)
 			}
-			active := r.s.Step()
-			// FaultCounts drains the round just stepped — the same point
-			// the in-process engines drain, so counts for a deliver phase
-			// aborted by a quiet exit are discarded identically.
-			err = r.respondStep(frameStepped, active, r.s.FaultCounts())
 		case frameFinish:
 			if err := r.finish(); err != nil {
 				return err
@@ -189,10 +189,36 @@ func (r *shardRuntime) loop() error {
 	}
 }
 
-// respondStep answers INIT or STEP: drain owned events in canonical
-// order, enumerate the owned sends that leave the shard, report the
-// cumulative halt count and the round's drained fault counts.
-func (r *shardRuntime) respondStep(typ byte, active int, fc faults.Counts) error {
+// step runs this shard's step of the next round and appends its step
+// section to r.body; carrier is the frame that asked for it. The induced
+// death and stall fire first, so they hit round R's step whichever frame
+// carries it.
+func (r *shardRuntime) step(carrier byte) error {
+	r.steps++
+	if r.cfg.FailAtRound > 0 && r.steps >= r.cfg.FailAtRound {
+		r.rec.Record(flightrec.KindError, frameName(carrier), r.steps, -1, 0, "induced shard death")
+		return errShardStopped
+	}
+	if r.cfg.StallAtRound > 0 && r.steps >= r.cfg.StallAtRound {
+		// Hold the connection open and never reply: the read returns
+		// only once the coordinator has given up and closed its end,
+		// so a goroutine-mode shard ends with the run.
+		io.Copy(io.Discard, r.fc.conn)
+		r.rec.Record(flightrec.KindError, frameName(carrier), r.steps, -1, 0, "induced shard stall")
+		return errShardStopped
+	}
+	active := r.s.Step()
+	// FaultCounts drains the round just stepped — the same point the
+	// in-process engines drain, so counts for a deliver phase aborted by
+	// a quiet exit are discarded identically.
+	return r.appendStep(active, r.s.FaultCounts())
+}
+
+// appendStep appends the step section of Init or of the step just run to
+// r.body: drain owned events in canonical order, enumerate the owned
+// sends that leave the shard, report the cumulative halt count and the
+// round's drained fault counts.
+func (r *shardRuntime) appendStep(active int, fc faults.Counts) error {
 	r.reply.active = active
 	r.reply.faults = fc
 	r.reply.halted = r.s.HaltedCount()
@@ -226,13 +252,18 @@ func (r *shardRuntime) respondStep(typ byte, active int, fc faults.Counts) error
 	if encErr != nil {
 		return fmt.Errorf("transport: shard %d: encoding send: %w", r.shard, encErr)
 	}
-	r.body = appendStepReply(r.body[:0], &r.reply)
-	return r.send(typ)
+	r.body = appendStepReply(r.body, &r.reply)
+	return nil
 }
 
 // deliver answers DELIVER: inject the relayed batch, run the canonical
-// delivery scan, report the per-node inbox profile.
+// delivery scan, report the per-node inbox profile, and step at once
+// unless this shard's counts pass the quiet rule — then the round may end
+// here, and the coordinator sends STEP if it does not.
 func (r *shardRuntime) deliver(body []byte) error {
+	if r.owesStep {
+		return fmt.Errorf("transport: shard %d: DELIVER while round %d's step is held back", r.shard, r.steps+1)
+	}
 	c := cursor{b: body}
 	r.inSends = c.sends(r.inSends[:0])
 	if err := c.done("deliver batch"); err != nil {
@@ -247,16 +278,28 @@ func (r *shardRuntime) deliver(body []byte) error {
 			return fmt.Errorf("transport: shard %d: staging relayed payload: %w", r.shard, err)
 		}
 	}
-	// The DELIVERED body (absorbDelivered reads it): delivered and pending
-	// totals, then per owned node its inbox size and arrival ports.
-	r.body = binary.AppendUvarint(r.body[:0], uint64(r.s.Deliver()))
-	r.body = binary.AppendUvarint(r.body, uint64(r.s.PendingDelayed()))
+	// The DELIVERED body (absorbDelivered reads it): the round, delivered
+	// and pending totals, per owned node its inbox size and arrival ports,
+	// then the stepped flag and, when set, the step section.
+	delivered, pending := r.s.Deliver(), r.s.PendingDelayed()
+	r.body = binary.AppendUvarint(r.body[:0], uint64(r.steps+1))
+	r.body = binary.AppendUvarint(r.body, uint64(delivered))
+	r.body = binary.AppendUvarint(r.body, uint64(pending))
 	lo, hi := r.s.Nodes()
 	for u := lo; u < hi; u++ {
 		inbox := r.s.Inbox(u)
 		r.body = binary.AppendUvarint(r.body, uint64(len(inbox)))
 		for _, in := range inbox {
 			r.body = binary.AppendUvarint(r.body, uint64(in.Port))
+		}
+	}
+	if r.inst.quietRound(r.steps, delivered, pending) {
+		r.owesStep = true
+		r.body = append(r.body, 0)
+	} else {
+		r.body = append(r.body, 1)
+		if err := r.step(frameDeliver); err != nil {
+			return err
 		}
 	}
 	return r.send(frameDelivered)

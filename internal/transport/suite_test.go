@@ -39,6 +39,14 @@ func suiteSpecs(seed uint64) []transport.Spec {
 	}
 }
 
+// pathBFS is BFS from root along a 16-node path 0–1–…–15 (a lollipop whose
+// clique is one node): a quiet-terminating workload whose shards far from
+// the root deliver nothing until the wave reaches them, so they hold their
+// early steps back and the coordinator has to send STEP.
+func pathBFS(root int) *transport.Spec {
+	return &transport.Spec{Workload: "bfs", Graph: "lollipop", N: 1, D: 15, Root: root, SrcSeed: 51}
+}
+
 // goroutineSpawner runs each shard as an in-process goroutine speaking
 // the real TCP loopback protocol.
 func goroutineSpawner(cfgFor func(shard int) transport.ShardConfig) transport.SpawnFunc {
@@ -196,9 +204,9 @@ func TestShardDeathMidRound(t *testing.T) {
 	if !strings.Contains(err.Error(), "shard 1") {
 		t.Errorf("error does not attribute the dead shard: %v", err)
 	}
-	// Attribution detail: the shard died at round 3's STEP, so it last
-	// completed round 2 and the last frame it delivered was round 3's
-	// DELIVERED reply.
+	// Attribution detail: the shard died about to step round 3, which its
+	// round-3 DELIVER asked for, so it last completed round 2 and the last
+	// frame it delivered was round 2's DELIVERED reply.
 	if !strings.Contains(err.Error(), "last completed round 2") {
 		t.Errorf("error does not name the shard's last completed round: %v", err)
 	}
@@ -210,44 +218,102 @@ func TestShardDeathMidRound(t *testing.T) {
 	}
 }
 
+// TestShardStallHitsDeadline stalls a shard just before it steps round 2,
+// once where round 2's DELIVER carries the step (walks: every shard
+// delivers from round 1 on) and once where the STEP fallback does (the
+// path BFS: shard 1 delivers nothing in round 2 and holds its step back).
+// Either way it last completed round 1, its last frame was a DELIVERED,
+// and the coordinator hung in the phase of the frame that asked for the
+// step.
 func TestShardStallHitsDeadline(t *testing.T) {
-	spec := suiteSpecs(1)[4]
-	tcp := transport.TCP{
-		Shards:  2,
-		Timeout: 1 * time.Second,
-		Spawn: goroutineSpawner(func(shard int) transport.ShardConfig {
-			if shard == 0 {
-				return transport.ShardConfig{StallAtRound: 2}
+	for _, tc := range []struct {
+		spec  transport.Spec
+		shard int
+		phase string
+	}{
+		{suiteSpecs(1)[4], 0, "phase deliver-wait"},
+		{*pathBFS(0), 1, "phase step-wait"},
+	} {
+		t.Run(tc.spec.Workload, func(t *testing.T) {
+			tcp := transport.TCP{
+				Shards:  2,
+				Timeout: 1 * time.Second,
+				Spawn: goroutineSpawner(func(shard int) transport.ShardConfig {
+					if shard == tc.shard {
+						return transport.ShardConfig{StallAtRound: 2}
+					}
+					return transport.ShardConfig{}
+				}),
 			}
-			return transport.ShardConfig{}
-		}),
+			start := time.Now()
+			_, err := tcp.Run(tc.spec, transport.Options{})
+			if err == nil {
+				t.Fatal("stalled shard: run reported success")
+			}
+			var nerr net.Error
+			for _, want := range []string{fmt.Sprintf("shard %d", tc.shard), "last completed round 1", "last frame DELIVERED", tc.phase} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error does not name %q: %v", want, err)
+				}
+			}
+			if !errors.As(err, &nerr) || !nerr.Timeout() {
+				t.Errorf("stall surfaced as %v, want a deadline (timeout) error", err)
+			}
+			if elapsed := time.Since(start); elapsed > 20*time.Second {
+				t.Errorf("stall took %v to surface, want a few timeout periods at most", elapsed)
+			}
+		})
 	}
-	start := time.Now()
-	_, err := tcp.Run(spec, transport.Options{})
-	if err == nil {
-		t.Fatal("stalled shard: run reported success")
+}
+
+// TestOneExchangePerRound pins the fold of the step into DELIVER. GHS is
+// not quiet-terminating, so every shard steps on every DELIVER: no STEP
+// frame goes out, and the coordinator's side of the wire counts two frames
+// per shard per round plus seven per shard for the run's lifecycle (HELLO,
+// SPEC, INIT, INITACK, FINISH, FINAL, TELEMETRY). The path BFS is the
+// fallback: its far shards hold their steps back and get STEP, and the
+// trace and result still equal the sequential engine's. Rooted at node 0
+// the held shards follow the stepping ones; rooted at node 15 they come
+// first, so the later shards' step sections wait for theirs.
+func TestOneExchangePerRound(t *testing.T) {
+	run := func(spec transport.Spec, shards int) ([]byte, transport.Result, *metrics.Snapshot) {
+		t.Helper()
+		reg, sink := metrics.New(), congest.NewTraceSink()
+		tcp := transport.TCP{Shards: shards, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)}
+		res, err := tcp.Run(spec, transport.Options{Probe: sink.Label("fold"), Metrics: reg})
+		if err != nil {
+			t.Fatalf("%s over %d shards: %v", spec.Workload, shards, err)
+		}
+		var buf bytes.Buffer
+		if err := sink.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), res, reg.Snapshot()
 	}
-	var nerr net.Error
-	if !strings.Contains(err.Error(), "shard 0") {
-		t.Errorf("error does not attribute the stalled shard: %v", err)
+	for _, shards := range []int{2, 3} {
+		_, res, snap := run(suiteSpecs(1)[3], shards)
+		if n, ok := snap.Counter("tcpnet_frames_sent_total{type=STEP}"); ok {
+			t.Errorf("ghs, %d shards: %d STEP frames, want none", shards, n)
+		}
+		frames, _ := snap.Counter("tcpnet_frames_total")
+		if want := int64(shards * (7 + 2*res.Rounds)); frames != want {
+			t.Errorf("ghs, %d shards, %d rounds: %d frames, want %d", shards, res.Rounds, frames, want)
+		}
 	}
-	// Attribution detail: the shard stalled at round 2's STEP after
-	// answering round 2's DELIVER, so it last completed round 1 and hung
-	// the coordinator in the step-wait barrier phase.
-	if !strings.Contains(err.Error(), "last completed round 1") {
-		t.Errorf("error does not name the shard's last completed round: %v", err)
-	}
-	if !strings.Contains(err.Error(), "last frame DELIVERED") {
-		t.Errorf("error does not name the shard's last frame: %v", err)
-	}
-	if !strings.Contains(err.Error(), "phase step-wait") {
-		t.Errorf("error does not name the barrier phase: %v", err)
-	}
-	if !errors.As(err, &nerr) || !nerr.Timeout() {
-		t.Errorf("stall surfaced as %v, want a deadline (timeout) error", err)
-	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Errorf("stall took %v to surface, want a few timeout periods at most", elapsed)
+	for _, root := range []int{0, 15} {
+		path := *pathBFS(root)
+		want, wantRes := traceRun(t, transport.Proc{Workers: 1}, path, "fold")
+		for _, shards := range []int{2, 3} {
+			what := fmt.Sprintf("path bfs from %d, %d shards", root, shards)
+			got, res, snap := run(path, shards)
+			if !bytes.Equal(want, got) {
+				t.Errorf("%s: trace bytes diverge from the sequential engine", what)
+			}
+			sameResult(t, what, wantRes, res)
+			if n, _ := snap.Counter("tcpnet_frames_sent_total{type=STEP}"); n == 0 {
+				t.Errorf("%s: no STEP frame, the fallback went untested", what)
+			}
+		}
 	}
 }
 

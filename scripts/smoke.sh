@@ -234,8 +234,19 @@ if ! cmp -s "$out/walks-e20-proc.json" "$out/walks-e20-tcp.json"; then
 	echo "smoke: faulty TCP run's trace diverges from the in-process engine" >&2
 	exit 1
 fi
-"$bin/mst" -quick -faults 'drop=0.01' -transport tcp -shards 2 >/dev/null
+"$bin/mst" -quick -faults 'drop=0.01' -transport tcp -shards 2 \
+	-metrics "$out/mst-tcp-metrics.json" >/dev/null
 echo "smoke: E20 faulty TCP/proc trace parity ok"
+
+# One wire exchange per round across real tcpnode processes: GHS is not
+# quiet-terminating, so every shard steps on DELIVER and the coordinator
+# never needs the STEP fallback.
+check_metrics "mst -transport tcp" "$out/mst-tcp-metrics.json"
+if grep -A 1 '"tcpnet_frames_sent_total{type=STEP}"' "$out/mst-tcp-metrics.json" | grep -q '"value": [1-9]'; then
+	echo "smoke: tcp GHS run sent STEP frames: the step no longer rides DELIVER" >&2
+	exit 1
+fi
+echo "smoke: one exchange per round ok"
 
 # A fault rule naming a node or edge the graph does not have is a run
 # error (exit 1, the graph is only known once the run builds it), with
@@ -299,8 +310,8 @@ if ! grep -q '"guilty_shard": 1' "$out/walks-stall-obs.json"; then
 	echo "smoke: stall dump does not blame shard 1" >&2
 	exit 1
 fi
-if ! grep -q '"phase": "step-wait"' "$out/walks-stall-obs.json"; then
-	echo "smoke: stall dump does not name the step-wait phase" >&2
+if ! grep -q '"phase": "deliver-wait"' "$out/walks-stall-obs.json"; then
+	echo "smoke: stall dump does not name the deliver-wait phase" >&2
 	exit 1
 fi
 if ! grep -A 1 '"run": "E4b k=1"' "$out/walks-stall.json" | grep -q '"round": 2'; then

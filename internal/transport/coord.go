@@ -21,10 +21,11 @@ package transport
 // breath unless its own counts pass the quiet rule (quietRound: a quiet-
 // terminating workload past round 0 whose shard delivered nothing and
 // buffers no delayed message, with no crashed node due to recover); its
-// one DELIVERED reply carries the inbox profile and, when it stepped, the
-// step. The run ends quietly only when the sums pass the same rule, so
-// only when no shard stepped; a round that looked quiet from one shard
-// but is not gets STEP for the shards that held back. Step sections are
+// one DELIVERED reply carries its counts, the inbox profile when a probe
+// is attached and, when it stepped, the step. The run ends quietly only
+// when the sums pass the same rule, so only when no shard stepped; a round
+// that looked quiet from one shard but is not gets STEP for the shards
+// that held back. Step sections are
 // checked where their frame is read and applied in shard order — one that
 // arrives ahead of a held-back shard's waits for it — so the sequential
 // engine's phase ordering survives — the quiet check sits between deliver
@@ -33,7 +34,10 @@ package transport
 // rebuilt from the shards' inbox profiles) is byte-identical to a
 // sequential in-process run of the same spec. A reply is trusted for
 // nothing: its absorb* function checks every field against the graph and
-// the shard's node range before any of it indexes coordinator state.
+// the shard's node range before any of it indexes coordinator state. The
+// sends a step section relays are checked one by one and then copied into
+// the DELIVER bodies as they arrived, in runs bound for one shard each:
+// the encoding is canonical, so checked bytes are relayed bytes.
 //
 // Observability: the coordinator keeps an always-on flight recorder
 // (internal/flightrec) plus per-shard last-completed-round/last-frame
@@ -54,6 +58,7 @@ package transport
 // remaining processes are killed on the way out.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -199,12 +204,11 @@ type coordinator struct {
 	messages                  int        // Σ FINAL message counts
 	records                   [][]uint64 // FINAL records, one per node
 
-	// pending[i] holds the cross-shard messages to relay to shard i in
-	// the next DELIVER, payload bytes owned by pendingBuf.
-	pending     [][]wireSend
-	pendingBuf  [][]byte
-	deliverBody []byte    // DELIVER body scratch
-	reply       stepReply // parse scratch
+	// relay[i] is the next DELIVER body of shard i, filled as step sections
+	// apply; runs[i] is how shard i's checked section splits into them.
+	relay []relayBatch
+	runs  [][]relayRun
+	reply stepReply // parse scratch
 	// A barrier's step sections apply in shard (= node) order: applied
 	// counts the shards whose section is in, and waiting[i] keeps a checked
 	// section that arrived while a shard before it still owed its step —
@@ -328,8 +332,11 @@ func (c *coordinator) run() (res Result, err error) {
 func (c *coordinator) prepare() {
 	k, g := c.tcp.Shards, c.inst.Graph
 	c.split = congest.Split{N: g.N(), K: k}
-	c.pending = make([][]wireSend, k)
-	c.pendingBuf = make([][]byte, k)
+	c.relay = make([]relayBatch, k)
+	for i := range c.relay {
+		c.relay[i].body = make([]byte, countRoom)
+	}
+	c.runs = make([][]relayRun, k)
 	c.waiting = make([][]byte, k)
 	c.every = make([]int, k)
 	for i := range c.every {
@@ -472,6 +479,7 @@ func (c *coordinator) sendSpec() error {
 	body, err := json.Marshal(wireSpec{
 		Version: wireVersion,
 		Shards:  c.tcp.Shards,
+		Probe:   c.opts.Probe != nil,
 		Spec:    c.spec,
 	})
 	if err != nil {
@@ -591,7 +599,7 @@ func (c *coordinator) drive(ln net.Listener) (Result, error) {
 			t0 = time.Now()
 		}
 		// The round's exchange: relay the pending cross-shard messages, get
-		// back each shard's delivery profile and, from every shard whose
+		// back each shard's delivery counts and, from every shard whose
 		// own counts rule out a quiet round, its step. A step means the
 		// round is not quiet, so it may apply before the quiet check.
 		c.delivered, c.pendingDelayed, c.applied = 0, 0, 0
@@ -666,7 +674,8 @@ func (c *coordinator) absorbStepped(shard int, body []byte) error {
 // takeStep parses shard's step section of the given round and checks
 // every field before anything of it is applied: active and halted within
 // the owned nodes, event nodes owned, and each send on a port of the graph
-// that leaves the shard, named once. Then it applies the section, and any
+// that leaves the shard, named once; on the way it splits the sends into
+// runs bound for one shard each. Then it applies the section, and any
 // waiting behind it, if every shard before it is applied; else the section
 // waits.
 func (c *coordinator) takeStep(shard, round int, body []byte) error {
@@ -684,24 +693,42 @@ func (c *coordinator) takeStep(shard, round int, body []byte) error {
 		}
 	}
 	g, stamp := c.inst.Graph, int32(round+1)
-	for _, s := range r.sends {
-		if s.dst >= g.N() || s.port >= g.Degree(s.dst) {
-			return fmt.Errorf("send dst %d port %d names no port of the graph's %d nodes", s.dst, s.port, g.N())
+	cur, runs := cursor{b: r.sendBytes}, c.runs[shard][:0]
+	toLo, toHi := 0, 0 // the nodes of the shard the last run is bound for
+	for j := 0; j < r.sends; j++ {
+		dst, port, _ := cur.send()
+		if cur.err != nil {
+			return cur.err
+		}
+		if dst >= g.N() || port >= g.Degree(dst) {
+			return fmt.Errorf("send dst %d port %d names no port of the graph's %d nodes", dst, port, g.N())
 		}
 		// Ports are numbered in graph.Graph's CSR order, so the port names
 		// the sender: it must be this shard's node, dst another shard's,
 		// and the port named once per barrier — else the receiving shard's
 		// Inject would refuse it and take the blame.
-		h := g.Neighbors(s.dst)[s.port]
-		if from := int(h.To); from < lo || from >= hi || (s.dst >= lo && s.dst < hi) {
-			return fmt.Errorf("send dst %d port %d is the edge from node %d, not one leaving owned nodes [%d, %d)", s.dst, s.port, from, lo, hi)
+		h := g.Neighbors(dst)[port]
+		if from := int(h.To); from < lo || from >= hi || (dst >= lo && dst < hi) {
+			return fmt.Errorf("send dst %d port %d is the edge from node %d, not one leaving owned nodes [%d, %d)", dst, port, from, lo, hi)
 		}
 		arc := h.Arc ^ 1 // the hop from the sender to dst
 		if c.sentAt[arc] == stamp {
-			return fmt.Errorf("send dst %d port %d named twice in one reply", s.dst, s.port)
+			return fmt.Errorf("send dst %d port %d named twice in one reply", dst, port)
 		}
 		c.sentAt[arc] = stamp
+		if dst < toLo || dst >= toHi {
+			to := c.split.Owner(dst)
+			toLo, toHi = c.split.Bounds(to)
+			runs = append(runs, relayRun{to: to})
+		}
+		run := &runs[len(runs)-1]
+		run.sends++
+		run.end = len(r.sendBytes) - len(cur.b)
 	}
+	if err := cur.done("step reply"); err != nil {
+		return err
+	}
+	c.runs[shard] = runs
 	c.shardRound[shard] = round
 	if shard != c.applied {
 		c.waiting[shard] = body
@@ -709,7 +736,8 @@ func (c *coordinator) takeStep(shard, round int, body []byte) error {
 	}
 	c.applyStep()
 	for c.applied < len(c.waiting) && c.waiting[c.applied] != nil {
-		// Parsed and checked when it arrived: it parses again.
+		// Parsed and checked when it arrived: it parses again, and its
+		// runs are kept.
 		_ = parseStepReply(c.waiting[c.applied], r)
 		c.waiting[c.applied] = nil
 		c.applyStep()
@@ -717,12 +745,29 @@ func (c *coordinator) takeStep(shard, round int, body []byte) error {
 	return nil
 }
 
+// relayRun is a maximal run of consecutive sends of one step section bound
+// for one shard: its sends end at offset end of the section's sendBytes.
+type relayRun struct {
+	to, sends, end int
+}
+
+// relayBatch is the DELIVER body of one shard in the making: the relayed
+// sends, copied run by run behind countRoom bytes kept for their count,
+// which takeDeliverBody writes in place.
+type relayBatch struct {
+	sends int
+	body  []byte
+}
+
+const countRoom = binary.MaxVarintLen64
+
 // applyStep folds the checked step section in c.reply, shard c.applied's,
 // into coordinator state: replay its probe events, add its tallies to the
-// round's, and buffer its outbound sends for the next DELIVER. Sections
-// apply in shard (= node) order — the canonical replay order of probe
-// events, whichever frame carried each — and shard 0's, the barrier's
-// first, starts the round's tallies over.
+// round's, and append each run of its sends to the DELIVER body of the
+// shard the run is bound for, as it arrived. Sections apply in shard (=
+// node) order — the canonical replay order of probe events, whichever
+// frame carried each, and the order of every DELIVER body's sends — and
+// shard 0's, the barrier's first, starts the round's tallies over.
 func (c *coordinator) applyStep() {
 	if c.applied == 0 {
 		c.halted, c.active, c.roundFaults = 0, 0, faults.Counts{}
@@ -740,66 +785,69 @@ func (c *coordinator) applyStep() {
 	c.halted += r.halted
 	c.active += r.active
 	c.roundFaults.Add(r.faults)
-	for _, s := range r.sends {
-		dst := c.split.Owner(s.dst)
-		off := len(c.pendingBuf[dst])
-		c.pendingBuf[dst] = append(c.pendingBuf[dst], s.payload...)
-		c.pending[dst] = append(c.pending[dst], wireSend{
-			dst:     s.dst,
-			port:    s.port,
-			payload: c.pendingBuf[dst][off:],
-		})
+	start := 0
+	for _, run := range c.runs[c.applied] {
+		b := &c.relay[run.to]
+		b.body = append(b.body, r.sendBytes[start:run.end]...)
+		b.sends += run.sends
+		start = run.end
 	}
-	c.relayed += int64(len(r.sends))
+	c.relayed += int64(r.sends)
 	c.applied++
 }
 
-// takeDeliverBody serializes and clears shard i's pending batch into one
-// scratch body, reused: broadcast frames each body before it asks for the
-// next.
+// takeDeliverBody returns shard i's DELIVER body — the count written into
+// the room before the sends — and empties its batch for the next round:
+// broadcast frames each body before the next step section applies.
 func (c *coordinator) takeDeliverBody(i int) []byte {
-	c.deliverBody = appendSends(c.deliverBody[:0], c.pending[i])
-	c.pending[i] = c.pending[i][:0]
-	c.pendingBuf[i] = c.pendingBuf[i][:0]
-	return c.deliverBody
+	b := &c.relay[i]
+	var form [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(form[:], uint64(b.sends))
+	body := b.body[countRoom-k:]
+	copy(body, form[:k])
+	b.sends, b.body = 0, b.body[:countRoom]
+	return body
 }
 
 // absorbDelivered reads one shard's DELIVERED body — the round it
 // answers, its delivered total and the count of delayed messages still
-// buffered for its receivers (the quiet check extends to those), then per
-// owned node in ID order the inbox size and the ports the messages
-// arrived on: what the round aggregator needs to rebuild InboxSizes,
-// EdgeLoad and the max-inbox fields of the RoundRecord (fed when a probe
-// is attached; shards arrive in node order, which its tie-breaking
-// needs). Then the stepped flag and, when it is set, the step section of
-// round c.rounds+1, which takeStep checks here and applies as soon as
-// every shard before this one has stepped. Checked on the way: the round is this one (a
-// round trip answers with one frame type, so only the number tells a
-// replayed reply from a fresh one), every port inside its node's degree,
-// the sizes summing to the total, and the flag set exactly when the
-// shard's own counts rule out a quiet round — a shard that steps when it
-// should have held back, or holds back a step it owed, is lying, not out
-// of step.
+// buffered for its receivers (the quiet check extends to those), then,
+// when a probe is attached, per owned node in ID order the inbox size and
+// the ports the messages arrived on: what the round aggregator needs to
+// rebuild InboxSizes, EdgeLoad and the max-inbox fields of the RoundRecord
+// (shards arrive in node order, which its tie-breaking needs). Then the
+// stepped flag and, when it is set, the step section of round c.rounds+1,
+// which takeStep checks here and applies as soon as every shard before
+// this one has stepped. Checked on the way: the round is this one (a round
+// trip answers with one frame type, so only the number tells a replayed
+// reply from a fresh one), with a probe every port inside its node's
+// degree and the sizes summing to the total, and the flag set exactly when
+// the shard's own counts rule out a quiet round — a shard that steps when it should have
+// held back, or holds back a step it owed, is lying, not out of step.
 func (c *coordinator) absorbDelivered(shard int, body []byte) error {
 	cur := cursor{b: body}
 	if round := cur.int("delivered round"); cur.err == nil && round != c.rounds+1 {
 		return fmt.Errorf("DELIVERED of round %d in round %d", round, c.rounds+1)
 	}
 	delivered, pending := cur.int("delivered total"), cur.int("delivered pending")
-	g, sum := c.inst.Graph, 0
-	lo, hi := c.split.Bounds(shard)
-	for u := lo; u < hi && cur.err == nil; u++ {
-		size, degree := cur.length("inbox size"), g.Degree(u)
-		for j := 0; j < size && cur.err == nil; j++ {
-			port := cur.int("inbox port")
-			if port >= degree {
-				return fmt.Errorf("inbox port %d at node %d of degree %d", port, u, degree)
-			}
-			if c.agg != nil {
+	// agg exists exactly when a probe does, which the shards were told
+	// (wireSpec.Probe): the profile is there only for it.
+	sum := delivered
+	if c.agg != nil {
+		sum = 0
+		g := c.inst.Graph
+		lo, hi := c.split.Bounds(shard)
+		for u := lo; u < hi && cur.err == nil; u++ {
+			size, degree := cur.length("inbox size"), g.Degree(u)
+			for j := 0; j < size && cur.err == nil; j++ {
+				port := cur.int("inbox port")
+				if port >= degree {
+					return fmt.Errorf("inbox port %d at node %d of degree %d", port, u, degree)
+				}
 				c.agg.Deliver(u, port)
 			}
+			sum += size
 		}
-		sum += size
 	}
 	stepped := cur.byte("delivered stepped flag")
 	if cur.err == nil && stepped > 1 {

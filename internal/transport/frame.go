@@ -33,7 +33,7 @@ const (
 	frameInit                      // coord → shard: run Init (round 0)
 	frameInitAck                   // shard → coord: round-0 step section (events, halted, external sends)
 	frameDeliver                   // coord → shard: relayed cross-shard messages; deliver, then step unless quiet-capable
-	frameDelivered                 // shard → coord: round, delivered and pending counts, per-node inbox profile, stepped flag [+ step section]
+	frameDelivered                 // shard → coord: round, delivered and pending counts, [per-node inbox profile, with a probe,] stepped flag [+ step section]
 	frameStep                      // coord → shard: run the held-back Step of a round that was not quiet
 	frameStepped                   // shard → coord: step section (active, halted, fault counts, events, external sends)
 	frameFinish                    // coord → shard: run over, harvest
@@ -85,8 +85,11 @@ func frameName(typ byte) string {
 // quiet from its own counts, DELIVERED gained the round it answers (the
 // lost DELIVERED/STEPPED alternation used to expose a replayed reply), the
 // stepped flag and the step section, and STEP is sent only to the shards
-// that held back.
-const wireVersion = 7
+// that held back. Version 8 ships the DELIVERED inbox profile only when the
+// coordinator has a probe (the wire spec's "probe" key says so), and the
+// cursor refuses overlong uvarints, so the sends a step section carries
+// are relayed in DELIVER as the very bytes the coordinator checked.
+const wireVersion = 8
 
 // maxFramePayload bounds a frame's payload. Generous — the largest
 // legitimate frame is a DELIVER batch, linear in a shard's boundary

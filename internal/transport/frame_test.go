@@ -161,29 +161,39 @@ func TestHelloVersionSkew(t *testing.T) {
 func replySeeds(f *testing.F) {
 	f.Add([]byte{}, 4)
 	f.Add(appendStepReply(nil, &stepReply{active: 3, halted: 1,
-		events: []wireEvent{{node: 1, round: 2, name: "m"}, {halt: true, node: 1, round: 2}},
-		sends:  []wireSend{{dst: 7, port: 0, payload: []byte("x")}}}), 0)
+		events: []wireEvent{{node: 1, round: 2, name: "m"}, {halt: true, node: 1, round: 2}}},
+		wireSend{dst: 7, port: 0, payload: []byte("x")}), 0)
 	f.Add([]byte{1, 2, 0, 1, 0, 1, 3, 0, 0, 0}, 0)                              // DELIVERED of round 1: 2 delivered, 0 pending, inboxes {port 0}, {port 3}, {}, {}, step held back
 	f.Add(appendRecords([]byte{9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 9 messages, four records
 	// DELIVERED of round 1 by shard 0 of FuzzAbsorbReplies' star, stepped:
 	// one message in at the centre, then the step section — a mark and a
 	// halt of node 1 and a send to leaf 5 over its only port.
 	f.Add(appendStepReply([]byte{1, 1, 0, 1, 6, 0, 0, 0, 1}, &stepReply{active: 4, halted: 1,
-		events: []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}},
-		sends:  []wireSend{{dst: 5, port: 0, payload: []byte{3}}}}), 0)
+		events: []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}}},
+		wireSend{dst: 5, port: 0, payload: []byte{3}}), 0)
 	f.Add(appendHello(nil, 3), 1)
 	// STEPPED of shard 1 over FuzzAbsorbReplies' star, relaying payloads no
 	// codec owns — no bytes at all, and the tag of the reserved empty kind.
 	// The coordinator relays them unread; the shard they reach refuses them
 	// (TestHostileRelayedPayload).
-	f.Add(appendStepReply(nil, &stepReply{
-		sends: []wireSend{{dst: 0, port: 4}, {dst: 0, port: 5, payload: []byte{0}}}}), 1)
+	f.Add(appendStepReply(nil, &stepReply{}, wireSend{dst: 0, port: 4}, wireSend{dst: 0, port: 5, payload: []byte{0}}), 1)
+	// A send whose dst takes an overlong form (81 80 00 reads as 1): one byte
+	// form per value, so the coordinator can relay what it checked.
+	f.Add(append(appendStepHead(nil, &stepReply{}), 1, 0x81, 0x80, 0, 0, 1, 3), 0)
+	// DELIVERED without a probe, so without inbox profile, of round 1 by
+	// shard 0 of FuzzAbsorbReplies' star: 2 delivered, step held back; then
+	// 1 delivered and stepped, the section as above.
+	f.Add([]byte{1, 2, 0, 0}, 0)
+	f.Add(appendStepReply([]byte{1, 1, 0, 1}, &stepReply{active: 4, halted: 1,
+		events: []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}}},
+		wireSend{dst: 5, port: 0, payload: []byte{3}}), 0)
 }
 
 // FuzzParseReplies drives the typed payload parsers — the record codec
 // included — with arbitrary bodies: errors are expected, panics and
 // unbounded allocations are not (the cursor bounds every length field by
-// the bytes remaining), and whatever parses re-encodes to the same bytes.
+// the bytes remaining), and a step section that parses re-encodes to the
+// same bytes — every value has one byte form.
 func FuzzParseReplies(f *testing.F) {
 	replySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, owned int) {
@@ -191,7 +201,18 @@ func FuzzParseReplies(f *testing.F) {
 			return
 		}
 		var step stepReply
-		_ = parseStepReply(data, &step)
+		if parseStepReply(data, &step) == nil {
+			cur := cursor{b: step.sendBytes}
+			sends := make([]wireSend, step.sends)
+			for j := range sends {
+				sends[j].dst, sends[j].port, sends[j].payload = cur.send()
+			}
+			if cur.done("step reply") == nil {
+				if again := appendStepReply(nil, &step, sends...); !bytes.Equal(again, data) {
+					t.Fatalf("step section %x re-encodes as %x", data, again)
+				}
+			}
+		}
 		cur := cursor{b: data}
 		if records := cur.records(nil, owned); cur.err == nil && len(records) != owned {
 			t.Fatalf("parsed %d records for %d owned nodes", len(records), owned)
@@ -251,24 +272,25 @@ func FuzzAbsorbReplies(f *testing.F) {
 		if shard < 0 || shard >= k {
 			return
 		}
-		c := &coordinator{
-			tcp:  TCP{Shards: k},
-			inst: &Instance{Graph: g},
-			opts: Options{Probe: congest.NopProbe{}},
-			agg:  congest.NewRoundAggregator(g),
-		}
-		c.prepare()
-		_ = c.absorbStepped(shard, data)
-		_ = c.absorbDelivered(shard, data)
-		_ = c.absorbFinal(shard, data)
-		_ = c.absorbTelemetry(shard, data)
-		// Whatever was absorbed has to be usable: a checked step section of
-		// shard 1 waits for shard 0's, and an empty step of shard 0 applies
-		// both; the round closes and the relay batches serialize.
-		_ = c.absorbStepped(0, appendStepReply(nil, &stepReply{}))
-		c.roundEnd(time.Time{}, 0)
-		for i := 0; i < k; i++ {
-			c.takeDeliverBody(i)
+		// With a probe DELIVERED carries the inbox profile, without one not.
+		for _, probe := range []bool{true, false} {
+			c := &coordinator{tcp: TCP{Shards: k}, inst: &Instance{Graph: g}}
+			if probe {
+				c.opts.Probe, c.agg = congest.NopProbe{}, congest.NewRoundAggregator(g)
+			}
+			c.prepare()
+			_ = c.absorbStepped(shard, data)
+			_ = c.absorbDelivered(shard, data)
+			_ = c.absorbFinal(shard, data)
+			_ = c.absorbTelemetry(shard, data)
+			// Whatever was absorbed has to be usable: a checked step section of
+			// shard 1 waits for shard 0's, and an empty step of shard 0 applies
+			// both; the round closes and the relay batches serialize.
+			_ = c.absorbStepped(0, appendStepReply(nil, &stepReply{}))
+			c.roundEnd(time.Time{}, 0)
+			for i := 0; i < k; i++ {
+				c.takeDeliverBody(i)
+			}
 		}
 	})
 }

@@ -388,7 +388,10 @@ func crossingPort(t *testing.T, g *graph.Graph, lo int) (dst, port int) {
 // its frame is read: in STEPPED on the path BFS, whose far shard holds its
 // early steps back (shard 1 of 2 owns nodes [8, 16) and delivers nothing
 // before round 8), and inside round 2's DELIVERED on walks, whose every
-// shard steps on DELIVER (shard 1 of 2 owns nodes [16, 32)).
+// shard steps on DELIVER (shard 1 of 2 owns nodes [16, 32)). Checked sends
+// are relayed as they arrived, so a send in an overlong form must be
+// refused, not passed on. The last rows run without a probe, whose
+// DELIVERED carries no inbox profile.
 func TestHostileReplies(t *testing.T) {
 	spec, path := suiteSpecs(1)[4], pathBFS(0)
 	const owned, pathOwned = 16, 8
@@ -430,14 +433,18 @@ func TestHostileReplies(t *testing.T) {
 	withStep := func(step []byte) []byte { return delivered(1, []uint64{1, 0}, step) }
 	badFlag := withStep(nil)
 	badFlag[len(badFlag)-1] = 2
-	cases := []struct {
+	// send with its dst in an overlong form: dst < 128 is one byte, and
+	// dst|0x80, 0x80, 0x00 reads as the same number.
+	overlong := slices.Concat([]byte{send[0] | 0x80, 0x80, 0}, send[1:])
+	type hostileCase struct {
 		name  string
 		spec  *transport.Spec // nil: walks
 		typ   byte
 		body  []byte
 		phase string
 		field string
-	}{
+	}
+	cases := []hostileCase{
 		{"STEPPED send dst beyond n", path, transport.FrameStepped, stepped(0, 0, 1, 37, 0, 0), "step-wait", "send dst 37"},
 		{"STEPPED send port beyond degree", path, transport.FrameStepped, stepped(0, 0, 1, 3, 99, 0), "step-wait", "send dst 3 port 99"},
 		{"STEPPED send that is not the shard's to make", path, transport.FrameStepped, stepped(0, 0, 1, 9, 0, 0), "step-wait", "send dst 9 port 0 is the edge from node"},
@@ -454,32 +461,52 @@ func TestHostileReplies(t *testing.T) {
 		{"DELIVERED held back an owed step", nil, transport.FrameDelivered, withStep(nil), "deliver-wait",
 			"held its step in round 2, which delivered 1 with 0 delayed pending and cannot be quiet"},
 		{"DELIVERED stepped flag beyond one", nil, transport.FrameDelivered, badFlag, "deliver-wait", "malformed delivered stepped flag"},
+		{"DELIVERED step send dst in an overlong form", nil, transport.FrameDelivered, withStep(slices.Concat(stepped(0, 0, 1), overlong)), "deliver-wait", "malformed send dst"},
 		{"TELEMETRY row of another endpoint", nil, transport.FrameTelemetry, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			nth := 2 // a round is already behind us
-			if tc.typ == transport.FrameInitAck || tc.typ == transport.FrameTelemetry {
-				nth = 1 // there is only one
-			}
-			run := spec
-			if tc.spec != nil {
-				run = *tc.spec
-			}
-			tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(tc.typ, nth, fate{rewrite: func([]byte) []byte { return tc.body }}))
-			// A probe is attached: the DELIVERED profile feeds its aggregator.
-			_, err := tcp.Run(run, transport.Options{Probe: congest.NewTraceSink().Label("hostile")})
-			if err == nil {
-				t.Fatal("run reported success")
-			}
-			for _, want := range []string{"transport: shard 1: reply:", "phase " + tc.phase, tc.field} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("err = %v, want it to contain %q", err, want)
+	// Run with no probe, where DELIVERED is the round, the counts, the
+	// stepped flag and the step section: a profile nobody asked for is not
+	// read as one, and the flag is still held to the counts.
+	unprobed := []hostileCase{
+		{"unprobed DELIVERED carrying an inbox profile", nil, transport.FrameDelivered, withStep(stepped(0, 0, 0)), "deliver-wait", "trailing bytes"},
+		{"unprobed DELIVERED stepped in a round that may be quiet", nil, transport.FrameDelivered, slices.Concat(uv(2, 0, 0, 1), stepped(0, 0, 0)), "deliver-wait",
+			"stepped in round 2, which delivered 0 with 0 delayed pending and may be quiet"},
+		{"unprobed DELIVERED held back an owed step", nil, transport.FrameDelivered, uv(2, 1, 0, 0), "deliver-wait",
+			"held its step in round 2, which delivered 1 with 0 delayed pending and cannot be quiet"},
+	}
+	for _, set := range []struct {
+		probe bool
+		cases []hostileCase
+	}{{true, cases}, {false, unprobed}} {
+		for _, tc := range set.cases {
+			t.Run(tc.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				nth := 2 // a round is already behind us
+				if tc.typ == transport.FrameInitAck || tc.typ == transport.FrameTelemetry {
+					nth = 1 // there is only one
 				}
-			}
-			settleGoroutines(t, base, tc.name)
-		})
+				run := spec
+				if tc.spec != nil {
+					run = *tc.spec
+				}
+				tcp := scriptedTCP(2, 1, 10*time.Second, "", onNth(tc.typ, nth, fate{rewrite: func([]byte) []byte { return tc.body }}))
+				// With a probe the DELIVERED profile feeds its aggregator.
+				var opts transport.Options
+				if set.probe {
+					opts.Probe = congest.NewTraceSink().Label("hostile")
+				}
+				_, err := tcp.Run(run, opts)
+				if err == nil {
+					t.Fatal("run reported success")
+				}
+				for _, want := range []string{"transport: shard 1: reply:", "phase " + tc.phase, tc.field} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("err = %v, want it to contain %q", err, want)
+					}
+				}
+				settleGoroutines(t, base, tc.name)
+			})
+		}
 	}
 }
 
@@ -488,10 +515,10 @@ func TestHostileReplies(t *testing.T) {
 // and must be found there, as a protocol error naming that shard, never
 // staged: a record of the reserved empty kind would sit in the outbox
 // arena as "no message" and the send would silently vanish. Shard 1's
-// second DELIVERED is rewritten to carry one delivered message and a step
-// whose one send crosses a real boundary edge with the row's payload;
-// shard 0 must refuse it in its workload's Decode and end, which the
-// coordinator reports against shard 0.
+// second DELIVERED is rewritten to carry one delivered message (and no
+// inbox profile: the run has no probe) and a step whose one send crosses a
+// real boundary edge with the row's payload; shard 0 must refuse it in its
+// workload's Decode and end, which the coordinator reports against shard 0.
 func TestHostileRelayedPayload(t *testing.T) {
 	specs := suiteSpecs(1)
 	ghs, walks := specs[3], specs[4]
@@ -513,14 +540,11 @@ func TestHostileRelayedPayload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lo1, hi1 := congest.Split{N: g.N(), K: 2}.Bounds(1)
+			lo1, _ := congest.Split{N: g.N(), K: 2}.Bounds(1)
 			dst, port := crossingPort(t, g, lo1)
-			// Round 2, one message delivered to node lo1 on port 0, the other
-			// owned nodes' inboxes empty, stepped; the step section: active,
-			// halted, four fault counts, no event, the one send.
-			body := uv(2, 1, 0, 1, 0)
-			body = append(body, make([]byte, hi1-lo1-1)...)
-			body = append(body, 1)
+			// Round 2, one message delivered, none delayed, stepped; the step
+			// section: active, halted, four fault counts, no event, the one send.
+			body := uv(2, 1, 0, 1)
 			body = append(body, uv(0, 0, 0, 0, 0, 0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))...)
 			body = append(body, tc.payload...)
 

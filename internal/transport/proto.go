@@ -3,8 +3,10 @@ package transport
 // Typed frame payload encodings for the TCP backend: uvarint-packed
 // batches of relayed messages, probe events, inbox profiles and harvest
 // records. All encodings are canonical (one byte form per value, written
-// in one fixed order), which makes the coordinator's probe stream — and
-// hence exported traces — byte-identical to the in-process engines.
+// in one fixed order, and the cursor refuses any other form), which makes
+// the coordinator's probe stream — and hence exported traces —
+// byte-identical to the in-process engines, and lets the coordinator relay
+// the sends it has checked without re-encoding them.
 
 import (
 	"encoding/binary"
@@ -18,10 +20,13 @@ import (
 
 // wireSpec is the JSON body of the SPEC frame: the replayable workload
 // spec plus the shard count; congest.Split turns the count into the
-// layout on both sides.
+// layout on both sides. Probe says whether the coordinator has a probe
+// attached, which is when DELIVERED carries the inbox profile its round
+// records are rebuilt from.
 type wireSpec struct {
 	Version int  `json:"version"`
 	Shards  int  `json:"shards"`
+	Probe   bool `json:"probe,omitempty"`
 	Spec    Spec `json:"spec"`
 }
 
@@ -51,12 +56,15 @@ func (c *cursor) fail(what string) {
 	}
 }
 
+// uvarint reads one uvarint in its canonical form: binary.Uvarint also
+// reads overlong forms (81 80 00 is 1), whose last byte is a zero after
+// at least one other.
 func (c *cursor) uvarint(what string) uint64 {
 	if c.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && c.b[n-1] == 0) {
 		c.fail(what)
 		return 0
 	}
@@ -172,37 +180,42 @@ func (c *cursor) events(dst []wireEvent) []wireEvent {
 	return dst
 }
 
-// wireSend is one relayed cross-shard message: the receiving node, the
-// port AT THE RECEIVER, and the workload-encoded payload.
-type wireSend struct {
-	dst, port int
-	payload   []byte
+// The relay codec: a batch of relayed cross-shard messages is a count and
+// then that many sends, each the receiving node, the port AT THE
+// RECEIVER, the payload length and the workload-encoded payload. It is the
+// tail of a step section and the whole body of a DELIVER frame: the
+// coordinator checks the sends of a step section one by one and copies
+// them into the DELIVER bodies as they are, in runs.
+
+// send reads one relayed send. The payload aliases the frame buffer: valid
+// only until the next frame read, decode before then.
+func (c *cursor) send() (dst, port int, payload []byte) {
+	dst, port = c.int("send dst"), c.int("send port")
+	return dst, port, c.bytes(c.length("send payload"), "send payload")
 }
 
-func appendSends(buf []byte, sends []wireSend) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(sends)))
-	for _, s := range sends {
-		buf = binary.AppendUvarint(buf, uint64(s.dst))
-		buf = binary.AppendUvarint(buf, uint64(s.port))
-		buf = binary.AppendUvarint(buf, uint64(len(s.payload)))
-		buf = append(buf, s.payload...)
+// appendSendHead appends a send's receiving node and port and one byte
+// held for its payload length: the payload is appended next, and
+// fillUvarint writes its length at the returned offset.
+func appendSendHead(buf []byte, dst, port int) ([]byte, int) {
+	buf = binary.AppendUvarint(buf, uint64(dst))
+	buf = binary.AppendUvarint(buf, uint64(port))
+	at := len(buf)
+	return append(buf, 0), at
+}
+
+// fillUvarint writes v as a uvarint at buf[at], a byte held for it, and
+// slides what follows to the right when the form needs more than that
+// byte — counts and lengths are written once what they count is encoded.
+func fillUvarint(buf []byte, at int, v uint64) []byte {
+	var form [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(form[:], v)
+	if k > 1 {
+		buf = append(buf, form[1:k]...) // room only: the copy overwrites it
+		copy(buf[at+k:], buf[at+1:len(buf)-(k-1)])
 	}
+	copy(buf[at:], form[:k])
 	return buf
-}
-
-// sends parses a relayed-message batch. Payload slices alias the frame
-// buffer: valid only until the next frame read, decode before then.
-func (c *cursor) sends(dst []wireSend) []wireSend {
-	n := c.int("send count")
-	for i := 0; i < n && c.err == nil; i++ {
-		s := wireSend{
-			dst:  c.int("send dst"),
-			port: c.int("send port"),
-		}
-		s.payload = c.bytes(c.length("send payload"), "send payload")
-		dst = append(dst, s)
-	}
-	return dst
 }
 
 // stepReply is a step section: the body of INITACK and STEPPED frames,
@@ -211,26 +224,33 @@ func (c *cursor) sends(dst []wireSend) []wireSend {
 // step section — not the delivery profile — because the in-process
 // engines drain counts only for rounds that actually step: a quiet exit
 // discards the aborted deliver phase's counts, and the wire backend must
-// agree.
+// agree. The section ends in the relay batch of the shard's outbound
+// cross-shard sends.
 type stepReply struct {
 	active int // nodes that executed Step (0 for INITACK)
 	halted int // owned nodes halted, cumulative
 	faults faults.Counts
 	events []wireEvent
-	sends  []wireSend
+	// sends counts the encoded sends in sendBytes, the rest of the
+	// section, which parseStepReply leaves unread; it aliases the frame.
+	sends     int
+	sendBytes []byte
 }
 
-func appendStepReply(buf []byte, r *stepReply) []byte {
+// appendStepHead appends what of a step section precedes its sends.
+func appendStepHead(buf []byte, r *stepReply) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.active))
 	buf = binary.AppendUvarint(buf, uint64(r.halted))
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Dropped))
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Duplicated))
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Delayed))
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Crashed))
-	buf = appendEvents(buf, r.events)
-	return appendSends(buf, r.sends)
+	return appendEvents(buf, r.events)
 }
 
+// parseStepReply parses a step section up to its sends, which the caller
+// reads with cursor.send — every send at least three bytes, so their
+// count is bounded by the bytes remaining.
 func parseStepReply(b []byte, r *stepReply) error {
 	c := cursor{b: b}
 	r.active = c.int("step active")
@@ -240,8 +260,9 @@ func parseStepReply(b []byte, r *stepReply) error {
 	r.faults.Delayed = int64(c.int("step delayed"))
 	r.faults.Crashed = int64(c.int("step crashed"))
 	r.events = c.events(r.events[:0])
-	r.sends = c.sends(r.sends[:0])
-	return c.done("step reply")
+	r.sends = c.length("send count")
+	r.sendBytes = c.b
+	return c.err
 }
 
 // The record codec: what a workload harvests is one record of words per

@@ -120,7 +120,7 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	if rec == nil {
 		rec = flightrec.New("shard", shard, flightrec.DefaultCapacity)
 	}
-	r := &shardRuntime{fc: fc, shard: shard, s: s, wl: wl, inst: inst, cfg: cfg, rec: rec}
+	r := &shardRuntime{fc: fc, shard: shard, s: s, wl: wl, inst: inst, cfg: cfg, rec: rec, profile: ws.Probe}
 	return r.loop()
 }
 
@@ -135,12 +135,13 @@ type shardRuntime struct {
 	inst  *Instance
 	cfg   ShardConfig
 	rec   *flightrec.Recorder
+	// profile: the coordinator has a probe, so DELIVERED carries the inbox
+	// profile its round records are rebuilt from.
+	profile bool
 
 	steps    int  // rounds stepped
 	owesStep bool // the last DELIVERED held the step back: STEP may follow
 	reply    stepReply
-	inSends  []wireSend
-	sendBuf  []byte
 	body     []byte
 }
 
@@ -215,9 +216,9 @@ func (r *shardRuntime) step(carrier byte) error {
 }
 
 // appendStep appends the step section of Init or of the step just run to
-// r.body: drain owned events in canonical order, enumerate the owned
-// sends that leave the shard, report the cumulative halt count and the
-// round's drained fault counts.
+// r.body: report the cumulative halt count and the round's drained fault
+// counts, drain owned events in canonical order, and encode the owned
+// sends that leave the shard.
 func (r *shardRuntime) appendStep(active int, fc faults.Counts) error {
 	r.reply.active = active
 	r.reply.faults = fc
@@ -231,66 +232,72 @@ func (r *shardRuntime) appendStep(active int, fc faults.Counts) error {
 			r.reply.events = append(r.reply.events, wireEvent{halt: true, node: node, round: round})
 		},
 	)
-	r.reply.sends = r.reply.sends[:0]
-	r.sendBuf = r.sendBuf[:0]
+	r.body = appendStepHead(r.body, &r.reply)
+	// Each send is encoded once, in place: the count and every payload
+	// length are filled in behind what they count.
+	countAt, sends := len(r.body), 0
+	r.body = append(r.body, 0)
 	var encErr error
 	r.s.ExternalSends(func(dst, dstPort int, payload congest.Message) {
 		if encErr != nil {
 			return
 		}
-		off := len(r.sendBuf)
-		buf, err := r.wl.Encode(r.sendBuf, payload)
-		if err != nil {
-			encErr = err
+		body, lenAt := appendSendHead(r.body, dst, dstPort)
+		if body, encErr = r.wl.Encode(body, payload); encErr != nil {
 			return
 		}
-		r.sendBuf = buf
-		// If append regrew sendBuf, earlier payload slices still point at
-		// the old backing array — stale storage, correct bytes.
-		r.reply.sends = append(r.reply.sends, wireSend{dst: dst, port: dstPort, payload: r.sendBuf[off:]})
+		r.body = fillUvarint(body, lenAt, uint64(len(body)-lenAt-1))
+		sends++
 	})
 	if encErr != nil {
 		return fmt.Errorf("transport: shard %d: encoding send: %w", r.shard, encErr)
 	}
-	r.body = appendStepReply(r.body, &r.reply)
+	r.body = fillUvarint(r.body, countAt, uint64(sends))
 	return nil
 }
 
-// deliver answers DELIVER: inject the relayed batch, run the canonical
-// delivery scan, report the per-node inbox profile, and step at once
-// unless this shard's counts pass the quiet rule — then the round may end
-// here, and the coordinator sends STEP if it does not.
+// deliver answers DELIVER: decode and inject the relayed batch as it is
+// parsed, run the canonical delivery scan, report the per-node inbox
+// profile if the coordinator has a probe, and step at once unless this
+// shard's counts pass the quiet rule — then the round may end here, and
+// the coordinator sends STEP if it does not.
 func (r *shardRuntime) deliver(body []byte) error {
 	if r.owesStep {
 		return fmt.Errorf("transport: shard %d: DELIVER while round %d's step is held back", r.shard, r.steps+1)
 	}
 	c := cursor{b: body}
-	r.inSends = c.sends(r.inSends[:0])
-	if err := c.done("deliver batch"); err != nil {
-		return fmt.Errorf("transport: shard %d: %w", r.shard, err)
-	}
-	for _, s := range r.inSends {
-		m, err := r.wl.Decode(s.payload)
+	for n := c.length("send count"); n > 0 && c.err == nil; n-- {
+		dst, port, payload := c.send()
+		if c.err != nil {
+			break
+		}
+		m, err := r.wl.Decode(payload)
 		if err != nil {
 			return fmt.Errorf("transport: shard %d: decoding relayed payload: %w", r.shard, err)
 		}
-		if err := r.s.Inject(s.dst, s.port, m); err != nil {
+		if err := r.s.Inject(dst, port, m); err != nil {
 			return fmt.Errorf("transport: shard %d: staging relayed payload: %w", r.shard, err)
 		}
 	}
+	if err := c.done("deliver batch"); err != nil {
+		return fmt.Errorf("transport: shard %d: %w", r.shard, err)
+	}
 	// The DELIVERED body (absorbDelivered reads it): the round, delivered
-	// and pending totals, per owned node its inbox size and arrival ports,
-	// then the stepped flag and, when set, the step section.
+	// and pending totals, per owned node its inbox size and arrival ports
+	// when the coordinator has a probe, then the stepped flag and, when
+	// set, the step section.
 	delivered, pending := r.s.Deliver(), r.s.PendingDelayed()
 	r.body = binary.AppendUvarint(r.body[:0], uint64(r.steps+1))
 	r.body = binary.AppendUvarint(r.body, uint64(delivered))
 	r.body = binary.AppendUvarint(r.body, uint64(pending))
-	lo, hi := r.s.Nodes()
-	for u := lo; u < hi; u++ {
-		inbox := r.s.Inbox(u)
-		r.body = binary.AppendUvarint(r.body, uint64(len(inbox)))
-		for _, in := range inbox {
-			r.body = binary.AppendUvarint(r.body, uint64(in.Port))
+	if r.profile {
+		lo, hi := r.s.Nodes()
+		for u := lo; u < hi; u++ {
+			inbox := r.s.Inbox(u)
+			r.body = binary.AppendUvarint(r.body, uint64(len(inbox)))
+			for _, in := range inbox {
+				r.body = binary.AppendUvarint(r.body, uint64(in.Port))
+			}
 		}
 	}
 	if r.inst.quietRound(r.steps, delivered, pending) {

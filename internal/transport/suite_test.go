@@ -317,6 +317,35 @@ func TestOneExchangePerRound(t *testing.T) {
 	}
 }
 
+// TestProfileOnlyWithProbe: DELIVERED carries the inbox profile only for
+// a probe, which rebuilds its round records from it. Without one the run
+// computes the same Result and moves fewer bytes.
+func TestProfileOnlyWithProbe(t *testing.T) {
+	spec := suiteSpecs(1)[4] // walks: every round delivers
+	for _, shards := range []int{2, 3} {
+		var results [2]transport.Result
+		var wire [2]int64
+		for i, probe := range []congest.Probe{congest.NewTraceSink().Label("profile"), nil} {
+			reg := metrics.New()
+			tcp := transport.TCP{Shards: shards, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil)}
+			res, err := tcp.Run(spec, transport.Options{Probe: probe, Metrics: reg})
+			if err != nil {
+				t.Fatalf("%d shards, probe %t: %v", shards, probe != nil, err)
+			}
+			results[i] = res
+			wire[i], _ = reg.Snapshot().Counter("tcpnet_bytes_total")
+		}
+		what := fmt.Sprintf("%d shards without a probe", shards)
+		sameResult(t, what, results[0], results[1])
+		if results[0].Faults != results[1].Faults {
+			t.Errorf("%s: faults %+v, with a probe %+v", what, results[1].Faults, results[0].Faults)
+		}
+		if wire[1] >= wire[0] {
+			t.Errorf("%s: %d wire bytes, with a probe %d: want fewer", what, wire[1], wire[0])
+		}
+	}
+}
+
 func TestDialShardRetriesUntilListen(t *testing.T) {
 	// Reserve an address, close it, and only start the real listener
 	// after the first dial attempts have failed.

@@ -223,6 +223,18 @@ if ! cmp -s "$out/walks-proc-par.json" "$out/walks-tcp-par.json"; then
 fi
 echo "smoke: E17 TCP/proc trace parity ok"
 
+# The probe-less wire: with neither -trace nor -metrics no probe is
+# attached, so DELIVERED carries no inbox profile, and at three shards a
+# step section's sends are relayed in runs to two destinations. stdout must
+# equal the in-process run's, the backend label in the table title aside.
+"$bin/walks" -n 48 -d 6 -steps 10 | sed 's/(transport=[^)]*)//' >"$out/walks-proc.txt"
+"$bin/walks" -n 48 -d 6 -steps 10 -transport tcp -shards 3 | sed 's/(transport=[^)]*)//' >"$out/walks-tcp3.txt"
+if ! cmp -s "$out/walks-proc.txt" "$out/walks-tcp3.txt"; then
+	echo "smoke: probe-less TCP run at three shards prints other numbers than the in-process engine" >&2
+	exit 1
+fi
+echo "smoke: probe-less TCP/proc stdout parity ok"
+
 # E20: faults over the wire. -faults with -transport=tcp must run the
 # E15 sweep on real shard processes — each replaying the fault plan from
 # the spec — and stay trace-for-trace identical to the in-process engine.

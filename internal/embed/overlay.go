@@ -63,12 +63,13 @@ func overlayGraph(n int, arcs []arc) *graph.Graph {
 }
 
 // embedWalks finishes an overlay whose edge k was found by walk kept[k] of
-// res: the kept walks become the embedded paths, and ConstructionRounds is
-// the walk execution plus replays reverse deliveries of the kept walks.
-func (o *Overlay) embedWalks(res *randomwalk.Result, kept []int, replays int) {
+// res, a run on g: the kept walks become the embedded paths, and
+// ConstructionRounds is the walk execution plus replays reverse deliveries
+// along those paths.
+func (o *Overlay) embedWalks(g *graph.Graph, res *randomwalk.Result, kept []int, replays int) {
 	o.Paths = res.Paths(kept)
 	o.walkRounds = res.Stats.Rounds
-	o.replayRounds = replays * res.ReverseDeliveryRounds(kept)
+	o.replayRounds = replays * randomwalk.ReverseDeliveryRounds(g, o.Paths)
 	o.ConstructionRounds = o.walkRounds + o.replayRounds
 	o.measureEmulation()
 }

@@ -5,20 +5,24 @@
 // Per walk step, every token at a node either stays (laziness) or crosses
 // an incident edge. Each edge can carry one token per direction per
 // CONGEST round, so executing one parallel step costs as many rounds as
-// the most loaded directed edge. The engine executes walks step by step,
-// measures that cost exactly, and records which port every token left by,
-// so that walks can be re-run in reverse (the paper's mechanism for turning
-// walk endpoints into usable overlay edges) and re-used as embedded routing
-// paths.
+// the most loaded directed edge. The engine executes walks step by step and
+// measures that cost exactly. An independent walk's hop in each step is a
+// pure function of (run key, walk index, step) — the node holding a token
+// draws its next hop from the token's own counter — so any walk's path can
+// be recomputed from its source alone. That is how walks are re-run in
+// reverse (the paper's mechanism for turning walk endpoints into usable
+// overlay edges) and re-used as embedded routing paths, without keeping a
+// record of every walk.
 package randomwalk
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/graph"
+	"almostmix/internal/rngutil"
 	"almostmix/internal/spectral"
 )
 
@@ -45,11 +49,10 @@ type Stats struct {
 type Config struct {
 	Kind  spectral.WalkKind // Lazy or Regular (2Δ-regular)
 	Steps int               // walk length T
-	// Record keeps the walk trail — per step and walk, the port the token
-	// left by, at most one byte each while Δ ≤ 255 — which Result.Path,
-	// Paths and ReverseDeliveryRounds replay from the sources (needed for
-	// reversal/embedding). When false only endpoints and statistics are
-	// tracked.
+	// Record keeps a copy of the sources — O(walks), nothing per step —
+	// from which Result.Path and Paths recompute the walks they are asked
+	// for (needed for reversal/embedding). When false only endpoints and
+	// statistics are available. Correlated walks cannot be recorded.
 	Record bool
 	// Correlated runs the walks in the negatively-correlated fashion
 	// the paper sketches for the k = o(log n) regime (the full-version
@@ -57,7 +60,9 @@ type Config struct {
 	// tokens across its transition slots like a shuffled deck instead
 	// of sampling independently, so no edge carries more than ⌈tokens/d⌉
 	// of them and the additive log n congestion term disappears. Each
-	// token's marginal transition distribution is unchanged.
+	// token's marginal transition distribution is unchanged. A correlated
+	// hop depends on every token at the node, so such a run has no
+	// per-walk paths, and Run panics if it is also asked to Record.
 	Correlated bool
 	// Probe, when non-nil, observes the execution through the simulator's
 	// uniform observability layer: one RoundRecord per walk step, with
@@ -72,42 +77,52 @@ type Config struct {
 }
 
 // Result is the outcome of a parallel walk execution: the endpoints, the
-// congestion statistics and, when Config.Record was set, the sources and
-// the moves that Path, Paths and ReverseDeliveryRounds replay. A run
-// without Record has no paths at all.
+// congestion statistics and, when Config.Record was set, the sources that
+// Path and Paths recompute walks from. A run without Record has no paths
+// at all.
 type Result struct {
 	// Ends[i] is the node walk i occupies after the last step.
 	Ends  []int32
 	Stats Stats
 
-	// sources is a recording run's copy of the start nodes and trail its
-	// moves (see moves); both nil without Config.Record.
+	// sources is a recording run's copy of the start nodes, nil without
+	// Config.Record.
 	sources []int32
-	trail   trail
+	draws   draws
 	steps   int
 	g       *graph.Graph
 }
 
-// width is an unsigned type a trail can be kept in. Run keeps it in the
-// narrowest one that holds g.MaxDegree().
-type width interface{ ~uint8 | ~uint16 | ~uint32 }
-
-// moves is a recording run's trail: moves[s·n+i] is 1 + the offset, inside
-// its node's range of the graph's CSR, of the half-edge walk i (of n)
-// crossed in step s+1,
-// or 0 when it stayed. Replaying from the sources through the CSR recovers
-// every node of every path, so a byte per token per step is the whole
-// record while Δ ≤ 255.
-type moves[T width] []T
-
-func (m moves[T]) hop(k int) (off int32, moved bool) {
-	x := m[k]
-	return int32(x) - 1, x != 0
+// draws is an independent run's decision rule: walk i's hop in step s+1
+// depends on nothing but rngutil.Mix(key, i, s) and the degree of the node
+// it stands on, so walks and steps can be visited in any order.
+type draws struct {
+	key      uint64
+	lazy     bool
+	twoDelta uint64
 }
 
-// trail is the width-erased view of moves the Result replays through.
-type trail interface {
-	hop(k int) (off int32, moved bool)
+// draw is walk i's draw for step s+1.
+func (d draws) draw(i, s int) uint64 { return rngutil.Mix(d.key, uint64(i), uint64(s)) }
+
+// hop returns the offset, inside its node's CSR range, of the half-edge a
+// walk with draw x crosses from a node of degree deg, or −1 when it stays.
+// x is reduced by multiply-shift: a lazy walk moves on an odd x, to port
+// ⌊x·deg/2⁶⁴⌋; a 2Δ-regular walk takes slot ⌊x·2Δ/2⁶⁴⌋, of which the first
+// deg are the incident edges and the rest stay. On an isolated node no
+// slot is an edge, so the walk stays.
+func (d draws) hop(x uint64, deg int32) int32 {
+	slots := d.twoDelta
+	if d.lazy {
+		if x&1 == 0 {
+			return -1
+		}
+		slots = uint64(deg)
+	}
+	if slot, _ := bits.Mul64(x, slots); slot < uint64(deg) {
+		return int32(slot)
+	}
+	return -1
 }
 
 // stepper is the state the per-step loops share.
@@ -115,7 +130,6 @@ type stepper struct {
 	// start and half are the graph's CSR (graph.Graph.CSR).
 	start []int32
 	half  []graph.Halfedge
-	rng   *rand.Rand
 	// edgeLoad[arc] counts this step's crossings of a directed edge;
 	// touched[:nTouched] lists the non-zero arcs so they can be read and
 	// cleared without sweeping all 2m.
@@ -141,40 +155,14 @@ func (st *stepper) cross(v, p int32) int32 {
 	return h.To
 }
 
-// move sends token i from v over the half-edge at offset off of v's CSR
-// range, which starts at lo, notes the move in row when the run keeps a
-// trail (row is nil otherwise), and returns the token's new node. It is
-// the step kernels' only trail write.
-func move[T width](st *stepper, row []T, i int, v, lo, off int32) int32 {
-	if row != nil {
-		row[i] = T(off + 1)
-	}
-	return st.cross(v, lo+off)
-}
-
-// stepLazy advances every token one lazy step in place: a fair coin to
-// stay, then a uniform incident edge.
-func stepLazy[T width](st *stepper, at []int32, row []T) {
-	start, rng := st.start, st.rng
+// stepIndependent advances every token step s+1 in place, each by its own
+// draw.
+func (st *stepper) stepIndependent(d draws, at []int32, s int) {
+	start := st.start
 	for i, v := range at {
 		lo := start[v]
-		if deg := start[v+1] - lo; deg > 0 && rng.Uint64()&1 != 0 {
-			at[i] = move(st, row, i, v, lo, int32(rng.IntN(int(deg))))
-		}
-	}
-}
-
-// stepRegular advances every token one step of the 2Δ-regular walk in
-// place: one of 2Δ slots, of which the first d(v) are the incident edges
-// and the rest stay.
-func stepRegular[T width](st *stepper, at []int32, row []T, twoDelta int) {
-	start, rng := st.start, st.rng
-	for i, v := range at {
-		lo := start[v]
-		if deg := start[v+1] - lo; deg > 0 {
-			if r := int32(rng.IntN(twoDelta)); r < deg {
-				at[i] = move(st, row, i, v, lo, r)
-			}
+		if off := d.hop(d.draw(i, s), start[v+1]-lo); off >= 0 {
+			at[i] = st.cross(v, lo+off)
 		}
 	}
 }
@@ -185,7 +173,7 @@ func stepRegular[T width](st *stepper, at []int32, row []T, twoDelta int) {
 // lazy walk; 2Δ−d(v) stay slots + d(v) edge slots for the 2Δ-regular
 // walk), so the per-edge load is at most ⌈tokens/deck⌉ while every
 // token's marginal transition stays exact.
-func stepCorrelated[T width](st *stepper, kind spectral.WalkKind, at []int32, row []T, twoDelta int) {
+func (st *stepper) stepCorrelated(kind spectral.WalkKind, at []int32, twoDelta int, rng *rand.Rand) {
 	// Counting sort of the tokens by node, ascending token index within a
 	// node. tokensAt holds the bucket sizes; cross changes it only after
 	// the bucket bounds are fixed, and every token is read here before
@@ -218,39 +206,38 @@ func stepCorrelated[T width](st *stepper, kind spectral.WalkKind, at []int32, ro
 		// deck offset: position in a random permutation plus a uniform
 		// rotation makes each token's slot marginally uniform.
 		for i := len(here) - 1; i > 0; i-- {
-			j := st.rng.IntN(i + 1)
+			j := rng.IntN(i + 1)
 			here[i], here[j] = here[j], here[i]
 		}
-		offset := st.rng.IntN(deckSize)
+		offset := rng.IntN(deckSize)
 		for j, tok := range here {
 			if slot := (offset + j) % deckSize; slot >= stayCount {
-				at[tok] = move(st, row, int(tok), v, base, int32(slot-stayCount))
+				at[tok] = st.cross(v, base+int32(slot-stayCount))
 			}
 		}
 	}
 }
 
-// RunAllocCeiling bounds the heap objects one Run allocates, whatever the
-// number of walks and steps: the result, the endpoints (with the sources'
-// copy when recording), the trail and its interface box, the per-step
-// loads, the edge loads and one int32 scratch array for the rest of the
-// step state — seven at most, eight with a Probe's occupancy buffer, plus
-// slack for the runtime's own allocations while a measurement runs. The
-// walks read the graph's own CSR (graph.Graph.CSR) and copy none of it.
-// The package's allocation test holds Run to this figure.
-const RunAllocCeiling = 10
+// RunAllocCeiling is the heap objects one Run without a Probe allocates,
+// whatever the number of walks and steps: the result, the endpoints (with
+// the sources' copy when recording), the per-step loads, the edge loads
+// and one int32 scratch array for the rest of the step state. The walks
+// read the graph's own CSR (graph.Graph.CSR) and copy none of it, and keep
+// nothing per step. The package's allocation test holds Run to this
+// figure.
+const RunAllocCeiling = 5
 
 // Run executes one walk from each entry of sources (sources[i] = start
 // node of walk i) for cfg.Steps parallel steps, and returns endpoints,
-// congestion statistics and (with cfg.Record) the trail of every walk.
+// congestion statistics and (with cfg.Record) the sources Paths recomputes
+// walks from.
 //
-// The rng drives all token decisions, and the draw order is a contract
-// that the golden construction fingerprints pin: steps in order; within a
-// step, tokens in index order (independent walks) or nodes in ID order
-// (correlated walks: a Fisher–Yates shuffle of the node's tokens, then one
-// deck offset). A lazy token draws Uint64()&1 and, if it moves,
-// IntN(d(v)); a 2Δ-regular token draws IntN(2Δ); a token on an isolated
-// node draws nothing. Runs are reproducible given the same rng state.
+// Independent walks take one Uint64 from rng, the run key, and nothing
+// else: walk i's hop in step s+1 is drawn from rngutil.Mix(key, i, s) (see
+// draws.hop), so a walk's path does not depend on the others. Correlated
+// walks draw from rng in an order that the reference test pins: steps in
+// order, nodes in ID order, a Fisher–Yates shuffle of the node's tokens,
+// then one deck offset. Runs are reproducible given the same rng state.
 func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	if cfg.Steps < 0 {
 		panic("randomwalk: negative step count")
@@ -258,10 +245,10 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	if cfg.Kind != spectral.Lazy && cfg.Kind != spectral.Regular {
 		panic(fmt.Sprintf("randomwalk: unsupported walk kind %v", cfg.Kind))
 	}
-	nWalks := len(sources)
-	if cfg.Record && nWalks > 0 && cfg.Steps > math.MaxInt32/nWalks {
-		panic(fmt.Sprintf("randomwalk: trail of %d rows × %d walks overflows int32 offsets", cfg.Steps, nWalks))
+	if cfg.Record && cfg.Correlated {
+		panic("randomwalk: Config.Record with Config.Correlated: a correlated hop depends on every token at the node, so its walks have no paths")
 	}
+	nWalks := len(sources)
 	res := &Result{steps: cfg.Steps, g: g}
 	if cfg.Record {
 		buf := make([]int32, 2*nWalks)
@@ -272,6 +259,10 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	}
 	copy(res.Ends, sources)
 	res.Stats.PerStepMaxLoad = make([]int, cfg.Steps)
+	twoDelta := 2 * g.MaxDegree()
+	if !cfg.Correlated {
+		res.draws = draws{key: rng.Uint64(), lazy: cfg.Kind == spectral.Lazy, twoDelta: uint64(twoDelta)}
+	}
 
 	n, nTouched, nBucket := g.N(), min(nWalks, 2*g.M()), 0
 	if cfg.Correlated {
@@ -282,7 +273,6 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	st := &stepper{
 		start:    start,
 		half:     half,
-		rng:      rng,
 		edgeLoad: make([]int64, 2*g.M()), // directed: 2*id + dir
 		touched:  scratch[:nTouched],
 		tokensAt: scratch[nTouched : nTouched+n],
@@ -294,50 +284,18 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 		st.tokensAt[s]++
 	}
 	res.noteOccupancy(st.tokensAt)
-	if cfg.Probe != nil {
-		cfg.Probe.RunStart(congest.RunInfo{Name: cfg.TraceName, Nodes: n, Edges: g.M()})
-	}
-
-	// The trail's width is fixed once per run, and one generic walk loop
-	// runs every width; a run without Record keeps no trail at all.
-	switch delta := g.MaxDegree(); {
-	case !cfg.Record || delta <= math.MaxUint8:
-		walk[uint8](res, st, cfg, 2*delta)
-	case delta <= math.MaxUint16:
-		walk[uint16](res, st, cfg, 2*delta)
-	default:
-		walk[uint32](res, st, cfg, 2*delta)
-	}
-	if cfg.Probe != nil {
-		cfg.Probe.RunEnd(res.Stats.Rounds, nil)
-	}
-	return res
-}
-
-// walk runs Run's steps with a trail of width T, stepping Ends in place.
-func walk[T width](res *Result, st *stepper, cfg Config, twoDelta int) {
-	at, nWalks := res.Ends, len(res.Ends)
-	var record moves[T]
-	if cfg.Record {
-		record = make(moves[T], cfg.Steps*nWalks)
-		res.trail = record
-	}
 	var inboxBuf []int // per-node occupancy copy handed to the probe
 	if cfg.Probe != nil {
-		inboxBuf = make([]int, len(st.tokensAt))
+		cfg.Probe.RunStart(congest.RunInfo{Name: cfg.TraceName, Nodes: n, Edges: g.M()})
+		inboxBuf = make([]int, n)
 	}
+
+	at := res.Ends
 	for step := 0; step < cfg.Steps; step++ {
-		var row []T
-		if record != nil {
-			row = record[step*nWalks : (step+1)*nWalks]
-		}
-		switch {
-		case cfg.Correlated:
-			stepCorrelated(st, cfg.Kind, at, row, twoDelta)
-		case cfg.Kind == spectral.Lazy:
-			stepLazy(st, at, row)
-		default:
-			stepRegular(st, at, row, twoDelta)
+		if cfg.Correlated {
+			st.stepCorrelated(cfg.Kind, at, twoDelta, rng)
+		} else {
+			st.stepIndependent(res.draws, at, step)
 		}
 
 		crossed := st.touched[:st.nTouched]
@@ -376,6 +334,10 @@ func walk[T width](res *Result, st *stepper, cfg Config, twoDelta int) {
 		}
 		st.nTouched = 0
 	}
+	if cfg.Probe != nil {
+		cfg.Probe.RunEnd(res.Stats.Rounds, nil)
+	}
+	return res
 }
 
 func (r *Result) noteOccupancy(tokensAt []int32) {
@@ -397,52 +359,37 @@ func (r *Result) noteOccupancy(tokensAt []int32) {
 // with Config.Record.
 func (r *Result) Path(i int) []int32 { return r.Paths([]int{i})[0] }
 
-// Paths replays the walks keep lists (nil = all) from their sources
-// through the trail and returns their trajectories, in that order, in one
-// arena. A caller that keeps only a fraction of the walks it ran — as the
-// overlay builders do — pays for that fraction only.
+// Paths recomputes the walks keep lists (nil = all) from their sources,
+// each walk alone through its own draws, and returns their trajectories,
+// in that order, in one arena. A caller that keeps only a fraction of the
+// walks it ran — as the overlay builders do — pays for that fraction only.
 func (r *Result) Paths(keep []int) [][]int32 {
-	keep = r.kept(keep)
+	if r.sources == nil {
+		panic("randomwalk: paths requested from a run without Config.Record")
+	}
+	if keep == nil {
+		keep = make([]int, len(r.Ends))
+		for i := range keep {
+			keep[i] = i
+		}
+	}
 	length := r.steps + 1
 	arena := make([]int32, len(keep)*length)
 	paths := make([][]int32, len(keep))
+	start, half := r.g.CSR()
 	for k, i := range keep {
-		paths[k] = arena[k*length : (k+1)*length : (k+1)*length]
-		paths[k][0] = r.sources[i]
-	}
-	// Step-major, so each step's slice of the trail is read in one pass.
-	for s := 1; s < length; s++ {
-		for k, i := range keep {
-			at := k*length + s
-			arena[at] = r.next(s-1, i, arena[at-1])
+		p := arena[k*length : (k+1)*length : (k+1)*length]
+		p[0] = r.sources[i]
+		for s := 1; s < length; s++ {
+			u := p[s-1]
+			p[s] = u
+			if off := r.draws.hop(r.draws.draw(i, s-1), start[u+1]-start[u]); off >= 0 {
+				p[s] = half[start[u]+off].To
+			}
 		}
+		paths[k] = p
 	}
 	return paths
-}
-
-// next returns the node walk i moves to in step s+1 from u, the node it
-// occupied after s steps.
-func (r *Result) next(s, i int, u int32) int32 {
-	if off, moved := r.trail.hop(s*len(r.Ends) + i); moved {
-		return r.g.Neighbors(int(u))[off].To
-	}
-	return u
-}
-
-// kept resolves a walk subset (nil = all) and rejects a run that recorded
-// no trail.
-func (r *Result) kept(keep []int) []int {
-	if r.trail == nil {
-		panic("randomwalk: paths requested from a run without Config.Record")
-	}
-	if keep != nil {
-		return keep
-	}
-	keep = make([]int, len(r.Ends))
-	for i := range keep {
-		keep[i] = i
-	}
-	return keep
 }
 
 // SourcesPerNode expands per-node walk counts into a flat source list:
@@ -471,39 +418,32 @@ func UniformCountTimesDegree(g *graph.Graph, k int) []int {
 	return counts
 }
 
-// ReverseDeliveryRounds measures the CONGEST rounds needed to run the
-// recorded walks keep lists (nil = all) backwards — the mechanism of
-// §3.1.1 for informing sources of their endpoints. A reverse step loads
-// edges exactly as its forward step did in the opposite direction, so the
-// kept walks are replayed forward from their sources and each step's
-// reverse hops are charged as they are found; the total is the same sum of
-// per-step maxima in either order. Loads are counted per (from, to) node
-// pair, so parallel edges between the same pair share one load.
-func (r *Result) ReverseDeliveryRounds(keep []int) int {
-	keep = r.kept(keep)
-	if len(keep) == 0 {
-		return 0
+// ReverseDeliveryRounds measures the CONGEST rounds needed to run walks
+// backwards along paths, walks of g as Paths returns them — the mechanism
+// of §3.1.1 for informing sources of their endpoints. Reverse step s moves
+// each token from paths[k][s] back to paths[k][s−1] and costs its most
+// loaded directed edge, at least one round; the total is the sum over
+// steps, in whatever order they are visited. Loads are counted per (from,
+// to) node pair, so parallel edges between the same pair share one load.
+func ReverseDeliveryRounds(g *graph.Graph, paths [][]int32) int {
+	steps := 0
+	for _, p := range paths {
+		steps = max(steps, len(p)-1)
 	}
-	at := make([]int32, len(keep))
-	for k, i := range keep {
-		at[k] = r.sources[i]
-	}
-	start, _ := r.g.CSR()
-	load := make([]int32, 2*r.g.M()) // per half-edge, cleared via touched
-	touched := make([]int32, 0, min(len(keep), len(load)))
+	start, _ := g.CSR()
+	load := make([]int32, 2*g.M()) // per half-edge, cleared via touched
+	touched := make([]int32, 0, min(len(paths), len(load)))
 	rounds := 0
-	for s := 0; s < r.steps; s++ {
+	for s := 1; s <= steps; s++ {
 		maxLoad := int32(1)
-		for k, i := range keep {
-			u := at[k]
-			v := r.next(s, i, u)
-			if v == u {
+		for _, path := range paths {
+			if s >= len(path) || path[s] == path[s-1] {
 				continue
 			}
-			at[k] = v
 			// The reverse hop v → u, charged to v's port to u
 			// (graph.Graph.Port) so parallel edges share one load.
-			p := start[v] + int32(r.g.Port(int(v), int(u)))
+			v, u := path[s], path[s-1]
+			p := start[v] + int32(g.Port(int(v), int(u)))
 			if load[p] == 0 {
 				touched = append(touched, p)
 			}

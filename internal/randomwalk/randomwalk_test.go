@@ -155,7 +155,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	rev := res.ReverseDeliveryRounds(nil)
+	rev := ReverseDeliveryRounds(g, res.Paths(nil))
 	if rev <= 0 {
 		t.Fatal("reverse delivery cost not positive")
 	}
@@ -164,7 +164,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 		t.Fatalf("reverse cost %d far from forward cost %d", rev, res.Stats.Rounds)
 	}
 	// A subset costs no more than the full set.
-	subset := res.ReverseDeliveryRounds([]int{0, 1, 2})
+	subset := ReverseDeliveryRounds(g, res.Paths([]int{0, 1, 2}))
 	if subset > rev {
 		t.Fatalf("subset reverse cost %d exceeds full cost %d", subset, rev)
 	}
@@ -249,20 +249,5 @@ func TestCorrelatedConvergesToStationary(t *testing.T) {
 	frac := float64(atCenter) / walks
 	if math.Abs(frac-0.5) > 0.05 {
 		t.Fatalf("correlated fraction at center %v, want ≈ 0.5", frac)
-	}
-}
-
-func TestCorrelatedPathsAreWalks(t *testing.T) {
-	r := rngutil.NewRand(12)
-	g := graph.RandomRegular(20, 4, r)
-	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
-	res := Run(g, sources, Config{Kind: spectral.Regular, Steps: 15, Record: true, Correlated: true}, r)
-	for _, path := range res.Paths(nil) {
-		for i := 1; i < len(path); i++ {
-			a, b := int(path[i-1]), int(path[i])
-			if a != b && !g.HasEdge(a, b) {
-				t.Fatalf("correlated path uses non-edge (%d,%d)", a, b)
-			}
-		}
 	}
 }

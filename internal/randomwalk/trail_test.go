@@ -1,19 +1,23 @@
 package randomwalk
 
-// Differential tests of the flat walk engine against the engine it
-// replaced, kept here verbatim as the reference: per-walk path slices, a
-// per-token transition switch, a per-step bucket rebuild for correlated
-// walks and a map-keyed reverse replay. Both must make the same RNG draws
-// in the same order and so agree on every path, endpoint and statistic.
+// Differential tests of the walk engine against a reference kept apart
+// from it. Independent walks: the reference steps each walk alone, start
+// to end, through rngutil.Mix with an exact big-integer reduction, and
+// only then tallies loads and occupancy step by step — so agreement also
+// proves that the order walks and steps are visited in does not matter.
+// Correlated walks: the reference is the engine the flat one replaced (a
+// per-step bucket rebuild over a sequential stream); both must make the
+// same RNG draws in the same order.
 
 import (
-	"math"
+	"math/big"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -21,72 +25,126 @@ import (
 )
 
 type refResult struct {
-	paths [][]int32
+	paths [][]int32 // nil for correlated walks
 	ends  []int32
 	stats Stats
 }
 
+// refHop is one walk's move in one step: the node it reached and the edge
+// it crossed, or edge −1 when it stayed.
+type refHop struct {
+	to   int32
+	edge int
+}
+
 func refRun(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *refResult {
-	nWalks := len(sources)
-	res := &refResult{ends: slices.Clone(sources), paths: make([][]int32, nWalks)}
-	for i := range res.paths {
-		res.paths[i] = []int32{sources[i]}
+	if cfg.Correlated {
+		return refStats(g, sources, refCorrelated(g, sources, cfg, rng), false)
 	}
-	res.stats.PerStepMaxLoad = make([]int, cfg.Steps)
-	delta := g.MaxDegree()
-	edgeLoad := make([]int64, 2*g.M())
+	return refStats(g, sources, refIndependent(g, sources, cfg, rng), true)
+}
+
+// refIndependent walks every walk alone: hops[i][s] is walk i's move in
+// step s+1, decided by draw Mix(key, i, s) of the one key taken from rng.
+func refIndependent(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) [][]refHop {
+	key := rng.Uint64()
+	twoDelta := 2 * g.MaxDegree()
+	hops := make([][]refHop, len(sources))
+	for i, src := range sources {
+		v := int(src)
+		for s := 0; s < cfg.Steps; s++ {
+			x := rngutil.Mix(key, uint64(i), uint64(s))
+			port := -1
+			switch {
+			case cfg.Kind == spectral.Lazy && x%2 == 1:
+				port = refMulShift(x, g.Degree(v))
+			case cfg.Kind == spectral.Regular:
+				port = refMulShift(x, twoDelta)
+			}
+			if port < 0 || port >= g.Degree(v) {
+				hops[i] = append(hops[i], refHop{int32(v), -1})
+				continue
+			}
+			h := g.Neighbors(v)[port]
+			hops[i] = append(hops[i], refHop{h.To, h.EdgeID()})
+			v = int(h.To)
+		}
+	}
+	return hops
+}
+
+// refMulShift is ⌊x·k/2⁶⁴⌋ in exact integer arithmetic.
+func refMulShift(x uint64, k int) int {
+	p := new(big.Int).Mul(new(big.Int).SetUint64(x), big.NewInt(int64(k)))
+	return int(p.Rsh(p, 64).Int64())
+}
+
+// refCorrelated steps all walks together with the sequential deck dealing.
+func refCorrelated(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) [][]refHop {
+	ends := slices.Clone(sources)
+	hops := make([][]refHop, len(sources))
+	for step := 0; step < cfg.Steps; step++ {
+		refCorrelatedStep(g, cfg.Kind, ends, g.MaxDegree(), rng, func(i, v, next, edgeID int) {
+			hops[i] = append(hops[i], refHop{int32(next), edgeID})
+			ends[i] = int32(next)
+		})
+	}
+	return hops
+}
+
+// refStats replays the hops step by step for the paths, endpoints, loads
+// and occupancy.
+func refStats(g *graph.Graph, sources []int32, hops [][]refHop, keepPaths bool) *refResult {
+	res := &refResult{ends: slices.Clone(sources)}
+	steps := 0
+	if len(hops) > 0 {
+		steps = len(hops[0])
+	}
+	if keepPaths {
+		res.paths = make([][]int32, len(sources))
+		for i, s := range sources {
+			res.paths[i] = []int32{s}
+		}
+	}
+	res.stats.PerStepMaxLoad = make([]int, steps)
+	edgeLoad := make(map[int]int)
 	tokensAt := make([]int32, g.N())
 	for _, s := range sources {
 		tokensAt[s]++
 	}
 	noteOccupancy := func() {
 		for v, c := range tokensAt {
-			if int(c) > res.stats.MaxTokensAtNode {
-				res.stats.MaxTokensAtNode = int(c)
-			}
+			res.stats.MaxTokensAtNode = max(res.stats.MaxTokensAtNode, int(c))
 			if d := g.Degree(v); d > 0 {
-				if ratio := float64(c) / float64(d); ratio > res.stats.MaxTokensOverDegree {
-					res.stats.MaxTokensOverDegree = ratio
-				}
+				res.stats.MaxTokensOverDegree = max(res.stats.MaxTokensOverDegree, float64(c)/float64(d))
 			}
 		}
 	}
 	noteOccupancy()
-	for step := 0; step < cfg.Steps; step++ {
-		maxLoad := 0
-		applyMove := func(i, v, next, edgeID int) {
-			if next != v {
+	for step := 0; step < steps; step++ {
+		maxLoad := 1
+		clear(edgeLoad)
+		for i, walk := range hops {
+			h, v := walk[step], res.ends[i]
+			if h.edge >= 0 {
 				dir := 0
-				if g.Edge(edgeID).V == next {
+				if int32(g.Edge(h.edge).V) == h.to {
 					dir = 1
 				}
-				slot := 2*edgeID + dir
+				slot := 2*h.edge + dir
 				edgeLoad[slot]++
-				if int(edgeLoad[slot]) > maxLoad {
-					maxLoad = int(edgeLoad[slot])
-				}
+				maxLoad = max(maxLoad, edgeLoad[slot])
 				tokensAt[v]--
-				tokensAt[next]++
-				res.ends[i] = int32(next)
+				tokensAt[h.to]++
+				res.ends[i] = h.to
 			}
-			res.paths[i] = append(res.paths[i], int32(next))
-		}
-		if cfg.Correlated {
-			refCorrelatedStep(g, cfg.Kind, res.ends, delta, rng, applyMove)
-		} else {
-			for i := 0; i < nWalks; i++ {
-				v := int(res.ends[i])
-				next, edgeID := refStepToken(g, cfg.Kind, v, delta, rng)
-				applyMove(i, v, next, edgeID)
+			if keepPaths {
+				res.paths[i] = append(res.paths[i], h.to)
 			}
-		}
-		if maxLoad == 0 {
-			maxLoad = 1
 		}
 		res.stats.PerStepMaxLoad[step] = maxLoad
 		res.stats.Rounds += maxLoad
 		noteOccupancy()
-		clear(edgeLoad)
 	}
 	return res
 }
@@ -132,27 +190,6 @@ func refCorrelatedStep(g *graph.Graph, kind spectral.WalkKind, ends []int32, del
 	}
 }
 
-func refStepToken(g *graph.Graph, kind spectral.WalkKind, v, delta int, rng *rand.Rand) (next, edgeID int) {
-	if g.Degree(v) == 0 {
-		return v, -1
-	}
-	switch kind {
-	case spectral.Lazy:
-		if rng.Uint64()&1 == 0 {
-			return v, -1
-		}
-		h := g.Neighbors(v)[rng.IntN(g.Degree(v))]
-		return int(h.To), h.EdgeID()
-	default:
-		r := rng.IntN(2 * delta)
-		if r >= g.Degree(v) {
-			return v, -1
-		}
-		h := g.Neighbors(v)[r]
-		return int(h.To), h.EdgeID()
-	}
-}
-
 func refReverseDeliveryRounds(paths [][]int32, keep []int) int {
 	if keep == nil {
 		keep = make([]int, len(paths))
@@ -195,10 +232,9 @@ func refReverseDeliveryRounds(paths [][]int32, keep []int) int {
 }
 
 // walkFixtures are the graph shapes the differential runs over: regular,
-// uneven degrees, an isolated node (no draw), a multigraph whose parallel
-// edges a reverse replay must merge, and one star per trail width past a
-// byte — Δ = 299 keeps a uint16 trail, Δ = 69 999 a uint32 one, whose hub
-// departures past offset 65 535 a narrower trail would garble.
+// uneven degrees, an isolated node (no move), a multigraph whose parallel
+// edges a reverse replay must merge, and two stars whose hubs reduce draws
+// past port offsets 255 (Δ = 299) and 65 535 (Δ = 69 999).
 func walkFixtures() map[string]*graph.Graph {
 	withIsolated := graph.Build(7, func(add func(u, v int, w float64)) {
 		for v := 0; v < 5; v++ {
@@ -220,23 +256,27 @@ func walkFixtures() map[string]*graph.Graph {
 	}
 }
 
-// fixtureSources starts three walks on each of the first 512 nodes: every
-// node of the small fixtures, isolated ones included, and the hub and some
-// leaves of the wide stars.
+// fixtureSources starts three walks on each of the first 512 nodes — every
+// node of the small fixtures, isolated ones included, and the hub and
+// some leaves of the wide stars — and 64 on node 0, so a star's hub sends
+// walks over many ports.
 func fixtureSources(g *graph.Graph) []int32 {
 	counts := make([]int, min(g.N(), 512))
 	for v := range counts {
 		counts[v] = 3
 	}
+	counts[0] = 64
 	return SourcesPerNode(counts)
 }
 
 func TestRunMatchesReferenceEngine(t *testing.T) {
+	// wide[name] is a port offset the hub must be seen crossing past.
+	wide := map[string]int32{"star300": 255, "hub70000": 65_535}
 	for name, g := range walkFixtures() {
 		sources := fixtureSources(g)
 		for _, kind := range []spectral.WalkKind{spectral.Lazy, spectral.Regular} {
 			for _, correlated := range []bool{false, true} {
-				cfg := Config{Kind: kind, Steps: 17, Record: true, Correlated: correlated}
+				cfg := Config{Kind: kind, Steps: 17, Record: !correlated, Correlated: correlated}
 				refRng, rng := rngutil.NewRand(5), rngutil.NewRand(5)
 				want := refRun(g, sources, cfg, refRng)
 				got := Run(g, sources, cfg, rng)
@@ -250,14 +290,85 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 				if !reflect.DeepEqual(got.Stats, want.stats) {
 					t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.stats)
 				}
-				if !reflect.DeepEqual(got.Paths(nil), want.paths) {
-					t.Fatalf("%s: paths differ", label)
-				}
 				// Same number of draws: the streams are in the same state.
 				if rng.Uint64() != refRng.Uint64() {
 					t.Fatalf("%s: rng state diverged after the run", label)
 				}
+				if correlated {
+					continue
+				}
+				paths := got.Paths(nil)
+				if !reflect.DeepEqual(paths, want.paths) {
+					t.Fatalf("%s: paths differ", label)
+				}
+				// Star leaf v is the hub's port v−1.
+				if limit, ok := wide[name]; ok && !slices.ContainsFunc(paths, func(p []int32) bool {
+					return slices.Max(p)-1 > limit
+				}) {
+					t.Fatalf("%s: no walk left the hub past port offset %d", label, limit)
+				}
 			}
+		}
+	}
+}
+
+// TestTransitionsChiSquare: for each walk kind, the hops that walks make
+// out of one node, pooled over every step, follow the kind's transition
+// law. Node 0 has degree 9 in a graph of Δ = 13: a lazy walk stays with
+// probability 1/2 and takes each port with 1/18; a 2Δ-regular one stays
+// with 17/26 and takes each port with 1/26. With df = 9 the statistic
+// exceeds 50 with probability ≈ 10⁻⁷ under the law, so a generic-seed
+// failure indicates real bias, not noise.
+func TestTransitionsChiSquare(t *testing.T) {
+	const bound = 50.0
+	g := graph.Build(22, func(add func(u, v int, w float64)) {
+		add(0, 9, 1)
+		for v := 1; v <= 8; v++ {
+			add(0, v, 1)
+		}
+		for v := 10; v <= 21; v++ {
+			add(9, v, 1)
+		}
+	})
+	const deg = 9
+	sources := make([]int32, 2000) // all at node 0
+	for _, kind := range []spectral.WalkKind{spectral.Lazy, spectral.Regular} {
+		stay, port := 0.5, 1.0/18
+		if kind == spectral.Regular {
+			stay, port = 17.0/26, 1.0/26
+		}
+		f := func(seed uint64) bool {
+			res := Run(g, sources, Config{Kind: kind, Steps: 8, Record: true}, rngutil.NewRand(seed))
+			counts := make([]float64, deg+1) // counts[deg] = stayed
+			for _, p := range res.Paths(nil) {
+				for s := 1; s < len(p); s++ {
+					if p[s-1] != 0 {
+						continue
+					}
+					if p[s] == 0 {
+						counts[deg]++
+					} else {
+						counts[g.Port(0, int(p[s]))]++
+					}
+				}
+			}
+			total := 0.0
+			for _, c := range counts {
+				total += c
+			}
+			chi2 := 0.0
+			for b, c := range counts {
+				exp := total * port
+				if b == deg {
+					exp = total * stay
+				}
+				d := c - exp
+				chi2 += d * d / exp
+			}
+			return chi2 < bound
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("%v: %v", kind, err)
 		}
 	}
 }
@@ -268,7 +379,6 @@ func TestRecordDoesNotChangeTheWalk(t *testing.T) {
 	for _, cfg := range []Config{
 		{Kind: spectral.Lazy, Steps: 20},
 		{Kind: spectral.Regular, Steps: 20},
-		{Kind: spectral.Lazy, Steps: 20, Correlated: true},
 	} {
 		plain := Run(g, sources, cfg, rngutil.NewRand(3))
 		cfg.Record = true
@@ -279,32 +389,54 @@ func TestRecordDoesNotChangeTheWalk(t *testing.T) {
 	}
 }
 
-func TestPathsGatherTheTrail(t *testing.T) {
+// TestPathsRecomputeKeptWalks: a kept walk's path is the same whichever
+// other walks are kept with it, in whatever order and however often.
+func TestPathsRecomputeKeptWalks(t *testing.T) {
 	g := graph.RandomRegular(24, 4, rngutil.NewRand(4))
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	const steps = 15
-	res := Run(g, sources, Config{Kind: spectral.Regular, Steps: steps, Record: true}, rngutil.NewRand(4))
-	keep := []int{7, 0, len(sources) - 1, 7}
-	paths := res.Paths(keep)
-	if len(paths) != len(keep) {
-		t.Fatalf("%d paths for %d kept walks", len(paths), len(keep))
-	}
-	for k, i := range keep {
-		if !slices.Equal(paths[k], res.Path(i)) {
-			t.Fatalf("Paths(keep)[%d] differs from Path(%d)", k, i)
+	for _, kind := range []spectral.WalkKind{spectral.Lazy, spectral.Regular} {
+		res := Run(g, sources, Config{Kind: kind, Steps: steps, Record: true}, rngutil.NewRand(4))
+		all := res.Paths(nil)
+		for i, p := range all {
+			if p[0] != sources[i] || p[steps] != res.Ends[i] {
+				t.Fatalf("%v walk %d: path runs %d→%d, want %d→%d", kind, i, p[0], p[steps], sources[i], res.Ends[i])
+			}
 		}
-		if paths[k][0] != sources[i] || paths[k][steps] != res.Ends[i] {
-			t.Fatalf("walk %d: path runs %d→%d, want %d→%d", i, paths[k][0], paths[k][steps], sources[i], res.Ends[i])
+		f := func(seed uint64, size uint8) bool {
+			r := rngutil.NewRand(seed)
+			keep := make([]int, int(size)%40)
+			for k := range keep {
+				keep[k] = r.IntN(len(sources))
+			}
+			if len(keep) > 1 {
+				keep[len(keep)-1] = keep[0] // at least one repeat
+			}
+			r.Shuffle(len(keep), func(a, b int) { keep[a], keep[b] = keep[b], keep[a] })
+			paths := res.Paths(keep)
+			if len(paths) != len(keep) {
+				return false
+			}
+			for k, i := range keep {
+				if !slices.Equal(paths[k], all[i]) || !slices.Equal(res.Path(i), all[i]) {
+					return false
+				}
+			}
+			return true
 		}
-	}
-	// The paths share one arena; growing one must not overwrite the next.
-	before := slices.Clone(paths[1])
-	_ = append(paths[0], -1)
-	if !slices.Equal(paths[1], before) {
-		t.Fatal("appending to one gathered path overwrote its neighbor")
-	}
-	if len(res.Paths([]int{})) != 0 {
-		t.Fatal("empty keep list gathered paths")
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		// The paths share one arena; growing one must not overwrite the next.
+		paths := res.Paths([]int{7, 0, 7})
+		before := slices.Clone(paths[1])
+		_ = append(paths[0], -1)
+		if !slices.Equal(paths[1], before) {
+			t.Fatal("appending to one gathered path overwrote its neighbor")
+		}
+		if len(res.Paths([]int{})) != 0 {
+			t.Fatal("empty keep list gathered paths")
+		}
 	}
 }
 
@@ -319,7 +451,7 @@ func TestReverseDeliveryRoundsMatchesReference(t *testing.T) {
 			"empty":  {},
 		}
 		for label, keep := range subsets {
-			if got, want := res.ReverseDeliveryRounds(keep), refReverseDeliveryRounds(paths, keep); got != want {
+			if got, want := ReverseDeliveryRounds(g, res.Paths(keep)), refReverseDeliveryRounds(paths, keep); got != want {
 				t.Fatalf("%s/%s: reverse delivery %d rounds, reference %d", name, label, got, want)
 			}
 		}
@@ -329,9 +461,8 @@ func TestReverseDeliveryRoundsMatchesReference(t *testing.T) {
 func TestPathsNeedRecord(t *testing.T) {
 	res := Run(graph.Ring(5), []int32{0}, Config{Kind: spectral.Lazy, Steps: 3}, rngutil.NewRand(1))
 	for name, call := range map[string]func(){
-		"Path":                  func() { res.Path(0) },
-		"Paths":                 func() { res.Paths(nil) },
-		"ReverseDeliveryRounds": func() { res.ReverseDeliveryRounds(nil) },
+		"Path":  func() { res.Path(0) },
+		"Paths": func() { res.Paths(nil) },
 	} {
 		if msg := panicMessage(call); !strings.Contains(msg, "without Config.Record") {
 			t.Fatalf("%s on an unrecorded run: panic %q", name, msg)
@@ -339,12 +470,14 @@ func TestPathsNeedRecord(t *testing.T) {
 	}
 }
 
-func TestTrailOverflowPanics(t *testing.T) {
+// TestCorrelatedRecordPanics: a correlated hop depends on every token at
+// the node, so a correlated run has no per-walk paths to record.
+func TestCorrelatedRecordPanics(t *testing.T) {
 	msg := panicMessage(func() {
-		Run(graph.Ring(5), []int32{0, 1, 2}, Config{Kind: spectral.Lazy, Steps: math.MaxInt32 / 2, Record: true}, rngutil.NewRand(1))
+		Run(graph.Ring(5), []int32{0, 1}, Config{Kind: spectral.Lazy, Steps: 3, Record: true, Correlated: true}, rngutil.NewRand(1))
 	})
-	if !strings.Contains(msg, "overflows int32 offsets") {
-		t.Fatalf("oversized trail: panic %q", msg)
+	if !strings.Contains(msg, "Config.Record with Config.Correlated") {
+		t.Fatalf("recording a correlated run: panic %q", msg)
 	}
 }
 
@@ -364,7 +497,7 @@ func TestRunAllocationsAreConstant(t *testing.T) {
 	for _, cfg := range []Config{
 		{Kind: spectral.Lazy, Steps: 20, Record: true},
 		{Kind: spectral.Regular, Steps: 20, Record: true},
-		{Kind: spectral.Lazy, Steps: 20, Record: true, Correlated: true},
+		{Kind: spectral.Lazy, Steps: 20, Correlated: true},
 	} {
 		for _, k := range []int{1, 16} {
 			sources := SourcesPerNode(UniformCountTimesDegree(g, k))
@@ -376,31 +509,30 @@ func TestRunAllocationsAreConstant(t *testing.T) {
 	}
 }
 
-// TestRecordingRunBytes holds a recording Run to its trail — steps × walks
-// × the trail's width — plus O(walks + n + m) for the endpoints, the
-// sources' copy, the edge loads and the step scratch. A trail of node IDs,
-// four bytes per walk per step, is several times over it.
+// TestRecordingRunBytes holds a recording Run to O(walks + n + m) bytes:
+// the endpoints and the sources' copy (eight bytes a walk), the edge loads
+// and the step scratch — nothing per step beyond its load entry. A record
+// of one byte per walk per step is several times over it.
 func TestRecordingRunBytes(t *testing.T) {
 	const steps = 40
 	for _, tc := range []struct {
-		name  string
-		g     *graph.Graph
-		width int
+		name string
+		g    *graph.Graph
 	}{
-		{"rr64d6", graph.RandomRegular(64, 6, rngutil.NewRand(9)), 1},
-		{"star300", graph.Star(300), 2},
+		{"rr64d6", graph.RandomRegular(64, 6, rngutil.NewRand(9))},
+		{"star300", graph.Star(300)},
 	} {
 		sources := SourcesPerNode(UniformCountTimesDegree(tc.g, 8))
 		walks, n, m := len(sources), tc.g.N(), tc.g.M()
-		budget := steps*walks*tc.width + 16*walks + 64*(n+m) + 8*steps + 4096
+		budget := 12*walks + 32*(n+m) + 8*steps + 4096
 		for _, cfg := range []Config{
 			{Kind: spectral.Lazy, Steps: steps, Record: true},
 			{Kind: spectral.Regular, Steps: steps, Record: true},
-			{Kind: spectral.Lazy, Steps: steps, Record: true, Correlated: true},
+			{Kind: spectral.Lazy, Steps: steps, Correlated: true},
 		} {
 			rng := rngutil.NewRand(10)
 			if got := bytesPerRun(func() { Run(tc.g, sources, cfg, rng) }); got > budget {
-				t.Errorf("%s %+v: a recording Run of %d walks × %d steps allocates %d B, budget %d B",
+				t.Errorf("%s %+v: a Run of %d walks × %d steps allocates %d B, budget %d B",
 					tc.name, cfg, walks, steps, got, budget)
 			}
 		}

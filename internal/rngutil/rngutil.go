@@ -14,7 +14,8 @@ import (
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 is a well-known 64-bit finalizer-based generator; here it is
-// used only for seed derivation, never as the consumer-facing stream.
+// used for seed derivation and counter draws (Mix), never as a sequential
+// consumer-facing stream.
 func splitMix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -50,12 +51,20 @@ func NewSource(seed uint64) *Source {
 // Seed returns the root seed of the source.
 func (s *Source) Seed() uint64 { return s.seed }
 
+// Mix returns draw b of the counter stream (key, a): the SplitMix64
+// output at position b of a stream whose start hashes key and a. It is a
+// pure function of the triple, so draws may be taken in any order, and
+// streams of distinct a are independent for every practical purpose.
+// Derive is Mix at position 0.
+func Mix(key, a, b uint64) uint64 {
+	// The first SplitMix64 advance of key, then a's hash, then b advances.
+	state := ((key + 0x9e3779b97f4a7c15) ^ a*0xd1342543de82ef95) + b*0x9e3779b97f4a7c15
+	return splitMix64(&state)
+}
+
 // Derive returns the child seed for (label, index).
 func (s *Source) Derive(label string, index uint64) uint64 {
-	state := s.seed ^ hashString(label)
-	_ = splitMix64(&state)
-	state ^= index * 0xd1342543de82ef95
-	return splitMix64(&state)
+	return Mix(s.seed^hashString(label), index, 0)
 }
 
 // Stream returns an independent *rand.Rand for (label, index).

@@ -37,6 +37,42 @@ func TestStreamIndependenceByIndex(t *testing.T) {
 	}
 }
 
+// TestDeriveUnchangedByMix pins Derive to the formula it had before Mix
+// existed, so every seed derived anywhere keeps its value.
+func TestDeriveUnchangedByMix(t *testing.T) {
+	old := func(seed uint64, label string, index uint64) uint64 {
+		state := seed ^ hashString(label)
+		_ = splitMix64(&state)
+		state ^= index * 0xd1342543de82ef95
+		return splitMix64(&state)
+	}
+	f := func(seed, index uint64, label string) bool {
+		return NewSource(seed).Derive(label, index) == old(seed, label, index)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMixIsACounterStream: draw b of (key, a) is output b of one
+// SplitMix64 stream, so consecutive counters walk that stream in order.
+func TestMixIsACounterStream(t *testing.T) {
+	f := func(key, a uint64) bool {
+		state := key
+		_ = splitMix64(&state)
+		state ^= a * 0xd1342543de82ef95
+		for b := uint64(0); b < 16; b++ {
+			if Mix(key, a, b) != splitMix64(&state) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChildIndependence(t *testing.T) {
 	s := NewSource(9)
 	c1 := s.Child("phase", 1)

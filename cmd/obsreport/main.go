@@ -1,6 +1,6 @@
 // Command obsreport joins the TCP transport's observability artifacts
 // into one per-round attribution report: the -obsout document (required
-// — coordinator + shard flight recorders, wire tallies, barrier
+// — coordinator + shard flight recorders, wire tallies, peer-wait
 // timeline, round skew), an optional -metrics snapshot, and an optional
 // benchmark document (`make bench-record`; bench/baseline.json is the
 // committed one). The output answers "where did the wall time of this
@@ -182,10 +182,10 @@ func header(w io.Writer, d *transport.ObsDoc) {
 	}
 }
 
-// rounds aggregates the coordinator timeline into one row per round:
-// total coordinator wall time in each barrier phase (summed over
-// shards; a broadcast's writes are attributed to the shard each went
-// to), joined with that round's cross-shard skew.
+// rounds aggregates the timeline into one row per round: the wall time
+// spent in each phase, summed over shards — per round that is peer-wait,
+// each shard's wait on its peers' frames — joined with that round's
+// cross-shard skew.
 func rounds(w io.Writer, d *transport.ObsDoc) {
 	type agg map[string]int64
 	perRound := map[int]agg{}
@@ -217,18 +217,17 @@ func rounds(w io.Writer, d *transport.ObsDoc) {
 		}
 	}
 
-	fmt.Fprintf(w, "\n== per-round attribution (coordinator wall ns) ==\n")
+	fmt.Fprintf(w, "\n== per-round attribution (wall ns) ==\n")
 	if setup > 0 {
-		fmt.Fprintf(w, "setup (accept/spec/init): %d ns\n", setup)
+		fmt.Fprintf(w, "setup (accept/spec): %d ns\n", setup)
 	}
 	if len(perRound) == 0 {
-		fmt.Fprintln(w, "no per-round timeline (run died before the first barrier, or -obsout ran without timeline capture)")
+		fmt.Fprintln(w, "no per-round timeline (the shards ship it at the end: the run died first, or -obsout ran without timeline capture)")
 		return
 	}
-	// Phase columns in protocol order, not first-seen order. A round's step
-	// rides its DELIVER exchange, so deliver-wait holds it; the step-*
-	// columns appear only when some round took the STEP fallback.
-	order := []string{"deliver-write", "deliver-wait", "step-write", "step-wait", "harvest"}
+	// Phase columns in protocol order, not first-seen order: a round is the
+	// shards' exchange with their peers, and nothing else runs per round.
+	order := []string{"peer-wait"}
 	var cols []string
 	for _, p := range order {
 		if seen[p] {
@@ -258,11 +257,11 @@ func rounds(w io.Writer, d *transport.ObsDoc) {
 	tw.Flush()
 }
 
-// shards totals each shard's attributable wait time across the run —
-// the column that names the straggler. deliver-wait is every round's one
-// exchange, stepping included; step-wait only the STEP fallback's.
+// shards totals each shard's wait time across the run. peer-wait is the
+// time a shard spent waiting on its peers' frames: the straggler is the
+// shard that waits least, since the others wait on it.
 func shards(w io.Writer, d *transport.ObsDoc) {
-	type tot struct{ deliver, step, other int64 }
+	type tot struct{ peer, other int64 }
 	per := map[int]*tot{}
 	for _, r := range d.Timeline {
 		if r.Shard < 0 {
@@ -273,12 +272,9 @@ func shards(w io.Writer, d *transport.ObsDoc) {
 			t = &tot{}
 			per[r.Shard] = t
 		}
-		switch r.Phase {
-		case "deliver-wait":
-			t.deliver += r.WallNS
-		case "step-wait":
-			t.step += r.WallNS
-		default:
+		if r.Phase == "peer-wait" {
+			t.peer += r.WallNS
+		} else {
 			t.other += r.WallNS
 		}
 	}
@@ -290,12 +286,12 @@ func shards(w io.Writer, d *transport.ObsDoc) {
 		ids = append(ids, s)
 	}
 	sort.Ints(ids)
-	fmt.Fprintf(w, "\n== per-shard wait totals (coordinator wall ns) ==\n")
+	fmt.Fprintf(w, "\n== per-shard wait totals (wall ns) ==\n")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "shard\tdeliver-wait\tstep-wait\tother")
+	fmt.Fprintln(tw, "shard\tpeer-wait\tother")
 	for _, s := range ids {
 		t := per[s]
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\n", s, t.deliver, t.step, t.other)
+		fmt.Fprintf(tw, "%d\t%d\t%d\n", s, t.peer, t.other)
 	}
 	tw.Flush()
 }

@@ -1,9 +1,10 @@
 // Command tcpnode is the shard-process endpoint of the TCP transport
 // backend (internal/transport): it dials the coordinator with backoff,
-// rebuilds the workload from the replayed spec, and answers round
-// barriers until the coordinator finishes the run or closes the
-// connection. It is normally spawned by a coordinator binary
-// (-transport=tcp on cmd/walks or cmd/mst), not run by hand.
+// rebuilds the workload from the replayed spec, connects to every other
+// shard, and runs the rounds with them point to point until they end the
+// run together (or the coordinator closes the connection). It is normally
+// spawned by a coordinator binary (-transport=tcp on cmd/walks or
+// cmd/mst), not run by hand.
 //
 // The process keeps a flight recorder (internal/flightrec) of its
 // recent transport events. On a clean FINISH the ring ships back to the
@@ -12,12 +13,12 @@
 // (stderr when unset — which the coordinator pipes through), so a dead
 // shard leaves evidence on whichever side survives.
 //
-// Fault injection for the coordinator's failure tests is env-driven so
-// every shard gets identical argv: TCPNODE_FAIL_SHARD/TCPNODE_FAIL_ROUND
-// make that shard drop its connection just before it steps that round,
-// whichever frame asked for the step (DELIVER, or the STEP fallback);
-// TCPNODE_STALL_SHARD/TCPNODE_STALL_ROUND make it stop replying at the
-// same point while holding the connection open.
+// Fault injection for the failure tests is env-driven so every shard
+// gets identical argv: TCPNODE_FAIL_SHARD/TCPNODE_FAIL_ROUND make that
+// shard drop its connections just before it steps that round, whichever
+// frame would carry the step (ROUND, or SENDS for a step held back);
+// TCPNODE_STALL_SHARD/TCPNODE_STALL_ROUND make it stop at the same point
+// while holding its connections open, for its peers to time out on.
 package main
 
 import (

@@ -73,8 +73,8 @@ func (h *Harness) WithBackend() *Harness {
 	fs.IntVar(&b.shards, "shards", 2, "node processes for -transport=tcp")
 	fs.StringVar(&b.listen, "listen", "127.0.0.1:0", "coordinator listen address for -transport=tcp")
 	fs.StringVar(&b.tcpnode, "tcpnode", "", "path to the tcpnode binary for -transport=tcp (default: next to this binary)")
-	fs.DurationVar(&b.tcptimeout, "tcptimeout", 0, "wire barrier deadline for -transport=tcp (0 = transport default, 60s)")
-	fs.StringVar(&b.obsOut, "obsout", "", "write the tcp run's merged observability document (flight recorders, wire tallies, barrier timeline, round skew) to this file on every exit path")
+	fs.DurationVar(&b.tcptimeout, "tcptimeout", 0, "wire deadline for -transport=tcp, a shard's wait on a peer included (0 = transport default, 60s)")
+	fs.StringVar(&b.obsOut, "obsout", "", "write the tcp run's merged observability document (flight recorders, wire tallies, peer-wait timeline, round skew) to this file on every exit path")
 	h.backend = b
 	return h
 }

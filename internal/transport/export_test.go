@@ -1,16 +1,28 @@
 package transport
 
+import "net"
+
 // Wire constants for the external suite (package transport_test, which
 // has to stay external to import transport/workloads): the scripted
-// misbehaving peer of hostile_test.go names frames by these.
+// misbehaving peers of hostile_test.go name frames by these.
 const (
 	FrameHello     = frameHello
+	FramePeer      = framePeer
 	FrameInitAck   = frameInitAck
-	FrameDelivered = frameDelivered
-	FrameStepped   = frameStepped
+	FrameRound     = frameRound
+	FrameSends     = frameSends
+	FrameReport    = frameReport
 	FrameFinal     = frameFinal
 	FrameTelemetry = frameTelemetry
 )
 
 // FrameName renders a frame type the way errors and -obsout do.
 func FrameName(typ byte) string { return frameName(typ) }
+
+// SetPeerConnHook makes f the wrapper of every peer connection a shard
+// opens, until restore is called once the runs using it are over.
+func SetPeerConnHook(f func(shard int, conn net.Conn) net.Conn) (restore func()) {
+	old := peerConnHook
+	peerConnHook = f
+	return func() { peerConnHook = old }
+}

@@ -22,14 +22,24 @@ import (
 	"almostmix/internal/graph"
 )
 
+// appendFrame appends one encoded frame to buf: the reference encoder.
+func appendFrame(buf []byte, typ byte, payload []byte) ([]byte, error) {
+	if len(payload) > maxFramePayload {
+		return nil, fmt.Errorf("%w (%d bytes)", errFrameTooLarge, len(payload))
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)+1))
+	buf = append(buf, typ)
+	return append(buf, payload...), nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []struct {
 		typ     byte
 		payload []byte
 	}{
 		{frameHello, []byte{wireVersion, 0}},
-		{frameStep, nil},
-		{frameDeliver, bytes.Repeat([]byte("abc"), 100)},
+		{frameInitAck, nil},
+		{frameRound, bytes.Repeat([]byte("abc"), 100)},
 		{frameFinal, []byte{0xff}},
 	}
 	var wire []byte
@@ -91,8 +101,8 @@ func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 func FuzzReadFrame(f *testing.F) {
-	valid, _ := appendFrame(nil, frameStepped, []byte("payload"))
-	two, _ := appendFrame(valid, frameFinish, nil)
+	valid, _ := appendFrame(nil, frameSends, []byte("payload"))
+	two, _ := appendFrame(valid, frameInitAck, nil)
 	f.Add(valid)
 	f.Add(two)
 	f.Add([]byte{0, 0, 0, 0})
@@ -140,11 +150,10 @@ func TestHelloVersionSkew(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fc := newFrameConn(conn)
-		hello := appendHello(nil, 0)
+		fc := newFrameConn(conn, &connTally{})
+		hello := appendHello(nil, 0, 1)
 		hello[0] = wireVersion - 1
 		fc.write(frameHello, hello)
-		fc.flush()
 		io.Copy(io.Discard, conn) // hold the connection until the coordinator hangs up
 	}()
 	c := &coordinator{tcp: TCP{Shards: 1, Timeout: 10 * time.Second}, inst: &Instance{Graph: graph.FromEdges(1, nil)}}
@@ -156,44 +165,37 @@ func TestHelloVersionSkew(t *testing.T) {
 	}
 }
 
-// replySeeds are well-formed reply bodies, the starting points of both
-// reply fuzzers; the int is an owned-node count (or shard index).
+// replySeeds are well-formed frame bodies, the starting points of both
+// fuzzers; the int is an owned-node count (or shard index).
 func replySeeds(f *testing.F) {
+	head := func(r stepReply) []byte { return appendStepHead(nil, &r) }
+	marks := []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}}
 	f.Add([]byte{}, 4)
-	f.Add(appendStepReply(nil, &stepReply{active: 3, halted: 1,
-		events: []wireEvent{{node: 1, round: 2, name: "m"}, {halt: true, node: 1, round: 2}}},
-		wireSend{dst: 7, port: 0, payload: []byte("x")}), 0)
-	f.Add([]byte{1, 2, 0, 1, 0, 1, 3, 0, 0, 0}, 0)                              // DELIVERED of round 1: 2 delivered, 0 pending, inboxes {port 0}, {port 3}, {}, {}, step held back
-	f.Add(appendRecords([]byte{9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 9 messages, four records
-	// DELIVERED of round 1 by shard 0 of FuzzAbsorbReplies' star, stepped:
-	// one message in at the centre, then the step section — a mark and a
-	// halt of node 1 and a send to leaf 5 over its only port.
-	f.Add(appendStepReply([]byte{1, 1, 0, 1, 6, 0, 0, 0, 1}, &stepReply{active: 4, halted: 1,
-		events: []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}}},
-		wireSend{dst: 5, port: 0, payload: []byte{3}}), 0)
-	f.Add(appendHello(nil, 3), 1)
-	// STEPPED of shard 1 over FuzzAbsorbReplies' star, relaying payloads no
-	// codec owns — no bytes at all, and the tag of the reserved empty kind.
-	// The coordinator relays them unread; the shard they reach refuses them
-	// (TestHostileRelayedPayload).
-	f.Add(appendStepReply(nil, &stepReply{}, wireSend{dst: 0, port: 4}, wireSend{dst: 0, port: 5, payload: []byte{0}}), 1)
-	// A send whose dst takes an overlong form (81 80 00 reads as 1): one byte
-	// form per value, so the coordinator can relay what it checked.
-	f.Add(append(appendStepHead(nil, &stepReply{}), 1, 0x81, 0x80, 0, 0, 1, 3), 0)
-	// DELIVERED without a probe, so without inbox profile, of round 1 by
-	// shard 0 of FuzzAbsorbReplies' star: 2 delivered, step held back; then
-	// 1 delivered and stepped, the section as above.
-	f.Add([]byte{1, 2, 0, 0}, 0)
-	f.Add(appendStepReply([]byte{1, 1, 0, 1}, &stepReply{active: 4, halted: 1,
-		events: []wireEvent{{node: 1, round: 0, name: "m"}, {halt: true, node: 1, round: 0}}},
-		wireSend{dst: 5, port: 0, payload: []byte{3}}), 0)
+	f.Add(head(stepReply{active: 3, halted: 1, events: marks}), 0) // INITACK with a probe: Init's step head
+	// REPORT of round 1 by shard 0 of FuzzAbsorbReplies' star: 2 delivered,
+	// inboxes {port 0}, {port 3}, {}, {}, then the step head.
+	f.Add(append([]byte{1, 2, 1, 0, 1, 3, 0, 0}, head(stepReply{active: 4, halted: 1, events: marks})...), 0)
+	f.Add(appendRecords([]byte{3, 0, 9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 3 rounds, no limit, 9 messages, four records
+	// ROUND of round 1 by shard 1 of the star, stepped: 1 delivered, none
+	// pending, 0 halted, one send to the centre over its port 4.
+	f.Add(append([]byte{1, 1, 0, 1}, appendSends([]byte{0}, []wireSend{{dst: 0, port: 4, payload: []byte{3}}})...), 1)
+	f.Add(appendHello(nil, 3, 40000), 1)
+	// SENDS of round 1 by shard 1 of the star, with payloads no codec owns —
+	// no bytes at all, and the tag of the reserved empty kind: the receiving
+	// shard refuses them (TestHostileRelayedPayload).
+	f.Add(append([]byte{1, 0}, appendSends(nil, []wireSend{{dst: 0, port: 4}, {dst: 0, port: 5, payload: []byte{0}}})...), 1)
+	// A ROUND whose send dst takes an overlong form (81 80 00 reads as 1):
+	// one byte form per value, so a frame reads one way only.
+	f.Add([]byte{1, 1, 0, 1, 0, 1, 0x81, 0x80, 0, 0, 1, 3}, 0)
+	f.Add([]byte{1, 0, 0, 0}, 1) // ROUND of round 1 with the step held back
+	f.Add(appendAbort(nil, &shardError{Shard: 1, What: "read", Phase: "peer-wait", LastRound: 4, LastFrame: "ROUND", err: errShardStopped}), 0)
 }
 
 // FuzzParseReplies drives the typed payload parsers — the record codec
 // included — with arbitrary bodies: errors are expected, panics and
 // unbounded allocations are not (the cursor bounds every length field by
-// the bytes remaining), and a step section that parses re-encodes to the
-// same bytes — every value has one byte form.
+// the bytes remaining), and a step head or an ABORT that parses
+// re-encodes to the same bytes — every value has one byte form.
 func FuzzParseReplies(f *testing.F) {
 	replySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, owned int) {
@@ -201,23 +203,17 @@ func FuzzParseReplies(f *testing.F) {
 			return
 		}
 		var step stepReply
-		if parseStepReply(data, &step) == nil {
-			cur := cursor{b: step.sendBytes}
-			sends := make([]wireSend, step.sends)
-			for j := range sends {
-				sends[j].dst, sends[j].port, sends[j].payload = cur.send()
-			}
-			if cur.done("step reply") == nil {
-				if again := appendStepReply(nil, &step, sends...); !bytes.Equal(again, data) {
-					t.Fatalf("step section %x re-encodes as %x", data, again)
-				}
+		cur := cursor{b: data}
+		if cur.stepHead(&step); cur.done("step head") == nil {
+			if again := appendStepHead(nil, &step); !bytes.Equal(again, data) {
+				t.Fatalf("step head %x re-encodes as %x", data, again)
 			}
 		}
-		cur := cursor{b: data}
+		cur = cursor{b: data}
 		if records := cur.records(nil, owned); cur.err == nil && len(records) != owned {
 			t.Fatalf("parsed %d records for %d owned nodes", len(records), owned)
 		}
-		_, _ = parseHello(data)
+		_, _, _ = parseHello(data)
 	})
 }
 
@@ -260,10 +256,11 @@ func TestRecordCodec(t *testing.T) {
 	}
 }
 
-// FuzzAbsorbReplies goes one level up: each body is parsed AND absorbed
-// as every reply type by a coordinator over a small fixed graph with a
-// probe attached — the state a hostile shard's numbers would index. A
-// rejected reply is the expected outcome; a panic is the bug.
+// FuzzAbsorbReplies goes one level up: each body is absorbed as every
+// frame type by a coordinator over a small fixed graph, with a probe
+// attached and without — the state a hostile shard's numbers would index —
+// and as a ROUND and a SENDS by each shard of the same graph from its peer.
+// A rejected frame is the expected outcome; a panic is the bug.
 func FuzzAbsorbReplies(f *testing.F) {
 	replySeeds(f)
 	g := graph.Star(8) // node 0 has degree 7, the rest degree 1: ports are not interchangeable
@@ -272,25 +269,28 @@ func FuzzAbsorbReplies(f *testing.F) {
 		if shard < 0 || shard >= k {
 			return
 		}
-		// With a probe DELIVERED carries the inbox profile, without one not.
 		for _, probe := range []bool{true, false} {
 			c := &coordinator{tcp: TCP{Shards: k}, inst: &Instance{Graph: g}}
 			if probe {
 				c.opts.Probe, c.agg = congest.NopProbe{}, congest.NewRoundAggregator(g)
 			}
 			c.prepare()
-			_ = c.absorbStepped(shard, data)
-			_ = c.absorbDelivered(shard, data)
+			_ = c.absorbInitAck(shard, data)
+			_ = c.absorbReport(shard, data)
 			_ = c.absorbFinal(shard, data)
 			_ = c.absorbTelemetry(shard, data)
-			// Whatever was absorbed has to be usable: a checked step section of
-			// shard 1 waits for shard 0's, and an empty step of shard 0 applies
-			// both; the round closes and the relay batches serialize.
-			_ = c.absorbStepped(0, appendStepReply(nil, &stepReply{}))
-			c.roundEnd(time.Time{}, 0)
-			for i := 0; i < k; i++ {
-				c.takeDeliverBody(i)
+			_ = c.aborted(inFrame{shard: shard, typ: frameAbort, body: data})
+			// Whatever was absorbed has to be usable: the round closes.
+			if probe {
+				c.agg.RoundEnd(c.opts.Probe, 1, c.delivered, c.active, c.halted, c.roundFaults)
 			}
 		}
+		r := testRuntime(t, g, k, shard)
+		peer := r.links[1-shard]
+		for round, typ := range []byte{frameRound, frameSends} {
+			_ = r.take(peer, typ, round, data)
+		}
+		// Whatever was staged is delivered.
+		r.s.Deliver()
 	})
 }

@@ -1,18 +1,13 @@
 package transport
 
 // The TCP backend's merged observability document: one -obsout file per
-// run joining the coordinator's flight recorder, every shard's
-// shipped-back flight recorder and wire tallies (the TELEMETRY frame),
-// the coordinator's barrier-phase timeline, and the per-round
-// cross-shard skew — written on clean finish AND on every failure path
-// (shard death, barrier deadline, panic, SIGTERM), so a dead run
-// leaves a complete attribution trail instead of a bare error.
-//
-// The document is deliberately wall-clock-bearing: like the metrics
-// snapshot (and unlike -trace files) it is host-dependent and sits
-// outside the byte-identical differential contract. cmd/obsreport
-// joins it with a metrics snapshot and a benchmark document (the
-// committed one is bench/baseline.json) into a per-round report.
+// run joining the coordinator's flight recorder, every shard's flight
+// recorder and wire tallies (TELEMETRY) and peer waits (FINAL), and the
+// per-round skew — written on a clean finish and on every failure path
+// (shard death, peer deadline, panic, SIGTERM). It bears wall clocks, so
+// like a metrics snapshot (and unlike -trace files) it is host-dependent.
+// cmd/obsreport joins it with a metrics snapshot and a benchmark document
+// into a per-round report.
 
 import (
 	"encoding/json"
@@ -29,11 +24,10 @@ import (
 // dispatch on it.
 const ObsSchema = "almostmix-obs/v1"
 
-// WireStats is one endpoint's wire tallies: the coordinator's side of
-// one shard connection (Endpoint "coord") or the shard's own side as
-// shipped back in its TELEMETRY frame (Endpoint "shard"). The two rows
-// for one shard index describe the same connection from both ends —
-// their frame counts mirror each other, their flush latencies do not.
+// WireStats is one endpoint's wire tallies: the coordinator's side of one
+// shard's link (Endpoint "coord"), the shard's own side of it (Endpoint
+// "shard", from TELEMETRY; frame counts mirror the coord row's), or the
+// sum of one shard's peer links (Endpoint "peer", from TELEMETRY too).
 type WireStats struct {
 	Endpoint   string           `json:"endpoint"`
 	Shard      int              `json:"shard"`
@@ -45,30 +39,22 @@ type WireStats struct {
 	RecvByType map[string]int64 `json:"recv_by_type,omitempty"`
 	Flushes    int64            `json:"flushes"`
 	FlushNS    int64            `json:"flush_ns"`
-	// Faults holds shard rows' fault-event totals (events applied at the
-	// shard's owned receivers); always zero on coord rows, which count
-	// wire traffic only.
+	// Faults holds a shard row's fault-event totals at its owned nodes.
 	Faults faults.Counts `json:"faults,omitempty"`
 }
 
-// RoundSkew is one round's cross-shard barrier skew: the wall-time
-// spread between the first and last DELIVERED reply the coordinator
-// observed (the round's one exchange, steps included). Replies are
-// drained in shard order, so a fast shard behind
-// a slow one reads as already-buffered (≈0 wait) — the spread is a
-// lower bound on true skew, tight when the slowest shard is the
-// bottleneck (the case worth attributing).
+// RoundSkew is one round's cross-shard skew: the spread of the shards'
+// peer waits. The slowest shard waits least, the others wait on it, so
+// the spread is how far the straggler lagged.
 type RoundSkew struct {
 	Round  int   `json:"round"`
 	SkewNS int64 `json:"skew_ns"`
 }
 
-// TimelineRow is one phase of one round of one shard as the coordinator
-// measured it on the wall clock: how long it spent in the named barrier
-// phase attributable to that shard. Shard is -1 for whole-barrier rows
-// (broadcast writes) and Round is -1 for the pre-round accept handshake.
-// Wall-clock rows are host-dependent, so they exist only here — never in
-// a -trace export, which must stay byte-identical across backends.
+// TimelineRow is the wall time one shard spent in one phase of one round:
+// the coordinator's accept and spec phases (Round -1), then each round's
+// peer-wait as the shard timed it. Host-dependent, so never in a -trace
+// export, which stays byte-identical across backends.
 type TimelineRow struct {
 	Round  int    `json:"round"`
 	Shard  int    `json:"shard"`

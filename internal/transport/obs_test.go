@@ -42,8 +42,9 @@ func readObsFile(t *testing.T, path string) *transport.ObsDoc {
 
 // TestObsFinishDoc runs a clean tcp run with the full observability
 // stack on and checks the merged document: both sides' flight
-// recorders, wire rows from both endpoints of every connection, a
-// non-empty barrier timeline and per-round skew. It also pins
+// recorders, wire rows from both endpoints of every coordinator link and
+// one peer row per shard, a peer-wait row per round and shard, and
+// per-round skew. It also pins
 // satellite (a): the shard-side frameConn tallies must reach the
 // coordinator's registry as tcpnet_shard_* instruments.
 func TestObsFinishDoc(t *testing.T) {
@@ -72,14 +73,20 @@ func TestObsFinishDoc(t *testing.T) {
 			t.Errorf("shard %d shipped no flight dump on a clean finish", i)
 		}
 	}
-	if len(d.Wire) != 2*d.Shards {
-		t.Errorf("wire rows = %d, want both endpoints of %d connections", len(d.Wire), d.Shards)
+	if len(d.Wire) != 3*d.Shards {
+		t.Errorf("wire rows = %d, want coord, shard and peer rows of %d shards", len(d.Wire), d.Shards)
 	}
-	if len(d.Timeline) == 0 {
-		t.Error("no barrier timeline rows")
+	waits := 0
+	for _, row := range d.Timeline {
+		if row.Phase == "peer-wait" {
+			waits++
+		}
 	}
-	if len(d.Skew) == 0 {
-		t.Error("no per-round skew samples")
+	if waits != d.Rounds*d.Shards {
+		t.Errorf("%d peer-wait rows, want one per round and shard (%d rounds)", waits, d.Rounds)
+	}
+	if len(d.Skew) != d.Rounds {
+		t.Errorf("%d skew samples for %d rounds", len(d.Skew), d.Rounds)
 	}
 	for _, ws := range d.Wire {
 		if ws.SentFrames == 0 || ws.RecvFrames == 0 {
@@ -97,14 +104,16 @@ func TestObsFinishDoc(t *testing.T) {
 	if v, ok := snap.Counter("tcpnet_frames_total{shard=0}"); !ok || v == 0 {
 		t.Errorf("coordinator tcpnet_frames_total{shard=0} = %d, ok=%v", v, ok)
 	}
-	if h := snap.Histogram("tcpnet_round_skew_ns"); h == nil || h.Count == 0 {
-		t.Error("tcpnet_round_skew_ns histogram missing or empty")
+	for _, name := range []string{"tcpnet_round_skew_ns", "tcpnet_peer_wait_ns"} {
+		if h := snap.Histogram(name); h == nil || h.Count == 0 {
+			t.Errorf("%s histogram missing or empty", name)
+		}
 	}
 }
 
 // TestObsStallDump pins the barrier-deadline exit path: a stalled shard
 // must leave a schema-valid document naming the guilty shard, its last
-// completed round and the barrier phase it hung in.
+// completed round and the phase its peer waited on it in.
 func TestObsStallDump(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "obs.json")
 	tcp := transport.TCP{
@@ -133,8 +142,8 @@ func TestObsStallDump(t *testing.T) {
 	if d.LastRound != 1 {
 		t.Errorf("last completed round = %d, want 1 (stall about to step round 2)", d.LastRound)
 	}
-	if d.Phase != "deliver-wait" {
-		t.Errorf("phase = %q, want deliver-wait (round 2's DELIVER carries the step)", d.Phase)
+	if d.Phase != "peer-wait" {
+		t.Errorf("phase = %q, want peer-wait", d.Phase)
 	}
 	if d.Error == "" {
 		t.Error("document carries no error text")
@@ -174,7 +183,7 @@ func TestObsDeathDump(t *testing.T) {
 		t.Errorf("guilty shard = %d, want 1", d.GuiltyShard)
 	}
 	if d.LastRound != 2 {
-		t.Errorf("last completed round = %d, want 2 (death about to step round 3)", d.LastRound)
+		t.Errorf("last completed round = %d, want 2 (death about to step round 3): %v", d.LastRound, err)
 	}
 }
 

@@ -76,6 +76,9 @@ func TestRealProcessParity(t *testing.T) {
 	}
 }
 
+// TestRealProcessShardDeath kills shard 1's process just before it steps
+// round 2: its peer names it — last completed round 1, its last frame a
+// ROUND, phase peer-wait — and the run ends within two timeouts.
 func TestRealProcessShardDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
@@ -89,11 +92,13 @@ func TestRealProcessShardDeath(t *testing.T) {
 	if err == nil {
 		t.Fatal("killed shard process: run reported success")
 	}
-	if !strings.Contains(err.Error(), "shard 1") {
-		t.Errorf("error does not attribute the dead shard: %v", err)
+	for _, want := range []string{"transport: shard 1:", "last completed round 1", "last frame ROUND", "phase peer-wait"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name %q: %v", want, err)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 60*time.Second {
-		t.Errorf("death took %v to surface", elapsed)
+	if elapsed := time.Since(start); elapsed > 2*tcp.Timeout {
+		t.Errorf("death took %v to surface, want within two timeouts", elapsed)
 	}
 }
 

@@ -1,50 +1,62 @@
 package transport
 
 // Typed frame payload encodings for the TCP backend: uvarint-packed
-// batches of relayed messages, probe events, inbox profiles and harvest
-// records. All encodings are canonical (one byte form per value, written
-// in one fixed order, and the cursor refuses any other form), which makes
-// the coordinator's probe stream — and hence exported traces —
-// byte-identical to the in-process engines, and lets the coordinator relay
-// the sends it has checked without re-encoding them.
+// batches of cross-shard messages, probe events, inbox profiles and
+// harvest records. All encodings are canonical — one byte form per value,
+// in one fixed order, and the cursor refuses any other — which keeps the
+// coordinator's probe stream byte-identical to the in-process engines.
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/flightrec"
 )
 
-// wireSpec is the JSON body of the SPEC frame: the replayable workload
-// spec plus the shard count; congest.Split turns the count into the
-// layout on both sides. Probe says whether the coordinator has a probe
-// attached, which is when DELIVERED carries the inbox profile its round
-// records are rebuilt from.
+// wireSpec is the JSON body of SPEC: the replayable spec, the shard count,
+// every shard's peer address, the run token a peer hello must carry, a
+// shard's wait on a peer, and whether the coordinator wants a REPORT per
+// round (Probe) and the round timings in FINAL (Timeline).
 type wireSpec struct {
-	Version int  `json:"version"`
-	Shards  int  `json:"shards"`
-	Probe   bool `json:"probe,omitempty"`
-	Spec    Spec `json:"spec"`
+	Version  int      `json:"version"`
+	Shards   int      `json:"shards"`
+	Peers    []string `json:"peers"`
+	Token    uint64   `json:"token"`
+	Timeout  int64    `json:"timeout_ns"`
+	Probe    bool     `json:"probe,omitempty"`
+	Timeline bool     `json:"timeline,omitempty"`
+	Spec     Spec     `json:"spec"`
 }
 
-// wireTelemetry is the JSON body of the TELEMETRY frame every shard
-// sends after FINAL: its side of the wire tallies (a WireStats row with
-// Endpoint "shard", whose Faults are the replica plan's accumulated
-// totals — events applied at this shard's owned receivers plus its owned
-// crash node-rounds, so the per-shard values sum to the run totals) plus
-// its flight-recorder dump, so one -obsout file on the coordinator
-// merges both ends of every connection.
+// wireTelemetry is the JSON body of TELEMETRY: the shard's coordinator-link
+// row (Endpoint "shard", Faults its plan's totals at its owned nodes), its
+// peer links' row (Endpoint "peer", absent with one shard), its flight dump.
 type wireTelemetry struct {
 	WireStats
+	Peer *WireStats     `json:"peer,omitempty"`
 	Dump flightrec.Dump `json:"flightrec"`
 }
 
-// cursor is a parsing cursor over one frame payload; the first error
-// sticks and every later read returns zero values, so parse functions
-// can chain reads and check once.
+// roundStat is one round as one shard saw it: the wall time it waited on
+// its peers' frames, the round's wall time, and what it delivered and
+// counted of faults. With a timeline they end FINAL, seven uvarints each.
+type roundStat struct {
+	waitNS, wallNS, delivered int64
+	faults                    faults.Counts
+}
+
+// fields lists the stat's values in their wire order.
+func (st *roundStat) fields() [7]*int64 {
+	return [7]*int64{&st.waitNS, &st.wallNS, &st.delivered, &st.faults.Dropped, &st.faults.Duplicated, &st.faults.Delayed, &st.faults.Crashed}
+}
+
+// cursor parses one frame payload; the first error sticks and later reads
+// return zero values, so parsers chain reads and check once.
 type cursor struct {
 	b   []byte
 	err error
@@ -56,9 +68,8 @@ func (c *cursor) fail(what string) {
 	}
 }
 
-// uvarint reads one uvarint in its canonical form: binary.Uvarint also
-// reads overlong forms (81 80 00 is 1), whose last byte is a zero after
-// at least one other.
+// uvarint reads one uvarint in its canonical form; binary.Uvarint also
+// reads overlong ones (81 80 00 is 1), which end in a zero byte.
 func (c *cursor) uvarint(what string) uint64 {
 	if c.err != nil {
 		return 0
@@ -72,9 +83,8 @@ func (c *cursor) uvarint(what string) uint64 {
 	return v
 }
 
-// int reads a uvarint that has to fit an int — every count, node, port
-// and round on the wire — so no value read off a frame is ever negative
-// and range checks need an upper bound only.
+// int reads a uvarint that has to fit an int, so no value read off a
+// frame is negative and range checks need an upper bound only.
 func (c *cursor) int(what string) int {
 	v := c.uvarint(what)
 	if v > math.MaxInt {
@@ -84,10 +94,8 @@ func (c *cursor) int(what string) int {
 	return int(v)
 }
 
-// length reads a uvarint that sizes a subsequent read — of bytes, or of
-// items at least one byte each; it additionally bounds it by the bytes
-// actually remaining, so a hostile length cannot drive a huge
-// allocation.
+// length reads a uvarint that sizes a read of bytes, or of items of one
+// byte or more, bounded by the bytes remaining: no huge allocation.
 func (c *cursor) length(what string) int {
 	v := c.uvarint(what)
 	if c.err == nil && v > uint64(len(c.b)) {
@@ -111,11 +119,10 @@ func (c *cursor) bytes(n int, what string) []byte {
 }
 
 func (c *cursor) byte(what string) byte {
-	b := c.bytes(1, what)
-	if c.err != nil {
-		return 0
+	if b := c.bytes(1, what); b != nil {
+		return b[0]
 	}
-	return b[0]
+	return 0
 }
 
 // done returns the sticky error, or complains about trailing garbage.
@@ -138,56 +145,11 @@ type wireEvent struct {
 	name  string // marks only
 }
 
-const (
-	eventMark byte = iota
-	eventHalt
-)
+// The relay codec, the tail of a stepped ROUND and of a SENDS frame: a
+// count and that many sends bound for the frame's peer, each the receiving
+// node, the port AT THE RECEIVER, the payload length and the payload.
 
-func appendEvents(buf []byte, evs []wireEvent) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	for _, e := range evs {
-		kind := eventMark
-		if e.halt {
-			kind = eventHalt
-		}
-		buf = append(buf, kind)
-		buf = binary.AppendUvarint(buf, uint64(e.node))
-		buf = binary.AppendUvarint(buf, uint64(e.round))
-		if !e.halt {
-			buf = binary.AppendUvarint(buf, uint64(len(e.name)))
-			buf = append(buf, e.name...)
-		}
-	}
-	return buf
-}
-
-func (c *cursor) events(dst []wireEvent) []wireEvent {
-	n := c.int("event count")
-	for i := 0; i < n && c.err == nil; i++ {
-		kind := c.byte("event kind")
-		e := wireEvent{
-			halt:  kind == eventHalt,
-			node:  c.int("event node"),
-			round: c.int("event round"),
-		}
-		if kind == eventMark {
-			e.name = string(c.bytes(c.length("event name"), "event name"))
-		} else if kind != eventHalt {
-			c.fail("event kind")
-		}
-		dst = append(dst, e)
-	}
-	return dst
-}
-
-// The relay codec: a batch of relayed cross-shard messages is a count and
-// then that many sends, each the receiving node, the port AT THE
-// RECEIVER, the payload length and the workload-encoded payload. It is the
-// tail of a step section and the whole body of a DELIVER frame: the
-// coordinator checks the sends of a step section one by one and copies
-// them into the DELIVER bodies as they are, in runs.
-
-// send reads one relayed send. The payload aliases the frame buffer: valid
+// send reads one send. The payload aliases the frame buffer: valid
 // only until the next frame read, decode before then.
 func (c *cursor) send() (dst, port int, payload []byte) {
 	dst, port = c.int("send dst"), c.int("send port")
@@ -218,26 +180,17 @@ func fillUvarint(buf []byte, at int, v uint64) []byte {
 	return buf
 }
 
-// stepReply is a step section: the body of INITACK and STEPPED frames,
-// and the tail of a DELIVERED body whose stepped flag is set — what one
-// shard reports after running Init or one Step. The fault counts ride the
-// step section — not the delivery profile — because the in-process
-// engines drain counts only for rounds that actually step: a quiet exit
-// discards the aborted deliver phase's counts, and the wire backend must
-// agree. The section ends in the relay batch of the shard's outbound
-// cross-shard sends.
+// stepReply is a step head: what one shard reports of Init or one Step
+// — the body of a probed INITACK and the tail of a REPORT, events in
+// canonical order. The fault counts ride the step, not the delivery,
+// because the engines drain them only for rounds that step.
 type stepReply struct {
-	active int // nodes that executed Step (0 for INITACK)
+	active int // nodes that executed Step (0 for Init)
 	halted int // owned nodes halted, cumulative
 	faults faults.Counts
 	events []wireEvent
-	// sends counts the encoded sends in sendBytes, the rest of the
-	// section, which parseStepReply leaves unread; it aliases the frame.
-	sends     int
-	sendBytes []byte
 }
 
-// appendStepHead appends what of a step section precedes its sends.
 func appendStepHead(buf []byte, r *stepReply) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.active))
 	buf = binary.AppendUvarint(buf, uint64(r.halted))
@@ -245,32 +198,50 @@ func appendStepHead(buf []byte, r *stepReply) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Duplicated))
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Delayed))
 	buf = binary.AppendUvarint(buf, uint64(r.faults.Crashed))
-	return appendEvents(buf, r.events)
+	buf = binary.AppendUvarint(buf, uint64(len(r.events)))
+	for _, e := range r.events {
+		buf = append(buf, flag(e.halt)) // 0 a mark, 1 a halt
+		buf = binary.AppendUvarint(buf, uint64(e.node))
+		buf = binary.AppendUvarint(buf, uint64(e.round))
+		if !e.halt {
+			buf = binary.AppendUvarint(buf, uint64(len(e.name)))
+			buf = append(buf, e.name...)
+		}
+	}
+	return buf
 }
 
-// parseStepReply parses a step section up to its sends, which the caller
-// reads with cursor.send — every send at least three bytes, so their
-// count is bounded by the bytes remaining.
-func parseStepReply(b []byte, r *stepReply) error {
-	c := cursor{b: b}
+func (c *cursor) stepHead(r *stepReply) {
 	r.active = c.int("step active")
 	r.halted = c.int("step halted")
 	r.faults.Dropped = int64(c.int("step dropped"))
 	r.faults.Duplicated = int64(c.int("step duplicated"))
 	r.faults.Delayed = int64(c.int("step delayed"))
 	r.faults.Crashed = int64(c.int("step crashed"))
-	r.events = c.events(r.events[:0])
-	r.sends = c.length("send count")
-	r.sendBytes = c.b
-	return c.err
+	r.events = r.events[:0]
+	for n := c.int("event count"); n > 0 && c.err == nil; n-- {
+		kind := c.byte("event kind")
+		e := wireEvent{halt: kind == 1, node: c.int("event node"), round: c.int("event round")}
+		if kind > 1 {
+			c.fail("event kind")
+		} else if !e.halt {
+			e.name = string(c.bytes(c.length("event name"), "event name"))
+		}
+		r.events = append(r.events, e)
+	}
 }
 
-// The record codec: what a workload harvests is one record of words per
-// node (Instance.Harvest), and this is its only wire form — per node in
-// ID order, a count and then that many uvarints. A count is a length: it
-// cannot exceed the bytes remaining, every word being at least one. The
-// body of a FINAL frame is the shard's message count, then the records of
-// its owned nodes.
+// flag is a boolean's wire byte.
+func flag(b bool) (f byte) {
+	if b {
+		f = 1
+	}
+	return f
+}
+
+// The record codec, the one wire form of what a workload harvests
+// (Instance.Harvest): per node in ID order a count, read as a length, and
+// that many uvarints. It ends a FINAL frame.
 func appendRecords(buf []byte, perNode [][]uint64) []byte {
 	for _, rec := range perNode {
 		buf = binary.AppendUvarint(buf, uint64(len(rec)))
@@ -296,23 +267,60 @@ func (c *cursor) records(dst [][]uint64, owned int) [][]uint64 {
 	return dst
 }
 
-// parseHello parses a HELLO body: version byte + shard index.
-func parseHello(b []byte) (shard int, err error) {
+// parseHello parses a HELLO or PEER body: version byte, shard index, and
+// the shard's peer port (HELLO) or the run token (PEER).
+func parseHello(b []byte) (shard int, word uint64, err error) {
 	c := cursor{b: b}
 	if v := c.byte("hello version"); c.err == nil && v != wireVersion {
-		return 0, fmt.Errorf("transport: protocol version mismatch: peer %d, this build %d", v, wireVersion)
+		return 0, 0, fmt.Errorf("transport: protocol version mismatch: peer %d, this build %d", v, wireVersion)
 	}
-	shard = c.int("hello shard")
-	if err := c.done("hello"); err != nil {
-		return 0, err
-	}
-	return shard, nil
+	shard, word = c.int("hello shard"), c.uvarint("hello word")
+	return shard, word, c.done("hello")
 }
 
-func appendHello(buf []byte, shard int) []byte {
+func appendHello(buf []byte, shard int, word uint64) []byte {
 	buf = append(buf, wireVersion)
-	return binary.AppendUvarint(buf, uint64(shard))
+	buf = binary.AppendUvarint(buf, uint64(shard))
+	return binary.AppendUvarint(buf, word)
 }
+
+// shardError attributes a failure to one shard — what failed, the phase,
+// its last completed round and last frame — as the coordinator, or a shard
+// on a peer link, saw it; the latter sends it as JSON in an ABORT. It wraps
+// the cause, so errors.As still finds a stall's deadline.
+type shardError struct {
+	Shard     int    `json:"shard"`
+	What      string `json:"what"` // "read", "write", "dial", "accept", "peer handshake"; "reply" when the frame arrived and its check rejected it
+	Phase     string `json:"phase"`
+	LastRound int    `json:"last_round"`
+	LastFrame string `json:"last_frame"`
+	Cause     string `json:"cause"`
+	TimedOut  bool   `json:"timeout,omitempty"`
+	err       error
+}
+
+func (e *shardError) Error() string {
+	return fmt.Sprintf("transport: shard %d: %s: %v (phase %s, last completed round %d, last frame %s)",
+		e.Shard, e.What, e.err, e.Phase, e.LastRound, e.LastFrame)
+}
+
+func (e *shardError) Unwrap() error { return e.err }
+
+func appendAbort(buf []byte, e *shardError) []byte {
+	var nerr net.Error
+	e.Cause, e.TimedOut = e.err.Error(), errors.As(e.err, &nerr) && nerr.Timeout()
+	b, _ := json.Marshal(e)
+	return append(buf, b...)
+}
+
+// reported is the cause an ABORT carries: a net.Error whose Timeout says
+// whether the reporter's wait ran out, so a stall reads as a deadline on
+// both sides of the wire.
+type reported struct{ e *shardError }
+
+func (r reported) Error() string   { return r.e.Cause }
+func (r reported) Timeout() bool   { return r.e.TimedOut }
+func (r reported) Temporary() bool { return false }
 
 // errShardStopped is returned by a shard runtime asked to exit by a
 // test hook; exported via errors.Is only within the package tests.

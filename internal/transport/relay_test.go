@@ -1,9 +1,9 @@
 package transport
 
-// The relay path: a shard encodes each send once, the coordinator checks
-// it and copies it into the DELIVER body of the shard it is bound for in
-// runs. The reference for those bodies is the per-message encoding below,
-// which is what the coordinator wrote before it relayed runs.
+// The peer data path without sockets: a shard encodes each send once,
+// straight into the frame of the peer it is bound for, and the peer checks
+// and stages it. The reference for those frames is the per-message
+// encoding below.
 
 import (
 	"bytes"
@@ -12,18 +12,23 @@ import (
 	"math"
 	"testing"
 
+	"almostmix/internal/congest"
+	"almostmix/internal/faults"
+	"almostmix/internal/flightrec"
 	"almostmix/internal/graph"
+	"almostmix/internal/rngutil"
 )
 
-// wireSend is one relayed cross-shard message: the receiving node, the
-// port AT THE RECEIVER, and the workload-encoded payload.
+// wireSend is one cross-shard message: the receiving node, the port AT
+// THE RECEIVER, and the workload-encoded payload.
 type wireSend struct {
 	dst, port int
 	payload   []byte
 }
 
-// appendSends is the reference encoding of a relay batch, one message at a
-// time: the count, then per send its dst, port, payload length and payload.
+// appendSends is the reference encoding of a batch of sends, one message
+// at a time: the count, then per send its dst, port, payload length and
+// payload.
 func appendSends(buf []byte, sends []wireSend) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(sends)))
 	for _, s := range sends {
@@ -35,9 +40,42 @@ func appendSends(buf []byte, sends []wireSend) []byte {
 	return buf
 }
 
-// appendStepReply encodes a whole step section: r's head, then sends.
-func appendStepReply(buf []byte, r *stepReply, sends ...wireSend) []byte {
-	return appendSends(appendStepHead(buf, r), sends)
+// kindCodec is a payload codec for test programs: the kind, as a uvarint.
+var kindCodec = Workload{
+	Name: "kind",
+	Encode: func(buf []byte, m congest.Message) ([]byte, error) {
+		return binary.AppendUvarint(buf, uint64(m.Kind)), nil
+	},
+	Decode: func(b []byte) (congest.Message, error) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 || n != len(b) || v == 0 || v > math.MaxUint16 {
+			return congest.Message{}, fmt.Errorf("malformed kind payload %x", b)
+		}
+		return congest.Message{Kind: congest.Kind(v)}, nil
+	},
+}
+
+// testRuntime is shard `shard` of k over g running tickers, its links
+// unconnected: frames sent to a peer wait in the link's out channel.
+func testRuntime(t testing.TB, g *graph.Graph, k, shard int) *shardRuntime {
+	t.Helper()
+	net := congest.NewUniformNetwork(g, func(int) congest.Program { return congest.NewTicker(1 << 20) }, rngutil.NewSource(5))
+	split := congest.Split{N: g.N(), K: k}
+	lo, hi := split.Bounds(shard)
+	s, err := congest.NewShard(net, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &shardRuntime{
+		shard: shard, s: s, wl: kindCodec, inst: &Instance{Graph: g, MaxRounds: 1 << 20}, split: split, lo: lo, hi: hi,
+		rec: flightrec.New("shard", shard, flightrec.DefaultCapacity), ws: wireSpec{Shards: k}, links: make([]*peerLink, k), peerTally: &connTally{},
+	}
+	for j := 0; j < k; j++ {
+		if j != shard {
+			r.links[j] = newPeerLink(j, nil)
+		}
+	}
+	return r
 }
 
 // TestFillUvarint: a count or length written behind what it counts reads
@@ -54,73 +92,71 @@ func TestFillUvarint(t *testing.T) {
 	}
 }
 
-// TestRelayRunsAtThreeShards feeds a coordinator over three shards the
-// step sections of two barriers, their sends interleaving destinations so
-// that each section splits into several runs, and out of shard order so
-// that sections wait. Every DELIVER body must equal the reference encoding
-// of the sends bound for its shard, in shard order and, within a shard,
-// in section order.
+// TestRelayRunsAtThreeShards runs Init and one round of tickers on three
+// shards of a ring lattice whose every shard borders both others, without
+// sockets. Each shard's external sends, in (node, port) order, interleave
+// their two destinations; every frame must hold exactly the sends bound
+// for its peer, in that order, behind the round's counts — and staged at
+// the peer, they must be what its deliver phase brings in.
 func TestRelayRunsAtThreeShards(t *testing.T) {
 	const k = 3
-	g := graph.RingLattice(12, 3) // each node reaches three on either side: every shard borders both others
-	c := &coordinator{tcp: TCP{Shards: k}, inst: &Instance{Graph: g}}
-	c.prepare()
-
-	// sections[s] is shard s's sends, alternating between the two other
-	// shards for as long as both have sends left; each section's first
-	// payload takes a two-byte length.
-	var sections [k][]wireSend
-	for s := 0; s < k; s++ {
-		var byDst [k][]wireSend
-		lo, hi := c.split.Bounds(s)
-		for u := lo; u < hi; u++ {
-			for _, h := range g.Neighbors(u) {
-				v := int(h.To)
-				if to := c.split.Owner(v); to != s {
-					payload := bytes.Repeat([]byte{byte(u + 1)}, 1+len(byDst[to])%3)
-					byDst[to] = append(byDst[to], wireSend{dst: v, port: g.Port(v, u), payload: payload})
-				}
-			}
-		}
-		for i := 0; len(sections[s]) < len(byDst[0])+len(byDst[1])+len(byDst[2]); i++ {
-			for to := range byDst {
-				if i < len(byDst[to]) {
-					sections[s] = append(sections[s], byDst[to][i])
-				}
-			}
-		}
-		sections[s][0].payload = bytes.Repeat([]byte{0xee}, 200)
+	g := graph.RingLattice(12, 3) // each node reaches three on either side
+	var rts [k]*shardRuntime
+	for s := range rts {
+		rts[s] = testRuntime(t, g, k, s)
+		rts[s].s.Init()
+		rts[s].stepHead(0, faults.Counts{})
 	}
-
-	for round, order := range [][]int{{2, 0, 1}, {1, 2, 0}} {
+	delivered := [k]int{}
+	for round := 0; round < 2; round++ {
 		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
-			c.rounds = round
-			for _, s := range order {
-				body := appendStepReply(nil, &stepReply{active: 1}, sections[s]...)
-				if err := c.absorbStepped(s, body); err != nil {
-					t.Fatalf("shard %d: %v", s, err)
+			for s, r := range rts {
+				var err error
+				if round == 0 {
+					err = r.sendStep(frameRound, 0, true)
+				} else {
+					r.delivered = r.s.Deliver()
+					delivered[s] = r.delivered
+					err = r.step(frameRound, round)
 				}
-				if len(c.runs[s]) < 3 {
-					t.Errorf("shard %d's section made %d runs, want its destinations interleaved", s, len(c.runs[s]))
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
-			if c.applied != k {
-				t.Fatalf("%d sections applied, want %d", c.applied, k)
-			}
-			for i := 0; i < k; i++ {
-				var want []wireSend
-				for s := range sections {
-					for _, m := range sections[s] {
-						if c.split.Owner(m.dst) == i {
-							want = append(want, m)
-						}
+			for s, r := range rts {
+				var want [k][]wireSend
+				r.s.ExternalSends(func(dst, port int, m congest.Message) {
+					to := r.split.Owner(dst)
+					want[to] = append(want[to], wireSend{dst: dst, port: port, payload: binary.AppendUvarint(nil, uint64(m.Kind))})
+				})
+				for _, l := range r.links {
+					if l == nil {
+						continue
 					}
-				}
-				if got := c.takeDeliverBody(i); !bytes.Equal(got, appendSends(nil, want)) {
-					t.Errorf("DELIVER to shard %d: %x, want %x", i, got, appendSends(nil, want))
+					frame := <-l.out
+					head := binary.AppendUvarint(nil, uint64(round))
+					head = binary.AppendUvarint(head, uint64(delivered[s]))
+					head = append(binary.AppendUvarint(head, 0), 1)
+					head = binary.AppendUvarint(head, uint64(r.reply.halted))
+					if ref := appendSends(head, want[l.peer]); !bytes.Equal(frame[frameHead:], ref) {
+						t.Errorf("shard %d → %d: %x, want %x", s, l.peer, frame[frameHead:], ref)
+					}
+					if len(want[l.peer]) == 0 {
+						t.Errorf("shard %d sends nothing to %d: the lattice was meant to cross every boundary", s, l.peer)
+					}
+					peer := rts[l.peer]
+					if err := peer.take(peer.links[s], frameRound, round, frame[frameHead:]); err != nil {
+						t.Errorf("shard %d taking shard %d's frame: %v", l.peer, s, err)
+					}
+					l.free <- frame
 				}
 			}
-			c.applied = 0
 		})
+	}
+	// Every staged send is delivered: each node hears all six neighbors.
+	for s, r := range rts {
+		if got, want := r.s.Deliver(), 6*(r.hi-r.lo); got != want {
+			t.Errorf("shard %d delivered %d, want %d", s, got, want)
+		}
 	}
 }

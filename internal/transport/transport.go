@@ -2,9 +2,9 @@
 // Transport interface with interchangeable backends: Proc runs a
 // workload on the in-process CONGEST engines (internal/congest,
 // unchanged and still zero-alloc in steady rounds), TCP runs the same
-// workload as real OS processes — one shard of nodes per process —
-// exchanging length-prefixed framed messages over TCP with a
-// coordinator driving the round barriers over the wire.
+// workload as real OS processes — one shard of nodes per process — that
+// exchange each round point to point in length-prefixed frames over TCP,
+// a coordinator starting the run and collecting its results.
 //
 // The portability hinge is the replayable Spec: a workload is described
 // by pure seeds and sizes, never by in-memory object graphs, so every

@@ -224,9 +224,10 @@ fi
 echo "smoke: E17 TCP/proc trace parity ok"
 
 # The probe-less wire: with neither -trace nor -metrics no probe is
-# attached, so DELIVERED carries no inbox profile, and at three shards a
-# step section's sends are relayed in runs to two destinations. stdout must
-# equal the in-process run's, the backend label in the table title aside.
+# attached, so the shards send the coordinator no REPORT, and at three
+# shards each shard splits its sends between two peers' frames. stdout
+# must equal the in-process run's, the backend label in the table title
+# aside.
 "$bin/walks" -n 48 -d 6 -steps 10 | sed 's/(transport=[^)]*)//' >"$out/walks-proc.txt"
 "$bin/walks" -n 48 -d 6 -steps 10 -transport tcp -shards 3 | sed 's/(transport=[^)]*)//' >"$out/walks-tcp3.txt"
 if ! cmp -s "$out/walks-proc.txt" "$out/walks-tcp3.txt"; then
@@ -250,15 +251,27 @@ fi
 	-metrics "$out/mst-tcp-metrics.json" >/dev/null
 echo "smoke: E20 faulty TCP/proc trace parity ok"
 
-# One wire exchange per round across real tcpnode processes: GHS is not
-# quiet-terminating, so every shard steps on DELIVER and the coordinator
-# never needs the STEP fallback.
+# One exchange per round across real tcpnode processes: each shard sends
+# each peer one ROUND frame a round, so S shards send at most S(S-1) of
+# them per round — round 0's included, one per run beyond the rounds the
+# metrics count — and GHS, which is not quiet-terminating, never holds a
+# step back for a SENDS.
 check_metrics "mst -transport tcp" "$out/mst-tcp-metrics.json"
-if grep -A 1 '"tcpnet_frames_sent_total{type=STEP}"' "$out/mst-tcp-metrics.json" | grep -q '"value": [1-9]'; then
-	echo "smoke: tcp GHS run sent STEP frames: the step no longer rides DELIVER" >&2
+counter() {
+	grep -A 1 "\"$1\"" "$2" | sed -n 's/.*"value": \([0-9]*\).*/\1/p' | head -n 1
+}
+rounds=$(counter congest_rounds_total "$out/mst-tcp-metrics.json")
+runs=$(counter congest_runs_total "$out/mst-tcp-metrics.json")
+frames=$(counter 'tcpnet_frames_sent_total{type=ROUND}' "$out/mst-tcp-metrics.json")
+if [ -z "$rounds" ] || [ -z "$runs" ] || [ -z "$frames" ] || [ "$frames" -gt $((2 * (rounds + runs))) ]; then
+	echo "smoke: tcp GHS run sent ${frames:-no} ROUND frames in ${rounds:-?} rounds of ${runs:-?} runs: more than S(S-1) = 2 a round" >&2
 	exit 1
 fi
-echo "smoke: one exchange per round ok"
+if grep -q '"tcpnet_frames_sent_total{type=SENDS}"' "$out/mst-tcp-metrics.json"; then
+	echo "smoke: tcp GHS run held a step back (SENDS frames)" >&2
+	exit 1
+fi
+echo "smoke: one exchange per round ok ($frames ROUND frames, $rounds rounds)"
 
 # A fault rule naming a node or edge the graph does not have is a run
 # error (exit 1, the graph is only known once the run builds it), with
@@ -301,10 +314,11 @@ fi
 echo "smoke: E19 obs document + shard telemetry ok"
 
 # E19 failure path: an induced stall (env fault injection on a real
-# tcpnode process, short barrier deadline) must exit 1 and leave a
+# tcpnode process, short deadline) must exit 1 and leave a
 # barrier-deadline dump naming the guilty shard, its last completed
-# round and the phase it hung in — and, like every exit path, the trace
-# of the rounds that did complete next to the metrics snapshot.
+# round and the phase its peer waited on it in — and, like every exit
+# path, the trace of the rounds that did complete next to the metrics
+# snapshot.
 code=0
 TCPNODE_STALL_SHARD=1 TCPNODE_STALL_ROUND=3 \
 	"$bin/walks" -n 48 -d 6 -steps 10 -transport tcp -shards 2 -tcptimeout 2s \
@@ -322,8 +336,8 @@ if ! grep -q '"guilty_shard": 1' "$out/walks-stall-obs.json"; then
 	echo "smoke: stall dump does not blame shard 1" >&2
 	exit 1
 fi
-if ! grep -q '"phase": "deliver-wait"' "$out/walks-stall-obs.json"; then
-	echo "smoke: stall dump does not name the deliver-wait phase" >&2
+if ! grep -q '"phase": "peer-wait"' "$out/walks-stall-obs.json"; then
+	echo "smoke: stall dump does not name the peer-wait phase" >&2
 	exit 1
 fi
 if ! grep -A 1 '"run": "E4b k=1"' "$out/walks-stall.json" | grep -q '"round": 2'; then

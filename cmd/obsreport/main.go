@@ -169,6 +169,17 @@ func header(w io.Writer, d *transport.ObsDoc) {
 	fmt.Fprintf(w, "== run ==\n")
 	fmt.Fprintf(w, "workload=%s graph=%s n=%d backend=%s shards=%d rounds=%d\n",
 		d.Spec.Workload, d.Spec.Graph, d.Spec.N, d.Backend, d.Shards, d.Rounds)
+	// The shards time only the rounds they ran: the rest the skip rule
+	// jumped, every shard at once, while their nodes slept.
+	executed := map[int]bool{}
+	for _, r := range d.Timeline {
+		if r.Phase == "peer-wait" {
+			executed[r.Round] = true
+		}
+	}
+	if len(executed) > 0 {
+		fmt.Fprintf(w, "executed_rounds=%d skipped_rounds=%d\n", len(executed), d.Rounds-len(executed))
+	}
 	fmt.Fprintf(w, "reason=%s", d.Reason)
 	if d.GuiltyShard >= 0 {
 		fmt.Fprintf(w, " guilty_shard=%d last_round=%d", d.GuiltyShard, d.LastRound)

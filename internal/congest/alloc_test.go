@@ -81,15 +81,15 @@ func steadyBuilder(g *graph.Graph, workers int, probe bool, spec string) func() 
 }
 
 // TestSteadyRoundsZeroAlloc is the regression gate for the zero-alloc
-// contract: integer-zero allocs/round for the bare engines, the probed
-// engines, and the buffer-stable fault fates, on both the sequential
-// and the sharded parallel engine. The walk and GHS programs carry the
+// contract: integer-zero allocs/round for the bare round loop, the probed
+// one, and the buffer-stable fault fates, with one part (the sequential
+// reference) and with several on the worker pool. The walk and GHS programs carry the
 // same gate in their own packages, which this one cannot import
 // (TestSteadyRoundsZeroAlloc in randomwalk and in mstbase). The last
 // input is the E16 scale point: the arenas and the CSR layout must hold
 // at n = 1e5, not only on unit-test-sized graphs (sequential only —
 // workers=8 at that size takes 94 s under -race, and the n = 512 rows
-// cover the parallel engine).
+// cover several parts).
 func TestSteadyRoundsZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential alloc measurement is not -short")

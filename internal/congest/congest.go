@@ -13,6 +13,14 @@
 // model needs, so round counts reported by Network.Run are the quantities
 // compared against the theorems.
 //
+// One loop (engine.go) runs every round — deliver, step — over one or
+// more parts of the network. A node that has nothing to do until some
+// round says so (Ctx.SleepUntil); when every live node sleeps and nothing
+// is in flight, the loop counts the idle rounds up to the earliest wake
+// instead of stepping them, and reports each as the no-op round it
+// replaces, so a round-heavy, message-light run costs the host its work,
+// not its rounds.
+//
 // Memory layout (DESIGN.md §3): the hot path is built for zero-alloc
 // steady-state rounds at n ≥ 10^6. Ports are the graph's own CSR
 // (graph.Graph.CSR) and the one table the engine adds is peer, its
@@ -119,6 +127,9 @@ type Ctx struct {
 	outbox []Message  // one slot per port; Kind 0 = no send this round
 	halted bool
 	msgs   int // messages sent by this node (sharded accounting)
+	// wake is the round the node's last Step promised to sleep until
+	// (SleepUntil); 0, reset before every Step, promises nothing.
+	wake int
 
 	// Probe bookkeeping, populated only when a probe is attached. Like
 	// msgs these are sharded: written by the owning worker, drained by
@@ -195,6 +206,16 @@ func (c *Ctx) Send(port int, payload Message) {
 	slot.Kind, slot.Win, slot.A, slot.B, slot.W = payload.Kind, payload.Win, payload.A, payload.B, payload.W
 	c.msgs++
 }
+
+// SleepUntil promises that until the given round the node's Step with an
+// empty inbox is a no-op: it sends nothing, changes no state, draws no
+// randomness, emits no mark and does not halt. The promise is reset before
+// every Step (a later call in one Step replaces an earlier one), so a
+// program that never calls it runs exactly as before. When every live node
+// sleeps and nothing is in flight the engine counts the idle rounds instead
+// of stepping them (see engine.go); a message delivered to a sleeping node
+// steps it as usual.
+func (c *Ctx) SleepUntil(round int) { c.wake = round }
 
 // Broadcast queues the same message on every port.
 func (c *Ctx) Broadcast(payload Message) {

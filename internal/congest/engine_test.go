@@ -147,7 +147,8 @@ func onShards(k int) executor {
 			active := 0
 			var fc faults.Counts
 			for _, s := range shards {
-				active += s.Step()
+				a, _ := s.Step()
+				active += a
 				fc.Add(s.FaultCounts())
 			}
 			ex.faults.Add(fc)
@@ -194,49 +195,64 @@ func runDifferential(t *testing.T, sc diffScenario) {
 		seeds = seeds[:1] // keep the race-instrumented CI run fast
 	}
 	for _, seed := range seeds {
-		plan := func() *faults.Plan {
-			if sc.spec == "" {
-				return nil
-			}
-			p, err := faults.Parse(sc.spec, seed*2654435761+1)
-			if err != nil {
-				t.Fatalf("%s: spec %q: %v", sc.name, sc.spec, err)
-			}
-			return p
-		}
-		want := diffExecutors[0].run(sc, seed, plan)
+		want, diffs := differences(sc, seed, specPlan(t, sc, seed))
 		if sc.spec == "" && want.err != noErr {
 			t.Fatalf("%s seed %d: %s: %s", sc.name, seed, diffExecutors[0].name, want.err)
 		}
 		if sc.spec != "" && want.err == noErr && !want.faults.Any() {
 			t.Errorf("%s seed %d: scenario injected no faults — not exercising the layer", sc.name, seed)
 		}
-		for _, ex := range diffExecutors[1:] {
-			got := ex.run(sc, seed, plan)
-			where := fmt.Sprintf("%s seed %d %s", sc.name, seed, ex.name)
-			if got.rounds != want.rounds || got.err != want.err {
-				t.Errorf("%s: (rounds=%d err=%s) diverges from reference (rounds=%d err=%s)",
-					where, got.rounds, got.err, want.rounds, want.err)
-			}
-			if got.msgs != want.msgs {
-				t.Errorf("%s: messages %d, reference %d", where, got.msgs, want.msgs)
-			}
-			if !reflect.DeepEqual(got.state, want.state) {
-				t.Errorf("%s: final state diverges from reference", where)
-			}
-			// The probe contract: the full event stream — every round
-			// record (including the borrowed per-node and per-edge slices),
-			// every mark, every halt — is bit-identical however the network
-			// is partitioned.
-			if !reflect.DeepEqual(got.events, want.events) {
-				t.Errorf("%s: probe event stream diverges from reference (%d vs %d events)",
-					where, len(got.events), len(want.events))
-			}
-			if got.faults != want.faults {
-				t.Errorf("%s: fault totals %+v, reference %+v", where, got.faults, want.faults)
-			}
+		for _, d := range diffs {
+			t.Error(d)
 		}
 	}
+}
+
+// specPlan returns the fault plans of the scenario's spec at seed, one
+// fresh plan per call (nil when the spec is empty).
+func specPlan(t *testing.T, sc diffScenario, seed uint64) func() *faults.Plan {
+	return func() *faults.Plan {
+		if sc.spec == "" {
+			return nil
+		}
+		p, err := faults.Parse(sc.spec, seed*2654435761+1)
+		if err != nil {
+			t.Fatalf("%s: spec %q: %v", sc.name, sc.spec, err)
+		}
+		return p
+	}
+}
+
+// differences runs the scenario at one seed on every executor and returns
+// the reference execution and every way another one diverges from it.
+func differences(sc diffScenario, seed uint64, plan func() *faults.Plan) (want execution, diffs []string) {
+	want = diffExecutors[0].run(sc, seed, plan)
+	for _, ex := range diffExecutors[1:] {
+		got := ex.run(sc, seed, plan)
+		where := fmt.Sprintf("%s seed %d %s", sc.name, seed, ex.name)
+		if got.rounds != want.rounds || got.err != want.err {
+			diffs = append(diffs, fmt.Sprintf("%s: (rounds=%d err=%s) diverges from reference (rounds=%d err=%s)",
+				where, got.rounds, got.err, want.rounds, want.err))
+		}
+		if got.msgs != want.msgs {
+			diffs = append(diffs, fmt.Sprintf("%s: messages %d, reference %d", where, got.msgs, want.msgs))
+		}
+		if !reflect.DeepEqual(got.state, want.state) {
+			diffs = append(diffs, fmt.Sprintf("%s: final state diverges from reference", where))
+		}
+		// The probe contract: the full event stream — every round record
+		// (including the borrowed per-node and per-edge slices), every
+		// mark, every halt — is bit-identical however the network is
+		// partitioned.
+		if !reflect.DeepEqual(got.events, want.events) {
+			diffs = append(diffs, fmt.Sprintf("%s: probe event stream diverges from reference (%d vs %d events)",
+				where, len(got.events), len(want.events)))
+		}
+		if got.faults != want.faults {
+			diffs = append(diffs, fmt.Sprintf("%s: fault totals %+v, reference %+v", where, got.faults, want.faults))
+		}
+	}
+	return want, diffs
 }
 
 // diffGraph varies the topology with the seed so the suite does not

@@ -1,10 +1,11 @@
 package congest
 
 // Go-native fuzz harness for the simulator: arbitrary small graphs, a
-// message-echo program, both engines. The target asserts the simulator's
-// structural invariants (no panics, rounds within the budget, delivered
-// ports valid and consistent with the topology) and differentially checks
-// the parallel engine against the sequential reference on every input.
+// message-echo program, one part and several. The target asserts the
+// simulator's structural invariants (no panics, rounds within the budget,
+// delivered ports valid and consistent with the topology) and
+// differentially checks many parts against one, the sequential reference,
+// on every input.
 // The f.Add calls below are the committed seed corpus.
 
 import (

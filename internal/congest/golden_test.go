@@ -148,8 +148,8 @@ func runGolden(t *testing.T, sc goldenScenario, workers int) []byte {
 }
 
 // TestGoldenTraceFaultFates pins trace bytes and fault fates of the fixed
-// scenario set against the committed pre-refactor goldens, across the
-// sequential engine and the parallel engine at workers 2 and 8.
+// scenario set against the committed pre-refactor goldens, with the round
+// loop driving one part (the sequential reference) and 2 and 8.
 func TestGoldenTraceFaultFates(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc

@@ -47,8 +47,11 @@ func (n *Network) SetMetrics(reg *metrics.Registry) *Network {
 // RunMetrics is one run's block of congest_* instruments: run, round,
 // message and fault totals, the per-round wall histogram, the throughput
 // rates and the run's alloc/GC deltas. StartRunMetrics opens it, Round
-// records each executed round, End closes it; every method is a no-op on
-// the nil block a run without a registry gets.
+// records each executed round and Skipped each round the skip rule counted
+// without executing it, End closes it; every method is a no-op on the nil
+// block a run without a registry gets. congest_rounds_total counts both
+// kinds (every simulated round), congest_rounds_skipped_total the second,
+// and the wall histogram executed rounds only.
 type RunMetrics struct {
 	start        time.Time
 	startMem     runtime.MemStats
@@ -56,7 +59,8 @@ type RunMetrics struct {
 	deliveredRun int64
 	roundWallNS  int64
 
-	runs, rounds, delivered   *metrics.Counter
+	runs, rounds, skipped     *metrics.Counter
+	delivered                 *metrics.Counter
 	runWall, allocs, gcCycles *metrics.Counter
 	roundHist                 *metrics.Histogram
 	msgsPerSec, roundsPerSec  *metrics.Gauge
@@ -77,6 +81,7 @@ func StartRunMetrics(reg *metrics.Registry, faulty bool) *RunMetrics {
 		start:        time.Now(),
 		runs:         reg.Counter("congest_runs_total"),
 		rounds:       reg.Counter("congest_rounds_total"),
+		skipped:      reg.Counter("congest_rounds_skipped_total"),
 		delivered:    reg.Counter("congest_messages_delivered_total"),
 		runWall:      reg.Counter("congest_run_wall_ns_total"),
 		allocs:       reg.Counter("congest_alloc_bytes_total"),
@@ -107,6 +112,22 @@ func (rm *RunMetrics) Round(wallNS int64, delivered int, fc faults.Counts) {
 	rm.deliveredRun += int64(delivered)
 	rm.rounds.Add(1)
 	rm.delivered.Add(int64(delivered))
+	rm.dropped.Add(fc.Dropped)
+	rm.duplicated.Add(fc.Duplicated)
+	rm.delayed.Add(fc.Delayed)
+	rm.crashed.Add(fc.Crashed)
+}
+
+// Skipped records one round the skip rule counted without executing it:
+// a simulated round, and its fault counts (crashed node-rounds; nothing is
+// in flight to drop, duplicate or delay), but no wall time.
+func (rm *RunMetrics) Skipped(fc faults.Counts) {
+	if rm == nil {
+		return
+	}
+	rm.roundsRun++
+	rm.rounds.Add(1)
+	rm.skipped.Add(1)
 	rm.dropped.Add(fc.Dropped)
 	rm.duplicated.Add(fc.Duplicated)
 	rm.delayed.Add(fc.Delayed)

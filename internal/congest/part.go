@@ -7,7 +7,11 @@ package congest
 // once, so there is one copy to prove identical across engines, workers,
 // shards and backends.
 
-import "almostmix/internal/faults"
+import (
+	"math"
+
+	"almostmix/internal/faults"
+)
 
 // Split is the rule that cuts N nodes into K contiguous parts: part i owns
 // [i·N/K, (i+1)·N/K). The engine's workers, the TCP coordinator and every
@@ -61,22 +65,40 @@ func (p part) deliver() (delivered int) {
 
 // step runs Step on the part's nodes that are neither halted nor crashed
 // in the round (already counted on net.rounds); their outboxes are empty,
-// the deliver phase took every message. It returns how many nodes stepped
-// and how many are halted afterwards — tallied here, where the flag is in
-// hand, so no caller rescans the range.
-func (p part) step() (active, halted int) {
+// the deliver phase took every message. It returns how many nodes stepped,
+// how many are halted afterwards and the earliest round a live node
+// promised to sleep until (Ctx.SleepUntil; a crashed node keeps its last
+// promise, an awake node's is 0, math.MaxInt when none is live) — tallied
+// here, where the flags are in hand, so no caller rescans the range.
+func (p part) step() (active, halted, wake int) {
 	n := p.net
+	wake = math.MaxInt
 	for v := p.lo; v < p.hi; v++ {
 		ctx := &n.ctxs[v]
 		if !ctx.halted && !n.nodeCrashed(v) {
 			active++
+			ctx.wake = 0
 			n.programs[v].Step(ctx, n.inboxes[v])
 		}
 		if ctx.halted {
 			halted++
+		} else {
+			wake = min(wake, ctx.wake)
 		}
 	}
-	return active, halted
+	return active, halted, wake
+}
+
+// idleActive returns how many of the part's nodes would step in the
+// current round (net.rounds): those neither halted nor crashed — a skipped
+// round's Active, the count its no-op steps would have made.
+func (p part) idleActive() (active int) {
+	for v := p.lo; v < p.hi; v++ {
+		if !p.net.ctxs[v].halted && !p.net.nodeCrashed(v) {
+			active++
+		}
+	}
+	return active
 }
 
 // DrainEvents forwards the queued phase marks and halt events of the

@@ -24,6 +24,7 @@ package congest
 //	Init()                       — run Init for owned nodes (round 0)
 //	Inject(...); Deliver()       — stage remote sends, build inboxes
 //	Step()                       — advance the round, run owned programs
+//	SkipTo(round)                — count idle rounds the skip rule covers
 //	ExternalSends(...)           — enumerate owned sends that leave the shard
 //	DrainEvents(...)             — marks/halts of owned nodes, ID order
 //
@@ -142,16 +143,30 @@ func (s *Shard) Deliver() int { return s.deliver() }
 func (s *Shard) Inbox(u int) []Inbound { return s.net.inboxes[u] }
 
 // Step advances the replica's round counter and runs the step phase over
-// the owned range. It returns the number of nodes that executed Step.
-// The last round's sends toward remote receivers are emptied first: their
-// receivers live on other replicas, so no local delivery took them.
-func (s *Shard) Step() (active int) {
+// the owned range. It returns the number of nodes that executed Step and
+// the earliest round an owned live node promised to sleep until
+// (Ctx.SleepUntil, as part.step tallies it). The last round's sends
+// toward remote receivers are emptied first: their receivers live on
+// other replicas, so no local delivery took them.
+func (s *Shard) Step() (active, wake int) {
 	for _, b := range s.boundary {
 		s.net.out[b.ownerSlot].empty()
 	}
 	s.net.rounds++
-	active, _ = s.step()
-	return active
+	active, _, wake = s.step()
+	return active, wake
+}
+
+// SkipTo advances the replica's round counter to round without stepping
+// anyone, for rounds the skip rule covers (SkipTarget): each
+// skipped round's fault counts — the owned nodes' crash node-rounds — are
+// drained as FaultCounts drains an executed round's and folded into the
+// plan totals.
+func (s *Shard) SkipTo(round int) {
+	for s.net.rounds < round {
+		s.net.rounds++
+		s.FaultCounts()
+	}
 }
 
 // ExternalSends calls fn for every queued send of an owned node whose

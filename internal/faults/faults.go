@@ -9,8 +9,8 @@
 // never a draw from a shared sequential generator — so a fixed
 // (seed, spec) pair injects the exact same fault events regardless of
 // engine, worker count or iteration order. That is what lets the
-// differential suites assert bit-identical faulty executions across the
-// sequential and parallel engines.
+// differential suites assert bit-identical faulty executions across every
+// worker and shard count of the one round loop.
 //
 // The package is deliberately independent of the simulator: it only
 // answers "what happens to the message in this slot this round?" and

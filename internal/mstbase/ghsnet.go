@@ -31,6 +31,11 @@ import (
 //
 // A fragment whose root sees no outgoing edge spans the whole graph; its
 // "none" decision makes every node halt at the window boundary.
+//
+// A window's phases end long before its last round, and a node with
+// nothing queued promises to sleep to the next boundary (Ctx.SleepUntil):
+// the engines then count the window's idle tail instead of stepping it, so
+// the 3n+6 rounds cost rounds but no host time.
 
 // ghsCandidate is an MWOE candidate: the edge's weight and endpoints
 // (inside node first). A +Inf weight encodes "no outgoing edge".
@@ -93,8 +98,8 @@ type ghsNode struct {
 	treePort   []bool // MST edges chosen so far (ports)
 	// chosen collects the MST edge IDs this node selected as the owning
 	// (inside) endpoint. Recording is per node — never into shared run
-	// state — so concurrent Steps under the parallel engine stay
-	// race-free; GHSNetwork aggregates after the run.
+	// state — so concurrent Steps of several parts stay race-free;
+	// GHSNetwork aggregates after the run.
 	chosen []int
 
 	// Per-window scratch, reset at ℓ = 0.
@@ -240,6 +245,9 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 			p.send(port, ghsFragMessage(kindGHSFragID, p.frag))
 		}
 		p.flush(ctx)
+		if ctx.Degree() > 0 { // a lone node reports at ℓ = 1 with nothing heard
+			p.sleep(ctx)
+		}
 		return
 	}
 
@@ -273,6 +281,20 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 	}
 	p.maybeReport(ctx, offset)
 	p.flush(ctx)
+	p.sleep(ctx)
+}
+
+// sleep promises, when nothing is queued, that this node idles until the
+// next window boundary unless a message arrives: every step inside a
+// window acts on what its inbox brings, and the report test it ends with
+// (maybeReport) reads only state that messages change, so an empty-inbox
+// step repeats the previous step's no-op. The engine then skips a window's
+// idle tail instead of stepping it.
+func (p *ghsNode) sleep(ctx *congest.Ctx) {
+	if len(p.pendingSend) == 0 {
+		w := p.run.window
+		ctx.SleepUntil((ctx.Round()-1)/w*w + w + 1)
+	}
 }
 
 // commitWindow applies the previous window's merge outcome and, on faulty

@@ -2,11 +2,12 @@ package mstbase
 
 // Differential equivalence of the full-fidelity GHS node program across
 // simulator engines: the tree, the measured rounds and the message total
-// must be bit-identical between the sequential reference engine and the
-// sharded parallel engine for every worker count. GHS is the most
-// state-heavy program in the repo (five message types, event-driven
-// phases, adoption waves), so it is the strongest single witness that the
-// parallel engine preserves program semantics.
+// must be bit-identical between one part and several, for every worker
+// count, and between runs that skip each window's idle tail and a run that
+// steps every round. GHS is the most state-heavy program in the repo (five
+// message types, event-driven phases, adoption waves), so it is the
+// strongest single witness that partitioning and skipping preserve program
+// semantics.
 
 import (
 	"bytes"
@@ -18,6 +19,7 @@ import (
 	"almostmix/internal/congest"
 	"almostmix/internal/faults"
 	"almostmix/internal/graph"
+	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
 )
 
@@ -79,6 +81,84 @@ func TestGHSNetworkDifferential(t *testing.T) {
 					seed, workers, len(gotTrace), len(refTrace))
 			}
 		}
+	}
+}
+
+// wakeful steps a program with its sleep promises withdrawn: every Step
+// ends by promising nothing, so the engine steps every round — the
+// never-skipping reference the sleeping GHS is compared to.
+type wakeful struct{ congest.Program }
+
+func (w wakeful) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
+	w.Program.Step(ctx, inbox)
+	ctx.SleepUntil(0)
+}
+
+// ghsSleepRun runs GHS on g under the fault spec (empty: none) and returns
+// the exported trace, the run's rounds, error, tree and fault totals as
+// one comparable string, and the rounds the engine skipped.
+func ghsSleepRun(t *testing.T, g *graph.Graph, spec string, workers int, sleep bool) ([]byte, string, int64) {
+	t.Helper()
+	var plan *faults.Plan
+	if spec != "" {
+		var err error
+		if plan, err = faults.Parse(spec, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	programs, maxRounds := GHSPrograms(g, plan)
+	run := programs
+	if !sleep {
+		run = make([]congest.Program, len(programs))
+		for v, p := range programs {
+			run[v] = wakeful{p}
+		}
+	}
+	sink, reg := congest.NewTraceSink().Label("ghs"), metrics.New()
+	net := congest.NewNetwork(g, run, rngutil.NewSource(17)).
+		Configure(congest.Options{Workers: workers, Probe: sink, Metrics: reg, Faults: plan})
+	rounds, err := net.Run(maxRounds)
+	edges := GHSTreeEdges(g.M(), GHSChosenEdges(programs, 0, g.N()))
+	sort.Ints(edges)
+	var totals faults.Counts
+	if plan != nil {
+		totals = plan.Totals()
+	}
+	var buf bytes.Buffer
+	if err := sink.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	skipped, _ := reg.Snapshot().Counter("congest_rounds_skipped_total")
+	return buf.Bytes(), fmt.Sprintf("rounds=%d msgs=%d err=%v edges=%v faults=%+v", rounds, net.Messages(), err, edges, totals), skipped
+}
+
+// TestGHSSleepDifferential: GHS sleeps to the next window boundary
+// whenever it has nothing queued, and the engines skip the rounds that
+// leaves idle. Every worker count must reproduce, byte for byte, the run
+// that steps every round — fault-free, with a node crashed across a window
+// boundary (n = 16: windows of 54 rounds, boundaries at 55, 109, …), and
+// with delays of 40 rounds, so a message delayed after a window's first 14
+// rounds lands in the next window and the window stamp discards it; a
+// skip waits until no delayed message is in flight.
+func TestGHSSleepDifferential(t *testing.T) {
+	g := graph.RandomRegular(16, 4, rngutil.NewRand(8))
+	g.AssignDistinctRandomWeights(rngutil.NewRand(8))
+	for _, spec := range []string{"", "crash=5@50+12", "crash=3@100+20,drop=0.02", "delay=0.1:40"} {
+		t.Run("faults="+spec, func(t *testing.T) {
+			wantTrace, want, _ := ghsSleepRun(t, g, spec, 1, false)
+			for _, workers := range []int{1, 2, 8} {
+				gotTrace, got, skipped := ghsSleepRun(t, g, spec, workers, true)
+				if got != want {
+					t.Errorf("workers %d: %s, stepping every round: %s", workers, got, want)
+				}
+				if !bytes.Equal(gotTrace, wantTrace) {
+					t.Errorf("workers %d: trace diverges from stepping every round (%d vs %d bytes)", workers, len(gotTrace), len(wantTrace))
+				}
+				if skipped == 0 {
+					t.Errorf("workers %d: no round skipped", workers)
+				}
+			}
+		})
 	}
 }
 

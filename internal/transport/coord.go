@@ -141,10 +141,14 @@ type coordinator struct {
 	messages int           // Σ FINAL message counts
 	records  [][]uint64    // FINAL records, one per node
 	faults   faults.Counts // Σ the shards' plan totals (TELEMETRY)
-	// The round being reported, with a probe: the sums of its REPORTs.
+	// The round being reported, with a probe: the sums of its REPORTs, and
+	// the round the skip rule jumps to after it (shard 0's REPORT names it,
+	// the others must agree).
 	halted, active, delivered int
 	roundFaults               faults.Counts
+	skipTo                    int
 	reply                     stepReply // parse scratch
+	haltedNode                []bool    // with a probe, by node: its halt event came
 
 	// Readers pass each link's frames on through in; queue[i] holds shard
 	// i's not yet asked for; ended[i] says it sent FINAL or ABORT, or lost
@@ -258,6 +262,9 @@ func (c *coordinator) prepare() {
 	c.shardRound, c.lastType = make([]int, k), make([]byte, k)
 	c.shardTel, c.stats = make([]*wireTelemetry, k), make([][]roundStat, k)
 	c.obsOn = c.tcp.ObsOut != "" || c.opts.Metrics != nil
+	if c.opts.Probe != nil {
+		c.haltedNode = make([]bool, c.inst.Graph.N())
+	}
 	if reg := c.opts.Metrics; reg != nil {
 		c.rm = congest.StartRunMetrics(reg, c.inst.Faults != nil)
 		c.flushNS = reg.Histogram("tcpnet_flush_ns", metrics.WallBuckets())
@@ -560,7 +567,41 @@ func (c *coordinator) drive(ln net.Listener) (Result, error) {
 		if c.agg != nil {
 			c.agg.RoundEnd(c.opts.Probe, c.rounds, c.delivered, c.active, c.halted, c.roundFaults)
 		}
+		c.skipped()
 	}
+}
+
+// skipped moves past the rounds the skip rule jumped after the round just
+// reported. With a probe each gets the record of the no-op round it
+// replaces, built here as the engine builds it (Network.skipTo): nothing
+// delivered, the halted count unchanged, Active the nodes neither halted
+// nor crashed, and skippedFaults.
+func (c *coordinator) skipped() {
+	plan := c.inst.Faults
+	for c.agg != nil && c.rounds < c.skipTo {
+		c.rounds++
+		active := 0
+		for v, halted := range c.haltedNode {
+			if !halted && (plan == nil || !plan.Crashed(v, c.rounds)) {
+				active++
+			}
+		}
+		c.agg.RoundEnd(c.opts.Probe, c.rounds, 0, active, c.halted, c.skippedFaults(c.rounds))
+	}
+	c.rounds = max(c.rounds, c.skipTo)
+	for i := range c.shardRound {
+		c.shardRound[i] = c.rounds
+	}
+}
+
+// skippedFaults is a skipped round's fault counts: its crashed nodes, from
+// the coordinator's replica of the plan; nothing is in flight to drop,
+// duplicate or delay.
+func (c *coordinator) skippedFaults(round int) (fc faults.Counts) {
+	if plan := c.inst.Faults; plan != nil {
+		fc.Crashed = int64(plan.CrashedCount(round, 0, c.inst.Graph.N()))
+	}
+	return fc
 }
 
 // quietRound is congest.Network's quiet rule for the deliver phase after
@@ -581,17 +622,30 @@ func (c *coordinator) absorbInitAck(shard int, body []byte) error {
 	return c.takeStepHead(shard, &cur)
 }
 
-// absorbReport reads one shard's REPORT of round c.rounds+1 — the round
-// and, with a probe, its delivered total, per owned node the inbox size and
-// arrival ports, the step head — checking the round, each port and the
-// sizes' sum. Without a probe only a lone shard reports, the round alone.
+// absorbReport reads one shard's REPORT of round c.rounds+1 — the round,
+// the rounds skipped after it and, with a probe, its delivered total, per
+// owned node the inbox size and arrival ports, the step head — checking the
+// round, the skip (within the round limit, the same at every shard), each
+// port and the sizes' sum. Without a probe only a lone shard reports, the
+// round and the skip alone.
 func (c *coordinator) absorbReport(shard int, body []byte) error {
 	if c.agg == nil && c.tcp.Shards > 1 {
 		return errors.New("REPORT, and no probe asked for it")
 	}
 	cur := cursor{b: body}
-	if round := cur.int("report round"); cur.err == nil && round != c.rounds+1 {
-		return fmt.Errorf("REPORT of round %d in round %d", round, c.rounds+1)
+	round := c.rounds + 1
+	if got := cur.int("report round"); cur.err == nil && got != round {
+		return fmt.Errorf("REPORT of round %d in round %d", got, round)
+	}
+	skip := cur.int("report skip")
+	switch {
+	case cur.err != nil:
+	case shard == 0 && skip > c.inst.MaxRounds-round:
+		return fmt.Errorf("REPORT skips %d rounds after round %d, past the limit of %d", skip, round, c.inst.MaxRounds)
+	case shard == 0:
+		c.skipTo = round + skip
+	case round+skip != c.skipTo:
+		return fmt.Errorf("REPORT skips %d rounds after round %d, shard 0 %d", skip, round, c.skipTo-round)
 	}
 	if c.agg != nil {
 		delivered, sum := cur.int("report delivered"), 0
@@ -644,6 +698,7 @@ func (c *coordinator) takeStepHead(shard int, cur *cursor) error {
 	p := c.opts.Probe
 	for _, e := range r.events {
 		if e.halt {
+			c.haltedNode[e.node] = true
 			p.NodeHalted(e.node, e.round)
 		} else {
 			p.PhaseMark(e.node, e.round, e.name)
@@ -713,15 +768,21 @@ func (c *coordinator) absorbFinal(shard int, body []byte) error {
 	c.messages += cur.int("final messages")
 	c.records = cur.records(c.records, hi-lo)
 	if c.obsOn && cur.err == nil {
-		if rounds > len(cur.b)/7 {
-			return fmt.Errorf("FINAL of %d rounds with %d bytes of round timings", rounds, len(cur.b))
-		}
-		c.stats[shard] = make([]roundStat, rounds)
-		for i := range c.stats[shard] {
-			for _, v := range c.stats[shard][i].fields() {
+		stats, last := make([]roundStat, cur.length("round timings")), int64(0)
+		for i := range stats {
+			for _, v := range stats[i].fields() {
 				*v = int64(cur.int("round timing"))
 			}
+			if r := stats[i].round; cur.err == nil && (r <= last || r > int64(rounds)) {
+				return fmt.Errorf("FINAL of %d rounds times round %d after round %d", rounds, r, last)
+			}
+			last = stats[i].round
 		}
+		same := func(a, b roundStat) bool { return a.round == b.round }
+		if cur.err == nil && shard > 0 && !slices.EqualFunc(stats, c.stats[0], same) {
+			return fmt.Errorf("FINAL times %d executed rounds, not shard 0's %d", len(stats), len(c.stats[0]))
+		}
+		c.stats[shard] = stats
 	}
 	return cur.done("final reply")
 }
@@ -743,27 +804,35 @@ func (c *coordinator) absorbTelemetry(shard int, body []byte) error {
 	return nil
 }
 
-// roundTimes folds the shards' round timings into peer-wait rows, each
-// round's skew (the spread of the waits: the last shard ready waits least)
-// and the congest_* rounds, a round's wall time its slowest shard's.
+// roundTimes folds the shards' timings of the executed rounds into
+// peer-wait rows, each round's skew (the spread of the waits: the last
+// shard ready waits least) and the congest_* rounds, a round's wall time
+// its slowest shard's; every other round of the run the skip rule jumped,
+// counted as skipped with skippedFaults, as the engine counts it.
 func (c *coordinator) roundTimes() {
 	if !c.obsOn {
 		return
 	}
-	for r := 0; r < c.rounds; r++ {
+	executed := c.stats[0]
+	for r, x := 1, 0; r <= c.rounds; r++ {
+		if x == len(executed) || executed[x].round != int64(r) {
+			c.rm.Skipped(c.skippedFaults(r))
+			continue
+		}
 		var fc faults.Counts
 		wall, delivered, least, most := int64(0), 0, int64(-1), int64(0)
 		for i, stats := range c.stats {
-			st := stats[r]
-			c.timeline = append(c.timeline, TimelineRow{Round: r + 1, Shard: i, Phase: "peer-wait", WallNS: st.waitNS})
+			st := stats[x]
+			c.timeline = append(c.timeline, TimelineRow{Round: r, Shard: i, Phase: "peer-wait", WallNS: st.waitNS})
 			wall, most, delivered = max(wall, st.wallNS), max(most, st.waitNS), delivered+int(st.delivered)
 			if least < 0 || st.waitNS < least {
 				least = st.waitNS
 			}
 			fc.Add(st.faults)
 		}
-		c.skew = append(c.skew, RoundSkew{Round: r + 1, SkewNS: most - least})
+		c.skew = append(c.skew, RoundSkew{Round: r, SkewNS: most - least})
 		c.rm.Round(wall, delivered, fc)
+		x++
 	}
 }
 

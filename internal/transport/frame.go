@@ -27,11 +27,11 @@ const (
 	frameSpec                      // coord → shard: JSON wireSpec (spec, peer table, run token)
 	frameInitAck                   // shard → coord: peers connected, Init run [+ round-0 step head, with a probe]
 	framePeer                      // shard → shard: version, shard index, run token (the dialer's hello)
-	frameRound                     // shard → shard: round, delivered, pending, stepped flag [+ halted + sends]
-	frameSends                     // shard → shard: round, halted, sends of a step held back
-	frameReport                    // shard → coord, probed or alone: round [+ delivered, inbox profile, step head, probed]
+	frameRound                     // shard → shard: round, delivered, pending, stepped flag [+ halted + wake + sends]
+	frameSends                     // shard → shard: round, halted, wake, sends of a step held back
+	frameReport                    // shard → coord, probed or alone: round, rounds skipped after it [+ delivered, inbox profile, step head, probed]
 	frameAbort                     // shard → coord: a peer failed (guilty shard, its last round and frame, cause)
-	frameFinal                     // shard → coord: rounds, limit flag, message count, one record per owned node [+ round timings]
+	frameFinal                     // shard → coord: rounds, limit flag, message count, one record per owned node [+ executed rounds' timings]
 	frameTelemetry                 // shard → coord: JSON wireTelemetry (tallies, flight dump)
 
 	// frameTypeCount sizes per-type tally arrays indexed by frame type.
@@ -63,9 +63,9 @@ func frameName(typ byte) string {
 }
 
 // wireVersion guards against coordinator/shard skew, bumped with any
-// incompatible protocol or codec change (history: DESIGN.md §3); 9 took
-// the coordinator off the data path.
-const wireVersion = 9
+// incompatible protocol or codec change (history: DESIGN.md §3); 10 added
+// the wake to a step and the skip to REPORT, so idle rounds cost no frames.
+const wireVersion = 10
 
 // maxFramePayload bounds a frame's payload: generous (the largest frame is
 // a ROUND, linear in the cut between two shards), yet a corrupt or hostile

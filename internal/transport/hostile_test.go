@@ -447,6 +447,47 @@ func TestScriptedPeer(t *testing.T) {
 	}
 }
 
+// TestPeerThatDoesNotJump: when every shard's nodes sleep with nothing in
+// flight, all of them jump to the same later round. Shard 1's first ROUND
+// after such a jump on GHS is rewritten to name the round after its last
+// one, as if it had announced its wake and then not jumped: shard 0 must
+// refuse the frame as soon as it reads it, naming shard 1 in phase
+// peer-wait, well within two timeouts.
+func TestPeerThatDoesNotJump(t *testing.T) {
+	base := runtime.NumGoroutine()
+	last, want := -1, ""
+	scriptPeer(t, 1, func(_ int, typ byte, body []byte) fate {
+		round, n := binary.Uvarint(body)
+		if typ != transport.FrameRound || want != "" {
+			return fate{}
+		}
+		if last < 0 || int(round) == last+1 {
+			last = int(round)
+			return fate{}
+		}
+		want = fmt.Sprintf("ROUND of round %d in round %d", last+1, round)
+		return fate{rewrite: func(b []byte) []byte { return append(uv(uint64(last+1)), b[n:]...) }}
+	})
+	const timeout = 10 * time.Second
+	start := time.Now()
+	_, err := transport.TCP{Shards: 2, Timeout: timeout, Spawn: goroutineSpawner(nil)}.Run(suiteSpecs(1)[3], transport.Options{})
+	if want == "" {
+		t.Fatalf("no round was skipped (err = %v)", err)
+	}
+	if err == nil {
+		t.Fatal("run reported success")
+	}
+	for _, s := range []string{"transport: shard 1: reply", want, "phase peer-wait"} {
+		if !strings.Contains(err.Error(), s) {
+			t.Errorf("err = %v, want it to contain %q", err, s)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 2*timeout {
+		t.Errorf("took %v to surface, want within two %v timeouts", elapsed, timeout)
+	}
+	settleGoroutines(t, base, "peer that does not jump")
+}
+
 // uv encodes vals as concatenated uvarints — every reply body is one.
 func uv(vals ...uint64) []byte {
 	var buf []byte
@@ -483,7 +524,7 @@ func crossingPort(t *testing.T, g *graph.Graph, lo int) (dst, port int) {
 // a frame reads one way only. The coordinator checks what shards tell it:
 // a REPORT (with a probe), INITACK and TELEMETRY.
 func TestHostileReplies(t *testing.T) {
-	spec, path := suiteSpecs(1)[4], pathBFS(0)
+	spec, path, ghs := suiteSpecs(1)[4], pathBFS(0), &suiteSpecs(1)[3]
 	const owned, pathOwned = 16, 8
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
@@ -507,7 +548,7 @@ func TestHostileReplies(t *testing.T) {
 	pathSend := uv(uint64(pathDst), uint64(pathPort), 1, 5)
 	pathTwice := fmt.Sprintf("duplicate inject to node %d port %d", pathDst, pathPort)
 	// round2 is shard 1's ROUND of round 2 on walks: delivered, none
-	// pending, the stepped flag and the step, if any.
+	// pending, the stepped flag and the step, if any (halted, wake, sends).
 	round2 := func(delivered uint64, step []byte) []byte {
 		if step == nil {
 			return append(uv(2, delivered, 0), 0)
@@ -522,10 +563,11 @@ func TestHostileReplies(t *testing.T) {
 	head := func(active, halted uint64, events ...uint64) []byte {
 		return uv(append([]uint64{active, halted, 0, 0, 0, 0}, events...)...) // four fault counts
 	}
-	// report is shard 1's REPORT of round 2: the total, the first owned
-	// node's inbox (size, ports), the other owned nodes' empty ones, the head.
+	// report is shard 1's REPORT of round 2: no rounds skipped, the total,
+	// the first owned node's inbox (size, ports), the other owned nodes'
+	// empty ones, the head.
 	report := func(total uint64, first []uint64, h []byte) []byte {
-		body := append(uv(2, total), uv(first...)...)
+		body := append(uv(2, 0, total), uv(first...)...)
 		return append(append(body, make([]byte, owned-1)...), h...)
 	}
 	type hostileCase struct {
@@ -543,24 +585,30 @@ func TestHostileReplies(t *testing.T) {
 	// SENDS of a held step, or the REPORT that carries the events; and the
 	// INITACK send row the round-0 ROUND that carries Init's sends.
 	cases := []hostileCase{
-		{"STEPPED send dst beyond n", path, transport.FrameSends, 1, uv(2, 0, 1, 37, 0, 0), "peer-wait", "send dst 37"},
-		{"STEPPED send port beyond degree", path, transport.FrameSends, 1, uv(2, 0, 1, 3, 99, 0), "peer-wait", "send dst 3 port 99"},
-		{"STEPPED send that is not the shard's to make", path, transport.FrameSends, 1, uv(2, 0, 1, 9, 0, 0), "peer-wait", "send dst 9 port 0 is the edge from node"},
-		{"STEPPED halted beyond owned", path, transport.FrameSends, 1, uv(2, pathOwned+1, 0), "peer-wait", "halted 9"},
+		{"STEPPED send dst beyond n", path, transport.FrameSends, 1, uv(2, 0, 0, 1, 37, 0, 0), "peer-wait", "send dst 37"},
+		{"STEPPED send port beyond degree", path, transport.FrameSends, 1, uv(2, 0, 0, 1, 3, 99, 0), "peer-wait", "send dst 3 port 99"},
+		{"STEPPED send that is not the shard's to make", path, transport.FrameSends, 1, uv(2, 0, 0, 1, 9, 0, 0), "peer-wait", "send dst 9 port 0 is the edge from node"},
+		{"STEPPED halted beyond owned", path, transport.FrameSends, 1, uv(2, pathOwned+1, 0, 0), "peer-wait", "halted 9"},
 		{"STEPPED event outside the shard", nil, transport.FrameReport, 2, report(0, []uint64{0}, head(0, 0, 1, 1, 3, 2)), "rounds", "event node 3"},
-		{"STEPPED send port named twice", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 2), pathSend, pathSend), "peer-wait", pathTwice},
-		{"INITACK send dst beyond n", nil, transport.FrameRound, 1, slices.Concat(uv(0, 0, 0, 1), uv(0, 1, 1<<40, 0, 0)), "peer-wait", "send dst"},
-		{"DELIVERED step send dst beyond n", nil, transport.FrameRound, 3, round2(1, uv(0, 1, 37, 0, 0)), "peer-wait", "send dst 37"},
-		{"DELIVERED step send port named twice", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 2), send, send)), "peer-wait", twice},
+		{"STEPPED send port named twice", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 2), pathSend, pathSend), "peer-wait", pathTwice},
+		{"INITACK send dst beyond n", nil, transport.FrameRound, 1, slices.Concat(uv(0, 0, 0, 1), uv(0, 0, 1, 1<<40, 0, 0)), "peer-wait", "send dst"},
+		{"DELIVERED step send dst beyond n", nil, transport.FrameRound, 3, round2(1, uv(0, 0, 1, 37, 0, 0)), "peer-wait", "send dst 37"},
+		{"DELIVERED step send port named twice", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 2), send, send)), "peer-wait", twice},
 		{"DELIVERED port beyond degree", nil, transport.FrameReport, 2, report(1, []uint64{1, 1 << 20}, head(0, 0, 0)), "rounds", "inbox port 1048576"},
 		{"DELIVERED sizes not summing", nil, transport.FrameReport, 2, report(5, []uint64{0}, head(0, 0, 0)), "rounds", "delivered 5"},
-		{"DELIVERED stepped in a round that may be quiet", nil, transport.FrameRound, 3, round2(0, uv(0, 0)), "peer-wait",
+		{"DELIVERED stepped in a round that may be quiet", nil, transport.FrameRound, 3, round2(0, uv(0, 0, 0)), "peer-wait",
 			"stepped in round 2, which delivered 0 with 0 delayed pending and may be quiet"},
 		{"DELIVERED held back an owed step", nil, transport.FrameRound, 3, round2(1, nil), "peer-wait",
 			"held its step in round 2, which delivered 1 with 0 delayed pending and cannot be quiet"},
 		{"DELIVERED stepped flag beyond one", nil, transport.FrameRound, 3, badFlag, "peer-wait", "malformed peer stepped flag"},
-		{"DELIVERED step send dst in an overlong form", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 1), overlong)), "peer-wait", "malformed send dst"},
+		{"DELIVERED step send dst in an overlong form", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 1), overlong)), "peer-wait", "malformed send dst"},
+		{"DELIVERED step wake in an overlong form", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0), []byte{0x80, 0}, uv(0))), "peer-wait", "malformed peer wake"},
+		// GHS's round-1 step sleeps every node to the next window: a round 2
+		// that delivers nothing leaves that step a no-op, which sends nothing.
+		{"DELIVERED slept through a round yet sent", ghs, transport.FrameRound, 3, slices.Concat(uv(2, 0, 0), []byte{1}, uv(0, 0, 1, 0, 0, 0)), "peer-wait",
+			"slept through round 2 with nothing delivered, yet halted 0 nodes (0 before) and sent 1"},
 		{"REPORT halted beyond owned", nil, transport.FrameReport, 2, report(0, []uint64{0}, head(0, owned+1, 0)), "rounds", "halted 17"},
+		{"REPORT skip other than shard 0's", nil, transport.FrameReport, 2, uv(2, 3), "rounds", "REPORT skips 3 rounds after round 2, shard 0 0"},
 		{"INITACK halted beyond owned", nil, transport.FrameInitAck, 1, head(0, owned+1, 0), "init", "halted 17"},
 		{"TELEMETRY row of another endpoint", nil, transport.FrameTelemetry, 1, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
 	}
@@ -568,7 +616,7 @@ func TestHostileReplies(t *testing.T) {
 	// stepped flag is still held to its counts.
 	unprobed := []hostileCase{
 		{"unprobed INITACK carrying a step head", nil, transport.FrameInitAck, 1, head(0, 0, 0), "init", "trailing bytes"},
-		{"unprobed DELIVERED stepped in a round that may be quiet", nil, transport.FrameRound, 3, round2(0, uv(0, 0)), "peer-wait",
+		{"unprobed DELIVERED stepped in a round that may be quiet", nil, transport.FrameRound, 3, round2(0, uv(0, 0, 0)), "peer-wait",
 			"stepped in round 2, which delivered 0 with 0 delayed pending and may be quiet"},
 		{"unprobed DELIVERED held back an owed step", nil, transport.FrameRound, 3, round2(1, nil), "peer-wait",
 			"held its step in round 2, which delivered 1 with 0 delayed pending and cannot be quiet"},
@@ -608,9 +656,10 @@ func TestHostileReplies(t *testing.T) {
 			})
 		}
 	}
-	// Unprobed, only a lone shard reports, and only the round: shard 0's
-	// FINAL retyped as a REPORT carrying an inbox profile is refused at two
-	// shards, and a lone shard's second REPORT rewritten at one.
+	// Unprobed, only a lone shard reports, and only the round and the
+	// rounds it skipped after it: shard 0's FINAL retyped as a REPORT
+	// carrying an inbox profile is refused at two shards, and a lone
+	// shard's second REPORT rewritten at one.
 	for _, tc := range []struct {
 		name   string
 		shards int
@@ -621,6 +670,7 @@ func TestHostileReplies(t *testing.T) {
 		{"unprobed REPORT carrying an inbox profile", 2, transport.FrameFinal, uv(1, 1, 1, 0), "REPORT, and no probe asked for it"},
 		{"lone unprobed REPORT of another round", 1, transport.FrameReport, uv(5), "REPORT of round 5 in round 2"},
 		{"lone unprobed REPORT carrying an inbox profile", 1, transport.FrameReport, uv(2, 1, 1, 0), "trailing bytes after report"},
+		{"lone unprobed REPORT skipping past the round limit", 1, transport.FrameReport, uv(2, 1<<40), "REPORT skips 1099511627776 rounds after round 2, past the limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -672,9 +722,9 @@ func TestHostileRelayedPayload(t *testing.T) {
 			lo1, _ := congest.Split{N: g.N(), K: 2}.Bounds(1)
 			dst, port := crossingPort(t, g, lo1)
 			// Round 2, one message delivered, none delayed, stepped; the step:
-			// halted, the one send.
+			// halted, wake, the one send.
 			body := append(uv(2, 1, 0), 1)
-			body = append(body, uv(0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))...)
+			body = append(body, uv(0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))...)
 			body = append(body, tc.payload...)
 
 			base := runtime.NumGoroutine()

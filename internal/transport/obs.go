@@ -52,8 +52,9 @@ type RoundSkew struct {
 }
 
 // TimelineRow is the wall time one shard spent in one phase of one round:
-// the coordinator's accept and spec phases (Round -1), then each round's
-// peer-wait as the shard timed it. Host-dependent, so never in a -trace
+// the coordinator's accept and spec phases (Round -1), then each executed
+// round's peer-wait as the shard timed it (rounds the skip rule jumped have
+// no row). Host-dependent, so never in a -trace
 // export, which stays byte-identical across backends.
 type TimelineRow struct {
 	Round  int    `json:"round"`

@@ -12,10 +12,10 @@ import (
 	"almostmix/internal/congest"
 )
 
-// Proc runs workloads on the in-process CONGEST engines. Workers is
+// Proc runs workloads on the in-process CONGEST round loop. Workers is
 // congest.Options.Workers, i.e. exactly congest.Network.SetWorkers: 1 is
-// the sequential reference engine, w > 1 the sharded parallel engine,
-// w <= 0 (the zero Proc included) one worker per CPU.
+// the sequential reference (one part, inline), w > 1 drives w parts on a
+// worker pool, w <= 0 (the zero Proc included) one worker per CPU.
 type Proc struct {
 	Workers int
 }

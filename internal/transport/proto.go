@@ -42,17 +42,18 @@ type wireTelemetry struct {
 	Dump flightrec.Dump `json:"flightrec"`
 }
 
-// roundStat is one round as one shard saw it: the wall time it waited on
-// its peers' frames, the round's wall time, and what it delivered and
-// counted of faults. With a timeline they end FINAL, seven uvarints each.
+// roundStat is one executed round as one shard saw it: the round, the wall
+// time it waited on its peers' frames, the round's wall time, and what it
+// delivered and counted of faults. With a timeline they end FINAL, a count
+// and eight uvarints each; rounds the skip rule jumped have none.
 type roundStat struct {
-	waitNS, wallNS, delivered int64
-	faults                    faults.Counts
+	round, waitNS, wallNS, delivered int64
+	faults                           faults.Counts
 }
 
 // fields lists the stat's values in their wire order.
-func (st *roundStat) fields() [7]*int64 {
-	return [7]*int64{&st.waitNS, &st.wallNS, &st.delivered, &st.faults.Dropped, &st.faults.Duplicated, &st.faults.Delayed, &st.faults.Crashed}
+func (st *roundStat) fields() [8]*int64 {
+	return [8]*int64{&st.round, &st.waitNS, &st.wallNS, &st.delivered, &st.faults.Dropped, &st.faults.Duplicated, &st.faults.Delayed, &st.faults.Crashed}
 }
 
 // cursor parses one frame payload; the first error sticks and later reads

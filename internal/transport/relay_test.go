@@ -96,7 +96,8 @@ func TestFillUvarint(t *testing.T) {
 // shards of a ring lattice whose every shard borders both others, without
 // sockets. Each shard's external sends, in (node, port) order, interleave
 // their two destinations; every frame must hold exactly the sends bound
-// for its peer, in that order, behind the round's counts — and staged at
+// for its peer, in that order, behind the round's counts, halted count and
+// wake — and staged at
 // the peer, they must be what its deliver phase brings in.
 func TestRelayRunsAtThreeShards(t *testing.T) {
 	const k = 3
@@ -138,6 +139,7 @@ func TestRelayRunsAtThreeShards(t *testing.T) {
 					head = binary.AppendUvarint(head, uint64(delivered[s]))
 					head = append(binary.AppendUvarint(head, 0), 1)
 					head = binary.AppendUvarint(head, uint64(r.reply.halted))
+					head = binary.AppendUvarint(head, 0) // tickers never sleep
 					if ref := appendSends(head, want[l.peer]); !bytes.Equal(frame[frameHead:], ref) {
 						t.Errorf("shard %d → %d: %x, want %x", s, l.peer, frame[frameHead:], ref)
 					}

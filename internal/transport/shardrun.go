@@ -5,13 +5,14 @@ package transport
 // connect to every other shard, then run the rounds with the peers alone.
 // A round is one ROUND frame to each peer and one from each: this shard's
 // delivery counts and, unless they let the round look quiet, its step —
-// its halted count and the sends bound for that peer. From the same counts
-// every shard applies the quiet rule, the round limit and the all-halted
-// test, so all stop on the same round; a shard that held its step back
-// takes it once some peer's frame shows the round is not quiet, and sends
-// it in a SENDS frame. The coordinator hears a REPORT per round when it
-// has a probe or the shard is alone, then FINAL and TELEMETRY — or an
-// ABORT naming the peer that failed. cmd/tcpnode wraps DialShard +
+// its halted count, the earliest round its nodes sleep until and the sends
+// bound for that peer. From the same counts every shard applies the quiet
+// rule, the skip rule, the round limit and the all-halted test, so all
+// stop, and jump over idle rounds, on the same round; a shard that held its
+// step back takes it once some peer's frame shows the round is not quiet,
+// and sends it in a SENDS frame. The coordinator hears a REPORT per round
+// when it has a probe or the shard is alone, then FINAL and TELEMETRY — or
+// an ABORT naming the peer that failed. cmd/tcpnode wraps DialShard +
 // ServeShard; tests run ServeShard on goroutines, under the race detector.
 
 import (
@@ -20,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -153,6 +155,9 @@ type peerLink struct {
 	// What the peer's frames of the round in progress said; the sends of
 	// this shard's frame to it so far, their count due at countAt.
 	stepped, halted, sends, countAt int
+	// Its ROUND's deliver counts, and the earliest round its nodes sleep
+	// until as its step before last (slept) and its last step (wake) said.
+	delivered, pending, slept, wake int
 	lastRound                       int  // the peer's last completed round
 	lastType                        byte // and the last frame read from it
 }
@@ -184,11 +189,12 @@ type shardRuntime struct {
 	stopping  sync.Once
 	gone      chan struct{}
 
-	steps              int         // rounds stepped
+	steps              int         // rounds run, skipped ones included
 	delivered, pending int         // the deliver phase of the round in progress
+	slept, wake        int         // the earliest round the nodes sleep until, before and after the last step
 	reply              stepReply   // the last step's head
 	body               []byte      // coordinator frame scratch
-	stats              []roundStat // with a timeline, one per round
+	stats              []roundStat // with a timeline, one per executed round
 	waitNS             int64       // the round's peer wait so far
 }
 
@@ -238,6 +244,8 @@ func (r *shardRuntime) run(ln net.Listener) error {
 // rounds connects the peers and runs Init and the rounds. Round 0
 // exchanges Init's sends and halted counts; every later round delivers
 // first and steps at once unless this shard's counts may make it quiet.
+// After each round's exchange the skip rule may jump every shard to the
+// same later round (skipTarget); REPORT, if any, names it.
 func (r *shardRuntime) rounds(ln net.Listener) error {
 	if err := r.connect(ln); err != nil {
 		return err
@@ -290,12 +298,41 @@ func (r *shardRuntime) rounds(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		if r.ws.Timeline && round > 0 {
+		if round == 0 {
+			continue
+		}
+		if r.ws.Timeline {
 			st := &r.stats[len(r.stats)-1]
 			st.waitNS, st.wallNS, r.waitNS = r.waitNS, time.Since(t0).Nanoseconds(), 0
 		}
+		to := r.skipTarget(round)
+		r.s.SkipTo(to)
+		r.steps = to
+		if r.ws.Probe || r.ws.Shards == 1 {
+			if err := r.report(round, to); err != nil {
+				return err
+			}
+		}
 	}
 	return r.finish(!quiet && halted < n)
+}
+
+// skipTarget applies the skip rule (congest.SkipTarget) to the counts and
+// wakes of every shard's frames of the round: the round to jump to, or the
+// round itself. Quiet-terminating workloads never skip: their quiet rule
+// must see every empty round.
+func (r *shardRuntime) skipTarget(round int) int {
+	if r.inst.Quiet {
+		return round
+	}
+	delivered, pending, slept, wake := r.delivered, r.pending, r.slept, r.wake
+	for _, l := range r.links {
+		if l != nil {
+			delivered, pending = delivered+l.delivered, pending+l.pending
+			slept, wake = min(slept, l.slept), min(wake, l.wake)
+		}
+	}
+	return congest.SkipTarget(round, delivered, pending, slept, wake, r.inst.MaxRounds)
 }
 
 // connect opens the peer mesh: this shard dials every lower index with a
@@ -365,8 +402,8 @@ func (r *shardRuntime) connect(ln net.Listener) error {
 	return nil
 }
 
-// step runs this shard's step, sends it to the peers in frames of type typ
-// and, for a probe, reports it. An induced death or stall fires first.
+// step runs this shard's step and sends it to the peers in frames of type
+// typ. An induced death or stall fires first.
 func (r *shardRuntime) step(typ byte, round int) error {
 	r.steps++
 	if r.cfg.FailAtRound > 0 && r.steps >= r.cfg.FailAtRound {
@@ -379,18 +416,23 @@ func (r *shardRuntime) step(typ byte, round int) error {
 		r.rec.Record(flightrec.KindError, "", r.steps, -1, 0, "induced shard stall")
 		return errShardStopped
 	}
-	active := r.s.Step()
+	active, wake := r.s.Step()
+	r.slept, r.wake = r.wake, wake
 	fc := r.s.FaultCounts() // drained where the engines drain: a quiet exit's deliver phase counts for nothing
 	r.stepHead(active, fc)
 	if r.ws.Timeline {
-		r.stats = append(r.stats, roundStat{delivered: int64(r.delivered), faults: fc})
+		r.stats = append(r.stats, roundStat{round: int64(round), delivered: int64(r.delivered), faults: fc})
 	}
-	if err := r.sendStep(typ, round, true); err != nil || !r.ws.Probe && r.ws.Shards > 1 {
-		return err
-	}
-	// The REPORT (absorbReport reads it), once the frames are on their way:
-	// the round, and for a probe the inbox profile and the step head.
-	r.body = binary.AppendUvarint(r.body[:0], uint64(r.steps))
+	return r.sendStep(typ, round, true)
+}
+
+// report sends the coordinator the REPORT of a round (absorbReport reads
+// it): the round, how many rounds the skip rule jumped after it (to, the
+// round it jumped to, less the round) and, for a probe, the delivered
+// total, the inbox profile and the step head.
+func (r *shardRuntime) report(round, to int) error {
+	r.body = binary.AppendUvarint(r.body[:0], uint64(round))
+	r.body = binary.AppendUvarint(r.body, uint64(to-round))
 	if r.ws.Probe {
 		r.body = binary.AppendUvarint(r.body, uint64(r.delivered))
 		for u := r.lo; u < r.hi; u++ {
@@ -422,7 +464,8 @@ func (r *shardRuntime) stepHead(active int, fc faults.Counts) {
 
 // sendStep sends every peer its frame of the round: a ROUND (round,
 // delivered, pending, stepped flag) or a SENDS (round), then, if stepped,
-// the halted count and the sends bound for that peer, each encoded once,
+// the halted count, the wake (as rounds slept past the next one: 0 when a
+// node wakes there) and the sends bound for that peer, each encoded once,
 // straight into that peer's frame.
 func (r *shardRuntime) sendStep(typ byte, round int, stepped bool) error {
 	for _, l := range r.links {
@@ -436,6 +479,7 @@ func (r *shardRuntime) sendStep(typ byte, round int, stepped bool) error {
 		}
 		if stepped {
 			l.buf = binary.AppendUvarint(l.buf, uint64(r.reply.halted))
+			l.buf = binary.AppendUvarint(l.buf, uint64(max(r.wake-round-1, 0)))
 			l.countAt, l.sends, l.buf = len(l.buf), 0, append(l.buf, 0)
 		}
 	}
@@ -496,10 +540,11 @@ func (r *shardRuntime) recv(l *peerLink, typ byte, round int) error {
 
 // take checks peer l's frame and applies it: a ROUND's round, counts and
 // stepped flag (set exactly when the counts rule out a quiet round), then a
-// step's halted count and sends, each checked before it is staged — a port
-// of the graph, on an edge from the peer's nodes to this shard's, its
+// step's halted count, wake and sends, each checked before it is staged — a
+// port of the graph, on an edge from the peer's nodes to this shard's, its
 // receiver slot named once a round (Inject refuses a second), a payload
-// the workload decodes.
+// the workload decodes. A step its own counts and last wake make a no-op
+// may neither halt nor send.
 func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error {
 	cur := cursor{b: body}
 	if got := cur.int("peer round"); cur.err == nil && got != round {
@@ -507,28 +552,37 @@ func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error
 	}
 	l.stepped = 1
 	if typ == frameRound {
-		delivered, pending := cur.int("peer delivered"), cur.int("peer pending")
+		l.delivered, l.pending = cur.int("peer delivered"), cur.int("peer pending")
 		if l.stepped = int(cur.byte("peer stepped flag")); cur.err == nil && l.stepped > 1 {
 			cur.fail("peer stepped flag")
 		}
 		if cur.err != nil {
 			return cur.err
 		}
-		switch may := r.inst.quietRound(round-1, delivered, pending); {
+		switch may := r.inst.quietRound(round-1, l.delivered, l.pending); {
 		case may && l.stepped == 1:
-			return fmt.Errorf("stepped in round %d, which delivered %d with %d delayed pending and may be quiet", round, delivered, pending)
+			return fmt.Errorf("stepped in round %d, which delivered %d with %d delayed pending and may be quiet", round, l.delivered, l.pending)
 		case !may && l.stepped == 0:
-			return fmt.Errorf("held its step in round %d, which delivered %d with %d delayed pending and cannot be quiet", round, delivered, pending)
+			return fmt.Errorf("held its step in round %d, which delivered %d with %d delayed pending and cannot be quiet", round, l.delivered, l.pending)
 		case l.stepped == 0:
 			return cur.done("peer frame")
 		}
 	}
 	plo, phi := r.split.Bounds(l.peer)
-	if l.halted = cur.int("peer halted"); cur.err == nil && l.halted > phi-plo {
-		return fmt.Errorf("halted %d of %d owned nodes", l.halted, phi-plo)
+	halted, sleeps := cur.int("peer halted"), cur.int("peer wake")
+	if cur.err == nil && halted > phi-plo {
+		return fmt.Errorf("halted %d of %d owned nodes", halted, phi-plo)
+	}
+	sends := cur.length("send count")
+	if noop := l.delivered == 0 && l.pending == 0 && l.wake > round; cur.err == nil && noop && (halted != l.halted || sends > 0) {
+		return fmt.Errorf("slept through round %d with nothing delivered, yet halted %d nodes (%d before) and sent %d", round, halted, l.halted, sends)
+	}
+	l.halted, l.slept, l.wake = halted, l.wake, math.MaxInt
+	if sleeps < math.MaxInt-round-1 {
+		l.wake = round + 1 + sleeps
 	}
 	g := r.inst.Graph
-	for n := cur.length("send count"); n > 0 && cur.err == nil; n-- {
+	for n := sends; n > 0 && cur.err == nil; n-- {
 		dst, port, payload := cur.send()
 		if cur.err != nil {
 			break
@@ -557,14 +611,17 @@ func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error
 }
 
 // finish ends the run: FINAL (rounds run, whether the limit ended them,
-// the owned message count and records, the round timings), then, once the
-// peer writers are done, TELEMETRY: the tallies of the coordinator link
-// (but for TELEMETRY itself) and of the peer links, and the flight dump.
+// the owned message count and records, the executed rounds' timings), then,
+// once the peer writers are done, TELEMETRY: the tallies of the coordinator
+// link (but for TELEMETRY itself) and of the peer links, and the flight dump.
 func (r *shardRuntime) finish(limit bool) error {
 	r.body = binary.AppendUvarint(r.body[:0], uint64(r.steps))
 	r.body = append(r.body, flag(limit))
 	r.body = binary.AppendUvarint(r.body, uint64(r.s.Messages()))
 	r.body = appendRecords(r.body, r.inst.harvest(nil, r.lo, r.hi))
+	if r.ws.Timeline {
+		r.body = binary.AppendUvarint(r.body, uint64(len(r.stats)))
+	}
 	for _, st := range r.stats {
 		for _, v := range st.fields() {
 			r.body = binary.AppendUvarint(r.body, uint64(*v))

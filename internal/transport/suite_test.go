@@ -169,9 +169,9 @@ func TestProcMatchesDirectEngine(t *testing.T) {
 }
 
 // TestProcWorkersZeroIsOnePerCPU pins -workers 0: a proc backend built
-// from the flag's zero must run the parallel engine with one worker per
-// CPU — visible as the per-worker busy counters — not silently fall back
-// to the sequential engine.
+// from the flag's zero must drive one part per CPU on the worker pool —
+// visible as the per-worker busy counters — not silently fall back to one
+// part inline.
 func TestProcWorkersZeroIsOnePerCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	reg := metrics.New()
@@ -234,16 +234,22 @@ func TestShardDeathMidRound(t *testing.T) {
 // Either way its peer waits on it in vain, names it within one timeout —
 // it last completed round 1, and its last frame was a ROUND — and the
 // coordinator surfaces that within two. A lone shard has no peer: the
-// coordinator's own wait on its REPORT of round 2 runs out instead.
+// coordinator's own wait on its REPORT of round 2 runs out instead. The
+// lone GHS shard stalls inside a skip: round 70 lies in the idle tail of
+// the first 78-round window, which the shard jumps to round 78 after the
+// REPORT that names the skip; the stall fires as it steps round 79, and
+// the coordinator's wait on that round's REPORT runs out.
 func TestShardStallHitsDeadline(t *testing.T) {
 	for _, tc := range []struct {
 		spec          transport.Spec
 		shards, shard int
+		stall, last   int
 		frame, phase  string
 	}{
-		{suiteSpecs(1)[4], 2, 0, "last frame ROUND", "phase peer-wait"},
-		{*pathBFS(0), 2, 1, "last frame ROUND", "phase peer-wait"},
-		{suiteSpecs(1)[4], 1, 0, "last frame REPORT", "phase rounds"},
+		{suiteSpecs(1)[4], 2, 0, 2, 1, "last frame ROUND", "phase peer-wait"},
+		{*pathBFS(0), 2, 1, 2, 1, "last frame ROUND", "phase peer-wait"},
+		{suiteSpecs(1)[4], 1, 0, 2, 1, "last frame REPORT", "phase rounds"},
+		{suiteSpecs(1)[3], 1, 0, 70, 78, "last frame REPORT", "phase rounds"},
 	} {
 		name := tc.spec.Workload
 		if tc.shards == 1 {
@@ -255,7 +261,7 @@ func TestShardStallHitsDeadline(t *testing.T) {
 				Timeout: 1 * time.Second,
 				Spawn: goroutineSpawner(func(shard int) transport.ShardConfig {
 					if shard == tc.shard {
-						return transport.ShardConfig{StallAtRound: 2}
+						return transport.ShardConfig{StallAtRound: tc.stall}
 					}
 					return transport.ShardConfig{}
 				}),
@@ -266,7 +272,7 @@ func TestShardStallHitsDeadline(t *testing.T) {
 				t.Fatal("stalled shard: run reported success")
 			}
 			var nerr net.Error
-			for _, want := range []string{fmt.Sprintf("transport: shard %d:", tc.shard), "last completed round 1", tc.frame, tc.phase} {
+			for _, want := range []string{fmt.Sprintf("transport: shard %d:", tc.shard), fmt.Sprintf("last completed round %d", tc.last), tc.frame, tc.phase} {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error does not name %q: %v", want, err)
 				}
@@ -282,11 +288,13 @@ func TestShardStallHitsDeadline(t *testing.T) {
 }
 
 // TestOneExchangePerRound pins the round's shape: one ROUND frame from
-// every shard to every peer. GHS is not quiet-terminating, so every shard
-// steps at once and no SENDS goes out; counted once each, on the sender's
-// side, the frames are the ROUNDs of rounds 0..R, one PEER hello per pair,
-// and per shard five on its coordinator link (HELLO, SPEC, INITACK, FINAL,
-// TELEMETRY) plus a REPORT per round for the probe. The path BFS is the
+// every shard to every peer for each round run, none for the rounds the
+// skip rule jumps. GHS is not quiet-terminating, so every shard steps at
+// once and no SENDS goes out; counted once each, on the sender's side, the
+// frames are the ROUNDs of round 0 and the E executed rounds, one PEER
+// hello per pair, and per shard five on its coordinator link (HELLO, SPEC,
+// INITACK, FINAL, TELEMETRY) plus a REPORT per executed round for the
+// probe. GHS sleeps through most of each window, so E is well below R. The path BFS is the
 // held step: its far shards hold their steps back and send SENDS, and the
 // trace and result still equal the sequential engine's. Rooted at node 0
 // the held shards follow the stepping ones; rooted at node 15 they come
@@ -311,14 +319,18 @@ func TestOneExchangePerRound(t *testing.T) {
 		if n, ok := snap.Counter("tcpnet_frames_sent_total{type=SENDS}"); ok {
 			t.Errorf("ghs, %d shards: %d SENDS frames, want none", s, n)
 		}
-		r := int64(res.Rounds)
+		skipped, _ := snap.Counter("congest_rounds_skipped_total")
+		r := int64(res.Rounds) - skipped
+		if 2*r > int64(res.Rounds) {
+			t.Errorf("ghs, %d shards: %d of %d rounds executed, want most skipped", s, r, res.Rounds)
+		}
 		pairs := int64(s * (s - 1))
 		if n, _ := snap.Counter("tcpnet_frames_sent_total{type=ROUND}"); n != pairs*(r+1) {
-			t.Errorf("ghs, %d shards, %d rounds: %d ROUND frames, want %d", s, r, n, pairs*(r+1))
+			t.Errorf("ghs, %d shards, %d executed rounds: %d ROUND frames, want %d", s, r, n, pairs*(r+1))
 		}
 		frames, _ := snap.Counter("tcpnet_frames_total")
 		if want := pairs*(r+1) + pairs/2 + int64(s)*(5+r); frames != want {
-			t.Errorf("ghs, %d shards, %d rounds: %d frames, want %d", s, r, frames, want)
+			t.Errorf("ghs, %d shards, %d executed rounds: %d frames, want %d", s, r, frames, want)
 		}
 	}
 	for _, root := range []int{0, 15} {

@@ -251,27 +251,33 @@ fi
 	-metrics "$out/mst-tcp-metrics.json" >/dev/null
 echo "smoke: E20 faulty TCP/proc trace parity ok"
 
-# One exchange per round across real tcpnode processes: each shard sends
-# each peer one ROUND frame a round, so S shards send at most S(S-1) of
-# them per round — round 0's included, one per run beyond the rounds the
-# metrics count — and GHS, which is not quiet-terminating, never holds a
-# step back for a SENDS.
+# One exchange per executed round across real tcpnode processes: each
+# shard sends each peer one ROUND frame a round it runs, so S shards send
+# at most S(S-1) of them per executed round — round 0's included, one per
+# run beyond the rounds the metrics count — and none for the rounds the
+# skip rule jumps while GHS sleeps out its windows, which must be some.
+# GHS, which is not quiet-terminating, never holds a step back for a SENDS.
 check_metrics "mst -transport tcp" "$out/mst-tcp-metrics.json"
 counter() {
 	grep -A 1 "\"$1\"" "$2" | sed -n 's/.*"value": \([0-9]*\).*/\1/p' | head -n 1
 }
 rounds=$(counter congest_rounds_total "$out/mst-tcp-metrics.json")
+skipped=$(counter congest_rounds_skipped_total "$out/mst-tcp-metrics.json")
 runs=$(counter congest_runs_total "$out/mst-tcp-metrics.json")
 frames=$(counter 'tcpnet_frames_sent_total{type=ROUND}' "$out/mst-tcp-metrics.json")
-if [ -z "$rounds" ] || [ -z "$runs" ] || [ -z "$frames" ] || [ "$frames" -gt $((2 * (rounds + runs))) ]; then
-	echo "smoke: tcp GHS run sent ${frames:-no} ROUND frames in ${rounds:-?} rounds of ${runs:-?} runs: more than S(S-1) = 2 a round" >&2
+if [ -z "$rounds" ] || [ -z "$skipped" ] || [ -z "$runs" ] || [ -z "$frames" ] || [ "$frames" -gt $((2 * (rounds - skipped + runs))) ]; then
+	echo "smoke: tcp GHS run sent ${frames:-no} ROUND frames in ${rounds:-?} rounds (${skipped:-?} skipped) of ${runs:-?} runs: more than S(S-1) = 2 an executed round" >&2
+	exit 1
+fi
+if [ "$skipped" -eq 0 ]; then
+	echo "smoke: tcp GHS run skipped no round: its idle window tails were stepped" >&2
 	exit 1
 fi
 if grep -q '"tcpnet_frames_sent_total{type=SENDS}"' "$out/mst-tcp-metrics.json"; then
 	echo "smoke: tcp GHS run held a step back (SENDS frames)" >&2
 	exit 1
 fi
-echo "smoke: one exchange per round ok ($frames ROUND frames, $rounds rounds)"
+echo "smoke: one exchange per executed round ok ($frames ROUND frames, $rounds rounds, $skipped skipped)"
 
 # A fault rule naming a node or edge the graph does not have is a run
 # error (exit 1, the graph is only known once the run builds it), with
@@ -368,6 +374,18 @@ fi
 "$bin/obsreport" -obs "$out/walks-stall-obs.json" -out "$out/obsreport-stall.txt"
 if ! grep -q 'guilty_shard=1' "$out/obsreport-stall.txt"; then
 	echo "smoke: obsreport does not surface the guilty shard for the stall" >&2
+	exit 1
+fi
+# The report counts a run's executed and skipped rounds: a walk never
+# sleeps, GHS sleeps out most of each window.
+if ! grep -q '^executed_rounds=[1-9][0-9]* skipped_rounds=0$' "$out/obsreport.txt"; then
+	echo "smoke: obsreport of the walks run does not show its executed rounds, none skipped" >&2
+	exit 1
+fi
+"$bin/mst" -quick -ghsnet -transport tcp -shards 2 -obsout "$out/mst-obs.json" >/dev/null
+"$bin/obsreport" -obs "$out/mst-obs.json" -out "$out/obsreport-mst.txt"
+if ! grep -q '^executed_rounds=[1-9][0-9]* skipped_rounds=[1-9][0-9]*$' "$out/obsreport-mst.txt"; then
+	echo "smoke: obsreport of the GHS run does not show executed and skipped rounds" >&2
 	exit 1
 fi
 expect_reject "obsreport without -obs" "$bin/obsreport"

@@ -265,6 +265,27 @@ func TestNewNetworkAllocs(t *testing.T) {
 	t.Logf("NewNetwork: %.0f objects", allocs)
 }
 
+// TestOnePartRunZeroAlloc: a one-part run allocates nothing at all, run
+// start included — its only part lives in the Network, and it starts no
+// goroutine and makes no channel.
+func TestOnePartRunZeroAlloc(t *testing.T) {
+	g := graph.RingLattice(512, 4)
+	nets := make([]*Network, 6) // AllocsPerRun calls once more than runs
+	for i := range nets {
+		nets[i] = NewUniformNetwork(g, func(int) Program { return NewTicker(40) }, rngutil.NewSource(7))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(nets)-1, func() {
+		if _, err := nets[next].Run(100); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a one-part run allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // TestPortOfMatchesMapReference is the differential property test for
 // the port lookup: on random graphs, Ctx.PortTo must agree with the
 // obvious map-based reference built from the graph's own adjacency — for

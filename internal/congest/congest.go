@@ -132,8 +132,8 @@ type Ctx struct {
 	wake int
 
 	// Probe bookkeeping, populated only when a probe is attached. Like
-	// msgs these are sharded: written by the owning worker, drained by
-	// the coordinator between barriers.
+	// msgs these are sharded: written by the owning part, drained by the
+	// caller between barriers.
 	marks      []phaseMark
 	justHalted bool
 	haltRound  int
@@ -276,6 +276,12 @@ type Network struct {
 	// sequential reference engine, the whole network inline on the calling
 	// goroutine; SetWorkers resolves <=0 to one per available CPU.
 	workers int
+	// parts are the run's parts (engine.go): part 0 runs on the caller,
+	// each other on its own goroutine, which reports the end of a phase on
+	// done. solo holds a one-part run's part, so that run allocates nothing.
+	parts []part
+	solo  [1]part
+	done  chan struct{}
 	// started enforces that a Network is single-use (see begin).
 	started bool
 	// probe, when non-nil, observes the run (see probe.go); agg is the
@@ -447,12 +453,12 @@ func (n *Network) RunUntilQuiet(maxRounds int) (int, error) { return n.run(maxRo
 //
 // The inbox is the node's recycled arena subslice, reset to length zero
 // here — steady-state rounds never allocate. When a fault plan is
-// attached this is also the single injection point (see faultnet.go); w
-// is the calling part's worker slot for the fault layer's padded counts.
-func (n *Network) deliverTo(u, w int) int {
+// attached this is also the single injection point (see faultnet.go),
+// counting its events into fc, the calling part's own counts.
+func (n *Network) deliverTo(u int, fc *faults.Counts) int {
 	inbox := n.inboxes[u][:0]
 	if n.fs != nil {
-		inbox = n.fs.deliverFaulty(n, u, inbox, w)
+		inbox = n.fs.deliverFaulty(n, u, inbox, fc)
 		n.inboxes[u] = inbox
 		return len(inbox)
 	}

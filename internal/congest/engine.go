@@ -14,14 +14,17 @@ package congest
 //	         outbox, RNG and program state are touched only by the part
 //	         that owns it.
 //
-// With one part both phases run inline on the calling goroutine, in node-ID
-// order: that is the sequential reference engine — no pool, no goroutine,
-// and not one allocation for a whole run. With k > 1 parts each phase is
-// one task per part on a workerPool. Because inboxes are assembled in port
-// order at the receiver and every node is owned by exactly one part per
-// phase, the execution is bit-identical for every part count: same rounds,
-// same message counts, same per-node final state, same per-node RNG
-// consumption. Parallelism changes wall-clock time only.
+// The executor: a run's k parts (cut by Split) live for the run. Part 0
+// runs every phase on the calling goroutine, each other part on its own
+// goroutine, which takes phases from its own channel; a part keeps its
+// results in its own struct, and the caller sums them after the barrier.
+// One part is the sequential reference engine, in node-ID order: the same
+// code with no goroutine, no channel and not one allocation for a whole
+// run. Because inboxes are assembled in port order at the receiver and
+// every node is owned by exactly one part per phase, the execution is
+// bit-identical for every part count: same rounds, same message counts,
+// same per-node final state, same per-node RNG consumption. Parallelism
+// changes wall-clock time only.
 //
 // The skip rule (SkipTarget): after a round whose deliver phase delivered
 // nothing, with no delayed message pending, in which every live node
@@ -43,8 +46,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
+
+	"almostmix/internal/faults"
 )
 
 // normalizeWorkers resolves a worker-count request: values <= 0 select one
@@ -56,116 +60,126 @@ func normalizeWorkers(w int) int {
 	return w
 }
 
-// pad keeps per-worker counters on distinct cache lines.
-const pad = 8
+// phase names the half of a round a part runs.
+type phase uint8
 
-// workerPool is a fixed set of goroutines executing one task per shard per
-// phase. Program panics are captured and re-raised on the coordinating
-// goroutine, preserving the sequential engine's panic semantics.
-type workerPool struct {
-	tasks chan poolTask
-	wg    sync.WaitGroup
+const (
+	deliverPhase phase = iota
+	stepPhase
+)
 
-	mu     sync.Mutex
-	panics []any
-}
-
-type poolTask struct {
-	fn    func(shard int)
-	shard int
-}
-
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{tasks: make(chan poolTask, workers)}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for t := range p.tasks {
-				p.runOne(t)
-			}
-		}()
+// startParts cuts the network into k parts by Split for the run and starts
+// a goroutine for each part but the first, fed by the part's own phases
+// channel. A one-part run's part lives in the Network itself (solo), so it
+// starts nothing and allocates nothing. timed makes every part clock its
+// phases into its busyNS (metrics.go).
+func (n *Network) startParts(k int, timed bool) {
+	n.parts = n.solo[:]
+	if k > 1 {
+		n.parts, n.done = make([]part, k), make(chan struct{}, k-1)
 	}
-	return p
+	split := Split{N: n.g.N(), K: k}
+	for i := range n.parts {
+		p := &n.parts[i]
+		lo, hi := split.Bounds(i)
+		*p = part{net: n, lo: lo, hi: hi, timed: timed}
+		if i > 0 {
+			p.phases = make(chan phase, 1)
+			go p.serve(n.done)
+		}
+	}
 }
 
-func (p *workerPool) runOne(t poolTask) {
-	defer p.wg.Done()
+// stopParts closes every other part's phases channel and waits until each
+// goroutine has left its loop. run defers it, so no part goroutine
+// outlives a run, whichever way the run ends.
+func (n *Network) stopParts() {
+	for i := 1; i < len(n.parts); i++ {
+		close(n.parts[i].phases)
+		<-n.done
+	}
+}
+
+// serve is the loop of a part's own goroutine: run each phase handed to
+// it, catching a panic into the part, and report the phase's end on done
+// — then, once the channel closes, the loop's own end.
+func (p *part) serve(done chan<- struct{}) {
+	for ph := range p.phases {
+		func() {
+			defer func() { p.panicked = recover() }()
+			p.run(ph)
+		}()
+		done <- struct{}{}
+	}
+	done <- struct{}{}
+}
+
+// run runs one phase over the part and leaves its results in the part.
+func (p *part) run(ph phase) {
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
+	if ph == deliverPhase {
+		p.delivered = p.deliver()
+	} else {
+		p.active, p.halted, p.wake = p.step()
+	}
+	if p.timed {
+		p.busyNS += time.Since(t0).Nanoseconds()
+	}
+}
+
+// runPhase runs ph on every part — part 0 here, on the caller, each other
+// part on its goroutine — and returns once all have finished: that is the
+// barrier between phases. A panicking part stops no other; the caller
+// waits for every part and then re-raises the first panic in part order.
+func (n *Network) runPhase(ph phase) {
+	for i := 1; i < len(n.parts); i++ {
+		n.parts[i].phases <- ph
+	}
+	if len(n.parts) > 1 {
+		// A goroutine woken by a send runs next on the sender's P, and an
+		// idle P steals it only late: part 1 would mostly wait for part 0
+		// (E26). Yielding runs it here and lets an idle P take the caller.
+		runtime.Gosched()
+	}
 	defer func() {
-		if r := recover(); r != nil {
-			p.mu.Lock()
-			p.panics = append(p.panics, r)
-			p.mu.Unlock()
+		first := recover() // part 0's
+		for i := 1; i < len(n.parts); i++ {
+			<-n.done
+		}
+		for i := 1; i < len(n.parts) && first == nil; i++ {
+			first = n.parts[i].panicked
+		}
+		if first != nil {
+			panic(first)
 		}
 	}()
-	t.fn(t.shard)
+	n.parts[0].run(ph)
 }
 
-// dispatch runs fn once per shard and waits for all shards to finish. If
-// any shard panicked, the first panic is re-raised here.
-func (p *workerPool) dispatch(shards int, fn func(shard int)) {
-	p.wg.Add(shards)
-	for w := 0; w < shards; w++ {
-		p.tasks <- poolTask{fn: fn, shard: w}
+// deliver and step are part.deliver and part.step over the run's parts:
+// one barrier each, the parts' counts summed and their wakes' minimum
+// taken.
+func (n *Network) deliver() (delivered int) {
+	n.runPhase(deliverPhase)
+	for i := range n.parts {
+		delivered += n.parts[i].delivered
 	}
-	p.wg.Wait()
-	if len(p.panics) > 0 {
-		r := p.panics[0]
-		p.panics = nil
-		panic(r)
-	}
+	return delivered
 }
 
-func (p *workerPool) close() { close(p.tasks) }
-
-// partPool runs the k > 1 parts of a network on a workerPool, one task per
-// part per phase. A task leaves its part's tallies in the part's own padded
-// slot; the coordinator folds them after the barrier.
-type partPool struct {
-	*workerPool
-	parts                 []part
-	deliverTask, stepTask func(w int)
-	tally                 []int // tally[w*pad+i]: part w's delivered (0), active (1), halted (2), wake (3)
-}
-
-func newPartPool(n *Network, k int, ms *metricsState) *partPool {
-	pp := &partPool{workerPool: newWorkerPool(k), parts: make([]part, k), tally: make([]int, k*pad)}
-	split := Split{N: n.g.N(), K: k}
-	for w := range pp.parts {
-		lo, hi := split.Bounds(w)
-		pp.parts[w] = part{net: n, lo: lo, hi: hi, w: w}
-	}
-	pp.deliverTask = func(w int) { pp.tally[w*pad] = pp.parts[w].deliver() }
-	pp.stepTask = func(w int) {
-		t := pp.tally[w*pad:]
-		t[1], t[2], t[3] = pp.parts[w].step()
-	}
-	if ms != nil {
-		// Each worker accumulates its part's busy time around both tasks.
-		pp.deliverTask, pp.stepTask = ms.timed(pp.deliverTask), ms.timed(pp.stepTask)
-	}
-	return pp
-}
-
-// deliver and step are part.deliver and part.step over all k parts: one
-// barrier each, the parts' counts summed and their wakes' minimum taken.
-func (pp *partPool) deliver() int {
-	pp.dispatch(len(pp.parts), pp.deliverTask)
-	return pp.sum(0)
-}
-
-func (pp *partPool) step() (active, halted, wake int) {
-	pp.dispatch(len(pp.parts), pp.stepTask)
+func (n *Network) step() (active, halted, wake int) {
+	n.runPhase(stepPhase)
 	wake = math.MaxInt
-	for i := 3; i < len(pp.tally); i += pad {
-		wake = min(wake, pp.tally[i])
+	for i := range n.parts {
+		p := &n.parts[i]
+		active += p.active
+		halted += p.halted
+		wake = min(wake, p.wake)
 	}
-	return pp.sum(1), pp.sum(2), wake
-}
-
-func (pp *partPool) sum(i int) (total int) {
-	for ; i < len(pp.tally); i += pad {
-		total += pp.tally[i]
-	}
-	return total
+	return active, halted, wake
 }
 
 // run is the round loop behind Run and RunUntilQuiet. The network is cut
@@ -178,16 +192,11 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 	nNodes := n.g.N()
 	k := max(min(n.workers, nNodes), 1)
 	n.probeRunStart()
-	n.faultsRunStart(k)
+	n.faultsRunStart()
 	ms := n.metricsRunStart(k)
-	// One part runs inline (pool stays nil: the sequential reference
-	// engine builds no closure and allocates nothing); k > 1 run pooled.
+	n.startParts(k, ms != nil && k > 1)
+	defer n.stopParts()
 	all := n.all()
-	var pool *partPool
-	if k > 1 {
-		pool = newPartPool(n, k, ms)
-		defer pool.close()
-	}
 	all.Init()
 	if n.probe != nil {
 		all.DrainEvents(n.onMark, n.onHalt) // marks/halts emitted during Init, round 0
@@ -199,22 +208,17 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 		if ms != nil {
 			t0 = time.Now()
 		}
-		var delivered, active, next int
-		if pool == nil {
-			delivered = all.deliver()
-		} else {
-			delivered = pool.deliver()
+		delivered, pending := n.deliver(), 0
+		if delivered == 0 {
+			pending = all.PendingDelayed() // both rules below need a round that delivered nothing
 		}
-		if quiet && n.rounds > 0 && delivered == 0 && n.faultsQuiet() {
+		if quiet && QuietRound(n.rounds, delivered, pending, n.faultPlan) {
 			return n.finish(nil)
 		}
 		n.rounds++
-		if pool == nil {
-			active, halted, next = all.step()
-		} else {
-			active, halted, next = pool.step()
-		}
-		fc := all.FaultCounts()
+		var active, next int
+		active, halted, next = n.step()
+		fc := n.faultCounts()
 		if n.probe != nil {
 			n.probeRoundFlush(delivered, active, halted, fc)
 		}
@@ -222,7 +226,7 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 			ms.Round(time.Since(t0).Nanoseconds(), delivered, fc)
 		}
 		if !quiet && delivered == 0 {
-			n.skipTo(SkipTarget(n.rounds, delivered, all.PendingDelayed(), wake, next, maxRounds), halted)
+			n.skipTo(SkipTarget(n.rounds, delivered, pending, wake, next, maxRounds), halted)
 		}
 		wake = next
 	}
@@ -230,6 +234,15 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 		return n.finish(nil)
 	}
 	return n.finish(fmt.Errorf("after %d rounds: %w", n.rounds, ErrRoundLimit))
+}
+
+// QuietRound is the quiet rule, in the one place both backends read it,
+// for the deliver phase that follows round: RunUntilQuiet ends there when
+// a round has run (round > 0), the phase delivered nothing, no delayed
+// message is pending and no crashed node of plan (nil: none) is due to
+// recover — a recovery can resume traffic from queued program state.
+func QuietRound(round, delivered, pending int, plan *faults.Plan) bool {
+	return round > 0 && delivered == 0 && pending == 0 && (plan == nil || plan.QuietAfter(round))
 }
 
 // SkipTarget is the skip rule, for runs the quiet rule does not end, in
@@ -254,16 +267,15 @@ func SkipTarget(round, delivered, pending, slept, wake, maxRounds int) int {
 // every live node with an empty inbox, under its sleep promise — a no-op.
 // Each is reported as that no-op round: a probe record with nothing
 // delivered, Active the live uncrashed nodes, Halted unchanged and the
-// plan's crash count for the round (part.FaultCounts, which also folds it
-// into the plan totals; nothing else can fault, nothing is in flight); the
+// plan's crash count for the round (faultCounts, which also folds it into
+// the plan totals; nothing else can fault, nothing is in flight); the
 // metrics count it as simulated and skipped.
 func (n *Network) skipTo(target, halted int) {
-	all := n.all()
 	for n.rounds < target {
 		n.rounds++
-		fc := all.FaultCounts()
+		fc := n.faultCounts()
 		if n.probe != nil {
-			n.agg.RoundEnd(n.probe, n.rounds, 0, all.idleActive(), halted, fc)
+			n.agg.RoundEnd(n.probe, n.rounds, 0, n.all().idleActive(), halted, fc)
 		}
 		if n.ms != nil {
 			n.ms.Skipped(fc)

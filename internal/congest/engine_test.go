@@ -12,7 +12,9 @@ package congest
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/graph"
@@ -386,8 +388,8 @@ func TestDifferentialProbeEvents(t *testing.T) {
 }
 
 // TestSplitOwnerInvertsBounds: the parts tile [0, n) in order, and Owner —
-// the closed form the TCP coordinator routes every relayed message by — is
-// the inverse of Bounds, also when k > n leaves some parts empty.
+// the closed form a TCP shard picks the peer for each boundary send by —
+// is the inverse of Bounds, also when k > n leaves some parts empty.
 func TestSplitOwnerInvertsBounds(t *testing.T) {
 	for n := 1; n <= 40; n++ {
 		for k := 1; k <= n+3; k++ {
@@ -454,6 +456,60 @@ func TestParallelPanicPropagates(t *testing.T) {
 		}}
 	}, rngutil.NewSource(1))
 	_, _ = net.SetWorkers(4).Run(3)
+}
+
+// TestEveryPartPanics: when every node panics with its ID in the same
+// step, every part panics in one phase; the caller waits for all of them
+// and exactly one panic reaches it — the first in part order, node 0's.
+func TestEveryPartPanics(t *testing.T) {
+	for _, workers := range []int{2, 4, 8} {
+		func() {
+			defer func() {
+				if r := recover(); r != 0 {
+					t.Fatalf("workers=%d: caller got panic %v, want node 0's", workers, r)
+				}
+			}()
+			net := NewUniformNetwork(graph.Ring(16), func(v int) Program {
+				return programFunc{step: func(ctx *Ctx, _ []Inbound) { panic(ctx.ID()) }}
+			}, rngutil.NewSource(1))
+			_, _ = net.SetWorkers(workers).Run(3)
+		}()
+	}
+}
+
+// TestPartGoroutinesEnd: the goroutines of a run's parts are gone once Run
+// returns, whether it halts, hits the round limit or re-raises a panic.
+func TestPartGoroutinesEnd(t *testing.T) {
+	exits := []struct {
+		name   string
+		rounds int
+		step   func(*Ctx, []Inbound)
+	}{
+		{"halt", 5, func(ctx *Ctx, _ []Inbound) { ctx.Halt() }},
+		{"round limit", 3, func(ctx *Ctx, _ []Inbound) {}},
+		{"panic", 5, func(ctx *Ctx, _ []Inbound) { panic("step") }},
+	}
+	for _, workers := range []int{2, 8} {
+		for _, exit := range exits {
+			before := runtime.NumGoroutine()
+			func() {
+				defer func() { _ = recover() }()
+				net := NewUniformNetwork(graph.Ring(16), func(v int) Program {
+					return programFunc{step: exit.step}
+				}, rngutil.NewSource(1))
+				_, _ = net.SetWorkers(workers).Run(exit.rounds)
+			}()
+			// A part goroutine has reported its end before Run returns; give
+			// the last instructions of its exit a moment to retire.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() != before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got != before {
+				t.Fatalf("workers=%d, %s: %d goroutines after Run, %d before", workers, exit.name, got, before)
+			}
+		}
+	}
 }
 
 // TestSetWorkersSelectsEngine checks the RunUntilQuiet engine option: a

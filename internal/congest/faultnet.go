@@ -27,10 +27,10 @@ package congest
 //     not counted as fault drops).
 //   - Severed edges drop both directions from the sever round on,
 //     counted as drops.
-//   - Per-round fault counts are accumulated in padded per-worker slots
-//     and drained by the coordinator between barriers (part.FaultCounts),
-//     which also folds them into the plan totals and hands them to the
-//     probe record and the metrics counters.
+//   - Per-round fault counts are accumulated in the delivering part's own
+//     counts and drained by the caller between barriers (part.FaultCounts,
+//     summed over the run's parts), which also folds them into the plan
+//     totals and hands them to the probe record and the metrics counters.
 //
 // With no plan attached the engine keeps a single nil check on the
 // delivery path; an attached-but-empty plan takes the fault path but
@@ -53,21 +53,15 @@ type delayedMsg struct {
 	in  Inbound
 }
 
-// faultCountStride spaces per-worker Counts (32 bytes each) a cache line
-// apart, matching the engines' padded-counter discipline.
-const faultCountStride = 2
-
 // faultState is the per-run scratch of the fault layer, allocated at run
 // start only when a plan is attached.
 type faultState struct {
 	plan    *faults.Plan
 	pending [][]delayedMsg // per receiver; single-writer per phase
-	counts  []faults.Counts
 }
 
-// faultsRunStart allocates the fault scratch for the run. workers is the
-// number of parts that deliver concurrently, one count slot each.
-func (n *Network) faultsRunStart(workers int) {
+// faultsRunStart allocates the fault scratch for the run.
+func (n *Network) faultsRunStart() {
 	if n.faultPlan == nil {
 		n.fs = nil
 		return
@@ -75,7 +69,6 @@ func (n *Network) faultsRunStart(workers int) {
 	n.fs = &faultState{
 		plan:    n.faultPlan,
 		pending: make([][]delayedMsg, n.g.N()),
-		counts:  make([]faults.Counts, workers*faultCountStride),
 	}
 }
 
@@ -85,20 +78,11 @@ func (n *Network) nodeCrashed(v int) bool {
 	return n.fs != nil && n.fs.plan.Crashed(v, n.rounds)
 }
 
-// faultsQuiet reports whether the fault layer allows a quiet termination:
-// no delayed message is still in flight and no crashed node is due to
-// recover (a recovery can resume traffic from queued program state). It
-// is called by the coordinator only, between barriers.
-func (n *Network) faultsQuiet() bool {
-	return n.fs == nil || n.all().PendingDelayed() == 0 && n.fs.plan.QuietAfter(n.rounds)
-}
-
 // deliverFaulty is the fault-injecting body of deliverTo: it rebuilds
 // receiver u's inbox for round n.rounds+1, applying the plan at this one
-// point. w is the calling part's worker slot for the padded counts.
-func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, w int) []Inbound {
+// point, and counts its events into fc, the calling part's own counts.
+func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, fc *faults.Counts) []Inbound {
 	round := n.rounds + 1
-	fc := &fs.counts[w*faultCountStride]
 	ctx := &n.ctxs[u]
 
 	start, half := n.g.CSR()

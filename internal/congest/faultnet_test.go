@@ -379,3 +379,71 @@ func TestEdgeLoadNoInt32Wraparound(t *testing.T) {
 		t.Fatalf("MaxEdgeLoad = %d, want %d (old int32 counter wrapped negative)", rec.MaxEdgeLoad, want)
 	}
 }
+
+// TestQuietWaitsForCrashRecovery: the quiet rule must not end a run while
+// a crashed node is due to recover. Node 1 receives a token in round 1 and
+// would forward it in its next step, but it is crashed in rounds 2..4; the
+// network is silent meanwhile, and only the recovery round 5 forwards the
+// token, which node 2 receives in round 6 — the run's last, after which
+// the quiet rule ends it.
+func TestQuietWaitsForCrashRecovery(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		pending := false
+		got := 0
+		net := NewUniformNetwork(graph.Path(3), func(v int) Program {
+			return programFunc{
+				init: func(ctx *Ctx) {
+					if ctx.ID() == 0 {
+						ctx.Send(0, ping)
+					}
+				},
+				step: func(ctx *Ctx, inbox []Inbound) {
+					switch ctx.ID() {
+					case 1:
+						if len(inbox) > 0 {
+							pending = true
+							return // forward on NEXT step (queued state)
+						}
+						if pending {
+							pending = false
+							ctx.Send(1, ping) // toward node 2
+						}
+					case 2:
+						got += len(inbox)
+					}
+				},
+			}
+		}, rngutil.NewSource(1)).SetFaults(faults.New(1).WithCrash(1, 2, 3)).SetWorkers(workers)
+		rounds, err := net.RunUntilQuiet(50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rounds != 6 || got != 1 {
+			t.Fatalf("workers=%d: %d rounds, node 2 received %d tokens; want 6 rounds and 1 token", workers, rounds, got)
+		}
+	}
+}
+
+// TestQuietRound is the quiet rule's table: a round that delivered
+// nothing ends a quiet run unless it is round 0, something is delayed or a
+// crashed node is still due to recover.
+func TestQuietRound(t *testing.T) {
+	recovering := faults.New(1).WithCrash(0, 2, 3) // crashed in rounds 2..4, steps again in 5
+	for _, c := range []struct {
+		name                      string
+		round, delivered, pending int
+		plan                      *faults.Plan
+		want                      bool
+	}{
+		{"round 0", 0, 0, 0, nil, false},
+		{"a delivery", 3, 1, 0, nil, false},
+		{"a pending delayed message", 3, 0, 1, faults.New(1), false},
+		{"a crashed node due to recover after the round", 3, 0, 0, recovering, false},
+		{"the crashed node recovered", 5, 0, 0, recovering, true},
+		{"a nil plan", 3, 0, 0, nil, true},
+	} {
+		if got := QuietRound(c.round, c.delivered, c.pending, c.plan); got != c.want {
+			t.Errorf("%s: QuietRound(%d, %d, %d) = %v, want %v", c.name, c.round, c.delivered, c.pending, got, c.want)
+		}
+	}
+}

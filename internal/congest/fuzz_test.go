@@ -101,8 +101,8 @@ func FuzzNetworkRun(f *testing.F) {
 		seqRounds, seqMsgs, seqRecv := run(false)
 		parRounds, parMsgs, parRecv := run(true)
 		if parRounds != seqRounds || parMsgs != seqMsgs || !reflect.DeepEqual(parRecv, seqRecv) {
-			t.Fatalf("parallel engine diverges: (rounds=%d msgs=%d) vs sequential (rounds=%d msgs=%d)",
-				parRounds, parMsgs, seqRounds, seqMsgs)
+			t.Fatalf("workers=%d diverges: (rounds=%d msgs=%d) vs one part (rounds=%d msgs=%d)",
+				workers, parRounds, parMsgs, seqRounds, seqMsgs)
 		}
 	})
 }

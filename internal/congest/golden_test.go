@@ -173,7 +173,7 @@ func TestGoldenTraceFaultFates(t *testing.T) {
 			}
 			for _, workers := range []int{2, 8} {
 				if par := runGolden(t, sc, workers); !bytes.Equal(par, want) {
-					t.Fatalf("parallel engine (workers=%d) diverges from golden %s", workers, path)
+					t.Fatalf("engine at workers=%d diverges from golden %s", workers, path)
 				}
 			}
 		})

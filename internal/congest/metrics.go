@@ -12,16 +12,16 @@ package congest
 // place a congest_* name is written: the in-process round loop and the
 // TCP transport's coordinator both close their runs into it, so the two
 // backends export the same instruments with the same meaning. Only the
-// per-worker busy/idle split is the in-process engine's own.
+// per-part busy/idle split is the in-process engine's own.
 //
 // The contract matches the probe layer's exactly (DESIGN.md §3): with no
 // registry attached the hot loop keeps a single nil check per round and
 // the engine allocates nothing for the layer; with one attached, every
 // instrument is resolved once at run start so the per-round cost is one
-// clock read and a few sharded atomic adds. Worker busy time is written
-// by the owning worker into a padded per-shard slot (the same sharding
-// discipline as Ctx.msgs) and drained by the coordinator after the run's
-// final barrier, so the engine stays free of shared mutable state. All
+// clock read and a few sharded atomic adds. A part's busy time is written
+// by whoever runs the part into the part's own struct (the same sharding
+// discipline as Ctx.msgs) and read by the caller after the run's final
+// barrier, so the engine stays free of shared mutable state. All
 // deterministic metrics (runs, rounds, messages, faults) are bit-identical
 // across worker counts and backends; only the wall-time instruments vary
 // by host.
@@ -155,17 +155,11 @@ func (rm *RunMetrics) End() {
 }
 
 // metricsState is the engine's per-run metrics scratch, allocated at run
-// start only when a registry is attached: the shared block plus the
-// per-part accounting.
+// start only when a registry is attached: the shared block plus, when the
+// run has more than one part, the exported per-part instruments ("shard"
+// in their names) that runEnd fills from the parts' busy time.
 type metricsState struct {
 	*RunMetrics
-
-	// Per-part accounting, allocated only when the run has more than one
-	// part (newPartPool wraps its tasks in timed exactly then): busyNS[w*pad]
-	// is written only by the worker executing part w's task (ordered against
-	// the coordinator's run-end drain by the dispatch barriers), busyCtr and
-	// idle are the exported per-part instruments ("shard" in their names).
-	busyNS  []int64
 	busyCtr []*metrics.Counter
 	idle    []*metrics.Gauge
 }
@@ -173,16 +167,15 @@ type metricsState struct {
 // metricsRunStart resolves the run's instruments and samples the opening
 // memstats phase mark. It returns nil (the engine's fast path) when no
 // registry is attached.
-func (n *Network) metricsRunStart(workers int) *metricsState {
+func (n *Network) metricsRunStart(parts int) *metricsState {
 	if n.reg == nil {
 		return nil
 	}
 	ms := &metricsState{RunMetrics: StartRunMetrics(n.reg, n.fs != nil)}
-	if workers > 1 {
-		ms.busyNS = make([]int64, workers*pad)
-		ms.busyCtr = make([]*metrics.Counter, workers)
-		ms.idle = make([]*metrics.Gauge, workers)
-		for w := 0; w < workers; w++ {
+	if parts > 1 {
+		ms.busyCtr = make([]*metrics.Counter, parts)
+		ms.idle = make([]*metrics.Gauge, parts)
+		for w := 0; w < parts; w++ {
 			ms.busyCtr[w] = n.reg.Counter(fmt.Sprintf("congest_worker_busy_ns_total{shard=%02d}", w))
 			ms.idle[w] = n.reg.Gauge(fmt.Sprintf("congest_worker_idle_ns{shard=%02d}", w))
 		}
@@ -191,24 +184,13 @@ func (n *Network) metricsRunStart(workers int) *metricsState {
 	return ms
 }
 
-// timed wraps a phase task so the owning worker accumulates its shard's
-// busy time. Each slot has a single writer per dispatch and the pool's
-// barriers order writes across dispatches, so plain adds suffice.
-func (ms *metricsState) timed(fn func(shard int)) func(shard int) {
-	return func(w int) {
-		t0 := time.Now()
-		fn(w)
-		ms.busyNS[w*pad] += time.Since(t0).Nanoseconds()
-	}
-}
-
-// runEnd closes the run: the shared block, then the worker busy/idle
-// drain. Fired from finish, so every return path of the round loop lands
-// here exactly once.
-func (ms *metricsState) runEnd() {
+// runEnd closes the run: the shared block, then each part's busy time
+// (part.busyNS, clocked by the part itself) and idle remainder. Fired from
+// finish, so every return path of the round loop lands here exactly once.
+func (ms *metricsState) runEnd(parts []part) {
 	ms.End()
 	for w := range ms.busyCtr {
-		busy := ms.busyNS[w*pad]
+		busy := parts[w].busyNS
 		ms.busyCtr[w].Add(busy)
 		ms.idle[w].Set(float64(max(ms.roundWallNS-busy, 0)))
 	}

@@ -1,11 +1,11 @@
 package congest
 
-// The partitioned runtime's one primitive. Every executor of a Network —
-// the engine's single inline part, its k worker parts, a Shard of the TCP
-// backend — runs a part, and nothing else in the package loops over a node
-// range: what happens to the nodes [lo, hi) in a round is written here,
-// once, so there is one copy to prove identical across engines, workers,
-// shards and backends.
+// The partitioned runtime's one primitive. Everything that executes a
+// Network — the engine's parts, part 0 on the caller and each other on its
+// own goroutine, and a Shard of the TCP backend — runs a part, and nothing
+// else in the package loops over a node range: what happens to the nodes
+// [lo, hi) in a round is written here, once, so there is one copy to prove
+// identical across engines, workers, shards and backends.
 
 import (
 	"math"
@@ -14,7 +14,7 @@ import (
 )
 
 // Split is the rule that cuts N nodes into K contiguous parts: part i owns
-// [i·N/K, (i+1)·N/K). The engine's workers, the TCP coordinator and every
+// [i·N/K, (i+1)·N/K). The engine's parts, the TCP coordinator and every
 // shard process derive their ranges from it, so all of them agree on who
 // owns a node without ever exchanging the layout.
 type Split struct{ N, K int }
@@ -25,21 +25,30 @@ func (s Split) Bounds(i int) (lo, hi int) { return i * s.N / s.K, (i + 1) * s.N 
 // Owner returns the part that owns node v: the largest i with i·N/K ≤ v.
 func (s Split) Owner(v int) int { return ((v+1)*s.K - 1) / s.N }
 
-// part is a contiguous node range [lo, hi) of a Network plus the worker
-// slot w whose padded counters its phases write. Within a phase a node is
-// touched by exactly one part, and the one thing a part touches of other
-// nodes — the outbox slots its receivers take, during deliver; each slot
-// has a single receiver — is ordered against the owners' sends by the
-// barrier between phases, which is the whole determinism argument,
-// whatever runs the parts.
+// part is a contiguous node range [lo, hi) of a Network plus the scratch
+// its phases write. Within a phase a node is touched by exactly one part,
+// and the one thing a part touches of other nodes — the outbox slots its
+// receivers take, during deliver; each slot has a single receiver — is
+// ordered against the owners' sends by the barrier between phases, which
+// is the whole determinism argument, whatever runs the parts. The scratch
+// is written only by whoever runs the part and read by the caller after
+// the barrier; the trailing pad keeps neighbouring parts of a run off each
+// other's cache lines.
 type part struct {
 	net    *Network
 	lo, hi int
-	w      int
+
+	delivered, active, halted, wake int           // the last phase's results (engine.go)
+	panicked                        any           // the last phase's panic, on a part's own goroutine
+	faults                          faults.Counts // what deliverTo counted since the last FaultCounts
+	timed                           bool          // add each phase's wall time to busyNS (metrics at k > 1)
+	busyNS                          int64
+	phases                          chan phase // feeds a part's own goroutine; nil for part 0 and a Shard
+	_                               [64]byte
 }
 
-// all is the part that covers the whole network: the engine's only part
-// when it runs inline, and its between-barriers bookkeeping view otherwise.
+// all is the whole network as one part, the view the caller's bookkeeping
+// between barriers runs over (Init, drains, counts).
 func (n *Network) all() part { return part{net: n, hi: n.g.N()} }
 
 // Nodes returns the part's half-open node range.
@@ -56,9 +65,9 @@ func (p part) Init() {
 // deliver builds the inbox of every node of the part for the round about
 // to execute, through the canonical delivery point, and returns the number
 // of messages delivered to the part.
-func (p part) deliver() (delivered int) {
+func (p *part) deliver() (delivered int) {
 	for u := p.lo; u < p.hi; u++ {
-		delivered += p.net.deliverTo(u, p.w)
+		delivered += p.net.deliverTo(u, &p.faults)
 	}
 	return delivered
 }
@@ -70,7 +79,7 @@ func (p part) deliver() (delivered int) {
 // promised to sleep until (Ctx.SleepUntil; a crashed node keeps its last
 // promise, an awake node's is 0, math.MaxInt when none is live) — tallied
 // here, where the flags are in hand, so no caller rescans the range.
-func (p part) step() (active, halted, wake int) {
+func (p *part) step() (active, halted, wake int) {
 	n := p.net
 	wake = math.MaxInt
 	for v := p.lo; v < p.hi; v++ {
@@ -140,24 +149,29 @@ func (p part) Messages() (total int) {
 	return total
 }
 
-// FaultCounts drains the fault events counted since the previous call (in
-// practice: the round just stepped), adds the crash node-rounds of the
-// part's own crashed nodes, folds the result into the plan's totals and
-// returns it — so the counts of disjoint parts of a round sum to the
-// round's counts, each event exactly once. Zero with no plan attached.
-// Between barriers only: it empties every worker slot of the replica.
-func (p part) FaultCounts() faults.Counts {
+// FaultCounts drains the fault events the part's deliveries counted since
+// the previous call (in practice: the round just stepped), adds the crash
+// node-rounds of the part's own crashed nodes, folds the result into the
+// plan's totals and returns it — so the counts of disjoint parts of a round
+// sum to the round's counts, each event exactly once. Zero with no plan
+// attached. Between barriers only.
+func (p *part) FaultCounts() faults.Counts {
 	fs := p.net.fs
 	if fs == nil {
 		return faults.Counts{}
 	}
-	var c faults.Counts
-	for w := 0; w < len(fs.counts); w += faultCountStride {
-		c.Add(fs.counts[w])
-		fs.counts[w] = faults.Counts{}
-	}
+	c := p.faults
+	p.faults = faults.Counts{}
 	c.Crashed = int64(fs.plan.CrashedCount(p.net.rounds, p.lo, p.hi))
 	fs.plan.AddCounts(c)
+	return c
+}
+
+// faultCounts is FaultCounts over the run's parts: the round's counts.
+func (n *Network) faultCounts() (c faults.Counts) {
+	for i := range n.parts {
+		c.Add(n.parts[i].FaultCounts())
+	}
 	return c
 }
 

@@ -8,18 +8,17 @@ package congest
 // reports what happened in every round. The contract is built around the
 // determinism guarantee of the engine:
 //
-//   - Every hook is invoked on the coordinating goroutine only, between
-//     the round barriers, never from a worker. Probes need no locking and
-//     observe every partitioning identically: the same probe yields
-//     bit-identical event sequences for every worker count and for shards
-//     driven by an external coordinator (asserted by the differential
-//     suites).
+//   - Every hook is invoked on the calling goroutine only, between the
+//     round barriers, never from a part's own goroutine. Probes need no
+//     locking and observe every partitioning identically: the same probe
+//     yields bit-identical event sequences for every worker count and for
+//     shards run over the wire (asserted by the differential suites).
 //   - Event order within a round is fixed: per node in ID order, first
 //     that node's phase marks (in emission order), then its halt event if
 //     it halted this round; then one RoundEnd with the aggregated record.
 //   - Per-node event collection is sharded exactly like message
 //     accounting: marks and halt flags live on the Ctx touched only by
-//     the owning part, and the coordinator drains them after the step
+//     the owning part, and the caller drains them after the step
 //     barrier, so the engine stays free of shared mutable state.
 //   - With no probe attached the engine skips all collection — the only
 //     residual cost is one nil check per round — so measurement runs pay
@@ -142,7 +141,7 @@ func (c *Ctx) Mark(name string) {
 // building mark names that would be dropped.
 func (c *Ctx) Tracing() bool { return c.net.probe != nil }
 
-// phaseMark is a queued Ctx.Mark, drained by the coordinator.
+// phaseMark is a queued Ctx.Mark, drained between barriers (DrainEvents).
 type phaseMark struct {
 	round int
 	name  string
@@ -251,7 +250,7 @@ func (n *Network) finish(err error) (int, error) {
 		n.probe.RunEnd(n.rounds, err)
 	}
 	if n.ms != nil {
-		n.ms.runEnd()
+		n.ms.runEnd(n.parts)
 		n.ms = nil
 	}
 	return n.rounds, err

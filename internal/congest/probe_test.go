@@ -224,36 +224,6 @@ func TestNetworkSingleUseEmitsNoSpuriousEvents(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolMultiShardPanic: when several shards panic in one
-// dispatch, exactly one panic propagates and the pool remains usable for
-// the next dispatch.
-func TestWorkerPoolMultiShardPanic(t *testing.T) {
-	pool := newWorkerPool(4)
-	defer pool.close()
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("no panic propagated from the pool")
-			}
-			if s, ok := r.(string); !ok || !strings.HasPrefix(s, "shard ") {
-				t.Fatalf("unexpected panic payload %v", r)
-			}
-		}()
-		pool.dispatch(4, func(shard int) {
-			panic(fmt.Sprintf("shard %d", shard))
-		})
-	}()
-	// The pool must have cleared the captured panics and stay usable.
-	var hits [4]bool
-	pool.dispatch(4, func(shard int) { hits[shard] = true })
-	for shard, ok := range hits {
-		if !ok {
-			t.Fatalf("shard %d did not run after the panicking dispatch", shard)
-		}
-	}
-}
-
 // alwaysSend keeps one message per round in flight so RunUntilQuiet never
 // observes silence.
 type alwaysSend struct{}

@@ -2,10 +2,11 @@ package congest
 
 // Shard execution: the congest-side half of the TCP transport backend
 // (internal/transport). A Shard is one part (see part.go) of a Network
-// replica driven by an external coordinator: the same Init, deliver, step
+// replica driven from outside the package: the same Init, deliver, step
 // and drains the in-process round loop runs, exposed as explicit calls so
-// the coordinator can run the round barriers over the wire. What a Shard
-// adds is the only thing that is genuinely its own — boundary staging.
+// a shard process can run the round barriers over the wire with its peers.
+// What a Shard adds is the only thing that is genuinely its own — boundary
+// staging.
 //
 // Every participating process builds the SAME full Network from the
 // replayable workload spec — topology, arenas and per-node RNG streams
@@ -19,7 +20,7 @@ package congest
 // byte-identical to the sequential engine: there is only one delivery
 // order in the codebase, and the wire backend reuses it.
 //
-// The coordinator-facing calls, in the order of a round:
+// The calls a shard runtime makes, in the order of a round:
 //
 //	Init()                       — run Init for owned nodes (round 0)
 //	Inject(...); Deliver()       — stage remote sends, build inboxes
@@ -35,10 +36,11 @@ package congest
 // builds the identical plan from the run's spec, and a message's fate is
 // rolled — the pure (seed, round, slot) hash — by the shard that owns its
 // receiver, which holds the message because Inject staged it before
-// deliverTo scans it. Per-round fault counts are drained by the
-// coordinator through FaultCounts — Crashed restricted to the owned
-// range so shard counts sum to the global totals — and crashed owned
-// nodes skip Step like any other part's.
+// deliverTo scans it. Per-round fault counts are drained by the shard
+// runtime through FaultCounts — the Shard's part counts its own
+// deliveries, and Crashed is restricted to the owned range, so shard
+// counts sum to the global totals — and crashed owned nodes skip Step
+// like any other part's.
 
 import "fmt"
 
@@ -52,8 +54,8 @@ type shardBoundary struct {
 	remotePort int32 // the remote neighbor's port facing the owned node
 }
 
-// Shard drives nodes [lo, hi) of a single-use Network under an external
-// coordinator. Obtain one with NewShard; the Network must not be run or
+// Shard drives nodes [lo, hi) of a single-use Network for a round loop run
+// outside the package. Obtain one with NewShard; the Network must not be run or
 // reconfigured afterwards (NewShard consumes its single use). Init,
 // DrainEvents, HaltedCount, Messages, FaultCounts, PendingDelayed and Nodes
 // are the part's own methods over the owned range.
@@ -67,8 +69,8 @@ type Shard struct {
 // single use (a second NewShard or Run returns ErrNetworkReused), so
 // every Set* option — including SetFaults — must be applied before it
 // and panics afterwards. Probes attached to the replica are ignored —
-// observability is drained by the coordinator through DrainEvents
-// instead, so event collection is always on.
+// observability is drained through DrainEvents instead and shipped to
+// the coordinator, so event collection is always on.
 func NewShard(net *Network, lo, hi int) (*Shard, error) {
 	if lo < 0 || hi > net.g.N() || lo > hi {
 		return nil, fmt.Errorf("congest: shard range [%d, %d) outside nodes [0, %d)", lo, hi, net.g.N())
@@ -80,9 +82,7 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 	if err := net.begin(); err != nil {
 		return nil, err
 	}
-	// The deliver/step phases run on the coordinator's single driving
-	// goroutine, so the fault scratch needs one count slot.
-	net.faultsRunStart(1)
+	net.faultsRunStart()
 	s := &Shard{part: part{net: net, lo: lo, hi: hi}}
 	start, half := net.g.CSR()
 	for i := start[lo]; i < start[hi]; i++ {
@@ -139,7 +139,7 @@ func (s *Shard) Inject(dst, port int, payload Message) error {
 func (s *Shard) Deliver() int { return s.deliver() }
 
 // Inbox returns the inbox built by the last Deliver for owned node u.
-// Borrowed: valid until the next Deliver, for coordinator-side stats.
+// Borrowed: valid until the next Deliver, for the probe's per-node stats.
 func (s *Shard) Inbox(u int) []Inbound { return s.net.inboxes[u] }
 
 // Step advances the replica's round counter and runs the step phase over
@@ -170,8 +170,9 @@ func (s *Shard) SkipTo(round int) {
 }
 
 // ExternalSends calls fn for every queued send of an owned node whose
-// receiver lives outside the shard, in (node ID, port) order — the
-// coordinator relays these to the owning shards. dstPort is the port AT
+// receiver lives outside the shard, in (node ID, port) order — the shard
+// runtime sends each to the peer shard that owns its receiver. dstPort is
+// the port AT
 // THE RECEIVER, i.e. the argument the receiving shard passes to Inject.
 func (s *Shard) ExternalSends(fn func(dst, dstPort int, payload Message)) {
 	for _, b := range s.boundary {

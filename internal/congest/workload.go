@@ -49,8 +49,8 @@ const SteadyAllocNoiseFloor = 0.5
 // MeasureSteadyAllocs reports the average heap allocations per
 // steady-state round of an engine configuration, by differencing two
 // otherwise-identical runs of `rounds` and `2·rounds` rounds: network
-// construction, run-start scratch (probe/fault/metrics state, worker
-// pool) and warmup growth appear in both runs and cancel, leaving only
+// construction, run-start scratch (probe/fault/metrics state, the parts
+// and their goroutines) and warmup growth appear in both runs and cancel, leaving only
 // what a steady round allocates. build must return a fresh Network with
 // identical construction on every call (networks are single-use);
 // ErrRoundLimit from the run is tolerated so non-halting workloads can

@@ -258,9 +258,9 @@ func (p *Plan) RecoveringAt(round int) bool {
 // resume traffic from queued program state, so the run must survive
 // through the recovery round itself: a node that recovers at round r
 // steps again only IN round r, and checking just the next round would
-// quit one round early and drop that state (TestScratchQuietRecovery pins
-// this). Delayed messages still in flight are the engines' half of the
-// rule; they hold the pending buffers.
+// quit one round early and drop that state (congest's
+// TestQuietWaitsForCrashRecovery pins this). Delayed messages still in
+// flight are the engines' half of the rule; they hold the pending buffers.
 func (p *Plan) QuietAfter(lastRound int) bool {
 	return !p.RecoveringAt(lastRound) && !p.RecoveringAt(lastRound+1)
 }

@@ -15,7 +15,7 @@
 //     probe (BenchmarkCongestEngine guards this).
 //   - Instruments are atomic and safe for concurrent use, and nothing
 //     more: every engine and coordinator write happens between barriers
-//     on one goroutine (per-worker busy time has its own padded slots in
+//     on one goroutine (a part's busy time lives in the part itself, see
 //     congest/metrics.go), so there is no contention to shard away.
 //   - Snapshots are deterministic in shape: instruments are sorted by
 //     name and bucket layouts are fixed at construction, so two runs

@@ -604,15 +604,6 @@ func (c *coordinator) skippedFaults(round int) (fc faults.Counts) {
 	return fc
 }
 
-// quietRound is congest.Network's quiet rule for the deliver phase after
-// `rounds` rounds: a quiet-terminating workload, a round ≥ 1 that
-// delivered nothing, nothing delayed, no crashed node due to recover. A
-// round is quiet when every shard's counts pass.
-func (inst *Instance) quietRound(rounds, delivered, pending int) bool {
-	return inst.Quiet && rounds > 0 && delivered == 0 && pending == 0 &&
-		(inst.Faults == nil || inst.Faults.QuietAfter(rounds))
-}
-
 // absorbInitAck reads one INITACK: empty, or with a probe Init's step head.
 func (c *coordinator) absorbInitAck(shard int, body []byte) error {
 	cur := cursor{b: body}

@@ -267,7 +267,7 @@ func (r *shardRuntime) rounds(ln net.Listener) error {
 			err = r.sendStep(frameRound, 0, true)
 		} else {
 			r.delivered, r.pending = r.s.Deliver(), r.s.PendingDelayed()
-			if held = r.inst.quietRound(r.steps, r.delivered, r.pending); held {
+			if held = r.inst.Quiet && congest.QuietRound(r.steps, r.delivered, r.pending, r.inst.Faults); held {
 				err = r.sendStep(frameRound, round, false)
 			} else {
 				err = r.step(frameRound, round)
@@ -559,7 +559,7 @@ func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error
 		if cur.err != nil {
 			return cur.err
 		}
-		switch may := r.inst.quietRound(round-1, l.delivered, l.pending); {
+		switch may := r.inst.Quiet && congest.QuietRound(round-1, l.delivered, l.pending, r.inst.Faults); {
 		case may && l.stepped == 1:
 			return fmt.Errorf("stepped in round %d, which delivered %d with %d delayed pending and may be quiet", round, l.delivered, l.pending)
 		case !may && l.stepped == 0:

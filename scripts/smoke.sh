@@ -223,6 +223,23 @@ if ! cmp -s "$out/walks-proc-par.json" "$out/walks-tcp-par.json"; then
 fi
 echo "smoke: E17 TCP/proc trace parity ok"
 
+# The multi-part engine through a binary: at -workers 2 and -workers 0
+# (one part per CPU) each run must write the -workers 1 run's trace byte
+# for byte — the walks' message-bound rounds and GHS's skipped windows.
+"$bin/walks" -n 48 -d 6 -steps 10 -workers 1 -trace "$out/walks-w1.json" >/dev/null
+"$bin/mst" -quick -ghsnet -workers 1 -trace "$out/mst-w1.json" >/dev/null
+for w in 2 0; do
+	"$bin/walks" -n 48 -d 6 -steps 10 -workers "$w" -trace "$out/walks-w$w.json" >/dev/null
+	"$bin/mst" -quick -ghsnet -workers "$w" -trace "$out/mst-w$w.json" >/dev/null
+	for name in walks mst; do
+		if ! cmp -s "$out/$name-w1.json" "$out/$name-w$w.json"; then
+			echo "smoke: $name -workers $w trace diverges from -workers 1" >&2
+			exit 1
+		fi
+	done
+done
+echo "smoke: multi-part trace parity ok"
+
 # The probe-less wire: with neither -trace nor -metrics no probe is
 # attached, so the shards send the coordinator no REPORT, and at three
 # shards each shard splits its sends between two peers' frames. stdout

@@ -1,11 +1,11 @@
-# Developer entry points. `make check` is the local gate: vet, the full
-# test suite, the race-instrumented run, the nested benchmark module and
-# the un-shortened transport suite (which carries the fault layer). CI
-# runs each of these once: its `check` job runs `make vet test race
-# bench-module` and leaves transport-suite to the dedicated
+# Developer entry points. `make check` is the local gate: gofmt, vet, the
+# full test suite, the race-instrumented run, the nested benchmark module
+# and the un-shortened transport suite (which carries the fault layer). CI
+# runs each of these once: its `check` job runs `make fmt`, `make vet test
+# race` and `make bench-module` and leaves transport-suite to the dedicated
 # `transport-suite` job (ci.yml), so the suite is not run twice per push.
-# Beyond `check`, CI also runs gofmt, `make smoke`, `make decomp-suite`
-# (its own job) and `make bench-record`. The race target uses -short so
+# Beyond `check`, CI also runs `make smoke`, `make decomp-suite` (its own
+# job) and `make bench-record`. The race target uses -short so
 # the heavyweight differential sweeps keep the instrumented run fast; drop
 # the flag (make race SHORT=) for the exhaustive version.
 
@@ -15,10 +15,18 @@ SHORT ?= -short
 # BENCHTIME=1x gives a single pass of each size).
 BENCHTIME ?= 1s
 
-.PHONY: build vet test race check bench bench-record bench-module bench-scale fuzz smoke transport-suite decomp-suite
+.PHONY: build fmt vet test race check bench bench-record bench-module bench-scale fuzz smoke transport-suite decomp-suite
 
 build:
 	go build ./...
+
+# Fails, naming the files, when gofmt would rewrite any Go file in the
+# tree (the nested benchmark module included).
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 vet:
 	go vet ./...
@@ -29,7 +37,7 @@ test:
 race:
 	go test -race $(SHORT) ./...
 
-check: vet test race bench-module transport-suite
+check: fmt vet test race bench-module transport-suite
 
 # End-to-end smoke of every experiment driver: build each cmd/ binary, run
 # it at tiny scale with -trace, and check the trace lands non-empty.

@@ -6,14 +6,16 @@ import (
 )
 
 // Construction memory budget of one Build of the repo benchmark's
-// build-expander shape. Measured with Go 1.24 on linux/amd64: 6.10 MB in
-// 1 227 heap objects (6.10 MB and 1 228 under -race), against 10.09 MB
-// while the walks kept a one-byte trail per walk per step, 10.28 MB while
-// every walk run also copied the graph into its own CSR, and 21.8 MB in
-// 4 411 while the trail kept a 4-byte node ID per walk per step and
-// overlays grew edge by edge. The budget keeps 7 % and 20 % headroom.
+// build-expander shape. Measured with Go 1.24 on linux/amd64: 5.48 MB in
+// 1 221 heap objects (5.48 MB and 1 231 under -race), against 6.10 MB
+// while every overlay's emulation schedule read a reversed copy of each
+// kept path, 10.09 MB while the walks kept a one-byte trail per walk per
+// step, 10.28 MB while every walk run also copied the graph into its own
+// CSR, and 21.8 MB in 4 411 while the trail kept a 4-byte node ID per walk
+// per step and overlays grew edge by edge. The budget keeps 7 % and 20 %
+// headroom.
 const (
-	constructionBudgetBytes   = 6_530_000
+	constructionBudgetBytes   = 5_860_000
 	constructionBudgetObjects = 1475
 )
 

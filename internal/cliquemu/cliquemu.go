@@ -116,7 +116,8 @@ func Direct(g *graph.Graph) (*Result, error) {
 	}
 	led := cost.New("clique-direct", "base rounds")
 	sp := led.Open("bfs-schedule", "base rounds", 1)
-	res := pathsched.ScheduleInto(paths, sp)
+	res := pathsched.Schedule(paths)
+	sp.Add(res.Makespan)
 	led.CloseExpect(res.Makespan)
 	rounds := led.Close()
 	if err := led.Err(); err != nil {

@@ -306,21 +306,17 @@ func TestDeterministicBuild(t *testing.T) {
 	}
 }
 
+// TestEdgePathOrientation: an overlay edge's path is stored once, oriented
+// from its U endpoint to its V endpoint (for G0, from owner to owner: the
+// paths are physical); a reader going the other way reads it backward.
 func TestEdgePathOrientation(t *testing.T) {
 	h := testHierarchy(t)
-	e := 0
-	edge := h.G0.Graph.Edge(e)
-	fwd := h.G0.EdgePath(e, int32(edge.U))
-	// Paths are physical: endpoints are the owners of the vids.
-	if int(fwd[0]) != h.VM.Owner(int32(edge.U)) {
-		t.Fatalf("forward path starts at %d, want owner of %d", fwd[0], edge.U)
-	}
-	rev := h.G0.EdgePath(e, int32(edge.V))
-	if int(rev[0]) != h.VM.Owner(int32(edge.V)) {
-		t.Fatal("reverse path starts wrong")
-	}
-	if len(fwd) != len(rev) {
-		t.Fatal("orientations differ in length")
+	for e, edge := range h.G0.Graph.Edges() {
+		p := h.G0.Paths[e]
+		if u, v := h.VM.Owner(int32(edge.U)), h.VM.Owner(int32(edge.V)); int(p[0]) != u || int(p[len(p)-1]) != v {
+			t.Fatalf("G0 edge %d = (%d, %d): path runs %d→%d, want owners %d→%d",
+				e, edge.U, edge.V, p[0], p[len(p)-1], u, v)
+		}
 	}
 }
 

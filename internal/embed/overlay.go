@@ -22,7 +22,9 @@ type Overlay struct {
 	// Graph is the overlay topology on virtual-node indices.
 	Graph *graph.Graph
 	// Paths[e] is the embedded path of overlay edge e in the level
-	// below (physical nodes for level 0).
+	// below (physical nodes for level 0), stored once, oriented from
+	// edge e's U endpoint to its V endpoint; a reader crossing from V
+	// reads it backward.
 	Paths [][]int32
 	// PartOf[vid] is the part index of vid at this level; level 0 has a
 	// single part 0. Part indices satisfy
@@ -63,61 +65,15 @@ func overlayGraph(n int, arcs []arc) *graph.Graph {
 }
 
 // embedWalks finishes an overlay whose edge k was found by walk kept[k] of
-// res, a run on g: the kept walks become the embedded paths, and
-// ConstructionRounds is the walk execution plus replays reverse deliveries
-// along those paths.
-func (o *Overlay) embedWalks(g *graph.Graph, res *randomwalk.Result, kept []int, replays int) {
-	o.Paths = res.Paths(kept)
+// res: the kept walks become the embedded paths, and ConstructionRounds is
+// the walk execution plus replays reverse deliveries along those paths.
+func (o *Overlay) embedWalks(res *randomwalk.Result, kept []int, replays int) {
+	paths, reverseRounds := res.Paths(kept)
+	o.Paths = paths
 	o.walkRounds = res.Stats.Rounds
-	o.replayRounds = replays * randomwalk.ReverseDeliveryRounds(g, o.Paths)
+	o.replayRounds = replays * reverseRounds
 	o.ConstructionRounds = o.walkRounds + o.replayRounds
-	o.measureEmulation()
-}
-
-// measureEmulation schedules one packet per direction over every overlay
-// edge's embedded path and records the makespan as EmulationRounds.
-func (o *Overlay) measureEmulation() {
-	total := 0
-	for _, p := range o.Paths {
-		total += len(p)
-	}
-	arena := make([]int32, total) // the reversed copies, back to back
-	paths := make([][]int32, 0, 2*len(o.Paths))
-	for _, p := range o.Paths {
-		paths = append(paths, p, reverseInto(arena[:len(p):len(p)], p))
-		arena = arena[len(p):]
-	}
-	res := pathsched.Schedule(paths)
-	o.EmulationRounds = res.Makespan
-	if o.EmulationRounds == 0 {
-		o.EmulationRounds = 1
-	}
-}
-
-func reversed(p []int32) []int32 { return reverseInto(make([]int32, len(p)), p) }
-
-// reverseInto writes p backwards into out (of the same length).
-func reverseInto(out, p []int32) []int32 {
-	for i, v := range p {
-		out[len(p)-1-i] = v
-	}
-	return out
-}
-
-// EdgePath returns the embedded path of edge e oriented to start at the
-// overlay endpoint from. Paths are stored oriented U→V; note that path
-// entries live in the space of the level below (physical nodes for level
-// 0), so orientation keys off the edge's endpoints, not path contents.
-func (o *Overlay) EdgePath(e int, from int32) []int32 {
-	edge := o.Graph.Edge(e)
-	switch int(from) {
-	case edge.U:
-		return o.Paths[e]
-	case edge.V:
-		return reversed(o.Paths[e])
-	default:
-		panic(fmt.Sprintf("embed: vid %d is not an endpoint of edge %d", from, e))
-	}
+	o.EmulationRounds = max(1, pathsched.ScheduleBothWays(o.Paths).Makespan)
 }
 
 // SamePart reports whether two virtual nodes are in the same part at this

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"almostmix/internal/cost"
 )
 
 // Result summarizes one scheduling run.
@@ -24,7 +22,9 @@ type Result struct {
 	// end of its path.
 	Makespan int
 	// Congestion is the maximum number of packets crossing any single
-	// directed edge over the whole run (a lower bound on makespan).
+	// link over the whole run (a lower bound on makespan). A link is an
+	// ordered pair of path nodes, so packets on parallel edges between the
+	// same pair share it.
 	Congestion int
 	// Dilation is the maximum path length in hops (also a lower bound).
 	Dilation int
@@ -45,11 +45,24 @@ type Result struct {
 // packet, that orders each round's arrivals. Finding a hop's link scans
 // the links already seen out of its from-node, so it costs that node's
 // out-degree.
-func Schedule(paths [][]int32) Result {
-	res := Result{Delivered: len(paths)}
-	if len(paths) > math.MaxInt32 {
-		panic(fmt.Sprintf("pathsched: %d paths overflow int32 packet ids", len(paths)))
+func Schedule(paths [][]int32) Result { return schedule(paths, 1) }
+
+// ScheduleBothWays routes two packets along each path, one each way, and
+// returns the measured costs: one round of an overlay whose edges are
+// embedded along paths (Lemma 3.1). Packet 2e goes forward along paths[e]
+// and packet 2e+1 backward, so the result is Schedule's over that
+// interleaving of the paths and their reversals, none of which is copied.
+func ScheduleBothWays(paths [][]int32) Result { return schedule(paths, 2) }
+
+// schedule sends ways packets along every path, packet i along
+// paths[i/ways], backward when i%ways is 1. Only passes 1 and 2 read a
+// packet's direction; from there on a packet is its run of link ids.
+func schedule(paths [][]int32, ways int) Result {
+	if len(paths) > math.MaxInt32/ways {
+		panic(fmt.Sprintf("pathsched: %d×%d packets overflow int32 packet ids", ways, len(paths)))
 	}
+	packets := ways * len(paths)
+	res := Result{Delivered: packets}
 
 	// Pass 0: the node-ID range, the hop total and the dilation.
 	n, hops := 0, 0
@@ -65,7 +78,7 @@ func Schedule(paths [][]int32) Result {
 			}
 		}
 		res.Dilation = max(res.Dilation, h)
-		hops += h
+		hops += ways * h
 	}
 	if hops > math.MaxInt32 {
 		panic(fmt.Sprintf("pathsched: %d hops overflow int32 offsets", hops))
@@ -81,6 +94,9 @@ func Schedule(paths [][]int32) Result {
 		for j := 1; j < len(p); j++ {
 			if p[j] != p[j-1] {
 				used[p[j-1]]++
+				if ways == 2 {
+					used[p[j]]++
+				}
 			}
 		}
 	}
@@ -94,13 +110,17 @@ func Schedule(paths [][]int32) Result {
 
 	// Pass 2: one link id per hop. Packet i's hops are linkOf[pos[i]:end[i]].
 	linkOf := make([]int32, hops)
-	pos := make([]int32, len(paths))
-	end := make([]int32, len(paths))
+	pos := make([]int32, packets)
+	end := make([]int32, packets)
 	links, h := int32(0), int32(0)
-	for i, p := range paths {
+	for i := range packets {
+		p, back := paths[i/ways], i%ways == 1
 		pos[i] = h
 		for j := 1; j < len(p); j++ {
 			u, v := p[j-1], p[j]
+			if back {
+				u, v = p[len(p)-j], p[len(p)-j-1]
+			}
 			if u == v {
 				continue
 			}
@@ -125,12 +145,12 @@ func Schedule(paths [][]int32) Result {
 		res.Congestion = max(res.Congestion, int(crossings[l]))
 	}
 
-	lowWords := (len(paths) + 63) / 64
+	lowWords := (packets + 63) / 64
 	marks := make([]uint64, lowWords+(lowWords+63)/64)
 	q := fifos{
 		head:    make([]int32, links),
 		tail:    make([]int32, links),
-		next:    make([]int32, len(paths)),
+		next:    make([]int32, packets),
 		active:  make([]int32, 0, links),
 		arrived: arrivals{low: marks[:lowWords], top: marks[lowWords:]},
 	}
@@ -138,7 +158,7 @@ func Schedule(paths [][]int32) Result {
 		q.head[l] = -1
 	}
 	remaining := 0
-	for i := range paths {
+	for i := range packets {
 		if pos[i] < end[i] {
 			q.push(linkOf[pos[i]], int32(i))
 			remaining++
@@ -228,17 +248,6 @@ func (a *arrivals) drain(visit func(pkt int32)) {
 			a.low[w] = 0
 		}
 	}
-}
-
-// ScheduleInto schedules like Schedule and charges the measured makespan
-// to sp, in sp's own unit — the caller chooses the span whose multiplier
-// converts schedule rounds into its parent's currency (a leaf-movement
-// span converting G_k rounds to G0 rounds, a baseline span charging base
-// rounds directly, …). A nil span only schedules.
-func ScheduleInto(paths [][]int32, sp *cost.Span) Result {
-	res := Schedule(paths)
-	sp.Add(res.Makespan)
-	return res
 }
 
 // Validate checks that every path is a walk of the adjacency oracle (used

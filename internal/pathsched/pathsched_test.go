@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"almostmix/internal/cost"
-
 	"almostmix/internal/graph"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
@@ -86,7 +84,7 @@ func TestDeterministicMakespan(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 2))
 	walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 15, Record: true}, r)
-	paths := walks.Paths(nil)
+	paths, _ := walks.Paths(nil)
 	a := Schedule(paths)
 	b := Schedule(paths)
 	if a != b {
@@ -103,7 +101,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 		g := graph.RandomRegular(24, 4, r)
 		src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 1))
 		walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 10, Record: true}, r)
-		paths := walks.Paths(nil)
+		paths, _ := walks.Paths(nil)
 		res := Schedule(paths)
 		if res.Delivered != len(paths) {
 			return false
@@ -190,33 +188,6 @@ func TestPropertyScheduleDeterministic(t *testing.T) {
 				t.Fatalf("seed %d: run %d returned %+v, first run %+v", seed, rep, again, first)
 			}
 		}
-	}
-}
-
-func TestScheduleIntoChargesMakespan(t *testing.T) {
-	paths := [][]int32{{0, 1, 2}, {3, 1, 2}, {4, 1, 2}}
-	plain := Schedule(paths)
-
-	led := cost.New("root", "rounds")
-	sp := led.Open("leaf", "G2 rounds", 3)
-	res := ScheduleInto(paths, sp)
-	if res != plain {
-		t.Fatalf("ScheduleInto result %+v differs from Schedule %+v", res, plain)
-	}
-	if sp.Total() != res.Makespan {
-		t.Fatalf("span charged %d, makespan %d", sp.Total(), res.Makespan)
-	}
-	led.Close()
-	if got := led.Close(); got != 3*res.Makespan {
-		t.Fatalf("root total %d, want makespan×mul %d", got, 3*res.Makespan)
-	}
-	if err := led.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A nil span only schedules.
-	if res := ScheduleInto(paths, nil); res != plain {
-		t.Fatalf("nil-span ScheduleInto result %+v differs from Schedule %+v", res, plain)
 	}
 }
 
@@ -341,9 +312,45 @@ func TestScheduleMatchesReference(t *testing.T) {
 	r := rngutil.NewRand(11)
 	g := graph.RandomRegular(16, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 8))
-	paths := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
+	paths, _ := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
 	if got, want := Schedule(paths), refSchedule(paths); got != want {
 		t.Fatalf("walk paths: %+v, reference %+v", got, want)
+	}
+}
+
+// bothWaysCopies is the construction ScheduleBothWays replaced, kept as
+// its reference: every path followed by a reversed copy of it, so packet
+// 2e runs forward along paths[e] and packet 2e+1 backward.
+func bothWaysCopies(paths [][]int32) [][]int32 {
+	out := make([][]int32, 0, 2*len(paths))
+	for _, p := range paths {
+		rev := slices.Clone(p)
+		slices.Reverse(rev)
+		out = append(out, p, rev)
+	}
+	return out
+}
+
+func TestScheduleBothWaysMatchesCopies(t *testing.T) {
+	f := func(seed uint64) bool {
+		paths := adversarialPaths(rngutil.NewRand(seed))
+		got, want := ScheduleBothWays(paths), Schedule(bothWaysCopies(paths))
+		if got != want {
+			t.Logf("seed %d: %+v, over reversed copies %+v, paths %v", seed, got, want, paths)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	// The same on real walks, whose lazy steps and shared links in both
+	// directions are what overlay emulation schedules.
+	r := rngutil.NewRand(12)
+	g := graph.RandomRegular(16, 4, r)
+	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 4))
+	paths, _ := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
+	if got, want := ScheduleBothWays(paths), Schedule(bothWaysCopies(paths)); got != want {
+		t.Fatalf("walk paths: %+v, over reversed copies %+v", got, want)
 	}
 }
 
@@ -356,7 +363,8 @@ func TestScheduleRejectsNegativeIDs(t *testing.T) {
 	Schedule([][]int32{{0, 1}, {2, -1}})
 }
 
-// scheduleAllocCeiling bounds the heap objects one Schedule allocates,
+// scheduleAllocCeiling bounds the heap objects one Schedule or
+// ScheduleBothWays allocates,
 // whatever the number of paths and hops: thirteen flat arrays, plus slack
 // for the runtime's own allocations during the measurement.
 const scheduleAllocCeiling = 15
@@ -364,9 +372,13 @@ const scheduleAllocCeiling = 15
 func TestScheduleAllocationsAreConstant(t *testing.T) {
 	for _, nPaths := range []int{10, 1000} {
 		paths := genPaths(rngutil.NewRand(13), 24, nPaths, 12)
-		allocs := testing.AllocsPerRun(5, func() { Schedule(paths) })
-		if allocs > scheduleAllocCeiling {
-			t.Fatalf("%d paths: %v allocations per Schedule, ceiling %d", nPaths, allocs, scheduleAllocCeiling)
+		for name, schedule := range map[string]func([][]int32) Result{
+			"Schedule": Schedule, "ScheduleBothWays": ScheduleBothWays,
+		} {
+			allocs := testing.AllocsPerRun(5, func() { schedule(paths) })
+			if allocs > scheduleAllocCeiling {
+				t.Fatalf("%d paths: %v allocations per %s, ceiling %d", nPaths, allocs, name, scheduleAllocCeiling)
+			}
 		}
 	}
 }

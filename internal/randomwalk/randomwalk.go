@@ -9,10 +9,11 @@
 // measures that cost exactly. An independent walk's hop in each step is a
 // pure function of (run key, walk index, step) — the node holding a token
 // draws its next hop from the token's own counter — so any walk's path can
-// be recomputed from its source alone. That is how walks are re-run in
-// reverse (the paper's mechanism for turning walk endpoints into usable
-// overlay edges) and re-used as embedded routing paths, without keeping a
-// record of every walk.
+// be recomputed from its source alone. That is how the walks an overlay
+// keeps become its embedded paths, without a record of every walk: one
+// replay of the kept walks writes each path once and charges, in the same
+// pass, running them backwards (the paper's mechanism for turning walk
+// endpoints into usable overlay edges).
 package randomwalk
 
 import (
@@ -50,9 +51,9 @@ type Config struct {
 	Kind  spectral.WalkKind // Lazy or Regular (2Δ-regular)
 	Steps int               // walk length T
 	// Record keeps a copy of the sources — O(walks), nothing per step —
-	// from which Result.Path and Paths recompute the walks they are asked
-	// for (needed for reversal/embedding). When false only endpoints and
-	// statistics are available. Correlated walks cannot be recorded.
+	// from which Result.Paths recomputes the walks it is asked for (needed
+	// for reversal/embedding). When false only endpoints and statistics
+	// are available. Correlated walks cannot be recorded.
 	Record bool
 	// Correlated runs the walks in the negatively-correlated fashion
 	// the paper sketches for the k = o(log n) regime (the full-version
@@ -78,8 +79,7 @@ type Config struct {
 
 // Result is the outcome of a parallel walk execution: the endpoints, the
 // congestion statistics and, when Config.Record was set, the sources that
-// Path and Paths recompute walks from. A run without Record has no paths
-// at all.
+// Paths recomputes walks from. A run without Record has no paths at all.
 type Result struct {
 	// Ends[i] is the node walk i occupies after the last step.
 	Ends  []int32
@@ -353,17 +353,21 @@ func (r *Result) noteOccupancy(tokensAt []int32) {
 	}
 }
 
-// Path returns walk i's trajectory: Path(i)[s] is the node occupied after
-// s steps, so Path(i)[0] is the source and Path(i)[Steps] the endpoint.
-// Equal consecutive entries are lazy (non-moving) steps. It needs a run
-// with Config.Record.
-func (r *Result) Path(i int) []int32 { return r.Paths([]int{i})[0] }
-
-// Paths recomputes the walks keep lists (nil = all) from their sources,
-// each walk alone through its own draws, and returns their trajectories,
-// in that order, in one arena. A caller that keeps only a fraction of the
-// walks it ran — as the overlay builders do — pays for that fraction only.
-func (r *Result) Paths(keep []int) [][]int32 {
+// Paths recomputes the walks keep lists (nil = all) from their sources and
+// returns their trajectories, in that order, in one arena, with the
+// CONGEST rounds that running them backwards costs — the mechanism of
+// §3.1.1 for informing sources of their endpoints. paths[k][s] is the node
+// walk keep[k] occupies after s steps; equal consecutive entries are lazy
+// steps. A caller that keeps only a fraction of the walks it ran — as the
+// overlay builders do — pays for that fraction only.
+//
+// The kept walks advance together, each through its own draws, and every
+// step is charged as it is written: reverse step s costs its most loaded
+// directed edge, at least one round, and an empty keep costs none. A hop
+// u → v is reversed as v → u and loaded on u's port to v
+// (graph.Graph.Port), one key per ordered node pair, so parallel edges
+// share one load.
+func (r *Result) Paths(keep []int) (paths [][]int32, reverseRounds int) {
 	if r.sources == nil {
 		panic("randomwalk: paths requested from a run without Config.Record")
 	}
@@ -375,21 +379,60 @@ func (r *Result) Paths(keep []int) [][]int32 {
 	}
 	length := r.steps + 1
 	arena := make([]int32, len(keep)*length)
-	paths := make([][]int32, len(keep))
-	start, half := r.g.CSR()
+	paths = make([][]int32, len(keep))
 	for k, i := range keep {
-		p := arena[k*length : (k+1)*length : (k+1)*length]
-		p[0] = r.sources[i]
-		for s := 1; s < length; s++ {
-			u := p[s-1]
-			p[s] = u
-			if off := r.draws.hop(r.draws.draw(i, s-1), start[u+1]-start[u]); off >= 0 {
-				p[s] = half[start[u]+off].To
+		paths[k] = arena[k*length : (k+1)*length : (k+1)*length]
+		paths[k][0] = r.sources[i]
+	}
+	if len(keep) == 0 {
+		return paths, 0
+	}
+	// A sweep advances every kept walk a block of steps: each walk takes
+	// them alone, writing its path contiguously and each step's load key
+	// (its u → v half-edge, −1 for a stay) into a step-major buffer, and
+	// the block's steps are then charged in order. A block is 16 steps, one
+	// cache line of a path, or fewer when 2²⁰ keys would not hold it.
+	block := max(1, min(16, length-1, 1<<20/len(keep)))
+	keys := make([]int32, block*len(keep))
+	start, half := r.g.CSR()
+	load := make([]int32, len(half)) // per half-edge, cleared via touched
+	touched := make([]int32, 0, min(len(keep), len(half)))
+	for s0 := 1; s0 < length; s0 += block {
+		steps := min(block, length-s0)
+		for k, i := range keep {
+			p := paths[k]
+			for b := range steps {
+				s := s0 + b
+				u := p[s-1]
+				v, key := u, int32(-1)
+				if off := r.draws.hop(r.draws.draw(i, s-1), start[u+1]-start[u]); off >= 0 {
+					v = half[start[u]+off].To
+					key = start[u] + int32(r.g.Port(int(u), int(v)))
+				}
+				p[s] = v
+				keys[b*len(keep)+k] = key
 			}
 		}
-		paths[k] = p
+		for b := range steps {
+			maxLoad := int32(1)
+			for _, h := range keys[b*len(keep) : (b+1)*len(keep)] {
+				if h < 0 {
+					continue
+				}
+				if load[h] == 0 {
+					touched = append(touched, h)
+				}
+				load[h]++
+				maxLoad = max(maxLoad, load[h])
+			}
+			reverseRounds += int(maxLoad)
+			for _, h := range touched {
+				load[h] = 0
+			}
+			touched = touched[:0]
+		}
 	}
-	return paths
+	return paths, reverseRounds
 }
 
 // SourcesPerNode expands per-node walk counts into a flat source list:
@@ -416,45 +459,4 @@ func UniformCountTimesDegree(g *graph.Graph, k int) []int {
 		counts[v] = k * g.Degree(v)
 	}
 	return counts
-}
-
-// ReverseDeliveryRounds measures the CONGEST rounds needed to run walks
-// backwards along paths, walks of g as Paths returns them — the mechanism
-// of §3.1.1 for informing sources of their endpoints. Reverse step s moves
-// each token from paths[k][s] back to paths[k][s−1] and costs its most
-// loaded directed edge, at least one round; the total is the sum over
-// steps, in whatever order they are visited. Loads are counted per (from,
-// to) node pair, so parallel edges between the same pair share one load.
-func ReverseDeliveryRounds(g *graph.Graph, paths [][]int32) int {
-	steps := 0
-	for _, p := range paths {
-		steps = max(steps, len(p)-1)
-	}
-	start, _ := g.CSR()
-	load := make([]int32, 2*g.M()) // per half-edge, cleared via touched
-	touched := make([]int32, 0, min(len(paths), len(load)))
-	rounds := 0
-	for s := 1; s <= steps; s++ {
-		maxLoad := int32(1)
-		for _, path := range paths {
-			if s >= len(path) || path[s] == path[s-1] {
-				continue
-			}
-			// The reverse hop v → u, charged to v's port to u
-			// (graph.Graph.Port) so parallel edges share one load.
-			v, u := path[s], path[s-1]
-			p := start[v] + int32(g.Port(int(v), int(u)))
-			if load[p] == 0 {
-				touched = append(touched, p)
-			}
-			load[p]++
-			maxLoad = max(maxLoad, load[p])
-		}
-		rounds += int(maxLoad)
-		for _, p := range touched {
-			load[p] = 0
-		}
-		touched = touched[:0]
-	}
-	return rounds
 }

@@ -17,7 +17,8 @@ func TestPathsAreWalks(t *testing.T) {
 		g := graph.RandomRegular(20, 4, r)
 		sources := SourcesPerNode(UniformCountTimesDegree(g, 1))
 		res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 12, Record: true}, r)
-		for _, path := range res.Paths(nil) {
+		paths, _ := res.Paths(nil)
+		for _, path := range paths {
 			if len(path) != 13 {
 				return false
 			}
@@ -41,8 +42,8 @@ func TestEndsMatchPaths(t *testing.T) {
 	sources := []int32{0, 3, 7}
 	const steps = 20
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: steps, Record: true}, r)
-	for i := range sources {
-		path := res.Path(i)
+	paths, _ := res.Paths(nil)
+	for i, path := range paths {
 		if len(path) != steps+1 {
 			t.Fatalf("walk %d has %d entries, want %d", i, len(path), steps+1)
 		}
@@ -132,7 +133,8 @@ func TestZeroStepsIsNoop(t *testing.T) {
 	r := rngutil.NewRand(7)
 	g := graph.Ring(5)
 	res := Run(g, []int32{2}, Config{Kind: spectral.Lazy, Steps: 0, Record: true}, r)
-	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(res.Path(0)) != 1 {
+	paths, reverseRounds := res.Paths(nil)
+	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(paths[0]) != 1 || reverseRounds != 0 {
 		t.Fatalf("zero-step run mutated state: %+v", res)
 	}
 }
@@ -155,7 +157,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	rev := ReverseDeliveryRounds(g, res.Paths(nil))
+	_, rev := res.Paths(nil)
 	if rev <= 0 {
 		t.Fatal("reverse delivery cost not positive")
 	}
@@ -164,7 +166,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 		t.Fatalf("reverse cost %d far from forward cost %d", rev, res.Stats.Rounds)
 	}
 	// A subset costs no more than the full set.
-	subset := ReverseDeliveryRounds(g, res.Paths([]int{0, 1, 2}))
+	_, subset := res.Paths([]int{0, 1, 2})
 	if subset > rev {
 		t.Fatalf("subset reverse cost %d exceeds full cost %d", subset, rev)
 	}
@@ -176,7 +178,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		return Run(g, []int32{0, 4, 8}, Config{Kind: spectral.Lazy, Steps: 30, Record: true},
 			rngutil.NewRand(99))
 	}
-	a, b := mk().Paths(nil), mk().Paths(nil)
+	a, _ := mk().Paths(nil)
+	b, _ := mk().Paths(nil)
 	for i := range a {
 		if !slices.Equal(a[i], b[i]) {
 			t.Fatal("same seed produced different walks")

@@ -297,7 +297,7 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 				if correlated {
 					continue
 				}
-				paths := got.Paths(nil)
+				paths, _ := got.Paths(nil)
 				if !reflect.DeepEqual(paths, want.paths) {
 					t.Fatalf("%s: paths differ", label)
 				}
@@ -340,7 +340,8 @@ func TestTransitionsChiSquare(t *testing.T) {
 		f := func(seed uint64) bool {
 			res := Run(g, sources, Config{Kind: kind, Steps: 8, Record: true}, rngutil.NewRand(seed))
 			counts := make([]float64, deg+1) // counts[deg] = stayed
-			for _, p := range res.Paths(nil) {
+			paths, _ := res.Paths(nil)
+			for _, p := range paths {
 				for s := 1; s < len(p); s++ {
 					if p[s-1] != 0 {
 						continue
@@ -397,7 +398,7 @@ func TestPathsRecomputeKeptWalks(t *testing.T) {
 	const steps = 15
 	for _, kind := range []spectral.WalkKind{spectral.Lazy, spectral.Regular} {
 		res := Run(g, sources, Config{Kind: kind, Steps: steps, Record: true}, rngutil.NewRand(4))
-		all := res.Paths(nil)
+		all, _ := res.Paths(nil)
 		for i, p := range all {
 			if p[0] != sources[i] || p[steps] != res.Ends[i] {
 				t.Fatalf("%v walk %d: path runs %d→%d, want %d→%d", kind, i, p[0], p[steps], sources[i], res.Ends[i])
@@ -413,12 +414,12 @@ func TestPathsRecomputeKeptWalks(t *testing.T) {
 				keep[len(keep)-1] = keep[0] // at least one repeat
 			}
 			r.Shuffle(len(keep), func(a, b int) { keep[a], keep[b] = keep[b], keep[a] })
-			paths := res.Paths(keep)
+			paths, _ := res.Paths(keep)
 			if len(paths) != len(keep) {
 				return false
 			}
 			for k, i := range keep {
-				if !slices.Equal(paths[k], all[i]) || !slices.Equal(res.Path(i), all[i]) {
+				if alone, _ := res.Paths([]int{i}); !slices.Equal(paths[k], all[i]) || !slices.Equal(alone[0], all[i]) {
 					return false
 				}
 			}
@@ -428,31 +429,57 @@ func TestPathsRecomputeKeptWalks(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		// The paths share one arena; growing one must not overwrite the next.
-		paths := res.Paths([]int{7, 0, 7})
+		paths, _ := res.Paths([]int{7, 0, 7})
 		before := slices.Clone(paths[1])
 		_ = append(paths[0], -1)
 		if !slices.Equal(paths[1], before) {
 			t.Fatal("appending to one gathered path overwrote its neighbor")
 		}
-		if len(res.Paths([]int{})) != 0 {
+		if none, _ := res.Paths([]int{}); len(none) != 0 {
 			t.Fatal("empty keep list gathered paths")
 		}
 	}
 }
 
+// TestReverseDeliveryRoundsMatchesReference: the reverse-delivery charge
+// Paths returns equals the reference's, computed from the reference's own
+// paths, on every fixture — parallel edges, an isolated node and the wide
+// stars included — for both walk kinds, any keep list (a repeated walk
+// loads its hops once per appearance) and a run of no steps. An empty keep
+// list charges nothing. 20 steps span two replay blocks, and on the
+// multigraph a keep list of 2¹⁶+1 entries shrinks the block to 15 steps.
 func TestReverseDeliveryRoundsMatchesReference(t *testing.T) {
 	for name, g := range walkFixtures() {
 		sources := fixtureSources(g)
-		res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 12, Record: true}, rngutil.NewRand(6))
-		paths := res.Paths(nil)
-		subsets := map[string][]int{
-			"all":    nil,
-			"subset": {1, 4, 5, 9, len(sources) - 1},
-			"empty":  {},
-		}
-		for label, keep := range subsets {
-			if got, want := ReverseDeliveryRounds(g, res.Paths(keep)), refReverseDeliveryRounds(paths, keep); got != want {
-				t.Fatalf("%s/%s: reverse delivery %d rounds, reference %d", name, label, got, want)
+		for _, cfg := range []Config{
+			{Kind: spectral.Lazy, Steps: 20, Record: true},
+			{Kind: spectral.Regular, Steps: 20, Record: true},
+			{Kind: spectral.Lazy, Steps: 0, Record: true},
+		} {
+			res := Run(g, sources, cfg, rngutil.NewRand(6))
+			ref := refRun(g, sources, cfg, rngutil.NewRand(6))
+			keeps := map[string][]int{
+				"all":        nil,
+				"subset":     {1, 4, 5, 9, len(sources) - 1},
+				"empty":      {},
+				"duplicated": {7, 0, 7},
+			}
+			if name == "multi" {
+				wide := make([]int, 1<<16+1)
+				for k := range wide {
+					wide[k] = k % len(sources)
+				}
+				keeps["wide"] = wide
+			}
+			for label, keep := range keeps {
+				_, got := res.Paths(keep)
+				if want := refReverseDeliveryRounds(ref.paths, keep); got != want {
+					t.Fatalf("%s %v steps=%d %s: reverse delivery %d rounds, reference %d",
+						name, cfg.Kind, cfg.Steps, label, got, want)
+				}
+				if label == "empty" && got != 0 {
+					t.Fatalf("%s %v steps=%d: an empty keep list charged %d rounds", name, cfg.Kind, cfg.Steps, got)
+				}
 			}
 		}
 	}
@@ -460,13 +487,8 @@ func TestReverseDeliveryRoundsMatchesReference(t *testing.T) {
 
 func TestPathsNeedRecord(t *testing.T) {
 	res := Run(graph.Ring(5), []int32{0}, Config{Kind: spectral.Lazy, Steps: 3}, rngutil.NewRand(1))
-	for name, call := range map[string]func(){
-		"Path":  func() { res.Path(0) },
-		"Paths": func() { res.Paths(nil) },
-	} {
-		if msg := panicMessage(call); !strings.Contains(msg, "without Config.Record") {
-			t.Fatalf("%s on an unrecorded run: panic %q", name, msg)
-		}
+	if msg := panicMessage(func() { res.Paths(nil) }); !strings.Contains(msg, "without Config.Record") {
+		t.Fatalf("Paths on an unrecorded run: panic %q", msg)
 	}
 }
 

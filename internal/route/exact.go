@@ -69,18 +69,14 @@ func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	// Expand every packet's journey to a base-graph walk.
 	ex := newExpander(h)
 	paths := make([][]int32, 0, len(reqs))
-	for i, path := range prep.Paths(nil) {
+	prepPaths, _ := prep.Paths(nil)
+	for i, path := range prepPaths {
 		for _, tr := range r.trace[i] {
 			edge := int(tr.edge)
 			if edge < 0 {
 				edge = ex.edgeBetween(tr.level, tr.from, tr.to)
 			}
-			seg := ex.expand(tr.level, edge, tr.from)
-			// Segments join at the shared physical endpoint.
-			if len(path) > 0 && len(seg) > 0 && path[len(path)-1] == seg[0] {
-				seg = seg[1:]
-			}
-			path = append(path, seg...)
+			path = ex.join(path, tr.level, edge, tr.from)
 		}
 		paths = append(paths, path)
 	}
@@ -127,19 +123,27 @@ func (ex *expander) edgeBetween(level int, a, b int32) int {
 	return g.Neighbors(int(a))[p].EdgeID()
 }
 
-// expand returns the physical walk of overlay edge `edge` at `level`,
-// oriented to start at the owner of vid `from`.
-func (ex *expander) expand(level, edge int, from int32) []int32 {
-	e := ex.h.Overlay(level).Graph.Edge(edge)
-	fwd := ex.forward(level, edge)
-	if int(from) == e.U {
-		return fwd
+// join appends to path the physical walk of overlay edge `edge` at
+// `level`, read from the vid `from`'s owner on: forward along the memoized
+// U→V walk, or backward along it from V. The walk's first node is left out
+// when path already ends there, since segments meet at a shared physical
+// endpoint.
+func (ex *expander) join(path []int32, level, edge int, from int32) []int32 {
+	seg := ex.forward(level, edge)
+	if int(from) == ex.h.Overlay(level).Graph.Edge(edge).U {
+		if len(path) > 0 && path[len(path)-1] == seg[0] {
+			seg = seg[1:]
+		}
+		return append(path, seg...)
 	}
-	out := make([]int32, len(fwd))
-	for i, v := range fwd {
-		out[len(fwd)-1-i] = v
+	j := len(seg) - 1
+	if len(path) > 0 && path[len(path)-1] == seg[j] {
+		j--
 	}
-	return out
+	for ; j >= 0; j-- {
+		path = append(path, seg[j])
+	}
+	return path
 }
 
 // forward computes (and memoizes) the U→V physical path of an overlay
@@ -149,8 +153,7 @@ func (ex *expander) forward(level, edge int) []int32 {
 		return p
 	}
 	o := ex.h.Overlay(level)
-	e := o.Graph.Edge(edge)
-	below := o.EdgePath(edge, int32(e.U))
+	below := o.Paths[edge] // stored U→V
 	var out []int32
 	if level == 0 {
 		out = below // already physical
@@ -160,15 +163,11 @@ func (ex *expander) forward(level, edge int) []int32 {
 			if a == b {
 				continue
 			}
-			sub := ex.expand(level-1, ex.edgeBetween(level-1, a, b), a)
-			if len(out) > 0 && out[len(out)-1] == sub[0] {
-				sub = sub[1:]
-			}
-			out = append(out, sub...)
+			out = ex.join(out, level-1, ex.edgeBetween(level-1, a, b), a)
 		}
 		if len(out) == 0 {
 			// Degenerate all-lazy path: stay at the owner.
-			out = []int32{int32(ex.h.VM.Owner(int32(e.U)))}
+			out = []int32{int32(ex.h.VM.Owner(int32(o.Graph.Edge(edge).U)))}
 		}
 	}
 	ex.memo[level][edge] = out

@@ -402,7 +402,8 @@ func (r *router) routeLeaf(pkts []int, targets []int32) (int, error) {
 	if len(r.paths) == 0 {
 		return 0, nil
 	}
-	res := pathsched.ScheduleInto(r.paths, r.leafSpan)
+	res := pathsched.Schedule(r.paths)
+	r.leafSpan.Add(res.Makespan)
 	r.report.LeafSchedules++
 	leafG0 := res.Makespan * r.h.EmulationToG0(r.h.Levels)
 	r.g0Done += leafG0

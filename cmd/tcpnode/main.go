@@ -7,11 +7,11 @@
 // cmd/mst), not run by hand.
 //
 // The process keeps a flight recorder (internal/flightrec) of its
-// recent transport events. On a clean FINISH the ring ships back to the
-// coordinator inside the TELEMETRY frame; on a serve error, panic or
-// SIGTERM it is dumped as schema-valid JSON to the -flightrec path
-// (stderr when unset — which the coordinator pipes through), so a dead
-// shard leaves evidence on whichever side survives.
+// recent transport events. At a clean finish the dump is shipped when
+// SPEC asks, i.e. for an -obsout run, inside the TELEMETRY frame; on a
+// serve error, panic or SIGTERM it is dumped as schema-valid JSON to the
+// -flightrec path (stderr when unset — which the coordinator pipes
+// through), so a dead shard leaves evidence on whichever side survives.
 //
 // Fault injection for the failure tests is env-driven so every shard
 // gets identical argv: TCPNODE_FAIL_SHARD/TCPNODE_FAIL_ROUND make that

@@ -11,14 +11,15 @@
 // The recorder follows the repo's nil-off-switch discipline
 // (DESIGN.md §3): every method on a nil *Recorder is a no-op, so call
 // sites thread it unconditionally. Recording allocates nothing after
-// construction — events are fixed-size structs written into a
-// preallocated ring, and the note strings passed in are only ever
-// literals or values that already exist on the failure path.
+// construction — an event is a fixed-size, pointer-free record written
+// into a preallocated ring — but a note, which only failure paths pass,
+// and a frame name seen for the first time may.
 package flightrec
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -33,7 +34,8 @@ const Schema = "almostmix-flightrec/v1"
 
 // DefaultCapacity is the ring size used when a caller passes cap <= 0:
 // large enough to hold several rounds of frame traffic on every
-// plausible shard count, small enough to be irrelevant in memory.
+// plausible shard count. Its ring is 12 KiB (512 records of 24 B), and
+// New allocates 12.6 KiB in all (TestRecorderCost).
 const DefaultCapacity = 512
 
 // Event kinds. Dumps are consumed by scripts, so these are stable
@@ -86,15 +88,40 @@ type Event struct {
 // Recorder is a concurrency-safe fixed-size ring of Events. The zero
 // value is not usable — New allocates one — but a nil *Recorder is: all
 // its methods no-op, the recording-off fast path.
+//
+// The ring holds compact records, not Events: kind and frame are codes
+// into a name table of the recorder's own, round, shard and bytes are
+// int32, and the sequence number is the slot's position. A note, which
+// only error paths pass, waits beside the ring in aside, keyed by slot,
+// and leaves with the record it belongs to. Dump expands the records
+// back into Events.
 type Recorder struct {
 	mu    sync.Mutex
 	role  string
 	shard int
 	start time.Time
-	buf   []Event // ring storage, len == capacity after warmup
-	cap   int
-	seq   uint64 // total events ever recorded
+	ring  []record // len == capacity
+	seq   uint64   // total events ever recorded; the next goes to slot seq % capacity
+	names []string // code → name; names[0] is ""
+	aside map[int]aside
 }
+
+// record is one ring slot: 24 bytes and no pointers, so the ring is one
+// allocation the collector never scans.
+type record struct {
+	tns                 int64
+	round, shard, bytes int32
+	kind, frame         uint8 // codes into Recorder.names, or nameAside
+	aside               bool  // the slot has an entry in Recorder.aside
+}
+
+// aside is what a record keeps off the ring: its note, and a kind or frame
+// that came after the name table filled up.
+type aside struct{ kind, frame, note string }
+
+// nameAside is the code of a name kept in aside: the table holds at most
+// nameAside names, "" included, so a code fits a byte.
+const nameAside = 255
 
 // New returns a recorder for one endpoint: role is "coord" or "shard",
 // shard the owning shard index (-1 for the coordinator), capacity the
@@ -103,39 +130,83 @@ func New(role string, shard, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
+	names := make([]string, 1, 32)
+	names = append(names, KindFrameSent, KindFrameRecv, KindBarrier, KindTimeout, KindError, KindSignal, KindPanic)
 	return &Recorder{
 		role:  role,
 		shard: shard,
 		start: time.Now(),
-		buf:   make([]Event, 0, capacity),
-		cap:   capacity,
+		ring:  make([]record, capacity),
+		names: names,
 	}
 }
 
 // Record appends one event, overwriting the oldest when the ring is
-// full. Safe for concurrent use; a nil recorder ignores the call.
+// full. Round, shard and bytes saturate at the int32 range. Safe for
+// concurrent use; a nil recorder ignores the call. Only a note, a name
+// seen for the first time or one past a full name table may allocate.
 func (r *Recorder) Record(kind, frame string, round, shard, bytes int, note string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	ev := Event{
-		Seq:   r.seq,
-		TNS:   time.Since(r.start).Nanoseconds(),
-		Kind:  kind,
-		Frame: frame,
-		Round: round,
-		Shard: shard,
-		Bytes: bytes,
-		Note:  note,
+	slot := int(r.seq % uint64(len(r.ring)))
+	rec := &r.ring[slot]
+	if rec.aside {
+		delete(r.aside, slot)
 	}
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, ev)
-	} else {
-		r.buf[int(r.seq)%r.cap] = ev
+	*rec = record{
+		tns:   time.Since(r.start).Nanoseconds(),
+		round: sat32(round),
+		shard: sat32(shard),
+		bytes: sat32(bytes),
+		kind:  r.code(kind),
+		frame: r.code(frame),
+	}
+	if note != "" || rec.kind == nameAside || rec.frame == nameAside {
+		if r.aside == nil {
+			r.aside = make(map[int]aside)
+		}
+		rec.aside, r.aside[slot] = true, aside{kind: kind, frame: frame, note: note}
 	}
 	r.seq++
 	r.mu.Unlock()
+}
+
+// sat32 saturates v at the int32 range.
+func sat32(v int) int32 { return int32(max(math.MinInt32, min(v, math.MaxInt32))) }
+
+// code is the name's code, entered in the table on first sight; nameAside
+// once the table is full.
+func (r *Recorder) code(name string) uint8 {
+	for i, n := range r.names {
+		if n == name {
+			return uint8(i)
+		}
+	}
+	if len(r.names) == nameAside {
+		return nameAside
+	}
+	r.names = append(r.names, name)
+	return uint8(len(r.names) - 1)
+}
+
+// event expands the record in slot into the Event of sequence number seq.
+func (r *Recorder) event(slot int, seq uint64) Event {
+	rec := &r.ring[slot]
+	ev := Event{Seq: seq, TNS: rec.tns, Round: int(rec.round), Shard: int(rec.shard), Bytes: int(rec.bytes)}
+	var a aside
+	if rec.aside {
+		a = r.aside[slot]
+	}
+	ev.Kind, ev.Frame, ev.Note = a.kind, a.frame, a.note
+	if rec.kind != nameAside {
+		ev.Kind = r.names[rec.kind]
+	}
+	if rec.frame != nameAside {
+		ev.Frame = r.names[rec.frame]
+	}
+	return ev
 }
 
 // Dump is the crash-safe export of one recorder: the surviving ring in
@@ -168,15 +239,13 @@ func (r *Recorder) Dump(reason string) Dump {
 	defer r.mu.Unlock()
 	d.Role = r.role
 	d.Shard = r.shard
-	d.Dropped = r.seq - uint64(len(r.buf))
-	d.Events = make([]Event, 0, len(r.buf))
-	if len(r.buf) == r.cap {
-		// Ring wrapped: oldest surviving event sits at seq % cap.
-		at := int(r.seq) % r.cap
-		d.Events = append(d.Events, r.buf[at:]...)
-		d.Events = append(d.Events, r.buf[:at]...)
-	} else {
-		d.Events = append(d.Events, r.buf...)
+	capacity := uint64(len(r.ring))
+	kept := min(r.seq, capacity)
+	d.Dropped = r.seq - kept
+	d.Events = make([]Event, kept)
+	for i := range d.Events {
+		seq := d.Dropped + uint64(i)
+		d.Events[i] = r.event(int(seq%capacity), seq)
 	}
 	for _, ev := range d.Events {
 		if ev.Round > d.LastRound {

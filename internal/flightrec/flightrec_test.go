@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestNilRecorderNoops(t *testing.T) {
@@ -170,5 +176,143 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 	if d := r.Dump(ReasonFinish); len(d.Events) != DefaultCapacity {
 		t.Errorf("default-capacity ring kept %d events, want %d", len(d.Events), DefaultCapacity)
+	}
+}
+
+// refRecorder is the recorder as it was before the compact ring: every
+// Event kept whole in a slice, its strings included. The differential
+// test holds Recorder to it.
+type refRecorder struct {
+	role  string
+	shard int
+	buf   []Event
+	cap   int
+	seq   uint64
+}
+
+func (r *refRecorder) record(tns int64, kind, frame string, round, shard, bytes int, note string) {
+	ev := Event{Seq: r.seq, TNS: tns, Kind: kind, Frame: frame, Round: round, Shard: shard, Bytes: bytes, Note: note}
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, ev)
+	} else {
+		r.buf[int(r.seq)%r.cap] = ev
+	}
+	r.seq++
+}
+
+func (r *refRecorder) dump(reason string) Dump {
+	d := Dump{Schema: Schema, Role: r.role, Shard: r.shard, Reason: reason, GuiltyShard: -1}
+	d.Dropped = r.seq - uint64(len(r.buf))
+	d.Events = make([]Event, 0, len(r.buf))
+	if len(r.buf) == r.cap {
+		at := int(r.seq) % r.cap
+		d.Events = append(d.Events, r.buf[at:]...)
+		d.Events = append(d.Events, r.buf[:at]...)
+	} else {
+		d.Events = append(d.Events, r.buf...)
+	}
+	for _, ev := range d.Events {
+		if ev.Round > d.LastRound {
+			d.LastRound = ev.Round
+		}
+	}
+	return d
+}
+
+// TestCompactRingMatchesEventRing records random sequences into a
+// Recorder and into refRecorder — every kind, notes, frame names old,
+// new and empty, enough fresh names to fill the name table, rings that
+// wrap — and demands equal dumps, as values and as JSON bytes, at points
+// along the way. The reference takes each event's timestamp from the slot
+// Record just wrote.
+func TestCompactRingMatchesEventRing(t *testing.T) {
+	kinds := []string{KindFrameSent, KindFrameRecv, KindBarrier, KindTimeout, KindError, KindSignal, KindPanic}
+	known := []string{"", "HELLO", "SPEC", "INITACK", "ROUND", "SENDS", "REPORT", "FINAL", "TELEMETRY", "none"}
+	for _, tc := range []struct {
+		capacity, events int
+		fresh            float64 // share of events that name a frame for the first time
+	}{
+		{1, 40, 0.1}, {7, 300, 0.2}, {512, 2000, 0.05}, {512, 1500, 0.5}, {7, 5, 0.5},
+	} {
+		t.Run(fmt.Sprintf("cap%d_events%d", tc.capacity, tc.events), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(tc.capacity), uint64(tc.events)))
+			r := New("shard", 3, tc.capacity)
+			ref := &refRecorder{role: "shard", shard: 3, cap: tc.capacity}
+			frames, fresh := slices.Clone(known), 0
+			for i := 0; i < tc.events; i++ {
+				kind := kinds[rng.IntN(len(kinds))]
+				frame := frames[rng.IntN(len(frames))]
+				if rng.Float64() < tc.fresh {
+					fresh++
+					frame = fmt.Sprintf("F%d", fresh)
+					frames = append(frames, frame)
+				}
+				note := ""
+				if rng.IntN(5) == 0 {
+					note = fmt.Sprintf("note %d", i)
+				}
+				round, shard, size := rng.IntN(1<<31)-1, rng.IntN(9)-1, rng.IntN(1<<24)
+				r.Record(kind, frame, round, shard, size, note)
+				ref.record(r.ring[(r.seq-1)%uint64(len(r.ring))].tns, kind, frame, round, shard, size, note)
+				if i%97 == 0 || i == tc.events-1 {
+					got, want := r.Dump(ReasonFinish), ref.dump(ReasonFinish)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("after %d events: dump\n%+v\nwant\n%+v", i+1, got, want)
+					}
+					gb, _ := json.Marshal(got)
+					wb, _ := json.Marshal(want)
+					if !bytes.Equal(gb, wb) {
+						t.Fatalf("after %d events: JSON\n%s\nwant\n%s", i+1, gb, wb)
+					}
+				}
+			}
+			if notes := len(r.aside); notes > tc.capacity {
+				t.Errorf("%d records kept aside for a ring of %d: evicted records left theirs behind", notes, tc.capacity)
+			}
+			if fresh > nameAside && len(r.names) != nameAside {
+				t.Errorf("name table holds %d names after %d fresh ones, want it full at %d", len(r.names), fresh, nameAside)
+			}
+		})
+	}
+}
+
+// TestRecorderCost pins the recorder's memory: a ring slot is at most
+// 32 B, a default-capacity recorder allocates at most 16 KB, and Record
+// without a note nothing.
+func TestRecorderCost(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size > 32 {
+		t.Errorf("a ring slot is %d B, want at most 32", size)
+	}
+	var before, after runtime.MemStats
+	const n = 64
+	keep := make([]*Recorder, n)
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New("coord", -1, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 16000 {
+		t.Errorf("a default recorder allocates %d B, want at most 16 000", per)
+	} else {
+		t.Logf("a default recorder allocates %d B", per)
+	}
+	r := keep[0]
+	r.Record(KindFrameSent, "ROUND", 1, 0, 10, "") // the frame's first sight enters it in the table
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.Record(KindFrameSent, "ROUND", 2, 1, 99, "")
+		r.Record(KindBarrier, "", 3, -1, 0, "")
+	}); allocs != 0 {
+		t.Errorf("Record without a note allocates %.1f times per call pair, want 0", allocs)
+	}
+}
+
+// TestRecordSaturates: round, shard and bytes beyond the int32 range are
+// kept as its nearest end.
+func TestRecordSaturates(t *testing.T) {
+	r := New("coord", -1, 2)
+	r.Record(KindBarrier, "", 1<<40, -1<<40, math.MaxInt, "")
+	ev := r.Dump(ReasonFinish).Events[0]
+	if ev.Round != math.MaxInt32 || ev.Shard != math.MinInt32 || ev.Bytes != math.MaxInt32 {
+		t.Errorf("event %+v, want round and bytes %d, shard %d", ev, math.MaxInt32, math.MinInt32)
 	}
 }

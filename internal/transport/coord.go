@@ -10,7 +10,8 @@ package transport
 //	rounds    ←REPORT*      the shards run the rounds among themselves
 //	                        (shardrun.go); probed or alone, each reports each
 //	harvest   ←FINAL        rounds run, message counts, per-node records
-//	          ←TELEMETRY    wire tallies, round timings, flight dump
+//	          ←TELEMETRY    wire tallies, fault totals [+ flight dump,
+//	                        when SPEC asks: an -obsout run]
 //	reap                    close, then wait for / kill the runtimes
 //
 // It takes each round's REPORTs in shard (= node) order, so its probe
@@ -96,15 +97,24 @@ func (t TCP) timeout() time.Duration {
 
 // Run implements Transport.
 func (t TCP) Run(spec Spec, opts Options) (Result, error) {
-	_, inst, err := buildInstance(spec)
+	c, err := t.newCoordinator(spec, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	if n := inst.Graph.N(); t.Shards < 1 || t.Shards > n {
-		return Result{}, fmt.Errorf("transport: %d shards for %d nodes (need 1 ≤ shards ≤ n)", t.Shards, n)
-	}
-	c := &coordinator{tcp: t, spec: spec, inst: inst, opts: opts}
 	return c.run()
+}
+
+// newCoordinator builds the spec's instance and checks the shard count
+// against it.
+func (t TCP) newCoordinator(spec Spec, opts Options) (*coordinator, error) {
+	_, inst, err := buildInstance(spec)
+	if err != nil {
+		return nil, err
+	}
+	if n := inst.Graph.N(); t.Shards < 1 || t.Shards > n {
+		return nil, fmt.Errorf("transport: %d shards for %d nodes (need 1 ≤ shards ≤ n)", t.Shards, n)
+	}
+	return &coordinator{tcp: t, spec: spec, inst: inst, opts: opts}, nil
 }
 
 // classifyReason maps a run error to a flight-recorder dump reason: a
@@ -369,14 +379,15 @@ func (c *coordinator) accept(ln net.Listener) error {
 func (c *coordinator) sendSpec() error {
 	c.phaseStart("spec", -1)
 	body, err := json.Marshal(wireSpec{
-		Version:  wireVersion,
-		Shards:   c.tcp.Shards,
-		Peers:    c.peers,
-		Token:    rand.Uint64(),
-		Timeout:  int64(c.tcp.timeout()),
-		Probe:    c.opts.Probe != nil,
-		Timeline: c.obsOn,
-		Spec:     c.spec,
+		Version:    wireVersion,
+		Shards:     c.tcp.Shards,
+		Peers:      c.peers,
+		Token:      rand.Uint64(),
+		Timeout:    int64(c.tcp.timeout()),
+		Probe:      c.opts.Probe != nil,
+		Timeline:   c.obsOn,
+		FlightDump: c.tcp.ObsOut != "",
+		Spec:       c.spec,
 	})
 	if err != nil {
 		return fmt.Errorf("transport: encode spec: %w", err)
@@ -778,7 +789,8 @@ func (c *coordinator) absorbFinal(shard int, body []byte) error {
 	return cur.done("final reply")
 }
 
-// absorbTelemetry reads one TELEMETRY: the shard's rows.
+// absorbTelemetry reads one TELEMETRY: the shard's rows and, exactly when
+// SPEC asked (an -obsout run), its own flight dump of a finished run.
 func (c *coordinator) absorbTelemetry(shard int, body []byte) error {
 	wt := &wireTelemetry{}
 	if err := json.Unmarshal(body, wt); err != nil {
@@ -789,6 +801,16 @@ func (c *coordinator) absorbTelemetry(shard int, body []byte) error {
 	}
 	if p := wt.Peer; (p != nil) != (c.tcp.Shards > 1) || p != nil && (p.Endpoint != "peer" || p.Shard != shard) {
 		return fmt.Errorf("peer telemetry row %+v of shard %d", p, shard)
+	}
+	switch asked := c.tcp.ObsOut != ""; {
+	case wt.Dump != nil && !asked:
+		return errors.New("TELEMETRY carries a flight dump, and SPEC did not ask for one")
+	case wt.Dump == nil && asked:
+		return errors.New("TELEMETRY carries no flight dump, and SPEC asked for one")
+	case asked:
+		if err := validShardDump(shard, wt.Dump); err != nil {
+			return err
+		}
 	}
 	c.faults.Add(wt.Faults)
 	c.shardTel[shard] = wt
@@ -963,7 +985,7 @@ func (c *coordinator) obsDoc(reason string, runErr error, wire []WireStats) *Obs
 	doc.Wire, doc.Timeline, doc.Skew = wire, c.timeline, c.skew
 	for i, wt := range c.shardTel {
 		if wt != nil {
-			doc.ShardDumps[i] = &wt.Dump
+			doc.ShardDumps[i] = wt.Dump
 		}
 	}
 	return doc

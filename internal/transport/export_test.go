@@ -26,3 +26,18 @@ func SetPeerConnHook(f func(shard int, conn net.Conn) net.Conn) (restore func())
 	peerConnHook = f
 	return func() { peerConnHook = old }
 }
+
+// ShippedDumps runs spec like t.Run and reports, per shard, whether the
+// TELEMETRY the coordinator took from it carried a flight dump.
+func ShippedDumps(t TCP, spec Spec) ([]bool, error) {
+	c, err := t.newCoordinator(spec, Options{})
+	if err != nil {
+		return nil, err
+	}
+	_, err = c.run()
+	shipped := make([]bool, len(c.shardTel))
+	for i, wt := range c.shardTel {
+		shipped[i] = wt != nil && wt.Dump != nil
+	}
+	return shipped, err
+}

@@ -32,7 +32,7 @@ const (
 	frameReport                    // shard → coord, probed or alone: round, rounds skipped after it [+ delivered, inbox profile, step head, probed]
 	frameAbort                     // shard → coord: a peer failed (guilty shard, its last round and frame, cause)
 	frameFinal                     // shard → coord: rounds, limit flag, message count, one record per owned node [+ executed rounds' timings]
-	frameTelemetry                 // shard → coord: JSON wireTelemetry (tallies, flight dump)
+	frameTelemetry                 // shard → coord: JSON wireTelemetry (tallies, fault totals [+ flight dump, when SPEC asks: an -obsout run])
 
 	// frameTypeCount sizes per-type tally arrays indexed by frame type.
 	frameTypeCount
@@ -63,9 +63,9 @@ func frameName(typ byte) string {
 }
 
 // wireVersion guards against coordinator/shard skew, bumped with any
-// incompatible protocol or codec change (history: DESIGN.md §3); 10 added
-// the wake to a step and the skip to REPORT, so idle rounds cost no frames.
-const wireVersion = 10
+// incompatible protocol or codec change (history: DESIGN.md §3); 11 ships
+// a shard's flight dump in TELEMETRY only when SPEC asks for it.
+const wireVersion = 11
 
 // maxFramePayload bounds a frame's payload: generous (the largest frame is
 // a ROUND, linear in the cut between two shards), yet a corrupt or hostile

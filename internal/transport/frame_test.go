@@ -8,6 +8,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/flightrec"
 	"almostmix/internal/graph"
 )
 
@@ -266,21 +268,38 @@ func TestRecordCodec(t *testing.T) {
 
 // FuzzAbsorbReplies goes one level up: each body is absorbed as every
 // frame type by a coordinator over a small fixed graph, with a probe
-// attached and without — the state a hostile shard's numbers would index —
-// and as a ROUND and a SENDS by each shard of the same graph from its peer.
-// A rejected frame is the expected outcome; a panic is the bug.
+// attached and without, for an -obsout run (SPEC asks for the flight dump)
+// and without — the state a hostile shard's numbers would index — and as a
+// ROUND and a SENDS by each shard of the same graph from its peer. A
+// rejected frame is the expected outcome; a panic is the bug.
 func FuzzAbsorbReplies(f *testing.F) {
 	replySeeds(f)
+	// TELEMETRY of each shard of two, with its flight dump and without.
+	for shard := range 2 {
+		rec := flightrec.New("shard", shard, 4)
+		rec.Record(flightrec.KindFrameSent, "FINAL", 3, -1, 40, "")
+		d := rec.Dump(flightrec.ReasonFinish)
+		for _, dump := range []*flightrec.Dump{nil, &d} {
+			body, err := json.Marshal(wireTelemetry{WireStats: WireStats{Endpoint: "shard", Shard: shard}, Peer: &WireStats{Endpoint: "peer", Shard: shard}, Dump: dump})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body, shard)
+		}
+	}
 	g := graph.Star(8) // node 0 has degree 7, the rest degree 1: ports are not interchangeable
 	f.Fuzz(func(t *testing.T, data []byte, shard int) {
 		const k = 2
 		if shard < 0 || shard >= k {
 			return
 		}
-		for _, probe := range []bool{true, false} {
+		for _, mode := range []struct{ probe, obs bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
 			c := &coordinator{tcp: TCP{Shards: k}, inst: &Instance{Graph: g}}
-			if probe {
+			if mode.probe {
 				c.opts.Probe, c.agg = congest.NopProbe{}, congest.NewRoundAggregator(g)
+			}
+			if mode.obs {
+				c.tcp.ObsOut = "obs.json" // only named: absorbing writes nothing
 			}
 			c.prepare()
 			_ = c.absorbInitAck(shard, data)
@@ -288,8 +307,14 @@ func FuzzAbsorbReplies(f *testing.F) {
 			_ = c.absorbFinal(shard, data)
 			_ = c.absorbTelemetry(shard, data)
 			_ = c.aborted(inFrame{shard: shard, typ: frameAbort, body: data})
-			// Whatever was absorbed has to be usable: the round closes.
-			if probe {
+			// Whatever was absorbed has to be usable: the round closes, and
+			// the obs document validates.
+			if c.tcp.ObsOut != "" {
+				if err := ValidateObs(c.obsDoc(flightrec.ReasonFinish, nil, c.wireRows())); err != nil {
+					t.Fatalf("absorbed TELEMETRY %q makes an invalid obs document: %v", data, err)
+				}
+			}
+			if mode.probe {
 				c.agg.RoundEnd(c.opts.Probe, 1, c.delivered, c.active, c.halted, c.roundFaults)
 			}
 		}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/flightrec"
 	"almostmix/internal/graph"
 	"almostmix/internal/transport"
 )
@@ -655,6 +656,69 @@ func TestHostileReplies(t *testing.T) {
 				settleGoroutines(t, base, tc.name)
 			})
 		}
+	}
+	// TELEMETRY carries a flight dump exactly when SPEC asked for one, i.e.
+	// for an -obsout run: shard 1 ships a well-formed dump of its own
+	// unasked, and leaves out the one asked for.
+	dump := flightrec.New("shard", 1, 4)
+	dump.Record(flightrec.KindFrameSent, "FINAL", 3, -1, 40, "")
+	shipped, err := json.Marshal(dump.Dump(flightrec.ReasonFinish))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDump := func(d json.RawMessage) func([]byte) []byte {
+		return func(body []byte) []byte {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(body, &fields); err != nil {
+				t.Errorf("TELEMETRY %q: %v", body, err)
+			}
+			if delete(fields, "flightrec"); d != nil {
+				fields["flightrec"] = d
+			}
+			b, _ := json.Marshal(fields)
+			return b
+		}
+	}
+	// A clean -obsout run first, so the process-wide os/signal goroutine
+	// exists before the cases take their goroutine counts.
+	clean := transport.TCP{Shards: 2, Timeout: 10 * time.Second, Spawn: goroutineSpawner(nil), ObsOut: filepath.Join(t.TempDir(), "obs.json")}
+	if _, err := clean.Run(spec, transport.Options{}); err != nil {
+		t.Fatalf("clean -obsout run: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		obs     bool
+		rewrite func([]byte) []byte
+		want    string
+	}{
+		{"TELEMETRY carrying an unasked-for flight dump", false, withDump(shipped), "TELEMETRY carries a flight dump, and SPEC did not ask for one"},
+		{"obsout TELEMETRY without its flight dump", true, withDump(nil), "TELEMETRY carries no flight dump, and SPEC asked for one"},
+		{"obsout TELEMETRY with another shard's flight dump", true, withDump(bytes.Replace(shipped, []byte(`"shard":1`), []byte(`"shard":0`), 1)),
+			"flight dump of shard 0, reason finish; want shard 1's at the finish"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			obsOut := ""
+			if tc.obs {
+				obsOut = filepath.Join(t.TempDir(), "obs.json")
+			}
+			s := onNth(transport.FrameTelemetry, 1, fate{rewrite: tc.rewrite})
+			_, err := scriptedTCP(2, 1, 10*time.Second, obsOut, s).Run(spec, transport.Options{})
+			if err == nil {
+				t.Fatal("run reported success")
+			}
+			for _, want := range []string{"transport: shard 1: reply:", "phase harvest", tc.want} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("err = %v, want it to contain %q", err, want)
+				}
+			}
+			if tc.obs {
+				if d := readObsFile(t, obsOut); d.GuiltyShard != 1 || d.ShardDumps[1] != nil {
+					t.Errorf("obs document blames shard %d and keeps shard 1's dump %v", d.GuiltyShard, d.ShardDumps[1])
+				}
+			}
+			settleGoroutines(t, base, tc.name)
+		})
 	}
 	// Unprobed, only a lone shard reports, and only the round and the
 	// rounds it skipped after it: shard 0's FINAL retyped as a REPORT

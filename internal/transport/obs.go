@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"almostmix/internal/faults"
 	"almostmix/internal/flightrec"
@@ -84,8 +85,9 @@ type ObsDoc struct {
 
 // ValidateObs checks the document against its schema contract: the
 // stamp, a coordinator dump that itself validates, shard dump slots
-// matching the shard count, and every present shard dump valid. The
-// smoke suite and cmd/obsreport both gate on it.
+// matching the shard count, and every present shard dump one that shard
+// shipped (validShardDump). The smoke suite and cmd/obsreport both gate
+// on it.
 func ValidateObs(d *ObsDoc) error {
 	if d == nil {
 		return fmt.Errorf("transport: nil obs document")
@@ -109,9 +111,25 @@ func ValidateObs(d *ObsDoc) error {
 		if sd == nil {
 			continue // shard died before shipping telemetry
 		}
-		if err := flightrec.Validate(sd); err != nil {
+		if err := validShardDump(i, sd); err != nil {
 			return fmt.Errorf("transport: obs shard %d dump: %w", i, err)
 		}
+	}
+	return nil
+}
+
+// validShardDump checks a dump shard i shipped in TELEMETRY: valid, its
+// own (role shard, index i), taken at the finish and holding a frame it
+// sent — FINAL, sent just before the dump is taken, is the last event.
+func validShardDump(i int, d *flightrec.Dump) error {
+	if err := flightrec.Validate(d); err != nil {
+		return err
+	}
+	if d.Role != "shard" || d.Shard != i || d.Reason != flightrec.ReasonFinish {
+		return fmt.Errorf("flight dump of %s %d, reason %s; want shard %d's at the finish", d.Role, d.Shard, d.Reason, i)
+	}
+	if !slices.ContainsFunc(d.Events, func(ev flightrec.Event) bool { return ev.Kind == flightrec.KindFrameSent }) {
+		return fmt.Errorf("flight dump of shard %d shows no frame it sent", i)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,13 @@ func TestObsFinishDoc(t *testing.T) {
 	for i, sd := range d.ShardDumps {
 		if sd == nil {
 			t.Errorf("shard %d shipped no flight dump on a clean finish", i)
+			continue
+		}
+		if sd.Role != "shard" || sd.Shard != i || sd.Reason != flightrec.ReasonFinish {
+			t.Errorf("shard %d shipped the dump of %s %d, reason %s", i, sd.Role, sd.Shard, sd.Reason)
+		}
+		if !slices.ContainsFunc(sd.Events, func(ev flightrec.Event) bool { return ev.Kind == flightrec.KindFrameSent }) {
+			t.Errorf("shard %d's flight dump shows no frame it sent (%d events)", i, len(sd.Events))
 		}
 	}
 	if len(d.Wire) != 3*d.Shards {
@@ -275,5 +283,25 @@ func TestRunMetricsOneBlock(t *testing.T) {
 	}
 	if v, _ := proc.Counter("congest_msgs_dropped_total"); v == 0 {
 		t.Error("the fault plan dropped nothing: the fault counters are untested")
+	}
+}
+
+// TestFlightDumpOnlyForObsOut: a shard ships its flight dump exactly when
+// SPEC asks, i.e. for an -obsout run. A 2-shard GHS run without ObsOut
+// takes TELEMETRY from both shards and no dump; with ObsOut, one from each.
+func TestFlightDumpOnlyForObsOut(t *testing.T) {
+	spec := suiteSpecs(1)[3]
+	if spec.Workload != "ghs" {
+		t.Fatalf("suiteSpecs(1)[3] is %s, want ghs", spec.Workload)
+	}
+	for _, obsOut := range []string{"", filepath.Join(t.TempDir(), "obs.json")} {
+		tcp := transport.TCP{Shards: 2, Timeout: 30 * time.Second, Spawn: goroutineSpawner(nil), ObsOut: obsOut}
+		shipped, err := transport.ShippedDumps(tcp, spec)
+		if err != nil {
+			t.Fatalf("obsout %q: %v", obsOut, err)
+		}
+		if want := []bool{obsOut != "", obsOut != ""}; !slices.Equal(shipped, want) {
+			t.Errorf("obsout %q: shards shipped dumps %v, want %v", obsOut, shipped, want)
+		}
 	}
 }

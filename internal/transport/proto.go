@@ -21,25 +21,28 @@ import (
 // wireSpec is the JSON body of SPEC: the replayable spec, the shard count,
 // every shard's peer address, the run token a peer hello must carry, a
 // shard's wait on a peer, and whether the coordinator wants a REPORT per
-// round (Probe) and the round timings in FINAL (Timeline).
+// round (Probe), the round timings in FINAL (Timeline) and the flight dump
+// in TELEMETRY (FlightDump, an -obsout run's: nothing else reads it).
 type wireSpec struct {
-	Version  int      `json:"version"`
-	Shards   int      `json:"shards"`
-	Peers    []string `json:"peers"`
-	Token    uint64   `json:"token"`
-	Timeout  int64    `json:"timeout_ns"`
-	Probe    bool     `json:"probe,omitempty"`
-	Timeline bool     `json:"timeline,omitempty"`
-	Spec     Spec     `json:"spec"`
+	Version    int      `json:"version"`
+	Shards     int      `json:"shards"`
+	Peers      []string `json:"peers"`
+	Token      uint64   `json:"token"`
+	Timeout    int64    `json:"timeout_ns"`
+	Probe      bool     `json:"probe,omitempty"`
+	Timeline   bool     `json:"timeline,omitempty"`
+	FlightDump bool     `json:"flight_dump,omitempty"`
+	Spec       Spec     `json:"spec"`
 }
 
 // wireTelemetry is the JSON body of TELEMETRY: the shard's coordinator-link
 // row (Endpoint "shard", Faults its plan's totals at its owned nodes), its
-// peer links' row (Endpoint "peer", absent with one shard), its flight dump.
+// peer links' row (Endpoint "peer", absent with one shard) and, exactly
+// when SPEC asks, its flight dump.
 type wireTelemetry struct {
 	WireStats
-	Peer *WireStats     `json:"peer,omitempty"`
-	Dump flightrec.Dump `json:"flightrec"`
+	Peer *WireStats      `json:"peer,omitempty"`
+	Dump *flightrec.Dump `json:"flightrec,omitempty"`
 }
 
 // roundStat is one executed round as one shard saw it: the round, the wall

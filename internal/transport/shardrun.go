@@ -43,7 +43,8 @@ type ShardConfig struct {
 	StallAtRound int
 	// Recorder is the shard's flight recorder (cmd/tcpnode passes one it
 	// also dumps on panic/SIGTERM); ServeShard makes one when nil. Its dump
-	// ships back in the TELEMETRY frame.
+	// ships back in the TELEMETRY frame when SPEC asks, i.e. for an -obsout
+	// run.
 	Recorder *flightrec.Recorder
 }
 
@@ -613,7 +614,8 @@ func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error
 // finish ends the run: FINAL (rounds run, whether the limit ended them,
 // the owned message count and records, the executed rounds' timings), then,
 // once the peer writers are done, TELEMETRY: the tallies of the coordinator
-// link (but for TELEMETRY itself) and of the peer links, and the flight dump.
+// link (but for TELEMETRY itself) and of the peer links, the fault totals
+// and, when SPEC asks (an -obsout run), the flight dump.
 func (r *shardRuntime) finish(limit bool) error {
 	r.body = binary.AppendUvarint(r.body[:0], uint64(r.steps))
 	r.body = append(r.body, flag(limit))
@@ -631,9 +633,10 @@ func (r *shardRuntime) finish(limit bool) error {
 		return err
 	}
 	r.stopWriters()
-	wt := wireTelemetry{
-		WireStats: wireStats("shard", r.shard, r.fc.tally),
-		Dump:      r.rec.Dump(flightrec.ReasonFinish),
+	wt := wireTelemetry{WireStats: wireStats("shard", r.shard, r.fc.tally)}
+	if r.ws.FlightDump {
+		d := r.rec.Dump(flightrec.ReasonFinish)
+		wt.Dump = &d
 	}
 	if len(r.links) > 1 {
 		peers := wireStats("peer", r.shard, r.peerTally)

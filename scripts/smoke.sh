@@ -334,7 +334,22 @@ if grep -A 1 '"tcpnet_shard_frames_total{shard=0}"' "$out/walks-obs-metrics.json
 	echo "smoke: shard-side wire counter is zero" >&2
 	exit 1
 fi
-echo "smoke: E19 obs document + shard telemetry ok"
+# SPEC asks for the shards' flight dumps on an -obsout run: the document
+# holds both, each with a frame its shard sent. obsreport prints a whole
+# ring with -tail 512 (kind is the third column) and "no dump shipped" for
+# a missing one.
+"$bin/obsreport" -obs "$out/walks-obs.json" -tail 512 -out "$out/obsreport-dumps.txt"
+for shard in 0 1; do
+	if ! awk -v hdr="== flight recorder: shard $shard ==" '
+		$0 == hdr { in_dump = 1; next }
+		/^== / { in_dump = 0 }
+		in_dump && $3 == "frame-sent" { found = 1 }
+		END { exit !found }' "$out/obsreport-dumps.txt"; then
+		echo "smoke: obs document lacks shard $shard's flight dump, or it shows no frame sent" >&2
+		exit 1
+	fi
+done
+echo "smoke: E19 obs document + shard telemetry + shard flight dumps ok"
 
 # E19 failure path: an induced stall (env fault injection on a real
 # tcpnode process, short deadline) must exit 1 and leave a

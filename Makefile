@@ -117,3 +117,5 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzParseReplies -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzAbsorbReplies -fuzztime 30s ./internal/transport
+	go test -run '^$$' -fuzz FuzzGHSPayload -fuzztime 30s ./internal/mstbase
+	go test -run '^$$' -fuzz FuzzWalkPayload -fuzztime 30s ./internal/randomwalk

@@ -171,4 +171,34 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	if _, err := DecodeBFSPayload(binary.AppendUvarint(nil, math.MaxInt32+1)); err == nil {
 		t.Error("BFS codec decoded a distance that does not fit the record field")
 	}
+	// Overlong varints (81 80 00 is 1) are not the bytes Encode writes.
+	for name, dec := range map[string]func([]byte) (Message, error){"bfs": DecodeBFSPayload, "flood": DecodeFloodPayload} {
+		for _, overlong := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+			if m, err := dec(overlong); err == nil {
+				t.Errorf("%s codec decoded the overlong % x to %+v", name, overlong, m)
+			}
+		}
+	}
+}
+
+// TestCanonicalVarints: Uvarint and Varint read exactly what
+// binary.AppendUvarint and binary.AppendVarint write, and refuse overlong,
+// truncated and overflowing forms.
+func TestCanonicalVarints(t *testing.T) {
+	if err := quick.Check(func(u uint64, v int64) bool {
+		ub, vb := binary.AppendUvarint(nil, u), binary.AppendVarint(nil, v)
+		gu, nu := Uvarint(ub)
+		gv, nv := Varint(vb)
+		return gu == u && nu == len(ub) && gv == v && nv == len(vb)
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{nil, {0x80}, {0x80, 0x00}, {0x81, 0x80, 0x00}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}} {
+		if v, n := Uvarint(bad); n != 0 {
+			t.Errorf("Uvarint read % x as %d (%d bytes)", bad, v, n)
+		}
+		if v, n := Varint(bad); n != 0 {
+			t.Errorf("Varint read % x as %d (%d bytes)", bad, v, n)
+		}
+	}
 }

@@ -42,6 +42,31 @@ func BFSPrograms(g *graph.Graph, root int) ([]Program, *BFSResult) {
 	return programs, res
 }
 
+// Uvarint reads one uvarint in its canonical form, the one
+// binary.AppendUvarint writes, and returns it with the bytes it took.
+// binary.Uvarint also reads overlong forms (81 80 00 is 1), which end in a
+// zero byte; Uvarint reports those, like a truncated or overflowing one,
+// with n = 0. Decoders read their varints through it and Varint, so every
+// byte string they accept is the one Encode writes for its record.
+func Uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// Varint is Uvarint for the zig-zag signed form binary.AppendVarint
+// writes.
+func Varint(b []byte) (int64, int) {
+	u, n := Uvarint(b)
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v, n
+}
+
 // EncodeBFSPayload appends the canonical encoding of a BFS token.
 func EncodeBFSPayload(buf []byte, m Message) ([]byte, error) {
 	if m.Kind != kindBFS {
@@ -52,8 +77,8 @@ func EncodeBFSPayload(buf []byte, m Message) ([]byte, error) {
 
 // DecodeBFSPayload parses the bytes EncodeBFSPayload produced.
 func DecodeBFSPayload(b []byte) (Message, error) {
-	d, n := binary.Uvarint(b)
-	if n <= 0 || n != len(b) || d > math.MaxInt32 {
+	d, n := Uvarint(b)
+	if n == 0 || n != len(b) || d > math.MaxInt32 {
 		return Message{}, fmt.Errorf("congest: malformed BFS payload (%d bytes)", len(b))
 	}
 	return bfsToken(int(d)), nil
@@ -85,8 +110,8 @@ func EncodeFloodPayload(buf []byte, m Message) ([]byte, error) {
 
 // DecodeFloodPayload parses the bytes EncodeFloodPayload produced.
 func DecodeFloodPayload(b []byte) (Message, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 || n != len(b) {
+	v, n := Varint(b)
+	if n == 0 || n != len(b) {
 		return Message{}, fmt.Errorf("congest: malformed flood payload (%d bytes)", len(b))
 	}
 	return Message{Kind: kindFlood, W: uint64(v)}, nil

@@ -36,6 +36,12 @@ import (
 // nothing queued promises to sleep to the next boundary (Ctx.SleepUntil):
 // the engines then count the window's idle tail instead of stepping it, so
 // the 3n+6 rounds cost rounds but no host time.
+//
+// The same program runs with and without faults. Every message carries its
+// window index, and a node discards stragglers from other windows, counts
+// one report per port, stalls a window it finds inconsistent and heals
+// label splits at the boundary. A fault-free run never trips any of these
+// defences, so they change nothing there.
 
 // ghsCandidate is an MWOE candidate: the edge's weight and endpoints
 // (inside node first). A +Inf weight encodes "no outgoing edge".
@@ -57,7 +63,12 @@ func (c ghsCandidate) better(o ghsCandidate) bool {
 // Message kinds (mstbase's range of congest.Kind starts at 32). A kind's
 // offset from ghsKindBase is also its tag in the wire codec (wire.go). A
 // fragment ID rides in A; a candidate's weight bits ride in W and its
-// endpoints in A and B; a merge request has no fields.
+// endpoints in A and B; a merge request has no fields. Every record
+// carries the sender's window index in Win, so a delayed message
+// straggling across a window boundary is recognized and discarded instead
+// of corrupting the next window's counters. The discard matches fault-free
+// semantics: the boundary step never reads its inbox, so a message
+// crossing a boundary is already lost.
 const (
 	ghsKindBase congest.Kind = 32
 
@@ -66,14 +77,6 @@ const (
 	kindGHSDecision
 	kindGHSMergeReq
 	kindGHSAdopt
-
-	// ghsStamped marks a record as window-stamped: on faulty runs every
-	// message carries its window index in Win, so a delayed message
-	// straggling across a window boundary is recognized and discarded
-	// instead of corrupting the next window's counters. The discard
-	// matches fault-free semantics: the boundary step never reads its
-	// inbox, so a message crossing a boundary is already lost.
-	ghsStamped congest.Kind = 8
 )
 
 func ghsFragMessage(kind congest.Kind, frag int32) congest.Message {
@@ -91,7 +94,7 @@ func ghsCandOf(m congest.Message) ghsCandidate {
 
 // ghsNode is the per-node program state.
 type ghsNode struct {
-	run *ghsRun
+	window int // rounds per Borůvka window, ghsWindow(n)
 
 	frag       int32
 	parentPort int    // -1 at fragment roots
@@ -119,14 +122,14 @@ type ghsNode struct {
 	pendingSend []pendingMsg
 	usedPort    []bool // flush scratch: all false between calls
 
-	// Faulty-run extras, inert when run.faulty is false. curWin/lastWin
-	// track the window index so stamped messages can be produced and a
-	// boundary missed while crashed can be detected. poisoned marks a
-	// window in which this node observed an inconsistency (label split
-	// across a tree edge, report from an unexpected port, recovery
-	// mid-window): a poisoned node abstains from reporting, which stalls
-	// its fragment's decision for the window — the window retries cleanly
-	// after the next boundary instead of committing a corrupt choice.
+	// Fault defences, inert on fault-free runs. curWin/lastWin track the
+	// window index so messages can be stamped and a boundary missed while
+	// crashed can be detected. poisoned marks a window in which this node
+	// observed an inconsistency (label split across a tree edge, report
+	// from an unexpected port, recovery mid-window): a poisoned node
+	// abstains from reporting, which stalls its fragment's decision for
+	// the window — the window retries cleanly after the next boundary
+	// instead of committing a corrupt choice.
 	// repairFrag heals label splits: the largest conflicting fragment ID
 	// seen across a tree edge is adopted at the next boundary, converging
 	// a split component back to a single label one tree hop per window.
@@ -134,21 +137,12 @@ type ghsNode struct {
 	lastWin    int32
 	poisoned   bool
 	repairFrag int32
-	gotReport  []bool // per-port report dedup, allocated on faulty runs
+	gotReport  []bool // per-port report dedup
 }
 
 type pendingMsg struct {
 	port    int
 	payload congest.Message
-}
-
-// ghsRun holds shared run metadata. It is read-only during the run.
-type ghsRun struct {
-	window int
-	// faulty enables the defensive machinery (window stamping, dedup,
-	// poisoning, label repair). Off by default so fault-free executions
-	// stay byte-identical to the plain algorithm.
-	faulty bool
 }
 
 func noneCandidate() ghsCandidate {
@@ -161,9 +155,7 @@ func (p *ghsNode) Init(ctx *congest.Ctx) {
 	p.treePort = make([]bool, ctx.Degree())
 	p.mergedPort = make([]bool, ctx.Degree())
 	p.usedPort = make([]bool, ctx.Degree())
-	if p.run.faulty {
-		p.gotReport = make([]bool, ctx.Degree())
-	}
+	p.gotReport = make([]bool, ctx.Degree())
 	p.nbrFrag = make([]int32, ctx.Degree())
 	p.resetWindow()
 }
@@ -190,12 +182,15 @@ func (p *ghsNode) resetWindow() {
 	p.pendingSend = p.pendingSend[:0]
 	p.poisoned = false
 	p.repairFrag = -1
-	clear(p.gotReport) // nil, a no-op, on fault-free runs
+	clear(p.gotReport)
 }
 
-// send queues a message; at most one per port is flushed per round, which
-// keeps the program within CONGEST capacity even when phases abut.
+// send stamps a message with this node's window and queues it; at most
+// one per port is flushed per round, which keeps the program within
+// CONGEST capacity even when phases abut. The queue empties at every
+// window boundary, so a message never leaves under a stale stamp.
 func (p *ghsNode) send(port int, payload congest.Message) {
+	payload.Win = p.curWin
 	p.pendingSend = append(p.pendingSend, pendingMsg{port: port, payload: payload})
 }
 
@@ -210,10 +205,6 @@ func (p *ghsNode) flush(ctx *congest.Ctx) {
 			continue
 		}
 		p.usedPort[m.port] = true
-		if p.run.faulty {
-			m.payload.Kind |= ghsStamped
-			m.payload.Win = p.curWin
-		}
 		ctx.Send(m.port, m.payload)
 	}
 	p.pendingSend = rest
@@ -221,7 +212,7 @@ func (p *ghsNode) flush(ctx *congest.Ctx) {
 }
 
 func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
-	w := p.run.window
+	w := p.window
 	offset := (ctx.Round() - 1) % w
 	p.curWin = int32((ctx.Round() - 1) / w)
 
@@ -251,7 +242,7 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 		return
 	}
 
-	if p.run.faulty && p.curWin != p.lastWin {
+	if p.curWin != p.lastWin {
 		// A crash carried this node across a window boundary: its scratch
 		// still describes the old window and its neighbors never got its
 		// fragment ID. Commit what the old window concluded, resync, and
@@ -268,14 +259,8 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 	}
 
 	for _, in := range inbox {
-		if p.run.faulty {
-			if in.Payload.Kind&ghsStamped == 0 {
-				congest.PanicUnknownKind("mstbase: window-stamping GHS", ctx, in)
-			}
-			if in.Payload.Win != p.curWin {
-				continue // straggler from another window
-			}
-			in.Payload.Kind &^= ghsStamped
+		if in.Payload.Win != p.curWin {
+			continue // straggler from another window
 		}
 		p.handle(ctx, in)
 	}
@@ -292,15 +277,15 @@ func (p *ghsNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
 // idle tail instead of stepping it.
 func (p *ghsNode) sleep(ctx *congest.Ctx) {
 	if len(p.pendingSend) == 0 {
-		w := p.run.window
+		w := p.window
 		ctx.SleepUntil((ctx.Round()-1)/w*w + w + 1)
 	}
 }
 
-// commitWindow applies the previous window's merge outcome and, on faulty
-// runs, the label repair: a node that saw a larger fragment ID across one
-// of its tree edges adopts it, converging a label-split component back to
-// one ID a tree hop per window.
+// commitWindow applies the previous window's merge outcome and the label
+// repair: a node that saw a larger fragment ID across one of its tree
+// edges adopts it, converging a label-split component back to one ID a
+// tree hop per window.
 func (p *ghsNode) commitWindow(ctx *congest.Ctx) {
 	if p.adopted {
 		p.frag = p.newFrag
@@ -311,7 +296,7 @@ func (p *ghsNode) commitWindow(ctx *congest.Ctx) {
 			}
 		}
 	}
-	if p.run.faulty && p.repairFrag > p.frag {
+	if p.repairFrag > p.frag {
 		p.frag = p.repairFrag
 	}
 }
@@ -328,7 +313,7 @@ func (p *ghsNode) handle(ctx *congest.Ctx, in congest.Inbound) {
 			p.gotFrag++
 		}
 		p.nbrFrag[port] = frag
-		if p.run.faulty && p.treePort[port] && frag != p.frag {
+		if p.treePort[port] && frag != p.frag {
 			// Label split across a committed tree edge (an adoption wave
 			// was cut short by a fault). Stall this window and heal
 			// toward the larger label at the next boundary.
@@ -338,25 +323,23 @@ func (p *ghsNode) handle(ctx *congest.Ctx, in congest.Inbound) {
 			}
 		}
 	case kindGHSReport:
-		if p.run.faulty {
-			if !p.treePort[port] || port == p.parentPort {
-				// A report from a port this node does not consider a
-				// child edge: tree-topology asymmetry left by a fault.
-				// Ignore it and stall rather than corrupt childWait.
-				p.poisoned = true
-				return
-			}
-			if p.gotReport[port] {
-				return // duplicate
-			}
-			p.gotReport[port] = true
+		if !p.treePort[port] || port == p.parentPort {
+			// A report from a port this node does not consider a child
+			// edge: tree-topology asymmetry left by a fault. Ignore it
+			// and stall rather than corrupt childWait.
+			p.poisoned = true
+			return
 		}
+		if p.gotReport[port] {
+			return // duplicate
+		}
+		p.gotReport[port] = true
 		if cand := ghsCandOf(msg); cand.better(p.bestCand) {
 			p.bestCand = cand
 		}
 		p.childWait--
 	case kindGHSDecision:
-		if p.run.faulty && port != p.parentPort {
+		if port != p.parentPort {
 			// Fault-free, decisions only flow parent → child.
 			p.poisoned = true
 			return
@@ -519,23 +502,23 @@ type FaultyMSTResult struct {
 }
 
 // GHSPrograms returns the per-node synchronous Borůvka/GHS programs for g
-// and their round budget. A plan with any rule (nil = none) selects the
-// defensive variant (window stamping, per-port dedup, poisoning, label
-// repair) and a stretched budget: faulted windows stall and retry, delays
-// stretch phases, and crashed nodes sit out until recovery. Run to
-// completion with Run (not RunUntilQuiet); collect each node's chosen MST
-// edges afterwards with GHSChosenEdges and reduce them with GHSTreeEdges.
+// and their round budget. The programs are the same with or without
+// faults; a plan with any rule (nil = none) only stretches the budget:
+// faulted windows stall and retry, delays stretch phases, and crashed
+// nodes sit out until recovery. Run to completion with Run (not
+// RunUntilQuiet); collect each node's chosen MST edges afterwards with
+// GHSChosenEdges and reduce them with GHSTreeEdges.
 func GHSPrograms(g *graph.Graph, plan *faults.Plan) (programs []congest.Program, maxRounds int) {
-	run := &ghsRun{window: ghsWindow(g.N()), faulty: plan != nil && !plan.Empty()}
+	window := ghsWindow(g.N())
 	programs = make([]congest.Program, g.N())
 	for v := range programs {
-		programs[v] = &ghsNode{run: run}
+		programs[v] = &ghsNode{window: window}
 	}
 	iterBudget := 2*log2int(g.N()) + 4
-	if run.faulty {
-		return programs, run.window*(iterBudget+6) + plan.MaxDelay() + plan.RecoverySlack()
+	if plan != nil && !plan.Empty() {
+		return programs, window*(iterBudget+6) + plan.MaxDelay() + plan.RecoverySlack()
 	}
-	return programs, run.window*iterBudget + 2
+	return programs, window*iterBudget + 2
 }
 
 // GHSNetwork runs the node-program synchronous Borůvka on g and returns

@@ -168,7 +168,7 @@ func TestGHSSleepDifferential(t *testing.T) {
 // rounds 396 to 792, the third and fourth windows — covers two boundaries
 // (scratch reset in place, fragment IDs to every neighbor) and two full
 // convergecast / downcast / merge / adoption sequences. Fault-free, and
-// window-stamped under drop = 0.1, where stalled windows retry. What may
+// under drop = 0.1 (the ghs-stamped rows), where stalled windows retry. What may
 // still allocate is append growth of a node's pending-send and
 // chosen-edge slices, both retained: a few tenths of an allocation per
 // round at most, against one per message before the payloads were records.

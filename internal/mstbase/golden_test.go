@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"testing"
 
+	"almostmix/internal/congest"
 	"almostmix/internal/golden"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -82,4 +83,35 @@ func TestGoldenBaselines(t *testing.T) {
 			golden.Check(t, fx.name, out.Bytes())
 		})
 	}
+}
+
+// TestGoldenGHSNetwork pins the simulated GHS on every fixture whose
+// weights are pairwise distinct (the node program's precondition): the
+// measured rounds, the windows they span, the weight and the sorted tree,
+// one worker, no faults.
+func TestGoldenGHSNetwork(t *testing.T) {
+	out := new(bytes.Buffer)
+	for _, fx := range baselineFixtures() {
+		if !distinctWeights(fx.g) {
+			continue
+		}
+		res, err := GHSNetwork(fx.g, rngutil.NewSource(1), congest.Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		fmt.Fprintf(out, "%s rounds=%d iterations=%d weight=%v edges=%v\n",
+			fx.name, res.Rounds, res.Iterations, res.Weight, sortedCopy(res.Edges))
+	}
+	golden.Check(t, "ghsnet", out.Bytes())
+}
+
+func distinctWeights(g *graph.Graph) bool {
+	seen := make(map[float64]bool, g.M())
+	for _, e := range g.Edges() {
+		if seen[e.W] {
+			return false
+		}
+		seen[e.W] = true
+	}
+	return true
 }

@@ -44,12 +44,6 @@ func GHSTreeEdges(m int, chosen []int) []int {
 	return edges
 }
 
-// ghsWireWin is the wire tag of the window stamp (faulty runs only): a
-// varint window, then the stamped record's own tag and body. The other
-// tags are the kinds' offsets from ghsKindBase (1 fragment ID, 2 report,
-// 3 decision, 4 merge request, 5 adoption).
-const ghsWireWin = byte(kindGHSAdopt-ghsKindBase) + 1
-
 func appendGHSCandidate(buf []byte, c ghsCandidate) []byte {
 	// W may be +Inf ("no outgoing edge"), so ship the raw IEEE bits; X
 	// and Y may be -1, so they go as signed varints.
@@ -58,10 +52,11 @@ func appendGHSCandidate(buf []byte, c ghsCandidate) []byte {
 	return binary.AppendVarint(buf, int64(c.Y))
 }
 
-// varint32 parses a signed varint that must fit an int32 record field.
+// varint32 parses a canonical signed varint that must fit an int32 record
+// field.
 func varint32(b []byte) (int32, int) {
-	v, n := binary.Varint(b)
-	if n <= 0 || v < math.MinInt32 || v > math.MaxInt32 {
+	v, n := congest.Varint(b)
+	if n == 0 || v < math.MinInt32 || v > math.MaxInt32 {
 		return 0, 0
 	}
 	return int32(v), n
@@ -86,19 +81,16 @@ func parseGHSCandidate(b []byte) (ghsCandidate, []byte, error) {
 }
 
 // EncodeGHSPayload appends the canonical encoding of a GHS record: its
-// kind's tag and fields, behind the window stamp when it carries one
-// (faulty runs stamp every message), so one codec covers both variants.
+// window as a signed varint, then its tag (the kind's offset from
+// ghsKindBase: 1 fragment ID, 2 report, 3 decision, 4 merge request, 5
+// adoption), then its fields.
 func EncodeGHSPayload(buf []byte, m congest.Message) ([]byte, error) {
-	kind := m.Kind
-	if kind&ghsStamped != 0 {
-		kind &^= ghsStamped
-		buf = binary.AppendVarint(append(buf, ghsWireWin), int64(m.Win))
-	}
-	if kind < kindGHSFragID || kind > kindGHSAdopt {
+	if m.Kind < kindGHSFragID || m.Kind > kindGHSAdopt {
 		return nil, fmt.Errorf("mstbase: GHS payload codec got message kind %d", m.Kind)
 	}
-	buf = append(buf, byte(kind-ghsKindBase))
-	switch kind {
+	buf = binary.AppendVarint(buf, int64(m.Win))
+	buf = append(buf, byte(m.Kind-ghsKindBase))
+	switch m.Kind {
 	case kindGHSFragID, kindGHSAdopt:
 		buf = binary.AppendVarint(buf, int64(m.A))
 	case kindGHSReport, kindGHSDecision:
@@ -109,23 +101,15 @@ func EncodeGHSPayload(buf []byte, m congest.Message) ([]byte, error) {
 
 // DecodeGHSPayload parses the bytes EncodeGHSPayload produced.
 func DecodeGHSPayload(b []byte) (congest.Message, error) {
-	var stamp congest.Kind
-	var win int32
-	if len(b) > 0 && b[0] == ghsWireWin {
-		n := 0
-		if win, n = varint32(b[1:]); n == 0 {
-			return congest.Message{}, fmt.Errorf("mstbase: malformed GHS window stamp")
-		}
-		stamp, b = ghsStamped, b[1+n:]
-		if len(b) > 0 && b[0] == ghsWireWin {
-			return congest.Message{}, fmt.Errorf("mstbase: nested GHS window stamp")
-		}
+	win, n := varint32(b)
+	if n == 0 {
+		return congest.Message{}, fmt.Errorf("mstbase: malformed GHS window")
 	}
-	if len(b) == 0 {
-		return congest.Message{}, fmt.Errorf("mstbase: empty GHS payload")
+	if b = b[n:]; len(b) == 0 {
+		return congest.Message{}, fmt.Errorf("mstbase: GHS payload has no tag")
 	}
 	kind, body := ghsKindBase+congest.Kind(b[0]), b[1:]
-	m := congest.Message{Kind: kind | stamp, Win: win}
+	m := congest.Message{Kind: kind, Win: win}
 	switch kind {
 	case kindGHSFragID, kindGHSAdopt:
 		frag, n := varint32(body)

@@ -24,12 +24,12 @@ func EncodeWalkPayload(buf []byte, m congest.Message) ([]byte, error) {
 }
 
 // DecodeWalkPayload parses the bytes EncodeWalkPayload produced: three
-// uvarints, each within a token field's int32 range.
+// canonical uvarints, each within a token field's int32 range.
 func DecodeWalkPayload(b []byte) (congest.Message, error) {
 	var f [3]uint64
 	for i := range f {
-		v, n := binary.Uvarint(b)
-		if n <= 0 || v > math.MaxInt32 {
+		v, n := congest.Uvarint(b)
+		if n == 0 || v > math.MaxInt32 {
 			return congest.Message{}, fmt.Errorf("randomwalk: malformed walk payload")
 		}
 		f[i], b = v, b[n:]

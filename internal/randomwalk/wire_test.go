@@ -60,4 +60,33 @@ func TestWalkPayloadCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeWalkPayload(wide); err == nil {
 		t.Error("walk codec decoded an origin that does not fit the record field")
 	}
+	// 81 80 00 is an overlong 1: Encode writes 01.
+	if m, err := DecodeWalkPayload([]byte{0x81, 0x80, 0x00, 0x01, 0x01}); err == nil {
+		t.Errorf("walk codec decoded an overlong field to %+v", m)
+	}
+}
+
+// FuzzWalkPayload: DecodeWalkPayload never panics, and any bytes it
+// accepts re-encode to exactly themselves — one byte form per token.
+func FuzzWalkPayload(f *testing.F) {
+	for _, tok := range []walkToken{
+		{},
+		{Left: 20, Origin: 2047, Seq: 1}, // the benchmark's probe token
+		{Left: math.MaxInt32, Origin: math.MaxInt32, Seq: math.MaxInt32},
+	} {
+		b, err := EncodeWalkPayload(nil, tok.message())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeWalkPayload(b)
+		if err != nil {
+			return
+		}
+		if again, err := EncodeWalkPayload(nil, m); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("% x decoded to %+v, which re-encodes as % x (err %v)", b, m, again, err)
+		}
+	})
 }

@@ -433,7 +433,7 @@ func TestWalksFaultsTCPMatchesProc(t *testing.T) {
 // in-process and over tcp.
 func TestGHSFaultsTCPMatchesProc(t *testing.T) {
 	spec := transport.Spec{
-		Workload: "ghs-faults", Graph: "rr", N: 24, D: 4,
+		Workload: "ghs", Graph: "rr", N: 24, D: 4,
 		Seed: 3, SrcSeed: 73, WeightSeed: 10,
 		FaultSpec: "drop=0.05,delay=0.1:2", FaultSeed: 9,
 	}
@@ -517,7 +517,7 @@ func TestWholeShardCrashRecoversOverTCP(t *testing.T) {
 func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 	const n, shards = 16, 4
 	spec := transport.Spec{
-		Workload: "ghs-faults", Graph: "rr", N: n, D: 4,
+		Workload: "ghs", Graph: "rr", N: n, D: 4,
 		Seed: 5, SrcSeed: 75, WeightSeed: 12,
 		FaultSpec: workloads.CrashShardSpec(n, shards, 1, 5, 6), FaultSeed: 23,
 	}
@@ -547,12 +547,23 @@ func TestGHSRecoveryAfterShardCrashOverTCP(t *testing.T) {
 }
 
 // TestPlainWorkloadsRejectFaultSpec pins the satellite contract: the
-// five fault-unaware workloads error out on a FaultSpec instead of
+// four fault-unaware workloads error out on a FaultSpec instead of
 // silently ignoring it, on both backends (the builder runs before any
-// network exists, so one code path serves both).
+// network exists, so one code path serves both), and ghs, which is
+// fault-aware, builds its attempt under the spec's plan.
 func TestPlainWorkloadsRejectFaultSpec(t *testing.T) {
 	for _, spec := range suiteSpecs(1) {
 		spec.FaultSpec = "drop=0.1"
+		if spec.Workload == "ghs" {
+			wl, err := transport.Lookup(spec.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inst, err := wl.Build(spec); err != nil || inst.Faults == nil || inst.Faults.Empty() {
+				t.Errorf("ghs: fault spec not taken (err %v)", err)
+			}
+			continue
+		}
 		if _, err := (transport.Proc{Workers: 1}).Run(spec, transport.Options{}); err == nil {
 			t.Errorf("%s: fault spec accepted by a fault-unaware workload", spec.Workload)
 		}

@@ -773,9 +773,11 @@ func TestHostileRelayedPayload(t *testing.T) {
 	}{
 		{"walks/empty payload", walks, nil, "malformed walk payload"},
 		{"walks/field wider than the record", walks, uv(1, 1<<40, 0), "malformed walk payload"},
-		{"ghs/tag of the empty record", ghs, []byte{0}, "unknown GHS payload tag 0"},
-		{"ghs/kind the codec does not own", ghs, []byte{9}, "unknown GHS payload tag 9"},
-		{"ghs/stamp with nothing under it", ghs, []byte{6, 2}, "empty GHS payload"},
+		{"walks/field in an overlong form", walks, []byte{0x81, 0x80, 0x00, 0x01, 0x01}, "malformed walk payload"},
+		// A GHS payload opens with its window stamp (0 is window 0).
+		{"ghs/tag of the empty record", ghs, []byte{0, 0}, "unknown GHS payload tag 0"},
+		{"ghs/kind the codec does not own", ghs, []byte{0, 9}, "unknown GHS payload tag 9"},
+		{"ghs/stamp with nothing under it", ghs, []byte{2}, "GHS payload has no tag"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

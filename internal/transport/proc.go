@@ -14,8 +14,9 @@ import (
 
 // Proc runs workloads on the in-process CONGEST round loop. Workers is
 // congest.Options.Workers, i.e. exactly congest.Network.SetWorkers: 1 is
-// the sequential reference (one part, inline), w > 1 drives w parts on a
-// worker pool, w <= 0 (the zero Proc included) one worker per CPU.
+// the sequential reference (one part, inline), w > 1 drives w parts (part
+// 0 on the caller, each other part on its own goroutine), w <= 0 (the zero
+// Proc included) one worker per CPU.
 type Proc struct {
 	Workers int
 }

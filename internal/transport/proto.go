@@ -14,6 +14,7 @@ import (
 	"math"
 	"net"
 
+	"almostmix/internal/congest"
 	"almostmix/internal/faults"
 	"almostmix/internal/flightrec"
 )
@@ -72,14 +73,13 @@ func (c *cursor) fail(what string) {
 	}
 }
 
-// uvarint reads one uvarint in its canonical form; binary.Uvarint also
-// reads overlong ones (81 80 00 is 1), which end in a zero byte.
+// uvarint reads one uvarint in its canonical form (congest.Uvarint).
 func (c *cursor) uvarint(what string) uint64 {
 	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 || (n > 1 && c.b[n-1] == 0) {
+	v, n := congest.Uvarint(c.b)
+	if n == 0 {
 		c.fail(what)
 		return 0
 	}

@@ -128,7 +128,7 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 	return res, nil
 }
 
-// RunGHSFaults runs the ghs-faults workload over tr for up to
+// RunGHSFaults runs the ghs workload over tr for up to
 // maxAttempts attempts (maxAttempts < 1 means 1). The node program's
 // defensive machinery (mstbase/ghsnet.go) makes a faulted window stall
 // and retry rather than commit a corrupt choice, so most fault patterns
@@ -157,7 +157,7 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 	res := &mstbase.FaultyMSTResult{}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		aspec := spec
-		aspec.Workload = "ghs-faults"
+		aspec.Workload = "ghs"
 		aspec.FaultSeed = faultSrc.Derive("attempt", uint64(attempt))
 		aspec.Retry = attempt
 		run, rerr := tr.Run(aspec, opts)
@@ -167,11 +167,11 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 		// The backends harvest it (partial output and totals included) and
 		// the oracle check, not the error, decides. Anything else is fatal.
 		if rerr != nil && !errors.Is(rerr, congest.ErrRoundLimit) {
-			return nil, fmt.Errorf("workloads: ghs-faults attempt %d: %w", attempt, rerr)
+			return nil, fmt.Errorf("workloads: ghs attempt %d: %w", attempt, rerr)
 		}
 		out, ok := run.Output.(MSTOutput)
 		if !ok {
-			return nil, fmt.Errorf("workloads: ghs-faults attempt %d returned %T", attempt, run.Output)
+			return nil, fmt.Errorf("workloads: ghs attempt %d returned %T", attempt, run.Output)
 		}
 		res.Rounds += run.Rounds
 		res.Iterations += mstbase.GHSIterations(g.N(), run.Rounds)

@@ -1,18 +1,19 @@
 // Package workloads registers the canonical transport workloads —
-// ticker, bfs, broadcast, ghs, walks, plus the fault-aware walks-faults
-// and ghs-faults — with internal/transport. Each is a pure function of
-// its Spec: the graph, programs, RNG streams, fault plan, payload codecs
-// and harvest records are rebuilt identically on every process of a TCP run, and the
-// in-process backends build through the same path, which is what the
-// differential suite's byte-equality assertions rest on.
+// ticker, bfs, broadcast, walks, the fault-aware walks-faults, and ghs,
+// which is fault-aware too — with internal/transport. Each is a pure
+// function of its Spec: the graph, programs, RNG streams, fault plan,
+// payload codecs and harvest records are rebuilt identically on every
+// process of a TCP run, and the in-process backends build through the same
+// path, which is what the differential suite's byte-equality assertions
+// rest on.
 //
-// Only the fault-aware workloads accept a FaultSpec: the plain five
+// Only the fault-aware workloads accept a FaultSpec: the plain four
 // reject one instead of silently ignoring it, because their programs
-// carry no retry identity and their budgets no fault slack. The
-// fault-aware workloads describe ONE attempt each; RunWalksFaults and
-// RunGHSFaults (faultrun.go) add the cross-attempt retry story on top
-// and are the repo's only retry drivers — in-process means running them
-// over transport.Proc.
+// carry no retry identity and their budgets no fault slack. A fault-aware
+// workload describes ONE attempt; RunWalksFaults and RunGHSFaults
+// (faultrun.go) add the cross-attempt retry story on top and are the
+// repo's only retry drivers — in-process means running them over
+// transport.Proc.
 //
 // Import for side effects from binaries and tests that resolve
 // workloads by name.
@@ -71,10 +72,9 @@ func init() {
 		{Name: "ticker", Build: plain(buildTicker), Encode: congest.EncodeTickPayload, Decode: congest.DecodeTickPayload},
 		{Name: "bfs", Build: plain(buildBFS), Encode: congest.EncodeBFSPayload, Decode: congest.DecodeBFSPayload},
 		{Name: "broadcast", Build: plain(buildBroadcast), Encode: congest.EncodeFloodPayload, Decode: congest.DecodeFloodPayload},
-		{Name: "ghs", Build: plain(buildGHSFaults), Encode: mstbase.EncodeGHSPayload, Decode: mstbase.DecodeGHSPayload},
+		{Name: "ghs", Build: buildGHS, Encode: mstbase.EncodeGHSPayload, Decode: mstbase.DecodeGHSPayload},
 		{Name: "walks", Build: plain(buildWalks), Encode: randomwalk.EncodeWalkPayload, Decode: randomwalk.DecodeWalkPayload},
 		{Name: "walks-faults", Build: buildWalksFaults, Encode: randomwalk.EncodeWalkPayload, Decode: randomwalk.DecodeWalkPayload},
-		{Name: "ghs-faults", Build: buildGHSFaults, Encode: mstbase.EncodeGHSPayload, Decode: mstbase.DecodeGHSPayload},
 	} {
 		transport.Register(w)
 	}
@@ -87,7 +87,7 @@ func init() {
 func plain(build func(transport.Spec) (*transport.Instance, error)) func(transport.Spec) (*transport.Instance, error) {
 	return func(spec transport.Spec) (*transport.Instance, error) {
 		if spec.FaultSpec != "" {
-			return nil, fmt.Errorf("workloads: %s does not take a fault spec (fault-aware workloads: walks-faults, ghs-faults)", spec.Workload)
+			return nil, fmt.Errorf("workloads: %s does not take a fault spec (fault-aware workloads: walks-faults, ghs)", spec.Workload)
 		}
 		return build(spec)
 	}
@@ -191,12 +191,11 @@ func buildBroadcast(spec transport.Spec) (*transport.Instance, error) {
 	}, nil
 }
 
-// buildGHSFaults materializes ONE attempt of a faulty GHS run — plain
-// "ghs" is the attempt with an empty plan: the defensive program variant
-// and stretched round budget when the plan has any rule
-// (mstbase.GHSPrograms), and the GHS RNG offset by Retry. Output is
-// MSTOutput; RunGHSFaults checks it against the oracle and drives retries.
-func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
+// buildGHS materializes ONE attempt of a GHS run: the node programs, the
+// round budget mstbase.GHSPrograms stretches when the plan has any rule,
+// and the GHS RNG offset by Retry. Output is MSTOutput; RunGHSFaults
+// checks it against the oracle and drives retries.
+func buildGHS(spec transport.Spec) (*transport.Instance, error) {
 	if spec.WeightSeed == 0 {
 		return nil, fmt.Errorf("workloads: %s needs a nonzero weight_seed (distinct edge weights)", spec.Workload)
 	}

@@ -26,7 +26,7 @@ var workloadSpecs = []transport.Spec{
 	{Workload: "walks", Graph: "rr", N: 32, D: 4, K: 1, Steps: 8, Seed: 1, SrcSeed: 81},
 	{Workload: "walks-faults", Graph: "rr", N: 32, D: 4, K: 1, Steps: 8, Seed: 1, SrcSeed: 81,
 		FaultSpec: "drop=0.05,dup=0.05", FaultSeed: 3},
-	{Workload: "ghs-faults", Graph: "rr", N: 24, D: 4, Seed: 1, SrcSeed: 71, WeightSeed: 8,
+	{Workload: "ghs", Graph: "rr", N: 24, D: 4, Seed: 1, SrcSeed: 71, WeightSeed: 8,
 		FaultSpec: "drop=0.01", FaultSeed: 3},
 }
 
@@ -149,7 +149,6 @@ func TestReduceRejectsWrongRecords(t *testing.T) {
 			"seq beyond int32":     func(p [][]uint64) [][]uint64 { p[3] = []uint64{0, 1 << 31}; return p },
 		},
 	}
-	cases["ghs-faults"] = cases["ghs"]
 	for _, spec := range workloadSpecs {
 		bad, ok := cases[spec.Workload]
 		if !ok {

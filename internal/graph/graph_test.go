@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -201,6 +203,35 @@ func TestRandomRegular(t *testing.T) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRandomRegularFingerprint pins the edge lists RandomRegular draws: 30
+// seeds at each size, d = 8, hashed edge by edge in ID order. Every
+// expander workload and every TCP shard rebuilds its graph from a seed,
+// so a change to the generator's draws or its accept/reject rule must
+// show here, not as a shifted figure downstream.
+func TestRandomRegularFingerprint(t *testing.T) {
+	want := map[int]uint64{
+		32:   0x398b14ca079e80e5,
+		48:   0x5632c8fcfc972bf5,
+		256:  0x92f272f5ecdd5e15,
+		1024: 0x692d476641354ded,
+		2048: 0x8aaaa26c62d3151d,
+	}
+	for _, n := range []int{32, 48, 256, 1024, 2048} {
+		h := fnv.New64a()
+		var buf [8]byte
+		for seed := range uint64(30) {
+			for _, e := range RandomRegular(n, 8, rngutil.NewRand(seed)).Edges() {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
+				binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != want[n] {
+			t.Errorf("RandomRegular(%d, 8) over 30 seeds: fingerprint %#x, want %#x", n, got, want[n])
 		}
 	}
 }

@@ -71,14 +71,15 @@ transport-suite:
 # tiers stand on (mstbase, cliquealgo: seconds) and of the layers under
 # all of them — the graph's CSR and the walk engine, whose network-walk
 # differential test shrinks to one seed and whose steady-round gate skips
-# under -short, so `make race` never runs them whole — run whole so a new
+# under -short, so `make race` never runs them whole, and the path
+# scheduler every overlay's emulation cost comes from — run whole so a new
 # test cannot fall between hand-kept -run lists. The stitched router must
 # deliver every packet deterministically, the stitched MST must reproduce
 # Kruskal's exact edge set (the correctness contract of DESIGN.md §3's
 # decomposition section), and concurrent runs filling one hierarchy's
 # leaf route rows must each match their serial run.
 decomp-suite:
-	go test -race -timeout 600s ./internal/graph ./internal/randomwalk ./internal/decomp ./internal/embed ./internal/route ./internal/mst ./internal/mstbase ./internal/cliquealgo
+	go test -race -timeout 600s ./internal/graph ./internal/randomwalk ./internal/pathsched ./internal/decomp ./internal/embed ./internal/route ./internal/mst ./internal/mstbase ./internal/cliquealgo
 
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...

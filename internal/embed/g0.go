@@ -90,6 +90,6 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, walkLen int, rng *rand.
 		return nil, fmt.Errorf("embed: G0 is disconnected (%d virtual nodes, %d edges); increase DegreeG0C or WalksC",
 			m2, overlay.Graph.M())
 	}
-	overlay.embedWalks(res, kept, 2)
+	overlay.embedWalks(g, res, kept, 2)
 	return overlay, nil
 }

@@ -101,7 +101,7 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 	if err := checkPartsConnected(overlay, partSizes); err != nil {
 		return nil, err
 	}
-	overlay.embedWalks(res, kept, 1)
+	overlay.embedWalks(below.Graph, res, kept, 1)
 	return overlay, nil
 }
 

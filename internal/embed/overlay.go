@@ -65,15 +65,16 @@ func overlayGraph(n int, arcs []arc) *graph.Graph {
 }
 
 // embedWalks finishes an overlay whose edge k was found by walk kept[k] of
-// res: the kept walks become the embedded paths, and ConstructionRounds is
-// the walk execution plus replays reverse deliveries along those paths.
-func (o *Overlay) embedWalks(res *randomwalk.Result, kept []int, replays int) {
-	paths, reverseRounds := res.Paths(kept)
+// res on below: the kept walks become the embedded paths, ConstructionRounds
+// is the walk execution plus replays reverse deliveries along those paths,
+// and EmulationRounds schedules the same replay's link runs both ways.
+func (o *Overlay) embedWalks(below *graph.Graph, res *randomwalk.Result, kept []int, replays int) {
+	paths, links, reverseRounds := res.Paths(kept)
 	o.Paths = paths
 	o.walkRounds = res.Stats.Rounds
 	o.replayRounds = replays * reverseRounds
 	o.ConstructionRounds = o.walkRounds + o.replayRounds
-	o.EmulationRounds = max(1, pathsched.ScheduleBothWays(o.Paths).Makespan)
+	o.EmulationRounds = max(1, pathsched.ScheduleBothWays(below, links).Makespan)
 }
 
 // SamePart reports whether two virtual nodes are in the same part at this

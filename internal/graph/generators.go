@@ -229,7 +229,10 @@ func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {
 		}
 	}
 	edges := make([]Edge, 0, n*d/2)
-	seen := make(map[[2]int]bool, n*d/2)
+	// row[u*d:u*d+deg[u]] lists u's neighbors so far; a node keeps d
+	// stubs, so its row never outgrows d and a duplicate check scans at
+	// most d entries.
+	row, deg := make([]int32, n*d), make([]int32, n)
 	for len(stubs) > 0 {
 		accepted := false
 		// A valid pair exists among the remaining stubs almost always;
@@ -248,10 +251,12 @@ func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {
 			if u > v {
 				u, v = v, u
 			}
-			if seen[[2]int{u, v}] {
+			if slices.Contains(row[u*d:u*d+int(deg[u])], int32(v)) {
 				continue
 			}
-			seen[[2]int{u, v}] = true
+			row[u*d+int(deg[u])], row[v*d+int(deg[v])] = int32(v), int32(u)
+			deg[u]++
+			deg[v]++
 			edges = append(edges, Edge{U: u, V: v, W: 1})
 			// Remove both stubs (larger index first).
 			if i < j {

@@ -156,6 +156,40 @@ func (g *Graph) Reverses() []int32 {
 	return rev
 }
 
+// PairHalfedges keys every half-edge by its ordered node pair: for the
+// half-edge at absolute CSR index i, from v to u, canon[i] is the pair's
+// canonical half-edge start[v] + Port(v, u), the last of v's ports to u,
+// and twin[i] is canon of the reverse pair (u, v). Parallel edges thus
+// share one key per direction, and twin[canon[i]] == twin[i]. Both
+// slices are freshly allocated, built in O(n + m) without a Port scan.
+func (g *Graph) PairHalfedges() (canon, twin []int32) {
+	buf := make([]int32, 2*len(g.half))
+	canon, twin = buf[:len(g.half):len(g.half)], buf[len(g.half):]
+	// last[u] is the stamp of v's last half-edge to u: written by a first
+	// sweep over v's range before a second sweep reads it, so no entry
+	// is ever read stale and the array is never cleared.
+	last := make([]int32, g.n)
+	for v := range g.n {
+		nb := g.half[g.start[v]:g.start[v+1]]
+		for p, h := range nb {
+			last[h.To] = g.start[v] + int32(p)
+		}
+		for p, h := range nb {
+			canon[g.start[v]+int32(p)] = last[h.To]
+		}
+	}
+	// The two half-edges of an edge sit at its endpoints' fill cursors
+	// (as in Reverses); last is reused as the cursors.
+	copy(last, g.start[:g.n])
+	for _, e := range g.edges {
+		i, j := last[e.U], last[e.V]
+		twin[i], twin[j] = canon[j], canon[i]
+		last[e.U]++
+		last[e.V]++
+	}
+	return canon, twin
+}
+
 // Port returns the port of v whose half-edge leads to u, or -1 when u is
 // not a neighbor. Among parallel edges it is the last, the one with the
 // largest EdgeID, so a lookup by node pair merges them (and the router's

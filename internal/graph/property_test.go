@@ -144,3 +144,32 @@ func TestPropertyPortSymmetryRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyPairHalfedges checks PairHalfedges on random multigraphs,
+// parallel edges and isolated nodes included: every half-edge from v to
+// u maps to start[v] + Port(v, u), and its twin to start[u] + Port(u, v).
+func TestPropertyPairHalfedges(t *testing.T) {
+	f := func(seed uint64) bool {
+		n, edges := sampleMultigraph(seed)
+		n += int(seed % 3) // nodes no edge touches
+		g := FromEdges(n, edges)
+		start, half := g.CSR()
+		canon, twin := g.PairHalfedges()
+		if len(canon) != len(half) || len(twin) != len(half) {
+			return false
+		}
+		for v := range n {
+			for p, h := range g.Neighbors(v) {
+				i := start[v] + int32(p)
+				u := int(h.To)
+				if canon[i] != start[v]+int32(g.Port(v, u)) || twin[i] != start[u]+int32(g.Port(u, v)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,12 +8,22 @@
 // synchronous FIFO queues and reports the makespan, which is the measured
 // emulation cost the experiments compare against the paper's
 // O(congestion + dilation)-flavored lemmas (3.1, 3.2, 3.4).
+//
+// A link is an ordered node pair, and there are two doors onto one FIFO
+// core. Schedule takes node paths from any ID space and numbers their
+// links itself; ScheduleBothWays takes a graph and link runs whose links
+// are already its canonical half-edges (graph.Graph.PairHalfedges), as the
+// walk replay writes them, and sends a packet each way along each. Packets
+// join each round's queues in packet order, so the ids the links carry
+// never move a result.
 package pathsched
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"almostmix/internal/graph"
 )
 
 // Result summarizes one scheduling run.
@@ -28,7 +38,8 @@ type Result struct {
 	Congestion int
 	// Dilation is the maximum path length in hops (also a lower bound).
 	Dilation int
-	// Delivered is the number of packets routed (= len(paths)).
+	// Delivered is the number of packets routed: len(paths), or
+	// 2·len(runs) both ways.
 	Delivered int
 }
 
@@ -36,55 +47,36 @@ type Result struct {
 // costs. Paths are node-ID sequences; consecutive duplicate entries are
 // skipped (lazy steps), and empty or single-node paths are delivered at
 // time zero. Node IDs must be non-negative and only need to be consistent
-// within the path set — the scheduler never consults a graph, so callers
+// within the path set — this door never consults a graph, so callers
 // are responsible for paths being walks of the level they schedule on.
 //
-// The working set is a fixed number of flat int32 arrays — one entry per
+// It is the node-path door: two passes give every distinct ordered node
+// pair a dense link id, and the packets then run in the core
+// ScheduleBothWays shares. Finding a hop's link scans the links already
+// seen out of its from-node, so it costs that node's out-degree. The
+// working set is a fixed number of flat int32 arrays — one entry per
 // hop, a few per packet and per distinct directed link, and two per node
 // ID up to the largest one used — plus the arrivals bitset, a bit per
-// packet, that orders each round's arrivals. Finding a hop's link scans
-// the links already seen out of its from-node, so it costs that node's
-// out-degree.
-func Schedule(paths [][]int32) Result { return schedule(paths, 1) }
-
-// ScheduleBothWays routes two packets along each path, one each way, and
-// returns the measured costs: one round of an overlay whose edges are
-// embedded along paths (Lemma 3.1). Packet 2e goes forward along paths[e]
-// and packet 2e+1 backward, so the result is Schedule's over that
-// interleaving of the paths and their reversals, none of which is copied.
-func ScheduleBothWays(paths [][]int32) Result { return schedule(paths, 2) }
-
-// schedule sends ways packets along every path, packet i along
-// paths[i/ways], backward when i%ways is 1. Only passes 1 and 2 read a
-// packet's direction; from there on a packet is its run of link ids.
-func schedule(paths [][]int32, ways int) Result {
-	if len(paths) > math.MaxInt32/ways {
-		panic(fmt.Sprintf("pathsched: %d×%d packets overflow int32 packet ids", ways, len(paths)))
+// packet, that orders each round's arrivals.
+func Schedule(paths [][]int32) Result {
+	if len(paths) > math.MaxInt32 {
+		panic(fmt.Sprintf("pathsched: %d packets overflow int32 packet ids", len(paths)))
 	}
-	packets := ways * len(paths)
-	res := Result{Delivered: packets}
-
-	// Pass 0: the node-ID range, the hop total and the dilation.
+	// Pass 0: the node-ID range and the hop total.
 	n, hops := 0, 0
 	for _, p := range paths {
-		h := 0
 		for j, v := range p {
 			if v < 0 {
 				panic(fmt.Sprintf("pathsched: negative node id %d", v))
 			}
 			n = max(n, int(v)+1)
 			if j > 0 && v != p[j-1] {
-				h++
+				hops++
 			}
 		}
-		res.Dilation = max(res.Dilation, h)
-		hops += ways * h
 	}
 	if hops > math.MaxInt32 {
 		panic(fmt.Sprintf("pathsched: %d hops overflow int32 offsets", hops))
-	}
-	if hops == 0 {
-		return res
 	}
 
 	// Pass 1: hops per from-node size that node's bucket of out-links (a
@@ -94,9 +86,6 @@ func schedule(paths [][]int32, ways int) Result {
 		for j := 1; j < len(p); j++ {
 			if p[j] != p[j-1] {
 				used[p[j-1]]++
-				if ways == 2 {
-					used[p[j]]++
-				}
 			}
 		}
 	}
@@ -108,19 +97,15 @@ func schedule(paths [][]int32, ways int) Result {
 	linkTo := make([]int32, bucket[n]) // bucket entry: the link's to-node …
 	linkID := make([]int32, bucket[n]) // … and its dense id, in first-seen order
 
-	// Pass 2: one link id per hop. Packet i's hops are linkOf[pos[i]:end[i]].
+	// Pass 2: one link id per hop. Path e's run is linkOf[end[e−1]:end[e]].
 	linkOf := make([]int32, hops)
-	pos := make([]int32, packets)
-	end := make([]int32, packets)
+	end := make([]int32, len(paths))
 	links, h := int32(0), int32(0)
-	for i := range packets {
-		p, back := paths[i/ways], i%ways == 1
-		pos[i] = h
+	res := Result{Delivered: len(paths)}
+	for e, p := range paths {
+		from := h
 		for j := 1; j < len(p); j++ {
 			u, v := p[j-1], p[j]
-			if back {
-				u, v = p[len(p)-j], p[len(p)-j-1]
-			}
 			if u == v {
 				continue
 			}
@@ -136,7 +121,8 @@ func schedule(paths [][]int32, ways int) Result {
 			linkOf[h] = linkID[k]
 			h++
 		}
-		end[i] = h
+		end[e] = h
+		res.Dilation = max(res.Dilation, int(h-from))
 	}
 
 	crossings := make([]int32, links)
@@ -144,44 +130,131 @@ func schedule(paths [][]int32, ways int) Result {
 		crossings[l]++
 		res.Congestion = max(res.Congestion, int(crossings[l]))
 	}
+	if res.Dilation > 0 {
+		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(int(links))
+	}
+	return res
+}
 
-	lowWords := (packets + 63) / 64
+// ScheduleBothWays routes two packets along each link run, one each way,
+// and returns the measured costs: one round of an overlay whose edges are
+// embedded along the runs' paths in g (Lemma 3.1). runs[e] is a path's
+// hops as canonical half-edges of g (graph.Graph.PairHalfedges), stays
+// left out, as randomwalk.Result.Paths returns them. Packet 2e reads
+// runs[e] forward and packet 2e+1 backward, each hop through its reverse
+// pair's half-edge, so the result is Schedule's over the node paths and
+// their reversals interleaved, none of which is built.
+//
+// It is the run door: a link is its canonical half-edge, so the
+// dense-id passes of Schedule do not run, and the queues are indexed by
+// g's half-edges.
+func ScheduleBothWays(g *graph.Graph, runs [][]int32) Result {
+	if len(runs) > math.MaxInt32/2 {
+		panic(fmt.Sprintf("pathsched: 2×%d packets overflow int32 packet ids", len(runs)))
+	}
+	_, twin := g.PairHalfedges()
+	res := Result{Delivered: 2 * len(runs)}
+	crossings := make([]int32, len(twin))
+	for _, run := range runs {
+		res.Dilation = max(res.Dilation, len(run))
+		for _, l := range run {
+			crossings[l]++
+			crossings[twin[l]]++
+			res.Congestion = max(res.Congestion, int(crossings[l]), int(crossings[twin[l]]))
+		}
+	}
+	if res.Dilation > 0 {
+		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(len(twin))
+	}
+	return res
+}
+
+// packets is the set of packets a schedule routes, read by one of the
+// two doors' layouts. Schedule's packet pkt crosses the links
+// arena[end[pkt−1]:end[pkt]] (runs nil). ScheduleBothWays' packet pkt
+// rides runs[pkt/2]: forward when pkt is even, and backward through twin
+// when it is odd. left[pkt] counts the hops the packet has still to cross.
+type packets struct {
+	arena, end []int32
+	runs       [][]int32
+	twin       []int32
+	left       []int32
+}
+
+func (p *packets) count() int {
+	if p.runs == nil {
+		return len(p.end)
+	}
+	return 2 * len(p.runs)
+}
+
+// hops is the length of packet pkt's run.
+func (p *packets) hops(pkt int32) int32 {
+	if p.runs == nil {
+		if pkt == 0 {
+			return p.end[0]
+		}
+		return p.end[pkt] - p.end[pkt-1]
+	}
+	return int32(len(p.runs[pkt>>1]))
+}
+
+// link is the link packet pkt crosses next.
+func (p *packets) link(pkt int32) int32 {
+	if p.runs == nil {
+		return p.arena[p.end[pkt]-p.left[pkt]]
+	}
+	run := p.runs[pkt>>1]
+	if pkt&1 == 0 {
+		return run[len(run)-int(p.left[pkt])]
+	}
+	return p.twin[run[p.left[pkt]-1]]
+}
+
+// makespan is the store-and-forward core both doors share: it sends every
+// packet along its run through per-link FIFO queues, links numbered in
+// [0, links), and returns the number of rounds until the last arrives.
+func (p *packets) makespan(links int) int {
+	n := p.count()
+	lowWords := (n + 63) / 64
 	marks := make([]uint64, lowWords+(lowWords+63)/64)
+	buf := make([]int32, 2*links+2*n)
 	q := fifos{
-		head:    make([]int32, links),
-		tail:    make([]int32, links),
-		next:    make([]int32, packets),
+		head:    buf[:links:links],
+		tail:    buf[links : 2*links : 2*links],
+		next:    buf[2*links : 2*links+n : 2*links+n],
 		active:  make([]int32, 0, links),
 		arrived: arrivals{low: marks[:lowWords], top: marks[lowWords:]},
 	}
+	p.left = buf[2*links+n:]
 	for l := range q.head {
 		q.head[l] = -1
 	}
 	remaining := 0
-	for i := range packets {
-		if pos[i] < end[i] {
-			q.push(linkOf[pos[i]], int32(i))
+	for i := range int32(n) {
+		if p.left[i] = p.hops(i); p.left[i] > 0 {
+			q.push(p.link(i), i)
 			remaining++
 		}
 	}
 
 	// Synchronous FIFO store-and-forward: every round, each directed
 	// link transmits the head-of-line packet.
+	rounds := 0
 	for remaining > 0 {
-		res.Makespan++
+		rounds++
 		q.popAll()
 		// Arrivals join their next queue in packet order, whatever order
 		// the links were visited in: runs are deterministic.
 		q.arrived.drain(func(pkt int32) {
-			pos[pkt]++
-			if pos[pkt] == end[pkt] {
+			if p.left[pkt]--; p.left[pkt] == 0 {
 				remaining--
 				return
 			}
-			q.push(linkOf[pos[pkt]], pkt)
+			q.push(p.link(pkt), pkt)
 		})
 	}
-	return res
+	return rounds
 }
 
 // fifos holds one FIFO of packets per link, threaded through the packets

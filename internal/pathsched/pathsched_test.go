@@ -84,7 +84,7 @@ func TestDeterministicMakespan(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 2))
 	walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 15, Record: true}, r)
-	paths, _ := walks.Paths(nil)
+	paths, _, _ := walks.Paths(nil)
 	a := Schedule(paths)
 	b := Schedule(paths)
 	if a != b {
@@ -101,7 +101,7 @@ func TestPropertyMakespanBounds(t *testing.T) {
 		g := graph.RandomRegular(24, 4, r)
 		src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 1))
 		walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 10, Record: true}, r)
-		paths, _ := walks.Paths(nil)
+		paths, _, _ := walks.Paths(nil)
 		res := Schedule(paths)
 		if res.Delivered != len(paths) {
 			return false
@@ -312,7 +312,7 @@ func TestScheduleMatchesReference(t *testing.T) {
 	r := rngutil.NewRand(11)
 	g := graph.RandomRegular(16, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 8))
-	paths, _ := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
+	paths, _, _ := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
 	if got, want := Schedule(paths), refSchedule(paths); got != want {
 		t.Fatalf("walk paths: %+v, reference %+v", got, want)
 	}
@@ -331,10 +331,51 @@ func bothWaysCopies(paths [][]int32) [][]int32 {
 	return out
 }
 
+// layOnMultigraph builds a multigraph with an edge for every hop of paths,
+// in shuffled order and either way round, so repeated hops become
+// parallel edges, and returns it with the paths' link runs: each hop u→v
+// as u's last port to v, the canonical half-edge Result.Paths records.
+func layOnMultigraph(rng *rand.Rand, paths [][]int32) (*graph.Graph, [][]int32) {
+	n := 1
+	var edges []graph.Edge
+	for _, p := range paths {
+		for j, v := range p {
+			n = max(n, int(v)+1)
+			if j > 0 && v != p[j-1] {
+				e := graph.Edge{U: int(p[j-1]), V: int(v), W: 1}
+				if rng.IntN(2) == 0 {
+					e.U, e.V = e.V, e.U
+				}
+				edges = append(edges, e)
+			}
+		}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := graph.FromEdges(n, edges)
+	start, _ := g.CSR()
+	runs := make([][]int32, len(paths))
+	for e, p := range paths {
+		runs[e] = []int32{}
+		for j := 1; j < len(p); j++ {
+			if u, v := int(p[j-1]), int(p[j]); u != v {
+				runs[e] = append(runs[e], start[u]+int32(g.Port(u, v)))
+			}
+		}
+	}
+	return g, runs
+}
+
+// TestScheduleBothWaysMatchesCopies: scheduling link runs both ways gives
+// what the node-path door gives on every path followed by its reversed
+// copy — on adversarial path sets laid on a multigraph of their own hops
+// (lazy repeats, empty and single-node paths, links shared both ways),
+// and on real walks with the runs their replay returns.
 func TestScheduleBothWaysMatchesCopies(t *testing.T) {
 	f := func(seed uint64) bool {
-		paths := adversarialPaths(rngutil.NewRand(seed))
-		got, want := ScheduleBothWays(paths), Schedule(bothWaysCopies(paths))
+		rng := rngutil.NewRand(seed)
+		paths := adversarialPaths(rng)
+		g, runs := layOnMultigraph(rng, paths)
+		got, want := ScheduleBothWays(g, runs), Schedule(bothWaysCopies(paths))
 		if got != want {
 			t.Logf("seed %d: %+v, over reversed copies %+v, paths %v", seed, got, want, paths)
 		}
@@ -348,8 +389,8 @@ func TestScheduleBothWaysMatchesCopies(t *testing.T) {
 	r := rngutil.NewRand(12)
 	g := graph.RandomRegular(16, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 4))
-	paths, _ := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
-	if got, want := ScheduleBothWays(paths), Schedule(bothWaysCopies(paths)); got != want {
+	paths, runs, _ := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 30, Record: true}, r).Paths(nil)
+	if got, want := ScheduleBothWays(g, runs), Schedule(bothWaysCopies(paths)); got != want {
 		t.Fatalf("walk paths: %+v, over reversed copies %+v", got, want)
 	}
 }
@@ -364,18 +405,23 @@ func TestScheduleRejectsNegativeIDs(t *testing.T) {
 }
 
 // scheduleAllocCeiling bounds the heap objects one Schedule or
-// ScheduleBothWays allocates,
-// whatever the number of paths and hops: thirteen flat arrays, plus slack
-// for the runtime's own allocations during the measurement.
-const scheduleAllocCeiling = 15
+// ScheduleBothWays allocates, whatever the number of paths and hops: the
+// core's three flat arrays, the crossing counts, and either Schedule's six
+// for its link ids or ScheduleBothWays' two for the pair table — at most
+// ten — plus slack for the runtime's own allocations during the
+// measurement.
+const scheduleAllocCeiling = 12
 
 func TestScheduleAllocationsAreConstant(t *testing.T) {
 	for _, nPaths := range []int{10, 1000} {
-		paths := genPaths(rngutil.NewRand(13), 24, nPaths, 12)
-		for name, schedule := range map[string]func([][]int32) Result{
-			"Schedule": Schedule, "ScheduleBothWays": ScheduleBothWays,
+		rng := rngutil.NewRand(13)
+		paths := genPaths(rng, 24, nPaths, 12)
+		g, runs := layOnMultigraph(rng, paths)
+		for name, schedule := range map[string]func(){
+			"Schedule":         func() { Schedule(paths) },
+			"ScheduleBothWays": func() { ScheduleBothWays(g, runs) },
 		} {
-			allocs := testing.AllocsPerRun(5, func() { schedule(paths) })
+			allocs := testing.AllocsPerRun(5, schedule)
 			if allocs > scheduleAllocCeiling {
 				t.Fatalf("%d paths: %v allocations per %s, ceiling %d", nPaths, allocs, name, scheduleAllocCeiling)
 			}

@@ -354,20 +354,23 @@ func (r *Result) noteOccupancy(tokensAt []int32) {
 }
 
 // Paths recomputes the walks keep lists (nil = all) from their sources and
-// returns their trajectories, in that order, in one arena, with the
-// CONGEST rounds that running them backwards costs — the mechanism of
-// §3.1.1 for informing sources of their endpoints. paths[k][s] is the node
-// walk keep[k] occupies after s steps; equal consecutive entries are lazy
-// steps. A caller that keeps only a fraction of the walks it ran — as the
-// overlay builders do — pays for that fraction only.
+// returns their trajectories, in that order, in one arena, with their
+// hops as link runs and the CONGEST rounds that running them backwards
+// costs — the mechanism of §3.1.1 for informing sources of their
+// endpoints. paths[k][s] is the node walk keep[k] occupies after s steps;
+// equal consecutive entries are lazy steps. links[k] is the same walk's
+// hops without its stays, each the canonical half-edge of its ordered
+// node pair (graph.Graph.PairHalfedges): the runs
+// pathsched.ScheduleBothWays schedules. A caller that keeps only a
+// fraction of the walks it ran — as the overlay builders do — pays for
+// that fraction only.
 //
 // The kept walks advance together, each through its own draws, and every
 // step is charged as it is written: reverse step s costs its most loaded
 // directed edge, at least one round, and an empty keep costs none. A hop
-// u → v is reversed as v → u and loaded on u's port to v
-// (graph.Graph.Port), one key per ordered node pair, so parallel edges
-// share one load.
-func (r *Result) Paths(keep []int) (paths [][]int32, reverseRounds int) {
+// u → v is reversed as v → u and loaded on its canonical half-edge, one
+// key per ordered node pair, so parallel edges share one load.
+func (r *Result) Paths(keep []int) (paths, links [][]int32, reverseRounds int) {
 	if r.sources == nil {
 		panic("randomwalk: paths requested from a run without Config.Record")
 	}
@@ -384,38 +387,42 @@ func (r *Result) Paths(keep []int) (paths [][]int32, reverseRounds int) {
 		paths[k] = arena[k*length : (k+1)*length : (k+1)*length]
 		paths[k][0] = r.sources[i]
 	}
+	links = make([][]int32, len(keep))
 	if len(keep) == 0 {
-		return paths, 0
+		return paths, links, 0
 	}
+	// keys[k*steps+s−1] is walk keep[k]'s load key in step s: its
+	// canonical half-edge, −1 for a stay. The arena lives apart from the
+	// paths, which an overlay keeps, and ends as the runs.
+	keys := make([]int32, len(keep)*r.steps)
 	// A sweep advances every kept walk a block of steps: each walk takes
-	// them alone, writing its path contiguously and each step's load key
-	// (its u → v half-edge, −1 for a stay) into a step-major buffer, and
-	// the block's steps are then charged in order. A block is 16 steps, one
-	// cache line of a path, or fewer when 2²⁰ keys would not hold it.
-	block := max(1, min(16, length-1, 1<<20/len(keep)))
-	keys := make([]int32, block*len(keep))
+	// them alone, writing its path and its keys contiguously, and the
+	// block's steps are then charged in order. A block is 16 steps, one
+	// cache line of a path.
+	block := min(16, r.steps)
 	start, half := r.g.CSR()
+	canon, _ := r.g.PairHalfedges()
 	load := make([]int32, len(half)) // per half-edge, cleared via touched
 	touched := make([]int32, 0, min(len(keep), len(half)))
 	for s0 := 1; s0 < length; s0 += block {
 		steps := min(block, length-s0)
 		for k, i := range keep {
-			p := paths[k]
-			for b := range steps {
-				s := s0 + b
+			p, key := paths[k], keys[k*r.steps:(k+1)*r.steps]
+			for s := s0; s < s0+steps; s++ {
 				u := p[s-1]
-				v, key := u, int32(-1)
+				v, h := u, int32(-1)
 				if off := r.draws.hop(r.draws.draw(i, s-1), start[u+1]-start[u]); off >= 0 {
 					v = half[start[u]+off].To
-					key = start[u] + int32(r.g.Port(int(u), int(v)))
+					h = canon[start[u]+off]
 				}
 				p[s] = v
-				keys[b*len(keep)+k] = key
+				key[s-1] = h
 			}
 		}
-		for b := range steps {
+		for s := s0; s < s0+steps; s++ {
 			maxLoad := int32(1)
-			for _, h := range keys[b*len(keep) : (b+1)*len(keep)] {
+			for k := range keep {
+				h := keys[k*r.steps+s-1]
 				if h < 0 {
 					continue
 				}
@@ -432,7 +439,16 @@ func (r *Result) Paths(keep []int) (paths [][]int32, reverseRounds int) {
 			touched = touched[:0]
 		}
 	}
-	return paths, reverseRounds
+	// A walk's run is its keys with the stays squeezed out, in place.
+	for k := range keep {
+		key, n := keys[k*r.steps:(k+1)*r.steps], 0
+		for _, h := range key {
+			key[n] = h
+			n += int(^h >> 31 & 1) // 1 unless h is a stay's −1
+		}
+		links[k] = key[:n:n]
+	}
+	return paths, links, reverseRounds
 }
 
 // SourcesPerNode expands per-node walk counts into a flat source list:

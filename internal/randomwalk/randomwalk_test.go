@@ -17,7 +17,7 @@ func TestPathsAreWalks(t *testing.T) {
 		g := graph.RandomRegular(20, 4, r)
 		sources := SourcesPerNode(UniformCountTimesDegree(g, 1))
 		res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 12, Record: true}, r)
-		paths, _ := res.Paths(nil)
+		paths, _, _ := res.Paths(nil)
 		for _, path := range paths {
 			if len(path) != 13 {
 				return false
@@ -42,7 +42,7 @@ func TestEndsMatchPaths(t *testing.T) {
 	sources := []int32{0, 3, 7}
 	const steps = 20
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: steps, Record: true}, r)
-	paths, _ := res.Paths(nil)
+	paths, _, _ := res.Paths(nil)
 	for i, path := range paths {
 		if len(path) != steps+1 {
 			t.Fatalf("walk %d has %d entries, want %d", i, len(path), steps+1)
@@ -133,7 +133,7 @@ func TestZeroStepsIsNoop(t *testing.T) {
 	r := rngutil.NewRand(7)
 	g := graph.Ring(5)
 	res := Run(g, []int32{2}, Config{Kind: spectral.Lazy, Steps: 0, Record: true}, r)
-	paths, reverseRounds := res.Paths(nil)
+	paths, _, reverseRounds := res.Paths(nil)
 	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(paths[0]) != 1 || reverseRounds != 0 {
 		t.Fatalf("zero-step run mutated state: %+v", res)
 	}
@@ -157,7 +157,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	_, rev := res.Paths(nil)
+	_, _, rev := res.Paths(nil)
 	if rev <= 0 {
 		t.Fatal("reverse delivery cost not positive")
 	}
@@ -166,7 +166,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 		t.Fatalf("reverse cost %d far from forward cost %d", rev, res.Stats.Rounds)
 	}
 	// A subset costs no more than the full set.
-	_, subset := res.Paths([]int{0, 1, 2})
+	_, _, subset := res.Paths([]int{0, 1, 2})
 	if subset > rev {
 		t.Fatalf("subset reverse cost %d exceeds full cost %d", subset, rev)
 	}
@@ -178,8 +178,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		return Run(g, []int32{0, 4, 8}, Config{Kind: spectral.Lazy, Steps: 30, Record: true},
 			rngutil.NewRand(99))
 	}
-	a, _ := mk().Paths(nil)
-	b, _ := mk().Paths(nil)
+	a, _, _ := mk().Paths(nil)
+	b, _, _ := mk().Paths(nil)
 	for i := range a {
 		if !slices.Equal(a[i], b[i]) {
 			t.Fatal("same seed produced different walks")

@@ -297,7 +297,7 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 				if correlated {
 					continue
 				}
-				paths, _ := got.Paths(nil)
+				paths, _, _ := got.Paths(nil)
 				if !reflect.DeepEqual(paths, want.paths) {
 					t.Fatalf("%s: paths differ", label)
 				}
@@ -340,7 +340,7 @@ func TestTransitionsChiSquare(t *testing.T) {
 		f := func(seed uint64) bool {
 			res := Run(g, sources, Config{Kind: kind, Steps: 8, Record: true}, rngutil.NewRand(seed))
 			counts := make([]float64, deg+1) // counts[deg] = stayed
-			paths, _ := res.Paths(nil)
+			paths, _, _ := res.Paths(nil)
 			for _, p := range paths {
 				for s := 1; s < len(p); s++ {
 					if p[s-1] != 0 {
@@ -398,7 +398,7 @@ func TestPathsRecomputeKeptWalks(t *testing.T) {
 	const steps = 15
 	for _, kind := range []spectral.WalkKind{spectral.Lazy, spectral.Regular} {
 		res := Run(g, sources, Config{Kind: kind, Steps: steps, Record: true}, rngutil.NewRand(4))
-		all, _ := res.Paths(nil)
+		all, _, _ := res.Paths(nil)
 		for i, p := range all {
 			if p[0] != sources[i] || p[steps] != res.Ends[i] {
 				t.Fatalf("%v walk %d: path runs %d→%d, want %d→%d", kind, i, p[0], p[steps], sources[i], res.Ends[i])
@@ -414,12 +414,12 @@ func TestPathsRecomputeKeptWalks(t *testing.T) {
 				keep[len(keep)-1] = keep[0] // at least one repeat
 			}
 			r.Shuffle(len(keep), func(a, b int) { keep[a], keep[b] = keep[b], keep[a] })
-			paths, _ := res.Paths(keep)
+			paths, _, _ := res.Paths(keep)
 			if len(paths) != len(keep) {
 				return false
 			}
 			for k, i := range keep {
-				if alone, _ := res.Paths([]int{i}); !slices.Equal(paths[k], all[i]) || !slices.Equal(alone[0], all[i]) {
+				if alone, _, _ := res.Paths([]int{i}); !slices.Equal(paths[k], all[i]) || !slices.Equal(alone[0], all[i]) {
 					return false
 				}
 			}
@@ -429,13 +429,13 @@ func TestPathsRecomputeKeptWalks(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		// The paths share one arena; growing one must not overwrite the next.
-		paths, _ := res.Paths([]int{7, 0, 7})
+		paths, _, _ := res.Paths([]int{7, 0, 7})
 		before := slices.Clone(paths[1])
 		_ = append(paths[0], -1)
 		if !slices.Equal(paths[1], before) {
 			t.Fatal("appending to one gathered path overwrote its neighbor")
 		}
-		if none, _ := res.Paths([]int{}); len(none) != 0 {
+		if none, _, _ := res.Paths([]int{}); len(none) != 0 {
 			t.Fatal("empty keep list gathered paths")
 		}
 	}
@@ -472,7 +472,7 @@ func TestReverseDeliveryRoundsMatchesReference(t *testing.T) {
 				keeps["wide"] = wide
 			}
 			for label, keep := range keeps {
-				_, got := res.Paths(keep)
+				_, _, got := res.Paths(keep)
 				if want := refReverseDeliveryRounds(ref.paths, keep); got != want {
 					t.Fatalf("%s %v steps=%d %s: reverse delivery %d rounds, reference %d",
 						name, cfg.Kind, cfg.Steps, label, got, want)

@@ -69,7 +69,7 @@ func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	// Expand every packet's journey to a base-graph walk.
 	ex := newExpander(h)
 	paths := make([][]int32, 0, len(reqs))
-	prepPaths, _ := prep.Paths(nil)
+	prepPaths, _, _ := prep.Paths(nil)
 	for i, path := range prepPaths {
 		for _, tr := range r.trace[i] {
 			edge := int(tr.edge)

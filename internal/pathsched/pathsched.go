@@ -97,13 +97,12 @@ func Schedule(paths [][]int32) Result {
 	linkTo := make([]int32, bucket[n]) // bucket entry: the link's to-node …
 	linkID := make([]int32, bucket[n]) // … and its dense id, in first-seen order
 
-	// Pass 2: one link id per hop. Path e's run is linkOf[end[e−1]:end[e]].
+	// Pass 2: one link id per hop. Path e's run is linkOf[end[e]:end[e+1]].
 	linkOf := make([]int32, hops)
-	end := make([]int32, len(paths))
+	end := make([]int32, len(paths)+1)
 	links, h := int32(0), int32(0)
 	res := Result{Delivered: len(paths)}
 	for e, p := range paths {
-		from := h
 		for j := 1; j < len(p); j++ {
 			u, v := p[j-1], p[j]
 			if u == v {
@@ -121,8 +120,8 @@ func Schedule(paths [][]int32) Result {
 			linkOf[h] = linkID[k]
 			h++
 		}
-		end[e] = h
-		res.Dilation = max(res.Dilation, int(h-from))
+		end[e+1] = h
+		res.Dilation = max(res.Dilation, int(h-end[e]))
 	}
 
 	crossings := make([]int32, links)
@@ -131,7 +130,7 @@ func Schedule(paths [][]int32) Result {
 		res.Congestion = max(res.Congestion, int(crossings[l]))
 	}
 	if res.Dilation > 0 {
-		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(int(links))
+		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(len(paths), int(links))
 	}
 	return res
 }
@@ -164,14 +163,14 @@ func ScheduleBothWays(g *graph.Graph, runs [][]int32) Result {
 		}
 	}
 	if res.Dilation > 0 {
-		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(len(twin))
+		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(2*len(runs), len(twin))
 	}
 	return res
 }
 
-// packets is the set of packets a schedule routes, read by one of the
-// two doors' layouts. Schedule's packet pkt crosses the links
-// arena[end[pkt−1]:end[pkt]] (runs nil). ScheduleBothWays' packet pkt
+// packets is the set of packets a schedule routes, in one of the two
+// doors' layouts. Schedule's packet pkt crosses the links
+// arena[end[pkt]:end[pkt+1]] (runs nil). ScheduleBothWays' packet pkt
 // rides runs[pkt/2]: forward when pkt is even, and backward through twin
 // when it is odd. left[pkt] counts the hops the packet has still to cross.
 type packets struct {
@@ -181,20 +180,10 @@ type packets struct {
 	left       []int32
 }
 
-func (p *packets) count() int {
-	if p.runs == nil {
-		return len(p.end)
-	}
-	return 2 * len(p.runs)
-}
-
 // hops is the length of packet pkt's run.
 func (p *packets) hops(pkt int32) int32 {
 	if p.runs == nil {
-		if pkt == 0 {
-			return p.end[0]
-		}
-		return p.end[pkt] - p.end[pkt-1]
+		return p.end[pkt+1] - p.end[pkt]
 	}
 	return int32(len(p.runs[pkt>>1]))
 }
@@ -202,7 +191,7 @@ func (p *packets) hops(pkt int32) int32 {
 // link is the link packet pkt crosses next.
 func (p *packets) link(pkt int32) int32 {
 	if p.runs == nil {
-		return p.arena[p.end[pkt]-p.left[pkt]]
+		return p.arena[p.end[pkt+1]-p.left[pkt]]
 	}
 	run := p.runs[pkt>>1]
 	if pkt&1 == 0 {
@@ -211,11 +200,10 @@ func (p *packets) link(pkt int32) int32 {
 	return p.twin[run[p.left[pkt]-1]]
 }
 
-// makespan is the store-and-forward core both doors share: it sends every
-// packet along its run through per-link FIFO queues, links numbered in
-// [0, links), and returns the number of rounds until the last arrives.
-func (p *packets) makespan(links int) int {
-	n := p.count()
+// makespan is the store-and-forward core both doors share: it sends the
+// n packets along their runs through per-link FIFO queues, links numbered
+// in [0, links), and returns the number of rounds until the last arrives.
+func (p *packets) makespan(n, links int) int {
 	lowWords := (n + 63) / 64
 	marks := make([]uint64, lowWords+(lowWords+63)/64)
 	buf := make([]int32, 2*links+2*n)

@@ -355,7 +355,6 @@ func layOnMultigraph(rng *rand.Rand, paths [][]int32) (*graph.Graph, [][]int32) 
 	start, _ := g.CSR()
 	runs := make([][]int32, len(paths))
 	for e, p := range paths {
-		runs[e] = []int32{}
 		for j := 1; j < len(p); j++ {
 			if u, v := int(p[j-1]), int(p[j]); u != v {
 				runs[e] = append(runs[e], start[u]+int32(g.Port(u, v)))

@@ -11,9 +11,10 @@
 // draws its next hop from the token's own counter — so any walk's path can
 // be recomputed from its source alone. That is how the walks an overlay
 // keeps become its embedded paths, without a record of every walk: one
-// replay of the kept walks writes each path once and charges, in the same
-// pass, running them backwards (the paper's mechanism for turning walk
-// endpoints into usable overlay edges).
+// replay of the kept walks writes each path once, with its hops as
+// canonical half-edges for the emulation schedule, and charges, in the
+// same pass, running them backwards (the paper's mechanism for turning
+// walk endpoints into usable overlay edges).
 package randomwalk
 
 import (

@@ -58,8 +58,11 @@ smoke:
 # and all worker counts), faults over the wire (golden fault traces over
 # proc and tcp at shards 1/2/4, per-shard counts summing to the
 # in-process totals, the walk re-issue / windowed-GHS recovery stories
-# including a killed-and-recovering shard), and observability (the -obsout document on every
-# exit path, the TELEMETRY ship-back reaching the coordinator's registry,
+# including a killed-and-recovering shard), the payload codec (the golden
+# bytes of every family, the contract test over every registered
+# workload, Register's refusals: internal/transport/workloads), and
+# observability (the -obsout document on every exit path, the TELEMETRY
+# ship-back reaching the coordinator's registry,
 # the flight-recorder ring contract, trace parity with full telemetry).
 # The hard -timeout keeps a wedged coordinator from hanging CI.
 transport-suite:
@@ -118,5 +121,4 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzParseReplies -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzAbsorbReplies -fuzztime 30s ./internal/transport
-	go test -run '^$$' -fuzz FuzzGHSPayload -fuzztime 30s ./internal/mstbase
-	go test -run '^$$' -fuzz FuzzWalkPayload -fuzztime 30s ./internal/randomwalk
+	go test -run '^$$' -fuzz FuzzPayload -fuzztime 30s ./internal/transport/workloads

@@ -32,7 +32,7 @@ func main() {
 	flag.Parse()
 	cliutil.Phi("phi", *phi)
 	cliutil.Min("n", *n, 2)
-	cliutil.Min("d", *d, 1)
+	cliutil.Regular(*n, *d)
 	cliutil.Min("beta", *beta, 0)
 	cliutil.Min("leaf", *leaf, 0)
 	cli.Run(func() error {

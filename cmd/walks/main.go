@@ -33,7 +33,7 @@ func main() {
 	cli := cliutil.NewHarness("walks", "write a per-round trace of every run to this file (.json for JSON, CSV otherwise)").WithBackend()
 	flag.Parse()
 	cliutil.Min("n", *n, 2)
-	cliutil.Min("d", *d, 1)
+	cliutil.Regular(*n, *d)
 	cliutil.Min("steps", *steps, 0)
 	cliutil.Min("attempts", *attempts, 1)
 	cliutil.FaultSpec("faults", *faultSpec)

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"almostmix/internal/faults"
+	"almostmix/internal/graph"
 )
 
 // exit is swapped out by tests.
@@ -30,6 +31,14 @@ func Fail(format string, args ...any) {
 func Min(name string, v, lo int) {
 	if v < lo {
 		Fail("invalid -%s %d: must be at least %d", name, v, lo)
+	}
+}
+
+// Regular rejects a -n, -d pair graph.RandomRegular cannot serve: no
+// connected d-regular graph on n nodes exists (graph.CheckRegular).
+func Regular(n, d int) {
+	if err := graph.CheckRegular(n, d); err != nil {
+		Fail("invalid -n %d -d %d: %v", n, d, err)
 	}
 }
 

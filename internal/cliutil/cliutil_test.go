@@ -35,6 +35,22 @@ func TestMin(t *testing.T) {
 	}
 }
 
+// TestRegular: the degrees RandomRegular cannot serve (it would redraw
+// forever on -d 1 above two nodes, and panic on n·d odd or d ≥ n) exit 2
+// up front.
+func TestRegular(t *testing.T) {
+	for _, nd := range [][2]int{{8, 3}, {8, 2}, {2, 1}, {5, 4}} {
+		if code := withExitCapture(func() { Regular(nd[0], nd[1]) }); code != -1 {
+			t.Fatalf("-n %d -d %d exited with %d", nd[0], nd[1], code)
+		}
+	}
+	for _, nd := range [][2]int{{8, 1}, {8, 0}, {2, 0}, {5, 3}, {4, 8}, {4, 4}, {8, -2}} {
+		if code := withExitCapture(func() { Regular(nd[0], nd[1]) }); code != 2 {
+			t.Fatalf("-n %d -d %d exited with %d, want 2", nd[0], nd[1], code)
+		}
+	}
+}
+
 func TestWorkers(t *testing.T) {
 	for _, v := range []int{0, 1, 8} {
 		if code := withExitCapture(func() { Workers("workers", v) }); code != -1 {

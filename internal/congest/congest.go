@@ -67,6 +67,14 @@ const (
 	KindTest Kind = 1 << 16
 )
 
+// The payload layouts of this package's wire programs (wire.go): Tick is
+// no bytes, a BFS token its distance, a flood record its value.
+var (
+	TickLayouts  = []Layout{{Kind: kindTick}}
+	BFSLayouts   = []Layout{{Kind: kindBFS, A: FieldUint31}}
+	FloodLayouts = []Layout{{Kind: kindFlood, W: FieldInt64}}
+)
+
 // Message is the CONGEST bandwidth as a type: one fixed-width record — a
 // Kind and a compile-time-constant handful of integer words, O(log n)
 // bits — carries every message of every program. It holds no pointer,

@@ -1,10 +1,7 @@
 package congest
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,84 +118,21 @@ func TestUnknownKindPanics(t *testing.T) {
 	_, _ = net.Run(2)
 }
 
-// codecRoundTrip checks the codec contract on one record of the family:
-// record → Encode → Decode gives the same record, and the bytes Encode
-// produced → Decode → Encode give the same bytes.
-func codecRoundTrip(enc func([]byte, Message) ([]byte, error), dec func([]byte) (Message, error), m Message) error {
-	b, err := enc(nil, m)
-	if err != nil {
-		return fmt.Errorf("encode %+v: %w", m, err)
-	}
-	got, err := dec(b)
-	if err != nil {
-		return fmt.Errorf("decode % x (from %+v): %w", b, m, err)
-	}
-	if got != m {
-		return fmt.Errorf("%+v came back as %+v", m, got)
-	}
-	if again, err := enc(nil, got); err != nil || !bytes.Equal(again, b) {
-		return fmt.Errorf("% x re-encoded as % x (err %v)", b, again, err)
-	}
-	return nil
-}
-
-// TestPayloadCodecsRoundTrip runs the round trip over every kind this
-// package ships across the wire, and checks that each codec refuses the
-// kinds it does not own — the empty record included.
-func TestPayloadCodecsRoundTrip(t *testing.T) {
-	check := func(err error) bool {
-		if err != nil {
-			t.Log(err)
-		}
-		return err == nil
-	}
-	if err := quick.Check(func(dist int32, value int64) bool {
-		return check(codecRoundTrip(EncodeTickPayload, DecodeTickPayload, Tick)) &&
-			check(codecRoundTrip(EncodeBFSPayload, DecodeBFSPayload, bfsToken(int(dist&math.MaxInt32)))) &&
-			check(codecRoundTrip(EncodeFloodPayload, DecodeFloodPayload, Message{Kind: kindFlood, W: uint64(value)}))
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for name, enc := range map[string]func([]byte, Message) ([]byte, error){
-		"tick": EncodeTickPayload, "bfs": EncodeBFSPayload, "flood": EncodeFloodPayload,
-	} {
-		for _, foreign := range []Message{{}, ping, leaderToken(3)} {
-			if _, err := enc(nil, foreign); err == nil {
-				t.Errorf("%s codec encoded a record of kind %d", name, foreign.Kind)
-			}
-		}
-	}
-	if _, err := DecodeBFSPayload(binary.AppendUvarint(nil, math.MaxInt32+1)); err == nil {
-		t.Error("BFS codec decoded a distance that does not fit the record field")
-	}
-	// Overlong varints (81 80 00 is 1) are not the bytes Encode writes.
-	for name, dec := range map[string]func([]byte) (Message, error){"bfs": DecodeBFSPayload, "flood": DecodeFloodPayload} {
-		for _, overlong := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
-			if m, err := dec(overlong); err == nil {
-				t.Errorf("%s codec decoded the overlong % x to %+v", name, overlong, m)
-			}
-		}
-	}
-}
-
-// TestCanonicalVarints: Uvarint and Varint read exactly what
-// binary.AppendUvarint and binary.AppendVarint write, and refuse overlong,
-// truncated and overflowing forms.
+// TestCanonicalVarints: Uvarint reads exactly what binary.AppendUvarint
+// writes, and refuses overlong, truncated and overflowing forms. (Parse
+// reads a zig-zag word as the same uvarint; the payload contract test
+// in internal/transport/workloads covers those.)
 func TestCanonicalVarints(t *testing.T) {
-	if err := quick.Check(func(u uint64, v int64) bool {
-		ub, vb := binary.AppendUvarint(nil, u), binary.AppendVarint(nil, v)
+	if err := quick.Check(func(u uint64) bool {
+		ub := binary.AppendUvarint(nil, u)
 		gu, nu := Uvarint(ub)
-		gv, nv := Varint(vb)
-		return gu == u && nu == len(ub) && gv == v && nv == len(vb)
+		return gu == u && nu == len(ub)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{nil, {0x80}, {0x80, 0x00}, {0x81, 0x80, 0x00}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}} {
 		if v, n := Uvarint(bad); n != 0 {
 			t.Errorf("Uvarint read % x as %d (%d bytes)", bad, v, n)
-		}
-		if v, n := Varint(bad); n != 0 {
-			t.Errorf("Varint read % x as %d (%d bytes)", bad, v, n)
 		}
 	}
 }

@@ -1,22 +1,21 @@
 package congest
 
-// Wire adapters for the transport layer (internal/transport): exported
-// program builders and payload codecs for this package's primitives.
-// How a program family packs its payloads into Message records — which
-// kinds, which fields — is its own business, so the byte codecs that ship
-// them across process boundaries live here, next to the programs.
+// Wire adapters for the transport layer (internal/transport): the program
+// builders of this package's primitives, and the one payload codec.
 //
-// Codec contract: Encode appends the canonical byte form of a record of
-// one of the family's kinds to buf and returns the extended slice, and
-// refuses every other kind; Decode parses exactly the bytes Encode
-// produced, rejects trailing garbage, and returns only records of the
-// family's kinds — never the empty record. Both are pure, so every shard
-// process decodes a payload into the same record the sender held.
+// Codec contract: each family declares a Layout per kind, next to its
+// kinds (TickLayouts, BFSLayouts, FloodLayouts here; randomwalk.WalkLayouts;
+// mstbase.GHSLayouts), and CheckLayouts vets them. Append writes the
+// canonical bytes of a record of those kinds and refuses every other
+// record; Parse reads exactly those bytes, refuses all others, and never
+// returns the empty record. Both are pure, so every shard process decodes
+// a payload into the record its sender held.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"almostmix/internal/graph"
 )
@@ -46,42 +45,14 @@ func BFSPrograms(g *graph.Graph, root int) ([]Program, *BFSResult) {
 // binary.AppendUvarint writes, and returns it with the bytes it took.
 // binary.Uvarint also reads overlong forms (81 80 00 is 1), which end in a
 // zero byte; Uvarint reports those, like a truncated or overflowing one,
-// with n = 0. Decoders read their varints through it and Varint, so every
-// byte string they accept is the one Encode writes for its record.
+// with n = 0. Parse reads every word through it (a zig-zag word is a
+// uvarint too), so every byte string it accepts is the one Append writes.
 func Uvarint(b []byte) (v uint64, n int) {
 	v, n = binary.Uvarint(b)
 	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return 0, 0
 	}
 	return v, n
-}
-
-// Varint is Uvarint for the zig-zag signed form binary.AppendVarint
-// writes.
-func Varint(b []byte) (int64, int) {
-	u, n := Uvarint(b)
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v, n
-}
-
-// EncodeBFSPayload appends the canonical encoding of a BFS token.
-func EncodeBFSPayload(buf []byte, m Message) ([]byte, error) {
-	if m.Kind != kindBFS {
-		return nil, fmt.Errorf("congest: BFS payload codec got message kind %d", m.Kind)
-	}
-	return binary.AppendUvarint(buf, uint64(m.A)), nil
-}
-
-// DecodeBFSPayload parses the bytes EncodeBFSPayload produced.
-func DecodeBFSPayload(b []byte) (Message, error) {
-	d, n := Uvarint(b)
-	if n == 0 || n != len(b) || d > math.MaxInt32 {
-		return Message{}, fmt.Errorf("congest: malformed BFS payload (%d bytes)", len(b))
-	}
-	return bfsToken(int(d)), nil
 }
 
 // FloodPrograms returns per-node programs flooding the integer value
@@ -99,36 +70,126 @@ func FloodPrograms(g *graph.Graph, root, value int) ([]Program, []Message) {
 	return programs, out
 }
 
-// EncodeFloodPayload appends the canonical encoding of a flood record
-// (as built by FloodPrograms).
-func EncodeFloodPayload(buf []byte, m Message) ([]byte, error) {
-	if m.Kind != kindFlood {
-		return nil, fmt.Errorf("congest: flood payload codec got message kind %d", m.Kind)
-	}
-	return binary.AppendVarint(buf, int64(m.W)), nil
+// Field is how a Layout writes one word of a record.
+type Field uint8
+
+const (
+	FieldAbsent Field = iota // the word is zero and takes no bytes
+	FieldUint31              // a uvarint within [0, MaxInt32]
+	FieldInt32               // a zig-zag varint within int32
+	FieldInt64               // a zig-zag varint of all 64 bits; W only
+)
+
+// Layout is the byte form of one Kind: a Field per word, written in the
+// order Win, A, B, W. A family of more than one kind writes the index of
+// its layout as a tag byte first.
+type Layout struct {
+	Kind         Kind
+	Win, A, B, W Field
 }
 
-// DecodeFloodPayload parses the bytes EncodeFloodPayload produced.
-func DecodeFloodPayload(b []byte) (Message, error) {
-	v, n := Varint(b)
-	if n == 0 || n != len(b) {
-		return Message{}, fmt.Errorf("congest: malformed flood payload (%d bytes)", len(b))
+func (l *Layout) fields() [4]Field { return [4]Field{l.Win, l.A, l.B, l.W} }
+
+var fieldNames = [4]string{"Win", "A", "B", "W"}
+
+// fits reports whether v is in the range of field f.
+func fits(f Field, v int64) bool {
+	switch f {
+	case FieldAbsent:
+		return v == 0
+	case FieldUint31:
+		return uint64(v) <= math.MaxInt32
+	case FieldInt32:
+		return v == int64(int32(v))
 	}
-	return Message{Kind: kindFlood, W: uint64(v)}, nil
+	return true
 }
 
-// EncodeTickPayload appends the (empty) canonical encoding of Tick.
-func EncodeTickPayload(buf []byte, m Message) ([]byte, error) {
-	if m != Tick {
-		return nil, fmt.Errorf("congest: tick payload codec got message kind %d", m.Kind)
+// CheckLayouts vets a family's layouts: at least one, at most 256 (the
+// tag is a byte), no kind 0 and no kind twice, and FieldInt64 only on W
+// (on an int32 word it could not round-trip).
+func CheckLayouts(layouts []Layout) error {
+	if len(layouts) == 0 || len(layouts) > 256 {
+		return fmt.Errorf("congest: a family needs 1 to 256 payload layouts, got %d", len(layouts))
+	}
+	for i, l := range layouts {
+		if l.Kind == 0 || slices.ContainsFunc(layouts[:i], func(o Layout) bool { return o.Kind == l.Kind }) {
+			return fmt.Errorf("congest: payload layout for kind %d: kind 0 or a duplicate", l.Kind)
+		}
+		for w, f := range l.fields() {
+			if f > FieldInt64 || f == FieldInt64 && w != 3 {
+				return fmt.Errorf("congest: payload layout for kind %d: word %s cannot take field %d", l.Kind, fieldNames[w], f)
+			}
+		}
+	}
+	return nil
+}
+
+// Append appends the canonical byte form of m under layouts (which
+// CheckLayouts accepts): the tag, when there is more than one layout, then
+// each present word. It refuses a record whose kind has no layout — the
+// empty record among them — and a word outside its field's range, a
+// non-zero absent word included.
+func Append(buf []byte, layouts []Layout, m Message) ([]byte, error) {
+	tag := 0
+	for tag < len(layouts) && layouts[tag].Kind != m.Kind {
+		tag++
+	}
+	if tag == len(layouts) {
+		return nil, fmt.Errorf("congest: no payload layout for message kind %d", m.Kind)
+	}
+	if len(layouts) > 1 {
+		buf = append(buf, byte(tag))
+	}
+	words := [4]int64{int64(m.Win), int64(m.A), int64(m.B), int64(m.W)}
+	for i, f := range layouts[tag].fields() {
+		switch v := words[i]; {
+		case !fits(f, v):
+			return nil, fmt.Errorf("congest: kind %d payload word %s = %d is outside its field", m.Kind, fieldNames[i], v)
+		case f == FieldUint31:
+			buf = binary.AppendUvarint(buf, uint64(v))
+		case f != FieldAbsent:
+			buf = binary.AppendVarint(buf, v)
+		}
 	}
 	return buf, nil
 }
 
-// DecodeTickPayload parses the bytes EncodeTickPayload produced.
-func DecodeTickPayload(b []byte) (Message, error) {
-	if len(b) != 0 {
-		return Message{}, fmt.Errorf("congest: malformed tick payload (%d bytes)", len(b))
+// Parse reads the bytes Append wrote for a record under layouts (which
+// CheckLayouts accepts). It refuses an unknown tag, a varint that is
+// overlong, truncated or overflowing, a value outside its field's range,
+// and trailing bytes.
+func Parse(b []byte, layouts []Layout) (Message, error) {
+	l := &layouts[0]
+	if len(layouts) > 1 {
+		if len(b) == 0 || int(b[0]) >= len(layouts) {
+			return Message{}, fmt.Errorf("congest: payload has no tag or an unknown one (%d bytes)", len(b))
+		}
+		l, b = &layouts[b[0]], b[1:]
 	}
-	return Tick, nil
+	var words [4]int64
+	for i, f := range l.fields() {
+		if f == FieldAbsent {
+			continue
+		}
+		var u uint64
+		var n int
+		if len(b) > 0 && b[0] < 0x80 {
+			u, n = uint64(b[0]), 1 // the one-byte form, without a call
+		} else {
+			u, n = Uvarint(b)
+		}
+		words[i] = int64(u)
+		if f != FieldUint31 {
+			words[i] = int64(u>>1) ^ -int64(u&1) // zig-zag
+		}
+		if n == 0 || !fits(f, words[i]) {
+			return Message{}, fmt.Errorf("congest: kind %d payload word %s is malformed or outside its field", l.Kind, fieldNames[i])
+		}
+		b = b[n:]
+	}
+	if len(b) != 0 {
+		return Message{}, fmt.Errorf("congest: %d trailing bytes after a kind %d payload", len(b), l.Kind)
+	}
+	return Message{Kind: l.Kind, Win: int32(words[0]), A: int32(words[1]), B: int32(words[2]), W: uint64(words[3])}, nil
 }

@@ -205,13 +205,10 @@ func ConnectedGnp(n int, p float64, r *rand.Rand) (*Graph, error) {
 // nodes using the Steger–Wormald pairing method: random stub pairs are
 // accepted unless they form a loop or a duplicate edge, and the whole
 // construction restarts only in the rare event the remaining stubs get
-// stuck. n·d must be even and d < n.
+// stuck. It panics when CheckRegular refuses n and d.
 func RandomRegular(n, d int, r *rand.Rand) *Graph {
-	if n*d%2 != 0 {
-		panic("graph: random regular needs n*d even")
-	}
-	if d >= n {
-		panic("graph: random regular needs d < n")
+	if err := CheckRegular(n, d); err != nil {
+		panic(err.Error())
 	}
 	for {
 		g, ok := tryRandomRegular(n, d, r)
@@ -219,6 +216,21 @@ func RandomRegular(n, d int, r *rand.Rand) *Graph {
 			return g
 		}
 	}
+}
+
+// CheckRegular says why no simple connected d-regular graph on n nodes
+// exists, or returns nil: d must be below n, n·d even, and on more than
+// two nodes d at least 2 (a 1-regular graph is a matching).
+func CheckRegular(n, d int) error {
+	switch {
+	case d < 0 || d >= n:
+		return fmt.Errorf("graph: a simple %d-regular graph on %d nodes needs 0 <= d < n", d, n)
+	case n*d%2 != 0:
+		return fmt.Errorf("graph: a %d-regular graph on %d nodes needs n*d even", d, n)
+	case d < min(n-1, 2):
+		return fmt.Errorf("graph: no %d-regular graph on %d nodes is connected", d, n)
+	}
+	return nil
 }
 
 func tryRandomRegular(n, d int, r *rand.Rand) (*Graph, bool) {

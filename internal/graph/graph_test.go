@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"almostmix/internal/rngutil"
 )
@@ -204,6 +206,30 @@ func TestRandomRegular(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRandomRegularRefusesDegrees: degrees with no connected regular
+// graph panic at once. Unchecked, d = 1 on more than two nodes and d = 0
+// redraw forever, so each call runs against a deadline.
+func TestRandomRegularRefusesDegrees(t *testing.T) {
+	for _, tc := range []struct{ n, d int }{{8, 1}, {8, 0}, {2, 0}, {5, 3}, {4, 8}, {4, 4}, {8, -2}} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			RandomRegular(tc.n, tc.d, rngutil.NewRand(1))
+		}()
+		select {
+		case r := <-done:
+			if msg, _ := r.(string); !strings.HasPrefix(msg, "graph: ") {
+				t.Errorf("RandomRegular(%d, %d) recovered %v, want a graph: panic", tc.n, tc.d, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("RandomRegular(%d, %d) still drawing after 10s", tc.n, tc.d)
+		}
+	}
+	if g := RandomRegular(2, 1, rngutil.NewRand(1)); g.M() != 1 {
+		t.Errorf("RandomRegular(2, 1) has %d edges, want 1", g.M())
 	}
 }
 

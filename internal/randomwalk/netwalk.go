@@ -23,6 +23,10 @@ import (
 // range of congest.Kind starts at 16).
 const kindWalk congest.Kind = 16
 
+// WalkLayouts is the walk programs' payload layout: a token's three words
+// as uvarints (see walkToken.message).
+var WalkLayouts = []congest.Layout{{Kind: kindWalk, Win: congest.FieldUint31, A: congest.FieldUint31, B: congest.FieldUint31}}
+
 // walkToken is the message payload: the number of hops the token still
 // has to make after the current delivery, plus the token's identity
 // (origin node and per-origin sequence number). Identity is inert on

@@ -16,7 +16,6 @@ package transport_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -123,21 +122,9 @@ func buildGoldenFault(spec transport.Spec) (*transport.Instance, error) {
 
 func init() {
 	transport.Register(transport.Workload{
-		Name:  "goldenfault",
-		Build: buildGoldenFault,
-		Encode: func(buf []byte, m congest.Message) ([]byte, error) {
-			if m.Kind != kindGoldenInt {
-				return nil, fmt.Errorf("goldenfault: payload codec got message kind %d", m.Kind)
-			}
-			return binary.AppendUvarint(buf, uint64(m.A)), nil
-		},
-		Decode: func(b []byte) (congest.Message, error) {
-			v, n := binary.Uvarint(b)
-			if n <= 0 || n != len(b) {
-				return congest.Message{}, fmt.Errorf("goldenfault: malformed payload")
-			}
-			return goldenInt(int(v)), nil
-		},
+		Name:    "goldenfault",
+		Build:   buildGoldenFault,
+		Layouts: []congest.Layout{{Kind: kindGoldenInt, A: congest.FieldUint31}},
 	})
 }
 

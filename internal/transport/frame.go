@@ -63,10 +63,10 @@ func frameName(typ byte) string {
 }
 
 // wireVersion guards against coordinator/shard skew, bumped with any
-// incompatible protocol or codec change (history: DESIGN.md §3); 12 gives
-// every GHS payload one form, its window stamp first, and refuses overlong
-// varints in the payload codecs.
-const wireVersion = 12
+// incompatible protocol or codec change (history: DESIGN.md §3); 13 ships
+// every payload through congest's one layout codec, which moves a GHS
+// record's tag first and writes its weight bits as a varint.
+const wireVersion = 13
 
 // maxFramePayload bounds a frame's payload: generous (the largest frame is
 // a ROUND, linear in the cut between two shards), yet a corrupt or hostile

@@ -771,13 +771,15 @@ func TestHostileRelayedPayload(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"walks/empty payload", walks, nil, "malformed walk payload"},
-		{"walks/field wider than the record", walks, uv(1, 1<<40, 0), "malformed walk payload"},
-		{"walks/field in an overlong form", walks, []byte{0x81, 0x80, 0x00, 0x01, 0x01}, "malformed walk payload"},
-		// A GHS payload opens with its window stamp (0 is window 0).
-		{"ghs/tag of the empty record", ghs, []byte{0, 0}, "unknown GHS payload tag 0"},
-		{"ghs/kind the codec does not own", ghs, []byte{0, 9}, "unknown GHS payload tag 9"},
-		{"ghs/stamp with nothing under it", ghs, []byte{2}, "GHS payload has no tag"},
+		{"walks/empty payload", walks, nil, "kind 16 payload word Win is malformed"},
+		{"walks/field wider than the record", walks, uv(1, 1<<40, 0), "kind 16 payload word A is malformed"},
+		{"walks/field in an overlong form", walks, []byte{0x81, 0x80, 0x00, 0x01, 0x01}, "kind 16 payload word Win is malformed"},
+		// The GHS rows are named for the form before wireVersion 13, where
+		// the window stamp came first. A GHS payload now opens with its tag
+		// (0 a fragment ID, 2 a decision), so each is a record cut short.
+		{"ghs/tag of the empty record", ghs, []byte{0, 0}, "kind 33 payload word A is malformed"},
+		{"ghs/kind the codec does not own", ghs, []byte{0, 9}, "kind 33 payload word A is malformed"},
+		{"ghs/stamp with nothing under it", ghs, []byte{2}, "kind 35 payload word Win is malformed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

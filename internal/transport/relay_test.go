@@ -40,20 +40,10 @@ func appendSends(buf []byte, sends []wireSend) []byte {
 	return buf
 }
 
-// kindCodec is a payload codec for test programs: the kind, as a uvarint.
-var kindCodec = Workload{
-	Name: "kind",
-	Encode: func(buf []byte, m congest.Message) ([]byte, error) {
-		return binary.AppendUvarint(buf, uint64(m.Kind)), nil
-	},
-	Decode: func(b []byte) (congest.Message, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 || n != len(b) || v == 0 || v > math.MaxUint16 {
-			return congest.Message{}, fmt.Errorf("malformed kind payload %x", b)
-		}
-		return congest.Message{Kind: congest.Kind(v)}, nil
-	},
-}
+// kindCodec carries Tick, the one kind the test runtimes' tickers send,
+// as one byte (its zero Win as a uvarint), so every relayed send has a
+// payload for the framing to count.
+var kindCodec = Workload{Name: "kind", Layouts: []congest.Layout{{Kind: congest.Tick.Kind, Win: congest.FieldUint31}}}
 
 // testRuntime is shard `shard` of k over g running tickers, its links
 // unconnected: frames sent to a peer wait in the link's out channel.
@@ -128,7 +118,7 @@ func TestRelayRunsAtThreeShards(t *testing.T) {
 				var want [k][]wireSend
 				r.s.ExternalSends(func(dst, port int, m congest.Message) {
 					to := r.split.Owner(dst)
-					want[to] = append(want[to], wireSend{dst: dst, port: port, payload: binary.AppendUvarint(nil, uint64(m.Kind))})
+					want[to] = append(want[to], wireSend{dst: dst, port: port, payload: binary.AppendUvarint(nil, uint64(m.Win))})
 				})
 				for _, l := range r.links {
 					if l == nil {

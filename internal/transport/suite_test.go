@@ -433,6 +433,40 @@ func TestLookupUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestBuildGraphRefusesBadSpecs: a graph spec its generator cannot serve
+// is an error from BuildGraph, and from a run, in place of a panic or —
+// for rr at d = 0 or 1 — a generator redrawing forever. Each build runs
+// against a deadline.
+func TestBuildGraphRefusesBadSpecs(t *testing.T) {
+	for _, spec := range []transport.Spec{
+		{Graph: "rr", N: 8, D: 1}, {Graph: "rr", N: 8, D: 0}, {Graph: "rr", N: 5, D: 3}, {Graph: "rr", N: 4, D: 8},
+		{Graph: "ring", N: 2}, {Graph: "ringlattice", N: 8, D: 0}, {Graph: "ringlattice", N: 8, D: 4},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			_, err := transport.BuildGraph(spec)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.HasPrefix(err.Error(), "transport: ") {
+				t.Errorf("%s n=%d d=%d: err = %v, want a transport error", spec.Graph, spec.N, spec.D, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s n=%d d=%d: BuildGraph still running after 10s", spec.Graph, spec.N, spec.D)
+		}
+	}
+	spec := transport.Spec{Workload: "ticker", Graph: "rr", N: 8, D: 1, Steps: 2}
+	if _, err := (transport.Proc{}).Run(spec, transport.Options{}); err == nil || !strings.Contains(err.Error(), "regular") {
+		t.Errorf("ticker on rr n=8 d=1: err = %v, want the graph's refusal", err)
+	}
+}
+
 // TestLargeFramesSmallBuffers: two shards that write each other frames
 // many times their socket buffers at the same moment must not wait on each
 // other forever — each link has a writer of its own, so a shard reads

@@ -80,15 +80,26 @@ func (s Spec) FaultPlan() (*faults.Plan, error) {
 // BuildGraph rebuilds the spec's graph: deterministic in the spec alone,
 // so every process of a TCP run holds an identical topology. A nonzero
 // WeightSeed additionally assigns the distinct random edge weights the
-// MST workloads need.
+// MST workloads need. A spec its generator cannot serve is an error, not
+// a panic or an endless redraw: every shard process rebuilds the graph
+// here from the spec it was sent.
 func BuildGraph(spec Spec) (*graph.Graph, error) {
 	var g *graph.Graph
 	switch spec.Graph {
 	case "rr":
+		if err := graph.CheckRegular(spec.N, spec.D); err != nil {
+			return nil, fmt.Errorf("transport: rr graph: %w", err)
+		}
 		g = graph.RandomRegular(spec.N, spec.D, rngutil.NewRand(spec.Seed))
 	case "ring":
+		if spec.N < 3 {
+			return nil, fmt.Errorf("transport: ring graph needs n >= 3, got %d", spec.N)
+		}
 		g = graph.Ring(spec.N)
 	case "ringlattice":
+		if spec.D < 1 || 2*spec.D >= spec.N {
+			return nil, fmt.Errorf("transport: ringlattice graph needs 1 <= d < n/2, got n=%d d=%d", spec.N, spec.D)
+		}
 		g = graph.RingLattice(spec.N, spec.D)
 	case "star":
 		g = graph.Star(spec.N)
@@ -155,15 +166,25 @@ func (inst *Instance) reduce(perNode [][]uint64) (any, error) {
 	return inst.Reduce(inst.Graph, perNode)
 }
 
-// Workload couples a Spec builder with the byte codec for the payload
-// types its programs exchange, both required. Codecs are pure and
-// canonical (see internal/congest/wire.go), which the TCP backend relies
-// on for deterministic cross-process replay.
+// Workload couples a Spec builder with the payload layouts of the
+// records its programs exchange, both required. The layouts drive
+// congest's one codec (internal/congest/wire.go), pure and canonical,
+// which the TCP backend relies on for deterministic cross-process replay.
 type Workload struct {
-	Name   string
-	Build  func(spec Spec) (*Instance, error)
-	Encode func(buf []byte, m congest.Message) ([]byte, error)
-	Decode func(b []byte) (congest.Message, error)
+	Name    string
+	Build   func(spec Spec) (*Instance, error)
+	Layouts []congest.Layout
+}
+
+// Encode appends the byte form of m, a record of one of the workload's
+// kinds.
+func (w Workload) Encode(buf []byte, m congest.Message) ([]byte, error) {
+	return congest.Append(buf, w.Layouts, m)
+}
+
+// Decode parses the bytes Encode wrote.
+func (w Workload) Decode(b []byte) (congest.Message, error) {
+	return congest.Parse(b, w.Layouts)
 }
 
 var registry = map[string]Workload{}
@@ -171,15 +192,28 @@ var registry = map[string]Workload{}
 // Register adds a workload to the process-global registry (called from
 // package init of internal/transport/workloads). Duplicate names panic:
 // two workloads answering to one spec cannot both be what a remote
-// shard replays.
+// shard replays. So do layouts congest.CheckLayouts refuses.
 func Register(w Workload) {
-	if w.Name == "" || w.Build == nil || w.Encode == nil || w.Decode == nil {
-		panic("transport: Register needs a name, a builder and a payload codec")
+	if w.Name == "" || w.Build == nil {
+		panic("transport: Register needs a name and a builder")
+	}
+	if err := congest.CheckLayouts(w.Layouts); err != nil {
+		panic(fmt.Sprintf("transport: workload %q: %v", w.Name, err))
 	}
 	if _, dup := registry[w.Name]; dup {
 		panic(fmt.Sprintf("transport: workload %q registered twice", w.Name))
 	}
 	registry[w.Name] = w
+}
+
+// Names lists the registered workloads, sorted.
+func Names() []string {
+	names := make([]string, 0, len(registry))
+	for n := range registry {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Lookup resolves a workload by name, listing the known names on a miss
@@ -188,12 +222,7 @@ func Lookup(name string) (Workload, error) {
 	if w, ok := registry[name]; ok {
 		return w, nil
 	}
-	known := make([]string, 0, len(registry))
-	for n := range registry {
-		known = append(known, n)
-	}
-	sort.Strings(known)
-	return Workload{}, fmt.Errorf("transport: unknown workload %q (known: %v)", name, known)
+	return Workload{}, fmt.Errorf("transport: unknown workload %q (known: %v)", name, Names())
 }
 
 // buildInstance is the one door from a Spec to a runnable Instance, shared

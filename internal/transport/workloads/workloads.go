@@ -2,7 +2,7 @@
 // ticker, bfs, broadcast, walks, the fault-aware walks-faults, and ghs,
 // which is fault-aware too — with internal/transport. Each is a pure
 // function of its Spec: the graph, programs, RNG streams, fault plan,
-// payload codecs and harvest records are rebuilt identically on every
+// payload layouts and harvest records are rebuilt identically on every
 // process of a TCP run, and the in-process backends build through the same
 // path, which is what the differential suite's byte-equality assertions
 // rest on.
@@ -69,12 +69,12 @@ type WalksFaultsOutput struct {
 
 func init() {
 	for _, w := range []transport.Workload{
-		{Name: "ticker", Build: plain(buildTicker), Encode: congest.EncodeTickPayload, Decode: congest.DecodeTickPayload},
-		{Name: "bfs", Build: plain(buildBFS), Encode: congest.EncodeBFSPayload, Decode: congest.DecodeBFSPayload},
-		{Name: "broadcast", Build: plain(buildBroadcast), Encode: congest.EncodeFloodPayload, Decode: congest.DecodeFloodPayload},
-		{Name: "ghs", Build: buildGHS, Encode: mstbase.EncodeGHSPayload, Decode: mstbase.DecodeGHSPayload},
-		{Name: "walks", Build: plain(buildWalks), Encode: randomwalk.EncodeWalkPayload, Decode: randomwalk.DecodeWalkPayload},
-		{Name: "walks-faults", Build: buildWalksFaults, Encode: randomwalk.EncodeWalkPayload, Decode: randomwalk.DecodeWalkPayload},
+		{Name: "ticker", Build: plain(buildTicker), Layouts: congest.TickLayouts},
+		{Name: "bfs", Build: plain(buildBFS), Layouts: congest.BFSLayouts},
+		{Name: "broadcast", Build: plain(buildBroadcast), Layouts: congest.FloodLayouts},
+		{Name: "ghs", Build: buildGHS, Layouts: mstbase.GHSLayouts},
+		{Name: "walks", Build: plain(buildWalks), Layouts: randomwalk.WalkLayouts},
+		{Name: "walks-faults", Build: buildWalksFaults, Layouts: randomwalk.WalkLayouts},
 	} {
 		transport.Register(w)
 	}

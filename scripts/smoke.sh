@@ -165,6 +165,9 @@ expect_reject "mst NaN -faults" "$bin/mst" -faults 'delay=NaN:2'
 expect_reject "mst -workers -2" "$bin/mst" -workers -2
 expect_reject "mst -attempts 0" "$bin/mst" -attempts 0
 expect_reject "hierarchy -d 0" "$bin/hierarchy" -d 0
+expect_reject "walks -d 1" "$bin/walks" -n 8 -d 1
+expect_reject "walks n·d odd" "$bin/walks" -n 5 -d 3
+expect_reject "hierarchy -d >= -n" "$bin/hierarchy" -n 4 -d 8
 expect_reject "clique -n 0" "$bin/clique" -n 0
 expect_reject "mixing unwritable -metrics" "$bin/mixing" -metrics /no/such/dir/m.json
 expect_reject "routing unwritable -trace" "$bin/routing" -quick -trace /no/such/dir/t.json

@@ -113,8 +113,9 @@ bench-module:
 bench-scale:
 	go test -run '^$$' -bench BenchmarkCongestEngineScale -benchmem -benchtime $(BENCHTIME) .
 
-# Continuous fuzzing of the simulator's round engines and of the wire
-# parsers (30s each; the committed f.Add corpora always run as part of
+# Continuous fuzzing of the simulator's round engines, of the wire
+# parsers and of the walk engine's dense step against its touched-list
+# step (30s each; the committed f.Add corpora always run as part of
 # `make test`). go test -fuzz takes one target of one package at a time.
 fuzz:
 	go test -run '^$$' -fuzz FuzzNetworkRun -fuzztime 30s ./internal/congest
@@ -122,3 +123,4 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzParseReplies -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzAbsorbReplies -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzPayload -fuzztime 30s ./internal/transport/workloads
+	go test -run '^$$' -fuzz FuzzRunSteps -fuzztime 30s ./internal/randomwalk

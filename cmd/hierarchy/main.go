@@ -33,7 +33,7 @@ func main() {
 	cliutil.Phi("phi", *phi)
 	cliutil.Min("n", *n, 2)
 	cliutil.Regular(*n, *d)
-	cliutil.Min("beta", *beta, 0)
+	cliutil.Beta("beta", *beta)
 	cliutil.Min("leaf", *leaf, 0)
 	cli.Run(func() error {
 		if *decompose {

@@ -34,6 +34,14 @@ func Min(name string, v, lo int) {
 	}
 }
 
+// Beta rejects a partition branching factor embed.Build cannot use: the
+// valid values are 0 (the paper's formula) and every value of at least 2.
+func Beta(name string, v int) {
+	if v < 0 || v == 1 {
+		Fail("invalid -%s %d: must be 0 (the paper formula) or at least 2", name, v)
+	}
+}
+
 // Regular rejects a -n, -d pair graph.RandomRegular cannot serve: no
 // connected d-regular graph on n nodes exists (graph.CheckRegular).
 func Regular(n, d int) {

@@ -35,6 +35,21 @@ func TestMin(t *testing.T) {
 	}
 }
 
+// TestBeta: -beta 1 passed a plain minimum of 0 and then failed inside
+// embed.Build, after the graph was built.
+func TestBeta(t *testing.T) {
+	for _, v := range []int{0, 2, 16} {
+		if code := withExitCapture(func() { Beta("beta", v) }); code != -1 {
+			t.Fatalf("beta=%d exited with %d", v, code)
+		}
+	}
+	for _, v := range []int{1, -1} {
+		if code := withExitCapture(func() { Beta("beta", v) }); code != 2 {
+			t.Fatalf("beta=%d exited with %d, want 2", v, code)
+		}
+	}
+}
+
 // TestRegular: the degrees RandomRegular cannot serve (it would redraw
 // forever on -d 1 above two nodes, and panic on n·d odd or d ≥ n) exit 2
 // up front.

@@ -15,6 +15,15 @@
 // canonical half-edges for the emulation schedule, and charges, in the
 // same pass, running them backwards (the paper's mechanism for turning
 // walk endpoints into usable overlay edges).
+//
+// A step counts its tokens in one int32 histogram of the arcs. A run with
+// at least as many independent walks as 2m arcs plus n nodes takes the
+// dense step: every token, moving or not, adds one count — to its arc or
+// to its node's stay slot — chosen by masks rather than by a branch on its
+// draw, and one sweep of the CSR after the step reads the loads and each
+// node's tokens off the histogram. Any other run takes the touched-list
+// step, which costs per moving token and sweeps nothing; both give the
+// same result to the bit.
 package randomwalk
 
 import (
@@ -131,12 +140,16 @@ type stepper struct {
 	// start and half are the graph's CSR (graph.Graph.CSR).
 	start []int32
 	half  []graph.Halfedge
-	// edgeLoad[arc] counts this step's crossings of a directed edge;
-	// touched[:nTouched] lists the non-zero arcs so they can be read and
-	// cleared without sweeping all 2m.
-	edgeLoad []int64
+	// hist counts this step's tokens by where they went: hist[arc] the
+	// crossings of a directed edge and, in a dense step only, hist[2m+v]
+	// the tokens that stayed at node v.
+	hist []int32
+	// touched[:nTouched] lists the non-zero arcs of a touched-list step,
+	// so they can be read and cleared without sweeping all 2m.
 	touched  []int32
 	nTouched int
+	// tokensAt[v] counts the tokens at v: kept up to date by a
+	// touched-list step, read off the histogram after a dense one.
 	tokensAt []int32
 	// bucketEnd and bucketTok are the correlated step's counting sort,
 	// reused across steps.
@@ -146,18 +159,18 @@ type stepper struct {
 // cross moves one token from v over half-edge p and returns its new node.
 func (st *stepper) cross(v, p int32) int32 {
 	h := st.half[p]
-	if st.edgeLoad[h.Arc] == 0 {
+	if st.hist[h.Arc] == 0 {
 		st.touched[st.nTouched] = h.Arc
 		st.nTouched++
 	}
-	st.edgeLoad[h.Arc]++
+	st.hist[h.Arc]++
 	st.tokensAt[v]--
 	st.tokensAt[h.To]++
 	return h.To
 }
 
 // stepIndependent advances every token step s+1 in place, each by its own
-// draw.
+// draw, and keeps the touched list and tokensAt as it goes.
 func (st *stepper) stepIndependent(d draws, at []int32, s int) {
 	start := st.start
 	for i, v := range at {
@@ -166,6 +179,98 @@ func (st *stepper) stepIndependent(d draws, at []int32, s int) {
 			at[i] = st.cross(v, lo+off)
 		}
 	}
+}
+
+// tally reads a touched-list step's loads off the listed arcs and clears
+// them: the most loaded arc (at least one round, even if every token
+// stayed) and the hop count. With edgeLoad non-nil it also writes every
+// arc's load there for the probe.
+func (st *stepper) tally(edgeLoad []int64) (maxLoad, hops int) {
+	clear(edgeLoad)
+	maxLoad = 1
+	for _, a := range st.touched[:st.nTouched] {
+		load := int(st.hist[a])
+		hops += load
+		maxLoad = max(maxLoad, load)
+		if edgeLoad != nil {
+			edgeLoad[a] = int64(load)
+		}
+		st.hist[a] = 0
+	}
+	st.nTouched = 0
+	return maxLoad, hops
+}
+
+// noHalf stands in for the CSR of a graph without edges, so a dense step
+// always has a half-edge to read; no token ever crosses it.
+var noHalf = []graph.Halfedge{{}}
+
+// stepDense advances every token step s+1 in place, each by its own draw,
+// with no branch on the draw: multiply-shift picks a slot as draws.hop
+// does, a mask of all ones when the token moves (a lazy walk's odd coin
+// and a slot below the degree) or of zeros when it stays selects the
+// half-edge or the stay, and each token adds one count to the histogram —
+// its arc's slot or its node's stay slot. The loads and tokensAt are read
+// off afterwards by settle.
+func (st *stepper) stepDense(d draws, at []int32, s int) {
+	start, half, hist := st.start, st.half, st.hist
+	stay := int32(len(half)) // node v's stay slot is hist[2m+v]
+	if len(half) == 0 {
+		half = noHalf
+	}
+	col := rngutil.MixColumn(d.key, uint64(s))
+	for i, v := range at {
+		lo := start[v]
+		deg := uint64(start[v+1] - lo)
+		x := col.At(uint64(i))
+		// moves is 1 when the token moves: a lazy walk reduces by its
+		// degree and moves on an odd draw, a 2Δ-regular walk reduces by
+		// 2Δ; either moves on a slot below the degree. The branch is on
+		// the run's walk kind, never on the draw.
+		var slot, moves uint64
+		if d.lazy {
+			slot, _ = bits.Mul64(x, deg)
+			moves = (slot - deg) >> 63 & x & 1
+		} else {
+			slot, _ = bits.Mul64(x, d.twoDelta)
+			moves = (slot - deg) >> 63
+		}
+		move := -int32(moves) // all ones when the token moves
+		h := half[(lo+int32(slot))&move]
+		to := v ^ (v^h.To)&move
+		bin := stay + v
+		hist[bin^(bin^h.Arc)&move]++
+		at[i] = to
+	}
+}
+
+// settle reads a dense step off the histogram in one sweep of the CSR and
+// clears it: the most loaded arc (at least one round, even if every token
+// stayed), the hop count, and each node's tokens — its stay slot plus the
+// loads of the arcs into it, hist[h.Arc^1] over its row. With edgeLoad
+// non-nil it also copies every arc's load there for the probe.
+func (st *stepper) settle(edgeLoad []int64) (maxLoad, hops int) {
+	arcs, stays := st.hist[:len(st.half)], st.hist[len(st.half):]
+	maxLoad = 1
+	lo := st.start[0]
+	for v, hi := range st.start[1:] {
+		tokens := stays[v]
+		for _, h := range st.half[lo:hi] {
+			load := int(arcs[h.Arc])
+			hops += load
+			maxLoad = max(maxLoad, load)
+			tokens += arcs[h.Arc^1]
+		}
+		st.tokensAt[v] = tokens
+		lo = hi
+	}
+	if edgeLoad != nil {
+		for a, load := range arcs {
+			edgeLoad[a] = int64(load)
+		}
+	}
+	clear(st.hist)
+	return maxLoad, hops
 }
 
 // stepCorrelated advances every token one step in place with negative
@@ -221,11 +326,12 @@ func (st *stepper) stepCorrelated(kind spectral.WalkKind, at []int32, twoDelta i
 
 // RunAllocCeiling is the heap objects one Run without a Probe allocates,
 // whatever the number of walks and steps: the result, the endpoints (with
-// the sources' copy when recording), the per-step loads, the edge loads
-// and one int32 scratch array for the rest of the step state. The walks
-// read the graph's own CSR (graph.Graph.CSR) and copy none of it, and keep
-// nothing per step. The package's allocation test holds Run to this
-// figure.
+// the sources' copy when recording), the per-step loads and one int32
+// scratch array for the step state — the histogram, tokensAt and, for a
+// touched-list or correlated step, its lists. A Probe adds its occupancy
+// and int64 edge-load copies. The walks read the graph's own CSR
+// (graph.Graph.CSR) and copy none of it, and keep nothing per step. The
+// package's allocation test holds Run to this figure.
 const RunAllocCeiling = 5
 
 // Run executes one walk from each entry of sources (sources[i] = start
@@ -239,7 +345,23 @@ const RunAllocCeiling = 5
 // walks draw from rng in an order that the reference test pins: steps in
 // order, nodes in ID order, a Fisher–Yates shuffle of the node's tokens,
 // then one deck offset. Runs are reproducible given the same rng state.
+//
+// An independent run with at least as many walks as histogram slots
+// (2m arcs plus n stays) takes the dense step (stepDense, then settle's
+// sweep of the CSR); a smaller one and a correlated one take the
+// touched-list step. Both give the same result to the bit. Where the two
+// cost the same moves with the graph, between a quarter and a half of a
+// walk per slot on the shapes measured, and at an eighth the sweep makes
+// the dense step up to 1.6× slower; at one walk per slot it is the faster
+// on every shape, so the rule asks for one (BenchmarkRun times both
+// sides).
 func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
+	return run(g, sources, cfg, rng, !cfg.Correlated && len(sources) >= 2*g.M()+g.N())
+}
+
+// run is Run with the step chosen by the caller: dense selects stepDense
+// for an independent run, and the tests drive both steps through it.
+func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool) *Result {
 	if cfg.Steps < 0 {
 		panic("randomwalk: negative step count")
 	}
@@ -249,6 +371,7 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	if cfg.Record && cfg.Correlated {
 		panic("randomwalk: Config.Record with Config.Correlated: a correlated hop depends on every token at the node, so its walks have no paths")
 	}
+	dense = dense && !cfg.Correlated
 	nWalks := len(sources)
 	res := &Result{steps: cfg.Steps, g: g}
 	if cfg.Record {
@@ -265,53 +388,61 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 		res.draws = draws{key: rng.Uint64(), lazy: cfg.Kind == spectral.Lazy, twoDelta: uint64(twoDelta)}
 	}
 
-	n, nTouched, nBucket := g.N(), min(nWalks, 2*g.M()), 0
+	// One int32 allocation: the histogram (with n stay slots for a dense
+	// step), tokensAt, then a touched-list step's list and a correlated
+	// step's buckets.
+	n, nArcs := g.N(), 2*g.M()
+	nHist, nTouched, nBucket := nArcs, min(nWalks, nArcs), 0
+	if dense {
+		nHist, nTouched = nArcs+n, 0
+	}
 	if cfg.Correlated {
 		nBucket = n + nWalks
 	}
-	scratch := make([]int32, nTouched+n+nBucket)
+	scratch := make([]int32, nHist+n+nTouched+nBucket)
 	start, half := g.CSR()
 	st := &stepper{
 		start:    start,
 		half:     half,
-		edgeLoad: make([]int64, 2*g.M()), // directed: 2*id + dir
-		touched:  scratch[:nTouched],
-		tokensAt: scratch[nTouched : nTouched+n],
+		hist:     scratch[:nHist:nHist],
+		tokensAt: scratch[nHist : nHist+n : nHist+n],
 	}
+	rest := scratch[nHist+n:]
+	st.touched, rest = rest[:nTouched:nTouched], rest[nTouched:]
 	if cfg.Correlated {
-		st.bucketEnd, st.bucketTok = scratch[nTouched+n:nTouched+2*n], scratch[nTouched+2*n:]
+		st.bucketEnd, st.bucketTok = rest[:n:n], rest[n:]
 	}
 	for _, s := range sources {
 		st.tokensAt[s]++
 	}
 	res.noteOccupancy(st.tokensAt)
-	var inboxBuf []int // per-node occupancy copy handed to the probe
+	var inboxBuf []int   // per-node occupancy copy handed to the probe
+	var edgeLoad []int64 // per-arc load copy handed to the probe
 	if cfg.Probe != nil {
 		cfg.Probe.RunStart(congest.RunInfo{Name: cfg.TraceName, Nodes: n, Edges: g.M()})
 		inboxBuf = make([]int, n)
+		edgeLoad = make([]int64, nArcs) // directed: 2*id + dir
 	}
 
 	at := res.Ends
 	for step := 0; step < cfg.Steps; step++ {
-		if cfg.Correlated {
+		var maxLoad, hops int
+		switch {
+		case dense:
+			st.stepDense(res.draws, at, step)
+			maxLoad, hops = st.settle(edgeLoad)
+		case cfg.Correlated:
 			st.stepCorrelated(cfg.Kind, at, twoDelta, rng)
-		} else {
+			maxLoad, hops = st.tally(edgeLoad)
+		default:
 			st.stepIndependent(res.draws, at, step)
-		}
-
-		crossed := st.touched[:st.nTouched]
-		maxLoad, hops := 1, 0 // a phase takes at least one round even if all tokens stayed
-		for _, slot := range crossed {
-			load := int(st.edgeLoad[slot])
-			hops += load
-			maxLoad = max(maxLoad, load)
+			maxLoad, hops = st.tally(edgeLoad)
 		}
 		res.Stats.PerStepMaxLoad[step] = maxLoad
 		res.Stats.Rounds += maxLoad
 		res.noteOccupancy(st.tokensAt)
 		if cfg.Probe != nil {
-			// Emit the step record before the edge loads are cleared: one
-			// "round" per walk step, congestion as Lemma 2.5 counts it.
+			// One "round" per walk step, congestion as Lemma 2.5 counts it.
 			rec := &congest.RoundRecord{
 				Round:        step + 1,
 				Delivered:    hops,
@@ -319,7 +450,7 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 				MaxInboxNode: -1,
 				MaxEdgeLoad:  int64(maxLoad),
 				InboxSizes:   inboxBuf,
-				EdgeLoad:     st.edgeLoad,
+				EdgeLoad:     edgeLoad,
 			}
 			for v, c := range st.tokensAt {
 				inboxBuf[v] = int(c)
@@ -330,10 +461,6 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 			}
 			cfg.Probe.RoundEnd(rec)
 		}
-		for _, slot := range crossed {
-			st.edgeLoad[slot] = 0
-		}
-		st.nTouched = 0
 	}
 	if cfg.Probe != nil {
 		cfg.Probe.RunEnd(res.Stats.Rounds, nil)

@@ -269,21 +269,22 @@ func fixtureSources(g *graph.Graph) []int32 {
 	return SourcesPerNode(counts)
 }
 
+// TestRunMatchesReferenceEngine runs every fixture through each step —
+// the touched-list and the dense independent step, whichever Run would
+// pick for the fixture, and the correlated one.
 func TestRunMatchesReferenceEngine(t *testing.T) {
 	// wide[name] is a port offset the hub must be seen crossing past.
 	wide := map[string]int32{"star300": 255, "hub70000": 65_535}
 	for name, g := range walkFixtures() {
 		sources := fixtureSources(g)
 		for _, kind := range []spectral.WalkKind{spectral.Lazy, spectral.Regular} {
-			for _, correlated := range []bool{false, true} {
+			for _, step := range []string{"touched", "dense", "correlated"} {
+				correlated := step == "correlated"
 				cfg := Config{Kind: kind, Steps: 17, Record: !correlated, Correlated: correlated}
 				refRng, rng := rngutil.NewRand(5), rngutil.NewRand(5)
 				want := refRun(g, sources, cfg, refRng)
-				got := Run(g, sources, cfg, rng)
-				label := name + "/" + kind.String()
-				if correlated {
-					label += "/correlated"
-				}
+				got := run(g, sources, cfg, rng, step == "dense")
+				label := name + "/" + kind.String() + "/" + step
 				if !slices.Equal(got.Ends, want.ends) {
 					t.Fatalf("%s: ends differ", label)
 				}
@@ -513,6 +514,9 @@ func panicMessage(f func()) (msg string) {
 	return ""
 }
 
+// TestRunAllocationsAreConstant holds both steps to RunAllocCeiling: on
+// rr(64, 6), k = 1 is 384 walks on 448 histogram slots (the touched-list
+// step) and k = 16 is the dense step.
 func TestRunAllocationsAreConstant(t *testing.T) {
 	g := graph.RandomRegular(64, 6, rngutil.NewRand(7))
 	rng := rngutil.NewRand(8)

@@ -12,13 +12,20 @@ import (
 	"math/rand/v2"
 )
 
+// golden is SplitMix64's state increment, 2⁶⁴ over the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 is a well-known 64-bit finalizer-based generator; here it is
 // used for seed derivation and counter draws (Mix), never as a sequential
 // consumer-facing stream.
 func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+	*state += golden
+	return finalize(*state)
+}
+
+// finalize is SplitMix64's output function of an advanced state.
+func finalize(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -56,11 +63,23 @@ func (s *Source) Seed() uint64 { return s.seed }
 // pure function of the triple, so draws may be taken in any order, and
 // streams of distinct a are independent for every practical purpose.
 // Derive is Mix at position 0.
-func Mix(key, a, b uint64) uint64 {
-	// The first SplitMix64 advance of key, then a's hash, then b advances.
-	state := ((key + 0x9e3779b97f4a7c15) ^ a*0xd1342543de82ef95) + b*0x9e3779b97f4a7c15
-	return splitMix64(&state)
+func Mix(key, a, b uint64) uint64 { return MixColumn(key, b).At(a) }
+
+// A Column is the draws of Mix at one key and position b, one per stream
+// a. A loop that draws many streams at one position takes the column
+// once: the part of the state that does not depend on a is summed when
+// the column is made.
+type Column struct{ key, b uint64 }
+
+// MixColumn returns the column of Mix(key, ·, b).
+func MixColumn(key, b uint64) Column {
+	// The first SplitMix64 advance of key; b advances, and the one more
+	// that draws them.
+	return Column{key: key + golden, b: (b + 1) * golden}
 }
+
+// At returns Mix(key, a, b): the column's state with a's hash.
+func (c Column) At(a uint64) uint64 { return finalize((c.key ^ a*0xd1342543de82ef95) + c.b) }
 
 // Derive returns the child seed for (label, index).
 func (s *Source) Derive(label string, index uint64) uint64 {

@@ -16,6 +16,14 @@
 // walk replay writes them, and sends a packet each way along each. Packets
 // join each round's queues in packet order, so the ids the links carry
 // never move a result.
+//
+// The core threads every link's queue through one array: a packet's slot
+// names the packet behind it, a link's slot its head, and a link's tail
+// names the slot its next push writes (its own slot while it is empty), so
+// a push has no branch on whether the queue was empty. A packet reads the
+// link it crosses next when it is popped, into its own slot, so the reads
+// of one round's arrivals do not wait on one another, and the arrivals
+// are pushed there in packet order in the same loop that drains them.
 package pathsched
 
 import (
@@ -130,7 +138,7 @@ func Schedule(paths [][]int32) Result {
 		res.Congestion = max(res.Congestion, int(crossings[l]))
 	}
 	if res.Dilation > 0 {
-		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(len(paths), int(links))
+		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(len(paths), crossings)
 	}
 	return res
 }
@@ -163,7 +171,7 @@ func ScheduleBothWays(g *graph.Graph, runs [][]int32) Result {
 		}
 	}
 	if res.Dilation > 0 {
-		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(2*len(runs), len(twin))
+		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(2*len(runs), crossings)
 	}
 	return res
 }
@@ -188,35 +196,41 @@ func (p *packets) hops(pkt int32) int32 {
 	return int32(len(p.runs[pkt>>1]))
 }
 
-// link is the link packet pkt crosses next.
+// link is the link packet pkt crosses next. A run-door packet picks its
+// direction by a mask, not a branch: the packets popped in one round
+// alternate between the directions at random.
 func (p *packets) link(pkt int32) int32 {
 	if p.runs == nil {
 		return p.arena[p.end[pkt+1]-p.left[pkt]]
 	}
-	run := p.runs[pkt>>1]
-	if pkt&1 == 0 {
-		return run[len(run)-int(p.left[pkt])]
-	}
-	return p.twin[run[p.left[pkt]-1]]
+	// back is all ones for a backward packet, which reads the run from its
+	// end, each hop through twin; a forward one reads it from its start.
+	run, left, back := p.runs[pkt>>1], p.left[pkt], -(pkt & 1)
+	j := int32(len(run)) - left
+	l := run[j^(j^(left-1))&back]
+	return l ^ (l^p.twin[l])&back
 }
 
 // makespan is the store-and-forward core both doors share: it sends the
 // n packets along their runs through per-link FIFO queues, links numbered
-// in [0, links), and returns the number of rounds until the last arrives.
-func (p *packets) makespan(n, links int) int {
+// in [0, len(tail)), and returns the number of rounds until the last
+// arrives. tail is one entry per link that makespan overwrites: each door
+// hands it the crossing counts it has finished reading.
+func (p *packets) makespan(n int, tail []int32) int {
+	links := len(tail)
 	lowWords := (n + 63) / 64
 	marks := make([]uint64, lowWords+(lowWords+63)/64)
-	buf := make([]int32, 2*links+2*n)
+	arrived := arrivals{low: marks[:lowWords], top: marks[lowWords:]}
+	buf := make([]int32, 2*n+2*links+1)
 	q := fifos{
-		head:    buf[:links:links],
-		tail:    buf[links : 2*links : 2*links],
-		next:    buf[2*links : 2*links+n : 2*links+n],
-		active:  make([]int32, 0, links),
-		arrived: arrivals{low: marks[:lowWords], top: marks[lowWords:]},
+		next:   buf[: n+links : n+links],
+		tail:   tail,
+		active: buf[n+links : n+2*links+1 : n+2*links+1],
+		base:   int32(n),
 	}
-	p.left = buf[2*links+n:]
-	for l := range q.head {
-		q.head[l] = -1
+	p.left = buf[n+2*links+1:]
+	for l := range q.tail {
+		q.tail[l] = int32(n + l)
 	}
 	remaining := 0
 	for i := range int32(n) {
@@ -231,61 +245,79 @@ func (p *packets) makespan(n, links int) int {
 	rounds := 0
 	for remaining > 0 {
 		rounds++
-		q.popAll()
-		// Arrivals join their next queue in packet order, whatever order
-		// the links were visited in: runs are deterministic.
-		q.arrived.drain(func(pkt int32) {
-			if p.left[pkt]--; p.left[pkt] == 0 {
-				remaining--
-				return
+		remaining -= p.popAll(&q, &arrived)
+		// Arrivals join their next queue, the link popAll left in their
+		// next slot, in packet order, whatever order the links were
+		// visited in: runs are deterministic. top marks the non-zero
+		// words of low, so a drain reads every top word and only the
+		// marked low words: O(arrivals + packets/4096).
+		for t, top := range arrived.top {
+			arrived.top[t] = 0
+			for ; top != 0; top &= top - 1 {
+				w := t<<6 | bits.TrailingZeros64(top)
+				for low := arrived.low[w]; low != 0; low &= low - 1 {
+					pkt := int32(w<<6 | bits.TrailingZeros64(low))
+					q.push(q.next[pkt], pkt)
+				}
+				arrived.low[w] = 0
 			}
-			q.push(p.link(pkt), pkt)
-		})
+		}
 	}
 	return rounds
 }
 
-// fifos holds one FIFO of packets per link, threaded through the packets
-// themselves: head[l] and tail[l] delimit link l's queue (head −1 =
-// empty), next[pkt] is the packet behind pkt. A packet waits in one queue
-// at a time, so one next entry per packet serves all queues. active lists
-// the links with a non-empty queue, in no particular order, and arrived
-// marks the packets the last popAll moved.
+// popAll moves the head packet of every non-empty queue across its link
+// and returns how many of them that delivered. A packet with hops left
+// reads the link it crosses next as it is popped, into its own next slot
+// (free while it waits in no queue), and is marked arrived; the drain
+// pushes it there.
+func (p *packets) popAll(q *fifos, arrived *arrivals) (delivered int) {
+	busy := 0
+	for _, l := range q.active[:q.nActive] {
+		head := q.base + l
+		pkt := q.next[head]
+		q.next[head] = q.next[pkt]
+		// emptied is all ones when pkt was the queue's last packet.
+		emptied := -int32(uint32(q.tail[l]^pkt-1) >> 31)
+		q.tail[l] ^= (q.tail[l] ^ head) & emptied
+		q.active[busy] = l
+		busy += int(emptied + 1)
+		if p.left[pkt]--; p.left[pkt] == 0 {
+			delivered++
+			continue
+		}
+		q.next[pkt] = p.link(pkt)
+		arrived.add(pkt)
+	}
+	q.nActive = busy
+	return delivered
+}
+
+// fifos holds one FIFO of packets per link, threaded through one array:
+// next[pkt] is the packet behind pkt, and next[base+l] is link l's head,
+// so an empty queue is the one whose tail[l], the slot its next push
+// writes, is base+l. A push is then the same two writes whether the queue
+// was empty or not. A packet waits in one queue at a time, so one next
+// entry per packet serves all queues. active[:nActive] lists the links
+// with a non-empty queue, in no particular order; it has one spare entry,
+// since a push writes its link there before it knows whether to count it.
 type fifos struct {
-	head, tail, next, active []int32
-	arrived                  arrivals
+	next, tail, active []int32
+	nActive            int
+	base               int32
 }
 
 func (q *fifos) push(l, pkt int32) {
-	q.next[pkt] = -1
-	if q.head[l] < 0 {
-		q.head[l] = pkt
-		q.active = append(q.active, l)
-	} else {
-		q.next[q.tail[l]] = pkt
-	}
+	t := q.tail[l]
+	q.next[t] = pkt
+	q.active[q.nActive] = l
+	q.nActive += int(uint32(q.base+l-t-1) >> 31) // t == base+l: l was empty
 	q.tail[l] = pkt
-}
-
-// popAll removes the head packet of every non-empty queue and marks it
-// arrived.
-func (q *fifos) popAll() {
-	busy := q.active[:0]
-	for _, l := range q.active {
-		pkt := q.head[l]
-		q.arrived.add(pkt)
-		if q.head[l] = q.next[pkt]; q.head[l] >= 0 {
-			busy = append(busy, l)
-		}
-	}
-	q.active = busy
 }
 
 // arrivals is a two-level bitset over packet ids that hands a round's
 // arrivals back in ascending order without sorting them: bit pkt of low
-// marks an arrived packet, and bit w of top marks a non-zero low[w]. A
-// drain reads every top word and only the marked low words, so a round
-// costs O(arrivals + packets/4096).
+// marks an arrived packet, and bit w of top marks a non-zero low[w].
 type arrivals struct {
 	low, top []uint64
 }
@@ -294,21 +326,6 @@ func (a *arrivals) add(pkt int32) {
 	w := pkt >> 6
 	a.low[w] |= 1 << (pkt & 63)
 	a.top[w>>6] |= 1 << (w & 63)
-}
-
-// drain calls visit on every marked packet in ascending order and clears
-// the marks.
-func (a *arrivals) drain(visit func(pkt int32)) {
-	for t, top := range a.top {
-		a.top[t] = 0
-		for ; top != 0; top &= top - 1 {
-			w := t<<6 | bits.TrailingZeros64(top)
-			for low := a.low[w]; low != 0; low &= low - 1 {
-				visit(int32(w<<6 | bits.TrailingZeros64(low)))
-			}
-			a.low[w] = 0
-		}
-	}
 }
 
 // Validate checks that every path is a walk of the adjacency oracle (used

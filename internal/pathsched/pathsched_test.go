@@ -394,6 +394,68 @@ func TestScheduleBothWaysMatchesCopies(t *testing.T) {
 	}
 }
 
+// pathEnd ends a path in FuzzSchedule's byte form.
+const pathEnd = 0xff
+
+// encodePaths is the byte form FuzzSchedule decodes: the node-ID range
+// minus two, then each path's node IDs, one byte each, every path ended by
+// pathEnd.
+func encodePaths(nNodes int, paths [][]int32) []byte {
+	b := []byte{byte(nNodes - 2)}
+	for _, p := range paths {
+		for _, v := range p {
+			b = append(b, byte(v))
+		}
+		b = append(b, pathEnd)
+	}
+	return b
+}
+
+// decodePaths reads encodePaths' form, taking node IDs modulo the range
+// (2 to 33 nodes, so links are shared heavily); a path not ended by
+// pathEnd is dropped.
+func decodePaths(b []byte) [][]int32 {
+	if len(b) == 0 {
+		return nil
+	}
+	nNodes := 2 + int(b[0])%32
+	var paths [][]int32
+	p := []int32{}
+	for _, c := range b[1:] {
+		if c == pathEnd {
+			paths = append(paths, p)
+			p = []int32{}
+			continue
+		}
+		p = append(p, int32(int(c)%nNodes))
+	}
+	return paths
+}
+
+// FuzzSchedule: on the path set a fuzz input encodes, Schedule gives what
+// the reference gives, and so does ScheduleBothWays on the set laid on a
+// multigraph of its own hops, against the reference over the paths and
+// their reversed copies. The seeds are adversarial path sets and the
+// hand-made shapes of the tests above.
+func FuzzSchedule(f *testing.F) {
+	for seed := range uint64(8) {
+		rng := rngutil.NewRand(seed)
+		f.Add(encodePaths(14, adversarialPaths(rng)))
+	}
+	f.Add(encodePaths(4, [][]int32{{0, 1}, {0, 1}, {0, 1}, {1, 0}, {2}, {}, {3, 3, 3}}))
+	f.Add(encodePaths(6, [][]int32{{0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {0, 0, 1, 1, 2}}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		paths := decodePaths(b)
+		if got, want := Schedule(paths), refSchedule(paths); got != want {
+			t.Fatalf("Schedule %+v, reference %+v, paths %v", got, want, paths)
+		}
+		g, runs := layOnMultigraph(rngutil.NewRand(uint64(len(b))), paths)
+		if got, want := ScheduleBothWays(g, runs), refSchedule(bothWaysCopies(paths)); got != want {
+			t.Fatalf("ScheduleBothWays %+v, reference over reversed copies %+v, paths %v", got, want, paths)
+		}
+	})
+}
+
 func TestScheduleRejectsNegativeIDs(t *testing.T) {
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "negative node id") {
@@ -405,11 +467,11 @@ func TestScheduleRejectsNegativeIDs(t *testing.T) {
 
 // scheduleAllocCeiling bounds the heap objects one Schedule or
 // ScheduleBothWays allocates, whatever the number of paths and hops: the
-// core's three flat arrays, the crossing counts, and either Schedule's six
-// for its link ids or ScheduleBothWays' two for the pair table — at most
-// ten — plus slack for the runtime's own allocations during the
-// measurement.
-const scheduleAllocCeiling = 12
+// core's two flat arrays, the crossing counts (which the core reuses for
+// its queue tails), and either Schedule's six for its link ids or
+// ScheduleBothWays' two for the pair table — at most nine — plus slack for
+// the runtime's own allocations during the measurement.
+const scheduleAllocCeiling = 11
 
 func TestScheduleAllocationsAreConstant(t *testing.T) {
 	for _, nPaths := range []int{10, 1000} {
@@ -425,5 +487,51 @@ func TestScheduleAllocationsAreConstant(t *testing.T) {
 				t.Fatalf("%d paths: %v allocations per %s, ceiling %d", nPaths, allocs, name, scheduleAllocCeiling)
 			}
 		}
+	}
+}
+
+// benchMakespan keeps BenchmarkScheduleBothWays' schedules from being
+// optimised away.
+var benchMakespan int
+
+// BenchmarkScheduleBothWays times one overlay round's schedule, in ns per
+// hop of both directions, on the runs of lazy walks kept the way the
+// overlay builders keep them: cluster is a 10-node G0 like build-clusters'
+// clusters (an 8-clique with a 2-node tail), rr32d8 the G0 of rr(32, 8)
+// that build-expander builds, and long512 a 512-node lollipop's walks of
+// 2 048 steps, the long, congested runs of cmd/routing's G0.
+func BenchmarkScheduleBothWays(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		g     *graph.Graph
+		walks int // per node
+		steps int
+		every int // keep every every-th walk
+	}{
+		{"cluster", graph.Lollipop(8, 2), 48, 40, 3},
+		{"rr32d8", graph.RandomRegular(32, 8, rngutil.NewRand(1)), 64, 30, 3},
+		{"long512", graph.Lollipop(48, 464), 1, 2048, 1},
+	} {
+		counts := make([]int, bc.g.N())
+		for v := range counts {
+			counts[v] = bc.walks
+		}
+		src := randomwalk.SourcesPerNode(counts)
+		res := randomwalk.Run(bc.g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: bc.steps, Record: true}, rngutil.NewRand(2))
+		var keep []int
+		for i := 0; i < len(src); i += bc.every {
+			keep = append(keep, i)
+		}
+		_, runs, _ := res.Paths(keep)
+		hops := 0
+		for _, run := range runs {
+			hops += 2 * len(run)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			for range b.N {
+				benchMakespan = ScheduleBothWays(bc.g, runs).Makespan
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+		})
 	}
 }

@@ -88,8 +88,8 @@ type FaultyWalkResult struct {
 // a fresh uniform port choice per hop and drains one queued token per port
 // per round.
 //
-// The per-port queues are intrusive FIFOs over one token pool per node
-// (the pathsched idiom): head[p] and tail[p] delimit port p's queue
+// The per-port queues are intrusive FIFOs over one token pool per node,
+// as pathsched's are: head[p] and tail[p] delimit port p's queue
 // (head −1 = empty), pool[i].next is the token behind pool[i], and free
 // heads the list of vacated pool slots, linked through the same field. A
 // token waits in one queue at a time, so one link per slot serves every

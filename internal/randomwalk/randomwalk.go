@@ -22,8 +22,9 @@
 // to its node's stay slot — chosen by masks rather than by a branch on its
 // draw, and one sweep of the CSR after the step reads the loads and each
 // node's tokens off the histogram. Any other run takes the touched-list
-// step, which costs per moving token and sweeps nothing; both give the
-// same result to the bit.
+// step, which lists the arcs it loads and sweeps nothing; both give the
+// same result to the bit. Every walk loop, the replay's included, picks a
+// hop by one masked rule (draws.pick), with no branch on the draw.
 package randomwalk
 
 import (
@@ -112,27 +113,26 @@ type draws struct {
 	twoDelta uint64
 }
 
-// draw is walk i's draw for step s+1.
-func (d draws) draw(i, s int) uint64 { return rngutil.Mix(d.key, uint64(i), uint64(s)) }
-
-// hop returns the offset, inside its node's CSR range, of the half-edge a
-// walk with draw x crosses from a node of degree deg, or −1 when it stays.
-// x is reduced by multiply-shift: a lazy walk moves on an odd x, to port
-// ⌊x·deg/2⁶⁴⌋; a 2Δ-regular walk takes slot ⌊x·2Δ/2⁶⁴⌋, of which the first
-// deg are the incident edges and the rest stay. On an isolated node no
-// slot is an edge, so the walk stays.
-func (d draws) hop(x uint64, deg int32) int32 {
-	slots := d.twoDelta
+// pick is the one hop rule of every walk loop: it turns a walk's draw x at
+// a node of degree deg into its hop with no branch on x. x is reduced by
+// multiply-shift: a lazy walk moves on an odd x, to port ⌊x·deg/2⁶⁴⌋; a
+// 2Δ-regular walk takes slot ⌊x·2Δ/2⁶⁴⌋, of which the first deg are the
+// incident edges and the rest stay. On an isolated node no slot is an
+// edge, so the walk stays. pick returns the slot and a mask of all ones
+// when the walk moves, through the half-edge slot places into its node's
+// CSR range, or of zeros when it stays; a caller indexes the CSR with
+// (lo+slot)&move, half-edge 0 on a stay, and selects by the mask. The one
+// branch is on the run's walk kind, never on the draw.
+func (d draws) pick(x, deg uint64) (slot uint64, move int32) {
+	var moves uint64
 	if d.lazy {
-		if x&1 == 0 {
-			return -1
-		}
-		slots = uint64(deg)
+		slot, _ = bits.Mul64(x, deg)
+		moves = (slot - deg) >> 63 & x & 1
+	} else {
+		slot, _ = bits.Mul64(x, d.twoDelta)
+		moves = (slot - deg) >> 63
 	}
-	if slot, _ := bits.Mul64(x, slots); slot < uint64(deg) {
-		return int32(slot)
-	}
-	return -1
+	return slot, -int32(moves)
 }
 
 // stepper is the state the per-step loops share.
@@ -141,8 +141,9 @@ type stepper struct {
 	start []int32
 	half  []graph.Halfedge
 	// hist counts this step's tokens by where they went: hist[arc] the
-	// crossings of a directed edge and, in a dense step only, hist[2m+v]
-	// the tokens that stayed at node v.
+	// crossings of a directed edge and hist[2m+v] the tokens that stayed at
+	// node v in a dense step; a touched-list step's stays all go to the
+	// spare slot hist[2m].
 	hist []int32
 	// touched[:nTouched] lists the non-zero arcs of a touched-list step,
 	// so they can be read and cleared without sweeping all 2m.
@@ -151,6 +152,9 @@ type stepper struct {
 	// tokensAt[v] counts the tokens at v: kept up to date by a
 	// touched-list step, read off the histogram after a dense one.
 	tokensAt []int32
+	// ratioTokens/ratioDegree is the largest tokens/degree seen so far,
+	// kept as a fraction so that noteOccupancy compares without dividing.
+	ratioTokens, ratioDegree int64
 	// bucketEnd and bucketTok are the correlated step's counting sort,
 	// reused across steps.
 	bucketEnd, bucketTok []int32
@@ -170,21 +174,41 @@ func (st *stepper) cross(v, p int32) int32 {
 }
 
 // stepIndependent advances every token step s+1 in place, each by its own
-// draw, and keeps the touched list and tokensAt as it goes.
+// draw, and keeps the touched list and tokensAt as it goes, with no branch
+// on the draw: pick's mask selects the token's arc, or the spare slot
+// hist[2m] for a stay, and each token adds one count there. The slot is
+// written to the end of the touched list every time and kept only when it
+// is an arc's first count of the step, so the spare slot is never listed.
+// tokensAt moves a count from the node left to the node reached, the same
+// node for a stay.
 func (st *stepper) stepIndependent(d draws, at []int32, s int) {
-	start := st.start
+	start, half, hist, touched, tokensAt := st.start, st.half, st.hist, st.touched, st.tokensAt
+	spare := int32(len(half))
+	if len(half) == 0 {
+		half = noHalf
+	}
+	listed := st.nTouched
+	col := rngutil.MixColumn(d.key, uint64(s))
 	for i, v := range at {
 		lo := start[v]
-		if off := d.hop(d.draw(i, s), start[v+1]-lo); off >= 0 {
-			at[i] = st.cross(v, lo+off)
-		}
+		slot, move := d.pick(col.At(uint64(i)), uint64(start[v+1]-lo))
+		h := half[(lo+int32(slot))&move]
+		to := v ^ (v^h.To)&move
+		bin := spare ^ (spare^h.Arc)&move
+		touched[listed] = bin
+		listed += int(uint32(hist[bin]-1) >> 31 & uint32(move)) // a moving token's first count on its arc
+		hist[bin]++
+		tokensAt[v]--
+		tokensAt[to]++
+		at[i] = to
 	}
+	st.nTouched = listed
 }
 
 // tally reads a touched-list step's loads off the listed arcs and clears
-// them: the most loaded arc (at least one round, even if every token
-// stayed) and the hop count. With edgeLoad non-nil it also writes every
-// arc's load there for the probe.
+// them, and the spare stay slot with them: the most loaded arc (at least
+// one round, even if every token stayed) and the hop count. With edgeLoad
+// non-nil it also writes every arc's load there for the probe.
 func (st *stepper) tally(edgeLoad []int64) (maxLoad, hops int) {
 	clear(edgeLoad)
 	maxLoad = 1
@@ -197,21 +221,24 @@ func (st *stepper) tally(edgeLoad []int64) (maxLoad, hops int) {
 		}
 		st.hist[a] = 0
 	}
+	st.hist[len(st.half)] = 0
 	st.nTouched = 0
 	return maxLoad, hops
 }
 
-// noHalf stands in for the CSR of a graph without edges, so a dense step
-// always has a half-edge to read; no token ever crosses it.
-var noHalf = []graph.Halfedge{{}}
+// noHalf and noCanon stand in for the CSR and the canonical half-edges of
+// a graph without edges, so a masked step always has a half-edge to read;
+// no token ever crosses it.
+var (
+	noHalf  = []graph.Halfedge{{}}
+	noCanon = []int32{0}
+)
 
 // stepDense advances every token step s+1 in place, each by its own draw,
-// with no branch on the draw: multiply-shift picks a slot as draws.hop
-// does, a mask of all ones when the token moves (a lazy walk's odd coin
-// and a slot below the degree) or of zeros when it stays selects the
-// half-edge or the stay, and each token adds one count to the histogram —
-// its arc's slot or its node's stay slot. The loads and tokensAt are read
-// off afterwards by settle.
+// with no branch on the draw: pick's mask selects the half-edge or the
+// stay, and each token adds one count to the histogram — its arc's slot or
+// its node's stay slot. The loads and tokensAt are read off afterwards by
+// settle.
 func (st *stepper) stepDense(d draws, at []int32, s int) {
 	start, half, hist := st.start, st.half, st.hist
 	stay := int32(len(half)) // node v's stay slot is hist[2m+v]
@@ -221,21 +248,7 @@ func (st *stepper) stepDense(d draws, at []int32, s int) {
 	col := rngutil.MixColumn(d.key, uint64(s))
 	for i, v := range at {
 		lo := start[v]
-		deg := uint64(start[v+1] - lo)
-		x := col.At(uint64(i))
-		// moves is 1 when the token moves: a lazy walk reduces by its
-		// degree and moves on an odd draw, a 2Δ-regular walk reduces by
-		// 2Δ; either moves on a slot below the degree. The branch is on
-		// the run's walk kind, never on the draw.
-		var slot, moves uint64
-		if d.lazy {
-			slot, _ = bits.Mul64(x, deg)
-			moves = (slot - deg) >> 63 & x & 1
-		} else {
-			slot, _ = bits.Mul64(x, d.twoDelta)
-			moves = (slot - deg) >> 63
-		}
-		move := -int32(moves) // all ones when the token moves
+		slot, move := d.pick(col.At(uint64(i)), uint64(start[v+1]-lo))
 		h := half[(lo+int32(slot))&move]
 		to := v ^ (v^h.To)&move
 		bin := stay + v
@@ -341,7 +354,7 @@ const RunAllocCeiling = 5
 //
 // Independent walks take one Uint64 from rng, the run key, and nothing
 // else: walk i's hop in step s+1 is drawn from rngutil.Mix(key, i, s) (see
-// draws.hop), so a walk's path does not depend on the others. Correlated
+// draws.pick), so a walk's path does not depend on the others. Correlated
 // walks draw from rng in an order that the reference test pins: steps in
 // order, nodes in ID order, a Fisher–Yates shuffle of the node's tokens,
 // then one deck offset. Runs are reproducible given the same rng state.
@@ -389,10 +402,11 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 	}
 
 	// One int32 allocation: the histogram (with n stay slots for a dense
-	// step), tokensAt, then a touched-list step's list and a correlated
-	// step's buckets.
+	// step, one spare for a touched-list step), tokensAt, then a
+	// touched-list step's list — one entry more than it lists, for the
+	// slot written past its end — and a correlated step's buckets.
 	n, nArcs := g.N(), 2*g.M()
-	nHist, nTouched, nBucket := nArcs, min(nWalks, nArcs), 0
+	nHist, nTouched, nBucket := nArcs+1, min(nWalks, nArcs+1), 0
 	if dense {
 		nHist, nTouched = nArcs+n, 0
 	}
@@ -402,10 +416,11 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 	scratch := make([]int32, nHist+n+nTouched+nBucket)
 	start, half := g.CSR()
 	st := &stepper{
-		start:    start,
-		half:     half,
-		hist:     scratch[:nHist:nHist],
-		tokensAt: scratch[nHist : nHist+n : nHist+n],
+		start:       start,
+		half:        half,
+		hist:        scratch[:nHist:nHist],
+		tokensAt:    scratch[nHist : nHist+n : nHist+n],
+		ratioDegree: 1,
 	}
 	rest := scratch[nHist+n:]
 	st.touched, rest = rest[:nTouched:nTouched], rest[nTouched:]
@@ -415,7 +430,7 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 	for _, s := range sources {
 		st.tokensAt[s]++
 	}
-	res.noteOccupancy(st.tokensAt)
+	st.noteOccupancy(&res.Stats)
 	var inboxBuf []int   // per-node occupancy copy handed to the probe
 	var edgeLoad []int64 // per-arc load copy handed to the probe
 	if cfg.Probe != nil {
@@ -440,7 +455,7 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 		}
 		res.Stats.PerStepMaxLoad[step] = maxLoad
 		res.Stats.Rounds += maxLoad
-		res.noteOccupancy(st.tokensAt)
+		st.noteOccupancy(&res.Stats)
 		if cfg.Probe != nil {
 			// One "round" per walk step, congestion as Lemma 2.5 counts it.
 			rec := &congest.RoundRecord{
@@ -468,15 +483,18 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 	return res
 }
 
-func (r *Result) noteOccupancy(tokensAt []int32) {
-	for v, c := range tokensAt {
-		if int(c) > r.Stats.MaxTokensAtNode {
-			r.Stats.MaxTokensAtNode = int(c)
-		}
-		if d := r.g.Degree(v); d > 0 {
-			if ratio := float64(c) / float64(d); ratio > r.Stats.MaxTokensOverDegree {
-				r.Stats.MaxTokensOverDegree = ratio
-			}
+// noteOccupancy folds the tokens now at each node into the occupancy
+// maxima. tokens/degree is compared as a fraction, by cross-multiplying
+// (both factors below 2³¹), and divided only when it is a new maximum:
+// correctly rounded division is monotone, so the quotient of the largest
+// fraction is the largest quotient, to the bit.
+func (st *stepper) noteOccupancy(stats *Stats) {
+	for v, c := range st.tokensAt {
+		stats.MaxTokensAtNode = max(stats.MaxTokensAtNode, int(c))
+		d := int64(st.start[v+1] - st.start[v])
+		if d > 0 && int64(c)*st.ratioDegree > st.ratioTokens*d {
+			st.ratioTokens, st.ratioDegree = int64(c), d
+			stats.MaxTokensOverDegree = float64(c) / float64(d)
 		}
 	}
 }
@@ -493,11 +511,12 @@ func (r *Result) noteOccupancy(tokensAt []int32) {
 // fraction of the walks it ran — as the overlay builders do — pays for
 // that fraction only.
 //
-// The kept walks advance together, each through its own draws, and every
-// step is charged as it is written: reverse step s costs its most loaded
-// directed edge, at least one round, and an empty keep costs none. A hop
-// u → v is reversed as v → u and loaded on its canonical half-edge, one
-// key per ordered node pair, so parallel edges share one load.
+// The kept walks advance together, each through its own draws by Run's
+// hop rule (draws.pick), and every step is charged as it is written:
+// reverse step s costs its most loaded directed edge, at least one round,
+// and an empty keep costs none. A hop u → v is reversed as v → u and
+// loaded on its canonical half-edge, one key per ordered node pair, so
+// parallel edges share one load.
 func (r *Result) Paths(keep []int) (paths, links [][]int32, reverseRounds int) {
 	if r.sources == nil {
 		panic("randomwalk: paths requested from a run without Config.Record")
@@ -519,52 +538,64 @@ func (r *Result) Paths(keep []int) (paths, links [][]int32, reverseRounds int) {
 	if len(keep) == 0 {
 		return paths, links, 0
 	}
+	start, half := r.g.CSR()
+	canon, _ := r.g.PairHalfedges()
+	if len(half) == 0 {
+		half, canon = noHalf, noCanon
+	}
 	// keys[k*steps+s−1] is walk keep[k]'s load key in step s: its
 	// canonical half-edge, −1 for a stay. The arena lives apart from the
 	// paths, which an overlay keeps, and ends as the runs.
 	keys := make([]int32, len(keep)*r.steps)
+	// load[h] counts a reverse step's hops on half-edge h, and the sink
+	// slot load[len(canon)] its stays. touched[:listed] lists the
+	// half-edges the step loaded, so it clears only those and the sink;
+	// as in the touched-list walk step, every walk writes its slot past
+	// the list's end and only a half-edge's first count keeps it, so the
+	// list holds one entry more than it can keep.
+	sink := int32(len(canon))
+	load, touched := make([]int32, sink+1), make([]int32, min(len(keep), len(canon)+1))
 	// A sweep advances every kept walk a block of steps: each walk takes
-	// them alone, writing its path and its keys contiguously, and the
-	// block's steps are then charged in order. A block is 16 steps, one
-	// cache line of a path.
-	block := min(16, r.steps)
-	start, half := r.g.CSR()
-	canon, _ := r.g.PairHalfedges()
-	load := make([]int32, len(half)) // per half-edge, cleared via touched
-	touched := make([]int32, 0, min(len(keep), len(half)))
+	// them alone from the block's draw column, one add per step, writing
+	// its path and its keys contiguously with no branch on its draws (a
+	// stay's key is written by mask), and the block's steps are then
+	// charged in order. A block is 16 steps, one cache line of a path.
+	block, d := min(16, r.steps), r.draws
 	for s0 := 1; s0 < length; s0 += block {
 		steps := min(block, length-s0)
+		col := rngutil.MixColumn(d.key, uint64(s0-1))
 		for k, i := range keep {
-			p, key := paths[k], keys[k*r.steps:(k+1)*r.steps]
-			for s := s0; s < s0+steps; s++ {
-				u := p[s-1]
-				v, h := u, int32(-1)
-				if off := r.draws.hop(r.draws.draw(i, s-1), start[u+1]-start[u]); off >= 0 {
-					v = half[start[u]+off].To
-					h = canon[start[u]+off]
-				}
-				p[s] = v
-				key[s-1] = h
+			p := paths[k][s0-1 : s0+steps]
+			key := keys[k*r.steps+s0-1 : k*r.steps+s0-1+steps]
+			x := col.Counter(uint64(i))
+			v := p[0]
+			for s := range key {
+				lo := start[v]
+				slot, move := d.pick(x.Next(), uint64(start[v+1]-lo))
+				off := (lo + int32(slot)) & move
+				v ^= (v ^ half[off].To) & move
+				p[s+1] = v
+				key[s] = canon[off] | ^move // −1 for a stay
 			}
 		}
+		// Every kept walk counts into load, a stay into the sink, whose
+		// count the maximum masks out.
 		for s := s0; s < s0+steps; s++ {
-			maxLoad := int32(1)
+			maxLoad, listed := int32(1), 0
 			for k := range keep {
 				h := keys[k*r.steps+s-1]
-				if h < 0 {
-					continue
-				}
-				if load[h] == 0 {
-					touched = append(touched, h)
-				}
+				stay := h >> 31 // all ones for a stay
+				h += stay & (sink + 1)
+				touched[listed] = h
+				listed += int(uint32(load[h]-1) >> 31 &^ uint32(stay)) // a half-edge's first count
 				load[h]++
-				maxLoad = max(maxLoad, load[h])
+				maxLoad = max(maxLoad, load[h]&^stay)
 			}
 			reverseRounds += int(maxLoad)
-			for _, h := range touched {
+			for _, h := range touched[:listed] {
 				load[h] = 0
 			}
-			touched = touched[:0]
+			load[sink] = 0
 		}
 	}
 	// A walk's run is its keys with the stays squeezed out, in place.

@@ -254,3 +254,60 @@ func TestCorrelatedConvergesToStationary(t *testing.T) {
 		t.Fatalf("correlated fraction at center %v, want ≈ 0.5", frac)
 	}
 }
+
+// TestOccupancyRatioMatchesDivision pins noteOccupancy's cross-multiplied
+// comparison against the float-division maximum it replaced, bit for bit:
+// each case notes one node of the given tokens and degree per call, and
+// MaxTokensOverDegree must be the largest float64(tokens)/float64(degree)
+// over the nodes of non-zero degree.
+func TestOccupancyRatioMatchesDivision(t *testing.T) {
+	type node struct{ tokens, degree int32 }
+	const big = math.MaxInt32
+	check := func(name string, nodes []node) {
+		t.Helper()
+		st := &stepper{ratioDegree: 1}
+		var stats Stats
+		want, wantTokens := 0.0, 0
+		for _, v := range nodes {
+			st.start, st.tokensAt = []int32{0, v.degree}, []int32{v.tokens}
+			st.noteOccupancy(&stats)
+			wantTokens = max(wantTokens, int(v.tokens))
+			if v.degree > 0 {
+				want = max(want, float64(v.tokens)/float64(v.degree))
+			}
+		}
+		if math.Float64bits(stats.MaxTokensOverDegree) != math.Float64bits(want) || stats.MaxTokensAtNode != wantTokens {
+			t.Errorf("%s: max %v tokens/degree and %d tokens, division gives %v and %d",
+				name, stats.MaxTokensOverDegree, stats.MaxTokensAtNode, want, wantTokens)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		nodes []node
+	}{
+		{"equal ratios", []node{{2, 4}, {3, 6}}},
+		{"equal ratios, larger terms first", []node{{3, 6}, {2, 4}}},
+		// Three ratios a few 10⁻¹⁹ apart, whose quotients round to one float.
+		{"near-equal ratios, one quotient", []node{{big - 2, big - 1}, {big - 1, big}, {big - 3, big - 2}}},
+		{"near-equal ratios, largest first", []node{{big - 1, big}, {big - 2, big - 1}}},
+		{"near a third", []node{{1, 3}, {357913942, 1073741825}, {715827882, big}}},
+		{"large counts", []node{{big, big}, {big, 1}, {big - 1, 1}, {1, big}}},
+		{"large degree first", []node{{1, big}, {2, big}, {big, big - 1}}},
+		{"no tokens", []node{{0, 5}, {0, 1}}},
+		{"isolated node", []node{{7, 0}, {1, 2}}},
+	} {
+		check(tc.name, tc.nodes)
+	}
+	f := func(seed uint64) bool {
+		r := rngutil.NewRand(seed)
+		nodes := make([]node, 1+r.IntN(8))
+		for i := range nodes {
+			nodes[i] = node{int32(r.Int64N(big + 1)), int32(r.Int64N(big + 1))}
+		}
+		check("random", nodes)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,7 +3,8 @@ package randomwalk
 // The dense and the touched-list step against each other: on any graph and
 // any sources, forcing either step through run must give the same
 // endpoints, statistics, recomputed paths and probe output, whichever one
-// Run would have picked.
+// Run would have picked. Both share one replay, so its paths, runs and
+// reverse charge are also held to the reference's.
 
 import (
 	"bytes"
@@ -34,7 +35,9 @@ func (p *stepProbe) RoundEnd(rec *congest.RoundRecord) {
 }
 
 // stepsAgree runs one recording, traced walk run through each step and
-// reports the first output on which they differ.
+// reports the first output on which they differ, or on which the replay
+// differs from the reference: refRun's paths, the runs of their canonical
+// half-edges and refReverseDeliveryRounds over them.
 func stepsAgree(g *graph.Graph, sources []int32, kind spectral.WalkKind, steps int, seed uint64) error {
 	type outcome struct {
 		res   *Result
@@ -73,7 +76,32 @@ func stepsAgree(g *graph.Graph, sources []int32, kind spectral.WalkKind, steps i
 	case !reflect.DeepEqual(sparse.loads, dense.loads):
 		return fmt.Errorf("probe edge loads differ")
 	}
+	ref := refRun(g, sources, Config{Kind: kind, Steps: steps}, rngutil.NewRand(seed))
+	switch {
+	case !reflect.DeepEqual(sparse.paths, ref.paths):
+		return fmt.Errorf("replayed paths differ from the reference")
+	case !reflect.DeepEqual(sparse.links, refRuns(g, ref.paths)):
+		return fmt.Errorf("replayed runs differ from the reference")
+	case sparse.rev != refReverseDeliveryRounds(ref.paths, nil):
+		return fmt.Errorf("reverse charge %d, reference %d", sparse.rev, refReverseDeliveryRounds(ref.paths, nil))
+	}
 	return nil
+}
+
+// refRuns is each path's run: every hop u → v as u's last port to v, its
+// canonical half-edge, with the stays left out.
+func refRuns(g *graph.Graph, paths [][]int32) [][]int32 {
+	start, _ := g.CSR()
+	runs := make([][]int32, len(paths))
+	for k, p := range paths {
+		runs[k] = []int32{}
+		for s := 1; s < len(p); s++ {
+			if u, v := int(p[s-1]), int(p[s]); u != v {
+				runs[k] = append(runs[k], start[u]+int32(g.Port(u, v)))
+			}
+		}
+	}
+	return runs
 }
 
 // randomStepCase draws a multigraph on 1–12 nodes with up to 3n edges
@@ -205,10 +233,15 @@ func FuzzRunSteps(f *testing.F) {
 // benchResult keeps BenchmarkRun's runs from being optimised away.
 var benchResult *Result
 
+// benchPaths keeps BenchmarkRun's replays from being optimised away.
+var benchPaths [][]int32
+
 // BenchmarkRun times one Run per iteration and reports ns per walk step
 // on the two shapes Run chooses between: dense is a level walk of Build
 // (2Δ-regular, recorded, far more walks than histogram slots), sparse is
 // route's preparation (lazy, one walk per node, fewer walks than slots).
+// replay times Result.Paths instead, in ns per replayed step: a third of
+// the lazy walks of a G0 on rr(32, 8), kept the way buildG0 keeps them.
 func BenchmarkRun(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -233,4 +266,22 @@ func BenchmarkRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sources)*bc.cfg.Steps), "ns/step")
 		})
 	}
+	g := graph.RandomRegular(32, 8, rngutil.NewRand(1))
+	counts := make([]int, g.N())
+	for v := range counts {
+		counts[v] = 64
+	}
+	sources := SourcesPerNode(counts)
+	const steps = 30
+	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: steps, Record: true}, rngutil.NewRand(2))
+	var keep []int
+	for i := 0; i < len(sources); i += 3 {
+		keep = append(keep, i)
+	}
+	b.Run("replay", func(b *testing.B) {
+		for range b.N {
+			benchPaths, _, _ = res.Paths(keep)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keep)*steps), "ns/step")
+	})
 }

@@ -79,7 +79,25 @@ func MixColumn(key, b uint64) Column {
 }
 
 // At returns Mix(key, a, b): the column's state with a's hash.
-func (c Column) At(a uint64) uint64 { return finalize((c.key ^ a*0xd1342543de82ef95) + c.b) }
+func (c Column) At(a uint64) uint64 { return finalize(c.state(a)) }
+
+// state is stream a's SplitMix64 state at the column's position.
+func (c Column) state(a uint64) uint64 { return (c.key ^ a*0xd1342543de82ef95) + c.b }
+
+// A Counter is one stream's draws from a column's position on. A loop that
+// takes many consecutive draws of one stream takes its counter once: each
+// draw is then one add to the state.
+type Counter struct{ state uint64 }
+
+// Counter returns stream a's counter at the column's position b.
+func (c Column) Counter(a uint64) Counter { return Counter{c.state(a)} }
+
+// Next returns Mix(key, a, b) and moves the counter on to b+1.
+func (c *Counter) Next() uint64 {
+	x := finalize(c.state)
+	c.state += golden
+	return x
+}
 
 // Derive returns the child seed for (label, index).
 func (s *Source) Derive(label string, index uint64) uint64 {

@@ -73,6 +73,23 @@ func TestMixIsACounterStream(t *testing.T) {
 	}
 }
 
+// TestCounterWalksAStream: a column's counter for stream a draws Mix(key,
+// a, b), Mix(key, a, b+1), … in turn.
+func TestCounterWalksAStream(t *testing.T) {
+	f := func(key, a uint64, b uint32) bool {
+		c := MixColumn(key, uint64(b)).Counter(a)
+		for s := uint64(b); s < uint64(b)+20; s++ {
+			if c.Next() != Mix(key, a, s) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChildIndependence(t *testing.T) {
 	s := NewSource(9)
 	c1 := s.Child("phase", 1)

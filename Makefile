@@ -122,6 +122,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzParseReplies -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzAbsorbReplies -fuzztime 30s ./internal/transport
+	go test -run '^$$' -fuzz FuzzStepSection -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzPayload -fuzztime 30s ./internal/transport/workloads
 	go test -run '^$$' -fuzz FuzzRunSteps -fuzztime 30s ./internal/randomwalk
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 30s ./internal/pathsched

@@ -204,7 +204,7 @@ func shardFaultyRun(g *graph.Graph, spec string, rounds int) {
 	}
 	net := NewUniformNetwork(g, func(int) Program { return NewTicker(1 << 30) }, rngutil.NewSource(7))
 	net.SetFaults(plan)
-	s, err := NewShard(net, 0, g.N())
+	s, err := NewShard(net, Split{N: g.N(), K: 1}, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -47,7 +47,7 @@ import (
 )
 
 // Kind tags a Message with what its words mean. Zero is reserved: it is
-// the empty outbox slot, never a payload (Send and Shard.Inject refuse
+// the empty outbox slot, never a payload (Send and Crossing.Stage refuse
 // it). Every program family owns a range and numbers its kinds inside it,
 // so a record that strays into another family's network is recognized
 // where it arrives: 1–15 this package's built-in programs (kindLeader and

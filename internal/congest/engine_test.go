@@ -82,11 +82,13 @@ func onWorkers(w int) executor {
 
 // onShards runs the scenario on k Shards, each over its own replica from
 // the same build(seed), under the coordinator loop the TCP backend runs —
-// minus the wire: ExternalSends go straight into the owner's Inject, no
-// codec in between. Events and inbox profiles are replayed in shard
-// (= node) order into the same recordingProbe through a RoundAggregator,
-// the final state is each replica's read over its own range, and the
-// fault totals are the shards' per-round counts summed.
+// minus the wire: each shard's sends are taken off its crossing list
+// toward each other shard and staged on that shard's list from it, at the
+// same index, as a peer frame carries them, with no codec in between.
+// Events and inbox profiles are replayed in shard (= node) order into the
+// same recordingProbe through a RoundAggregator, the final state is each
+// replica's read over its own range, and the fault totals are the shards'
+// per-round counts summed.
 func onShards(k int) executor {
 	return executor{fmt.Sprintf("shards %d", k), func(sc diffScenario, seed uint64, plan func() *faults.Plan) execution {
 		var (
@@ -101,8 +103,7 @@ func onShards(k int) executor {
 			g, split = net.Graph(), Split{N: net.Graph().N(), K: k}
 			quietP = plan()
 			net.SetFaults(quietP)
-			lo, hi := split.Bounds(i)
-			s, err := NewShard(net, lo, hi)
+			s, err := NewShard(net, split, i)
 			if err != nil {
 				panic(err)
 			}
@@ -111,16 +112,24 @@ func onShards(k int) executor {
 		probe, agg := &recordingProbe{}, NewRoundAggregator(g)
 		probe.RunStart(RunInfo{Nodes: g.N(), Edges: g.M()})
 		// barrier closes Init or a Step: drain events, count halted nodes,
-		// relay every boundary send to the shard that owns its receiver.
+		// relay every crossing send to the shard that owns its receiver.
 		barrier := func() (halted int) {
-			for _, s := range shards {
+			for i, s := range shards {
 				s.DrainEvents(probe.PhaseMark, probe.NodeHalted)
 				halted += s.HaltedCount()
-				s.ExternalSends(func(dst, dstPort int, payload Message) {
-					if err := shards[split.Owner(dst)].Inject(dst, dstPort, payload); err != nil {
-						panic(err)
+				for j, peer := range shards {
+					if j == i {
+						continue
 					}
-				})
+					out, in := s.Outbound(j), peer.Inbound(i)
+					for k := range out.Len() {
+						if m := out.Take(k); m.Kind != 0 {
+							if err := in.Stage(k, m); err != nil {
+								panic(err)
+							}
+						}
+					}
+				}
 			}
 			return halted
 		}

@@ -9,6 +9,7 @@ package congest
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,10 +73,11 @@ func TestConfigureBeforeRunStillChains(t *testing.T) {
 
 func TestNewShardConsumesSingleUse(t *testing.T) {
 	net := tickerNetwork(t)
-	if _, err := NewShard(net, 0, 4); err != nil {
+	split := Split{N: 8, K: 2}
+	if _, err := NewShard(net, split, 0); err != nil {
 		t.Fatalf("first NewShard: %v", err)
 	}
-	if _, err := NewShard(net, 4, 8); !errors.Is(err, ErrNetworkReused) {
+	if _, err := NewShard(net, split, 1); !errors.Is(err, ErrNetworkReused) {
 		t.Fatalf("second NewShard: err = %v, want ErrNetworkReused", err)
 	}
 	if _, err := net.Run(10); !errors.Is(err, ErrNetworkReused) {
@@ -85,14 +87,17 @@ func TestNewShardConsumesSingleUse(t *testing.T) {
 }
 
 func TestNewShardRejectsBadRange(t *testing.T) {
-	if _, err := NewShard(tickerNetwork(t), -1, 4); err == nil {
-		t.Error("negative lo accepted")
+	if _, err := NewShard(tickerNetwork(t), Split{N: 8, K: 2}, -1); err == nil {
+		t.Error("negative part accepted")
 	}
-	if _, err := NewShard(tickerNetwork(t), 0, 9); err == nil {
-		t.Error("hi beyond n accepted")
+	if _, err := NewShard(tickerNetwork(t), Split{N: 9, K: 2}, 0); err == nil {
+		t.Error("split of more nodes than the network's accepted")
 	}
-	if _, err := NewShard(tickerNetwork(t), 5, 4); err == nil {
-		t.Error("inverted range accepted")
+	if _, err := NewShard(tickerNetwork(t), Split{N: 8, K: 2}, 2); err == nil {
+		t.Error("part beyond the split accepted")
+	}
+	if _, err := NewShard(tickerNetwork(t), Split{N: 8}, 0); err == nil {
+		t.Error("split into no parts accepted")
 	}
 }
 
@@ -108,7 +113,7 @@ func TestShardAcceptsFaultPlanOnceOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := tickerNetwork(t).SetFaults(plan)
-	s, err := NewShard(net, 0, 4)
+	s, err := NewShard(net, Split{N: 8, K: 2}, 0)
 	if err != nil {
 		t.Fatalf("NewShard with fault plan: %v", err)
 	}
@@ -119,37 +124,48 @@ func TestShardAcceptsFaultPlanOnceOnly(t *testing.T) {
 	}
 }
 
-func TestShardInjectValidation(t *testing.T) {
-	// Ring(8) split [0,4) | [4,8): node 0's ports face 7 (remote) and 1
-	// (owned); node 1 is interior.
-	s, err := NewShard(tickerNetwork(t), 0, 4)
-	if err != nil {
+// TestShardStageValidation: Ring(8) split [0,4) | [4,8). Each direction
+// of the pair crosses two edges, listed in the sender's CSR order: shard
+// 0's node 0 → 7 and node 3 → 4, shard 1's node 4 → 3 and node 7 → 0. A
+// send taken off one end's list and staged on the other's at the same
+// index is delivered over that edge; a slot staged twice is refused.
+func TestShardStageValidation(t *testing.T) {
+	split := Split{N: 8, K: 2}
+	var shards [2]*Shard
+	for i := range shards {
+		s, err := NewShard(tickerNetwork(t), split, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Init() // tickers broadcast: every crossing slot holds a Tick
+		shards[i] = s
+	}
+	out, in := shards[1].Outbound(0), shards[0].Inbound(1)
+	if out.Len() != 2 || in.Len() != 2 || shards[0].Outbound(0).Len() != 0 {
+		t.Fatalf("crossing lists of %d and %d slots (own %d), want 2, 2 and 0", out.Len(), in.Len(), shards[0].Outbound(0).Len())
+	}
+	if m := out.Take(1); m != Tick {
+		t.Fatalf("Take of node 7's send: %+v, want Tick", m)
+	}
+	if m := out.Take(1); m.Kind != 0 {
+		t.Fatalf("second Take of the same slot: %+v, want the empty record", m)
+	}
+	if err := in.Stage(1, Tick); err != nil {
 		t.Fatal(err)
 	}
-	s.Init()
-	if err := s.Inject(5, 0, Tick); err == nil {
-		t.Error("inject outside shard accepted")
+	if err := in.Stage(1, Tick); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("duplicate stage: err = %v, want duplicate rejection", err)
 	}
-	if err := s.Inject(0, 7, Tick); err == nil {
-		t.Error("invalid port accepted")
-	}
-	intraPort := -1
-	remotePort := -1
-	for p := 0; p < 2; p++ {
-		// Find which of node 0's ports faces owned node 1 vs remote node 7.
-		if err := s.Inject(0, p, Tick); err != nil && strings.Contains(err.Error(), "crosses no shard boundary") {
-			intraPort = p
-		} else if err == nil {
-			remotePort = p
+	shards[0].Deliver()
+	// Node 0 hears node 1 (its own shard's Init) and node 7 (staged);
+	// node 3 hears only node 2, for slot 0 was never staged.
+	for _, c := range []struct{ node, from int }{{0, 7}, {3, 2}} {
+		inbox := shards[0].Inbox(c.node)
+		if !slices.ContainsFunc(inbox, func(in Inbound) bool { return int(in.From) == c.from }) {
+			t.Errorf("node %d's inbox %+v lacks the send from node %d", c.node, inbox, c.from)
 		}
 	}
-	if intraPort == -1 {
-		t.Error("intra-shard inject accepted on both ports")
-	}
-	if remotePort == -1 {
-		t.Fatal("no port accepted a boundary inject")
-	}
-	if err := s.Inject(0, remotePort, Tick); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate inject: err = %v, want duplicate rejection", err)
+	if got := len(shards[0].Inbox(3)); got != 1 {
+		t.Errorf("node 3 heard %d sends, want 1: a slot nobody staged is empty", got)
 	}
 }

@@ -85,16 +85,22 @@ func TestEmptyRecordIsAnError(t *testing.T) {
 	}()
 
 	net = NewUniformNetwork(g, func(int) Program { return NewTicker(1) }, rngutil.NewSource(1))
-	s, err := NewShard(net, 0, 2)
+	s, err := NewShard(net, Split{N: 4, K: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	port := net.ctxs[0].PortTo(3)
-	if err := s.Inject(0, port, Message{A: 7}); err == nil || !strings.Contains(err.Error(), "empty record") {
-		t.Fatalf("Inject of the empty record: err = %v, want an empty-record protocol error", err)
+	// Shard 1's crossing list toward shard 0: node 2's port to 1, then
+	// node 3's port to 0.
+	in := s.Inbound(1)
+	if err := in.Stage(1, Message{A: 7}); err == nil || !strings.Contains(err.Error(), "empty record") {
+		t.Fatalf("Stage of the empty record: err = %v, want an empty-record protocol error", err)
 	}
-	if err := s.Inject(0, port, Tick); err != nil {
-		t.Fatalf("Inject after the refused empty record: %v", err)
+	if err := in.Stage(1, Tick); err != nil {
+		t.Fatalf("Stage after the refused empty record: %v", err)
+	}
+	s.Deliver()
+	if got := s.Inbox(0); len(got) != 1 || got[0].From != 3 || got[0].Payload != Tick {
+		t.Fatalf("node 0's inbox after the stage: %+v, want the Tick from node 3", got)
 	}
 }
 

@@ -5,29 +5,39 @@ package congest
 // replica driven from outside the package: the same Init, deliver, step
 // and drains the in-process round loop runs, exposed as explicit calls so
 // a shard process can run the round barriers over the wire with its peers.
-// What a Shard adds is the only thing that is genuinely its own — boundary
-// staging.
+// What a Shard adds is the only thing that is genuinely its own — the
+// crossing lists.
 //
 // Every participating process builds the SAME full Network from the
 // replayable workload spec — topology, arenas and per-node RNG streams
 // are identical everywhere — but each process only ever runs the
 // programs of its own range. Cross-shard traffic needs no delivery code
 // of its own: an inbound remote message is staged by setting the
-// remote sender's outbox slot in the local replica (Inject), after
-// which the unmodified deliverTo — THE canonical delivery point —
+// remote sender's outbox slot in the local replica (Crossing.Stage),
+// after which the unmodified deliverTo — THE canonical delivery point —
 // assembles the receiver's inbox in port order exactly as it does for a
 // neighbor in the same part. That is what makes TCP-backed traces
 // byte-identical to the sequential engine: there is only one delivery
 // order in the codebase, and the wire backend reuses it.
 //
+// Each ordered pair of shards (A → B) has one crossing list: the outbox
+// slots of the directed edges from A's nodes to B's, in A's CSR order
+// (node ascending, port ascending). Both ends derive it from the replica
+// graph and the Split, so a send crosses the wire as its index in that
+// list and its payload, and the index names the same slot on both ends.
+//
 // The calls a shard runtime makes, in the order of a round:
 //
 //	Init()                       — run Init for owned nodes (round 0)
-//	Inject(...); Deliver()       — stage remote sends, build inboxes
+//	Inbound(j).Stage(k, m)       — stage shard j's sends; then Deliver()
+//	Deliver()                    — build inboxes from every staged slot
 //	Step()                       — advance the round, run owned programs
 //	SkipTo(round)                — count idle rounds the skip rule covers
-//	ExternalSends(...)           — enumerate owned sends that leave the shard
+//	Outbound(j).Take(k)          — read and empty the sends bound for shard j
 //	DrainEvents(...)             — marks/halts of owned nodes, ID order
+//
+// Every send an owned node makes toward another shard must be taken
+// before the next Step: no local delivery empties those slots.
 //
 // Fault plans ride the same canonical path: attach the plan with
 // SetFaults BEFORE NewShard (the single-use contract makes SetFaults
@@ -35,45 +45,38 @@ package congest
 // every replica. Nothing about the plan crosses the wire: each replica
 // builds the identical plan from the run's spec, and a message's fate is
 // rolled — the pure (seed, round, slot) hash — by the shard that owns its
-// receiver, which holds the message because Inject staged it before
-// deliverTo scans it. Per-round fault counts are drained by the shard
-// runtime through FaultCounts — the Shard's part counts its own
+// receiver, which holds the message because Stage put it in the sender's
+// slot before deliverTo scans it. Per-round fault counts are drained by
+// the shard runtime through FaultCounts — the Shard's part counts its own
 // deliveries, and Crashed is restricted to the owned range, so shard
 // counts sum to the global totals — and crashed owned nodes skip Step
 // like any other part's.
 
 import "fmt"
 
-// shardBoundary is one directed cross-shard port pair: an owned node's
-// port facing a remote neighbor. The remote side's (node, port) is both
-// the destination of outbound traffic over this edge and the staging
-// slot Inject writes for inbound traffic over the reverse edge.
-type shardBoundary struct {
-	ownerSlot  int32 // owned node's port facing the remote neighbor: absolute outbox-arena index
-	remote     int32 // the remote neighbor
-	remotePort int32 // the remote neighbor's port facing the owned node
-}
-
-// Shard drives nodes [lo, hi) of a single-use Network for a round loop run
-// outside the package. Obtain one with NewShard; the Network must not be run or
-// reconfigured afterwards (NewShard consumes its single use). Init,
-// DrainEvents, HaltedCount, Messages, FaultCounts, PendingDelayed and Nodes
-// are the part's own methods over the owned range.
+// Shard drives part i of a Split of a single-use Network for a round loop
+// run outside the package. Obtain one with NewShard; the Network must not
+// be run or reconfigured afterwards (NewShard consumes its single use).
+// Init, DrainEvents, HaltedCount, Messages, FaultCounts, PendingDelayed and
+// Nodes are the part's own methods over the owned range.
 type Shard struct {
 	part
-	boundary []shardBoundary
+	// out[j] and in[j] are the crossing lists toward and from shard j:
+	// absolute outbox-arena indices, nil at this shard's own index.
+	out, in [][]int32
 }
 
-// NewShard consumes net and returns the shard harness for nodes
-// [lo, hi). The network must be freshly built: NewShard claims its
-// single use (a second NewShard or Run returns ErrNetworkReused), so
-// every Set* option — including SetFaults — must be applied before it
-// and panics afterwards. Probes attached to the replica are ignored —
-// observability is drained through DrainEvents instead and shipped to
-// the coordinator, so event collection is always on.
-func NewShard(net *Network, lo, hi int) (*Shard, error) {
-	if lo < 0 || hi > net.g.N() || lo > hi {
-		return nil, fmt.Errorf("congest: shard range [%d, %d) outside nodes [0, %d)", lo, hi, net.g.N())
+// NewShard consumes net and returns the shard harness for part i of
+// split, which must cut net's nodes. The network must be freshly built:
+// NewShard claims its single use (a second NewShard or Run returns
+// ErrNetworkReused), so every Set* option — including SetFaults — must be
+// applied before it and panics afterwards. Probes attached to the replica
+// are ignored — observability is drained through DrainEvents instead and
+// shipped to the coordinator, so event collection is always on.
+func NewShard(net *Network, split Split, i int) (*Shard, error) {
+	n := net.g.N()
+	if split.N != n || split.K < 1 || i < 0 || i >= split.K {
+		return nil, fmt.Errorf("congest: shard %d of a split of %d nodes into %d, over a network of %d nodes", i, split.N, split.K, n)
 	}
 	// Event collection (marks, halt rounds) is gated on an attached
 	// probe; the shard always collects so the coordinator can rebuild
@@ -83,50 +86,87 @@ func NewShard(net *Network, lo, hi int) (*Shard, error) {
 		return nil, err
 	}
 	net.faultsRunStart()
-	s := &Shard{part: part{net: net, lo: lo, hi: hi}}
+	lo, hi := split.Bounds(i)
+	s := &Shard{part: part{net: net, lo: lo, hi: hi}, out: make([][]int32, split.K), in: make([][]int32, split.K)}
+	// A crossing edge has one direction out of the shard and one in, so
+	// both lists of a pair are as long as the count of owned half-edges
+	// into the other part: one counting pass sizes one backing array.
 	start, half := net.g.CSR()
-	for i := start[lo]; i < start[hi]; i++ {
-		nbr := half[i].To
-		if int(nbr) >= lo && int(nbr) < hi {
+	count := make([]int, split.K)
+	total := 0
+	for h := start[lo]; h < start[hi]; h++ {
+		if j := split.Owner(int(half[h].To)); j != i {
+			count[j]++
+			total++
+		}
+	}
+	slots := make([]int32, 2*total)
+	for j, c := range count {
+		if j != i {
+			s.out[j], s.in[j], slots = slots[:0:c], slots[c:c:2*c], slots[2*c:]
+		}
+	}
+	for h := start[lo]; h < start[hi]; h++ {
+		if j := split.Owner(int(half[h].To)); j != i {
+			s.out[j] = append(s.out[j], h)
+		}
+	}
+	for j := range s.in {
+		if j == i || count[j] == 0 {
 			continue
 		}
-		s.boundary = append(s.boundary, shardBoundary{
-			ownerSlot:  i,
-			remote:     nbr,
-			remotePort: net.peer[i] - start[nbr],
-		})
+		jlo, jhi := split.Bounds(j)
+		for h := start[jlo]; h < start[jhi]; h++ {
+			if to := int(half[h].To); to >= lo && to < hi {
+				s.in[j] = append(s.in[j], h)
+			}
+		}
 	}
 	return s, nil
 }
 
-// Inject stages one remote message for delivery to owned node dst on
-// the given port, by setting the sending neighbor's outbox slot in the
-// local replica. The next Deliver picks it up through the canonical
-// port-ordered scan. It is a protocol error — not a silent drop — to
-// inject onto an intra-shard port, twice onto the same port in one
-// round, or the empty record (which deliverTo would read as no message).
-func (s *Shard) Inject(dst, port int, payload Message) error {
-	if dst < s.lo || dst >= s.hi {
-		return fmt.Errorf("congest: inject to node %d outside shard [%d, %d)", dst, s.lo, s.hi)
+// Crossing is one crossing list of a Shard's replica: a run of outbox
+// slots, each named by its index in the list.
+type Crossing struct {
+	arena []Message
+	slots []int32
+}
+
+// Outbound returns the crossing list toward shard j: the slots of the
+// owned nodes' ports facing j's nodes, in CSR order.
+func (s *Shard) Outbound(j int) Crossing { return Crossing{s.net.out, s.out[j]} }
+
+// Inbound returns the crossing list from shard j: the slots of j's nodes'
+// ports facing owned nodes, in j's CSR order — the list j's Outbound(i)
+// is on j's replica.
+func (s *Shard) Inbound(j int) Crossing { return Crossing{s.net.out, s.in[j]} }
+
+// Len returns the number of slots in the list.
+func (c Crossing) Len() int { return len(c.slots) }
+
+// Take returns the record in slot k and empties the slot: the empty
+// record (kind 0) when the slot holds no send.
+func (c Crossing) Take(k int) (m Message) {
+	if p := &c.arena[c.slots[k]]; p.Kind != 0 {
+		m, p.Kind = *p, 0
 	}
-	g := s.net.g
-	if port < 0 || port >= g.Degree(dst) {
-		return fmt.Errorf("congest: inject to node %d on invalid port %d", dst, port)
+	return m
+}
+
+// Stage puts remote message m in slot k, an index of the list, for the
+// next Deliver to take through the canonical port-ordered scan. It is a
+// protocol error — not a silent drop — to stage the empty record (which
+// deliverTo would read as no message) or onto a slot that already holds
+// one.
+func (c Crossing) Stage(k int, m Message) error {
+	if m.Kind == 0 {
+		return fmt.Errorf("congest: staging the empty record (kind 0) at crossing %d", k)
 	}
-	start, half := g.CSR()
-	i := start[dst] + int32(port)
-	from := int(half[i].To)
-	if from >= s.lo && from < s.hi {
-		return fmt.Errorf("congest: inject to node %d port %d crosses no shard boundary (sender %d is owned)", dst, port, from)
+	p := &c.arena[c.slots[k]]
+	if p.Kind != 0 {
+		return fmt.Errorf("congest: duplicate stage at crossing %d", k)
 	}
-	if payload.Kind == 0 {
-		return fmt.Errorf("congest: inject of the empty record (kind 0) to node %d port %d", dst, port)
-	}
-	slot := &s.net.out[s.net.peer[i]]
-	if slot.Kind != 0 {
-		return fmt.Errorf("congest: duplicate inject to node %d port %d", dst, port)
-	}
-	*slot = payload
+	*p = m
 	return nil
 }
 
@@ -146,12 +186,8 @@ func (s *Shard) Inbox(u int) []Inbound { return s.net.inboxes[u] }
 // the owned range. It returns the number of nodes that executed Step and
 // the earliest round an owned live node promised to sleep until
 // (Ctx.SleepUntil, as part.step tallies it). The last round's sends
-// toward remote receivers are emptied first: their receivers live on
-// other replicas, so no local delivery took them.
+// toward other shards must have been taken (Outbound).
 func (s *Shard) Step() (active, wake int) {
-	for _, b := range s.boundary {
-		s.net.out[b.ownerSlot].empty()
-	}
 	s.net.rounds++
 	active, _, wake = s.step()
 	return active, wake
@@ -166,19 +202,6 @@ func (s *Shard) SkipTo(round int) {
 	for s.net.rounds < round {
 		s.net.rounds++
 		s.FaultCounts()
-	}
-}
-
-// ExternalSends calls fn for every queued send of an owned node whose
-// receiver lives outside the shard, in (node ID, port) order — the shard
-// runtime sends each to the peer shard that owns its receiver. dstPort is
-// the port AT
-// THE RECEIVER, i.e. the argument the receiving shard passes to Inject.
-func (s *Shard) ExternalSends(fn func(dst, dstPort int, payload Message)) {
-	for _, b := range s.boundary {
-		if m := s.net.out[b.ownerSlot]; m.Kind != 0 {
-			fn(int(b.remote), int(b.remotePort), m)
-		}
 	}
 }
 

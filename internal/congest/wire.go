@@ -8,8 +8,10 @@ package congest
 // mstbase.GHSLayouts), and CheckLayouts vets them. Append writes the
 // canonical bytes of a record of those kinds and refuses every other
 // record; Parse reads exactly those bytes, refuses all others, and never
-// returns the empty record. Both are pure, so every shard process decodes
-// a payload into the record its sender held.
+// returns the empty record. ParsePrefix is Parse without the end check: it
+// reads one record off the front of a longer buffer. All three are pure,
+// so every shard process decodes a payload into the record its sender
+// held.
 
 import (
 	"encoding/binary"
@@ -156,16 +158,27 @@ func Append(buf []byte, layouts []Layout, m Message) ([]byte, error) {
 }
 
 // Parse reads the bytes Append wrote for a record under layouts (which
-// CheckLayouts accepts). It refuses an unknown tag, a varint that is
-// overlong, truncated or overflowing, a value outside its field's range,
-// and trailing bytes.
+// CheckLayouts accepts): ParsePrefix, and no trailing bytes.
 func Parse(b []byte, layouts []Layout) (Message, error) {
-	l := &layouts[0]
+	m, n, err := ParsePrefix(b, layouts)
+	if err == nil && n != len(b) {
+		return Message{}, fmt.Errorf("congest: %d trailing bytes after a kind %d payload", len(b)-n, m.Kind)
+	}
+	return m, err
+}
+
+// ParsePrefix reads one record off the front of b under layouts (which
+// CheckLayouts accepts) and returns it with the bytes it took: the form
+// is self-delimiting, so a record needs no length in front of it. It
+// refuses an unknown tag and a varint that is overlong, truncated or
+// overflowing or whose value is outside its field's range.
+func ParsePrefix(b []byte, layouts []Layout) (Message, int, error) {
+	l, at := &layouts[0], 0
 	if len(layouts) > 1 {
 		if len(b) == 0 || int(b[0]) >= len(layouts) {
-			return Message{}, fmt.Errorf("congest: payload has no tag or an unknown one (%d bytes)", len(b))
+			return Message{}, 0, fmt.Errorf("congest: payload has no tag or an unknown one (%d bytes)", len(b))
 		}
-		l, b = &layouts[b[0]], b[1:]
+		l, at = &layouts[b[0]], 1
 	}
 	var words [4]int64
 	for i, f := range l.fields() {
@@ -174,22 +187,19 @@ func Parse(b []byte, layouts []Layout) (Message, error) {
 		}
 		var u uint64
 		var n int
-		if len(b) > 0 && b[0] < 0x80 {
-			u, n = uint64(b[0]), 1 // the one-byte form, without a call
+		if at < len(b) && b[at] < 0x80 {
+			u, n = uint64(b[at]), 1 // the one-byte form, without a call
 		} else {
-			u, n = Uvarint(b)
+			u, n = Uvarint(b[at:])
 		}
 		words[i] = int64(u)
 		if f != FieldUint31 {
 			words[i] = int64(u>>1) ^ -int64(u&1) // zig-zag
 		}
 		if n == 0 || !fits(f, words[i]) {
-			return Message{}, fmt.Errorf("congest: kind %d payload word %s is malformed or outside its field", l.Kind, fieldNames[i])
+			return Message{}, 0, fmt.Errorf("congest: kind %d payload word %s is malformed or outside its field", l.Kind, fieldNames[i])
 		}
-		b = b[n:]
+		at += n
 	}
-	if len(b) != 0 {
-		return Message{}, fmt.Errorf("congest: %d trailing bytes after a kind %d payload", len(b), l.Kind)
-	}
-	return Message{Kind: l.Kind, Win: int32(words[0]), A: int32(words[1]), B: int32(words[2]), W: uint64(words[3])}, nil
+	return Message{Kind: l.Kind, Win: int32(words[0]), A: int32(words[1]), B: int32(words[2]), W: uint64(words[3])}, at, nil
 }

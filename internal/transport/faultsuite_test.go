@@ -197,7 +197,7 @@ func TestGoldenFaultParityOverTCP(t *testing.T) {
 
 // TestCrossShardFaultCountsSumToProc pins the counted-exactly-once
 // contract: a message crossing shards has its fate applied at the
-// receiving shard's delivery scan, never at Inject, so the per-shard
+// receiving shard's delivery scan, never where it is staged, so the per-shard
 // totals shipped back in TELEMETRY frames sum to the sequential
 // engine's totals field for field.
 func TestCrossShardFaultCountsSumToProc(t *testing.T) {

@@ -63,10 +63,10 @@ func frameName(typ byte) string {
 }
 
 // wireVersion guards against coordinator/shard skew, bumped with any
-// incompatible protocol or codec change (history: DESIGN.md §3); 13 ships
-// every payload through congest's one layout codec, which moves a GHS
-// record's tag first and writes its weight bits as a varint.
-const wireVersion = 13
+// incompatible protocol or codec change (history: DESIGN.md §3); 14 sends
+// each cross-shard message as the gap to its index in the pair's crossing
+// list and its self-delimiting payload, with no receiver, port or length.
+const wireVersion = 14
 
 // maxFramePayload bounds a frame's payload: generous (the largest frame is
 // a ROUND, linear in the cut between two shards), yet a corrupt or hostile

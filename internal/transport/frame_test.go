@@ -181,22 +181,22 @@ func replySeeds(f *testing.F) {
 	f.Add([]byte{1, 5}, 0)                                                            // a lone shard's REPORT of round 1, which skipped the 5 rounds after it
 	f.Add(appendRecords([]byte{3, 0, 9}, [][]uint64{{1}, nil, {4, 1 << 40}, {0}}), 1) // FINAL: 3 rounds, no limit, 9 messages, four records
 	// ROUND of round 1 by shard 1 of the star, stepped: 1 delivered, none
-	// pending, 0 halted, awake at round 2, one send to the centre over its
-	// port 4.
-	f.Add(append([]byte{1, 1, 0, 1}, appendSends([]byte{0, 0}, []wireSend{{dst: 0, port: 4, payload: []byte{3}}})...), 1)
+	// pending, 0 halted, awake at round 2, one send to the centre from node
+	// 5, the second of the pair's crossing ports (gap 1), a Tick of Win 3.
+	f.Add([]byte{1, 1, 0, 1, 0, 0, 1, 1, 3}, 1)
 	// ROUND of round 1 by shard 1, stepped, nothing delivered: its nodes
 	// sleep through the 40 rounds after round 2, and the same wake in an
 	// overlong form (80 00 reads as 0).
 	f.Add([]byte{1, 0, 0, 1, 0, 40, 0}, 1)
 	f.Add([]byte{1, 0, 0, 1, 0, 0x80, 0, 0}, 1)
 	f.Add(appendHello(nil, 3, 40000), 1)
-	// SENDS of round 1 by shard 1 of the star, with payloads no codec owns —
-	// no bytes at all, and the tag of the reserved empty kind: the receiving
-	// shard refuses them (TestHostileRelayedPayload).
-	f.Add(append([]byte{1, 0, 0}, appendSends(nil, []wireSend{{dst: 0, port: 4}, {dst: 0, port: 5, payload: []byte{0}}})...), 1)
-	// A ROUND whose send dst takes an overlong form (81 80 00 reads as 1):
+	// SENDS of round 1 by shard 1 of the star, with two sends at crossing
+	// ports 0 and 1 and too few bytes for them: the first payload takes
+	// the second send's gap as its word, and the second has none.
+	f.Add([]byte{1, 0, 0, 2, 0, 0}, 1)
+	// A ROUND whose send gap takes an overlong form (81 80 00 reads as 1):
 	// one byte form per value, so a frame reads one way only.
-	f.Add([]byte{1, 1, 0, 1, 0, 0, 1, 0x81, 0x80, 0, 0, 1, 3}, 0)
+	f.Add([]byte{1, 1, 0, 1, 0, 0, 1, 0x81, 0x80, 0, 3}, 0)
 	f.Add([]byte{1, 0, 0, 0}, 1) // ROUND of round 1 with the step held back
 	f.Add(appendAbort(nil, &shardError{Shard: 1, What: "read", Phase: "peer-wait", LastRound: 4, LastFrame: "ROUND", err: errShardStopped}), 0)
 }

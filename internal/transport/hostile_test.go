@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -498,19 +499,18 @@ func uv(vals ...uint64) []byte {
 	return buf
 }
 
-// crossingPort returns a port of a node below lo whose neighbor is at or
-// above it: a receiver port of shard 0 that shard 1's node sends over.
-func crossingPort(t *testing.T, g *graph.Graph, lo int) (dst, port int) {
-	t.Helper()
-	for v := 0; v < lo; v++ {
-		for p, h := range g.Neighbors(v) {
-			if int(h.To) >= lo {
-				return v, p
+// crossings returns the length of the crossing list from shard 1 to
+// shard 0 when shard 1 owns the nodes from lo up: the ports of those nodes
+// that face a node below lo.
+func crossings(g *graph.Graph, lo int) (n int) {
+	for v := lo; v < g.N(); v++ {
+		for _, h := range g.Neighbors(v) {
+			if int(h.To) < lo {
+				n++
 			}
 		}
 	}
-	t.Fatal("no edge crosses the shard boundary")
-	return -1, -1
+	return n
 }
 
 // TestHostileReplies: a frame whose fields point outside the graph or
@@ -531,23 +531,22 @@ func TestHostileReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One send over a port of dst that shard 1 may name: a well-formed walk
-	// token (steps left, origin, sequence) on walks; no payload is decoded
-	// before the checks fire.
-	crossing := func(g *graph.Graph, lo int) ([]byte, string) {
-		dst, port := crossingPort(t, g, lo)
-		return uv(uint64(dst), uint64(port), 3, 1, uint64(g.Neighbors(dst)[port].To), 0),
-			fmt.Sprintf("duplicate inject to node %d port %d", dst, port)
-	}
-	send, twice := crossing(g, owned)
-	// The same on the path BFS, whose payload is a distance.
 	pathG, err := transport.BuildGraph(*path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathDst, pathPort := crossingPort(t, pathG, pathOwned)
-	pathSend := uv(uint64(pathDst), uint64(pathPort), 1, 5)
-	pathTwice := fmt.Sprintf("duplicate inject to node %d port %d", pathDst, pathPort)
+	// A send needs no address, only its gap in the pair's crossing list:
+	// a well-formed walk token (steps left, origin, sequence) on walks, a
+	// distance on the path BFS, whose one crossing edge is 8–7. A gap of
+	// the list's length runs past it, and a gap of 2⁶⁴−1 after a send
+	// would wrap the index back onto that send's slot.
+	token, dist := uv(3, 1, 0), uv(5)
+	past, pathPast := uint64(crossings(g, owned)), uint64(crossings(pathG, pathOwned))
+	const wrap = math.MaxUint64
+	send := func(gap uint64, payload []byte) []byte { return append(uv(gap), payload...) }
+	pastField := func(gap, left, of uint64) string {
+		return fmt.Sprintf("send gap %d names no crossing port: %d of %d follow the last send", gap, left, of)
+	}
 	// round2 is shard 1's ROUND of round 2 on walks: delivered, none
 	// pending, the stepped flag and the step, if any (halted, wake, sends).
 	round2 := func(delivered uint64, step []byte) []byte {
@@ -558,9 +557,9 @@ func TestHostileReplies(t *testing.T) {
 	}
 	badFlag := round2(1, nil)
 	badFlag[len(badFlag)-1] = 2
-	// send with its dst in an overlong form: dst < 128 is one byte, and
-	// dst|0x80, 0x80, 0x00 reads as the same number.
-	overlong := slices.Concat([]byte{send[0] | 0x80, 0x80, 0}, send[1:])
+	// a gap in an overlong form: 0 is one byte, and 0x80, 0x00 reads as
+	// the same number.
+	overlong := slices.Concat([]byte{0x80, 0}, token)
 	head := func(active, halted uint64, events ...uint64) []byte {
 		return uv(append([]uint64{active, halted, 0, 0, 0, 0}, events...)...) // four fault counts
 	}
@@ -584,17 +583,27 @@ func TestHostileReplies(t *testing.T) {
 	// a DELIVERED row now rewrites the ROUND that carries the step in its
 	// place, or the REPORT that carries the inbox profile; a STEPPED row the
 	// SENDS of a held step, or the REPORT that carries the events; and the
-	// INITACK send row the round-0 ROUND that carries Init's sends.
+	// INITACK send row the round-0 ROUND that carries Init's sends. The send
+	// rows keep the names they had before wireVersion 14, when a send named
+	// its receiver and port: each now names its slot by a gap that leaves
+	// the crossing list — past its end (dst beyond n; port beyond degree,
+	// by a second send), wrapped around from its start (not the shard's to
+	// make), or wrapped back onto a slot already named (named twice) — or
+	// writes the gap in an overlong form.
 	cases := []hostileCase{
-		{"STEPPED send dst beyond n", path, transport.FrameSends, 1, uv(2, 0, 0, 1, 37, 0, 0), "peer-wait", "send dst 37"},
-		{"STEPPED send port beyond degree", path, transport.FrameSends, 1, uv(2, 0, 0, 1, 3, 99, 0), "peer-wait", "send dst 3 port 99"},
-		{"STEPPED send that is not the shard's to make", path, transport.FrameSends, 1, uv(2, 0, 0, 1, 9, 0, 0), "peer-wait", "send dst 9 port 0 is the edge from node"},
+		{"STEPPED send dst beyond n", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 1), send(pathPast, dist)), "peer-wait", pastField(pathPast, pathPast, pathPast)},
+		{"STEPPED send port beyond degree", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 2), send(0, dist), send(pathPast-1, dist)), "peer-wait", pastField(pathPast-1, pathPast-1, pathPast)},
+		{"STEPPED send that is not the shard's to make", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 1), send(wrap, dist)), "peer-wait", pastField(wrap, pathPast, pathPast)},
+		{"STEPPED send count beyond the sends present", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 2), send(0, dist)), "peer-wait", "malformed send gap"},
+		{"STEPPED bytes trailing the last send", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 1), send(0, dist), []byte{0}), "peer-wait", "1 trailing bytes after peer frame"},
 		{"STEPPED halted beyond owned", path, transport.FrameSends, 1, uv(2, pathOwned+1, 0, 0), "peer-wait", "halted 9"},
 		{"STEPPED event outside the shard", nil, transport.FrameReport, 2, report(0, []uint64{0}, head(0, 0, 1, 1, 3, 2)), "rounds", "event node 3"},
-		{"STEPPED send port named twice", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 2), pathSend, pathSend), "peer-wait", pathTwice},
-		{"INITACK send dst beyond n", nil, transport.FrameRound, 1, slices.Concat(uv(0, 0, 0, 1), uv(0, 0, 1, 1<<40, 0, 0)), "peer-wait", "send dst"},
-		{"DELIVERED step send dst beyond n", nil, transport.FrameRound, 3, round2(1, uv(0, 0, 1, 37, 0, 0)), "peer-wait", "send dst 37"},
-		{"DELIVERED step send port named twice", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 2), send, send)), "peer-wait", twice},
+		{"STEPPED send port named twice", path, transport.FrameSends, 1, slices.Concat(uv(2, 0, 0, 2), send(0, dist), send(wrap, dist)), "peer-wait", pastField(wrap, pathPast-1, pathPast)},
+		{"INITACK send dst beyond n", nil, transport.FrameRound, 1, slices.Concat(uv(0, 0, 0, 1), uv(0, 0, 1), send(1<<40, token)), "peer-wait", pastField(1<<40, past, past)},
+		{"DELIVERED step send dst beyond n", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 1), send(past, token))), "peer-wait", pastField(past, past, past)},
+		{"DELIVERED step send port named twice", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 2), send(0, token), send(wrap, token))), "peer-wait", pastField(wrap, past-1, past)},
+		{"DELIVERED step send count beyond the sends present", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 3), send(0, token), send(4, token))), "peer-wait", "malformed send gap"},
+		{"DELIVERED step bytes trailing the last send", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 1), send(0, token), uv(7))), "peer-wait", "1 trailing bytes after peer frame"},
 		{"DELIVERED port beyond degree", nil, transport.FrameReport, 2, report(1, []uint64{1, 1 << 20}, head(0, 0, 0)), "rounds", "inbox port 1048576"},
 		{"DELIVERED sizes not summing", nil, transport.FrameReport, 2, report(5, []uint64{0}, head(0, 0, 0)), "rounds", "delivered 5"},
 		{"DELIVERED stepped in a round that may be quiet", nil, transport.FrameRound, 3, round2(0, uv(0, 0, 0)), "peer-wait",
@@ -602,7 +611,7 @@ func TestHostileReplies(t *testing.T) {
 		{"DELIVERED held back an owed step", nil, transport.FrameRound, 3, round2(1, nil), "peer-wait",
 			"held its step in round 2, which delivered 1 with 0 delayed pending and cannot be quiet"},
 		{"DELIVERED stepped flag beyond one", nil, transport.FrameRound, 3, badFlag, "peer-wait", "malformed peer stepped flag"},
-		{"DELIVERED step send dst in an overlong form", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 1), overlong)), "peer-wait", "malformed send dst"},
+		{"DELIVERED step send dst in an overlong form", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0, 0, 1), overlong)), "peer-wait", "malformed send gap"},
 		{"DELIVERED step wake in an overlong form", nil, transport.FrameRound, 3, round2(1, slices.Concat(uv(0), []byte{0x80, 0}, uv(0))), "peer-wait", "malformed peer wake"},
 		// GHS's round-1 step sleeps every node to the next window: a round 2
 		// that delivers nothing leaves that step a no-op, which sends nothing.
@@ -760,8 +769,10 @@ func TestHostileReplies(t *testing.T) {
 // record of the reserved empty kind would sit in the outbox arena as "no
 // message" and the send would silently vanish. Shard 1's ROUND of round 2
 // is rewritten to carry one delivered message and a step whose one send
-// crosses a real boundary edge with the row's payload; shard 0 must refuse
-// it and report shard 1.
+// crosses the first edge of the pair's crossing list with the row's
+// payload, the last bytes of the frame — a payload carries no length, so
+// one cut short runs into the frame's end; shard 0 must refuse it and
+// report shard 1.
 func TestHostileRelayedPayload(t *testing.T) {
 	specs := suiteSpecs(1)
 	ghs, walks := specs[3], specs[4]
@@ -774,26 +785,20 @@ func TestHostileRelayedPayload(t *testing.T) {
 		{"walks/empty payload", walks, nil, "kind 16 payload word Win is malformed"},
 		{"walks/field wider than the record", walks, uv(1, 1<<40, 0), "kind 16 payload word A is malformed"},
 		{"walks/field in an overlong form", walks, []byte{0x81, 0x80, 0x00, 0x01, 0x01}, "kind 16 payload word Win is malformed"},
+		{"walks/truncated payload", walks, uv(3, 1), "kind 16 payload word B is malformed"},
 		// The GHS rows are named for the form before wireVersion 13, where
 		// the window stamp came first. A GHS payload now opens with its tag
 		// (0 a fragment ID, 2 a decision), so each is a record cut short.
 		{"ghs/tag of the empty record", ghs, []byte{0, 0}, "kind 33 payload word A is malformed"},
 		{"ghs/kind the codec does not own", ghs, []byte{0, 9}, "kind 33 payload word A is malformed"},
 		{"ghs/stamp with nothing under it", ghs, []byte{2}, "kind 35 payload word Win is malformed"},
+		{"ghs/unknown tag", ghs, []byte{9, 0}, "payload has no tag or an unknown one"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := transport.BuildGraph(tc.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo1, _ := congest.Split{N: g.N(), K: 2}.Bounds(1)
-			dst, port := crossingPort(t, g, lo1)
 			// Round 2, one message delivered, none delayed, stepped; the step:
-			// halted, wake, the one send.
-			body := append(uv(2, 1, 0), 1)
-			body = append(body, uv(0, 0, 1, uint64(dst), uint64(port), uint64(len(tc.payload)))...)
-			body = append(body, tc.payload...)
+			// halted, wake, the one send, at the first crossing port.
+			body := slices.Concat(uv(2, 1, 0), []byte{1}, uv(0, 0, 1, 0), tc.payload)
 
 			base := runtime.NumGoroutine()
 			scriptPeer(t, 1, onNth(transport.FrameRound, 3, fate{rewrite: func([]byte) []byte { return body }}))
@@ -809,7 +814,7 @@ func TestHostileRelayedPayload(t *testing.T) {
 				}
 				return h, err
 			}}
-			_, err = tcp.Run(tc.spec, transport.Options{})
+			_, err := tcp.Run(tc.spec, transport.Options{})
 			if err == nil || !strings.Contains(err.Error(), "transport: shard 1: reply:") {
 				t.Fatalf("coordinator err = %v, want a bad frame attributed to shard 1", err)
 			}

@@ -1,7 +1,7 @@
 package transport
 
 // Typed frame payload encodings for the TCP backend: uvarint-packed
-// batches of cross-shard messages, probe events, inbox profiles and
+// sections of cross-shard sends, probe events, inbox profiles and
 // harvest records. All encodings are canonical — one byte form per value,
 // in one fixed order, and the cursor refuses any other — which keeps the
 // coordinator's probe stream byte-identical to the in-process engines.
@@ -149,25 +149,59 @@ type wireEvent struct {
 	name  string // marks only
 }
 
-// The relay codec, the tail of a stepped ROUND and of a SENDS frame: a
-// count and that many sends bound for the frame's peer, each the receiving
-// node, the port AT THE RECEIVER, the payload length and the payload.
+// The relay codec, the tail of a stepped ROUND and of a SENDS frame: the
+// sends bound for the frame's peer, as their count and, per send, the gap
+// since the previous send's index in the pair's crossing list
+// (congest.Crossing; the first send's gap is its index) and its payload in
+// the workload's layout codec, which delimits itself. Both ends build the
+// list from the replica graph and the Split, so an index names the same
+// outbox slot on both, and a frame maps to one set of (slot, record) pairs.
 
-// send reads one send. The payload aliases the frame buffer: valid
-// only until the next frame read, decode before then.
-func (c *cursor) send() (dst, port int, payload []byte) {
-	dst, port = c.int("send dst"), c.int("send port")
-	return dst, port, c.bytes(c.length("send payload"), "send payload")
+// appendSends takes every send queued on the crossing list c, in list
+// order, and appends the section that carries them.
+func appendSends(buf []byte, c congest.Crossing, layouts []congest.Layout) ([]byte, error) {
+	at, sends, next := len(buf), 0, 0
+	buf = append(buf, 0)
+	for k := range c.Len() {
+		m := c.Take(k)
+		if m.Kind == 0 {
+			continue
+		}
+		var err error
+		if buf, err = congest.Append(binary.AppendUvarint(buf, uint64(k-next)), layouts, m); err != nil {
+			return nil, err
+		}
+		sends, next = sends+1, k+1
+	}
+	return fillUvarint(buf, at, uint64(sends)), nil
 }
 
-// appendSendHead appends a send's receiving node and port and one byte
-// held for its payload length: the payload is appended next, and
-// fillUvarint writes its length at the returned offset.
-func appendSendHead(buf []byte, dst, port int) ([]byte, int) {
-	buf = binary.AppendUvarint(buf, uint64(dst))
-	buf = binary.AppendUvarint(buf, uint64(port))
-	at := len(buf)
-	return append(buf, 0), at
+// stage reads the sends of a section whose count was read and stages each
+// on the crossing list c: a gap that keeps the index inside the list (the
+// index rises strictly, so no slot is named twice) and a payload the
+// layouts decode.
+func (cur *cursor) stage(c congest.Crossing, sends int, layouts []congest.Layout) error {
+	for next := 0; sends > 0; sends-- {
+		var gap uint64
+		if len(cur.b) > 0 && cur.b[0] < 0x80 {
+			gap, cur.b = uint64(cur.b[0]), cur.b[1:] // the one-byte form, without a call
+		} else if gap = cur.uvarint("send gap"); cur.err != nil {
+			return cur.err
+		}
+		if gap >= uint64(c.Len()-next) {
+			return fmt.Errorf("send gap %d names no crossing port: %d of %d follow the last send", gap, c.Len()-next, c.Len())
+		}
+		m, n, err := congest.ParsePrefix(cur.b, layouts)
+		if err != nil {
+			return fmt.Errorf("decoding payload: %w", err)
+		}
+		k := next + int(gap)
+		if err := c.Stage(k, m); err != nil {
+			return err
+		}
+		cur.b, next = cur.b[n:], k+1
+	}
+	return cur.err
 }
 
 // fillUvarint writes v as a uvarint at buf[at], a byte held for it, and

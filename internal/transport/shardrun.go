@@ -119,7 +119,7 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	if inst.Faults != nil {
 		net.SetFaults(inst.Faults) // rebuilt from the spec, identical on every process
 	}
-	s, err := congest.NewShard(net, lo, hi)
+	s, err := congest.NewShard(net, split, shard)
 	if err != nil {
 		return err
 	}
@@ -152,10 +152,8 @@ type peerLink struct {
 	peer      int
 	fc        *frameConn
 	out, free chan []byte
-	buf       []byte // the frame in the making
-	// What the peer's frames of the round in progress said; the sends of
-	// this shard's frame to it so far, their count due at countAt.
-	stepped, halted, sends, countAt int
+	// What the peer's frames of the round in progress said.
+	stepped, halted int
 	// Its ROUND's deliver counts, and the earliest round its nodes sleep
 	// until as its step before last (slept) and its last step (wake) said.
 	delivered, pending, slept, wake int
@@ -466,53 +464,34 @@ func (r *shardRuntime) stepHead(active int, fc faults.Counts) {
 // sendStep sends every peer its frame of the round: a ROUND (round,
 // delivered, pending, stepped flag) or a SENDS (round), then, if stepped,
 // the halted count, the wake (as rounds slept past the next one: 0 when a
-// node wakes there) and the sends bound for that peer, each encoded once,
-// straight into that peer's frame.
+// node wakes there) and the sends bound for that peer, taken off the
+// pair's crossing list and encoded once, straight into that peer's frame.
 func (r *shardRuntime) sendStep(typ byte, round int, stepped bool) error {
 	for _, l := range r.links {
 		if l == nil {
 			continue
 		}
-		l.buf = binary.AppendUvarint(beginFrame(<-l.free), uint64(round))
+		buf := binary.AppendUvarint(beginFrame(<-l.free), uint64(round))
 		if typ == frameRound {
-			l.buf = binary.AppendUvarint(binary.AppendUvarint(l.buf, uint64(r.delivered)), uint64(r.pending))
-			l.buf = append(l.buf, flag(stepped))
+			buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(r.delivered)), uint64(r.pending))
+			buf = append(buf, flag(stepped))
 		}
+		var err error
 		if stepped {
-			l.buf = binary.AppendUvarint(l.buf, uint64(r.reply.halted))
-			l.buf = binary.AppendUvarint(l.buf, uint64(max(r.wake-round-1, 0)))
-			l.countAt, l.sends, l.buf = len(l.buf), 0, append(l.buf, 0)
-		}
-	}
-	var encErr error
-	if stepped {
-		r.s.ExternalSends(func(dst, dstPort int, payload congest.Message) {
-			if encErr != nil {
-				return
-			}
-			l := r.links[r.split.Owner(dst)]
-			body, lenAt := appendSendHead(l.buf, dst, dstPort)
-			if body, encErr = r.wl.Encode(body, payload); encErr == nil {
-				l.buf, l.sends = fillUvarint(body, lenAt, uint64(len(body)-lenAt-1)), l.sends+1
-			}
-		})
-	}
-	for _, l := range r.links {
-		if l == nil || encErr != nil {
-			continue
-		}
-		if stepped {
-			l.buf = fillUvarint(l.buf, l.countAt, uint64(l.sends))
+			buf = binary.AppendUvarint(buf, uint64(r.reply.halted))
+			buf = binary.AppendUvarint(buf, uint64(max(r.wake-round-1, 0)))
+			buf, err = appendSends(buf, r.s.Outbound(l.peer), r.wl.Layouts)
 		}
 		var frame []byte
-		if frame, encErr = endFrame(l.buf, typ); encErr == nil {
-			r.peerTally.sent(frame)
-			r.rec.Record(flightrec.KindFrameSent, frameName(typ), round, l.peer, len(frame), "")
-			l.out <- frame
+		if err == nil {
+			frame, err = endFrame(buf, typ)
 		}
-	}
-	if encErr != nil {
-		return fmt.Errorf("transport: shard %d: encoding frame: %w", r.shard, encErr)
+		if err != nil {
+			return fmt.Errorf("transport: shard %d: encoding frame: %w", r.shard, err)
+		}
+		r.peerTally.sent(frame)
+		r.rec.Record(flightrec.KindFrameSent, frameName(typ), round, l.peer, len(frame), "")
+		l.out <- frame
 	}
 	return nil
 }
@@ -541,11 +520,10 @@ func (r *shardRuntime) recv(l *peerLink, typ byte, round int) error {
 
 // take checks peer l's frame and applies it: a ROUND's round, counts and
 // stepped flag (set exactly when the counts rule out a quiet round), then a
-// step's halted count, wake and sends, each checked before it is staged — a
-// port of the graph, on an edge from the peer's nodes to this shard's, its
-// receiver slot named once a round (Inject refuses a second), a payload
-// the workload decodes. A step its own counts and last wake make a no-op
-// may neither halt nor send.
+// step's halted count, wake and sends, each staged on the pair's crossing
+// list once it is checked — an index inside the list, past the last send's,
+// and a payload the workload decodes. A step its own counts and last wake
+// make a no-op may neither halt nor send.
 func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error {
 	cur := cursor{b: body}
 	if got := cur.int("peer round"); cur.err == nil && got != round {
@@ -582,27 +560,8 @@ func (r *shardRuntime) take(l *peerLink, typ byte, round int, body []byte) error
 	if sleeps < math.MaxInt-round-1 {
 		l.wake = round + 1 + sleeps
 	}
-	g := r.inst.Graph
-	for n := sends; n > 0 && cur.err == nil; n-- {
-		dst, port, payload := cur.send()
-		if cur.err != nil {
-			break
-		}
-		if dst >= g.N() || port >= g.Degree(dst) {
-			return fmt.Errorf("send dst %d port %d names no port of the graph's %d nodes", dst, port, g.N())
-		}
-		// Ports are numbered in graph.Graph's CSR order, so the port names
-		// the sender: it must be the peer's node, dst this shard's.
-		if from := int(g.Neighbors(dst)[port].To); from < plo || from >= phi || dst < r.lo || dst >= r.hi {
-			return fmt.Errorf("send dst %d port %d is the edge from node %d, not one from the peer's nodes [%d, %d) to [%d, %d)", dst, port, from, plo, phi, r.lo, r.hi)
-		}
-		m, err := r.wl.Decode(payload)
-		if err != nil {
-			return fmt.Errorf("decoding payload: %w", err)
-		}
-		if err := r.s.Inject(dst, port, m); err != nil {
-			return err
-		}
+	if err := cur.stage(r.s.Inbound(l.peer), sends, r.wl.Layouts); err != nil {
+		return err
 	}
 	if err := cur.done("peer frame"); err != nil {
 		return err

@@ -471,13 +471,14 @@ func TestBuildGraphRefusesBadSpecs(t *testing.T) {
 // many times their socket buffers at the same moment must not wait on each
 // other forever — each link has a writer of its own, so a shard reads
 // while its frames go out. Every peer link of three shards gets send and
-// receive buffers of 4 KiB, against ROUND frames of about 38 KiB (walks
-// on an expander, so nearly every boundary port carries a token each
-// round); the Result must equal the sequential engine's. Frames of a few
+// receive buffers of 4 KiB, against ROUND frames of about 35 KiB (walks
+// on a 24-regular expander, so nearly every crossing port carries a token
+// each round, at about four bytes a send); the Result must equal the
+// sequential engine's. Frames of a few
 // hundred KiB pass too, but every zero window through such buffers waits
 // out the kernel's persist timer, which makes that a two-minute test.
 func TestLargeFramesSmallBuffers(t *testing.T) {
-	spec := transport.Spec{Workload: "walks", Graph: "rr", N: 3072, D: 16, K: 2, Steps: 2, Seed: 5, SrcSeed: 85}
+	spec := transport.Spec{Workload: "walks", Graph: "rr", N: 3072, D: 24, K: 2, Steps: 2, Seed: 5, SrcSeed: 85}
 	want, err := transport.Proc{Workers: 1}.Run(spec, transport.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -114,8 +114,9 @@ bench-scale:
 	go test -run '^$$' -bench BenchmarkCongestEngineScale -benchmem -benchtime $(BENCHTIME) .
 
 # Continuous fuzzing of the simulator's round engines, of the wire
-# parsers, of the walk engine's dense step against its touched-list step
-# and of the path scheduler's two doors against its reference (30s each; the committed f.Add corpora always run as part of
+# parsers, of the walk engine's dense step against its touched-list step,
+# of the walk node program's queues against their reference and of the
+# path scheduler's two doors against its reference (30s each; the committed f.Add corpora always run as part of
 # `make test`). go test -fuzz takes one target of one package at a time.
 fuzz:
 	go test -run '^$$' -fuzz FuzzNetworkRun -fuzztime 30s ./internal/congest
@@ -125,4 +126,5 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzStepSection -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzPayload -fuzztime 30s ./internal/transport/workloads
 	go test -run '^$$' -fuzz FuzzRunSteps -fuzztime 30s ./internal/randomwalk
+	go test -run '^$$' -fuzz FuzzWalkPrograms -fuzztime 30s ./internal/randomwalk
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 30s ./internal/pathsched

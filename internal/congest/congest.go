@@ -24,9 +24,12 @@
 // Memory layout (DESIGN.md §3): the hot path is built for zero-alloc
 // steady-state rounds at n ≥ 10^6. Ports are the graph's own CSR
 // (graph.Graph.CSR) and the one table the engine adds is peer, its
-// delivery index, flat int32 like it; node contexts are one
-// flat []Ctx; outboxes and inboxes are subslices of two value arenas
-// sized once at NewNetwork and recycled every round by slice reset. A
+// send index, flat int32 like it; node contexts are one flat []Ctx. The
+// outbox arena is indexed by the receiver's half-edge: a send writes the
+// slot of the port it arrives on, so a receiver's messages are one
+// contiguous row in its own port order, which delivery reads and empties
+// front to back. Outboxes and inboxes are two value arenas sized once at
+// NewNetwork and recycled every round by slice reset. A
 // Message is a fixed-width record without pointers, so both arenas are
 // memory the garbage collector never scans and a send copies words —
 // no program's payload is boxed. After the first few warmup rounds a
@@ -120,19 +123,21 @@ func PanicUnknownKind(family string, ctx *Ctx, in Inbound) {
 // incident edges (ports) with the IDs of the neighbors across them, the
 // total node count, and a private random stream.
 //
-// All mutable per-node state (outboxes, halt flags, message counts) lives
-// here rather than on the Network, so that the engine can split the nodes
-// into parts (see part.go) without any shared-counter data races: each Ctx
-// is touched by exactly one part per phase, and network-wide totals are
+// All mutable per-node state (halt flags, message counts) lives here
+// rather than on the Network, so that the engine can split the nodes into
+// parts (see part.go) without any shared-counter data races: each Ctx is
+// touched by exactly one part per phase, and network-wide totals are
 // aggregated from the per-node shards. Contexts are stored as one flat
-// []Ctx on the Network, and outbox is a subslice of an arena shared by all
-// nodes, so building a million-node network costs a handful of
-// allocations rather than O(n).
+// []Ctx on the Network, and peer is a subslice of the network's table, so
+// building a million-node network costs a handful of allocations rather
+// than O(n).
 type Ctx struct {
-	id     int
-	net    *Network
-	rng    *rand.Rand // created on first Rand() call; derivation is pure
-	outbox []Message  // one slot per port; Kind 0 = no send this round
+	id  int
+	net *Network
+	rng *rand.Rand // created on first Rand() call; derivation is pure
+	// peer is the node's row of Network.peer: peer[port] is the outbox
+	// slot a send on port fills, the receiver's half-edge of the edge.
+	peer   []int32
 	halted bool
 	msgs   int // messages sent by this node (sharded accounting)
 	// wake is the round the node's last Step promised to sleep until
@@ -155,7 +160,7 @@ func (c *Ctx) ID() int { return c.id }
 func (c *Ctx) N() int { return c.net.g.N() }
 
 // Degree returns the node's degree (number of ports).
-func (c *Ctx) Degree() int { return len(c.outbox) }
+func (c *Ctx) Degree() int { return len(c.peer) }
 
 // NeighborID returns the ID of the neighbor across the given port.
 func (c *Ctx) NeighborID(port int) int { return int(c.net.g.Neighbors(c.id)[port].To) }
@@ -196,14 +201,19 @@ func (c *Ctx) Round() int { return c.net.rounds }
 // same port panics, and so does sending the empty record (Kind 0 is the
 // empty slot: the message would vanish) — both are bugs in the node
 // program.
+//
+// The record lands in the receiver's slot of the edge (Ctx.peer), which
+// only the receiver's deliver phase reads and empties; a slot has one
+// writer, the node across its port, and the barrier between the phases
+// orders the two.
 func (c *Ctx) Send(port int, payload Message) {
-	if port < 0 || port >= len(c.outbox) {
+	if port < 0 || port >= len(c.peer) {
 		panic(fmt.Sprintf("congest: node %d sends on invalid port %d", c.id, port))
 	}
 	if payload.Kind == 0 {
 		panic(fmt.Sprintf("congest: node %d sends the empty record (kind 0) on port %d", c.id, port))
 	}
-	slot := &c.outbox[port]
+	slot := &c.net.out[c.peer[port]]
 	if slot.Kind != 0 {
 		panic(fmt.Sprintf("congest: node %d sends twice on port %d in one round", c.id, port))
 	}
@@ -227,7 +237,7 @@ func (c *Ctx) SleepUntil(round int) { c.wake = round }
 
 // Broadcast queues the same message on every port.
 func (c *Ctx) Broadcast(payload Message) {
-	for p := 0; p < len(c.outbox); p++ {
+	for p := range c.peer {
 		c.Send(p, payload)
 	}
 }
@@ -260,17 +270,17 @@ type Program interface {
 type Network struct {
 	g *graph.Graph
 	// peer[i] is the absolute CSR index of the half-edge reversing
-	// half-edge i (graph.Graph.Reverses): the sender's port leading to
-	// the receiver, so the receiver-driven delivery scan finds the
-	// sender's outbox slot with one int32 load and reads it with one
-	// arena load.
+	// half-edge i (graph.Graph.Reverses): for a sender's port, the
+	// receiver's half-edge of the edge, so Send finds the slot it fills
+	// with one int32 load. Ctx.peer is the node's row of it.
 	peer     []int32
 	src      *rngutil.Source
 	ctxs     []Ctx
 	programs []Program
-	// out is the outbox arena, one record per directed port in CSR order:
-	// ctxs[v].outbox is its subslice [start[v], start[v+1]), and delivery
-	// reads a sender's slot by absolute index (peer).
+	// out is the outbox arena, one record per directed port in CSR order,
+	// indexed by the receiver's half-edge: out[i] holds what arrives on
+	// half-edge i next round. Send writes a slot through peer, and
+	// delivery reads and empties node u's own row [start[u], start[u+1]).
 	out []Message
 	// inboxes[v] is node v's delivery buffer, a subslice of one flat
 	// arena sized to the directed-port count at NewNetwork. Engines
@@ -349,7 +359,7 @@ func NewNetwork(g *graph.Graph, programs []Program, src *rngutil.Source) *Networ
 		ctx := &net.ctxs[v]
 		ctx.id = v
 		ctx.net = net
-		ctx.outbox = net.out[lo:hi:hi]
+		ctx.peer = net.peer[lo:hi:hi]
 		net.inboxes[v] = inArena[lo:lo:hi]
 	}
 	return net
@@ -448,20 +458,24 @@ func (n *Network) RunUntilQuiet(maxRounds int) (int, error) { return n.run(maxRo
 // (n.rounds+1, 1-based) and returns the number of messages delivered to
 // it. It is THE canonical receiver-driven delivery point: part.deliver
 // calls it once per receiver per round, each receiver scanning its own
-// CSR port range in order and reading the matching outbox slot of the
-// sender across each port (one peer-table load, one arena load), so
-// delivery order is fixed regardless of how the network is partitioned.
+// row of the outbox arena — the slots of its own half-edges, in port
+// order — so delivery order is fixed regardless of how the network is
+// partitioned.
 //
-// The receiver also empties every slot it reads — a slot has exactly one
-// reader, the node across its port, so taking the message is what recycles
-// the outbox: by the time the step phase runs, every slot of the network
-// is empty again and no pass over the arena is spent clearing it. A
-// halted receiver takes and drops: its neighbors' sends must not sit in
-// their slots as double sends next round.
+// The receiver also empties every slot it reads: a slot has exactly one
+// reader, its receiver, so taking the message is what recycles the
+// arena — by the time the step phase runs, every slot of the network is
+// empty again and no pass over the arena is spent clearing it. A halted
+// receiver takes and drops: its neighbors' sends must not sit in its slots
+// as double sends next round. Every write of the phase lands in the
+// receiver's own row and inbox, so parts never write each other's memory.
 //
-// The inbox is the node's recycled arena subslice, reset to length zero
-// here — steady-state rounds never allocate. When a fault plan is
-// attached this is also the single injection point (see faultnet.go),
+// The scan has no branch on the data: every port's Inbound is written to
+// inbox[k] and k advances by one exactly when the slot held a record, so
+// a row that is half full costs what a full one does, not a mispredict per
+// port. The inbox is the node's recycled arena subslice, whose capacity
+// is its degree — steady-state rounds never allocate. When a fault plan
+// is attached this is also the single injection point (see faultnet.go),
 // counting its events into fc, the calling part's own counts.
 func (n *Network) deliverTo(u int, fc *faults.Counts) int {
 	inbox := n.inboxes[u][:0]
@@ -472,34 +486,34 @@ func (n *Network) deliverTo(u int, fc *faults.Counts) int {
 	}
 	start, half := n.g.CSR()
 	lo, hi := start[u], start[u+1]
-	peer, ports, out := n.peer[lo:hi], half[lo:hi], n.out
+	row := n.out[lo:hi]
 	if n.ctxs[u].halted {
-		for _, slot := range peer {
-			out[slot].empty()
-		}
+		emptyRow(row)
 		n.inboxes[u] = inbox
 		return 0
 	}
-	for p, slot := range peer {
-		if m := &out[slot]; m.Kind != 0 {
-			// Filled in place: a composite literal is assembled on the
-			// stack from narrow stores and copied out with wide loads
-			// that cannot be forwarded from them (see Send).
-			inbox = append(inbox, Inbound{})
-			in := &inbox[len(inbox)-1]
-			in.Port, in.From, in.Payload = int32(p), ports[p].To, *m
-			m.Kind = 0
-		}
+	ports, inbox := half[lo:hi], inbox[:len(row)]
+	k := 0
+	for p := range row {
+		// One statement per field: a parallel assignment would stage the
+		// record on the stack and copy it twice.
+		m, in := &row[p], &inbox[k]
+		kind := m.Kind
+		in.Port = int32(p)
+		in.From = ports[p].To
+		in.Payload = *m
+		k += int((kind | -kind) >> 31)
+		m.Kind = 0
 	}
-	n.inboxes[u] = inbox
-	return len(inbox)
+	n.inboxes[u] = inbox[:k]
+	return k
 }
 
-// empty drops whatever an outbox slot holds. Only the kind is reset — an
-// empty slot's other words are never read, and the next Send overwrites
-// them all — and only when set, so scanning empty slots dirties nothing.
-func (m *Message) empty() {
-	if m.Kind != 0 {
-		m.Kind = 0
+// emptyRow drops whatever a receiver's row of the outbox arena holds. Only
+// the kind is reset — an empty slot's other words are never read, and the
+// next Send overwrites them all.
+func emptyRow(row []Message) {
+	for i := range row {
+		row[i].Kind = 0
 	}
 }

@@ -5,14 +5,15 @@ package congest
 // Rounds alternate two phases separated by barriers (see part):
 //
 //	deliver: build the inboxes of the part's nodes, receiver-driven — a
-//	         receiver scans its own ports in order and reads the matching
-//	         outbox slot of the sender across each port. Outboxes are only
-//	         read in this phase.
-//	step:    call Step on the part's live nodes — their outboxes are
-//	         empty, the deliver phase took every message — and tally the
-//	         earliest round they promised to sleep until. Each node's
-//	         outbox, RNG and program state are touched only by the part
-//	         that owns it.
+//	         receiver scans its own row of the outbox arena, one slot per
+//	         port in port order, and empties it. Every write of the phase
+//	         lands in the part's own rows and inboxes.
+//	step:    call Step on the part's live nodes — the arena is empty, the
+//	         deliver phase took every message — and tally the earliest
+//	         round they promised to sleep until. A send writes the slot of
+//	         the receiver's end of the edge, which may belong to another
+//	         part; each node's RNG and program state are touched only by
+//	         the part that owns it.
 //
 // The executor: a run's k parts (cut by Split) live for the run. Part 0
 // runs every phase on the calling goroutine, each other part on its own
@@ -38,9 +39,11 @@ package congest
 //
 // Message accounting is sharded per node (Ctx.msgs, incremented only by
 // the owning part) and aggregated by Network.Messages after the run, so
-// the engine has no shared mutable counters at all; the only cross-part
-// communication is the read-only outbox scan in the deliver phase, which
-// the barriers order against the writes of the neighboring step phases.
+// the engine has no shared mutable counters at all. The only cross-part
+// communication is a send: the step phase writes receivers' slots, which
+// may lie in other parts' rows. Each slot still has one writer, the node
+// across its port, and one reader, its receiver, and the barrier between
+// the step phase and the next deliver phase orders the two.
 
 import (
 	"fmt"
@@ -224,6 +227,7 @@ func (n *Network) run(maxRounds int, quiet bool) (int, error) {
 		}
 		if ms != nil {
 			ms.Round(time.Since(t0).Nanoseconds(), delivered, fc)
+			ms.Steps(int64(active))
 		}
 		if !quiet && delivered == 0 {
 			n.skipTo(SkipTarget(n.rounds, delivered, pending, wake, next, maxRounds), halted)

@@ -87,13 +87,12 @@ func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, fc *faul
 
 	start, half := n.g.CSR()
 	lo, hi := start[u], start[u+1]
+	row, ports := n.out[lo:hi], half[lo:hi]
 	if ctx.halted {
 		// A halted node never steps again: discard anything still aimed
 		// at it, delayed or fresh, under the fault-free halted-drop rule.
 		fs.pending[u] = fs.pending[u][:0]
-		for i := lo; i < hi; i++ {
-			n.out[n.peer[i]].empty()
-		}
+		emptyRow(row)
 		return inbox
 	}
 	crashed := fs.plan.Crashed(u, round)
@@ -112,16 +111,16 @@ func (fs *faultState) deliverFaulty(n *Network, u int, inbox []Inbound, fc *faul
 	}
 	fs.pending[u] = kept
 
-	// Fresh messages, receiver-driven in port order over the CSR range —
-	// the same canonical scan as the fault-free path, and like it taking
-	// every message it reads, whatever its fate.
-	for i := lo; i < hi; i++ {
-		m := &n.out[n.peer[i]]
+	// Fresh messages, receiver-driven in port order over the node's own
+	// row — the same canonical scan as the fault-free path, and like it
+	// taking every message it reads, whatever its fate.
+	for p := range row {
+		m := &row[p]
 		if m.Kind == 0 {
 			continue
 		}
-		h := half[i]
-		in := Inbound{Port: i - lo, From: h.To, Payload: *m}
+		h := ports[p]
+		in := Inbound{Port: int32(p), From: h.To, Payload: *m}
 		m.Kind = 0
 		if crashed || fs.plan.Severed(h.EdgeID(), round) {
 			fc.Dropped++

@@ -45,13 +45,16 @@ func (n *Network) SetMetrics(reg *metrics.Registry) *Network {
 }
 
 // RunMetrics is one run's block of congest_* instruments: run, round,
-// message and fault totals, the per-round wall histogram, the throughput
-// rates and the run's alloc/GC deltas. StartRunMetrics opens it, Round
-// records each executed round and Skipped each round the skip rule counted
-// without executing it, End closes it; every method is a no-op on the nil
-// block a run without a registry gets. congest_rounds_total counts both
-// kinds (every simulated round), congest_rounds_skipped_total the second,
-// and the wall histogram executed rounds only.
+// message, node-step and fault totals, the per-round wall histogram, the
+// throughput rates and the run's alloc/GC deltas. StartRunMetrics opens
+// it, Round records each executed round and Skipped each round the skip
+// rule counted without executing it, Steps the node steps executed, End
+// closes it; every method is a no-op on the nil block a run without a
+// registry gets. congest_rounds_total counts both kinds of round (every
+// simulated round), congest_rounds_skipped_total the second, and the wall
+// histogram executed rounds only. congest_node_steps_total counts Step
+// calls: the sum of Active over the executed rounds, which a skipped
+// round's no-op steps are not part of.
 type RunMetrics struct {
 	start        time.Time
 	startMem     runtime.MemStats
@@ -60,7 +63,7 @@ type RunMetrics struct {
 	roundWallNS  int64
 
 	runs, rounds, skipped     *metrics.Counter
-	delivered                 *metrics.Counter
+	delivered, steps          *metrics.Counter
 	runWall, allocs, gcCycles *metrics.Counter
 	roundHist                 *metrics.Histogram
 	msgsPerSec, roundsPerSec  *metrics.Gauge
@@ -83,6 +86,7 @@ func StartRunMetrics(reg *metrics.Registry, faulty bool) *RunMetrics {
 		rounds:       reg.Counter("congest_rounds_total"),
 		skipped:      reg.Counter("congest_rounds_skipped_total"),
 		delivered:    reg.Counter("congest_messages_delivered_total"),
+		steps:        reg.Counter("congest_node_steps_total"),
 		runWall:      reg.Counter("congest_run_wall_ns_total"),
 		allocs:       reg.Counter("congest_alloc_bytes_total"),
 		gcCycles:     reg.Counter("congest_gc_cycles_total"),
@@ -116,6 +120,16 @@ func (rm *RunMetrics) Round(wallNS int64, delivered int, fc faults.Counts) {
 	rm.duplicated.Add(fc.Duplicated)
 	rm.delayed.Add(fc.Delayed)
 	rm.crashed.Add(fc.Crashed)
+}
+
+// Steps adds k node steps (Step calls) to congest_node_steps_total: the
+// engine adds each executed round's Active, the TCP coordinator each
+// shard's total for the run.
+func (rm *RunMetrics) Steps(k int64) {
+	if rm == nil {
+		return
+	}
+	rm.steps.Add(k)
 }
 
 // Skipped records one round the skip rule counted without executing it:

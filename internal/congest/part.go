@@ -28,9 +28,11 @@ func (s Split) Owner(v int) int { return ((v+1)*s.K - 1) / s.N }
 // part is a contiguous node range [lo, hi) of a Network plus the scratch
 // its phases write. Within a phase a node is touched by exactly one part,
 // and the one thing a part touches of other nodes — the outbox slots its
-// receivers take, during deliver; each slot has a single receiver — is
-// ordered against the owners' sends by the barrier between phases, which
-// is the whole determinism argument, whatever runs the parts. The scratch
+// senders fill during step, each slot written by a single sender and read
+// by a single receiver — is ordered against the receivers' deliver phase
+// by the barrier between phases, which is the whole determinism argument,
+// whatever runs the parts. The deliver phase writes only the part's own
+// rows of the arena and its own inboxes. The scratch
 // is written only by whoever runs the part and read by the caller after
 // the barrier; the trailing pad keeps neighbouring parts of a run off each
 // other's cache lines.
@@ -73,7 +75,7 @@ func (p *part) deliver() (delivered int) {
 }
 
 // step runs Step on the part's nodes that are neither halted nor crashed
-// in the round (already counted on net.rounds); their outboxes are empty,
+// in the round (already counted on net.rounds); the outbox arena is empty,
 // the deliver phase took every message. It returns how many nodes stepped,
 // how many are halted afterwards and the earliest round a live node
 // promised to sleep until (Ctx.SleepUntil; a crashed node keeps its last

@@ -12,19 +12,23 @@ package congest
 // replayable workload spec — topology, arenas and per-node RNG streams
 // are identical everywhere — but each process only ever runs the
 // programs of its own range. Cross-shard traffic needs no delivery code
-// of its own: an inbound remote message is staged by setting the
-// remote sender's outbox slot in the local replica (Crossing.Stage),
-// after which the unmodified deliverTo — THE canonical delivery point —
+// of its own: an inbound remote message is staged by setting the slot
+// the remote sender's Send would have filled in the local replica — the
+// owned receiver's slot of the edge (Crossing.Stage) — after which the
+// unmodified deliverTo — THE canonical delivery point —
 // assembles the receiver's inbox in port order exactly as it does for a
 // neighbor in the same part. That is what makes TCP-backed traces
 // byte-identical to the sequential engine: there is only one delivery
 // order in the codebase, and the wire backend reuses it.
 //
-// Each ordered pair of shards (A → B) has one crossing list: the outbox
-// slots of the directed edges from A's nodes to B's, in A's CSR order
-// (node ascending, port ascending). Both ends derive it from the replica
-// graph and the Split, so a send crosses the wire as its index in that
-// list and its payload, and the index names the same slot on both ends.
+// Each ordered pair of shards (A → B) has one crossing list: the directed
+// edges from A's nodes to B's, in A's CSR order (node ascending, port
+// ascending), each named by the slot its sends fill — the receiver's
+// half-edge, peer[h] of the sender's half-edge h. Both ends derive it from
+// the replica graph and the Split, so a send crosses the wire as its index
+// in that list and its payload, and the index names the same slot on both
+// ends: on A the slot its sender's Send filled, on B the slot its
+// receiver's deliverTo reads.
 //
 // The calls a shard runtime makes, in the order of a round:
 //
@@ -45,8 +49,8 @@ package congest
 // every replica. Nothing about the plan crosses the wire: each replica
 // builds the identical plan from the run's spec, and a message's fate is
 // rolled — the pure (seed, round, slot) hash — by the shard that owns its
-// receiver, which holds the message because Stage put it in the sender's
-// slot before deliverTo scans it. Per-round fault counts are drained by
+// receiver, which holds the message because Stage put it in the
+// receiver's slot before deliverTo scans it. Per-round fault counts are drained by
 // the shard runtime through FaultCounts — the Shard's part counts its own
 // deliveries, and Crashed is restricted to the owned range, so shard
 // counts sum to the global totals — and crashed owned nodes skip Step
@@ -62,7 +66,8 @@ import "fmt"
 type Shard struct {
 	part
 	// out[j] and in[j] are the crossing lists toward and from shard j:
-	// absolute outbox-arena indices, nil at this shard's own index.
+	// absolute outbox-arena indices (receivers' half-edges) in the
+	// senders' CSR order, nil at this shard's own index.
 	out, in [][]int32
 }
 
@@ -92,6 +97,7 @@ func NewShard(net *Network, split Split, i int) (*Shard, error) {
 	// both lists of a pair are as long as the count of owned half-edges
 	// into the other part: one counting pass sizes one backing array.
 	start, half := net.g.CSR()
+	peer := net.peer
 	count := make([]int, split.K)
 	total := 0
 	for h := start[lo]; h < start[hi]; h++ {
@@ -108,7 +114,7 @@ func NewShard(net *Network, split Split, i int) (*Shard, error) {
 	}
 	for h := start[lo]; h < start[hi]; h++ {
 		if j := split.Owner(int(half[h].To)); j != i {
-			s.out[j] = append(s.out[j], h)
+			s.out[j] = append(s.out[j], peer[h])
 		}
 	}
 	for j := range s.in {
@@ -118,7 +124,7 @@ func NewShard(net *Network, split Split, i int) (*Shard, error) {
 		jlo, jhi := split.Bounds(j)
 		for h := start[jlo]; h < start[jhi]; h++ {
 			if to := int(half[h].To); to >= lo && to < hi {
-				s.in[j] = append(s.in[j], h)
+				s.in[j] = append(s.in[j], peer[h])
 			}
 		}
 	}
@@ -126,18 +132,18 @@ func NewShard(net *Network, split Split, i int) (*Shard, error) {
 }
 
 // Crossing is one crossing list of a Shard's replica: a run of outbox
-// slots, each named by its index in the list.
+// slots (the receivers' half-edges), each named by its index in the list.
 type Crossing struct {
 	arena []Message
 	slots []int32
 }
 
-// Outbound returns the crossing list toward shard j: the slots of the
-// owned nodes' ports facing j's nodes, in CSR order.
+// Outbound returns the crossing list toward shard j: the slots the owned
+// nodes' sends to j's nodes fill, in the owned nodes' CSR order.
 func (s *Shard) Outbound(j int) Crossing { return Crossing{s.net.out, s.out[j]} }
 
-// Inbound returns the crossing list from shard j: the slots of j's nodes'
-// ports facing owned nodes, in j's CSR order — the list j's Outbound(i)
+// Inbound returns the crossing list from shard j: the owned nodes' slots
+// that j's nodes' sends fill, in j's CSR order — the list j's Outbound(i)
 // is on j's replica.
 func (s *Shard) Inbound(j int) Crossing { return Crossing{s.net.out, s.in[j]} }
 

@@ -141,7 +141,7 @@ func (g *Graph) CSR() (start []int32, half []Halfedge) { return g.start, g.half 
 
 // Reverses returns, for every absolute half-edge index i of the CSR, the
 // index of the half-edge crossing the same edge the other way. The slice
-// is freshly allocated; the CONGEST engine keeps it as its delivery index.
+// is freshly allocated; the CONGEST engine keeps it as its send index.
 func (g *Graph) Reverses() []int32 {
 	rev := make([]int32, len(g.half))
 	// An edge's half-edges sit at the fill cursors of its endpoints, as

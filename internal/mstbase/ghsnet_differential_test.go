@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"almostmix/internal/congest"
@@ -202,6 +203,83 @@ func TestSteadyRoundsZeroAlloc(t *testing.T) {
 				}
 				t.Logf("%.3f allocs/round", per)
 			})
+		}
+	}
+}
+
+// stepCounter counts the Step calls of the program it wraps, by round;
+// the parts of a run step concurrently, so the counts are atomic.
+type stepCounter struct {
+	congest.Program
+	calls []atomic.Int64
+}
+
+func (s stepCounter) Step(ctx *congest.Ctx, inbox []congest.Inbound) {
+	s.calls[ctx.Round()].Add(1)
+	s.Program.Step(ctx, inbox)
+}
+
+// activeProbe keeps every round record's Active, by round.
+type activeProbe struct {
+	congest.NopProbe
+	active map[int]int
+}
+
+func (p *activeProbe) RoundEnd(rec *congest.RoundRecord) { p.active[rec.Round] = rec.Active }
+
+// TestGHSNodeStepsMetric: congest_node_steps_total is the number of Step
+// calls a run made, the sum of Active over its executed rounds — not over
+// the rounds the skip rule jumped, whose records report the no-op steps
+// they replace. GHS sleeps through most of each window, so the two sums
+// differ; the rounds in which any node stepped are exactly the executed
+// ones, for every worker count, fault-free and with a crash.
+func TestGHSNodeStepsMetric(t *testing.T) {
+	g := graph.RandomRegular(16, 4, rngutil.NewRand(8))
+	g.AssignDistinctRandomWeights(rngutil.NewRand(8))
+	for _, spec := range []string{"", "crash=5@50+12"} {
+		var plan *faults.Plan
+		if spec != "" {
+			var err error
+			if plan, err = faults.Parse(spec, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			programs, maxRounds := GHSPrograms(g, plan)
+			calls := make([]atomic.Int64, maxRounds+1)
+			counted := make([]congest.Program, len(programs))
+			for v, p := range programs {
+				counted[v] = stepCounter{p, calls}
+			}
+			probe, reg := &activeProbe{active: map[int]int{}}, metrics.New()
+			net := congest.NewNetwork(g, counted, rngutil.NewSource(17)).
+				Configure(congest.Options{Workers: workers, Probe: probe, Metrics: reg, Faults: plan})
+			rounds, err := net.Run(maxRounds)
+			if err != nil {
+				t.Fatalf("faults %q, workers %d: %v", spec, workers, err)
+			}
+			snap := reg.Snapshot()
+			steps, ok := snap.Counter("congest_node_steps_total")
+			skipped, _ := snap.Counter("congest_rounds_skipped_total")
+			var stepped, executed, allActive int64
+			for r := 1; r <= rounds; r++ {
+				allActive += int64(probe.active[r])
+				if c := calls[r].Load(); c > 0 {
+					executed++
+					stepped += c
+					if int64(probe.active[r]) != c {
+						t.Errorf("faults %q, workers %d, round %d: Active %d, %d Step calls", spec, workers, r, probe.active[r], c)
+					}
+				}
+			}
+			switch {
+			case !ok || steps != stepped:
+				t.Errorf("faults %q, workers %d: congest_node_steps_total %d (registered %v), want the %d Step calls", spec, workers, steps, ok, stepped)
+			case executed != int64(rounds)-skipped:
+				t.Errorf("faults %q, workers %d: nodes stepped in %d rounds, the engine executed %d", spec, workers, executed, int64(rounds)-skipped)
+			case skipped == 0 || steps >= allActive:
+				t.Errorf("faults %q, workers %d: %d rounds skipped, %d steps of %d Active over every round: the skipped rounds are untested", spec, workers, skipped, steps, allActive)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ package randomwalk
 
 import (
 	"fmt"
+	"math/bits"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/faults"
@@ -88,21 +89,28 @@ type FaultyWalkResult struct {
 // a fresh uniform port choice per hop and drains one queued token per port
 // per round.
 //
-// The per-port queues are intrusive FIFOs over one token pool per node,
-// as pathsched's are: head[p] and tail[p] delimit port p's queue
-// (head −1 = empty), pool[i].next is the token behind pool[i], and free
-// heads the list of vacated pool slots, linked through the same field. A
-// token waits in one queue at a time, so one link per slot serves every
-// port. The pool grows by append's doubling and is never shrunk: once it
-// has held a node's peak backlog, queueing and draining allocate nothing.
+// The per-port queues are intrusive FIFOs over one token pool per node.
+// The first Degree slots of the pool are the ports' sentinels: port p's
+// queue starts at pool[p].next and ends at tail[p], which is p itself when
+// the queue is empty, so a push links behind the tail with no test for an
+// empty queue. pool[i].next is the token behind pool[i], and free heads
+// the list of vacated pool slots, linked through the same field; a token
+// waits in one queue at a time, so one link per slot serves every port.
+// busy holds one bit per port with a queued token, and flush visits the
+// set bits only. The pool is sized at Init to the sentinels, the node's
+// own tokens and one round of arrivals (one per port), which holds the
+// peak backlog of most nodes of a run; it grows by append's doubling when
+// a backlog outgrows it and is never shrunk, so once it has held a node's
+// peak backlog, queueing and draining allocate nothing.
 type walkNode struct {
 	steps   int
 	counts  []int
 	arrived []int // shared, but each node writes only its own index
 
-	pool       []walkSlot
-	head, tail []int32
-	free       int32
+	pool []walkSlot
+	tail []int32
+	busy []uint64
+	free int32
 
 	// Identity-recording extras, nil on plain runs: seqBase[v] is the first
 	// sequence number of node v's freshly issued tokens this attempt, and
@@ -114,23 +122,27 @@ type walkNode struct {
 }
 
 // walkSlot is one pool entry: a queued token and the pool index of the
-// token behind it (or of the next free slot), −1 at the end of a list.
+// token behind it (or of the next free slot, −1 at the end of that list).
+// A sentinel's token is unused.
 type walkSlot struct {
 	tok  walkToken
 	next int32
 }
 
 func (p *walkNode) Init(ctx *congest.Ctx) {
-	p.head, p.tail = make([]int32, ctx.Degree()), make([]int32, ctx.Degree())
-	for port := range p.head {
-		p.head[port] = -1
+	deg, own := ctx.Degree(), p.counts[ctx.ID()]
+	p.pool = make([]walkSlot, deg, deg+own+deg)
+	p.tail = make([]int32, deg)
+	for port := range p.tail {
+		p.tail[port] = int32(port)
 	}
+	p.busy = make([]uint64, (deg+63)/64)
 	p.free = -1
 	base := 0
 	if p.seqBase != nil {
 		base = p.seqBase[ctx.ID()]
 	}
-	for i := 0; i < p.counts[ctx.ID()]; i++ {
+	for i := 0; i < own; i++ {
 		p.route(ctx, walkToken{
 			Left:   int32(p.steps),
 			Origin: int32(ctx.ID()),
@@ -155,31 +167,48 @@ func (p *walkNode) route(ctx *congest.Ctx, tok walkToken) {
 	slot := p.free
 	if slot >= 0 {
 		p.free = p.pool[slot].next
-		p.pool[slot] = walkSlot{tok: tok, next: -1}
+		p.pool[slot].tok = tok
 	} else {
 		slot = int32(len(p.pool))
-		p.pool = append(p.pool, walkSlot{tok: tok, next: -1})
+		p.pool = append(p.pool, walkSlot{tok: tok})
 	}
-	if p.head[port] < 0 {
-		p.head[port] = slot
-	} else {
-		p.pool[p.tail[port]].next = slot
-	}
+	p.pool[p.tail[port]].next = slot
 	p.tail[port] = slot
+	p.busy[port>>6] |= 1 << (port & 63)
 }
 
-// flush sends the head token of every nonempty port queue and returns its
-// pool slot to the free list.
+// flush sends the head token of every busy port's queue and returns its
+// pool slot to the free list; a queue it empties goes back to its sentinel
+// and leaves the busy mask.
 func (p *walkNode) flush(ctx *congest.Ctx) {
-	for port, slot := range p.head {
-		if slot < 0 {
-			continue
+	for w, word := range p.busy {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			bit := bits.TrailingZeros64(rest)
+			port := int32(w<<6 | bit)
+			slot := p.pool[port].next
+			ctx.Send(int(port), p.pool[slot].tok.message())
+			p.pool[port].next = p.pool[slot].next
+			p.pool[slot].next = p.free
+			p.free = slot
+			tail := p.tail[port]
+			last := slot == tail
+			if last {
+				tail = port
+			}
+			p.tail[port] = tail
+			word &^= uint64(b2u(last)) << bit
 		}
-		ctx.Send(port, p.pool[slot].tok.message())
-		p.head[port] = p.pool[slot].next
-		p.pool[slot].next = p.free
-		p.free = slot
+		p.busy[w] = word
 	}
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint {
+	var u uint
+	if b {
+		u = 1
+	}
+	return u
 }
 
 func (p *walkNode) Step(ctx *congest.Ctx, inbox []congest.Inbound) {

@@ -812,6 +812,10 @@ func (c *coordinator) absorbTelemetry(shard int, body []byte) error {
 			return err
 		}
 	}
+	lo, hi := c.split.Bounds(shard)
+	if wt.NodeSteps < 0 || wt.NodeSteps > int64(len(c.stats[shard]))*int64(hi-lo) {
+		return fmt.Errorf("TELEMETRY counts %d node steps in %d timed rounds of %d nodes", wt.NodeSteps, len(c.stats[shard]), hi-lo)
+	}
 	c.faults.Add(wt.Faults)
 	c.shardTel[shard] = wt
 	return nil
@@ -821,10 +825,14 @@ func (c *coordinator) absorbTelemetry(shard int, body []byte) error {
 // peer-wait rows, each round's skew (the spread of the waits: the last
 // shard ready waits least) and the congest_* rounds, a round's wall time
 // its slowest shard's; every other round of the run the skip rule jumped,
-// counted as skipped with skippedFaults, as the engine counts it.
+// counted as skipped with skippedFaults, as the engine counts it. The
+// node steps each shard's TELEMETRY counted go to the block in one add.
 func (c *coordinator) roundTimes() {
 	if !c.obsOn {
 		return
+	}
+	for _, wt := range c.shardTel {
+		c.rm.Steps(wt.NodeSteps)
 	}
 	executed := c.stats[0]
 	for r, x := 1, 0; r <= c.rounds; r++ {

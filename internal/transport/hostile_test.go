@@ -621,6 +621,10 @@ func TestHostileReplies(t *testing.T) {
 		{"REPORT skip other than shard 0's", nil, transport.FrameReport, 2, uv(2, 3), "rounds", "REPORT skips 3 rounds after round 2, shard 0 0"},
 		{"INITACK halted beyond owned", nil, transport.FrameInitAck, 1, head(0, owned+1, 0), "init", "halted 17"},
 		{"TELEMETRY row of another endpoint", nil, transport.FrameTelemetry, 1, []byte(`{"endpoint":"coord","shard":0}`), "harvest", "telemetry row of coord 0"},
+		// Without a timeline no round is timed, so a shard has no node
+		// steps to count.
+		{"TELEMETRY node steps beyond its timed rounds", nil, transport.FrameTelemetry, 1,
+			[]byte(`{"endpoint":"shard","shard":1,"peer":{"endpoint":"peer","shard":1},"node_steps":5}`), "harvest", "counts 5 node steps in 0 timed rounds"},
 	}
 	// Without a probe INITACK is empty and no REPORT is sent, and a peer's
 	// stepped flag is still held to its counts.

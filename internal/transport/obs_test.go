@@ -237,8 +237,8 @@ func TestTelemetryTraceParity(t *testing.T) {
 // one run-metrics block. A faulty spec run on the sequential engine and
 // over goroutine-mode TCP must export the same congest_* instruments —
 // the engine's per-worker busy/idle split aside — and the same
-// deterministic totals: runs, rounds, deliveries and the four fault
-// counters.
+// deterministic totals: runs, rounds, deliveries, node steps and the four
+// fault counters.
 func TestRunMetricsOneBlock(t *testing.T) {
 	spec := obsSpec()
 	spec.Workload, spec.FaultSpec, spec.FaultSeed = "walks-faults", "drop=0.1,dup=0.05,delay=0.1:2,crash=3@2+2", 4
@@ -272,7 +272,7 @@ func TestRunMetricsOneBlock(t *testing.T) {
 	}
 	for _, name := range []string{
 		"congest_runs_total", "congest_rounds_total", "congest_messages_delivered_total",
-		"congest_msgs_dropped_total", "congest_msgs_duplicated_total",
+		"congest_node_steps_total", "congest_msgs_dropped_total", "congest_msgs_duplicated_total",
 		"congest_msgs_delayed_total", "congest_node_crash_rounds_total",
 	} {
 		p, pok := proc.Counter(name)
@@ -283,6 +283,9 @@ func TestRunMetricsOneBlock(t *testing.T) {
 	}
 	if v, _ := proc.Counter("congest_msgs_dropped_total"); v == 0 {
 		t.Error("the fault plan dropped nothing: the fault counters are untested")
+	}
+	if v, _ := proc.Counter("congest_node_steps_total"); v == 0 {
+		t.Error("no node step counted")
 	}
 }
 

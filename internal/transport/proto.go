@@ -38,21 +38,26 @@ type wireSpec struct {
 
 // wireTelemetry is the JSON body of TELEMETRY: the shard's coordinator-link
 // row (Endpoint "shard", Faults its plan's totals at its owned nodes), its
-// peer links' row (Endpoint "peer", absent with one shard) and, exactly
-// when SPEC asks, its flight dump.
+// peer links' row (Endpoint "peer", absent with one shard), with a
+// timeline the Step calls its owned nodes made (congest_node_steps_total)
+// and, exactly when SPEC asks, its flight dump.
 type wireTelemetry struct {
 	WireStats
-	Peer *WireStats      `json:"peer,omitempty"`
-	Dump *flightrec.Dump `json:"flightrec,omitempty"`
+	Peer      *WireStats      `json:"peer,omitempty"`
+	NodeSteps int64           `json:"node_steps,omitempty"`
+	Dump      *flightrec.Dump `json:"flightrec,omitempty"`
 }
 
 // roundStat is one executed round as one shard saw it: the round, the wall
 // time it waited on its peers' frames, the round's wall time, and what it
 // delivered and counted of faults. With a timeline they end FINAL, a count
-// and eight uvarints each; rounds the skip rule jumped have none.
+// and eight uvarints each; rounds the skip rule jumped have none. active,
+// how many owned nodes stepped, stays at the shard: TELEMETRY carries the
+// run's sum (NodeSteps).
 type roundStat struct {
 	round, waitNS, wallNS, delivered int64
 	faults                           faults.Counts
+	active                           int64
 }
 
 // fields lists the stat's values in their wire order.

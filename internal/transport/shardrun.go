@@ -420,7 +420,7 @@ func (r *shardRuntime) step(typ byte, round int) error {
 	fc := r.s.FaultCounts() // drained where the engines drain: a quiet exit's deliver phase counts for nothing
 	r.stepHead(active, fc)
 	if r.ws.Timeline {
-		r.stats = append(r.stats, roundStat{round: int64(round), delivered: int64(r.delivered), faults: fc})
+		r.stats = append(r.stats, roundStat{round: int64(round), delivered: int64(r.delivered), faults: fc, active: int64(active)})
 	}
 	return r.sendStep(typ, round, true)
 }
@@ -593,6 +593,9 @@ func (r *shardRuntime) finish(limit bool) error {
 	}
 	r.stopWriters()
 	wt := wireTelemetry{WireStats: wireStats("shard", r.shard, r.fc.tally)}
+	for _, st := range r.stats {
+		wt.NodeSteps += st.active
+	}
 	if r.ws.FlightDump {
 		d := r.rec.Dump(flightrec.ReasonFinish)
 		wt.Dump = &d

@@ -80,9 +80,13 @@ transport-suite:
 # deliver every packet deterministically, the stitched MST must reproduce
 # Kruskal's exact edge set (the correctness contract of DESIGN.md §3's
 # decomposition section), and concurrent runs filling one hierarchy's
-# leaf route rows must each match their serial run.
+# leaf route rows must each match their serial run. The concurrency tests
+# of the scheduler and the router then run ten more times: both take
+# their working memory from sync.Pools, which the race runtime empties at
+# random, so repeats reach both the reused and the fresh paths.
 decomp-suite:
 	go test -race -timeout 600s ./internal/graph ./internal/randomwalk ./internal/pathsched ./internal/decomp ./internal/embed ./internal/route ./internal/mst ./internal/mstbase ./internal/cliquealgo
+	go test -race -count=10 -timeout 600s -run 'Concurrent' ./internal/pathsched ./internal/route
 
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...

@@ -500,7 +500,7 @@ func TestPartGoroutinesEnd(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		for _, exit := range exits {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			func() {
 				defer func() { _ = recover() }()
 				net := NewUniformNetwork(graph.Ring(16), func(v int) Program {
@@ -519,6 +519,23 @@ func TestPartGoroutinesEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for ten consecutive samples a millisecond apart (or after five
+// seconds), so a goroutine an earlier test left still exiting is not
+// counted as one a run must leave behind.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestSetWorkersSelectsEngine checks the RunUntilQuiet engine option: a

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"almostmix/internal/graph"
 )
@@ -58,26 +60,28 @@ type Result struct {
 // within the path set — this door never consults a graph, so callers
 // are responsible for paths being walks of the level they schedule on.
 //
-// It is the node-path door: two passes give every distinct ordered node
-// pair a dense link id, and the packets then run in the core
-// ScheduleBothWays shares. Finding a hop's link scans the links already
-// seen out of its from-node, so it costs that node's out-degree. The
-// working set is a fixed number of flat int32 arrays — one entry per
-// hop, a few per packet and per distinct directed link, and two per node
-// ID up to the largest one used — plus the arrivals bitset, a bit per
-// packet, that orders each round's arrivals.
+// It is the node-path door: one pass over the hops gives every distinct
+// ordered node pair a dense link id, in first-seen order, from an
+// open-addressed table keyed by the pair, and the packets then run in the
+// core ScheduleBothWays shares. The table starts at about twice the hops
+// (at most linkTableStart slots) and doubles with the distinct links
+// seen, so a call costs O(hops + packets) whatever the node-ID range. The
+// working set — the table, one link id per hop, a few int32s per packet
+// and per link, and the arrivals bitset, a bit per packet — is a
+// workspace taken from a pool and handed back, so a warm call allocates
+// nothing.
 func Schedule(paths [][]int32) Result {
 	if len(paths) > math.MaxInt32 {
 		panic(fmt.Sprintf("pathsched: %d packets overflow int32 packet ids", len(paths)))
 	}
-	// Pass 0: the node-ID range and the hop total.
-	n, hops := 0, 0
+	// Pass 0: check the IDs and count the hops, before a workspace is
+	// taken, so a rejected path set leaves the pool as it was.
+	hops := 0
 	for _, p := range paths {
 		for j, v := range p {
 			if v < 0 {
 				panic(fmt.Sprintf("pathsched: negative node id %d", v))
 			}
-			n = max(n, int(v)+1)
 			if j > 0 && v != p[j-1] {
 				hops++
 			}
@@ -87,28 +91,16 @@ func Schedule(paths [][]int32) Result {
 		panic(fmt.Sprintf("pathsched: %d hops overflow int32 offsets", hops))
 	}
 
-	// Pass 1: hops per from-node size that node's bucket of out-links (a
-	// node has at most n distinct successors, so the bucket is capped).
-	used := make([]int32, n) // hop count here, then links filled in pass 2
-	for _, p := range paths {
-		for j := 1; j < len(p); j++ {
-			if p[j] != p[j-1] {
-				used[p[j-1]]++
-			}
-		}
-	}
-	bucket := make([]int32, n+1)
-	for v, c := range used {
-		bucket[v+1] = bucket[v] + min(c, int32(n))
-		used[v] = 0
-	}
-	linkTo := make([]int32, bucket[n]) // bucket entry: the link's to-node …
-	linkID := make([]int32, bucket[n]) // … and its dense id, in first-seen order
-
-	// Pass 2: one link id per hop. Path e's run is linkOf[end[e]:end[e+1]].
-	linkOf := make([]int32, hops)
-	end := make([]int32, len(paths)+1)
-	links, h := int32(0), int32(0)
+	// Pass 1: one link id per hop, each link's crossings counted in its
+	// table slot. Path e's run is linkOf[end[e]:end[e+1]].
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	ws.table.reset(hops)
+	ws.arena = sized(ws.arena, hops)
+	ws.end = sized(ws.end, len(paths)+1)
+	linkOf, end := ws.arena, ws.end
+	end[0] = 0
+	h := int32(0)
 	res := Result{Delivered: len(paths)}
 	for e, p := range paths {
 		for j := 1; j < len(p); j++ {
@@ -116,29 +108,18 @@ func Schedule(paths [][]int32) Result {
 			if u == v {
 				continue
 			}
-			k, filled := bucket[u], bucket[u]+used[u]
-			for k < filled && linkTo[k] != v {
-				k++
-			}
-			if k == filled {
-				linkTo[k], linkID[k] = v, links
-				used[u]++
-				links++
-			}
-			linkOf[h] = linkID[k]
+			s := ws.table.slot(u, v)
+			s.crossings++
+			res.Congestion = max(res.Congestion, int(s.crossings))
+			linkOf[h] = s.id
 			h++
 		}
 		end[e+1] = h
 		res.Dilation = max(res.Dilation, int(h-end[e]))
 	}
-
-	crossings := make([]int32, links)
-	for _, l := range linkOf {
-		crossings[l]++
-		res.Congestion = max(res.Congestion, int(crossings[l]))
-	}
 	if res.Dilation > 0 {
-		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(len(paths), crossings)
+		ws.counts = sized(ws.counts, int(ws.table.links))
+		res.Makespan = (&packets{arena: linkOf, end: end}).makespan(ws, len(paths), ws.counts)
 	}
 	return res
 }
@@ -152,16 +133,21 @@ func Schedule(paths [][]int32) Result {
 // pair's half-edge, so the result is Schedule's over the node paths and
 // their reversals interleaved, none of which is built.
 //
-// It is the run door: a link is its canonical half-edge, so the
-// dense-id passes of Schedule do not run, and the queues are indexed by
-// g's half-edges.
+// It is the run door: a link is its canonical half-edge, so the link
+// table of Schedule is not used, and the queues are indexed by g's
+// half-edges. Its crossing counts and the core's buffers come from the
+// same pooled workspace as Schedule's.
 func ScheduleBothWays(g *graph.Graph, runs [][]int32) Result {
 	if len(runs) > math.MaxInt32/2 {
 		panic(fmt.Sprintf("pathsched: 2×%d packets overflow int32 packet ids", len(runs)))
 	}
 	_, twin := g.PairHalfedges()
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	ws.counts = sized(ws.counts, len(twin))
+	crossings := ws.counts
+	clear(crossings)
 	res := Result{Delivered: 2 * len(runs)}
-	crossings := make([]int32, len(twin))
 	for _, run := range runs {
 		res.Dilation = max(res.Dilation, len(run))
 		for _, l := range run {
@@ -171,9 +157,101 @@ func ScheduleBothWays(g *graph.Graph, runs [][]int32) Result {
 		}
 	}
 	if res.Dilation > 0 {
-		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(2*len(runs), crossings)
+		res.Makespan = (&packets{runs: runs, twin: twin}).makespan(ws, 2*len(runs), crossings)
 	}
 	return res
+}
+
+// workspace is the working memory of one Schedule or ScheduleBothWays
+// call. Calls take one from workspaces and hand it back when they return,
+// so concurrent calls never share one; every buffer is resized and
+// overwritten or cleared before it is read, so no result depends on an
+// earlier call.
+type workspace struct {
+	table      linkTable // Schedule's link numbering
+	arena, end []int32   // Schedule's link per hop and per-packet bounds
+	counts     []int32   // crossings per link, then the core's queue tails
+	marks      []uint64  // the core's arrivals bitset
+	queues     []int32   // the core's next, active and left arrays
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// sized returns buf with length n, reallocated only when it is too short;
+// what it holds is left for the caller to overwrite or clear.
+func sized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// linkTableStart caps the table a Schedule call starts from: a call with
+// fewer hops starts at the smallest power of two holding twice its hops,
+// and a larger one grows from here with the links it sees.
+const linkTableStart = 1 << 12
+
+// linkTable numbers ordered node pairs densely in first-seen order: an
+// open-addressed table of packed pairs with linear probing, kept at most
+// half full by doubling. slots has a power-of-two length, and a pair's
+// probe starts at the top bits of its key times a Fibonacci constant.
+type linkTable struct {
+	slots, spare []linkSlot // spare keeps the other buffer of a doubling
+	shift        uint       // 64 − log2(len(slots))
+	links        int32      // links numbered so far
+}
+
+// linkSlot is one table entry: key is the pair from<<32 | to plus one,
+// so 0 marks an empty slot.
+type linkSlot struct {
+	key       uint64
+	id        int32
+	crossings int32
+}
+
+// reset empties the table for a call of the given number of hops.
+func (t *linkTable) reset(hops int) {
+	size := 8
+	for size < 2*hops && size < linkTableStart {
+		size <<= 1
+	}
+	t.slots = sized(t.slots, size)
+	clear(t.slots)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.links = 0
+}
+
+// slot returns the entry of link u→v, numbering the link if it is new.
+func (t *linkTable) slot(u, v int32) *linkSlot {
+	key := uint64(u)<<32 | uint64(v) + 1
+	if s := t.probe(key); s.key != 0 {
+		return s
+	}
+	if 2*int(t.links+1) > len(t.slots) {
+		t.grow()
+	}
+	s := t.probe(key)
+	s.key, s.id = key, t.links
+	t.links++
+	return s
+}
+
+// probe returns key's slot, or the empty slot where it would go.
+func (t *linkTable) probe(key uint64) *linkSlot {
+	mask := len(t.slots) - 1
+	for i := int(key * 0x9e3779b97f4a7c15 >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// grow doubles the table into its spare buffer and moves every entry.
+func (t *linkTable) grow() {
+	old := t.slots
+	t.slots, t.spare = sized(t.spare, 2*len(old)), old
+	clear(t.slots)
+	t.shift--
+	for _, s := range old {
+		if s.key != 0 {
+			*t.probe(s.key) = s
+		}
+	}
 }
 
 // packets is the set of packets a schedule routes, in one of the two
@@ -215,13 +293,17 @@ func (p *packets) link(pkt int32) int32 {
 // n packets along their runs through per-link FIFO queues, links numbered
 // in [0, len(tail)), and returns the number of rounds until the last
 // arrives. tail is one entry per link that makespan overwrites: each door
-// hands it the crossing counts it has finished reading.
-func (p *packets) makespan(n int, tail []int32) int {
+// hands it the crossing counts it has finished reading, or a buffer of
+// that length. The rest of the core's working set is ws's, cleared here.
+func (p *packets) makespan(ws *workspace, n int, tail []int32) int {
 	links := len(tail)
 	lowWords := (n + 63) / 64
-	marks := make([]uint64, lowWords+(lowWords+63)/64)
-	arrived := arrivals{low: marks[:lowWords], top: marks[lowWords:]}
-	buf := make([]int32, 2*n+2*links+1)
+	ws.marks = sized(ws.marks, lowWords+(lowWords+63)/64)
+	ws.queues = sized(ws.queues, 2*n+2*links+1)
+	clear(ws.marks)
+	clear(ws.queues)
+	arrived := arrivals{low: ws.marks[:lowWords], top: ws.marks[lowWords:]}
+	buf := ws.queues
 	q := fifos{
 		next:   buf[: n+links : n+links],
 		tail:   tail,

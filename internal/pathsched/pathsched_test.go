@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -394,6 +395,9 @@ func TestScheduleBothWaysMatchesCopies(t *testing.T) {
 	}
 }
 
+// raceBuild is set in race-instrumented test binaries (race_test.go).
+var raceBuild bool
+
 // pathEnd ends a path in FuzzSchedule's byte form.
 const pathEnd = 0xff
 
@@ -465,15 +469,26 @@ func TestScheduleRejectsNegativeIDs(t *testing.T) {
 	Schedule([][]int32{{0, 1}, {2, -1}})
 }
 
-// scheduleAllocCeiling bounds the heap objects one Schedule or
-// ScheduleBothWays allocates, whatever the number of paths and hops: the
-// core's two flat arrays, the crossing counts (which the core reuses for
-// its queue tails), and either Schedule's six for its link ids or
-// ScheduleBothWays' two for the pair table — at most nine — plus slack for
-// the runtime's own allocations during the measurement.
-const scheduleAllocCeiling = 11
+// scheduleAllocCeiling bounds the heap objects one call of each door
+// allocates, whatever the number of paths and hops. A call takes its
+// working set from the package's pool and hands it back, so a warm
+// Schedule allocates nothing and a warm ScheduleBothWays only the pair
+// table g.PairHalfedges builds (its two slices): the figures measured,
+// with no slack, since they are exact counts. Under -race the runtime
+// drops a quarter of what a sync.Pool is handed, so any call may start
+// cold; there the ceiling is scheduleRaceCeiling, about a fifth above a
+// cold call (9 and 8 measured: the workspace, its buffers, a doubling of
+// the link table and the pool's own per-P array).
+var (
+	scheduleAllocCeiling = map[string]float64{"Schedule": 0, "ScheduleBothWays": 2}
+	scheduleRaceCeiling  = map[string]float64{"Schedule": 11, "ScheduleBothWays": 10}
+)
 
 func TestScheduleAllocationsAreConstant(t *testing.T) {
+	ceiling := scheduleAllocCeiling
+	if raceBuild {
+		ceiling = scheduleRaceCeiling
+	}
 	for _, nPaths := range []int{10, 1000} {
 		rng := rngutil.NewRand(13)
 		paths := genPaths(rng, 24, nPaths, 12)
@@ -482,24 +497,129 @@ func TestScheduleAllocationsAreConstant(t *testing.T) {
 			"Schedule":         func() { Schedule(paths) },
 			"ScheduleBothWays": func() { ScheduleBothWays(g, runs) },
 		} {
-			allocs := testing.AllocsPerRun(5, schedule)
-			if allocs > scheduleAllocCeiling {
-				t.Fatalf("%d paths: %v allocations per %s, ceiling %d", nPaths, allocs, name, scheduleAllocCeiling)
+			if allocs := testing.AllocsPerRun(5, schedule); allocs > ceiling[name] {
+				t.Fatalf("%d paths: %v allocations per %s, ceiling %v", nPaths, allocs, name, ceiling[name])
 			}
 		}
 	}
 }
 
-// benchMakespan keeps BenchmarkScheduleBothWays' schedules from being
-// optimised away.
+// TestScheduleCallsShareNothing: calls from one goroutine, which reuse
+// one pooled workspace, each give what the reference gives, whatever ran
+// before them. Each trial is a sequence of path sets of very different
+// sizes and node-ID ranges — large (hundreds of paths over up to 10⁵ IDs,
+// thousands of distinct links, so the link table doubles past its start),
+// small (an adversarial set over a few nodes), a large set rejected for a
+// negative node ID, then large, small and large again — each scheduled by
+// both doors.
+func TestScheduleCallsShareNothing(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := rngutil.NewRand(seed)
+		large := func() [][]int32 { return genPaths(rng, 2+rng.IntN(100_000), 300+rng.IntN(500), 12) }
+		small := func() [][]int32 { return adversarialPaths(rng) }
+		for call, gen := range []func() [][]int32{large, small, nil, large, small, large} {
+			if gen == nil {
+				bad := large()
+				bad[len(bad)-1][0] = -1 - int32(rng.IntN(10))
+				if msg := scheduleRefusal(bad); !strings.Contains(msg, "negative node id") {
+					t.Logf("seed %d call %d: negative id: panic %q", seed, call, msg)
+					return false
+				}
+				continue
+			}
+			paths := gen()
+			if got, want := Schedule(paths), refSchedule(paths); got != want {
+				t.Logf("seed %d call %d: Schedule %+v, reference %+v", seed, call, got, want)
+				return false
+			}
+			g, runs := layOnMultigraph(rng, paths)
+			if got, want := ScheduleBothWays(g, runs), refSchedule(bothWaysCopies(paths)); got != want {
+				t.Logf("seed %d call %d: ScheduleBothWays %+v, reference %+v", seed, call, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scheduleRefusal runs Schedule on paths and returns its panic message.
+func scheduleRefusal(paths [][]int32) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	Schedule(paths)
+	return ""
+}
+
+// TestScheduleConcurrentCalls runs both doors from eight goroutines at
+// once, each on its own path set, and compares every result with the
+// set's serial run: concurrent calls share no working memory.
+func TestScheduleConcurrentCalls(t *testing.T) {
+	const goroutines, calls = 8, 20
+	type input struct {
+		paths [][]int32
+		g     *graph.Graph
+		runs  [][]int32
+		want  [2]Result
+	}
+	inputs := make([]input, goroutines)
+	for i := range inputs {
+		rng := rngutil.NewRand(uint64(40 + i))
+		in := &inputs[i]
+		in.paths = genPaths(rng, 2+rng.IntN(1_000), 10+rng.IntN(300), 12)
+		in.g, in.runs = layOnMultigraph(rng, in.paths)
+		in.want = [2]Result{Schedule(in.paths), ScheduleBothWays(in.g, in.runs)}
+	}
+	var wg sync.WaitGroup
+	for i := range inputs {
+		wg.Add(1)
+		go func(in *input) {
+			defer wg.Done()
+			for range calls {
+				if got := [2]Result{Schedule(in.paths), ScheduleBothWays(in.g, in.runs)}; got != in.want {
+					t.Errorf("concurrent %+v, serial %+v", got, in.want)
+					return
+				}
+			}
+		}(&inputs[i])
+	}
+	wg.Wait()
+}
+
+// benchMakespan keeps the benchmarks' schedules from being optimised
+// away.
 var benchMakespan int
 
-// BenchmarkScheduleBothWays times one overlay round's schedule, in ns per
-// hop of both directions, on the runs of lazy walks kept the way the
-// overlay builders keep them: cluster is a 10-node G0 like build-clusters'
-// clusters (an 8-clique with a 2-node tail), rr32d8 the G0 of rr(32, 8)
-// that build-expander builds, and long512 a 512-node lollipop's walks of
-// 2 048 steps, the long, congested runs of cmd/routing's G0.
+// BenchmarkSchedule times the node-path door in ns per hop. leaf is the
+// router's leaf batch: 40 packets, about 50 hops, over a 384-node ID
+// range of 48 parts of 8, each path one or two hops inside one part.
+func BenchmarkSchedule(b *testing.B) {
+	rng := rngutil.NewRand(5)
+	paths := make([][]int32, 40)
+	hops := 0
+	for i := range paths {
+		part := int32(8 * rng.IntN(48))
+		p := []int32{part + int32(rng.IntN(8))}
+		for range 1 + rng.IntN(4)/3 {
+			v := part + int32(rng.IntN(7))
+			if v >= p[len(p)-1] {
+				v++
+			}
+			p = append(p, v)
+			hops++
+		}
+		paths[i] = p
+	}
+	b.Run("leaf", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			benchMakespan = Schedule(paths).Makespan
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
+	})
+}
+
 func BenchmarkScheduleBothWays(b *testing.B) {
 	for _, bc := range []struct {
 		name  string

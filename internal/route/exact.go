@@ -53,6 +53,7 @@ func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	if err != nil {
 		return nil, nil, err
 	}
+	defer r.release()
 	r.trace = make([][]traversal, len(reqs))
 	// The traced preparation records its walks, so the physical prefix of
 	// each packet's journey is part of the exact schedule.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/cost"
@@ -77,11 +78,11 @@ type Report struct {
 // writes lives here; the hierarchy it reads is shared, and the only part of
 // it a run may extend is the leaf overlay's route rows (embed.RouteRow),
 // which are published atomically — so concurrent runs on one hierarchy
-// share the structure and the rows and nothing else.
+// share the structure and the rows and nothing else. The report and its
+// ledger are fresh per run; the working memory is a scratch taken from a
+// pool when the run starts and handed back when it ends (release).
 type router struct {
 	h      *embed.Hierarchy
-	cur    []int32 // packet -> current virtual node
-	dst    []int32 // packet -> destination virtual node
 	rng    *rand.Rand
 	report *Report
 	// trace, when non-nil, records every overlay-edge traversal per
@@ -100,16 +101,28 @@ type router struct {
 	recSpan  *cost.Span
 	hopSpans []*cost.Span
 	leafSpan *cost.Span
-	// Scratch reused across the recursion. levels[l] belongs to the route
-	// call at level l: the recursion is depth-first and a level's phase A
-	// has returned before its phase B starts, so one frame per level is
-	// never in use twice. paths and arena hold one leaf batch: arena backs
-	// every path of the batch and is rewound at the next one.
-	levels []levelScratch
-	paths  [][]int32
-	arena  []int32
-	loads  []int32
+	*scratch
 }
+
+// scratch is a run's working memory, pooled across runs: its slices keep
+// their capacity from run to run, and every entry is written before it is
+// read, so no result depends on an earlier run. cur and dst map each
+// packet to its current and destination virtual node, and pkts lists the
+// packets the recursion starts from. levels[l] belongs to the route call
+// at level l: the recursion is depth-first and a level's phase A has
+// returned before its phase B starts, so one frame per level is never in
+// use twice. paths and arena hold one leaf batch: arena backs every path
+// of the batch and is rewound at the next one. loads is maxEdgeLoad's.
+type scratch struct {
+	cur, dst []int32
+	pkts     []int
+	levels   []levelScratch
+	paths    [][]int32
+	arena    []int32
+	loads    []int32
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // levelScratch is one recursion level's working set: the phase A target
 // of every packet, and for the crossing packets (in packet order) the
@@ -145,6 +158,7 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	r.probe = probe
 
 	r.prepare(reqs, src)
@@ -166,30 +180,41 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 }
 
 // newRouter builds the shared run state of Route/RouteExact: packet
-// positions, destination lookups, and a fresh cost ledger rooted at a
-// base-round "route" span.
+// destinations, a scratch from the pool, and a fresh cost ledger rooted
+// at a base-round "route" span. The caller hands the scratch back with
+// release once the run is over; an error here has released it already.
 func newRouter(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*router, error) {
 	led := cost.New("route", "base rounds")
+	sc := scratches.Get().(*scratch)
+	sc.cur = slices.Grow(sc.cur[:0], len(reqs))[:len(reqs)]
+	sc.dst = slices.Grow(sc.dst[:0], len(reqs))[:len(reqs)]
+	sc.levels = slices.Grow(sc.levels[:0], h.Levels)[:h.Levels]
 	r := &router{
 		h:   h,
-		cur: make([]int32, len(reqs)),
-		dst: make([]int32, len(reqs)),
 		rng: src.Stream("route", 0),
 		led: led,
 		report: &Report{
 			HopG0Rounds: make([]int, h.Levels),
 			Costs:       led,
 		},
-		levels: make([]levelScratch, h.Levels),
+		scratch: sc,
 	}
 	for i, req := range reqs {
 		if req.DstIndex < 0 || req.DstIndex >= h.VM.DegreeOf(req.DstNode) {
+			r.release()
 			return nil, fmt.Errorf("route: request %d: node %d has no virtual index %d",
 				i, req.DstNode, req.DstIndex)
 		}
 		r.dst[i] = h.VM.VID(req.DstNode, req.DstIndex)
 	}
 	return r, nil
+}
+
+// release hands the run's scratch back to the pool. The router must not
+// be used after it.
+func (r *router) release() {
+	scratches.Put(r.scratch)
+	r.scratch = nil
 }
 
 // chargePrep records the preparation walks as the ledger's prep span.
@@ -214,11 +239,11 @@ func (r *router) runRecursion() (int, error) {
 	r.leafSpan = r.recSpan.NewChild("leaf-movement",
 		roundsUnit[r.h.Levels], r.h.EmulationToG0(r.h.Levels))
 
-	pkts := make([]int, len(r.cur))
-	for i := range pkts {
-		pkts[i] = i
+	r.pkts = slices.Grow(r.pkts[:0], len(r.cur))[:len(r.cur)]
+	for i := range r.pkts {
+		r.pkts[i] = i
 	}
-	g0Cost, err := r.route(0, pkts, r.dst)
+	g0Cost, err := r.route(0, r.pkts, r.dst)
 	if err != nil {
 		return 0, err
 	}

@@ -24,13 +24,19 @@
 // node's tokens off the histogram. Any other run takes the touched-list
 // step, which lists the arcs it loads and sweeps nothing; both give the
 // same result to the bit. Every walk loop, the replay's included, picks a
-// hop by one masked rule (draws.pick), with no branch on the draw.
+// hop by one masked rule (draws.pick), with no branch on the draw. Both
+// steps hash their draws a chunk of 512 walks at a time
+// (rngutil.Column.Fill, eight walks per instruction where the CPU has
+// AVX-512) and take their working memory from a package pool; the
+// replay, which takes few draws of each walk at a time, draws through a
+// counter per walk.
 package randomwalk
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"sync"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/graph"
@@ -158,6 +164,34 @@ type stepper struct {
 	// bucketEnd and bucketTok are the correlated step's counting sort,
 	// reused across steps.
 	bucketEnd, bucketTok []int32
+	// draws is an independent step's chunk of draws, hashed a column at a
+	// time by rngutil.Column.Fill.
+	draws *[drawChunk]uint64
+}
+
+// drawChunk is how many draws an independent step hashes per pass: 4 KiB,
+// which stays in L1 while the step's loop reads it back.
+const drawChunk = 512
+
+// workspace is a run's working memory: the int32 slab the stepper's
+// arrays are cut from and the draw chunk. Run takes one from workspaces
+// and hands it back when it returns; nothing in a Result points into it.
+type workspace struct {
+	slab  []int32
+	draws [drawChunk]uint64
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// int32s returns the slab cut to n zeroed entries, grown when it is
+// shorter.
+func (ws *workspace) int32s(n int) []int32 {
+	if cap(ws.slab) < n {
+		ws.slab = make([]int32, n)
+	}
+	ws.slab = ws.slab[:n]
+	clear(ws.slab)
+	return ws.slab
 }
 
 // cross moves one token from v over half-edge p and returns its new node.
@@ -174,13 +208,14 @@ func (st *stepper) cross(v, p int32) int32 {
 }
 
 // stepIndependent advances every token step s+1 in place, each by its own
-// draw, and keeps the touched list and tokensAt as it goes, with no branch
-// on the draw: pick's mask selects the token's arc, or the spare slot
-// hist[2m] for a stay, and each token adds one count there. The slot is
-// written to the end of the touched list every time and kept only when it
-// is an arc's first count of the step, so the spare slot is never listed.
-// tokensAt moves a count from the node left to the node reached, the same
-// node for a stay.
+// draw, and keeps the touched list and tokensAt as it goes. It hashes the
+// step's draws a chunk at a time (rngutil.Column.Fill) and reads each
+// token's from the chunk, with no branch on the draw: pick's mask selects
+// the token's arc, or the spare slot hist[2m] for a stay, and each token
+// adds one count there. The slot is written to the end of the touched
+// list every time and kept only when it is an arc's first count of the
+// step, so the spare slot is never listed. tokensAt moves a count from the
+// node left to the node reached, the same node for a stay.
 func (st *stepper) stepIndependent(d draws, at []int32, s int) {
 	start, half, hist, touched, tokensAt := st.start, st.half, st.hist, st.touched, st.tokensAt
 	spare := int32(len(half))
@@ -189,18 +224,23 @@ func (st *stepper) stepIndependent(d draws, at []int32, s int) {
 	}
 	listed := st.nTouched
 	col := rngutil.MixColumn(d.key, uint64(s))
-	for i, v := range at {
-		lo := start[v]
-		slot, move := d.pick(col.At(uint64(i)), uint64(start[v+1]-lo))
-		h := half[(lo+int32(slot))&move]
-		to := v ^ (v^h.To)&move
-		bin := spare ^ (spare^h.Arc)&move
-		touched[listed] = bin
-		listed += int(uint32(hist[bin]-1) >> 31 & uint32(move)) // a moving token's first count on its arc
-		hist[bin]++
-		tokensAt[v]--
-		tokensAt[to]++
-		at[i] = to
+	for i0 := 0; i0 < len(at); i0 += drawChunk {
+		chunk := at[i0:min(i0+drawChunk, len(at))]
+		x := st.draws[:len(chunk)]
+		col.Fill(x, uint64(i0))
+		for i, v := range chunk {
+			lo := start[v]
+			slot, move := d.pick(x[i], uint64(start[v+1]-lo))
+			h := half[(lo+int32(slot))&move]
+			to := v ^ (v^h.To)&move
+			bin := spare ^ (spare^h.Arc)&move
+			touched[listed] = bin
+			listed += int(uint32(hist[bin]-1) >> 31 & uint32(move)) // a moving token's first count on its arc
+			hist[bin]++
+			tokensAt[v]--
+			tokensAt[to]++
+			chunk[i] = to
+		}
 	}
 	st.nTouched = listed
 }
@@ -235,10 +275,11 @@ var (
 )
 
 // stepDense advances every token step s+1 in place, each by its own draw,
-// with no branch on the draw: pick's mask selects the half-edge or the
-// stay, and each token adds one count to the histogram — its arc's slot or
-// its node's stay slot. The loads and tokensAt are read off afterwards by
-// settle.
+// read from a chunk of the step's draws hashed a column at a time
+// (rngutil.Column.Fill), with no branch on the draw: pick's mask selects
+// the half-edge or the stay, and each token adds one count to the
+// histogram — its arc's slot or its node's stay slot. The loads and
+// tokensAt are read off afterwards by settle.
 func (st *stepper) stepDense(d draws, at []int32, s int) {
 	start, half, hist := st.start, st.half, st.hist
 	stay := int32(len(half)) // node v's stay slot is hist[2m+v]
@@ -246,14 +287,19 @@ func (st *stepper) stepDense(d draws, at []int32, s int) {
 		half = noHalf
 	}
 	col := rngutil.MixColumn(d.key, uint64(s))
-	for i, v := range at {
-		lo := start[v]
-		slot, move := d.pick(col.At(uint64(i)), uint64(start[v+1]-lo))
-		h := half[(lo+int32(slot))&move]
-		to := v ^ (v^h.To)&move
-		bin := stay + v
-		hist[bin^(bin^h.Arc)&move]++
-		at[i] = to
+	for i0 := 0; i0 < len(at); i0 += drawChunk {
+		chunk := at[i0:min(i0+drawChunk, len(at))]
+		x := st.draws[:len(chunk)]
+		col.Fill(x, uint64(i0))
+		for i, v := range chunk {
+			lo := start[v]
+			slot, move := d.pick(x[i], uint64(start[v+1]-lo))
+			h := half[(lo+int32(slot))&move]
+			to := v ^ (v^h.To)&move
+			bin := stay + v
+			hist[bin^(bin^h.Arc)&move]++
+			chunk[i] = to
+		}
 	}
 }
 
@@ -338,14 +384,15 @@ func (st *stepper) stepCorrelated(kind spectral.WalkKind, at []int32, twoDelta i
 }
 
 // RunAllocCeiling is the heap objects one Run without a Probe allocates,
-// whatever the number of walks and steps: the result, the endpoints (with
-// the sources' copy when recording), the per-step loads and one int32
-// scratch array for the step state — the histogram, tokensAt and, for a
-// touched-list or correlated step, its lists. A Probe adds its occupancy
-// and int64 edge-load copies. The walks read the graph's own CSR
-// (graph.Graph.CSR) and copy none of it, and keep nothing per step. The
-// package's allocation test holds Run to this figure.
-const RunAllocCeiling = 5
+// whatever the number of walks and steps, once the package's workspace
+// pool holds a slab large enough: the result, the endpoints (with the
+// sources' copy when recording) and the per-step loads, which the caller
+// keeps. The step state — the histogram, tokensAt, a touched-list or
+// correlated step's lists and the draw chunk — comes from the pool. A
+// Probe adds its occupancy and int64 edge-load copies. The walks read the
+// graph's own CSR (graph.Graph.CSR) and copy none of it, and keep nothing
+// per step. The package's allocation test holds Run to this figure.
+const RunAllocCeiling = 3
 
 // Run executes one walk from each entry of sources (sources[i] = start
 // node of walk i) for cfg.Steps parallel steps, and returns endpoints,
@@ -401,8 +448,8 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 		res.draws = draws{key: rng.Uint64(), lazy: cfg.Kind == spectral.Lazy, twoDelta: uint64(twoDelta)}
 	}
 
-	// One int32 allocation: the histogram (with n stay slots for a dense
-	// step, one spare for a touched-list step), tokensAt, then a
+	// One int32 slab from the pool: the histogram (with n stay slots for a
+	// dense step, one spare for a touched-list step), tokensAt, then a
 	// touched-list step's list — one entry more than it lists, for the
 	// slot written past its end — and a correlated step's buckets.
 	n, nArcs := g.N(), 2*g.M()
@@ -413,13 +460,16 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 	if cfg.Correlated {
 		nBucket = n + nWalks
 	}
-	scratch := make([]int32, nHist+n+nTouched+nBucket)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	scratch := ws.int32s(nHist + n + nTouched + nBucket)
 	start, half := g.CSR()
 	st := &stepper{
 		start:       start,
 		half:        half,
 		hist:        scratch[:nHist:nHist],
 		tokensAt:    scratch[nHist : nHist+n : nHist+n],
+		draws:       &ws.draws,
 		ratioDegree: 1,
 	}
 	rest := scratch[nHist+n:]

@@ -514,12 +514,25 @@ func panicMessage(f func()) (msg string) {
 	return ""
 }
 
+// raceBuild is set in race-instrumented test binaries (race_test.go).
+var raceBuild bool
+
+// runRaceCeiling is RunAllocCeiling under -race, where the runtime drops a
+// quarter of what a sync.Pool is handed, so any Run may start cold: a
+// fifth above a cold Run, which adds the workspace and its slab to the
+// three objects of a warm one.
+const runRaceCeiling = 6
+
 // TestRunAllocationsAreConstant holds both steps to RunAllocCeiling: on
 // rr(64, 6), k = 1 is 384 walks on 448 histogram slots (the touched-list
 // step) and k = 16 is the dense step.
 func TestRunAllocationsAreConstant(t *testing.T) {
 	g := graph.RandomRegular(64, 6, rngutil.NewRand(7))
 	rng := rngutil.NewRand(8)
+	ceiling := float64(RunAllocCeiling)
+	if raceBuild {
+		ceiling = runRaceCeiling
+	}
 	for _, cfg := range []Config{
 		{Kind: spectral.Lazy, Steps: 20, Record: true},
 		{Kind: spectral.Regular, Steps: 20, Record: true},
@@ -528,8 +541,8 @@ func TestRunAllocationsAreConstant(t *testing.T) {
 		for _, k := range []int{1, 16} {
 			sources := SourcesPerNode(UniformCountTimesDegree(g, k))
 			allocs := testing.AllocsPerRun(5, func() { Run(g, sources, cfg, rng) })
-			if allocs > RunAllocCeiling {
-				t.Fatalf("%+v, k=%d: %v allocations per Run, ceiling %d", cfg, k, allocs, RunAllocCeiling)
+			if allocs > ceiling {
+				t.Fatalf("%+v, k=%d: %v allocations per Run, ceiling %v", cfg, k, allocs, ceiling)
 			}
 		}
 	}

@@ -82,7 +82,33 @@ func MixColumn(key, b uint64) Column {
 func (c Column) At(a uint64) uint64 { return finalize(c.state(a)) }
 
 // state is stream a's SplitMix64 state at the column's position.
-func (c Column) state(a uint64) uint64 { return (c.key ^ a*0xd1342543de82ef95) + c.b }
+func (c Column) state(a uint64) uint64 { return (c.key ^ a*streamHash) + c.b }
+
+// streamHash is the odd multiplier that spreads a stream index a over the
+// state.
+const streamHash = 0xd1342543de82ef95
+
+// Fill writes the draws of consecutive streams, dst[j] = c.At(a0+j), the
+// same values to the bit. Where the CPU has AVX-512F and AVX-512DQ
+// (amd64, detected once when the package loads) it hashes eight streams
+// per instruction, fillVector; the streams past the last whole eight, and
+// every stream on any other CPU, take the scalar loop, fillScalar, which
+// is At itself and the reference the vector loop is tested against.
+func (c Column) Fill(dst []uint64, a0 uint64) {
+	if hasFillVector {
+		n := len(dst) &^ 7
+		fillVector(c, dst[:n], a0)
+		dst, a0 = dst[n:], a0+uint64(n)
+	}
+	c.fillScalar(dst, a0)
+}
+
+// fillScalar is Fill one stream at a time.
+func (c Column) fillScalar(dst []uint64, a0 uint64) {
+	for j := range dst {
+		dst[j] = c.At(a0 + uint64(j))
+	}
+}
 
 // A Counter is one stream's draws from a column's position on. A loop that
 // takes many consecutive draws of one stream takes its counter once: each

@@ -1,6 +1,7 @@
 package rngutil
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +142,106 @@ func TestPermUniformityRough(t *testing.T) {
 		if c < 800 || c > 1200 {
 			t.Fatalf("slot %d count %d far from 1000", i, c)
 		}
+	}
+}
+
+// fillLoops are Fill's two loops, called directly: the vector loop fills
+// the whole eights only, as Fill calls it, and the rest is left to the
+// scalar one.
+var fillLoops = []struct {
+	name string
+	fill func(c Column, dst []uint64, a0 uint64)
+}{
+	{"vector", func(c Column, dst []uint64, a0 uint64) {
+		n := len(dst) &^ 7
+		fillVector(c, dst[:n], a0)
+		c.fillScalar(dst[n:], a0+uint64(n))
+	}},
+	{"scalar", Column.fillScalar},
+}
+
+// skipVector skips the vector half of a test where fillVector does not
+// run.
+func skipVector(t testing.TB, name string) {
+	if name == "vector" && !hasFillVector {
+		t.Skip("this CPU has no AVX-512F and AVX-512DQ, or the OS does not save the ZMM state: Fill takes the scalar loop only")
+	}
+}
+
+// fillMatches reports the first j at which a loop's fill of n draws of
+// the column (key, b) from stream a0 differs from Column.At, from the
+// same stream's Counter.Next at b, or from Fill itself.
+func fillMatches(fill func(Column, []uint64, uint64), key, b, a0 uint64, n int) error {
+	c := MixColumn(key, b)
+	got, viaFill := make([]uint64, n), make([]uint64, n)
+	fill(c, got, a0)
+	c.Fill(viaFill, a0)
+	for j, x := range got {
+		a := a0 + uint64(j)
+		counter := c.Counter(a)
+		switch {
+		case x != c.At(a):
+			return fmt.Errorf("key %#x, b %d, a0 %#x, n %d: dst[%d] = %#x, At %#x", key, b, a0, n, j, x, c.At(a))
+		case x != counter.Next():
+			return fmt.Errorf("key %#x, b %d, a0 %#x, n %d: dst[%d] = %#x differs from Counter.Next", key, b, a0, n, j, x)
+		case x != viaFill[j]:
+			return fmt.Errorf("key %#x, b %d, a0 %#x, n %d: dst[%d] = %#x, Fill %#x", key, b, a0, n, j, x, viaFill[j])
+		}
+	}
+	return nil
+}
+
+// TestColumnFillMatchesAt: both loops of Fill give Column.At's draws for
+// every length up to 1 100 (whole eights and not), at random keys,
+// positions and first streams, and at first streams near 2⁶⁴, where the
+// lanes' stream indices wrap.
+func TestColumnFillMatchesAt(t *testing.T) {
+	for _, loop := range fillLoops {
+		t.Run(loop.name, func(t *testing.T) {
+			skipVector(t, loop.name)
+			r := NewRand(5)
+			for n := 0; n <= 1100; n++ {
+				a0 := r.Uint64()
+				if n%3 == 0 {
+					a0 = -uint64(r.IntN(2*n + 1)) // within 2n streams of 2⁶⁴
+				}
+				if err := fillMatches(loop.fill, r.Uint64(), r.Uint64N(1<<20), a0, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzColumnFill: both loops of Fill give Column.At's draws at any key,
+// position, first stream and length (up to 2 048).
+func FuzzColumnFill(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint16(0))
+	f.Add(uint64(1), uint64(3), uint64(1<<63), uint16(9))
+	f.Add(uint64(0xdeadbeef), uint64(19), ^uint64(0)-12, uint16(64))
+	f.Fuzz(func(t *testing.T, key, b, a0 uint64, n uint16) {
+		for _, loop := range fillLoops {
+			if loop.name == "vector" && !hasFillVector {
+				continue
+			}
+			if err := fillMatches(loop.fill, key, b, a0, int(n%2049)); err != nil {
+				t.Fatalf("%s: %v", loop.name, err)
+			}
+		}
+	})
+}
+
+// BenchmarkColumnFill times each loop of Fill in ns per draw over one
+// walk step's chunk of 512 draws.
+func BenchmarkColumnFill(b *testing.B) {
+	for _, loop := range fillLoops {
+		b.Run(loop.name, func(b *testing.B) {
+			skipVector(b, loop.name)
+			c, dst := MixColumn(7, 3), make([]uint64, 512)
+			for i := range b.N {
+				loop.fill(c, dst, uint64(i)*uint64(len(dst)))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/draw")
+		})
 	}
 }

@@ -28,9 +28,11 @@ fmt:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# The second line vets the packages with an assembly body for amd64
-# (rngutil's column fill, and randomwalk over it) as built for arm64, so
-# the portable fallback and its build tags compile on every run.
+# The second line vets the two packages with an assembly body for amd64
+# (rngutil's column fill and randomwalk's move kernel) as built for arm64,
+# so both portable fallbacks and their build tags compile on every run;
+# the first line's asmdecl check holds both assembly frames to their Go
+# declarations.
 vet:
 	go vet ./...
 	GOARCH=arm64 go vet ./internal/rngutil ./internal/randomwalk
@@ -123,6 +125,7 @@ bench-scale:
 
 # Continuous fuzzing of the simulator's round engines, of the wire
 # parsers, of the walk engine's dense step against its touched-list step,
+# of the walk move pass's assembly kernel against its scalar loop,
 # of the walk node program's queues against their reference and of the
 # path scheduler's two doors against its reference (30s each; the committed f.Add corpora always run as part of
 # `make test`). go test -fuzz takes one target of one package at a time.
@@ -134,5 +137,6 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzStepSection -fuzztime 30s ./internal/transport
 	go test -run '^$$' -fuzz FuzzPayload -fuzztime 30s ./internal/transport/workloads
 	go test -run '^$$' -fuzz FuzzRunSteps -fuzztime 30s ./internal/randomwalk
+	go test -run '^$$' -fuzz FuzzMoveVector -fuzztime 30s ./internal/randomwalk
 	go test -run '^$$' -fuzz FuzzWalkPrograms -fuzztime 30s ./internal/randomwalk
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 30s ./internal/pathsched

@@ -16,18 +16,22 @@
 // same pass, running them backwards (the paper's mechanism for turning
 // walk endpoints into usable overlay edges).
 //
-// A step counts its tokens in one int32 histogram of the arcs. A run with
-// at least as many independent walks as 2m arcs plus n nodes takes the
-// dense step: every token, moving or not, adds one count — to its arc or
-// to its node's stay slot — chosen by masks rather than by a branch on its
-// draw, and one sweep of the CSR after the step reads the loads and each
-// node's tokens off the histogram. Any other run takes the touched-list
-// step, which lists the arcs it loads and sweeps nothing; both give the
-// same result to the bit. Every walk loop, the replay's included, picks a
-// hop by one masked rule (draws.pick), with no branch on the draw. Both
-// steps hash their draws a chunk of 512 walks at a time
-// (rngutil.Column.Fill, eight walks per instruction where the CPU has
-// AVX-512) and take their working memory from a package pool; the
+// A step counts its tokens in one int32 histogram: 2m arc slots and n
+// stay slots, one per node. Every token, moving or not, adds one count —
+// to its arc or to its node's stay slot — chosen by masks rather than by a
+// branch on its draw. A run with at least as many independent walks as
+// slots takes the dense step, and one sweep of the CSR after the step
+// reads the loads and each node's tokens off the histogram. Any other run
+// takes the touched-list step, which lists the arcs it loads and sweeps
+// nothing; both give the same result to the bit. Every walk loop, the
+// replay's included, picks a hop by one masked rule (draws.pick), with no
+// branch on the draw. Both steps take a chunk of 512 walks at a time in
+// three passes: hash the draws (rngutil.Column.Fill), move the tokens —
+// each one's next node and bin, by draws.pick's rule — and count them.
+// Where the CPU has AVX-512F and AVX-512DQ the first two run eight walks
+// per instruction, the move pass in an assembly kernel (moveVector) with
+// gathers for the CSR lookups, held to the scalar loop (moveScalar) by
+// tests. Both steps take their working memory from a package pool; the
 // replay, which takes few draws of each walk at a time, draws through a
 // counter per walk.
 package randomwalk
@@ -141,6 +145,25 @@ func (d draws) pick(x, deg uint64) (slot uint64, move int32) {
 	return slot, -int32(moves)
 }
 
+// moveScalar is a step's move pass one token at a time: by pick's rule
+// and draw x[i], to[i] is the node the token at at[i] reaches and bin[i]
+// its histogram bin — the arc it crosses or, when it stays, its node's
+// stay slot stay+at[i]. The CSR is indexed with (lo+slot)&move, so a stay
+// reads half-edge 0 and the mask selects; half must not be empty, and to
+// may be at itself. It is the reference moveVector is held to lane by
+// lane, the pass past a chunk's last whole eight, and the whole pass where
+// moveVector does not run.
+func moveScalar(start []int32, half []graph.Halfedge, d draws, stay int32, x []uint64, at, to, bin []int32) {
+	x, to, bin = x[:len(at)], to[:len(at)], bin[:len(at)] // no bounds check per token
+	for i, v := range at {
+		lo := start[v]
+		slot, move := d.pick(x[i], uint64(start[v+1]-lo))
+		h := half[(lo+int32(slot))&move]
+		to[i] = v ^ (v^h.To)&move
+		bin[i] = (stay + v) ^ (stay+v^h.Arc)&move
+	}
+}
+
 // stepper is the state the per-step loops share.
 type stepper struct {
 	// start and half are the graph's CSR (graph.Graph.CSR).
@@ -148,8 +171,7 @@ type stepper struct {
 	half  []graph.Halfedge
 	// hist counts this step's tokens by where they went: hist[arc] the
 	// crossings of a directed edge and hist[2m+v] the tokens that stayed at
-	// node v in a dense step; a touched-list step's stays all go to the
-	// spare slot hist[2m].
+	// node v.
 	hist []int32
 	// touched[:nTouched] lists the non-zero arcs of a touched-list step,
 	// so they can be read and cleared without sweeping all 2m.
@@ -165,20 +187,24 @@ type stepper struct {
 	// reused across steps.
 	bucketEnd, bucketTok []int32
 	// draws is an independent step's chunk of draws, hashed a column at a
-	// time by rngutil.Column.Fill.
-	draws *[drawChunk]uint64
+	// time by rngutil.Column.Fill, and next and bins are the chunk's move
+	// pass: each token's next node and histogram bin.
+	draws      *[drawChunk]uint64
+	next, bins *[drawChunk]int32
 }
 
-// drawChunk is how many draws an independent step hashes per pass: 4 KiB,
-// which stays in L1 while the step's loop reads it back.
+// drawChunk is how many tokens an independent step moves per pass: 4 KiB
+// of draws and 2 KiB each of next nodes and bins, which stay in L1 while
+// the count pass reads them back.
 const drawChunk = 512
 
 // workspace is a run's working memory: the int32 slab the stepper's
-// arrays are cut from and the draw chunk. Run takes one from workspaces
+// arrays are cut from and the chunk arrays. Run takes one from workspaces
 // and hands it back when it returns; nothing in a Result points into it.
 type workspace struct {
-	slab  []int32
-	draws [drawChunk]uint64
+	slab       []int32
+	draws      [drawChunk]uint64
+	next, bins [drawChunk]int32
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -207,35 +233,45 @@ func (st *stepper) cross(v, p int32) int32 {
 	return h.To
 }
 
-// stepIndependent advances every token step s+1 in place, each by its own
-// draw, and keeps the touched list and tokensAt as it goes. It hashes the
-// step's draws a chunk at a time (rngutil.Column.Fill) and reads each
-// token's from the chunk, with no branch on the draw: pick's mask selects
-// the token's arc, or the spare slot hist[2m] for a stay, and each token
-// adds one count there. The slot is written to the end of the touched
-// list every time and kept only when it is an arc's first count of the
-// step, so the spare slot is never listed. tokensAt moves a count from the
-// node left to the node reached, the same node for a stay.
-func (st *stepper) stepIndependent(d draws, at []int32, s int) {
-	start, half, hist, touched, tokensAt := st.start, st.half, st.hist, st.touched, st.tokensAt
-	spare := int32(len(half))
+// move is a step's move pass over one chunk of tokens at, by the chunk's
+// draws x: to[i] and bin[i] as moveScalar gives them. Where moveVector runs
+// it takes the chunk's whole eights, and moveScalar the rest.
+func (st *stepper) move(d draws, x []uint64, at, to, bin []int32) {
+	half, stay, n := st.half, int32(len(st.half)), 0
 	if len(half) == 0 {
 		half = noHalf
 	}
+	if hasMoveVector {
+		n = len(at) &^ 7
+		moveVector(st.start, half, d, stay, x[:n], at[:n], to[:n], bin[:n])
+	}
+	moveScalar(st.start, half, d, stay, x[n:], at[n:], to[n:], bin[n:])
+}
+
+// stepIndependent advances every token step s+1 in place, each by its own
+// draw, and keeps the touched list and tokensAt as it goes. Per chunk of
+// tokens it hashes their draws (rngutil.Column.Fill), moves them into the
+// next and bins chunks (move: the node reached and the arc crossed, or the
+// node's stay slot) and then counts them, with no branch on the draw: each
+// token adds one count to its bin and writes the bin to the end of the
+// touched list, keeping it only when the bin is an arc (below 2m) and this
+// is its first count of the step, so no stay slot is ever listed. tokensAt
+// moves a count from the node left to the node reached, the same node for
+// a stay.
+func (st *stepper) stepIndependent(d draws, at []int32, s int) {
+	hist, touched, tokensAt := st.hist, st.touched, st.tokensAt
+	stay := int32(len(st.half))
 	listed := st.nTouched
 	col := rngutil.MixColumn(d.key, uint64(s))
 	for i0 := 0; i0 < len(at); i0 += drawChunk {
 		chunk := at[i0:min(i0+drawChunk, len(at))]
-		x := st.draws[:len(chunk)]
+		x, next, bins := st.draws[:len(chunk)], st.next[:len(chunk)], st.bins[:len(chunk)]
 		col.Fill(x, uint64(i0))
+		st.move(d, x, chunk, next, bins)
 		for i, v := range chunk {
-			lo := start[v]
-			slot, move := d.pick(x[i], uint64(start[v+1]-lo))
-			h := half[(lo+int32(slot))&move]
-			to := v ^ (v^h.To)&move
-			bin := spare ^ (spare^h.Arc)&move
+			to, bin := next[i], bins[i]
 			touched[listed] = bin
-			listed += int(uint32(hist[bin]-1) >> 31 & uint32(move)) // a moving token's first count on its arc
+			listed += int(uint32((hist[bin]-1)&(bin-stay)) >> 31) // an arc's first count
 			hist[bin]++
 			tokensAt[v]--
 			tokensAt[to]++
@@ -246,9 +282,10 @@ func (st *stepper) stepIndependent(d draws, at []int32, s int) {
 }
 
 // tally reads a touched-list step's loads off the listed arcs and clears
-// them, and the spare stay slot with them: the most loaded arc (at least
-// one round, even if every token stayed) and the hop count. With edgeLoad
-// non-nil it also writes every arc's load there for the probe.
+// them, and the n stay slots with them: the most loaded arc (at least one
+// round, even if every token stayed) and the hop count. With edgeLoad
+// non-nil it also writes every arc's load there for the probe. Clearing
+// the stay slots is O(n) per step, the order of noteOccupancy's sweep.
 func (st *stepper) tally(edgeLoad []int64) (maxLoad, hops int) {
 	clear(edgeLoad)
 	maxLoad = 1
@@ -261,7 +298,7 @@ func (st *stepper) tally(edgeLoad []int64) (maxLoad, hops int) {
 		}
 		st.hist[a] = 0
 	}
-	st.hist[len(st.half)] = 0
+	clear(st.hist[len(st.half):])
 	st.nTouched = 0
 	return maxLoad, hops
 }
@@ -274,31 +311,22 @@ var (
 	noCanon = []int32{0}
 )
 
-// stepDense advances every token step s+1 in place, each by its own draw,
-// read from a chunk of the step's draws hashed a column at a time
-// (rngutil.Column.Fill), with no branch on the draw: pick's mask selects
-// the half-edge or the stay, and each token adds one count to the
-// histogram — its arc's slot or its node's stay slot. The loads and
-// tokensAt are read off afterwards by settle.
+// stepDense advances every token step s+1 in place, each by its own draw.
+// Per chunk of tokens it hashes their draws (rngutil.Column.Fill), moves
+// them in place with their bins in the bins chunk (move), and counts each
+// token once at its bin — its arc's slot or its node's stay slot — with no
+// branch on the draw. The loads and tokensAt are read off afterwards by
+// settle.
 func (st *stepper) stepDense(d draws, at []int32, s int) {
-	start, half, hist := st.start, st.half, st.hist
-	stay := int32(len(half)) // node v's stay slot is hist[2m+v]
-	if len(half) == 0 {
-		half = noHalf
-	}
+	hist := st.hist
 	col := rngutil.MixColumn(d.key, uint64(s))
 	for i0 := 0; i0 < len(at); i0 += drawChunk {
 		chunk := at[i0:min(i0+drawChunk, len(at))]
-		x := st.draws[:len(chunk)]
+		x, bins := st.draws[:len(chunk)], st.bins[:len(chunk)]
 		col.Fill(x, uint64(i0))
-		for i, v := range chunk {
-			lo := start[v]
-			slot, move := d.pick(x[i], uint64(start[v+1]-lo))
-			h := half[(lo+int32(slot))&move]
-			to := v ^ (v^h.To)&move
-			bin := stay + v
-			hist[bin^(bin^h.Arc)&move]++
-			chunk[i] = to
+		st.move(d, x, chunk, chunk, bins)
+		for _, bin := range bins {
+			hist[bin]++
 		}
 	}
 }
@@ -388,7 +416,8 @@ func (st *stepper) stepCorrelated(kind spectral.WalkKind, at []int32, twoDelta i
 // pool holds a slab large enough: the result, the endpoints (with the
 // sources' copy when recording) and the per-step loads, which the caller
 // keeps. The step state — the histogram, tokensAt, a touched-list or
-// correlated step's lists and the draw chunk — comes from the pool. A
+// correlated step's lists and the chunk arrays (draws, next nodes and
+// bins) — comes from the pool. A
 // Probe adds its occupancy and int64 edge-load copies. The walks read the
 // graph's own CSR (graph.Graph.CSR) and copy none of it, and keep nothing
 // per step. The package's allocation test holds Run to this figure.
@@ -448,14 +477,14 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 		res.draws = draws{key: rng.Uint64(), lazy: cfg.Kind == spectral.Lazy, twoDelta: uint64(twoDelta)}
 	}
 
-	// One int32 slab from the pool: the histogram (with n stay slots for a
-	// dense step, one spare for a touched-list step), tokensAt, then a
-	// touched-list step's list — one entry more than it lists, for the
-	// slot written past its end — and a correlated step's buckets.
+	// One int32 slab from the pool: the histogram (2m arcs and n stay
+	// slots), tokensAt, then a touched-list step's list — one entry more
+	// than it lists, for the slot written past its end — and a correlated
+	// step's buckets.
 	n, nArcs := g.N(), 2*g.M()
-	nHist, nTouched, nBucket := nArcs+1, min(nWalks, nArcs+1), 0
+	nHist, nTouched, nBucket := nArcs+n, min(nWalks, nArcs+1), 0
 	if dense {
-		nHist, nTouched = nArcs+n, 0
+		nTouched = 0
 	}
 	if cfg.Correlated {
 		nBucket = n + nWalks
@@ -470,6 +499,8 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 		hist:        scratch[:nHist:nHist],
 		tokensAt:    scratch[nHist : nHist+n : nHist+n],
 		draws:       &ws.draws,
+		next:        &ws.next,
+		bins:        &ws.bins,
 		ratioDegree: 1,
 	}
 	rest := scratch[nHist+n:]

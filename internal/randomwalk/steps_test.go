@@ -1,10 +1,10 @@
 package randomwalk
 
 // The dense and the touched-list step against each other: on any graph and
-// any sources, forcing either step through run must give the same
-// endpoints, statistics, recomputed paths and probe output, whichever one
-// Run would have picked. Both share one replay, so its paths, runs and
-// reverse charge are also held to the reference's.
+// any sources, forcing either step through run, with either move pass,
+// must give the same endpoints, statistics, recomputed paths and probe
+// output, whichever one Run would have picked. All share one replay, so
+// its paths, runs and reverse charge are also held to the reference's.
 
 import (
 	"bytes"
@@ -34,10 +34,12 @@ func (p *stepProbe) RoundEnd(rec *congest.RoundRecord) {
 	p.loads = append(p.loads, slices.Clone(rec.EdgeLoad))
 }
 
-// stepsAgree runs one recording, traced walk run through each step and
-// reports the first output on which they differ, or on which the replay
-// differs from the reference: refRun's paths, the runs of their canonical
-// half-edges and refReverseDeliveryRounds over them.
+// stepsAgree runs one recording, traced walk run through each step, each
+// with the scalar move pass and, where moveVector runs, with the vector
+// one, and reports the first output on which a run differs from the
+// scalar touched-list run, or on which the replay differs from the
+// reference: refRun's paths, the runs of their canonical half-edges and
+// refReverseDeliveryRounds over them.
 func stepsAgree(g *graph.Graph, sources []int32, kind spectral.WalkKind, steps int, seed uint64) error {
 	type outcome struct {
 		res   *Result
@@ -47,12 +49,22 @@ func stepsAgree(g *graph.Graph, sources []int32, kind spectral.WalkKind, steps i
 		trace []byte
 		loads [][]int64
 	}
-	var out [2]outcome
-	for k, dense := range []bool{false, true} {
+	passes := []struct {
+		name          string
+		vector, dense bool
+	}{
+		{"scalar touched list", false, false}, {"scalar dense", false, true},
+		{"vector touched list", true, false}, {"vector dense", true, true},
+	}
+	if !rngutil.HasAVX512() {
+		passes = passes[:2]
+	}
+	out := make([]outcome, len(passes))
+	for k, p := range passes {
 		probe := &stepProbe{TraceSink: congest.NewTraceSink()}
 		cfg := Config{Kind: kind, Steps: steps, Record: true, Probe: probe, TraceName: "steps"}
 		o := &out[k]
-		o.res = run(g, sources, cfg, rngutil.NewRand(seed), dense)
+		withMovePass(p.vector, func() { o.res = run(g, sources, cfg, rngutil.NewRand(seed), p.dense) })
 		o.paths, o.links, o.rev = o.res.Paths(nil)
 		var buf bytes.Buffer
 		if err := probe.WriteJSON(&buf); err != nil {
@@ -63,27 +75,30 @@ func stepsAgree(g *graph.Graph, sources []int32, kind spectral.WalkKind, steps i
 		}
 		o.trace, o.loads = buf.Bytes(), probe.loads
 	}
-	sparse, dense := out[0], out[1]
-	switch {
-	case !slices.Equal(sparse.res.Ends, dense.res.Ends):
-		return fmt.Errorf("ends differ")
-	case !reflect.DeepEqual(sparse.res.Stats, dense.res.Stats):
-		return fmt.Errorf("stats %+v (touched list) vs %+v (dense)", sparse.res.Stats, dense.res.Stats)
-	case !reflect.DeepEqual(sparse.paths, dense.paths) || !reflect.DeepEqual(sparse.links, dense.links) || sparse.rev != dense.rev:
-		return fmt.Errorf("paths differ")
-	case !bytes.Equal(sparse.trace, dense.trace):
-		return fmt.Errorf("trace bytes differ")
-	case !reflect.DeepEqual(sparse.loads, dense.loads):
-		return fmt.Errorf("probe edge loads differ")
+	base := out[0]
+	for k, o := range out[1:] {
+		name := passes[k+1].name
+		switch {
+		case !slices.Equal(base.res.Ends, o.res.Ends):
+			return fmt.Errorf("%s: ends differ", name)
+		case !reflect.DeepEqual(base.res.Stats, o.res.Stats):
+			return fmt.Errorf("%s: stats %+v, scalar touched list %+v", name, o.res.Stats, base.res.Stats)
+		case !reflect.DeepEqual(base.paths, o.paths) || !reflect.DeepEqual(base.links, o.links) || base.rev != o.rev:
+			return fmt.Errorf("%s: paths differ", name)
+		case !bytes.Equal(base.trace, o.trace):
+			return fmt.Errorf("%s: trace bytes differ", name)
+		case !reflect.DeepEqual(base.loads, o.loads):
+			return fmt.Errorf("%s: probe edge loads differ", name)
+		}
 	}
 	ref := refRun(g, sources, Config{Kind: kind, Steps: steps}, rngutil.NewRand(seed))
 	switch {
-	case !reflect.DeepEqual(sparse.paths, ref.paths):
+	case !reflect.DeepEqual(base.paths, ref.paths):
 		return fmt.Errorf("replayed paths differ from the reference")
-	case !reflect.DeepEqual(sparse.links, refRuns(g, ref.paths)):
+	case !reflect.DeepEqual(base.links, refRuns(g, ref.paths)):
 		return fmt.Errorf("replayed runs differ from the reference")
-	case sparse.rev != refReverseDeliveryRounds(ref.paths, nil):
-		return fmt.Errorf("reverse charge %d, reference %d", sparse.rev, refReverseDeliveryRounds(ref.paths, nil))
+	case base.rev != refReverseDeliveryRounds(ref.paths, nil):
+		return fmt.Errorf("reverse charge %d, reference %d", base.rev, refReverseDeliveryRounds(ref.paths, nil))
 	}
 	return nil
 }
@@ -132,7 +147,8 @@ func randomStepCase(r *rand.Rand) (*graph.Graph, []int32) {
 }
 
 // TestRunStepsAgree: on random multigraphs, the dense and the touched-list
-// step give equal endpoints, statistics, paths and trace bytes.
+// step, each with the scalar and the vector move pass, give equal
+// endpoints, statistics, paths and trace bytes.
 func TestRunStepsAgree(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rngutil.NewRand(seed)
@@ -205,8 +221,8 @@ func decodeStepCase(b []byte) (g *graph.Graph, sources []int32, kind spectral.Wa
 }
 
 // FuzzRunSteps: on the graph and sources a fuzz input encodes, the dense
-// and the touched-list step agree. The seeds are the walk fixtures that
-// fit the 16-bit form, at their fixture sources.
+// and the touched-list step agree, with either move pass. The seeds are
+// the walk fixtures that fit the 16-bit form, at their fixture sources.
 func FuzzRunSteps(f *testing.F) {
 	for name, g := range walkFixtures() {
 		if g.N() > 1<<16 {
@@ -237,12 +253,17 @@ var benchResult *Result
 var benchPaths [][]int32
 
 // BenchmarkRun times one Run per iteration and reports ns per walk step
-// on the two shapes Run chooses between: dense is a level walk of Build
-// (2Δ-regular, recorded, far more walks than histogram slots), sparse is
-// route's preparation (lazy, one walk per node, fewer walks than slots).
-// replay times Result.Paths instead, in ns per replayed step: a third of
-// the lazy walks of a G0 on rr(32, 8), kept the way buildG0 keeps them.
+// on the shapes of the walk layer's three callers, each with the scalar
+// and the vector move pass: dense is a level walk of Build (2Δ-regular,
+// recorded, far more walks than histogram slots), sparse is one lazy walk
+// per node for 30 steps, and prep48 and prep384 are route's preparation on
+// serve-expander's base graph (lazy, 48 or 384 walks of 23 steps, fewer
+// walks than slots). Run takes the dense step on the first and the
+// touched-list step on the others. replay times Result.Paths instead, in
+// ns per replayed step: a third of the lazy walks of a G0 on rr(32, 8),
+// kept the way buildG0 keeps them.
 func BenchmarkRun(b *testing.B) {
+	rr48 := graph.RandomRegular(48, 8, rngutil.NewRand(1))
 	for _, bc := range []struct {
 		name  string
 		g     *graph.Graph
@@ -250,21 +271,33 @@ func BenchmarkRun(b *testing.B) {
 		cfg   Config
 	}{
 		{"dense", graph.RandomRegular(256, 20, rngutil.NewRand(1)), 160, Config{Kind: spectral.Regular, Steps: 20, Record: true}},
-		{"sparse", graph.RandomRegular(48, 8, rngutil.NewRand(1)), 1, Config{Kind: spectral.Lazy, Steps: 30}},
+		{"sparse", rr48, 1, Config{Kind: spectral.Lazy, Steps: 30}},
+		{"prep48", rr48, 1, Config{Kind: spectral.Lazy, Steps: 23}},
+		{"prep384", rr48, 8, Config{Kind: spectral.Lazy, Steps: 23}},
 	} {
 		counts := make([]int, bc.g.N())
 		for v := range counts {
 			counts[v] = bc.walks
 		}
 		sources := SourcesPerNode(counts)
-		b.Run(bc.name, func(b *testing.B) {
-			rng := rngutil.NewRand(2)
-			b.ResetTimer()
-			for range b.N {
-				benchResult = Run(bc.g, sources, bc.cfg, rng)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sources)*bc.cfg.Steps), "ns/step")
-		})
+		for _, pass := range []struct {
+			name   string
+			vector bool
+		}{{"scalar", false}, {"vector", true}} {
+			b.Run(bc.name+"/"+pass.name, func(b *testing.B) {
+				if pass.vector {
+					skipMoveVector(b)
+				}
+				rng := rngutil.NewRand(2)
+				b.ResetTimer()
+				withMovePass(pass.vector, func() {
+					for range b.N {
+						benchResult = Run(bc.g, sources, bc.cfg, rng)
+					}
+				})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sources)*bc.cfg.Steps), "ns/step")
+			})
+		}
 	}
 	g := graph.RandomRegular(32, 8, rngutil.NewRand(1))
 	counts := make([]int, g.N())

@@ -103,6 +103,13 @@ func (c Column) Fill(dst []uint64, a0 uint64) {
 	c.fillScalar(dst, a0)
 }
 
+// HasAVX512 reports whether AVX-512F and AVX-512DQ code runs here: the
+// CPU has both and the operating system saves the opmask and ZMM state. It
+// is the one CPUID and XGETBV check, read once when the package loads, by
+// which Fill picks its loop and other packages pick their AVX-512 bodies;
+// it is false off amd64.
+func HasAVX512() bool { return hasFillVector }
+
 // fillScalar is Fill one stream at a time.
 func (c Column) fillScalar(dst []uint64, a0 uint64) {
 	for j := range dst {

@@ -4,8 +4,8 @@
 # runs each of these once: its `check` job runs `make fmt`, `make vet test
 # race` and `make bench-module` and leaves transport-suite to the dedicated
 # `transport-suite` job (ci.yml), so the suite is not run twice per push.
-# Beyond `check`, CI also runs `make smoke`, `make decomp-suite` (its own
-# job) and `make bench-record`. The race target uses -short so
+# Beyond `check`, CI also runs `make kernels`, `make smoke`, `make
+# decomp-suite` (its own job) and `make bench-record`. The race target uses -short so
 # the heavyweight differential sweeps keep the instrumented run fast; drop
 # the flag (make race SHORT=) for the exhaustive version.
 
@@ -15,7 +15,7 @@ SHORT ?= -short
 # BENCHTIME=1x gives a single pass of each size).
 BENCHTIME ?= 1s
 
-.PHONY: build fmt vet test race check bench bench-record bench-module bench-scale fuzz smoke transport-suite decomp-suite
+.PHONY: build fmt vet test race check bench bench-record bench-module bench-scale fuzz smoke transport-suite decomp-suite kernels
 
 build:
 	go build ./...
@@ -42,6 +42,15 @@ test:
 
 race:
 	go test -race $(SHORT) ./...
+
+# The differential tests of the two AVX-512 kernels (rngutil's column
+# fill, randomwalk's move pass), run verbosely so the log says whether
+# each vector half ran (PASS) or skipped, and why, next to
+# rngutil.HasAVX512: a host without AVX-512 passes the suite on the scalar
+# loops alone.
+kernels:
+	go test -count=1 -v -run '^TestColumnFillMatchesAt$$' ./internal/rngutil
+	go test -count=1 -v -run '^TestMoveVectorMatchesScalar$$' ./internal/randomwalk
 
 check: fmt vet test race bench-module transport-suite
 
@@ -126,8 +135,9 @@ bench-scale:
 # Continuous fuzzing of the simulator's round engines, of the wire
 # parsers, of the walk engine's dense step against its touched-list step,
 # of the walk move pass's assembly kernel against its scalar loop,
-# of the walk node program's queues against their reference and of the
-# path scheduler's two doors against its reference (30s each; the committed f.Add corpora always run as part of
+# of the walk node program's queues against their reference, of the
+# path scheduler's two doors against its reference and of the cost
+# ledger's table against the pointer tree it replaced (30s each; the committed f.Add corpora always run as part of
 # `make test`). go test -fuzz takes one target of one package at a time.
 fuzz:
 	go test -run '^$$' -fuzz FuzzNetworkRun -fuzztime 30s ./internal/congest
@@ -140,3 +150,4 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzMoveVector -fuzztime 30s ./internal/randomwalk
 	go test -run '^$$' -fuzz FuzzWalkPrograms -fuzztime 30s ./internal/randomwalk
 	go test -run '^$$' -fuzz FuzzSchedule -fuzztime 30s ./internal/pathsched
+	go test -run '^$$' -fuzz FuzzLedger -fuzztime 30s ./internal/cost

@@ -44,12 +44,11 @@ type (
 	MinCutResult = mincut.ApproxResult
 	// WalkKind selects the lazy or the 2Δ-regular random walk.
 	WalkKind = spectral.WalkKind
-	// CostLedger is the hierarchical span ledger every embedded-tier
-	// round total is derived from (Hierarchy.Costs, RouteReport.Costs,
-	// MSTResult.Costs, CliqueResult.Costs).
+	// CostLedger is the span table every embedded-tier round total is
+	// derived from (Hierarchy.Costs, RouteReport.Costs, MSTResult.Costs,
+	// CliqueResult.Costs). A span is an index into it: CostRoot is the
+	// root, and Total, Rolled, Child and Wall take an index.
 	CostLedger = cost.Ledger
-	// CostSpan is one node of a CostLedger's span tree.
-	CostSpan = cost.Span
 	// CostRow is one flattened ledger row, as exported by -trace.
 	CostRow = cost.Row
 	// MetricsRegistry is the host-side metrics registry behind -metrics:
@@ -67,6 +66,9 @@ const (
 	LazyWalk    = spectral.Lazy
 	RegularWalk = spectral.Regular
 )
+
+// CostRoot is the index of a CostLedger's root span.
+const CostRoot = cost.Root
 
 // DefaultParams returns the default hierarchy parameters.
 func DefaultParams() Params { return embed.DefaultParams() }

@@ -242,10 +242,9 @@ func TestCostLedgerFacade(t *testing.T) {
 	if led == nil {
 		t.Fatal("hierarchy has no cost ledger")
 	}
-	var root *CostSpan = led.Root
-	if root.Total() != f.h.ConstructionRoundsBase() {
+	if led.Total(CostRoot) != f.h.ConstructionRoundsBase() {
 		t.Fatalf("ledger root %d != ConstructionRoundsBase %d",
-			root.Total(), f.h.ConstructionRoundsBase())
+			led.Total(CostRoot), f.h.ConstructionRoundsBase())
 	}
 	rows := led.Rows()
 	var g0 *CostRow
@@ -265,7 +264,7 @@ func TestCostLedgerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Costs == nil || rep.Costs.Root.Total() != rep.BaseRounds {
+	if rep.Costs == nil || rep.Costs.Total(CostRoot) != rep.BaseRounds {
 		t.Fatalf("route ledger does not carry BaseRounds %d", rep.BaseRounds)
 	}
 }

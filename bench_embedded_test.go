@@ -17,6 +17,7 @@ func BenchmarkEmbeddedRoute(b *testing.B) {
 	f := benchFixture(b)
 	reqs := PermutationWorkload(f.g, 31)
 	var rounds int
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep, err := Route(f.h, reqs, 32)
 		if err != nil {
@@ -47,6 +48,7 @@ func BenchmarkEmbeddedRouteLedgerExport(b *testing.B) {
 func BenchmarkEmbeddedMST(b *testing.B) {
 	f := benchFixture(b)
 	var rounds int
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := MST(f.h, uint64(300+i))
 		if err != nil {

@@ -83,7 +83,7 @@ func Hierarchical(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 		return nil, fmt.Errorf("cliquemu: %w", err)
 	}
 	led := cost.New("clique-emulation", "base rounds")
-	led.Attach(rep.Costs.Root)
+	led.Attach(rep.Costs, cost.Root)
 	rounds := led.CloseExpect(rep.BaseRounds)
 	if err := led.Err(); err != nil {
 		return nil, fmt.Errorf("cliquemu: cost ledger: %w", err)
@@ -115,9 +115,9 @@ func Direct(g *graph.Graph) (*Result, error) {
 		}
 	}
 	led := cost.New("clique-direct", "base rounds")
-	sp := led.Open("bfs-schedule", "base rounds", 1)
+	led.Open("bfs-schedule", "base rounds", 1)
 	res := pathsched.Schedule(paths)
-	sp.Add(res.Makespan)
+	led.Charge(res.Makespan)
 	led.CloseExpect(res.Makespan)
 	rounds := led.Close()
 	if err := led.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -139,18 +140,20 @@ func TestHierarchicalLedger(t *testing.T) {
 	if err := led.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != led.Root.Total() {
-		t.Fatalf("Rounds %d != ledger root %d", res.Rounds, led.Root.Total())
+	if res.Rounds != led.Total(cost.Root) {
+		t.Fatalf("Rounds %d != ledger root %d", res.Rounds, led.Total(cost.Root))
 	}
 	// The grafted child is the phased-routing ledger root; its children
 	// (one per phase) sum to the whole run.
-	if len(led.Root.Children) != 1 || led.Root.Children[0].Name != "route-phased" {
-		t.Fatalf("unexpected ledger children %+v", led.Root.Children)
-	}
-	phased := led.Root.Children[0]
+	rows := led.Rows()
 	sum := 0
-	for _, ph := range phased.Children {
-		sum += ph.Rolled()
+	for _, r := range rows {
+		if r.Depth == 1 && r.Path != "clique-emulation/route-phased" {
+			t.Fatalf("unexpected ledger child %+v", r)
+		}
+		if r.Depth == 2 {
+			sum += r.Rolled
+		}
 	}
 	if sum != res.Rounds {
 		t.Fatalf("phase spans sum %d != Rounds %d", sum, res.Rounds)
@@ -170,14 +173,14 @@ func TestDirectLedger(t *testing.T) {
 	if err := led.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != led.Root.Total() {
-		t.Fatalf("Rounds %d != ledger root %d", res.Rounds, led.Root.Total())
+	if res.Rounds != led.Total(cost.Root) {
+		t.Fatalf("Rounds %d != ledger root %d", res.Rounds, led.Total(cost.Root))
 	}
-	sp := led.Root.Child("bfs-schedule")
-	if sp == nil {
+	sp := led.Child(cost.Root, "bfs-schedule")
+	if sp == cost.None {
 		t.Fatal("no bfs-schedule span")
 	}
-	if sp.Total() != res.Rounds {
-		t.Fatalf("bfs-schedule span %d != Rounds %d", sp.Total(), res.Rounds)
+	if led.Total(sp) != res.Rounds {
+		t.Fatalf("bfs-schedule span %d != Rounds %d", led.Total(sp), res.Rounds)
 	}
 }

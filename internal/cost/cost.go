@@ -1,24 +1,27 @@
-// Package cost is the embedded tier's round ledger: a hierarchical tree
-// of spans that is the single source of truth for every base-graph round
-// the embedded-tier algorithms charge (DESIGN.md §3, system S21).
+// Package cost is the embedded tier's round ledger: one table of spans
+// that is the single source of truth for every base-graph round the
+// embedded-tier algorithms charge (DESIGN.md §3, system S21).
 //
-// Each Span accumulates integer round amounts in its own unit (base
-// rounds, G0 rounds, routing steps, …) and carries a multiplier Mul that
-// converts one round of its unit into the parent span's unit. A span's
-// Total is its directly charged amount plus its children rolled up
-// through their multipliers, so the emulation-factor multiplication
-// chains of Lemmas 3.1/3.2/3.4 (one Gℓ round = EmulationRounds rounds of
-// G_{ℓ−1}, one MST tree step = one measured routing instance, …) become
-// tree structure instead of arithmetic repeated at call sites.
+// A span is a fixed-size row, named by its index (Root, 0, is the span
+// New opens): its parent's index, a name, a unit (base rounds, G0 rounds,
+// routing steps, …), the amount Self charged to it directly and a
+// multiplier Mul converting one round of its unit into the parent's unit.
+// Its Total is Self plus its children rolled up through their
+// multipliers, so the emulation-factor chains of Lemmas 3.1/3.2/3.4 (one
+// Gℓ round = EmulationRounds rounds of G_{ℓ−1}, one MST tree step = one
+// measured routing instance, …) become table structure instead of
+// arithmetic repeated at call sites. A charge adds itself to every total
+// up the parent chain, so Total and Rolled read one field.
 //
-// Layers open and close spans in a stack discipline through a Ledger.
-// CloseExpect turns the call site's legacy formula into a checked
-// identity: the ledger records a violation whenever the rolled-up span
-// total disagrees with the expected value, so scattered accounting can
-// never silently drift from the exported breakdown. Finished spans from
-// one ledger may be grafted into another with Attach (a routing run's
-// ledger becomes the per-step breakdown of an MST iteration; an MST's
-// algorithm span becomes the per-tree cost of a min-cut packing).
+// Layers Open and Close spans in a stack discipline, or add a held child
+// (NewChild) and Add to it out of order. CloseExpect turns the call
+// site's legacy formula into a checked identity: a rolled-up total that
+// disagrees with it is recorded as a violation, so scattered accounting
+// never silently drifts from the exported breakdown. Attach copies a
+// finished span of another ledger, subtree included, under the current
+// span. No call allocates an object per span: a ledger's first rows live
+// inside it, more grow in a pooled buffer while the root is open, and
+// closing the root moves them into one slice of their size.
 //
 // A span with Mul == 0 is informational: it is exported with the
 // breakdown but contributes nothing to its parent (used for the measured
@@ -29,105 +32,252 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 )
 
-// now is the ledger's clock, swappable by tests for deterministic
-// wall-time assertions. time.Time carries a monotonic reading, so span
-// wall times are immune to wall-clock steps.
+// now is the ledger's clock, swappable by tests. Its monotonic reading
+// keeps span wall times immune to wall-clock steps.
 var now = time.Now
 
-// Span is one node of the cost tree. Amounts are integers in the span's
-// own unit; Mul converts one unit of this span into the parent's unit.
-type Span struct {
-	// Name identifies the span within its parent.
-	Name string
-	// Unit documents what one round of this span means (e.g. "base
-	// rounds", "G0 rounds", "routing steps").
-	Unit string
-	// Self is the amount charged directly to this span, excluding
-	// children.
-	Self int
-	// Mul is the cost of one unit of this span in the parent's unit.
-	// Zero marks an informational span that rolls nothing into the
-	// parent.
-	Mul int
-	// Children are the sub-spans, in creation order. They roll into
-	// this span's Total through their own Mul factors.
-	Children []*Span
+// Root is every ledger's root span. None is no span, which Open returns
+// once the root has closed and every method taking a span ignores.
+const Root, None = 0, -1
 
-	// wallNS is the measured host time the span was open under a Ledger
-	// (Open → Close, inclusive of children), in nanoseconds. It pairs
-	// every simulated-round figure with its wall-clock analogue. Spans
-	// created by NewChild and never ledger-opened stay at 0. Deliberately
-	// excluded from Row: -trace exports must stay byte-deterministic, so
-	// wall times travel through FlattenWall into -metrics snapshots
-	// instead.
-	wallNS int64
-	// opened is the Ledger.Open timestamp, zero once closed.
-	opened time.Time
+// row is one span: total is self plus every child's mul·total, unit an
+// index into the ledger's units.
+type row struct {
+	name             string
+	self, mul, total int
+	parent, unit     int32
 }
 
-// NewChild appends and returns a child span. Unlike Ledger.Open it does
-// not touch any stack, so callers may hold the pointer and Add to it out
-// of order (aggregation spans charged from within a recursion).
-func (s *Span) NewChild(name, unit string, mul int) *Span {
-	c := &Span{Name: name, Unit: unit, Mul: mul}
-	s.Children = append(s.Children, c)
-	return c
+// frame is an open span and when it opened, in ns since the ledger began.
+type frame struct {
+	span  int32
+	start int64
 }
 
-// Add charges n rounds (in this span's unit) directly to the span. A nil
-// span ignores the charge, so optional accounting costs one nil check.
-func (s *Span) Add(n int) {
-	if s == nil {
-		return
-	}
-	s.Self += n
+// Ledger is a span table with open/close stack discipline. It records
+// invariant violations instead of panicking, so algorithm code surfaces
+// them as ordinary errors after the run.
+type Ledger struct {
+	rows []row
+	// wall[s] is the ns span s was open, children included, zero until
+	// it closes: out of Row, so -trace stays byte deterministic, and out
+	// through WallRows into -metrics.
+	wall       []int64
+	units      []string
+	open       []frame // the open spans, Root first
+	t0         time.Time
+	buf        *buffer  // backs rows and wall past small until Root closes
+	violations []string // CloseExpect mismatches and stack misuse
+
+	// A routing run's rows (route, prep, recursion, a portal-hop span a
+	// level, leaf movement) fit in small on up to two levels.
+	small      [6]row
+	smallWall  [6]int64
+	smallUnits [4]string
+	frames     [6]frame
 }
 
-// Total is the span's cost in its own unit: Self plus every child rolled
-// up through the child's multiplier. A nil span totals zero.
-func (s *Span) Total() int {
-	if s == nil {
-		return 0
-	}
-	t := s.Self
-	for _, c := range s.Children {
-		t += c.Rolled()
-	}
-	return t
+type buffer struct { // growth storage of open ledgers, pooled
+	rows []row
+	wall []int64
 }
 
-// Rolled is the span's contribution to its parent: Mul · Total.
-func (s *Span) Rolled() int {
-	if s == nil {
-		return 0
-	}
-	return s.Mul * s.Total()
+var buffers = sync.Pool{New: func() any { return new(buffer) }}
+
+// New returns a ledger whose root span is open and current.
+func New(name, unit string) *Ledger {
+	l := &Ledger{t0: now()}
+	l.rows, l.wall, l.units, l.open = l.small[:0], l.smallWall[:0], l.smallUnits[:0], l.frames[:0]
+	l.push(None, name, unit, 1)
+	l.open = append(l.open, frame{span: Root})
+	return l
 }
 
-// Wall returns the measured host time the span was open under a Ledger
-// (inclusive of children). Zero for spans never ledger-opened, still
-// open, or nil.
-func (s *Span) Wall() time.Duration {
-	if s == nil {
-		return 0
+// push appends a span and returns its index.
+func (l *Ledger) push(parent int, name, unit string, mul int) int {
+	if len(l.rows) == cap(l.rows) && l.buf == nil && len(l.open) > 0 {
+		l.buf = buffers.Get().(*buffer)
+		l.buf.rows = append(l.buf.rows[:0], l.rows...)
+		l.buf.wall = append(l.buf.wall[:0], l.wall...)
+		l.rows, l.wall = l.buf.rows, l.buf.wall
 	}
-	return time.Duration(s.wallNS)
+	u := len(l.units) - 1
+	for u >= 0 && l.units[u] != unit {
+		u--
+	}
+	if u < 0 {
+		u, l.units = len(l.units), append(l.units, unit)
+	}
+	l.rows = append(l.rows, row{name: name, mul: mul, parent: int32(parent), unit: int32(u)})
+	l.wall = append(l.wall, 0)
+	if l.buf != nil {
+		l.buf.rows, l.buf.wall = l.rows, l.wall
+	}
+	return len(l.rows) - 1
 }
 
-// Child returns the first child with the given name, or nil.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
+// valid reports whether s names a span of l.
+func (l *Ledger) valid(s int) bool { return l != nil && s >= 0 && s < len(l.rows) }
+
+// roll adds n to span s's total and, scaled by each multiplier on the
+// way, to every ancestor's.
+func (l *Ledger) roll(s, n int) {
+	for ; s >= 0 && n != 0; s = int(l.rows[s].parent) {
+		l.rows[s].total += n
+		n *= l.rows[s].mul
 	}
-	for _, c := range s.Children {
-		if c.Name == name {
+}
+
+// Current returns the innermost open span, or None when all are closed.
+func (l *Ledger) Current() int {
+	if l == nil || len(l.open) == 0 {
+		return None
+	}
+	return int(l.open[len(l.open)-1].span)
+}
+
+// NewChild appends a child of span s off the stack and returns it, for
+// callers that Add to it out of order (charges from within a recursion).
+func (l *Ledger) NewChild(s int, name, unit string, mul int) int {
+	if !l.valid(s) {
+		return None
+	}
+	return l.push(s, name, unit, mul)
+}
+
+// Add charges n rounds (in its unit) directly to span s; None ignores it.
+func (l *Ledger) Add(s, n int) {
+	if l.valid(s) {
+		l.rows[s].self += n
+		l.roll(s, n)
+	}
+}
+
+// at returns span s's row, zero for None.
+func (l *Ledger) at(s int) row {
+	if !l.valid(s) {
+		return row{}
+	}
+	return l.rows[s]
+}
+
+// Total is span s's cost in its own unit: Self plus its children rolled.
+func (l *Ledger) Total(s int) int { return l.at(s).total }
+
+// Rolled is span s's contribution to its parent: Mul · Total.
+func (l *Ledger) Rolled(s int) int { return l.at(s).mul * l.at(s).total }
+
+// Child returns the first child of span s with the given name, or None.
+func (l *Ledger) Child(s int, name string) int {
+	for c := s + 1; l.valid(s) && c < len(l.rows); c++ {
+		if int(l.rows[c].parent) == s && l.rows[c].name == name {
 			return c
 		}
 	}
-	return nil
+	return None
+}
+
+func (l *Ledger) violate(format string, args ...any) {
+	if l != nil {
+		l.violations = append(l.violations, fmt.Sprintf(format, args...))
+	}
+}
+
+// Open creates a child of the current span and makes it current. Opening
+// on a fully closed ledger records a violation and returns None.
+func (l *Ledger) Open(name, unit string, mul int) int {
+	cur := l.Current()
+	if cur == None {
+		l.violate("cost: Open(%q) after the root span closed", name)
+		return None
+	}
+	s := l.push(cur, name, unit, mul)
+	l.open = append(l.open, frame{span: int32(s), start: now().Sub(l.t0).Nanoseconds()})
+	return s
+}
+
+// Charge adds n rounds to the current span.
+func (l *Ledger) Charge(n int) {
+	if cur := l.Current(); cur != None {
+		l.Add(cur, n)
+	} else {
+		l.violate("cost: Charge(%d) with no open span", n)
+	}
+}
+
+// Attach copies span s of the finished ledger src, with its subtree and
+// wall times, under the current span, where its Mul applies as usual.
+func (l *Ledger) Attach(src *Ledger, s int) {
+	if l == nil || !src.valid(s) {
+		return
+	}
+	cur := l.Current()
+	if cur == None {
+		l.violate("cost: Attach(%q) with no open span", src.rows[s].name)
+		return
+	}
+	// at[j-s] is src span j's index here, None outside the subtree.
+	var small [64]int32
+	at := small[:0]
+	for j, n := s, len(src.rows); j < n; j++ {
+		r, p := src.rows[j], cur
+		if j > s {
+			if r.parent < int32(s) || at[int(r.parent)-s] == None {
+				at = append(at, None)
+				continue
+			}
+			p = int(at[int(r.parent)-s])
+		}
+		c := l.push(p, r.name, src.units[r.unit], r.mul)
+		l.rows[c].self, l.rows[c].total, l.wall[c] = r.self, r.total, src.wall[j]
+		at = append(at, int32(c))
+	}
+	l.roll(cur, src.Rolled(s))
+}
+
+// Close closes the current span and returns its Total (own units).
+func (l *Ledger) Close() int {
+	if l == nil || len(l.open) == 0 {
+		l.violate("cost: Close with no open span")
+		return 0
+	}
+	f := l.open[len(l.open)-1]
+	l.open = l.open[:len(l.open)-1]
+	l.wall[f.span] += now().Sub(l.t0).Nanoseconds() - f.start
+	if len(l.open) == 0 && l.buf != nil {
+		l.rows, l.wall = append([]row(nil), l.rows...), append([]int64(nil), l.wall...)
+		buffers.Put(l.buf)
+		l.buf = nil
+	}
+	return l.rows[f.span].total
+}
+
+// CloseExpect closes the current span and returns its Total, recording a
+// violation unless it equals want (in the span's own unit). A matching
+// close allocates nothing: the path is rendered only for the message.
+func (l *Ledger) CloseExpect(want int) int {
+	s := l.Current()
+	got := l.Close()
+	if got != want {
+		path, sep := "", ""
+		for ; s != None; s, sep = int(l.rows[s].parent), "/" {
+			path = l.rows[s].name + sep + path
+		}
+		l.violate("cost: span %s totals %d rounds, call site expected %d", path, got, want)
+	}
+	return got
+}
+
+// Err reports every recorded invariant violation, or nil.
+func (l *Ledger) Err() error {
+	if l == nil || len(l.violations) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(l.violations, "; "))
 }
 
 // Row is one flattened span for export: the slash-joined path from the
@@ -142,206 +292,56 @@ type Row struct {
 	Rolled int    `json:"rolled"`
 }
 
-// Flatten renders the span tree as rows in depth-first pre-order.
-func Flatten(s *Span) []Row {
-	var rows []Row
-	var walk func(sp *Span, prefix string, depth int)
-	walk = func(sp *Span, prefix string, depth int) {
-		path := sp.Name
-		if prefix != "" {
-			path = prefix + "/" + sp.Name
-		}
-		rows = append(rows, Row{
-			Path:   path,
-			Unit:   sp.Unit,
-			Depth:  depth,
-			Self:   sp.Self,
-			Mul:    sp.Mul,
-			Total:  sp.Total(),
-			Rolled: sp.Rolled(),
-		})
-		for _, c := range sp.Children {
-			walk(c, path, depth+1)
-		}
-	}
-	if s != nil {
-		walk(s, "", 0)
-	}
-	return rows
-}
-
-// Ledger builds a span tree with open/close stack discipline and records
-// invariant violations instead of panicking, so algorithm code can
-// surface them as ordinary errors after the run.
-type Ledger struct {
-	// Root is the tree's root span, created by New.
-	Root *Span
-	// stack holds the open spans, Root first. Empty once Root closes.
-	stack []*Span
-	// violations collects CloseExpect mismatches and stack misuse.
-	violations []string
-}
-
-// New returns a ledger whose root span is open and current.
-func New(name, unit string) *Ledger {
-	root := &Span{Name: name, Unit: unit, Mul: 1, opened: now()}
-	return &Ledger{Root: root, stack: []*Span{root}}
-}
-
-// Current returns the innermost open span, or nil when all spans are
-// closed (or the ledger is nil).
-func (l *Ledger) Current() *Span {
-	if l == nil || len(l.stack) == 0 {
-		return nil
-	}
-	return l.stack[len(l.stack)-1]
-}
-
-// pathOf renders a stack of open spans as a slash-joined span path.
-func pathOf(stack []*Span) string {
-	names := make([]string, len(stack))
-	for i, s := range stack {
-		names[i] = s.Name
-	}
-	return strings.Join(names, "/")
-}
-
-// violate records an invariant violation.
-func (l *Ledger) violate(format string, args ...any) {
-	l.violations = append(l.violations, fmt.Sprintf(format, args...))
-}
-
-// Open creates a child of the current span and makes it current. Opening
-// on a fully closed ledger records a violation and returns a detached
-// span so callers stay panic-free.
-func (l *Ledger) Open(name, unit string, mul int) *Span {
-	if l == nil {
-		return nil
-	}
-	cur := l.Current()
-	if cur == nil {
-		l.violate("cost: Open(%q) after the root span closed", name)
-		return &Span{Name: name, Unit: unit, Mul: mul}
-	}
-	c := cur.NewChild(name, unit, mul)
-	c.opened = now()
-	l.stack = append(l.stack, c)
-	return c
-}
-
-// Charge adds n rounds to the current span.
-func (l *Ledger) Charge(n int) {
-	if l == nil {
-		return
-	}
-	cur := l.Current()
-	if cur == nil {
-		l.violate("cost: Charge(%d) with no open span", n)
-		return
-	}
-	cur.Self += n
-}
-
-// Attach grafts a finished span (typically another ledger's root) as a
-// child of the current span. The attached span's Mul applies as usual.
-func (l *Ledger) Attach(s *Span) {
-	if l == nil || s == nil {
-		return
-	}
-	cur := l.Current()
-	if cur == nil {
-		l.violate("cost: Attach(%q) with no open span", s.Name)
-		return
-	}
-	cur.Children = append(cur.Children, s)
-}
-
-// Close closes the current span and returns its Total (own units).
-func (l *Ledger) Close() int {
-	if l == nil {
-		return 0
-	}
-	cur := l.Current()
-	if cur == nil {
-		l.violate("cost: Close with no open span")
-		return 0
-	}
-	if !cur.opened.IsZero() {
-		cur.wallNS += now().Sub(cur.opened).Nanoseconds()
-		cur.opened = time.Time{}
-	}
-	l.stack = l.stack[:len(l.stack)-1]
-	return cur.Total()
-}
-
-// CloseExpect closes the current span, checking the close-time identity:
-// the span's rolled-up Total must equal want (in the span's own unit).
-// A mismatch is recorded as a violation; the actual total is returned
-// either way. A matching close allocates nothing: the span's path is
-// rendered only for the violation message.
-func (l *Ledger) CloseExpect(want int) int {
-	if l == nil {
-		return 0
-	}
-	stack := l.stack
-	got := l.Close()
-	if got != want {
-		l.violate("cost: span %s totals %d rounds, call site expected %d", pathOf(stack), got, want)
-	}
-	return got
-}
-
-// Err reports every recorded invariant violation, or nil.
-func (l *Ledger) Err() error {
-	if l == nil || len(l.violations) == 0 {
-		return nil
-	}
-	return errors.New(strings.Join(l.violations, "; "))
-}
-
-// Rows flattens the whole ledger for export (depth-first pre-order).
-func (l *Ledger) Rows() []Row {
-	if l == nil {
-		return nil
-	}
-	return Flatten(l.Root)
-}
-
-// WallRow pairs a flattened span path with its measured host time. The
-// Path values coincide index for index with Flatten's, so every
-// simulated-round row a trace exports has a same-path wall entry for the
-// metrics snapshot.
+// WallRow is a span's path and host time. WallRows' paths are Rows',
+// index for index: a trace row and its -metrics wall counter pair by path.
 type WallRow struct {
 	Path   string
 	WallNS int64
 }
 
-// FlattenWall renders the span tree's host times in the same depth-first
-// pre-order (and with the same paths) as Flatten.
-func FlattenWall(s *Span) []WallRow {
-	var rows []WallRow
-	var walk func(sp *Span, prefix string)
-	walk = func(sp *Span, prefix string) {
-		path := sp.Name
-		if prefix != "" {
-			path = prefix + "/" + sp.Name
-		}
-		rows = append(rows, WallRow{Path: path, WallNS: sp.wallNS})
-		for _, c := range sp.Children {
-			walk(c, path)
-		}
-	}
-	if s != nil {
-		walk(s, "")
-	}
+// Rows flattens the ledger for export, depth-first pre-order.
+func (l *Ledger) Rows() []Row {
+	var rows []Row
+	l.preorder(func(s int, path string, depth int) {
+		r := &l.rows[s]
+		rows = append(rows, Row{Path: path, Unit: l.units[r.unit], Depth: depth,
+			Self: r.self, Mul: r.mul, Total: r.total, Rolled: r.mul * r.total})
+	})
 	return rows
 }
 
-// WallRows flattens the whole ledger's host times (depth-first
-// pre-order, paths matching Rows).
+// WallRows flattens the ledger's host times like Rows.
 func (l *Ledger) WallRows() []WallRow {
+	var rows []WallRow
+	l.preorder(func(s int, path string, _ int) {
+		rows = append(rows, WallRow{Path: path, WallNS: l.wall[s]})
+	})
+	return rows
+}
+
+// preorder visits every span with its path and depth, depth-first from
+// the root and children in creation order: the walk Rows and WallRows share.
+func (l *Ledger) preorder(visit func(s int, path string, depth int)) {
 	if l == nil {
-		return nil
+		return
 	}
-	return FlattenWall(l.Root)
+	// first[s] is s's first child and next[c] c's next sibling, Root for
+	// none, linked back to front so each list runs in creation order.
+	first, next := make([]int32, len(l.rows)), make([]int32, len(l.rows))
+	for s := len(l.rows) - 1; s > Root; s-- {
+		p := l.rows[s].parent
+		next[s], first[p] = first[p], int32(s)
+	}
+	var walk func(s int32, prefix string, depth int)
+	walk = func(s int32, prefix string, depth int) {
+		path := l.rows[s].name
+		if prefix != "" {
+			path = prefix + "/" + path
+		}
+		visit(int(s), path, depth)
+		for c := first[s]; c != Root; c = next[c] {
+			walk(c, path, depth+1)
+		}
+	}
+	walk(Root, "", 0)
 }

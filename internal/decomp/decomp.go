@@ -332,13 +332,14 @@ func (dec *Decomposition) buildLedger() *cost.Ledger {
 	led.Charge(dec.SweepPasses)
 	certs := led.Open("certificates", "", 0)
 	for _, c := range dec.Clusters {
-		sp := certs.NewChild(fmt.Sprintf("cluster-%02d", c.Index), "", 0)
-		sp.NewChild("nodes", "nodes", 0).Add(len(c.Nodes))
-		sp.NewChild("edges", "edges", 0).Add(c.Sub.G.M())
-		sp.NewChild("boundary", "edges", 0).Add(len(c.Sub.Boundary()))
-		sp.NewChild("mixing-time-estimate", "walk steps", 0).Add(c.Cert.MixingTime)
-		sp.NewChild("conductance-sweep-ppm", "ppm", 0).Add(int(c.Cert.PhiSweep * 1e6))
-		sp.NewChild("reason", "code", 0).Add(int(c.Cert.Reason))
+		sp := led.NewChild(certs, fmt.Sprintf("cluster-%02d", c.Index), "", 0)
+		info := func(name, unit string, n int) { led.Add(led.NewChild(sp, name, unit, 0), n) }
+		info("nodes", "nodes", len(c.Nodes))
+		info("edges", "edges", c.Sub.G.M())
+		info("boundary", "edges", len(c.Sub.Boundary()))
+		info("mixing-time-estimate", "walk steps", c.Cert.MixingTime)
+		info("conductance-sweep-ppm", "ppm", int(c.Cert.PhiSweep*1e6))
+		info("reason", "code", int(c.Cert.Reason))
 	}
 	led.Close()
 	led.Open("cross-edges", "edges", 0)

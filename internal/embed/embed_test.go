@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
 )
@@ -398,56 +399,56 @@ func TestConstructionLedger(t *testing.T) {
 	}
 	// Differential: the ledger's root total is the legacy per-overlay sum,
 	// and ConstructionRoundsBase reads the ledger.
-	if got, want := led.Root.Total(), h.constructionRoundsFromOverlays(); got != want {
+	if got, want := led.Total(cost.Root), h.constructionRoundsFromOverlays(); got != want {
 		t.Fatalf("ledger total %d, per-overlay formula %d", got, want)
 	}
-	if h.ConstructionRoundsBase() != led.Root.Total() {
+	if h.ConstructionRoundsBase() != led.Total(cost.Root) {
 		t.Fatal("ConstructionRoundsBase does not read the ledger")
 	}
 
 	// Children sum to the parent: g0 and level spans carry exactly the
 	// per-overlay construction costs, converted by their multipliers.
-	g0 := led.Root.Child("g0")
-	if g0 == nil {
+	g0 := led.Child(cost.Root, "g0")
+	if g0 == cost.None {
 		t.Fatal("no g0 span")
 	}
-	if g0.Total() != h.G0.ConstructionRounds {
-		t.Fatalf("g0 span total %d, overlay %d", g0.Total(), h.G0.ConstructionRounds)
+	if led.Total(g0) != h.G0.ConstructionRounds {
+		t.Fatalf("g0 span total %d, overlay %d", led.Total(g0), h.G0.ConstructionRounds)
 	}
-	walks, replay := g0.Child("walks"), g0.Child("endpoint-replay")
-	if walks == nil || replay == nil {
+	walks, replay := led.Child(g0, "walks"), led.Child(g0, "endpoint-replay")
+	if walks == cost.None || replay == cost.None {
 		t.Fatal("g0 span lacks walks/endpoint-replay children")
 	}
-	if walks.Total()+replay.Total() != g0.Total() {
-		t.Fatalf("g0 children %d+%d != %d", walks.Total(), replay.Total(), g0.Total())
+	if led.Total(walks)+led.Total(replay) != led.Total(g0) {
+		t.Fatalf("g0 children %d+%d != %d", led.Total(walks), led.Total(replay), led.Total(g0))
 	}
-	sum := g0.Rolled()
+	sum := led.Rolled(g0)
 	for l := 1; l <= h.Levels; l++ {
-		sp := led.Root.Child(fmt.Sprintf("level-%d", l))
-		if sp == nil {
+		sp := led.Child(cost.Root, fmt.Sprintf("level-%d", l))
+		if sp == cost.None {
 			t.Fatalf("no level-%d span", l)
 		}
-		if sp.Total() != h.Upper[l-1].ConstructionRounds {
-			t.Fatalf("level-%d span total %d, overlay %d", l, sp.Total(), h.Upper[l-1].ConstructionRounds)
+		if led.Total(sp) != h.Upper[l-1].ConstructionRounds {
+			t.Fatalf("level-%d span total %d, overlay %d", l, led.Total(sp), h.Upper[l-1].ConstructionRounds)
 		}
-		if want := h.Upper[l-1].ConstructionRounds * h.EmulationToBase(l-1); sp.Rolled() != want {
-			t.Fatalf("level-%d rolled %d, want %d", l, sp.Rolled(), want)
+		if want := h.Upper[l-1].ConstructionRounds * h.EmulationToBase(l-1); led.Rolled(sp) != want {
+			t.Fatalf("level-%d rolled %d, want %d", l, led.Rolled(sp), want)
 		}
-		sum += sp.Rolled()
+		sum += led.Rolled(sp)
 	}
-	if sum != led.Root.Total() {
-		t.Fatalf("children sum %d != root total %d", sum, led.Root.Total())
+	if sum != led.Total(cost.Root) {
+		t.Fatalf("children sum %d != root total %d", sum, led.Total(cost.Root))
 	}
 
 	// The emulation-factors span is informational: present, zero rolled.
-	info := led.Root.Child("emulation-factors")
-	if info == nil {
+	info := led.Child(cost.Root, "emulation-factors")
+	if info == cost.None {
 		t.Fatal("no emulation-factors span")
 	}
-	if info.Rolled() != 0 {
-		t.Fatalf("informational span rolled %d, want 0", info.Rolled())
+	if led.Rolled(info) != 0 {
+		t.Fatalf("informational span rolled %d, want 0", led.Rolled(info))
 	}
-	if got := info.Child("g0").Total(); got != h.G0.EmulationRounds {
+	if got := led.Total(led.Child(info, "g0")); got != h.G0.EmulationRounds {
 		t.Fatalf("emulation-factors/g0 %d, want %d", got, h.G0.EmulationRounds)
 	}
 }

@@ -124,10 +124,10 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 	// trace exports carry the full round-conversion chain without the
 	// factors themselves being charged as construction work.
 	info := led.Open("emulation-factors", "rounds of level below", 0)
-	info.NewChild("g0", "base rounds per G0 round", 0).Add(h.G0.EmulationRounds)
+	led.Add(led.NewChild(info, "g0", "base rounds per G0 round", 0), h.G0.EmulationRounds)
 	for l := 1; l <= r.levels; l++ {
-		info.NewChild(fmt.Sprintf("level-%d", l),
-			fmt.Sprintf("G%d rounds per G%d round", l-1, l), 0).Add(h.Upper[l-1].EmulationRounds)
+		led.Add(led.NewChild(info, fmt.Sprintf("level-%d", l),
+			fmt.Sprintf("G%d rounds per G%d round", l-1, l), 0), h.Upper[l-1].EmulationRounds)
 	}
 	led.Close()
 
@@ -147,8 +147,8 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 // into base-graph rounds.
 func chargeOverlay(led *cost.Ledger, o *Overlay, name, unit string, mul int) {
 	sp := led.Open(name, unit, mul)
-	sp.NewChild("walks", unit, 1).Add(o.walkRounds)
-	sp.NewChild("endpoint-replay", unit, 1).Add(o.replayRounds)
+	led.Add(led.NewChild(sp, "walks", unit, 1), o.walkRounds)
+	led.Add(led.NewChild(sp, "endpoint-replay", unit, 1), o.replayRounds)
 	led.CloseExpect(o.ConstructionRounds)
 }
 
@@ -186,7 +186,7 @@ func (h *Hierarchy) EmulationToBase(level int) int {
 // the per-overlay sum.
 func (h *Hierarchy) ConstructionRoundsBase() int {
 	if h.Costs != nil {
-		return h.Costs.Root.Total()
+		return h.Costs.Total(cost.Root)
 	}
 	return h.constructionRoundsFromOverlays()
 }

@@ -148,7 +148,7 @@ func (pe *Partitioned) buildLedger() *cost.Ledger {
 			led.Charge(ce.DirectRounds)
 			led.Close()
 		} else {
-			led.Attach(ce.H.Costs.Root)
+			led.Attach(ce.H.Costs, cost.Root)
 		}
 		led.CloseExpect(ce.ConstructionRounds())
 	}
@@ -159,7 +159,7 @@ func (pe *Partitioned) buildLedger() *cost.Ledger {
 	led.Close()
 
 	led.Open("decomposition", "sweep passes", 0)
-	led.Attach(pe.Dec.Costs.Root)
+	led.Attach(pe.Dec.Costs, cost.Root)
 	led.Close()
 
 	led.CloseExpect(max)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/decomp"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -94,7 +95,7 @@ func TestBuildPartitionedLollipop(t *testing.T) {
 	if pe.ConstructionRoundsBase() != max {
 		t.Fatalf("ConstructionRoundsBase=%d, max cluster=%d", pe.ConstructionRoundsBase(), max)
 	}
-	if got := pe.Costs.Root.Total(); got != max {
+	if got := pe.Costs.Total(cost.Root); got != max {
 		t.Fatalf("ledger root totals %d, want max cluster construction %d", got, max)
 	}
 }

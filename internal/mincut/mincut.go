@@ -84,8 +84,8 @@ func PackingCharge(res *ApproxResult, perTree *mst.Result) (*cost.Ledger, int) {
 	led := cost.New("mincut-packing", "base rounds")
 	led.Open("tree-packing", "base rounds per tree", res.TreesUsed)
 	if perTree.Costs != nil {
-		if alg := perTree.Costs.Root.Child("algorithm"); alg != nil {
-			led.Attach(alg)
+		if alg := perTree.Costs.Child(cost.Root, "algorithm"); alg != cost.None {
+			led.Attach(perTree.Costs, alg)
 		} else {
 			led.Charge(perTree.AlgorithmRounds)
 		}

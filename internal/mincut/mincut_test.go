@@ -166,19 +166,20 @@ func TestPackingCharge(t *testing.T) {
 	if total != 5*37 {
 		t.Fatalf("charged %d, want %d", total, 5*37)
 	}
-	if pl.Root.Total() != total {
-		t.Fatalf("ledger root %d != returned total %d", pl.Root.Total(), total)
+	if pl.Total(cost.Root) != total {
+		t.Fatalf("ledger root %d != returned total %d", pl.Total(cost.Root), total)
 	}
-	sp := pl.Root.Child("tree-packing")
-	if sp == nil {
+	sp := pl.Child(cost.Root, "tree-packing")
+	if sp == cost.None {
 		t.Fatal("no tree-packing span")
 	}
-	if sp.Mul != 5 || sp.Total() != 37 {
-		t.Fatalf("tree-packing span mul=%d total=%d, want 5 and 37", sp.Mul, sp.Total())
+	if pl.Rolled(sp) != 5*37 || pl.Total(sp) != 37 {
+		t.Fatalf("tree-packing span rolled=%d total=%d, want 185 and 37", pl.Rolled(sp), pl.Total(sp))
 	}
-	// The grafted subtree is the MST ledger's algorithm span.
-	if len(sp.Children) != 1 || sp.Children[0] != led.Root.Child("algorithm") {
-		t.Fatal("tree-packing span does not graft the MST algorithm span")
+	// The grafted subtree is a copy of the MST ledger's algorithm span.
+	rows := pl.Rows()
+	if len(rows) != 3 || rows[2].Path != "mincut-packing/tree-packing/algorithm" || rows[2].Self != 37 {
+		t.Fatalf("tree-packing span does not graft the MST algorithm span: %+v", rows)
 	}
 
 	// Fallback: no ledger on the MST result still charges correctly.
@@ -186,7 +187,7 @@ func TestPackingCharge(t *testing.T) {
 	if err := pl2.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if total2 != 33 || pl2.Root.Total() != 33 {
-		t.Fatalf("fallback charged %d (root %d), want 33", total2, pl2.Root.Total())
+	if total2 != 33 || pl2.Total(cost.Root) != 33 {
+		t.Fatalf("fallback charged %d (root %d), want 33", total2, pl2.Total(cost.Root))
 	}
 }

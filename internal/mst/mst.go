@@ -84,7 +84,7 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 	// an algorithm span the iterations charge into.
 	led := cost.New("mst", "base rounds")
 	if h.Costs != nil {
-		led.Attach(h.Costs.Root)
+		led.Attach(h.Costs, cost.Root)
 	} else {
 		led.Open("construction", "base rounds", 1)
 		led.Charge(h.ConstructionRoundsBase())
@@ -112,24 +112,13 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 			res.MaxTreeDepth = stats.TreeDepth
 		}
 
-		// Measure the cost of one tree-routing step: every non-root
-		// sends one message to its virtual parent.
-		stepRep, err := measureTreeStep(h, forest, sc, src.Child("step", uint64(iter)))
-		if err != nil {
-			return nil, fmt.Errorf("mst: iteration %d: %w", iter, err)
-		}
-		stepRounds := 0
-		if stepRep != nil {
-			stepRounds = stepRep.BaseRounds
-		}
-		stats.StepRounds = stepRounds
-
 		// MWOE per fragment (the upcast's semantic outcome), by the scan
 		// every Borůvka of the repo shares.
 		mstbase.ScanMWOE(g, forest.frag, sc.mwoe)
 
-		// Snapshot for balancing before any attachment; it also names
-		// the fragments: a fragment's ID is its root's node ID.
+		// Snapshot for balancing and the tree step before any
+		// attachment; it also names the fragments: a fragment's ID is its
+		// root's node ID.
 		copy(sc.snapParent, forest.parent)
 
 		// Random head/tail coins per fragment. Walking the roots in node
@@ -179,20 +168,23 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 		}
 
 		// Charge: fragment exchange + (up + down + balancing) steps.
-		// The tree-steps span grafts the measured routing instance's own
-		// ledger; its multiplier repeats it once per upcast/downcast
-		// level and balancing wave. Closing checks the span tree against
-		// the direct formula, and the iteration total becomes
-		// stats.Rounds.
+		// The tree step is measured on the forest as it stood before the
+		// merge (every non-root sends one message to its virtual parent),
+		// and the routing instance writes its spans under tree-steps,
+		// whose multiplier repeats it once per upcast/downcast level and
+		// balancing wave. Closing checks the spans against the direct
+		// formula, and the iteration total becomes stats.Rounds.
 		stats.UpcastSteps = 2 * (stats.TreeDepth + 1)
-		led.Open(fmt.Sprintf("iteration-%02d", iter), "base rounds", 1)
+		led.Open(iterationSpanName(iter), "base rounds", 1)
 		led.Open("fragment-exchange", "base rounds", 1)
 		led.Charge(1)
 		led.Close()
 		led.Open("tree-steps", "base rounds per step", stats.UpcastSteps+waves)
-		if stepRep != nil {
-			led.Attach(stepRep.Costs.Root)
+		stepRounds, err := measureTreeStep(led, h, sc, src.Child("step", uint64(iter)))
+		if err != nil {
+			return nil, fmt.Errorf("mst: iteration %d: %w", iter, err)
 		}
+		stats.StepRounds = stepRounds
 		led.CloseExpect(stepRounds)
 		stats.Rounds = led.CloseExpect(1 + (stats.UpcastSteps+waves)*stepRounds)
 		res.AlgorithmRounds += stats.Rounds
@@ -232,16 +224,17 @@ func newScratch(n int) *scratch {
 }
 
 // measureTreeStep routes one message from every non-root node to its
-// virtual-tree parent and returns the routing report (nil when every node
-// is a fragment root and there is nothing to send). This is the per-level
-// cost of the upcast/downcast (and of the balancing token waves, which use
-// the same channel).
-func measureTreeStep(h *embed.Hierarchy, f *Forest, sc *scratch, src *rngutil.Source) (*route.Report, error) {
+// parent in the snapshot forest (sc.snapParent), writing the routing run's
+// spans under led's current span, and returns its cost in base rounds (0,
+// with no spans, when every node is a fragment root and there is nothing
+// to send). This is the per-level cost of the upcast/downcast (and of the
+// balancing token waves, which use the same channel).
+func measureTreeStep(led *cost.Ledger, h *embed.Hierarchy, sc *scratch, src *rngutil.Source) (int, error) {
 	g := h.Base
 	sc.reqs = sc.reqs[:0]
 	clear(sc.childRank)
 	for v := int32(0); v < int32(g.N()); v++ {
-		p := f.Parent(v)
+		p := sc.snapParent[v]
 		if p < 0 {
 			continue
 		}
@@ -250,9 +243,13 @@ func measureTreeStep(h *embed.Hierarchy, f *Forest, sc *scratch, src *rngutil.So
 		sc.reqs = append(sc.reqs, route.Request{SrcNode: int(v), DstNode: int(p), DstIndex: idx})
 	}
 	if len(sc.reqs) == 0 {
-		return nil, nil
+		return 0, nil
 	}
-	return route.Route(h, sc.reqs, src)
+	rep, err := route.RouteUnder(led, h, sc.reqs, src)
+	if err != nil {
+		return 0, err
+	}
+	return rep.BaseRounds, nil
 }
 
 func maxDepth(depths []int32) int {
@@ -263,6 +260,23 @@ func maxDepth(depths []int32) int {
 		}
 	}
 	return int(maxD)
+}
+
+// iterationNames[i] is iteration i's ledger span name, formatted once at
+// start-up instead of once per iteration. iterationSpanName formats the
+// names past the table, which takes a run of a hundred iterations.
+var iterationNames = func() (names [100]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("iteration-%02d", i)
+	}
+	return
+}()
+
+func iterationSpanName(i int) string {
+	if i < len(iterationNames) {
+		return iterationNames[i]
+	}
+	return fmt.Sprintf("iteration-%02d", i)
 }
 
 func log2int(n int) int {

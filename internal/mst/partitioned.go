@@ -72,26 +72,28 @@ func RunPartitioned(pe *embed.Partitioned, src *rngutil.Source) (*PartitionedRes
 	// Phase 1: per-cluster minimum spanning forests. keep marks the base
 	// edges surviving the cycle-property filter.
 	keep := make([]bool, g.M())
-	clusterSpan := led.Open("clusters", "base rounds", 1)
-	detail := clusterSpan.NewChild("per-cluster", "base rounds", 0)
+	led.Open("clusters", "base rounds", 1)
+	led.Open("per-cluster", "base rounds", 0)
 	for ci, ce := range pe.Clusters {
-		localEdges, rounds, ledRoot, err := clusterMSF(ce, src.Child("cluster", uint64(ci)))
+		localEdges, rounds, clusterCosts, err := clusterMSF(ce, src.Child("cluster", uint64(ci)))
 		if err != nil {
 			return nil, fmt.Errorf("mst: cluster %d: %w", ci, err)
 		}
 		for _, le := range localEdges {
 			keep[ce.Cluster.Sub.GlobalEdge(le)] = true
 		}
-		sp := detail.NewChild(fmt.Sprintf("cluster-%02d", ci), "base rounds", 1)
-		if ledRoot != nil {
-			sp.Children = append(sp.Children, ledRoot)
+		led.Open(fmt.Sprintf("cluster-%02d", ci), "base rounds", 1)
+		if clusterCosts != nil {
+			led.Attach(clusterCosts, cost.Root)
 		} else {
-			sp.Add(rounds)
+			led.Charge(rounds)
 		}
+		led.Close()
 		if rounds > res.ClusterRounds {
 			res.ClusterRounds = rounds
 		}
 	}
+	led.Close()
 	led.Charge(res.ClusterRounds)
 	led.CloseExpect(res.ClusterRounds)
 
@@ -120,8 +122,8 @@ func RunPartitioned(pe *embed.Partitioned, src *rngutil.Source) (*PartitionedRes
 	res.StitchRounds = ghs.Rounds
 	res.StitchIterations = ghs.Iterations
 	stitch := led.Open("stitch", "base rounds", 1)
-	stitch.NewChild("iterations", "iterations", 0).Add(ghs.Iterations)
-	stitch.NewChild("sparsified-edges", "edges", 0).Add(sparse.M())
+	led.Add(led.NewChild(stitch, "iterations", "iterations", 0), ghs.Iterations)
+	led.Add(led.NewChild(stitch, "sparsified-edges", "edges", 0), sparse.M())
 	led.Charge(ghs.Rounds)
 	led.CloseExpect(ghs.Rounds)
 
@@ -142,9 +144,9 @@ func RunPartitioned(pe *embed.Partitioned, src *rngutil.Source) (*PartitionedRes
 
 // clusterMSF computes one cluster's local MST and its measured cost in
 // base rounds: the hierarchical algorithm's rounds for hierarchy tiers
-// (whose ledger root is returned for informational grafting), flood GHS
-// for direct tiers. Single-node clusters contribute nothing.
-func clusterMSF(ce *embed.ClusterEmbedding, src *rngutil.Source) ([]int, int, *cost.Span, error) {
+// (whose ledger is returned for informational grafting), flood GHS for
+// direct tiers. Single-node clusters contribute nothing.
+func clusterMSF(ce *embed.ClusterEmbedding, src *rngutil.Source) ([]int, int, *cost.Ledger, error) {
 	sub := ce.Cluster.Sub
 	if sub.G.N() < 2 {
 		return nil, 0, nil, nil
@@ -160,5 +162,5 @@ func clusterMSF(ce *embed.ClusterEmbedding, src *rngutil.Source) ([]int, int, *c
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return r.Edges, r.AlgorithmRounds, r.Costs.Root, nil
+	return r.Edges, r.AlgorithmRounds, r.Costs, nil
 }

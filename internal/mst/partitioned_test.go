@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/decomp"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
@@ -56,7 +57,7 @@ func checkSpanningTree(t *testing.T, g *graph.Graph, res *PartitionedResult) {
 		t.Fatalf("weight %g, Kruskal %g", res.Weight, wantWeight)
 	}
 	_ = wantEdges
-	if got := res.Costs.Root.Total(); got != res.Rounds {
+	if got := res.Costs.Total(cost.Root); got != res.Rounds {
 		t.Fatalf("ledger root totals %d, result says %d", got, res.Rounds)
 	}
 	if res.Rounds != res.ClusterRounds+res.StitchRounds {

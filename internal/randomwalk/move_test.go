@@ -80,6 +80,7 @@ func moveMatches(g *graph.Graph, d draws, x []uint64, at []int32, alias bool) er
 // fixtures add the wide stars, whose hubs (node 0, on every eighth token)
 // reduce past 16-bit degrees.
 func TestMoveVectorMatchesScalar(t *testing.T) {
+	t.Logf("rngutil.HasAVX512() = %v", rngutil.HasAVX512())
 	skipMoveVector(t)
 	r := rngutil.NewRand(13)
 	special := []uint64{0, ^uint64(0), 1 << 63}

@@ -259,7 +259,11 @@ var benchPaths [][]int32
 // per node for 30 steps, and prep48 and prep384 are route's preparation on
 // serve-expander's base graph (lazy, 48 or 384 walks of 23 steps, fewer
 // walks than slots). Run takes the dense step on the first and the
-// touched-list step on the others. replay times Result.Paths instead, in
+// touched-list step on the others. prep384 sits at 0.89 walks a slot, and
+// Run's rule stays at one walk a slot: a build taking the dense step from
+// half a walk left serve-expander flat, because the MST tree steps make
+// almost all of its preparation runs, at about 0.11 walks a slot (E38).
+// replay times Result.Paths instead, in
 // ns per replayed step: a third of the lazy walks of a G0 on rr(32, 8),
 // kept the way buildG0 keeps them.
 func BenchmarkRun(b *testing.B) {

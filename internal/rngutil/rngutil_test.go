@@ -196,6 +196,7 @@ func fillMatches(fill func(Column, []uint64, uint64), key, b, a0 uint64, n int) 
 // positions and first streams, and at first streams near 2⁶⁴, where the
 // lanes' stream indices wrap.
 func TestColumnFillMatchesAt(t *testing.T) {
+	t.Logf("HasAVX512() = %v", HasAVX512())
 	for _, loop := range fillLoops {
 		t.Run(loop.name, func(t *testing.T) {
 			skipVector(t, loop.name)

@@ -49,7 +49,7 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 // trace[i] being packet i's overlay-edge crossings in order (the golden
 // fingerprints pin them).
 func routeExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*ExactReport, [][]traversal, error) {
-	r, err := newRouter(h, reqs, src)
+	r, err := newRouter(nil, h, reqs, src)
 	if err != nil {
 		return nil, nil, err
 	}

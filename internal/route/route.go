@@ -70,7 +70,8 @@ type Report struct {
 	// derived from it: PrepRounds and BaseRounds from the prep span and
 	// the root, G0Rounds from the recursion span, HopG0Rounds and
 	// LeafG0Rounds from its per-level portal-hop and leaf-movement
-	// children.
+	// children. Nil after RouteUnder, which writes into its caller's
+	// ledger.
 	Costs *cost.Ledger
 }
 
@@ -94,13 +95,12 @@ type router struct {
 	// at the cumulative G0-round cost they were incurred at (g0Done).
 	probe  congest.Probe
 	g0Done int
-	// led is the run's cost ledger; recSpan is its open recursion span,
-	// hopSpans[l] and leafSpan the children that portal hops at level
-	// l+1 and leaf schedules charge into.
-	led      *cost.Ledger
-	recSpan  *cost.Span
-	hopSpans []*cost.Span
-	leafSpan *cost.Span
+	// led is the ledger the run writes into; the recursion span's
+	// children are the portal hops at levels 1…Levels (spans hops …
+	// hops+Levels−1), which portal hops charge into, then leaf, which leaf
+	// schedules charge into.
+	led        *cost.Ledger
+	hops, leaf int
 	*scratch
 }
 
@@ -154,7 +154,22 @@ func Route(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Report, er
 // G0-round cost each leaf batch or portal hop was incurred at. A nil
 // probe is identical to Route.
 func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe congest.Probe) (*Report, error) {
-	r, err := newRouter(h, reqs, src)
+	return routeInto(nil, h, reqs, src, probe)
+}
+
+// RouteUnder runs like Route but writes the run's spans into led, as one
+// "route" span under led's current span, instead of into a fresh ledger:
+// a caller that keeps the breakdown (an MST tree step) gets it without a
+// ledger per run. The report's Costs is nil, and any violation recorded
+// in led fails the run.
+func RouteUnder(led *cost.Ledger, h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Report, error) {
+	return routeInto(led, h, reqs, src, nil)
+}
+
+// routeInto is Route, RouteTraced and RouteUnder: into led when it is
+// non-nil, into a fresh ledger otherwise.
+func routeInto(led *cost.Ledger, h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe congest.Probe) (*Report, error) {
+	r, err := newRouter(led, h, reqs, src)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +195,18 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 }
 
 // newRouter builds the shared run state of Route/RouteExact: packet
-// destinations, a scratch from the pool, and a fresh cost ledger rooted
-// at a base-round "route" span. The caller hands the scratch back with
-// release once the run is over; an error here has released it already.
-func newRouter(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*router, error) {
-	led := cost.New("route", "base rounds")
+// destinations, a scratch from the pool, and a base-round "route" span —
+// the root of a fresh cost ledger, or opened in led when led is non-nil.
+// The caller hands the scratch back with release once the run is over; an
+// error here has released it already.
+func newRouter(led *cost.Ledger, h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*router, error) {
+	var costs *cost.Ledger
+	if led == nil {
+		led = cost.New("route", "base rounds")
+		costs = led
+	} else {
+		led.Open("route", "base rounds", 1)
+	}
 	sc := scratches.Get().(*scratch)
 	sc.cur = slices.Grow(sc.cur[:0], len(reqs))[:len(reqs)]
 	sc.dst = slices.Grow(sc.dst[:0], len(reqs))[:len(reqs)]
@@ -195,7 +217,7 @@ func newRouter(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*router
 		led: led,
 		report: &Report{
 			HopG0Rounds: make([]int, h.Levels),
-			Costs:       led,
+			Costs:       costs,
 		},
 		scratch: sc,
 	}
@@ -219,10 +241,9 @@ func (r *router) release() {
 
 // chargePrep records the preparation walks as the ledger's prep span.
 func (r *router) chargePrep(rounds int) {
-	sp := r.led.Open("prep", "base rounds", 1)
+	r.led.Open("prep", "base rounds", 1)
 	r.led.Charge(rounds)
-	r.led.Close()
-	r.report.PrepRounds = sp.Total()
+	r.report.PrepRounds = r.led.Close()
 }
 
 // runRecursion opens the recursion span (G0 rounds, multiplied into base
@@ -231,12 +252,12 @@ func (r *router) chargePrep(rounds int) {
 // span is closed against the recursion's returned G0 cost, making
 // "children sum to the return value" a checked identity.
 func (r *router) runRecursion() (int, error) {
-	r.recSpan = r.led.Open("recursion", roundsUnit[0], r.h.G0.EmulationRounds)
-	r.hopSpans = make([]*cost.Span, r.h.Levels)
+	rec := r.led.Open("recursion", roundsUnit[0], r.h.G0.EmulationRounds)
+	r.hops = rec + 1
 	for l := 0; l < r.h.Levels; l++ {
-		r.hopSpans[l] = r.recSpan.NewChild(hopSpanName[l], roundsUnit[l], r.h.EmulationToG0(l))
+		r.led.NewChild(rec, hopSpanName[l], roundsUnit[l], r.h.EmulationToG0(l))
 	}
-	r.leafSpan = r.recSpan.NewChild("leaf-movement",
+	r.leaf = r.led.NewChild(rec, "leaf-movement",
 		roundsUnit[r.h.Levels], r.h.EmulationToG0(r.h.Levels))
 
 	r.pkts = slices.Grow(r.pkts[:0], len(r.cur))[:len(r.cur)]
@@ -256,10 +277,10 @@ func (r *router) runRecursion() (int, error) {
 // recursion span, BaseRounds from the closed root.
 func (r *router) finish(g0Cost int, delivered int) error {
 	r.report.G0Rounds = g0Cost
-	for l, sp := range r.hopSpans {
-		r.report.HopG0Rounds[l] = sp.Rolled()
+	for l := range r.report.HopG0Rounds {
+		r.report.HopG0Rounds[l] = r.led.Rolled(r.hops + l)
 	}
-	r.report.LeafG0Rounds = r.leafSpan.Rolled()
+	r.report.LeafG0Rounds = r.led.Rolled(r.leaf)
 	r.report.BaseRounds = r.led.Close()
 	if err := r.led.Err(); err != nil {
 		return fmt.Errorf("route: cost ledger: %w", err)
@@ -367,7 +388,7 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 	}
 	// The hop happens between level-(level+1) parts over G_level edges:
 	// maxLoad G_level rounds, converted by the span's multiplier.
-	r.hopSpans[level].Add(maxLoad)
+	r.led.Add(r.hops+level, maxLoad)
 	hopG0 := maxLoad * r.h.EmulationToG0(level)
 	cost += hopG0
 	r.g0Done += hopG0
@@ -428,7 +449,7 @@ func (r *router) routeLeaf(pkts []int, targets []int32) (int, error) {
 		return 0, nil
 	}
 	res := pathsched.Schedule(r.paths)
-	r.leafSpan.Add(res.Makespan)
+	r.led.Add(r.leaf, res.Makespan)
 	r.report.LeafSchedules++
 	leafG0 := res.Makespan * r.h.EmulationToG0(r.h.Levels)
 	r.g0Done += leafG0

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -330,38 +331,38 @@ func TestRouteLedgerDerivesReport(t *testing.T) {
 	if err := led.Err(); err != nil {
 		t.Fatal(err)
 	}
-	prep, rec := led.Root.Child("prep"), led.Root.Child("recursion")
-	if prep == nil || rec == nil {
+	prep, rec := led.Child(cost.Root, "prep"), led.Child(cost.Root, "recursion")
+	if prep == cost.None || rec == cost.None {
 		t.Fatal("ledger lacks prep/recursion spans")
 	}
 	// Children sum to the parent.
-	if led.Root.Total() != prep.Rolled()+rec.Rolled() {
-		t.Fatalf("root %d != prep %d + recursion %d", led.Root.Total(), prep.Rolled(), rec.Rolled())
+	if led.Total(cost.Root) != led.Rolled(prep)+led.Rolled(rec) {
+		t.Fatalf("root %d != prep %d + recursion %d", led.Total(cost.Root), led.Rolled(prep), led.Rolled(rec))
 	}
 	// Every report figure is the corresponding span's value.
-	if rep.PrepRounds != prep.Total() {
-		t.Fatalf("PrepRounds %d != prep span %d", rep.PrepRounds, prep.Total())
+	if rep.PrepRounds != led.Total(prep) {
+		t.Fatalf("PrepRounds %d != prep span %d", rep.PrepRounds, led.Total(prep))
 	}
-	if rep.G0Rounds != rec.Total() {
-		t.Fatalf("G0Rounds %d != recursion span %d", rep.G0Rounds, rec.Total())
+	if rep.G0Rounds != led.Total(rec) {
+		t.Fatalf("G0Rounds %d != recursion span %d", rep.G0Rounds, led.Total(rec))
 	}
-	if rep.BaseRounds != led.Root.Total() {
-		t.Fatalf("BaseRounds %d != root total %d", rep.BaseRounds, led.Root.Total())
+	if rep.BaseRounds != led.Total(cost.Root) {
+		t.Fatalf("BaseRounds %d != root total %d", rep.BaseRounds, led.Total(cost.Root))
 	}
-	leaf := rec.Child("leaf-movement")
-	if leaf == nil || leaf.Rolled() != rep.LeafG0Rounds {
+	leaf := led.Child(rec, "leaf-movement")
+	if leaf == cost.None || led.Rolled(leaf) != rep.LeafG0Rounds {
 		t.Fatalf("leaf-movement span does not carry LeafG0Rounds %d", rep.LeafG0Rounds)
 	}
-	recSum := leaf.Rolled()
+	recSum := led.Rolled(leaf)
 	for l, v := range rep.HopG0Rounds {
-		sp := rec.Child(fmt.Sprintf("portal-hops-level-%d", l+1))
-		if sp == nil || sp.Rolled() != v {
+		sp := led.Child(rec, fmt.Sprintf("portal-hops-level-%d", l+1))
+		if sp == cost.None || led.Rolled(sp) != v {
 			t.Fatalf("portal-hops-level-%d span does not carry %d", l+1, v)
 		}
-		recSum += sp.Rolled()
+		recSum += led.Rolled(sp)
 	}
-	if recSum != rec.Total() {
-		t.Fatalf("recursion children sum %d != span total %d", recSum, rec.Total())
+	if recSum != led.Total(rec) {
+		t.Fatalf("recursion children sum %d != span total %d", recSum, led.Total(rec))
 	}
 	// Differential: the seed code's closed-form accounting still holds.
 	if rep.BaseRounds != rep.PrepRounds+rep.G0Rounds*h.G0.EmulationRounds {
@@ -380,8 +381,8 @@ func TestRouteExactSharesLedgerAccounting(t *testing.T) {
 	if rep.Costs == nil || rep.Costs.Err() != nil {
 		t.Fatalf("exact route ledger missing or violated: %v", rep.Costs.Err())
 	}
-	if rep.BaseRounds != rep.Costs.Root.Total() {
-		t.Fatalf("BaseRounds %d != ledger root %d", rep.BaseRounds, rep.Costs.Root.Total())
+	if rep.BaseRounds != rep.Costs.Total(cost.Root) {
+		t.Fatalf("BaseRounds %d != ledger root %d", rep.BaseRounds, rep.Costs.Total(cost.Root))
 	}
 }
 
@@ -399,15 +400,17 @@ func TestRoutePhasedLedger(t *testing.T) {
 	if err := led.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if rep.BaseRounds != led.Root.Total() {
-		t.Fatalf("BaseRounds %d != ledger root %d", rep.BaseRounds, led.Root.Total())
+	if rep.BaseRounds != led.Total(cost.Root) {
+		t.Fatalf("BaseRounds %d != ledger root %d", rep.BaseRounds, led.Total(cost.Root))
 	}
 	sum := 0
-	for _, ph := range led.Root.Children {
-		sum += ph.Rolled()
+	for _, r := range led.Rows() {
+		if r.Depth == 1 {
+			sum += r.Rolled
+		}
 	}
-	if sum != led.Root.Total() {
-		t.Fatalf("phase spans sum %d != root %d", sum, led.Root.Total())
+	if sum != led.Total(cost.Root) {
+		t.Fatalf("phase spans sum %d != root %d", sum, led.Total(cost.Root))
 	}
 }
 
@@ -518,18 +521,19 @@ var raceBuild bool
 // routeAllocCeiling bounds the heap objects one Route allocates on a
 // hierarchy whose leaf rows are filled. The run's scratch and every leaf
 // batch's pathsched workspace come from pools, so a warm Route allocates
-// only what it returns or does not pool: the router, the report and its
-// ledger spans, the route stream and what the preparation walks return
-// (randomwalk.RunAllocCeiling; their step state is pooled too) — nothing
-// per packet, per leaf batch or per level. About a fifth above what the
-// fixture measures (26 for both demands, against 85 and 87 with per-run
-// scratch). Under -race the runtime drops a quarter of what a sync.Pool
-// is handed, so any pool may be empty; there the ceiling is
-// routeRaceCeiling, about a fifth above a run that finds every pool empty
-// (up to 89 measured).
+// only what it returns or does not pool: the router, the report, its
+// ledger (one object: a run's spans fit inside it), the route stream and
+// what the preparation walks return (randomwalk.RunAllocCeiling; their
+// step state is pooled too) — nothing per span, packet, leaf batch or
+// level. About a fifth above what the fixture measures (12 for both
+// demands, against 26 with a heap object per ledger span). Under -race
+// the runtime drops a quarter of what a sync.Pool is handed, so any pool
+// may be empty; there the ceiling is routeRaceCeiling, about a fifth
+// above the largest mean of five warm runs seen in 400 such measurements
+// (80).
 var (
-	routeAllocCeiling = map[string]float64{"perm": 31, "degree": 31}
-	routeRaceCeiling  = map[string]float64{"perm": 105, "degree": 105}
+	routeAllocCeiling = map[string]float64{"perm": 15, "degree": 15}
+	routeRaceCeiling  = map[string]float64{"perm": 96, "degree": 96}
 )
 
 func TestRouteAllocationsWarm(t *testing.T) {

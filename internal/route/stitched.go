@@ -156,27 +156,29 @@ func runWave(pe *embed.Partitioned, reqs []Request, pkts []stitchPacket, hops *q
 	// Run the batches (conceptually in parallel: clusters are
 	// edge-disjoint, so the wave's cost is the maximum batch cost).
 	maxCluster := 0
-	perCluster := led.Open("clusters", "base rounds", 1)
-	detail := perCluster.NewChild("per-cluster", "base rounds", 0)
+	led.Open("clusters", "base rounds", 1)
+	led.Open("per-cluster", "base rounds", 0)
 	for ci, batch := range batches {
 		if len(batch) == 0 {
 			continue
 		}
-		rounds, ledRoot, err := runClusterBatch(pe.Clusters[ci], batch, src.Child("cluster", uint64(ci)))
+		rounds, batchCosts, err := runClusterBatch(pe.Clusters[ci], batch, src.Child("cluster", uint64(ci)))
 		if err != nil {
 			return 0, fmt.Errorf("route: cluster %d batch: %w", ci, err)
 		}
 		rep.ClusterBatches++
-		sp := detail.NewChild(fmt.Sprintf("cluster-%02d", ci), "base rounds", 1)
-		if ledRoot != nil {
-			sp.Children = append(sp.Children, ledRoot)
+		led.Open(fmt.Sprintf("cluster-%02d", ci), "base rounds", 1)
+		if batchCosts != nil {
+			led.Attach(batchCosts, cost.Root)
 		} else {
-			sp.Add(rounds)
+			led.Charge(rounds)
 		}
+		led.Close()
 		if rounds > maxCluster {
 			maxCluster = rounds
 		}
 	}
+	led.Close()
 	led.Charge(maxCluster)
 	led.CloseExpect(maxCluster)
 
@@ -226,9 +228,9 @@ func runWave(pe *embed.Partitioned, reqs []Request, pkts []stitchPacket, hops *q
 }
 
 // runClusterBatch routes one cluster's batch and returns its measured
-// cost in base rounds, plus the batch's ledger root for hierarchy
-// clusters (nil for direct tiers, whose cost is a bare schedule).
-func runClusterBatch(ce *embed.ClusterEmbedding, batch []Request, src *rngutil.Source) (int, *cost.Span, error) {
+// cost in base rounds, plus the batch's ledger for hierarchy clusters
+// (nil for direct tiers, whose cost is a bare schedule).
+func runClusterBatch(ce *embed.ClusterEmbedding, batch []Request, src *rngutil.Source) (int, *cost.Ledger, error) {
 	if ce.Direct {
 		sub := ce.Cluster.Sub
 		paths := make([][]int32, 0, len(batch))
@@ -254,7 +256,7 @@ func runClusterBatch(ce *embed.ClusterEmbedding, batch []Request, src *rngutil.S
 	if err != nil {
 		return 0, nil, err
 	}
-	return rep.BaseRounds, rep.Costs.Root, nil
+	return rep.BaseRounds, rep.Costs, nil
 }
 
 // quotientHops precomputes, for every destination cluster, the BFS

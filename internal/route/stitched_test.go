@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/decomp"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
@@ -33,7 +34,7 @@ func checkStitchedReport(t *testing.T, rep *PartitionedReport, want int) {
 		t.Fatalf("BaseRounds %d != ClusterRounds %d + BoundaryRounds %d",
 			rep.BaseRounds, rep.ClusterRounds, rep.BoundaryRounds)
 	}
-	if got := rep.Costs.Root.Total(); got != rep.BaseRounds {
+	if got := rep.Costs.Total(cost.Root); got != rep.BaseRounds {
 		t.Fatalf("ledger root totals %d, report says %d", got, rep.BaseRounds)
 	}
 	if err := rep.Costs.Err(); err != nil {

@@ -78,7 +78,7 @@ func RoutePhased(h *embed.Hierarchy, reqs []Request, phases int, src *rngutil.So
 		// Graft the phase's own ledger under a per-phase span, checked
 		// against the phase report's base-round total.
 		led.Open(fmt.Sprintf("phase-%d", b), "base rounds", 1)
-		led.Attach(rep.Costs.Root)
+		led.Attach(rep.Costs, cost.Root)
 		led.CloseExpect(rep.BaseRounds)
 		total.Delivered += rep.Delivered
 		total.PrepRounds += rep.PrepRounds

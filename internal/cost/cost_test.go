@@ -115,6 +115,35 @@ func TestInformationalSpanRollsZero(t *testing.T) {
 	}
 }
 
+// TestAttachCopiesOnlyTheSubtree: grafting an inner span copies its
+// descendants and none of the later spans outside it, even those whose
+// parent comes after it.
+func TestAttachCopiesOnlyTheSubtree(t *testing.T) {
+	src := New("src", "base")
+	a := src.Open("a", "base", 2)
+	src.Add(src.NewChild(a, "a1", "base", 1), 3)
+	src.Close()
+	b := src.Open("b", "base", 1)
+	src.Add(src.NewChild(b, "b1", "base", 1), 5)
+	src.Add(src.NewChild(a, "a2", "base", 1), 4)
+	src.Close()
+	src.Close()
+
+	l := New("run", "base")
+	l.Attach(src, a)
+	l.Close()
+	var paths []string
+	for _, r := range l.Rows() {
+		paths = append(paths, r.Path)
+	}
+	if got, want := strings.Join(paths, " "), "run run/a run/a/a1 run/a/a2"; got != want {
+		t.Fatalf("rows %q, want %q", got, want)
+	}
+	if l.Total(Root) != 14 {
+		t.Fatalf("root total %d, want 2·(3+4)", l.Total(Root))
+	}
+}
+
 func TestAttachGraftsFinishedLedger(t *testing.T) {
 	inner := New("step", "base")
 	inner.Charge(4)
@@ -421,8 +450,15 @@ func (p *pair) program(next func() int, clock func(time.Duration), depth int) {
 			if depth == 0 {
 				continue
 			}
-			sub := newPair(name(), unit())
-			sub.program(next, clock, depth-1)
+			// The sub-program reads at most n ops of its own, so the
+			// choice of span to graft below comes from the rest.
+			sub, n := newPair(name(), unit()), arg()%24
+			sub.program(func() int {
+				if n--; n < 0 {
+					return -1
+				}
+				return next()
+			}, clock, depth-1)
 			for sub.led.Current() != None {
 				sub.led.Close()
 				sub.ref.Close()

@@ -47,7 +47,8 @@ type (
 	// CostLedger is the span table every embedded-tier round total is
 	// derived from (Hierarchy.Costs, RouteReport.Costs, MSTResult.Costs,
 	// CliqueResult.Costs). A span is an index into it: CostRoot is the
-	// root, and Total, Rolled, Child and Wall take an index.
+	// root, and Total, Rolled and Child take an index. Span wall times are
+	// read through WallRows, by path.
 	CostLedger = cost.Ledger
 	// CostRow is one flattened ledger row, as exported by -trace.
 	CostRow = cost.Row

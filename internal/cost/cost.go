@@ -81,7 +81,7 @@ type Ledger struct {
 	frames     [6]frame
 }
 
-type buffer struct { // growth storage of open ledgers, pooled
+type buffer struct { // growth storage of open ledgers, pooled (E38)
 	rows []row
 	wall []int64
 }

@@ -22,9 +22,8 @@
 // branch on its draw. A run with at least as many independent walks as
 // slots takes the dense step, and one sweep of the CSR after the step
 // reads the loads and each node's tokens off the histogram. Any other run
-// takes the touched-list step, which lists the arcs it loads and reads
-// the loads and the occupancy of the nodes they lead into off that list;
-// both give the same result to the bit. Every walk loop, the
+// takes the touched-list step, which lists the arcs it loads and sweeps
+// nothing; both give the same result to the bit. Every walk loop, the
 // replay's included, picks a hop by one masked rule (draws.pick), with no
 // branch on the draw. Both steps take a chunk of 512 walks at a time in
 // three passes: hash the draws (rngutil.Column.Fill), move the tokens —
@@ -167,11 +166,9 @@ func moveScalar(start []int32, half []graph.Halfedge, d draws, stay int32, x []u
 
 // stepper is the state the per-step loops share.
 type stepper struct {
-	// start and half are the graph's CSR (graph.Graph.CSR), and edges its
-	// edge list, which names the node an arc leads into.
+	// start and half are the graph's CSR (graph.Graph.CSR).
 	start []int32
 	half  []graph.Halfedge
-	edges []graph.Edge
 	// hist counts this step's tokens by where they went: hist[arc] the
 	// crossings of a directed edge and hist[2m+v] the tokens that stayed at
 	// node v.
@@ -287,13 +284,9 @@ func (st *stepper) stepIndependent(d draws, at []int32, s int) {
 // tally reads a touched-list step's loads off the listed arcs and clears
 // them, and the n stay slots with them: the most loaded arc (at least one
 // round, even if every token stayed) and the hop count. With edgeLoad
-// non-nil it also writes every arc's load there for the probe. Then it
-// notes the occupancy of the heads of the listed arcs: only those nodes
-// gained tokens, and a node whose count did not rise sets no new maximum,
-// so the maxima are a sweep's of all n nodes. A step that lists n arcs or
-// more sweeps the n nodes instead, which is the cheaper. Clearing the stay
-// slots stays O(n) per step, a memory clear.
-func (st *stepper) tally(edgeLoad []int64, stats *Stats) (maxLoad, hops int) {
+// non-nil it also writes every arc's load there for the probe. Clearing
+// the stay slots is O(n) per step, the order of noteOccupancy's sweep.
+func (st *stepper) tally(edgeLoad []int64) (maxLoad, hops int) {
 	clear(edgeLoad)
 	maxLoad = 1
 	for _, a := range st.touched[:st.nTouched] {
@@ -304,14 +297,6 @@ func (st *stepper) tally(edgeLoad []int64, stats *Stats) (maxLoad, hops int) {
 			edgeLoad[a] = int64(load)
 		}
 		st.hist[a] = 0
-	}
-	if st.nTouched >= len(st.tokensAt) {
-		st.noteOccupancy(stats)
-	} else {
-		for _, a := range st.touched[:st.nTouched] {
-			e := st.edges[a>>1]
-			st.note(stats, e.U^(e.U^e.V)&-int(a&1)) // V when the arc is odd
-		}
 	}
 	clear(st.hist[len(st.half):])
 	st.nTouched = 0
@@ -511,7 +496,6 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 	st := &stepper{
 		start:       start,
 		half:        half,
-		edges:       g.Edges(),
 		hist:        scratch[:nHist:nHist],
 		tokensAt:    scratch[nHist : nHist+n : nHist+n],
 		draws:       &ws.draws,
@@ -543,16 +527,16 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 		case dense:
 			st.stepDense(res.draws, at, step)
 			maxLoad, hops = st.settle(edgeLoad)
-			st.noteOccupancy(&res.Stats)
 		case cfg.Correlated:
 			st.stepCorrelated(cfg.Kind, at, twoDelta, rng)
-			maxLoad, hops = st.tally(edgeLoad, &res.Stats)
+			maxLoad, hops = st.tally(edgeLoad)
 		default:
 			st.stepIndependent(res.draws, at, step)
-			maxLoad, hops = st.tally(edgeLoad, &res.Stats)
+			maxLoad, hops = st.tally(edgeLoad)
 		}
 		res.Stats.PerStepMaxLoad[step] = maxLoad
 		res.Stats.Rounds += maxLoad
+		st.noteOccupancy(&res.Stats)
 		if cfg.Probe != nil {
 			// One "round" per walk step, congestion as Lemma 2.5 counts it.
 			rec := &congest.RoundRecord{
@@ -586,19 +570,13 @@ func run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand, dense bool
 // correctly rounded division is monotone, so the quotient of the largest
 // fraction is the largest quotient, to the bit.
 func (st *stepper) noteOccupancy(stats *Stats) {
-	for v := range st.tokensAt {
-		st.note(stats, v)
-	}
-}
-
-// note folds node v's tokens into the occupancy maxima.
-func (st *stepper) note(stats *Stats, v int) {
-	c := st.tokensAt[v]
-	stats.MaxTokensAtNode = max(stats.MaxTokensAtNode, int(c))
-	d := int64(st.start[v+1] - st.start[v])
-	if d > 0 && int64(c)*st.ratioDegree > st.ratioTokens*d {
-		st.ratioTokens, st.ratioDegree = int64(c), d
-		stats.MaxTokensOverDegree = float64(c) / float64(d)
+	for v, c := range st.tokensAt {
+		stats.MaxTokensAtNode = max(stats.MaxTokensAtNode, int(c))
+		d := int64(st.start[v+1] - st.start[v])
+		if d > 0 && int64(c)*st.ratioDegree > st.ratioTokens*d {
+			st.ratioTokens, st.ratioDegree = int64(c), d
+			stats.MaxTokensOverDegree = float64(c) / float64(d)
+		}
 	}
 }
 

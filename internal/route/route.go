@@ -160,8 +160,9 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 // RouteUnder runs like Route but writes the run's spans into led, as one
 // "route" span under led's current span, instead of into a fresh ledger:
 // a caller that keeps the breakdown (an MST tree step) gets it without a
-// ledger per run. The report's Costs is nil, and any violation recorded
-// in led fails the run.
+// ledger per run. The report's Costs is nil. The run's ledger violations
+// stay in led for the caller's own Err check. On an error return led is
+// left inside the spans the run opened and must be discarded.
 func RouteUnder(led *cost.Ledger, h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Report, error) {
 	return routeInto(led, h, reqs, src, nil)
 }
@@ -282,7 +283,7 @@ func (r *router) finish(g0Cost int, delivered int) error {
 	}
 	r.report.LeafG0Rounds = r.led.Rolled(r.leaf)
 	r.report.BaseRounds = r.led.Close()
-	if err := r.led.Err(); err != nil {
+	if err := r.report.Costs.Err(); err != nil { // nil under RouteUnder
 		return fmt.Errorf("route: cost ledger: %w", err)
 	}
 	for i := range r.cur {

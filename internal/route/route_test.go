@@ -317,6 +317,43 @@ func TestRouteExactMatchesRouteSemantics(t *testing.T) {
 	}
 }
 
+// RouteUnder writes the same spans as Route's own ledger, one level down
+// under the caller's current span, and leaves a violation the caller
+// recorded before the run to the caller's Err.
+func TestRouteUnderMatchesRoute(t *testing.T) {
+	h := testHierarchy(t)
+	reqs := RandomPermutation(h.Base, rngutil.NewRand(14))
+	plain, err := Route(h, reqs, rngutil.NewSource(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := cost.New("caller", "base rounds")
+	led.Open("earlier", "base rounds", 1)
+	led.Charge(1)
+	led.CloseExpect(2)
+	rep, err := RouteUnder(led, h, reqs, rngutil.NewSource(15))
+	if err != nil {
+		t.Fatalf("RouteUnder failed on the caller's earlier violation: %v", err)
+	}
+	led.Close()
+	if rep.Costs != nil || rep.BaseRounds != plain.BaseRounds || rep.G0Rounds != plain.G0Rounds {
+		t.Fatalf("RouteUnder report %+v, Route's %+v", rep, plain)
+	}
+	if err := led.Err(); err == nil || !strings.Contains(err.Error(), "caller/earlier") {
+		t.Fatalf("caller's violation lost: %v", err)
+	}
+	want, got := plain.Costs.Rows(), led.Rows()[2:]
+	if len(got) != len(want) {
+		t.Fatalf("%d rows under the caller, Route's ledger has %d", len(got), len(want))
+	}
+	for i, w := range want {
+		w.Path, w.Depth = "caller/"+w.Path, w.Depth+1
+		if got[i] != w {
+			t.Fatalf("row %d: %+v, want %+v", i, got[i], w)
+		}
+	}
+}
+
 func TestRouteLedgerDerivesReport(t *testing.T) {
 	h := testHierarchy(t)
 	reqs := RandomPermutation(h.Base, rngutil.NewRand(14))
